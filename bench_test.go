@@ -92,7 +92,8 @@ func BenchmarkE5_LocalBypass(b *testing.B) {
 }
 
 // BenchmarkE6_EncodingCodec measures the PEPt encoding layer on the
-// telemetry payload: the generic walker, the compiled codec, and the debug
+// telemetry payload: the one encode walk into a fresh slice (Marshal) and
+// into a reused writer (Codec.Encode), the compiled decoder, and the debug
 // encoding (F4 pluggability; §6 efficiency focus).
 func BenchmarkE6_EncodingCodec(b *testing.B) {
 	typ := services.TypePosition
@@ -106,7 +107,7 @@ func BenchmarkE6_EncodingCodec(b *testing.B) {
 		b.Fatal(err)
 	}
 
-	b.Run("generic-marshal", func(b *testing.B) {
+	b.Run("marshal", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if _, err := encoding.Marshal(typ, val); err != nil {
@@ -114,7 +115,7 @@ func BenchmarkE6_EncodingCodec(b *testing.B) {
 			}
 		}
 	})
-	b.Run("compiled-marshal", func(b *testing.B) {
+	b.Run("append-reused", func(b *testing.B) {
 		b.ReportAllocs()
 		w := encoding.NewWriter(64)
 		for i := 0; i < b.N; i++ {
@@ -401,13 +402,15 @@ func sizedName(n int) string { return fmt.Sprintf("%d", n) }
 var _ = sizedName // reserved for sweep-style sub-benchmarks
 
 // BenchmarkWirePath measures one end-to-end telemetry publish between two
-// containers on the in-process bus: presentation coercion, compiled
-// encoding, pooled sample+frame encode, egress lane drain, transport
-// delivery, pooled decode, and sample dispatch on the receiver's
-// scheduler. Run with -benchmem: the wire path proper (encode → egress →
-// transport → decode) is pooled and allocation-free, so the bytes/op
-// reported here are value boxing at the presentation boundary and
-// scheduler hand-off — the application-layer floor, not the wire.
+// containers on the in-process bus: the fused coerce+append value encode
+// onto the pooled sample payload, pooled frame encode, egress lane drain,
+// transport delivery, pooled frame decode, value decode, and sample
+// dispatch on the receiver's scheduler. Run with -benchmem: the publish
+// side and the wire path proper (encode → egress → transport → frame
+// decode) allocate nothing, so the allocs/op reported here are the
+// receiver's: the map[string]any the callback contract hands out (map plus
+// boxed fields), the closure that carries it to the scheduler, and the
+// scheduler hand-off itself.
 func BenchmarkWirePath(b *testing.B) {
 	bus := transport.NewBus()
 	epA, err := bus.Endpoint("wp-a")

@@ -10,6 +10,7 @@ import (
 	"uavmw/internal/netsim"
 	"uavmw/internal/presentation"
 	"uavmw/internal/qos"
+	"uavmw/internal/scheduler"
 	"uavmw/internal/transport"
 )
 
@@ -21,7 +22,12 @@ func TestBatchedFramesDeliverTransparently(t *testing.T) {
 	net := netsim.New(netsim.Config{Seed: 21, Latency: 200 * time.Microsecond})
 	defer net.Close()
 	pub := newSimNode(t, net, "uav")
-	sub := newSimNode(t, net, "gs")
+	// One scheduler worker on the receiver: the handler below asserts
+	// arrival order, and two pool workers may run consecutive occurrences
+	// of one priority class concurrently.
+	pool := scheduler.NewPool(scheduler.WithWorkers(1))
+	t.Cleanup(pool.Stop)
+	sub := newSimNode(t, net, "gs", WithScheduler(pool))
 	syncNodes(t, pub, sub)
 
 	p, err := pub.Events().Offer("batch.burst", "it", presentation.Uint32(), mcastEventQoS)

@@ -867,12 +867,12 @@ func (n *Node) handleFrame(sh *recvShard, bearer string, from transport.NodeID, 
 			_ = uerr.Newf(n.metrics, codeBatchNested, "drop batch nested beyond depth %d", maxBatchNesting)
 			return
 		}
-		subs, err := protocol.DecodeBatch(f.Payload)
+		subs, err := protocol.ReadBatch(f.Payload)
 		if err != nil {
 			uerr.Note(n.metrics, codeBatchDecode, err, "drop undecodable batch")
 			return
 		}
-		for _, sub := range subs {
+		for sub, ok := subs.Next(); ok; sub, ok = subs.Next() {
 			n.handleFrameOn(sh, bearer, from, sub, depth+1)
 		}
 		return

@@ -586,8 +586,9 @@ func (p *Plane) Reroute(name string) int {
 	for _, qf := range items {
 		pr := qos.PriorityBulk + qos.Priority(qf.class)
 		if qf.key.group == "" {
-			uerr.Note(b.reg, codeRerouteDrop, p.enqueueUnicast(qf.key.node, pr, qf.item),
-				"reroute off "+name)
+			if err := p.enqueueUnicast(qf.key.node, pr, qf.item); err != nil {
+				uerr.Wrapf(b.reg, codeRerouteDrop, err, "reroute off %s", name)
+			}
 			continue
 		}
 		target := ""
@@ -604,8 +605,9 @@ func (p *Plane) Reroute(name string) int {
 			// rather than dropping silently.
 			target = name
 		}
-		uerr.Note(b.reg, codeRerouteDrop, p.enqueueOnGroup(target, qf.key.group, pr, qf.item),
-			"reroute off "+name)
+		if err := p.enqueueOnGroup(target, qf.key.group, pr, qf.item); err != nil {
+			uerr.Wrapf(b.reg, codeRerouteDrop, err, "reroute off %s", name)
+		}
 	}
 	return len(items)
 }
@@ -1004,7 +1006,7 @@ func (b *bearer) transmit(key destKey, datagram []byte) {
 	}
 	if err != nil {
 		b.ctr.sendFailures.Inc()
-		uerr.Note(b.reg, codeTransmit, err, "transport send on "+b.name)
+		uerr.Wrapf(b.reg, codeTransmit, err, "transport send on %s", b.name)
 	}
 }
 
@@ -1076,7 +1078,7 @@ func (b *bearer) drainBatch() (wait time.Duration, ok bool) {
 	}
 	if err := b.batch.SendBatch(msgs); err != nil {
 		b.ctr.sendFailures.Inc()
-		uerr.Note(b.reg, codeTransmit, err, "batched transport send on "+b.name)
+		uerr.Wrapf(b.reg, codeTransmit, err, "batched transport send on %s", b.name)
 	}
 	for i := range msgs {
 		if owned[i] {
@@ -1176,7 +1178,7 @@ func (b *bearer) close() {
 				}
 				if err != nil {
 					b.ctr.sendFailures.Inc()
-					uerr.Note(b.reg, codeTransmit, err, "final flush on "+b.name)
+					uerr.Wrapf(b.reg, codeTransmit, err, "final flush on %s", b.name)
 				}
 				b.ctr.perClass[c].sent.Inc()
 				b.ctr.perClass[c].datagrams.Inc()

@@ -6,17 +6,15 @@ import (
 	"uavmw/internal/presentation"
 )
 
-// Codec is a compiled encoder/decoder specialized for one type. Compilation
-// walks the descriptor once and builds a tree of closures, removing the
-// per-value kind dispatch of the generic path. Experiment E6 benches the
-// compiled path against the generic one.
+// Codec is a decoder compiled for one type. Compilation walks the
+// descriptor once and builds a tree of closures, removing the per-value
+// kind dispatch of the generic decode path (experiment E6 benches the two).
+// Encoding has a single implementation, AppendValue; the codec's encode
+// methods bind it to the compiled type.
 type Codec struct {
 	typ *presentation.Type
-	enc encFunc
 	dec decFunc
 }
-
-type encFunc func(w *Writer, v any) error
 
 type decFunc func(r *Reader) any
 
@@ -25,8 +23,7 @@ func Compile(t *presentation.Type) (*Codec, error) {
 	if err := t.Validate(); err != nil {
 		return nil, err
 	}
-	enc, dec := compile(t)
-	return &Codec{typ: t, enc: enc, dec: dec}, nil
+	return &Codec{typ: t, dec: compile(t)}, nil
 }
 
 // MustCompile is Compile that panics on error, for static codec variables.
@@ -41,8 +38,8 @@ func MustCompile(t *presentation.Type) *Codec {
 // Type returns the descriptor the codec was compiled from.
 func (c *Codec) Type() *presentation.Type { return c.typ }
 
-// Encode appends the wire form of canonical value v to w.
-func (c *Codec) Encode(w *Writer, v any) error { return c.enc(w, v) }
+// Encode appends the wire form of v to w.
+func (c *Codec) Encode(w *Writer, v any) error { return EncodeValue(w, c.typ, v) }
 
 // Decode reads one canonical value from r.
 func (c *Codec) Decode(r *Reader) (any, error) {
@@ -54,15 +51,7 @@ func (c *Codec) Decode(r *Reader) (any, error) {
 }
 
 // Marshal encodes into a fresh byte slice.
-func (c *Codec) Marshal(v any) ([]byte, error) {
-	w := NewWriter(64)
-	if err := c.enc(w, v); err != nil {
-		return nil, err
-	}
-	out := make([]byte, w.Len())
-	copy(out, w.Bytes())
-	return out, nil
-}
+func (c *Codec) Marshal(v any) ([]byte, error) { return Marshal(c.typ, v) }
 
 // Unmarshal decodes a full buffer, rejecting trailing bytes.
 func (c *Codec) Unmarshal(data []byte) (any, error) {
@@ -77,194 +66,112 @@ func (c *Codec) Unmarshal(data []byte) (any, error) {
 	return v, nil
 }
 
-func compile(t *presentation.Type) (encFunc, decFunc) {
+func compile(t *presentation.Type) decFunc {
 	switch t.Kind() {
 	case presentation.KindVoid:
-		return func(w *Writer, v any) error {
-				if v != nil {
-					return fmt.Errorf("encoding: void carries %T: %w", v, presentation.ErrTypeMismatch)
-				}
-				return nil
-			},
-			func(r *Reader) any { return nil }
+		return func(r *Reader) any { return nil }
 	case presentation.KindBool:
-		return scalarCodec(t, (*Writer).Bool, (*Reader).Bool)
+		return scalarDec((*Reader).Bool)
 	case presentation.KindInt8:
-		return scalarCodec(t, (*Writer).Int8, (*Reader).Int8)
+		return scalarDec((*Reader).Int8)
 	case presentation.KindInt16:
-		return scalarCodec(t, (*Writer).Int16, (*Reader).Int16)
+		return scalarDec((*Reader).Int16)
 	case presentation.KindInt32:
-		return scalarCodec(t, (*Writer).Int32, (*Reader).Int32)
+		return scalarDec((*Reader).Int32)
 	case presentation.KindInt64:
-		return scalarCodec(t, (*Writer).Int64, (*Reader).Int64)
+		return scalarDec((*Reader).Int64)
 	case presentation.KindUint8:
-		return scalarCodec(t, (*Writer).Uint8, (*Reader).Uint8)
+		return scalarDec((*Reader).Uint8)
 	case presentation.KindUint16:
-		return scalarCodec(t, (*Writer).Uint16, (*Reader).Uint16)
+		return scalarDec((*Reader).Uint16)
 	case presentation.KindUint32:
-		return scalarCodec(t, (*Writer).Uint32, (*Reader).Uint32)
+		return scalarDec((*Reader).Uint32)
 	case presentation.KindUint64:
-		return scalarCodec(t, (*Writer).Uint64, (*Reader).Uint64)
+		return scalarDec((*Reader).Uint64)
 	case presentation.KindFloat32:
-		return scalarCodec(t, (*Writer).Float32, (*Reader).Float32)
+		return scalarDec((*Reader).Float32)
 	case presentation.KindFloat64:
-		return scalarCodec(t, (*Writer).Float64, (*Reader).Float64)
+		return scalarDec((*Reader).Float64)
 	case presentation.KindString:
-		return scalarCodec(t, (*Writer).String, (*Reader).String)
+		return scalarDec((*Reader).String)
 	case presentation.KindBytes:
-		return scalarCodec(t, (*Writer).Bytes_, (*Reader).BytesCopy)
+		return scalarDec((*Reader).BytesCopy)
 	case presentation.KindArray:
-		elemEnc, elemDec := compile(t.Elem())
+		elemDec := compile(t.Elem())
 		n := t.Len()
-		return func(w *Writer, v any) error {
-				s, ok := v.([]any)
-				if !ok {
-					return encTypeErr(t, v)
-				}
-				if len(s) != n {
-					return fmt.Errorf("encoding: array wants %d elements, got %d: %w",
-						n, len(s), presentation.ErrTypeMismatch)
-				}
-				for i, e := range s {
-					if err := elemEnc(w, e); err != nil {
-						return fmt.Errorf("element %d: %w", i, err)
-					}
-				}
-				return nil
-			},
-			func(r *Reader) any {
-				out := make([]any, n)
-				for i := range out {
-					out[i] = elemDec(r)
-					if r.err != nil {
-						return nil
-					}
-				}
-				return out
-			}
-	case presentation.KindVector:
-		elemEnc, elemDec := compile(t.Elem())
-		return func(w *Writer, v any) error {
-				s, ok := v.([]any)
-				if !ok {
-					return encTypeErr(t, v)
-				}
-				w.Uint32(uint32(len(s)))
-				for i, e := range s {
-					if err := elemEnc(w, e); err != nil {
-						return fmt.Errorf("element %d: %w", i, err)
-					}
-				}
-				return nil
-			},
-			func(r *Reader) any {
-				n := r.VectorLen()
+		return func(r *Reader) any {
+			out := make([]any, n)
+			for i := range out {
+				out[i] = elemDec(r)
 				if r.err != nil {
 					return nil
 				}
-				out := make([]any, n)
-				for i := range out {
-					out[i] = elemDec(r)
-					if r.err != nil {
-						return nil
-					}
-				}
-				return out
 			}
+			return out
+		}
+	case presentation.KindVector:
+		elemDec := compile(t.Elem())
+		return func(r *Reader) any {
+			n := r.VectorLen()
+			if r.err != nil {
+				return nil
+			}
+			out := make([]any, n)
+			for i := range out {
+				out[i] = elemDec(r)
+				if r.err != nil {
+					return nil
+				}
+			}
+			return out
+		}
 	case presentation.KindStruct:
 		fields := t.Fields()
 		names := make([]string, len(fields))
-		encs := make([]encFunc, len(fields))
 		decs := make([]decFunc, len(fields))
 		for i, f := range fields {
 			names[i] = f.Name
-			encs[i], decs[i] = compile(f.Type)
+			decs[i] = compile(f.Type)
 		}
-		return func(w *Writer, v any) error {
-				m, ok := v.(map[string]any)
-				if !ok {
-					return encTypeErr(t, v)
-				}
-				for i, name := range names {
-					fv, present := m[name]
-					if !present {
-						return fmt.Errorf("encoding: missing field %q: %w", name, presentation.ErrTypeMismatch)
-					}
-					if err := encs[i](w, fv); err != nil {
-						return fmt.Errorf("field %q: %w", name, err)
-					}
-				}
-				return nil
-			},
-			func(r *Reader) any {
-				m := make(map[string]any, len(names))
-				for i, name := range names {
-					m[name] = decs[i](r)
-					if r.err != nil {
-						return nil
-					}
-				}
-				return m
-			}
-	case presentation.KindUnion:
-		cases := t.Cases()
-		names := make([]string, len(cases))
-		encs := make([]encFunc, len(cases))
-		decs := make([]decFunc, len(cases))
-		index := make(map[string]int, len(cases))
-		for i, c := range cases {
-			names[i] = c.Name
-			index[c.Name] = i
-			encs[i], decs[i] = compile(c.Type)
-		}
-		return func(w *Writer, v any) error {
-				u, ok := v.(presentation.Union)
-				if !ok {
-					return encTypeErr(t, v)
-				}
-				idx, known := index[u.Case]
-				if !known {
-					return fmt.Errorf("encoding: unknown case %q: %w", u.Case, presentation.ErrTypeMismatch)
-				}
-				w.Uint32(uint32(idx))
-				if err := encs[idx](w, u.Value); err != nil {
-					return fmt.Errorf("case %q: %w", u.Case, err)
-				}
-				return nil
-			},
-			func(r *Reader) any {
-				tag := r.Uint32()
+		return func(r *Reader) any {
+			m := make(map[string]any, len(names))
+			for i, name := range names {
+				m[name] = decs[i](r)
 				if r.err != nil {
 					return nil
 				}
-				if int(tag) >= len(names) {
-					r.err = fmt.Errorf("encoding: union tag %d out of %d cases: %w", tag, len(names), ErrCorrupt)
-					return nil
-				}
-				return presentation.Union{Case: names[tag], Value: decs[tag](r)}
 			}
-	default:
-		// Unreachable after Validate; keep a defensive failure.
-		return func(w *Writer, v any) error {
-				return fmt.Errorf("encoding: unknown kind %v: %w", t.Kind(), presentation.ErrInvalidType)
-			},
-			func(r *Reader) any {
-				r.err = fmt.Errorf("encoding: unknown kind %v: %w", t.Kind(), presentation.ErrInvalidType)
+			return m
+		}
+	case presentation.KindUnion:
+		cases := t.Cases()
+		names := make([]string, len(cases))
+		decs := make([]decFunc, len(cases))
+		for i, c := range cases {
+			names[i] = c.Name
+			decs[i] = compile(c.Type)
+		}
+		return func(r *Reader) any {
+			tag := r.Uint32()
+			if r.err != nil {
 				return nil
 			}
+			if int(tag) >= len(names) {
+				r.err = fmt.Errorf("encoding: union tag %d out of %d cases: %w", tag, len(names), ErrCorrupt)
+				return nil
+			}
+			return presentation.Union{Case: names[tag], Value: decs[tag](r)}
+		}
+	default:
+		// Unreachable after Validate; keep a defensive failure.
+		return func(r *Reader) any {
+			r.err = fmt.Errorf("encoding: unknown kind %v: %w", t.Kind(), presentation.ErrInvalidType)
+			return nil
+		}
 	}
 }
 
-// scalarCodec builds the closure pair for a primitive kind from the Writer
-// and Reader method pair.
-func scalarCodec[T any](t *presentation.Type, write func(*Writer, T), read func(*Reader) T) (encFunc, decFunc) {
-	return func(w *Writer, v any) error {
-			x, ok := v.(T)
-			if !ok {
-				return encTypeErr(t, v)
-			}
-			write(w, x)
-			return nil
-		},
-		func(r *Reader) any { return read(r) }
+// scalarDec adapts a Reader method to a decFunc.
+func scalarDec[T any](read func(*Reader) T) decFunc {
+	return func(r *Reader) any { return read(r) }
 }

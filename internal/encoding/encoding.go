@@ -25,6 +25,57 @@ type Encoding interface {
 	Unmarshal(t *presentation.Type, data []byte) (any, error)
 }
 
+// Appender is the optional allocation-free publish path of an Encoding.
+// Engines feature-test for it once (NewValueEncoder), as they do for
+// fabric.TunedSender and fabric.Clocked; an Encoding without it — Debug, or
+// a decorator handed to core.WithEncoding — is driven through
+// presentation.Coerce and Marshal instead, so implementing it is never
+// required.
+//
+// Contract: AppendValue takes the caller's value as given, accepts exactly
+// what presentation.Coerce accepts for t and rejects the rest with the same
+// error class, and appends the bytes Marshal would produce for the coerced
+// value. It is append-only — bytes already in dst are not touched — and on
+// error it returns dst truncated back to its original length. It retains
+// neither dst nor v.
+type Appender interface {
+	AppendValue(dst []byte, t *presentation.Type, v any) ([]byte, error)
+}
+
+// ValueEncoder is the one publish-side entry the engines share: it binds a
+// node's Encoding to its Appender fast path when it has one and to
+// Coerce + Marshal when it does not.
+type ValueEncoder struct {
+	enc  Encoding
+	fast Appender
+}
+
+// NewValueEncoder resolves enc's optional Appender once.
+func NewValueEncoder(enc Encoding) ValueEncoder {
+	fast, _ := enc.(Appender)
+	return ValueEncoder{enc: enc, fast: fast}
+}
+
+// ID is the wire identifier of the underlying encoding.
+func (e ValueEncoder) ID() uint8 { return e.enc.ID() }
+
+// Append coerces v to t and appends its encoding to dst under the Appender
+// contract, whichever path serves it.
+func (e ValueEncoder) Append(dst []byte, t *presentation.Type, v any) ([]byte, error) {
+	if e.fast != nil {
+		return e.fast.AppendValue(dst, t, v)
+	}
+	cv, err := presentation.Coerce(t, v)
+	if err != nil {
+		return dst, err
+	}
+	body, err := e.enc.Marshal(t, cv)
+	if err != nil {
+		return dst, err
+	}
+	return append(dst, body...), nil
+}
+
 // Wire encoding IDs.
 const (
 	IDBinary uint8 = 1
@@ -34,7 +85,10 @@ const (
 // Binary is the default compact big-endian encoding.
 type Binary struct{}
 
-var _ Encoding = Binary{}
+var (
+	_ Encoding = Binary{}
+	_ Appender = Binary{}
+)
 
 // Name implements Encoding.
 func (Binary) Name() string { return "binary" }
@@ -45,6 +99,11 @@ func (Binary) ID() uint8 { return IDBinary }
 // Marshal implements Encoding.
 func (Binary) Marshal(t *presentation.Type, v any) ([]byte, error) {
 	return Marshal(t, v)
+}
+
+// AppendValue implements Appender.
+func (Binary) AppendValue(dst []byte, t *presentation.Type, v any) ([]byte, error) {
+	return AppendValue(dst, t, v)
 }
 
 // Unmarshal implements Encoding.

@@ -1,176 +1,218 @@
 package encoding
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
+	"reflect"
 
 	"uavmw/internal/presentation"
 )
 
-// EncodeValue appends the wire form of the canonical value v (of type t) to
-// w. The value must already be canonical (see presentation.Check /
-// presentation.Coerce); a non-canonical value yields an error, never a
-// partial write rollback — callers encode into per-message writers.
-func EncodeValue(w *Writer, t *presentation.Type, v any) error {
+// AppendValue is the one binary encode walk: it validates v against t with
+// the acceptance rules of presentation.Coerce — any Go integer width for any
+// integer kind (range-checked), integers for float kinds, typed slices for
+// sequences, every struct field present and none unknown — and appends the
+// wire form straight onto dst, never building the canonical value. The
+// result is byte-identical to Marshal(t, Coerce(t, v)) and fails exactly
+// when Coerce fails, with the same presentation.ErrTypeMismatch class.
+//
+// It only ever appends: bytes already in dst are not modified, and on error
+// dst is returned at its original length, so callers can write a header,
+// append the value, and still own a well-formed buffer when the value is
+// rejected. Scalars inside v are never retained and do not escape.
+func AppendValue(dst []byte, t *presentation.Type, v any) ([]byte, error) {
+	out, err := appendValue(dst, t, v)
+	if err != nil {
+		return dst, err
+	}
+	return out, nil
+}
+
+func appendValue(dst []byte, t *presentation.Type, v any) ([]byte, error) {
 	switch t.Kind() {
 	case presentation.KindVoid:
 		if v != nil {
-			return fmt.Errorf("encoding: void carries %T: %w", v, presentation.ErrTypeMismatch)
+			return dst, encTypeErr(t, v)
 		}
-		return nil
+		return dst, nil
 	case presentation.KindBool:
 		b, ok := v.(bool)
 		if !ok {
-			return encTypeErr(t, v)
+			return dst, encTypeErr(t, v)
 		}
-		w.Bool(b)
-		return nil
-	case presentation.KindInt8:
-		x, ok := v.(int8)
-		if !ok {
-			return encTypeErr(t, v)
+		if b {
+			return append(dst, 1), nil
 		}
-		w.Int8(x)
-		return nil
-	case presentation.KindInt16:
-		x, ok := v.(int16)
-		if !ok {
-			return encTypeErr(t, v)
+		return append(dst, 0), nil
+	case presentation.KindInt8, presentation.KindInt16, presentation.KindInt32, presentation.KindInt64:
+		i, err := presentation.CoerceInt(t, v)
+		if err != nil {
+			return dst, err
 		}
-		w.Int16(x)
-		return nil
-	case presentation.KindInt32:
-		x, ok := v.(int32)
-		if !ok {
-			return encTypeErr(t, v)
+		return appendUint(dst, t.Kind(), uint64(i)), nil
+	case presentation.KindUint8, presentation.KindUint16, presentation.KindUint32, presentation.KindUint64:
+		u, err := presentation.CoerceUint(t, v)
+		if err != nil {
+			return dst, err
 		}
-		w.Int32(x)
-		return nil
-	case presentation.KindInt64:
-		x, ok := v.(int64)
-		if !ok {
-			return encTypeErr(t, v)
-		}
-		w.Int64(x)
-		return nil
-	case presentation.KindUint8:
-		x, ok := v.(uint8)
-		if !ok {
-			return encTypeErr(t, v)
-		}
-		w.Uint8(x)
-		return nil
-	case presentation.KindUint16:
-		x, ok := v.(uint16)
-		if !ok {
-			return encTypeErr(t, v)
-		}
-		w.Uint16(x)
-		return nil
-	case presentation.KindUint32:
-		x, ok := v.(uint32)
-		if !ok {
-			return encTypeErr(t, v)
-		}
-		w.Uint32(x)
-		return nil
-	case presentation.KindUint64:
-		x, ok := v.(uint64)
-		if !ok {
-			return encTypeErr(t, v)
-		}
-		w.Uint64(x)
-		return nil
+		return appendUint(dst, t.Kind(), u), nil
 	case presentation.KindFloat32:
-		x, ok := v.(float32)
-		if !ok {
-			return encTypeErr(t, v)
+		f, err := presentation.CoerceFloat(t, v)
+		if err != nil {
+			return dst, err
 		}
-		w.Float32(x)
-		return nil
+		return binary.BigEndian.AppendUint32(dst, math.Float32bits(float32(f))), nil
 	case presentation.KindFloat64:
-		x, ok := v.(float64)
-		if !ok {
-			return encTypeErr(t, v)
+		f, err := presentation.CoerceFloat(t, v)
+		if err != nil {
+			return dst, err
 		}
-		w.Float64(x)
-		return nil
+		return binary.BigEndian.AppendUint64(dst, math.Float64bits(f)), nil
 	case presentation.KindString:
 		s, ok := v.(string)
 		if !ok {
-			return encTypeErr(t, v)
+			return dst, encTypeErr(t, v)
 		}
-		w.String(s)
-		return nil
+		return append(binary.BigEndian.AppendUint32(dst, uint32(len(s))), s...), nil
 	case presentation.KindBytes:
 		b, ok := v.([]byte)
 		if !ok {
-			return encTypeErr(t, v)
+			return dst, encTypeErr(t, v)
 		}
-		w.Bytes_(b)
-		return nil
-	case presentation.KindArray:
-		s, ok := v.([]any)
-		if !ok {
-			return encTypeErr(t, v)
+		return append(binary.BigEndian.AppendUint32(dst, uint32(len(b))), b...), nil
+	case presentation.KindArray, presentation.KindVector:
+		// The spellings presentation.Coerce accepts for a sequence; the
+		// fuzz equivalence test keeps the two lists in step.
+		switch s := v.(type) {
+		case []any:
+			return appendElems(dst, t, s)
+		case []bool:
+			return appendElems(dst, t, s)
+		case []int:
+			return appendElems(dst, t, s)
+		case []int8:
+			return appendElems(dst, t, s)
+		case []int16:
+			return appendElems(dst, t, s)
+		case []int32:
+			return appendElems(dst, t, s)
+		case []int64:
+			return appendElems(dst, t, s)
+		case []uint8:
+			return appendElems(dst, t, s)
+		case []uint16:
+			return appendElems(dst, t, s)
+		case []uint32:
+			return appendElems(dst, t, s)
+		case []uint64:
+			return appendElems(dst, t, s)
+		case []float32:
+			return appendElems(dst, t, s)
+		case []float64:
+			return appendElems(dst, t, s)
+		case []string:
+			return appendElems(dst, t, s)
+		case []map[string]any:
+			return appendElems(dst, t, s)
+		case []presentation.Union:
+			return appendElems(dst, t, s)
+		default:
+			return dst, encTypeErr(t, v)
 		}
-		if len(s) != t.Len() {
-			return fmt.Errorf("encoding: array wants %d elements, got %d: %w",
-				t.Len(), len(s), presentation.ErrTypeMismatch)
-		}
-		for i, e := range s {
-			if err := EncodeValue(w, t.Elem(), e); err != nil {
-				return fmt.Errorf("element %d: %w", i, err)
-			}
-		}
-		return nil
-	case presentation.KindVector:
-		s, ok := v.([]any)
-		if !ok {
-			return encTypeErr(t, v)
-		}
-		w.Uint32(uint32(len(s)))
-		for i, e := range s {
-			if err := EncodeValue(w, t.Elem(), e); err != nil {
-				return fmt.Errorf("element %d: %w", i, err)
-			}
-		}
-		return nil
 	case presentation.KindStruct:
 		m, ok := v.(map[string]any)
 		if !ok {
-			return encTypeErr(t, v)
+			return dst, encTypeErr(t, v)
 		}
-		for _, f := range t.Fields() {
+		fields := t.Fields()
+		for _, f := range fields {
 			fv, present := m[f.Name]
 			if !present {
-				return fmt.Errorf("encoding: missing field %q: %w", f.Name, presentation.ErrTypeMismatch)
+				return dst, fmt.Errorf("encoding: missing field %q: %w", f.Name, presentation.ErrTypeMismatch)
 			}
-			if err := EncodeValue(w, f.Type, fv); err != nil {
-				return fmt.Errorf("field %q: %w", f.Name, err)
+			var err error
+			if dst, err = appendValue(dst, f.Type, fv); err != nil {
+				return dst, fmt.Errorf("field %q: %w", f.Name, err)
 			}
 		}
-		return nil
+		if len(m) != len(fields) {
+			for name := range m {
+				if t.FieldIndex(name) < 0 {
+					return dst, fmt.Errorf("encoding: unknown field %q: %w", name, presentation.ErrTypeMismatch)
+				}
+			}
+		}
+		return dst, nil
 	case presentation.KindUnion:
 		u, ok := v.(presentation.Union)
 		if !ok {
-			return encTypeErr(t, v)
+			return dst, encTypeErr(t, v)
 		}
 		idx := t.CaseIndex(u.Case)
 		if idx < 0 {
-			return fmt.Errorf("encoding: unknown case %q: %w", u.Case, presentation.ErrTypeMismatch)
+			return dst, fmt.Errorf("encoding: unknown case %q: %w", u.Case, presentation.ErrTypeMismatch)
 		}
-		w.Uint32(uint32(idx))
-		if err := EncodeValue(w, t.Cases()[idx].Type, u.Value); err != nil {
-			return fmt.Errorf("case %q: %w", u.Case, err)
+		dst, err := appendValue(binary.BigEndian.AppendUint32(dst, uint32(idx)), t.Cases()[idx].Type, u.Value)
+		if err != nil {
+			return dst, fmt.Errorf("case %q: %w", u.Case, err)
 		}
-		return nil
+		return dst, nil
 	default:
-		return fmt.Errorf("encoding: unknown kind %v: %w", t.Kind(), presentation.ErrInvalidType)
+		return dst, fmt.Errorf("encoding: unknown kind %v: %w", t.Kind(), presentation.ErrInvalidType)
 	}
 }
 
+// appendUint writes u (two's complement for the signed kinds) big-endian in
+// the width of integer kind k.
+func appendUint(dst []byte, k presentation.Kind, u uint64) []byte {
+	switch k {
+	case presentation.KindInt8, presentation.KindUint8:
+		return append(dst, byte(u))
+	case presentation.KindInt16, presentation.KindUint16:
+		return binary.BigEndian.AppendUint16(dst, uint16(u))
+	case presentation.KindInt32, presentation.KindUint32:
+		return binary.BigEndian.AppendUint32(dst, uint32(u))
+	default:
+		return binary.BigEndian.AppendUint64(dst, u)
+	}
+}
+
+// appendElems encodes one sequence spelling. Boxing e for the recursive
+// call stays on the stack (appendValue does not let its operand escape), so
+// typed slices cost no allocation per element.
+func appendElems[T any](dst []byte, t *presentation.Type, s []T) ([]byte, error) {
+	if t.Kind() == presentation.KindVector {
+		dst = binary.BigEndian.AppendUint32(dst, uint32(len(s)))
+	} else if len(s) != t.Len() {
+		return dst, fmt.Errorf("encoding: array wants %d elements, got %d: %w",
+			t.Len(), len(s), presentation.ErrTypeMismatch)
+	}
+	elem := t.Elem()
+	for i, e := range s {
+		var err error
+		if dst, err = appendValue(dst, elem, e); err != nil {
+			return dst, fmt.Errorf("element %d: %w", i, err)
+		}
+	}
+	return dst, nil
+}
+
+// encTypeErr names v's type through reflect.TypeOf rather than %T: the verb
+// would make every operand of the walk escape to the heap.
 func encTypeErr(t *presentation.Type, v any) error {
-	return fmt.Errorf("encoding: cannot encode %T as %s: %w", v, t, presentation.ErrTypeMismatch)
+	return fmt.Errorf("encoding: cannot encode %v as %s: %w", reflect.TypeOf(v), t, presentation.ErrTypeMismatch)
+}
+
+// EncodeValue appends the wire form of v (of type t) to w through
+// AppendValue; on error w is left as it was.
+func EncodeValue(w *Writer, t *presentation.Type, v any) error {
+	buf, err := AppendValue(w.buf, t, v)
+	if err != nil {
+		return err
+	}
+	w.buf = buf
+	return nil
 }
 
 // DecodeValue reads one value of type t from r, returning it in canonical
@@ -263,14 +305,13 @@ func decodeValue(r *Reader, t *presentation.Type) any {
 	}
 }
 
-// Marshal encodes a canonical value into a fresh byte slice.
+// Marshal encodes v into a fresh byte slice (see AppendValue for what it
+// accepts).
 func Marshal(t *presentation.Type, v any) ([]byte, error) {
-	w := NewWriter(64)
-	if err := EncodeValue(w, t, v); err != nil {
+	out, err := AppendValue(make([]byte, 0, 64), t, v)
+	if err != nil {
 		return nil, err
 	}
-	out := make([]byte, w.Len())
-	copy(out, w.Bytes())
 	return out, nil
 }
 

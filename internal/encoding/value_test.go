@@ -45,14 +45,16 @@ func TestUnmarshalRejectsTrailing(t *testing.T) {
 	}
 }
 
-func TestEncodeRejectsNonCanonical(t *testing.T) {
+func TestEncodeRejectsWhatCoerceRejects(t *testing.T) {
 	tests := []struct {
 		name string
 		typ  *presentation.Type
 		v    any
 	}{
-		{"int for i32", presentation.Int32(), 5},
+		{"float for i32", presentation.Int32(), 5.0},
+		{"out of range", presentation.Int8(), 300},
 		{"missing field", gpsType, map[string]any{"lat": 1.0}},
+		{"unknown field", presentation.MustParse("{a:u8}"), map[string]any{"a": 1, "b": 2}},
 		{"wrong container", presentation.VectorOf(presentation.Int8()), "x"},
 		{"array len", presentation.ArrayOf(2, presentation.Int8()), []any{int8(1)}},
 		{"unknown case", presentation.UnionOf(presentation.C("a", nil)), presentation.Union{Case: "z"}},
@@ -65,6 +67,69 @@ func TestEncodeRejectsNonCanonical(t *testing.T) {
 				t.Error("expected encode failure")
 			}
 		})
+	}
+}
+
+func TestMarshalAcceptsCoercibleSpellings(t *testing.T) {
+	want, err := Marshal(gpsType, gpsValue())
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Marshal(gpsType, map[string]any{"lat": 41.3, "lon": 2.1, "alt": float32(120.5), "fix": 3})
+	if err != nil {
+		t.Fatalf("int for u8: %v", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("coerced spelling encodes %x, canonical %x", got, want)
+	}
+}
+
+// TestAppendValueAllocatesNothing gates the fused walk itself: a flat
+// struct, typed-slice spellings and a nested vector-of-struct all encode
+// onto a caller buffer without a single allocation.
+func TestAppendValueAllocatesNothing(t *testing.T) {
+	cases := []struct {
+		sig string
+		v   any
+	}{
+		{"{lat:f64,lon:f64,alt:f32,fix:u8}", map[string]any{"lat": 41.3, "lon": 2, "alt": 120.5, "fix": 3}},
+		{"[]f64", []float64{1.5, 2.5, 1e300}},
+		{"[3]u16", []int{1000, 2000, 65535}},
+		{"[]str", []string{"alpha", "beta"}},
+		{"[]{id:u32,tag:<none:void,name:str>}", []map[string]any{
+			{"id": 1 << 20, "tag": presentation.Union{Case: "none"}},
+			{"id": uint32(7), "tag": presentation.Union{Case: "name", Value: "x"}},
+		}},
+	}
+	buf := make([]byte, 0, 256)
+	for _, c := range cases {
+		typ := presentation.MustParse(c.sig)
+		if allocs := testing.AllocsPerRun(100, func() {
+			if _, err := AppendValue(buf, typ, c.v); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs != 0 {
+			t.Errorf("AppendValue(%s) allocates %.1f times", c.sig, allocs)
+		}
+	}
+}
+
+// TestValueEncoderFallbackKeepsTheContract drives the Coerce + Marshal path
+// an Encoding without Appender gets: same acceptance, dst intact on error.
+func TestValueEncoderFallbackKeepsTheContract(t *testing.T) {
+	enc := NewValueEncoder(Debug{})
+	dst := []byte("hdr")
+	out, err := enc.Append(dst, gpsType, map[string]any{"lat": 41.3, "lon": 2, "alt": 120.5, "fix": 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := Debug{}.Unmarshal(gpsType, out[len(dst):])
+	if err != nil || !presentation.EqualValues(back, map[string]any{"lat": 41.3, "lon": 2.0, "alt": float32(120.5), "fix": uint8(3)}) {
+		t.Fatalf("fallback encoded %s: %#v, %v", out[len(dst):], back, err)
+	}
+	out, err = enc.Append(dst, gpsType, map[string]any{"lat": 41.3})
+	if !errors.Is(err, presentation.ErrTypeMismatch) || !bytes.Equal(out, dst) {
+		t.Fatalf("fallback on a rejected value: %q, %v", out, err)
 	}
 }
 

@@ -4,10 +4,27 @@
 // The default wire format is a compact big-endian binary encoding in the
 // spirit of CDR: fixed-width scalars, u32 length prefixes for strings, byte
 // sequences and vectors, struct fields in declaration order, and a u32 case
-// tag for unions. The package also provides compiled codecs (closures
-// specialized per type, the fast path measured in experiment E6) and an
-// alternative self-describing debug encoding to demonstrate PEPt
-// pluggability (F4).
+// tag for unions. The package also provides compiled decoders (closures
+// specialized per type, measured in experiment E6) and an alternative
+// self-describing debug encoding to demonstrate PEPt pluggability (F4).
+//
+// Encoding has exactly one implementation, AppendValue: a single walk that
+// validates the caller's value against the type with presentation.Coerce's
+// acceptance rules and appends the wire form onto a caller-owned buffer.
+// Marshal, EncodeValue and Codec.Encode are entry points onto it. Publish
+// paths reach it through the optional Appender capability of an Encoding,
+// whose contract is:
+//
+//   - append-only: bytes already in dst are never modified, so a publish
+//     site writes its header first and the value straight behind it;
+//   - truncate on error: a rejected value returns dst at its original
+//     length, header intact;
+//   - accepts exactly what presentation.Coerce accepts, rejects the rest
+//     with the same error class, and produces the bytes Marshal would for
+//     the coerced value (FuzzAppendMatchesCoerceMarshal).
+//
+// ValueEncoder resolves the capability once per engine and falls back to
+// Coerce + Marshal for an Encoding that lacks it.
 package encoding
 
 import (

@@ -1,0 +1,60 @@
+package events
+
+import (
+	"context"
+	"testing"
+
+	"uavmw/internal/presentation/ptest"
+	"uavmw/internal/protocol"
+	"uavmw/internal/qos"
+	"uavmw/internal/transport"
+)
+
+// nopFabric accepts and drops every send without recording it, completing
+// reliable ones at once, so allocation gates measure the engine alone.
+type nopFabric struct{ *fakeFabric }
+
+func (nopFabric) SendGroup(string, *protocol.Frame) error { return nil }
+func (nopFabric) SendReliable(_ transport.NodeID, _ *protocol.Frame, _ qos.Reliability, done func(error)) {
+	if done != nil {
+		done(nil)
+	}
+}
+
+// TestPublishEncodeAllocatesNothing gates the event publish-encode site.
+// A multicast occurrence — header, fused coerce+append of the value onto
+// the pooled payload, replay-ring copy, one group send — allocates nothing.
+// A unicast occurrence adds only its reliable fan-out floor, which is
+// independent of the value: with one subscriber, the target list, the
+// results channel, the completion closure and the ack-wait closure.
+func TestPublishEncodeAllocatesNothing(t *testing.T) {
+	val := map[string]any{"name": "det.alarm", "count": 7, "x": uint32(1024), "y": uint32(768), "score": 0.875}
+	ctx := context.Background()
+	for _, tc := range []struct {
+		name     string
+		delivery qos.Delivery
+		floor    float64
+	}{
+		{"multicast", qos.DeliverMulticast, 0},
+		{"unicast", qos.DeliverUnicast, 4},
+	} {
+		e := New(nopFabric{newFakeFabric("n")})
+		p, err := e.Offer("det.alarm", "svc", ptest.DetectionType, qos.EventQoS{Delivery: tc.delivery})
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.HandleSubscribe("gcs", &protocol.Frame{Type: protocol.MTSubscribe, Channel: "det.alarm"})
+		for i := 0; i <= replayDepth; i++ { // fill every replay slot's storage once
+			if err := p.Publish(ctx, val); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if allocs := testing.AllocsPerRun(200, func() {
+			if err := p.Publish(ctx, val); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs != tc.floor {
+			t.Errorf("%s Publish allocates %.1f times per occurrence, want %.0f", tc.name, allocs, tc.floor)
+		}
+	}
+}

@@ -29,7 +29,9 @@ import (
 	"sync"
 	"time"
 
+	"uavmw/internal/bufpool"
 	"uavmw/internal/clock"
+	"uavmw/internal/encoding"
 	"uavmw/internal/fabric"
 	"uavmw/internal/metrics"
 	"uavmw/internal/naming"
@@ -70,8 +72,11 @@ const numShards = 16
 
 // shard holds the registries of the topics hashed onto it.
 type shard struct {
-	mu       sync.Mutex
-	pubs     map[string]*Publisher
+	mu   sync.Mutex
+	pubs map[string]*Publisher
+	// subs lists are copy-on-write: Subscribe and Close install a fresh
+	// slice, so delivery reads one under mu and walks it unlocked without
+	// copying.
 	subs     map[string][]*Subscription
 	trackers map[string]map[transport.NodeID]*seqTracker
 }
@@ -80,17 +85,14 @@ type shard struct {
 type Engine struct {
 	f      fabric.Fabric
 	clk    clock.Clock
+	enc    encoding.ValueEncoder
 	reg    *metrics.Registry
 	shards [numShards]shard
 }
 
 // New builds the engine for a container.
 func New(f fabric.Fabric) *Engine {
-	clk := clock.Clock(clock.Real{})
-	if c, ok := f.(fabric.Clocked); ok {
-		clk = clock.Or(c.Clock())
-	}
-	e := &Engine{f: f, clk: clk, reg: fabric.MetricsOf(f)}
+	e := &Engine{f: f, clk: fabric.ClockOf(f), enc: encoding.NewValueEncoder(f.Encoding()), reg: fabric.MetricsOf(f)}
 	for i := range e.shards {
 		e.shards[i].pubs = make(map[string]*Publisher)
 		e.shards[i].subs = make(map[string][]*Subscription)
@@ -109,16 +111,11 @@ func (e *Engine) shardOf(topic string) *shard {
 	return &e.shards[h&(numShards-1)]
 }
 
-// Buffer pools for the publish hot path. Pooled buffers hold the assembled
-// event payload (per-topic seq + encoded body); they are safe to recycle as
-// soon as the fabric send returns because frame encoding copies the payload
-// into the wire buffer. Frames are pooled under the same contract: the
-// fabric must not retain the *protocol.Frame past the call.
-var (
-	//wirepath:alloc pool-miss constructor; amortized across reuses
-	payloadPool = sync.Pool{New: func() any { b := make([]byte, 0, 512); return &b }}
-	framePool   = sync.Pool{New: func() any { return new(protocol.Frame) }}
-)
+// framePool recycles frames on the publish hot path; the fabric must not
+// retain the *protocol.Frame past the send call. Event payloads (header +
+// encoded body) come from bufpool and are recycled under the same
+// contract: frame encoding copies the payload into the wire buffer.
+var framePool = sync.Pool{New: func() any { return new(protocol.Frame) }}
 
 func getFrame() *protocol.Frame  { return framePool.Get().(*protocol.Frame) }
 func putFrame(f *protocol.Frame) { *f = protocol.Frame{}; framePool.Put(f) }
@@ -146,6 +143,7 @@ func (e *Engine) Offer(topic, service string, t *presentation.Type, q qos.EventQ
 	p := &Publisher{
 		engine:      e,
 		topic:       topic,
+		group:       fabric.EventGroup(topic),
 		service:     service,
 		typ:         t,
 		q:           q,
@@ -204,6 +202,7 @@ func (r *replayRing) get(seq uint64) ([]byte, bool) {
 type Publisher struct {
 	engine  *Engine
 	topic   string
+	group   string // fabric.EventGroup(topic), built once
 	service string
 	typ     *presentation.Type // nil = no payload
 	q       qos.EventQoS
@@ -216,6 +215,7 @@ type Publisher struct {
 	mu          sync.Mutex
 	subscribers map[transport.NodeID]time.Time // last refresh
 	seq         uint64                         // per-topic occurrence sequence
+	bodyHint    int                            // last encoded body length, sizes the next pooled payload
 	replay      *replayRing                    // multicast mode only
 	closed      bool
 
@@ -260,73 +260,82 @@ func (p *Publisher) Subscribers() []transport.NodeID {
 // group-addressed frame; delivery gaps are repaired asynchronously through
 // subscriber NACKs, so the call does not block on acknowledgment.
 func (p *Publisher) Publish(ctx context.Context, v any) error {
-	var (
-		body []byte
-		cv   any
-		err  error
-	)
-	if p.typ != nil {
-		cv, err = presentation.Coerce(p.typ, v)
-		if err != nil {
-			return err
-		}
-		body, err = p.engine.f.Encoding().Marshal(p.typ, cv)
-		if err != nil {
-			return err
-		}
-	} else if v != nil {
+	if p.typ == nil && v != nil {
 		return fmt.Errorf("events: %q carries no payload: %w", p.topic, ErrTypeMismatch)
 	}
+	e := p.engine
+	multicast := p.q.Delivery == qos.DeliverMulticast
 
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
 		return fmt.Errorf("events: %q: %w", p.topic, ErrClosed)
 	}
-	p.seq++
-	seq := p.seq
-	now := p.engine.clk.Now()
-	targets := make([]transport.NodeID, 0, len(p.subscribers))
+	// One pooled payload per occurrence: header, then the value coerced and
+	// encoded in one walk straight onto it. A rejected value consumes no
+	// sequence number.
+	seq := p.seq + 1
+	payload := protocol.AppendEventHeader(bufpool.Get(protocol.EventHeaderLen+p.bodyHint), p.id, seq)
+	if p.typ != nil {
+		var err error
+		if payload, err = e.enc.Append(payload, p.typ, v); err != nil {
+			p.mu.Unlock()
+			bufpool.Put(payload)
+			return err
+		}
+	}
+	body := payload[protocol.EventHeaderLen:]
+	p.seq = seq
+	p.bodyHint = len(body)
+	now := e.clk.Now()
+	// Unicast needs the subscriber list, multicast only whether anyone
+	// listens.
+	var targets []transport.NodeID
+	if !multicast {
+		targets = make([]transport.NodeID, 0, len(p.subscribers))
+	}
+	live := 0
 	for node, refreshed := range p.subscribers {
 		if now.Sub(refreshed) > subscriberTTL {
 			delete(p.subscribers, node)
 			continue
 		}
-		targets = append(targets, node)
+		live++
+		if !multicast {
+			targets = append(targets, node)
+		}
 	}
 	p.published.Inc()
 	if p.replay != nil {
 		p.replay.put(seq, body)
 	}
 	p.mu.Unlock()
+	defer bufpool.Put(payload)
 
-	// Local bypass.
-	p.engine.deliverLocal(p.topic, cv, now)
+	// Local bypass: same-container subscribers skip frame, egress and
+	// transport; each gets a private value decoded from the occurrence.
+	e.deliverLocal(p.topic, p.typ, body)
 
-	if len(targets) == 0 {
+	if live == 0 {
 		return nil
 	}
-	if p.q.Delivery == qos.DeliverMulticast {
-		return p.publishGroup(seq, body)
+	if multicast {
+		return p.publishGroup(payload)
 	}
-	return p.publishUnicast(ctx, seq, body, targets)
+	return p.publishUnicast(ctx, payload, targets)
 }
 
 // publishGroup sends one group-addressed frame for the occurrence.
-func (p *Publisher) publishGroup(seq uint64, body []byte) error {
-	bufp := payloadPool.Get().(*[]byte)
-	payload := protocol.EncodeEventPayload(p.id, seq, body, *bufp)
+func (p *Publisher) publishGroup(payload []byte) error {
 	frame := getFrame()
 	frame.Type = protocol.MTEvent
-	frame.Encoding = p.engine.f.Encoding().ID()
+	frame.Encoding = p.engine.enc.ID()
 	frame.Priority = p.q.Priority
 	frame.Channel = p.topic
 	frame.Seq = p.engine.f.NextSeq()
 	frame.Payload = payload
-	err := p.engine.f.SendGroup(fabric.EventGroup(p.topic), frame)
+	err := p.engine.f.SendGroup(p.group, frame)
 	putFrame(frame)
-	*bufp = payload[:0]
-	payloadPool.Put(bufp)
 	if err != nil {
 		p.failures.Inc()
 		return uerr.Wrapf(p.engine.reg, codeEventPublish, err, "publish %q", p.topic)
@@ -335,11 +344,9 @@ func (p *Publisher) publishGroup(seq uint64, body []byte) error {
 }
 
 // publishUnicast performs the blocking per-subscriber reliable fan-out.
-func (p *Publisher) publishUnicast(ctx context.Context, seq uint64, body []byte, targets []transport.NodeID) error {
+func (p *Publisher) publishUnicast(ctx context.Context, payload []byte, targets []transport.NodeID) error {
 	// One shared payload for every copy: the fabric encodes it into each
 	// wire frame synchronously, so sharing is safe and saves N-1 copies.
-	payload := protocol.EncodeEventPayload(p.id, seq, body, nil)
-
 	type outcome struct {
 		node transport.NodeID
 		err  error
@@ -348,7 +355,7 @@ func (p *Publisher) publishUnicast(ctx context.Context, seq uint64, body []byte,
 	for _, node := range targets {
 		frame := getFrame()
 		frame.Type = protocol.MTEvent
-		frame.Encoding = p.engine.f.Encoding().ID()
+		frame.Encoding = p.engine.enc.ID()
 		frame.Priority = p.q.Priority
 		frame.Channel = p.topic
 		frame.Seq = p.engine.f.NextSeq()
@@ -513,6 +520,7 @@ type Handler func(v any, from transport.NodeID)
 type Subscription struct {
 	engine  *Engine
 	topic   string
+	group   string // fabric.EventGroup(topic), built once
 	typ     *presentation.Type
 	q       qos.EventQoS
 	handler Handler
@@ -545,14 +553,15 @@ func (e *Engine) Subscribe(topic string, t *presentation.Type, q qos.EventQoS, h
 	if h == nil {
 		return nil, fmt.Errorf("events: nil handler for %q: %w", topic, ErrTypeMismatch)
 	}
-	s := &Subscription{engine: e, topic: topic, typ: t, q: q, handler: h}
+	s := &Subscription{engine: e, topic: topic, group: fabric.EventGroup(topic), typ: t, q: q, handler: h}
 
 	sh := e.shardOf(topic)
 	sh.mu.Lock()
-	sh.subs[topic] = append(sh.subs[topic], s)
+	old := sh.subs[topic]
+	sh.subs[topic] = append(old[:len(old):len(old)], s) // full slice expression: always a fresh array
 	sh.mu.Unlock()
 
-	if err := e.f.Join(fabric.EventGroup(topic)); err != nil {
+	if err := e.f.Join(s.group); err != nil {
 		s.Close()
 		return nil, fmt.Errorf("events: join group for %q: %w", topic, err)
 	}
@@ -663,11 +672,10 @@ func (s *Subscription) Close() {
 	e := s.engine
 	sh := e.shardOf(s.topic)
 	sh.mu.Lock()
-	list := sh.subs[s.topic]
-	for i, sub := range list {
-		if sub == s {
-			list = append(list[:i], list[i+1:]...)
-			break
+	var list []*Subscription // a fresh slice: readers may hold the old one
+	for _, sub := range sh.subs[s.topic] {
+		if sub != s {
+			list = append(list, sub)
 		}
 	}
 	if len(list) == 0 {
@@ -680,8 +688,9 @@ func (s *Subscription) Close() {
 	sh.mu.Unlock()
 
 	if remaining == 0 && joined {
-		uerr.Note(e.reg, codeEventLeave, e.f.Leave(fabric.EventGroup(s.topic)),
-			"leave "+s.topic)
+		if err := e.f.Leave(s.group); err != nil {
+			uerr.Wrapf(e.reg, codeEventLeave, err, "leave %s", s.topic)
+		}
 	}
 	if remaining == 0 && provider != "" && provider != e.f.Self() {
 		frame := &protocol.Frame{
@@ -694,15 +703,23 @@ func (s *Subscription) Close() {
 	}
 }
 
-// deliverLocal dispatches an occurrence to same-container subscribers.
-func (e *Engine) deliverLocal(topic string, v any, _ time.Time) {
+// deliverLocal dispatches an occurrence to same-container subscribers, each
+// with its own value decoded from body (nil for a payload-less topic).
+func (e *Engine) deliverLocal(topic string, t *presentation.Type, body []byte) {
 	sh := e.shardOf(topic)
 	sh.mu.Lock()
-	subs := append([]*Subscription(nil), sh.subs[topic]...)
-	self := e.f.Self()
+	subs := sh.subs[topic]
 	sh.mu.Unlock()
 	for _, s := range subs {
-		s.dispatch(presentation.DeepCopy(v), self)
+		var v any
+		if t != nil {
+			decoded, err := e.f.Encoding().Unmarshal(t, body)
+			if err != nil {
+				continue
+			}
+			v = decoded
+		}
+		s.dispatch(v, e.f.Self())
 	}
 }
 
@@ -716,8 +733,9 @@ func (s *Subscription) dispatch(v any, from transport.NodeID) {
 	h := s.handler
 	pr := s.q.Priority
 	s.mu.Unlock()
-	uerr.Note(s.engine.reg, codeEventShed,
-		s.engine.f.Schedule(pr, func() { h(v, from) }), "dispatch "+s.topic)
+	if err := s.engine.f.Schedule(pr, func() { h(v, from) }); err != nil {
+		uerr.Wrapf(s.engine.reg, codeEventShed, err, "dispatch %s", s.topic)
+	}
 }
 
 // HandleSubscribe processes a remote MTSubscribe.
@@ -864,7 +882,7 @@ func (e *Engine) HandleEvent(from transport.NodeID, fr *protocol.Frame) {
 
 	sh := e.shardOf(fr.Channel)
 	sh.mu.Lock()
-	subs := append([]*Subscription(nil), sh.subs[fr.Channel]...)
+	subs := sh.subs[fr.Channel]
 	var (
 		disposition = frameFresh
 		gap         uint64

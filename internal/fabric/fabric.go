@@ -122,6 +122,15 @@ type Clocked interface {
 	Clock() clock.Clock
 }
 
+// ClockOf returns f's clock when f is Clocked, else the wall clock — never
+// nil, so engines resolve their time source once at construction.
+func ClockOf(f Fabric) clock.Clock {
+	if c, ok := f.(Clocked); ok {
+		return clock.Or(c.Clock())
+	}
+	return clock.Real{}
+}
+
 // Instrumented is optionally implemented by fabrics that carry the node's
 // unified metrics registry. Engines resolve it through MetricsOf, so every
 // plane's counters and typed-error families land in one exportable

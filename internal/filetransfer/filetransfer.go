@@ -116,13 +116,9 @@ func WithMaxStrikes(n int) Option {
 // (fabric.Clocked), so virtual-time containers carry file-transfer timing
 // with them.
 func New(f fabric.Fabric, opts ...Option) *Engine {
-	var clk clock.Clock
-	if c, ok := f.(fabric.Clocked); ok {
-		clk = c.Clock()
-	}
 	e := &Engine{
 		f:           f,
-		clk:         clock.Or(clk),
+		clk:         fabric.ClockOf(f),
 		reg:         fabric.MetricsOf(f),
 		queryWindow: DefaultQueryWindow,
 		maxStrikes:  DefaultMaxStrikes,
@@ -321,8 +317,9 @@ func (o *Offer) announce() {
 		Seq:      o.engine.f.NextSeq(),
 		Payload:  payload,
 	}
-	uerr.Note(o.engine.reg, codeFileAnnounce,
-		o.engine.f.SendGroup(fabric.FileGroup(o.name), frame), "announce "+o.name)
+	if err := o.engine.f.SendGroup(fabric.FileGroup(o.name), frame); err != nil {
+		uerr.Wrapf(o.engine.reg, codeFileAnnounce, err, "announce %s", o.name)
+	}
 }
 
 // addSubscriber registers a receiver and ensures the transfer loop runs.
@@ -735,7 +732,9 @@ func (e *Engine) leaveGroup(name string) {
 	}
 	e.mu.Unlock()
 	if last {
-		uerr.Note(e.reg, codeFileLeave, e.f.Leave(fabric.FileGroup(name)), "leave "+name)
+		if err := e.f.Leave(fabric.FileGroup(name)); err != nil {
+			uerr.Wrapf(e.reg, codeFileLeave, err, "leave %s", name)
+		}
 	}
 }
 

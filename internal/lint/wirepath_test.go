@@ -127,6 +127,52 @@ func TestWirePathErrorsAreTyped(t *testing.T) {
 	}
 }
 
+// TestWirePathNoteMessagesAreConstant rejects a string concatenation with a
+// non-literal operand as the message argument of uerr.Note in wire-path
+// packages. Note is called unconditionally — its err is usually the result
+// of the send it wraps — so Go builds the message on the success path too:
+// one allocation per delivered frame for a string only a failure reads.
+// Sites that want a name in the message test err first and use uerr.Wrapf.
+func TestWirePathNoteMessagesAreConstant(t *testing.T) {
+	root := repoRoot(t)
+	fset := token.NewFileSet()
+	notes := 0
+	for _, rel := range wirePathPackages {
+		for _, f := range parsePackageFiles(t, fset, filepath.Join(root, rel)) {
+			ast.Inspect(f, func(n ast.Node) bool {
+				pkg, fn, call := selectorCall(n)
+				if pkg != "uerr" || fn != "Note" || len(call.Args) != 4 {
+					return true
+				}
+				notes++
+				if bin, ok := call.Args[3].(*ast.BinaryExpr); ok && !literalConcat(bin) {
+					t.Errorf("%s: uerr.Note message is built by concatenation on every call; test the error first and use uerr.Wrapf",
+						fset.Position(call.Pos()))
+				}
+				return true
+			})
+		}
+	}
+	if notes == 0 {
+		t.Fatal("no uerr.Note calls found; the lint is miswired")
+	}
+}
+
+// literalConcat reports whether e is a + chain of string literals only,
+// which the compiler folds into one constant.
+func literalConcat(e ast.Expr) bool {
+	switch x := e.(type) {
+	case *ast.BasicLit:
+		return x.Kind == token.STRING
+	case *ast.ParenExpr:
+		return literalConcat(x.X)
+	case *ast.BinaryExpr:
+		return x.Op == token.ADD && literalConcat(x.X) && literalConcat(x.Y)
+	default:
+		return false
+	}
+}
+
 // wirepathAllocTag marks a reviewed allocation on a wire-path package:
 // `//wirepath:alloc <reason>` on the same line as (or the line above) a
 // bare make([]byte, ...). Everything else in these packages must come from

@@ -117,3 +117,20 @@ func RandomValue(r *rand.Rand, typ *presentation.Type) any {
 		return nil
 	}
 }
+
+// PositionType and DetectionType carry the signatures of
+// services.TypePosition and services.TypeDetection for the engine packages'
+// tests, which cannot import services (it imports the engines). The golden
+// test in internal/encoding pins them to the real descriptors.
+var (
+	PositionType  = presentation.MustParse("{lat:f64,lon:f64,alt:f32,speed:f32,heading:f32,fix:u8,wp:u32,complete:bool}")
+	DetectionType = presentation.MustParse("{name:str,count:u32,x:u32,y:u32,score:f64}")
+)
+
+// PositionValue is one canonical PositionType sample.
+func PositionValue() map[string]any {
+	return map[string]any{
+		"lat": 41.275, "lon": 1.987, "alt": float32(120), "speed": float32(25), "heading": float32(270),
+		"fix": uint8(3), "wp": uint32(2), "complete": false,
+	}
+}

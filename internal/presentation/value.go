@@ -3,6 +3,7 @@ package presentation
 import (
 	"fmt"
 	"math"
+	"reflect"
 )
 
 // Canonical value representation, by kind:
@@ -151,21 +152,43 @@ func Coerce(t *Type, v any) (any, error) {
 		}
 		return b, nil
 	case KindInt8, KindInt16, KindInt32, KindInt64:
-		return coerceInt(t, v)
+		i, err := CoerceInt(t, v)
+		if err != nil {
+			return nil, err
+		}
+		switch t.kind {
+		case KindInt8:
+			return int8(i), nil
+		case KindInt16:
+			return int16(i), nil
+		case KindInt32:
+			return int32(i), nil
+		default:
+			return i, nil
+		}
 	case KindUint8, KindUint16, KindUint32, KindUint64:
-		return coerceUint(t, v)
+		u, err := CoerceUint(t, v)
+		if err != nil {
+			return nil, err
+		}
+		switch t.kind {
+		case KindUint8:
+			return uint8(u), nil
+		case KindUint16:
+			return uint16(u), nil
+		case KindUint32:
+			return uint32(u), nil
+		default:
+			return u, nil
+		}
 	case KindFloat32:
-		f, ok := toFloat(v)
-		if !ok {
-			return nil, coerceErr(t, v)
+		f, err := CoerceFloat(t, v)
+		if err != nil {
+			return nil, err
 		}
 		return float32(f), nil
 	case KindFloat64:
-		f, ok := toFloat(v)
-		if !ok {
-			return nil, coerceErr(t, v)
-		}
-		return f, nil
+		return CoerceFloat(t, v)
 	case KindString:
 		s, ok := v.(string)
 		if !ok {
@@ -239,8 +262,11 @@ func Coerce(t *Type, v any) (any, error) {
 	}
 }
 
+// coerceErr names v's type through reflect.TypeOf rather than %T: the verb
+// makes v escape, and the fused encoder relies on scalar operands staying
+// on the stack.
 func coerceErr(t *Type, v any) error {
-	return fmt.Errorf("presentation: cannot use %T as %s: %w", v, t, ErrTypeMismatch)
+	return fmt.Errorf("presentation: cannot use %v as %s: %w", reflect.TypeOf(v), t, ErrTypeMismatch)
 }
 
 // toInt64 widens any signed/unsigned Go integer to int64, reporting overflow.
@@ -333,56 +359,60 @@ func toFloat(v any) (float64, bool) {
 	}
 }
 
-func coerceInt(t *Type, v any) (any, error) {
+// CoerceInt widens any Go integer to int64 and range-checks it against the
+// signed integer kind t. Together with CoerceUint and CoerceFloat it is the
+// scalar half of Coerce, exported so the fused encoder (encoding.AppendValue)
+// accepts exactly the spellings Coerce accepts without building the
+// canonical value.
+func CoerceInt(t *Type, v any) (int64, error) {
 	i, ok := toInt64(v)
 	if !ok {
-		return nil, coerceErr(t, v)
+		return 0, coerceErr(t, v)
 	}
+	lo, hi := int64(math.MinInt64), int64(math.MaxInt64)
 	switch t.kind {
 	case KindInt8:
-		if i < math.MinInt8 || i > math.MaxInt8 {
-			return nil, rangeErr(t, i)
-		}
-		return int8(i), nil
+		lo, hi = math.MinInt8, math.MaxInt8
 	case KindInt16:
-		if i < math.MinInt16 || i > math.MaxInt16 {
-			return nil, rangeErr(t, i)
-		}
-		return int16(i), nil
+		lo, hi = math.MinInt16, math.MaxInt16
 	case KindInt32:
-		if i < math.MinInt32 || i > math.MaxInt32 {
-			return nil, rangeErr(t, i)
-		}
-		return int32(i), nil
-	default:
-		return i, nil
+		lo, hi = math.MinInt32, math.MaxInt32
 	}
+	if i < lo || i > hi {
+		return 0, rangeErr(t, i)
+	}
+	return i, nil
 }
 
-func coerceUint(t *Type, v any) (any, error) {
+// CoerceUint is CoerceInt for the unsigned integer kinds.
+func CoerceUint(t *Type, v any) (uint64, error) {
 	u, ok := toUint64(v)
 	if !ok {
-		return nil, coerceErr(t, v)
+		return 0, coerceErr(t, v)
 	}
+	hi := uint64(math.MaxUint64)
 	switch t.kind {
 	case KindUint8:
-		if u > math.MaxUint8 {
-			return nil, rangeErr(t, int64(u))
-		}
-		return uint8(u), nil
+		hi = math.MaxUint8
 	case KindUint16:
-		if u > math.MaxUint16 {
-			return nil, rangeErr(t, int64(u))
-		}
-		return uint16(u), nil
+		hi = math.MaxUint16
 	case KindUint32:
-		if u > math.MaxUint32 {
-			return nil, rangeErr(t, int64(u))
-		}
-		return uint32(u), nil
-	default:
-		return u, nil
+		hi = math.MaxUint32
 	}
+	if u > hi {
+		return 0, rangeErr(t, int64(u))
+	}
+	return u, nil
+}
+
+// CoerceFloat accepts floats and signed-representable integers for the
+// float kinds; an f32 target narrows with float32(f).
+func CoerceFloat(t *Type, v any) (float64, error) {
+	f, ok := toFloat(v)
+	if !ok {
+		return 0, coerceErr(t, v)
+	}
+	return f, nil
 }
 
 func rangeErr(t *Type, i int64) error {

@@ -70,24 +70,56 @@ func EncodeBatch(frames [][]byte, p qos.Priority) ([]byte, error) {
 	return out, nil
 }
 
+// BatchReader walks the raw inner frames of an MTBatch payload in place.
+type BatchReader struct {
+	rest []byte
+}
+
+// ReadBatch validates the whole entry structure of an MTBatch payload — a
+// truncated length prefix, an entry longer than what is left, or no entry
+// at all is ErrBadFrame / ErrTruncated before anything is delivered — and
+// returns a reader over its entries.
+func ReadBatch(payload []byte) (BatchReader, error) {
+	if len(payload) == 0 {
+		return BatchReader{}, fmt.Errorf("protocol: empty batch: %w", ErrBadFrame)
+	}
+	for rest := payload; len(rest) > 0; {
+		if len(rest) < 4 {
+			return BatchReader{}, fmt.Errorf("protocol: batch entry: %d-byte length prefix: %w",
+				len(rest), encoding.ErrTruncated)
+		}
+		n := binary.BigEndian.Uint32(rest)
+		rest = rest[4:]
+		if uint64(n) > uint64(len(rest)) {
+			return BatchReader{}, fmt.Errorf("protocol: batch entry %d bytes, %d left: %w",
+				n, len(rest), ErrBadFrame)
+		}
+		rest = rest[n:]
+	}
+	return BatchReader{rest: payload}, nil
+}
+
+// Next returns the next raw inner frame, or ok=false after the last. The
+// slice aliases the payload; callers that retain it must copy.
+func (b *BatchReader) Next() (frame []byte, ok bool) {
+	if len(b.rest) == 0 {
+		return nil, false
+	}
+	n := binary.BigEndian.Uint32(b.rest)
+	frame, b.rest = b.rest[4:4+n], b.rest[4+n:]
+	return frame, true
+}
+
 // DecodeBatch splits an MTBatch payload back into the raw inner frames. The
 // returned slices alias payload; callers that retain them must copy.
 func DecodeBatch(payload []byte) ([][]byte, error) {
-	r := encoding.NewReader(payload)
-	var frames [][]byte
-	for r.Remaining() > 0 {
-		n := r.Uint32()
-		if err := r.Err(); err != nil {
-			return nil, fmt.Errorf("protocol: batch entry: %w", err)
-		}
-		if int(n) > r.Remaining() {
-			return nil, fmt.Errorf("protocol: batch entry %d bytes, %d left: %w",
-				n, r.Remaining(), ErrBadFrame)
-		}
-		frames = append(frames, r.Raw(int(n)))
+	r, err := ReadBatch(payload)
+	if err != nil {
+		return nil, err
 	}
-	if len(frames) == 0 {
-		return nil, fmt.Errorf("protocol: empty batch: %w", ErrBadFrame)
+	var frames [][]byte
+	for f, ok := r.Next(); ok; f, ok = r.Next() {
+		frames = append(frames, f)
 	}
 	return frames, nil
 }

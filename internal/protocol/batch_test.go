@@ -1,9 +1,11 @@
 package protocol
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 
+	"uavmw/internal/encoding"
 	"uavmw/internal/qos"
 )
 
@@ -92,6 +94,47 @@ func TestBatchRejectsEmptyAndTruncated(t *testing.T) {
 	// Truncate the payload mid-entry: decode must fail, not panic.
 	if _, err := DecodeBatch(outer.Payload[:len(outer.Payload)-3]); !errors.Is(err, ErrBadFrame) {
 		t.Fatalf("truncated batch: err = %v, want ErrBadFrame", err)
+	}
+	// A dangling partial length prefix after a good entry rejects the
+	// whole batch before the in-place reader hands out anything.
+	if _, err := ReadBatch(append(append([]byte(nil), outer.Payload...), 0, 0)); !errors.Is(err, encoding.ErrTruncated) {
+		t.Fatalf("dangling prefix: err = %v, want ErrTruncated", err)
+	}
+}
+
+func TestBatchReaderMatchesDecodeBatch(t *testing.T) {
+	frames := [][]byte{
+		encodeTestFrame(t, &Frame{Type: MTSample, Channel: "a", Seq: 1}),
+		encodeTestFrame(t, &Frame{Type: MTEvent, Channel: "b", Seq: 2, Payload: []byte("xyz")}),
+		encodeTestFrame(t, &Frame{Type: MTAck, Seq: 3}),
+	}
+	raw, err := EncodeBatch(frames, qos.PriorityHigh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	outer, err := DecodeFrame(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := ReadBatch(outer.Payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range frames {
+		got, ok := r.Next()
+		if !ok || !bytes.Equal(got, want) {
+			t.Fatalf("entry %d: ok=%v, %x, want %x", i, ok, got, want)
+		}
+	}
+	if _, ok := r.Next(); ok {
+		t.Fatal("reader yields past the last entry")
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		r, _ := ReadBatch(outer.Payload)
+		for _, ok := r.Next(); ok; _, ok = r.Next() {
+		}
+	}); allocs != 0 {
+		t.Fatalf("in-place batch walk allocates %.0f times", allocs)
 	}
 }
 

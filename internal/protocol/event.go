@@ -34,18 +34,26 @@ func NewIncarnation() uint32 {
 // unicast path. MTEventNack payloads carry the list of missing per-topic
 // sequences a subscriber wants retransmitted.
 
-// eventHeaderLen is the fixed prefix before the encoded occurrence body.
-const eventHeaderLen = 12
+// EventHeaderLen is the fixed prefix before the encoded occurrence body.
+const EventHeaderLen = 12
 
 // MaxNackSeqs bounds one NACK frame; larger gaps are beyond any replay
 // buffer and reported as unrecoverable loss instead.
 const MaxNackSeqs = 256
 
+// AppendEventHeader appends the publisher incarnation and per-topic
+// sequence onto dst; the publisher encodes the occurrence body straight
+// after it.
+func AppendEventHeader(dst []byte, pubID uint32, topicSeq uint64) []byte {
+	dst = binary.BigEndian.AppendUint32(dst, pubID)
+	return binary.BigEndian.AppendUint64(dst, topicSeq)
+}
+
 // EncodeEventPayload prepends the publisher incarnation and per-topic
 // sequence to an encoded occurrence body. buf, when non-nil and large
 // enough, is reused.
 func EncodeEventPayload(pubID uint32, topicSeq uint64, body []byte, buf []byte) []byte {
-	need := eventHeaderLen + len(body)
+	need := EventHeaderLen + len(body)
 	if cap(buf) < need {
 		//wirepath:alloc growth fallback when the caller's reused buffer is too small
 		buf = make([]byte, need)
@@ -53,7 +61,7 @@ func EncodeEventPayload(pubID uint32, topicSeq uint64, body []byte, buf []byte) 
 	buf = buf[:need]
 	binary.BigEndian.PutUint32(buf, pubID)
 	binary.BigEndian.PutUint64(buf[4:], topicSeq)
-	copy(buf[eventHeaderLen:], body)
+	copy(buf[EventHeaderLen:], body)
 	return buf
 }
 
@@ -61,10 +69,10 @@ func EncodeEventPayload(pubID uint32, topicSeq uint64, body []byte, buf []byte) 
 // incarnation, the per-topic sequence and the encoded body. The body
 // aliases payload; callers that retain it must copy.
 func DecodeEventPayload(payload []byte) (pubID uint32, topicSeq uint64, body []byte, err error) {
-	if len(payload) < eventHeaderLen {
+	if len(payload) < EventHeaderLen {
 		return 0, 0, nil, fmt.Errorf("protocol: event payload %d bytes: %w", len(payload), ErrBadFrame)
 	}
-	return binary.BigEndian.Uint32(payload), binary.BigEndian.Uint64(payload[4:]), payload[eventHeaderLen:], nil
+	return binary.BigEndian.Uint32(payload), binary.BigEndian.Uint64(payload[4:]), payload[EventHeaderLen:], nil
 }
 
 // EncodeEventNack serializes the missing per-topic sequences of one topic.

@@ -98,6 +98,10 @@ type Handler func(args any) (any, error)
 // not set one.
 const DefaultCallDeadline = 2 * time.Second
 
+// argsSizeHint is the initial capacity of a call's encoded arguments; the
+// paper's invocations carry short structured parameters.
+const argsSizeHint = 64
+
 // numPendingShards partitions the pending-call table so concurrent callers
 // on unrelated calls never contend on one mutex. Must be a power of two.
 const numPendingShards = 16
@@ -112,6 +116,7 @@ type pendingShard struct {
 type Engine struct {
 	f   fabric.Fabric
 	clk clock.Clock
+	enc encoding.ValueEncoder
 
 	regMu     sync.Mutex
 	functions map[string]*registration
@@ -185,14 +190,11 @@ type callResult struct {
 
 // New builds the engine for a container.
 func New(f fabric.Fabric) *Engine {
-	clk := clock.Clock(clock.Real{})
-	if c, ok := f.(fabric.Clocked); ok {
-		clk = clock.Or(c.Clock())
-	}
 	reg := fabric.MetricsOf(f)
 	e := &Engine{
 		f:           f,
-		clk:         clk,
+		clk:         fabric.ClockOf(f),
+		enc:         encoding.NewValueEncoder(f.Encoding()),
 		functions:   make(map[string]*registration),
 		pins:        make(map[string]transport.NodeID),
 		reg:         reg,
@@ -331,6 +333,24 @@ type attemptOutcome struct {
 	err      error
 }
 
+// encodeArgs coerces and encodes a call's arguments once, in one walk. The
+// buffer is GC-owned rather than pooled: every attempt goroutine sends from
+// it, and a cancelled hedge loser can still be running after Call returns.
+func (e *Engine) encodeArgs(name string, args any, argType *presentation.Type) ([]byte, error) {
+	if argType == nil {
+		if args != nil {
+			return nil, fmt.Errorf("rpc: %q takes no arguments: %w", name, ErrBadSignature)
+		}
+		return nil, nil
+	}
+	//wirepath:alloc retained by attempt goroutines that may outlive Call
+	payload, err := e.enc.Append(make([]byte, 0, argsSizeHint), argType, args)
+	if err != nil {
+		return nil, err
+	}
+	return payload, nil
+}
+
 // Call invokes name with args under the caller's QoS. It coerces args to
 // the provider's argument type, resolves a provider per the binding policy,
 // and fails over across redundant providers on infrastructure errors
@@ -358,19 +378,9 @@ func (e *Engine) Call(ctx context.Context, name string, args any, argType, retTy
 	dlTimer := e.clk.AfterFunc(deadline, cancel)
 	defer dlTimer.Stop()
 
-	// Encode arguments once.
-	var payload []byte
-	if argType != nil {
-		cv, err := presentation.Coerce(argType, args)
-		if err != nil {
-			return nil, err
-		}
-		payload, err = e.f.Encoding().Marshal(argType, cv)
-		if err != nil {
-			return nil, err
-		}
-	} else if args != nil {
-		return nil, fmt.Errorf("rpc: %q takes no arguments: %w", name, ErrBadSignature)
+	payload, err := e.encodeArgs(name, args, argType)
+	if err != nil {
+		return nil, err
 	}
 
 	maxAttempts := q.Retries + 1
@@ -804,7 +814,7 @@ func (e *Engine) HandleCall(from transport.NodeID, fr *protocol.Frame) {
 	// frames), so everything it needs is captured as scalars here.
 	rawPr, ch := fr.Priority, fr.Channel
 	if reg == nil {
-		e.sendReply(from, protocol.MTError, 0, rawPr, ch, callID, nil)
+		e.sendReply(from, protocol.MTError, 0, 0, rawPr, ch, replyPayload(callID, 0))
 		return
 	}
 	// Concurrency limit: strict reserve-then-check so the cap holds under
@@ -852,20 +862,18 @@ func (e *Engine) HandleCall(from transport.NodeID, fr *protocol.Frame) {
 			e.replyAppError(from, callID, rawPr, ch, err.Error())
 			return
 		}
-		var payload []byte
+		// The return value is coerced and encoded in one walk straight
+		// behind the call id in the pooled reply payload.
+		payload := replyPayload(callID, 0)
 		if reg.retType != nil {
-			cv, cerr := presentation.Coerce(reg.retType, v)
-			if cerr != nil {
-				e.replyAppError(from, callID, rawPr, ch, cerr.Error())
-				return
-			}
-			payload, cerr = e.f.Encoding().Marshal(reg.retType, cv)
-			if cerr != nil {
+			var cerr error
+			if payload, cerr = e.enc.Append(payload, reg.retType, v); cerr != nil {
+				bufpool.Put(payload)
 				e.replyAppError(from, callID, rawPr, ch, cerr.Error())
 				return
 			}
 		}
-		e.sendReply(from, protocol.MTReturn, e.f.Encoding().ID(), pr, ch, callID, payload)
+		e.sendReply(from, protocol.MTReturn, 0, e.enc.ID(), pr, ch, payload)
 	}); err != nil {
 		// Scheduler saturated: shed so the caller fails over rather than
 		// treating local overload as an application error.
@@ -874,25 +882,29 @@ func (e *Engine) HandleCall(from transport.NodeID, fr *protocol.Frame) {
 	}
 }
 
-// sendReply builds one reply frame (MTReturn / MTError / MTBusy) on pooled
-// storage — the frame from the protocol frame pool, the call-id-prefixed
-// payload from bufpool — and recycles both once SendReliable returns (the
-// fabric encodes synchronously and retains neither).
-func (e *Engine) sendReply(to transport.NodeID, mt protocol.MsgType, enc uint8, pr qos.Priority, ch string, callID uint64, body []byte) {
-	buf := bufpool.Get(8 + len(body))
-	buf = binary.BigEndian.AppendUint64(buf, callID)
-	buf = append(buf, body...)
+// replyPayload starts a reply payload in a pooled buffer with room for n
+// more bytes: the call id the reply answers, then the body.
+func replyPayload(callID uint64, n int) []byte {
+	return binary.BigEndian.AppendUint64(bufpool.Get(8+n), callID)
+}
+
+// sendReply sends one reply frame (MTReturn / MTError / MTBusy) carrying a
+// payload started by replyPayload. Frame and payload are pooled and both
+// are recycled once SendReliable returns (the fabric encodes synchronously
+// and retains neither).
+func (e *Engine) sendReply(to transport.NodeID, mt protocol.MsgType, flags, enc uint8, pr qos.Priority, ch string, payload []byte) {
 	reply := protocol.GetFrame()
 	*reply = protocol.Frame{
 		Type:     mt,
+		Flags:    flags,
 		Encoding: enc,
 		Priority: pr,
 		Channel:  ch,
-		Payload:  buf,
+		Payload:  payload,
 	}
 	e.f.SendReliable(to, reply, qos.ReliableARQ, nil)
 	protocol.PutFrame(reply)
-	bufpool.Put(buf)
+	bufpool.Put(payload)
 }
 
 // replyBusy sheds one request with an explicit MTBusy (§4.3 admission
@@ -900,25 +912,14 @@ func (e *Engine) sendReply(to transport.NodeID, mt protocol.MsgType, enc uint8, 
 // over.
 func (e *Engine) replyBusy(to transport.NodeID, callID uint64, pr qos.Priority, ch string) {
 	e.busyRejects.Inc()
-	e.sendReply(to, protocol.MTBusy, 0, pr, ch, callID, nil)
+	e.sendReply(to, protocol.MTBusy, 0, 0, pr, ch, replyPayload(callID, 0))
 }
 
 func (e *Engine) replyAppError(to transport.NodeID, callID uint64, pr qos.Priority, ch string, msg string) {
-	buf := bufpool.Get(12 + len(msg))
-	buf = binary.BigEndian.AppendUint64(buf, callID)
+	buf := replyPayload(callID, 4+len(msg))
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(msg)))
 	buf = append(buf, msg...)
-	reply := protocol.GetFrame()
-	*reply = protocol.Frame{
-		Type:     protocol.MTError,
-		Flags:    protocol.FlagAppError,
-		Priority: pr,
-		Channel:  ch,
-		Payload:  buf,
-	}
-	e.f.SendReliable(to, reply, qos.ReliableARQ, nil)
-	protocol.PutFrame(reply)
-	bufpool.Put(buf)
+	e.sendReply(to, protocol.MTError, protocol.FlagAppError, 0, pr, ch, buf)
 }
 
 // Replies must not reuse the caller-allocated call id as their wire

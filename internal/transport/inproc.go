@@ -16,16 +16,19 @@ import (
 // dispatch goroutine, so a slow handler exerts backpressure on its own
 // queue and overflow is counted as drop — mirroring a NIC ring buffer.
 type Bus struct {
-	mu     sync.RWMutex
-	nodes  map[NodeID]*BusEndpoint
-	groups map[string]map[NodeID]*BusEndpoint
+	mu    sync.RWMutex
+	nodes map[NodeID]*BusEndpoint
+	// groups lists are copy-on-write: join, leave and remove install a
+	// fresh slice, so SendGroup reads one under the lock and walks it
+	// unlocked without copying.
+	groups map[string][]*BusEndpoint
 }
 
 // NewBus returns an empty in-process fabric.
 func NewBus() *Bus {
 	return &Bus{
 		nodes:  make(map[NodeID]*BusEndpoint),
-		groups: make(map[string]map[NodeID]*BusEndpoint),
+		groups: make(map[string][]*BusEndpoint),
 	}
 }
 
@@ -63,36 +66,48 @@ func (b *Bus) lookup(id NodeID) *BusEndpoint {
 	return b.nodes[id]
 }
 
-// members snapshots the endpoints subscribed to group.
+// members returns the endpoints subscribed to group. The slice is shared
+// and immutable.
 func (b *Bus) members(group string) []*BusEndpoint {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
-	set := b.groups[group]
-	out := make([]*BusEndpoint, 0, len(set))
-	for _, ep := range set {
-		out = append(out, ep)
-	}
-	return out
+	return b.groups[group]
 }
 
 func (b *Bus) join(group string, ep *BusEndpoint) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	set := b.groups[group]
-	if set == nil {
-		set = make(map[NodeID]*BusEndpoint)
-		b.groups[group] = set
+	old := b.groups[group]
+	for _, member := range old {
+		if member == ep {
+			return
+		}
 	}
-	set[ep.id] = ep
+	b.groups[group] = append(old[:len(old):len(old)], ep) // full slice expression: always a fresh array
 }
 
 func (b *Bus) leave(group string, ep *BusEndpoint) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	set := b.groups[group]
-	delete(set, ep.id)
-	if len(set) == 0 {
+	b.dropLocked(group, ep)
+}
+
+// dropLocked replaces group's list with one that lacks ep.
+func (b *Bus) dropLocked(group string, ep *BusEndpoint) {
+	old := b.groups[group]
+	var rest []*BusEndpoint
+	for _, member := range old {
+		if member != ep {
+			rest = append(rest, member)
+		}
+	}
+	if len(rest) == len(old) {
+		return // ep was not a member
+	}
+	if len(rest) == 0 {
 		delete(b.groups, group)
+	} else {
+		b.groups[group] = rest
 	}
 }
 
@@ -100,11 +115,8 @@ func (b *Bus) remove(ep *BusEndpoint) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	delete(b.nodes, ep.id)
-	for group, set := range b.groups {
-		delete(set, ep.id)
-		if len(set) == 0 {
-			delete(b.groups, group)
-		}
+	for group := range b.groups {
+		b.dropLocked(group, ep)
 	}
 }
 

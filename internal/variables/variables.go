@@ -16,6 +16,7 @@
 package variables
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -23,6 +24,7 @@ import (
 	"time"
 
 	"uavmw/internal/bufpool"
+	"uavmw/internal/clock"
 	"uavmw/internal/encoding"
 	"uavmw/internal/fabric"
 	"uavmw/internal/metrics"
@@ -58,10 +60,15 @@ var (
 // Engine is the per-container variable runtime.
 type Engine struct {
 	f   fabric.Fabric
+	clk clock.Clock
+	enc encoding.ValueEncoder
 	reg *metrics.Registry
 
 	mu   sync.Mutex
 	pubs map[string]*Publisher
+	// subs lists are copy-on-write: Subscribe and Close install a fresh
+	// slice, so the receive path reads one under mu and walks it unlocked
+	// without copying.
 	subs map[string][]*Subscription
 }
 
@@ -69,10 +76,20 @@ type Engine struct {
 func New(f fabric.Fabric) *Engine {
 	return &Engine{
 		f:    f,
+		clk:  fabric.ClockOf(f),
+		enc:  encoding.NewValueEncoder(f.Encoding()),
 		reg:  fabric.MetricsOf(f),
 		pubs: make(map[string]*Publisher),
 		subs: make(map[string][]*Subscription),
 	}
+}
+
+// subscribers returns the current subscription list of name. The slice is
+// shared and immutable.
+func (e *Engine) subscribers(name string) []*Subscription {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.subs[name]
 }
 
 // sample payload layout (after the frame header):
@@ -82,22 +99,14 @@ func New(f fabric.Fabric) *Engine {
 //	u32 publisher incarnation (non-zero; resets subscriber seq filters)
 //	raw encoded value
 
-// appendSamplePayload appends the sample header and encoded body onto dst
-// (typically a pooled buffer sized 16 + len(body)).
-func appendSamplePayload(dst []byte, body []byte, ts time.Time, validity time.Duration, pub uint32) []byte {
+const sampleHeaderLen = 16
+
+// appendSampleHeader appends the sample header onto dst (typically a pooled
+// buffer); the encoded value follows it.
+func appendSampleHeader(dst []byte, ts time.Time, validity time.Duration, pub uint32) []byte {
 	dst = binary.BigEndian.AppendUint64(dst, uint64(ts.UnixNano()))
 	dst = binary.BigEndian.AppendUint32(dst, uint32(validity/time.Millisecond))
-	dst = binary.BigEndian.AppendUint32(dst, pub)
-	return append(dst, body...)
-}
-
-func encodeSamplePayload(enc encoding.Encoding, t *presentation.Type, v any, ts time.Time, validity time.Duration, pub uint32) ([]byte, error) {
-	body, err := enc.Marshal(t, v)
-	if err != nil {
-		return nil, err
-	}
-	//wirepath:alloc exact-size, GC-owned encode for callers that retain the result
-	return appendSamplePayload(make([]byte, 0, 16+len(body)), body, ts, validity, pub), nil
+	return binary.BigEndian.AppendUint32(dst, pub)
 }
 
 func decodeSamplePayload(enc encoding.Encoding, t *presentation.Type, payload []byte) (v any, ts time.Time, validity time.Duration, pub uint32, err error) {
@@ -125,10 +134,6 @@ func (e *Engine) Offer(name, service string, t *presentation.Type, q qos.Variabl
 		return nil, err
 	}
 	q = q.Normalize()
-	codec, err := encoding.Compile(t)
-	if err != nil {
-		return nil, err
-	}
 	e.mu.Lock()
 	if _, dup := e.pubs[name]; dup {
 		e.mu.Unlock()
@@ -137,9 +142,9 @@ func (e *Engine) Offer(name, service string, t *presentation.Type, q qos.Variabl
 	p := &Publisher{
 		engine:  e,
 		name:    name,
+		group:   fabric.VarGroup(name),
 		service: service,
 		typ:     t,
-		codec:   codec,
 		q:       q,
 		id:      protocol.NewIncarnation(),
 	}
@@ -153,9 +158,9 @@ func (e *Engine) Offer(name, service string, t *presentation.Type, q qos.Variabl
 type Publisher struct {
 	engine  *Engine
 	name    string
+	group   string // fabric.VarGroup(name), built once
 	service string
 	typ     *presentation.Type
-	codec   *encoding.Codec
 	q       qos.VariableQoS
 
 	// id is this publisher's incarnation, carried in every sample so a
@@ -163,8 +168,12 @@ type Publisher struct {
 	// subscribers still holding the previous incarnation's high seq.
 	id uint32
 
-	mu       sync.Mutex
-	last     any
+	mu sync.Mutex
+	// last is the encoded body of the last published value in a buffer the
+	// publisher owns and reuses. OnChangeOnly compares against it, snapshot
+	// replies are assembled from it and Snapshot decodes it, so the caller's
+	// value is never retained and mutating it after Publish changes nothing.
+	last     []byte
 	lastTS   time.Time
 	lastSent time.Time
 	seq      uint64
@@ -180,58 +189,63 @@ func (p *Publisher) Type() *presentation.Type { return p.typ }
 // Publish coerces v to the variable type and distributes it: one multicast
 // datagram to remote subscribers plus direct (bypass) delivery to local
 // ones. With OnChangeOnly, unchanged values inside the period are
-// suppressed.
+// suppressed; "unchanged" means an identical encoding, so -0.0 and +0.0, or
+// two NaNs with different payloads, count as a change.
 func (p *Publisher) Publish(v any) error {
-	cv, err := presentation.Coerce(p.typ, v)
-	if err != nil {
-		return err
-	}
-	now := time.Now()
+	e := p.engine
+	now := e.clk.Now()
 
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
 		return fmt.Errorf("variables: %q: %w", p.name, ErrClosed)
 	}
-	if p.q.OnChangeOnly && p.lastTS != (time.Time{}) &&
-		presentation.EqualValues(p.last, cv) &&
+	// Pooled sample assembly: header, then the value coerced and encoded
+	// in one walk straight onto the payload. The buffer and the frame both
+	// go back to their pools the moment SendGroup returns — the fabric
+	// encodes synchronously and retains neither.
+	payload := appendSampleHeader(bufpool.Get(sampleHeaderLen+len(p.last)), now, p.q.Validity, p.id)
+	payload, err := e.enc.Append(payload, p.typ, v)
+	if err != nil {
+		p.mu.Unlock()
+		bufpool.Put(payload)
+		return err
+	}
+	body := payload[sampleHeaderLen:]
+	if p.q.OnChangeOnly && !p.lastTS.IsZero() && bytes.Equal(p.last, body) &&
 		(p.q.Period <= 0 || now.Sub(p.lastSent) < p.q.Period) {
 		// Unchanged inside the refresh window: cache only.
-		p.last = cv
 		p.lastTS = now
 		p.mu.Unlock()
+		bufpool.Put(payload)
 		return nil
 	}
 	p.seq++
 	seq := p.seq
-	p.last = presentation.DeepCopy(cv)
+	p.last = append(p.last[:0], body...)
 	p.lastTS = now
 	p.lastSent = now
 	p.mu.Unlock()
 
-	enc := p.engine.f.Encoding()
-	body, err := enc.Marshal(p.typ, cv)
-	if err != nil {
-		return err
-	}
-	// Pooled sample assembly: the payload buffer and the frame both come
-	// from pools and go back the moment SendGroup returns — the fabric
-	// encodes synchronously and retains neither.
-	payload := appendSamplePayload(bufpool.Get(16+len(body)), body, now, p.q.Validity, p.id)
 	frame := protocol.GetFrame()
 	*frame = protocol.Frame{
 		Type:     protocol.MTSample,
-		Encoding: enc.ID(),
+		Encoding: e.enc.ID(),
 		Priority: p.q.Priority,
 		Channel:  p.name,
 		Seq:      seq,
 		Payload:  payload,
 	}
-	// Local bypass first: same-container subscribers get the value with
-	// no encode/decode on the hot path (§4.4's bypass principle applied
-	// to variables; experiment F2).
-	p.engine.deliverLocal(p.name, cv, now, p.q.Validity)
-	err = p.engine.f.SendGroup(fabric.VarGroup(p.name), frame)
+	// Local bypass first: same-container subscribers skip the frame,
+	// egress and transport layers (§4.4's bypass principle applied to
+	// variables; experiment F2). Each gets a private value decoded from
+	// the sample, built only when such a subscriber exists.
+	for _, s := range e.subscribers(p.name) {
+		if lv, derr := e.f.Encoding().Unmarshal(p.typ, body); derr == nil {
+			s.accept(lv, now, p.q.Validity, 0, 0)
+		}
+	}
+	err = e.f.SendGroup(p.group, frame)
 	protocol.PutFrame(frame)
 	bufpool.Put(payload)
 	if err != nil {
@@ -240,22 +254,22 @@ func (p *Publisher) Publish(v any) error {
 	return nil
 }
 
-// Snapshot returns a copy of the last published value and its publication
-// instant, or ok=false before the first Publish. This is the ground-side
-// read API the gateway's last-value cache mirrors: a consumer joining late
-// reads the current value without a wire exchange.
+// Snapshot returns the last published value, decoded afresh for the
+// caller, and its publication instant, or ok=false before the first
+// Publish. This is the ground-side read API the gateway's last-value cache
+// mirrors: a consumer joining late reads the current value without a wire
+// exchange.
 func (p *Publisher) Snapshot() (v any, ts time.Time, ok bool) {
-	return p.snapshot()
-}
-
-// snapshot returns the last published value (for the snapshot protocol).
-func (p *Publisher) snapshot() (any, time.Time, bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.lastTS == (time.Time{}) {
+	if p.lastTS.IsZero() {
 		return nil, time.Time{}, false
 	}
-	return presentation.DeepCopy(p.last), p.lastTS, true
+	v, err := p.engine.f.Encoding().Unmarshal(p.typ, p.last)
+	if err != nil {
+		return nil, time.Time{}, false
+	}
+	return v, p.lastTS, true
 }
 
 // Close withdraws the publisher.
@@ -308,6 +322,7 @@ type SubscribeOptions struct {
 type Subscription struct {
 	engine *Engine
 	name   string
+	group  string // fabric.VarGroup(name), built once
 	typ    *presentation.Type
 	opts   SubscribeOptions
 
@@ -321,7 +336,7 @@ type Subscription struct {
 	lastPub  uint32 // publisher incarnation of lastSeq
 	lastSeq  uint64
 	initCh   chan struct{} // closed when the first value lands
-	timer    *time.Timer
+	timer    clock.Timer
 	closed   bool
 
 	samples  uint64
@@ -349,13 +364,14 @@ func (e *Engine) Subscribe(name string, t *presentation.Type, opts SubscribeOpti
 				name, recs[0].TypeSig, t, ErrTypeMismatch)
 		}
 	}
-	s := &Subscription{engine: e, name: name, typ: t, opts: opts, initCh: make(chan struct{})}
+	s := &Subscription{engine: e, name: name, group: fabric.VarGroup(name), typ: t, opts: opts, initCh: make(chan struct{})}
 
 	e.mu.Lock()
-	e.subs[name] = append(e.subs[name], s)
+	old := e.subs[name]
+	e.subs[name] = append(old[:len(old):len(old)], s) // full slice expression: always a fresh array
 	e.mu.Unlock()
 
-	if err := e.f.Join(fabric.VarGroup(name)); err != nil {
+	if err := e.f.Join(s.group); err != nil {
 		s.Close()
 		return nil, err
 	}
@@ -380,11 +396,10 @@ func (s *Subscription) requestInitial() error {
 	pub := e.pubs[s.name]
 	e.mu.Unlock()
 	if pub != nil {
-		if v, ts, ok := pub.snapshot(); ok {
+		if v, ts, ok := pub.Snapshot(); ok {
 			s.accept(v, ts, pub.q.Validity, 0, 0)
-			return nil
 		}
-		return nil // no value yet; nothing to guarantee
+		return nil // before the first Publish there is nothing to guarantee
 	}
 
 	rec, err := e.f.Directory().Select(naming.KindVariable, s.name, qos.BindDynamic, "")
@@ -403,30 +418,38 @@ func (s *Subscription) requestInitial() error {
 	// The reply arrives asynchronously via handleSnapshotRep; here we wait
 	// for either a value or the timeout.
 	done := make(chan error, 1)
-	e.f.SendReliable(rec.Node, frame, qos.ReliableARQ, func(err error) {
-		if err != nil {
-			done <- err
-		} else {
-			done <- nil
+	e.f.SendReliable(rec.Node, frame, qos.ReliableARQ, func(err error) { done <- err })
+	// Both waits block on plain channels, so under a Virtual clock they
+	// run in Blocking: the delivery that resolves them only happens while
+	// this goroutine counts as parked.
+	sent := e.clk.NewTimer(s.opts.InitialTimeout)
+	defer sent.Stop()
+	clock.Blocking(e.clk, func() {
+		select {
+		case err = <-done:
+		case <-sent.C():
+			err = protocol.ErrTimeout
 		}
 	})
-	select {
-	case err := <-done:
-		if err != nil {
-			return fmt.Errorf("variables: snapshot request %q: %w", s.name, err)
-		}
-	case <-time.After(s.opts.InitialTimeout):
-		return fmt.Errorf("variables: snapshot request %q: %w", s.name, protocol.ErrTimeout)
+	if err != nil {
+		return fmt.Errorf("variables: snapshot request %q: %w", s.name, err)
 	}
 	// Request delivered; wait for the value itself. accept closes initCh
 	// on the first installed sample, so this wakes immediately instead of
 	// polling.
-	select {
-	case <-s.initCh:
-		return nil
-	case <-time.After(s.opts.InitialTimeout):
-		return fmt.Errorf("variables: no snapshot reply for %q: %w", s.name, protocol.ErrTimeout)
+	replied := e.clk.NewTimer(s.opts.InitialTimeout)
+	defer replied.Stop()
+	clock.Blocking(e.clk, func() {
+		select {
+		case <-s.initCh:
+		case <-replied.C():
+			err = protocol.ErrTimeout
+		}
+	})
+	if err != nil {
+		return fmt.Errorf("variables: no snapshot reply for %q: %w", s.name, err)
 	}
+	return nil
 }
 
 // Get returns the freshest valid value. While the publisher is silent the
@@ -442,7 +465,7 @@ func (s *Subscription) Get() (any, time.Time, error) {
 	if !s.haveVal {
 		return nil, time.Time{}, fmt.Errorf("variables: %q: %w", s.name, ErrNoValue)
 	}
-	if age := s.rxAge + time.Since(s.rxAt); s.validity > 0 && age > s.validity {
+	if age := s.rxAge + s.engine.clk.Since(s.rxAt); s.validity > 0 && age > s.validity {
 		return nil, s.ts, fmt.Errorf("variables: %q age %v: %w", s.name, age.Round(time.Millisecond), ErrStale)
 	}
 	return presentation.DeepCopy(s.value), s.ts, nil
@@ -487,7 +510,7 @@ func (s *Subscription) accept(v any, ts time.Time, validity time.Duration, pub u
 	}
 	if seq != 0 {
 		if pub != s.lastPub {
-			if s.haveVal && ts.Before(s.ts) && time.Since(s.rxAt) < incarnationGrace {
+			if s.haveVal && ts.Before(s.ts) && s.engine.clk.Since(s.rxAt) < incarnationGrace {
 				// An older-stamped sample under a different incarnation
 				// arriving moments after a fresh one is a reordered
 				// pre-restart straggler: drop it rather than flip the
@@ -514,7 +537,7 @@ func (s *Subscription) accept(v any, ts time.Time, validity time.Duration, pub u
 	}
 	s.value = v
 	s.ts = ts
-	s.rxAt = time.Now()
+	s.rxAt = s.engine.clk.Now()
 	s.rxAge = s.rxAt.Sub(ts)
 	if s.rxAge < 0 {
 		s.rxAge = 0 // publisher clock ahead of ours
@@ -533,9 +556,9 @@ func (s *Subscription) accept(v any, ts time.Time, validity time.Duration, pub u
 
 	s.resetTimer()
 	if onSample != nil {
-		uerr.Note(s.engine.reg, codeVarShed,
-			s.engine.f.Schedule(s.opts.QoS.Priority, func() { onSample(v, ts) }),
-			"sample callback "+s.name)
+		if err := s.engine.f.Schedule(s.opts.QoS.Priority, func() { onSample(v, ts) }); err != nil {
+			uerr.Wrapf(s.engine.reg, codeVarShed, err, "sample callback %s", s.name)
+		}
 	}
 }
 
@@ -550,7 +573,7 @@ func (s *Subscription) armTimer() {
 	if s.closed {
 		return
 	}
-	s.timer = time.AfterFunc(deadline, s.fireTimeout)
+	s.timer = s.engine.clk.AfterFunc(deadline, s.fireTimeout)
 }
 
 func (s *Subscription) resetTimer() {
@@ -577,7 +600,7 @@ func (s *Subscription) fireTimeout() {
 	// not from the publisher's embedded timestamp: clock skew between
 	// nodes must not produce negative or wildly wrong durations in the
 	// warning.
-	silence := time.Since(s.rxAt)
+	silence := s.engine.clk.Since(s.rxAt)
 	if !s.haveVal {
 		silence = s.opts.QoS.SilenceDeadline()
 	}
@@ -588,9 +611,9 @@ func (s *Subscription) fireTimeout() {
 	}
 	s.mu.Unlock()
 	if onTimeout != nil {
-		uerr.Note(s.engine.reg, codeVarShed,
-			s.engine.f.Schedule(qos.PriorityHigh, func() { onTimeout(silence) }),
-			"silence warning "+s.name)
+		if err := s.engine.f.Schedule(qos.PriorityHigh, func() { onTimeout(silence) }); err != nil {
+			uerr.Wrapf(s.engine.reg, codeVarShed, err, "silence warning %s", s.name)
+		}
 	}
 }
 
@@ -609,11 +632,10 @@ func (s *Subscription) Close() {
 
 	e := s.engine
 	e.mu.Lock()
-	list := e.subs[s.name]
-	for i, sub := range list {
-		if sub == s {
-			list = append(list[:i], list[i+1:]...)
-			break
+	var list []*Subscription // a fresh slice: readers may hold the old one
+	for _, sub := range e.subs[s.name] {
+		if sub != s {
+			list = append(list, sub)
 		}
 	}
 	if len(list) == 0 {
@@ -621,20 +643,11 @@ func (s *Subscription) Close() {
 	} else {
 		e.subs[s.name] = list
 	}
-	remaining := len(list)
 	e.mu.Unlock()
-	if remaining == 0 {
-		uerr.Note(e.reg, codeVarLeave, e.f.Leave(fabric.VarGroup(s.name)), "leave "+s.name)
-	}
-}
-
-// deliverLocal hands a published value to same-container subscribers.
-func (e *Engine) deliverLocal(name string, v any, ts time.Time, validity time.Duration) {
-	e.mu.Lock()
-	subs := append([]*Subscription(nil), e.subs[name]...)
-	e.mu.Unlock()
-	for _, s := range subs {
-		s.accept(presentation.DeepCopy(v), ts, validity, 0, 0)
+	if len(list) == 0 {
+		if err := e.f.Leave(s.group); err != nil {
+			uerr.Wrapf(e.reg, codeVarLeave, err, "leave %s", s.name)
+		}
 	}
 }
 
@@ -645,9 +658,7 @@ func (e *Engine) HandleSample(from transport.NodeID, fr *protocol.Frame) {
 }
 
 func (e *Engine) handleIncoming(fr *protocol.Frame, seq uint64) {
-	e.mu.Lock()
-	subs := append([]*Subscription(nil), e.subs[fr.Channel]...)
-	e.mu.Unlock()
+	subs := e.subscribers(fr.Channel)
 	if len(subs) == 0 {
 		return
 	}
@@ -672,24 +683,26 @@ func (e *Engine) HandleSnapshotReq(from transport.NodeID, fr *protocol.Frame) {
 	if pub == nil {
 		return
 	}
-	v, ts, ok := pub.snapshot()
-	if !ok {
+	// The reply is the cached encoding under its original publish
+	// timestamp; nothing is re-encoded.
+	pub.mu.Lock()
+	if pub.lastTS.IsZero() {
+		pub.mu.Unlock()
 		return // nothing published yet
 	}
-	enc := e.f.Encoding()
-	payload, err := encodeSamplePayload(enc, pub.typ, v, ts, pub.q.Validity, pub.id)
-	if err != nil {
-		return
-	}
+	payload := appendSampleHeader(bufpool.Get(sampleHeaderLen+len(pub.last)), pub.lastTS, pub.q.Validity, pub.id)
+	payload = append(payload, pub.last...)
+	pub.mu.Unlock()
 	reply := &protocol.Frame{
 		Type:     protocol.MTSnapshotRep,
-		Encoding: enc.ID(),
+		Encoding: e.enc.ID(),
 		Priority: qos.PriorityHigh,
 		Channel:  fr.Channel,
 		Seq:      e.f.NextSeq(),
 		Payload:  payload,
 	}
 	e.f.SendReliable(from, reply, qos.ReliableARQ, nil)
+	bufpool.Put(payload)
 }
 
 // HandleSnapshotRep installs a snapshot reply into waiting subscriptions.

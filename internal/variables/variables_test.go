@@ -98,6 +98,15 @@ func (f *fakeFabric) groupFrames(group string) []*protocol.Frame {
 
 var posType = presentation.MustParse("{lat:f64,lon:f64}")
 
+// encodeSamplePayload builds the payload a remote publisher would send.
+func encodeSamplePayload(enc encoding.Encoding, t *presentation.Type, v any, ts time.Time, validity time.Duration, pub uint32) ([]byte, error) {
+	body, err := enc.Marshal(t, v)
+	if err != nil {
+		return nil, err
+	}
+	return append(appendSampleHeader(nil, ts, validity, pub), body...), nil
+}
+
 func TestSamplePayloadRoundTrip(t *testing.T) {
 	enc := encoding.Binary{}
 	ts := time.Unix(1_750_000_000, 123456789)
@@ -160,7 +169,7 @@ func TestPublishMulticastsAndCaches(t *testing.T) {
 	if len(frames) != 1 || frames[0].Type != protocol.MTSample || frames[0].Seq != 1 {
 		t.Fatalf("frames = %+v", frames)
 	}
-	v, _, ok := p.snapshot()
+	v, _, ok := p.Snapshot()
 	if !ok || !presentation.EqualValues(v, map[string]any{"lat": 1.0, "lon": 2.0}) {
 		t.Error("snapshot not cached")
 	}
