@@ -1,0 +1,251 @@
+package core
+
+import (
+	"bytes"
+	"errors"
+	"math/rand"
+	"sync"
+	"testing"
+	"time"
+
+	"uavmw/internal/encoding"
+	"uavmw/internal/fabric"
+	"uavmw/internal/netsim"
+	"uavmw/internal/presentation"
+	"uavmw/internal/protocol"
+	"uavmw/internal/qos"
+	"uavmw/internal/transport"
+)
+
+// Frames larger than the node's MTU, on every send path. The observable is
+// an event subscription fed by hand-built unsequenced MTEvent frames
+// (per-topic sequence 0): the events engine then applies no duplicate
+// filter of its own, so every delivery the container lets through —
+// including a wrongly repeated one — reaches the handler.
+
+const (
+	oversizeTopic = "oversize.blob"
+	oversizeMTU   = 512
+	oversizeBody  = 4096
+)
+
+// blobSink is the receiving side: it records every delivered body.
+type blobSink struct {
+	mu   sync.Mutex
+	seen [][]byte
+}
+
+func (s *blobSink) handle(v any, _ transport.NodeID) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.seen = append(s.seen, v.([]byte))
+}
+
+func (s *blobSink) count() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.seen)
+}
+
+// deliveries reports how many times body arrived, byte for byte.
+func (s *blobSink) deliveries(body []byte) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	n := 0
+	for _, got := range s.seen {
+		if bytes.Equal(got, body) {
+			n++
+		}
+	}
+	return n
+}
+
+// subscribeBlobs attaches a sink to the oversize topic on n.
+func subscribeBlobs(t *testing.T, n *Node) *blobSink {
+	t.Helper()
+	sink := &blobSink{}
+	if _, err := n.Events().Subscribe(oversizeTopic, presentation.Bytes(), qos.EventQoS{}, sink.handle); err != nil {
+		t.Fatal(err)
+	}
+	return sink
+}
+
+// blobFrame builds an unsequenced event frame carrying body. PriorityLow is
+// a lane nothing else in the container uses, so its egress counters see
+// exactly the frames under test.
+func blobFrame(t *testing.T, body []byte) *protocol.Frame {
+	t.Helper()
+	enc, err := encoding.Marshal(presentation.Bytes(), body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &protocol.Frame{
+		Type:     protocol.MTEvent,
+		Encoding: encoding.Binary{}.ID(),
+		Priority: qos.PriorityLow,
+		Channel:  oversizeTopic,
+		Payload:  protocol.EncodeEventPayload(0, 0, enc, nil),
+	}
+}
+
+func randomBody(seed int64) []byte {
+	body := make([]byte, oversizeBody)
+	rand.New(rand.NewSource(seed)).Read(body)
+	return body
+}
+
+// lowLaneDatagrams reports how many datagrams n's egress plane has sent on
+// the test lane.
+func lowLaneDatagrams(n *Node) uint64 {
+	n.FlushEgress()
+	return n.EgressStats().Class(qos.PriorityLow).Datagrams
+}
+
+// quiet asserts the sink's delivery count stays put for a settle interval —
+// long enough for any duplicate still in flight to land.
+func quiet(t *testing.T, sink *blobSink, want int) {
+	t.Helper()
+	time.Sleep(60 * time.Millisecond)
+	if got := sink.count(); got != want {
+		t.Fatalf("%d deliveries after settling, want %d", got, want)
+	}
+}
+
+func TestOversizeBestEffortUnicastAndGroup(t *testing.T) {
+	bus := transport.NewBus()
+	src := newBusNode(t, bus, "uav", WithMTU(oversizeMTU))
+	dst := newBusNode(t, bus, "gs")
+	syncNodes(t, src, dst)
+	sink := subscribeBlobs(t, dst)
+
+	unicast, group := randomBody(1), randomBody(2)
+	if err := src.SendBestEffort("gs", blobFrame(t, unicast)); err != nil {
+		t.Fatalf("SendBestEffort: %v", err)
+	}
+	afterUnicast := lowLaneDatagrams(src)
+	if afterUnicast < oversizeBody/oversizeMTU {
+		t.Fatalf("4 KB frame at MTU %d left in %d datagram(s); it was not split", oversizeMTU, afterUnicast)
+	}
+	if err := src.SendGroup(fabric.EventGroup(oversizeTopic), blobFrame(t, group)); err != nil {
+		t.Fatalf("SendGroup: %v", err)
+	}
+	if sent := lowLaneDatagrams(src) - afterUnicast; sent < oversizeBody/oversizeMTU {
+		t.Fatalf("4 KB group frame left in %d datagram(s); it was not split", sent)
+	}
+	waitUntil(t, 2*time.Second, "both oversize frames", func() bool { return sink.count() == 2 })
+	quiet(t, sink, 2)
+	if sink.deliveries(unicast) != 1 || sink.deliveries(group) != 1 {
+		t.Fatalf("reassembled bodies differ from what was sent (unicast ×%d, group ×%d)",
+			sink.deliveries(unicast), sink.deliveries(group))
+	}
+}
+
+func TestOversizeReliableUnderLoss(t *testing.T) {
+	// 20% loss hits fragments and their acks alike, so fragments are
+	// retransmitted and re-acknowledged; the message must still surface
+	// exactly once and its completion fire exactly once.
+	net := netsim.New(netsim.Config{Loss: 0.2, Seed: 41, Latency: time.Millisecond})
+	defer net.Close()
+	src := newSimNode(t, net, "uav", WithMTU(oversizeMTU))
+	dst := newSimNode(t, net, "gs")
+	syncNodes(t, src, dst)
+	sink := subscribeBlobs(t, dst)
+
+	const messages = 8
+	var (
+		mu       sync.Mutex
+		outcomes = make(map[int][]error)
+	)
+	bodies := make([][]byte, messages)
+	for i := range bodies {
+		i := i
+		bodies[i] = randomBody(int64(100 + i))
+		src.SendReliable("gs", blobFrame(t, bodies[i]), qos.ReliableARQ, func(err error) {
+			mu.Lock()
+			outcomes[i] = append(outcomes[i], err)
+			mu.Unlock()
+		})
+	}
+	waitUntil(t, 10*time.Second, "every reliable send to complete", func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return len(outcomes) == messages
+	})
+	waitUntil(t, 5*time.Second, "every body to be delivered", func() bool { return sink.count() >= messages })
+	waitUntil(t, 5*time.Second, "ARQ to drain", func() bool { return src.arq.Pending() == 0 })
+	quiet(t, sink, messages)
+
+	mu.Lock()
+	defer mu.Unlock()
+	for i, body := range bodies {
+		if got := outcomes[i]; len(got) != 1 || got[0] != nil {
+			t.Errorf("message %d: completions %v, want exactly one nil", i, got)
+		}
+		if got := sink.deliveries(body); got != 1 {
+			t.Errorf("message %d delivered %d times, want once and intact", i, got)
+		}
+	}
+	if pubARQRetransmits(src) == 0 {
+		t.Error("no fragment was retransmitted; the loss path was not exercised")
+	}
+}
+
+func TestOversizeReliableRetryBudgetExhausted(t *testing.T) {
+	net := netsim.New(netsim.Config{Seed: 43, Latency: time.Millisecond})
+	defer net.Close()
+	src := newSimNode(t, net, "uav", WithMTU(oversizeMTU),
+		WithARQ(protocol.WithTimeout(4*time.Millisecond), protocol.WithMaxRetries(2)))
+	dst := newSimNode(t, net, "gs")
+	syncNodes(t, src, dst)
+	sink := subscribeBlobs(t, dst)
+	net.Partition("uav", "gs")
+
+	var (
+		mu       sync.Mutex
+		outcomes []error
+	)
+	src.SendReliable("gs", blobFrame(t, randomBody(7)), qos.ReliableARQ, func(err error) {
+		mu.Lock()
+		outcomes = append(outcomes, err)
+		mu.Unlock()
+	})
+	waitUntil(t, 5*time.Second, "the retry budget to run out", func() bool { return src.arq.Pending() == 0 })
+	quiet(t, sink, 0)
+	mu.Lock()
+	defer mu.Unlock()
+	if len(outcomes) != 1 || !errors.Is(outcomes[0], protocol.ErrTimeout) {
+		t.Fatalf("completions %v, want exactly one ErrTimeout although every fragment timed out", outcomes)
+	}
+}
+
+func TestOversizeSelfLoopbackNeverFragments(t *testing.T) {
+	bus := transport.NewBus()
+	n := newBusNode(t, bus, "solo", WithMTU(oversizeMTU))
+	sink := subscribeBlobs(t, n)
+
+	bestEffort, reliable := randomBody(11), randomBody(12)
+	if err := n.SendBestEffort("solo", blobFrame(t, bestEffort)); err != nil {
+		t.Fatalf("SendBestEffort to self: %v", err)
+	}
+	completions := 0 // loopback completes synchronously, on this goroutine
+	n.SendReliable("solo", blobFrame(t, reliable), qos.ReliableARQ, func(err error) {
+		completions++
+		if err != nil {
+			t.Errorf("reliable loopback completed with %v", err)
+		}
+	})
+	if completions != 1 {
+		t.Fatalf("reliable loopback completed %d times, want 1", completions)
+	}
+	waitUntil(t, 2*time.Second, "both loopback frames", func() bool { return sink.count() == 2 })
+	quiet(t, sink, 2)
+	if sink.deliveries(bestEffort) != 1 || sink.deliveries(reliable) != 1 {
+		t.Fatal("loopback bodies differ from what was sent")
+	}
+	if sent := lowLaneDatagrams(n); sent != 0 {
+		t.Fatalf("loopback put %d datagram(s) on the egress plane, want 0", sent)
+	}
+	if pending := n.arq.Pending(); pending != 0 {
+		t.Fatalf("loopback registered %d message(s) with ARQ, want 0", pending)
+	}
+}
