@@ -136,13 +136,10 @@ func TestE15MatchesBaseline(t *testing.T) {
 		// extra allocation (1 alloc on the batch point moves the
 		// per-frame figure by 1/16 = 0.0625).
 		withinRel(t, base, "codec_"+name+"_pooled_allocs", c.PooledAllocsPerFrame, 0, 0.02)
-		withinRel(t, base, "codec_"+name+"_legacy_allocs", c.LegacyAllocsPerFrame, 0, 0.02)
 		exact(t, base, "codec_"+name+"_wire_b", c.WireBytesPerFrame)
-		// Rates are host wall-clock: the wide tolerance only catches a
-		// wire path that got drastically slower (an accidental copy or
-		// re-encode), not scheduling noise.
-		withinRel(t, base, "codec_"+name+"_pooled_fps", c.PooledFramesPerSec, 0.75, 0)
-		withinRel(t, base, "codec_"+name+"_legacy_fps", c.LegacyFramesPerSec, 0.75, 0)
+		// Rates are host wall-clock: reported, never asserted.
+		t.Logf("e15 codec_%s_pooled_fps = %.0f (baseline host: %.0f)",
+			name, c.PooledFramesPerSec, base.Metrics["codec_"+name+"_pooled_fps"])
 	}
 	exact(t, base, "netsim_samples", float64(res.Netsim.Samples))
 	exact(t, base, "netsim_delivered", float64(res.Netsim.Delivered))

@@ -1,9 +1,10 @@
 package uavmw
 
-// One benchmark per experiment in EXPERIMENTS.md. Each wraps a single
-// point of the corresponding uavbench sweep in testing.B so regressions
-// surface in ordinary `go test -bench=.` runs; the full parameter sweeps
-// (loss rates, subscriber counts, file sizes) are printed by cmd/uavbench.
+// One benchmark per experiment in README "Benchmarks and experiments".
+// Each wraps a single point of the corresponding uavbench sweep in
+// testing.B so regressions surface in ordinary `go test -bench=.` runs; the
+// full parameter sweeps (loss rates, subscriber counts, file sizes) are
+// printed by cmd/uavbench.
 
 import (
 	"fmt"
@@ -93,7 +94,7 @@ func BenchmarkE5_LocalBypass(b *testing.B) {
 
 // BenchmarkE6_EncodingCodec measures the PEPt encoding layer on the
 // telemetry payload: the one encode walk into a fresh slice (Marshal) and
-// into a reused writer (Codec.Encode), the compiled decoder, and the debug
+// into a reused writer (Codec.Encode), the one decode walk, and the debug
 // encoding (F4 pluggability; §6 efficiency focus).
 func BenchmarkE6_EncodingCodec(b *testing.B) {
 	typ := services.TypePosition
@@ -125,7 +126,7 @@ func BenchmarkE6_EncodingCodec(b *testing.B) {
 			}
 		}
 	})
-	b.Run("compiled-unmarshal", func(b *testing.B) {
+	b.Run("unmarshal", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if _, err := codec.Unmarshal(data); err != nil {

@@ -1,7 +1,7 @@
 // Command uavbench regenerates every quantitative experiment recorded in
-// EXPERIMENTS.md: the paper's comparative claims (E1–E5, E7, E8), the
-// end-to-end Figure 3 mission (E9), and the middleware-plane experiments
-// (E11–E14). Run it with no flags for the full sweep, or select
+// README "Benchmarks and experiments": the paper's comparative claims
+// (E1–E5, E7, E8), the end-to-end Figure 3 mission (E9), and the
+// middleware-plane experiments (E11–E17). Run it with no flags for the full sweep, or select
 // experiments:
 //
 //	uavbench -run e2,e3 -quick
@@ -617,18 +617,13 @@ func runE15(clk clock.Clock, quick bool) (map[string]any, string, error) {
 	// Flat float metrics only: the baseline guard replays this record and
 	// parses Metrics as map[string]float64.
 	metrics := map[string]float64{}
-	fmt.Printf("%-8s %10s %12s %14s %12s %14s\n",
-		"size", "B/frame", "pooled a/f", "pooled Mf/s", "legacy a/f", "legacy Mf/s")
+	fmt.Printf("%-8s %10s %12s %14s\n", "size", "B/frame", "pooled a/f", "pooled Mf/s")
 	for _, c := range res.Codec {
-		fmt.Printf("%-8s %10.1f %12.3f %14.2f %12.3f %14.2f\n",
-			c.Name, c.WireBytesPerFrame,
-			c.PooledAllocsPerFrame, c.PooledFramesPerSec/1e6,
-			c.LegacyAllocsPerFrame, c.LegacyFramesPerSec/1e6)
+		fmt.Printf("%-8s %10.1f %12.3f %14.2f\n",
+			c.Name, c.WireBytesPerFrame, c.PooledAllocsPerFrame, c.PooledFramesPerSec/1e6)
 		metrics["codec_"+c.Name+"_wire_b"] = c.WireBytesPerFrame
 		metrics["codec_"+c.Name+"_pooled_allocs"] = c.PooledAllocsPerFrame
-		metrics["codec_"+c.Name+"_legacy_allocs"] = c.LegacyAllocsPerFrame
 		metrics["codec_"+c.Name+"_pooled_fps"] = c.PooledFramesPerSec
-		metrics["codec_"+c.Name+"_legacy_fps"] = c.LegacyFramesPerSec
 	}
 	ns := res.Netsim
 	fmt.Printf("netsim: %d/%d samples delivered, %d packets %d bytes on the wire (%.1f B/sample)\n",

@@ -52,9 +52,9 @@
 // The module path is uavmw; build with go build ./... and verify with
 // go test ./... (see README.md for the package map).
 //
-// Start with the README for the architecture map, DESIGN.md for the system
-// inventory, and EXPERIMENTS.md for the reproduced evaluation. The
-// runnable entry points are in examples/ and cmd/.
+// Start with the README for the architecture map and, under "Benchmarks
+// and experiments", the reproduced evaluation. The runnable entry points
+// are in examples/ and cmd/.
 //
 // The benchmarks in this directory regenerate one point of each experiment
 // sweep; the full parameter sweeps live in cmd/uavbench.

@@ -95,9 +95,10 @@ func TestBearerRecordsAdvertised(t *testing.T) {
 		return gs.Directory().ProviderCount(naming.KindBearer, "wifi") >= 2 &&
 			gs.Directory().ProviderCount(naming.KindBearer, "radio") >= 2
 	})
-	if !uav.peerAdvertises("gs", "radio") || !uav.peerAdvertises("gs", "wifi") {
-		t.Error("uav reach cache missing gs bearers")
-	}
+	// gs having heard uav says nothing about the opposite direction yet.
+	waitUntil(t, 5*time.Second, "uav reach cache to list gs bearers", func() bool {
+		return uav.peerAdvertises("gs", "radio") && uav.peerAdvertises("gs", "wifi")
+	})
 	names := uav.Bearers()
 	if len(names) != 2 || names[0] != "wifi" || names[1] != "radio" {
 		t.Errorf("Bearers() = %v", names)

@@ -69,9 +69,7 @@ var (
 	codeBatchDecode    = uerr.Register("core.batch_decode", uerr.CatDecode)
 	codeBatchNested    = uerr.Register("core.batch_nested", uerr.CatProtocol)
 	codeFragReassembly = uerr.Register("core.fragment_reassembly", uerr.CatDecode)
-	codeAckEncode      = uerr.Register("core.ack_encode", uerr.CatEncode)
 	codeAckSend        = uerr.Register("core.ack_send", uerr.CatSend)
-	codeProbeEncode    = uerr.Register("core.probe_encode", uerr.CatEncode)
 	codeProbeSend      = uerr.Register("core.probe_send", uerr.CatSend)
 	codeByeSend        = uerr.Register("core.bye_send", uerr.CatSend)
 )
@@ -592,74 +590,161 @@ func (n *Node) Leave(group string) error {
 	return firstErr
 }
 
-// encodePooled serializes f into an exactly-sized pooled buffer. The caller
-// owns the result: hand it to an Owned enqueue (egress releases it after the
-// wire write) or bufpool.Put it once the bytes are consumed.
-func encodePooled(f *protocol.Frame) ([]byte, error) {
-	buf := bufpool.Get(protocol.FrameWireSize(f))
+// reliable is what an acknowledged send adds to a transmit: where the
+// message goes if not onto ARQ, its per-message tuning, and the completion
+// callback.
+type reliable struct {
+	// stream routes the frame over the stream transport instead of ARQ.
+	stream bool
+	tune   protocol.SendTuning
+	done   func(error)
+}
+
+// complete reports an outcome known before transmit returns: to the caller
+// for a best-effort send (nil receiver), through done for a reliable one.
+func (r *reliable) complete(err error) error {
+	if r == nil {
+		return err
+	}
+	if r.done != nil {
+		r.done(err)
+	}
+	return nil
+}
+
+// wireBuf returns the buffer one outgoing datagram is built in. Normally it
+// is pooled: the egress plane owns it from the enqueue on and recycles it
+// after the wire write. A datagram ARQ retains until the peer acknowledges
+// it is exact-size and GC-owned instead.
+func wireBuf(size int, retained bool) []byte {
+	if retained {
+		//wirepath:alloc ARQ holds the datagram for retransmission until it is acknowledged
+		return make([]byte, 0, size)
+	}
+	return bufpool.Get(size)
+}
+
+// transmit is the container's one path from a frame to the wire: assign
+// the seq, encode once, loop back a frame addressed to this node, split
+// what exceeds the MTU, and hand each datagram to the egress plane —
+// directly and plane-owned for best-effort traffic, through ARQ (which
+// keeps the bytes and re-enters the plane per retransmission) when rel is
+// set. Every Send* method, the ack path and the link probes go through it.
+func (n *Node) transmit(d egress.Dest, f *protocol.Frame, rel *reliable) error {
+	// A batch's outer header carries no sequence semantics; its zero Seq
+	// is not "unassigned".
+	if f.Seq == 0 && f.Type != protocol.MTBatch {
+		f.Seq = n.NextSeq()
+	}
+	loopback := d.Node == n.id
+	stream := rel != nil && rel.stream && !loopback
+	// Only datagrams are acknowledged by ARQ and face the MTU; the
+	// dispatcher and the stream transport need neither.
+	datagram := !loopback && !stream
+	viaARQ := rel != nil && datagram
+	if viaARQ {
+		f.Flags |= protocol.FlagAckRequired
+	}
+	size := protocol.FrameWireSize(f)
+	split := datagram && size > n.mtu
+	buf := wireBuf(size, viaARQ && !split)
 	raw, err := protocol.AppendFrame(buf, f)
 	if err != nil {
 		bufpool.Put(buf)
-		return nil, err
+		return rel.complete(err)
 	}
-	return raw, nil
+	switch {
+	case loopback:
+		// Straight through the dispatcher, which is synchronous and
+		// retains nothing.
+		n.handleFrameBytes(n.id, raw)
+		bufpool.Put(raw)
+		return rel.complete(nil)
+	case stream:
+		err := n.stream.Send(d.Node, raw)
+		bufpool.Put(raw)
+		return rel.complete(err)
+	case !split:
+		// Single datagram: the steady-state path. A registered reliable
+		// send completes later, through ARQ.
+		if err := n.enqueue(d, f.Priority, f.Seq, raw, rel); err != nil {
+			return rel.complete(err)
+		}
+		return nil
+	}
+	err = n.transmitSplit(d, f, raw, rel)
+	bufpool.Put(raw) // fragments carry their own copies
+	return err
+}
+
+// transmitSplit is transmit's over-MTU tail: raw, the encoded frame f, goes
+// out as MTFragment datagrams that each fit the MTU.
+func (n *Node) transmitSplit(d egress.Dest, f *protocol.Frame, raw []byte, rel *reliable) error {
+	viaARQ := rel != nil
+	parts, err := protocol.Split(raw, f.Seq, n.mtu)
+	if err != nil {
+		return rel.complete(err)
+	}
+	// Best-effort fragments share the message id as their seq. Reliable
+	// ones are acknowledged and deduplicated one by one, each under its
+	// own seq, and the message completes when all of them have.
+	frag, seq, flags := rel, f.Seq, uint8(0)
+	if viaARQ {
+		frag = &reliable{tune: rel.tune, done: allAcked(parts.Count(), rel.done)}
+		flags = protocol.FlagAckRequired
+	}
+	for i := 0; i < parts.Count(); i++ {
+		if viaARQ {
+			seq = n.NextSeq()
+		}
+		part := parts.Append(wireBuf(parts.WireSize(i), viaARQ), i, seq, flags)
+		if err := n.enqueue(d, f.Priority, seq, part, frag); err != nil {
+			return frag.complete(err)
+		}
+	}
+	return nil
+}
+
+// enqueue hands one encoded datagram to the egress plane — which then owns
+// the pooled buffer — or, for a reliable send, registers it with ARQ under
+// seq; ARQ makes the first transmission and every retry through the plane.
+func (n *Node) enqueue(d egress.Dest, pr qos.Priority, seq uint64, raw []byte, rel *reliable) error {
+	if rel == nil {
+		return n.egress.EnqueueTo(d, pr, raw, true)
+	}
+	return n.arq.SendTuned(d.Node, seq, raw, rel.tune, rel.done)
+}
+
+// allAcked returns the per-fragment completion of a multi-fragment reliable
+// send: done fires once, with the first failure or when the last of total
+// fragments is acknowledged.
+func allAcked(total int, done func(error)) func(error) {
+	var (
+		remaining atomic.Int64
+		failed    atomic.Bool
+	)
+	remaining.Store(int64(total))
+	return func(err error) {
+		if err != nil {
+			if !failed.Swap(true) && done != nil {
+				done(err)
+			}
+			return
+		}
+		if remaining.Add(-1) == 0 && !failed.Load() && done != nil {
+			done(nil)
+		}
+	}
 }
 
 // SendBestEffort implements fabric.Fabric.
 func (n *Node) SendBestEffort(to transport.NodeID, f *protocol.Frame) error {
-	if f.Seq == 0 {
-		f.Seq = n.NextSeq()
-	}
-	raw, err := encodePooled(f)
-	if err != nil {
-		return err
-	}
-	if to == n.id {
-		n.handleFrameBytes(n.id, raw)
-		bufpool.Put(raw)
-		return nil
-	}
-	if len(raw) <= n.mtu {
-		// Single datagram: the steady-state path. Ownership of the
-		// pooled buffer transfers to egress.
-		return n.egress.EnqueueOwned(to, f.Priority, raw)
-	}
-	parts, err := protocol.Fragment(raw, f.Seq, n.mtu)
-	bufpool.Put(raw) // fragments carry their own GC-owned copies
-	if err != nil {
-		return err
-	}
-	for _, part := range parts {
-		if err := n.egress.Enqueue(to, f.Priority, part); err != nil {
-			return err
-		}
-	}
-	return nil
+	return n.transmit(egress.Dest{Node: to}, f, nil)
 }
 
 // SendGroup implements fabric.Fabric.
 func (n *Node) SendGroup(group string, f *protocol.Frame) error {
-	if f.Seq == 0 {
-		f.Seq = n.NextSeq()
-	}
-	raw, err := encodePooled(f)
-	if err != nil {
-		return err
-	}
-	if len(raw) <= n.mtu {
-		return n.egress.EnqueueGroupOwned(group, f.Priority, raw)
-	}
-	parts, err := protocol.Fragment(raw, f.Seq, n.mtu)
-	bufpool.Put(raw)
-	if err != nil {
-		return err
-	}
-	for _, part := range parts {
-		if err := n.egress.EnqueueGroup(group, f.Priority, part); err != nil {
-			return err
-		}
-	}
-	return nil
+	return n.transmit(egress.Dest{Group: group}, f, nil)
 }
 
 // SendReliable implements fabric.Fabric with engine-default ARQ tuning.
@@ -670,95 +755,12 @@ func (n *Node) SendReliable(to transport.NodeID, f *protocol.Frame, rel qos.Reli
 // SendReliableTuned implements fabric.TunedSender: SendReliable with
 // per-send ARQ timeout/retry overrides carried from the primitive's QoS.
 func (n *Node) SendReliableTuned(to transport.NodeID, f *protocol.Frame, rel qos.Reliability, opts fabric.ReliableOpts, done func(error)) {
-	tune := protocol.SendTuning{Timeout: opts.AckTimeout, MaxRetries: opts.MaxRetries}
-	finish := func(err error) {
-		if done != nil {
-			done(err)
-		}
-	}
-	if f.Seq == 0 {
-		f.Seq = n.NextSeq()
-	}
-	// Local loopback: deliver straight through the dispatcher. The
-	// dispatch is synchronous and retains nothing, so the encode buffer
-	// is pooled.
-	if to == n.id {
-		raw, err := encodePooled(f)
-		if err != nil {
-			finish(err)
-			return
-		}
-		n.handleFrameBytes(n.id, raw)
-		bufpool.Put(raw)
-		finish(nil)
-		return
-	}
-	if rel == qos.ReliableStream && n.stream != nil {
-		raw, err := protocol.EncodeFrame(f)
-		if err != nil {
-			finish(err)
-			return
-		}
-		finish(n.stream.Send(to, raw))
-		return
-	}
-	// ARQ over the datagram transport.
-	f.Flags |= protocol.FlagAckRequired
-	raw, err := protocol.EncodeFrame(f)
-	if err != nil {
-		finish(err)
-		return
-	}
-	parts, err := protocol.Fragment(raw, f.Seq, n.mtu)
-	if err != nil {
-		finish(err)
-		return
-	}
-	if len(parts) == 1 {
-		if err := n.arq.SendTuned(to, f.Seq, parts[0], tune, done); err != nil {
-			finish(err)
-		}
-		return
-	}
-	// Multi-fragment reliable send: each fragment is acknowledged
-	// independently; the message completes when all fragments do.
-	var (
-		remaining atomic.Int64
-		failed    atomic.Bool
-	)
-	remaining.Store(int64(len(parts)))
-	for _, part := range parts {
-		fragFrame, derr := protocol.DecodeFrame(part)
-		if derr != nil {
-			finish(derr)
-			return
-		}
-		fragSeq := n.NextSeq()
-		// Re-encode with a unique per-fragment seq and ack flag.
-		fragFrame.Seq = fragSeq
-		fragFrame.Flags |= protocol.FlagAckRequired
-		fragRaw, eerr := protocol.EncodeFrame(fragFrame)
-		if eerr != nil {
-			finish(eerr)
-			return
-		}
-		if err := n.arq.SendTuned(to, fragSeq, fragRaw, tune, func(err error) {
-			if err != nil {
-				if !failed.Swap(true) {
-					finish(err)
-				}
-				return
-			}
-			if remaining.Add(-1) == 0 && !failed.Load() {
-				finish(nil)
-			}
-		}); err != nil {
-			if !failed.Swap(true) {
-				finish(err)
-			}
-			return
-		}
-	}
+	// transmit reports every reliable outcome through done.
+	_ = n.transmit(egress.Dest{Node: to}, f, &reliable{
+		stream: rel == qos.ReliableStream && n.stream != nil,
+		tune:   protocol.SendTuning{Timeout: opts.AckTimeout, MaxRetries: opts.MaxRetries},
+		done:   done,
+	})
 }
 
 var (
@@ -782,7 +784,7 @@ type recvShard struct {
 	coalesce bool
 	acks     []pendingAck
 	seqs     []uint64
-	ackBufs  [][]byte
+	ackBuf   []byte // ack batch payload under construction
 }
 
 // pendingAck is one acknowledgment owed at the end of a drain batch.
@@ -854,10 +856,19 @@ func (n *Node) handleFrameOn(sh *recvShard, bearer string, from transport.NodeID
 }
 
 func (n *Node) handleFrame(sh *recvShard, bearer string, from transport.NodeID, f *protocol.Frame, depth int) {
+	// Every ack-required frame from a peer — whole message or single
+	// fragment — is acknowledged, even when it is a retransmission whose
+	// first copy was already delivered (the ack was lost), and then
+	// delivered at most once.
+	if from != n.id && f.Flags&protocol.FlagAckRequired != 0 {
+		n.queueAck(sh, bearer, from, f.Seq)
+		if sh.dedup.Seen(from, f.Seq) {
+			return
+		}
+	}
 	switch f.Type {
 	case protocol.MTAck:
 		n.arq.Ack(from, f.Seq)
-		return
 	case protocol.MTBatch:
 		// Transparent batched receive: unpack coalesced frames and feed
 		// each through the full decode path, so per-frame acknowledgment,
@@ -875,16 +886,7 @@ func (n *Node) handleFrame(sh *recvShard, bearer string, from transport.NodeID, 
 		for sub, ok := subs.Next(); ok; sub, ok = subs.Next() {
 			n.handleFrameOn(sh, bearer, from, sub, depth+1)
 		}
-		return
 	case protocol.MTFragment:
-		// Ack-required fragments are acknowledged and deduped
-		// individually before reassembly.
-		if from != n.id && f.Flags&protocol.FlagAckRequired != 0 {
-			n.queueAck(sh, bearer, from, f.Seq)
-			if sh.dedup.Seen(from, f.Seq) {
-				return
-			}
-		}
 		complete, err := sh.reasm.Offer(from, f)
 		if err != nil {
 			uerr.Note(n.metrics, codeFragReassembly, err, "drop bad fragment")
@@ -908,19 +910,12 @@ func (n *Node) handleFrame(sh *recvShard, bearer string, from transport.NodeID, 
 			n.route(bearer, from, inner)
 		}
 		protocol.PutFrame(inner)
-		return
 	default:
+		// No payload copy: the bytes alias the pipeline's pooled receive
+		// buffer (or the bypass caller's encode buffer), alive until the
+		// dispatch returns; route handlers copy whatever they retain.
+		n.route(bearer, from, f)
 	}
-	if from != n.id && f.Flags&protocol.FlagAckRequired != 0 {
-		n.queueAck(sh, bearer, from, f.Seq)
-		if sh.dedup.Seen(from, f.Seq) {
-			return
-		}
-	}
-	// No payload copy: the bytes alias the pipeline's pooled receive
-	// buffer (or the bypass caller's encode buffer), alive until the
-	// dispatch returns; route handlers copy whatever they retain.
-	n.route(bearer, from, f)
 }
 
 // queueAck records an acknowledgment owed for (bearer, to, seq). On a
@@ -929,15 +924,15 @@ func (n *Node) handleFrame(sh *recvShard, bearer string, from transport.NodeID, 
 // immediately.
 func (n *Node) queueAck(sh *recvShard, bearer string, to transport.NodeID, seq uint64) {
 	if !sh.coalesce {
-		n.sendAck(bearer, to, seq)
+		// The local shard's callers run concurrently: no shared scratch.
+		n.sendAcks(sh, bearer, to, []uint64{seq})
 		return
 	}
 	sh.acks = append(sh.acks, pendingAck{bearer: bearer, to: to, seq: seq})
 }
 
 // flushAcks sends every acknowledgment queued during a drain batch,
-// grouping same-(bearer, peer) acks into one MTBatch of MTAck frames. A
-// lone ack takes the direct path unchanged.
+// grouped per (bearer, peer).
 func (n *Node) flushAcks(sh *recvShard) {
 	acks := sh.acks
 	for i := range acks {
@@ -952,63 +947,43 @@ func (n *Node) flushAcks(sh *recvShard) {
 				sh.seqs = append(sh.seqs, acks[j].seq)
 			}
 		}
-		if len(sh.seqs) == 1 {
-			n.sendAck(bearer, to, sh.seqs[0])
-		} else {
-			n.sendAckBatch(sh, bearer, to, sh.seqs)
-		}
+		n.sendAcks(sh, bearer, to, sh.seqs)
 	}
 	sh.acks = sh.acks[:0]
 }
 
-// sendAckBatch coalesces several acks for one peer into a single MTBatch
-// datagram on the critical lane: one egress enqueue and one wire packet
-// where a drained burst would have produced one ack datagram per frame.
-func (n *Node) sendAckBatch(sh *recvShard, bearer string, to transport.NodeID, seqs []uint64) {
-	frames := sh.ackBufs[:0]
-	size := protocol.BatchOverhead(len(seqs))
-	for _, seq := range seqs {
-		ack := protocol.Frame{Type: protocol.MTAck, Seq: seq, Priority: qos.PriorityCritical}
-		raw, err := encodePooled(&ack)
-		if err != nil {
-			uerr.Note(n.metrics, codeAckEncode, err, "encode ack")
+// sendAcks acknowledges seqs to one peer: a lone ack as a plain MTAck,
+// several as one MTBatch of MTAck frames — one egress enqueue and one wire
+// packet where a drained burst would have produced an ack datagram per
+// frame — and a burst too long for one datagram as several such batches.
+//
+// Acks ride the critical lane: a delayed ack inflates the peer's ARQ RTT
+// and triggers spurious retransmissions exactly when a link is congested
+// with lower-class traffic. They are pinned to the bearer the data arrived
+// on, so acknowledgment traffic keeps measuring (and keeping alive) the
+// same link as the data it acknowledges. A refused enqueue (node closing)
+// is counted, not returned: the peer's ARQ retry is the recovery path.
+func (n *Node) sendAcks(sh *recvShard, bearer string, to transport.NodeID, seqs []uint64) {
+	d := egress.Dest{Node: to, Bearer: bearer}
+	ack := protocol.Frame{Type: protocol.MTAck, Priority: qos.PriorityCritical}
+	perDatagram := max(1, (n.mtu-protocol.BatchOverhead(0))/(protocol.BatchEntryOverhead+protocol.FrameWireSize(&ack)))
+	for len(seqs) > 0 {
+		now := seqs[:min(len(seqs), perDatagram)]
+		seqs = seqs[len(now):]
+		if len(now) == 1 {
+			ack.Seq = now[0]
+			uerr.Note(n.metrics, codeAckSend, n.transmit(d, &ack, nil), "enqueue ack")
 			continue
 		}
-		frames = append(frames, raw)
-		size += len(raw)
+		batch := protocol.Frame{Type: protocol.MTBatch, Priority: qos.PriorityCritical, Payload: sh.ackBuf[:0]}
+		for _, seq := range now {
+			ack.Seq = seq
+			// Cannot fail: an ack has a valid type and no channel or budget.
+			batch.Payload, _ = protocol.AppendBatchEntry(batch.Payload, &ack)
+		}
+		sh.ackBuf = batch.Payload
+		uerr.Note(n.metrics, codeAckSend, n.transmit(d, &batch, nil), "enqueue ack batch")
 	}
-	sh.ackBufs = frames
-	if len(frames) == 0 {
-		return
-	}
-	batch, err := protocol.AppendBatch(bufpool.Get(size), frames, qos.PriorityCritical)
-	for i, fr := range frames {
-		bufpool.Put(fr)
-		frames[i] = nil
-	}
-	sh.ackBufs = frames[:0]
-	if err != nil {
-		uerr.Note(n.metrics, codeAckEncode, err, "encode ack batch")
-		return
-	}
-	uerr.Note(n.metrics, codeAckSend, n.egress.EnqueueOnOwned(bearer, to, qos.PriorityCritical, batch), "enqueue ack batch")
-}
-
-func (n *Node) sendAck(bearer string, to transport.NodeID, seq uint64) {
-	ack := protocol.Frame{Type: protocol.MTAck, Seq: seq, Priority: qos.PriorityCritical}
-	raw, err := encodePooled(&ack)
-	if err != nil {
-		uerr.Note(n.metrics, codeAckEncode, err, "encode ack")
-		return
-	}
-	// Acks ride the critical lane: a delayed ack inflates the peer's ARQ
-	// RTT and triggers spurious retransmissions exactly when a link is
-	// congested with lower-class traffic. They are pinned to the bearer
-	// the data arrived on, so acknowledgment traffic keeps measuring (and
-	// keeping alive) the same link as the data it acknowledges. A refused
-	// enqueue (node closing) is counted, not returned: the peer's ARQ
-	// retry is the recovery path.
-	uerr.Note(n.metrics, codeAckSend, n.egress.EnqueueOnOwned(bearer, to, qos.PriorityCritical, raw), "enqueue ack")
 }
 
 // route dispatches a frame to its engine.
@@ -1260,17 +1235,16 @@ func (n *Node) announceNow() {
 		uerr.Note(n.metrics, codeAnnounceEncode, err, "encode full announce")
 		return
 	}
-	frame := &protocol.Frame{
-		Type:     protocol.MTAnnounce,
-		Priority: qos.PriorityNormal,
-		Seq:      n.NextSeq(),
-		Payload:  payload,
-	}
-	if err := n.SendGroup(fabric.DiscoveryGroup, frame); err != nil {
+	if err := n.broadcast(protocol.MTAnnounce, payload); err != nil {
 		uerr.Note(n.metrics, codeAnnounceSend, err, "broadcast full announce")
 		return
 	}
 	n.disco.fullSent.Inc()
+}
+
+// broadcast multicasts one discovery frame to the fleet.
+func (n *Node) broadcast(t protocol.MsgType, payload []byte) error {
+	return n.SendGroup(fabric.DiscoveryGroup, &protocol.Frame{Type: t, Priority: qos.PriorityNormal, Payload: payload})
 }
 
 // OfferChanged implements fabric.Fabric: engines call it after any
@@ -1328,13 +1302,7 @@ func (n *Node) flushOffer() {
 		uerr.Note(n.metrics, codeDeltaEncode, err, "encode offer delta")
 		return
 	}
-	frame := &protocol.Frame{
-		Type:     protocol.MTAnnounceDelta,
-		Priority: qos.PriorityNormal,
-		Seq:      n.NextSeq(),
-		Payload:  payload,
-	}
-	if err := n.SendGroup(fabric.DiscoveryGroup, frame); err != nil {
+	if err := n.broadcast(protocol.MTAnnounceDelta, payload); err != nil {
 		uerr.Note(n.metrics, codeDeltaSend, err, "broadcast offer delta")
 		return
 	}
@@ -1354,13 +1322,7 @@ func (n *Node) heartbeatNow() {
 		uerr.Note(n.metrics, codeHeartbeatEnc, err, "encode digest")
 		return
 	}
-	frame := &protocol.Frame{
-		Type:     protocol.MTHeartbeat,
-		Priority: qos.PriorityNormal,
-		Seq:      n.NextSeq(),
-		Payload:  payload,
-	}
-	if err := n.SendGroup(fabric.DiscoveryGroup, frame); err != nil {
+	if err := n.broadcast(protocol.MTHeartbeat, payload); err != nil {
 		uerr.Note(n.metrics, codeHeartbeatSend, err, "broadcast digest")
 		return
 	}
@@ -1795,12 +1757,7 @@ func (n *Node) handleProbe(bearer string, from transport.NodeID, f *protocol.Fra
 		Seq:      n.NextSeq(),
 		Payload:  f.Payload,
 	}
-	raw, err := encodePooled(echo)
-	if err != nil {
-		uerr.Note(n.metrics, codeProbeEncode, err, "encode probe echo")
-		return
-	}
-	uerr.Note(n.metrics, codeProbeSend, n.egress.EnqueueOnOwned(bearer, from, qos.PriorityHigh, raw), "enqueue probe echo")
+	uerr.Note(n.metrics, codeProbeSend, n.transmit(egress.Dest{Node: from, Bearer: bearer}, echo, nil), "enqueue probe echo")
 }
 
 // handleProbeEcho closes a probe round trip on the bearer that carried it.
@@ -1858,12 +1815,7 @@ func (n *Node) probeBearer(br *bearerRuntime, now time.Time) {
 			Seq:      n.NextSeq(),
 			Payload:  w.Bytes(),
 		}
-		raw, err := encodePooled(frame)
-		if err != nil {
-			uerr.Note(n.metrics, codeProbeEncode, err, "encode probe")
-			return
-		}
-		uerr.Note(n.metrics, codeProbeSend, n.egress.EnqueueOnOwned(br.name, peer, qos.PriorityHigh, raw), "enqueue probe")
+		uerr.Note(n.metrics, codeProbeSend, n.transmit(egress.Dest{Node: peer, Bearer: br.name}, frame, nil), "enqueue probe")
 	}
 }
 

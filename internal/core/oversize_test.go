@@ -5,11 +5,13 @@ import (
 	"errors"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"uavmw/internal/encoding"
 	"uavmw/internal/fabric"
+	"uavmw/internal/ingress"
 	"uavmw/internal/netsim"
 	"uavmw/internal/presentation"
 	"uavmw/internal/protocol"
@@ -94,6 +96,55 @@ func randomBody(seed int64) []byte {
 	return body
 }
 
+// mtuGuard sits between a container and its transport and records the
+// largest datagram the container ever handed down.
+type mtuGuard struct {
+	transport.Transport
+	largest atomic.Int64
+}
+
+func (g *mtuGuard) note(payload []byte) {
+	for {
+		seen := g.largest.Load()
+		if int64(len(payload)) <= seen || g.largest.CompareAndSwap(seen, int64(len(payload))) {
+			return
+		}
+	}
+}
+
+func (g *mtuGuard) Send(to transport.NodeID, payload []byte) error {
+	g.note(payload)
+	return g.Transport.Send(to, payload)
+}
+
+func (g *mtuGuard) SendGroup(group string, payload []byte) error {
+	g.note(payload)
+	return g.Transport.SendGroup(group, payload)
+}
+
+// newGuardedNode builds the sending container at oversizeMTU on tr, behind
+// an mtuGuard that must never see a larger datagram.
+func newGuardedNode(t *testing.T, tr transport.Transport) *Node {
+	t.Helper()
+	guard := &mtuGuard{Transport: tr}
+	n, err := NewNode(
+		WithDatagram(guard),
+		WithMTU(oversizeMTU),
+		WithAnnouncePeriod(25*time.Millisecond),
+		WithARQ(protocol.WithTimeout(8*time.Millisecond), protocol.WithMaxRetries(12)),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		_ = n.Close()
+		if got := guard.largest.Load(); got > oversizeMTU {
+			t.Errorf("container handed its transport a %d-byte datagram, MTU is %d", got, oversizeMTU)
+		}
+	})
+	return n
+}
+
 // lowLaneDatagrams reports how many datagrams n's egress plane has sent on
 // the test lane.
 func lowLaneDatagrams(n *Node) uint64 {
@@ -113,7 +164,11 @@ func quiet(t *testing.T, sink *blobSink, want int) {
 
 func TestOversizeBestEffortUnicastAndGroup(t *testing.T) {
 	bus := transport.NewBus()
-	src := newBusNode(t, bus, "uav", WithMTU(oversizeMTU))
+	ep, err := bus.Endpoint("uav")
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := newGuardedNode(t, ep)
 	dst := newBusNode(t, bus, "gs")
 	syncNodes(t, src, dst)
 	sink := subscribeBlobs(t, dst)
@@ -146,7 +201,11 @@ func TestOversizeReliableUnderLoss(t *testing.T) {
 	// exactly once and its completion fire exactly once.
 	net := netsim.New(netsim.Config{Loss: 0.2, Seed: 41, Latency: time.Millisecond})
 	defer net.Close()
-	src := newSimNode(t, net, "uav", WithMTU(oversizeMTU))
+	ep, err := net.Node("uav")
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := newGuardedNode(t, ep)
 	dst := newSimNode(t, net, "gs")
 	syncNodes(t, src, dst)
 	sink := subscribeBlobs(t, dst)
@@ -247,5 +306,75 @@ func TestOversizeSelfLoopbackNeverFragments(t *testing.T) {
 	}
 	if pending := n.arq.Pending(); pending != 0 {
 		t.Fatalf("loopback registered %d message(s) with ARQ, want 0", pending)
+	}
+}
+
+// TestOversizeAckBurstStaysWithinMTU: a drain batch owing one peer more
+// acks than a datagram holds acknowledges all of them, in MTU-sized
+// batches rather than one oversized datagram.
+func TestOversizeAckBurstStaysWithinMTU(t *testing.T) {
+	bus := transport.NewBus()
+	ep, err := bus.Endpoint("recv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := newGuardedNode(t, ep)
+	peer, err := bus.Endpoint("peer")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = peer.Close() })
+	var (
+		mu        sync.Mutex
+		acked     = make(map[uint64]int)
+		datagrams int
+	)
+	peer.SetHandler(func(pkt transport.Packet) {
+		f, err := protocol.DecodeFrame(pkt.Payload)
+		if err != nil || f.Type != protocol.MTBatch {
+			return // discovery chatter is not under test
+		}
+		subs, err := protocol.DecodeBatch(f.Payload)
+		if err != nil {
+			t.Errorf("undecodable ack batch: %v", err)
+			return
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		datagrams++
+		for _, sub := range subs {
+			if sf, err := protocol.DecodeFrame(sub); err == nil && sf.Type == protocol.MTAck {
+				acked[sf.Seq]++
+			}
+		}
+	})
+
+	const burst = 100 // × 23 B per batched ack: far beyond one 512 B datagram
+	var batch []ingress.Packet
+	for seq := uint64(1); seq <= burst; seq++ {
+		raw, err := protocol.EncodeFrame(&protocol.Frame{
+			Type: protocol.MTFileCancel, Flags: protocol.FlagAckRequired, Seq: seq, Priority: qos.PriorityHigh,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		batch = append(batch, ingress.Packet{Bearer: DefaultBearer, From: "peer", Payload: raw})
+	}
+	n.deliverBatch(n.ingress.ShardOf("peer"), batch)
+
+	waitUntil(t, 2*time.Second, "every ack of the burst", func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return len(acked) == burst
+	})
+	mu.Lock()
+	defer mu.Unlock()
+	for seq, times := range acked {
+		if times != 1 {
+			t.Errorf("seq %d acknowledged %d times", seq, times)
+		}
+	}
+	if datagrams < 2 {
+		t.Errorf("%d acks left in %d datagram(s); the burst cannot fit one", burst, datagrams)
 	}
 }

@@ -31,8 +31,11 @@
 // again so failover does not strand traffic. A plane built with New has a
 // single default bearer and behaves exactly like the pre-bearer plane.
 //
-// The plane sits between the container's Send* methods and the datagram
-// transports; the stream transport (TCP) paces itself and bypasses it.
+// The plane sits between the container's transmit routine and the datagram
+// transports; the stream transport (TCP) paces itself and bypasses it. It
+// has one send contract, stated on Plane.EnqueueTo: a destination (node or
+// group, optionally pinned to a bearer), a class, one encoded datagram, and
+// who recycles its bytes.
 package egress
 
 import (
@@ -169,11 +172,8 @@ type destKey struct {
 	group string
 }
 
-// item is one queued encoded datagram. owned marks frames whose storage
-// the plane took responsibility for (pooled buffers from the zero-alloc
-// send paths): the bearer returns them to bufpool after the bytes are on
-// the wire (or evicted). Borrowed frames — anything a caller may still
-// alias, like ARQ retransmission state — are left to the GC.
+// item is one queued encoded datagram; owned is EnqueueTo's ownership
+// flag, carried to whoever takes the datagram off the queue.
 type item struct {
 	raw   []byte
 	owned bool
@@ -401,125 +401,103 @@ func (p *Plane) bearerOrDefault(name string) *bearer {
 	return p.bearers[p.order[0]]
 }
 
-// Enqueue queues one encoded datagram for a unicast destination on the
-// bearer the selector chooses. The caller keeps ownership of raw's storage
-// (the plane treats it as GC-owned); senders encoding into pooled buffers
-// use EnqueueOwned instead.
-func (p *Plane) Enqueue(to transport.NodeID, pr qos.Priority, raw []byte) error {
-	return p.enqueueUnicast(to, pr, item{raw: raw})
+// Dest addresses one enqueue: a node or a multicast group (exactly one is
+// set), optionally pinned to a named bearer.
+type Dest struct {
+	Node  transport.NodeID
+	Group string
+	// Bearer pins the datagram to one bearer, bypassing the selector — for
+	// replies that must ride the link they arrived on (ARQ acks, probe
+	// echoes), so acknowledgment traffic measures the same bearer as the
+	// data it acknowledges. Empty lets the selector choose; an unknown
+	// name falls back to the default bearer.
+	Bearer string
 }
 
-// EnqueueOwned is Enqueue with a transfer of buffer ownership: raw must be
-// a bufpool buffer nothing else aliases, and the plane releases it back to
-// the pool once the bytes are on the wire, evicted, or the enqueue fails.
-// The caller must not touch raw after the call, success or not.
-func (p *Plane) EnqueueOwned(to transport.NodeID, pr qos.Priority, raw []byte) error {
-	return p.enqueueUnicast(to, pr, item{raw: raw, owned: true})
-}
-
-func (p *Plane) enqueueUnicast(to transport.NodeID, pr qos.Priority, it item) error {
-	var name string
-	if s := p.getSelector(); s != nil {
-		name = s.Unicast(to, pr)
+// EnqueueTo is the plane's one send contract: it queues the encoded
+// datagram raw for d in class pr and returns without waiting for the wire.
+// An unpinned unicast rides the bearer the selector chooses; an unpinned
+// group datagram rides every distinct bearer the selector names.
+//
+// owned says who recycles raw. Owned: raw is a bufpool buffer nothing else
+// aliases, and the plane releases it once the bytes are on the wire,
+// evicted, or the enqueue fails — the caller must not touch it after the
+// call, success or not. When a group fans out to several bearers the same
+// bytes sit in several queues at once, so ownership degrades to the GC.
+// Borrowed: the caller may keep aliasing raw (ARQ retransmission state)
+// and the plane leaves it to the GC.
+func (p *Plane) EnqueueTo(d Dest, pr qos.Priority, raw []byte, owned bool) error {
+	it := item{raw: raw, owned: owned}
+	key := destKey{node: d.Node, group: d.Group}
+	name := d.Bearer
+	if s := p.getSelector(); s != nil && name == "" {
+		if d.Group == "" {
+			name = s.Unicast(d.Node, pr)
+		} else if names := s.Group(d.Group, pr); len(names) > 0 {
+			return p.fanOut(names, key, pr, it)
+		}
 	}
 	b := p.bearerOrDefault(name)
 	if b == nil {
 		it.release()
 		return ErrClosed
 	}
-	return b.enqueue(destKey{node: to}, pr, it)
+	return b.enqueue(key, pr, it)
 }
 
-// EnqueueOn queues one encoded unicast datagram pinned to the named
-// bearer, bypassing the selector — used for replies that must ride the
-// link they arrived on (ARQ acks, probe echoes), so acknowledgment traffic
-// measures the same bearer as the data it acknowledges. An unknown name
-// falls back to the default bearer.
-func (p *Plane) EnqueueOn(bearerName string, to transport.NodeID, pr qos.Priority, raw []byte) error {
-	return p.enqueueOn(bearerName, to, pr, item{raw: raw})
+// Enqueue is EnqueueTo for a borrowed unicast datagram on the selector's
+// bearer — the shape ARQ retransmissions take.
+func (p *Plane) Enqueue(to transport.NodeID, pr qos.Priority, raw []byte) error {
+	return p.EnqueueTo(Dest{Node: to}, pr, raw, false)
 }
 
-// EnqueueOnOwned is EnqueueOn with ownership transfer (see EnqueueOwned).
-func (p *Plane) EnqueueOnOwned(bearerName string, to transport.NodeID, pr qos.Priority, raw []byte) error {
-	return p.enqueueOn(bearerName, to, pr, item{raw: raw, owned: true})
-}
-
-func (p *Plane) enqueueOn(bearerName string, to transport.NodeID, pr qos.Priority, it item) error {
-	b := p.bearerOrDefault(bearerName)
-	if b == nil {
-		it.release()
-		return ErrClosed
-	}
-	return b.enqueue(destKey{node: to}, pr, it)
-}
-
-// EnqueueGroup queues one encoded datagram for a multicast group on every
-// bearer the selector names (once per distinct name). The caller keeps
-// ownership of raw's storage.
-func (p *Plane) EnqueueGroup(group string, pr qos.Priority, raw []byte) error {
-	return p.enqueueGroup(group, pr, item{raw: raw})
-}
-
-// EnqueueGroupOwned is EnqueueGroup with ownership transfer (see
-// EnqueueOwned). When the selector fans the frame out to several bearers
-// the same bytes sit in several queues at once, so ownership degrades to
-// GC (the buffer is not recycled); the single-bearer case — all data
-// groups — releases to the pool as usual.
-func (p *Plane) EnqueueGroupOwned(group string, pr qos.Priority, raw []byte) error {
-	return p.enqueueGroup(group, pr, item{raw: raw, owned: true})
-}
-
-func (p *Plane) enqueueGroup(group string, pr qos.Priority, it item) error {
-	var names []string
-	if s := p.getSelector(); s != nil {
-		names = s.Group(group, pr)
-	}
-	if len(names) == 0 {
-		b := p.bearerOrDefault("")
-		if b == nil {
-			it.release()
-			return ErrClosed
+// fanOut queues one group datagram once per distinct bearer name. It
+// succeeds when any bearer accepted the datagram.
+func (p *Plane) fanOut(names []string, key destKey, pr qos.Priority, it item) error {
+	distinct := 0
+	for i := range names {
+		if !repeated(names, i) {
+			distinct++
 		}
-		return b.enqueue(destKey{group: group}, pr, it)
+	}
+	if distinct > 1 {
+		// Several queues alias the bytes; no single release point.
+		it.owned = false
 	}
 	var firstErr error
 	accepted := false
-	seen := make(map[string]bool, len(names))
-	targets := make([]*bearer, 0, len(names))
-	for _, name := range names {
-		if seen[name] {
+	for i, name := range names {
+		if repeated(names, i) {
 			continue
 		}
-		seen[name] = true
-		b := p.bearerOrDefault(name)
-		if b == nil {
-			if firstErr == nil {
-				firstErr = ErrClosed
-			}
-			continue
+		err := ErrClosed
+		if b := p.bearerOrDefault(name); b != nil {
+			err = b.enqueue(key, pr, it)
+		} else {
+			it.release()
 		}
-		targets = append(targets, b)
-	}
-	if len(targets) > 1 {
-		// Fan-out: several queues alias the bytes; no single release point.
-		it.owned = false
-	}
-	if len(targets) == 0 {
-		it.release()
-	}
-	for _, b := range targets {
-		if err := b.enqueue(destKey{group: group}, pr, it); err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
+		if err == nil {
+			accepted = true
+		} else if firstErr == nil {
+			firstErr = err
 		}
-		accepted = true
 	}
 	if accepted {
 		return nil
 	}
 	return firstErr
+}
+
+// repeated reports whether names[i] already occurred before position i.
+// Bearer sets are a handful of names, so the scan dedups them without a
+// per-call set.
+func repeated(names []string, i int) bool {
+	for _, prev := range names[:i] {
+		if prev == names[i] {
+			return true
+		}
+	}
+	return false
 }
 
 // Stats snapshots the plane counters aggregated across bearers.
@@ -585,47 +563,25 @@ func (p *Plane) Reroute(name string) int {
 	items := b.drainQueued()
 	for _, qf := range items {
 		pr := qos.PriorityBulk + qos.Priority(qf.class)
-		if qf.key.group == "" {
-			if err := p.enqueueUnicast(qf.key.node, pr, qf.item); err != nil {
-				uerr.Wrapf(b.reg, codeRerouteDrop, err, "reroute off %s", name)
-			}
-			continue
-		}
-		target := ""
-		if sel != nil {
-			for _, cand := range sel.Group(qf.key.group, pr) {
-				if cand != name {
-					target = cand
-					break
+		d := Dest{Node: qf.key.node, Group: qf.key.group}
+		if d.Group != "" {
+			// No other bearer to carry it: leave it on the drained one
+			// rather than dropping silently.
+			d.Bearer = name
+			if sel != nil {
+				for _, cand := range sel.Group(d.Group, pr) {
+					if cand != name {
+						d.Bearer = cand
+						break
+					}
 				}
 			}
 		}
-		if target == "" {
-			// No other bearer to carry it: leave it on the drained one
-			// rather than dropping silently.
-			target = name
-		}
-		if err := p.enqueueOnGroup(target, qf.key.group, pr, qf.item); err != nil {
+		if err := p.EnqueueTo(d, pr, qf.item.raw, qf.item.owned); err != nil {
 			uerr.Wrapf(b.reg, codeRerouteDrop, err, "reroute off %s", name)
 		}
 	}
 	return len(items)
-}
-
-// EnqueueOnGroup queues one encoded group datagram pinned to the named
-// bearer, bypassing the selector. An unknown name falls back to the
-// default bearer.
-func (p *Plane) EnqueueOnGroup(bearerName, group string, pr qos.Priority, raw []byte) error {
-	return p.enqueueOnGroup(bearerName, group, pr, item{raw: raw})
-}
-
-func (p *Plane) enqueueOnGroup(bearerName, group string, pr qos.Priority, it item) error {
-	b := p.bearerOrDefault(bearerName)
-	if b == nil {
-		it.release()
-		return ErrClosed
-	}
-	return b.enqueue(destKey{group: group}, pr, it)
 }
 
 // Flush blocks until every frame queued at call time on every bearer has
@@ -1016,33 +972,11 @@ func (b *bearer) transmit(key destKey, datagram []byte) {
 const maxSyscallBatch = 32
 
 // run is the drain goroutine. It parks on the clock between frames, so
-// under a Virtual clock bulk pacing is discrete-event driven. Senders that
-// implement transport.BatchSender get runs of datagrams handed over in one
-// call; everything else drains strictly one datagram per send, which also
-// keeps the deterministic simulators' event order stable.
+// under a Virtual clock bulk pacing is discrete-event driven.
 func (b *bearer) run() {
 	defer b.wg.Done()
 	for {
-		var wait time.Duration
-		var ok bool
-		if b.batch != nil {
-			wait, ok = b.drainBatch()
-		} else {
-			var datagram []byte
-			var key destKey
-			var owned bool
-			datagram, key, owned, wait, ok = b.next()
-			if ok {
-				b.transmit(key, datagram)
-				if owned {
-					bufpool.Put(datagram)
-				}
-				b.mu.Lock()
-				b.transmitting = false
-				b.idle.Broadcast()
-				b.mu.Unlock()
-			}
-		}
+		wait, ok := b.drain()
 		if ok {
 			continue
 		}
@@ -1057,13 +991,19 @@ func (b *bearer) run() {
 	}
 }
 
-// drainBatch dequeues up to maxSyscallBatch ready datagrams and hands them
-// to the sender's BatchSender in one call. Pacing and priority still come
-// from next(): a throttled bulk lane ends the run and its wait is returned.
-func (b *bearer) drainBatch() (wait time.Duration, ok bool) {
+// drain dequeues ready datagrams and hands them to the sender: up to
+// maxSyscallBatch in one call for a transport.BatchSender, strictly one per
+// send for everything else, which also keeps the deterministic simulators'
+// event order stable. Pacing and priority come from next(): a throttled
+// bulk lane ends the run and its wait is returned.
+func (b *bearer) drain() (wait time.Duration, ok bool) {
+	limit := 1
+	if b.batch != nil {
+		limit = maxSyscallBatch
+	}
 	msgs := b.batchMsgs[:0]
 	owned := b.batchOwned[:0]
-	for len(msgs) < maxSyscallBatch {
+	for len(msgs) < limit {
 		datagram, key, own, w, k := b.next()
 		if !k {
 			wait = w
@@ -1076,7 +1016,9 @@ func (b *bearer) drainBatch() (wait time.Duration, ok bool) {
 		b.batchMsgs, b.batchOwned = msgs, owned
 		return wait, false
 	}
-	if err := b.batch.SendBatch(msgs); err != nil {
+	if b.batch == nil {
+		b.transmit(destKey{node: msgs[0].To, group: msgs[0].Group}, msgs[0].Payload)
+	} else if err := b.batch.SendBatch(msgs); err != nil {
 		b.ctr.sendFailures.Inc()
 		uerr.Wrapf(b.reg, codeTransmit, err, "batched transport send on %s", b.name)
 	}
@@ -1170,16 +1112,7 @@ func (b *bearer) close() {
 	for c := numClasses - 1; c >= 0; c-- {
 		for _, ln := range b.ready[c] {
 			for _, it := range ln.q[c][ln.head[c]:] {
-				var err error
-				if ln.key.group != "" {
-					err = b.sender.SendGroup(ln.key.group, it.raw)
-				} else {
-					err = b.sender.Send(ln.key.node, it.raw)
-				}
-				if err != nil {
-					b.ctr.sendFailures.Inc()
-					uerr.Wrapf(b.reg, codeTransmit, err, "final flush on %s", b.name)
-				}
+				b.transmit(ln.key, it.raw)
 				b.ctr.perClass[c].sent.Inc()
 				b.ctr.perClass[c].datagrams.Inc()
 				b.ctr.perClass[c].bytes.Add(uint64(len(it.raw)))

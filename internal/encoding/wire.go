@@ -4,14 +4,15 @@
 // The default wire format is a compact big-endian binary encoding in the
 // spirit of CDR: fixed-width scalars, u32 length prefixes for strings, byte
 // sequences and vectors, struct fields in declaration order, and a u32 case
-// tag for unions. The package also provides compiled decoders (closures
-// specialized per type, measured in experiment E6) and an alternative
-// self-describing debug encoding to demonstrate PEPt pluggability (F4).
+// tag for unions. The package also provides an alternative self-describing
+// debug encoding to demonstrate PEPt pluggability (F4).
 //
-// Encoding has exactly one implementation, AppendValue: a single walk that
-// validates the caller's value against the type with presentation.Coerce's
-// acceptance rules and appends the wire form onto a caller-owned buffer.
-// Marshal, EncodeValue and Codec.Encode are entry points onto it. Publish
+// Decoding has exactly one implementation, DecodeValue; Unmarshal and
+// Codec.Decode/Unmarshal are entry points onto it. Encoding likewise has
+// exactly one, AppendValue: a single walk that validates the caller's value
+// against the type with presentation.Coerce's acceptance rules and appends
+// the wire form onto a caller-owned buffer. Marshal, EncodeValue and
+// Codec.Encode are entry points onto it. Publish
 // paths reach it through the optional Appender capability of an Encoding,
 // whose contract is:
 //

@@ -1,7 +1,8 @@
 // Package experiments implements the measurement harnesses for every
-// experiment in EXPERIMENTS.md (E1–E9, E11–E14). The uavbench command runs
-// the full parameter sweeps and prints the paper-style tables; the
-// repository-root benchmarks wrap single points of each sweep in testing.B.
+// experiment in README "Benchmarks and experiments" (E1–E9, E11–E17). The
+// uavbench command runs the full parameter sweeps and prints the
+// paper-style tables; the repository-root benchmarks wrap single points of
+// each sweep in testing.B.
 //
 // Every harness builds a fresh middleware deployment on an in-process or
 // simulated substrate, measures, and tears down, so experiments are

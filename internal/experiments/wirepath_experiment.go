@@ -20,16 +20,14 @@ import (
 )
 
 // E15 quantifies the zero-allocation wire path: the pooled
-// encode→egress→transport→decode pipeline against the legacy
-// allocate-per-frame one.
+// encode→egress→transport→decode pipeline.
 //
 // Three phases:
 //
 //   - codec: exact allocs/frame (testing.AllocsPerRun — deterministic) and
-//     frames/s for the pooled round trip (bufpool + AppendFrame +
-//     DecodeFrameInto + frame pool) vs the legacy one (EncodeFrame +
-//     DecodeFrame) at a small payload, an MTU-filling payload, and a
-//     16-frame coalesced batch.
+//     report-only frames/s for the pooled round trip (bufpool +
+//     AppendFrame + DecodeFrameInto + frame pool) at a small payload, an
+//     MTU-filling payload, and a 16-frame coalesced batch.
 //   - netsim: N telemetry samples between two containers over a simulated
 //     link under the injected clock — deterministic delivered counts and
 //     bytes-per-sample on the wire, exercising the full middleware stack.
@@ -48,18 +46,15 @@ type E15Result struct {
 }
 
 // E15CodecPoint is one payload-size point of the codec phase.
+// Allocs and rates are normalized per frame (the batch point moves 16 per
+// operation).
 type E15CodecPoint struct {
-	Name         string
-	PayloadBytes int
-	// FramesPerOp is 1 for plain frames, the batch width for the batch
-	// point (allocs and rates are normalized per frame).
-	FramesPerOp       int
+	Name              string
 	WireBytesPerFrame float64
 
 	PooledAllocsPerFrame float64
-	LegacyAllocsPerFrame float64
-	PooledFramesPerSec   float64
-	LegacyFramesPerSec   float64
+	// PooledFramesPerSec is host wall-clock: printed, never asserted.
+	PooledFramesPerSec float64
 }
 
 // E15NetsimResult is the deterministic end-to-end phase.
@@ -156,21 +151,8 @@ func e15CodecPoint(name string, payload int) E15CodecPoint {
 		protocol.PutFrame(f)
 		bufpool.Put(buf)
 	}
-	legacy := func() {
-		raw, err := protocol.EncodeFrame(src)
-		if err != nil {
-			panic(err)
-		}
-		if _, err := protocol.DecodeFrame(raw); err != nil {
-			panic(err)
-		}
-	}
-	pt := E15CodecPoint{
-		Name: name, PayloadBytes: payload, FramesPerOp: 1,
-		WireBytesPerFrame: float64(wire),
-	}
+	pt := E15CodecPoint{Name: name, WireBytesPerFrame: float64(wire)}
 	pt.PooledAllocsPerFrame, pt.PooledFramesPerSec = e15Measure(pooled, 1)
-	pt.LegacyAllocsPerFrame, pt.LegacyFramesPerSec = e15Measure(legacy, 1)
 	return pt
 }
 
@@ -212,31 +194,8 @@ func e15BatchPoint() E15CodecPoint {
 		protocol.PutFrame(outer)
 		bufpool.Put(buf)
 	}
-	legacy := func() {
-		buf, err := protocol.EncodeBatch(frames, qos.PriorityNormal)
-		if err != nil {
-			panic(err)
-		}
-		outer, err := protocol.DecodeFrame(buf)
-		if err != nil {
-			panic(err)
-		}
-		inner, err := protocol.DecodeBatch(outer.Payload)
-		if err != nil {
-			panic(err)
-		}
-		for _, raw := range inner {
-			if _, err := protocol.DecodeFrame(raw); err != nil {
-				panic(err)
-			}
-		}
-	}
-	pt := E15CodecPoint{
-		Name: "batch", PayloadBytes: e15SmallPayload, FramesPerOp: e15BatchWidth,
-		WireBytesPerFrame: float64(size) / e15BatchWidth,
-	}
+	pt := E15CodecPoint{Name: "batch", WireBytesPerFrame: float64(size) / e15BatchWidth}
 	pt.PooledAllocsPerFrame, pt.PooledFramesPerSec = e15Measure(pooled, e15BatchWidth)
-	pt.LegacyAllocsPerFrame, pt.LegacyFramesPerSec = e15Measure(legacy, e15BatchWidth)
 	return pt
 }
 

@@ -20,10 +20,16 @@ import (
 
 // Fabric is what a primitive engine may ask of its container.
 //
-// Send methods encode the frame (header and payload both) into wire buffers
-// before returning; they must not retain the *protocol.Frame or alias its
-// Payload afterwards. Engines rely on this to pool frames and payload
-// buffers on hot paths.
+// One send contract covers SendBestEffort, SendGroup and SendReliable. The
+// fabric assigns a zero Seq from NextSeq, encodes the frame (header and
+// payload both) into its own wire buffer before returning, and keeps
+// neither the *protocol.Frame nor an alias of its Payload afterwards, so
+// engines hand in pooled frames and payload buffers and recycle them the
+// moment the call returns; an implementation that defers the send (test
+// fakes included) must copy first. A frame addressed to the node itself is
+// dispatched synchronously and never touches a link. A frame larger than
+// the node's MTU travels as fragments that each fit it and is reassembled
+// at the receiver; engines never see the split.
 //
 // Transmission is priority-aware: the frame's Priority selects the egress
 // lane it drains from (strict priority per destination, token-bucket-shaped
@@ -61,13 +67,6 @@ type Fabric interface {
 	NextSeq() uint64
 	// SendBestEffort transmits one unacknowledged frame to a node over
 	// the datagram transport (§4.1 variables).
-	//
-	// No-retention contract (all three send methods): the fabric encodes
-	// f synchronously and keeps neither the frame nor its payload after
-	// the call returns, so callers may hand in pooled storage and recycle
-	// it immediately — the engines do exactly that on their hot paths.
-	// Fabric implementations (including test fakes) that defer the send
-	// must copy first.
 	SendBestEffort(to transport.NodeID, f *protocol.Frame) error
 	// SendGroup multicasts one unacknowledged frame (§4.1, §4.4).
 	SendGroup(group string, f *protocol.Frame) error

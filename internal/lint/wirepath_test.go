@@ -12,6 +12,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -334,4 +335,83 @@ func selectorCallArg(e ast.Expr) (pkg, name string, ok bool) {
 		return "", "", false
 	}
 	return id.Name, sel.Sel.Name, true
+}
+
+// TestCoreHasOneTransmitPath keeps the container's transmit forks from
+// growing back. Non-test internal/core turns a frame into wire bytes in one
+// place (a single protocol.AppendFrame call, in transmit), hands datagrams
+// to the egress plane from one place (a single EnqueueTo call) plus the
+// ARQ retransmit hook's Enqueue, never decodes its own output
+// (protocol.DecodeFrame), and owns at most one GC-owned encode buffer —
+// the annotated one ARQ retains: protocol.EncodeFrame calls and
+// make([]byte) sites together count at most one.
+func TestCoreHasOneTransmitPath(t *testing.T) {
+	fset := token.NewFileSet()
+	calls := map[string]int{}
+	gcEncodes := 0
+	for _, f := range parsePackageFiles(t, fset, filepath.Join(repoRoot(t), "internal/core")) {
+		ast.Inspect(f, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			if id, isID := call.Fun.(*ast.Ident); isID && id.Name == "make" && len(call.Args) > 0 {
+				if at, isArr := call.Args[0].(*ast.ArrayType); isArr && at.Len == nil {
+					if elt, isElt := at.Elt.(*ast.Ident); isElt && elt.Name == "byte" {
+						gcEncodes++
+					}
+				}
+			}
+			if sel, isSel := call.Fun.(*ast.SelectorExpr); isSel {
+				name := sel.Sel.Name
+				if id, isID := sel.X.(*ast.Ident); isID && id.Name == "protocol" {
+					name = "protocol." + name
+				}
+				calls[name]++
+			}
+			return true
+		})
+	}
+	gcEncodes += calls["protocol.EncodeFrame"]
+	if n := calls["protocol.DecodeFrame"]; n != 0 {
+		t.Errorf("internal/core calls protocol.DecodeFrame %d time(s); the send path must not decode its own output and the receive path decodes pooled (DecodeFrameInto)", n)
+	}
+	if n := calls["protocol.AppendFrame"]; n != 1 {
+		t.Errorf("internal/core calls protocol.AppendFrame %d time(s), want exactly 1 (transmit)", n)
+	}
+	if n := calls["EnqueueTo"]; n != 1 {
+		t.Errorf("internal/core calls EnqueueTo %d time(s), want exactly 1 (transmit's enqueue)", n)
+	}
+	if gcEncodes > 1 {
+		t.Errorf("internal/core has %d GC-owned encode sites (protocol.EncodeFrame calls + make([]byte)), want at most 1 (the ARQ-retained buffer)", gcEncodes)
+	}
+}
+
+// TestEgressPlaneExportsTwoEnqueueEntryPoints pins the plane's send
+// surface: the general EnqueueTo and the borrowed-unicast Enqueue. Any
+// other method on Plane whose name starts with "enqueue", in either case,
+// is a fork of the one send contract.
+func TestEgressPlaneExportsTwoEnqueueEntryPoints(t *testing.T) {
+	fset := token.NewFileSet()
+	var got []string
+	for _, f := range parsePackageFiles(t, fset, filepath.Join(repoRoot(t), "internal/egress")) {
+		for _, decl := range f.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok || fn.Recv == nil || len(fn.Recv.List) != 1 {
+				continue
+			}
+			star, ok := fn.Recv.List[0].Type.(*ast.StarExpr)
+			if !ok {
+				continue
+			}
+			if id, ok := star.X.(*ast.Ident); ok && id.Name == "Plane" &&
+				strings.HasPrefix(strings.ToLower(fn.Name.Name), "enqueue") {
+				got = append(got, fn.Name.Name)
+			}
+		}
+	}
+	slices.Sort(got)
+	if want := []string{"Enqueue", "EnqueueTo"}; !slices.Equal(got, want) {
+		t.Errorf("egress.Plane enqueue methods = %v, want exactly %v", got, want)
+	}
 }

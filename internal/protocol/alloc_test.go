@@ -144,7 +144,7 @@ func BenchmarkFrameEncodeDecode(b *testing.B) {
 				bufpool.Put(buf)
 			}
 		})
-		b.Run(sizeName(size)+"/legacy", func(b *testing.B) {
+		b.Run(sizeName(size)+"/gc-owned", func(b *testing.B) {
 			b.ReportAllocs()
 			b.SetBytes(int64(FrameWireSize(src)))
 			for i := 0; i < b.N; i++ {

@@ -22,14 +22,10 @@ import (
 // BatchEntryOverhead is the per-inner-frame cost of riding in a batch.
 const BatchEntryOverhead = 4
 
-// batchHeaderOverhead is the outer frame header cost (magic u16, version,
-// type, flags, encoding, priority, empty-channel u32 length, seq u64).
-const batchHeaderOverhead = 19
-
 // BatchOverhead returns the wire bytes an n-frame batch adds on top of the
 // inner frames themselves. Egress uses it to keep coalesced datagrams under
 // the MTU.
-func BatchOverhead(n int) int { return batchHeaderOverhead + n*BatchEntryOverhead }
+func BatchOverhead(n int) int { return frameHeaderLen + n*BatchEntryOverhead }
 
 // AppendBatch serializes an MTBatch datagram containing the given encoded
 // frames onto dst and returns the extended slice. Each inner frame is
@@ -43,11 +39,8 @@ func AppendBatch(dst []byte, frames [][]byte, p qos.Priority) ([]byte, error) {
 		return dst, fmt.Errorf("protocol: empty batch: %w", ErrBadFrame)
 	}
 	// Outer frame header: empty channel, no seq, no flags — batches carry
-	// no sequence semantics of their own.
-	dst = binary.BigEndian.AppendUint16(dst, frameMagic)
-	dst = append(dst, frameVersion, uint8(MTBatch), 0, 0, uint8(p))
-	dst = binary.BigEndian.AppendUint32(dst, 0) // channel length
-	dst = binary.BigEndian.AppendUint64(dst, 0) // seq
+	// no sequence semantics of their own. Cannot fail: the type is valid.
+	dst, _ = AppendFrame(dst, &Frame{Type: MTBatch, Priority: p})
 	for _, f := range frames {
 		dst = binary.BigEndian.AppendUint32(dst, uint32(len(f)))
 		dst = append(dst, f...)
@@ -55,17 +48,14 @@ func AppendBatch(dst []byte, frames [][]byte, p qos.Priority) ([]byte, error) {
 	return dst, nil
 }
 
-// EncodeBatch packs the given encoded frames into one MTBatch datagram.
-// Order is preserved; the outer frame's priority is p.
-func EncodeBatch(frames [][]byte, p qos.Priority) ([]byte, error) {
-	size := BatchOverhead(len(frames))
-	for _, f := range frames {
-		size += len(f)
-	}
-	//wirepath:alloc exact-size, GC-owned encode for callers that retain the result
-	out, err := AppendBatch(make([]byte, 0, size), frames, p)
+// AppendBatchEntry encodes f straight into a batch payload under
+// construction — its length prefix, then the frame — for senders that
+// assemble an MTBatch frame themselves instead of collecting encoded
+// frames for AppendBatch. On error dst is returned unmodified.
+func AppendBatchEntry(dst []byte, f *Frame) ([]byte, error) {
+	out, err := AppendFrame(binary.BigEndian.AppendUint32(dst, uint32(FrameWireSize(f))), f)
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
 	return out, nil
 }

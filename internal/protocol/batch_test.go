@@ -26,9 +26,9 @@ func TestBatchRoundTrip(t *testing.T) {
 			Channel: "alarm", Seq: 2, Payload: []byte("beta")}),
 		encodeTestFrame(t, &Frame{Type: MTHeartbeat, Priority: qos.PriorityNormal, Seq: 3}),
 	}
-	raw, err := EncodeBatch(frames, qos.PriorityHigh)
+	raw, err := AppendBatch(nil, frames, qos.PriorityHigh)
 	if err != nil {
-		t.Fatalf("EncodeBatch: %v", err)
+		t.Fatalf("AppendBatch: %v", err)
 	}
 	outer, err := DecodeFrame(raw)
 	if err != nil {
@@ -65,9 +65,9 @@ func TestBatchOverheadAccountsForWire(t *testing.T) {
 		encodeTestFrame(t, &Frame{Type: MTSample, Channel: "a", Seq: 1, Payload: make([]byte, 100)}),
 		encodeTestFrame(t, &Frame{Type: MTSample, Channel: "b", Seq: 2, Payload: make([]byte, 100)}),
 	}
-	raw, err := EncodeBatch(frames, qos.PriorityNormal)
+	raw, err := AppendBatch(nil, frames, qos.PriorityNormal)
 	if err != nil {
-		t.Fatalf("EncodeBatch: %v", err)
+		t.Fatalf("AppendBatch: %v", err)
 	}
 	inner := len(frames[0]) + len(frames[1])
 	if got, want := len(raw), inner+BatchOverhead(len(frames)); got != want {
@@ -75,15 +75,46 @@ func TestBatchOverheadAccountsForWire(t *testing.T) {
 	}
 }
 
+// TestBatchEntriesMatchAppendBatch: a batch frame whose payload is built
+// entry by entry from Frame values is byte-identical to AppendBatch over
+// the separately encoded frames, and a rejected entry leaves dst alone.
+func TestBatchEntriesMatchAppendBatch(t *testing.T) {
+	acks := []*Frame{
+		{Type: MTAck, Priority: qos.PriorityCritical, Seq: 4},
+		{Type: MTAck, Priority: qos.PriorityCritical, Seq: 9},
+		{Type: MTEvent, Priority: qos.PriorityHigh, Channel: "alarm", Seq: 11, Payload: []byte("x")},
+	}
+	var encoded [][]byte
+	var payload []byte
+	for _, f := range acks {
+		encoded = append(encoded, encodeTestFrame(t, f))
+		var err error
+		if payload, err = AppendBatchEntry(payload, f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := AppendBatch(nil, encoded, qos.PriorityCritical)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := encodeTestFrame(t, &Frame{Type: MTBatch, Priority: qos.PriorityCritical, Payload: payload})
+	if !bytes.Equal(got, want) {
+		t.Fatalf("entry-built batch\n %x\nwant\n %x", got, want)
+	}
+	if out, err := AppendBatchEntry(payload, &Frame{Type: 0}); err == nil || len(out) != len(payload) {
+		t.Fatalf("invalid entry: err = %v, dst grew from %d to %d bytes", err, len(payload), len(out))
+	}
+}
+
 func TestBatchRejectsEmptyAndTruncated(t *testing.T) {
-	if _, err := EncodeBatch(nil, qos.PriorityNormal); err == nil {
-		t.Fatal("EncodeBatch(nil) succeeded")
+	if _, err := AppendBatch(nil, nil, qos.PriorityNormal); err == nil {
+		t.Fatal("AppendBatch of no frames succeeded")
 	}
 	if _, err := DecodeBatch(nil); err == nil {
 		t.Fatal("DecodeBatch(nil) succeeded")
 	}
 	frame := encodeTestFrame(t, &Frame{Type: MTSample, Channel: "a", Seq: 1})
-	raw, err := EncodeBatch([][]byte{frame}, qos.PriorityNormal)
+	raw, err := AppendBatch(nil, [][]byte{frame}, qos.PriorityNormal)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +139,7 @@ func TestBatchReaderMatchesDecodeBatch(t *testing.T) {
 		encodeTestFrame(t, &Frame{Type: MTEvent, Channel: "b", Seq: 2, Payload: []byte("xyz")}),
 		encodeTestFrame(t, &Frame{Type: MTAck, Seq: 3}),
 	}
-	raw, err := EncodeBatch(frames, qos.PriorityHigh)
+	raw, err := AppendBatch(nil, frames, qos.PriorityHigh)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,13 +9,14 @@ import (
 	"uavmw/internal/bufpool"
 	"uavmw/internal/clock"
 	"uavmw/internal/encoding"
+	"uavmw/internal/qos"
 	"uavmw/internal/transport"
 )
 
 // Datagram transports bound payload size; frames beyond the MTU are split
-// into MTFragment frames and reassembled on arrival. Fragment identity is
-// (sender, fragment-stream id); fragments of one message share the id the
-// sender allocated for it.
+// into MTFragment frames, each within the MTU, and reassembled on arrival.
+// Fragment identity is (sender, fragment-stream id); fragments of one
+// message share the id the sender allocated for it.
 //
 // Fragment payload layout:
 //
@@ -31,48 +32,68 @@ const DefaultMTU = 1400
 // maxFragments bounds reassembly memory per message.
 const maxFragments = 1 << 14
 
-// Fragment splits an encoded frame into MTFragment frames of at most mtu
-// payload bytes each. Frames already within the MTU are returned unchanged
-// as a single element.
-func Fragment(raw []byte, msgID uint64, mtu int) ([][]byte, error) {
+// fragHeaderLen is the fragment payload header: u64 msgID, u16 index, u16
+// total.
+const fragHeaderLen = 12
+
+// fragOverhead is what riding in a fragment costs on the wire: the
+// MTFragment frame's own header plus the fragment header.
+const fragOverhead = frameHeaderLen + fragHeaderLen
+
+// Fragments is the plan for sending one oversized encoded frame as
+// MTFragment datagrams that each fit the MTU. The sender builds fragment i
+// with Append, straight into the buffer it will queue, choosing that
+// fragment's frame-level seq and flags itself: best-effort fragments all
+// carry the message id, ARQ fragments each get their own acknowledged seq.
+type Fragments struct {
+	raw   []byte
+	msgID uint64
+	chunk int // bytes of raw per fragment
+	total int
+	pr    qos.Priority
+}
+
+// Split plans the fragmentation of the encoded frame raw, identified on the
+// wire by msgID, so that every emitted datagram is at most mtu bytes
+// (DefaultMTU when mtu <= 0), headers included. raw is aliased, not copied:
+// it must stay unmodified until the last Append.
+func Split(raw []byte, msgID uint64, mtu int) (Fragments, error) {
 	if mtu <= 0 {
 		mtu = DefaultMTU
 	}
-	if len(raw) <= mtu {
-		return [][]byte{raw}, nil
+	chunk := mtu - fragOverhead
+	if chunk <= 0 {
+		return Fragments{}, fmt.Errorf("protocol: mtu %d leaves no room beside %d header bytes: %w", mtu, fragOverhead, ErrBadFrame)
 	}
-	total := (len(raw) + mtu - 1) / mtu
+	total := (len(raw) + chunk - 1) / chunk
 	if total > maxFragments {
-		return nil, fmt.Errorf("protocol: %d fragments exceeds %d: %w", total, maxFragments, ErrBadFrame)
+		return Fragments{}, fmt.Errorf("protocol: %d fragments exceeds %d: %w", total, maxFragments, ErrBadFrame)
 	}
 	// Fragments inherit the original frame's priority so they drain from
 	// the same egress lane and the ARQ resend path (which lanes by the
 	// encoded header) cannot promote bulk to normal or demote critical.
-	pr := PeekPriority(raw)
-	out := make([][]byte, 0, total)
-	for i := 0; i < total; i++ {
-		start := i * mtu
-		end := min(start+mtu, len(raw))
-		// One exact-size allocation per fragment: the frame header goes
-		// through AppendFrame with an empty payload, then the fragment
-		// header and chunk are appended directly in wire position.
-		//wirepath:alloc fragments are retained by ARQ/egress, so they are GC-owned
-		frame := make([]byte, 0, frameHeaderLen+fragHeaderLen+(end-start))
-		frame, err := AppendFrame(frame, &Frame{Type: MTFragment, Priority: pr, Seq: msgID})
-		if err != nil {
-			return nil, err
-		}
-		frame = binary.BigEndian.AppendUint64(frame, msgID)
-		frame = binary.BigEndian.AppendUint16(frame, uint16(i))
-		frame = binary.BigEndian.AppendUint16(frame, uint16(total))
-		out = append(out, append(frame, raw[start:end]...))
-	}
-	return out, nil
+	return Fragments{raw: raw, msgID: msgID, chunk: chunk, total: total, pr: PeekPriority(raw)}, nil
 }
 
-// fragHeaderLen is the fragment payload header: u64 msgID, u16 index, u16
-// total.
-const fragHeaderLen = 12
+// Count returns the number of fragments.
+func (s Fragments) Count() int { return s.total }
+
+// WireSize returns the exact datagram size of fragment i.
+func (s Fragments) WireSize(i int) int {
+	return fragOverhead + min(s.chunk, len(s.raw)-i*s.chunk)
+}
+
+// Append writes fragment i onto dst as a complete MTFragment wire frame
+// with the given frame-level seq and flags, and returns the extended slice.
+func (s Fragments) Append(dst []byte, i int, seq uint64, flags uint8) []byte {
+	start := i * s.chunk
+	// Cannot fail: the type is valid and there is no channel or budget.
+	dst, _ = AppendFrame(dst, &Frame{Type: MTFragment, Flags: flags, Priority: s.pr, Seq: seq})
+	dst = binary.BigEndian.AppendUint64(dst, s.msgID)
+	dst = binary.BigEndian.AppendUint16(dst, uint16(i))
+	dst = binary.BigEndian.AppendUint16(dst, uint16(s.total))
+	return append(dst, s.raw[start:min(start+s.chunk, len(s.raw))]...)
+}
 
 // Reassembler collects MTFragment frames and yields completed original
 // frames. Incomplete messages are discarded after a timeout so lost

@@ -2,6 +2,7 @@ package protocol
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"testing"
 	"time"
@@ -9,15 +10,22 @@ import (
 	"uavmw/internal/qos"
 )
 
-func TestFragmentPassthroughUnderMTU(t *testing.T) {
-	raw := []byte("small frame")
-	frags, err := Fragment(raw, 1, 1400)
+// fragmentAll materializes every fragment of raw the way a best-effort
+// sender does: exact-size buffers, the message id as frame seq, no flags.
+func fragmentAll(t testing.TB, raw []byte, msgID uint64, mtu int) [][]byte {
+	t.Helper()
+	split, err := Split(raw, msgID, mtu)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(frags) != 1 || !bytes.Equal(frags[0], raw) {
-		t.Error("under-MTU frame must pass through unchanged")
+	out := make([][]byte, split.Count())
+	for i := range out {
+		out[i] = split.Append(make([]byte, 0, split.WireSize(i)), i, msgID, 0)
+		if len(out[i]) != split.WireSize(i) {
+			t.Fatalf("fragment %d is %d bytes, WireSize said %d", i, len(out[i]), split.WireSize(i))
+		}
 	}
+	return out
 }
 
 func TestFragmentReassembleRoundTrip(t *testing.T) {
@@ -25,10 +33,7 @@ func TestFragmentReassembleRoundTrip(t *testing.T) {
 	for _, size := range []int{1401, 2800, 5000, 100_000} {
 		raw := make([]byte, size)
 		r.Read(raw)
-		frags, err := Fragment(raw, 42, 1400)
-		if err != nil {
-			t.Fatal(err)
-		}
+		frags := fragmentAll(t, raw, 42, 1400)
 		if len(frags) < 2 {
 			t.Fatalf("size %d produced %d fragments", size, len(frags))
 		}
@@ -65,10 +70,7 @@ func TestFragmentReassembleRoundTrip(t *testing.T) {
 func TestFragmentReassembleOutOfOrderAndDuplicates(t *testing.T) {
 	raw := make([]byte, 10_000)
 	rand.New(rand.NewSource(8)).Read(raw)
-	frags, err := Fragment(raw, 7, 1400)
-	if err != nil {
-		t.Fatal(err)
-	}
+	frags := fragmentAll(t, raw, 7, 1400)
 	// Shuffle and duplicate every fragment.
 	order := rand.New(rand.NewSource(9)).Perm(len(frags))
 	ra := NewReassembler(0, nil)
@@ -98,7 +100,7 @@ func TestFragmentReassembleOutOfOrderAndDuplicates(t *testing.T) {
 
 func TestFragmentSenderIsolation(t *testing.T) {
 	raw := make([]byte, 3000)
-	frags, _ := Fragment(raw, 5, 1400)
+	frags := fragmentAll(t, raw, 5, 1400)
 	ra := NewReassembler(0, nil)
 	// Same msgID from two senders must not cross-pollinate.
 	f0, _ := DecodeFrame(frags[0])
@@ -122,7 +124,7 @@ func TestFragmentSenderIsolation(t *testing.T) {
 
 func TestFragmentTTLExpiry(t *testing.T) {
 	raw := make([]byte, 3000)
-	frags, _ := Fragment(raw, 11, 1400)
+	frags := fragmentAll(t, raw, 11, 1400)
 	ra := NewReassembler(10*time.Millisecond, nil)
 	f0, _ := DecodeFrame(frags[0])
 	if _, err := ra.Offer("a", f0); err != nil {
@@ -133,7 +135,7 @@ func TestFragmentTTLExpiry(t *testing.T) {
 	}
 	time.Sleep(20 * time.Millisecond)
 	// Any new offer triggers expiry sweep.
-	other, _ := Fragment(make([]byte, 2000), 12, 1400)
+	other := fragmentAll(t, make([]byte, 2000), 12, 1400)
 	fo, _ := DecodeFrame(other[0])
 	if _, err := ra.Offer("b", fo); err != nil {
 		t.Fatal(err)
@@ -176,56 +178,75 @@ func fragHeader(msgID uint64, index, total uint16) []byte {
 }
 
 func TestFragmentTooManyFragments(t *testing.T) {
-	raw := make([]byte, maxFragments*2+10)
-	if _, err := Fragment(raw, 1, 1); err == nil {
-		t.Error("fragment count beyond cap must fail")
+	raw := make([]byte, maxFragments+1)
+	if _, err := Split(raw, 1, fragOverhead+1); !errors.Is(err, ErrBadFrame) {
+		t.Errorf("fragment count beyond cap: err = %v, want ErrBadFrame", err)
+	}
+	// An MTU the fragment headers alone fill cannot carry anything.
+	if _, err := Split(raw, 1, fragOverhead); !errors.Is(err, ErrBadFrame) {
+		t.Errorf("mtu with no room for data: err = %v, want ErrBadFrame", err)
 	}
 }
 
 func TestFragmentMTUDefault(t *testing.T) {
 	raw := make([]byte, DefaultMTU+1)
-	frags, err := Fragment(raw, 1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	frags := fragmentAll(t, raw, 1, 0)
 	if len(frags) != 2 {
 		t.Errorf("default MTU fragmentation produced %d parts", len(frags))
 	}
 }
 
-// TestFragmentsInheritPriority pins the egress-lane property: fragments of
-// an oversized frame carry the original frame's priority in their own
-// headers, so priority-peeking send paths (ARQ resends, egress laning)
-// keep every fragment in the original class.
-func TestFragmentsInheritPriority(t *testing.T) {
+// TestFragmentsFitMTUAndInheritPriority is the fragmenter's contract over
+// frame sizes {mtu+1, 2·mtu, 5000, 100 000} × every priority: every emitted
+// datagram is at most mtu bytes with its headers (the reason fragments
+// exist), carries the original frame's priority in its own header so
+// priority-peeking send paths (ARQ resends, egress laning) keep every
+// fragment in the original class, takes the sender's per-fragment seq and
+// flags, and the set reassembles to the original bytes.
+func TestFragmentsFitMTUAndInheritPriority(t *testing.T) {
+	const mtu = 1400
 	for _, pr := range qos.Levels() {
-		raw, err := EncodeFrame(&Frame{
-			Type: MTFileChunk, Priority: pr, Channel: "big", Seq: 7,
-			Payload: make([]byte, 4000),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		parts, err := Fragment(raw, 7, 1400)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(parts) < 2 {
-			t.Fatalf("expected fragmentation, got %d part(s)", len(parts))
-		}
-		for i, part := range parts {
-			f, err := DecodeFrame(part)
+		for _, size := range []int{mtu + 1, 2 * mtu, 5000, 100_000} {
+			f := &Frame{Type: MTFileChunk, Priority: pr, Channel: "big", Seq: 7}
+			f.Payload = make([]byte, size-FrameWireSize(f))
+			rand.New(rand.NewSource(int64(size))).Read(f.Payload)
+			raw, err := EncodeFrame(f)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if f.Type != MTFragment {
-				t.Fatalf("part %d type %v", i, f.Type)
+			split, err := Split(raw, 7, mtu)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if f.Priority != pr {
-				t.Fatalf("fragment %d priority = %v, want %v", i, f.Priority, pr)
+			if split.Count() < 2 {
+				t.Fatalf("%d bytes at %v: expected fragmentation, got %d part(s)", size, pr, split.Count())
 			}
-			if got := PeekPriority(part); got != pr {
-				t.Fatalf("PeekPriority(fragment %d) = %v, want %v", i, got, pr)
+			ra := NewReassembler(0, nil)
+			var out []byte
+			for i := 0; i < split.Count(); i++ {
+				seq := uint64(100 + i)
+				part := split.Append(nil, i, seq, FlagAckRequired)
+				if len(part) > mtu || len(part) != split.WireSize(i) {
+					t.Fatalf("%d bytes at %v: fragment %d is %d bytes (WireSize %d), mtu %d",
+						size, pr, i, len(part), split.WireSize(i), mtu)
+				}
+				if got := PeekPriority(part); got != pr {
+					t.Fatalf("PeekPriority(fragment %d) = %v, want %v", i, got, pr)
+				}
+				pf, err := DecodeFrame(part)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if pf.Type != MTFragment || pf.Priority != pr || pf.Seq != seq || pf.Flags != FlagAckRequired {
+					t.Fatalf("fragment %d header = %v pr %v seq %d flags %#x, want fragment pr %v seq %d flags %#x",
+						i, pf.Type, pf.Priority, pf.Seq, pf.Flags, pr, seq, FlagAckRequired)
+				}
+				if out, err = ra.Offer("src", pf); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if !bytes.Equal(out, raw) {
+				t.Fatalf("%d bytes at %v: reassembly differs from the original frame", size, pr)
 			}
 		}
 	}

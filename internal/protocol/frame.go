@@ -104,7 +104,7 @@ const (
 	// for the same destination wait in an egress lane, the plane packs
 	// them into one MTBatch datagram — fewer syscalls and wire packets on
 	// small-frame-heavy paths. The payload is a sequence of length-
-	// prefixed complete frames (see EncodeBatch); receivers unpack and
+	// prefixed complete frames (see AppendBatch); receivers unpack and
 	// route each inner frame exactly as if it had arrived alone, so
 	// acknowledgment, dedup and priority scheduling are unaffected.
 	MTBatch // container of length-prefixed coalesced frames
