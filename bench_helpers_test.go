@@ -7,7 +7,6 @@ import (
 	"uavmw/internal/protocol"
 	"uavmw/internal/qos"
 	"uavmw/internal/transport"
-	"uavmw/internal/variables"
 )
 
 // newBenchNode builds a container with fast discovery for benchmarks.
@@ -17,9 +16,6 @@ func newBenchNode(tr transport.Transport) (*core.Node, error) {
 		core.WithAnnouncePeriod(50*time.Millisecond),
 	)
 }
-
-// subscribeNothing returns empty subscription options.
-func subscribeNothing() variables.SubscribeOptions { return variables.SubscribeOptions{} }
 
 func encodeBenchFrame(payload []byte, seq uint64) ([]byte, error) {
 	return protocol.EncodeFrame(&protocol.Frame{

@@ -56,6 +56,8 @@
 // and experiments", the reproduced evaluation. The runnable entry points
 // are in examples/ and cmd/.
 //
-// The benchmarks in this directory regenerate one point of each experiment
-// sweep; the full parameter sweeps live in cmd/uavbench.
+// BenchmarkExperiment in this directory runs every entry of the experiment
+// table (internal/experiments) at quick size and TestBaselines holds the
+// guarded entries against testdata/bench_baseline; cmd/uavbench prints the
+// full-size sweeps from the same table.
 package uavmw

@@ -42,8 +42,12 @@ func TestEventGuaranteedDeliveryUnderLoss(t *testing.T) {
 	// (§4.2's guarantee via application-level ack/resend).
 	net := netsim.New(netsim.Config{Loss: 0.2, Seed: 99, Latency: time.Millisecond})
 	defer net.Close()
-	pub := newSimNode(t, net, "uav")
-	sub := newSimNode(t, net, "gs")
+	// The test is about ARQ delivery, not liveness: at 20% loss five
+	// heartbeats in a row go missing often enough (~1 run in 80) to trip
+	// the default 5-period failure deadline and drop the subscriber, so
+	// the deadline sits well above the test's runtime.
+	pub := newSimNode(t, net, "uav", WithFailureDeadline(time.Minute))
+	sub := newSimNode(t, net, "gs", WithFailureDeadline(time.Minute))
 	syncNodes(t, pub, sub)
 
 	p, err := pub.Events().Offer("wp.reached", "mc", presentation.Uint32(), qos.EventQoS{})

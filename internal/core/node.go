@@ -151,7 +151,6 @@ type Node struct {
 
 	announcePeriod  time.Duration
 	failureDeadline time.Duration
-	loadProbe       func() float64
 
 	budget ResourceBudget
 
@@ -189,7 +188,6 @@ type nodeConfig struct {
 	directoryTTL    time.Duration
 	arqOpts         []protocol.ARQOption
 	fileOpts        []filetransfer.Option
-	loadProbe       func() float64
 	mtu             int
 	budget          ResourceBudget
 	rpcInflight     int
@@ -285,11 +283,6 @@ func WithARQ(opts ...protocol.ARQOption) NodeOption {
 // WithFileTransfer forwards tuning options to the file engine.
 func WithFileTransfer(opts ...filetransfer.Option) NodeOption {
 	return func(c *nodeConfig) { c.fileOpts = append(c.fileOpts, opts...) }
-}
-
-// WithLoadProbe sets the function whose value is announced as node load.
-func WithLoadProbe(f func() float64) NodeOption {
-	return func(c *nodeConfig) { c.loadProbe = f }
 }
 
 // WithMTU overrides the fragmentation threshold.
@@ -414,7 +407,6 @@ func NewNode(opts ...NodeOption) (*Node, error) {
 		syncReqAt:       make(map[transport.NodeID]time.Time),
 		announcePeriod:  cfg.announcePeriod,
 		failureDeadline: cfg.failureDeadline,
-		loadProbe:       cfg.loadProbe,
 		services:        make(map[string]*ServiceRuntime),
 		devices:         make(map[string]string),
 		stop:            make(chan struct{}),
@@ -480,10 +472,6 @@ func NewNode(opts ...NodeOption) (*Node, error) {
 	n.rpc = rpc.New(n)
 	n.rpc.SetInflightLimit(cfg.rpcInflight)
 	n.files = filetransfer.New(n, cfg.fileOpts...)
-
-	if n.loadProbe == nil {
-		n.loadProbe = n.defaultLoad
-	}
 
 	// The sharded receive pipeline sits between the bearer transports and
 	// the dispatcher. Per-shard protocol state (dedup, reassembly, ack
@@ -1226,7 +1214,7 @@ func (n *Node) announceNow() {
 		Node:    n.id,
 		Epoch:   n.epoch,
 		Version: version,
-		Load:    n.loadProbe(),
+		Load:    n.defaultLoad(),
 		Records: recs,
 	}
 	n.dir.Apply(ann, n.clk.Now())
@@ -1289,7 +1277,7 @@ func (n *Node) flushOffer() {
 		return
 	}
 	now := n.clk.Now()
-	load := n.loadProbe()
+	load := n.defaultLoad()
 	// Local lookups must resolve without waiting for the multicast.
 	n.dir.Apply(&naming.Announcement{
 		Node: n.id, Epoch: n.epoch, Version: to, Load: load, Records: recs,
@@ -1315,7 +1303,7 @@ func (n *Node) heartbeatNow() {
 		Node:        n.id,
 		Epoch:       n.epoch,
 		Version:     n.log.Version(),
-		Load:        n.loadProbe(),
+		Load:        n.defaultLoad(),
 		RecordCount: uint32(n.log.Count()),
 	})
 	if err != nil {
@@ -1457,7 +1445,7 @@ func (n *Node) handleSyncReq(from transport.NodeID, f *protocol.Frame) {
 			}
 			payload, err := naming.EncodeDelta(&naming.Delta{
 				Node: n.id, Epoch: n.epoch, From: req.KnownVersion, To: to,
-				Load: n.loadProbe(), Added: added, Withdrawn: withdrawn,
+				Load: n.defaultLoad(), Added: added, Withdrawn: withdrawn,
 			})
 			if err != nil {
 				uerr.Note(n.metrics, codeSyncRepEncode, err, "encode catch-up delta")
@@ -1487,7 +1475,7 @@ func (n *Node) handleSyncReq(from transport.NodeID, f *protocol.Frame) {
 	recs, version := n.log.Snapshot()
 	ann := &naming.Announcement{
 		Node: n.id, Epoch: n.epoch, Version: version,
-		Load: n.loadProbe(), Records: recs,
+		Load: n.defaultLoad(), Records: recs,
 	}
 	chunks, err := naming.EncodeSyncChunks(ann, n.mtu-syncFrameOverhead)
 	if err != nil {

@@ -12,7 +12,6 @@ import (
 	"uavmw/internal/filetransfer"
 	"uavmw/internal/metrics"
 	"uavmw/internal/netsim"
-	"uavmw/internal/presentation"
 	"uavmw/internal/protocol"
 	"uavmw/internal/qos"
 	"uavmw/internal/transport"
@@ -174,13 +173,11 @@ func runE14Multi(clk clock.Clock, res *E14Result, seed int64) error {
 	// retransmission timeout must clear the radio's worst-case queueing
 	// (latency + a chunk ahead at the link) or every queued-but-fine alarm
 	// spawns duplicates that steal the link's headroom.
-	alarmType := presentation.Uint32()
-	alarmQoS := qos.EventQoS{
+	alarms, err := offerAlarms(clk, uav, "e14.alarm", qos.EventQoS{
 		Priority:   qos.PriorityCritical,
 		AckTimeout: 500 * time.Millisecond,
 		MaxRetries: 10,
-	}
-	pub, err := uav.Events().Offer("e14.alarm", "bench", alarmType, alarmQoS)
+	}, res.AlarmHz)
 	if err != nil {
 		return err
 	}
@@ -189,50 +186,15 @@ func runE14Multi(clk clock.Clock, res *E14Result, seed int64) error {
 	// instead of waiting on a beacon tick that races the burst.
 	uav.AnnounceNow()
 	gs.AnnounceNow()
-	rec := &alarmRecorder{}
-	if err := waitProviders(clk, gs, kindEvent, "e14.alarm", 1, 5*time.Second); err != nil {
+	if err := alarms.subscribe(gs); err != nil {
 		return err
-	}
-	if _, err := gs.Events().Subscribe("e14.alarm", alarmType, alarmQoS,
-		func(v any, _ transport.NodeID) { rec.arrived(v.(uint32), clk.Now()) }); err != nil {
-		return err
-	}
-	deadline := clk.Now().Add(5 * time.Second)
-	for len(pub.Subscribers()) == 0 {
-		if clk.Now().After(deadline) {
-			return fmt.Errorf("alarm subscriber never registered")
-		}
-		clk.Sleep(2 * time.Millisecond)
-	}
-
-	publishAlarms := func(stopCh <-chan struct{}, maxDur time.Duration) {
-		interval := time.Second / time.Duration(res.AlarmHz)
-		ticker := clk.NewTicker(interval)
-		defer ticker.Stop()
-		stopAt := clk.Now().Add(maxDur)
-		var wg sync.WaitGroup
-		for ticker.Wait(stopCh) {
-			now := clk.Now()
-			if now.After(stopAt) {
-				break
-			}
-			seq := rec.nextSeq(now)
-			wg.Add(1)
-			clock.Go(clk, func() {
-				defer wg.Done()
-				ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-				defer cancel()
-				_ = pub.Publish(ctx, seq) // late/lost alarms are the measurement
-			})
-		}
-		clock.Blocking(clk, wg.Wait)
 	}
 
 	// Unloaded baseline: alarms alone, over the same policy (radio).
-	publishAlarms(make(chan struct{}), time.Second)
+	alarms.publish(make(chan struct{}), time.Second)
 	clk.Sleep(200 * time.Millisecond) // let the tail arrive
-	res.Unloaded, _ = rec.collect(1, rec.count())
-	loadedFrom := rec.count() + 1
+	res.Unloaded, _ = alarms.collect(1, alarms.count())
+	loadedFrom := alarms.count() + 1
 	wifi.ResetWireStats()
 	radio.ResetWireStats()
 
@@ -296,7 +258,7 @@ func runE14Multi(clk clock.Clock, res *E14Result, seed int64) error {
 	alarmsDone := make(chan struct{})
 	clock.Go(clk, func() {
 		defer close(alarmsDone)
-		publishAlarms(alarmStop, 120*time.Second)
+		alarms.publish(alarmStop, 120*time.Second)
 	})
 
 	// Mid-transfer blackout: the UAV flies out of wifi range.
@@ -336,7 +298,7 @@ func runE14Multi(clk clock.Clock, res *E14Result, seed int64) error {
 	res.Transfer = transfer
 	close(alarmStop)
 	clock.Blocking(clk, func() { <-alarmsDone })
-	loadedTo := rec.count()
+	loadedTo := alarms.count()
 	clock.Blocking(clk, func() { res.HandoverDetect = <-detect })
 	close(detectStop)
 	if res.HandoverDetect < 0 {
@@ -370,21 +332,8 @@ func runE14Multi(clk clock.Clock, res *E14Result, seed int64) error {
 	res.RadioBytes = radio.LinkStats("uav", "gs").Bytes
 
 	// Let alarm stragglers drain before collecting.
-	stableSince := clk.Now()
-	last := rec.arrivedCount()
-	drainCap := clk.Now().Add(15 * time.Second)
-	for clk.Now().Before(drainCap) {
-		clk.Sleep(100 * time.Millisecond)
-		if n := rec.arrivedCount(); n != last {
-			last = n
-			stableSince = clk.Now()
-			continue
-		}
-		if clk.Since(stableSince) > time.Second {
-			break
-		}
-	}
-	res.Multi, res.MultiLost = rec.collect(loadedFrom, loadedTo)
+	alarms.drain(15 * time.Second)
+	res.Multi, res.MultiLost = alarms.collect(loadedFrom, loadedTo)
 	res.MultiSent = loadedTo - loadedFrom + 1
 	res.MetricsText = uav.MetricsSnapshot().Text()
 	return nil
@@ -401,20 +350,13 @@ func runE14Single(clk clock.Clock, res *E14Result, seed int64) error {
 	res.SingleBlackout = blackout
 
 	mk := func(id transport.NodeID) (*core.Node, error) {
-		ep, err := wifi.Node(id)
-		if err != nil {
-			return nil, err
-		}
-		return core.NewNode(
-			core.WithClock(clk),
-			core.WithDatagram(ep),
+		return simNode(clk, wifi, id,
 			core.WithAnnouncePeriod(50*time.Millisecond),
 			// Liveness must survive the blackout or the subscription is
 			// torn down; the point here is link loss, not peer loss.
 			core.WithFailureDeadline(60*time.Second),
 			core.WithDirectoryTTL(60*time.Second),
-			core.WithARQ(protocol.WithTimeout(30*time.Millisecond), protocol.WithMaxRetries(4)),
-		)
+			core.WithARQ(protocol.WithTimeout(30*time.Millisecond), protocol.WithMaxRetries(4)))
 	}
 	uav, err := mk("uav")
 	if err != nil {
@@ -427,52 +369,22 @@ func runE14Single(clk clock.Clock, res *E14Result, seed int64) error {
 	}
 	defer func() { _ = gs.Close() }()
 
-	alarmType := presentation.Uint32()
-	alarmQoS := qos.EventQoS{Priority: qos.PriorityCritical}
-	pub, err := uav.Events().Offer("e14.alarm", "bench", alarmType, alarmQoS)
+	alarms, err := offerAlarms(clk, uav, "e14.alarm", qos.EventQoS{Priority: qos.PriorityCritical}, res.AlarmHz)
 	if err != nil {
 		return err
 	}
-	// Introduce both nodes now that the offers are registered — the
-	// deterministic bootstrap: registrations ride the explicit announce
-	// instead of waiting on a beacon tick that races the burst.
+	// The same explicit introduction as the multi-bearer arm.
 	uav.AnnounceNow()
 	gs.AnnounceNow()
-	rec := &alarmRecorder{}
-	if err := waitProviders(clk, gs, kindEvent, "e14.alarm", 1, 5*time.Second); err != nil {
+	if err := alarms.subscribe(gs); err != nil {
 		return err
-	}
-	if _, err := gs.Events().Subscribe("e14.alarm", alarmType, alarmQoS,
-		func(v any, _ transport.NodeID) { rec.arrived(v.(uint32), clk.Now()) }); err != nil {
-		return err
-	}
-	deadline := clk.Now().Add(5 * time.Second)
-	for len(pub.Subscribers()) == 0 {
-		if clk.Now().After(deadline) {
-			return fmt.Errorf("alarm subscriber never registered")
-		}
-		clk.Sleep(2 * time.Millisecond)
 	}
 
 	stop := make(chan struct{})
 	done := make(chan struct{})
-	interval := time.Second / time.Duration(res.AlarmHz)
 	clock.Go(clk, func() {
 		defer close(done)
-		ticker := clk.NewTicker(interval)
-		defer ticker.Stop()
-		var wg sync.WaitGroup
-		for ticker.Wait(stop) {
-			seq := rec.nextSeq(clk.Now())
-			wg.Add(1)
-			clock.Go(clk, func() {
-				defer wg.Done()
-				ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-				defer cancel()
-				_ = pub.Publish(ctx, seq)
-			})
-		}
-		clock.Blocking(clk, wg.Wait)
+		alarms.publish(stop, time.Hour) // until stop; the arm lasts seconds
 	})
 
 	clk.Sleep(400 * time.Millisecond)
@@ -484,8 +396,8 @@ func runE14Single(clk clock.Clock, res *E14Result, seed int64) error {
 	clock.Blocking(clk, func() { <-done })
 	clk.Sleep(time.Second) // drain stragglers
 
-	_, lost := rec.collect(1, rec.count())
-	res.SingleSent = rec.count()
+	_, lost := alarms.collect(1, alarms.count())
+	res.SingleSent = alarms.count()
 	res.SingleLost = lost
 	return nil
 }

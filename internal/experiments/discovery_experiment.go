@@ -52,10 +52,6 @@ func e12Fn(node transport.NodeID, i int) string {
 func buildE12Fleet(clk clock.Clock, net *netsim.Net, n, records int, period time.Duration) ([]*core.Node, error) {
 	nodes := make([]*core.Node, n)
 	for i := range nodes {
-		ep, err := net.Node(transport.NodeID(fmt.Sprintf("n%03d", i)))
-		if err != nil {
-			return nil, err
-		}
 		// The ARQ retransmit timer must exceed the fleet's worst-case
 		// processing backlog: an over-aggressive timer turns transient
 		// queueing into a retransmission storm that feeds the queue.
@@ -73,9 +69,8 @@ func buildE12Fleet(clk clock.Clock, net *netsim.Net, n, records int, period time
 		if d := 60 * period; d > failureDeadline {
 			failureDeadline = d
 		}
-		if nodes[i], err = core.NewNode(
-			core.WithClock(clk),
-			core.WithDatagram(ep),
+		var err error
+		if nodes[i], err = simNode(clk, net, transport.NodeID(fmt.Sprintf("n%03d", i)),
 			core.WithAnnouncePeriod(period),
 			core.WithFailureDeadline(failureDeadline),
 			core.WithDirectoryTTL(2*failureDeadline),

@@ -9,6 +9,7 @@ import (
 	"uavmw/internal/clock"
 	"uavmw/internal/core"
 	"uavmw/internal/egress"
+	"uavmw/internal/events"
 	"uavmw/internal/filetransfer"
 	"uavmw/internal/metrics"
 	"uavmw/internal/netsim"
@@ -63,61 +64,144 @@ type E13Result struct {
 	MetricsText string
 }
 
-// alarmRecorder correlates published alarms with their arrival at the
-// subscriber. Alarms carry a 1-based sequence as a uint32 payload.
-type alarmRecorder struct {
+// alarmStream is the PriorityCritical alarm topic, UAV → ground station,
+// whose latency and loss E13 and E14 measure: the UAV's event offer, a
+// fixed-rate publisher, and a ground-station subscription that correlates
+// every arrival with its publication. Alarms carry a 1-based sequence as a
+// uint32 payload.
+type alarmStream struct {
+	clk   clock.Clock
+	topic string
+	qos   qos.EventQoS
+	hz    int
+	pub   *events.Publisher
+
 	mu       sync.Mutex
 	sentAt   []time.Time
 	arrivals []time.Time
 }
 
-func (r *alarmRecorder) nextSeq(now time.Time) uint32 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.sentAt = append(r.sentAt, now)
-	r.arrivals = append(r.arrivals, time.Time{})
-	return uint32(len(r.sentAt))
+func (a *alarmStream) nextSeq(now time.Time) uint32 {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	a.sentAt = append(a.sentAt, now)
+	a.arrivals = append(a.arrivals, time.Time{})
+	return uint32(len(a.sentAt))
 }
 
-func (r *alarmRecorder) arrived(seq uint32, now time.Time) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if i := int(seq) - 1; i >= 0 && i < len(r.arrivals) && r.arrivals[i].IsZero() {
-		r.arrivals[i] = now
+func (a *alarmStream) arrived(seq uint32, now time.Time) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if i := int(seq) - 1; i >= 0 && i < len(a.arrivals) && a.arrivals[i].IsZero() {
+		a.arrivals[i] = now
 	}
 }
 
 // collect bins latencies for alarms with 1-based seq in [from, to].
-func (r *alarmRecorder) collect(from, to int) (h *metrics.Histogram, lost int) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
+func (a *alarmStream) collect(from, to int) (h *metrics.Histogram, lost int) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
 	h = &metrics.Histogram{}
-	for i := from - 1; i < to && i < len(r.sentAt); i++ {
-		if r.arrivals[i].IsZero() {
+	for i := from - 1; i < to && i < len(a.sentAt); i++ {
+		if a.arrivals[i].IsZero() {
 			lost++
 			continue
 		}
-		h.Observe(r.arrivals[i].Sub(r.sentAt[i]))
+		h.Observe(a.arrivals[i].Sub(a.sentAt[i]))
 	}
 	return h, lost
 }
 
-func (r *alarmRecorder) count() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.sentAt)
+func (a *alarmStream) count() int {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return len(a.sentAt)
 }
 
-func (r *alarmRecorder) arrivedCount() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
+func (a *alarmStream) arrivedCount() int {
+	a.mu.Lock()
+	defer a.mu.Unlock()
 	n := 0
-	for _, at := range r.arrivals {
+	for _, at := range a.arrivals {
 		if !at.IsZero() {
 			n++
 		}
 	}
 	return n
+}
+
+// drain waits for straggling alarms: until arrivals have been stable for a
+// second, or limit has passed.
+func (a *alarmStream) drain(limit time.Duration) {
+	clk := a.clk
+	stableSince := clk.Now()
+	last := a.arrivedCount()
+	drainCap := clk.Now().Add(limit)
+	for clk.Now().Before(drainCap) {
+		clk.Sleep(100 * time.Millisecond)
+		if n := a.arrivedCount(); n != last {
+			last = n
+			stableSince = clk.Now()
+			continue
+		}
+		if clk.Since(stableSince) > time.Second {
+			break
+		}
+	}
+}
+
+// offerAlarms registers the topic on the UAV.
+func offerAlarms(clk clock.Clock, uav *core.Node, topic string, q qos.EventQoS, hz int) (*alarmStream, error) {
+	pub, err := uav.Events().Offer(topic, "bench", presentation.Uint32(), q)
+	if err != nil {
+		return nil, err
+	}
+	return &alarmStream{clk: clk, topic: topic, qos: q, hz: hz, pub: pub}, nil
+}
+
+// subscribe attaches the ground station and waits until the publisher
+// knows it.
+func (a *alarmStream) subscribe(gs *core.Node) error {
+	if err := waitProviders(a.clk, gs, kindEvent, a.topic, 1, 5*time.Second); err != nil {
+		return err
+	}
+	if _, err := gs.Events().Subscribe(a.topic, presentation.Uint32(), a.qos,
+		func(v any, _ transport.NodeID) { a.arrived(v.(uint32), a.clk.Now()) }); err != nil {
+		return err
+	}
+	deadline := a.clk.Now().Add(5 * time.Second)
+	for len(a.pub.Subscribers()) == 0 {
+		if a.clk.Now().After(deadline) {
+			return fmt.Errorf("alarm subscriber never registered")
+		}
+		a.clk.Sleep(2 * time.Millisecond)
+	}
+	return nil
+}
+
+// publish fires alarms at the stream's rate until stopCh closes or maxDur
+// passes, from a goroutine per tick: a flooded link can hold one publish in
+// ARQ for seconds and must not stall the tick cadence.
+func (a *alarmStream) publish(stopCh <-chan struct{}, maxDur time.Duration) {
+	ticker := a.clk.NewTicker(time.Second / time.Duration(a.hz))
+	defer ticker.Stop()
+	stopAt := a.clk.Now().Add(maxDur)
+	var wg sync.WaitGroup
+	for ticker.Wait(stopCh) {
+		now := a.clk.Now()
+		if now.After(stopAt) {
+			break
+		}
+		seq := a.nextSeq(now)
+		wg.Add(1)
+		clock.Go(a.clk, func() {
+			defer wg.Done()
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			_ = a.pub.Publish(ctx, seq) // late/lost alarms are the measurement
+		})
+	}
+	clock.Blocking(a.clk, wg.Wait)
 }
 
 // RunE13 runs both modes and returns the comparison. alarmHz is the
@@ -152,13 +236,7 @@ func runE13Phase(clk clock.Clock, res *E13Result, shaped bool, seed int64) error
 
 	shapedRate := int64(float64(res.LinkBPS) * e13ShapeFraction)
 	mk := func(id transport.NodeID, extra ...core.NodeOption) (*core.Node, error) {
-		ep, err := net.Node(id)
-		if err != nil {
-			return nil, err
-		}
 		opts := []core.NodeOption{
-			core.WithClock(clk),
-			core.WithDatagram(ep),
 			core.WithAnnouncePeriod(100 * time.Millisecond),
 			// Under flood the constrained link delays heartbeats by
 			// seconds; liveness and the directory must tolerate that.
@@ -169,8 +247,7 @@ func runE13Phase(clk clock.Clock, res *E13Result, shaped bool, seed int64) error
 				filetransfer.WithQueryWindow(3*time.Second),
 				filetransfer.WithMaxStrikes(100)),
 		}
-		opts = append(opts, extra...)
-		return core.NewNode(opts...)
+		return simNode(clk, net, id, append(opts, extra...)...)
 	}
 	var uavOpts []core.NodeOption
 	if shaped {
@@ -191,61 +268,21 @@ func runE13Phase(clk clock.Clock, res *E13Result, shaped bool, seed int64) error
 	defer func() { _ = gs.Close() }()
 
 	// Critical alarm topic, UAV → ground station.
-	alarmType := presentation.Uint32()
-	alarmQoS := qos.EventQoS{Priority: qos.PriorityCritical}
-	pub, err := uav.Events().Offer("e13.alarm", "bench", alarmType, alarmQoS)
+	alarms, err := offerAlarms(clk, uav, "e13.alarm", qos.EventQoS{Priority: qos.PriorityCritical}, res.AlarmHz)
 	if err != nil {
 		return err
 	}
-	rec := &alarmRecorder{}
-	if err := waitProviders(clk, gs, kindEvent, "e13.alarm", 1, 5*time.Second); err != nil {
+	if err := alarms.subscribe(gs); err != nil {
 		return err
-	}
-	if _, err := gs.Events().Subscribe("e13.alarm", alarmType, alarmQoS,
-		func(v any, _ transport.NodeID) { rec.arrived(v.(uint32), clk.Now()) }); err != nil {
-		return err
-	}
-	deadline := clk.Now().Add(5 * time.Second)
-	for len(pub.Subscribers()) == 0 {
-		if clk.Now().After(deadline) {
-			return fmt.Errorf("alarm subscriber never registered")
-		}
-		clk.Sleep(2 * time.Millisecond)
-	}
-
-	// publishAlarms fires at alarmHz until stopCh closes, from a goroutine
-	// per tick: a flooded link can hold one publish in ARQ for seconds and
-	// must not stall the tick cadence.
-	publishAlarms := func(stopCh <-chan struct{}, maxDur time.Duration) {
-		interval := time.Second / time.Duration(res.AlarmHz)
-		ticker := clk.NewTicker(interval)
-		defer ticker.Stop()
-		stopAt := clk.Now().Add(maxDur)
-		var wg sync.WaitGroup
-		for ticker.Wait(stopCh) {
-			now := clk.Now()
-			if now.After(stopAt) {
-				break
-			}
-			seq := rec.nextSeq(now)
-			wg.Add(1)
-			clock.Go(clk, func() {
-				defer wg.Done()
-				ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-				defer cancel()
-				_ = pub.Publish(ctx, seq) // late/lost alarms are the measurement
-			})
-		}
-		clock.Blocking(clk, wg.Wait)
 	}
 
 	// Unloaded baseline (shaped phase only; topology identical).
 	if shaped {
-		publishAlarms(make(chan struct{}), 1200*time.Millisecond)
+		alarms.publish(make(chan struct{}), 1200*time.Millisecond)
 		clk.Sleep(4 * latency) // let the tail arrive
-		res.Unloaded, _ = rec.collect(1, rec.count())
+		res.Unloaded, _ = alarms.collect(1, alarms.count())
 	}
-	loadedFrom := rec.count() + 1
+	loadedFrom := alarms.count() + 1
 
 	// The bulk transfer.
 	data := make([]byte, res.FileBytes)
@@ -284,7 +321,7 @@ func runE13Phase(clk clock.Clock, res *E13Result, shaped bool, seed int64) error
 	alarmsDone := make(chan struct{})
 	clock.Go(clk, func() {
 		defer close(alarmsDone)
-		publishAlarms(alarmStop, 60*time.Second)
+		alarms.publish(alarmStop, 60*time.Second)
 	})
 	var fetchErr error
 	clock.Blocking(clk, func() { fetchErr = <-fetchDone })
@@ -294,26 +331,13 @@ func runE13Phase(clk clock.Clock, res *E13Result, shaped bool, seed int64) error
 	}
 	close(alarmStop)
 	clock.Blocking(clk, func() { <-alarmsDone })
-	loadedTo := rec.count()
+	loadedTo := alarms.count()
 
 	// Let stragglers drain: in flood mode alarms can trail the transfer by
 	// the remaining link backlog. Wait until arrivals stabilize.
-	stableSince := clk.Now()
-	last := rec.arrivedCount()
-	drainCap := clk.Now().Add(30 * time.Second)
-	for clk.Now().Before(drainCap) {
-		clk.Sleep(100 * time.Millisecond)
-		if n := rec.arrivedCount(); n != last {
-			last = n
-			stableSince = clk.Now()
-			continue
-		}
-		if clk.Since(stableSince) > time.Second {
-			break
-		}
-	}
+	alarms.drain(30 * time.Second)
 
-	hist, lost := rec.collect(loadedFrom, loadedTo)
+	hist, lost := alarms.collect(loadedFrom, loadedTo)
 	goodput := float64(res.FileBytes) / transfer.Seconds()
 	if shaped {
 		res.Shaped, res.ShapedLost, res.ShapedSent = hist, lost, loadedTo-loadedFrom+1

@@ -1,14 +1,16 @@
 // Package experiments implements the measurement harnesses for every
-// experiment in README "Benchmarks and experiments" (E1–E9, E11–E17). The
-// uavbench command runs the full parameter sweeps and prints the
-// paper-style tables; the repository-root benchmarks wrap single points of
-// each sweep in testing.B.
+// experiment in README "Benchmarks and experiments" (E1–E9, E11–E17) and
+// registers each once in one ordered table (table.go): name, title, seed,
+// full and quick parameters, the Report it prints and records, and the
+// guards that pin it to a committed baseline. The uavbench command, the
+// repository-root BenchmarkExperiment and TestBaselines are loops over that
+// table.
 //
 // Every harness builds a fresh middleware deployment on an in-process or
 // simulated substrate, measures, and tears down, so experiments are
 // independent and repeatable (seeded netsim, no shared global state).
 //
-// The simulation-backed harnesses (RunE3, RunE11–RunE14) take an injected
+// The simulation-backed harnesses (RunE3, RunE11–RunE17) take an injected
 // clock.Clock and by default run under RunVirtual on a discrete-event
 // virtual clock: minutes of scenario time execute in wall milliseconds,
 // and a given seed reproduces byte-identical results. Passing a nil clock
@@ -83,6 +85,16 @@ func pair(opts ...core.NodeOption) (a, b *core.Node, cleanup func(), err error) 
 	return a, b, cleanup, nil
 }
 
+// simNode attaches a container to a simulated network, on clk's timeline
+// (nil: the wall clock).
+func simNode(clk clock.Clock, net *netsim.Net, id transport.NodeID, opts ...core.NodeOption) (*core.Node, error) {
+	ep, err := net.Node(id)
+	if err != nil {
+		return nil, err
+	}
+	return core.NewNode(append([]core.NodeOption{core.WithClock(clk), core.WithDatagram(ep)}, opts...)...)
+}
+
 // waitProviders blocks until node sees n providers of the named resource.
 // The poll runs on clk so discovery waits work under a Virtual clock.
 func waitProviders(clk clock.Clock, node *core.Node, kind naming.Kind, name string, n int, timeout time.Duration) error {
@@ -115,12 +127,10 @@ func RunE1(n, payloadBytes int) (*E1Result, error) {
 	defer cleanup()
 
 	payloadType := presentation.VectorOf(presentation.Uint8())
-	payload := make([]byte, payloadBytes)
 	boxed := make([]any, payloadBytes)
 	for i := range boxed {
 		boxed[i] = uint8(i)
 	}
-	_ = payload
 
 	// Event path: publisher on pub, subscriber on sub; handler signals.
 	evtPub, err := pub.Events().Offer("e1.evt", "bench", payloadType, qos.EventQoS{})
@@ -211,7 +221,6 @@ func RunE2(n int, loss float64, payloadBytes int, seed int64) (*E2Result, error)
 		if err != nil {
 			return nil, err
 		}
-		var delivered atomic.Int64
 		dst.SetHandler(func(pkt transport.Packet) {
 			f, err := protocol.DecodeFrame(pkt.Payload)
 			if err != nil {
@@ -223,12 +232,10 @@ func RunE2(n int, loss float64, payloadBytes int, seed int64) (*E2Result, error)
 			// Ack everything with FlagAckRequired.
 			ack, _ := protocol.EncodeFrame(&protocol.Frame{Type: protocol.MTAck, Seq: f.Seq})
 			_ = dst.Send("src", ack)
-			delivered.Add(1)
 		})
 		arq := protocol.NewARQ(func(to transport.NodeID, frame []byte) error {
 			return src.Send(to, frame)
 		}, protocol.WithTimeout(3*time.Millisecond), protocol.WithMaxRetries(20))
-		ackCh := make(chan struct{}, n)
 		src.SetHandler(func(pkt transport.Packet) {
 			f, err := protocol.DecodeFrame(pkt.Payload)
 			if err != nil || f.Type != protocol.MTAck {
@@ -256,10 +263,6 @@ func RunE2(n int, loss float64, payloadBytes int, seed int64) (*E2Result, error)
 					res.ARQPerMsg.Observe(time.Since(starts[i]))
 				}
 				wg.Done()
-				select {
-				case ackCh <- struct{}{}:
-				default:
-				}
 			}); err != nil {
 				return nil, err
 			}
@@ -349,27 +352,20 @@ type E3Result struct {
 // containers in both delivery modes on a fresh netsim and reports wire
 // packet/byte counts. A nil clk runs on wall time; pass a Virtual clock
 // (from inside its Run) for a discrete-event run.
-func RunE3(clk clock.Clock, subscribers, samples int) (*E3Result, error) {
+func RunE3(clk clock.Clock, subscribers, samples int, seed int64) (*E3Result, error) {
 	clk = clock.Or(clk)
 	res := &E3Result{Subscribers: subscribers, Samples: samples}
 
 	run := func(delivery qos.Delivery) (uint64, uint64, error) {
-		net := netsim.New(netsim.Config{Seed: 4, Latency: 200 * time.Microsecond, Clock: clk})
+		net := netsim.New(netsim.Config{Seed: seed, Latency: 200 * time.Microsecond, Clock: clk})
 		defer net.Close()
 		// A long announce period keeps heartbeat chatter out of the
 		// measured window; discovery itself is incremental (deltas fire
 		// on registration), so no explicit announcement is needed.
 		mk := func(id transport.NodeID) (*core.Node, error) {
-			ep, err := net.Node(id)
-			if err != nil {
-				return nil, err
-			}
-			return core.NewNode(
-				core.WithClock(clk),
-				core.WithDatagram(ep),
+			return simNode(clk, net, id,
 				core.WithAnnouncePeriod(2*time.Second),
-				core.WithARQ(protocol.WithTimeout(5*time.Millisecond)),
-			)
+				core.WithARQ(protocol.WithTimeout(5*time.Millisecond)))
 		}
 		pub, err := mk("src")
 		if err != nil {
@@ -462,16 +458,10 @@ func RunE4(fileBytes, receivers int, loss float64, seed int64) (*E4Result, error
 	build := func(seed int64) (*netsim.Net, *core.Node, []*core.Node, func(), error) {
 		net := netsim.New(netsim.Config{Loss: loss, Seed: seed, Latency: 300 * time.Microsecond})
 		mk := func(id transport.NodeID) (*core.Node, error) {
-			ep, err := net.Node(id)
-			if err != nil {
-				return nil, err
-			}
-			return core.NewNode(
-				core.WithDatagram(ep),
+			return simNode(nil, net, id,
 				core.WithAnnouncePeriod(20*time.Millisecond),
 				core.WithARQ(protocol.WithTimeout(4*time.Millisecond), protocol.WithMaxRetries(15)),
-				core.WithFileTransfer(filetransfer.WithQueryWindow(8*time.Millisecond)),
-			)
+				core.WithFileTransfer(filetransfer.WithQueryWindow(8*time.Millisecond)))
 		}
 		pub, err := mk("pub")
 		if err != nil {
@@ -715,20 +705,14 @@ type E7Result struct {
 }
 
 // RunE7 kills the active provider mid-call-stream and times redirection.
-func RunE7(failureDeadline time.Duration) (*E7Result, error) {
-	net := netsim.New(netsim.Config{Latency: 300 * time.Microsecond, Seed: 8})
+func RunE7(failureDeadline time.Duration, seed int64) (*E7Result, error) {
+	net := netsim.New(netsim.Config{Latency: 300 * time.Microsecond, Seed: seed})
 	defer net.Close()
 	mk := func(id transport.NodeID) (*core.Node, error) {
-		ep, err := net.Node(id)
-		if err != nil {
-			return nil, err
-		}
-		return core.NewNode(
-			core.WithDatagram(ep),
+		return simNode(nil, net, id,
 			core.WithAnnouncePeriod(20*time.Millisecond),
 			core.WithFailureDeadline(failureDeadline),
-			core.WithARQ(protocol.WithTimeout(4*time.Millisecond)),
-		)
+			core.WithARQ(protocol.WithTimeout(4*time.Millisecond)))
 	}
 	primary, err := mk("primary")
 	if err != nil {

@@ -15,16 +15,23 @@ import (
 // virtual-time plane: identical protocol semantics at a fraction of the
 // wall time.
 
-func TestRunE3ShapesMatchDeliveryModes(t *testing.T) {
-	var res *E3Result
-	_, err := RunVirtual(func(clk clock.Clock) error {
-		var err error
-		res, err = RunE3(clk, 2, 10)
+// virtual runs a scenario on a fresh discrete-event clock and returns its
+// result; a scenario error fails the test.
+func virtual[T any](t *testing.T, scenario func(clk clock.Clock) (T, error)) (T, Elapsed) {
+	t.Helper()
+	var res T
+	el, err := RunVirtual(func(clk clock.Clock) (err error) {
+		res, err = scenario(clk)
 		return err
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	return res, el
+}
+
+func TestRunE3ShapesMatchDeliveryModes(t *testing.T) {
+	res, _ := virtual(t, func(clk clock.Clock) (*E3Result, error) { return RunE3(clk, 2, 10, 4) })
 	if res.Subscribers != 2 || res.Samples != 10 {
 		t.Fatalf("echoed config = %d/%d", res.Subscribers, res.Samples)
 	}
@@ -64,27 +71,18 @@ func TestRunE11HedgingRescuesStalledPin(t *testing.T) {
 	// complete within the QoS deadline via the redundant provider, where
 	// the unhedged baseline times out.
 	const slow = 400 * time.Millisecond
-	var unhedged, hedged *E11Result
-	_, err := RunVirtual(func(clk clock.Clock) error {
-		var err error
-		unhedged, err = RunE11(clk, 2, 3, false, 0, slow, 11)
-		return err
-	})
-	if err != nil {
-		t.Fatal(err)
+	run := func(hedged bool) *E11Result {
+		res, _ := virtual(t, func(clk clock.Clock) (*E11Result, error) {
+			return RunE11(clk, 2, 3, hedged, 0, slow, 11)
+		})
+		return res
 	}
+	unhedged := run(false)
 	if unhedged.OK != 0 || unhedged.Failed != 6 {
 		t.Errorf("unhedged against stalled pin: ok=%d failed=%d, want 0/6",
 			unhedged.OK, unhedged.Failed)
 	}
-	_, err = RunVirtual(func(clk clock.Clock) error {
-		var err error
-		hedged, err = RunE11(clk, 2, 3, true, 0, slow, 11)
-		return err
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	hedged := run(true)
 	if hedged.OK != 6 || hedged.Failed != 0 {
 		t.Fatalf("hedged: ok=%d failed=%d, want 6/0", hedged.OK, hedged.Failed)
 	}
@@ -97,15 +95,7 @@ func TestRunE11HedgingRescuesStalledPin(t *testing.T) {
 }
 
 func TestRunE12DeltaDiscoveryBeatsFullBroadcast(t *testing.T) {
-	var res *E12Result
-	_, err := RunVirtual(func(clk clock.Clock) error {
-		var err error
-		res, err = RunE12(clk, 4, 25, 5)
-		return err
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res, _ := virtual(t, func(clk clock.Clock) (*E12Result, error) { return RunE12(clk, 4, 25, 5) })
 	if res.SteadyBytesPerPeriod <= 0 {
 		t.Fatal("no steady-state discovery traffic measured")
 	}
@@ -122,15 +112,7 @@ func TestRunE12DeltaDiscoveryBeatsFullBroadcast(t *testing.T) {
 }
 
 func TestRunE12ChurnHealsViaSync(t *testing.T) {
-	var res *E12ChurnResult
-	_, err := RunVirtual(func(clk clock.Clock) error {
-		var err error
-		res, err = RunE12Churn(clk, 3, 10, 20, 6)
-		return err
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res, _ := virtual(t, func(clk clock.Clock) (*E12ChurnResult, error) { return RunE12Churn(clk, 3, 10, 20, 6) })
 	if res.SyncsUsed == 0 {
 		t.Error("heal did not use anti-entropy sync")
 	}
@@ -163,15 +145,7 @@ func TestRunE5LocalBypassIsCheaper(t *testing.T) {
 // matters: flood ≫ unloaded, shaped ≈ unloaded.
 func TestRunE13EgressFixesPriorityInversion(t *testing.T) {
 	const linkBPS = 125_000
-	var res *E13Result
-	_, err := RunVirtual(func(clk clock.Clock) error {
-		var err error
-		res, err = RunE13(clk, 64*1024, linkBPS, 50, 7)
-		return err
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res, _ := virtual(t, func(clk clock.Clock) (*E13Result, error) { return RunE13(clk, 64*1024, linkBPS, 50, 7) })
 	unloaded := res.Unloaded.Percentile(99)
 	flood := res.Flood.Percentile(99)
 	shaped := res.Shaped.Percentile(99)
@@ -208,15 +182,9 @@ func TestRunE13EgressFixesPriorityInversion(t *testing.T) {
 // and the single-bearer baseline loses alarms for the bulk of the
 // blackout.
 func TestRunE14BearerHandoverKeepsCriticalAlive(t *testing.T) {
-	var res *E14Result
-	el, err := RunVirtual(func(clk clock.Clock) error {
-		var err error
-		res, err = RunE14(clk, 96*1024, 400*time.Millisecond, 14)
-		return err
+	res, el := virtual(t, func(clk clock.Clock) (*E14Result, error) {
+		return RunE14(clk, 96*1024, 400*time.Millisecond, 14)
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	t.Logf("e14 virtual: %v of scenario time in %v of wall time (%.0fx)",
 		el.Virtual, el.Wall, el.Speedup())
 	if res.Unloaded.Count() == 0 {

@@ -14,7 +14,6 @@ import (
 	"uavmw/internal/netsim"
 	"uavmw/internal/presentation"
 	"uavmw/internal/qos"
-	"uavmw/internal/transport"
 	"uavmw/internal/variables"
 )
 
@@ -167,22 +166,11 @@ func e16Pair(clk clock.Clock, seed int64, opts gateway.Options) (*netsim.Net, *c
 		sim.Close()
 		return nil, nil, nil, nil, err
 	}
-	mk := func(id transport.NodeID) (*core.Node, error) {
-		ep, err := sim.Node(id)
-		if err != nil {
-			return nil, err
-		}
-		return core.NewNode(
-			core.WithClock(clk),
-			core.WithDatagram(ep),
-			core.WithAnnouncePeriod(100*time.Millisecond),
-		)
-	}
-	uav, err := mk("uav")
+	uav, err := simNode(clk, sim, "uav", core.WithAnnouncePeriod(100*time.Millisecond))
 	if err != nil {
 		return fail(err)
 	}
-	gs, err := mk("gs")
+	gs, err := simNode(clk, sim, "gs", core.WithAnnouncePeriod(100*time.Millisecond))
 	if err != nil {
 		_ = uav.Close()
 		return fail(err)

@@ -14,15 +14,9 @@ func TestRunE16GatewayFanOutScales(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-phase gateway scale run; skipped in -short")
 	}
-	var res *E16Result
-	el, err := RunVirtual(func(clk clock.Clock) error {
-		var err error
-		res, err = RunE16(clk, []int{200, 2000}, 10, 16)
-		return err
+	res, el := virtual(t, func(clk clock.Clock) (*E16Result, error) {
+		return RunE16(clk, []int{200, 2000}, 10, 16)
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	t.Logf("e16 virtual: %v scenario in %v wall", el.Virtual, el.Wall)
 
 	for _, pt := range res.Sweep {

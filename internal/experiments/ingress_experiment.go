@@ -328,19 +328,8 @@ func e17Netsim(clk clock.Clock, res *E17Result, samples int, seed int64) error {
 	net := netsim.New(netsim.Config{Seed: seed, Latency: time.Millisecond, Clock: clk})
 	defer net.Close()
 
-	mk := func(id transport.NodeID, opts ...core.NodeOption) (*core.Node, error) {
-		ep, err := net.Node(id)
-		if err != nil {
-			return nil, err
-		}
-		return core.NewNode(append([]core.NodeOption{
-			core.WithClock(clk),
-			core.WithDatagram(ep),
-			core.WithAnnouncePeriod(100 * time.Millisecond),
-		}, opts...)...)
-	}
-
-	gs, err := mk("gs", core.WithIngressShards(4))
+	period := core.WithAnnouncePeriod(100 * time.Millisecond)
+	gs, err := simNode(clk, net, "gs", period, core.WithIngressShards(4))
 	if err != nil {
 		return err
 	}
@@ -350,7 +339,7 @@ func e17Netsim(clk clock.Clock, res *E17Result, samples int, seed int64) error {
 	var delivered atomic.Int64
 	pubs := make([]*variables.Publisher, senders)
 	for i := 0; i < senders; i++ {
-		uav, err := mk(transport.NodeID(fmt.Sprintf("uav%d", i)))
+		uav, err := simNode(clk, net, transport.NodeID(fmt.Sprintf("uav%d", i)), period)
 		if err != nil {
 			return err
 		}

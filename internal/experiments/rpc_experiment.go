@@ -60,16 +60,9 @@ func RunE11(clk clock.Clock, callers, callsPerCaller int, hedged bool, loss floa
 	net := netsim.New(netsim.Config{Loss: loss, Seed: seed, Latency: 300 * time.Microsecond, Clock: clk})
 	defer net.Close()
 	mk := func(id transport.NodeID) (*core.Node, error) {
-		ep, err := net.Node(id)
-		if err != nil {
-			return nil, err
-		}
-		return core.NewNode(
-			core.WithClock(clk),
-			core.WithDatagram(ep),
+		return simNode(clk, net, id,
 			core.WithAnnouncePeriod(2*time.Second), // deltas announce registrations; heartbeats stay out of the way
-			core.WithARQ(protocol.WithTimeout(4*time.Millisecond), protocol.WithMaxRetries(15)),
-		)
+			core.WithARQ(protocol.WithTimeout(4*time.Millisecond), protocol.WithMaxRetries(15)))
 	}
 	slow, err := mk("a-slow")
 	if err != nil {

@@ -16,15 +16,7 @@ import (
 // a flaky diff.
 func TestVirtualRunsAreDeterministic(t *testing.T) {
 	run := func() E12Result {
-		var res *E12Result
-		_, err := RunVirtual(func(clk clock.Clock) error {
-			var err error
-			res, err = RunE12(clk, 4, 25, 12)
-			return err
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
+		res, _ := virtual(t, func(clk clock.Clock) (*E12Result, error) { return RunE12(clk, 4, 25, 12) })
 		return *res
 	}
 	a, b := run(), run()
@@ -52,15 +44,7 @@ func TestE12ScaleConverges256Nodes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("256-node fleet is the CI-scale scenario; skipped in -short")
 	}
-	var res *E12ScaleResult
-	el, err := RunVirtual(func(clk clock.Clock) error {
-		var err error
-		res, err = RunE12Scale(clk, 256, 2, 256)
-		return err
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res, el := virtual(t, func(clk clock.Clock) (*E12ScaleResult, error) { return RunE12Scale(clk, 256, 2, 256) })
 	t.Logf("e12 scale: boot %v, steady %.0f pkts/period, converge %v; %v of scenario in %v of wall (%.0fx)",
 		res.BootConverge, res.SteadyPacketsPerPeriod, res.Converge,
 		el.Virtual, el.Wall, el.Speedup())

@@ -231,23 +231,12 @@ func e15Netsim(clk clock.Clock, res *E15Result, samples int, seed int64) error {
 	net := netsim.New(netsim.Config{Seed: seed, Latency: 2 * time.Millisecond, Clock: clk})
 	defer net.Close()
 
-	mk := func(id transport.NodeID) (*core.Node, error) {
-		ep, err := net.Node(id)
-		if err != nil {
-			return nil, err
-		}
-		return core.NewNode(
-			core.WithClock(clk),
-			core.WithDatagram(ep),
-			core.WithAnnouncePeriod(100*time.Millisecond),
-		)
-	}
-	uav, err := mk("uav")
+	uav, err := simNode(clk, net, "uav", core.WithAnnouncePeriod(100*time.Millisecond))
 	if err != nil {
 		return err
 	}
 	defer func() { _ = uav.Close() }()
-	gs, err := mk("gs")
+	gs, err := simNode(clk, net, "gs", core.WithAnnouncePeriod(100*time.Millisecond))
 	if err != nil {
 		return err
 	}

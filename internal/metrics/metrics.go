@@ -569,7 +569,3 @@ func (s Snapshot) Text() string {
 	}
 	return b.String()
 }
-
-// Dump renders every metric one per line — the legacy diagnostic format,
-// now an alias for Text.
-func (r *Registry) Dump() string { return r.Snapshot().Text() }

@@ -166,10 +166,10 @@ func TestRegistry(t *testing.T) {
 	}
 	r.Gauge("core", "backlog").Set(5)
 	r.Histogram("rpc", "latency").Observe(time.Millisecond)
-	dump := r.Dump()
+	text := r.Snapshot().Text()
 	for _, want := range []string{"counter core.frames 1", "gauge core.backlog 5", "histogram rpc.latency count=1"} {
-		if !strings.Contains(dump, want) {
-			t.Errorf("Dump missing %q:\n%s", want, dump)
+		if !strings.Contains(text, want) {
+			t.Errorf("Text missing %q:\n%s", want, text)
 		}
 	}
 }
