@@ -50,12 +50,6 @@ func newTwoBearerNode(t *testing.T, wifi, radio *netsim.Net, id transport.NodeID
 	return n
 }
 
-func TestQoSClassCountPinned(t *testing.T) {
-	if qosNumClasses != qos.NumLevels() {
-		t.Fatalf("qosNumClasses = %d, qos.NumLevels() = %d", qosNumClasses, qos.NumLevels())
-	}
-}
-
 func TestBearerConfigValidation(t *testing.T) {
 	bus := transport.NewBus()
 	a, err := bus.Endpoint("a")
@@ -96,8 +90,9 @@ func TestBearerRecordsAdvertised(t *testing.T) {
 			gs.Directory().ProviderCount(naming.KindBearer, "radio") >= 2
 	})
 	// gs having heard uav says nothing about the opposite direction yet.
-	waitUntil(t, 5*time.Second, "uav reach cache to list gs bearers", func() bool {
-		return uav.peerAdvertises("gs", "radio") && uav.peerAdvertises("gs", "wifi")
+	waitUntil(t, 5*time.Second, "uav to learn gs's bearers", func() bool {
+		return uav.Directory().ProviderCount(naming.KindBearer, "wifi") >= 2 &&
+			uav.Directory().ProviderCount(naming.KindBearer, "radio") >= 2
 	})
 	names := uav.Bearers()
 	if len(names) != 2 || names[0] != "wifi" || names[1] != "radio" {
@@ -118,13 +113,13 @@ func TestCriticalPinsToRobustBearer(t *testing.T) {
 	waitUntil(t, 5*time.Second, "peers discovered", func() bool {
 		return len(uav.Peers()) == 1
 	})
-	if got := uav.selectBearer("gs", qos.PriorityCritical); got != "radio" {
+	if got := uav.links.Unicast("gs", qos.PriorityCritical); got != "radio" {
 		t.Errorf("critical bearer = %q, want radio", got)
 	}
-	if got := uav.selectBearer("gs", qos.PriorityBulk); got != "wifi" {
+	if got := uav.links.Unicast("gs", qos.PriorityBulk); got != "wifi" {
 		t.Errorf("bulk bearer = %q, want wifi", got)
 	}
-	if got := uav.selectBearer("gs", qos.PriorityNormal); got != "wifi" {
+	if got := uav.links.Unicast("gs", qos.PriorityNormal); got != "wifi" {
 		t.Errorf("normal bearer = %q, want wifi (lowest latency)", got)
 	}
 }
@@ -189,20 +184,20 @@ func TestEventsSurviveBearerBlackout(t *testing.T) {
 	// The monitor must declare wifi down within ~a failure deadline (plus
 	// sweep granularity), while radio stays healthy.
 	waitUntil(t, 3*time.Second, "wifi declared down", func() bool {
-		for _, ls := range uav.LinkStats() {
-			if ls.Name == "wifi" {
-				return !ls.Healthy
+		for _, rep := range uav.LinkReports() {
+			if rep.Name == "wifi" {
+				return !rep.Healthy
 			}
 		}
 		return false
 	})
-	for _, ls := range uav.LinkStats() {
-		if ls.Name == "radio" && !ls.Healthy {
+	for _, rep := range uav.LinkReports() {
+		if rep.Name == "radio" && !rep.Healthy {
 			t.Error("radio should remain healthy through the wifi blackout")
 		}
 	}
 	// And fresh critical selection now avoids wifi.
-	if got := uav.selectBearer("gs", qos.PriorityCritical); got != "radio" {
+	if got := uav.links.Unicast("gs", qos.PriorityCritical); got != "radio" {
 		t.Errorf("critical bearer after blackout = %q, want radio", got)
 	}
 
@@ -210,7 +205,7 @@ func TestEventsSurviveBearerBlackout(t *testing.T) {
 	// detected and traffic fails back to the affinity-preferred wifi.
 	wifi.Heal("uav", "gs")
 	waitUntil(t, 5*time.Second, "wifi recovers", func() bool {
-		return uav.selectBearer("gs", qos.PriorityCritical) == "wifi"
+		return uav.links.Unicast("gs", qos.PriorityCritical) == "wifi"
 	})
 	publish(3)
 	waitUntil(t, 2*time.Second, "post-heal alarm", func() bool { return got.Load() == 3 })

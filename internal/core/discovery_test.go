@@ -5,12 +5,14 @@ import (
 	"testing"
 	"time"
 
+	"uavmw/internal/metrics"
 	"uavmw/internal/naming"
 	"uavmw/internal/netsim"
 	"uavmw/internal/presentation"
 	"uavmw/internal/protocol"
 	"uavmw/internal/qos"
 	"uavmw/internal/transport"
+	"uavmw/internal/uerr"
 )
 
 // The incremental discovery plane: registrations multicast versioned
@@ -50,7 +52,7 @@ func TestRegistrationAnnouncesWithoutBeacon(t *testing.T) {
 	pub.AnnounceNow()
 	sub.AnnounceNow()
 	waitUntil(t, 2*time.Second, "startup announce", func() bool {
-		return pub.DiscoveryStats().FullAnnouncesSent >= 1
+		return counter(t, pub, "discovery", "full_announces_sent") >= 1
 	})
 
 	start := time.Now()
@@ -63,11 +65,11 @@ func TestRegistrationAnnouncesWithoutBeacon(t *testing.T) {
 	if lat := time.Since(start); lat > time.Second {
 		t.Errorf("discovery took %v; the delta path should need one hop, not a beacon period", lat)
 	}
-	if s := pub.DiscoveryStats(); s.DeltasSent == 0 {
-		t.Errorf("no deltas sent: %+v", s)
+	if counter(t, pub, "discovery", "deltas_sent") == 0 {
+		t.Error("no deltas sent")
 	}
-	if s := sub.DiscoveryStats(); s.DeltasReceived == 0 {
-		t.Errorf("no deltas received: %+v", s)
+	if counter(t, sub, "discovery", "deltas_received") == 0 {
+		t.Error("no deltas received")
 	}
 }
 
@@ -80,7 +82,7 @@ func TestLateJoinerConvergesViaSync(t *testing.T) {
 	// Let a's startup full-state announce and registration deltas drain
 	// before the joiner exists: it must miss all of them.
 	waitUntil(t, 2*time.Second, "a's first beacons", func() bool {
-		return a.DiscoveryStats().HeartbeatsSent >= 2
+		return counter(t, a, "discovery", "heartbeats_sent") >= 2
 	})
 
 	// The joiner has missed every delta; only digest-triggered sync can
@@ -89,8 +91,8 @@ func TestLateJoinerConvergesViaSync(t *testing.T) {
 	waitUntil(t, 3*time.Second, "late joiner full catalog", func() bool {
 		return seesAll(b, "late", records)
 	})
-	if s := b.DiscoveryStats(); s.SyncRepliesApplied == 0 {
-		t.Errorf("late joiner converged without a sync: %+v", s)
+	if counter(t, b, "discovery", "sync_replies_applied") == 0 {
+		t.Error("late joiner converged without a sync")
 	}
 }
 
@@ -164,11 +166,11 @@ func TestPartitionHealConverges(t *testing.T) {
 	}
 	// The gap spans few versions, so the sync request is answered with a
 	// compact catch-up delta, not a chunked snapshot.
-	if s := c.DiscoveryStats(); s.SyncRequestsSent == 0 {
-		t.Errorf("heal did not use anti-entropy sync: %+v", s)
+	if counter(t, c, "discovery", "sync_requests_sent") == 0 {
+		t.Error("heal did not use anti-entropy sync")
 	}
-	if s := a.DiscoveryStats(); s.SyncDeltaReplies == 0 {
-		t.Errorf("small gap not served as a catch-up delta: %+v", s)
+	if counter(t, a, "discovery", "sync_delta_replies") == 0 {
+		t.Error("small gap not served as a catch-up delta")
 	}
 }
 
@@ -212,12 +214,12 @@ func TestHeartbeatKeepsRecordsAliveWithoutTraffic(t *testing.T) {
 	if !seesAll(sub, "keep", 2) {
 		t.Fatal("records expired despite heartbeats")
 	}
-	if s := sub.DiscoveryStats(); s.HeartbeatsReceived == 0 {
-		t.Errorf("no heartbeats received: %+v", s)
+	if counter(t, sub, "discovery", "heartbeats_received") == 0 {
+		t.Error("no heartbeats received")
 	}
 }
 
-func TestDiscoveryStatsCountMalformedFrames(t *testing.T) {
+func TestMalformedDiscoveryFramesAreCounted(t *testing.T) {
 	bus := transport.NewBus()
 	n := newBusNode(t, bus, "n")
 	ep, err := bus.Endpoint("rogue")
@@ -236,6 +238,6 @@ func TestDiscoveryStatsCountMalformedFrames(t *testing.T) {
 		}
 	}
 	waitUntil(t, 2*time.Second, "malformed counters", func() bool {
-		return n.DiscoveryStats().Malformed >= 5
+		return counter(t, n, "discovery", "errors", metrics.L("category", uerr.CatDecode.String())) >= 5
 	})
 }

@@ -66,14 +66,14 @@ func TestBatchedFramesDeliverTransparently(t *testing.T) {
 	})
 	// The burst outpaces the drainer, so at least some frames must have
 	// ridden in shared MTBatch datagrams.
-	if coalesced := pub.EgressStats().Totals().Coalesced; coalesced == 0 {
+	if coalesced := counter(t, pub, "egress", "coalesced"); coalesced == 0 {
 		t.Error("no frames coalesced during a back-to-back burst")
 	}
 }
 
-// TestEgressStatsAccounting pins Node.EgressStats: frames a node sends are
-// visible per class with no drops on an uncongested link.
-func TestEgressStatsAccounting(t *testing.T) {
+// TestEgressAccounting pins the "egress" counter families: frames a node
+// sends are counted with no drops on an uncongested link.
+func TestEgressAccounting(t *testing.T) {
 	net := netsim.New(netsim.Config{Seed: 22})
 	defer net.Close()
 	a := newSimNode(t, net, "a")
@@ -90,11 +90,10 @@ func TestEgressStatsAccounting(t *testing.T) {
 		}
 	}
 	a.FlushEgress()
-	st := a.EgressStats()
-	if tot := st.Totals(); tot.Enqueued == 0 || tot.Sent == 0 {
-		t.Fatalf("no egress activity recorded: %+v", tot)
+	if enqueued, sent := counter(t, a, "egress", "enqueued"), counter(t, a, "egress", "sent"); enqueued == 0 || sent == 0 {
+		t.Fatalf("no egress activity recorded: enqueued %d, sent %d", enqueued, sent)
 	}
-	if dropped := st.Totals().Dropped; dropped != 0 {
+	if dropped := counter(t, a, "egress", "dropped"); dropped != 0 {
 		t.Errorf("%d frames dropped on an idle link", dropped)
 	}
 }

@@ -79,12 +79,10 @@ func TestEventGuaranteedDeliveryUnderLoss(t *testing.T) {
 		return received.Load() == n
 	})
 	// The delivery guarantee must have cost retransmissions at 20% loss.
-	if retr := pubARQRetransmits(pub); retr == 0 {
+	if retr := counter(t, pub, "arq", "retransmits"); retr == 0 {
 		t.Error("expected ARQ retransmissions under loss")
 	}
 }
-
-func pubARQRetransmits(n *Node) uint64 { return n.arq.Stats().Retransmits }
 
 func TestRPCFailoverOnNodeDeath(t *testing.T) {
 	// Two redundant providers; the one serving calls dies mid-mission and

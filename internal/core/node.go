@@ -14,6 +14,7 @@ import (
 
 	"uavmw/internal/bufpool"
 	"uavmw/internal/clock"
+	"uavmw/internal/discovery"
 	"uavmw/internal/egress"
 	"uavmw/internal/encoding"
 	"uavmw/internal/events"
@@ -23,7 +24,6 @@ import (
 	"uavmw/internal/link"
 	"uavmw/internal/metrics"
 	"uavmw/internal/naming"
-	"uavmw/internal/presentation"
 	"uavmw/internal/protocol"
 	"uavmw/internal/qos"
 	"uavmw/internal/rpc"
@@ -49,22 +49,10 @@ var (
 const DefaultBearer = egress.DefaultBearer
 
 // Wire-path error codes (§ observability). Every failure the container
-// used to drop silently or fold into an anonymous counter constructs
-// through one of these, so the registry's "discovery.errors" /
-// "core.errors" families count it by category the moment it happens.
+// would otherwise drop silently constructs through one of these, so the
+// registry's "core.errors" family counts it by category the moment it
+// happens.
 var (
-	codeAnnounceEncode = uerr.Register("discovery.announce_encode", uerr.CatEncode)
-	codeAnnounceSend   = uerr.Register("discovery.announce_send", uerr.CatSend)
-	codeDeltaEncode    = uerr.Register("discovery.delta_encode", uerr.CatEncode)
-	codeDeltaSend      = uerr.Register("discovery.delta_send", uerr.CatSend)
-	codeHeartbeatEnc   = uerr.Register("discovery.heartbeat_encode", uerr.CatEncode)
-	codeHeartbeatSend  = uerr.Register("discovery.heartbeat_send", uerr.CatSend)
-	codeSyncReqSend    = uerr.Register("discovery.sync_request_send", uerr.CatSend)
-	codeSyncRepEncode  = uerr.Register("discovery.sync_reply_encode", uerr.CatEncode)
-	codeSyncRepSend    = uerr.Register("discovery.sync_reply_send", uerr.CatSend)
-	codeSyncShed       = uerr.Register("discovery.sync_shed", uerr.CatAdmission)
-	codeDiscoMalformed = uerr.Register("discovery.frame_malformed", uerr.CatDecode)
-	codeNodeMismatch   = uerr.Register("discovery.node_mismatch", uerr.CatProtocol)
 	codeFrameDecode    = uerr.Register("core.frame_decode", uerr.CatDecode)
 	codeBatchDecode    = uerr.Register("core.batch_decode", uerr.CatDecode)
 	codeBatchNested    = uerr.Register("core.batch_nested", uerr.CatProtocol)
@@ -74,42 +62,21 @@ var (
 	codeByeSend        = uerr.Register("core.bye_send", uerr.CatSend)
 )
 
-// bearerRuntime is one datalink the node transmits over: the transport,
-// its declared profile, and the link monitor estimating its health.
-type bearerRuntime struct {
-	name    string
-	tr      transport.Transport
-	profile qos.BearerProfile
-	mon     *link.Monitor
-	// wasDown latches the last health state the sweep observed, so a
-	// healthy→down transition triggers exactly one egress reroute.
-	wasDown atomic.Bool
-}
-
 // Node is one service container. Construct with NewNode, then register
 // services (AddService) or use the primitive APIs directly via Context.
 type Node struct {
 	id  transport.NodeID
 	clk clock.Clock
-	// bearers holds the node's datagram links in registration order;
-	// bearers[0] is the default. bearerByName indexes them. classOrder is
-	// the policy-derived bearer preference per qos.Priority index.
-	bearers      []*bearerRuntime
-	bearerByName map[string]*bearerRuntime
-	classOrder   [qosNumClasses][]string
-	// reach caches which bearers each peer advertises (KindBearer records
-	// in its offer), so the per-frame bearer selector never walks the
-	// directory.
-	reachMu sync.RWMutex
-	reach   map[transport.NodeID]map[string]bool
+	// links is the bearer plane: the node's datagram links in registration
+	// order (the first is the default), their monitors, and the per-frame
+	// bearer selection the egress plane consults.
+	links *link.Plane
 
 	stream   transport.Transport // optional
 	enc      encoding.Encoding
 	sched    scheduler.Scheduler
 	ownSched bool
 	dir      *naming.Directory
-	live     *naming.Liveness
-	types    *presentation.Registry
 	arq      *protocol.ARQ
 	egress   *egress.Plane
 	// ingress is the sharded receive pipeline between the bearer
@@ -123,34 +90,18 @@ type Node struct {
 	shards  []*recvShard
 	local   *recvShard
 	seq     atomic.Uint64
-	epoch   uint64
 	mtu     int
-
-	// Incremental discovery plane (§3 at fleet scale): the versioned log
-	// of this node's own offer, the reassembly state for unicast full
-	// syncs, and per-peer sync-request throttling.
-	log         *naming.Log
-	announceMu  sync.Mutex    // orders log updates with their broadcasts
-	introduced  bool          // a full-state announce has gone out (guarded by announceMu)
-	offerDirty  clock.Trigger // coalesces OfferChanged signals
-	syncMu      sync.Mutex
-	syncAsm     *naming.SyncAssembler
-	syncReqAt   map[transport.NodeID]time.Time
-	syncServing atomic.Int64 // full-state replies currently in flight
-	disco       discoveryCounters
 
 	// metrics is the node's unified registry: every plane's counter
 	// families and typed-error families land here, and MetricsSnapshot
 	// exports them all (§ observability).
 	metrics *metrics.Registry
 
-	vars   *variables.Engine
-	events *events.Engine
-	rpc    *rpc.Engine
-	files  *filetransfer.Engine
-
-	announcePeriod  time.Duration
-	failureDeadline time.Duration
+	vars      *variables.Engine
+	events    *events.Engine
+	rpc       *rpc.Engine
+	files     *filetransfer.Engine
+	discovery *discovery.Engine
 
 	budget ResourceBudget
 
@@ -160,25 +111,11 @@ type Node struct {
 	devices      map[string]string // device -> owning service
 	peerFailedCB []func(transport.NodeID)
 	closed       bool
-
-	stop chan struct{}
-	wg   sync.WaitGroup
-}
-
-// qosNumClasses mirrors qos.NumLevels(); sized as a constant for arrays. A
-// test pins the two against each other.
-const qosNumClasses = 5
-
-// bearerSpec is one WithBearer/WithDatagram registration.
-type bearerSpec struct {
-	name    string
-	tr      transport.Transport
-	profile qos.BearerProfile
 }
 
 // nodeConfig collects option state before construction.
 type nodeConfig struct {
-	bearers         []bearerSpec
+	bearers         []*link.Bearer
 	policy          qos.LinkPolicy
 	stream          transport.Transport
 	enc             encoding.Encoding
@@ -219,7 +156,7 @@ func WithDatagram(t transport.Transport) NodeOption {
 // transports must agree on the node identity.
 func WithBearer(name string, t transport.Transport, profile qos.BearerProfile) NodeOption {
 	return func(c *nodeConfig) {
-		c.bearers = append(c.bearers, bearerSpec{name: name, tr: t, profile: profile})
+		c.bearers = append(c.bearers, &link.Bearer{Name: name, Transport: t, Profile: profile})
 	}
 }
 
@@ -364,22 +301,22 @@ func NewNode(opts ...NodeOption) (*Node, error) {
 	if err := cfg.policy.Validate(); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	id := cfg.bearers[0].tr.Node()
+	id := cfg.bearers[0].Transport.Node()
 	seen := make(map[string]bool, len(cfg.bearers))
-	for _, spec := range cfg.bearers {
-		if spec.name == "" {
+	for _, b := range cfg.bearers {
+		if b.Name == "" {
 			return nil, fmt.Errorf("core: empty bearer name: %w", ErrBadBearer)
 		}
-		if spec.tr == nil {
-			return nil, fmt.Errorf("core: bearer %q has no transport: %w", spec.name, ErrBadBearer)
+		if b.Transport == nil {
+			return nil, fmt.Errorf("core: bearer %q has no transport: %w", b.Name, ErrBadBearer)
 		}
-		if seen[spec.name] {
-			return nil, fmt.Errorf("core: duplicate bearer %q: %w", spec.name, ErrBadBearer)
+		if seen[b.Name] {
+			return nil, fmt.Errorf("core: duplicate bearer %q: %w", b.Name, ErrBadBearer)
 		}
-		seen[spec.name] = true
-		if spec.tr.Node() != id {
+		seen[b.Name] = true
+		if b.Transport.Node() != id {
 			return nil, fmt.Errorf("core: bearer %q is node %q, want %q: %w",
-				spec.name, spec.tr.Node(), id, ErrBadBearer)
+				b.Name, b.Transport.Node(), id, ErrBadBearer)
 		}
 	}
 	if cfg.failureDeadline <= 0 {
@@ -390,35 +327,22 @@ func NewNode(opts ...NodeOption) (*Node, error) {
 	}
 	clk := clock.Or(cfg.clk)
 	n := &Node{
-		id:              id,
-		clk:             clk,
-		bearerByName:    make(map[string]*bearerRuntime, len(cfg.bearers)),
-		reach:           make(map[transport.NodeID]map[string]bool),
-		stream:          cfg.stream,
-		enc:             cfg.enc,
-		sched:           cfg.sched,
-		dir:             naming.NewDirectory(cfg.directoryTTL),
-		live:            naming.NewLiveness(cfg.failureDeadline),
-		types:           presentation.NewRegistry(),
-		epoch:           uint64(clk.Now().UnixNano()) + epochSalt.Add(1),
-		mtu:             cfg.mtu,
-		log:             naming.NewLog(),
-		syncAsm:         naming.NewSyncAssembler(),
-		syncReqAt:       make(map[transport.NodeID]time.Time),
-		announcePeriod:  cfg.announcePeriod,
-		failureDeadline: cfg.failureDeadline,
-		services:        make(map[string]*ServiceRuntime),
-		devices:         make(map[string]string),
-		stop:            make(chan struct{}),
+		id:       id,
+		clk:      clk,
+		stream:   cfg.stream,
+		enc:      cfg.enc,
+		sched:    cfg.sched,
+		dir:      naming.NewDirectory(cfg.directoryTTL),
+		mtu:      cfg.mtu,
+		metrics:  metrics.NewRegistry(),
+		budget:   cfg.budget,
+		services: make(map[string]*ServiceRuntime),
+		devices:  make(map[string]string),
 	}
-	n.metrics = metrics.NewRegistry()
-	n.disco = newDiscoveryCounters(n.metrics)
 	if n.sched == nil {
 		n.sched = scheduler.NewPool(scheduler.WithPoolClock(clk))
 		n.ownSched = true
 	}
-	n.offerDirty = clock.NewTrigger(clk)
-	n.budget = cfg.budget
 	// All datagram transmission drains through the egress plane: strict
 	// per-(bearer, destination) priority lanes, shaped bulk per bearer,
 	// coalesced small frames. The plane's MTU budget for coalesced batches
@@ -429,37 +353,34 @@ func NewNode(opts ...NodeOption) (*Node, error) {
 	cfg.egressCfg.Clock = clk
 	cfg.egressCfg.Metrics = n.metrics
 	n.egress = egress.NewPlane()
-	profiles := make(map[string]qos.BearerProfile, len(cfg.bearers))
-	for _, spec := range cfg.bearers {
-		br := &bearerRuntime{
-			name:    spec.name,
-			tr:      spec.tr,
-			profile: spec.profile,
-			mon:     link.NewMonitor(spec.name, cfg.failureDeadline, clk),
-		}
-		n.bearers = append(n.bearers, br)
-		n.bearerByName[spec.name] = br
-		profiles[spec.name] = spec.profile
+	n.links = link.NewPlane(link.PlaneConfig{
+		Self:      id,
+		Clock:     clk,
+		Directory: n.dir,
+		Policy:    cfg.policy,
+		Deadline:  cfg.failureDeadline,
+		Period:    cfg.announcePeriod,
+		Send:      n.sendOnBearer,
+		Reroute:   func(bearer string) { n.egress.Reroute(bearer) },
+	}, cfg.bearers)
+	for _, b := range cfg.bearers {
 		// Each bearer gets its own lanes and bulk pacer: the profile's
 		// BulkRateBPS overrides the node-wide rate so a 1 Mb/s WiFi pipe
 		// and a 250 kb/s radio modem are shaped independently.
 		bcfg := cfg.egressCfg
-		if spec.profile.BulkRateBPS != 0 {
-			bcfg.BulkRateBPS = spec.profile.BulkRateBPS
+		if b.Profile.BulkRateBPS != 0 {
+			bcfg.BulkRateBPS = b.Profile.BulkRateBPS
 		}
-		if err := n.egress.AddBearer(spec.name, spec.tr, bcfg); err != nil {
+		if err := n.egress.AddBearer(b.Name, b.Transport, bcfg); err != nil {
 			n.egress.Close()
 			return nil, fmt.Errorf("core: %w", err)
 		}
 	}
-	for _, p := range qos.Levels() {
-		n.classOrder[p.Index()] = cfg.policy.Order(p, profiles)
-	}
-	if len(n.bearers) > 1 {
+	if len(cfg.bearers) > 1 {
 		// Single-bearer nodes keep the static default route; the selector
 		// (policy order × link health × peer reachability) only runs when
 		// there is a choice to make.
-		n.egress.SetSelector(bearerSelector{n})
+		n.egress.SetSelector(n.links)
 	}
 	// ARQ retransmissions re-enter the plane in the lane of the frame
 	// they carry (the priority rides in the encoded header).
@@ -472,6 +393,22 @@ func NewNode(opts ...NodeOption) (*Node, error) {
 	n.rpc = rpc.New(n)
 	n.rpc.SetInflightLimit(cfg.rpcInflight)
 	n.files = filetransfer.New(n, cfg.fileOpts...)
+	n.discovery = discovery.New(n, discovery.Config{
+		Epoch:           uint64(clk.Now().UnixNano()) + epochSalt.Add(1),
+		Period:          cfg.announcePeriod,
+		FailureDeadline: cfg.failureDeadline,
+		MTU:             cfg.mtu,
+		Offer:           n.offer,
+		Load:            n.defaultLoad,
+		OfferApplied:    n.links.PeerChanged,
+		PeerGone:        n.peerGone,
+		// Per period, after the beacon and the peer sweep: the bearer
+		// sweep, then the event engine's subscription refresh.
+		Tick: func() {
+			n.links.Sweep(n.discovery.Peers)
+			n.events.Refresh()
+		},
+	})
 
 	// The sharded receive pipeline sits between the bearer transports and
 	// the dispatcher. Per-shard protocol state (dedup, reassembly, ack
@@ -492,11 +429,11 @@ func NewNode(opts ...NodeOption) (*Node, error) {
 	// Each bearer's receive path is tagged with the bearer name: the link
 	// monitor sees every arrival, and replies that must ride the arrival
 	// link (ARQ acks, probe echoes) know where to go.
-	for _, br := range n.bearers {
-		br := br
-		br.tr.SetHandler(func(pkt transport.Packet) {
-			br.mon.SawRx(pkt.From, n.clk.Now())
-			n.ingress.Enqueue(br.name, pkt)
+	for _, b := range cfg.bearers {
+		b := b
+		b.Transport.SetHandler(func(pkt transport.Packet) {
+			b.Monitor.SawRx(pkt.From, n.clk.Now())
+			n.ingress.Enqueue(b.Name, pkt)
 		})
 	}
 	if n.stream != nil {
@@ -505,17 +442,14 @@ func NewNode(opts ...NodeOption) (*Node, error) {
 	// Discovery rides every bearer: digests and deltas go out on each live
 	// link and receivers dedup the copies, so peer liveness survives any
 	// single bearer's blackout.
-	for _, br := range n.bearers {
-		if err := br.tr.Join(fabric.DiscoveryGroup); err != nil {
+	for _, b := range cfg.bearers {
+		if err := b.Transport.Join(fabric.DiscoveryGroup); err != nil {
 			n.ingress.Close()
 			n.egress.Close()
-			return nil, fmt.Errorf("core: join discovery on %q: %w", br.name, err)
+			return nil, fmt.Errorf("core: join discovery on %q: %w", b.Name, err)
 		}
 	}
-
-	n.wg.Add(2)
-	clock.Go(clk, n.discoveryLoop)
-	clock.Go(clk, n.offerFlushLoop)
+	n.discovery.Start()
 	return n, nil
 }
 
@@ -533,9 +467,6 @@ func (n *Node) ID() transport.NodeID { return n.id }
 
 // Clock implements fabric.Clocked: the node's time source, wall or virtual.
 func (n *Node) Clock() clock.Clock { return n.clk }
-
-// Types returns the node's type registry.
-func (n *Node) Types() *presentation.Registry { return n.types }
 
 // Directory implements fabric.Fabric.
 func (n *Node) Directory() *naming.Directory { return n.dir }
@@ -559,8 +490,8 @@ func (n *Node) NextSeq() uint64 { return n.seq.Add(1) }
 // All bearers are attempted; the first error is reported.
 func (n *Node) Join(group string) error {
 	var firstErr error
-	for _, br := range n.bearers {
-		if err := br.tr.Join(group); err != nil && firstErr == nil {
+	for _, b := range n.links.Bearers() {
+		if err := b.Transport.Join(group); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
@@ -570,8 +501,8 @@ func (n *Node) Join(group string) error {
 // Leave implements fabric.Fabric: leaves the group on every bearer.
 func (n *Node) Leave(group string) error {
 	var firstErr error
-	for _, br := range n.bearers {
-		if err := br.tr.Leave(group); err != nil && firstErr == nil {
+	for _, b := range n.links.Bearers() {
+		if err := b.Transport.Leave(group); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
@@ -978,21 +909,21 @@ func (n *Node) sendAcks(sh *recvShard, bearer string, to transport.NodeID, seqs 
 func (n *Node) route(bearer string, from transport.NodeID, f *protocol.Frame) {
 	switch f.Type {
 	case protocol.MTAnnounce:
-		n.handleAnnounce(from, f)
+		n.discovery.HandleAnnounce(from, f)
 	case protocol.MTHeartbeat:
-		n.handleHeartbeat(from, f)
+		n.discovery.HandleHeartbeat(from, f)
 	case protocol.MTAnnounceDelta:
-		n.handleAnnounceDelta(from, f)
+		n.discovery.HandleAnnounceDelta(from, f)
 	case protocol.MTSyncReq:
-		n.handleSyncReq(from, f)
+		n.discovery.HandleSyncReq(from, f)
 	case protocol.MTSyncRep:
-		n.handleSyncRep(from, f)
+		n.discovery.HandleSyncRep(from, f)
 	case protocol.MTBye:
-		n.handleBye(from)
+		n.discovery.HandleBye(from)
 	case protocol.MTProbe:
-		n.handleProbe(bearer, from, f)
+		n.links.HandleProbe(bearer, from, f)
 	case protocol.MTProbeEcho:
-		n.handleProbeEcho(bearer, f)
+		n.links.HandleProbeEcho(bearer, f)
 	case protocol.MTSample:
 		n.vars.HandleSample(from, f)
 	case protocol.MTSnapshotReq:
@@ -1032,162 +963,14 @@ func (n *Node) route(bearer string, from transport.NodeID, f *protocol.Frame) {
 	}
 }
 
-// --- discovery ---
-
-// The discovery plane is incremental: registrations multicast a compact
-// versioned MTAnnounceDelta the moment they happen (one network hop of
-// discovery latency), the periodic beacon is a constant-size MTHeartbeat
-// digest — O(nodes) steady-state wire cost instead of O(total records) —
-// and receivers that observe a version gap, an unknown node, or a fresh
-// epoch pull the full record set unicast over ARQ (MTSyncReq/MTSyncRep),
-// chunked under the MTU.
-
-// discoveryCounters holds the discovery plane's pre-resolved counter
-// handles in the node registry ("discovery" component). Resolution
-// happens once at construction; increments are lock-free atomics.
-// Failure counts have no handles here — they live in the
-// "discovery.errors" family, fed by uerr construction, and
-// Node.DiscoveryStats reads them back as category sums.
-type discoveryCounters struct {
-	heartbeatsSent   *metrics.Counter
-	heartbeatsRecv   *metrics.Counter
-	deltasSent       *metrics.Counter
-	deltasRecv       *metrics.Counter
-	fullSent         *metrics.Counter
-	syncReqsSent     *metrics.Counter
-	syncReqsServed   *metrics.Counter
-	syncChunksSent   *metrics.Counter
-	syncDeltaReplies *metrics.Counter
-	syncApplied      *metrics.Counter
-	syncsTriggered   *metrics.Counter
-}
-
-func newDiscoveryCounters(reg *metrics.Registry) discoveryCounters {
-	c := func(name string) *metrics.Counter { return reg.Counter("discovery", name) }
-	return discoveryCounters{
-		heartbeatsSent:   c("heartbeats_sent"),
-		heartbeatsRecv:   c("heartbeats_received"),
-		deltasSent:       c("deltas_sent"),
-		deltasRecv:       c("deltas_received"),
-		fullSent:         c("full_announces_sent"),
-		syncReqsSent:     c("sync_requests_sent"),
-		syncReqsServed:   c("sync_requests_served"),
-		syncChunksSent:   c("sync_chunks_sent"),
-		syncDeltaReplies: c("sync_delta_replies"),
-		syncApplied:      c("sync_replies_applied"),
-		syncsTriggered:   c("syncs_triggered"),
-	}
-}
-
-// DiscoveryStats is a snapshot of the discovery plane's counters.
-type DiscoveryStats struct {
-	// HeartbeatsSent / HeartbeatsReceived count MTHeartbeat digests.
-	HeartbeatsSent, HeartbeatsReceived uint64
-	// DeltasSent / DeltasReceived count MTAnnounceDelta frames.
-	DeltasSent, DeltasReceived uint64
-	// FullAnnouncesSent counts full-state MTAnnounce broadcasts (startup
-	// and explicit AnnounceNow).
-	FullAnnouncesSent uint64
-	// SyncRequestsSent / SyncRequestsServed count MTSyncReq frames sent
-	// and answered; SyncDeltaReplies counts answers served as compact
-	// catch-up deltas from the log history; SyncChunksSent counts the
-	// MTSyncRep chunks of full-snapshot answers; SyncRepliesApplied
-	// counts fully assembled snapshots installed into the directory.
-	SyncRequestsSent, SyncRequestsServed uint64
-	// SyncRequestsDropped counts requests shed by the concurrent-serve
-	// cap; the requester retries on its next heartbeat.
-	SyncRequestsDropped                uint64
-	SyncDeltaReplies                   uint64
-	SyncChunksSent, SyncRepliesApplied uint64
-	// SyncsTriggered counts gap/epoch/unknown-node detections, including
-	// ones suppressed by per-peer throttling.
-	SyncsTriggered uint64
-	// Malformed counts discovery frames dropped as undecodable or
-	// mis-attributed (payload node != sender).
-	Malformed uint64
-	// EncodeErrors counts local encode failures (previously discarded
-	// silently). SendErrors counts frames the egress plane refused
-	// (node closing): since transmission drains asynchronously through
-	// the plane, "sent" here means accepted into an egress lane, and
-	// post-enqueue transport failures or overflow drops are accounted in
-	// EgressStats, not per discovery frame.
-	EncodeErrors, SendErrors uint64
-}
-
-// DiscoveryStats snapshots the discovery plane counters. It is a view
-// over the node registry: plain counters read their handles, the failure
-// fields sum the "discovery.errors" family by category.
-func (n *Node) DiscoveryStats() DiscoveryStats {
-	cat := func(c uerr.Category) uint64 {
-		return n.metrics.SumCounters("discovery", "errors", metrics.L("category", c.String()))
-	}
-	return DiscoveryStats{
-		HeartbeatsSent:      n.disco.heartbeatsSent.Value(),
-		HeartbeatsReceived:  n.disco.heartbeatsRecv.Value(),
-		DeltasSent:          n.disco.deltasSent.Value(),
-		DeltasReceived:      n.disco.deltasRecv.Value(),
-		FullAnnouncesSent:   n.disco.fullSent.Value(),
-		SyncRequestsSent:    n.disco.syncReqsSent.Value(),
-		SyncRequestsServed:  n.disco.syncReqsServed.Value(),
-		SyncRequestsDropped: cat(uerr.CatAdmission),
-		SyncDeltaReplies:    n.disco.syncDeltaReplies.Value(),
-		SyncChunksSent:      n.disco.syncChunksSent.Value(),
-		SyncRepliesApplied:  n.disco.syncApplied.Value(),
-		SyncsTriggered:      n.disco.syncsTriggered.Value(),
-		Malformed:           cat(uerr.CatDecode) + cat(uerr.CatProtocol),
-		EncodeErrors:        cat(uerr.CatEncode),
-		SendErrors:          cat(uerr.CatSend),
-	}
-}
-
-// discoveryLoop beacons this node's digest and sweeps dead peers.
-func (n *Node) discoveryLoop() {
-	defer n.wg.Done()
-	ticker := n.clk.NewTicker(n.announcePeriod)
-	defer ticker.Stop()
-	for ticker.Wait(n.stop) {
-		// Introduce the node with one full-state announcement; from then
-		// on the beacon is the constant-size digest. Introduction rides
-		// the first tick (or an earlier explicit AnnounceNow) rather than
-		// the loop's spawn: NewNode returns into the caller's
-		// registration burst, and announcing concurrently with it would
-		// race the record log against flushOffer — the full announce and
-		// the first delta would split the offer nondeterministically.
-		n.announceMu.Lock()
-		introduced := n.introduced
-		n.announceMu.Unlock()
-		if !introduced {
-			n.announceNow()
-			n.sweep()
-			n.bearerSweep(n.clk.Now())
-			n.events.Refresh()
-			continue
-		}
-		n.heartbeatNow()
-		n.sweep()
-		n.bearerSweep(n.clk.Now())
-		n.events.Refresh()
-	}
-}
-
-// buildRecords assembles this node's current offer from the engines and
-// service table, plus one KindBearer record per datalink so peers learn
-// which bearers can reach this node (and at what address, on transports
-// with a dialable one). Bearer reachability rides the ordinary offer log:
-// it propagates through the same deltas, digests and anti-entropy syncs as
-// every other record.
-func (n *Node) buildRecords() []naming.Record {
+// offer assembles this node's current record set — the discovery engine's
+// offer source — from the engines, the bearer plane and the service table.
+func (n *Node) offer() []naming.Record {
 	recs := n.vars.Records()
 	recs = append(recs, n.events.Records()...)
 	recs = append(recs, n.rpc.Records()...)
 	recs = append(recs, n.files.Records()...)
-	for _, br := range n.bearers {
-		rec := naming.Record{Kind: naming.KindBearer, Name: br.name, Node: n.id}
-		if a, ok := br.tr.(transport.Addressable); ok {
-			rec.Service = a.LocalAddr()
-		}
-		recs = append(recs, rec)
-	}
+	recs = append(recs, n.links.Records()...)
 	n.mu.Lock()
 	for name, srt := range n.services {
 		if srt.State() == ServiceRunning || srt.State() == ServiceInitialized {
@@ -1200,711 +983,34 @@ func (n *Node) buildRecords() []naming.Record {
 	return recs
 }
 
-// announceNow broadcasts the node's full offer and applies it locally so
-// local lookups resolve without a network round trip. The record log is
-// synchronized first so the announcement carries the right version.
-func (n *Node) announceNow() {
-	n.announceMu.Lock()
-	defer n.announceMu.Unlock()
-	n.introduced = true
-	recs := n.buildRecords()
-	// Update returns the current version whether or not anything changed.
-	_, _, _, version, _ := n.log.Update(recs)
-	ann := &naming.Announcement{
-		Node:    n.id,
-		Epoch:   n.epoch,
-		Version: version,
-		Load:    n.defaultLoad(),
-		Records: recs,
-	}
-	n.dir.Apply(ann, n.clk.Now())
-	payload, err := naming.EncodeAnnouncement(ann)
-	if err != nil {
-		uerr.Note(n.metrics, codeAnnounceEncode, err, "encode full announce")
-		return
-	}
-	if err := n.broadcast(protocol.MTAnnounce, payload); err != nil {
-		uerr.Note(n.metrics, codeAnnounceSend, err, "broadcast full announce")
-		return
-	}
-	n.disco.fullSent.Inc()
-}
-
-// broadcast multicasts one discovery frame to the fleet.
-func (n *Node) broadcast(t protocol.MsgType, payload []byte) error {
-	return n.SendGroup(fabric.DiscoveryGroup, &protocol.Frame{Type: t, Priority: qos.PriorityNormal, Payload: payload})
-}
-
 // OfferChanged implements fabric.Fabric: engines call it after any
-// registration or withdrawal. It signals the flush loop, which diffs the
-// offer against the versioned record log and multicasts the delta — new
-// resources become resolvable fleet-wide after one network hop instead of
-// one announce period. The trigger coalesces, so a burst of registrations
-// (a service bringing up hundreds of resources in a loop) collapses into a
-// handful of batched deltas instead of one frame each: total wire cost
-// stays O(records registered), and the bounded catch-up history in the log
-// covers far larger version gaps.
-func (n *Node) OfferChanged() {
-	n.offerDirty.Signal()
+// registration or withdrawal, and discovery multicasts the delta.
+func (n *Node) OfferChanged() { n.discovery.OfferChanged() }
+
+// sendOnBearer transmits one bearer-plane frame (link probe or echo) to a
+// peer on the named bearer. A refused enqueue is counted, not returned:
+// the next sweep probes again.
+func (n *Node) sendOnBearer(bearer string, to transport.NodeID, f *protocol.Frame) {
+	uerr.Note(n.metrics, codeProbeSend, n.transmit(egress.Dest{Node: to, Bearer: bearer}, f, nil), "enqueue probe")
 }
 
-// offerFlushLoop turns OfferChanged signals into delta broadcasts.
-func (n *Node) offerFlushLoop() {
-	defer n.wg.Done()
-	for n.offerDirty.Wait(-1, n.stop) {
-		n.flushOffer()
-	}
-}
-
-// flushOffer diffs the current offer against the record log and multicasts
-// one delta covering everything that changed since the previous flush.
-func (n *Node) flushOffer() {
-	n.announceMu.Lock()
-	defer n.announceMu.Unlock()
-	// Before the introduction announce there is no delta to send: peers
-	// hold no prior version to diff against, and the registrations
-	// accumulated so far ride the full-state announce that introduces the
-	// node. Leaving the log untouched here is what makes bootstrap
-	// deterministic — whichever of flushOffer and the first announce runs
-	// first, the whole offer goes out in the announce, never split with a
-	// racing version-zero delta.
-	if !n.introduced {
-		return
-	}
-	recs := n.buildRecords()
-	added, withdrawn, from, to, changed := n.log.Update(recs)
-	if !changed {
-		return
-	}
-	now := n.clk.Now()
-	load := n.defaultLoad()
-	// Local lookups must resolve without waiting for the multicast.
-	n.dir.Apply(&naming.Announcement{
-		Node: n.id, Epoch: n.epoch, Version: to, Load: load, Records: recs,
-	}, now)
-	payload, err := naming.EncodeDelta(&naming.Delta{
-		Node: n.id, Epoch: n.epoch, From: from, To: to, Load: load,
-		Added: added, Withdrawn: withdrawn,
-	})
-	if err != nil {
-		uerr.Note(n.metrics, codeDeltaEncode, err, "encode offer delta")
-		return
-	}
-	if err := n.broadcast(protocol.MTAnnounceDelta, payload); err != nil {
-		uerr.Note(n.metrics, codeDeltaSend, err, "broadcast offer delta")
-		return
-	}
-	n.disco.deltasSent.Inc()
-}
-
-// heartbeatNow multicasts the constant-size liveness digest.
-func (n *Node) heartbeatNow() {
-	payload, err := naming.EncodeDigest(&naming.Digest{
-		Node:        n.id,
-		Epoch:       n.epoch,
-		Version:     n.log.Version(),
-		Load:        n.defaultLoad(),
-		RecordCount: uint32(n.log.Count()),
-	})
-	if err != nil {
-		uerr.Note(n.metrics, codeHeartbeatEnc, err, "encode digest")
-		return
-	}
-	if err := n.broadcast(protocol.MTHeartbeat, payload); err != nil {
-		uerr.Note(n.metrics, codeHeartbeatSend, err, "broadcast digest")
-		return
-	}
-	n.disco.heartbeatsSent.Inc()
-}
-
-func (n *Node) handleAnnounce(from transport.NodeID, f *protocol.Frame) {
-	ann, err := naming.DecodeAnnouncement(f.Payload)
-	if err != nil {
-		uerr.Note(n.metrics, codeDiscoMalformed, err, "announce decode")
-		return
-	}
-	if ann.Node != from {
-		uerr.Newf(n.metrics, codeNodeMismatch, "announce from %s claims node %s", from, ann.Node)
-		return
-	}
-	if from == n.id {
-		return
-	}
-	now := n.clk.Now()
-	n.live.Touch(from, now)
-	n.dir.Apply(ann, now)
-	n.applyBearerOffer(from, ann.Records)
-}
-
-func (n *Node) handleHeartbeat(from transport.NodeID, f *protocol.Frame) {
-	g, err := naming.DecodeDigest(f.Payload)
-	if err != nil {
-		uerr.Note(n.metrics, codeDiscoMalformed, err, "digest decode")
-		return
-	}
-	if g.Node != from {
-		uerr.Newf(n.metrics, codeNodeMismatch, "digest from %s claims node %s", from, g.Node)
-		return
-	}
-	if from == n.id {
-		return
-	}
-	n.disco.heartbeatsRecv.Inc()
-	now := n.clk.Now()
-	n.live.Touch(from, now)
-	if n.dir.ApplyDigest(g, now) {
-		n.requestSync(from)
-	}
-}
-
-func (n *Node) handleAnnounceDelta(from transport.NodeID, f *protocol.Frame) {
-	d, err := naming.DecodeDelta(f.Payload)
-	if err != nil {
-		uerr.Note(n.metrics, codeDiscoMalformed, err, "delta decode")
-		return
-	}
-	if d.Node != from {
-		uerr.Newf(n.metrics, codeNodeMismatch, "delta from %s claims node %s", from, d.Node)
-		return
-	}
-	if from == n.id {
-		return
-	}
-	n.disco.deltasRecv.Inc()
-	now := n.clk.Now()
-	n.live.Touch(from, now)
-	n.applyBearerDelta(from, d.Added, d.Withdrawn)
-	if n.dir.ApplyDelta(d, now) {
-		n.requestSync(from)
-	}
-}
-
-// requestSync asks a peer for its full record set, at most once per
-// announce period per peer: if the request or its reply is lost, the next
-// heartbeat re-detects the gap and retries.
-func (n *Node) requestSync(to transport.NodeID) {
-	n.disco.syncsTriggered.Inc()
-	now := n.clk.Now()
-	n.syncMu.Lock()
-	if at, ok := n.syncReqAt[to]; ok && now.Sub(at) < n.announcePeriod {
-		n.syncMu.Unlock()
-		return
-	}
-	n.syncReqAt[to] = now
-	n.syncMu.Unlock()
-	epoch, version, _ := n.dir.NodeVersion(to)
-	frame := &protocol.Frame{
-		Type:     protocol.MTSyncReq,
-		Priority: qos.PriorityHigh,
-		Seq:      n.NextSeq(),
-		Payload:  naming.EncodeSyncRequest(&naming.SyncRequest{KnownEpoch: epoch, KnownVersion: version}),
-	}
-	if err := n.SendBestEffort(to, frame); err != nil {
-		uerr.Note(n.metrics, codeSyncReqSend, err, "send sync request")
-		return
-	}
-	n.disco.syncReqsSent.Inc()
-}
-
-// syncFrameOverhead is headroom reserved for the frame header when sizing
-// sync chunks so each rides in a single datagram.
-const syncFrameOverhead = 64
-
-// syncDeltaMaxRecords bounds the catch-up-delta reply: a gap touching more
-// records than this is served as a chunked snapshot instead. Chunks ride
-// one per datagram with independent ARQ, so a single lost packet costs one
-// chunk retransmission — a multi-fragment mega-delta would fail whole.
-const syncDeltaMaxRecords = 64
-
-// maxConcurrentSyncServes caps full-state replies in flight per node. A
-// thundering herd of requesters (mass join, partition heal) is served in
-// rounds — the dropped requesters simply re-request on the next heartbeat —
-// instead of flooding the medium until every reply misses its ARQ budget
-// (congestion collapse).
-const maxConcurrentSyncServes = 4
-
-func (n *Node) handleSyncReq(from transport.NodeID, f *protocol.Frame) {
-	req, err := naming.DecodeSyncRequest(f.Payload)
-	if err != nil {
-		uerr.Note(n.metrics, codeDiscoMalformed, err, "sync request decode")
-		return
-	}
-	if from == n.id {
-		return
-	}
-	n.live.Touch(from, n.clk.Now())
-	// A requester only slightly behind in the current epoch gets a
-	// compact catch-up delta from the log history — O(gap) wire bytes —
-	// instead of the full chunked catalog. This keeps anti-entropy cheap
-	// under registration churn, when version gaps are routine.
-	if req.KnownEpoch == n.epoch {
-		if added, withdrawn, to, ok := n.log.DeltaSince(req.KnownVersion); ok &&
-			len(added)+len(withdrawn) <= syncDeltaMaxRecords {
-			if to == req.KnownVersion {
-				return // requester already current (racing digest)
-			}
-			payload, err := naming.EncodeDelta(&naming.Delta{
-				Node: n.id, Epoch: n.epoch, From: req.KnownVersion, To: to,
-				Load: n.defaultLoad(), Added: added, Withdrawn: withdrawn,
-			})
-			if err != nil {
-				uerr.Note(n.metrics, codeSyncRepEncode, err, "encode catch-up delta")
-				return
-			}
-			frame := &protocol.Frame{
-				Type:     protocol.MTAnnounceDelta,
-				Priority: qos.PriorityHigh,
-				Seq:      n.NextSeq(),
-				Payload:  payload,
-			}
-			n.SendReliable(from, frame, qos.ReliableARQ, func(err error) {
-				uerr.Note(n.metrics, codeSyncRepSend, err, "deliver catch-up delta")
-			})
-			n.disco.syncReqsServed.Inc()
-			n.disco.syncDeltaReplies.Inc()
-			return
-		}
-	}
-	if n.syncServing.Add(1) > maxConcurrentSyncServes {
-		// At capacity: drop; the requester retries on its next heartbeat.
-		n.syncServing.Add(-1)
-		uerr.Newf(n.metrics, codeSyncShed, "serve cap %d reached, dropping request from %s",
-			maxConcurrentSyncServes, from)
-		return
-	}
-	recs, version := n.log.Snapshot()
-	ann := &naming.Announcement{
-		Node: n.id, Epoch: n.epoch, Version: version,
-		Load: n.defaultLoad(), Records: recs,
-	}
-	chunks, err := naming.EncodeSyncChunks(ann, n.mtu-syncFrameOverhead)
-	if err != nil {
-		n.syncServing.Add(-1)
-		uerr.Note(n.metrics, codeSyncRepEncode, err, "encode sync chunks")
-		return
-	}
-	var outstanding atomic.Int64
-	outstanding.Store(int64(len(chunks)))
-	for _, chunk := range chunks {
-		frame := &protocol.Frame{
-			Type:     protocol.MTSyncRep,
-			Priority: qos.PriorityHigh,
-			Seq:      n.NextSeq(),
-			Payload:  chunk,
-		}
-		n.SendReliable(from, frame, qos.ReliableARQ, func(err error) {
-			uerr.Note(n.metrics, codeSyncRepSend, err, "deliver sync chunk")
-			if outstanding.Add(-1) == 0 {
-				n.syncServing.Add(-1)
-			}
-		})
-	}
-	n.disco.syncReqsServed.Inc()
-	n.disco.syncChunksSent.Add(uint64(len(chunks)))
-}
-
-func (n *Node) handleSyncRep(from transport.NodeID, f *protocol.Frame) {
-	c, err := naming.DecodeSyncChunk(f.Payload)
-	if err != nil {
-		uerr.Note(n.metrics, codeDiscoMalformed, err, "sync chunk decode")
-		return
-	}
-	if c.Node != from {
-		uerr.Newf(n.metrics, codeNodeMismatch, "sync chunk from %s claims node %s", from, c.Node)
-		return
-	}
-	if from == n.id {
-		return
-	}
-	n.syncMu.Lock()
-	ann := n.syncAsm.Offer(c)
-	n.syncMu.Unlock()
-	if ann == nil {
-		return
-	}
-	now := n.clk.Now()
-	n.live.Touch(from, now)
-	n.dir.Apply(ann, now)
-	n.applyBearerOffer(from, ann.Records)
-	n.disco.syncApplied.Inc()
-}
-
-func (n *Node) handleBye(from transport.NodeID) {
-	if from == n.id {
-		return
-	}
-	n.live.Forget(from)
-	n.peerGone(from)
-}
-
-// --- bearer plane ---
-
-// The bearer plane routes each egress frame onto one of the node's
-// datalinks. Policy (qos.LinkPolicy, precomputed per class at
-// construction) supplies the static preference order; the per-bearer link
-// monitors supply dynamic health; discovery-advertised KindBearer records
-// plus per-bearer receive history supply peer reachability. Selection runs
-// per enqueue, so an ARQ retransmission re-selects — a frame stranded on a
-// bearer that blacks out follows its class's failover order on the next
-// retry, and bearerSweep additionally reroutes whole queues the moment a
-// monitor declares a bearer down.
-
-// bearerSelector adapts the node to egress.Selector without exporting the
-// selection methods on Node.
-type bearerSelector struct{ n *Node }
-
-func (s bearerSelector) Unicast(to transport.NodeID, pr qos.Priority) string {
-	return s.n.selectBearer(to, pr)
-}
-
-func (s bearerSelector) Group(group string, pr qos.Priority) []string {
-	return s.n.selectGroupBearers(group, pr)
-}
-
-// classBearerOrder returns the policy order for a priority (defaulting
-// out-of-range priorities to PriorityNormal, mirroring the egress plane).
-func (n *Node) classBearerOrder(pr qos.Priority) []string {
-	i := pr.Index()
-	if i < 0 {
-		i = qos.PriorityNormal.Index()
-	}
-	return n.classOrder[i]
-}
-
-// selectBearer picks the bearer for one unicast frame: the first bearer in
-// the class's policy order that is both healthy and believed able to reach
-// the destination; failing that, the first that can reach it (a link the
-// monitor calls down but the peer is known on beats a healthy link the
-// peer was never seen on — sending into a maybe-down link can succeed,
-// sending to a transport that has no address for the peer cannot);
-// failing that, the first healthy bearer; failing everything, the class's
-// primary.
-func (n *Node) selectBearer(to transport.NodeID, pr qos.Priority) string {
-	order := n.classBearerOrder(pr)
-	now := n.clk.Now()
-	firstReach, firstHealthy := "", ""
-	for _, name := range order {
-		br := n.bearerByName[name]
-		if br == nil {
-			continue
-		}
-		healthy := br.mon.Healthy(now)
-		reach := br.mon.PeerHeard(to, now) || n.peerAdvertises(to, name)
-		switch {
-		case healthy && reach:
-			return name
-		case reach && firstReach == "":
-			firstReach = name
-		case healthy && firstHealthy == "":
-			firstHealthy = name
-		}
-	}
-	if firstReach != "" {
-		return firstReach
-	}
-	if firstHealthy != "" {
-		return firstHealthy
-	}
-	return order[0]
-}
-
-// selectGroupBearers picks the bearers for one group frame. Discovery
-// rides every bearer — digests are constant-size, receivers dedup the
-// copies, and a heartbeat on each link is what keeps every link monitor
-// fed for free — while data groups ride the class's preferred healthy
-// bearer only.
-func (n *Node) selectGroupBearers(group string, pr qos.Priority) []string {
-	if group == fabric.DiscoveryGroup {
-		names := make([]string, len(n.bearers))
-		for i, br := range n.bearers {
-			names[i] = br.name
-		}
-		return names
-	}
-	order := n.classBearerOrder(pr)
-	now := n.clk.Now()
-	for _, name := range order {
-		if br := n.bearerByName[name]; br != nil && br.mon.Healthy(now) {
-			return []string{name}
-		}
-	}
-	return order[:1]
-}
-
-// peerAdvertises reports whether the peer's discovered offer includes the
-// named bearer.
-func (n *Node) peerAdvertises(peer transport.NodeID, bearer string) bool {
-	n.reachMu.RLock()
-	defer n.reachMu.RUnlock()
-	return n.reach[peer][bearer]
-}
-
-// applyBearerOffer replaces the cached bearer set for a peer from a full
-// offer (announce or assembled sync), and keeps PeerBook transports'
-// address books in step with the advertised per-bearer addresses.
-func (n *Node) applyBearerOffer(peer transport.NodeID, recs []naming.Record) {
-	if peer == n.id {
-		return
-	}
-	set := make(map[string]string)
-	for _, rec := range recs {
-		if rec.Kind == naming.KindBearer {
-			set[rec.Name] = rec.Service // Service carries the dialable address
-		}
-	}
-	n.reachMu.Lock()
-	old := n.reach[peer]
-	if len(set) == 0 {
-		delete(n.reach, peer)
-	} else {
-		m := make(map[string]bool, len(set))
-		for name := range set {
-			m[name] = true
-		}
-		n.reach[peer] = m
-	}
-	n.reachMu.Unlock()
-	for name, addr := range set {
-		n.addBearerPeer(name, peer, addr)
-	}
-	for name := range old {
-		if _, still := set[name]; !still {
-			n.removeBearerPeer(name, peer)
-		}
-	}
-}
-
-// applyBearerDelta updates the cached bearer set from an incremental
-// offer delta.
-func (n *Node) applyBearerDelta(peer transport.NodeID, added []naming.Record, withdrawn []naming.RecordKey) {
-	if peer == n.id {
-		return
-	}
-	for _, rec := range added {
-		if rec.Kind != naming.KindBearer {
-			continue
-		}
-		n.reachMu.Lock()
-		m := n.reach[peer]
-		if m == nil {
-			m = make(map[string]bool)
-			n.reach[peer] = m
-		}
-		m[rec.Name] = true
-		n.reachMu.Unlock()
-		n.addBearerPeer(rec.Name, peer, rec.Service)
-	}
-	for _, key := range withdrawn {
-		if key.Kind != naming.KindBearer {
-			continue
-		}
-		n.reachMu.Lock()
-		delete(n.reach[peer], key.Name)
-		if len(n.reach[peer]) == 0 {
-			delete(n.reach, peer)
-		}
-		n.reachMu.Unlock()
-		n.removeBearerPeer(key.Name, peer)
-	}
-}
-
-// addBearerPeer installs a peer's advertised address into the matching
-// local bearer's address book, when that bearer's transport has one.
-func (n *Node) addBearerPeer(bearer string, peer transport.NodeID, addr string) {
-	br := n.bearerByName[bearer]
-	if br == nil || addr == "" || peer == n.id {
-		return
-	}
-	if pb, ok := br.tr.(transport.PeerBook); ok {
-		_ = pb.AddPeer(peer, addr)
-	}
-}
-
-// removeBearerPeer drops a departed peer from the matching local bearer's
-// address book.
-func (n *Node) removeBearerPeer(bearer string, peer transport.NodeID) {
-	br := n.bearerByName[bearer]
-	if br == nil {
-		return
-	}
-	if pb, ok := br.tr.(transport.PeerBook); ok {
-		pb.RemovePeer(peer)
-	}
-}
-
-// handleProbe answers a link-monitor probe: echo the payload back on the
-// bearer it arrived on. The probe rides PriorityHigh so a congested bulk
-// lane cannot make a live link look dead.
-func (n *Node) handleProbe(bearer string, from transport.NodeID, f *protocol.Frame) {
-	if from == n.id {
-		return
-	}
-	echo := &protocol.Frame{
-		Type:     protocol.MTProbeEcho,
-		Priority: qos.PriorityHigh,
-		Seq:      n.NextSeq(),
-		Payload:  f.Payload,
-	}
-	uerr.Note(n.metrics, codeProbeSend, n.transmit(egress.Dest{Node: from, Bearer: bearer}, echo, nil), "enqueue probe echo")
-}
-
-// handleProbeEcho closes a probe round trip on the bearer that carried it.
-func (n *Node) handleProbeEcho(bearer string, f *protocol.Frame) {
-	br := n.bearerByName[bearer]
-	if br == nil {
-		return
-	}
-	r := encoding.NewReader(f.Payload)
-	nonce := r.Uint64()
-	if r.Err() != nil {
-		return
-	}
-	br.mon.ProbeEchoed(nonce, n.clk.Now())
-}
-
-// bearerSweep runs once per announce period on multi-bearer nodes: it
-// probes bearers that have gone quiet (a healthy bearer is never quiet —
-// discovery digests ride every bearer every period — so silence means the
-// link, not the fleet), and on a healthy→down transition reroutes the dead
-// bearer's queued frames through the selector so failover happens within
-// the failure deadline instead of waiting for per-frame retries.
-func (n *Node) bearerSweep(now time.Time) {
-	if len(n.bearers) <= 1 {
-		return
-	}
-	for _, br := range n.bearers {
-		if br.mon.Idle(now, n.announcePeriod) && now.Sub(br.mon.LastProbe()) >= n.announcePeriod {
-			n.probeBearer(br, now)
-		}
-		if br.mon.Healthy(now) {
-			br.wasDown.Store(false)
-			continue
-		}
-		if !br.wasDown.Swap(true) {
-			n.egress.Reroute(br.name)
-		}
-	}
-}
-
-// probeBearer sends one MTProbe to every live peer expected on the bearer.
-// Probes keep flowing while the bearer is down, which is how its recovery
-// is detected: the first echo marks it healthy again and traffic fails
-// back per policy.
-func (n *Node) probeBearer(br *bearerRuntime, now time.Time) {
-	for _, peer := range n.live.Peers() {
-		if !br.mon.PeerKnown(peer) && !n.peerAdvertises(peer, br.name) {
-			continue
-		}
-		w := encoding.NewWriter(8)
-		w.Uint64(br.mon.NextProbe(now))
-		frame := &protocol.Frame{
-			Type:     protocol.MTProbe,
-			Priority: qos.PriorityHigh,
-			Seq:      n.NextSeq(),
-			Payload:  w.Bytes(),
-		}
-		uerr.Note(n.metrics, codeProbeSend, n.transmit(egress.Dest{Node: peer, Bearer: br.name}, frame, nil), "enqueue probe")
-	}
-}
-
-// LinkStats describes one bearer's declared profile and observed state —
-// one uniform shape per link whatever transport backs it.
-type LinkStats struct {
-	// Name is the bearer name; Profile its declared characteristics.
-	Name    string
-	Profile qos.BearerProfile
-	// Healthy mirrors the link monitor's verdict at snapshot time.
-	Healthy bool
-	// Link is the monitor's quality report (last-heard, probe RTT EWMA,
-	// probe loss, peers heard).
-	Link link.Report
-	// Transport is the bearer transport's counter snapshot.
-	Transport transport.Stats
-	// Egress is the bearer's egress-lane snapshot (per-class queued/sent/
-	// dropped, pacer waits, reroutes).
-	Egress egress.Stats
-}
-
-// LinkStats snapshots every bearer, in registration order.
-func (n *Node) LinkStats() []LinkStats {
-	now := n.clk.Now()
-	out := make([]LinkStats, 0, len(n.bearers))
-	for _, br := range n.bearers {
-		es, _ := n.egress.BearerStats(br.name)
-		rep := br.mon.Report(now)
-		out = append(out, LinkStats{
-			Name:      br.name,
-			Profile:   br.profile,
-			Healthy:   rep.Healthy,
-			Link:      rep,
-			Transport: br.tr.Stats(),
-			Egress:    es,
-		})
-	}
-	return out
-}
+// LinkReports snapshots every bearer's link-monitor report (health verdict,
+// last-heard, probe RTT and loss), in registration order.
+func (n *Node) LinkReports() []link.Report { return n.links.Reports() }
 
 // Bearers lists the node's bearer names in registration order.
-func (n *Node) Bearers() []string {
-	out := make([]string, len(n.bearers))
-	for i, br := range n.bearers {
-		out[i] = br.name
-	}
-	return out
-}
+func (n *Node) Bearers() []string { return n.links.Names() }
 
-// sweep detects failed peers and expired directory entries.
-func (n *Node) sweep() {
-	now := n.clk.Now()
-	// The node's own records never expire: the old full-state announce
-	// re-applied them every tick; under digest beacons they are touched
-	// explicitly instead.
-	n.dir.TouchNode(n.id, now)
-	for _, node := range n.live.Sweep(now) {
-		n.peerGone(node)
-	}
-	// Records of live peers never expire out from under them: freshness
-	// follows liveness (any discovery frame), so a queue-delayed or
-	// version-skewed digest cannot purge a healthy node's catalog. The
-	// directory TTL remains as a backstop for nodes liveness has lost.
-	for _, node := range n.live.Peers() {
-		n.dir.TouchNode(node, now)
-	}
-	for _, node := range n.dir.Expire(now) {
-		if node == n.id {
-			continue
-		}
-		// TTL expiry of every record is failure-equivalent.
-		n.live.Forget(node)
-		n.peerGone(node)
-	}
-}
-
-// peerGone clears all state tied to a failed or departed node and notifies
+// peerGone is discovery's peer-gone hook: the directory is already purged;
+// clear the container state tied to the failed or departed node and notify
 // the engines and registered callbacks (§3 cache clearing + §4.3 failover).
 func (n *Node) peerGone(node transport.NodeID) {
-	n.dir.RemoveNode(node)
 	// The peer's dedup window lives on the ingress shard its traffic
 	// hashes to (plus the local-bypass shard); forget it there so a
 	// rejoining peer starting from seq 1 is not silently dropped.
 	n.shards[n.ingress.ShardOf(node)].dedup.Forget(node)
 	n.local.dedup.Forget(node)
-	n.syncMu.Lock()
-	n.syncAsm.Forget(node)
-	delete(n.syncReqAt, node)
-	n.syncMu.Unlock()
-	// Bearer plane: forget the peer's advertised reachability, its
-	// per-bearer presence, and any address-book entries discovery
-	// installed for it.
-	n.reachMu.Lock()
-	delete(n.reach, node)
-	n.reachMu.Unlock()
-	for _, br := range n.bearers {
-		br.mon.ForgetPeer(node)
-		if pb, ok := br.tr.(transport.PeerBook); ok {
-			pb.RemovePeer(node)
-		}
-	}
+	n.links.PeerGone(node)
 	n.events.PeerGone(node)
 	n.files.PeerGone(node)
 	n.mu.Lock()
@@ -1927,14 +1033,14 @@ func (n *Node) OnPeerFailed(cb func(transport.NodeID)) {
 // AnnounceNow forces an immediate full-state announcement. Registration
 // paths announce incrementally on their own (OfferChanged); this remains
 // for tests and for operators who want a full refresh pushed out.
-func (n *Node) AnnounceNow() { n.announceNow() }
+func (n *Node) AnnounceNow() { n.discovery.AnnounceNow() }
 
 // OfferVersion reports the node's current record-log version. Remote
 // directories citing the same version for this node hold its exact offer.
-func (n *Node) OfferVersion() uint64 { return n.log.Version() }
+func (n *Node) OfferVersion() uint64 { return n.discovery.OfferVersion() }
 
 // Peers lists peers currently believed alive.
-func (n *Node) Peers() []transport.NodeID { return n.live.Peers() }
+func (n *Node) Peers() []transport.NodeID { return n.discovery.Peers() }
 
 // Close sends a goodbye, stops loops, services and the scheduler.
 func (n *Node) Close() error {
@@ -1954,8 +1060,7 @@ func (n *Node) Close() error {
 	bye := &protocol.Frame{Type: protocol.MTBye, Priority: qos.PriorityHigh, Seq: n.NextSeq()}
 	uerr.Note(n.metrics, codeByeSend, n.SendGroup(fabric.DiscoveryGroup, bye), "broadcast goodbye")
 
-	close(n.stop)
-	clock.Blocking(n.clk, n.wg.Wait)
+	n.discovery.Close()
 	// Drain the receive pipeline before the ARQ and egress planes go
 	// down: queued arrivals still dispatch (final acks enqueue onto a
 	// live egress), then the workers stop.
@@ -1969,8 +1074,8 @@ func (n *Node) Close() error {
 	}
 	// Close every bearer transport exactly once, keeping the first error.
 	var err error
-	for _, br := range n.bearers {
-		if cerr := br.tr.Close(); err == nil {
+	for _, b := range n.links.Bearers() {
+		if cerr := b.Transport.Close(); err == nil {
 			err = cerr
 		}
 	}
@@ -1995,10 +1100,6 @@ func (n *Node) RPC() *rpc.Engine { return n.rpc }
 
 // Files returns the §4.4 engine.
 func (n *Node) Files() *filetransfer.Engine { return n.files }
-
-// EgressStats snapshots the egress plane counters (per-class enqueued /
-// sent / dropped / coalesced, pacing waits, transport errors).
-func (n *Node) EgressStats() egress.Stats { return n.egress.Stats() }
 
 // IngressShards reports the receive pipeline's worker count.
 func (n *Node) IngressShards() int { return n.ingress.Shards() }
@@ -2028,9 +1129,9 @@ func (n *Node) MetricsSnapshot() metrics.Snapshot {
 // so neither can feed the registry incrementally.
 func (n *Node) sampleGauges() {
 	now := n.clk.Now()
-	for _, br := range n.bearers {
-		lb := metrics.L("bearer", br.name)
-		rep := br.mon.Report(now)
+	for _, b := range n.links.Bearers() {
+		lb := metrics.L("bearer", b.Name)
+		rep := b.Monitor.Report(now)
 		healthy := int64(0)
 		if rep.Healthy {
 			healthy = 1
@@ -2039,7 +1140,7 @@ func (n *Node) sampleGauges() {
 		n.metrics.Gauge("link", "rtt_us", lb).Set(rep.RTT.Microseconds())
 		n.metrics.Gauge("link", "probe_loss_ppm", lb).Set(int64(rep.ProbeLoss * 1e6))
 		n.metrics.Gauge("link", "peers_heard", lb).Set(int64(rep.PeersHeard))
-		ts := br.tr.Stats()
+		ts := b.Transport.Stats()
 		n.metrics.Gauge("transport", "packets_sent", lb).Set(int64(ts.PacketsSent))
 		n.metrics.Gauge("transport", "bytes_sent", lb).Set(int64(ts.BytesSent))
 		n.metrics.Gauge("transport", "packets_wire", lb).Set(int64(ts.PacketsWire))
@@ -2052,13 +1153,6 @@ func (n *Node) sampleGauges() {
 		n.metrics.Gauge("scheduler", "backlog").Set(int64(pool.Backlog()))
 	}
 }
-
-// SetBulkRate re-shapes the *default bearer's* PriorityBulk egress lane at
-// runtime (0 turns shaping off) — for links whose capacity is discovered
-// or negotiated after the node starts. On a multi-bearer node only the
-// first-registered bearer is affected; use SetBearerBulkRate to re-shape a
-// named bearer.
-func (n *Node) SetBulkRate(bps int64) { n.egress.SetBulkRate(bps) }
 
 // SetBearerBulkRate re-shapes one named bearer's PriorityBulk lane at
 // runtime (0 turns shaping off). It reports whether the bearer exists.

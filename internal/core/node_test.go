@@ -10,6 +10,8 @@ import (
 
 	"uavmw/internal/encoding"
 	"uavmw/internal/filetransfer"
+	"uavmw/internal/metrics"
+	"uavmw/internal/metrics/metricstest"
 	"uavmw/internal/naming"
 	"uavmw/internal/presentation"
 	"uavmw/internal/protocol"
@@ -46,6 +48,14 @@ func newBusNode(t *testing.T, bus *transport.Bus, id transport.NodeID, opts ...N
 	}
 	t.Cleanup(func() { _ = n.Close() })
 	return n
+}
+
+// counter reads counter family component.name from n's registry, summed
+// over the series whose labels include match. The registry is the node's
+// one stats surface; a family it does not hold fails the test.
+func counter(t testing.TB, n *Node, component, name string, match ...metrics.Label) uint64 {
+	t.Helper()
+	return metricstest.Counter(t, n.Metrics(), component, name, match...)
 }
 
 // waitUntil polls cond until true or the timeout elapses.
@@ -635,7 +645,7 @@ func TestPEPtPluggability(t *testing.T) {
 }
 
 // datagramStats exposes transport counters to the tests.
-func (n *Node) datagramStats() transport.Stats { return n.bearers[0].tr.Stats() }
+func (n *Node) datagramStats() transport.Stats { return n.links.Bearers()[0].Transport.Stats() }
 
 // debugEnc and inlineSched are the alternate PEPt plugins used by the
 // pluggability test.

@@ -71,8 +71,8 @@ func TestMetricsSnapshotExportsEveryPlane(t *testing.T) {
 	b := newBusNode(t, bus, "b")
 
 	waitUntil(t, 2*time.Second, "nodes hear each other's heartbeats", func() bool {
-		return a.DiscoveryStats().HeartbeatsReceived > 0 &&
-			b.DiscoveryStats().HeartbeatsReceived > 0
+		return counter(t, a, "discovery", "heartbeats_received") > 0 &&
+			counter(t, b, "discovery", "heartbeats_received") > 0
 	})
 
 	snap := a.MetricsSnapshot()
@@ -95,9 +95,7 @@ func TestMetricsSnapshotExportsEveryPlane(t *testing.T) {
 	if err := json.Unmarshal(data, &decoded); err != nil {
 		t.Fatalf("snapshot JSON does not parse: %v", err)
 	}
-	// DiscoveryStats is a view over the same series the snapshot exports.
-	ds := a.DiscoveryStats()
-	if ds.HeartbeatsSent == 0 {
-		t.Fatal("DiscoveryStats view reports no heartbeats after convergence")
+	if counter(t, a, "discovery", "heartbeats_sent") == 0 {
+		t.Fatal("no heartbeats counted after convergence")
 	}
 }

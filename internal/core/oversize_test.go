@@ -12,6 +12,7 @@ import (
 	"uavmw/internal/encoding"
 	"uavmw/internal/fabric"
 	"uavmw/internal/ingress"
+	"uavmw/internal/metrics"
 	"uavmw/internal/netsim"
 	"uavmw/internal/presentation"
 	"uavmw/internal/protocol"
@@ -147,9 +148,10 @@ func newGuardedNode(t *testing.T, tr transport.Transport) *Node {
 
 // lowLaneDatagrams reports how many datagrams n's egress plane has sent on
 // the test lane.
-func lowLaneDatagrams(n *Node) uint64 {
+func lowLaneDatagrams(t testing.TB, n *Node) uint64 {
+	t.Helper()
 	n.FlushEgress()
-	return n.EgressStats().Class(qos.PriorityLow).Datagrams
+	return counter(t, n, "egress", "datagrams", metrics.L("class", qos.PriorityLow.String()))
 }
 
 // quiet asserts the sink's delivery count stays put for a settle interval —
@@ -177,14 +179,14 @@ func TestOversizeBestEffortUnicastAndGroup(t *testing.T) {
 	if err := src.SendBestEffort("gs", blobFrame(t, unicast)); err != nil {
 		t.Fatalf("SendBestEffort: %v", err)
 	}
-	afterUnicast := lowLaneDatagrams(src)
+	afterUnicast := lowLaneDatagrams(t, src)
 	if afterUnicast < oversizeBody/oversizeMTU {
 		t.Fatalf("4 KB frame at MTU %d left in %d datagram(s); it was not split", oversizeMTU, afterUnicast)
 	}
 	if err := src.SendGroup(fabric.EventGroup(oversizeTopic), blobFrame(t, group)); err != nil {
 		t.Fatalf("SendGroup: %v", err)
 	}
-	if sent := lowLaneDatagrams(src) - afterUnicast; sent < oversizeBody/oversizeMTU {
+	if sent := lowLaneDatagrams(t, src) - afterUnicast; sent < oversizeBody/oversizeMTU {
 		t.Fatalf("4 KB group frame left in %d datagram(s); it was not split", sent)
 	}
 	waitUntil(t, 2*time.Second, "both oversize frames", func() bool { return sink.count() == 2 })
@@ -244,7 +246,7 @@ func TestOversizeReliableUnderLoss(t *testing.T) {
 			t.Errorf("message %d delivered %d times, want once and intact", i, got)
 		}
 	}
-	if pubARQRetransmits(src) == 0 {
+	if counter(t, src, "arq", "retransmits") == 0 {
 		t.Error("no fragment was retransmitted; the loss path was not exercised")
 	}
 }
@@ -301,7 +303,7 @@ func TestOversizeSelfLoopbackNeverFragments(t *testing.T) {
 	if sink.deliveries(bestEffort) != 1 || sink.deliveries(reliable) != 1 {
 		t.Fatal("loopback bodies differ from what was sent")
 	}
-	if sent := lowLaneDatagrams(n); sent != 0 {
+	if sent := lowLaneDatagrams(t, n); sent != 0 {
 		t.Fatalf("loopback put %d datagram(s) on the egress plane, want 0", sent)
 	}
 	if pending := n.arq.Pending(); pending != 0 {

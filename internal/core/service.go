@@ -223,11 +223,11 @@ func (n *Node) StartServices() error {
 	}
 	// Push one synchronous full-state announcement after the Init pass:
 	// resources registered during Init already announced incrementally,
-	// but announceNow also applies the whole offer (including the new
+	// but AnnounceNow also applies the whole offer (including the new
 	// service records) to the local directory before any Start callback
 	// runs, and gives peers one coalesced bulk push instead of relying on
 	// the async delta flusher mid-boot.
-	n.announceNow()
+	n.discovery.AnnounceNow()
 
 	for _, name := range order {
 		rt := n.service(name)
@@ -240,7 +240,7 @@ func (n *Node) StartServices() error {
 		}
 		rt.setState(ServiceRunning, nil)
 	}
-	n.announceNow()
+	n.discovery.AnnounceNow()
 	return nil
 }
 
@@ -248,17 +248,6 @@ func (n *Node) service(name string) *ServiceRuntime {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	return n.services[name]
-}
-
-// Services lists managed services and their states.
-func (n *Node) Services() map[string]ServiceState {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	out := make(map[string]ServiceState, len(n.services))
-	for name, rt := range n.services {
-		out[name] = rt.State()
-	}
-	return out
 }
 
 // StopService stops one running service and withdraws its resources.

@@ -1,0 +1,452 @@
+package discovery
+
+import (
+	"fmt"
+	"testing"
+	"time"
+
+	"uavmw/internal/clock"
+	"uavmw/internal/encoding"
+	"uavmw/internal/metrics"
+	"uavmw/internal/metrics/metricstest"
+	"uavmw/internal/naming"
+	"uavmw/internal/protocol"
+	"uavmw/internal/qos"
+	"uavmw/internal/transport"
+	"uavmw/internal/uerr"
+)
+
+// The engine is driven here the way the container drives it — handler
+// calls, AnnounceNow, flushOffer — on a fabric that records what it is
+// asked to send and a virtual clock the test advances by sleeping. No
+// loops run, so every assertion is on a settled state.
+
+const (
+	testEpoch  = 7
+	testPeriod = 100 * time.Millisecond
+	testMTU    = 300
+)
+
+// sent is one frame the engine handed the fabric.
+type sent struct {
+	to    transport.NodeID // unicast destination; empty for a group send
+	group string
+	frame protocol.Frame // Payload is a private copy
+	done  func(error)    // set on reliable sends, which stay in flight until the test calls it
+}
+
+// fakeFabric is a recording fabric.Fabric (plus Clocked and Instrumented).
+type fakeFabric struct {
+	clk   *clock.Virtual
+	reg   *metrics.Registry
+	dir   *naming.Directory
+	seq   uint64
+	sends []sent
+}
+
+func (f *fakeFabric) Self() transport.NodeID                    { return "self" }
+func (f *fakeFabric) Encoding() encoding.Encoding               { return encoding.Binary{} }
+func (f *fakeFabric) Directory() *naming.Directory              { return f.dir }
+func (f *fakeFabric) Schedule(_ qos.Priority, job func()) error { job(); return nil }
+func (f *fakeFabric) NextSeq() uint64                           { f.seq++; return f.seq }
+func (f *fakeFabric) Join(string) error                         { return nil }
+func (f *fakeFabric) Leave(string) error                        { return nil }
+func (f *fakeFabric) OfferChanged()                             {}
+func (f *fakeFabric) Clock() clock.Clock                        { return f.clk }
+func (f *fakeFabric) Metrics() *metrics.Registry                { return f.reg }
+
+func (f *fakeFabric) record(s sent, fr *protocol.Frame) {
+	s.frame = *fr
+	s.frame.Payload = append([]byte(nil), fr.Payload...)
+	f.sends = append(f.sends, s)
+}
+
+func (f *fakeFabric) SendBestEffort(to transport.NodeID, fr *protocol.Frame) error {
+	f.record(sent{to: to}, fr)
+	return nil
+}
+
+func (f *fakeFabric) SendGroup(group string, fr *protocol.Frame) error {
+	f.record(sent{group: group}, fr)
+	return nil
+}
+
+func (f *fakeFabric) SendReliable(to transport.NodeID, fr *protocol.Frame, _ qos.Reliability, done func(error)) {
+	f.record(sent{to: to, done: done}, fr)
+}
+
+// take returns the sends recorded since the last take.
+func (f *fakeFabric) take() []sent {
+	out := f.sends
+	f.sends = nil
+	return out
+}
+
+// harness is an engine on a fake fabric, with its hooks recorded.
+type harness struct {
+	*Engine
+	f       *fakeFabric
+	offer   []naming.Record
+	applied []transport.NodeID
+	gone    []transport.NodeID
+}
+
+func newHarness() *harness {
+	h := &harness{f: &fakeFabric{
+		clk: clock.NewVirtual(),
+		reg: metrics.NewRegistry(),
+		dir: naming.NewDirectory(time.Minute),
+	}}
+	h.Engine = New(h.f, Config{
+		Epoch:           testEpoch,
+		Period:          testPeriod,
+		FailureDeadline: time.Second,
+		MTU:             testMTU,
+		Offer:           func() []naming.Record { return h.offer },
+		Load:            func() float64 { return 0 },
+		OfferApplied:    func(peer transport.NodeID) { h.applied = append(h.applied, peer) },
+		PeerGone:        func(peer transport.NodeID) { h.gone = append(h.gone, peer) },
+		Tick:            func() {},
+	})
+	return h
+}
+
+// errors reads the engine's typed-error count for one category.
+func (h *harness) errors(t *testing.T, cat uerr.Category) uint64 {
+	t.Helper()
+	return metricstest.Counter(t, h.f.reg, "discovery", "errors", metrics.L("category", cat.String()))
+}
+
+// variables returns n KindVariable records "prefix.i" offered by node.
+func variables(node transport.NodeID, prefix string, n int) []naming.Record {
+	recs := make([]naming.Record, n)
+	for i := range recs {
+		recs[i] = naming.Record{Kind: naming.KindVariable, Name: fmt.Sprintf("%s.%d", prefix, i), Service: "svc", Node: node, TypeSig: "{lat:f64,lon:f64}"}
+	}
+	return recs
+}
+
+func must(t *testing.T) func([]byte, error) []byte {
+	return func(b []byte, err error) []byte {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+}
+
+func digest(t *testing.T, node transport.NodeID, epoch, version uint64) *protocol.Frame {
+	return &protocol.Frame{Type: protocol.MTHeartbeat, Payload: must(t)(naming.EncodeDigest(
+		&naming.Digest{Node: node, Epoch: epoch, Version: version, RecordCount: 1}))}
+}
+
+func syncReq(epoch, version uint64) *protocol.Frame {
+	return &protocol.Frame{Type: protocol.MTSyncReq, Payload: naming.EncodeSyncRequest(
+		&naming.SyncRequest{KnownEpoch: epoch, KnownVersion: version})}
+}
+
+// TestDigestGapRequestsOneSyncPerPeerPerPeriod: a digest the directory
+// cannot match asks the peer for its records — once per peer per announce
+// period however many digests expose the same gap, and again once the
+// period has passed (the reply may have been lost).
+func TestDigestGapRequestsOneSyncPerPeerPerPeriod(t *testing.T) {
+	h := newHarness()
+	steps := []struct {
+		advance  time.Duration
+		from     transport.NodeID
+		wantReqs int // MTSyncReq frames this digest triggers
+	}{
+		{0, "p1", 1},
+		{0, "p1", 0},
+		{testPeriod / 2, "p1", 0},
+		{0, "p2", 1}, // the throttle is per peer
+		{testPeriod/2 - time.Nanosecond, "p1", 0},
+		{time.Nanosecond, "p1", 1}, // one full period after p1's first request
+		{0, "p2", 0},
+	}
+	for i, st := range steps {
+		if st.advance > 0 {
+			h.f.clk.Sleep(st.advance)
+		}
+		h.HandleHeartbeat(st.from, digest(t, st.from, 3, 5))
+		got := h.f.take()
+		if len(got) != st.wantReqs {
+			t.Fatalf("step %d: digest from %s triggered %d sends, want %d", i, st.from, len(got), st.wantReqs)
+		}
+		for _, s := range got {
+			if s.frame.Type != protocol.MTSyncReq || s.to != st.from || s.done != nil {
+				t.Errorf("step %d: sent %v to %q (reliable %v), want a best-effort MTSyncReq to %s",
+					i, s.frame.Type, s.to, s.done != nil, st.from)
+			}
+		}
+	}
+	if got, want := metricstest.Counter(t, h.f.reg, "discovery", "syncs_triggered"), uint64(len(steps)); got != want {
+		t.Errorf("syncs_triggered = %d, want %d (suppressed detections count too)", got, want)
+	}
+	if got := metricstest.Counter(t, h.f.reg, "discovery", "sync_requests_sent"); got != 3 {
+		t.Errorf("sync_requests_sent = %d, want 3", got)
+	}
+}
+
+// TestSyncRequestIsAnsweredByGapSize: a requester a few records behind in
+// the current epoch gets one catch-up delta; a larger gap, an older epoch
+// or a version outside the log gets the full catalog in chunks that each
+// fit a datagram.
+func TestSyncRequestIsAnsweredByGapSize(t *testing.T) {
+	const base = 10
+	cases := []struct {
+		name         string
+		gap          int // records registered after the requester's version
+		knownEpoch   uint64
+		knownVersion uint64
+		wantDelta    bool
+		wantNothing  bool
+	}{
+		{name: "one record behind", gap: 1, knownEpoch: testEpoch, knownVersion: 1, wantDelta: true},
+		{name: "64 records behind", gap: syncDeltaMaxRecords, knownEpoch: testEpoch, knownVersion: 1, wantDelta: true},
+		{name: "65 records behind", gap: syncDeltaMaxRecords + 1, knownEpoch: testEpoch, knownVersion: 1},
+		{name: "previous epoch", gap: 1, knownEpoch: testEpoch - 1, knownVersion: 1},
+		{name: "unknown node", gap: 1},
+		{name: "ahead of the log", gap: 1, knownEpoch: testEpoch, knownVersion: 9},
+		{name: "already current", gap: 1, knownEpoch: testEpoch, knownVersion: 2, wantNothing: true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			h := newHarness()
+			h.offer = variables("self", "base", base)
+			h.AnnounceNow() // version 1
+			h.offer = append(h.offer, variables("self", "late", tc.gap)...)
+			h.flushOffer() // version 2
+			h.f.take()
+
+			h.HandleSyncReq("peer", syncReq(tc.knownEpoch, tc.knownVersion))
+			got := h.f.take()
+			switch {
+			case tc.wantNothing:
+				if len(got) != 0 {
+					t.Fatalf("answered a current requester with %d frames", len(got))
+				}
+				return
+			case tc.wantDelta:
+				if len(got) != 1 || got[0].frame.Type != protocol.MTAnnounceDelta {
+					t.Fatalf("answered with %d frames (first %v), want one MTAnnounceDelta", len(got), got[0].frame.Type)
+				}
+				d, err := naming.DecodeDelta(got[0].frame.Payload)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if d.Node != "self" || d.Epoch != testEpoch || d.From != tc.knownVersion || d.To != 2 || len(d.Added) != tc.gap {
+					t.Errorf("catch-up delta = node %s epoch %d %d→%d with %d added, want self/%d %d→2 with %d",
+						d.Node, d.Epoch, d.From, d.To, len(d.Added), testEpoch, tc.knownVersion, tc.gap)
+				}
+			default:
+				if len(got) < 2 {
+					t.Fatalf("snapshot of %d records at MTU %d went out as %d frames, want several chunks", base+tc.gap, testMTU, len(got))
+				}
+				records := 0
+				for i, s := range got {
+					if s.frame.Type != protocol.MTSyncRep {
+						t.Fatalf("frame %d is %v, want MTSyncRep", i, s.frame.Type)
+					}
+					if len(s.frame.Payload) > testMTU-syncFrameOverhead {
+						t.Errorf("chunk %d payload is %d bytes, budget is %d", i, len(s.frame.Payload), testMTU-syncFrameOverhead)
+					}
+					if size := protocol.FrameWireSize(&s.frame); size > testMTU {
+						t.Errorf("chunk %d is a %d-byte frame, MTU is %d", i, size, testMTU)
+					}
+					c, err := naming.DecodeSyncChunk(s.frame.Payload)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if int(c.Index) != i || int(c.Count) != len(got) || c.Version != 2 {
+						t.Errorf("chunk %d says index %d of %d at version %d", i, c.Index, c.Count, c.Version)
+					}
+					records += len(c.Records)
+				}
+				if records != base+tc.gap {
+					t.Errorf("chunks carry %d records, the offer has %d", records, base+tc.gap)
+				}
+			}
+			for i, s := range got {
+				if s.to != "peer" || s.done == nil || s.frame.Priority != qos.PriorityHigh {
+					t.Errorf("frame %d: to %q, reliable %v, priority %v; want a reliable PriorityHigh send to peer",
+						i, s.to, s.done != nil, s.frame.Priority)
+				}
+			}
+		})
+	}
+}
+
+// TestFifthConcurrentSnapshotServeIsShed: four full-state replies may be
+// in flight; the fifth request is dropped and counted as an admission
+// failure, and a slot frees once a reply's last chunk is acknowledged.
+func TestFifthConcurrentSnapshotServeIsShed(t *testing.T) {
+	h := newHarness()
+	h.offer = variables("self", "v", 12)
+	h.AnnounceNow()
+	h.f.take()
+
+	var inFlight [][]sent
+	for i := 0; i < maxConcurrentSyncServes; i++ {
+		h.HandleSyncReq(transport.NodeID(fmt.Sprintf("p%d", i)), syncReq(0, 0))
+		chunks := h.f.take()
+		if len(chunks) == 0 {
+			t.Fatalf("request %d was not served", i)
+		}
+		inFlight = append(inFlight, chunks)
+	}
+	if got := h.errors(t, uerr.CatAdmission); got != 0 {
+		t.Fatalf("%d requests shed below the cap", got)
+	}
+
+	h.HandleSyncReq("p4", syncReq(0, 0))
+	if got := h.f.take(); len(got) != 0 {
+		t.Fatalf("fifth concurrent request was served %d frames", len(got))
+	}
+	if got := h.errors(t, uerr.CatAdmission); got != 1 {
+		t.Fatalf("discovery.errors{category=admission} = %d, want 1", got)
+	}
+
+	// All but the last chunk of one reply acknowledged: still in flight.
+	first := inFlight[0]
+	for _, s := range first[:len(first)-1] {
+		s.done(nil)
+	}
+	h.HandleSyncReq("p4", syncReq(0, 0))
+	if got := h.f.take(); len(got) != 0 {
+		t.Fatal("a reply with a chunk outstanding freed its slot")
+	}
+	first[len(first)-1].done(nil)
+	h.HandleSyncReq("p4", syncReq(0, 0))
+	if got := h.f.take(); len(got) == 0 {
+		t.Fatal("request not served after a reply completed")
+	}
+	if got := metricstest.Counter(t, h.f.reg, "discovery", "sync_requests_served"); got != maxConcurrentSyncServes+1 {
+		t.Errorf("sync_requests_served = %d, want %d", got, maxConcurrentSyncServes+1)
+	}
+}
+
+// TestMisattributedPayloadIsCountedNotApplied: a discovery payload naming
+// another node than the one that sent it is a protocol violation — counted,
+// and neither applied, answered nor taken as a sign of life.
+func TestMisattributedPayloadIsCountedNotApplied(t *testing.T) {
+	recs := variables("victim", "v", 2)
+	cases := []struct {
+		name   string
+		handle func(*Engine, transport.NodeID, *protocol.Frame)
+		frame  func(t *testing.T) *protocol.Frame
+	}{
+		{"announce", (*Engine).HandleAnnounce, func(t *testing.T) *protocol.Frame {
+			return &protocol.Frame{Type: protocol.MTAnnounce, Payload: must(t)(naming.EncodeAnnouncement(
+				&naming.Announcement{Node: "victim", Epoch: 1, Version: 1, Records: recs}))}
+		}},
+		{"heartbeat", (*Engine).HandleHeartbeat, func(t *testing.T) *protocol.Frame {
+			return digest(t, "victim", 1, 1)
+		}},
+		{"delta", (*Engine).HandleAnnounceDelta, func(t *testing.T) *protocol.Frame {
+			return &protocol.Frame{Type: protocol.MTAnnounceDelta, Payload: must(t)(naming.EncodeDelta(
+				&naming.Delta{Node: "victim", Epoch: 1, From: 0, To: 1, Added: recs}))}
+		}},
+		{"sync chunk", (*Engine).HandleSyncRep, func(t *testing.T) *protocol.Frame {
+			chunks, err := naming.EncodeSyncChunks(&naming.Announcement{Node: "victim", Epoch: 1, Version: 1, Records: recs}, 1200)
+			if err != nil || len(chunks) != 1 {
+				t.Fatalf("chunks = %d, err = %v", len(chunks), err)
+			}
+			return &protocol.Frame{Type: protocol.MTSyncRep, Payload: chunks[0]}
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			h := newHarness()
+			tc.handle(h.Engine, "rogue", tc.frame(t))
+			if got := h.errors(t, uerr.CatProtocol); got != 1 {
+				t.Errorf("discovery.errors{category=protocol_violation} = %d, want 1", got)
+			}
+			for _, node := range []transport.NodeID{"victim", "rogue"} {
+				if _, _, known := h.f.dir.NodeVersion(node); known || h.f.dir.NodeRecordCount(node) != 0 {
+					t.Errorf("directory learned about %s from a misattributed frame", node)
+				}
+			}
+			if len(h.Peers()) != 0 || len(h.applied) != 0 || len(h.f.take()) != 0 {
+				t.Errorf("peers %v, applied hooks %v: the frame must leave no trace", h.Peers(), h.applied)
+			}
+			// The same frame from its rightful sender is taken.
+			tc.handle(h.Engine, "victim", tc.frame(t))
+			if len(h.Peers()) != 1 {
+				t.Errorf("frame from its own node not taken as a sign of life")
+			}
+		})
+	}
+}
+
+// TestOfferFlushWaitsForIntroduction: registrations before the node has
+// introduced itself put nothing on the wire and leave the log alone — they
+// ride the full announce — and from then on each flush is one delta.
+func TestOfferFlushWaitsForIntroduction(t *testing.T) {
+	h := newHarness()
+	h.offer = variables("self", "early", 3)
+	h.flushOffer()
+	if got := h.f.take(); len(got) != 0 || h.OfferVersion() != 0 {
+		t.Fatalf("pre-introduction flush sent %d frames and moved the log to version %d", len(got), h.OfferVersion())
+	}
+
+	h.AnnounceNow()
+	got := h.f.take()
+	if len(got) != 1 || got[0].frame.Type != protocol.MTAnnounce || got[0].group == "" {
+		t.Fatalf("introduction sent %d frames, want one multicast MTAnnounce", len(got))
+	}
+	ann, err := naming.DecodeAnnouncement(got[0].frame.Payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ann.Version != 1 || len(ann.Records) != 3 {
+		t.Errorf("introduction carries version %d with %d records, want 1 with all 3", ann.Version, len(ann.Records))
+	}
+
+	h.flushOffer()
+	if got := h.f.take(); len(got) != 0 {
+		t.Fatalf("flush of an unchanged offer sent %d frames", len(got))
+	}
+	h.offer = append(h.offer, variables("self", "late", 2)...)
+	h.flushOffer()
+	got = h.f.take()
+	if len(got) != 1 || got[0].frame.Type != protocol.MTAnnounceDelta || got[0].group == "" {
+		t.Fatalf("flush sent %d frames, want one multicast MTAnnounceDelta", len(got))
+	}
+	d, err := naming.DecodeDelta(got[0].frame.Payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.From != 1 || d.To != 2 || len(d.Added) != 2 || len(d.Withdrawn) != 0 {
+		t.Errorf("delta %d→%d adds %d withdraws %d, want 1→2 adding 2", d.From, d.To, len(d.Added), len(d.Withdrawn))
+	}
+	if h.f.dir.NodeRecordCount("self") != 5 {
+		t.Errorf("local directory holds %d of the node's own 5 records", h.f.dir.NodeRecordCount("self"))
+	}
+}
+
+// TestHooksFollowTheDirectory: OfferApplied fires for what the directory
+// accepted and not for what it rejected; PeerGone fires once the peer is
+// purged.
+func TestHooksFollowTheDirectory(t *testing.T) {
+	h := newHarness()
+	announce := func(epoch, version uint64, n int) *protocol.Frame {
+		return &protocol.Frame{Type: protocol.MTAnnounce, Payload: must(t)(naming.EncodeAnnouncement(
+			&naming.Announcement{Node: "peer", Epoch: epoch, Version: version, Records: variables("peer", "v", n)}))}
+	}
+	h.HandleAnnounce("peer", announce(2, 3, 2))
+	if len(h.applied) != 1 {
+		t.Fatalf("accepted announce fired OfferApplied %d times", len(h.applied))
+	}
+	h.HandleAnnounce("peer", announce(1, 9, 1)) // previous incarnation
+	h.HandleAnnounce("peer", announce(2, 2, 1)) // rolled-back version
+	if len(h.applied) != 1 || h.f.dir.NodeRecordCount("peer") != 2 {
+		t.Fatalf("rejected announces fired OfferApplied (%d calls) or changed the directory (%d records)",
+			len(h.applied), h.f.dir.NodeRecordCount("peer"))
+	}
+	h.HandleBye("peer")
+	if len(h.gone) != 1 || h.gone[0] != "peer" || len(h.Peers()) != 0 || h.f.dir.NodeRecordCount("peer") != 0 {
+		t.Errorf("bye: gone hooks %v, peers %v, %d records left", h.gone, h.Peers(), h.f.dir.NodeRecordCount("peer"))
+	}
+}

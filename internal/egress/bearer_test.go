@@ -112,11 +112,10 @@ func TestSelectorRoutesUnicastPerClass(t *testing.T) {
 	if seqs := decodeAll(t, wifiRecs); len(seqs) != 1 || seqs[0] != 2 {
 		t.Errorf("wifi carried %v, want the bulk frame (seq 2)", seqs)
 	}
-	ws, ok := p.BearerStats("wifi")
-	if !ok || ws.Class(qos.PriorityBulk).Sent != 1 {
-		t.Errorf("wifi bearer stats = %+v, want 1 bulk sent", ws.Class(qos.PriorityBulk))
+	if sent := counter(t, p, "wifi", "sent", qos.PriorityBulk); sent != 1 {
+		t.Errorf("wifi sent %d bulk frames, want 1", sent)
 	}
-	if agg := p.Stats().Totals().Sent; agg != 2 {
+	if agg := counter(t, p, "wifi", "sent") + counter(t, p, "radio", "sent"); agg != 2 {
 		t.Errorf("aggregate sent = %d, want 2", agg)
 	}
 }
@@ -200,8 +199,7 @@ func TestPerBearerBulkPacingIsIndependent(t *testing.T) {
 	if n := len(wifi.snapshot()); n != 1 {
 		t.Errorf("wifi should be waiting for tokens after 1 send, sent %d", n)
 	}
-	rs, _ := p.BearerStats("wifi")
-	if rs.BulkWaits == 0 {
+	if counter(t, p, "wifi", "bulk_waits") == 0 {
 		t.Error("wifi bearer should have recorded bulk waits")
 	}
 }
@@ -243,9 +241,8 @@ func TestRerouteMovesQueuedFramesToSurvivingBearer(t *testing.T) {
 	if len(seqs) != moved {
 		t.Fatalf("radio carried %d frames, want %d", len(seqs), moved)
 	}
-	rs, _ := p.BearerStats("wifi")
-	if rs.Rerouted != uint64(moved) {
-		t.Errorf("wifi Rerouted = %d, want %d", rs.Rerouted, moved)
+	if rerouted := counter(t, p, "wifi", "rerouted"); rerouted != uint64(moved) {
+		t.Errorf("wifi rerouted = %d, want %d", rerouted, moved)
 	}
 	close(wifi.gate) // release the in-flight frame
 }
@@ -285,8 +282,7 @@ func TestRerouteGroupFramesAvoidDeadBearer(t *testing.T) {
 	}
 	// The stranded wifi copies must land on radio — never back on wifi.
 	waitSends(t, radio, before+moved)
-	ws, _ := p.BearerStats("wifi")
-	if got := ws.Class(qos.PriorityNormal).Enqueued; got != 3 {
+	if got := counter(t, p, "wifi", "enqueued", qos.PriorityNormal); got != 3 {
 		t.Errorf("wifi re-accepted rerouted group frames (enqueued %d, want the original 3)", got)
 	}
 	close(wifi.gate)

@@ -249,76 +249,6 @@ func (ln *lane) empty() bool {
 	return true
 }
 
-// ClassStats counts egress activity for one priority class.
-type ClassStats struct {
-	// Enqueued counts frames accepted into lanes of this class.
-	Enqueued uint64
-	// Sent counts frames handed to the transport (batched frames count
-	// individually).
-	Sent uint64
-	// Datagrams counts transport sends (a batch counts once).
-	Datagrams uint64
-	// Coalesced counts frames that shared a batch datagram with others.
-	Coalesced uint64
-	// Dropped counts frames evicted by drop-oldest overflow.
-	Dropped uint64
-	// Bytes counts wire bytes handed to the transport.
-	Bytes uint64
-}
-
-// Stats is a snapshot of plane (or single-bearer) activity. It is a view
-// over the node registry's "egress" families: bearers increment
-// pre-resolved counter handles, and snapshotting reads the same series
-// MetricsSnapshot exports.
-type Stats struct {
-	// PerClass is indexed by qos.Priority.Index().
-	PerClass [numClasses]ClassStats
-	// SendErrors counts transport send failures (frames already dequeued).
-	SendErrors uint64
-	// BulkWaits counts drains that had to pause for bulk tokens.
-	BulkWaits uint64
-	// Rerouted counts frames moved off this bearer by Reroute (zero in the
-	// aggregate of a healthy plane's lifetime only if no failover ran).
-	Rerouted uint64
-}
-
-// Class returns the stats for one priority level.
-func (s Stats) Class(p qos.Priority) ClassStats {
-	if i := p.Index(); i >= 0 {
-		return s.PerClass[i]
-	}
-	return ClassStats{}
-}
-
-// Totals sums the per-class counters.
-func (s Stats) Totals() ClassStats {
-	var t ClassStats
-	for _, c := range s.PerClass {
-		t.Enqueued += c.Enqueued
-		t.Sent += c.Sent
-		t.Datagrams += c.Datagrams
-		t.Coalesced += c.Coalesced
-		t.Dropped += c.Dropped
-		t.Bytes += c.Bytes
-	}
-	return t
-}
-
-func (s *Stats) add(other Stats) {
-	for i := range s.PerClass {
-		c, o := &s.PerClass[i], other.PerClass[i]
-		c.Enqueued += o.Enqueued
-		c.Sent += o.Sent
-		c.Datagrams += o.Datagrams
-		c.Coalesced += o.Coalesced
-		c.Dropped += o.Dropped
-		c.Bytes += o.Bytes
-	}
-	s.SendErrors += other.SendErrors
-	s.BulkWaits += other.BulkWaits
-	s.Rerouted += other.Rerouted
-}
-
 // Plane is one container's egress plane: one or more bearers plus the
 // selector that routes frames among them. Construct with New (single
 // default bearer) or NewPlane + AddBearer; Close flushes what it can and
@@ -498,36 +428,6 @@ func repeated(names []string, i int) bool {
 		}
 	}
 	return false
-}
-
-// Stats snapshots the plane counters aggregated across bearers.
-func (p *Plane) Stats() Stats {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	var s Stats
-	for _, name := range p.order {
-		s.add(p.bearers[name].snapshot())
-	}
-	return s
-}
-
-// BearerStats snapshots one bearer's counters.
-func (p *Plane) BearerStats(name string) (Stats, bool) {
-	p.mu.RLock()
-	b := p.bearers[name]
-	p.mu.RUnlock()
-	if b == nil {
-		return Stats{}, false
-	}
-	return b.snapshot(), true
-}
-
-// SetBulkRate changes the default bearer's bulk shaping rate at runtime
-// (0 disables) — the single-datalink API.
-func (p *Plane) SetBulkRate(bps int64) {
-	if b := p.bearerOrDefault(""); b != nil {
-		b.setBulkRate(bps)
-	}
 }
 
 // SetBearerBulkRate changes one bearer's bulk shaping rate at runtime.
@@ -735,25 +635,6 @@ func (b *bearer) setBulkRate(bps int64) {
 	b.rate = bps
 	b.mu.Unlock()
 	b.signal()
-}
-
-// snapshot reads the bearer's registry series back into the Stats shape.
-func (b *bearer) snapshot() Stats {
-	var s Stats
-	for i, cc := range b.ctr.perClass {
-		s.PerClass[i] = ClassStats{
-			Enqueued:  cc.enqueued.Value(),
-			Sent:      cc.sent.Value(),
-			Datagrams: cc.datagrams.Value(),
-			Coalesced: cc.coalesced.Value(),
-			Dropped:   cc.dropped.Value(),
-			Bytes:     cc.bytes.Value(),
-		}
-	}
-	s.SendErrors = b.ctr.sendFailures.Value()
-	s.BulkWaits = b.ctr.bulkWaits.Value()
-	s.Rerouted = b.ctr.rerouted.Value()
-	return s
 }
 
 func (b *bearer) enqueue(key destKey, pr qos.Priority, it item) error {

@@ -7,6 +7,8 @@ import (
 	"testing"
 	"time"
 
+	"uavmw/internal/metrics"
+	"uavmw/internal/metrics/metricstest"
 	"uavmw/internal/protocol"
 	"uavmw/internal/qos"
 	"uavmw/internal/transport"
@@ -91,13 +93,37 @@ func decodeAll(t *testing.T, recs []sendRec) []uint64 {
 	return seqs
 }
 
+// counter reads bearer's "egress" counter family name from the registry the
+// bearer counts into: one class's series, or with no class the sum over
+// classes. Reading a family the bearer never registered fails the test.
+func counter(t testing.TB, p *Plane, bearer, name string, class ...qos.Priority) uint64 {
+	t.Helper()
+	p.mu.RLock()
+	b := p.bearers[bearer]
+	p.mu.RUnlock()
+	if b == nil {
+		t.Fatalf("no bearer %q", bearer)
+	}
+	match := []metrics.Label{metrics.L("bearer", bearer)}
+	for _, pr := range class {
+		match = append(match, metrics.L("class", pr.String()))
+	}
+	return metricstest.Counter(t, b.reg, "egress", name, match...)
+}
+
 // waitDequeued blocks until the drainer has popped n frames of class pr —
 // i.e. the gated sender is now holding the wire and later enqueues will
 // observably queue behind it.
 func waitDequeued(t *testing.T, p *Plane, pr qos.Priority, n uint64) {
 	t.Helper()
+	dequeued := func() (total uint64) {
+		for _, bearer := range p.Bearers() {
+			total += counter(t, p, bearer, "sent", pr)
+		}
+		return total
+	}
 	deadline := time.Now().Add(5 * time.Second)
-	for p.Stats().Class(pr).Sent < n {
+	for dequeued() < n {
 		if time.Now().After(deadline) {
 			t.Fatalf("drainer never dequeued %d %v frames", n, pr)
 		}
@@ -208,12 +234,12 @@ func TestDropOldestOverflow(t *testing.T) {
 			t.Fatalf("drop-oldest order = %v, want %v", seqs, want)
 		}
 	}
-	st := p.Stats().Class(qos.PriorityBulk)
-	if st.Dropped != 6 {
-		t.Fatalf("dropped = %d, want 6", st.Dropped)
+	bulk := func(name string) uint64 { return counter(t, p, DefaultBearer, name, qos.PriorityBulk) }
+	if dropped := bulk("dropped"); dropped != 6 {
+		t.Fatalf("dropped = %d, want 6", dropped)
 	}
-	if st.Enqueued != 11 || st.Sent != 5 {
-		t.Fatalf("enqueued/sent = %d/%d, want 11/5", st.Enqueued, st.Sent)
+	if enqueued, sent := bulk("enqueued"), bulk("sent"); enqueued != 11 || sent != 5 {
+		t.Fatalf("enqueued/sent = %d/%d, want 11/5", enqueued, sent)
 	}
 }
 
@@ -240,12 +266,11 @@ func TestCoalescingPacksSmallFramesIntoOneDatagram(t *testing.T) {
 			t.Fatalf("batch order = %v", seqs)
 		}
 	}
-	st := p.Stats().Class(qos.PriorityNormal)
-	if st.Coalesced != 8 {
-		t.Fatalf("coalesced = %d, want 8", st.Coalesced)
+	if coalesced := counter(t, p, DefaultBearer, "coalesced", qos.PriorityNormal); coalesced != 8 {
+		t.Fatalf("coalesced = %d, want 8", coalesced)
 	}
-	if st.Datagrams != 2 {
-		t.Fatalf("datagrams = %d, want 2", st.Datagrams)
+	if datagrams := counter(t, p, DefaultBearer, "datagrams", qos.PriorityNormal); datagrams != 2 {
+		t.Fatalf("datagrams = %d, want 2", datagrams)
 	}
 }
 
@@ -317,7 +342,7 @@ func TestBulkPacingShapesRate(t *testing.T) {
 	if elapsed > 4*expect {
 		t.Fatalf("pacing too slow: %v for ≈%v of traffic", elapsed, expect)
 	}
-	if p.Stats().BulkWaits == 0 {
+	if counter(t, p, DefaultBearer, "bulk_waits") == 0 {
 		t.Fatal("pacer never throttled")
 	}
 }
@@ -335,7 +360,7 @@ func TestBulkPacingDoesNotDelayHigherClasses(t *testing.T) {
 	_ = p.Enqueue("gs", qos.PriorityCritical, frameBytes(t, protocol.MTEvent, qos.PriorityCritical, 99, 40))
 	deadline := time.Now().Add(2 * time.Second)
 	for {
-		if st := p.Stats().Class(qos.PriorityCritical); st.Sent == 1 {
+		if counter(t, p, DefaultBearer, "sent", qos.PriorityCritical) == 1 {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -392,7 +417,7 @@ func TestGroupAndUnicastLanesAreIndependent(t *testing.T) {
 	}
 }
 
-func TestStatsTotals(t *testing.T) {
+func TestCountersPerClassAndSummed(t *testing.T) {
 	s := &gateSender{}
 	p := New(s, Config{CoalesceMax: -1})
 	defer p.Close()
@@ -400,13 +425,13 @@ func TestStatsTotals(t *testing.T) {
 		_ = p.Enqueue(transport.NodeID(fmt.Sprintf("n%d", i)), pr, frameBytes(t, protocol.MTSample, pr, uint64(i+1), 20))
 	}
 	waitSends(t, s, 5)
-	tot := p.Stats().Totals()
-	if tot.Enqueued != 5 || tot.Sent != 5 || tot.Dropped != 0 {
-		t.Fatalf("totals = %+v", tot)
+	total := func(name string) uint64 { return counter(t, p, DefaultBearer, name) }
+	if enqueued, sent, dropped := total("enqueued"), total("sent"), total("dropped"); enqueued != 5 || sent != 5 || dropped != 0 {
+		t.Fatalf("enqueued, sent, dropped = %d, %d, %d, want 5, 5, 0", enqueued, sent, dropped)
 	}
 	for _, pr := range qos.Levels() {
-		if st := p.Stats().Class(pr); st.Sent != 1 {
-			t.Fatalf("class %v sent = %d, want 1", pr, st.Sent)
+		if sent := counter(t, p, DefaultBearer, "sent", pr); sent != 1 {
+			t.Fatalf("class %v sent = %d, want 1", pr, sent)
 		}
 	}
 }

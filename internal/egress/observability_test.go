@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"uavmw/internal/metrics"
+	"uavmw/internal/metrics/metricstest"
 	"uavmw/internal/qos"
 	"uavmw/internal/uerr"
 )
@@ -27,17 +28,13 @@ func TestSendFailuresAreCountedInRegistry(t *testing.T) {
 	}
 	p.Flush()
 
-	st := p.Stats()
-	if st.SendErrors == 0 {
-		t.Fatal("SendErrors = 0 after a failing transport drained frames")
+	failures := counter(t, p, DefaultBearer, "send_failures")
+	if failures == 0 {
+		t.Fatal("send_failures = 0 after a failing transport drained frames")
 	}
-	typed := reg.SumCounters("egress", "errors", metrics.L("category", uerr.CatSend.String()))
-	if typed != st.SendErrors {
-		t.Fatalf("egress.errors{send} = %d, want %d (every send failure typed and counted)",
-			typed, st.SendErrors)
-	}
-	if got := reg.SumCounters("egress", "send_failures"); got != st.SendErrors {
-		t.Fatalf("send_failures series = %d, Stats view = %d: view and registry disagree", got, st.SendErrors)
+	typed := metricstest.Counter(t, reg, "egress", "errors", metrics.L("category", uerr.CatSend.String()))
+	if typed != failures {
+		t.Fatalf("egress.errors{send} = %d, want %d (every send failure typed and counted)", typed, failures)
 	}
 }
 
@@ -58,11 +55,11 @@ func TestLaneOverflowCountsResourceErrors(t *testing.T) {
 	close(s.gate)
 	p.Close()
 
-	dropped := p.Stats().Totals().Dropped
+	dropped := counter(t, p, DefaultBearer, "dropped")
 	if dropped == 0 {
 		t.Fatal("no drops with QueueCap=2 and a gated drainer")
 	}
-	typed := reg.SumCounters("egress", "errors", metrics.L("category", uerr.CatResource.String()))
+	typed := metricstest.Counter(t, reg, "egress", "errors", metrics.L("category", uerr.CatResource.String()))
 	if typed < dropped {
 		t.Fatalf("egress.errors{resource} = %d, want >= %d dropped frames", typed, dropped)
 	}

@@ -271,8 +271,8 @@ func runE14Multi(clk clock.Clock, res *E14Result, seed int64) error {
 	detectStop := make(chan struct{})
 	clock.Go(clk, func() {
 		for {
-			for _, ls := range uav.LinkStats() {
-				if ls.Name == "wifi" && !ls.Healthy {
+			for _, rep := range uav.LinkReports() {
+				if rep.Name == "wifi" && !rep.Healthy {
 					detect <- clk.Since(blackoutAt)
 					return
 				}

@@ -407,7 +407,10 @@ func RunE12Churn(clk clock.Clock, nodes, recordsPerNode, missedOffers int, seed 
 		}
 		clk.Sleep(time.Millisecond)
 	}
-	statsBefore := cut.DiscoveryStats()
+	// What the healed node's discovery plane had counted before the heal.
+	reg := cut.Metrics()
+	syncsBefore := reg.SumCounters("discovery", "sync_requests_sent")
+	heartbeatsBefore := reg.SumCounters("discovery", "heartbeats_received")
 
 	net.Heal(src.ID(), cut.ID())
 	healed := clk.Now()
@@ -422,8 +425,7 @@ func RunE12Churn(clk clock.Clock, nodes, recordsPerNode, missedOffers int, seed 
 		clk.Sleep(500 * time.Microsecond)
 	}
 	res.HealConverge = clk.Since(healed)
-	statsAfter := cut.DiscoveryStats()
-	res.SyncsUsed = statsAfter.SyncRequestsSent - statsBefore.SyncRequestsSent
-	res.HeartbeatsAfter = statsAfter.HeartbeatsReceived - statsBefore.HeartbeatsReceived
+	res.SyncsUsed = reg.SumCounters("discovery", "sync_requests_sent") - syncsBefore
+	res.HeartbeatsAfter = reg.SumCounters("discovery", "heartbeats_received") - heartbeatsBefore
 	return res, nil
 }

@@ -342,9 +342,9 @@ func runE13Phase(clk clock.Clock, res *E13Result, shaped bool, seed int64) error
 	if shaped {
 		res.Shaped, res.ShapedLost, res.ShapedSent = hist, lost, loadedTo-loadedFrom+1
 		res.ShapedTransfer, res.ShapedGoodput = transfer, goodput
-		st := uav.EgressStats()
-		res.ShapedDropped = st.Class(qos.PriorityBulk).Dropped
-		res.ShapedCoalesced = st.Totals().Coalesced
+		reg := uav.Metrics()
+		res.ShapedDropped = reg.SumCounters("egress", "dropped", metrics.L("class", qos.PriorityBulk.String()))
+		res.ShapedCoalesced = reg.SumCounters("egress", "coalesced")
 		res.MetricsText = uav.MetricsSnapshot().Text()
 	} else {
 		res.Flood, res.FloodLost, res.FloodSent = hist, lost, loadedTo-loadedFrom+1

@@ -233,9 +233,10 @@ func RunE2(n int, loss float64, payloadBytes int, seed int64) (*E2Result, error)
 			ack, _ := protocol.EncodeFrame(&protocol.Frame{Type: protocol.MTAck, Seq: f.Seq})
 			_ = dst.Send("src", ack)
 		})
+		reg := metrics.NewRegistry()
 		arq := protocol.NewARQ(func(to transport.NodeID, frame []byte) error {
 			return src.Send(to, frame)
-		}, protocol.WithTimeout(3*time.Millisecond), protocol.WithMaxRetries(20))
+		}, protocol.WithTimeout(3*time.Millisecond), protocol.WithMaxRetries(20), protocol.WithMetrics(reg))
 		src.SetHandler(func(pkt transport.Packet) {
 			f, err := protocol.DecodeFrame(pkt.Payload)
 			if err != nil || f.Type != protocol.MTAck {
@@ -269,7 +270,7 @@ func RunE2(n int, loss float64, payloadBytes int, seed int64) (*E2Result, error)
 		}
 		wg.Wait()
 		res.ARQTotal = time.Since(start)
-		res.ARQRetrans = arq.Stats().Retransmits
+		res.ARQRetrans = reg.SumCounters("arq", "retransmits")
 		arq.Close()
 		net.Close()
 	}
@@ -290,11 +291,11 @@ func RunE2(n int, loss float64, payloadBytes int, seed int64) (*E2Result, error)
 			deliverAt = make([]time.Time, 0, n)
 			done      = make(chan struct{})
 		)
-		var sender, receiver *protocol.GoBackN
-		sender = protocol.NewGoBackN("dst", func(to transport.NodeID, frame []byte) error {
+		var sender, receiver *goBackN
+		sender = newGoBackN("dst", func(to transport.NodeID, frame []byte) error {
 			return src.Send(to, frame)
 		}, nil, 3*time.Millisecond, 32)
-		receiver = protocol.NewGoBackN("src", func(to transport.NodeID, frame []byte) error {
+		receiver = newGoBackN("src", func(to transport.NodeID, frame []byte) error {
 			return dst.Send(to, frame)
 		}, func(msg []byte) {
 			mu.Lock()
@@ -326,7 +327,7 @@ func RunE2(n int, loss float64, payloadBytes int, seed int64) (*E2Result, error)
 			res.GBNPerMsg.Observe(at.Sub(starts[i]))
 		}
 		mu.Unlock()
-		res.GBNRetrans = sender.Stats().Retransmits
+		res.GBNRetrans = sender.Retransmits()
 		sender.Close()
 		receiver.Close()
 		net.Close()

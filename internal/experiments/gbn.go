@@ -1,4 +1,4 @@
-package protocol
+package experiments
 
 import (
 	"errors"
@@ -6,20 +6,12 @@ import (
 	"time"
 
 	"uavmw/internal/bufpool"
-	"uavmw/internal/clock"
 	"uavmw/internal/encoding"
-	"uavmw/internal/metrics"
+	"uavmw/internal/protocol"
 	"uavmw/internal/transport"
-	"uavmw/internal/uerr"
 )
 
-// GBN wire-path error codes.
-var (
-	codeGBNClosed   = uerr.Register("gbn.closed_stream", uerr.CatResource)
-	codeGBNTransmit = uerr.Register("gbn.transmit", uerr.CatSend)
-)
-
-// GoBackN is a TCP-like reliable ordered byte-message stream over an
+// goBackN is a TCP-like reliable ordered byte-message stream over an
 // unreliable datagram transport: sliding window, cumulative acknowledgment,
 // whole-window retransmission on timeout, strictly in-order delivery.
 //
@@ -28,20 +20,19 @@ var (
 // generic case provided by the TCP stack": under loss, GoBackN's in-order
 // delivery head-of-line blocks every message behind a lost packet, while
 // the ARQ engine delivers independent messages independently. Experiment E2
-// measures exactly this difference.
-type GoBackN struct {
-	send    SendFunc
+// measures exactly this difference, and nothing else uses it.
+type goBackN struct {
+	send    protocol.SendFunc
 	peer    transport.NodeID
 	window  int
 	timeout time.Duration
-	clk     clock.Clock
 
 	mu       sync.Mutex
 	sendBase uint64 // lowest unacked seq
 	nextSeq  uint64
 	buf      map[uint64][]byte // unacked messages
 	pending  [][]byte          // waiting for window space
-	timer    clock.Timer
+	timer    *time.Timer
 	closed   bool
 
 	recvNext uint64 // next in-order seq expected
@@ -52,16 +43,7 @@ type GoBackN struct {
 	// batches (the stream guarantee would silently break).
 	deliverMu sync.Mutex
 
-	reg   *metrics.Registry
-	stats GBNStats
-}
-
-// GBNStats counts stream activity.
-type GBNStats struct {
-	Sent        uint64
-	Retransmits uint64
-	Delivered   uint64
-	OutOfOrder  uint64 // packets buffered awaiting earlier ones
+	retransmits uint64 // the one figure E2 reads
 }
 
 // gbn wire format rides in MTEvent-typed frames? No — it has its own
@@ -75,76 +57,36 @@ const (
 	gbnAck  uint8 = 1
 )
 
-// ErrGBNClosed reports use after Close.
-var ErrGBNClosed = errors.New("gbn stream closed")
+// errGBNClosed reports use after Close.
+var errGBNClosed = errors.New("gbn stream closed")
 
-// DefaultGBNWindow is the sender window size in messages.
-const DefaultGBNWindow = 32
-
-// GBNOption customizes a stream.
-type GBNOption func(*GoBackN)
-
-// WithGBNClock sets the time source for the retransmission timer
-// (default: the wall clock).
-func WithGBNClock(c clock.Clock) GBNOption {
-	return func(g *GoBackN) {
-		if c != nil {
-			g.clk = c
-		}
-	}
-}
-
-// WithGBNMetrics lands the stream's typed-error counts in the given
-// registry (default: a private one).
-func WithGBNMetrics(reg *metrics.Registry) GBNOption {
-	return func(g *GoBackN) {
-		if reg != nil {
-			g.reg = reg
-		}
-	}
-}
-
-// NewGoBackN builds one direction of a stream to peer. deliver receives
+// newGoBackN builds one direction of a stream to peer. deliver receives
 // messages strictly in send order.
-func NewGoBackN(peer transport.NodeID, send SendFunc, deliver func([]byte), timeout time.Duration, window int, opts ...GBNOption) *GoBackN {
-	if timeout <= 0 {
-		timeout = DefaultARQTimeout
-	}
-	if window <= 0 {
-		window = DefaultGBNWindow
-	}
-	g := &GoBackN{
+func newGoBackN(peer transport.NodeID, send protocol.SendFunc, deliver func([]byte), timeout time.Duration, window int) *goBackN {
+	return &goBackN{
 		send:    send,
 		peer:    peer,
 		window:  window,
 		timeout: timeout,
-		clk:     clock.Real{},
 		buf:     make(map[uint64][]byte),
 		recvBuf: make(map[uint64][]byte),
 		deliver: deliver,
 	}
-	for _, opt := range opts {
-		opt(g)
-	}
-	if g.reg == nil {
-		g.reg = metrics.NewRegistry()
-	}
-	return g
 }
 
-// Stats snapshots the counters.
-func (g *GoBackN) Stats() GBNStats {
+// Retransmits counts messages sent again by window timeouts.
+func (g *goBackN) Retransmits() uint64 {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	return g.stats
+	return g.retransmits
 }
 
 // Send queues one message for reliable in-order delivery.
-func (g *GoBackN) Send(msg []byte) error {
+func (g *goBackN) Send(msg []byte) error {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if g.closed {
-		return uerr.Wrap(g.reg, codeGBNClosed, ErrGBNClosed, "send refused")
+		return errGBNClosed
 	}
 	if g.nextSeq-g.sendBase >= uint64(g.window) {
 		g.pending = append(g.pending, bufpool.Copy(msg))
@@ -155,30 +97,28 @@ func (g *GoBackN) Send(msg []byte) error {
 }
 
 // transmitLocked assigns a seq and sends. Caller holds g.mu.
-func (g *GoBackN) transmitLocked(msg []byte) {
+func (g *goBackN) transmitLocked(msg []byte) {
 	seq := g.nextSeq
 	g.nextSeq++
 	cp := bufpool.Copy(msg)
 	g.buf[seq] = cp
-	g.stats.Sent++
 	if g.timer == nil {
-		g.timer = g.clk.AfterFunc(g.timeout, g.onTimeout)
+		g.timer = time.AfterFunc(g.timeout, g.onTimeout)
 	}
 	g.rawSend(gbnData, seq, cp)
 }
 
-func (g *GoBackN) rawSend(kind uint8, seq uint64, payload []byte) {
+func (g *goBackN) rawSend(kind uint8, seq uint64, payload []byte) {
 	w := encoding.NewWriter(9 + len(payload))
 	w.Uint8(kind)
 	w.Uint64(seq)
 	w.Raw(payload)
-	// The window timer is the recovery path for a lost transmission, but
-	// the failure is counted, not discarded.
-	uerr.Note(g.reg, codeGBNTransmit, g.send(g.peer, w.Bytes()), "stream transmit")
+	// The window timer is the recovery path for a lost transmission.
+	_ = g.send(g.peer, w.Bytes())
 }
 
 // onTimeout retransmits the whole unacked window (classic Go-Back-N).
-func (g *GoBackN) onTimeout() {
+func (g *goBackN) onTimeout() {
 	g.mu.Lock()
 	if g.closed || len(g.buf) == 0 {
 		g.timer = nil
@@ -197,8 +137,8 @@ func (g *GoBackN) onTimeout() {
 			}{seq, msg})
 		}
 	}
-	g.stats.Retransmits += uint64(len(frames))
-	g.timer = g.clk.AfterFunc(g.timeout, g.onTimeout)
+	g.retransmits += uint64(len(frames))
+	g.timer = time.AfterFunc(g.timeout, g.onTimeout)
 	g.mu.Unlock()
 	for _, f := range frames {
 		g.rawSend(gbnData, f.seq, f.msg)
@@ -206,7 +146,7 @@ func (g *GoBackN) onTimeout() {
 }
 
 // HandlePacket consumes one raw packet from the peer (both data and acks).
-func (g *GoBackN) HandlePacket(payload []byte) {
+func (g *goBackN) HandlePacket(payload []byte) {
 	r := encoding.NewReader(payload)
 	kind := r.Uint8()
 	seq := r.Uint64()
@@ -221,7 +161,7 @@ func (g *GoBackN) HandlePacket(payload []byte) {
 	}
 }
 
-func (g *GoBackN) handleAck(nextExpected uint64) {
+func (g *goBackN) handleAck(nextExpected uint64) {
 	g.mu.Lock()
 	if nextExpected <= g.sendBase {
 		g.mu.Unlock()
@@ -245,7 +185,7 @@ func (g *GoBackN) handleAck(nextExpected uint64) {
 	g.mu.Unlock()
 }
 
-func (g *GoBackN) handleData(seq uint64, data []byte) {
+func (g *goBackN) handleData(seq uint64, data []byte) {
 	g.deliverMu.Lock()
 	defer g.deliverMu.Unlock()
 	g.mu.Lock()
@@ -272,11 +212,9 @@ func (g *GoBackN) handleData(seq uint64, data []byte) {
 		// in-order delivery semantics being compared).
 		if _, dup := g.recvBuf[seq]; !dup && seq-g.recvNext < uint64(g.window)*4 {
 			g.recvBuf[seq] = bufpool.Copy(data)
-			g.stats.OutOfOrder++
 		}
 	}
 	ackTo := g.recvNext
-	g.stats.Delivered += uint64(len(toDeliver))
 	deliver := g.deliver
 	g.mu.Unlock()
 
@@ -289,14 +227,14 @@ func (g *GoBackN) handleData(seq uint64, data []byte) {
 }
 
 // Unacked reports messages awaiting acknowledgment plus queued ones.
-func (g *GoBackN) Unacked() int {
+func (g *goBackN) Unacked() int {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	return len(g.buf) + len(g.pending)
 }
 
 // Close stops the retransmission timer; undelivered messages are dropped.
-func (g *GoBackN) Close() {
+func (g *goBackN) Close() {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if g.closed {

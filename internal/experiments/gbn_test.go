@@ -1,4 +1,4 @@
-package protocol
+package experiments
 
 import (
 	"fmt"
@@ -13,13 +13,13 @@ import (
 func TestGBNInOrderNoLoss(t *testing.T) {
 	var received []string
 	var mu sync.Mutex
-	var a, b *GoBackN
-	a = NewGoBackN("b", func(_ transport.NodeID, payload []byte) error {
+	var a, b *goBackN
+	a = newGoBackN("b", func(_ transport.NodeID, payload []byte) error {
 		cp := append([]byte(nil), payload...)
 		go b.HandlePacket(cp)
 		return nil
 	}, nil, 10*time.Millisecond, 8)
-	b = NewGoBackN("a", func(_ transport.NodeID, payload []byte) error {
+	b = newGoBackN("a", func(_ transport.NodeID, payload []byte) error {
 		cp := append([]byte(nil), payload...)
 		go a.HandlePacket(cp)
 		return nil
@@ -70,8 +70,8 @@ func TestGBNRecoversFromLoss(t *testing.T) {
 	// modulo-period pathology where the same retransmitted packet is
 	// dropped every round.
 	rng := rand.New(rand.NewSource(17))
-	var a, b *GoBackN
-	a = NewGoBackN("b", func(_ transport.NodeID, payload []byte) error {
+	var a, b *goBackN
+	a = newGoBackN("b", func(_ transport.NodeID, payload []byte) error {
 		mu.Lock()
 		drop := payload[0] == gbnData && rng.Float64() < 0.25
 		mu.Unlock()
@@ -82,7 +82,7 @@ func TestGBNRecoversFromLoss(t *testing.T) {
 		go b.HandlePacket(cp)
 		return nil
 	}, nil, 5*time.Millisecond, 8)
-	b = NewGoBackN("a", func(_ transport.NodeID, payload []byte) error {
+	b = newGoBackN("a", func(_ transport.NodeID, payload []byte) error {
 		cp := append([]byte(nil), payload...)
 		go a.HandlePacket(cp)
 		return nil
@@ -121,14 +121,15 @@ func TestGBNRecoversFromLoss(t *testing.T) {
 			t.Fatalf("order violated at %d: %q", i, msg)
 		}
 	}
-	if st := a.Stats(); st.Retransmits == 0 {
+	if a.Retransmits() == 0 {
 		t.Error("expected retransmissions under loss")
 	}
 }
 
 func TestGBNWindowBackpressure(t *testing.T) {
 	// With acks never arriving, sends beyond the window queue as pending.
-	a := NewGoBackN("b", func(transport.NodeID, []byte) error { return nil },
+	transmitted := 0
+	a := newGoBackN("b", func(transport.NodeID, []byte) error { transmitted++; return nil },
 		nil, time.Hour, 4)
 	defer a.Close()
 	for i := 0; i < 10; i++ {
@@ -139,14 +140,13 @@ func TestGBNWindowBackpressure(t *testing.T) {
 	if got := a.Unacked(); got != 10 {
 		t.Errorf("unacked+pending = %d, want 10", got)
 	}
-	st := a.Stats()
-	if st.Sent != 4 {
-		t.Errorf("transmitted %d, want window of 4", st.Sent)
+	if transmitted != 4 {
+		t.Errorf("transmitted %d, want window of 4", transmitted)
 	}
 }
 
 func TestGBNCloseRejectsSends(t *testing.T) {
-	a := NewGoBackN("b", func(transport.NodeID, []byte) error { return nil }, nil, time.Millisecond, 4)
+	a := newGoBackN("b", func(transport.NodeID, []byte) error { return nil }, nil, time.Millisecond, 4)
 	a.Close()
 	a.Close() // idempotent
 	if err := a.Send([]byte("x")); err == nil {
@@ -155,8 +155,8 @@ func TestGBNCloseRejectsSends(t *testing.T) {
 }
 
 func TestGBNStaleAndGarbagePackets(t *testing.T) {
-	var a *GoBackN
-	a = NewGoBackN("b", func(transport.NodeID, []byte) error { return nil },
+	var a *goBackN
+	a = newGoBackN("b", func(transport.NodeID, []byte) error { return nil },
 		func([]byte) {}, time.Hour, 4)
 	defer a.Close()
 	a.HandlePacket(nil)                                     // too short

@@ -1,6 +1,7 @@
 // Package fabric defines the narrow interface between the service container
-// and the four communication-primitive engines (variables, events, remote
-// invocation, file transfer). The container implements Fabric; engines are
+// and its five engines: the four communication primitives (variables,
+// events, remote invocation, file transfer) and discovery, which announces
+// what the other four offer. The container implements Fabric; engines are
 // written against it, which keeps them free of container internals and lets
 // tests substitute instrumented fabrics.
 package fabric
@@ -18,7 +19,7 @@ import (
 	"uavmw/internal/transport"
 )
 
-// Fabric is what a primitive engine may ask of its container.
+// Fabric is what an engine may ask of its container.
 //
 // One send contract covers SendBestEffort, SendGroup and SendReliable. The
 // fabric assigns a zero Seq from NextSeq, encodes the frame (header and
@@ -36,9 +37,9 @@ import (
 // PriorityBulk, small-frame coalescing — see package egress). Datagram
 // sends are therefore asynchronous: a nil return means the frame was
 // accepted into its lane, not that it reached the transport; post-enqueue
-// transport failures surface in the container's egress stats. Engines must
-// set Priority deliberately — it decides both who the frame may overtake on
-// a congested link and how the receiver schedules its handler.
+// transport failures surface in the registry's "egress" families. Engines
+// must set Priority deliberately — it decides both who the frame may
+// overtake on a congested link and how the receiver schedules its handler.
 //
 // Transmission is also bearer-aware: a container may carry several
 // datagram links (WiFi, radio modem, satcom), and the frame's Priority —

@@ -15,6 +15,11 @@
 // sends a lightweight MTProbe (a u64 nonce) to known peers and the echo
 // closes the loop: liveness proof, an RTT sample, and — because probes keep
 // flowing on a dead bearer — automatic detection of the link coming back.
+//
+// A Plane holds a node's bearers and their monitors and does what the
+// monitors' verdicts are for: it picks the bearer for every egress frame
+// (policy order × health × peer reachability), probes the quiet ones, and
+// reroutes a bearer's queue the moment it is declared down.
 package link
 
 import (
@@ -48,7 +53,6 @@ const rttAlpha = 0.25
 type Monitor struct {
 	name     string
 	deadline time.Duration
-	clk      clock.Clock
 
 	mu        sync.Mutex
 	birth     time.Time
@@ -70,23 +74,14 @@ type Monitor struct {
 // unhealthy — the same failure-deadline vocabulary the container uses for
 // peer liveness, applied per link.
 func NewMonitor(name string, deadline time.Duration, clk clock.Clock) *Monitor {
-	clk = clock.Or(clk)
 	return &Monitor{
 		name:     name,
 		deadline: deadline,
-		clk:      clk,
-		birth:    clk.Now(),
+		birth:    clock.Or(clk).Now(),
 		peers:    make(map[transport.NodeID]time.Time),
 		probes:   make(map[uint64]time.Time),
 	}
 }
-
-// Clock is the time source the monitor was built against; the container
-// takes its observation instants from it.
-func (m *Monitor) Clock() clock.Clock { return m.clk }
-
-// Name returns the bearer name.
-func (m *Monitor) Name() string { return m.name }
 
 // SawRx records one received packet from a peer on this bearer.
 func (m *Monitor) SawRx(from transport.NodeID, now time.Time) {
@@ -114,13 +109,6 @@ func (m *Monitor) Healthy(now time.Time) bool {
 		ref = m.birth
 	}
 	return now.Sub(ref) <= m.deadline
-}
-
-// LastRx returns the bearer's last-heard instant (zero if never).
-func (m *Monitor) LastRx() time.Time {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.lastRx
 }
 
 // Idle reports whether nothing has been heard on the bearer for at least d

@@ -26,6 +26,7 @@ import (
 // it lands in the node registry with a component and category.
 var wirePathPackages = []string{
 	"internal/core",
+	"internal/discovery",
 	"internal/egress",
 	"internal/events",
 	"internal/filetransfer",

@@ -1,8 +1,8 @@
 // Package metrics is the node's single observability registry: every
 // plane (discovery, egress, link, RPC, events, file transfer, ARQ) counts
 // into one Registry as labeled counter/gauge/histogram families keyed by
-// component + name + labels. The per-plane *Stats() structs elsewhere in
-// the tree are read-only views over these families, and
+// component + name + labels. It is the one stats surface — planes keep no
+// snapshot structs beside it; readers query it (SumCounters) — and
 // core.Node.MetricsSnapshot exports the whole registry as one Snapshot a
 // ground-station gateway can serve verbatim (text or JSON).
 //
@@ -371,9 +371,9 @@ func (r *Registry) Histogram(component, name string, labels ...Label) *Histogram
 }
 
 // SumCounters totals every series of counter family component.name whose
-// labels include all of match — the primitive the per-plane *Stats() views
-// use (e.g. "all discovery errors with category=encode"). Zero when the
-// family does not exist.
+// labels include all of match (e.g. "all discovery errors with
+// category=encode") — how a reader gets one figure out of the registry.
+// Zero when the family does not exist.
 func (r *Registry) SumCounters(component, name string, match ...Label) uint64 {
 	r.mu.RLock()
 	defer r.mu.RUnlock()

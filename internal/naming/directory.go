@@ -257,6 +257,14 @@ func (d *Directory) NodeRecordCount(node transport.NodeID) int {
 	return len(d.byNode[node])
 }
 
+// Record returns node's cached binding of (kind, name), if it offers one.
+func (d *Directory) Record(kind Kind, name string, node transport.NodeID) (Record, bool) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	rec, ok := d.entries[dirKey{kind: kind, name: name}][node]
+	return rec, ok
+}
+
 // RemoveNode purges every binding of a failed or departed node (§3: "In
 // case of service malfunctioning, it is also the container responsibility
 // ... to clear and update their caches").

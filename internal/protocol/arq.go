@@ -83,17 +83,9 @@ type SendTuning struct {
 	MaxRetries int
 }
 
-// ARQStats is a snapshot of engine activity for the E2 experiment.
-type ARQStats struct {
-	Sent        uint64 // first transmissions
-	Retransmits uint64
-	Acked       uint64
-	Failed      uint64
-}
-
 // arqCounters holds the engine's pre-resolved registry handles ("arq"
-// component); increments stay lock-free atomics and ARQStats is a view
-// over the same series MetricsSnapshot exports.
+// component); increments stay lock-free atomics on the same series
+// MetricsSnapshot exports.
 type arqCounters struct {
 	sent        *metrics.Counter
 	retransmits *metrics.Counter
@@ -107,15 +99,6 @@ func newARQCounters(reg *metrics.Registry) arqCounters {
 		retransmits: reg.Counter("arq", "retransmits"),
 		acked:       reg.Counter("arq", "acked"),
 		failed:      reg.Counter("arq", "failed"),
-	}
-}
-
-func (c *arqCounters) snapshot() ARQStats {
-	return ARQStats{
-		Sent:        c.sent.Value(),
-		Retransmits: c.retransmits.Value(),
-		Acked:       c.acked.Value(),
-		Failed:      c.failed.Value(),
 	}
 }
 
@@ -205,9 +188,6 @@ func NewARQ(send SendFunc, opts ...ARQOption) *ARQ {
 	a.stats = newARQCounters(a.reg)
 	return a
 }
-
-// Stats snapshots the engine counters.
-func (a *ARQ) Stats() ARQStats { return a.stats.snapshot() }
 
 // Send transmits frame to peer reliably with the engine-default tuning.
 // seq must be unique per (peer, message); result is invoked exactly once

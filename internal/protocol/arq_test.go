@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"uavmw/internal/metrics/metricstest"
 	"uavmw/internal/transport"
 )
 
@@ -72,9 +73,9 @@ func TestARQImmediateAck(t *testing.T) {
 	if arq.Pending() != 0 {
 		t.Errorf("Pending = %d", arq.Pending())
 	}
-	st := arq.Stats()
-	if st.Sent != 1 || st.Acked != 1 || st.Retransmits != 0 {
-		t.Errorf("stats = %+v", st)
+	count := func(name string) uint64 { return metricstest.Counter(t, arq.reg, "arq", name) }
+	if sent, acked, re := count("sent"), count("acked"), count("retransmits"); sent != 1 || acked != 1 || re != 0 {
+		t.Errorf("sent, acked, retransmits = %d, %d, %d, want 1, 1, 0", sent, acked, re)
 	}
 }
 
@@ -98,9 +99,8 @@ func TestARQRetransmitsUntilAck(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("no result")
 	}
-	st := arq.Stats()
-	if st.Retransmits < 3 {
-		t.Errorf("retransmits = %d, want >= 3", st.Retransmits)
+	if re := metricstest.Counter(t, arq.reg, "arq", "retransmits"); re < 3 {
+		t.Errorf("retransmits = %d, want >= 3", re)
 	}
 }
 
@@ -121,8 +121,8 @@ func TestARQTimeoutAfterBudget(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("no result")
 	}
-	if arq.Stats().Failed != 1 {
-		t.Errorf("Failed = %d", arq.Stats().Failed)
+	if failed := metricstest.Counter(t, arq.reg, "arq", "failed"); failed != 1 {
+		t.Errorf("failed = %d", failed)
 	}
 }
 

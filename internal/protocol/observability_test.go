@@ -118,20 +118,3 @@ func TestARQDuplicateSeqIsProtocolViolation(t *testing.T) {
 		t.Fatalf("arq.errors{protocol_violation} = %d, want 1", n)
 	}
 }
-
-// GBN stream transmissions ride the same contract: a failing datagram
-// send is counted under gbn.errors{send}, never silently dropped.
-func TestGBNTransmitFailuresAreCounted(t *testing.T) {
-	reg := metrics.NewRegistry()
-	g := NewGoBackN("peer", func(transport.NodeID, []byte) error {
-		return errors.New("no route")
-	}, nil, time.Second, 4, WithGBNMetrics(reg))
-	defer g.Close()
-
-	if err := g.Send([]byte("hello")); err != nil {
-		t.Fatal(err)
-	}
-	if n := errCount(reg, "gbn", uerr.CatSend); n != 1 {
-		t.Fatalf("gbn.errors{send} = %d, want 1", n)
-	}
-}

@@ -230,36 +230,6 @@ func (e *Engine) Inflight() int { return int(e.inflight.Load()) }
 // issued.
 func (e *Engine) Hedges() uint64 { return e.hedges.Value() }
 
-// Stats is a snapshot of the engine — a view over the registry's "rpc"
-// families, the same series Node.MetricsSnapshot exports.
-type Stats struct {
-	// BusyRejects counts requests this provider shed via MTBusy.
-	BusyRejects uint64
-	// Hedges counts speculative hedged dispatches issued by this caller.
-	Hedges uint64
-	// Inflight is the number of handlers executing at snapshot time.
-	Inflight int
-	// DecodeDrops counts malformed replies and argument payloads dropped.
-	DecodeDrops uint64
-	// ProtocolViolations counts wire-contract breaches (unknown function
-	// names offered as providers, admission sheds excluded).
-	ProtocolViolations uint64
-}
-
-// Stats snapshots the engine counters.
-func (e *Engine) Stats() Stats {
-	cat := func(c uerr.Category) uint64 {
-		return e.reg.SumCounters("rpc", "errors", metrics.L("category", c.String()))
-	}
-	return Stats{
-		BusyRejects:        e.busyRejects.Value(),
-		Hedges:             e.hedges.Value(),
-		Inflight:           int(e.inflight.Load()),
-		DecodeDrops:        cat(uerr.CatDecode),
-		ProtocolViolations: cat(uerr.CatProtocol),
-	}
-}
-
 // Register exposes a function. argType/retType may be nil for void.
 func (e *Engine) Register(name, service string, argType, retType *presentation.Type, q qos.CallQoS, h Handler) error {
 	if h == nil {

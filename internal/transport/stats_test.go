@@ -9,8 +9,8 @@ import (
 // across every implementation: after a delivered unicast send, the sender
 // reports it under PacketsSent/BytesSent *and* PacketsWire/BytesWire, and
 // the receiver reports it under PacketsRecv/BytesRecv. The container's
-// link monitor and Node.LinkStats read these counters without knowing
-// which substrate backs a bearer, so the shape must not vary.
+// transport gauges read these counters without knowing which substrate
+// backs a bearer, so the shape must not vary.
 func TestStatsUniformShape(t *testing.T) {
 	const payload = "stats-probe"
 
