@@ -3,14 +3,22 @@
 // envelopes, receive rings) draws its scratch storage from here instead of
 // allocating, so steady-state traffic produces no per-frame garbage.
 //
-// Ownership contract: a buffer obtained from Get is owned by the caller
-// until it is passed to Put, after which it must not be touched — the same
-// storage will back an unrelated frame. Code that must retain bytes beyond
-// its ownership window (ARQ pending frames, reassembly state, application
-// handlers) takes a GC-owned Copy instead; copies are never returned to the
-// pool. Releasing a buffer twice, or releasing a buffer while any alias of
-// it is still live, corrupts frames in flight — when ownership is unclear,
-// leak the buffer to the GC (correct, merely slower) rather than Put it.
+// Ownership contract: a buffer has exactly one owner at every instant. Get
+// makes the caller the owner; handing the buffer on (to the egress plane, to
+// a queue) hands the ownership on with it; whoever owns it last calls Put,
+// after which nobody may touch it — the same storage will back an unrelated
+// frame. An owner that needs the bytes in two places makes a second pooled
+// buffer and copies: ARQ keeps its own pooled copy of every unacknowledged
+// datagram, reads it only under the engine lock, and Puts it when the
+// message is acknowledged, times out, fails its first transmission or the
+// engine closes, while each transmission gives the egress plane a further
+// copy that the plane Puts once it is on the wire. Bytes that must outlive
+// every such window with no one left to release them (reassembly state,
+// values handed to application handlers) go into a GC-owned Copy instead,
+// which is never returned to the pool. Releasing a buffer twice, or
+// releasing it while an alias is still live, corrupts frames in flight —
+// when ownership is unclear, leak the buffer to the GC (correct, merely
+// slower) rather than Put it.
 //
 // The freelists are bounded channels, not sync.Pools: a channel hand-off
 // recycles the slice header in place, so neither Get nor Put allocates (a
@@ -77,6 +85,21 @@ func Put(b []byte) {
 		return
 	}
 }
+
+// Idle reports how many buffers wait in the class a Get(n) draws from. It
+// is what a test balances a path's Gets against its Puts with: one Put too
+// many (two owners of one buffer) or too few shows as a drift.
+func Idle(n int) int {
+	for i, size := range classSizes {
+		if n <= size {
+			return len(classes[i])
+		}
+	}
+	return 0
+}
+
+// Clone returns a pooled copy of b; the caller owns it until Put.
+func Clone(b []byte) []byte { return append(Get(len(b)), b...) }
 
 // Copy returns a GC-owned copy of b. This is the blessed primitive for
 // retaining wire bytes beyond a handler or ownership window: the copy is

@@ -1,6 +1,7 @@
 package clock
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -281,4 +282,134 @@ func TestVirtualBlockingExternalWait(t *testing.T) {
 			t.Fatalf("external wait resolved at +%v, want +20ms", got)
 		}
 	})
+}
+
+// TestTriggerWaitIgnoresStaleTick pins the reused deadline timer: a Wait
+// that a Signal ended while its timer was firing must leave no tick behind,
+// or the next Wait with a deadline returns at once.
+func TestTriggerWaitIgnoresStaleTick(t *testing.T) {
+	trig := NewTrigger(Real{}).(*realTrigger)
+	const first, deadline = 200 * time.Microsecond, 2 * time.Millisecond
+	for i := 0; i < 200; i++ {
+		// The signal lands a few microseconds before the deadline, so the
+		// timer fires while the woken waiter is still on its way back to
+		// the CPU: the token ends this Wait with the tick already sent.
+		lead := time.Duration(i%40) * time.Microsecond
+		signalled := make(chan struct{})
+		start := time.Now()
+		go func() {
+			for time.Since(start) < first-lead {
+			}
+			trig.Signal()
+			close(signalled)
+		}()
+		trig.Wait(first-time.Since(start), nil)
+		<-signalled
+		// A token left over is a wake-up the next Wait would be right to
+		// take; only a tick left over is the defect.
+		select {
+		case <-trig.ch:
+		default:
+		}
+
+		start = time.Now()
+		trig.Wait(deadline, nil)
+		if elapsed := time.Since(start); elapsed < deadline {
+			t.Fatalf("iteration %d: Wait(%v) returned after %v on a stale tick", i, deadline, elapsed)
+		}
+	}
+}
+
+// TestCondRecyclesChannelsFIFO pins Cond's recycled park channels on both
+// clocks: waiters wake in the order they parked, a woken waiter's channel is
+// reused by the next park, and a steady park/unpark cycle allocates nothing.
+func TestCondRecyclesChannelsFIFO(t *testing.T) {
+	for _, c := range []Clock{Real{}, Clock(NewVirtual())} {
+		var mu sync.Mutex
+		cond := NewCond(c, &mu)
+		parked := func() int {
+			lock := &cond.mu
+			if cond.v != nil {
+				lock = &cond.v.mu
+			}
+			lock.Lock()
+			defer lock.Unlock()
+			return len(cond.waiters)
+		}
+		for round := 0; round < 3; round++ {
+			var order []int
+			var wg sync.WaitGroup
+			for i := 0; i < 3; i++ {
+				wg.Add(1)
+				Go(c, func() {
+					defer wg.Done()
+					mu.Lock()
+					cond.Wait()
+					order = append(order, i)
+					mu.Unlock()
+				})
+				// Park them one at a time so the queue order is known.
+				for parked() != i+1 {
+					time.Sleep(50 * time.Microsecond)
+				}
+			}
+			for i := 0; i < 3; i++ {
+				cond.Signal()
+				for {
+					mu.Lock()
+					woken := len(order)
+					mu.Unlock()
+					if woken == i+1 {
+						break
+					}
+					time.Sleep(50 * time.Microsecond)
+				}
+			}
+			wg.Wait()
+			for i, got := range order {
+				if got != i {
+					t.Fatalf("%T round %d: wake order %v, want FIFO", c, round, order)
+				}
+			}
+			cond.mu.Lock()
+			idle := len(cond.idle)
+			cond.mu.Unlock()
+			if idle != 3 {
+				t.Fatalf("%T round %d: %d idle channels, want the 3 woken waiters' (recycled, not remade)", c, round, idle)
+			}
+		}
+	}
+}
+
+// TestCondWaitAllocs gates the scheduler pool's park/unpark cycle.
+func TestCondWaitAllocs(t *testing.T) {
+	var mu sync.Mutex
+	cond := NewCond(Real{}, &mu)
+	woke := make(chan struct{})
+	go func() {
+		mu.Lock()
+		for {
+			cond.Wait()
+			woke <- struct{}{}
+		}
+	}()
+	cycle := func() {
+		for {
+			cond.mu.Lock()
+			n := len(cond.waiters)
+			cond.mu.Unlock()
+			if n == 1 {
+				break
+			}
+			runtime.Gosched()
+		}
+		cond.Signal()
+		<-woke
+	}
+	for i := 0; i < 4; i++ {
+		cycle()
+	}
+	if allocs := testing.AllocsPerRun(200, cycle); allocs != 0 {
+		t.Errorf("Cond park/unpark: %v allocs/op, want 0", allocs)
+	}
 }

@@ -36,9 +36,12 @@ func NewTrigger(c Clock) Trigger {
 // "pending wake-up" state, and reusing one channel for the life of the
 // trigger keeps the park/unpark cycle allocation-free (the egress drainers
 // park once per drained burst — with a per-Wait channel that alloc shows
-// up in the wire path's per-frame cost).
+// up in the wire path's per-frame cost). The deadline timer is reused the
+// same way: made by the first Wait that needs one, re-armed by later ones.
+// Wait is single-consumer, so tm needs no lock.
 type realTrigger struct {
 	ch chan struct{}
+	tm *time.Timer
 }
 
 func (t *realTrigger) Signal() {
@@ -51,18 +54,29 @@ func (t *realTrigger) Signal() {
 func (t *realTrigger) Wait(d time.Duration, stop <-chan struct{}) bool {
 	var tc <-chan time.Time
 	if d >= 0 {
-		tm := time.NewTimer(d)
-		defer tm.Stop()
-		tc = tm.C
+		if t.tm == nil {
+			t.tm = time.NewTimer(d)
+		} else {
+			t.tm.Reset(d)
+		}
+		tc = t.tm.C
 	}
+	woken, ticked := true, false
 	select {
 	case <-t.ch:
-		return true
 	case <-tc:
-		return true
+		ticked = true
 	case <-stop:
-		return false
+		woken = false
 	}
+	// Leave the timer stopped and its channel empty, or the next Wait would
+	// return at once on this one's tick. Stop reports false for a timer that
+	// fired; its tick was not received above, so it is buffered or about to
+	// be, and the receive cannot hang.
+	if tc != nil && !ticked && !t.tm.Stop() {
+		<-tc
+	}
+	return woken
 }
 
 type virtualTrigger struct {
@@ -150,13 +164,18 @@ func (t *virtualTrigger) Wait(d time.Duration, stop <-chan struct{}) bool {
 // park on it, and under a Virtual clock a Signal releases the woken
 // waiter's parked count inside the clock lock — virtual time cannot
 // advance past a just-dispatched job. FIFO wake order.
+//
+// A waiter parks on a capacity-1 channel and is woken by a token, so the
+// channel survives the park: it goes back on a free list and the pool's
+// park/unpark cycle allocates nothing.
 type Cond struct {
 	// L is held by callers of Wait, as with sync.Cond.
 	L sync.Locker
 
 	v       *Virtual   // nil on a real clock
-	mu      sync.Mutex // guards waiters on a real clock (v.mu otherwise)
+	mu      sync.Mutex // guards waiters on a real clock (v.mu otherwise), idle on both
 	waiters []chan struct{}
+	idle    []chan struct{} // channels of waiters that have been woken
 }
 
 // NewCond builds a condition variable bound to c with locker l.
@@ -169,21 +188,30 @@ func NewCond(c Clock, l sync.Locker) *Cond {
 // re-acquires L. As with sync.Cond, callers re-check their predicate in
 // a loop.
 func (c *Cond) Wait() {
-	ch := make(chan struct{})
+	var ch chan struct{}
+	c.mu.Lock()
+	if n := len(c.idle); n > 0 {
+		ch, c.idle = c.idle[n-1], c.idle[:n-1]
+	} else {
+		ch = make(chan struct{}, 1)
+	}
 	var temp bool
 	if c.v != nil {
+		c.mu.Unlock()
 		id := gid()
 		c.v.mu.Lock()
 		c.waiters = append(c.waiters, ch)
 		temp = c.v.enterParkLocked(id)
 		c.v.mu.Unlock()
 	} else {
-		c.mu.Lock()
 		c.waiters = append(c.waiters, ch)
 		c.mu.Unlock()
 	}
 	c.L.Unlock()
 	<-ch
+	c.mu.Lock()
+	c.idle = append(c.idle, ch)
+	c.mu.Unlock()
 	c.L.Lock()
 	if c.v != nil {
 		c.v.exitPark(temp)
@@ -191,43 +219,31 @@ func (c *Cond) Wait() {
 }
 
 // Signal wakes the longest-parked waiter, if any.
-func (c *Cond) Signal() {
-	if c.v != nil {
-		c.v.mu.Lock()
-		if len(c.waiters) > 0 {
-			ch := c.waiters[0]
-			c.waiters = c.waiters[1:]
-			c.v.blocked--
-			close(ch)
-		}
-		c.v.mu.Unlock()
-		return
-	}
-	c.mu.Lock()
-	if len(c.waiters) > 0 {
-		ch := c.waiters[0]
-		c.waiters = c.waiters[1:]
-		close(ch)
-	}
-	c.mu.Unlock()
-}
+func (c *Cond) Signal() { c.wake(1) }
 
 // Broadcast wakes every parked waiter.
-func (c *Cond) Broadcast() {
+func (c *Cond) Broadcast() { c.wake(-1) }
+
+// wake hands up to max waiters (all of them when max < 0) their token,
+// longest-parked first, keeping the queue's backing array.
+func (c *Cond) wake(max int) {
+	mu := &c.mu
 	if c.v != nil {
-		c.v.mu.Lock()
-		for _, ch := range c.waiters {
+		mu = &c.v.mu
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	n := len(c.waiters)
+	if max >= 0 && n > max {
+		n = max
+	}
+	for _, ch := range c.waiters[:n] {
+		if c.v != nil {
 			c.v.blocked--
-			close(ch)
 		}
-		c.waiters = nil
-		c.v.mu.Unlock()
-		return
+		ch <- struct{}{}
 	}
-	c.mu.Lock()
-	for _, ch := range c.waiters {
-		close(ch)
-	}
-	c.waiters = nil
-	c.mu.Unlock()
+	rest := copy(c.waiters, c.waiters[n:])
+	clear(c.waiters[rest:])
+	c.waiters = c.waiters[:rest]
 }

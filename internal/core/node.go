@@ -382,8 +382,9 @@ func NewNode(opts ...NodeOption) (*Node, error) {
 		// there is a choice to make.
 		n.egress.SetSelector(n.links)
 	}
-	// ARQ retransmissions re-enter the plane in the lane of the frame
-	// they carry (the priority rides in the encoded header).
+	// ARQ transmissions, first and repeated, enter the plane in the lane of
+	// the frame they carry (the priority rides in the encoded header); the
+	// plane queues its own copy and ARQ keeps the datagram.
 	n.arq = protocol.NewARQ(func(to transport.NodeID, frame []byte) error {
 		return n.egress.Enqueue(to, protocol.PeekPriority(frame), frame)
 	}, append([]protocol.ARQOption{protocol.WithClock(clk), protocol.WithMetrics(n.metrics)}, cfg.arqOpts...)...)
@@ -531,24 +532,13 @@ func (r *reliable) complete(err error) error {
 	return nil
 }
 
-// wireBuf returns the buffer one outgoing datagram is built in. Normally it
-// is pooled: the egress plane owns it from the enqueue on and recycles it
-// after the wire write. A datagram ARQ retains until the peer acknowledges
-// it is exact-size and GC-owned instead.
-func wireBuf(size int, retained bool) []byte {
-	if retained {
-		//wirepath:alloc ARQ holds the datagram for retransmission until it is acknowledged
-		return make([]byte, 0, size)
-	}
-	return bufpool.Get(size)
-}
-
 // transmit is the container's one path from a frame to the wire: assign
-// the seq, encode once, loop back a frame addressed to this node, split
-// what exceeds the MTU, and hand each datagram to the egress plane —
-// directly and plane-owned for best-effort traffic, through ARQ (which
-// keeps the bytes and re-enters the plane per retransmission) when rel is
-// set. Every Send* method, the ack path and the link probes go through it.
+// the seq, encode once into a pooled buffer, loop back a frame addressed to
+// this node, split what exceeds the MTU, and hand each datagram to the
+// egress plane — directly and plane-owned for best-effort traffic, through
+// ARQ (which keeps its own copy and re-enters the plane per transmission)
+// when rel is set. Every Send* method, the ack path and the link probes go
+// through it.
 func (n *Node) transmit(d egress.Dest, f *protocol.Frame, rel *reliable) error {
 	// A batch's outer header carries no sequence semantics; its zero Seq
 	// is not "unassigned".
@@ -566,7 +556,7 @@ func (n *Node) transmit(d egress.Dest, f *protocol.Frame, rel *reliable) error {
 	}
 	size := protocol.FrameWireSize(f)
 	split := datagram && size > n.mtu
-	buf := wireBuf(size, viaARQ && !split)
+	buf := bufpool.Get(size)
 	raw, err := protocol.AppendFrame(buf, f)
 	if err != nil {
 		bufpool.Put(buf)
@@ -616,7 +606,7 @@ func (n *Node) transmitSplit(d egress.Dest, f *protocol.Frame, raw []byte, rel *
 		if viaARQ {
 			seq = n.NextSeq()
 		}
-		part := parts.Append(wireBuf(parts.WireSize(i), viaARQ), i, seq, flags)
+		part := parts.Append(bufpool.Get(parts.WireSize(i)), i, seq, flags)
 		if err := n.enqueue(d, f.Priority, seq, part, frag); err != nil {
 			return frag.complete(err)
 		}
@@ -624,14 +614,17 @@ func (n *Node) transmitSplit(d egress.Dest, f *protocol.Frame, raw []byte, rel *
 	return nil
 }
 
-// enqueue hands one encoded datagram to the egress plane — which then owns
-// the pooled buffer — or, for a reliable send, registers it with ARQ under
-// seq; ARQ makes the first transmission and every retry through the plane.
+// enqueue gives up one encoded datagram in a pooled buffer: to the egress
+// plane, which then owns it, or, for a reliable send, to ARQ under seq —
+// ARQ copies it, makes the first transmission and every retry through the
+// plane, and the buffer is recycled here.
 func (n *Node) enqueue(d egress.Dest, pr qos.Priority, seq uint64, raw []byte, rel *reliable) error {
 	if rel == nil {
-		return n.egress.EnqueueTo(d, pr, raw, true)
+		return n.egress.EnqueueTo(d, pr, raw)
 	}
-	return n.arq.SendTuned(d.Node, seq, raw, rel.tune, rel.done)
+	err := n.arq.SendTuned(d.Node, seq, raw, rel.tune, rel.done)
+	bufpool.Put(raw)
+	return err
 }
 
 // allAcked returns the per-fragment completion of a multi-fragment reliable

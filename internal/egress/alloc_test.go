@@ -44,7 +44,7 @@ func TestEnqueueDrainAllocs(t *testing.T) {
 	}
 	send := func() {
 		raw := append(bufpool.Get(len(frame)), frame...)
-		if err := p.EnqueueTo(Dest{Node: "peer"}, qos.PriorityNormal, raw, true); err != nil {
+		if err := p.EnqueueTo(Dest{Node: "peer"}, qos.PriorityNormal, raw); err != nil {
 			t.Fatal(err)
 		}
 		<-s.done

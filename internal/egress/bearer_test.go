@@ -140,7 +140,7 @@ func TestEnqueueOnPinsBearer(t *testing.T) {
 	p.SetSelector(sel)
 	// An ack that arrived on radio must be answered on radio, whatever the
 	// selector prefers for fresh traffic.
-	if err := p.EnqueueTo(Dest{Node: "gs", Bearer: "radio"}, qos.PriorityCritical, frameBytes(t, protocol.MTAck, qos.PriorityCritical, 3, 0), false); err != nil {
+	if err := p.EnqueueTo(Dest{Node: "gs", Bearer: "radio"}, qos.PriorityCritical, frameBytes(t, protocol.MTAck, qos.PriorityCritical, 3, 0)); err != nil {
 		t.Fatal(err)
 	}
 	waitSends(t, radio, 1)
@@ -154,7 +154,7 @@ func TestGroupFramesRideEverySelectedBearerOnce(t *testing.T) {
 		return []string{"wifi", "radio", "wifi"} // duplicate collapses
 	})
 	p.SetSelector(sel)
-	if err := p.EnqueueTo(Dest{Group: "uavmw.disco"}, qos.PriorityNormal, frameBytes(t, protocol.MTHeartbeat, qos.PriorityNormal, 9, 16), false); err != nil {
+	if err := p.EnqueueTo(Dest{Group: "uavmw.disco"}, qos.PriorityNormal, frameBytes(t, protocol.MTHeartbeat, qos.PriorityNormal, 9, 16)); err != nil {
 		t.Fatal(err)
 	}
 	wifiRecs := waitSends(t, wifi, 1)
@@ -268,7 +268,7 @@ func TestRerouteGroupFramesAvoidDeadBearer(t *testing.T) {
 
 	wifi.gate = make(chan struct{})
 	for seq := uint64(1); seq <= 3; seq++ {
-		if err := p.EnqueueTo(Dest{Group: "uavmw.disco"}, qos.PriorityNormal, frameBytes(t, protocol.MTHeartbeat, qos.PriorityNormal, seq, 700), false); err != nil {
+		if err := p.EnqueueTo(Dest{Group: "uavmw.disco"}, qos.PriorityNormal, frameBytes(t, protocol.MTHeartbeat, qos.PriorityNormal, seq, 700)); err != nil {
 			t.Fatal(err)
 		}
 	}

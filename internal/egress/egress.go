@@ -34,8 +34,8 @@
 // The plane sits between the container's transmit routine and the datagram
 // transports; the stream transport (TCP) paces itself and bypasses it. It
 // has one send contract, stated on Plane.EnqueueTo: a destination (node or
-// group, optionally pinned to a bearer), a class, one encoded datagram, and
-// who recycles its bytes.
+// group, optionally pinned to a bearer), a class, and one encoded datagram
+// in a pooled buffer the plane owns from then on.
 package egress
 
 import (
@@ -172,28 +172,16 @@ type destKey struct {
 	group string
 }
 
-// item is one queued encoded datagram; owned is EnqueueTo's ownership
-// flag, carried to whoever takes the datagram off the queue.
-type item struct {
-	raw   []byte
-	owned bool
-}
-
-// release returns an owned item's storage to the pool.
-func (it item) release() {
-	if it.owned {
-		bufpool.Put(it.raw)
-	}
-}
-
-// lane holds one destination's per-class queues on one bearer.
+// lane holds one destination's per-class queues of encoded datagrams on one
+// bearer. Every queued datagram is a bufpool buffer the plane owns: whoever
+// takes it off the queue puts it on the wire, or drops it, and recycles it.
 // lane queues are head-indexed rings over a reusable backing array: popping
 // advances head instead of re-slicing the base away, so the array's capacity
 // survives a full drain and the steady-state enqueue→drain cycle never
 // reallocates it.
 type lane struct {
 	key    destKey
-	q      [numClasses][]item
+	q      [numClasses][][]byte
 	head   [numClasses]int
 	queued [numClasses]bool // lane is on the ready list for the class
 }
@@ -201,34 +189,34 @@ type lane struct {
 // size reports the frames queued at class c.
 func (ln *lane) size(c int) int { return len(ln.q[c]) - ln.head[c] }
 
-// peek returns the head item of class c without removing it.
-func (ln *lane) peek(c int) *item { return &ln.q[c][ln.head[c]] }
+// peek returns the head datagram of class c without removing it.
+func (ln *lane) peek(c int) []byte { return ln.q[c][ln.head[c]] }
 
-// pop removes and returns the head item of class c, rewinding the ring to
-// the start of its backing array when it empties.
-func (ln *lane) pop(c int) item {
-	it := ln.q[c][ln.head[c]]
-	ln.q[c][ln.head[c]] = item{} // drop the buffer reference
+// pop removes and returns the head datagram of class c, rewinding the ring
+// to the start of its backing array when it empties.
+func (ln *lane) pop(c int) []byte {
+	raw := ln.q[c][ln.head[c]]
+	ln.q[c][ln.head[c]] = nil // drop the buffer reference
 	ln.head[c]++
 	if ln.head[c] == len(ln.q[c]) {
 		ln.q[c] = ln.q[c][:0]
 		ln.head[c] = 0
 	}
-	return it
+	return raw
 }
 
-// push appends an item at class c, compacting dead head space before
+// push appends a datagram at class c, compacting dead head space before
 // growing the backing array.
-func (ln *lane) push(c int, it item) {
+func (ln *lane) push(c int, raw []byte) {
 	if ln.head[c] > 0 && len(ln.q[c]) == cap(ln.q[c]) {
 		n := copy(ln.q[c], ln.q[c][ln.head[c]:])
 		for i := n; i < len(ln.q[c]); i++ {
-			ln.q[c][i] = item{}
+			ln.q[c][i] = nil
 		}
 		ln.q[c] = ln.q[c][:n]
 		ln.head[c] = 0
 	}
-	ln.q[c] = append(ln.q[c], it)
+	ln.q[c] = append(ln.q[c], raw)
 }
 
 // popLane removes the front entry in place, preserving the backing array's
@@ -349,62 +337,59 @@ type Dest struct {
 // An unpinned unicast rides the bearer the selector chooses; an unpinned
 // group datagram rides every distinct bearer the selector names.
 //
-// owned says who recycles raw. Owned: raw is a bufpool buffer nothing else
-// aliases, and the plane releases it once the bytes are on the wire,
-// evicted, or the enqueue fails — the caller must not touch it after the
-// call, success or not. When a group fans out to several bearers the same
-// bytes sit in several queues at once, so ownership degrades to the GC.
-// Borrowed: the caller may keep aliasing raw (ARQ retransmission state)
-// and the plane leaves it to the GC.
-func (p *Plane) EnqueueTo(d Dest, pr qos.Priority, raw []byte, owned bool) error {
-	it := item{raw: raw, owned: owned}
+// raw is a bufpool buffer nothing else aliases, and the plane owns it from
+// the call on: it recycles raw once the bytes are on the wire, evicted, or
+// the enqueue fails — the caller must not touch it afterwards, success or
+// not. A caller that keeps its bytes uses Enqueue.
+func (p *Plane) EnqueueTo(d Dest, pr qos.Priority, raw []byte) error {
 	key := destKey{node: d.Node, group: d.Group}
 	name := d.Bearer
 	if s := p.getSelector(); s != nil && name == "" {
 		if d.Group == "" {
 			name = s.Unicast(d.Node, pr)
 		} else if names := s.Group(d.Group, pr); len(names) > 0 {
-			return p.fanOut(names, key, pr, it)
+			return p.fanOut(names, key, pr, raw)
 		}
 	}
 	b := p.bearerOrDefault(name)
 	if b == nil {
-		it.release()
+		bufpool.Put(raw)
 		return ErrClosed
 	}
-	return b.enqueue(key, pr, it)
+	return b.enqueue(key, pr, raw)
 }
 
-// Enqueue is EnqueueTo for a borrowed unicast datagram on the selector's
-// bearer — the shape ARQ retransmissions take.
+// Enqueue queues a copy of raw for node to on the selector's bearer. raw
+// stays the caller's — it is only read, and only during the call — which is
+// the shape ARQ transmissions take: the engine keeps the datagram until it
+// is acknowledged and every transmission hands the plane its own copy.
 func (p *Plane) Enqueue(to transport.NodeID, pr qos.Priority, raw []byte) error {
-	return p.EnqueueTo(Dest{Node: to}, pr, raw, false)
+	return p.EnqueueTo(Dest{Node: to}, pr, bufpool.Clone(raw))
 }
 
-// fanOut queues one group datagram once per distinct bearer name. It
-// succeeds when any bearer accepted the datagram.
-func (p *Plane) fanOut(names []string, key destKey, pr qos.Priority, it item) error {
-	distinct := 0
-	for i := range names {
-		if !repeated(names, i) {
-			distinct++
-		}
-	}
-	if distinct > 1 {
-		// Several queues alias the bytes; no single release point.
-		it.owned = false
+// fanOut queues one group datagram once per distinct bearer name: the last
+// of them takes raw itself, each one before it a pooled copy. It succeeds
+// when any bearer accepted the datagram.
+func (p *Plane) fanOut(names []string, key destKey, pr qos.Priority, raw []byte) error {
+	last := len(names) - 1
+	for repeated(names, last) {
+		last--
 	}
 	var firstErr error
 	accepted := false
-	for i, name := range names {
+	for i, name := range names[:last+1] {
 		if repeated(names, i) {
 			continue
 		}
+		buf := raw
+		if i != last {
+			buf = bufpool.Clone(raw)
+		}
 		err := ErrClosed
 		if b := p.bearerOrDefault(name); b != nil {
-			err = b.enqueue(key, pr, it)
+			err = b.enqueue(key, pr, buf)
 		} else {
-			it.release()
+			bufpool.Put(buf)
 		}
 		if err == nil {
 			accepted = true
@@ -477,7 +462,7 @@ func (p *Plane) Reroute(name string) int {
 				}
 			}
 		}
-		if err := p.EnqueueTo(d, pr, qf.item.raw, qf.item.owned); err != nil {
+		if err := p.EnqueueTo(d, pr, qf.raw); err != nil {
 			uerr.Wrapf(b.reg, codeRerouteDrop, err, "reroute off %s", name)
 		}
 	}
@@ -534,13 +519,10 @@ type bearer struct {
 	clk clock.Clock
 
 	// Drainer-private scratch, reused across drains so the steady-state
-	// transmit path allocates nothing. collect* are filled under b.mu by
-	// collectLocked; batchMsgs/batchOwned only ever touched by the drain
-	// goroutine.
-	collectRaw   [][]byte
-	collectOwned []bool
-	batchMsgs    []transport.BatchMessage
-	batchOwned   []bool
+	// transmit path allocates nothing. collectRaw is filled under b.mu by
+	// collectLocked; batchMsgs is only ever touched by the drain goroutine.
+	collectRaw [][]byte
+	batchMsgs  []transport.BatchMessage
 
 	mu           sync.Mutex
 	idle         *clock.Cond // signalled when a transmit completes
@@ -637,7 +619,7 @@ func (b *bearer) setBulkRate(bps int64) {
 	b.signal()
 }
 
-func (b *bearer) enqueue(key destKey, pr qos.Priority, it item) error {
+func (b *bearer) enqueue(key destKey, pr qos.Priority, raw []byte) error {
 	c := pr.Index()
 	if c < 0 {
 		c = qos.PriorityNormal.Index()
@@ -645,7 +627,7 @@ func (b *bearer) enqueue(key destKey, pr qos.Priority, it item) error {
 	b.mu.Lock()
 	if b.closed {
 		b.mu.Unlock()
-		it.release()
+		bufpool.Put(raw)
 		return ErrClosed
 	}
 	ln := b.lanes[key]
@@ -662,11 +644,11 @@ func (b *bearer) enqueue(key destKey, pr qos.Priority, it item) error {
 	}
 	if ln.size(c) >= b.cfg.QueueCap {
 		// Drop-oldest: the stalest frame in this lane+class makes room.
-		ln.pop(c).release()
+		bufpool.Put(ln.pop(c))
 		b.ctr.perClass[c].dropped.Inc()
 		b.ctr.overflow.Inc()
 	}
-	ln.push(c, it)
+	ln.push(c, raw)
 	b.ctr.perClass[c].enqueued.Inc()
 	if !ln.queued[c] {
 		ln.queued[c] = true
@@ -693,10 +675,9 @@ func (b *bearer) refillLocked(now time.Time) {
 // next picks the next datagram to transmit: the head of the highest
 // non-empty class, round-robin across that class's destinations, coalescing
 // small same-lane same-class frames into a batch. If only throttled bulk is
-// pending it returns wait > 0 instead. owned marks a datagram the drainer
-// must return to bufpool after transmission (a pooled batch buffer or an
-// ownership-transferred single frame).
-func (b *bearer) next() (datagram []byte, key destKey, owned bool, wait time.Duration, ok bool) {
+// pending it returns wait > 0 instead. The drainer returns the datagram (a
+// queued frame or a batch buffer) to bufpool after transmission.
+func (b *bearer) next() (datagram []byte, key destKey, wait time.Duration, ok bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	for c := numClasses - 1; c >= 0; c-- {
@@ -712,7 +693,7 @@ func (b *bearer) next() (datagram []byte, key destKey, owned bool, wait time.Dur
 				b.refillLocked(b.clk.Now())
 				// A frame larger than the whole bucket must still pass
 				// once the bucket is full; the deficit is repaid below.
-				need := float64(len(ln.peek(c).raw))
+				need := float64(len(ln.peek(c)))
 				if burst := float64(b.cfg.BulkBurst); need > burst {
 					need = burst
 				}
@@ -722,13 +703,12 @@ func (b *bearer) next() (datagram []byte, key destKey, owned bool, wait time.Dur
 					if wait <= 0 {
 						wait = time.Millisecond
 					}
-					return nil, destKey{}, false, wait, false
+					return nil, destKey{}, wait, false
 				}
 			}
 			n := b.collectLocked(ln, c)
 			if n == 1 {
 				datagram = b.collectRaw[0]
-				owned = b.collectOwned[0]
 			} else {
 				// Coalesce into one pooled wire buffer: each inner frame
 				// is copied exactly once, directly into its batch slot.
@@ -743,23 +723,16 @@ func (b *bearer) next() (datagram []byte, key destKey, owned bool, wait time.Dur
 					// the head frame alone rather than wedging the lane.
 					bufpool.Put(buf)
 					datagram = b.collectRaw[0]
-					owned = b.collectOwned[0]
-					for i := 1; i < n; i++ {
-						if b.collectOwned[i] {
-							bufpool.Put(b.collectRaw[i])
-						}
+					for _, f := range b.collectRaw[1:] {
+						bufpool.Put(f)
 					}
 					n = 1
 				} else {
-					// The inner frames' bytes now live in the batch buffer;
-					// recycle the pooled ones immediately.
-					for i, f := range b.collectRaw {
-						if b.collectOwned[i] {
-							bufpool.Put(f)
-						}
+					// The inner frames' bytes now live in the batch buffer.
+					for _, f := range b.collectRaw {
+						bufpool.Put(f)
 					}
 					datagram = dst
-					owned = true
 					b.ctr.perClass[c].coalesced.Add(uint64(n))
 				}
 			}
@@ -782,10 +755,10 @@ func (b *bearer) next() (datagram []byte, key destKey, owned bool, wait time.Dur
 				b.reapLocked(ln)
 			}
 			b.transmitting = true
-			return datagram, key, owned, 0, true
+			return datagram, key, 0, true
 		}
 	}
-	return nil, destKey{}, false, 0, false
+	return nil, destKey{}, 0, false
 }
 
 // collectLocked pops the head frame of lane ln at class c plus any
@@ -793,22 +766,19 @@ func (b *bearer) next() (datagram []byte, key destKey, owned bool, wait time.Dur
 // the bearer's reusable collect scratch. Caller holds b.mu.
 func (b *bearer) collectLocked(ln *lane, c int) int {
 	head := ln.pop(c)
-	b.collectRaw = append(b.collectRaw[:0], head.raw)
-	b.collectOwned = append(b.collectOwned[:0], head.owned)
-	if b.cfg.CoalesceMax < 0 || len(head.raw) > b.cfg.CoalesceMax {
+	b.collectRaw = append(b.collectRaw[:0], head)
+	if b.cfg.CoalesceMax < 0 || len(head) > b.cfg.CoalesceMax {
 		return 1
 	}
-	total := protocol.BatchOverhead(1) + len(head.raw)
+	total := protocol.BatchOverhead(1) + len(head)
 	for ln.size(c) > 0 {
 		nxt := ln.peek(c)
-		if len(nxt.raw) > b.cfg.CoalesceMax ||
-			total+protocol.BatchEntryOverhead+len(nxt.raw) > b.cfg.MaxDatagram {
+		if len(nxt) > b.cfg.CoalesceMax ||
+			total+protocol.BatchEntryOverhead+len(nxt) > b.cfg.MaxDatagram {
 			break
 		}
-		it := ln.pop(c)
-		b.collectRaw = append(b.collectRaw, it.raw)
-		b.collectOwned = append(b.collectOwned, it.owned)
-		total += protocol.BatchEntryOverhead + len(it.raw)
+		b.collectRaw = append(b.collectRaw, ln.pop(c))
+		total += protocol.BatchEntryOverhead + len(nxt)
 	}
 	return len(b.collectRaw)
 }
@@ -883,18 +853,16 @@ func (b *bearer) drain() (wait time.Duration, ok bool) {
 		limit = maxSyscallBatch
 	}
 	msgs := b.batchMsgs[:0]
-	owned := b.batchOwned[:0]
 	for len(msgs) < limit {
-		datagram, key, own, w, k := b.next()
+		datagram, key, w, k := b.next()
 		if !k {
 			wait = w
 			break
 		}
 		msgs = append(msgs, transport.BatchMessage{To: key.node, Group: key.group, Payload: datagram})
-		owned = append(owned, own)
 	}
 	if len(msgs) == 0 {
-		b.batchMsgs, b.batchOwned = msgs, owned
+		b.batchMsgs = msgs
 		return wait, false
 	}
 	if b.batch == nil {
@@ -904,12 +872,10 @@ func (b *bearer) drain() (wait time.Duration, ok bool) {
 		uerr.Wrapf(b.reg, codeTransmit, err, "batched transport send on %s", b.name)
 	}
 	for i := range msgs {
-		if owned[i] {
-			bufpool.Put(msgs[i].Payload)
-		}
+		bufpool.Put(msgs[i].Payload)
 		msgs[i] = transport.BatchMessage{} // drop pooled-buffer refs
 	}
-	b.batchMsgs, b.batchOwned = msgs[:0], owned[:0]
+	b.batchMsgs = msgs[:0]
 	b.mu.Lock()
 	b.transmitting = false
 	b.idle.Broadcast()
@@ -938,12 +904,12 @@ func (b *bearer) pendingLocked() bool {
 	return false
 }
 
-// queuedFrame is one frame pulled off a bearer by drainQueued, ownership
-// included.
+// queuedFrame is one frame pulled off a bearer by drainQueued; its buffer
+// goes to whoever re-enqueues it.
 type queuedFrame struct {
 	key   destKey
 	class int
-	item  item
+	raw   []byte
 }
 
 // drainQueued atomically removes everything queued on the bearer and
@@ -957,8 +923,8 @@ func (b *bearer) drainQueued() []queuedFrame {
 	var out []queuedFrame
 	for c := numClasses - 1; c >= 0; c-- {
 		for _, ln := range b.ready[c] {
-			for _, it := range ln.q[c][ln.head[c]:] {
-				out = append(out, queuedFrame{key: ln.key, class: c, item: it})
+			for _, raw := range ln.q[c][ln.head[c]:] {
+				out = append(out, queuedFrame{key: ln.key, class: c, raw: raw})
 			}
 			ln.q[c] = nil
 			ln.head[c] = 0
@@ -992,12 +958,12 @@ func (b *bearer) close() {
 	defer b.mu.Unlock()
 	for c := numClasses - 1; c >= 0; c-- {
 		for _, ln := range b.ready[c] {
-			for _, it := range ln.q[c][ln.head[c]:] {
-				b.transmit(ln.key, it.raw)
+			for _, raw := range ln.q[c][ln.head[c]:] {
+				b.transmit(ln.key, raw)
 				b.ctr.perClass[c].sent.Inc()
 				b.ctr.perClass[c].datagrams.Inc()
-				b.ctr.perClass[c].bytes.Add(uint64(len(it.raw)))
-				it.release()
+				b.ctr.perClass[c].bytes.Add(uint64(len(raw)))
+				bufpool.Put(raw)
 			}
 			ln.q[c] = nil
 			ln.head[c] = 0

@@ -38,6 +38,8 @@ func (s *gateSender) SendGroup(group string, payload []byte) error {
 }
 
 func (s *gateSender) record(r sendRec) error {
+	// The plane recycles the datagram when the send returns.
+	r.raw = append([]byte(nil), r.raw...)
 	if s.gate != nil {
 		<-s.gate
 	}
@@ -379,7 +381,7 @@ func TestCloseFlushesQueuedFrames(t *testing.T) {
 	_ = p.Enqueue("hold", qos.PriorityNormal, frameBytes(t, protocol.MTSample, qos.PriorityNormal, 1, 10))
 	waitDequeued(t, p, qos.PriorityNormal, 1)
 	for seq := uint64(2); seq <= 5; seq++ {
-		_ = p.EnqueueTo(Dest{Group: "g"}, qos.PriorityHigh, frameBytes(t, protocol.MTBye, qos.PriorityHigh, seq, 10), false)
+		_ = p.EnqueueTo(Dest{Group: "g"}, qos.PriorityHigh, frameBytes(t, protocol.MTBye, qos.PriorityHigh, seq, 10))
 	}
 	done := make(chan struct{})
 	go func() { p.Close(); close(done) }()
@@ -402,7 +404,7 @@ func TestGroupAndUnicastLanesAreIndependent(t *testing.T) {
 	p := New(s, Config{CoalesceMax: -1})
 	defer p.Close()
 	_ = p.Enqueue("gs", qos.PriorityNormal, frameBytes(t, protocol.MTSample, qos.PriorityNormal, 1, 10))
-	_ = p.EnqueueTo(Dest{Group: "gs"}, qos.PriorityNormal, frameBytes(t, protocol.MTSample, qos.PriorityNormal, 2, 10), false)
+	_ = p.EnqueueTo(Dest{Group: "gs"}, qos.PriorityNormal, frameBytes(t, protocol.MTSample, qos.PriorityNormal, 2, 10))
 	recs := waitSends(t, s, 2)
 	var uni, grp int
 	for _, r := range recs {

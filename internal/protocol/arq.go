@@ -5,6 +5,7 @@ import (
 	"sync"
 	"time"
 
+	"uavmw/internal/bufpool"
 	"uavmw/internal/clock"
 	"uavmw/internal/metrics"
 	"uavmw/internal/transport"
@@ -42,6 +43,7 @@ type ARQ struct {
 
 	mu      sync.Mutex
 	pending map[arqKey]*arqPending
+	free    []*arqPending // recycled records, at most arqFreeCap; starts empty
 	closed  bool
 
 	reg   *metrics.Registry
@@ -49,6 +51,8 @@ type ARQ struct {
 }
 
 // SendFunc transmits a raw frame to a peer; the ARQ engine owns retries.
+// frame is lent for the duration of the call only: an implementation that
+// defers the transmission copies it first (egress.Plane.Enqueue does).
 type SendFunc func(to transport.NodeID, frame []byte) error
 
 // ResultFunc reports the final outcome of a reliable send: nil on ACK, or
@@ -60,12 +64,20 @@ type arqKey struct {
 	seq uint64
 }
 
+// arqPending is one unacknowledged message. Records are recycled through
+// ARQ.free: a steady stream of reliable sends allocates none.
 type arqPending struct {
-	frame   []byte
+	a   *ARQ
+	key arqKey
+	// frame is the engine's own pooled copy of the datagram, kept for
+	// retransmission. It has one owner, this record: it is read and returned
+	// to bufpool only under a.mu, and only while the record is pending.
+	frame []byte
+	// timer is created once, bound to the record, and re-armed with Reset
+	// for every later use and every retransmission.
 	timer   clock.Timer
-	retries int
+	attempt int // retransmissions so far
 	result  ResultFunc
-	done    bool
 	// timeout / maxRetries are this message's overrides (zero = engine
 	// default): a critical alarm on a 40ms-latency radio modem needs a
 	// longer fuse than a chunk ack on local WiFi, and QoS policies carry
@@ -73,6 +85,11 @@ type arqPending struct {
 	timeout    time.Duration
 	maxRetries int
 }
+
+// arqFreeCap bounds the free list: enough for the reliable sends a node has
+// in flight in steady state, small enough that a burst leaves no lasting
+// footprint.
+const arqFreeCap = 64
 
 // SendTuning carries per-message ARQ overrides; zero fields take the
 // engine defaults.
@@ -191,7 +208,8 @@ func NewARQ(send SendFunc, opts ...ARQOption) *ARQ {
 
 // Send transmits frame to peer reliably with the engine-default tuning.
 // seq must be unique per (peer, message); result is invoked exactly once
-// from a timer or Ack goroutine.
+// from a timer or Ack goroutine. frame stays the caller's: the engine keeps
+// its own pooled copy for retransmission.
 func (a *ARQ) Send(to transport.NodeID, seq uint64, frame []byte, result ResultFunc) error {
 	return a.SendTuned(to, seq, frame, SendTuning{}, result)
 }
@@ -199,7 +217,6 @@ func (a *ARQ) Send(to transport.NodeID, seq uint64, frame []byte, result ResultF
 // SendTuned is Send with per-message timeout / retry overrides.
 func (a *ARQ) SendTuned(to transport.NodeID, seq uint64, frame []byte, tune SendTuning, result ResultFunc) error {
 	key := arqKey{to: to, seq: seq}
-	p := &arqPending{frame: frame, result: result, timeout: tune.Timeout, maxRetries: tune.MaxRetries}
 
 	a.mu.Lock()
 	if a.closed {
@@ -210,50 +227,77 @@ func (a *ARQ) SendTuned(to transport.NodeID, seq uint64, frame []byte, tune Send
 		a.mu.Unlock()
 		return uerr.Newf(a.reg, codeARQDupSeq, "in-flight seq %d to %q", seq, to)
 	}
+	p := a.recordLocked()
+	p.key, p.result, p.timeout, p.maxRetries = key, result, tune.Timeout, tune.MaxRetries
+	p.frame = bufpool.Clone(frame)
 	a.pending[key] = p
-	p.timer = a.clk.AfterFunc(a.timeoutFor(p), func() { a.retransmit(key, 1) })
+	if p.timer == nil {
+		p.timer = a.clk.AfterFunc(a.timeoutFor(p), p.retransmit)
+	} else {
+		p.timer.Reset(a.timeoutFor(p))
+	}
 	a.mu.Unlock()
 
 	a.stats.sent.Inc()
 
+	// The first transmission goes out from the caller's buffer, which no
+	// ack, timer or Close can release underneath it.
 	if err := a.send(to, frame); err != nil {
 		// First transmission failed outright (unknown node, closed
 		// transport): fail fast rather than burning the retry budget.
 		a.finish(key, uerr.Wrap(a.reg, codeARQFirstTx, err, "first transmission"))
-		return nil // outcome reported via result
 	}
-	return nil
+	return nil // outcome reported via result
 }
 
-// retransmit fires on timer expiry for attempt n.
-func (a *ARQ) retransmit(key arqKey, attempt int) {
+// recordLocked takes a record off the free list or makes one. Caller holds
+// a.mu.
+func (a *ARQ) recordLocked() *arqPending {
+	if n := len(a.free); n > 0 {
+		p := a.free[n-1]
+		a.free[n-1] = nil
+		a.free = a.free[:n-1]
+		return p
+	}
+	return &arqPending{a: a}
+}
+
+// retransmit is the record's timer callback. A record is recycled only
+// after Stop reported its timer unfired, so a run of this function always
+// belongs to the record's current use — or to one that finish has already
+// ended, which the pending-table check catches.
+func (p *arqPending) retransmit() {
+	a := p.a
 	a.mu.Lock()
-	p, ok := a.pending[key]
-	if !ok || p.done || a.closed {
+	if a.pending[p.key] != p || a.closed {
 		a.mu.Unlock()
 		return
 	}
-	if attempt > a.retriesFor(p) {
+	key := p.key
+	if retries := a.retriesFor(p); p.attempt >= retries {
 		a.mu.Unlock()
 		a.stats.failed.Inc()
 		a.finish(key, uerr.Wrapf(a.reg, codeARQAckWait, ErrTimeout,
-			"seq %d to %q after %d attempts", key.seq, key.to, attempt))
+			"seq %d to %q after %d attempts", key.seq, key.to, retries+1))
 		return
 	}
-	frame := p.frame
+	p.attempt++
 	delay := a.timeoutFor(p)
-	for i := 0; i < attempt; i++ {
+	for i := 0; i < p.attempt; i++ {
 		delay = time.Duration(float64(delay) * a.backoff)
 	}
-	p.retries++
-	p.timer = a.clk.AfterFunc(delay, func() { a.retransmit(key, attempt+1) })
+	p.timer.Reset(delay)
+	// An ack may finish the record and recycle p.frame the moment the lock
+	// drops, so this transmission reads its own copy.
+	tx := bufpool.Clone(p.frame)
 	a.mu.Unlock()
 
 	a.stats.retransmits.Inc()
 	// A transient failure retries on the next timer, but it is counted,
 	// not discarded: a bearer blackout shows up as arq.retransmit send
 	// errors long before retry budgets start expiring.
-	uerr.Note(a.reg, codeARQRetryTx, a.send(key.to, frame), "retransmission")
+	uerr.Note(a.reg, codeARQRetryTx, a.send(key.to, tx), "retransmission")
+	bufpool.Put(tx)
 }
 
 // timeoutFor resolves one message's effective initial timeout.
@@ -275,26 +319,31 @@ func (a *ARQ) retriesFor(p *arqPending) int {
 // Ack completes the message (peer, seq); safe to call for unknown keys
 // (late or duplicate ACKs).
 func (a *ARQ) Ack(from transport.NodeID, seq uint64) {
-	key := arqKey{to: from, seq: seq}
-	a.stats.acked.Inc()
-	a.finish(key, nil)
+	a.finish(arqKey{to: from, seq: seq}, nil)
 }
 
-// finish resolves a pending entry exactly once.
+// finish resolves a pending entry exactly once: it leaves the table, its
+// retained datagram goes back to the pool, and the record is recycled
+// unless its timer has already fired (that callback may still be on its
+// way to a.mu, so the record is left to it and the GC).
 func (a *ARQ) finish(key arqKey, err error) {
 	a.mu.Lock()
 	p, ok := a.pending[key]
-	if !ok || p.done {
+	if !ok {
 		a.mu.Unlock()
 		return
 	}
-	p.done = true
 	delete(a.pending, key)
-	if p.timer != nil {
-		p.timer.Stop()
-	}
+	bufpool.Put(p.frame)
 	result := p.result
+	p.frame, p.result, p.attempt = nil, nil, 0
+	if p.timer.Stop() && len(a.free) < arqFreeCap {
+		a.free = append(a.free, p)
+	}
 	a.mu.Unlock()
+	if err == nil {
+		a.stats.acked.Inc()
+	}
 	if result != nil {
 		result(err)
 	}

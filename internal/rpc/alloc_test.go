@@ -1,8 +1,11 @@
 package rpc
 
 import (
+	"context"
+	"encoding/binary"
 	"testing"
 
+	"uavmw/internal/bufpool"
 	"uavmw/internal/encoding"
 	"uavmw/internal/presentation"
 	"uavmw/internal/presentation/ptest"
@@ -48,18 +51,70 @@ func TestReturnEncodeAllocatesNothing(t *testing.T) {
 	}
 }
 
-// TestArgEncodeAllocatesOneRetainedBuffer gates the caller's arg-encode
-// site: coercing and encoding a call's arguments costs exactly the one
-// GC-owned buffer they live in — retained, not pooled, because hedged
-// attempt goroutines send from it and may outlive Call.
-func TestArgEncodeAllocatesOneRetainedBuffer(t *testing.T) {
+// TestArgEncodeIsPooled gates the caller's arg-encode site: coercing and
+// encoding a call's arguments draws the buffer every attempt sends from out
+// of bufpool, and releasing the call gives it back — no allocation.
+func TestArgEncodeIsPooled(t *testing.T) {
 	e := New(inlineFabric{newFakeFabric("client")})
+	c := &call{name: "nav.resolve", argType: ptest.PositionType}
 	args := ptest.PositionValue()
 	if allocs := testing.AllocsPerRun(200, func() {
-		if _, err := e.encodeArgs("nav.resolve", args, ptest.PositionType); err != nil {
+		if err := e.encodeArgs(c, args); err != nil {
 			t.Fatal(err)
 		}
-	}); allocs != 1 {
-		t.Fatalf("encoding a call's arguments allocates %.1f times, want 1", allocs)
+		bufpool.Put(c.args)
+	}); allocs != 0 {
+		t.Fatalf("encoding a call's arguments allocates %.1f times, want 0", allocs)
+	}
+}
+
+// answeringFabric answers every MTCall inline, from inside SendReliable,
+// with a prepared return value — the shortest path a remote call can take,
+// and one that allocates nothing itself.
+type answeringFabric struct {
+	*fakeFabric
+	client *Engine
+	ret    []byte // encoded return value
+	reply  protocol.Frame
+	buf    []byte
+}
+
+func (f *answeringFabric) SendReliable(to transport.NodeID, fr *protocol.Frame, _ qos.Reliability, done func(error)) {
+	done(nil)
+	f.buf = append(binary.BigEndian.AppendUint64(f.buf[:0], fr.Seq), f.ret...)
+	f.reply = protocol.Frame{Type: protocol.MTReturn, Channel: fr.Channel, Payload: f.buf}
+	f.client.HandleReturn(to, &f.reply)
+}
+
+// TestRemoteCallAllocs gates one remote Call end to end on the caller's
+// side. What is left is the call's content, not its bookkeeping: decoding
+// the return value, the by-id completion closure handed to SendReliable and
+// Directory.Select's two. The call record, its trigger, the attempt table
+// entry, the argument buffer, the frame and the reply body are all reused.
+func TestRemoteCallAllocs(t *testing.T) {
+	server := New(newFakeFabric("server"))
+	registerAdd(t, server)
+	f := &answeringFabric{fakeFabric: newFakeFabric("client")}
+	f.client = New(f)
+	announce(t, f.fakeFabric, "server", server)
+	var err error
+	if f.ret, err = (encoding.Binary{}).Marshal(i32, int32(42)); err != nil {
+		t.Fatal(err)
+	}
+	args := map[string]any{"a": int32(20), "b": int32(22)}
+	ctx := context.Background()
+	call := func() {
+		got, err := f.client.Call(ctx, "add", args, addArgs, i32, qos.CallQoS{})
+		if err != nil || got != int32(42) {
+			t.Fatalf("call: %v, %v", got, err)
+		}
+	}
+	for i := 0; i < 4; i++ {
+		call()
+	}
+	if allocs := testing.AllocsPerRun(200, call); allocs > 4 {
+		t.Fatalf("one remote Call allocates %.1f times, want <= 4", allocs)
+	} else {
+		t.Logf("one remote Call: %.1f allocs", allocs)
 	}
 }

@@ -27,6 +27,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -102,15 +103,27 @@ const DefaultCallDeadline = 2 * time.Second
 // paper's invocations carry short structured parameters.
 const argsSizeHint = 64
 
-// numPendingShards partitions the pending-call table so concurrent callers
-// on unrelated calls never contend on one mutex. Must be a power of two.
+// numPendingShards partitions the pending-attempt table so concurrent
+// callers on unrelated calls never contend on one mutex. Must be a power of
+// two.
 const numPendingShards = 16
 
-// pendingShard holds the pending calls whose ids hash onto it.
+// pendingShard maps the ids of undecided attempts that hash onto it to the
+// call each belongs to. An entry leaves with the attempt's first outcome, or
+// when its Call returns.
 type pendingShard struct {
 	mu    sync.Mutex
-	calls map[uint64]*pendingCall
+	calls map[uint64]*call
 }
+
+// localAttempt marks the ids of attempts served by a local registration.
+// They come from the engine's own counter, so a bypass call consumes no wire
+// sequence number, and the bit keeps them clear of the fabric's NextSeq ids
+// that remote attempts carry on the wire.
+const localAttempt = 1 << 63
+
+// callFreeCap bounds the engine's free list of call records.
+const callFreeCap = 64
 
 // Engine is the per-container remote-invocation runtime.
 type Engine struct {
@@ -124,7 +137,11 @@ type Engine struct {
 	pinMu sync.Mutex
 	pins  map[string]transport.NodeID // static-binding pins per function
 
-	pending [numPendingShards]pendingShard
+	pending  [numPendingShards]pendingShard
+	localSeq atomic.Uint64 // local attempt ids, below the localAttempt bit
+
+	callMu   sync.Mutex
+	callFree []*call // recycled call records, at most callFreeCap; starts empty
 
 	// inflightLimit caps concurrently executing remote-call handlers
 	// (0 = unlimited); excess requests are answered MTBusy.
@@ -150,42 +167,80 @@ type registration struct {
 	calls   *metrics.Counter // "rpc.calls" series labeled by function
 }
 
-// pendingCall carries one in-flight remote attempt's reply slot. The
-// completer stores the result and signals the trigger — under a Virtual
-// clock the Signal releases the waiting attempt's parked count inside the
-// clock lock, so virtual time cannot advance past a just-delivered reply
-// (a raw channel send would leave the waiter invisible to the clock while
-// it is runnable, letting time jump to the call deadline underneath it).
-type pendingCall struct {
+// call is one Call in progress: the race loop's state, and the queue its
+// attempts' outcomes arrive on. Records are recycled through the engine's
+// free list together with their trigger and slices, so a call that neither
+// fails over nor hedges allocates no bookkeeping.
+//
+// Replies, reliable-send failures and local handler results reach a call
+// only by attempt id, through deliver, under the pending shard's lock. Call
+// takes its ids out of the table before the record is recycled, so whatever
+// arrives later finds no entry and is dropped; it cannot touch the call that
+// reuses the record.
+type call struct {
+	// trig wakes the race loop. Signalling it is clock-managed: under a
+	// Virtual clock the wake-up is accounted inside the clock lock, so
+	// virtual time cannot advance past a just-delivered outcome (a raw
+	// channel send would leave the caller invisible to the clock while it
+	// is runnable, letting time jump to the deadline underneath it).
 	trig clock.Trigger
-	mu   sync.Mutex
-	res  *callResult
+
+	mu       sync.Mutex
+	outcomes []outcome // delivered, not yet settled
+
+	// Everything below belongs to the calling goroutine.
+	drained  []outcome // the batch being settled; its array is the next queue
+	name     string
+	argType  *presentation.Type
+	retType  *presentation.Type
+	q        qos.CallQoS
+	args     []byte // encoded arguments, pooled; every attempt sends from it
+	dlAt     time.Time
+	attempts []attempt // in launch order
+	// maxAttempts caps launches: failover and hedging share the budget.
+	maxAttempts int
+	inflight    int // attempts without a settled outcome
+	// hedgeDelay > 0 while the call hedges: a launch arms hedgeAt that far
+	// ahead, and at that edge with no reply the next untried provider is
+	// dispatched speculatively — so a string of slow providers keeps
+	// cascading until providers or the deadline run out.
+	hedgeDelay time.Duration
+	hedgeAt    time.Time
+	lastErr    error // last infrastructure failure
+	appErr     error // first application error; held until the race settles
 }
 
-// complete delivers res; only the first result wins (a busy shed racing a
-// late success, say).
-func (pc *pendingCall) complete(res callResult) {
-	pc.mu.Lock()
-	if pc.res == nil {
-		pc.res = &res
+// attempt is one dispatch of a call to one provider.
+type attempt struct {
+	id       uint64
+	provider transport.NodeID
+}
+
+// outcome is one attempt's answer in the failover/hedging race: a value,
+// an application error (the function ran), or an infrastructure failure.
+type outcome struct {
+	id     uint64
+	body   []byte // remote return value, still encoded, in a pooled buffer
+	value  any    // local handler's return value, coerced
+	appErr error
+	err    error
+}
+
+func (c *call) tried(node transport.NodeID) bool {
+	for _, at := range c.attempts {
+		if at.provider == node {
+			return true
+		}
 	}
-	pc.mu.Unlock()
-	pc.trig.Signal()
+	return false
 }
 
-func (pc *pendingCall) take() *callResult {
-	pc.mu.Lock()
-	defer pc.mu.Unlock()
-	return pc.res
-}
-
-type callResult struct {
-	payload  []byte
-	appErr   string
-	infraErr bool
-	busy     bool
-	sendErr  error // reliable-send failure before any reply
-	from     transport.NodeID
+// drain takes the outcomes delivered since the last drain.
+func (c *call) drain() []outcome {
+	c.mu.Lock()
+	c.drained, c.outcomes = c.outcomes, c.drained[:0]
+	c.mu.Unlock()
+	return c.drained
 }
 
 // New builds the engine for a container.
@@ -202,7 +257,7 @@ func New(f fabric.Fabric) *Engine {
 		hedges:      reg.Counter("rpc", "hedges"),
 	}
 	for i := range e.pending {
-		e.pending[i].calls = make(map[uint64]*pendingCall)
+		e.pending[i].calls = make(map[uint64]*call)
 	}
 	return e
 }
@@ -290,35 +345,71 @@ func sigOf(t *presentation.Type) string {
 	return t.String()
 }
 
-// pendingFor returns the shard owning callID.
-func (e *Engine) pendingFor(callID uint64) *pendingShard {
-	return &e.pending[callID&(numPendingShards-1)]
+// pendingFor returns the shard owning an attempt id.
+func (e *Engine) pendingFor(id uint64) *pendingShard {
+	return &e.pending[id&(numPendingShards-1)]
 }
 
-// attemptOutcome is one provider's answer in the failover/hedging race.
-type attemptOutcome struct {
-	provider transport.NodeID
-	value    any
-	appErr   error
-	err      error
+// getCall takes a call record off the free list or makes one.
+func (e *Engine) getCall() *call {
+	e.callMu.Lock()
+	defer e.callMu.Unlock()
+	if n := len(e.callFree); n > 0 {
+		c := e.callFree[n-1]
+		e.callFree[n-1] = nil
+		e.callFree = e.callFree[:n-1]
+		return c
+	}
+	return &call{trig: clock.NewTrigger(e.clk)}
 }
 
-// encodeArgs coerces and encodes a call's arguments once, in one walk. The
-// buffer is GC-owned rather than pooled: every attempt goroutine sends from
-// it, and a cancelled hedge loser can still be running after Call returns.
-func (e *Engine) encodeArgs(name string, args any, argType *presentation.Type) ([]byte, error) {
-	if argType == nil {
-		if args != nil {
-			return nil, fmt.Errorf("rpc: %q takes no arguments: %w", name, ErrBadSignature)
-		}
-		return nil, nil
+// putCall ends a call: its attempts leave the pending table — after which no
+// deliverer can reach the record — its pooled buffers are released, and the
+// record goes back on the free list.
+func (e *Engine) putCall(c *call) {
+	for _, at := range c.attempts {
+		sh := e.pendingFor(at.id)
+		sh.mu.Lock()
+		delete(sh.calls, at.id)
+		sh.mu.Unlock()
 	}
-	//wirepath:alloc retained by attempt goroutines that may outlive Call
-	payload, err := e.enc.Append(make([]byte, 0, argsSizeHint), argType, args)
-	if err != nil {
-		return nil, err
+	for _, out := range c.outcomes {
+		bufpool.Put(out.body)
 	}
-	return payload, nil
+	bufpool.Put(c.args)
+	clear(c.outcomes)
+	clear(c.drained)
+	*c = call{trig: c.trig, outcomes: c.outcomes[:0], drained: c.drained[:0], attempts: c.attempts[:0]}
+	e.callMu.Lock()
+	if len(e.callFree) < callFreeCap {
+		e.callFree = append(e.callFree, c)
+	}
+	e.callMu.Unlock()
+}
+
+// deliver hands attempt id's outcome to the call waiting on it and wakes
+// that call's race loop. Only an attempt's first outcome counts (a busy shed
+// racing a late success, say), and one for an attempt nobody waits on any
+// more — the call returned on its deadline, took another provider's answer,
+// or was cancelled — is dropped. out.body may alias the caller's receive
+// buffer; it is copied here.
+func (e *Engine) deliver(id uint64, out outcome) {
+	sh := e.pendingFor(id)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	c := sh.calls[id]
+	if c == nil {
+		return
+	}
+	delete(sh.calls, id)
+	out.id = id
+	if out.body != nil {
+		out.body = bufpool.Clone(out.body)
+	}
+	c.mu.Lock()
+	c.outcomes = append(c.outcomes, out)
+	c.mu.Unlock()
+	c.trig.Signal()
 }
 
 // Call invokes name with args under the caller's QoS. It coerces args to
@@ -327,7 +418,11 @@ func (e *Engine) encodeArgs(name string, args any, argType *presentation.Type) (
 // (including MTBusy sheds). With q.HedgeAfter > 0 the failover is hedged:
 // after that fraction of the deadline with no reply, the call is
 // speculatively dispatched to the next untried provider and the first
-// successful answer wins; losers are cancelled.
+// successful answer wins.
+//
+// The whole call runs on the caller's goroutine: attempts are dispatched
+// from it and their outcomes come back through deliver, so a call costs no
+// goroutine, context or timer of its own.
 func (e *Engine) Call(ctx context.Context, name string, args any, argType, retType *presentation.Type, q qos.CallQoS) (any, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
@@ -337,223 +432,197 @@ func (e *Engine) Call(ctx context.Context, name string, args any, argType, retTy
 	if deadline <= 0 {
 		deadline = DefaultCallDeadline
 	}
-	// The call deadline rides the injected clock (not context.WithTimeout,
-	// which only knows wall time): a timer cancels the context when the
-	// clock says the budget is spent, so virtual-time runs see the same
-	// deadline behaviour as real ones.
-	var cancel context.CancelFunc
-	ctx, cancel = context.WithCancel(ctx)
-	defer cancel()
-	dlAt := e.clk.Now().Add(deadline)
-	dlTimer := e.clk.AfterFunc(deadline, cancel)
-	defer dlTimer.Stop()
-
-	payload, err := e.encodeArgs(name, args, argType)
-	if err != nil {
+	c := e.getCall()
+	defer e.putCall(c)
+	c.name, c.argType, c.retType, c.q = name, argType, retType, q
+	if err := e.encodeArgs(c, args); err != nil {
 		return nil, err
 	}
-
-	maxAttempts := q.Retries + 1
+	c.maxAttempts = q.Retries + 1
 	if q.Retries == 0 {
-		maxAttempts = 1 + e.f.Directory().ProviderCount(naming.KindFunction, name)
+		c.maxAttempts = 1 + e.f.Directory().ProviderCount(naming.KindFunction, name)
 		if e.hasLocal(name) {
-			maxAttempts++
+			c.maxAttempts++
 		}
 	}
+	if q.HedgeAfter > 0 {
+		c.hedgeDelay = time.Duration(q.HedgeAfter * float64(deadline))
+	}
+	// The deadline rides the injected clock (not context.WithTimeout, which
+	// only knows wall time), so virtual-time runs see the same deadline
+	// behaviour as real ones.
+	c.dlAt = e.clk.Now().Add(deadline)
 
-	tried := make(map[transport.NodeID]bool)
-	var cancels []context.CancelFunc
-	defer func() {
-		for _, c := range cancels {
-			c()
-		}
-	}()
-	inflight, launched := 0, 0
+	// Live makes the caller visible to a Virtual clock for the call's
+	// duration, so the dispatch work between parks pins virtual time
+	// instead of letting it advance underneath the race.
 	var (
-		lastErr error
-		appErr  error // first application error; held until the race settles
+		v   any
+		err error
 	)
+	clock.Live(e.clk, func() { v, err = e.race(ctx, c) })
+	return v, err
+}
 
-	// Attempt outcomes arrive through a trigger-signalled queue rather than
-	// a raw channel: under a Virtual clock the Signal wakes this goroutine
-	// with its parked count released inside the clock lock, so time cannot
-	// advance between an outcome landing and the race loop acting on it.
-	var (
-		outMu    sync.Mutex
-		outcomes []attemptOutcome
-	)
-	trig := clock.NewTrigger(e.clk)
-	report := func(out attemptOutcome) {
-		outMu.Lock()
-		outcomes = append(outcomes, out)
-		outMu.Unlock()
-		trig.Signal()
-	}
-	drain := func() []attemptOutcome {
-		outMu.Lock()
-		batch := outcomes
-		outcomes = nil
-		outMu.Unlock()
-		return batch
-	}
-
-	// launch dispatches one attempt against the next untried provider;
-	// it reports the selection error when none remains. Attempts are
-	// registered with the clock: their dispatch work pins virtual time.
-	launch := func() error {
-		provider, local, err := e.selectProvider(name, argType, retType, q, tried)
-		if err != nil {
-			return err
+// encodeArgs coerces and encodes a call's arguments once, in one walk, into
+// the pooled buffer every attempt sends from.
+func (e *Engine) encodeArgs(c *call, args any) error {
+	if c.argType == nil {
+		if args != nil {
+			return fmt.Errorf("rpc: %q takes no arguments: %w", c.name, ErrBadSignature)
 		}
-		tried[provider] = true
-		actx, acancel := context.WithCancel(ctx)
-		cancels = append(cancels, acancel)
-		inflight++
-		launched++
-		clock.Go(e.clk, func() {
-			var out attemptOutcome
-			out.provider = provider
-			if local {
-				out.value, out.appErr, out.err = e.callLocal(actx, name, payload, argType, retType, q)
-			} else {
-				out.value, out.appErr, out.err = e.callRemote(actx, provider, name, payload, retType, q, dlAt)
-			}
-			report(out)
-		})
 		return nil
 	}
+	var err error
+	c.args, err = e.enc.Append(bufpool.Get(argsSizeHint), c.argType, args)
+	return err
+}
 
-	// Hedging: after HedgeAfter*deadline with no reply the call dispatches
-	// the next provider speculatively; each fresh dispatch re-arms the
-	// window so a string of slow providers keeps cascading until providers
-	// or the deadline run out.
-	var (
-		hedgeDelay time.Duration
-		hedgeAt    time.Time
-		hedging    bool
-	)
-	if q.HedgeAfter > 0 {
-		hedgeDelay = time.Duration(q.HedgeAfter * float64(deadline))
-		hedging = hedgeDelay > 0
+// race is the call's event loop: launch, then settle outcomes as they
+// arrive, hedge at the hedge edge, and give up at the deadline or when the
+// caller's context ends — one managed wait covers all three.
+func (e *Engine) race(ctx context.Context, c *call) (any, error) {
+	if err := e.launch(c); err != nil {
+		return nil, err
 	}
-	rearmHedge := func() {
-		if hedging {
-			hedgeAt = e.clk.Now().Add(hedgeDelay)
-		}
-	}
-
-	// settle consumes one attempt outcome. It returns (value, err, true)
-	// when the call is decided; (_, _, false) while the race continues.
-	settle := func(out attemptOutcome) (any, error, bool) {
-		inflight--
-		if out.err == nil && out.appErr == nil {
-			// First successful answer wins; the static pin follows the
-			// winner, not the speculative dispatch.
-			if q.Binding == qos.BindStatic && out.provider != e.f.Self() {
-				e.setPin(name, out.provider)
+	for {
+		// Outcomes first: a winner that landed in the same scheduling
+		// window as the deadline must not be reported as a deadline miss.
+		for _, out := range c.drain() {
+			if v, err, done := e.settle(ctx, c, out); done {
+				return v, err
 			}
-			return out.value, nil, true
 		}
-		if out.err == nil {
-			// Application error: the function executed, so no new
-			// attempts are warranted (no failover on app errors) — but
-			// a hedged sibling already in flight may still win with a
-			// success, so hold the error until the race settles.
-			if appErr == nil {
-				appErr = out.appErr
+		now := e.clk.Now()
+		if e.expired(ctx, c, now) {
+			if c.appErr != nil {
+				return nil, c.appErr
 			}
-			if inflight == 0 {
-				return nil, appErr, true
-			}
-			return nil, nil, false
+			return nil, e.deadlineMiss(c)
 		}
-		// Infrastructure failure: fail over to the next provider —
-		// unless the function already executed somewhere or the
-		// deadline has already passed (no point launching dead-on-
-		// arrival attempts from the drain path).
-		lastErr = out.err
-		e.unpin(name, out.provider)
-		if appErr == nil && ctx.Err() == nil && launched < maxAttempts && launch() == nil {
-			rearmHedge()
-			return nil, nil, false
-		}
-		if inflight == 0 {
-			if appErr != nil {
-				return nil, appErr, true
-			}
-			if ctx.Err() != nil {
-				// The race ended because the deadline expired (the
-				// last attempt's outcome may arrive via results rather
-				// than the ctx.Done branch): report a deadline miss,
-				// not provider exhaustion.
-				e.unpinTried(name, tried)
-				return nil, fmt.Errorf("rpc: %s: %w (last: %v)", name, ErrDeadline, lastErr), true
-			}
-			return nil, fmt.Errorf("rpc: %s after %d attempts: %w (last: %v)",
-				name, launched, ErrAllProvidersFailed, lastErr), true
-		}
-		return nil, nil, false
-	}
-
-	// The race loop parks on the trigger (managed: under a Virtual clock a
-	// wake — outcome, hedge edge or deadline — is accounted before this
-	// goroutine runs). Live makes the caller itself visible to the clock
-	// for the call's duration, so the dispatch work between parks pins
-	// virtual time instead of letting it advance underneath the race.
-	race := func() (any, error) {
-		if err := launch(); err != nil {
-			return nil, err
-		}
-		rearmHedge()
-		for {
-			for _, out := range drain() {
-				if v, err, done := settle(out); done {
-					return v, err
-				}
-			}
-			if hedging && appErr == nil && !e.clk.Now().Before(hedgeAt) {
-				if launched < maxAttempts && launch() == nil {
+		wait := c.dlAt.Sub(now)
+		if c.hedgeDelay > 0 && c.appErr == nil {
+			if !now.Before(c.hedgeAt) {
+				if len(c.attempts) < c.maxAttempts && e.launch(c) == nil {
 					e.hedges.Inc()
-					rearmHedge()
 				} else {
-					hedging = false // no untried provider left; stop hedging
+					c.hedgeDelay = 0 // no untried provider left; stop hedging
 				}
 				continue
 			}
-			wait := time.Duration(-1)
-			if hedging && appErr == nil {
-				wait = hedgeAt.Sub(e.clk.Now())
-			}
-			if !trig.Wait(wait, ctx.Done()) {
-				// Deadline (or caller cancellation). An outcome may have
-				// landed in the same scheduling window the deadline fired
-				// in; a winner that made it in time must not be reported
-				// as a deadline miss.
-				for _, out := range drain() {
-					if v, err, done := settle(out); done {
-						return v, err
-					}
-				}
-				if appErr != nil {
-					return nil, appErr
-				}
-				// A provider that burned the whole deadline without
-				// answering must not keep its static pin: the attempt
-				// goroutines' timeout outcomes may never be observed (they
-				// race this branch), so clear the pins here before the
-				// next call re-resolves.
-				e.unpinTried(name, tried)
-				if lastErr != nil {
-					return nil, fmt.Errorf("rpc: %s: %w (last: %v)", name, ErrDeadline, lastErr)
-				}
-				return nil, fmt.Errorf("rpc: %s: %w", name, ErrDeadline)
-			}
+			wait = min(wait, c.hedgeAt.Sub(now))
+		}
+		c.trig.Wait(wait, ctx.Done())
+	}
+}
+
+// expired reports whether the call's deadline has passed or its caller has
+// given up.
+func (e *Engine) expired(ctx context.Context, c *call, now time.Time) bool {
+	return !now.Before(c.dlAt) || ctx.Err() != nil
+}
+
+// deadlineMiss is the error of a call that ran out of time. A provider that
+// burned the whole deadline without answering must not keep its static pin,
+// or the next call would re-dial the stalled node.
+func (e *Engine) deadlineMiss(c *call) error {
+	e.pinMu.Lock()
+	if c.tried(e.pins[c.name]) {
+		delete(e.pins, c.name)
+	}
+	e.pinMu.Unlock()
+	if c.lastErr != nil {
+		return fmt.Errorf("rpc: %s: %w (last: %v)", c.name, ErrDeadline, c.lastErr)
+	}
+	return fmt.Errorf("rpc: %s: %w", c.name, ErrDeadline)
+}
+
+// settle consumes one attempt outcome. It returns (value, err, true) when
+// the call is decided; (_, _, false) while the race continues.
+func (e *Engine) settle(ctx context.Context, c *call, out outcome) (any, error, bool) {
+	c.inflight--
+	var provider transport.NodeID
+	for _, at := range c.attempts {
+		if at.id == out.id {
+			provider = at.provider
 		}
 	}
-	var retV any
-	var retErr error
-	clock.Live(e.clk, func() { retV, retErr = race() })
-	return retV, retErr
+	if out.err == nil && out.appErr == nil && out.id&localAttempt == 0 && c.retType != nil {
+		out.value, out.err = e.f.Encoding().Unmarshal(c.retType, out.body)
+	}
+	bufpool.Put(out.body)
+	switch {
+	case out.err == nil && out.appErr == nil:
+		// First successful answer wins; the static pin follows the winner,
+		// not the speculative dispatch.
+		if c.q.Binding == qos.BindStatic && provider != e.f.Self() {
+			e.setPin(c.name, provider)
+		}
+		return out.value, nil, true
+	case out.err == nil:
+		// Application error: the function executed, so no new attempts are
+		// warranted (no failover on app errors) — but a hedged sibling
+		// already in flight may still win with a success, so hold the
+		// error until the race settles.
+		if c.appErr == nil {
+			c.appErr = out.appErr
+		}
+	default:
+		// Infrastructure failure: fail over to the next provider — unless
+		// the function already executed somewhere or the deadline has
+		// passed (no point launching dead-on-arrival attempts).
+		c.lastErr = fmt.Errorf("rpc: %s to %q: %w", c.name, provider, out.err)
+		e.unpin(c.name, provider)
+		if c.appErr == nil && !e.expired(ctx, c, e.clk.Now()) &&
+			len(c.attempts) < c.maxAttempts && e.launch(c) == nil {
+			return nil, nil, false
+		}
+	}
+	switch {
+	case c.inflight > 0:
+		return nil, nil, false
+	case c.appErr != nil:
+		return nil, c.appErr, true
+	case e.expired(ctx, c, e.clk.Now()):
+		return nil, e.deadlineMiss(c), true
+	}
+	return nil, fmt.Errorf("rpc: %s after %d attempts: %w (last: %v)",
+		c.name, len(c.attempts), ErrAllProvidersFailed, c.lastErr), true
+}
+
+// launch dispatches one attempt against the next untried provider, on the
+// caller's goroutine; it reports the selection error when none remains. A
+// dispatch that fails is that attempt's outcome, not launch's error, so the
+// race fails over from it like from any other infrastructure failure.
+func (e *Engine) launch(c *call) error {
+	provider, local, err := e.selectProvider(c)
+	if err != nil {
+		return err
+	}
+	var id uint64
+	if local {
+		id = localAttempt | e.localSeq.Add(1)
+	} else {
+		id = e.f.NextSeq()
+	}
+	c.attempts = append(c.attempts, attempt{id: id, provider: provider})
+	c.inflight++
+	sh := e.pendingFor(id)
+	sh.mu.Lock()
+	sh.calls[id] = c
+	sh.mu.Unlock()
+	if c.hedgeDelay > 0 {
+		c.hedgeAt = e.clk.Now().Add(c.hedgeDelay)
+	}
+	if local {
+		err = e.dispatchLocal(c, id)
+	} else {
+		err = e.dispatchRemote(c, id, provider)
+	}
+	if err != nil {
+		e.deliver(id, outcome{err: err})
+	}
+	return nil
 }
 
 func (e *Engine) hasLocal(name string) bool {
@@ -565,39 +634,39 @@ func (e *Engine) hasLocal(name string) bool {
 
 // selectProvider resolves the next untried provider, preferring the local
 // registration (bypass) and honoring static pins.
-func (e *Engine) selectProvider(name string, argType, retType *presentation.Type, q qos.CallQoS, tried map[transport.NodeID]bool) (transport.NodeID, bool, error) {
+func (e *Engine) selectProvider(c *call) (transport.NodeID, bool, error) {
 	self := e.f.Self()
-	if e.hasLocal(name) && !tried[self] {
+	if e.hasLocal(c.name) && !c.tried(self) {
 		return self, true, nil
 	}
 	e.pinMu.Lock()
-	pinned := e.pins[name]
+	pinned := e.pins[c.name]
 	e.pinMu.Unlock()
 
 	dir := e.f.Directory()
 	// First choice goes through Select, which applies the binding policy
 	// (pin liveness for static, load-balancing for dynamic).
-	rec, err := dir.Select(naming.KindFunction, name, q.Binding, pinned)
-	if err == nil && tried[rec.Node] {
+	rec, err := dir.Select(naming.KindFunction, c.name, c.q.Binding, pinned)
+	if err == nil && c.tried(rec.Node) {
 		// Failover attempt: walk the full provider list for an untried
 		// node instead.
-		err = fmt.Errorf("rpc: %s: %w", name, ErrNoProvider)
-		for _, alt := range dir.Lookup(naming.KindFunction, name) {
-			if !tried[alt.Node] {
+		err = ErrNoProvider
+		for _, alt := range dir.Lookup(naming.KindFunction, c.name) {
+			if !c.tried(alt.Node) {
 				rec, err = alt, nil
 				break
 			}
 		}
 	}
 	if err != nil {
-		return "", false, fmt.Errorf("rpc: %s: %w", name, ErrNoProvider)
+		return "", false, fmt.Errorf("rpc: %s: %w", c.name, ErrNoProvider)
 	}
-	if err := checkSignature(rec, argType, retType); err != nil {
+	if err := checkSignature(rec, c.argType, c.retType); err != nil {
 		return "", false, err
 	}
 	// Static pins are NOT written here: a speculative hedge dispatch must
-	// not move the pin. The Call loop pins the provider that actually
-	// wins the race.
+	// not move the pin. settle pins the provider that actually wins the
+	// race.
 	return rec.Node, false, nil
 }
 
@@ -611,16 +680,6 @@ func checkSignature(rec naming.Record, argType, retType *presentation.Type) erro
 			rec.Name, rec.TypeSig, sigOf(retType), ErrBadSignature)
 	}
 	return nil
-}
-
-// unpinTried clears the static pin if it points at any provider this call
-// dispatched to and got no timely answer from (deadline-miss cleanup).
-func (e *Engine) unpinTried(name string, tried map[transport.NodeID]bool) {
-	e.pinMu.Lock()
-	defer e.pinMu.Unlock()
-	if tried[e.pins[name]] {
-		delete(e.pins, name)
-	}
 }
 
 func (e *Engine) setPin(name string, node transport.NodeID) {
@@ -637,137 +696,70 @@ func (e *Engine) unpin(name string, node transport.NodeID) {
 	}
 }
 
-// callLocal executes a local registration through the scheduler (bypass
+// dispatchLocal runs a local registration through the scheduler (bypass
 // path: no encode/decode of the return value, but arguments were already
-// encoded once for uniformity — decode them back).
-func (e *Engine) callLocal(ctx context.Context, name string, payload []byte, argType, retType *presentation.Type, q qos.CallQoS) (any, error, error) {
+// encoded once for uniformity — decode them back). The handler's result is
+// delivered like a reply.
+func (e *Engine) dispatchLocal(c *call, id uint64) error {
 	e.regMu.Lock()
-	reg := e.functions[name]
+	reg := e.functions[c.name]
 	e.regMu.Unlock()
 	if reg == nil {
-		return nil, nil, fmt.Errorf("rpc: %s: %w", name, ErrNoProvider)
+		return ErrNoProvider
 	}
-	if sigOf(reg.argType) != sigOf(argType) || sigOf(reg.retType) != sigOf(retType) {
-		return nil, nil, fmt.Errorf("rpc: %s local: %w", name, ErrBadSignature)
+	if sigOf(reg.argType) != sigOf(c.argType) || sigOf(reg.retType) != sigOf(c.retType) {
+		return ErrBadSignature
 	}
 	var args any
 	if reg.argType != nil {
-		decoded, err := e.f.Encoding().Unmarshal(reg.argType, payload)
+		decoded, err := e.f.Encoding().Unmarshal(reg.argType, c.args)
 		if err != nil {
-			return nil, nil, err
+			return err
 		}
 		args = decoded
 	}
-	// The handler's result comes back through a trigger-signalled slot so
-	// the wait is clock-managed (see pendingCall).
-	type res struct {
-		v   any
-		err error
-	}
-	var (
-		rmu sync.Mutex
-		out *res
-	)
-	trig := clock.NewTrigger(e.clk)
-	if err := e.f.Schedule(q.Priority, func() {
+	return e.f.Schedule(c.q.Priority, func() {
 		v, err := reg.handler(args)
-		rmu.Lock()
-		out = &res{v: v, err: err}
-		rmu.Unlock()
-		trig.Signal()
-	}); err != nil {
-		return nil, nil, err
-	}
-	for {
-		rmu.Lock()
-		r := out
-		rmu.Unlock()
-		if r != nil {
-			reg.calls.Inc()
-			if r.err != nil {
-				return nil, &AppError{Name: name, Message: r.err.Error()}, nil
-			}
-			if reg.retType == nil {
-				return nil, nil, nil
-			}
-			cv, err := presentation.Coerce(reg.retType, r.v)
-			if err != nil {
-				return nil, &AppError{Name: name, Message: err.Error()}, nil
-			}
-			return cv, nil, nil
+		reg.calls.Inc()
+		var out outcome
+		if err == nil && reg.retType != nil {
+			out.value, err = presentation.Coerce(reg.retType, v)
 		}
-		if !trig.Wait(-1, ctx.Done()) {
-			return nil, nil, fmt.Errorf("rpc: %s local: %w", name, ErrDeadline)
+		if err != nil {
+			out.appErr = &AppError{Name: reg.name, Message: err.Error()}
 		}
-	}
+		e.deliver(id, out)
+	})
 }
 
-// callRemote performs one remote attempt. The caller's remaining deadline
-// is stamped onto the MTCall frame so the provider can shed the request if
-// the budget is spent before a handler runs.
-func (e *Engine) callRemote(ctx context.Context, provider transport.NodeID, name string, payload []byte, retType *presentation.Type, q qos.CallQoS, dlAt time.Time) (any, error, error) {
-	callID := e.f.NextSeq()
-	pc := &pendingCall{trig: clock.NewTrigger(e.clk)}
-	sh := e.pendingFor(callID)
-	sh.mu.Lock()
-	sh.calls[callID] = pc
-	sh.mu.Unlock()
-	defer func() {
-		sh.mu.Lock()
-		delete(sh.calls, callID)
-		sh.mu.Unlock()
-	}()
-
-	budget := dlAt.Sub(e.clk.Now())
+// dispatchRemote sends one remote attempt from a pooled frame. The caller's
+// remaining deadline is stamped onto the MTCall frame so the provider can
+// shed the request if the budget is spent before a handler runs.
+func (e *Engine) dispatchRemote(c *call, id uint64, provider transport.NodeID) error {
+	budget := c.dlAt.Sub(e.clk.Now())
 	if budget <= 0 {
-		return nil, nil, fmt.Errorf("rpc: %s to %q: %w", name, provider, ErrDeadline)
+		return ErrDeadline
 	}
 	// The call's QoS priority selects both the remote handler's scheduler
 	// class and the local egress lane the request drains from, so an
 	// urgent call overtakes queued bulk on its way out too.
-	frame := &protocol.Frame{
+	frame := protocol.GetFrame()
+	*frame = protocol.Frame{
 		Type:     protocol.MTCall,
 		Encoding: e.f.Encoding().ID(),
-		Priority: q.Priority,
-		Channel:  name,
-		Seq:      callID,
+		Priority: c.q.Priority,
+		Channel:  c.name,
+		Seq:      id,
 		Budget:   budget,
-		Payload:  payload,
+		Payload:  c.args,
 	}
-	e.f.SendReliable(provider, frame, q.Reliability, func(err error) {
+	e.f.SendReliable(provider, frame, c.q.Reliability, func(err error) {
 		if err != nil {
-			pc.complete(callResult{sendErr: err})
+			e.deliver(id, outcome{err: err})
 		}
 	})
-
-	for {
-		if res := pc.take(); res != nil {
-			if res.sendErr != nil {
-				return nil, nil, fmt.Errorf("rpc: %s to %q: %w", name, provider, res.sendErr)
-			}
-			if res.busy {
-				return nil, nil, fmt.Errorf("rpc: %s to %q: %w", name, provider, ErrBusy)
-			}
-			if res.infraErr {
-				return nil, nil, uerr.Newf(e.reg, codeUnknownFunction,
-					"%s: provider %q has no such function", name, provider)
-			}
-			if res.appErr != "" {
-				return nil, &AppError{Name: name, Message: res.appErr}, nil
-			}
-			if retType == nil {
-				return nil, nil, nil
-			}
-			v, err := e.f.Encoding().Unmarshal(retType, res.payload)
-			if err != nil {
-				return nil, nil, err
-			}
-			return v, nil, nil
-		}
-		if !pc.trig.Wait(-1, ctx.Done()) {
-			return nil, nil, fmt.Errorf("rpc: %s to %q: %w", name, provider, ErrDeadline)
-		}
-	}
+	protocol.PutFrame(frame)
+	return nil
 }
 
 // HandleCall executes an incoming MTCall and replies. Admission control
@@ -862,6 +854,13 @@ func replyPayload(callID uint64, n int) []byte {
 // payload started by replyPayload. Frame and payload are pooled and both
 // are recycled once SendReliable returns (the fabric encodes synchronously
 // and retains neither).
+//
+// It then yields the processor. The send only queued the reply: the egress
+// drainer it woke needs a processor to put it on the wire, and a scheduler
+// worker with handlers queued behind this one goes straight into the next
+// without parking — on a busy or single-core node the reply would sit in
+// its lane for as long as that handler runs, and leave in one datagram with
+// the next reply, which brings every caller back at the same instant.
 func (e *Engine) sendReply(to transport.NodeID, mt protocol.MsgType, flags, enc uint8, pr qos.Priority, ch string, payload []byte) {
 	reply := protocol.GetFrame()
 	*reply = protocol.Frame{
@@ -875,6 +874,7 @@ func (e *Engine) sendReply(to transport.NodeID, mt protocol.MsgType, flags, enc 
 	e.f.SendReliable(to, reply, qos.ReliableARQ, nil)
 	protocol.PutFrame(reply)
 	bufpool.Put(payload)
+	runtime.Gosched()
 }
 
 // replyBusy sheds one request with an explicit MTBusy (§4.3 admission
@@ -900,14 +900,6 @@ func (e *Engine) replyAppError(to transport.NodeID, callID uint64, pr qos.Priori
 // The call id therefore travels as a u64 prefix of the reply payload and
 // the reply's Seq is provider-allocated (SendReliable fills it).
 
-// encodeReply prefixes a reply body with the call id it answers.
-func encodeReply(callID uint64, body []byte) []byte {
-	w := encoding.NewWriter(8 + len(body))
-	w.Uint64(callID)
-	w.Raw(body)
-	return w.Bytes()
-}
-
 // decodeReply splits a reply payload into call id and body.
 func decodeReply(payload []byte) (callID uint64, body []byte, ok bool) {
 	r := encoding.NewReader(payload)
@@ -918,17 +910,17 @@ func decodeReply(payload []byte) (callID uint64, body []byte, ok bool) {
 	return callID, r.Raw(r.Remaining()), true
 }
 
-// HandleReturn completes a pending call with a success reply.
+// HandleReturn completes a pending attempt with a success reply.
 func (e *Engine) HandleReturn(from transport.NodeID, fr *protocol.Frame) {
 	callID, body, ok := decodeReply(fr.Payload)
 	if !ok {
 		uerr.Newf(e.reg, codeReplyDecode, "return from %q", from)
 		return
 	}
-	e.complete(callID, callResult{payload: append([]byte(nil), body...), from: from})
+	e.deliver(callID, outcome{body: body})
 }
 
-// HandleBusy completes a pending call with a provider shed; the call loop
+// HandleBusy completes a pending attempt with a provider shed; the call
 // fails over to the next provider.
 func (e *Engine) HandleBusy(from transport.NodeID, fr *protocol.Frame) {
 	callID, _, ok := decodeReply(fr.Payload)
@@ -936,37 +928,27 @@ func (e *Engine) HandleBusy(from transport.NodeID, fr *protocol.Frame) {
 		uerr.Newf(e.reg, codeReplyDecode, "busy from %q", from)
 		return
 	}
-	e.complete(callID, callResult{busy: true, from: from})
+	e.deliver(callID, outcome{err: ErrBusy})
 }
 
-// HandleError completes a pending call with a failure reply.
+// HandleError completes a pending attempt with a failure reply.
 func (e *Engine) HandleError(from transport.NodeID, fr *protocol.Frame) {
 	callID, body, ok := decodeReply(fr.Payload)
 	if !ok {
 		uerr.Newf(e.reg, codeReplyDecode, "error reply from %q", from)
 		return
 	}
-	if fr.Flags&protocol.FlagAppError != 0 {
-		r := encoding.NewReader(body)
-		msg := r.String()
-		if r.Err() != nil {
-			msg = "remote error"
-		}
-		e.complete(callID, callResult{appErr: msg, from: from})
+	if fr.Flags&protocol.FlagAppError == 0 {
+		e.deliver(callID, outcome{err: uerr.Newf(e.reg, codeUnknownFunction,
+			"%s: provider %q has no such function", fr.Channel, from)})
 		return
 	}
-	e.complete(callID, callResult{infraErr: true, from: from})
-}
-
-func (e *Engine) complete(callID uint64, res callResult) {
-	sh := e.pendingFor(callID)
-	sh.mu.Lock()
-	pc := sh.calls[callID]
-	sh.mu.Unlock()
-	if pc == nil {
-		return // late reply after failover or deadline
+	r := encoding.NewReader(body)
+	msg := r.String()
+	if r.Err() != nil {
+		msg = "remote error"
 	}
-	pc.complete(res)
+	e.deliver(callID, outcome{appErr: &AppError{Name: fr.Channel, Message: msg}})
 }
 
 // DependencyCheck verifies every named function has at least one provider,

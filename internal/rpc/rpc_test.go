@@ -2,6 +2,7 @@ package rpc
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"strings"
 	"sync"
@@ -78,6 +79,11 @@ func (f *fakeFabric) SendReliable(to transport.NodeID, fr *protocol.Frame, _ qos
 	cp := *fr
 	cp.Payload = append([]byte(nil), fr.Payload...)
 	go dispatch(peer, f.self, &cp)
+}
+
+// encodeReply prefixes a reply body with the call id it answers.
+func encodeReply(callID uint64, body []byte) []byte {
+	return append(binary.BigEndian.AppendUint64(nil, callID), body...)
 }
 
 func dispatch(e *Engine, from transport.NodeID, fr *protocol.Frame) {

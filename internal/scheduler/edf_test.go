@@ -28,6 +28,7 @@ func TestEDFRunsJobs(t *testing.T) {
 	if count.Load() != 50 {
 		t.Errorf("ran %d", count.Load())
 	}
+	e.Stop() // a job is counted after it returns; wait for the workers
 	if e.Executed() != 50 {
 		t.Errorf("Executed = %d", e.Executed())
 	}

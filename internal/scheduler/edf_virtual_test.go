@@ -31,6 +31,9 @@ func TestEDFDeadlineMissUnderVirtualSchedule(t *testing.T) {
 		}
 		clock.Blocking(v, func() { <-doneB })
 	})
+	// B closes doneB from inside the job; its tardiness is recorded after
+	// the job returns. Stop waits for the worker to get there.
+	e.Stop()
 
 	lat := e.Lateness()
 	if got := lat.Count(); got != 1 {
@@ -57,6 +60,7 @@ func TestEDFSubmitClassDeadlineOnClock(t *testing.T) {
 		}
 		clock.Blocking(v, func() { <-done })
 	})
+	e.Stop() // as above: wait for the worker to record the tardiness
 
 	lat := e.Lateness()
 	if got := lat.Count(); got != 1 {

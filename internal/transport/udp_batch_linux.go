@@ -30,13 +30,41 @@ type mmsghdr struct {
 }
 
 // batchWriter holds the sendmmsg scratch arrays, sized to the largest batch
-// seen so a steady stream of batches costs no allocations. Guarded by
-// UDP.batchMu.
+// seen, and the state of the write in progress, which the RawConn callback
+// reads and writes through the writer instead of through captured locals:
+// the callback is one method value built with the connection, so a steady
+// stream of batches costs no allocations. Guarded by UDP.batchMu.
 type batchWriter struct {
-	rc   syscall.RawConn
-	hdrs []mmsghdr
-	iovs []syscall.Iovec
-	sas  []syscall.RawSockaddrInet4
+	rc    syscall.RawConn
+	write func(fd uintptr) bool // w.sendmmsg
+	hdrs  []mmsghdr
+	iovs  []syscall.Iovec
+	sas   []syscall.RawSockaddrInet4
+
+	out  []mmsghdr // headers of the batch being written
+	sent int       // how many of them the kernel has accepted
+	serr error     // errno that ended the write
+}
+
+// sendmmsg is the RawConn.Write callback: it pushes w.out[w.sent:] into the
+// socket, returning false to wait for writability.
+func (w *batchWriter) sendmmsg(fd uintptr) bool {
+	for w.sent < len(w.out) {
+		r1, _, errno := syscall.Syscall6(uintptr(sysSendmmsg), fd,
+			uintptr(unsafe.Pointer(&w.out[w.sent])), uintptr(len(w.out)-w.sent), 0, 0, 0)
+		switch errno {
+		case 0:
+			w.sent += int(r1)
+		case syscall.EAGAIN:
+			return false // wait for writability, then retry
+		case syscall.EINTR:
+			// retry
+		default:
+			w.serr = errno
+			return true
+		}
+	}
+	return true
 }
 
 // writeBatch transmits outs with as few sendmmsg calls as possible and
@@ -51,7 +79,7 @@ func (u *UDP) writeBatch(outs []wireDatagram) (int, error) {
 		if err != nil {
 			return sequentialWrite(u.conn, outs)
 		}
-		w.rc = rc
+		w.rc, w.write = rc, w.sendmmsg
 	}
 	if cap(w.hdrs) < len(outs) {
 		w.hdrs = make([]mmsghdr, len(outs))
@@ -82,41 +110,50 @@ func (u *UDP) writeBatch(outs []wireDatagram) (int, error) {
 			Iovlen:  1,
 		}}
 	}
-	sent := 0
-	var serr error
-	err := w.rc.Write(func(fd uintptr) bool {
-		for sent < len(hdrs) {
-			r1, _, errno := syscall.Syscall6(uintptr(sysSendmmsg), fd,
-				uintptr(unsafe.Pointer(&hdrs[sent])), uintptr(len(hdrs)-sent), 0, 0, 0)
-			switch errno {
-			case 0:
-				sent += int(r1)
-			case syscall.EAGAIN:
-				return false // wait for writability, then retry
-			case syscall.EINTR:
-				// retry
-			default:
-				serr = errno
-				return true
-			}
-		}
-		return true
-	})
-	if err != nil && serr == nil {
-		serr = err
+	w.out, w.sent, w.serr = hdrs, 0, nil
+	err := w.rc.Write(w.write)
+	if w.serr == nil {
+		w.serr = err
 	}
-	if serr != nil {
-		return sent, fmt.Errorf("sendmmsg: %w", serr)
+	if w.serr != nil {
+		return w.sent, fmt.Errorf("sendmmsg: %w", w.serr)
 	}
-	return sent, nil
+	return w.sent, nil
 }
 
 // mmsgReader drains a socket with recvmmsg, filling a run of ring buffers
-// per syscall.
+// per syscall. One per read loop; like batchWriter it keeps the state of the
+// read in progress on itself and hands RawConn one prebuilt method value.
 type mmsgReader struct {
 	rc   syscall.RawConn
+	recv func(fd uintptr) bool // r.recvmmsg
 	hdrs []mmsghdr
 	iovs []syscall.Iovec
+
+	n    int   // headers offered to the kernel
+	got  int   // datagrams it filled
+	serr error // errno that ended the read
+}
+
+// recvmmsg is the RawConn.Read callback: one recvmmsg over r.hdrs[:r.n],
+// returning false to wait for readability.
+func (r *mmsgReader) recvmmsg(fd uintptr) bool {
+	for {
+		r1, _, errno := syscall.Syscall6(uintptr(sysRecvmmsg), fd,
+			uintptr(unsafe.Pointer(&r.hdrs[0])), uintptr(r.n), 0, 0, 0)
+		switch errno {
+		case 0:
+			r.got = int(r1)
+			return true
+		case syscall.EAGAIN:
+			return false // wait for readability
+		case syscall.EINTR:
+			// retry
+		default:
+			r.serr = errno
+			return true
+		}
+	}
 }
 
 type singleReader struct{ conn *net.UDPConn }
@@ -139,11 +176,13 @@ func newDatagramReader(conn *net.UDPConn) datagramReader {
 	if err != nil {
 		return singleReader{conn}
 	}
-	return &mmsgReader{
+	r := &mmsgReader{
 		rc:   rc,
 		hdrs: make([]mmsghdr, recvRing),
 		iovs: make([]syscall.Iovec, recvRing),
 	}
+	r.recv = r.recvmmsg
+	return r
 }
 
 func (r *mmsgReader) read(bufs [][]byte, sizes []int) (int, error) {
@@ -159,34 +198,15 @@ func (r *mmsgReader) read(bufs [][]byte, sizes []int) (int, error) {
 		// so no Name buffer is supplied.
 		r.hdrs[i] = mmsghdr{hdr: syscall.Msghdr{Iov: iov, Iovlen: 1}}
 	}
-	got := 0
-	var serr error
-	err := r.rc.Read(func(fd uintptr) bool {
-		for {
-			r1, _, errno := syscall.Syscall6(uintptr(sysRecvmmsg), fd,
-				uintptr(unsafe.Pointer(&r.hdrs[0])), uintptr(n), 0, 0, 0)
-			switch errno {
-			case 0:
-				got = int(r1)
-				return true
-			case syscall.EAGAIN:
-				return false // wait for readability
-			case syscall.EINTR:
-				// retry
-			default:
-				serr = errno
-				return true
-			}
-		}
-	})
-	if err != nil {
+	r.n, r.got, r.serr = n, 0, nil
+	if err := r.rc.Read(r.recv); err != nil {
 		return 0, err // socket closed
 	}
-	if serr != nil {
-		return 0, fmt.Errorf("recvmmsg: %w", serr)
+	if r.serr != nil {
+		return 0, fmt.Errorf("recvmmsg: %w", r.serr)
 	}
-	for i := 0; i < got; i++ {
+	for i := 0; i < r.got; i++ {
 		sizes[i] = int(r.hdrs[i].n)
 	}
-	return got, nil
+	return r.got, nil
 }
