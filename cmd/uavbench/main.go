@@ -38,11 +38,17 @@ import (
 	"uavmw/internal/experiments"
 )
 
-// benchRecord is the BENCH_E<n>.json trajectory document.
+// benchRecord is the BENCH_E<n>.json trajectory document. Host, Cores and
+// Go say where it was recorded: same-instant ordering under the virtual
+// clock is still the Go scheduler's, so a committed baseline is read with
+// the core count it came from.
 type benchRecord struct {
 	Experiment string             `json:"experiment"`
 	Seed       int64              `json:"seed,omitempty"`
 	Quick      bool               `json:"quick"`
+	Host       string             `json:"host"`
+	Cores      int                `json:"cores"`
+	Go         string             `json:"go"`
 	Virtual    bool               `json:"virtual"`
 	VirtualMS  float64            `json:"virtual_ms,omitempty"`
 	WallMS     float64            `json:"wall_ms"`
@@ -104,6 +110,9 @@ func main() {
 		}
 		rec := benchRecord{
 			Experiment: exp.Name, Seed: exp.Seed, Quick: *quick,
+			Host:      runtime.GOOS + "/" + runtime.GOARCH,
+			Cores:     runtime.GOMAXPROCS(0),
+			Go:        runtime.Version(),
 			Virtual:   exp.Virtual && !*realtime,
 			VirtualMS: float64(el.Virtual) / float64(time.Millisecond),
 			WallMS:    float64(el.Wall) / float64(time.Millisecond),

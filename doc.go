@@ -25,9 +25,12 @@
 //
 // Priority is enforced end to end, not just in the receiving scheduler:
 // every datagram send drains through a priority-aware egress plane
-// (internal/egress) of per-destination strict-priority lanes with
-// drop-oldest overflow, a token-bucket pacer that shapes the PriorityBulk
-// class (core.WithBulkRateBPS, qos.TransferQoS.RateBPS) so file-transfer
+// (internal/egress) of per-destination strict-priority lanes — bounded,
+// drop-oldest on overflow for every class but PriorityBulk, whose full lane
+// makes its sender wait — a token-bucket pacer that shapes the PriorityBulk
+// class per bearer (qos.BearerProfile.BulkRateBPS, or
+// egress.Config.BulkRateBPS through core.WithEgress; file transfers have no
+// rate of their own and run at the rate their lane drains) so file-transfer
 // chunks never fill a constrained link's queue ahead of critical frames,
 // and coalescing of small same-lane frames into MTBatch datagrams that
 // receivers unpack transparently. Experiment E13 measures the priority

@@ -243,15 +243,6 @@ func WithEgress(cfg egress.Config) NodeOption {
 	return func(c *nodeConfig) { c.egressCfg = cfg }
 }
 
-// WithBulkRateBPS token-bucket-shapes the node's PriorityBulk egress lane
-// (file-transfer chunks) to the given wire bytes/second. Set it at or just
-// below the narrowest link the node transmits over, so bulk traffic never
-// fills a link queue that critical frames would then wait behind (§4
-// priority inversion at the sender). Zero leaves bulk unshaped.
-func WithBulkRateBPS(bps int64) NodeOption {
-	return func(c *nodeConfig) { c.egressCfg.BulkRateBPS = bps }
-}
-
 // WithRPCInflightLimit caps concurrently executing remote-call handlers on
 // this node; excess MTCall requests are answered MTBusy so callers fail
 // over to redundant providers instead of queueing (§4.3 admission

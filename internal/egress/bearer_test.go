@@ -2,6 +2,7 @@ package egress
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -245,6 +246,48 @@ func TestRerouteMovesQueuedFramesToSurvivingBearer(t *testing.T) {
 		t.Errorf("wifi rerouted = %d, want %d", rerouted, moved)
 	}
 	close(wifi.gate) // release the in-flight frame
+}
+
+// Reroute releases a bulk producer waiting for room on the drained bearer:
+// the frame it was holding takes the room the drain made, the ones after it
+// are routed afresh.
+func TestRerouteReleasesWaitingBulkProducer(t *testing.T) {
+	p, wifi, radio := twoBearers(t, Config{QueueCap: 2, CoalesceMax: -1}, Config{CoalesceMax: -1})
+	defer p.Close()
+	var wifiDown atomic.Bool
+	sel := &funcSelector{}
+	sel.set(func(transport.NodeID, qos.Priority) string {
+		if wifiDown.Load() {
+			return "radio"
+		}
+		return "wifi"
+	}, nil)
+	p.SetSelector(sel)
+
+	wifi.gate = make(chan struct{})
+	done := bulkProducer(t, p, 1, 6)
+	waitParkedAt(t, p, "wifi", 3) // 1 at the gate, 2–3 queued, the producer holds 4
+
+	wifiDown.Store(true)
+	if moved := p.Reroute("wifi"); moved != 2 {
+		t.Fatalf("Reroute moved %d frames, want the 2 queued", moved)
+	}
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("producer: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Reroute left the producer parked")
+	}
+	waitSends(t, radio, 4) // the two moved, then 5 and 6
+	if got := counter(t, p, "wifi", "enqueued", qos.PriorityBulk); got != 4 {
+		t.Errorf("wifi accepted %d bulk frames, want the 3 before the reroute and the one held across it", got)
+	}
+	if dropped := counter(t, p, "wifi", "dropped") + counter(t, p, "radio", "dropped"); dropped != 0 {
+		t.Errorf("dropped = %d, want 0", dropped)
+	}
+	close(wifi.gate)
 }
 
 func TestSetBearerBulkRate(t *testing.T) {

@@ -14,8 +14,13 @@
 //   - a token-bucket pacer that shapes the PriorityBulk class to a
 //     configured rate, so bulk traffic never fills a link queue that
 //     urgent frames would then have to wait behind;
-//   - drop-oldest overflow per (destination, class) queue — a stalled
-//     destination sheds its stalest frames first and never blocks senders;
+//   - bounded (destination, class) queues: drop-oldest overflow for every
+//     class but PriorityBulk — a stalled destination sheds its stalest
+//     frames first and never blocks senders — while a full PriorityBulk
+//     queue makes its sender wait for room, so the lane, drained at the
+//     pacer's rate, is the one pacer of every bulk producer. PriorityBulk
+//     is therefore for goroutines that may wait (a file-transfer loop is
+//     one; a handler running on an ingress worker is not);
 //   - frame coalescing: small frames waiting for the same destination in
 //     the same class are packed into one protocol.MTBatch datagram, fewer
 //     syscalls and wire packets on small-frame-heavy paths.
@@ -131,7 +136,8 @@ type Config struct {
 	// link: keep it near one datagram on tightly constrained links.
 	BulkBurst int
 	// QueueCap bounds each (destination, class) queue in frames (default
-	// DefaultQueueCap). On overflow the oldest frame in that queue drops.
+	// DefaultQueueCap). A full PriorityBulk queue makes its sender wait; on
+	// overflow of any other class the oldest frame in that queue drops.
 	QueueCap int
 	// MaxDatagram is the size budget for coalesced batch datagrams
 	// (default protocol.DefaultMTU).
@@ -335,20 +341,27 @@ type Dest struct {
 // EnqueueTo is the plane's one send contract: it queues the encoded
 // datagram raw for d in class pr and returns without waiting for the wire.
 // An unpinned unicast rides the bearer the selector chooses; an unpinned
-// group datagram rides every distinct bearer the selector names.
+// group datagram rides every distinct bearer the selector names. Only a
+// PriorityBulk datagram offered to a full lane waits, for room in that lane.
 //
 // raw is a bufpool buffer nothing else aliases, and the plane owns it from
 // the call on: it recycles raw once the bytes are on the wire, evicted, or
 // the enqueue fails — the caller must not touch it afterwards, success or
 // not. A caller that keeps its bytes uses Enqueue.
 func (p *Plane) EnqueueTo(d Dest, pr qos.Priority, raw []byte) error {
+	return p.route(d, pr, raw, true)
+}
+
+// route is EnqueueTo for a caller that may (wait) or may not park on a full
+// bulk lane; Reroute, run by the link monitor's sweep, may not.
+func (p *Plane) route(d Dest, pr qos.Priority, raw []byte, wait bool) error {
 	key := destKey{node: d.Node, group: d.Group}
 	name := d.Bearer
 	if s := p.getSelector(); s != nil && name == "" {
 		if d.Group == "" {
 			name = s.Unicast(d.Node, pr)
 		} else if names := s.Group(d.Group, pr); len(names) > 0 {
-			return p.fanOut(names, key, pr, raw)
+			return p.fanOut(names, key, pr, raw, wait)
 		}
 	}
 	b := p.bearerOrDefault(name)
@@ -356,7 +369,7 @@ func (p *Plane) EnqueueTo(d Dest, pr qos.Priority, raw []byte) error {
 		bufpool.Put(raw)
 		return ErrClosed
 	}
-	return b.enqueue(key, pr, raw)
+	return b.enqueue(key, pr, raw, wait)
 }
 
 // Enqueue queues a copy of raw for node to on the selector's bearer. raw
@@ -370,7 +383,7 @@ func (p *Plane) Enqueue(to transport.NodeID, pr qos.Priority, raw []byte) error 
 // fanOut queues one group datagram once per distinct bearer name: the last
 // of them takes raw itself, each one before it a pooled copy. It succeeds
 // when any bearer accepted the datagram.
-func (p *Plane) fanOut(names []string, key destKey, pr qos.Priority, raw []byte) error {
+func (p *Plane) fanOut(names []string, key destKey, pr qos.Priority, raw []byte, wait bool) error {
 	last := len(names) - 1
 	for repeated(names, last) {
 		last--
@@ -387,7 +400,7 @@ func (p *Plane) fanOut(names []string, key destKey, pr qos.Priority, raw []byte)
 		}
 		err := ErrClosed
 		if b := p.bearerOrDefault(name); b != nil {
-			err = b.enqueue(key, pr, buf)
+			err = b.enqueue(key, pr, buf, wait)
 		} else {
 			bufpool.Put(buf)
 		}
@@ -436,7 +449,9 @@ func (p *Plane) SetBearerBulkRate(name string, bps int64) bool {
 // drained bearer — they ride the first *other* bearer the selector names
 // (fan-out groups like discovery already put their own copies on every
 // live bearer at enqueue time, and receivers dedup, so one surviving copy
-// suffices). Returns the number of frames moved or requeued.
+// suffices). Bulk producers waiting for room on the bearer find it;
+// Reroute itself never waits — a moved bulk frame evicts the oldest of a
+// full lane. Returns the number of frames moved or requeued.
 func (p *Plane) Reroute(name string) int {
 	p.mu.RLock()
 	b := p.bearers[name]
@@ -462,7 +477,7 @@ func (p *Plane) Reroute(name string) int {
 				}
 			}
 		}
-		if err := p.EnqueueTo(d, pr, qf.raw); err != nil {
+		if err := p.route(d, pr, qf.raw, false); err != nil {
 			uerr.Wrapf(b.reg, codeRerouteDrop, err, "reroute off %s", name)
 		}
 	}
@@ -526,6 +541,7 @@ type bearer struct {
 
 	mu           sync.Mutex
 	idle         *clock.Cond // signalled when a transmit completes
+	room         *clock.Cond // signalled when a bulk frame leaves its lane
 	lanes        map[destKey]*lane
 	laneFree     []*lane // recycled drained lanes (bounded)
 	ready        [numClasses][]*lane
@@ -606,6 +622,7 @@ func newBearer(name string, sender Sender, cfg Config) *bearer {
 	}
 	b.batch, _ = sender.(transport.BatchSender)
 	b.idle = clock.NewCond(clk, &b.mu)
+	b.room = clock.NewCond(clk, &b.mu)
 	b.wg.Add(1)
 	clock.Go(clk, b.run)
 	return b
@@ -619,18 +636,28 @@ func (b *bearer) setBulkRate(bps int64) {
 	b.signal()
 }
 
-func (b *bearer) enqueue(key destKey, pr qos.Priority, raw []byte) error {
+// enqueue queues raw at class pr of key's lane. A producer that may wait,
+// offered a full bulk lane, parks on the bearer's clock until the drainer
+// pops a frame, Reroute empties the bearer or it closes; anything else
+// offered a full lane evicts the lane's oldest.
+func (b *bearer) enqueue(key destKey, pr qos.Priority, raw []byte, wait bool) error {
 	c := pr.Index()
 	if c < 0 {
 		c = qos.PriorityNormal.Index()
 	}
 	b.mu.Lock()
+	// The lane is looked up again after every wait: drained empty it is
+	// reaped, and its struct may by now serve another destination.
+	ln := b.lanes[key]
+	for wait && c == bulkClass && !b.closed && ln != nil && ln.size(c) >= b.cfg.QueueCap {
+		b.room.Wait()
+		ln = b.lanes[key]
+	}
 	if b.closed {
 		b.mu.Unlock()
 		bufpool.Put(raw)
 		return ErrClosed
 	}
-	ln := b.lanes[key]
 	if ln == nil {
 		if n := len(b.laneFree); n > 0 {
 			ln = b.laneFree[n-1]
@@ -736,8 +763,11 @@ func (b *bearer) next() (datagram []byte, key destKey, wait time.Duration, ok bo
 					b.ctr.perClass[c].coalesced.Add(uint64(n))
 				}
 			}
-			if c == bulkClass && b.rate > 0 {
-				b.tokens -= float64(len(datagram))
+			if c == bulkClass {
+				if b.rate > 0 {
+					b.tokens -= float64(len(datagram))
+				}
+				b.room.Broadcast()
 			}
 			b.ctr.perClass[c].sent.Add(uint64(n))
 			b.ctr.perClass[c].datagrams.Inc()
@@ -939,6 +969,7 @@ func (b *bearer) drainQueued() []queuedFrame {
 	}
 	b.ctr.rerouted.Add(uint64(len(out)))
 	b.idle.Broadcast()
+	b.room.Broadcast()
 	return out
 }
 
@@ -950,6 +981,7 @@ func (b *bearer) close() {
 	}
 	b.closed = true
 	b.idle.Broadcast()
+	b.room.Broadcast()
 	b.mu.Unlock()
 	close(b.stop)
 	clock.Blocking(b.clk, b.wg.Wait)

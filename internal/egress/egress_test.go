@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"uavmw/internal/clock"
 	"uavmw/internal/metrics"
 	"uavmw/internal/metrics/metricstest"
 	"uavmw/internal/protocol"
@@ -222,10 +223,11 @@ func TestDropOldestOverflow(t *testing.T) {
 	s := &gateSender{gate: make(chan struct{})}
 	p := New(s, Config{QueueCap: 4, CoalesceMax: -1})
 	defer p.Close()
-	_ = p.Enqueue("hold", qos.PriorityBulk, frameBytes(t, protocol.MTFileChunk, qos.PriorityBulk, 1, 10))
-	waitDequeued(t, p, qos.PriorityBulk, 1)
+	const pr = qos.PriorityLow // every class but bulk sheds its oldest
+	_ = p.Enqueue("hold", pr, frameBytes(t, protocol.MTSample, pr, 1, 10))
+	waitDequeued(t, p, pr, 1)
 	for seq := uint64(10); seq < 20; seq++ { // 10 frames into a cap-4 queue
-		_ = p.Enqueue("gs", qos.PriorityBulk, frameBytes(t, protocol.MTFileChunk, qos.PriorityBulk, seq, 10))
+		_ = p.Enqueue("gs", pr, frameBytes(t, protocol.MTSample, pr, seq, 10))
 	}
 	close(s.gate)
 	recs := waitSends(t, s, 1+4)
@@ -236,12 +238,141 @@ func TestDropOldestOverflow(t *testing.T) {
 			t.Fatalf("drop-oldest order = %v, want %v", seqs, want)
 		}
 	}
-	bulk := func(name string) uint64 { return counter(t, p, DefaultBearer, name, qos.PriorityBulk) }
-	if dropped := bulk("dropped"); dropped != 6 {
+	low := func(name string) uint64 { return counter(t, p, DefaultBearer, name, pr) }
+	if dropped := low("dropped"); dropped != 6 {
 		t.Fatalf("dropped = %d, want 6", dropped)
 	}
-	if enqueued, sent := bulk("enqueued"), bulk("sent"); enqueued != 11 || sent != 5 {
+	if enqueued, sent := low("enqueued"), low("sent"); enqueued != 11 || sent != 5 {
 		t.Fatalf("enqueued/sent = %d/%d, want 11/5", enqueued, sent)
+	}
+}
+
+// bulkProducer offers n bulk chunks (seqs from..from+n-1) to "gs" from its
+// own goroutine and reports the first enqueue error, or nil, on the channel.
+func bulkProducer(t *testing.T, p *Plane, from uint64, n int) <-chan error {
+	t.Helper()
+	raws := make([][]byte, n)
+	for i := range raws {
+		raws[i] = frameBytes(t, protocol.MTFileChunk, qos.PriorityBulk, from+uint64(i), 10)
+	}
+	done := make(chan error, 1)
+	go func() {
+		for _, raw := range raws {
+			if err := p.Enqueue("gs", qos.PriorityBulk, raw); err != nil {
+				done <- err
+				return
+			}
+		}
+		done <- nil
+	}()
+	return done
+}
+
+// waitParkedAt blocks until bearer has accepted n bulk frames, then checks
+// that a producer offering more stays parked there.
+func waitParkedAt(t *testing.T, p *Plane, bearer string, n uint64) {
+	t.Helper()
+	enqueued := func() uint64 { return counter(t, p, bearer, "enqueued", qos.PriorityBulk) }
+	deadline := time.Now().Add(5 * time.Second)
+	for enqueued() < n {
+		if time.Now().After(deadline) {
+			t.Fatalf("bulk enqueued = %d, want %d", enqueued(), n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(20 * time.Millisecond)
+	if got := enqueued(); got != n {
+		t.Fatalf("producer ran past a full lane: enqueued = %d, want %d", got, n)
+	}
+}
+
+// A full bulk lane makes its producer wait: nothing is evicted, the lane
+// never holds more than QueueCap, and frames leave in the order offered.
+func TestBulkProducerWaitsForRoom(t *testing.T) {
+	s := &gateSender{gate: make(chan struct{})}
+	p := New(s, Config{QueueCap: 4, CoalesceMax: -1})
+	defer p.Close()
+	done := bulkProducer(t, p, 1, 10)
+	// Frame 1 is at the gate, 2–5 fill the lane, the producer holds 6.
+	waitParkedAt(t, p, DefaultBearer, 5)
+	for sent := 1; sent <= 5; sent++ {
+		s.gate <- struct{}{} // one datagram out, one slot free
+		waitSends(t, s, sent)
+		waitParkedAt(t, p, DefaultBearer, uint64(5+sent))
+	}
+	close(s.gate)
+	if err := <-done; err != nil {
+		t.Fatalf("producer: %v", err)
+	}
+	seqs := decodeAll(t, waitSends(t, s, 10))
+	for i, seq := range seqs {
+		if seq != uint64(i+1) {
+			t.Fatalf("bulk left out of order: %v", seqs)
+		}
+	}
+	if dropped := counter(t, p, DefaultBearer, "dropped", qos.PriorityBulk); dropped != 0 {
+		t.Fatalf("bulk dropped = %d, want 0", dropped)
+	}
+}
+
+func TestCloseReleasesWaitingBulkProducer(t *testing.T) {
+	s := &gateSender{gate: make(chan struct{})}
+	p := New(s, Config{QueueCap: 2, CoalesceMax: -1})
+	done := bulkProducer(t, p, 1, 6)
+	waitParkedAt(t, p, DefaultBearer, 3)
+	closed := make(chan struct{})
+	go func() { p.Close(); close(closed) }()
+	select {
+	case err := <-done:
+		if !errors.Is(err, ErrClosed) {
+			t.Fatalf("waiting producer got %v, want ErrClosed", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close left the producer parked")
+	}
+	close(s.gate)
+	<-closed
+}
+
+// The same wait on a virtual clock with a shaped bearer: the parked producer
+// must not stall time — the bucket's wait fires, the drainer pops, the
+// producer runs — and the lane's drain rate is the producer's rate.
+func TestBulkProducerWaitsOnVirtualClock(t *testing.T) {
+	v := clock.NewVirtual()
+	s := &gateSender{}
+	const rate, n, size = 10_000, 40, 1000
+	var elapsed time.Duration
+	var p *Plane
+	var enqErr error
+	v.Run(func() {
+		p = New(s, Config{Clock: v, QueueCap: 4, CoalesceMax: -1, BulkRateBPS: rate, BulkBurst: size})
+		defer p.Close()
+		start := v.Now()
+		for seq := uint64(1); seq <= n && enqErr == nil; seq++ {
+			enqErr = p.Enqueue("gs", qos.PriorityBulk, frameBytes(t, protocol.MTFileChunk, qos.PriorityBulk, seq, size))
+		}
+		elapsed = v.Since(start)
+	})
+	if enqErr != nil {
+		t.Fatal(enqErr)
+	}
+	// The producer returns once the last frame is queued, so all but the
+	// lane's worth (and the bucket's burst) left at the shaped rate first.
+	wire := float64((n - 6) * size)
+	if min := time.Duration(wire / rate * float64(time.Second)); elapsed < min {
+		t.Fatalf("producer offered %d frames in %v of virtual time, lane drains them in ≥ %v", n, elapsed, min)
+	}
+	seqs := decodeAll(t, s.snapshot())
+	if len(seqs) != n {
+		t.Fatalf("sent %d of %d frames", len(seqs), n)
+	}
+	for i, seq := range seqs {
+		if seq != uint64(i+1) {
+			t.Fatalf("bulk left out of order: %v", seqs)
+		}
+	}
+	if dropped := counter(t, p, DefaultBearer, "dropped", qos.PriorityBulk); dropped != 0 {
+		t.Fatalf("bulk dropped = %d, want 0", dropped)
 	}
 }
 

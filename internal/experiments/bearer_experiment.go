@@ -198,14 +198,13 @@ func runE14Multi(clk clock.Clock, res *E14Result, seed int64) error {
 	wifi.ResetWireStats()
 	radio.ResetWireStats()
 
-	// The bulk transfer: paced into the plane at the wifi rate; each
-	// bearer's own token bucket governs what actually reaches its link.
+	// The bulk transfer: the publisher waits on whichever bearer's bulk
+	// lane it is routed to, and that bearer's token bucket sets its pace.
 	data := make([]byte, res.FileBytes)
 	for i := range data {
 		data[i] = byte(i * 31)
 	}
-	offer, err := uav.Files().Offer("e14.file", "bench", data,
-		qos.TransferQoS{ChunkSize: 1024, RateBPS: res.WifiShapedBPS})
+	offer, err := uav.Files().Offer("e14.file", "bench", data, qos.TransferQoS{ChunkSize: 1024})
 	if err != nil {
 		return err
 	}

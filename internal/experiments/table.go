@@ -81,7 +81,10 @@ var table = []*Experiment{
 			// Wire split drifts a little when retransmission timing moves;
 			// 10% still catches traffic landing on the wrong bearer.
 			{"wifi_bytes", 0.10, 0}, {"radio_bytes", 0.10, 0},
-			{"multi_lost", 0, 0}, {"multi_sent", 0, 0},
+			// Alarms are published until the transfer ends, so multi_sent
+			// is alarm rate × transfer_ms and takes that guard's slack;
+			// none of them may be lost.
+			{"multi_lost", 0, 0}, {"multi_sent", 0.10, 0},
 			// The single-bearer arm's loss count rides ARQ retry phase
 			// against the blackout edges, and host load shifts which edge
 			// alarms still recover (the harness's clock.Blocking waits

@@ -3,6 +3,7 @@ package filetransfer
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -15,13 +16,10 @@ import (
 	"uavmw/internal/transport"
 )
 
-func qosChunk(n int) qos.TransferQoS {
-	q := qos.TransferQoS{ChunkSize: n}.Normalize()
-	return q
-}
-
 // fakeFabric satisfies fabric.Fabric for engine-level tests: Schedule runs
-// inline, sends are recorded, reliable sends succeed immediately.
+// inline, sends are recorded, reliable sends succeed immediately. It keeps
+// what it records past the call, so by the fabric contract it records copies:
+// engines reuse one frame and one payload buffer across sends.
 type fakeFabric struct {
 	self transport.NodeID
 	dir  *naming.Directory
@@ -57,23 +55,29 @@ func (f *fakeFabric) Schedule(_ qos.Priority, job func()) error {
 	return nil
 }
 
+func cloneFrame(fr *protocol.Frame) *protocol.Frame {
+	cp := *fr
+	cp.Payload = append([]byte(nil), fr.Payload...)
+	return &cp
+}
+
 func (f *fakeFabric) SendBestEffort(_ transport.NodeID, fr *protocol.Frame) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	f.unicast = append(f.unicast, fr)
+	f.unicast = append(f.unicast, cloneFrame(fr))
 	return nil
 }
 
 func (f *fakeFabric) SendGroup(group string, fr *protocol.Frame) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	f.group[group] = append(f.group[group], fr)
+	f.group[group] = append(f.group[group], cloneFrame(fr))
 	return nil
 }
 
 func (f *fakeFabric) SendReliable(_ transport.NodeID, fr *protocol.Frame, _ qos.Reliability, done func(error)) {
 	f.mu.Lock()
-	f.reliable = append(f.reliable, fr)
+	f.reliable = append(f.reliable, cloneFrame(fr))
 	f.mu.Unlock()
 	if done != nil {
 		done(nil)
@@ -98,6 +102,100 @@ func (f *fakeFabric) groupFrames(group string) []*protocol.Frame {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return append([]*protocol.Frame(nil), f.group[group]...)
+}
+
+func (f *fakeFabric) reliableFrames() []*protocol.Frame {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return append([]*protocol.Frame(nil), f.reliable...)
+}
+
+// provides makes node the directory's provider of the named file.
+func (f *fakeFabric) provides(node transport.NodeID, names ...string) {
+	recs := make([]naming.Record, len(names))
+	for i, name := range names {
+		recs[i] = naming.Record{Kind: naming.KindFile, Name: name, Service: "svc", Node: node}
+	}
+	f.dir.Apply(&naming.Announcement{Node: node, Epoch: 1, Version: 1, Records: recs}, time.Now())
+}
+
+// waitFor polls cond for up to five seconds, yielding at first — what the
+// tests wait for is usually one goroutine switch away — then sleeping.
+func waitFor(t testing.TB, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for spins := 0; !cond(); spins++ {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		if spins < 100 {
+			runtime.Gosched()
+		} else {
+			time.Sleep(200 * time.Microsecond)
+		}
+	}
+}
+
+// countType counts the frames of type mt.
+func countType(frames []*protocol.Frame, mt protocol.MsgType) int {
+	n := 0
+	for _, fr := range frames {
+		if fr.Type == mt {
+			n++
+		}
+	}
+	return n
+}
+
+type fetched struct {
+	data []byte
+	rev  uint64
+	err  error
+}
+
+// startFetch runs e.Fetch(name) on its own goroutine, for five seconds at
+// most, and returns once the fetch has subscribed to its provider, so frames
+// fed to the engine's handlers from then on reach it.
+func startFetch(t testing.TB, e *Engine, name string) <-chan fetched {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	t.Cleanup(cancel)
+	return startFetchCtx(ctx, t, e, name)
+}
+
+func startFetchCtx(ctx context.Context, t testing.TB, e *Engine, name string) <-chan fetched {
+	t.Helper()
+	out := make(chan fetched, 1)
+	go func() {
+		data, rev, err := e.Fetch(ctx, name, FetchOptions{})
+		out <- fetched{data, rev, err}
+	}()
+	waitFor(t, "fetch to subscribe", func() bool {
+		e.mu.Lock()
+		st := e.fetches[name]
+		e.mu.Unlock()
+		if st == nil {
+			return false
+		}
+		st.mu.Lock()
+		defer st.mu.Unlock()
+		return st.provider != ""
+	})
+	return out
+}
+
+func seqBytes(n int) []byte {
+	data := make([]byte, n)
+	for i := range data {
+		data[i] = byte(i*7 + i>>8)
+	}
+	return data
+}
+
+func chunkFrame(name string, revision uint64, data []byte, chunkSize, i int) *protocol.Frame {
+	total := chunkCount(len(data), chunkSize)
+	return &protocol.Frame{Type: protocol.MTFileChunk, Channel: name,
+		Payload: appendChunk(nil, revision, uint32(i), uint32(total), chunkAt(data, chunkSize, i))}
 }
 
 func TestOfferValidation(t *testing.T) {
@@ -220,7 +318,7 @@ func TestTransferLoopServesSubscriber(t *testing.T) {
 	}
 	// ACK removes the subscriber and the loop idles.
 	e.HandleAck("subscriber", &protocol.Frame{
-		Type: protocol.MTFileAck, Channel: "file", Payload: encodeAck(1),
+		Type: protocol.MTFileAck, Channel: "file", Payload: appendAck(nil, 1, 77),
 	})
 	deadline = time.Now().Add(2 * time.Second)
 	for {
@@ -274,7 +372,7 @@ func TestNackFromUnknownSubscriberAdopted(t *testing.T) {
 	}
 	w := encoding.NewWriter(32)
 	w.Uint64(1)
-	w.Raw(encodeRanges([]uint32{0, 2}))
+	w.Raw(appendMissing(nil, []bool{false, true, false}))
 	e.HandleNack("late", &protocol.Frame{Type: protocol.MTFileNack, Channel: "file", Payload: w.Bytes()})
 
 	e.mu.Lock()
@@ -286,7 +384,7 @@ func TestNackFromUnknownSubscriberAdopted(t *testing.T) {
 	if st == nil {
 		t.Fatal("late NACKer not adopted as subscriber")
 	}
-	if len(st.missing) != 2 || !st.missing[0] || !st.missing[2] {
+	if len(st.missing) != 3 || !st.missing[0] || st.missing[1] || !st.missing[2] {
 		t.Errorf("missing set = %v", st.missing)
 	}
 }
@@ -321,46 +419,17 @@ func TestRecordsExposeOffers(t *testing.T) {
 }
 
 // waitInactive polls until the offer's transfer loop has exited.
-func waitInactive(t *testing.T, o *Offer, within time.Duration) {
+func waitInactive(t *testing.T, o *Offer) {
 	t.Helper()
-	deadline := time.Now().Add(within)
-	for {
+	waitFor(t, "the transfer loop to exit", func() bool {
 		o.mu.Lock()
-		active := o.active
-		o.mu.Unlock()
-		if !active {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("transfer loop still running %v after Close", within)
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-}
-
-// TestCloseAbortsRoundPause pins the fast-shutdown property: Close must
-// not wait out a multi-second RoundPause (the loop's sleeps are abortable).
-func TestCloseAbortsRoundPause(t *testing.T) {
-	f := newFakeFabric("pub")
-	e := New(f, WithQueryWindow(time.Millisecond))
-	o, err := e.Offer("big", "svc", make([]byte, 4096), qos.TransferQoS{
-		ChunkSize: 1024, RoundPause: 30 * time.Second,
+		defer o.mu.Unlock()
+		return !o.active
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	o.addSubscriber("sub") // starts the loop; first round ends in the pause
-	time.Sleep(20 * time.Millisecond)
-	start := time.Now()
-	o.Close()
-	waitInactive(t, o, time.Second)
-	if elapsed := time.Since(start); elapsed > time.Second {
-		t.Fatalf("Close took %v against a 30s round pause", elapsed)
-	}
 }
 
-// TestCloseAbortsQueryWindow pins the same property for the completion
-// query window.
+// TestCloseAbortsQueryWindow pins the fast-shutdown property: Close must
+// not wait out the completion query window (the loop's sleep is abortable).
 func TestCloseAbortsQueryWindow(t *testing.T) {
 	f := newFakeFabric("pub")
 	e := New(f, WithQueryWindow(30*time.Second))
@@ -368,50 +437,12 @@ func TestCloseAbortsQueryWindow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	o.addSubscriber("sub")
+	o.addSubscriber("sub", 0)
 	time.Sleep(20 * time.Millisecond) // loop is now inside the query window
 	start := time.Now()
 	o.Close()
-	waitInactive(t, o, time.Second)
+	waitInactive(t, o)
 	if elapsed := time.Since(start); elapsed > time.Second {
 		t.Fatalf("Close took %v against a 30s query window", elapsed)
-	}
-}
-
-// TestRateBPSPacesChunkEmission pins TransferQoS.RateBPS: chunk multicast
-// is spread over ≈ wireBytes/rate rather than blasted at once.
-func TestRateBPSPacesChunkEmission(t *testing.T) {
-	f := newFakeFabric("pub")
-	e := New(f, WithQueryWindow(time.Millisecond))
-	const chunks, chunkSize = 8, 1000
-	rate := int64(8 * (chunkSize + chunkWireOverhead) * 10) // whole file ≈ 100ms
-	o, err := e.Offer("paced", "svc", make([]byte, chunks*chunkSize), qos.TransferQoS{
-		ChunkSize: chunkSize, RateBPS: rate, RoundPause: time.Hour,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer o.Close()
-	start := time.Now()
-	o.addSubscriber("sub")
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		sent := 0
-		for _, fr := range f.groupFrames("f:paced") {
-			if fr.Type == protocol.MTFileChunk {
-				sent++
-			}
-		}
-		if sent >= chunks {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("only %d of %d chunks emitted", sent, chunks)
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	// First chunk is free; the remaining 7 are paced at ≈10 chunks/s.
-	if elapsed := time.Since(start); elapsed < 50*time.Millisecond {
-		t.Fatalf("8 paced chunks emitted in %v, want ≈70ms+", elapsed)
 	}
 }

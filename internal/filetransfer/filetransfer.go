@@ -22,11 +22,13 @@ package filetransfer
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
 	"time"
 
+	"uavmw/internal/bufpool"
 	"uavmw/internal/clock"
 	"uavmw/internal/encoding"
 	"uavmw/internal/fabric"
@@ -57,6 +59,8 @@ var (
 	ErrClosed = errors.New("file handle closed")
 	// ErrEmpty reports an offer with no data.
 	ErrEmpty = errors.New("empty file")
+	// ErrTooLarge reports an offer whose chunks exceed MaxFileBytes.
+	ErrTooLarge = errors.New("file too large")
 )
 
 // Tunables (overridable per engine for tests).
@@ -68,9 +72,10 @@ const (
 	DefaultQueryWindow = 40 * time.Millisecond
 	// DefaultMaxStrikes drops a subscriber after this many silent rounds.
 	DefaultMaxStrikes = 5
-	// chunkWireOverhead estimates frame header + chunk header bytes per
-	// chunk datagram, for RateBPS pacing arithmetic.
-	chunkWireOverhead = 64
+	// MaxFileBytes bounds chunks × chunk size of one resource: it is what
+	// geometry a peer put on the wire can make a receiver allocate, and
+	// Offer refuses what no receiver would accept.
+	MaxFileBytes = 256 << 20
 )
 
 // Engine is the per-container file-transfer runtime.
@@ -81,6 +86,7 @@ type Engine struct {
 
 	queryWindow time.Duration
 	maxStrikes  int
+	maxFile     int // MaxFileBytes; tests lower it
 
 	mu       sync.Mutex
 	offers   map[string]*Offer
@@ -92,7 +98,12 @@ type Engine struct {
 // Option customizes an engine.
 type Option func(*Engine)
 
-// WithQueryWindow sets the completion-phase collection window.
+// WithQueryWindow sets the completion-phase collection window. The window is
+// timed from the moment the query is queued for transmission, and the query
+// rides the transfer's own class behind the round's chunks — up to a lane's
+// worth of them (egress.Config.QueueCap) — so on a slow link it must cover
+// the time that backlog takes to drain plus a round trip, or every round
+// ends before its answers arrive.
 func WithQueryWindow(d time.Duration) Option {
 	return func(e *Engine) {
 		if d > 0 {
@@ -122,6 +133,7 @@ func New(f fabric.Fabric, opts ...Option) *Engine {
 		reg:         fabric.MetricsOf(f),
 		queryWindow: DefaultQueryWindow,
 		maxStrikes:  DefaultMaxStrikes,
+		maxFile:     MaxFileBytes,
 		offers:      make(map[string]*Offer),
 		fetches:     make(map[string]*fetchState),
 		watchers:    make(map[string][]chan uint64),
@@ -145,6 +157,9 @@ func (e *Engine) Offer(name, service string, data []byte, q qos.TransferQoS) (*O
 	if q.ChunkSize <= 0 {
 		q.ChunkSize = DefaultChunkSize
 	}
+	if err := e.checkSize(name, len(data), q.ChunkSize); err != nil {
+		return nil, err
+	}
 	e.mu.Lock()
 	if _, dup := e.offers[name]; dup {
 		e.mu.Unlock()
@@ -155,15 +170,23 @@ func (e *Engine) Offer(name, service string, data []byte, q qos.TransferQoS) (*O
 		name:        name,
 		service:     service,
 		q:           q,
+		revision:    1,
+		data:        data,
 		subscribers: make(map[transport.NodeID]*subState),
-		wake:        make(chan struct{}, 1),
 		stop:        make(chan struct{}),
 	}
-	o.install(1, data)
 	e.offers[name] = o
 	e.mu.Unlock()
 	e.f.OfferChanged()
 	return o, nil
+}
+
+// checkSize refuses content whose chunks no receiver would make room for.
+func (e *Engine) checkSize(name string, size, chunkSize int) error {
+	if chunkCount(size, chunkSize)*chunkSize > e.maxFile {
+		return fmt.Errorf("filetransfer: %q: %d bytes: %w", name, size, ErrTooLarge)
+	}
+	return nil
 }
 
 // Offer is the publisher-side handle of one resource.
@@ -176,40 +199,31 @@ type Offer struct {
 	mu          sync.Mutex
 	revision    uint64
 	data        []byte
-	chunks      [][]byte
 	subscribers map[transport.NodeID]*subState
 	active      bool
 	closed      bool
 	roundID     uint64
 	rounds      uint64 // total transfer rounds run (diagnostics/E4)
 
-	wake chan struct{}
-	stop chan struct{} // closed by Close; aborts transfer-loop sleeps
+	stop chan struct{} // closed by Close; aborts the transfer loop
 }
 
 type subState struct {
+	// token names the fetch that subscribed, and only an ack carrying it
+	// ends the subscription. Zero (adopted from a NACK) accepts any ack.
+	token     uint64
 	strikes   int
-	missing   map[uint32]bool // nil until first NACK
-	responded bool            // in current round
+	missing   []bool // by chunk index; nil until the first NACK: needs everything
+	responded bool   // in current round
 }
 
-// install splits data into chunks under the offer lock-free constructor or
-// with o.mu held by Update.
-func (o *Offer) install(revision uint64, data []byte) {
-	cs := o.q.ChunkSize
-	n := (len(data) + cs - 1) / cs
-	chunks := make([][]byte, n)
-	for i := 0; i < n; i++ {
-		end := min((i+1)*cs, len(data))
-		chunks[i] = data[i*cs : end]
-	}
-	o.revision = revision
-	o.data = data
-	o.chunks = chunks
-}
+// chunkCount is the number of chunkSize-byte chunks size bytes split into.
+func chunkCount(size, chunkSize int) int { return (size + chunkSize - 1) / chunkSize }
 
-// Name returns the resource name.
-func (o *Offer) Name() string { return o.name }
+// chunkAt is chunk i of data: chunkSize bytes, fewer for the last.
+func chunkAt(data []byte, chunkSize, i int) []byte {
+	return data[i*chunkSize : min((i+1)*chunkSize, len(data))]
+}
 
 // Revision returns the current revision.
 func (o *Offer) Revision() uint64 {
@@ -231,12 +245,16 @@ func (o *Offer) Update(data []byte) (uint64, error) {
 	if len(data) == 0 {
 		return 0, fmt.Errorf("filetransfer: %q: %w", o.name, ErrEmpty)
 	}
+	if err := o.engine.checkSize(o.name, len(data), o.q.ChunkSize); err != nil {
+		return 0, err
+	}
 	o.mu.Lock()
 	if o.closed {
 		o.mu.Unlock()
 		return 0, fmt.Errorf("filetransfer: %q: %w", o.name, ErrClosed)
 	}
-	o.install(o.revision+1, data)
+	o.revision++
+	o.data = data
 	rev := o.revision
 	// Every subscriber restarts against the new revision.
 	for _, st := range o.subscribers {
@@ -247,7 +265,6 @@ func (o *Offer) Update(data []byte) (uint64, error) {
 
 	o.engine.notifyWatchers(o.name, rev)
 	o.announce()
-	o.kick()
 	return rev, nil
 }
 
@@ -269,9 +286,9 @@ func (o *Offer) Record() naming.Record {
 	}
 }
 
-// Close withdraws the offer and stops its transfer loop. The loop's
-// pacing, query-window and round-pause sleeps all abort on Close, so
-// shutdown is prompt even mid-pause.
+// Close withdraws the offer and stops its transfer loop: the loop checks
+// for it before every chunk and its query-window sleep aborts on it, so a
+// withdrawn offer stops feeding its lane at once.
 func (o *Offer) Close() {
 	o.mu.Lock()
 	if o.closed {
@@ -281,35 +298,19 @@ func (o *Offer) Close() {
 	o.closed = true
 	o.mu.Unlock()
 	close(o.stop)
-	o.kick()
 	o.engine.mu.Lock()
 	delete(o.engine.offers, o.name)
 	o.engine.mu.Unlock()
 	o.engine.f.OfferChanged()
 }
 
-func (o *Offer) kick() {
-	select {
-	case o.wake <- struct{}{}:
-	default:
-	}
-}
-
-// sleep pauses the transfer loop for d, returning false immediately if the
-// offer closes first. Bare time.Sleep here used to pin Close behind a full
-// query window or round pause.
-func (o *Offer) sleep(d time.Duration) bool {
-	if d <= 0 {
-		return true
-	}
-	return clock.SleepStop(o.engine.clk, d, o.stop)
-}
-
 // announce multicasts resource metadata (phase 1).
 func (o *Offer) announce() {
 	o.mu.Lock()
-	payload := encodeFileMeta(o.revision, uint64(len(o.data)), uint32(o.q.ChunkSize), uint32(len(o.chunks)))
+	revision, size := o.revision, len(o.data)
 	o.mu.Unlock()
+	payload := appendFileMeta(bufpool.Get(fileMetaSize), revision, uint64(size),
+		uint32(o.q.ChunkSize), uint32(chunkCount(size, o.q.ChunkSize)))
 	frame := &protocol.Frame{
 		Type:     protocol.MTFileAnnounce,
 		Priority: o.q.Priority,
@@ -320,33 +321,48 @@ func (o *Offer) announce() {
 	if err := o.engine.f.SendGroup(fabric.FileGroup(o.name), frame); err != nil {
 		uerr.Wrapf(o.engine.reg, codeFileAnnounce, err, "announce %s", o.name)
 	}
+	bufpool.Put(payload)
 }
 
-// addSubscriber registers a receiver and ensures the transfer loop runs.
-func (o *Offer) addSubscriber(node transport.NodeID) {
+// addSubscriber registers a receiver's fetch and ensures the transfer loop
+// runs. A new token is a new fetch, which has received nothing yet.
+func (o *Offer) addSubscriber(node transport.NodeID, token uint64) {
 	o.mu.Lock()
 	if o.closed {
 		o.mu.Unlock()
 		return
 	}
-	if _, known := o.subscribers[node]; !known {
-		o.subscribers[node] = &subState{}
+	st := o.subscribers[node]
+	if st == nil {
+		st = &subState{}
+		o.subscribers[node] = st
+	}
+	if st.token != token {
+		st.token, st.missing, st.strikes = token, nil, 0
 	}
 	start := !o.active
-	if start {
-		o.active = true
-	}
+	o.active = true
 	o.mu.Unlock()
 	if start {
 		clock.Go(o.engine.clk, o.transferLoop)
-	} else {
-		o.kick()
 	}
 }
 
-// transferLoop runs phases 2 and 3 until no subscribers remain.
+// transferLoop runs phases 2 and 3 until no subscribers remain. It has no
+// pacer of its own: a full egress lane makes SendGroup wait, so the loop runs
+// at the rate its lane drains — the bearer's bulk rate on a shaped link.
 func (o *Offer) transferLoop() {
 	e := o.engine
+	group := fabric.FileGroup(o.name)
+	chunkSize := o.q.ChunkSize
+	// One frame and one payload buffer serve every send of every round:
+	// the fabric has encoded a frame by the time SendGroup returns.
+	frame := protocol.GetFrame()
+	defer protocol.PutFrame(frame)
+	payload := bufpool.Get(chunkHeaderSize + chunkSize) // never outgrown
+	defer bufpool.Put(payload)
+	var pending []bool // by chunk index: some subscriber lacks it
+rounds:
 	for {
 		o.mu.Lock()
 		if o.closed || len(o.subscribers) == 0 {
@@ -354,90 +370,48 @@ func (o *Offer) transferLoop() {
 			o.mu.Unlock()
 			return
 		}
-		revision := o.revision
-		chunks := o.chunks
+		revision, data := o.revision, o.data
+		total := chunkCount(len(data), chunkSize)
 		// Pending = union of subscriber needs; a subscriber with no
 		// recorded NACK yet needs everything.
-		pending := make(map[uint32]bool)
-		needAll := false
+		pending = append(pending[:0], make([]bool, total)...)
 		for _, st := range o.subscribers {
-			if st.missing == nil {
-				needAll = true
-				break
+			for i := range pending {
+				pending[i] = pending[i] || st.missing == nil || st.missing[i]
 			}
-			for idx := range st.missing {
-				pending[idx] = true
-			}
-		}
-		if needAll {
-			for i := range chunks {
-				pending[uint32(i)] = true
-			}
+			st.responded = false
 		}
 		o.roundID++
 		round := o.roundID
-		for _, st := range o.subscribers {
-			st.responded = false
-		}
 		o.mu.Unlock()
 
 		// Phase 1 refresher for late joiners.
 		o.announce()
 
-		// Phase 2: multicast pending chunks in index order. With a QoS
-		// rate cap the emission is paced chunk by chunk, so a
-		// bandwidth-constrained link is never handed a burst the egress
-		// bulk lane would have to buffer (or drop) — the per-transfer
-		// half of the bulk-shaping story; the container egress plane's
-		// token bucket shapes the class as a whole.
-		group := fabric.FileGroup(o.name)
-		total := uint32(len(chunks))
-		var nextSend time.Time
-		aborted := false
-		for i := uint32(0); i < total; i++ {
-			if !pending[i] {
+		// Phase 2: multicast pending chunks in index order, each sliced
+		// out of data straight into the round's payload buffer.
+		for i, need := range pending {
+			if !need {
 				continue
 			}
-			if o.q.RateBPS > 0 {
-				if now := e.clk.Now(); nextSend.After(now) {
-					if !o.sleep(nextSend.Sub(now)) {
-						aborted = true
-						break
-					}
-				} else if nextSend.Before(now) {
-					nextSend = now // credit never accumulates across idle gaps
-				}
+			select {
+			case <-o.stop:
+				continue rounds // the loop head exits
+			default:
 			}
-			frame := &protocol.Frame{
-				Type:     protocol.MTFileChunk,
-				Priority: o.q.Priority,
-				Channel:  o.name,
-				Seq:      e.f.NextSeq(),
-				Payload:  encodeChunk(revision, i, total, chunks[i]),
-			}
-			if o.q.RateBPS > 0 {
-				wire := len(frame.Payload) + chunkWireOverhead
-				nextSend = nextSend.Add(time.Duration(float64(wire) / float64(o.q.RateBPS) * float64(time.Second)))
-			}
+			*frame = protocol.Frame{Type: protocol.MTFileChunk, Priority: o.q.Priority, Channel: o.name, Seq: e.f.NextSeq(),
+				Payload: appendChunk(payload[:0], revision, uint32(i), uint32(total), chunkAt(data, chunkSize, i))}
 			uerr.Note(e.reg, codeFileChunk, e.f.SendGroup(group, frame), "chunk round")
-		}
-		if aborted {
-			continue // loop head observes closed and exits
 		}
 
 		// Phase 3: query and collect. The query rides the transfer's own
 		// class so it trails the round's chunks through the egress lane;
 		// overtaking them would solicit NACKs for chunks still in flight.
-		query := &protocol.Frame{
-			Type:     protocol.MTFileQuery,
-			Priority: o.q.Priority,
-			Channel:  o.name,
-			Seq:      round,
-			Payload:  encodeFileMeta(revision, 0, uint32(o.q.ChunkSize), total),
-		}
-		uerr.Note(e.reg, codeFileQuery, e.f.SendGroup(group, query), "completion query")
-		if !o.sleep(e.queryWindow) {
-			continue
+		*frame = protocol.Frame{Type: protocol.MTFileQuery, Priority: o.q.Priority, Channel: o.name, Seq: round,
+			Payload: appendFileMeta(payload[:0], revision, 0, uint32(chunkSize), uint32(total))}
+		uerr.Note(e.reg, codeFileQuery, e.f.SendGroup(group, frame), "completion query")
+		if !clock.SleepStop(e.clk, e.queryWindow, o.stop) {
+			continue // closed; the loop head exits
 		}
 
 		o.mu.Lock()
@@ -453,54 +427,23 @@ func (o *Offer) transferLoop() {
 			}
 		}
 		o.mu.Unlock()
-
-		if o.q.RoundPause > 0 && !o.sleep(o.q.RoundPause) {
-			continue // closed mid-pause; loop head exits
-		}
-	}
-}
-
-// handleAck processes a receiver's completion.
-func (o *Offer) handleAck(from transport.NodeID, revision uint64) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	if revision == o.revision {
-		delete(o.subscribers, from)
-	}
-}
-
-// handleNack records a receiver's missing set.
-func (o *Offer) handleNack(from transport.NodeID, revision uint64, missing []uint32) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	if revision != o.revision {
-		return // response to an old revision; receiver will restart
-	}
-	st := o.subscribers[from]
-	if st == nil {
-		// NACK from a node that never subscribed explicitly (it joined
-		// the group mid-flight): adopt it.
-		st = &subState{}
-		o.subscribers[from] = st
-	}
-	st.responded = true
-	st.strikes = 0
-	st.missing = make(map[uint32]bool, len(missing))
-	for _, idx := range missing {
-		st.missing[idx] = true
 	}
 }
 
 // --- wire payload codecs ---
 
-// file metadata payload: revision u64, size u64, chunkSize u32, chunks u32.
-func encodeFileMeta(revision, size uint64, chunkSize, chunks uint32) []byte {
-	w := encoding.NewWriter(24)
-	w.Uint64(revision)
-	w.Uint64(size)
-	w.Uint32(chunkSize)
-	w.Uint32(chunks)
-	return w.Bytes()
+const (
+	fileMetaSize    = 24 // revision u64, size u64, chunkSize u32, chunks u32
+	chunkHeaderSize = 16 // revision u64, index u32, total u32
+)
+
+// appendFileMeta appends the announce and query payload: revision u64,
+// size u64, chunkSize u32, chunks u32.
+func appendFileMeta(dst []byte, revision, size uint64, chunkSize, chunks uint32) []byte {
+	dst = binary.BigEndian.AppendUint64(dst, revision)
+	dst = binary.BigEndian.AppendUint64(dst, size)
+	dst = binary.BigEndian.AppendUint32(dst, chunkSize)
+	return binary.BigEndian.AppendUint32(dst, chunks)
 }
 
 func decodeFileMeta(payload []byte) (revision, size uint64, chunkSize, chunks uint32, err error) {
@@ -512,14 +455,13 @@ func decodeFileMeta(payload []byte) (revision, size uint64, chunkSize, chunks ui
 	return revision, size, chunkSize, chunks, r.Err()
 }
 
-// chunk payload: revision u64, index u32, total u32, raw data.
-func encodeChunk(revision uint64, index, total uint32, data []byte) []byte {
-	w := encoding.NewWriter(16 + len(data))
-	w.Uint64(revision)
-	w.Uint32(index)
-	w.Uint32(total)
-	w.Raw(data)
-	return w.Bytes()
+// appendChunk appends the chunk payload: revision u64, index u32, total
+// u32, raw data.
+func appendChunk(dst []byte, revision uint64, index, total uint32, data []byte) []byte {
+	dst = binary.BigEndian.AppendUint64(dst, revision)
+	dst = binary.BigEndian.AppendUint32(dst, index)
+	dst = binary.BigEndian.AppendUint32(dst, total)
+	return append(dst, data...)
 }
 
 func decodeChunk(payload []byte) (revision uint64, index, total uint32, data []byte, err error) {
@@ -533,34 +475,37 @@ func decodeChunk(payload []byte) (revision uint64, index, total uint32, data []b
 	return revision, index, total, r.Raw(r.Remaining()), nil
 }
 
-// ack/nack payload: revision u64 [+ RLE ranges for nack].
-func encodeAck(revision uint64) []byte {
-	w := encoding.NewWriter(8)
-	w.Uint64(revision)
-	return w.Bytes()
+// appendAck appends the ack payload: revision u64, then the token u64 of the
+// fetch that completed. A NACK is the revision followed by RLE ranges; a
+// subscribe is the token alone.
+func appendAck(dst []byte, revision, token uint64) []byte {
+	dst = binary.BigEndian.AppendUint64(dst, revision)
+	return binary.BigEndian.AppendUint64(dst, token)
 }
 
 // --- receiver side ---
 
+// fetchState reassembles one resource for the Fetch calls waiting on it,
+// from the frames of provider, the node it subscribed to, and nobody else's.
 type fetchState struct {
-	name string
+	name  string
+	token uint64 // names this fetch in its subscribe and its acks
 
-	mu       sync.Mutex
-	revision uint64
-	total    int
-	parts    [][]byte
-	received int
-	provider transport.NodeID
-	data     []byte
-	done     chan struct{}
-	refs     int
+	mu        sync.Mutex
+	provider  transport.NodeID
+	revision  uint64
+	chunkSize int    // adopted geometry; zero until buf exists
+	buf       []byte // total × chunkSize; chunk i lands at i × chunkSize
+	have      []bool // by chunk index
+	received  int
+	size      int    // file length: announced, else known with the last chunk
+	data      []byte // the complete file, buf[:size]
+	done      chan struct{}
+	refs      int
 }
 
-// FetchOptions tune a fetch.
-type FetchOptions struct {
-	// QoS carries the transfer priority.
-	QoS qos.TransferQoS
-}
+// FetchOptions tune a fetch; today there is nothing to tune.
+type FetchOptions struct{}
 
 // Fetch retrieves the named resource, blocking until complete or ctx ends.
 // A locally offered resource is returned by direct access without touching
@@ -578,7 +523,7 @@ func (e *Engine) Fetch(ctx context.Context, name string, opts FetchOptions) ([]b
 	}
 	st := e.fetches[name]
 	if st == nil {
-		st = &fetchState{name: name, done: make(chan struct{})}
+		st = &fetchState{name: name, token: e.f.NextSeq(), done: make(chan struct{})}
 		e.fetches[name] = st
 	}
 	st.refs++
@@ -629,16 +574,7 @@ func (e *Engine) subscribeToProvider(ctx context.Context, st *fetchState) error 
 			st.mu.Lock()
 			st.provider = rec.Node
 			st.mu.Unlock()
-			// Control frames ride PriorityNormal, not the bulk lane: a
-			// subscription must not queue behind another transfer's
-			// chunk backlog on the same egress plane.
-			frame := &protocol.Frame{
-				Type:     protocol.MTFileSubscribe,
-				Priority: qos.PriorityNormal,
-				Channel:  st.name,
-				Seq:      e.f.NextSeq(),
-			}
-			e.f.SendReliable(rec.Node, frame, qos.ReliableARQ, nil)
+			e.sendControl(rec.Node, protocol.MTFileSubscribe, st.name, binary.BigEndian.AppendUint64(nil, st.token))
 			return nil
 		}
 		if !clock.SleepStop(e.clk, 10*time.Millisecond, ctx.Done()) {
@@ -758,154 +694,170 @@ func (e *Engine) HandleSubscribe(from transport.NodeID, fr *protocol.Frame) {
 	o := e.offers[fr.Channel]
 	e.mu.Unlock()
 	if o != nil {
-		o.addSubscriber(from)
+		// A peer that sent no token reads as zero, which names no fetch.
+		o.addSubscriber(from, encoding.NewReader(fr.Payload).Uint64())
 	}
+}
+
+// fetchFrom returns the fetch of name in progress, locked, when from is the
+// provider it subscribed to; nil otherwise.
+func (e *Engine) fetchFrom(name string, from transport.NodeID) *fetchState {
+	e.mu.Lock()
+	st := e.fetches[name]
+	e.mu.Unlock()
+	if st == nil {
+		return nil
+	}
+	st.mu.Lock()
+	if st.provider != from {
+		st.mu.Unlock()
+		return nil
+	}
+	return st
 }
 
 // HandleAnnounce processes resource metadata (group or unicast).
 func (e *Engine) HandleAnnounce(from transport.NodeID, fr *protocol.Frame) {
-	revision, _, _, chunks, err := decodeFileMeta(fr.Payload)
+	revision, size, chunkSize, chunks, err := decodeFileMeta(fr.Payload)
 	if err != nil {
 		return
 	}
 	e.notifyWatchers(fr.Channel, revision)
-	e.mu.Lock()
-	st := e.fetches[fr.Channel]
-	e.mu.Unlock()
+	st := e.fetchFrom(fr.Channel, from)
 	if st == nil {
 		return
 	}
-	st.mu.Lock()
 	defer st.mu.Unlock()
-	st.adoptRevision(revision, int(chunks))
+	// The announced size must be one the geometry can hold: its last byte
+	// falls in the last chunk.
+	span := uint64(chunks) * uint64(chunkSize)
+	if size > span || size+uint64(chunkSize) <= span {
+		return
+	}
+	if st.adopt(revision, chunks, chunkSize, e.maxFile) && int(chunkSize) == st.chunkSize && st.size == 0 {
+		st.size = int(size)
+	}
 }
 
-// adoptRevision initializes or restarts the buffer. Caller holds st.mu.
-func (st *fetchState) adoptRevision(revision uint64, total int) {
+// adopt reports whether a frame of revision counting total chunks belongs
+// to the transfer in progress. It restarts on a newer revision and sizes the
+// reassembly buffer from the first geometry it hears — a peer's word, so not
+// for a zero count, a zero chunk size (the frame does not say) or more than
+// limit bytes. Caller holds st.mu.
+func (st *fetchState) adopt(revision uint64, total, chunkSize uint32, limit int) bool {
 	if revision < st.revision || st.data != nil {
-		return // older revision, or already complete
+		return false // older revision, or already complete
 	}
 	if revision > st.revision {
 		st.revision = revision
-		st.parts = nil
-		st.received = 0
-		st.total = 0
+		st.buf, st.have = nil, nil
+		st.chunkSize, st.received, st.size = 0, 0, 0
 	}
-	if st.parts == nil && total > 0 {
-		st.total = total
-		st.parts = make([][]byte, total)
+	if st.buf == nil {
+		if total == 0 || chunkSize == 0 || uint64(total)*uint64(chunkSize) > uint64(limit) {
+			return false
+		}
+		st.chunkSize = int(chunkSize)
+		//wirepath:alloc the reassembly buffer is the file handed to the caller, which retains it
+		st.buf = make([]byte, int(total)*int(chunkSize))
+		st.have = make([]bool, total)
 	}
+	return int(total) == len(st.have)
 }
 
-// HandleChunk stores one multicast chunk.
+// HandleChunk places one multicast chunk at its offset in the file.
 func (e *Engine) HandleChunk(from transport.NodeID, fr *protocol.Frame) {
 	revision, index, total, data, err := decodeChunk(fr.Payload)
-	if err != nil {
+	if err != nil || index >= total || len(data) == 0 {
 		return
 	}
-	e.mu.Lock()
-	st := e.fetches[fr.Channel]
-	e.mu.Unlock()
+	st := e.fetchFrom(fr.Channel, from)
 	if st == nil {
 		return
 	}
-	st.mu.Lock()
-	st.adoptRevision(revision, int(total))
-	if st.data != nil || revision != st.revision || st.parts == nil ||
-		int(index) >= len(st.parts) || st.parts[index] != nil {
+	// Every chunk but the last is one chunk size long, which is how a fetch
+	// that missed the announce learns the geometry. The last chunk of a
+	// multi-chunk file teaches nothing: heard first it cannot be placed, is
+	// dropped here and comes back with the next NACK round.
+	last := index == total-1
+	var teaches uint32
+	if !last || total == 1 {
+		teaches = uint32(len(data))
+	}
+	if !st.adopt(revision, total, teaches, e.maxFile) || st.have[index] ||
+		len(data) > st.chunkSize || (!last && len(data) != st.chunkSize) {
 		st.mu.Unlock()
 		return
 	}
-	//wirepath:alloc chunk copy retained by the reassembly buffer
-	cp := make([]byte, len(data))
-	copy(cp, data)
-	st.parts[index] = cp
+	if last {
+		size := int(index)*st.chunkSize + len(data)
+		if st.size != 0 && st.size != size {
+			st.mu.Unlock()
+			return // disagrees with the announced size
+		}
+		st.size = size
+	}
+	copy(st.buf[int(index)*st.chunkSize:], data)
+	st.have[index] = true
 	st.received++
-	complete := st.received == st.total
+	complete := st.received == len(st.have)
 	if complete {
-		size := 0
-		for _, p := range st.parts {
-			size += len(p)
-		}
-		//wirepath:alloc reassembled file handed to the store, which retains it
-		buf := make([]byte, 0, size)
-		for _, p := range st.parts {
-			buf = append(buf, p...)
-		}
-		st.data = buf
+		st.data = st.buf[:st.size]
 		close(st.done)
 	}
-	provider := st.provider
-	revisionNow := st.revision
 	st.mu.Unlock()
 
 	if complete {
 		// Proactive ACK: don't wait for the query round.
-		e.sendAck(provider, fr.Channel, revisionNow)
+		e.sendControl(from, protocol.MTFileAck, fr.Channel, appendAck(nil, revision, st.token))
 	}
 }
 
-func (e *Engine) sendAck(to transport.NodeID, name string, revision uint64) {
-	if to == "" {
-		return
-	}
-	// Completion control rides PriorityNormal so it cannot starve behind
-	// bulk chunk traffic flowing the other way through a shared medium.
-	frame := &protocol.Frame{
-		Type:     protocol.MTFileAck,
-		Priority: qos.PriorityNormal,
-		Channel:  name,
-		Seq:      e.f.NextSeq(),
-		Payload:  encodeAck(revision),
-	}
+// sendControl sends a subscribe, ack or NACK. Control frames ride
+// PriorityNormal, not the bulk lane: joining or completing a transfer must
+// not queue behind a chunk backlog, the node's own or one flowing the other
+// way through a shared medium.
+func (e *Engine) sendControl(to transport.NodeID, t protocol.MsgType, name string, payload []byte) {
+	frame := &protocol.Frame{Type: t, Priority: qos.PriorityNormal, Channel: name, Seq: e.f.NextSeq(), Payload: payload}
 	e.f.SendReliable(to, frame, qos.ReliableARQ, nil)
 }
 
 // HandleQuery answers a completion-phase query with ACK or NACK.
 func (e *Engine) HandleQuery(from transport.NodeID, fr *protocol.Frame) {
-	revision, _, _, chunks, err := decodeFileMeta(fr.Payload)
+	revision, _, chunkSize, chunks, err := decodeFileMeta(fr.Payload)
 	if err != nil {
 		return
 	}
-	e.mu.Lock()
-	st := e.fetches[fr.Channel]
-	e.mu.Unlock()
+	st := e.fetchFrom(fr.Channel, from)
 	if st == nil {
 		return
 	}
-	st.mu.Lock()
-	st.adoptRevision(revision, int(chunks))
-	if st.data != nil && revision == st.revision {
+	if st.data != nil {
+		complete := revision == st.revision
 		st.mu.Unlock()
-		e.sendAck(from, fr.Channel, revision)
-		return
-	}
-	if revision != st.revision || st.parts == nil {
-		st.mu.Unlock()
-		return
-	}
-	var missing []uint32
-	for i, p := range st.parts {
-		if p == nil {
-			missing = append(missing, uint32(i))
+		if complete {
+			e.sendControl(from, protocol.MTFileAck, fr.Channel, appendAck(nil, revision, st.token))
 		}
+		return
 	}
+	if !st.adopt(revision, chunks, chunkSize, e.maxFile) || int(chunkSize) != st.chunkSize {
+		st.mu.Unlock()
+		return
+	}
+	// Worst case every other chunk is missing: one range per two chunks.
+	payload := bufpool.Get(8 + 4 + 8*((len(st.have)+1)/2))
+	payload = binary.BigEndian.AppendUint64(payload, revision)
+	payload = appendMissing(payload, st.have)
 	st.mu.Unlock()
 
-	w := encoding.NewWriter(16 + 8*len(missing))
-	w.Uint64(revision)
-	w.Raw(encodeRanges(missing))
-	frame := &protocol.Frame{
-		Type:     protocol.MTFileNack,
-		Priority: qos.PriorityNormal,
-		Channel:  fr.Channel,
-		Seq:      e.f.NextSeq(),
-		Payload:  w.Bytes(),
-	}
-	e.f.SendReliable(from, frame, qos.ReliableARQ, nil)
+	e.sendControl(from, protocol.MTFileNack, fr.Channel, payload)
+	bufpool.Put(payload)
 }
 
-// HandleAck processes a receiver's completion at the publisher.
+// HandleAck processes a receiver's completion at the publisher: it ends the
+// subscription of the fetch the ack names. The ack of a fetch that has
+// returned can arrive after the same node's next subscribe and must leave
+// that one alone.
 func (e *Engine) HandleAck(from transport.NodeID, fr *protocol.Frame) {
 	e.mu.Lock()
 	o := e.offers[fr.Channel]
@@ -918,10 +870,17 @@ func (e *Engine) HandleAck(from transport.NodeID, fr *protocol.Frame) {
 	if r.Err() != nil {
 		return
 	}
-	o.handleAck(from, revision)
+	token := r.Uint64() // zero, which names no fetch, when the peer sent none
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	st := o.subscribers[from]
+	if st != nil && revision == o.revision && (st.token == 0 || st.token == token) {
+		delete(o.subscribers, from)
+	}
 }
 
-// HandleNack processes a receiver's missing list at the publisher.
+// HandleNack records a receiver's missing list at the publisher, decoding
+// its ranges against the chunk count of the revision they refer to.
 func (e *Engine) HandleNack(from transport.NodeID, fr *protocol.Frame) {
 	e.mu.Lock()
 	o := e.offers[fr.Channel]
@@ -931,17 +890,25 @@ func (e *Engine) HandleNack(from transport.NodeID, fr *protocol.Frame) {
 	}
 	r := encoding.NewReader(fr.Payload)
 	revision := r.Uint64()
-	if r.Err() != nil {
-		return
-	}
 	o.mu.Lock()
-	total := len(o.chunks)
-	o.mu.Unlock()
-	missing, err := decodeRanges(r, total)
-	if err != nil {
+	defer o.mu.Unlock()
+	if r.Err() != nil || revision != o.revision {
+		return // truncated, or about an old revision: the receiver will restart
+	}
+	missing := make([]bool, chunkCount(len(o.data), o.q.ChunkSize))
+	if decodeMissing(r, missing) != nil {
 		return
 	}
-	o.handleNack(from, revision, missing)
+	st := o.subscribers[from]
+	if st == nil {
+		// NACK from a node that never subscribed explicitly (it joined
+		// the group mid-flight): adopt it.
+		st = &subState{}
+		o.subscribers[from] = st
+	}
+	st.responded = true
+	st.strikes = 0
+	st.missing = missing
 }
 
 // PeerGone drops a failed node from every offer's subscriber set.

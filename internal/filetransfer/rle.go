@@ -1,6 +1,7 @@
 package filetransfer
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"uavmw/internal/encoding"
@@ -10,60 +11,61 @@ import (
 // the paper's "compressed list of the chunks it lacks" (§4.4). A receiver
 // that lost chunks 3,4,5,9 sends {(3,3),(9,1)} instead of four numbers;
 // for bursty multicast loss this is drastically smaller than a bitmap.
+// On the wire: range count u32, then (start u32, count u32) per range.
 
-// chunkRange is a run of consecutive missing chunk indexes.
-type chunkRange struct {
-	start uint32
-	count uint32
-}
-
-// encodeRanges compresses a sorted list of missing indexes.
-func encodeRanges(missing []uint32) []byte {
-	w := encoding.NewWriter(8 + len(missing)) // worst case alternation
-	var ranges []chunkRange
-	for _, idx := range missing {
-		if n := len(ranges); n > 0 && ranges[n-1].start+ranges[n-1].count == idx {
-			ranges[n-1].count++
+// appendMissing appends the runs of chunks a receiver lacks — the false
+// runs of have — to dst.
+func appendMissing(dst []byte, have []bool) []byte {
+	countAt := len(dst)
+	dst = binary.BigEndian.AppendUint32(dst, 0)
+	ranges := uint32(0)
+	for i := 0; i < len(have); {
+		if have[i] {
+			i++
 			continue
 		}
-		ranges = append(ranges, chunkRange{start: idx, count: 1})
+		start := i
+		for i < len(have) && !have[i] {
+			i++
+		}
+		dst = binary.BigEndian.AppendUint32(dst, uint32(start))
+		dst = binary.BigEndian.AppendUint32(dst, uint32(i-start))
+		ranges++
 	}
-	w.Uint32(uint32(len(ranges)))
-	for _, r := range ranges {
-		w.Uint32(r.start)
-		w.Uint32(r.count)
-	}
-	return w.Bytes()
+	binary.BigEndian.PutUint32(dst[countAt:], ranges)
+	return dst
 }
 
-// decodeRanges expands an RLE list back into indexes, bounding the total
-// against total chunks to defuse hostile counts.
-func decodeRanges(r *encoding.Reader, totalChunks int) ([]uint32, error) {
+// decodeMissing marks the chunks an RLE list names in missing, which has
+// one entry per chunk of the file and starts all false, bounding every
+// count against that length to defuse hostile lists.
+func decodeMissing(r *encoding.Reader, missing []bool) error {
+	total := len(missing)
 	n := int(r.Uint32())
 	if err := r.Err(); err != nil {
-		return nil, err
+		return err
 	}
-	if n > totalChunks {
-		return nil, fmt.Errorf("filetransfer: %d ranges for %d chunks: %w", n, totalChunks, encoding.ErrCorrupt)
+	if n > total {
+		return fmt.Errorf("filetransfer: %d ranges for %d chunks: %w", n, total, encoding.ErrCorrupt)
 	}
-	var out []uint32
+	expanded := 0
 	for i := 0; i < n; i++ {
 		start := r.Uint32()
 		count := r.Uint32()
 		if err := r.Err(); err != nil {
-			return nil, err
+			return err
 		}
-		if count == 0 || int(start)+int(count) > totalChunks {
-			return nil, fmt.Errorf("filetransfer: range (%d,%d) beyond %d chunks: %w",
-				start, count, totalChunks, encoding.ErrCorrupt)
+		if count == 0 || int(start)+int(count) > total {
+			return fmt.Errorf("filetransfer: range (%d,%d) beyond %d chunks: %w",
+				start, count, total, encoding.ErrCorrupt)
 		}
-		if len(out)+int(count) > totalChunks {
-			return nil, fmt.Errorf("filetransfer: expanded ranges exceed %d chunks: %w",
-				totalChunks, encoding.ErrCorrupt)
+		if expanded += int(count); expanded > total {
+			return fmt.Errorf("filetransfer: expanded ranges exceed %d chunks: %w",
+				total, encoding.ErrCorrupt)
 		}
-		for c := uint32(0); c < count; c++ {
-			out = append(out, start+c)
+		for c := start; c < start+count; c++ {
+			missing[c] = true
 		}
 	}
-	return out, nil
+	return nil
 }

@@ -2,24 +2,40 @@ package filetransfer
 
 import (
 	"math/rand"
-	"sort"
 	"testing"
 
 	"uavmw/internal/encoding"
 )
 
-func roundTripRanges(t *testing.T, missing []uint32, total int) []uint32 {
+// haveAllBut is the received-set of a receiver lacking exactly missing.
+func haveAllBut(total int, missing []uint32) []bool {
+	have := make([]bool, total)
+	for i := range have {
+		have[i] = true
+	}
+	for _, idx := range missing {
+		have[idx] = false
+	}
+	return have
+}
+
+// roundTripMissing encodes the gaps of have and decodes them again; the
+// result must be have's complement.
+func roundTripMissing(t *testing.T, have []bool) {
 	t.Helper()
-	data := encodeRanges(missing)
-	r := encoding.NewReader(data)
-	out, err := decodeRanges(r, total)
-	if err != nil {
-		t.Fatalf("decodeRanges(%v): %v", missing, err)
+	r := encoding.NewReader(appendMissing(nil, have))
+	got := make([]bool, len(have))
+	if err := decodeMissing(r, got); err != nil {
+		t.Fatalf("decodeMissing(%v): %v", have, err)
 	}
 	if err := r.ExpectEOF(); err != nil {
 		t.Fatalf("trailing bytes: %v", err)
 	}
-	return out
+	for i := range have {
+		if got[i] == have[i] {
+			t.Fatalf("chunk %d: have %v, decoded missing %v (have %v)", i, have[i], got[i], have)
+		}
+	}
 }
 
 func TestRLERoundTrip(t *testing.T) {
@@ -37,15 +53,7 @@ func TestRLERoundTrip(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			got := roundTripRanges(t, tt.missing, tt.total)
-			if len(got) != len(tt.missing) {
-				t.Fatalf("got %v, want %v", got, tt.missing)
-			}
-			for i := range got {
-				if got[i] != tt.missing[i] {
-					t.Fatalf("got %v, want %v", got, tt.missing)
-				}
-			}
+			roundTripMissing(t, haveAllBut(tt.total, tt.missing))
 		})
 	}
 }
@@ -56,19 +64,22 @@ func TestRLECompression(t *testing.T) {
 	for i := range missing {
 		missing[i] = uint32(i + 10)
 	}
-	data := encodeRanges(missing)
+	data := appendMissing(nil, haveAllBut(2000, missing))
 	if len(data) > 16 {
 		t.Errorf("run of 1000 encoded to %d bytes, want <= 16", len(data))
 	}
 }
 
 func TestRLERejectsHostileInput(t *testing.T) {
+	decode := func(w *encoding.Writer) error {
+		return decodeMissing(encoding.NewReader(w.Bytes()), make([]bool, 8))
+	}
 	// Range beyond total.
 	w := encoding.NewWriter(16)
 	w.Uint32(1)
 	w.Uint32(5)
 	w.Uint32(10) // 5..14 but total is 8
-	if _, err := decodeRanges(encoding.NewReader(w.Bytes()), 8); err == nil {
+	if decode(w) == nil {
 		t.Error("out-of-bounds range accepted")
 	}
 	// Zero count.
@@ -76,17 +87,27 @@ func TestRLERejectsHostileInput(t *testing.T) {
 	w2.Uint32(1)
 	w2.Uint32(2)
 	w2.Uint32(0)
-	if _, err := decodeRanges(encoding.NewReader(w2.Bytes()), 8); err == nil {
+	if decode(w2) == nil {
 		t.Error("zero-count range accepted")
 	}
 	// More ranges than chunks.
 	w3 := encoding.NewWriter(8)
 	w3.Uint32(100)
-	if _, err := decodeRanges(encoding.NewReader(w3.Bytes()), 8); err == nil {
+	if decode(w3) == nil {
 		t.Error("oversized range count accepted")
 	}
+	// Overlapping ranges that expand past the chunk count.
+	w4 := encoding.NewWriter(32)
+	w4.Uint32(2)
+	for i := 0; i < 2; i++ {
+		w4.Uint32(0)
+		w4.Uint32(8)
+	}
+	if decode(w4) == nil {
+		t.Error("ranges expanding past the chunk count accepted")
+	}
 	// Truncated.
-	if _, err := decodeRanges(encoding.NewReader([]byte{0, 0}), 8); err == nil {
+	if decodeMissing(encoding.NewReader([]byte{0, 0}), make([]bool, 8)) == nil {
 		t.Error("truncated input accepted")
 	}
 }
@@ -94,30 +115,16 @@ func TestRLERejectsHostileInput(t *testing.T) {
 func TestRLEProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	for trial := 0; trial < 300; trial++ {
-		total := 1 + rng.Intn(500)
-		set := map[uint32]bool{}
-		for i := 0; i < rng.Intn(total); i++ {
-			set[uint32(rng.Intn(total))] = true
+		have := make([]bool, 1+rng.Intn(500))
+		for i := 0; i < rng.Intn(len(have)); i++ {
+			have[rng.Intn(len(have))] = true
 		}
-		missing := make([]uint32, 0, len(set))
-		for idx := range set {
-			missing = append(missing, idx)
-		}
-		sort.Slice(missing, func(i, j int) bool { return missing[i] < missing[j] })
-		got := roundTripRanges(t, missing, total)
-		if len(got) != len(missing) {
-			t.Fatalf("trial %d: %v vs %v", trial, got, missing)
-		}
-		for i := range got {
-			if got[i] != missing[i] {
-				t.Fatalf("trial %d: %v vs %v", trial, got, missing)
-			}
-		}
+		roundTripMissing(t, have)
 	}
 }
 
 func TestFileMetaCodec(t *testing.T) {
-	payload := encodeFileMeta(7, 123456, 1200, 103)
+	payload := appendFileMeta(nil, 7, 123456, 1200, 103)
 	rev, size, cs, chunks, err := decodeFileMeta(payload)
 	if err != nil {
 		t.Fatal(err)
@@ -132,7 +139,7 @@ func TestFileMetaCodec(t *testing.T) {
 
 func TestChunkCodec(t *testing.T) {
 	body := []byte{9, 8, 7, 6}
-	payload := encodeChunk(3, 14, 100, body)
+	payload := appendChunk(nil, 3, 14, 100, body)
 	rev, index, total, data, err := decodeChunk(payload)
 	if err != nil {
 		t.Fatal(err)
@@ -149,21 +156,16 @@ func TestChunkCodec(t *testing.T) {
 }
 
 func TestOfferChunking(t *testing.T) {
-	o := &Offer{q: qosChunk(100)}
 	data := make([]byte, 250)
-	o.install(1, data)
-	if len(o.chunks) != 3 {
-		t.Fatalf("chunks = %d, want 3", len(o.chunks))
+	if n := chunkCount(len(data), 100); n != 3 {
+		t.Fatalf("chunks = %d, want 3", n)
 	}
-	if len(o.chunks[0]) != 100 || len(o.chunks[2]) != 50 {
-		t.Errorf("chunk sizes %d,%d,%d", len(o.chunks[0]), len(o.chunks[1]), len(o.chunks[2]))
+	if a, b, c := chunkAt(data, 100, 0), chunkAt(data, 100, 1), chunkAt(data, 100, 2); len(a) != 100 || len(b) != 100 || len(c) != 50 {
+		t.Errorf("chunk sizes %d,%d,%d", len(a), len(b), len(c))
 	}
 	// Exact multiple.
-	o.install(2, make([]byte, 200))
-	if len(o.chunks) != 2 || len(o.chunks[1]) != 100 {
-		t.Errorf("exact multiple chunks wrong: %d", len(o.chunks))
-	}
-	if o.revision != 2 {
-		t.Errorf("revision = %d", o.revision)
+	data = make([]byte, 200)
+	if n := chunkCount(len(data), 100); n != 2 || len(chunkAt(data, 100, 1)) != 100 {
+		t.Errorf("exact multiple chunks wrong: %d", n)
 	}
 }

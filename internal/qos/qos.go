@@ -339,25 +339,16 @@ func (q CallQoS) Validate() error {
 	return nil
 }
 
-// TransferQoS is the contract for file-based transmission (§4.4).
+// TransferQoS is the contract for file-based transmission (§4.4). It has no
+// rate: the egress lane of its Priority class makes the publisher wait when
+// full, and a bulk rate is set on the bearer that lane drains into
+// (BearerProfile.BulkRateBPS, or egress.Config.BulkRateBPS on one link).
 type TransferQoS struct {
 	// ChunkSize is the payload bytes per multicast chunk. Zero defaults to
 	// the engine default.
 	ChunkSize int
 	// Priority defaults to PriorityBulk so transfers never starve events.
 	Priority Priority
-	// RoundPause is an optional pause between completion rounds, used to
-	// cap bandwidth on constrained links. Zero means no pause.
-	RoundPause time.Duration
-	// RateBPS caps the transfer's transmit rate in estimated wire
-	// bytes/second: the publisher paces chunk emission so the egress bulk
-	// lane stays shallow and a bandwidth-constrained link is never handed
-	// more bulk than it can carry (priority inversion at the link queue).
-	// Zero means unpaced. Set it just below the narrowest link on the
-	// path; the container-level egress token bucket (which shapes the
-	// whole PriorityBulk class) is the backstop when several transfers
-	// share a node.
-	RateBPS int64
 }
 
 // Normalize fills defaulted fields, returning the effective policy.
@@ -372,12 +363,6 @@ func (q TransferQoS) Normalize() TransferQoS {
 func (q TransferQoS) Validate() error {
 	if q.ChunkSize < 0 {
 		return fmt.Errorf("qos: negative chunk size %d: %w", q.ChunkSize, ErrInvalidPolicy)
-	}
-	if q.RoundPause < 0 {
-		return fmt.Errorf("qos: negative round pause %v: %w", q.RoundPause, ErrInvalidPolicy)
-	}
-	if q.RateBPS < 0 {
-		return fmt.Errorf("qos: negative rate %d B/s: %w", q.RateBPS, ErrInvalidPolicy)
 	}
 	return nil
 }

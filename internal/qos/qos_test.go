@@ -222,10 +222,7 @@ func TestTransferQoS(t *testing.T) {
 	if err := (TransferQoS{ChunkSize: -1}).Validate(); err == nil {
 		t.Error("negative chunk size must fail validation")
 	}
-	if err := (TransferQoS{RoundPause: -time.Second}).Validate(); err == nil {
-		t.Error("negative round pause must fail validation")
-	}
-	if err := (TransferQoS{ChunkSize: 1024, RoundPause: time.Millisecond}).Validate(); err != nil {
+	if err := (TransferQoS{ChunkSize: 1024}).Validate(); err != nil {
 		t.Errorf("valid transfer policy rejected: %v", err)
 	}
 }
