@@ -164,15 +164,20 @@ func TestNestedBatchDepthRejected(t *testing.T) {
 	nested := func() uint64 {
 		return n.metrics.SumCounters("core", "errors", metrics.L("code", "batch_nested"))
 	}
+	// Each datagram is handed to the dispatcher as the peer's shard worker
+	// would after draining it.
+	deliver := func(raw []byte) {
+		n.deliverBatch(n.ingress.ShardOf("peer"), []ingress.Packet{{Bearer: DefaultBearer, From: "peer", Payload: raw}})
+	}
 
 	// Depth 2 (batch in batch) is the deepest shape this stack produces
 	// and must pass.
-	n.handleFrameBytes("peer", nestBatch(t, inner, 2))
+	deliver(nestBatch(t, inner, 2))
 	if got := nested(); got != 0 {
 		t.Fatalf("legitimate batch-in-batch counted as nested violation (%d)", got)
 	}
 	// Depth 3 cannot occur and is rejected at the third level.
-	n.handleFrameBytes("peer", nestBatch(t, inner, 3))
+	deliver(nestBatch(t, inner, 3))
 	if got := nested(); got != 1 {
 		t.Fatalf("over-nested batch: violation count %d, want 1", got)
 	}

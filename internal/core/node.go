@@ -72,7 +72,6 @@ type Node struct {
 	// bearer selection the egress plane consults.
 	links *link.Plane
 
-	stream   transport.Transport // optional
 	enc      encoding.Encoding
 	sched    scheduler.Scheduler
 	ownSched bool
@@ -83,12 +82,10 @@ type Node struct {
 	// transports and handleFrame: packets hash by source onto shards
 	// (preserving per-source FIFO), shards decode and dispatch in
 	// parallel. shards holds the per-shard protocol state (dedup windows,
-	// reassembly, pending ack coalescing); local is the equivalent state
-	// for the synchronous paths that bypass the pipeline (self loopback,
-	// the stream transport).
+	// reassembly, pending ack coalescing). Only frames from peers enter it:
+	// a frame addressed to this node is routed synchronously by transmit.
 	ingress *ingress.Pipeline
 	shards  []*recvShard
-	local   *recvShard
 	seq     atomic.Uint64
 	mtu     int
 
@@ -117,7 +114,6 @@ type Node struct {
 type nodeConfig struct {
 	bearers         []*link.Bearer
 	policy          qos.LinkPolicy
-	stream          transport.Transport
 	enc             encoding.Encoding
 	sched           scheduler.Scheduler
 	announcePeriod  time.Duration
@@ -166,12 +162,6 @@ func WithBearer(name string, t transport.Transport, profile qos.BearerProfile) N
 // pins to the most robust one, interactive classes chase latency.
 func WithLinkPolicy(p qos.LinkPolicy) NodeOption {
 	return func(c *nodeConfig) { c.policy = p }
-}
-
-// WithStream sets the optional reliable stream transport (TCP). Without
-// one, ReliableStream sends fall back to the ARQ path.
-func WithStream(t transport.Transport) NodeOption {
-	return func(c *nodeConfig) { c.stream = t }
 }
 
 // WithEncoding overrides the default binary payload encoding.
@@ -320,7 +310,6 @@ func NewNode(opts ...NodeOption) (*Node, error) {
 	n := &Node{
 		id:       id,
 		clk:      clk,
-		stream:   cfg.stream,
 		enc:      cfg.enc,
 		sched:    cfg.sched,
 		dir:      naming.NewDirectory(cfg.directoryTTL),
@@ -404,8 +393,7 @@ func NewNode(opts ...NodeOption) (*Node, error) {
 
 	// The sharded receive pipeline sits between the bearer transports and
 	// the dispatcher. Per-shard protocol state (dedup, reassembly, ack
-	// coalescing) is touched only by that shard's worker; the local shard
-	// serves the synchronous bypass paths (self loopback, stream).
+	// coalescing) is touched only by that shard's worker.
 	n.ingress = ingress.New(ingress.Config{
 		Shards:  cfg.ingressShards,
 		Clock:   clk,
@@ -414,9 +402,8 @@ func NewNode(opts ...NodeOption) (*Node, error) {
 	})
 	n.shards = make([]*recvShard, n.ingress.Shards())
 	for i := range n.shards {
-		n.shards[i] = newRecvShard(clk, true)
+		n.shards[i] = newRecvShard(clk)
 	}
-	n.local = newRecvShard(clk, false)
 
 	// Each bearer's receive path is tagged with the bearer name: the link
 	// monitor sees every arrival, and replies that must ride the arrival
@@ -427,9 +414,6 @@ func NewNode(opts ...NodeOption) (*Node, error) {
 			b.Monitor.SawRx(pkt.From, n.clk.Now())
 			n.ingress.Enqueue(b.Name, pkt)
 		})
-	}
-	if n.stream != nil {
-		n.stream.SetHandler(n.handlePacket)
 	}
 	// Discovery rides every bearer: digests and deltas go out on each live
 	// link and receivers dedup the copies, so peer liveness survives any
@@ -501,14 +485,11 @@ func (n *Node) Leave(group string) error {
 	return firstErr
 }
 
-// reliable is what an acknowledged send adds to a transmit: where the
-// message goes if not onto ARQ, its per-message tuning, and the completion
-// callback.
+// reliable is what an acknowledged send adds to a transmit: its per-message
+// ARQ tuning and the completion callback.
 type reliable struct {
-	// stream routes the frame over the stream transport instead of ARQ.
-	stream bool
-	tune   protocol.SendTuning
-	done   func(error)
+	tune protocol.SendTuning
+	done func(error)
 }
 
 // complete reports an outcome known before transmit returns: to the caller
@@ -524,29 +505,26 @@ func (r *reliable) complete(err error) error {
 }
 
 // transmit is the container's one path from a frame to the wire: assign
-// the seq, encode once into a pooled buffer, loop back a frame addressed to
-// this node, split what exceeds the MTU, and hand each datagram to the
-// egress plane — directly and plane-owned for best-effort traffic, through
-// ARQ (which keeps its own copy and re-enters the plane per transmission)
-// when rel is set. Every Send* method, the ack path and the link probes go
-// through it.
+// the seq, encode once into a pooled buffer, route a frame addressed to
+// this node straight to its engine, split what exceeds the MTU, and hand
+// each datagram to the egress plane — directly and plane-owned for
+// best-effort traffic, through ARQ (which keeps its own copy and re-enters
+// the plane per transmission) when rel is set. Every Send* method, the ack
+// path and the link probes go through it.
 func (n *Node) transmit(d egress.Dest, f *protocol.Frame, rel *reliable) error {
 	// A batch's outer header carries no sequence semantics; its zero Seq
 	// is not "unassigned".
 	if f.Seq == 0 && f.Type != protocol.MTBatch {
 		f.Seq = n.NextSeq()
 	}
+	// Only datagrams are acknowledged by ARQ and face the MTU; a frame to
+	// this node needs neither.
 	loopback := d.Node == n.id
-	stream := rel != nil && rel.stream && !loopback
-	// Only datagrams are acknowledged by ARQ and face the MTU; the
-	// dispatcher and the stream transport need neither.
-	datagram := !loopback && !stream
-	viaARQ := rel != nil && datagram
-	if viaARQ {
+	if rel != nil && !loopback {
 		f.Flags |= protocol.FlagAckRequired
 	}
 	size := protocol.FrameWireSize(f)
-	split := datagram && size > n.mtu
+	split := !loopback && size > n.mtu
 	buf := bufpool.Get(size)
 	raw, err := protocol.AppendFrame(buf, f)
 	if err != nil {
@@ -555,15 +533,10 @@ func (n *Node) transmit(d egress.Dest, f *protocol.Frame, rel *reliable) error {
 	}
 	switch {
 	case loopback:
-		// Straight through the dispatcher, which is synchronous and
-		// retains nothing.
-		n.handleFrameBytes(n.id, raw)
+		// Straight to the engine, synchronously; route retains nothing.
+		n.routeSelf(raw)
 		bufpool.Put(raw)
 		return rel.complete(nil)
-	case stream:
-		err := n.stream.Send(d.Node, raw)
-		bufpool.Put(raw)
-		return rel.complete(err)
 	case !split:
 		// Single datagram: the steady-state path. A registered reliable
 		// send completes later, through ARQ.
@@ -651,18 +624,18 @@ func (n *Node) SendGroup(group string, f *protocol.Frame) error {
 }
 
 // SendReliable implements fabric.Fabric with engine-default ARQ tuning.
-func (n *Node) SendReliable(to transport.NodeID, f *protocol.Frame, rel qos.Reliability, done func(error)) {
-	n.SendReliableTuned(to, f, rel, fabric.ReliableOpts{}, done)
+// The reliability class has one value, ReliableARQ (see fabric.Fabric).
+func (n *Node) SendReliable(to transport.NodeID, f *protocol.Frame, _ qos.Reliability, done func(error)) {
+	n.SendReliableTuned(to, f, fabric.ReliableOpts{}, done)
 }
 
 // SendReliableTuned implements fabric.TunedSender: SendReliable with
 // per-send ARQ timeout/retry overrides carried from the primitive's QoS.
-func (n *Node) SendReliableTuned(to transport.NodeID, f *protocol.Frame, rel qos.Reliability, opts fabric.ReliableOpts, done func(error)) {
+func (n *Node) SendReliableTuned(to transport.NodeID, f *protocol.Frame, opts fabric.ReliableOpts, done func(error)) {
 	// transmit reports every reliable outcome through done.
 	_ = n.transmit(egress.Dest{Node: to}, f, &reliable{
-		stream: rel == qos.ReliableStream && n.stream != nil,
-		tune:   protocol.SendTuning{Timeout: opts.AckTimeout, MaxRetries: opts.MaxRetries},
-		done:   done,
+		tune: protocol.SendTuning{Timeout: opts.AckTimeout, MaxRetries: opts.MaxRetries},
+		done: done,
 	})
 }
 
@@ -681,13 +654,11 @@ var (
 type recvShard struct {
 	dedup *protocol.Dedup
 	reasm *protocol.Reassembler
-	// coalesce batches acks generated within one pipeline drain into a
-	// single MTBatch per (bearer, peer) at batch end. Off for the local
-	// shard: its callers dispatch one frame at a time, synchronously.
-	coalesce bool
-	acks     []pendingAck
-	seqs     []uint64
-	ackBuf   []byte // ack batch payload under construction
+	// acks generated within one pipeline drain leave as a single MTBatch
+	// per (bearer, peer) at batch end.
+	acks   []pendingAck
+	seqs   []uint64
+	ackBuf []byte // ack batch payload under construction
 }
 
 // pendingAck is one acknowledgment owed at the end of a drain batch.
@@ -698,11 +669,10 @@ type pendingAck struct {
 	done   bool
 }
 
-func newRecvShard(clk clock.Clock, coalesce bool) *recvShard {
+func newRecvShard(clk clock.Clock) *recvShard {
 	return &recvShard{
-		dedup:    protocol.NewDedup(0),
-		reasm:    protocol.NewReassembler(0, clk),
-		coalesce: coalesce,
+		dedup: protocol.NewDedup(0),
+		reasm: protocol.NewReassembler(0, clk),
 	}
 }
 
@@ -728,22 +698,22 @@ func (n *Node) deliverBatch(shard int, batch []ingress.Packet) {
 	n.flushAcks(sh)
 }
 
-// handlePacket is the stream transport's receive entry point (bearer-less).
-func (n *Node) handlePacket(pkt transport.Packet) {
-	n.handleFrameBytes(pkt.From, pkt.Payload)
+// routeSelf decodes and routes one frame this node addressed to itself,
+// synchronously on the sender's goroutine. Such a frame is never acked,
+// fragmented or batched, so it needs no shard state.
+func (n *Node) routeSelf(raw []byte) {
+	f := protocol.GetFrame()
+	if err := protocol.DecodeFrameInto(f, raw); err != nil {
+		uerr.Note(n.metrics, codeFrameDecode, err, "drop undecodable frame")
+	} else {
+		n.route("", n.id, f)
+	}
+	protocol.PutFrame(f)
 }
 
-// handleFrameBytes decodes and routes one frame with no bearer attribution
-// (local bypass, stream transport), synchronously on the caller's
-// goroutine — these paths never enter the pipeline and use the dedicated
-// local shard state.
-func (n *Node) handleFrameBytes(from transport.NodeID, raw []byte) {
-	n.handleFrameOn(n.local, "", from, raw, 0)
-}
-
-// handleFrameOn decodes and routes one frame that arrived on the named
-// bearer ("" when no datagram bearer carried it) using the given shard's
-// protocol state. depth counts MTBatch nesting.
+// handleFrameOn decodes and routes one frame from a peer that arrived on
+// the named bearer, using the given shard's protocol state. depth counts
+// MTBatch nesting.
 func (n *Node) handleFrameOn(sh *recvShard, bearer string, from transport.NodeID, raw []byte, depth int) {
 	// The frame struct is pooled: every route handler consumes it
 	// synchronously and none retains the pointer past its call (the rpc
@@ -759,12 +729,13 @@ func (n *Node) handleFrameOn(sh *recvShard, bearer string, from transport.NodeID
 }
 
 func (n *Node) handleFrame(sh *recvShard, bearer string, from transport.NodeID, f *protocol.Frame, depth int) {
-	// Every ack-required frame from a peer — whole message or single
-	// fragment — is acknowledged, even when it is a retransmission whose
-	// first copy was already delivered (the ack was lost), and then
-	// delivered at most once.
-	if from != n.id && f.Flags&protocol.FlagAckRequired != 0 {
-		n.queueAck(sh, bearer, from, f.Seq)
+	// Every ack-required frame — whole message or single fragment — is
+	// acknowledged, even when it is a retransmission whose first copy was
+	// already delivered (the ack was lost), and then delivered at most
+	// once. The ack is deferred to the end of the drain batch so acks to
+	// the same peer coalesce into one datagram.
+	if f.Flags&protocol.FlagAckRequired != 0 {
+		sh.acks = append(sh.acks, pendingAck{bearer: bearer, to: from, seq: f.Seq})
 		if sh.dedup.Seen(from, f.Seq) {
 			return
 		}
@@ -809,29 +780,16 @@ func (n *Node) handleFrame(sh *recvShard, bearer string, from transport.NodeID, 
 		}
 		// Dedup the logical message too: a fully retransmitted
 		// fragment set must not deliver twice.
-		if from == n.id || !sh.dedup.Seen(from, inner.Seq) {
+		if !sh.dedup.Seen(from, inner.Seq) {
 			n.route(bearer, from, inner)
 		}
 		protocol.PutFrame(inner)
 	default:
 		// No payload copy: the bytes alias the pipeline's pooled receive
-		// buffer (or the bypass caller's encode buffer), alive until the
-		// dispatch returns; route handlers copy whatever they retain.
+		// buffer, alive until the dispatch returns; route handlers copy
+		// whatever they retain.
 		n.route(bearer, from, f)
 	}
-}
-
-// queueAck records an acknowledgment owed for (bearer, to, seq). On a
-// pipeline shard it is deferred to the end of the drain batch so acks to
-// the same peer coalesce into one datagram; on the local shard it goes out
-// immediately.
-func (n *Node) queueAck(sh *recvShard, bearer string, to transport.NodeID, seq uint64) {
-	if !sh.coalesce {
-		// The local shard's callers run concurrently: no shared scratch.
-		n.sendAcks(sh, bearer, to, []uint64{seq})
-		return
-	}
-	sh.acks = append(sh.acks, pendingAck{bearer: bearer, to: to, seq: seq})
 }
 
 // flushAcks sends every acknowledgment queued during a drain batch,
@@ -990,10 +948,9 @@ func (n *Node) Bearers() []string { return n.links.Names() }
 // the engines and registered callbacks (§3 cache clearing + §4.3 failover).
 func (n *Node) peerGone(node transport.NodeID) {
 	// The peer's dedup window lives on the ingress shard its traffic
-	// hashes to (plus the local-bypass shard); forget it there so a
-	// rejoining peer starting from seq 1 is not silently dropped.
+	// hashes to; forget it there so a rejoining peer starting from seq 1 is
+	// not silently dropped.
 	n.shards[n.ingress.ShardOf(node)].dedup.Forget(node)
-	n.local.dedup.Forget(node)
 	n.links.PeerGone(node)
 	n.events.PeerGone(node)
 	n.files.PeerGone(node)
@@ -1036,8 +993,10 @@ func (n *Node) Close() error {
 	n.closed = true
 	n.mu.Unlock()
 
-	// Stop services in reverse start order.
+	// Stop services in reverse start order, then end file transfer: offers
+	// stop their loops and blocked fetches and watches return.
 	n.stopAllServices()
+	n.files.Close()
 
 	// Goodbye to the fleet. A failed goodbye is counted, not fatal: peers
 	// fall back to the failure deadline.
@@ -1061,11 +1020,6 @@ func (n *Node) Close() error {
 	for _, b := range n.links.Bearers() {
 		if cerr := b.Transport.Close(); err == nil {
 			err = cerr
-		}
-	}
-	if n.stream != nil {
-		if serr := n.stream.Close(); err == nil {
-			err = serr
 		}
 	}
 	return err

@@ -432,6 +432,46 @@ func TestFileLocalBypass(t *testing.T) {
 	}
 }
 
+// TestCloseEndsFileTransfer: closing a node ends its file transfer. A fetch
+// blocked on a resource nobody offers returns ErrClosed instead of waiting
+// on its never-ending context, the node's offers are closed, and no new
+// offer can start.
+func TestCloseEndsFileTransfer(t *testing.T) {
+	bus := transport.NewBus()
+	a := newBusNode(t, bus, "a")
+	b := newBusNode(t, bus, "b")
+	syncNodes(t, a, b)
+
+	offer, err := b.Files().Offer("b.offers.this", "svc", []byte("rev1"), qos.TransferQoS{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fetched := make(chan error, 1)
+	go func() {
+		_, _, err := b.Files().Fetch(context.Background(), "nobody.offers.this", filetransfer.FetchOptions{})
+		fetched <- err
+	}()
+	// Let the fetch block first; it must return ErrClosed either way.
+	time.Sleep(50 * time.Millisecond)
+	if err := b.Close(); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-fetched:
+		if !errors.Is(err, filetransfer.ErrClosed) {
+			t.Errorf("fetch after Close: %v, want ErrClosed", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("fetch still blocked 2s after Close")
+	}
+	if _, err := offer.Update([]byte("rev2")); !errors.Is(err, filetransfer.ErrClosed) {
+		t.Errorf("Offer.Update after Close: %v, want ErrClosed", err)
+	}
+	if _, err := b.Files().Offer("too.late", "svc", []byte("x"), qos.TransferQoS{}); !errors.Is(err, filetransfer.ErrClosed) {
+		t.Errorf("Offer after Close: %v, want ErrClosed", err)
+	}
+}
+
 func TestServiceLifecycle(t *testing.T) {
 	bus := transport.NewBus()
 	n := newBusNode(t, bus, "solo")

@@ -3,9 +3,12 @@ package core
 import (
 	"context"
 	"errors"
+	"sync"
 	"testing"
 	"time"
 
+	"uavmw/internal/metrics"
+	"uavmw/internal/metrics/metricstest"
 	"uavmw/internal/naming"
 	"uavmw/internal/netsim"
 	"uavmw/internal/presentation"
@@ -87,8 +90,11 @@ func TestRPCBusyShedFailsOver(t *testing.T) {
 
 	retT := presentation.String_()
 	release := make(chan struct{})
+	entered := make(chan struct{})
+	var enterOnce sync.Once
 	if err := provA.RPC().Register("work.fn", "work", nil, retT, qos.CallQoS{},
 		func(any) (any, error) {
+			enterOnce.Do(func() { close(entered) })
 			<-release
 			return "a-prov", nil
 		}); err != nil {
@@ -111,16 +117,15 @@ func TestRPCBusyShedFailsOver(t *testing.T) {
 		_, err := client.RPC().Call(ctx, "work.fn", nil, nil, retT, q)
 		occupied <- err
 	}()
-	waitUntil(t, 3*time.Second, "occupying call executing on a-prov", func() bool {
-		select {
-		case err := <-occupied:
-			t.Errorf("occupying call returned early: %v", err)
-			close(release)
-			return true
-		default:
-		}
-		return provA.RPC().Inflight() > 0
-	})
+	select {
+	case <-entered:
+	case err := <-occupied:
+		close(release)
+		t.Fatalf("occupying call returned early: %v", err)
+	case <-time.After(3 * time.Second):
+		close(release)
+		t.Fatal("occupying call never executed on a-prov")
+	}
 
 	start := time.Now()
 	got, err := client.RPC().Call(ctx, "work.fn", nil, nil, retT, q)
@@ -136,7 +141,7 @@ func TestRPCBusyShedFailsOver(t *testing.T) {
 	if got != "b-prov" {
 		t.Errorf("served by %v, want failover to b-prov", got)
 	}
-	if provA.RPC().BusyRejects() == 0 {
+	if metricstest.Counter(t, provA.Metrics(), "rpc", "errors", metrics.L("code", "busy_shed")) == 0 {
 		t.Error("provider never shed with MTBusy")
 	}
 	if elapsed > q.Deadline {

@@ -37,10 +37,9 @@
 // single default bearer and behaves exactly like the pre-bearer plane.
 //
 // The plane sits between the container's transmit routine and the datagram
-// transports; the stream transport (TCP) paces itself and bypasses it. It
-// has one send contract, stated on Plane.EnqueueTo: a destination (node or
-// group, optionally pinned to a bearer), a class, and one encoded datagram
-// in a pooled buffer the plane owns from then on.
+// transports. It has one send contract, stated on Plane.EnqueueTo: a
+// destination (node or group, optionally pinned to a bearer), a class, and
+// one encoded datagram in a pooled buffer the plane owns from then on.
 package egress
 
 import (

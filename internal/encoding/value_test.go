@@ -265,36 +265,6 @@ func TestCompiledVectorAndUnion(t *testing.T) {
 	}
 }
 
-func TestTypeCodecRoundTrip(t *testing.T) {
-	r := rand.New(rand.NewSource(5))
-	for i := 0; i < 200; i++ {
-		typ := ptest.RandomType(r, 4)
-		data := MarshalType(typ)
-		back, err := UnmarshalType(data)
-		if err != nil {
-			t.Fatalf("UnmarshalType: %v", err)
-		}
-		if !typ.Equal(back) {
-			t.Fatalf("type round trip mismatch: %s vs %s", typ, back)
-		}
-	}
-}
-
-func TestTypeCodecErrors(t *testing.T) {
-	w := NewWriter(16)
-	w.String("not-a-type")
-	if _, err := UnmarshalType(w.Bytes()); err == nil {
-		t.Error("bad signature must fail")
-	}
-	if _, err := UnmarshalType([]byte{0, 0}); !errors.Is(err, ErrTruncated) {
-		t.Errorf("truncated type: %v", err)
-	}
-	data := MarshalType(presentation.Float64())
-	if _, err := UnmarshalType(append(data, 0)); !errors.Is(err, ErrCorrupt) {
-		t.Errorf("trailing type bytes: %v", err)
-	}
-}
-
 func TestEncodingPluggability(t *testing.T) {
 	// F4: the same canonical value travels through any registered
 	// Encoding implementation unchanged.

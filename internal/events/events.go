@@ -7,7 +7,7 @@
 // Two delivery modes exist, selected by qos.EventQoS.Delivery:
 //
 //   - Unicast (default): the paper's baseline mapping. Each occurrence is
-//     sent once per subscriber over TCP or over UDP with application-level
+//     sent once per subscriber over UDP with application-level
 //     acknowledgment and retransmission; Publish blocks until every
 //     subscriber acknowledges.
 //   - Multicast: one group-addressed frame per occurrence regardless of
@@ -54,8 +54,6 @@ var (
 var (
 	// ErrDuplicateName reports a second publisher of a topic in one node.
 	ErrDuplicateName = errors.New("event topic already offered")
-	// ErrNoPublisher reports a subscribe for a topic with no provider.
-	ErrNoPublisher = errors.New("no event publisher")
 	// ErrPartialDelivery reports an event some subscribers did not
 	// acknowledge; the paper's degraded-mode signal.
 	ErrPartialDelivery = errors.New("event not delivered to all subscribers")
@@ -361,7 +359,7 @@ func (p *Publisher) publishUnicast(ctx context.Context, payload []byte, targets 
 		frame.Seq = p.engine.f.NextSeq()
 		frame.Payload = payload
 		node := node
-		p.sendEvent(node, frame, p.q.Reliability, func(err error) {
+		p.sendEvent(node, frame, func(err error) {
 			results <- outcome{node: node, err: err}
 		})
 		putFrame(frame)
@@ -448,7 +446,7 @@ func (p *Publisher) repairFor(node transport.NodeID, seqs []uint64) {
 			Seq:      p.engine.f.NextSeq(),
 			Payload:  protocol.EncodeEventPayload(p.id, rep.seq, rep.body, nil),
 		}
-		p.sendEvent(node, frame, qos.ReliableARQ, nil)
+		p.sendEvent(node, frame, nil)
 	}
 }
 
@@ -457,14 +455,14 @@ func (p *Publisher) repairFor(node transport.NodeID, seqs []uint64) {
 // it — a topic routed onto a high-latency bearer needs a longer
 // retransmission fuse than the engine default, or queueing jitter spawns
 // duplicates. Fabrics without per-send tuning get the plain reliable path.
-func (p *Publisher) sendEvent(node transport.NodeID, frame *protocol.Frame, rel qos.Reliability, done func(error)) {
+func (p *Publisher) sendEvent(node transport.NodeID, frame *protocol.Frame, done func(error)) {
 	if ts, ok := p.engine.f.(fabric.TunedSender); ok && (p.q.AckTimeout > 0 || p.q.MaxRetries > 0) {
-		ts.SendReliableTuned(node, frame, rel, fabric.ReliableOpts{
+		ts.SendReliableTuned(node, frame, fabric.ReliableOpts{
 			AckTimeout: p.q.AckTimeout, MaxRetries: p.q.MaxRetries,
 		}, done)
 		return
 	}
-	p.engine.f.SendReliable(node, frame, rel, done)
+	p.engine.f.SendReliable(node, frame, qos.ReliableARQ, done)
 }
 
 func (p *Publisher) dropSubscriber(node transport.NodeID) {
@@ -887,7 +885,6 @@ func (e *Engine) HandleEvent(from transport.NodeID, fr *protocol.Frame) {
 		disposition = frameFresh
 		gap         uint64
 		nackable    []uint64
-		wantRepair  bool
 	)
 	if len(subs) > 0 && topicSeq != 0 && from != e.f.Self() {
 		byNode := sh.trackers[fr.Channel]
@@ -900,17 +897,11 @@ func (e *Engine) HandleEvent(from transport.NodeID, fr *protocol.Frame) {
 			tr = &seqTracker{}
 			byNode[from] = tr
 		}
+		// Every subscription is ARQ-reliable, so gaps are NACKed; a
+		// unicast publisher without a replay buffer ignores the NACK (its
+		// own ARQ retries close the gap), so this is safe in either
+		// delivery mode.
 		disposition, gap, nackable = tr.observe(pubID, topicSeq)
-		// NACK gaps whenever an ARQ-reliable subscription exists; a
-		// unicast publisher without a replay buffer ignores the NACK
-		// (its own ARQ retries close the gap), so this is safe in
-		// either delivery mode.
-		for _, s := range subs {
-			if s.q.Reliability == qos.ReliableARQ {
-				wantRepair = true
-				break
-			}
-		}
 	}
 	sh.mu.Unlock()
 	if len(subs) == 0 || disposition == frameDuplicate {
@@ -921,7 +912,7 @@ func (e *Engine) HandleEvent(from transport.NodeID, fr *protocol.Frame) {
 		for _, s := range subs {
 			s.noteGaps(gap)
 		}
-		if wantRepair && len(nackable) > 0 {
+		if len(nackable) > 0 {
 			e.sendNack(from, fr.Channel, nackable)
 		}
 	}

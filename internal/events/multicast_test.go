@@ -19,8 +19,8 @@ var mcastQoS = qos.EventQoS{Delivery: qos.DeliverMulticast}
 func TestMulticastQoSValidation(t *testing.T) {
 	e := New(newFakeFabric("n"))
 	if _, err := e.Offer("t", "svc", alertType,
-		qos.EventQoS{Delivery: qos.DeliverMulticast, Reliability: qos.ReliableStream}); err == nil {
-		t.Error("multicast over stream accepted")
+		qos.EventQoS{Delivery: qos.DeliverMulticast, Reliability: qos.BestEffort}); err == nil {
+		t.Error("best-effort multicast accepted")
 	}
 	if _, err := e.Offer("t", "svc", alertType, mcastQoS); err != nil {
 		t.Fatal(err)

@@ -163,8 +163,8 @@ func RunE11(clk clock.Clock, callers, callsPerCaller int, hedged bool, loss floa
 	for _, d := range lats {
 		res.Latency.Observe(d)
 	}
-	res.Hedges = client.RPC().Hedges()
-	res.BusyRej = slow.RPC().BusyRejects()
+	res.Hedges = client.Metrics().SumCounters("rpc", "hedges")
+	res.BusyRej = slow.Metrics().SumCounters("rpc", "errors", metrics.L("code", "busy_shed"))
 	if res.Wall > 0 {
 		res.Throughput = float64(res.OK) / res.Wall.Seconds()
 	}

@@ -76,14 +76,16 @@ type Fabric interface {
 	SendBestEffort(to transport.NodeID, f *protocol.Frame) error
 	// SendGroup multicasts one unacknowledged frame (§4.1, §4.4).
 	SendGroup(group string, f *protocol.Frame) error
-	// SendReliable delivers one frame with the given reliability class:
-	// ReliableARQ uses the datagram transport plus the protocol-level
-	// ack/retransmit engine; ReliableStream uses the stream transport
-	// when the node has one (§4.2, §4.3). done is invoked exactly once
-	// with the outcome; it may run on a timer goroutine, and the sender
-	// may have abandoned the exchange by then (a hedged RPC caller that
-	// already took another provider's answer), so done must not assume a
-	// waiting receiver.
+	// SendReliable delivers one frame over the datagram transport plus the
+	// protocol-level ack/retransmit engine: §4.3's "UDP plus
+	// retransmission at the middleware level", the one reliable class
+	// this stack implements (§4.2, §4.3). rel is therefore always
+	// qos.ReliableARQ; the parameter stays only because bench's
+	// nullFabric implements this exact signature. done is invoked exactly
+	// once with the outcome; it may run on a timer goroutine, and the
+	// sender may have abandoned the exchange by then (a hedged RPC caller
+	// that already took another provider's answer), so done must not
+	// assume a waiting receiver.
 	SendReliable(to transport.NodeID, f *protocol.Frame, rel qos.Reliability, done func(error))
 	// Join subscribes the node to a multicast group.
 	Join(group string) error
@@ -110,12 +112,12 @@ type ReliableOpts struct {
 	MaxRetries int
 }
 
-// TunedSender is optionally implemented by fabrics whose ReliableARQ path
+// TunedSender is optionally implemented by fabrics whose reliable path
 // accepts per-send tuning. Engines should feature-test for it and fall
 // back to SendReliable (engine-default tuning) when absent, so
 // instrumented test fabrics keep working unchanged.
 type TunedSender interface {
-	SendReliableTuned(to transport.NodeID, f *protocol.Frame, rel qos.Reliability, opts ReliableOpts, done func(error))
+	SendReliableTuned(to transport.NodeID, f *protocol.Frame, opts ReliableOpts, done func(error))
 }
 
 // Clocked is optionally implemented by fabrics that run on an injectable

@@ -88,7 +88,12 @@ type Engine struct {
 	maxStrikes  int
 	maxFile     int // MaxFileBytes; tests lower it
 
+	// ctx ends with the engine: every Fetch and Watch waits on it too.
+	ctx    context.Context
+	cancel context.CancelFunc
+
 	mu       sync.Mutex
+	closed   bool
 	offers   map[string]*Offer
 	fetches  map[string]*fetchState
 	watchers map[string][]chan uint64
@@ -139,10 +144,40 @@ func New(f fabric.Fabric, opts ...Option) *Engine {
 		watchers:    make(map[string][]chan uint64),
 		joins:       make(map[string]int),
 	}
+	e.ctx, e.cancel = context.WithCancel(context.Background())
 	for _, opt := range opts {
 		opt(e)
 	}
 	return e
+}
+
+// Close ends the engine with its node. Every offer closes without an
+// OfferChanged of its own, because the node's goodbye withdraws them all;
+// in-flight and later Fetch and Watch calls return ErrClosed, and so do
+// later Offers. Idempotent.
+func (e *Engine) Close() {
+	e.mu.Lock()
+	e.closed = true
+	offers := make([]*Offer, 0, len(e.offers))
+	for _, o := range e.offers {
+		offers = append(offers, o)
+	}
+	e.mu.Unlock()
+	e.cancel()
+	for _, o := range offers {
+		o.close()
+	}
+}
+
+// bind returns ctx, also canceled with cause ErrClosed when the engine
+// closes, and the function that releases it.
+func (e *Engine) bind(ctx context.Context) (context.Context, func()) {
+	ctx, cancel := context.WithCancelCause(ctx)
+	stop := context.AfterFunc(e.ctx, func() { cancel(ErrClosed) })
+	return ctx, func() {
+		stop()
+		cancel(nil)
+	}
 }
 
 // Offer publishes a resource. The initial revision is 1; Update bumps it.
@@ -161,6 +196,10 @@ func (e *Engine) Offer(name, service string, data []byte, q qos.TransferQoS) (*O
 		return nil, err
 	}
 	e.mu.Lock()
+	if e.closed {
+		e.mu.Unlock()
+		return nil, fmt.Errorf("filetransfer: %q: %w", name, ErrClosed)
+	}
 	if _, dup := e.offers[name]; dup {
 		e.mu.Unlock()
 		return nil, fmt.Errorf("filetransfer: %q: %w", name, ErrDuplicateName)
@@ -290,10 +329,18 @@ func (o *Offer) Record() naming.Record {
 // for it before every chunk and its query-window sleep aborts on it, so a
 // withdrawn offer stops feeding its lane at once.
 func (o *Offer) Close() {
+	if o.close() {
+		o.engine.f.OfferChanged()
+	}
+}
+
+// close is Close without the announcement; it reports whether this call
+// closed the offer.
+func (o *Offer) close() bool {
 	o.mu.Lock()
 	if o.closed {
 		o.mu.Unlock()
-		return
+		return false
 	}
 	o.closed = true
 	o.mu.Unlock()
@@ -301,7 +348,7 @@ func (o *Offer) Close() {
 	o.engine.mu.Lock()
 	delete(o.engine.offers, o.name)
 	o.engine.mu.Unlock()
-	o.engine.f.OfferChanged()
+	return true
 }
 
 // announce multicasts resource metadata (phase 1).
@@ -507,12 +554,16 @@ type fetchState struct {
 // FetchOptions tune a fetch; today there is nothing to tune.
 type FetchOptions struct{}
 
-// Fetch retrieves the named resource, blocking until complete or ctx ends.
-// A locally offered resource is returned by direct access without touching
-// the network (§4.4 bypass, experiment E5).
+// Fetch retrieves the named resource, blocking until complete, ctx ends or
+// the engine closes (ErrClosed). A locally offered resource is returned by
+// direct access without touching the network (§4.4 bypass, experiment E5).
 func (e *Engine) Fetch(ctx context.Context, name string, opts FetchOptions) ([]byte, uint64, error) {
-	// Local bypass.
 	e.mu.Lock()
+	if e.closed {
+		e.mu.Unlock()
+		return nil, 0, fmt.Errorf("filetransfer: fetch %q: %w", name, ErrClosed)
+	}
+	// Local bypass.
 	if o, local := e.offers[name]; local {
 		e.mu.Unlock()
 		data, rev := o.Data()
@@ -528,6 +579,8 @@ func (e *Engine) Fetch(ctx context.Context, name string, opts FetchOptions) ([]b
 	}
 	st.refs++
 	e.mu.Unlock()
+	ctx, release := e.bind(ctx)
+	defer release()
 
 	defer func() {
 		e.mu.Lock()
@@ -560,7 +613,7 @@ func (e *Engine) Fetch(ctx context.Context, name string, opts FetchOptions) ([]b
 		}
 	})
 	if !complete {
-		return nil, 0, fmt.Errorf("filetransfer: fetch %q: %w", name, ctx.Err())
+		return nil, 0, fmt.Errorf("filetransfer: fetch %q: %w", name, context.Cause(ctx))
 	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -578,15 +631,21 @@ func (e *Engine) subscribeToProvider(ctx context.Context, st *fetchState) error 
 			return nil
 		}
 		if !clock.SleepStop(e.clk, 10*time.Millisecond, ctx.Done()) {
+			if cause := context.Cause(ctx); errors.Is(cause, ErrClosed) {
+				return fmt.Errorf("filetransfer: fetch %q: %w", st.name, cause)
+			}
 			return fmt.Errorf("filetransfer: fetch %q: %w", st.name, ErrNoProvider)
 		}
 	}
 }
 
 // Watch delivers the resource now and again on every revision change, until
-// ctx ends. Deliveries run on the caller's goroutine discipline: cb is
-// invoked from a dedicated watch goroutine.
+// ctx ends (nil) or the engine closes (ErrClosed). Deliveries run on the
+// caller's goroutine discipline: cb is invoked from a dedicated watch
+// goroutine.
 func (e *Engine) Watch(ctx context.Context, name string, opts FetchOptions, cb func(data []byte, revision uint64)) error {
+	ctx, release := e.bind(ctx)
+	defer release()
 	notify := make(chan uint64, 4)
 	// Hold group membership for the whole watch so revision announces
 	// keep arriving between fetches.
@@ -635,6 +694,9 @@ func (e *Engine) Watch(ctx context.Context, name string, opts FetchOptions, cb f
 			}
 		})
 		if ended {
+			if cause := context.Cause(ctx); errors.Is(cause, ErrClosed) {
+				return fmt.Errorf("filetransfer: watch %q: %w", name, cause)
+			}
 			return nil
 		}
 	}

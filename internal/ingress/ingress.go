@@ -21,7 +21,7 @@
 //     lanes apply on the way out.
 //   - Ownership rides refcounted pooled buffers (bufpool.Shared). A packet
 //     whose transport provided an Owner is retained, not copied; one
-//     without (netsim's shared multicast copy, the TCP stream) is copied
+//     without (netsim's shared multicast copy) is copied
 //     once into a pooled buffer. Either way the payload handed to Deliver
 //     aliases pooled storage that the pipeline releases after the callback
 //     returns, and the steady-state routed-frame path allocates nothing.

@@ -189,7 +189,7 @@ const wirepathAllocTag = "wirepath:alloc"
 // their number only goes down: maxWirepathWaivers is lowered with every
 // waiver a change retires.
 func TestWirePathBuffersArePooled(t *testing.T) {
-	const maxWirepathWaivers = 10
+	const maxWirepathWaivers = 8
 	root := repoRoot(t)
 	sites, waivers := 0, 0
 	for _, rel := range wirePathPackages {

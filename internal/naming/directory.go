@@ -42,15 +42,9 @@ type dirKey struct {
 // exceed the announce period comfortably.
 const DefaultTTL = 3 * time.Second
 
-// Errors.
-var (
-	// ErrNotFound reports a name with no live provider — the condition
-	// §4.3 says must trigger "the programmed emergency procedure".
-	ErrNotFound = errors.New("no provider for name")
-	// ErrPinnedGone reports a statically pinned provider that is no
-	// longer alive.
-	ErrPinnedGone = errors.New("pinned provider gone")
-)
+// ErrNotFound reports a name with no live provider — the condition §4.3
+// says must trigger "the programmed emergency procedure".
+var ErrNotFound = errors.New("no provider for name")
 
 // NewDirectory builds a cache with the given TTL (0 means DefaultTTL).
 func NewDirectory(ttl time.Duration) *Directory {

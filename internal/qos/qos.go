@@ -3,10 +3,16 @@
 //
 // The paper (§4) attaches QoS to each primitive: variables carry a validity
 // (how long a sample may be served after it was produced) and a publication
-// rate; events carry a latency-oriented priority and a reliability class
-// (TCP-like transport or UDP with application-level retransmission); remote
-// invocations carry deadlines and binding policies. This package holds only
-// the policy types; enforcement lives in each primitive's engine.
+// rate; events carry a latency-oriented priority and acknowledged delivery;
+// remote invocations carry deadlines and binding policies. The paper lets
+// reliable traffic ride TCP or "UDP plus retransmission at the middleware
+// level" (§4.3); this stack implements only the second. Measured with
+// sequential echo calls between two loopback nodes, 5,000 per caller, TCP
+// was within noise of it with one caller (35.9k–39.2k vs 34.6k–38.0k
+// calls/s), 4–9% faster with four, and allocated about 1.6× as many objects
+// per call (11.0 vs 6.9) — a second reliable path no workload selected.
+// This package holds only the policy types; enforcement lives in each
+// primitive's engine.
 package qos
 
 import (
@@ -81,11 +87,9 @@ const (
 	// ReliableARQ sends over an unreliable transport with application-level
 	// acknowledgment and retransmission, the scheme §4.2 argues is "more
 	// efficient for event messages than the generic case provided by the
-	// TCP stack".
+	// TCP stack". It is the only reliable class: events and calls both
+	// ride it.
 	ReliableARQ
-	// ReliableStream maps the primitive onto an inherently reliable,
-	// ordered transport (TCP).
-	ReliableStream
 )
 
 // String implements fmt.Stringer.
@@ -95,15 +99,10 @@ func (r Reliability) String() string {
 		return "best-effort"
 	case ReliableARQ:
 		return "reliable-arq"
-	case ReliableStream:
-		return "reliable-stream"
 	default:
 		return fmt.Sprintf("reliability(%d)", uint8(r))
 	}
 }
-
-// Valid reports whether r is one of the defined classes.
-func (r Reliability) Valid() bool { return r >= BestEffort && r <= ReliableStream }
 
 // Delivery selects how an event publisher fans an occurrence out to its
 // remote subscribers.
@@ -226,21 +225,21 @@ func (q VariableQoS) Validate() error {
 
 // EventQoS is the contract for the event primitive (§4.2).
 type EventQoS struct {
-	// Reliability chooses ReliableARQ (default) or ReliableStream.
-	// BestEffort is rejected: events "guarantee the reception of the sent
-	// information to all the subscribed services".
+	// Reliability is zero or ReliableARQ, the one reliable class; zero
+	// defaults to it. BestEffort is rejected: events "guarantee the
+	// reception of the sent information to all the subscribed services".
 	Reliability Reliability
 	// Priority defaults to PriorityHigh; events are latency-sensitive.
 	Priority Priority
-	// AckTimeout is the initial retransmission timeout for ReliableARQ.
-	// Zero defaults to the protocol engine's default.
+	// AckTimeout is the initial retransmission timeout. Zero defaults to
+	// the protocol engine's default.
 	AckTimeout time.Duration
 	// MaxRetries bounds ARQ retransmissions before the publisher declares
 	// a subscriber unreachable. Zero defaults to the engine's default.
 	MaxRetries int
 	// Delivery chooses unicast fan-out (default) or group-addressed
-	// multicast with NACK-based gap repair. Multicast requires
-	// ReliableARQ: repairs reuse the datagram ARQ machinery.
+	// multicast with NACK-based gap repair; repairs reuse the datagram ARQ
+	// machinery.
 	Delivery Delivery
 }
 
@@ -263,7 +262,7 @@ func (q EventQoS) Validate() error {
 	if q.Reliability == BestEffort {
 		return fmt.Errorf("qos: events require guaranteed delivery: %w", ErrInvalidPolicy)
 	}
-	if q.Reliability != 0 && !q.Reliability.Valid() {
+	if q.Reliability != 0 && q.Reliability != ReliableARQ {
 		return fmt.Errorf("qos: reliability %d out of range: %w", q.Reliability, ErrInvalidPolicy)
 	}
 	if q.AckTimeout < 0 {
@@ -274,9 +273,6 @@ func (q EventQoS) Validate() error {
 	}
 	if q.Delivery != 0 && !q.Delivery.Valid() {
 		return fmt.Errorf("qos: delivery %d out of range: %w", q.Delivery, ErrInvalidPolicy)
-	}
-	if q.Delivery == DeliverMulticast && q.Reliability == ReliableStream {
-		return fmt.Errorf("qos: multicast delivery cannot ride a stream transport: %w", ErrInvalidPolicy)
 	}
 	return nil
 }
@@ -302,10 +298,6 @@ type CallQoS struct {
 	HedgeAfter float64
 	// Priority defaults to PriorityNormal.
 	Priority Priority
-	// Reliability: ReliableStream (default) or ReliableARQ. §4.3:
-	// "generally mapped ... over TCP, but UDP plus retransmission at the
-	// middleware level can also be used". Never multicast.
-	Reliability Reliability
 }
 
 // Normalize fills defaulted fields, returning the effective policy.
@@ -315,9 +307,6 @@ func (q CallQoS) Normalize() CallQoS {
 	}
 	if !q.Priority.Valid() {
 		q.Priority = PriorityNormal
-	}
-	if q.Reliability == 0 {
-		q.Reliability = ReliableStream
 	}
 	return q
 }
@@ -332,9 +321,6 @@ func (q CallQoS) Validate() error {
 	}
 	if q.HedgeAfter < 0 || q.HedgeAfter >= 1 {
 		return fmt.Errorf("qos: hedge fraction %v outside [0,1): %w", q.HedgeAfter, ErrInvalidPolicy)
-	}
-	if q.Reliability == BestEffort {
-		return fmt.Errorf("qos: calls require a reliable mapping: %w", ErrInvalidPolicy)
 	}
 	return nil
 }

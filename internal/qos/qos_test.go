@@ -73,8 +73,8 @@ func TestReliabilityString(t *testing.T) {
 	}{
 		{BestEffort, "best-effort"},
 		{ReliableARQ, "reliable-arq"},
-		{ReliableStream, "reliable-stream"},
 		{Reliability(0), "reliability(0)"},
+		{Reliability(3), "reliability(3)"},
 	}
 	for _, tt := range tests {
 		if got := tt.r.String(); got != tt.want {
@@ -160,8 +160,10 @@ func TestEventQoSValidate(t *testing.T) {
 	}{
 		{"zero ok", EventQoS{}, false},
 		{"arq ok", EventQoS{Reliability: ReliableARQ, AckTimeout: 10 * time.Millisecond, MaxRetries: 4}, false},
-		{"stream ok", EventQoS{Reliability: ReliableStream}, false},
+		{"zero reliability ok", EventQoS{Reliability: 0}, false},
+		{"reliable arq ok", EventQoS{Reliability: ReliableARQ}, false},
 		{"best effort rejected", EventQoS{Reliability: BestEffort}, true},
+		{"unknown reliability rejected", EventQoS{Reliability: ReliableARQ + 1}, true},
 		{"negative timeout", EventQoS{AckTimeout: -1}, true},
 		{"negative retries", EventQoS{MaxRetries: -1}, true},
 	}
@@ -180,9 +182,6 @@ func TestCallQoSNormalize(t *testing.T) {
 	if q.Binding != BindDynamic {
 		t.Errorf("default binding = %v, want %v", q.Binding, BindDynamic)
 	}
-	if q.Reliability != ReliableStream {
-		t.Errorf("default call reliability = %v, want %v", q.Reliability, ReliableStream)
-	}
 	if q.Priority != PriorityNormal {
 		t.Errorf("default call priority = %v, want %v", q.Priority, PriorityNormal)
 	}
@@ -198,7 +197,6 @@ func TestCallQoSValidate(t *testing.T) {
 		{"static ok", CallQoS{Binding: BindStatic, Deadline: time.Second}, false},
 		{"negative deadline", CallQoS{Deadline: -time.Second}, true},
 		{"negative retries", CallQoS{Retries: -3}, true},
-		{"best effort rejected", CallQoS{Reliability: BestEffort}, true},
 		{"hedge fraction ok", CallQoS{HedgeAfter: 0.25}, false},
 		{"negative hedge", CallQoS{HedgeAfter: -0.1}, true},
 		{"hedge at whole deadline", CallQoS{HedgeAfter: 1}, true},

@@ -273,18 +273,6 @@ func (e *Engine) SetInflightLimit(n int) {
 	e.inflightLimit.Store(int64(n))
 }
 
-// BusyRejects reports how many incoming calls this provider has shed via
-// MTBusy (admission control + budget shedding).
-func (e *Engine) BusyRejects() uint64 { return e.busyRejects.Value() }
-
-// Inflight reports how many remote-call handlers are executing right now
-// (diagnostics / load probes).
-func (e *Engine) Inflight() int { return int(e.inflight.Load()) }
-
-// Hedges reports how many speculative hedged dispatches this caller has
-// issued.
-func (e *Engine) Hedges() uint64 { return e.hedges.Value() }
-
 // Register exposes a function. argType/retType may be nil for void.
 func (e *Engine) Register(name, service string, argType, retType *presentation.Type, q qos.CallQoS, h Handler) error {
 	if h == nil {
@@ -753,7 +741,7 @@ func (e *Engine) dispatchRemote(c *call, id uint64, provider transport.NodeID) e
 		Budget:   budget,
 		Payload:  c.args,
 	}
-	e.f.SendReliable(provider, frame, c.q.Reliability, func(err error) {
+	e.f.SendReliable(provider, frame, qos.ReliableARQ, func(err error) {
 		if err != nil {
 			e.deliver(id, outcome{err: err})
 		}

@@ -11,6 +11,8 @@ import (
 	"time"
 
 	"uavmw/internal/encoding"
+	"uavmw/internal/metrics"
+	"uavmw/internal/metrics/metricstest"
 	"uavmw/internal/naming"
 	"uavmw/internal/presentation"
 	"uavmw/internal/protocol"
@@ -427,7 +429,7 @@ func TestHedgedCallBeatsSlowProvider(t *testing.T) {
 	if elapsed >= 600*time.Millisecond {
 		t.Errorf("hedged call took %v, past the deadline", elapsed)
 	}
-	if client.Hedges() == 0 {
+	if metricstest.Counter(t, client.reg, "rpc", "hedges") == 0 {
 		t.Error("no hedge recorded")
 	}
 	// The static pin follows the race winner, not the speculative
@@ -497,8 +499,8 @@ func TestBusyShedTriggersFailover(t *testing.T) {
 	if got != "fast" {
 		t.Errorf("served by %v, want failover to fast", got)
 	}
-	if slow.BusyRejects() != 1 {
-		t.Errorf("BusyRejects = %d, want 1", slow.BusyRejects())
+	if shed := busyShed(t, slow); shed != 1 {
+		t.Errorf("busy sheds = %d, want 1", shed)
 	}
 	close(release)
 	if err := <-firstDone; err != nil {
@@ -546,8 +548,8 @@ func TestServerShedsSpentBudget(t *testing.T) {
 	if executed.Load() {
 		t.Error("handler ran despite spent budget")
 	}
-	if server.BusyRejects() != 1 {
-		t.Errorf("BusyRejects = %d", server.BusyRejects())
+	if shed := busyShed(t, server); shed != 1 {
+		t.Errorf("busy sheds = %d, want 1", shed)
 	}
 	if server.Calls("fn") != 0 {
 		t.Error("shed call counted as executed")
@@ -663,4 +665,10 @@ func TestConcurrentCallersShardedPending(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
+}
+
+// busyShed reads the provider's MTBusy sheds from its registry.
+func busyShed(t *testing.T, e *Engine) uint64 {
+	t.Helper()
+	return metricstest.Counter(t, e.reg, "rpc", "errors", metrics.L("code", "busy_shed"))
 }

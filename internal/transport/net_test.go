@@ -176,124 +176,12 @@ func TestUDPBadDatagramIgnored(t *testing.T) {
 	_ = a
 }
 
-func TestTCPUnicast(t *testing.T) {
-	a, err := NewTCP("a", "127.0.0.1:0", nil)
-	if err != nil {
-		t.Skipf("tcp unavailable: %v", err)
-	}
-	defer func() { _ = a.Close() }()
-	b, err := NewTCP("b", "127.0.0.1:0", nil)
-	if err != nil {
-		t.Skipf("tcp unavailable: %v", err)
-	}
-	defer func() { _ = b.Close() }()
-	a.AddPeer("b", b.LocalAddr())
-	b.AddPeer("a", a.LocalAddr())
-
-	col := newCollector()
-	b.SetHandler(col.handler())
-
-	for i := 0; i < 5; i++ {
-		if err := a.Send("b", []byte{byte(i)}); err != nil {
-			t.Fatalf("Send %d: %v", i, err)
-		}
-	}
-	pkts := col.wait(t, 5, 2*time.Second)
-	for i, pkt := range pkts {
-		if pkt.From != "a" || len(pkt.Payload) != 1 || pkt.Payload[0] != byte(i) {
-			t.Errorf("packet %d = %+v", i, pkt)
-		}
-	}
-
-	// Reverse direction uses its own dial.
-	colA := newCollector()
-	a.SetHandler(colA.handler())
-	if err := b.Send("a", []byte("back")); err != nil {
-		t.Fatal(err)
-	}
-	back := colA.wait(t, 1, 2*time.Second)
-	if string(back[0].Payload) != "back" {
-		t.Errorf("reverse = %+v", back[0])
-	}
-}
-
-func TestTCPNoMulticast(t *testing.T) {
-	a, err := NewTCP("a", "127.0.0.1:0", nil)
-	if err != nil {
-		t.Skipf("tcp unavailable: %v", err)
-	}
-	defer func() { _ = a.Close() }()
-	if err := a.SendGroup("g", nil); !errors.Is(err, ErrNoMulticast) {
-		t.Errorf("SendGroup: %v", err)
-	}
-	if err := a.Join("g"); !errors.Is(err, ErrNoMulticast) {
-		t.Errorf("Join: %v", err)
-	}
-	if err := a.Leave("g"); !errors.Is(err, ErrNoMulticast) {
-		t.Errorf("Leave: %v", err)
-	}
-}
-
-func TestTCPUnknownPeerAndClose(t *testing.T) {
-	a, err := NewTCP("a", "127.0.0.1:0", nil)
-	if err != nil {
-		t.Skipf("tcp unavailable: %v", err)
-	}
-	if err := a.Send("ghost", []byte("x")); !errors.Is(err, ErrUnknownNode) {
-		t.Errorf("unknown peer: %v", err)
-	}
-	if err := a.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Close(); err != nil {
-		t.Error("Close must be idempotent")
-	}
-	if err := a.Send("b", nil); !errors.Is(err, ErrClosed) {
-		t.Errorf("send after close: %v", err)
-	}
-}
-
-func TestTCPLargeFrame(t *testing.T) {
-	a, err := NewTCP("a", "127.0.0.1:0", nil)
-	if err != nil {
-		t.Skipf("tcp unavailable: %v", err)
-	}
-	defer func() { _ = a.Close() }()
-	b, err := NewTCP("b", "127.0.0.1:0", nil)
-	if err != nil {
-		t.Skipf("tcp unavailable: %v", err)
-	}
-	defer func() { _ = b.Close() }()
-	a.AddPeer("b", b.LocalAddr())
-
-	col := newCollector()
-	b.SetHandler(col.handler())
-	big := make([]byte, 1<<20)
-	for i := range big {
-		big[i] = byte(i)
-	}
-	if err := a.Send("b", big); err != nil {
-		t.Fatal(err)
-	}
-	pkts := col.wait(t, 1, 5*time.Second)
-	if len(pkts[0].Payload) != len(big) {
-		t.Fatalf("size = %d", len(pkts[0].Payload))
-	}
-	for i := 0; i < len(big); i += 4096 {
-		if pkts[0].Payload[i] != big[i] {
-			t.Fatalf("corruption at %d", i)
-		}
-	}
-}
-
 // Compile-time checks: the address-book transports implement PeerBook and
 // Addressable, so the container's bearer plane can manage their peers from
 // discovery records.
 var (
 	_ PeerBook    = (*UDP)(nil)
-	_ PeerBook    = (*TCP)(nil)
 	_ Addressable = (*UDP)(nil)
-	_ Addressable = (*TCP)(nil)
 )
 
 func TestUDPAddPeerIdempotentUpdate(t *testing.T) {
@@ -344,32 +232,4 @@ func TestUDPRemovePeer(t *testing.T) {
 		t.Fatal(err)
 	}
 	col.wait(t, 1, 2*time.Second)
-}
-
-func TestTCPRemovePeer(t *testing.T) {
-	a, err := NewTCP("a", "127.0.0.1:0", nil)
-	if err != nil {
-		t.Skipf("tcp unavailable: %v", err)
-	}
-	t.Cleanup(func() { _ = a.Close() })
-	b, err := NewTCP("b", "127.0.0.1:0", nil)
-	if err != nil {
-		t.Skipf("tcp unavailable: %v", err)
-	}
-	t.Cleanup(func() { _ = b.Close() })
-	if err := a.AddPeer("b", b.LocalAddr()); err != nil {
-		t.Fatal(err)
-	}
-	col := newCollector()
-	b.SetHandler(col.handler())
-	if err := a.Send("b", []byte("hi")); err != nil {
-		t.Fatal(err)
-	}
-	col.wait(t, 1, 2*time.Second)
-
-	a.RemovePeer("b")
-	if err := a.Send("b", []byte("gone")); !errors.Is(err, ErrUnknownNode) {
-		t.Errorf("Send after RemovePeer = %v, want ErrUnknownNode", err)
-	}
-	a.RemovePeer("zz") // unknown peer is a no-op
 }

@@ -38,22 +38,6 @@ func TestStatsUniformShape(t *testing.T) {
 			a, b := newUDPPair(t)
 			return endpoints{a, b}
 		}},
-		{"tcp", func(t *testing.T) endpoints {
-			a, err := NewTCP("a", "127.0.0.1:0", nil)
-			if err != nil {
-				t.Skipf("tcp unavailable: %v", err)
-			}
-			t.Cleanup(func() { _ = a.Close() })
-			b, err := NewTCP("b", "127.0.0.1:0", nil)
-			if err != nil {
-				t.Skipf("tcp unavailable: %v", err)
-			}
-			t.Cleanup(func() { _ = b.Close() })
-			if err := a.AddPeer("b", b.LocalAddr()); err != nil {
-				t.Fatal(err)
-			}
-			return endpoints{a, b}
-		}},
 	}
 
 	for _, tc := range cases {

@@ -3,9 +3,9 @@
 // "abstracts the network access, allowing the middleware to be deployed in
 // different networks" (§3); that abstraction is the Transport interface.
 //
-// Four implementations exist: an in-process bus (this file's sibling
-// inproc.go) for same-host containers and tests, real UDP and TCP transports
-// over the loopback/LAN, and the deterministic simulated network in package
+// Three implementations exist: an in-process bus (this file's sibling
+// inproc.go) for same-host containers and tests, a real UDP transport over
+// the loopback/LAN, and the deterministic simulated network in package
 // netsim used by the loss/latency experiments.
 //
 // # Buffer ownership
@@ -17,8 +17,8 @@
 //     is valid only for the duration of the call. A transport that delivers
 //     asynchronously — enqueueing, simulating latency, fanning out on
 //     another goroutine — must copy the payload before returning (see
-//     bufpool.Copy). Synchronous transports (UDP, TCP) hand the bytes to
-//     the kernel within the call and retain nothing.
+//     bufpool.Copy). UDP hands the bytes to the kernel within the call and
+//     retains nothing.
 //   - Receive: Packet.Payload belongs to the transport and is valid only
 //     for the duration of the Handler call; the backing storage (typically
 //     a pooled receive buffer) is reused for the next datagram. Handlers
@@ -123,7 +123,7 @@ type Multicaster interface {
 }
 
 // PeerBook is implemented by transports that resolve unicast destinations
-// through an explicit address book (UDP, TCP). The container's bearer
+// through an explicit address book (UDP). The container's bearer
 // plane uses it to track peers whose per-bearer addresses arrive through
 // discovery: AddPeer is idempotent and re-adding a peer with a new address
 // updates it (a bearer's endpoint can move at runtime — a UAV re-acquiring
@@ -136,7 +136,7 @@ type PeerBook interface {
 }
 
 // Addressable is implemented by transports with a dialable local address
-// (UDP, TCP). The container advertises it in the bearer's discovery record
+// (UDP). The container advertises it in the bearer's discovery record
 // so remote peers can populate their PeerBook for this link.
 type Addressable interface {
 	LocalAddr() string
@@ -181,9 +181,6 @@ var (
 	ErrClosed = errors.New("transport closed")
 	// ErrUnknownNode reports a unicast destination with no known address.
 	ErrUnknownNode = errors.New("unknown node")
-	// ErrNoMulticast reports SendGroup on a transport without group
-	// support (TCP).
-	ErrNoMulticast = errors.New("multicast unsupported")
 	// ErrDuplicateNode reports two endpoints claiming one node identity.
 	ErrDuplicateNode = errors.New("duplicate node id")
 )
