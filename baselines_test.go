@@ -75,8 +75,16 @@ func TestBaselines(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, violation := range exp.Verify(base.Metrics, rep.Flatten()) {
+			got := rep.Flatten()
+			for _, violation := range exp.Verify(base.Metrics, got) {
 				t.Error(violation)
+			}
+			// A deleted phase must take its figures with it: the committed
+			// record holds nothing the run no longer produces.
+			for key := range base.Metrics {
+				if _, emitted := got[key]; !emitted {
+					t.Errorf("baseline holds %s, which the full-size run no longer emits; prune it from the record", key)
+				}
 			}
 		})
 	}

@@ -11,8 +11,9 @@
 // The simulation-backed experiments (the table's Virtual entries: E3 and
 // E11–E17) run on a virtual discrete-event clock by default: minutes of
 // scenario time execute in wall milliseconds with identical protocol
-// semantics, deterministically for a given seed. Pass -realtime to pace
-// them against the wall clock instead. Each experiment prints its report
+// semantics (same-instant wake order is still the Go scheduler's, so some
+// figures vary between same-seed runs). Pass -realtime to pace them
+// against the wall clock instead. Each experiment prints its report
 // and writes a BENCH_E<n>.json trajectory record (seed, virtual and wall
 // durations, and every figure of the report under a flat metric key) under
 // -bench-dir, plus a METRICS_E<n>.txt observability snapshot where the

@@ -1,28 +1,33 @@
 package core
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
+	"uavmw/internal/bufpool"
 	"uavmw/internal/protocol"
 	"uavmw/internal/qos"
 	"uavmw/internal/transport"
 )
 
 // wireSink is a transport that discards what it is sent and says so: the
-// allocation gate below counts process-wide, so the sink must not allocate
-// and the test must know when the egress drainer is done.
+// allocation gates below count process-wide, so the sink must not allocate
+// and the test must know when the egress drainer is done. It keeps the
+// node's receive handler so a gate can inject packets as a NIC read loop
+// would.
 type wireSink struct {
-	id   transport.NodeID
-	sent chan struct{}
+	id      transport.NodeID
+	sent    chan struct{}
+	handler transport.Handler
 }
 
-func (s *wireSink) Node() transport.NodeID       { return s.id }
-func (s *wireSink) Join(string) error            { return nil }
-func (s *wireSink) Leave(string) error           { return nil }
-func (s *wireSink) SetHandler(transport.Handler) {}
-func (s *wireSink) Stats() transport.Stats       { return transport.Stats{} }
-func (s *wireSink) Close() error                 { return nil }
+func (s *wireSink) Node() transport.NodeID         { return s.id }
+func (s *wireSink) Join(string) error              { return nil }
+func (s *wireSink) Leave(string) error             { return nil }
+func (s *wireSink) SetHandler(h transport.Handler) { s.handler = h }
+func (s *wireSink) Stats() transport.Stats         { return transport.Stats{} }
+func (s *wireSink) Close() error                   { return nil }
 
 func (s *wireSink) Send(to transport.NodeID, _ []byte) error {
 	if to == "peer" {
@@ -66,5 +71,81 @@ func TestReliableTransmitAllocs(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(200, send); allocs != 0 {
 		t.Errorf("reliable unicast transmit: %v allocs/op, want 0", allocs)
+	}
+}
+
+// TestReceivePathAllocs gates the receive side at zero per routed frame:
+// transport handler → ingress shard ring → worker decode → dispatch, for a
+// transport that hands over a refcounted buffer (owned), one that does not
+// (one pooled copy), and a frame that asks for an acknowledgment (dedup, a
+// pooled ack encode and an egress enqueue on top of owned). The frame type
+// is one the dispatcher drops at its routing switch, so no engine runs
+// behind the measurement. The node runs on the real clock: a virtual
+// clock's park allocates a waiter per wake, which is simulation
+// bookkeeping, not receive-path cost.
+func TestReceivePathAllocs(t *testing.T) {
+	sink := &wireSink{id: "rx-gate", sent: make(chan struct{}, 1)}
+	n, err := NewNode(WithDatagram(sink), WithAnnouncePeriod(time.Hour), WithIngressShards(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = n.Close() }()
+	h := sink.handler
+	if h == nil {
+		t.Fatal("node installed no receive handler")
+	}
+
+	// Each op injects one packet and spins until a shard worker has
+	// dispatched it, so decode and dispatch land inside the measurement.
+	done := n.IngressDelivered()
+	feed := func(pkt transport.Packet) {
+		done++
+		h(pkt)
+		for n.IngressDelivered() < done {
+			runtime.Gosched()
+		}
+	}
+	f := protocol.Frame{
+		Type:     protocol.MTFileCancel,
+		Priority: qos.PriorityNormal,
+		Channel:  "alloc.gate/ingest",
+		Seq:      7,
+		Payload:  make([]byte, 64),
+	}
+	raw, err := protocol.AppendFrame(nil, &f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	owned := func(from transport.NodeID, frame *protocol.Frame) {
+		buf, err := protocol.AppendFrame(bufpool.Get(protocol.FrameWireSize(frame)), frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		owner := bufpool.Share(buf)
+		feed(transport.Packet{From: from, Payload: buf, Owner: owner})
+		owner.Release()
+	}
+	acked := f
+	acked.Flags = protocol.FlagAckRequired
+	for _, v := range []struct {
+		name string
+		op   func()
+	}{
+		{"pooled copy", func() { feed(transport.Packet{From: "src-copy", Payload: raw}) }},
+		{"owned", func() { owned("src-owned", &f) }},
+		{"ack required", func() {
+			acked.Seq++ // a fresh sequence each time, or dedup drops it
+			owned("src-acked", &acked)
+		}},
+	} {
+		// Warm pools, the sender's dedup window, lane state and the
+		// channel intern table out of the measurement.
+		for i := 0; i < 64; i++ {
+			v.op()
+		}
+		runtime.GC()
+		if allocs := testing.AllocsPerRun(200, v.op); allocs != 0 {
+			t.Errorf("receive path, %s: %v allocs/frame, want 0", v.name, allocs)
+		}
 	}
 }

@@ -173,53 +173,24 @@ func RunE12(clk clock.Clock, nodes, recordsPerNode int, seed int64) (*E12Result,
 	}()
 
 	// Let the tail of the registration storm (residual sync repairs, ARQ
-	// retransmissions) drain before measuring: steady state is reached
-	// when several consecutive periods carry approximately the heartbeat
-	// digests alone.
-	quiesce := clk.Now().Add(3 * time.Minute)
-	quiet := 0
-	for quiet < 3 {
-		net.ResetWireStats()
-		clk.Sleep(period)
-		pkts, _, _ := net.WireStats()
-		if pkts <= uint64(nodes+2) {
-			quiet++
-		} else {
-			quiet = 0
-		}
-		if clk.Now().After(quiesce) {
-			return nil, fmt.Errorf("e12: traffic never quiesced (%d pkts/period)", pkts)
-		}
+	// retransmissions) drain before measuring.
+	if err := e12Quiesce(clk, net, nodes, period, 3, 3*time.Minute); err != nil {
+		return nil, fmt.Errorf("e12: %w", err)
 	}
-
 	// Steady state: only heartbeat digests should cross the wire.
-	const steadyPeriods = 6
-	net.ResetWireStats()
-	clk.Sleep(steadyPeriods * period)
-	packets, bytes, _ := net.WireStats()
-	res.SteadyBytesPerPeriod = float64(bytes) / steadyPeriods
-	res.SteadyPacketsPerPeriod = float64(packets) / steadyPeriods
+	res.SteadyBytesPerPeriod, res.SteadyPacketsPerPeriod = e12Steady(clk, net, period, 6)
 
 	// Convergence: a brand-new offer must be resolvable fleet-wide in
 	// well under one announce period (one delta hop, no beacon wait).
 	// Median of several probes: a single probe can land on a residual
 	// post-bootstrap repair cycle and measure anti-entropy instead.
-	last := fleet[len(fleet)-1]
 	var probes []time.Duration
 	for p := 0; p < 3; p++ {
-		name := fmt.Sprintf("fn.fresh.%d", p)
-		start := clk.Now()
-		if err := fleet[0].RPC().Register(name, "bench", nil, nil,
-			qos.CallQoS{}, func(any) (any, error) { return nil, nil }); err != nil {
-			return nil, err
+		took, err := e12Probe(clk, fleet, fmt.Sprintf("fn.fresh.%d", p))
+		if err != nil {
+			return nil, fmt.Errorf("e12: %w", err)
 		}
-		for last.Directory().ProviderCount(naming.KindFunction, name) == 0 {
-			if clk.Since(start) > 60*time.Second {
-				return nil, fmt.Errorf("e12: fresh offer never converged")
-			}
-			clk.Sleep(time.Millisecond)
-		}
-		probes = append(probes, clk.Since(start))
+		probes = append(probes, took)
 		clk.Sleep(2 * period) // let any repair triggered by the probe settle
 	}
 	sort.Slice(probes, func(i, j int) bool { return probes[i] < probes[j] })
@@ -249,7 +220,7 @@ func RunE12(clk clock.Clock, nodes, recordsPerNode int, seed int64) (*E12Result,
 	// reading the wire counters and the metrics snapshot, so repeated
 	// runs observe identical totals.
 	clk.Sleep(5 * time.Millisecond)
-	_, bytes, _ = net.WireStats()
+	_, bytes, _ := net.WireStats()
 	res.BaselineBytesPerPeriod = float64(bytes) / baselineRounds
 	res.MetricsText = fleet[0].MetricsSnapshot().Text()
 	return res, nil
@@ -298,12 +269,25 @@ func RunE12Scale(clk clock.Clock, nodes, recordsPerNode int, seed int64) (*E12Sc
 	}()
 	res.BootConverge = clk.Since(start)
 
-	// Quiesce: the bootstrap tail (residual sync repairs, ARQ
-	// retransmissions) drains within a few periods once every catalog
+	// The bootstrap tail drains within a few periods once every catalog
 	// version matches.
-	quiesce := clk.Now().Add(10 * time.Minute)
-	quiet := 0
-	for quiet < 2 {
+	if err := e12Quiesce(clk, net, nodes, period, 2, 10*time.Minute); err != nil {
+		return nil, fmt.Errorf("e12 scale: %w", err)
+	}
+	res.SteadyBytesPerPeriod, res.SteadyPacketsPerPeriod = e12Steady(clk, net, period, 3)
+	if res.Converge, err = e12Probe(clk, fleet, "fn.fresh.scale"); err != nil {
+		return nil, fmt.Errorf("e12 scale: %w", err)
+	}
+	return res, nil
+}
+
+// e12Quiesce waits until `periods` consecutive announce periods each carry
+// about the heartbeat digests alone (one per node, two packets of slack):
+// the residual sync repairs and ARQ retransmissions of a registration
+// storm have drained.
+func e12Quiesce(clk clock.Clock, net *netsim.Net, nodes int, period time.Duration, periods int, limit time.Duration) error {
+	deadline := clk.Now().Add(limit)
+	for quiet := 0; quiet < periods; {
 		net.ResetWireStats()
 		clk.Sleep(period)
 		pkts, _, _ := net.WireStats()
@@ -312,34 +296,37 @@ func RunE12Scale(clk clock.Clock, nodes, recordsPerNode int, seed int64) (*E12Sc
 		} else {
 			quiet = 0
 		}
-		if clk.Now().After(quiesce) {
-			return nil, fmt.Errorf("e12 scale: traffic never quiesced (%d pkts/period)", pkts)
+		if clk.Now().After(deadline) {
+			return fmt.Errorf("traffic never quiesced (%d pkts/period)", pkts)
 		}
 	}
+	return nil
+}
 
-	const steadyPeriods = 3
+// e12Steady returns the wire bytes and packets per announce period over
+// the next `periods` periods.
+func e12Steady(clk clock.Clock, net *netsim.Net, period time.Duration, periods int) (bytesPer, packetsPer float64) {
 	net.ResetWireStats()
-	clk.Sleep(steadyPeriods * period)
+	clk.Sleep(time.Duration(periods) * period)
 	packets, bytes, _ := net.WireStats()
-	res.SteadyBytesPerPeriod = float64(bytes) / steadyPeriods
-	res.SteadyPacketsPerPeriod = float64(packets) / steadyPeriods
+	return float64(bytes) / float64(periods), float64(packets) / float64(periods)
+}
 
-	// One fresh-offer probe, first node to farthest node.
+// e12Probe registers a fresh function on the fleet's first node and times
+// how long the last node takes to resolve it.
+func e12Probe(clk clock.Clock, fleet []*core.Node, name string) (time.Duration, error) {
 	last := fleet[len(fleet)-1]
-	const name = "fn.fresh.scale"
-	start = clk.Now()
+	start := clk.Now()
 	if err := fleet[0].RPC().Register(name, "bench", nil, nil,
 		qos.CallQoS{}, func(any) (any, error) { return nil, nil }); err != nil {
-		return nil, err
+		return 0, err
 	}
-	for last.Directory().ProviderCount(naming.KindFunction, name) == 0 {
-		if clk.Since(start) > 60*time.Second {
-			return nil, fmt.Errorf("e12 scale: fresh offer never converged")
-		}
-		clk.Sleep(time.Millisecond)
+	if !await(clk, 60*time.Second, time.Millisecond, func() bool {
+		return last.Directory().ProviderCount(naming.KindFunction, name) > 0
+	}) {
+		return 0, fmt.Errorf("fresh offer %s never converged", name)
 	}
-	res.Converge = clk.Since(start)
-	return res, nil
+	return clk.Since(start), nil
 }
 
 // E12ChurnResult measures re-convergence after a partition heals: a node
@@ -395,17 +382,14 @@ func RunE12Churn(clk clock.Clock, nodes, recordsPerNode, missedOffers int, seed 
 	// The full offer also carries one KindBearer record per datalink on
 	// top of the registered resources.
 	srcCount := recordsPerNode + missedOffers + len(src.Bearers())
-	witness := fleet[1]
-	settleDeadline := clk.Now().Add(30 * time.Second)
-	for {
-		if _, ver, known := witness.Directory().NodeVersion(src.ID()); known && ver == src.OfferVersion() &&
-			witness.Directory().NodeRecordCount(src.ID()) == srcCount {
-			break
+	caughtUp := func(n *core.Node) func() bool {
+		return func() bool {
+			_, ver, known := n.Directory().NodeVersion(src.ID())
+			return known && ver == src.OfferVersion() && n.Directory().NodeRecordCount(src.ID()) == srcCount
 		}
-		if clk.Now().After(settleDeadline) {
-			return nil, fmt.Errorf("e12 churn: partition-time offers never reached the survivors")
-		}
-		clk.Sleep(time.Millisecond)
+	}
+	if !await(clk, 30*time.Second, time.Millisecond, caughtUp(fleet[1])) {
+		return nil, fmt.Errorf("e12 churn: partition-time offers never reached the survivors")
 	}
 	// What the healed node's discovery plane had counted before the heal.
 	reg := cut.Metrics()
@@ -414,15 +398,8 @@ func RunE12Churn(clk clock.Clock, nodes, recordsPerNode, missedOffers int, seed 
 
 	net.Heal(src.ID(), cut.ID())
 	healed := clk.Now()
-	for {
-		if _, ver, known := cut.Directory().NodeVersion(src.ID()); known && ver == src.OfferVersion() &&
-			cut.Directory().NodeRecordCount(src.ID()) == srcCount {
-			break
-		}
-		if clk.Since(healed) > 30*time.Second {
-			return nil, fmt.Errorf("e12 churn: healed node never re-converged")
-		}
-		clk.Sleep(500 * time.Microsecond)
+	if !await(clk, 30*time.Second, 500*time.Microsecond, caughtUp(cut)) {
+		return nil, fmt.Errorf("e12 churn: healed node never re-converged")
 	}
 	res.HealConverge = clk.Since(healed)
 	res.SyncsUsed = reg.SumCounters("discovery", "sync_requests_sent") - syncsBefore

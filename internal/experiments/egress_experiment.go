@@ -177,12 +177,8 @@ func (a *alarmStream) subscribe(gs *core.Node) error {
 		func(v any, _ transport.NodeID) { a.arrived(v.(uint32), a.clk.Now()) }); err != nil {
 		return err
 	}
-	deadline := a.clk.Now().Add(5 * time.Second)
-	for len(a.pub.Subscribers()) == 0 {
-		if a.clk.Now().After(deadline) {
-			return fmt.Errorf("alarm subscriber never registered")
-		}
-		a.clk.Sleep(2 * time.Millisecond)
+	if !await(a.clk, 5*time.Second, 2*time.Millisecond, func() bool { return len(a.pub.Subscribers()) > 0 }) {
+		return fmt.Errorf("alarm subscriber never registered")
 	}
 	return nil
 }

@@ -10,12 +10,16 @@
 // simulated substrate, measures, and tears down, so experiments are
 // independent and repeatable (seeded netsim, no shared global state).
 //
-// The simulation-backed harnesses (RunE3, RunE11–RunE17) take an injected
+// The simulation-backed harnesses (E3, E11–E17) take an injected
 // clock.Clock and by default run under RunVirtual on a discrete-event
-// virtual clock: minutes of scenario time execute in wall milliseconds,
-// and a given seed reproduces byte-identical results. Passing a nil clock
-// selects the wall clock. Goroutines inside a virtual harness must be
-// registered with the clock (clock.Go / clock.Live), block on managed
+// virtual clock: minutes of scenario time execute in wall milliseconds.
+// A seed fixes the netsim draws and the event times, but the order of
+// goroutines woken at the same instant is still the Go scheduler's, so
+// some figures (E3 and E11 tails, E14's single-bearer losses) vary from
+// run to run while others (E12's determinism test, E15 and E17) replay
+// exactly; ROADMAP's executor item is what makes every run repeat. Passing
+// a nil clock selects the wall clock. Goroutines inside a virtual harness
+// must be registered with the clock (clock.Go / clock.Live), block on managed
 // primitives (clock.Trigger, clock.Cond, Sleep), and wrap foreign blocking
 // (channel receives, WaitGroup waits) in clock.Blocking — see the clock
 // package docs for the accounting rules.
@@ -95,17 +99,26 @@ func simNode(clk clock.Clock, net *netsim.Net, id transport.NodeID, opts ...core
 	return core.NewNode(append([]core.NodeOption{core.WithClock(clk), core.WithDatagram(ep)}, opts...)...)
 }
 
-// waitProviders blocks until node sees n providers of the named resource.
-// The poll runs on clk so discovery waits work under a Virtual clock.
-func waitProviders(clk clock.Clock, node *core.Node, kind naming.Kind, name string, n int, timeout time.Duration) error {
+// await polls done every step on clk until it holds or timeout has passed,
+// and reports whether it held. On a Virtual clock the sleeps are what let
+// scenario time advance.
+func await(clk clock.Clock, timeout, step time.Duration, done func() bool) bool {
 	deadline := clk.Now().Add(timeout)
-	for clk.Now().Before(deadline) {
-		if node.Directory().ProviderCount(kind, name) >= n {
-			return nil
+	for !done() {
+		if !clk.Now().Before(deadline) {
+			return false
 		}
-		clk.Sleep(2 * time.Millisecond)
+		clk.Sleep(step)
 	}
-	return fmt.Errorf("experiments: %s never discovered", name)
+	return true
+}
+
+// waitProviders blocks until node sees n providers of the named resource.
+func waitProviders(clk clock.Clock, node *core.Node, kind naming.Kind, name string, n int, timeout time.Duration) error {
+	if !await(clk, timeout, 2*time.Millisecond, func() bool { return node.Directory().ProviderCount(kind, name) >= n }) {
+		return fmt.Errorf("experiments: %s never discovered", name)
+	}
+	return nil
 }
 
 // E1Result compares one-way notification latency of the event primitive
@@ -150,12 +163,8 @@ func RunE1(n, payloadBytes int) (*E1Result, error) {
 	}
 	// Registrations announce incrementally on their own; just wait for
 	// the subscription handshake.
-	deadline := time.Now().Add(5 * time.Second)
-	for len(evtPub.Subscribers()) == 0 {
-		if time.Now().After(deadline) {
-			return nil, fmt.Errorf("experiments: e1 subscriber never registered")
-		}
-		time.Sleep(2 * time.Millisecond)
+	if !await(clock.Real{}, 5*time.Second, 2*time.Millisecond, func() bool { return len(evtPub.Subscribers()) > 0 }) {
+		return nil, fmt.Errorf("experiments: e1 subscriber never registered")
 	}
 
 	res := &E1Result{
@@ -222,15 +231,12 @@ func RunE2(n int, loss float64, payloadBytes int, seed int64) (*E2Result, error)
 			return nil, err
 		}
 		dst.SetHandler(func(pkt transport.Packet) {
-			f, err := protocol.DecodeFrame(pkt.Payload)
-			if err != nil {
-				return
-			}
-			if f.Type == protocol.MTAck {
+			var f protocol.Frame
+			if err := protocol.DecodeFrameInto(&f, pkt.Payload); err != nil || f.Type == protocol.MTAck {
 				return
 			}
 			// Ack everything with FlagAckRequired.
-			ack, _ := protocol.EncodeFrame(&protocol.Frame{Type: protocol.MTAck, Seq: f.Seq})
+			ack, _ := protocol.AppendFrame(nil, &protocol.Frame{Type: protocol.MTAck, Seq: f.Seq})
 			_ = dst.Send("src", ack)
 		})
 		reg := metrics.NewRegistry()
@@ -238,8 +244,8 @@ func RunE2(n int, loss float64, payloadBytes int, seed int64) (*E2Result, error)
 			return src.Send(to, frame)
 		}, protocol.WithTimeout(3*time.Millisecond), protocol.WithMaxRetries(20), protocol.WithMetrics(reg))
 		src.SetHandler(func(pkt transport.Packet) {
-			f, err := protocol.DecodeFrame(pkt.Payload)
-			if err != nil || f.Type != protocol.MTAck {
+			var f protocol.Frame
+			if err := protocol.DecodeFrameInto(&f, pkt.Payload); err != nil || f.Type != protocol.MTAck {
 				return
 			}
 			arq.Ack(pkt.From, f.Seq)
@@ -249,7 +255,7 @@ func RunE2(n int, loss float64, payloadBytes int, seed int64) (*E2Result, error)
 		var wg sync.WaitGroup
 		starts := make([]time.Time, n)
 		for i := 0; i < n; i++ {
-			frame, err := protocol.EncodeFrame(&protocol.Frame{
+			frame, err := protocol.AppendFrame(nil, &protocol.Frame{
 				Type: protocol.MTEvent, Flags: protocol.FlagAckRequired,
 				Channel: "e2", Seq: uint64(i + 1), Payload: payload,
 			})
@@ -396,12 +402,8 @@ func RunE3(clk clock.Clock, subscribers, samples int, seed int64) (*E3Result, er
 				return 0, 0, err
 			}
 		}
-		deadline := clk.Now().Add(5 * time.Second)
-		for len(evtPub.Subscribers()) < subscribers {
-			if clk.Now().After(deadline) {
-				return 0, 0, fmt.Errorf("e3: only %d subscribers registered", len(evtPub.Subscribers()))
-			}
-			clk.Sleep(time.Millisecond)
+		if !await(clk, 5*time.Second, time.Millisecond, func() bool { return len(evtPub.Subscribers()) >= subscribers }) {
+			return 0, 0, fmt.Errorf("e3: only %d subscribers registered", len(evtPub.Subscribers()))
 		}
 
 		net.ResetWireStats()
@@ -414,12 +416,8 @@ func RunE3(clk clock.Clock, subscribers, samples int, seed int64) (*E3Result, er
 			}
 		}
 		want := int64(samples * subscribers)
-		deadline = clk.Now().Add(30 * time.Second)
-		for delivered.Load() < want {
-			if clk.Now().After(deadline) {
-				return 0, 0, fmt.Errorf("e3: delivered %d of %d", delivered.Load(), want)
-			}
-			clk.Sleep(time.Millisecond)
+		if !await(clk, 30*time.Second, time.Millisecond, func() bool { return delivered.Load() >= want }) {
+			return 0, 0, fmt.Errorf("e3: delivered %d of %d", delivered.Load(), want)
 		}
 		packets, bytes, _ := net.WireStats()
 		return packets, bytes, nil
@@ -508,16 +506,16 @@ func RunE4(fileBytes, receivers int, loss float64, seed int64) (*E4Result, error
 		errs := make(chan error, receivers)
 		for _, s := range subs {
 			wg.Add(1)
-			go func(n *core.Node) {
+			clock.Go(clock.Real{}, func() {
 				defer wg.Done()
 				ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 				defer cancel()
-				got, _, err := n.Files().Fetch(ctx, "e4.file", filetransfer.FetchOptions{})
+				got, _, err := s.Files().Fetch(ctx, "e4.file", filetransfer.FetchOptions{})
 				if err == nil && len(got) != fileBytes {
 					err = fmt.Errorf("short fetch: %d", len(got))
 				}
 				errs <- err
-			}(s)
+			})
 		}
 		wg.Wait()
 		close(errs)
@@ -568,12 +566,8 @@ func RunE4(fileBytes, receivers int, loss float64, seed int64) (*E4Result, error
 				return nil, err
 			}
 		}
-		deadline := time.Now().Add(5 * time.Second)
-		for len(evtPub.Subscribers()) < receivers {
-			if time.Now().After(deadline) {
-				return nil, fmt.Errorf("e4: only %d event subscribers", len(evtPub.Subscribers()))
-			}
-			time.Sleep(2 * time.Millisecond)
+		if !await(clock.Real{}, 5*time.Second, 2*time.Millisecond, func() bool { return len(evtPub.Subscribers()) >= receivers }) {
+			return nil, fmt.Errorf("e4: only %d event subscribers", len(evtPub.Subscribers()))
 		}
 
 		net.ResetWireStats()

@@ -82,10 +82,10 @@ type E16SlowResult struct {
 	StalledP50Ms, StalledP99Ms   float64
 }
 
-// e16Conn counts delivered frames and bytes; never blocks.
+// e16Conn counts delivered frames and bytes; never blocks. One value
+// stands in for every client of a run, so it counts their sum.
 type e16Conn struct {
-	frames *atomic.Int64
-	bytes  *atomic.Int64
+	frames, bytes atomic.Int64
 }
 
 func (c *e16Conn) Write(p []byte) (int, error) {
@@ -206,49 +206,23 @@ func e16Sweep(clk clock.Clock, n, samples int, seed int64) (E16SweepPoint, strin
 	defer func() { _ = g.Node().Close() }()
 	defer g.Close()
 
-	var frames, bytes atomic.Int64
-	for i := 0; i < n; i++ {
-		c, err := g.Attach(&e16Conn{frames: &frames, bytes: &bytes})
-		if err != nil {
-			return pt, "", err
-		}
-		if err := c.Subscribe(gateway.StreamVariable, "e16.pos"); err != nil {
-			return pt, "", err
-		}
+	var c e16Conn
+	if err := attach(g, n, "e16.pos", func() gateway.Conn { return &c }); err != nil {
+		return pt, "", err
 	}
-
-	// Warm-up: publish until every client has heard at least one sample
-	// (group join and first fan-out landed).
-	deadline := clk.Now().Add(10 * time.Second)
-	for frames.Load() < int64(n) {
-		if clk.Now().After(deadline) {
-			return pt, "", fmt.Errorf("warm-up: %d/%d clients heard a sample", frames.Load(), n)
-		}
-		if err := pub.Publish(uint32(0)); err != nil {
-			return pt, "", err
-		}
-		clk.Sleep(5 * time.Millisecond)
+	// Every client hears a sample (group join and first fan-out landed)
+	// before the measured window.
+	pubs := []*variables.Publisher{pub}
+	if err := warmUp(clk, 10*time.Second, pubs, c.frames.Load, int64(n)); err != nil {
+		return pt, "", err
 	}
-
-	startPkts, startBytes, _ := sim.WireStats()
-	startFrames, startClientBytes := frames.Load(), bytes.Load()
-	for i := 0; i < samples; i++ {
-		if err := pub.Publish(uint32(i + 1)); err != nil {
-			return pt, "", err
-		}
-		clk.Sleep(2 * time.Millisecond)
+	startClientBytes := c.bytes.Load()
+	w, err := publishWindow(clk, sim, pubs, c.frames.Load, n, samples, 10*time.Second)
+	if err != nil {
+		return pt, "", err
 	}
-	want := startFrames + int64(samples)*int64(n)
-	deadline = clk.Now().Add(10 * time.Second)
-	for frames.Load() < want && clk.Now().Before(deadline) {
-		clk.Sleep(5 * time.Millisecond)
-	}
-	pkts, wbytes, _ := sim.WireStats()
-
-	pt.Delivered = frames.Load() - startFrames
-	pt.AirPackets = pkts - startPkts
-	pt.AirBytes = wbytes - startBytes
-	pt.ClientBytes = bytes.Load() - startClientBytes
+	pt.Delivered, pt.AirPackets, pt.AirBytes = w.delivered, w.packets, w.bytes
+	pt.ClientBytes = c.bytes.Load() - startClientBytes
 	if samples > 0 {
 		pt.AirBytesPerSample = float64(pt.AirBytes) / float64(samples)
 	}
@@ -279,24 +253,18 @@ func e16AllocPoint(n int) (float64, error) {
 	g := gateway.New(node, gateway.Options{Shards: 4, QueueLen: 8})
 	defer g.Close()
 
-	var frames, bytes atomic.Int64
-	for i := 0; i < n; i++ {
-		c, err := g.Attach(&e16Conn{frames: &frames, bytes: &bytes})
-		if err != nil {
-			return 0, err
-		}
-		if err := c.Subscribe(gateway.StreamVariable, "e16.alloc"); err != nil {
-			return 0, err
-		}
+	var c e16Conn
+	if err := attach(g, n, "e16.alloc", func() gateway.Conn { return &c }); err != nil {
+		return 0, err
 	}
 
 	var v atomic.Uint32
 	op := func() {
-		want := frames.Load() + int64(n)
+		want := c.frames.Load() + int64(n)
 		if err := pub.Publish(v.Add(1)); err != nil {
 			panic(err)
 		}
-		for frames.Load() < want {
+		for c.frames.Load() < want {
 			runtime.Gosched()
 		}
 	}
@@ -340,50 +308,31 @@ func e16SlowRun(healthy, stalled, samples int, seed int64) (p50, p99 float64, ev
 	defer func() { _ = g.Node().Close() }()
 	defer g.Close()
 
-	var frames, bytes atomic.Int64
-	for i := 0; i < healthy; i++ {
-		c, err := g.Attach(&e16Conn{frames: &frames, bytes: &bytes})
-		if err != nil {
-			return 0, 0, 0, err
-		}
-		if err := c.Subscribe(gateway.StreamVariable, "e16.pos"); err != nil {
-			return 0, 0, 0, err
-		}
+	var c e16Conn
+	if err := attach(g, healthy, "e16.pos", func() gateway.Conn { return &c }); err != nil {
+		return 0, 0, 0, err
 	}
-	for i := 0; i < stalled; i++ {
-		c, err := g.Attach(&e16StallConn{})
-		if err != nil {
-			return 0, 0, 0, err
-		}
-		if err := c.Subscribe(gateway.StreamVariable, "e16.pos"); err != nil {
-			return 0, 0, 0, err
-		}
+	if err := attach(g, stalled, "e16.pos", func() gateway.Conn { return &e16StallConn{} }); err != nil {
+		return 0, 0, 0, err
 	}
 
 	// Warm-up: every healthy client hears a sample; the stalled clients
 	// take their one fast-path stall here, outside the measured window.
-	deadline := time.Now().Add(10 * time.Second)
-	for frames.Load() < int64(healthy) {
-		if time.Now().After(deadline) {
-			return 0, 0, 0, fmt.Errorf("warm-up: %d/%d clients heard a sample", frames.Load(), healthy)
-		}
-		if err := pub.Publish(uint32(0)); err != nil {
-			return 0, 0, 0, err
-		}
-		time.Sleep(5 * time.Millisecond)
+	if err := warmUp(clock.Real{}, 10*time.Second, []*variables.Publisher{pub}, c.frames.Load, int64(healthy)); err != nil {
+		return 0, 0, 0, err
 	}
 
 	lat := make([]time.Duration, 0, samples)
 	for i := 0; i < samples; i++ {
-		want := frames.Load() + int64(healthy)
+		want := c.frames.Load() + int64(healthy)
 		t0 := time.Now()
 		if err := pub.Publish(uint32(i + 1)); err != nil {
 			return 0, 0, 0, err
 		}
 		sampleDeadline := t0.Add(2 * time.Second)
-		for frames.Load() < want {
+		for c.frames.Load() < want {
 			if time.Now().After(sampleDeadline) {
-				return 0, 0, 0, fmt.Errorf("sample %d: %d/%d deliveries", i, frames.Load()-(want-int64(healthy)), healthy)
+				return 0, 0, 0, fmt.Errorf("sample %d: %d/%d deliveries", i, c.frames.Load()-(want-int64(healthy)), healthy)
 			}
 			runtime.Gosched()
 		}
@@ -396,10 +345,7 @@ func e16SlowRun(healthy, stalled, samples int, seed int64) (p50, p99 float64, ev
 	snap := func() int64 {
 		return int64(g.Node().Metrics().SumCounters("gateway", "evictions"))
 	}
-	deadline = time.Now().Add(5 * time.Second)
-	for snap() < int64(stalled) && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
-	}
+	await(clock.Real{}, 5*time.Second, 10*time.Millisecond, func() bool { return snap() >= int64(stalled) })
 	return quantileMs(lat, 0.50), quantileMs(lat, 0.99), snap(), nil
 }
 
@@ -422,6 +368,21 @@ func e16Slow(samples int, seed int64) (E16SlowResult, error) {
 		return res, err
 	}
 	return res, nil
+}
+
+// attach connects n clients to g, each on a conn from newConn and
+// subscribed to the variable topic.
+func attach(g *gateway.Gateway, n int, topic string, newConn func() gateway.Conn) error {
+	for i := 0; i < n; i++ {
+		c, err := g.Attach(newConn())
+		if err != nil {
+			return err
+		}
+		if err := c.Subscribe(gateway.StreamVariable, topic); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // quantileMs returns the q-quantile of lat in milliseconds (nearest-rank).

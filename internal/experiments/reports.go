@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"runtime"
 	"time"
 
 	"uavmw/internal/clock"
@@ -302,35 +301,7 @@ func reportE14(clk clock.Clock, seed int64, quick bool) (*Report, error) {
 }
 
 func reportE15(clk clock.Clock, seed int64, quick bool) (*Report, error) {
-	// The UDP loopback phase is wall-clock and host-dependent: full runs
-	// report it, smoke runs skip it.
-	res, err := RunE15(clk, pick(quick, 100, 400), !quick, seed)
-	if err != nil {
-		return nil, err
-	}
-	r := &Report{Snapshot: res.MetricsText}
-	t := r.Table("codec", Col{"size", "%s", ""}, Col{"B/frame", "%.1f", "wire_b"},
-		Col{"pooled a/f", "%.3f", "pooled_allocs"}, Col{"pooled Mf/s", "%.2f", "pooled_fps"})
-	for _, c := range res.Codec {
-		t.Row(c.Name, c.Name, c.WireBytesPerFrame, c.PooledAllocsPerFrame, per(c.PooledFramesPerSec, 1e6))
-	}
-	ns := res.Netsim
-	r.Notef("netsim: %d/%d samples delivered, %d packets %d bytes on the wire (%.1f B/sample)",
-		rec("netsim_delivered", ns.Delivered), rec("netsim_samples", ns.Samples),
-		rec("netsim_wire_packets", ns.WirePackets), rec("netsim_wire_bytes", ns.WireBytes),
-		rec("netsim_bytes_per_sample", ns.BytesPerSample))
-	if res.UDPSkipped != "" {
-		r.Notef("udp loopback: skipped (%s)", res.UDPSkipped)
-		return r, nil
-	}
-	u := r.Table("udp", Col{"udp mode", "%s", ""}, Col{"payload B", "%d", ""},
-		Col{"kframes/s pushed", "%.0f", "fps"}, Col{"MB/s", "%.0f", ""},
-		Col{"kept by the reader", "%d", "delivered"}, Col{"sent", "%d", ""})
-	for _, p := range res.UDP {
-		u.Row(fmt.Sprintf("%s_%db", p.Mode, p.PayloadBytes), p.Mode, p.PayloadBytes,
-			per(p.FramesPerSec, 1e3), p.MBPerSec, p.Delivered, p.Sent)
-	}
-	return r, nil
+	return fanIn{name: "e15", senders: 1, latency: 2 * time.Millisecond}.report(clk, seed, pick(quick, 100, 400))
 }
 
 func reportE16(clk clock.Clock, seed int64, quick bool) (*Report, error) {
@@ -363,28 +334,5 @@ func reportE16(clk clock.Clock, seed int64, quick bool) (*Report, error) {
 }
 
 func reportE17(clk clock.Clock, seed int64, quick bool) (*Report, error) {
-	// Smoke runs skip the wall-clock flood (a zero window).
-	res, err := RunE17(clk, pick(quick, 80, 300), pick(quick, 0, 200*time.Millisecond), seed)
-	if err != nil {
-		return nil, err
-	}
-	r := &Report{Snapshot: res.MetricsText}
-	r.Notef("allocs/frame through the full receive path: owned %.3f, pooled copy %.3f, ack-required %.3f",
-		rec("alloc_owned_per_frame", res.Alloc.OwnedPerFrame), rec("alloc_copy_per_frame", res.Alloc.CopyPerFrame),
-		rec("alloc_acked_per_frame", res.Alloc.AckedPerFrame))
-	if len(res.Scaling) > 0 {
-		t := r.Table("scaling", Col{"shards", "%d", ""}, Col{"senders", "%d", ""},
-			Col{"delivered", "%d", "delivered"}, Col{"dropped", "%d", "dropped"}, Col{"Mframes/s", "%.2f", "fps"})
-		for _, pt := range res.Scaling {
-			t.Row(fmt.Sprint(pt.Shards), pt.Shards, pt.Senders, pt.Delivered, pt.Dropped, per(pt.FramesPerSec, 1e6))
-		}
-		r.Notef("scaling ratio 4/1 shards: %.2fx, 8/1 shards: %.2fx (host has %d cores)",
-			rec("scaling_ratio_4_over_1", res.ScalingRatio(4, 1)), rec("scaling_ratio_8_over_1", res.ScalingRatio(8, 1)),
-			runtime.GOMAXPROCS(0))
-	}
-	ns := res.Netsim
-	r.Notef("netsim: %d senders x %d samples into a 4-shard subscriber, %d delivered, %d packets %d bytes on the wire",
-		rec("netsim_senders", ns.Senders), rec("netsim_samples", ns.Samples), rec("netsim_delivered", ns.Delivered),
-		rec("netsim_wire_packets", ns.WirePackets), rec("netsim_wire_bytes", ns.WireBytes))
-	return r, nil
+	return fanIn{name: "e17", senders: 4, latency: time.Millisecond, shards: 4}.report(clk, seed, pick(quick, 80, 300))
 }

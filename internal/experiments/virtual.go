@@ -25,8 +25,8 @@ func (e Elapsed) Speedup() float64 {
 // RunVirtual executes fn against a fresh discrete-event clock: fn runs on
 // a goroutine registered with the clock (so its sleeps and waits drive
 // event time) and receives the clock to thread into the harness under
-// test. Same fn, same seeds, same event order — virtual runs are
-// deterministic and complete at whatever rate the host can pop events.
+// test. Virtual runs complete at whatever rate the host can pop events;
+// see the package doc for which figures a seed fixes today.
 func RunVirtual(fn func(clk clock.Clock) error) (Elapsed, error) {
 	v := clock.NewVirtual()
 	startV := v.Now()

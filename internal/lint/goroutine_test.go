@@ -17,8 +17,6 @@ import (
 // cannot own their ordering. ROADMAP's first item registers or eliminates
 // them, so the list only shrinks; new concurrency goes through clock.Go.
 var bareGoroutines = []string{
-	"internal/experiments/experiments.go:RunE4",
-	"internal/experiments/ingress_experiment.go:e17ScalingPoint",
 	"internal/gateway/shard.go:service",
 	"internal/gateway/wire.go:Serve",
 	"internal/transport/inproc.go:Endpoint",

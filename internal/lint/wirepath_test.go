@@ -349,10 +349,9 @@ func selectorCallArg(e ast.Expr) (pkg, name string, ok bool) {
 // growing back. Non-test internal/core turns a frame into wire bytes in one
 // place (a single protocol.AppendFrame call, in transmit), hands datagrams
 // to the egress plane from one place (a single EnqueueTo call) plus the
-// ARQ transmit hook's Enqueue, never decodes its own output
-// (protocol.DecodeFrame), and owns no GC-owned encode buffer — every
-// datagram, the one ARQ retains included, is pooled: no
-// protocol.EncodeFrame call and no make([]byte) site.
+// ARQ transmit hook's Enqueue, and owns no GC-owned encode buffer — every
+// datagram, the one ARQ retains included, is pooled: no make([]byte) site
+// (and, by TestLegacyFrameCodecStaysInProtocol, no EncodeFrame call).
 func TestCoreHasOneTransmitPath(t *testing.T) {
 	fset := token.NewFileSet()
 	calls := map[string]int{}
@@ -380,10 +379,6 @@ func TestCoreHasOneTransmitPath(t *testing.T) {
 			return true
 		})
 	}
-	gcEncodes += calls["protocol.EncodeFrame"]
-	if n := calls["protocol.DecodeFrame"]; n != 0 {
-		t.Errorf("internal/core calls protocol.DecodeFrame %d time(s); the send path must not decode its own output and the receive path decodes pooled (DecodeFrameInto)", n)
-	}
 	if n := calls["protocol.AppendFrame"]; n != 1 {
 		t.Errorf("internal/core calls protocol.AppendFrame %d time(s), want exactly 1 (transmit)", n)
 	}
@@ -391,7 +386,57 @@ func TestCoreHasOneTransmitPath(t *testing.T) {
 		t.Errorf("internal/core calls EnqueueTo %d time(s), want exactly 1 (transmit's enqueue)", n)
 	}
 	if gcEncodes != 0 {
-		t.Errorf("internal/core has %d GC-owned encode sites (protocol.EncodeFrame calls + make([]byte)), want none", gcEncodes)
+		t.Errorf("internal/core has %d GC-owned encode sites (make([]byte)), want none", gcEncodes)
+	}
+}
+
+// legacyCodec is the frame codec's allocating surface. Everything outside
+// internal/protocol encodes with AppendFrame into pooled buffers and
+// decodes with DecodeFrameInto and ReadBatch; only the protocol package,
+// tests and bench/ call these, so deleting them is a change to those alone.
+var legacyCodec = map[string]bool{"EncodeFrame": true, "DecodeFrame": true, "DecodeBatch": true}
+
+// TestLegacyFrameCodecStaysInProtocol rejects protocol.EncodeFrame,
+// DecodeFrame and DecodeBatch calls in non-test code under internal/ and
+// cmd/ outside internal/protocol.
+func TestLegacyFrameCodecStaysInProtocol(t *testing.T) {
+	root := repoRoot(t)
+	fset := token.NewFileSet()
+	files := 0
+	for _, top := range []string{"internal", "cmd"} {
+		err := filepath.WalkDir(filepath.Join(root, top), func(path string, d os.DirEntry, err error) error {
+			if err != nil {
+				return err
+			}
+			if d.IsDir() {
+				if path == filepath.Join(root, "internal", "protocol") || d.Name() == "testdata" {
+					return filepath.SkipDir
+				}
+				return nil
+			}
+			if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+				return nil
+			}
+			f, err := parser.ParseFile(fset, path, nil, 0)
+			if err != nil {
+				return err
+			}
+			files++
+			ast.Inspect(f, func(n ast.Node) bool {
+				if pkg, fn, call := selectorCall(n); pkg == "protocol" && legacyCodec[fn] {
+					t.Errorf("%s: protocol.%s outside internal/protocol; encode with AppendFrame, decode with DecodeFrameInto or ReadBatch",
+						fset.Position(call.Pos()), fn)
+				}
+				return true
+			})
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if files == 0 {
+		t.Fatal("no files scanned; the lint is miswired")
 	}
 }
 

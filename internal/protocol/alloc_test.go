@@ -59,32 +59,37 @@ func TestDecodeFrameIntoAllocs(t *testing.T) {
 
 func TestEncodeDecodePooledRoundTripAllocs(t *testing.T) {
 	// The full steady-state cycle core runs per frame: pooled buffer out,
-	// append-encode, decode into a pooled frame, everything released.
-	src := wireTestFrame(make([]byte, 64))
-	// Warm pools and intern table.
-	for i := 0; i < 4; i++ {
-		buf, _ := AppendFrame(bufpool.Get(FrameWireSize(src)), src)
-		f := GetFrame()
-		if err := DecodeFrameInto(f, buf); err != nil {
-			t.Fatal(err)
+	// append-encode, decode into a pooled frame, everything released — at a
+	// small payload and at the one that fills a datagram exactly.
+	mtuPayload := DefaultMTU - FrameWireSize(wireTestFrame(nil))
+	for _, payload := range []int{64, mtuPayload} {
+		src := wireTestFrame(make([]byte, payload))
+		wire := FrameWireSize(src)
+		if payload == mtuPayload && wire != DefaultMTU {
+			t.Fatalf("MTU-filling frame is %d bytes on the wire, want %d", wire, DefaultMTU)
 		}
-		PutFrame(f)
-		bufpool.Put(buf)
-	}
-	allocs := testing.AllocsPerRun(200, func() {
-		buf, err := AppendFrame(bufpool.Get(FrameWireSize(src)), src)
-		if err != nil {
-			t.Fatal(err)
+		roundTrip := func() {
+			buf, err := AppendFrame(bufpool.Get(wire), src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(buf) != wire {
+				t.Fatalf("%d-byte payload encoded to %d bytes, FrameWireSize says %d", payload, len(buf), wire)
+			}
+			f := GetFrame()
+			if err := DecodeFrameInto(f, buf); err != nil {
+				t.Fatal(err)
+			}
+			PutFrame(f)
+			bufpool.Put(buf)
 		}
-		f := GetFrame()
-		if err := DecodeFrameInto(f, buf); err != nil {
-			t.Fatal(err)
+		// Warm pools and intern table.
+		for i := 0; i < 4; i++ {
+			roundTrip()
 		}
-		PutFrame(f)
-		bufpool.Put(buf)
-	})
-	if allocs != 0 {
-		t.Errorf("pooled encode→decode round trip: %v allocs/op, want 0", allocs)
+		if allocs := testing.AllocsPerRun(200, roundTrip); allocs != 0 {
+			t.Errorf("pooled encode→decode round trip, %d-byte payload: %v allocs/op, want 0", payload, allocs)
+		}
 	}
 }
 
