@@ -30,14 +30,16 @@
 package bufpool
 
 // classSizes are the pooled capacity classes, chosen around the wire path's
-// natural sizes: small control frames, coalesced batches under the default
-// 1400-byte MTU, mid-size chunk payloads, and full 64KB datagrams.
-var classSizes = [...]int{256, 1 << 10, 4 << 10, 16 << 10, 64 << 10}
+// natural sizes: small control frames, mid-size frames, the datagrams of
+// the default 1400-byte MTU (coalesced batches, file chunks, transport
+// envelopes), frames about to be fragmented, and full 64KB datagrams.
+var classSizes = [...]int{256, 1 << 10, 2 << 10, 4 << 10, 16 << 10, 64 << 10}
 
 // classDepths bound how many idle buffers each class retains; overflow on
-// release is dropped to the GC. Depths shrink as sizes grow so worst-case
-// idle retention stays around 4MB.
-var classDepths = [...]int{512, 256, 128, 64, 32}
+// release is dropped to the GC. Depths shrink as sizes grow, so worst-case
+// idle retention is 3.9 MB: 128 KB, 256 KB, 512 KB, 512 KB, 512 KB and
+// 2 MB from the smallest class up.
+var classDepths = [...]int{512, 256, 256, 128, 32, 32}
 
 var classes [len(classSizes)]chan []byte
 

@@ -11,11 +11,11 @@ import (
 	"uavmw/internal/transport"
 )
 
-// wireSink is a transport that discards what it is sent and says so: the
-// allocation gates below count process-wide, so the sink must not allocate
-// and the test must know when the egress drainer is done. It keeps the
-// node's receive handler so a gate can inject packets as a NIC read loop
-// would.
+// wireSink is a transport that discards what it is sent and says so on
+// sent, when that has room: the allocation gates below count process-wide,
+// so the sink must not allocate and the test must know when the egress
+// drainer is done. It keeps the node's receive handler so a gate can inject
+// packets as a NIC read loop would.
 type wireSink struct {
 	id      transport.NodeID
 	sent    chan struct{}
@@ -31,7 +31,10 @@ func (s *wireSink) Close() error                   { return nil }
 
 func (s *wireSink) Send(to transport.NodeID, _ []byte) error {
 	if to == "peer" {
-		s.sent <- struct{}{}
+		select {
+		case s.sent <- struct{}{}:
+		default:
+		}
 	}
 	return nil
 }

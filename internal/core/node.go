@@ -717,7 +717,8 @@ func (n *Node) routeSelf(raw []byte) {
 func (n *Node) handleFrameOn(sh *recvShard, bearer string, from transport.NodeID, raw []byte, depth int) {
 	// The frame struct is pooled: every route handler consumes it
 	// synchronously and none retains the pointer past its call (the rpc
-	// engine captures scalars before scheduling handler work).
+	// engine copies what it needs into its serve record before scheduling
+	// handler work).
 	f := protocol.GetFrame()
 	if err := protocol.DecodeFrameInto(f, raw); err != nil {
 		protocol.PutFrame(f)

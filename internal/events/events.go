@@ -33,6 +33,7 @@ import (
 	"uavmw/internal/clock"
 	"uavmw/internal/encoding"
 	"uavmw/internal/fabric"
+	"uavmw/internal/freelist"
 	"uavmw/internal/metrics"
 	"uavmw/internal/naming"
 	"uavmw/internal/presentation"
@@ -86,7 +87,19 @@ type Engine struct {
 	enc    encoding.ValueEncoder
 	reg    *metrics.Registry
 	shards [numShards]shard
+
+	// Recycled records: occurrences queued for a handler, and unicast
+	// publishes waiting for their acks.
+	deliveries *freelist.List[delivery]
+	fanouts    *freelist.List[fanout]
 }
+
+// Free list bounds: enough delivery records for a subscriber's burst of
+// queued occurrences, and fan-out records for the publishes in flight.
+const (
+	deliveryFreeCap = 256
+	fanoutFreeCap   = 64
+)
 
 // New builds the engine for a container.
 func New(f fabric.Fabric) *Engine {
@@ -96,6 +109,12 @@ func New(f fabric.Fabric) *Engine {
 		e.shards[i].subs = make(map[string][]*Subscription)
 		e.shards[i].trackers = make(map[string]map[transport.NodeID]*seqTracker)
 	}
+	e.deliveries = freelist.New(deliveryFreeCap, func() *delivery {
+		d := &delivery{e: e}
+		d.run = d.exec
+		return d
+	})
+	e.fanouts = freelist.New(fanoutFreeCap, func() *fanout { return &fanout{e: e, trig: clock.NewTrigger(e.clk)} })
 	return e
 }
 
@@ -288,9 +307,9 @@ func (p *Publisher) Publish(ctx context.Context, v any) error {
 	now := e.clk.Now()
 	// Unicast needs the subscriber list, multicast only whether anyone
 	// listens.
-	var targets []transport.NodeID
+	var fan *fanout
 	if !multicast {
-		targets = make([]transport.NodeID, 0, len(p.subscribers))
+		fan = e.fanouts.Get()
 	}
 	live := 0
 	for node, refreshed := range p.subscribers {
@@ -299,8 +318,8 @@ func (p *Publisher) Publish(ctx context.Context, v any) error {
 			continue
 		}
 		live++
-		if !multicast {
-			targets = append(targets, node)
+		if fan != nil {
+			fan.nodes = append(fan.nodes, node)
 		}
 	}
 	p.published.Inc()
@@ -315,12 +334,15 @@ func (p *Publisher) Publish(ctx context.Context, v any) error {
 	e.deliverLocal(p.topic, p.typ, body)
 
 	if live == 0 {
+		if fan != nil {
+			fan.recycle()
+		}
 		return nil
 	}
 	if multicast {
 		return p.publishGroup(payload)
 	}
-	return p.publishUnicast(ctx, payload, targets)
+	return p.publishUnicast(ctx, payload, fan)
 }
 
 // publishGroup sends one group-addressed frame for the occurrence.
@@ -341,16 +363,13 @@ func (p *Publisher) publishGroup(payload []byte) error {
 	return nil
 }
 
-// publishUnicast performs the blocking per-subscriber reliable fan-out.
-func (p *Publisher) publishUnicast(ctx context.Context, payload []byte, targets []transport.NodeID) error {
+// publishUnicast performs the blocking per-subscriber reliable fan-out to
+// fan's nodes.
+func (p *Publisher) publishUnicast(ctx context.Context, payload []byte, fan *fanout) error {
 	// One shared payload for every copy: the fabric encodes it into each
 	// wire frame synchronously, so sharing is safe and saves N-1 copies.
-	type outcome struct {
-		node transport.NodeID
-		err  error
-	}
-	results := make(chan outcome, len(targets))
-	for _, node := range targets {
+	fan.arm()
+	for i, node := range fan.nodes {
 		frame := getFrame()
 		frame.Type = protocol.MTEvent
 		frame.Encoding = p.engine.enc.ID()
@@ -358,60 +377,125 @@ func (p *Publisher) publishUnicast(ctx context.Context, payload []byte, targets 
 		frame.Channel = p.topic
 		frame.Seq = p.engine.f.NextSeq()
 		frame.Payload = payload
-		node := node
-		p.sendEvent(node, frame, func(err error) {
-			results <- outcome{node: node, err: err}
-		})
+		p.sendEvent(node, frame, fan.slots[i].done)
 		putFrame(frame)
 	}
-
-	failed := 0
-	account := func(res outcome) {
-		if res.err != nil {
-			failed++
-			p.dropSubscriber(res.node)
-		}
-	}
-	// The ack wait blocks on plain channels; under a Virtual clock the
-	// delivery and retransmission events that resolve it only fire while
-	// this goroutine is accounted as parked, so the wait runs in Blocking.
-	var cancelErr error
-	clock.Blocking(p.engine.clk, func() {
-		for done := 0; done < len(targets) && cancelErr == nil; {
-			select {
-			case res := <-results:
-				done++
-				account(res)
-			case <-ctx.Done():
-				cancelErr = ctx.Err()
-				// Drain outcomes that completed before cancellation so
-				// Stats() and the subscriber set reflect them; in-flight
-				// sends resolve into the buffered channel and are garbage
-				// collected with it.
-				for drained := true; drained && done < len(targets); {
-					select {
-					case res := <-results:
-						done++
-						account(res)
-					default:
-						drained = false
-					}
-				}
-			}
+	// Live makes the publisher visible to a Virtual clock while it waits,
+	// and the trigger is clock-managed, so virtual time cannot advance past
+	// an ack that has just arrived.
+	stopped := false
+	clock.Live(p.engine.clk, func() {
+		for !stopped && !fan.settled() {
+			stopped = !fan.trig.Wait(-1, ctx.Done())
 		}
 	})
+	targets := len(fan.nodes)
+	failed, complete := fan.finish(p)
 	if failed > 0 {
 		p.failures.Add(uint64(failed))
 	}
-	if cancelErr != nil {
+	if !complete {
 		return fmt.Errorf("events: publish %q (%d subscribers unreachable before cancellation): %w",
-			p.topic, failed, cancelErr)
+			p.topic, failed, ctx.Err())
 	}
 	if failed > 0 {
 		return uerr.Wrapf(p.engine.reg, codeEventPartial, ErrPartialDelivery,
-			"%q: %d of %d subscribers unreachable", p.topic, failed, len(targets))
+			"%q: %d of %d subscribers unreachable", p.topic, failed, targets)
 	}
 	return nil
+}
+
+// fanout is one unicast publish waiting for its subscribers' acks: the
+// target nodes, one slot per target that its reliable send completes, and
+// the trigger the publisher parks on. Records come off the engine's free
+// list with their trigger, slices and per-slot completions, so publishing
+// to a steady audience allocates nothing. A record is recycled only once
+// its last completion has arrived — by the publisher, or, when the
+// publisher gave up first, by that last completion — so a late outcome can
+// never land in a later publish.
+type fanout struct {
+	e     *Engine
+	trig  clock.Trigger
+	nodes []transport.NodeID
+	slots []*fanSlot // slots[i] reports nodes[i]; grows with the audience
+
+	mu        sync.Mutex
+	arrived   int  // completions in for this publish
+	abandoned bool // the publisher left first; the last completion recycles
+}
+
+// fanSlot is one target's outcome in a fanout; its fields are guarded by
+// the fanout's mu.
+type fanSlot struct {
+	f    *fanout
+	in   bool // the completion has arrived
+	err  error
+	done func(error) // s.complete, bound once
+}
+
+// arm makes sure every node has a slot.
+func (f *fanout) arm() {
+	for len(f.slots) < len(f.nodes) {
+		s := &fanSlot{f: f}
+		s.done = s.complete
+		f.slots = append(f.slots, s)
+	}
+}
+
+// complete is a target's reliable-send completion. The fabric fires it
+// exactly once.
+func (s *fanSlot) complete(err error) {
+	f := s.f
+	f.mu.Lock()
+	s.in, s.err = true, err
+	f.arrived++
+	if !f.abandoned {
+		f.trig.Signal()
+		f.mu.Unlock()
+		return
+	}
+	last := f.arrived == len(f.nodes)
+	f.mu.Unlock()
+	if last {
+		f.recycle()
+	}
+}
+
+func (f *fanout) settled() bool {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.arrived == len(f.nodes)
+}
+
+// finish accounts the outcomes that have arrived, dropping each failed
+// subscriber, and ends the publisher's use of the record: recycled now when
+// every completion is in, left to the last one otherwise.
+func (f *fanout) finish(p *Publisher) (failed int, complete bool) {
+	f.mu.Lock()
+	for i, node := range f.nodes {
+		if s := f.slots[i]; s.in && s.err != nil {
+			failed++
+			p.dropSubscriber(node)
+		}
+	}
+	complete = f.arrived == len(f.nodes)
+	f.abandoned = !complete
+	f.mu.Unlock()
+	if complete {
+		f.recycle()
+	}
+	return failed, complete
+}
+
+// recycle clears the record and gives it back.
+func (f *fanout) recycle() {
+	for _, s := range f.slots[:len(f.nodes)] {
+		s.in, s.err = false, nil
+	}
+	clear(f.nodes)
+	f.nodes = f.nodes[:0]
+	f.arrived, f.abandoned = 0, false
+	f.e.fanouts.Put(f)
 }
 
 // repairFor retransmits NACKed occurrences to one subscriber as unicast
@@ -728,12 +812,40 @@ func (s *Subscription) dispatch(v any, from transport.NodeID) {
 		return
 	}
 	s.received++
-	h := s.handler
-	pr := s.q.Priority
+	h, pr := s.handler, s.q.Priority
 	s.mu.Unlock()
-	if err := s.engine.f.Schedule(pr, func() { h(v, from) }); err != nil {
+	d := s.engine.deliveries.Get()
+	d.h, d.v, d.from = h, v, from
+	if err := s.engine.f.Schedule(pr, d.run); err != nil {
+		d.recycle()
 		uerr.Wrapf(s.engine.reg, codeEventShed, err, "dispatch %s", s.topic)
 	}
+}
+
+// delivery is one occurrence queued on the scheduler for a subscription's
+// handler. Records come off the engine's free list with their job bound
+// once, so queueing one allocates nothing.
+type delivery struct {
+	e    *Engine
+	run  func() // d.exec, bound once
+	h    Handler
+	v    any
+	from transport.NodeID
+}
+
+// exec is the queued job. The record is recycled before the handler runs,
+// so a handler that re-enters the engine (on an inline scheduler, say) may
+// take it for its own occurrence.
+func (d *delivery) exec() {
+	h, v, from := d.h, d.v, d.from
+	d.recycle()
+	h(v, from)
+}
+
+// recycle clears the record and gives it back.
+func (d *delivery) recycle() {
+	d.h, d.v, d.from = nil, nil, ""
+	d.e.deliveries.Put(d)
 }
 
 // HandleSubscribe processes a remote MTSubscribe.

@@ -3,6 +3,7 @@ package naming
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -30,7 +31,8 @@ type Directory struct {
 	versions map[transport.NodeID]uint64    // record-log version per node
 	expiries map[transport.NodeID]time.Time // per-node freshness deadline
 	loads    map[transport.NodeID]float64
-	rr       map[dirKey]uint64 // round-robin cursors
+	rr       map[dirKey]uint64  // round-robin cursors of names with a provider
+	pick     []transport.NodeID // Select's scratch provider list
 }
 
 type dirKey struct {
@@ -108,12 +110,8 @@ func (d *Directory) Apply(a *Announcement, now time.Time) bool {
 		if _, still := offered[key]; still {
 			continue
 		}
-		if nodeMap := d.entries[key]; nodeMap != nil {
-			delete(nodeMap, a.Node)
+		if d.unbindLocked(key, a.Node) {
 			changed = true
-			if len(nodeMap) == 0 {
-				delete(d.entries, key)
-			}
 		}
 	}
 	d.byNode[a.Node] = offered
@@ -176,12 +174,7 @@ func (d *Directory) ApplyDelta(dl *Delta, now time.Time) (needSync bool) {
 	}
 	for _, k := range dl.Withdrawn {
 		key := dirKey{kind: k.Kind, name: k.Name}
-		if nodeMap := d.entries[key]; nodeMap != nil {
-			delete(nodeMap, dl.Node)
-			if len(nodeMap) == 0 {
-				delete(d.entries, key)
-			}
-		}
+		d.unbindLocked(key, dl.Node)
 		delete(index, key)
 	}
 	d.epochs[dl.Node] = dl.Epoch
@@ -275,14 +268,25 @@ func (d *Directory) RemoveNode(node transport.NodeID) {
 
 func (d *Directory) purgeNodeLocked(node transport.NodeID) {
 	for key := range d.byNode[node] {
-		if nodeMap := d.entries[key]; nodeMap != nil {
-			delete(nodeMap, node)
-			if len(nodeMap) == 0 {
-				delete(d.entries, key)
-			}
-		}
+		d.unbindLocked(key, node)
 	}
 	delete(d.byNode, node)
+}
+
+// unbindLocked drops node's binding of key and reports whether the key had
+// any. The key's last binding takes its round-robin cursor with it, so the
+// cursors of names nobody offers any more do not pile up.
+func (d *Directory) unbindLocked(key dirKey, node transport.NodeID) bool {
+	nodeMap := d.entries[key]
+	if nodeMap == nil {
+		return false
+	}
+	delete(nodeMap, node)
+	if len(nodeMap) == 0 {
+		delete(d.entries, key)
+		delete(d.rr, key)
+	}
+	return true
 }
 
 // Expire drops every record of nodes whose freshness deadline passed,
@@ -361,12 +365,14 @@ func (d *Directory) Select(kind Kind, name string, binding qos.Binding, pinned t
 		}
 		// Fall through: redundancy failover even for static binding.
 	}
-	// Deterministic provider list.
-	nodes := make([]transport.NodeID, 0, len(nodeMap))
+	// Deterministic provider list, built in the directory's scratch slice
+	// (d.mu is held until return).
+	nodes := d.pick[:0]
 	for node := range nodeMap {
 		nodes = append(nodes, node)
 	}
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i] < nodes[j] })
+	slices.Sort(nodes)
+	d.pick = nodes
 
 	if binding == qos.BindStatic {
 		// New pin: lowest node id for stability across containers.

@@ -2,6 +2,8 @@ package naming
 
 import (
 	"errors"
+	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -252,6 +254,104 @@ func TestSelectStaticPinning(t *testing.T) {
 	}
 	if got.Node == pin {
 		t.Error("selected dead pin")
+	}
+}
+
+// providerDirectory caches n providers of function "fn", node0 … node<n-1>.
+func providerDirectory(n int) *Directory {
+	d := NewDirectory(time.Minute)
+	now := time.Now()
+	for i := 0; i < n; i++ {
+		node := transport.NodeID(fmt.Sprintf("node%d", i))
+		d.Apply(&Announcement{Node: node, Epoch: 1, Records: []Record{
+			{Kind: KindFunction, Name: "fn", Service: "s", Node: node},
+		}}, now)
+	}
+	return d
+}
+
+// TestSelectAllocs gates Select at zero allocations: the provider list is
+// built in the directory's scratch slice and sorted in place.
+func TestSelectAllocs(t *testing.T) {
+	for _, n := range []int{1, 3} {
+		d := providerDirectory(n)
+		for _, binding := range []qos.Binding{qos.BindStatic, qos.BindDynamic} {
+			if allocs := testing.AllocsPerRun(200, func() {
+				if _, err := d.Select(KindFunction, "fn", binding, ""); err != nil {
+					t.Fatal(err)
+				}
+			}); allocs != 0 {
+				t.Errorf("Select over %d providers, binding %v: %.1f allocs, want 0", n, binding, allocs)
+			}
+		}
+	}
+}
+
+// TestSelectScratchReuseUnderConcurrentCallers runs Selects from several
+// goroutines against two directories, as two nodes in one process would,
+// while providers come and go: each directory's scratch list is its own,
+// and only ever hands back a provider of the name asked for.
+func TestSelectScratchReuseUnderConcurrentCallers(t *testing.T) {
+	dirs := []*Directory{providerDirectory(3), providerDirectory(3)}
+	now := time.Now()
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(d *Directory) {
+			defer wg.Done()
+			for i := 0; i < 500; i++ {
+				rec, err := d.Select(KindFunction, "fn", qos.BindDynamic, "")
+				if err != nil || rec.Name != "fn" || rec.Node == "" {
+					t.Errorf("Select = %+v, %v", rec, err)
+					return
+				}
+			}
+		}(dirs[g%len(dirs)])
+	}
+	for i := 0; i < 200; i++ {
+		d := dirs[i%len(dirs)]
+		node := transport.NodeID(fmt.Sprintf("churn%d", i%4))
+		d.Apply(&Announcement{Node: node, Epoch: 1, Version: uint64(i), Records: []Record{
+			{Kind: KindFunction, Name: "fn", Service: "s", Node: node},
+		}}, now)
+		d.RemoveNode(node)
+	}
+	wg.Wait()
+}
+
+// TestSelectCursorLeavesWithLastProvider checks that a name's round-robin
+// cursor survives while any provider remains and is dropped with the last
+// one, however that one goes.
+func TestSelectCursorLeavesWithLastProvider(t *testing.T) {
+	key := dirKey{kind: KindFunction, name: "fn"}
+	for name, remove := range map[string]func(d *Directory, node transport.NodeID){
+		"removed": func(d *Directory, node transport.NodeID) { d.RemoveNode(node) },
+		"withdrawn by announcement": func(d *Directory, node transport.NodeID) {
+			d.Apply(&Announcement{Node: node, Epoch: 1}, time.Now())
+		},
+		"withdrawn by delta": func(d *Directory, node transport.NodeID) {
+			d.ApplyDelta(&Delta{Node: node, Epoch: 1, From: 0, To: 1,
+				Withdrawn: []RecordKey{{Kind: KindFunction, Name: "fn"}}}, time.Now())
+		},
+		"expired": func(d *Directory, node transport.NodeID) {
+			d.TouchNode(node, time.Now().Add(-time.Hour))
+			d.Expire(time.Now())
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			d := providerDirectory(2)
+			if _, err := d.Select(KindFunction, "fn", qos.BindDynamic, ""); err != nil {
+				t.Fatal(err)
+			}
+			remove(d, "node0")
+			if _, ok := d.rr[key]; !ok {
+				t.Fatal("cursor dropped while node1 still provides fn")
+			}
+			remove(d, "node1")
+			if _, ok := d.rr[key]; ok {
+				t.Fatal("cursor of fn outlived its last provider")
+			}
+		})
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"uavmw/internal/naming"
 	"uavmw/internal/protocol"
 	"uavmw/internal/qos"
+	"uavmw/internal/scheduler"
 	"uavmw/internal/transport"
 )
 
@@ -75,12 +76,12 @@ func lateOutcomes(t *testing.T, e *Engine, hc heldCall) {
 // freeRecord returns the one call record on the engine's free list.
 func freeRecord(t *testing.T, e *Engine) *call {
 	t.Helper()
-	e.callMu.Lock()
-	defer e.callMu.Unlock()
-	if len(e.callFree) != 1 {
-		t.Fatalf("%d records on the free list, want the one the finished Call gave back", len(e.callFree))
+	if n := e.calls.Len(); n != 1 {
+		t.Fatalf("%d records on the free list, want the one the finished Call gave back", n)
 	}
-	return e.callFree[0]
+	c := e.calls.Get()
+	e.calls.Put(c)
+	return c
 }
 
 // TestCallRecordReuseDropsLateOutcomes ends a remote Call three ways with
@@ -176,6 +177,49 @@ func TestCallRecordReuseDropsLateOutcomes(t *testing.T) {
 	}
 }
 
+// inlineSchedFabric queues scheduled work on a scheduler.Inline: a job runs
+// inside the Schedule call that queues it.
+type inlineSchedFabric struct {
+	*fakeFabric
+	sched *scheduler.Inline
+}
+
+func (f inlineSchedFabric) Schedule(p qos.Priority, job func()) error { return f.sched.Submit(p, job) }
+
+// TestServeRecordReuseUnderInlineReentry has a local handler call another
+// local function. On an inline scheduler the nested handler runs inside the
+// outer one. The outer serve record was recycled before its handler ran, so
+// the nested call takes it again, and the outer call still gets its own
+// result.
+func TestServeRecordReuseUnderInlineReentry(t *testing.T) {
+	e := New(inlineSchedFabric{newFakeFabric("n"), scheduler.NewInline()})
+	ctx := context.Background()
+	idle := func(where string) {
+		if n := e.serves.Len(); n != 1 {
+			t.Errorf("%d idle serve records %s, want 1: the record that carried this call", n, where)
+		}
+	}
+	if err := e.Register("inner", "svc", nil, i32, qos.CallQoS{}, func(any) (any, error) {
+		idle("in the nested handler")
+		return int32(2), nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Register("outer", "svc", nil, i32, qos.CallQoS{}, func(any) (any, error) {
+		idle("in the outer handler")
+		v, err := e.Call(ctx, "inner", nil, nil, i32, qos.CallQoS{})
+		if err != nil {
+			return nil, err
+		}
+		return v.(int32) + 1, nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if v, err := e.Call(ctx, "outer", nil, nil, i32, qos.CallQoS{}); err != nil || v != int32(3) {
+		t.Fatalf("outer call returned (%v, %v), want 3", v, err)
+	}
+}
+
 // TestCallRecordReuseDropsLateLocalResult is the same for the bypass path:
 // a local handler that outlives its Call's deadline finishes while the next
 // Call, on the same record, is still waiting for its own handler.
@@ -206,10 +250,7 @@ func TestCallRecordReuseDropsLateLocalResult(t *testing.T) {
 	for invocations.Load() != 2 {
 		time.Sleep(time.Millisecond)
 	}
-	e.callMu.Lock()
-	reused := len(e.callFree) == 0
-	e.callMu.Unlock()
-	if !reused {
+	if reused := e.calls.Len() == 0; !reused {
 		t.Fatal("the second Call did not take the first one's record")
 	}
 	gates[0] <- 111 // the abandoned handler finishes

@@ -37,6 +37,7 @@ import (
 	"uavmw/internal/clock"
 	"uavmw/internal/encoding"
 	"uavmw/internal/fabric"
+	"uavmw/internal/freelist"
 	"uavmw/internal/metrics"
 	"uavmw/internal/naming"
 	"uavmw/internal/presentation"
@@ -122,8 +123,8 @@ type pendingShard struct {
 // that remote attempts carry on the wire.
 const localAttempt = 1 << 63
 
-// callFreeCap bounds the engine's free list of call records.
-const callFreeCap = 64
+// recordFreeCap bounds each of the engine's free lists of records.
+const recordFreeCap = 64
 
 // Engine is the per-container remote-invocation runtime.
 type Engine struct {
@@ -140,8 +141,11 @@ type Engine struct {
 	pending  [numPendingShards]pendingShard
 	localSeq atomic.Uint64 // local attempt ids, below the localAttempt bit
 
-	callMu   sync.Mutex
-	callFree []*call // recycled call records, at most callFreeCap; starts empty
+	// Recycled records: calls in progress, handler invocations queued on
+	// the scheduler, and remote attempts' reliable-send completions.
+	calls  *freelist.List[call]
+	serves *freelist.List[serve]
+	sends  *freelist.List[sent]
 
 	// inflightLimit caps concurrently executing remote-call handlers
 	// (0 = unlimited); excess requests are answered MTBusy.
@@ -259,6 +263,17 @@ func New(f fabric.Fabric) *Engine {
 	for i := range e.pending {
 		e.pending[i].calls = make(map[uint64]*call)
 	}
+	e.calls = freelist.New(recordFreeCap, func() *call { return &call{trig: clock.NewTrigger(e.clk)} })
+	e.serves = freelist.New(recordFreeCap, func() *serve {
+		s := &serve{e: e}
+		s.run = s.exec
+		return s
+	})
+	e.sends = freelist.New(recordFreeCap, func() *sent {
+		s := &sent{e: e}
+		s.done = s.complete
+		return s
+	})
 	return e
 }
 
@@ -338,19 +353,6 @@ func (e *Engine) pendingFor(id uint64) *pendingShard {
 	return &e.pending[id&(numPendingShards-1)]
 }
 
-// getCall takes a call record off the free list or makes one.
-func (e *Engine) getCall() *call {
-	e.callMu.Lock()
-	defer e.callMu.Unlock()
-	if n := len(e.callFree); n > 0 {
-		c := e.callFree[n-1]
-		e.callFree[n-1] = nil
-		e.callFree = e.callFree[:n-1]
-		return c
-	}
-	return &call{trig: clock.NewTrigger(e.clk)}
-}
-
 // putCall ends a call: its attempts leave the pending table — after which no
 // deliverer can reach the record — its pooled buffers are released, and the
 // record goes back on the free list.
@@ -368,11 +370,7 @@ func (e *Engine) putCall(c *call) {
 	clear(c.outcomes)
 	clear(c.drained)
 	*c = call{trig: c.trig, outcomes: c.outcomes[:0], drained: c.drained[:0], attempts: c.attempts[:0]}
-	e.callMu.Lock()
-	if len(e.callFree) < callFreeCap {
-		e.callFree = append(e.callFree, c)
-	}
-	e.callMu.Unlock()
+	e.calls.Put(c)
 }
 
 // deliver hands attempt id's outcome to the call waiting on it and wakes
@@ -420,7 +418,7 @@ func (e *Engine) Call(ctx context.Context, name string, args any, argType, retTy
 	if deadline <= 0 {
 		deadline = DefaultCallDeadline
 	}
-	c := e.getCall()
+	c := e.calls.Get()
 	defer e.putCall(c)
 	c.name, c.argType, c.retType, c.q = name, argType, retType, q
 	if err := e.encodeArgs(c, args); err != nil {
@@ -706,18 +704,122 @@ func (e *Engine) dispatchLocal(c *call, id uint64) error {
 		}
 		args = decoded
 	}
-	return e.f.Schedule(c.q.Priority, func() {
-		v, err := reg.handler(args)
-		reg.calls.Inc()
-		var out outcome
-		if err == nil && reg.retType != nil {
-			out.value, err = presentation.Coerce(reg.retType, v)
+	s := e.serves.Get()
+	s.reg, s.args, s.local, s.id = reg, args, true, id
+	if err := e.f.Schedule(c.q.Priority, s.run); err != nil {
+		s.recycle()
+		return err
+	}
+	return nil
+}
+
+// serve is one handler invocation queued on the scheduler: an MTCall from
+// a peer, answered with a reply frame, or a local bypass attempt, answered
+// through deliver. Records come off the engine's free list with their job
+// bound once, so queueing one allocates nothing.
+type serve struct {
+	e    *Engine
+	run  func() // s.exec, bound once
+	reg  *registration
+	args any
+	// local marks a bypass attempt; id is then its attempt id, else the
+	// caller's call id.
+	local bool
+	id    uint64
+	// Remote calls only. The fabric pools decoded frames, so everything the
+	// reply needs is copied out of the MTCall here.
+	from    transport.NodeID
+	pr      qos.Priority // the handler's class; the reply rides it
+	rawPr   qos.Priority // the class as it arrived; sheds and errors echo it
+	ch      string
+	arrival time.Time
+	budget  time.Duration
+}
+
+// recycle clears the record and gives it back.
+func (s *serve) recycle() {
+	*s = serve{e: s.e, run: s.run}
+	s.e.serves.Put(s)
+}
+
+// exec is the queued job. The record is recycled before the handler runs,
+// so a handler that re-enters the engine (on an inline scheduler, say) may
+// take it for its own call.
+func (s *serve) exec() {
+	sv := *s
+	s.recycle()
+	if sv.local {
+		sv.serveLocal()
+	} else {
+		sv.serveRemote()
+	}
+}
+
+// serveLocal runs a bypass attempt and delivers its result like a reply.
+func (s *serve) serveLocal() {
+	reg := s.reg
+	v, err := reg.handler(s.args)
+	reg.calls.Inc()
+	var out outcome
+	if err == nil && reg.retType != nil {
+		out.value, err = presentation.Coerce(reg.retType, v)
+	}
+	if err != nil {
+		out.appErr = &AppError{Name: reg.name, Message: err.Error()}
+	}
+	s.e.deliver(s.id, out)
+}
+
+// serveRemote runs an MTCall's handler and replies.
+func (s *serve) serveRemote() {
+	e, reg := s.e, s.reg
+	defer e.inflight.Add(-1)
+	if s.budget > 0 && e.clk.Since(s.arrival) >= s.budget {
+		// Provider-side queueing alone has consumed the caller's whole
+		// budget, so the reply cannot arrive in time: shed instead of
+		// wasting work. (Network transit before arrival is not counted — the
+		// two nodes' clocks are not assumed synchronized — so this catches
+		// queueing delay, the dominant term on an overloaded provider, not
+		// every spent budget.)
+		e.replyBusy(s.from, s.id, s.rawPr, s.ch)
+		return
+	}
+	v, err := reg.handler(s.args)
+	reg.calls.Inc()
+	if err != nil {
+		e.replyAppError(s.from, s.id, s.rawPr, s.ch, err.Error())
+		return
+	}
+	// The return value is coerced and encoded in one walk straight behind
+	// the call id in the pooled reply payload.
+	payload := replyPayload(s.id, 0)
+	if reg.retType != nil {
+		var cerr error
+		if payload, cerr = e.enc.Append(payload, reg.retType, v); cerr != nil {
+			bufpool.Put(payload)
+			e.replyAppError(s.from, s.id, s.rawPr, s.ch, cerr.Error())
+			return
 		}
-		if err != nil {
-			out.appErr = &AppError{Name: reg.name, Message: err.Error()}
-		}
-		e.deliver(id, out)
-	})
+	}
+	e.sendReply(s.from, protocol.MTReturn, 0, e.enc.ID(), s.pr, s.ch, payload)
+}
+
+// sent is a remote attempt's reliable-send completion: a failed send
+// becomes the attempt's outcome, by id. Records come off the engine's free
+// list with the completion bound once. The fabric fires a completion
+// exactly once, so the record goes back on that one call.
+type sent struct {
+	e    *Engine
+	id   uint64
+	done func(error) // s.complete, bound once
+}
+
+func (s *sent) complete(err error) {
+	e, id := s.e, s.id
+	e.sends.Put(s)
+	if err != nil {
+		e.deliver(id, outcome{err: err})
+	}
 }
 
 // dispatchRemote sends one remote attempt from a pooled frame. The caller's
@@ -741,11 +843,9 @@ func (e *Engine) dispatchRemote(c *call, id uint64, provider transport.NodeID) e
 		Budget:   budget,
 		Payload:  c.args,
 	}
-	e.f.SendReliable(provider, frame, qos.ReliableARQ, func(err error) {
-		if err != nil {
-			e.deliver(id, outcome{err: err})
-		}
-	})
+	s := e.sends.Get()
+	s.id = id
+	e.f.SendReliable(provider, frame, qos.ReliableARQ, s.done)
 	protocol.PutFrame(frame)
 	return nil
 }
@@ -760,8 +860,6 @@ func (e *Engine) HandleCall(from transport.NodeID, fr *protocol.Frame) {
 	reg := e.functions[fr.Channel]
 	e.regMu.Unlock()
 	callID := fr.Seq
-	// The scheduled handler below outlives fr (the fabric pools decoded
-	// frames), so everything it needs is captured as scalars here.
 	rawPr, ch := fr.Priority, fr.Channel
 	if reg == nil {
 		e.sendReply(from, protocol.MTError, 0, 0, rawPr, ch, replyPayload(callID, 0))
@@ -791,42 +889,13 @@ func (e *Engine) HandleCall(from transport.NodeID, fr *protocol.Frame) {
 	if !pr.Valid() {
 		pr = reg.q.Priority
 	}
-	handler := reg.handler
-	budget := fr.Budget
-	if err := e.f.Schedule(pr, func() {
-		defer e.inflight.Add(-1)
-		if budget > 0 && e.clk.Since(arrival) >= budget {
-			// Provider-side queueing alone has consumed the caller's
-			// whole budget, so the reply cannot arrive in time: shed
-			// instead of wasting work. (Network transit before arrival
-			// is not counted — the two nodes' clocks are not assumed
-			// synchronized — so this catches queueing delay, the
-			// dominant term on an overloaded provider, not every spent
-			// budget.)
-			e.replyBusy(from, callID, rawPr, ch)
-			return
-		}
-		v, err := handler(args)
-		reg.calls.Inc()
-		if err != nil {
-			e.replyAppError(from, callID, rawPr, ch, err.Error())
-			return
-		}
-		// The return value is coerced and encoded in one walk straight
-		// behind the call id in the pooled reply payload.
-		payload := replyPayload(callID, 0)
-		if reg.retType != nil {
-			var cerr error
-			if payload, cerr = e.enc.Append(payload, reg.retType, v); cerr != nil {
-				bufpool.Put(payload)
-				e.replyAppError(from, callID, rawPr, ch, cerr.Error())
-				return
-			}
-		}
-		e.sendReply(from, protocol.MTReturn, 0, e.enc.ID(), pr, ch, payload)
-	}); err != nil {
+	s := e.serves.Get()
+	s.reg, s.args, s.id = reg, args, callID
+	s.from, s.pr, s.rawPr, s.ch, s.arrival, s.budget = from, pr, rawPr, ch, arrival, fr.Budget
+	if err := e.f.Schedule(pr, s.run); err != nil {
 		// Scheduler saturated: shed so the caller fails over rather than
 		// treating local overload as an application error.
+		s.recycle()
 		e.inflight.Add(-1)
 		e.replyBusy(from, callID, rawPr, ch)
 	}

@@ -51,10 +51,10 @@ func TestPublishAllocatesNothing(t *testing.T) {
 	}
 }
 
-// TestHandleSampleAllocatesDecodeFloorPlusOne pins the receive side: what
-// the map[string]any callback contract costs to decode, plus the one
-// closure that carries the value to the scheduler.
-func TestHandleSampleAllocatesDecodeFloorPlusOne(t *testing.T) {
+// TestHandleSampleAllocatesDecodeFloor pins the receive side at exactly
+// what the map[string]any callback contract costs to decode: the record
+// that carries the value to the scheduler is reused.
+func TestHandleSampleAllocatesDecodeFloor(t *testing.T) {
 	f := newFakeFabric("n")
 	e := New(f)
 	s, err := e.Subscribe("nav.position", ptest.PositionType, SubscribeOptions{OnSample: func(any, time.Time) {}})
@@ -79,8 +79,8 @@ func TestHandleSampleAllocatesDecodeFloorPlusOne(t *testing.T) {
 		fr.Seq = seq
 		e.HandleSample("remote", fr)
 	})
-	if got > floor+1 {
-		t.Fatalf("HandleSample allocates %.1f times, decode floor is %.1f (+1 for the scheduled closure)", got, floor)
+	if got != floor {
+		t.Fatalf("HandleSample allocates %.1f times, want the decode floor %.1f", got, floor)
 	}
 	if samples, _ := s.Stats(); samples < 200 {
 		t.Fatalf("only %d samples were accepted; the gate measured a drop path", samples)

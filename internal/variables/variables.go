@@ -27,6 +27,7 @@ import (
 	"uavmw/internal/clock"
 	"uavmw/internal/encoding"
 	"uavmw/internal/fabric"
+	"uavmw/internal/freelist"
 	"uavmw/internal/metrics"
 	"uavmw/internal/naming"
 	"uavmw/internal/presentation"
@@ -70,11 +71,17 @@ type Engine struct {
 	// slice, so the receive path reads one under mu and walks it unlocked
 	// without copying.
 	subs map[string][]*Subscription
+
+	deliveries *freelist.List[delivery] // samples queued for OnSample
 }
+
+// deliveryFreeCap bounds the engine's free list of delivery records: enough
+// for a subscriber's burst of queued samples.
+const deliveryFreeCap = 256
 
 // New builds the engine for a container.
 func New(f fabric.Fabric) *Engine {
-	return &Engine{
+	e := &Engine{
 		f:    f,
 		clk:  fabric.ClockOf(f),
 		enc:  encoding.NewValueEncoder(f.Encoding()),
@@ -82,6 +89,12 @@ func New(f fabric.Fabric) *Engine {
 		pubs: make(map[string]*Publisher),
 		subs: make(map[string][]*Subscription),
 	}
+	e.deliveries = freelist.New(deliveryFreeCap, func() *delivery {
+		d := &delivery{e: e}
+		d.run = d.exec
+		return d
+	})
+	return e
 }
 
 // subscribers returns the current subscription list of name. The slice is
@@ -556,10 +569,39 @@ func (s *Subscription) accept(v any, ts time.Time, validity time.Duration, pub u
 
 	s.resetTimer()
 	if onSample != nil {
-		if err := s.engine.f.Schedule(s.opts.QoS.Priority, func() { onSample(v, ts) }); err != nil {
+		d := s.engine.deliveries.Get()
+		d.onSample, d.v, d.ts = onSample, v, ts
+		if err := s.engine.f.Schedule(s.opts.QoS.Priority, d.run); err != nil {
+			d.recycle()
 			uerr.Wrapf(s.engine.reg, codeVarShed, err, "sample callback %s", s.name)
 		}
 	}
+}
+
+// delivery is one sample queued on the scheduler for a subscription's
+// OnSample. Records come off the engine's free list with their job bound
+// once, so queueing one allocates nothing.
+type delivery struct {
+	e        *Engine
+	run      func() // d.exec, bound once
+	onSample func(v any, ts time.Time)
+	v        any
+	ts       time.Time
+}
+
+// exec is the queued job. The record is recycled before the callback runs,
+// so a callback that re-enters the engine (on an inline scheduler, say) may
+// take it for its own sample.
+func (d *delivery) exec() {
+	onSample, v, ts := d.onSample, d.v, d.ts
+	d.recycle()
+	onSample(v, ts)
+}
+
+// recycle clears the record and gives it back.
+func (d *delivery) recycle() {
+	d.onSample, d.v, d.ts = nil, nil, time.Time{}
+	d.e.deliveries.Put(d)
 }
 
 // armTimer starts silence detection if the QoS declares a period.
