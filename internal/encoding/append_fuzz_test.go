@@ -310,26 +310,32 @@ func retype[T any](elems []any) any {
 	return out
 }
 
-// FuzzAppendMatchesCoerceMarshal pins the Appender contract of the one
-// encode walk against the two-pass path it replaced: same bytes as the
-// reference encoding of Coerce's output, an error exactly when Coerce
-// errors and of the same class, and an untouched dst on failure.
-func FuzzAppendMatchesCoerceMarshal(f *testing.F) {
-	for _, sig := range []string{
+// fuzzSignatures and fuzzData seed both fuzz targets of the value walks.
+var (
+	fuzzSignatures = []string{
 		"bool", "i8", "i16", "i32", "i64", "u8", "u16", "u32", "u64", "f32", "f64", "str", "bytes",
 		"[3]u16", "[]f64", "[]str", "[2][]i8", "[]{a:u8,b:str}", "[]<p:void,d:f32>",
 		"{lat:f64,lon:f64,alt:f32,speed:f32,heading:f32,fix:u8,wp:u32,complete:bool}",
 		"{name:str,count:u32,x:u32,y:u32,score:f64}",
 		"{hdr:{seq:u64,tags:[]str},body:<none:void,raw:bytes,pt:{x:i32,y:i32}>,hist:[4]f32}",
 		"<ping:void,data:{seq:u32,body:bytes},list:[]i64>",
-	} {
-		for _, data := range [][]byte{
-			nil,
-			{8, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16},
-			bytes.Repeat([]byte{0xff}, 64),
-			bytes.Repeat([]byte{1, 0, 0x80, 0x7f, 13, 14, 15, 6, 7}, 12),
-			bytes.Repeat([]byte{2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31}, 10),
-		} {
+	}
+	fuzzData = [][]byte{
+		nil,
+		{8, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16},
+		bytes.Repeat([]byte{0xff}, 64),
+		bytes.Repeat([]byte{1, 0, 0x80, 0x7f, 13, 14, 15, 6, 7}, 12),
+		bytes.Repeat([]byte{2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31}, 10),
+	}
+)
+
+// FuzzAppendMatchesCoerceMarshal pins the Appender contract of the one
+// encode walk against the two-pass path it replaced: same bytes as the
+// reference encoding of Coerce's output, an error exactly when Coerce
+// errors and of the same class, and an untouched dst on failure.
+func FuzzAppendMatchesCoerceMarshal(f *testing.F) {
+	for _, sig := range fuzzSignatures {
+		for _, data := range fuzzData {
 			f.Add(sig, data)
 		}
 	}

@@ -58,6 +58,10 @@ func appendValue(dst []byte, t *presentation.Type, v any) ([]byte, error) {
 		}
 		return appendUint(dst, t.Kind(), u), nil
 	case presentation.KindFloat32:
+		if f, ok := v.(float32); ok {
+			// Not through float64: widening quiets a signalling NaN.
+			return binary.BigEndian.AppendUint32(dst, math.Float32bits(f)), nil
+		}
 		f, err := presentation.CoerceFloat(t, v)
 		if err != nil {
 			return dst, err
@@ -255,23 +259,25 @@ func decodeValue(r *Reader, t *presentation.Type) any {
 		return r.String()
 	case presentation.KindBytes:
 		return r.BytesCopy()
-	case presentation.KindArray:
-		out := make([]any, t.Len())
-		for i := range out {
-			out[i] = decodeValue(r, t.Elem())
-			if r.Err() != nil {
-				return nil
-			}
+	case presentation.KindArray, presentation.KindVector:
+		n := t.Len()
+		if t.Kind() == presentation.KindVector {
+			n = r.VectorLen()
+		} else if n > r.Remaining() {
+			// Every element takes at least one byte: fail before allocating.
+			r.err = fmt.Errorf("encoding: array of %d exceeds remaining %d bytes: %w", n, r.Remaining(), ErrTruncated)
 		}
-		return out
-	case presentation.KindVector:
-		n := r.VectorLen()
 		if r.Err() != nil {
 			return nil
 		}
+		elem := t.Elem()
+		var s slab
+		if w := boxWidth(elem.Kind()); w > 0 && n >= 2 {
+			s = newSlab(n * w)
+		}
 		out := make([]any, n)
 		for i := range out {
-			out[i] = decodeValue(r, t.Elem())
+			out[i] = decodeMember(r, elem, &s)
 			if r.Err() != nil {
 				return nil
 			}
@@ -280,8 +286,12 @@ func decodeValue(r *Reader, t *presentation.Type) any {
 	case presentation.KindStruct:
 		fields := t.Fields()
 		m := make(map[string]any, len(fields))
+		var s slab
+		if size, n := slabSize(fields); n >= 2 {
+			s = newSlab(size)
+		}
 		for _, f := range fields {
-			m[f.Name] = decodeValue(r, f.Type)
+			m[f.Name] = decodeMember(r, f.Type, &s)
 			if r.Err() != nil {
 				return nil
 			}
@@ -303,6 +313,47 @@ func decodeValue(r *Reader, t *presentation.Type) any {
 		r.err = fmt.Errorf("encoding: unknown kind %v: %w", t.Kind(), presentation.ErrInvalidType)
 		return nil
 	}
+}
+
+// boxWidth is the slab width of a scalar kind that costs an allocation to
+// box, and 0 for every other kind: the runtime boxes u8, i8 and bool for
+// free, and strings, bytes and composites never go in a slab.
+func boxWidth(k presentation.Kind) int {
+	switch k {
+	case presentation.KindInt16, presentation.KindUint16:
+		return 2
+	case presentation.KindInt32, presentation.KindUint32, presentation.KindFloat32:
+		return 4
+	case presentation.KindInt64, presentation.KindUint64, presentation.KindFloat64:
+		return 8
+	}
+	return 0
+}
+
+func alignUp(off, w int) int { return (off + w - 1) &^ (w - 1) }
+
+// slabSize is the slab a struct's boxable fields fill, each at its natural
+// alignment in field order, and how many of them there are.
+func slabSize(fields []presentation.Field) (size, n int) {
+	for _, f := range fields {
+		if w := boxWidth(f.Type.Kind()); w > 0 {
+			size = alignUp(size, w) + w
+			n++
+		}
+	}
+	return size, n
+}
+
+// decodeMember decodes one field or element of a composite: into the
+// composite's slab when it has one and t is boxable, else as a value of its
+// own. A struct with two or more boxable fields, and a sequence of two or
+// more boxable elements, has a slab; a lone boxable scalar is boxed as
+// usual, since a slab would cost the same one allocation.
+func decodeMember(r *Reader, t *presentation.Type, s *slab) any {
+	if s.base != nil && boxWidth(t.Kind()) > 0 {
+		return s.box(r, t.Kind())
+	}
+	return decodeValue(r, t)
 }
 
 // Marshal encodes v into a fresh byte slice (see AppendValue for what it

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"uavmw/internal/presentation"
@@ -139,6 +140,39 @@ func TestDecodeBadUnionTag(t *testing.T) {
 	w.Uint32(9) // only 2 cases
 	if _, err := Unmarshal(u, w.Bytes()); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("bad union tag: got %v, want ErrCorrupt", err)
+	}
+}
+
+// TestDecodeRejectsNonCanonicalBool holds bools to one wire form: a byte
+// other than 0 or 1 would decode to true and re-encode as 1.
+func TestDecodeRejectsNonCanonicalBool(t *testing.T) {
+	typ := presentation.MustParse("{ok:bool,index:u32}")
+	for _, b := range []byte{2, 0x80, 0xff} {
+		if _, err := Unmarshal(typ, []byte{b, 0, 0, 0, 1}); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("bool byte %#x: got %v, want ErrCorrupt", b, err)
+		}
+	}
+	for _, b := range []byte{0, 1} {
+		if v, err := Unmarshal(presentation.Bool(), []byte{b}); err != nil || v != (b == 1) {
+			t.Errorf("bool byte %#x: %v, %v", b, v, err)
+		}
+	}
+}
+
+// TestDecodeOversizedArrayFailsEarly: an array longer than the input left
+// is truncated before its elements are allocated.
+func TestDecodeOversizedArrayFailsEarly(t *testing.T) {
+	typ := presentation.ArrayOf(1<<20, presentation.Float64())
+	data := make([]byte, 64)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := Unmarshal(typ, data)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrTruncated) {
+		t.Errorf("got %v, want ErrTruncated", err)
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n > 64<<10 {
+		t.Errorf("rejecting the array allocated %d bytes", n)
 	}
 }
 

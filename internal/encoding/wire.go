@@ -8,7 +8,10 @@
 // debug encoding to demonstrate PEPt pluggability (F4).
 //
 // Decoding has exactly one implementation, DecodeValue; Unmarshal and
-// Codec.Decode/Unmarshal are entry points onto it. Encoding likewise has
+// Codec.Decode/Unmarshal are entry points onto it. It accepts one wire form
+// per value, so every input it accepts re-encodes byte for byte
+// (FuzzUnmarshal), and it lays the boxable scalars of a struct or sequence
+// in one allocation (slab.go). Encoding likewise has
 // exactly one, AppendValue: a single walk that validates the caller's value
 // against the type with presentation.Coerce's acceptance rules and appends
 // the wire form onto a caller-owned buffer. Marshal, EncodeValue and
@@ -167,8 +170,15 @@ func (r *Reader) fail(n int) bool {
 	return false
 }
 
-// Bool reads one byte; any nonzero value is true.
-func (r *Reader) Bool() bool { return r.Uint8() != 0 }
+// Bool reads one byte, which must be 0 or 1: any other byte is ErrCorrupt,
+// so that every bool has exactly one wire form.
+func (r *Reader) Bool() bool {
+	b := r.Uint8()
+	if b > 1 {
+		r.err = fmt.Errorf("encoding: bool byte %#x: %w", b, ErrCorrupt)
+	}
+	return b == 1
+}
 
 // Uint8 reads one byte.
 func (r *Reader) Uint8() uint8 {

@@ -182,6 +182,9 @@ func Coerce(t *Type, v any) (any, error) {
 			return u, nil
 		}
 	case KindFloat32:
+		if f, ok := v.(float32); ok {
+			return f, nil // widening to float64 would quiet a signalling NaN
+		}
 		f, err := CoerceFloat(t, v)
 		if err != nil {
 			return nil, err

@@ -26,7 +26,8 @@ func (inlineFabric) SendReliable(transport.NodeID, *protocol.Frame, qos.Reliabil
 // costs exactly what decoding its arguments costs (the map[string]any
 // handler contract). The record that carries the call onto the scheduler is
 // reused, and coercing and encoding the return value straight behind the
-// call id in the pooled reply payload adds nothing.
+// call id in the pooled reply payload adds nothing. The floor itself is held
+// to the map and one scalar slab, so a decode regression cannot pass.
 func TestHandleCallAllocatesDecodeFloor(t *testing.T) {
 	e := New(inlineFabric{newFakeFabric("server")})
 	retType := presentation.MustParse("{ok:bool,index:u32}")
@@ -45,6 +46,9 @@ func TestHandleCallAllocatesDecodeFloor(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
+	if floor > 3 {
+		t.Fatalf("decoding a position allocates %.1f times, want at most 3", floor)
+	}
 	fr := &protocol.Frame{Type: protocol.MTCall, Encoding: enc.ID(), Channel: "nav.resolve", Seq: 1, Payload: args}
 	if got := testing.AllocsPerRun(200, func() { e.HandleCall("client", fr) }); got != floor {
 		t.Fatalf("HandleCall allocates %.1f times, want the argument decode floor %.1f", got, floor)

@@ -53,7 +53,8 @@ func TestPublishAllocatesNothing(t *testing.T) {
 
 // TestHandleSampleAllocatesDecodeFloor pins the receive side at exactly
 // what the map[string]any callback contract costs to decode: the record
-// that carries the value to the scheduler is reused.
+// that carries the value to the scheduler is reused. The floor itself is
+// held to the map and one scalar slab, so a decode regression cannot pass.
 func TestHandleSampleAllocatesDecodeFloor(t *testing.T) {
 	f := newFakeFabric("n")
 	e := New(f)
@@ -72,6 +73,9 @@ func TestHandleSampleAllocatesDecodeFloor(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
+	if floor > 3 {
+		t.Fatalf("decoding a position allocates %.1f times, want at most 3", floor)
+	}
 	fr := &protocol.Frame{Type: protocol.MTSample, Encoding: enc.ID(), Channel: "nav.position", Payload: payload}
 	seq := uint64(0)
 	got := testing.AllocsPerRun(200, func() {
