@@ -26,9 +26,9 @@
 // Priority is enforced end to end, not just in the receiving scheduler:
 // every datagram send drains through a priority-aware egress plane
 // (internal/egress) of per-destination strict-priority lanes — bounded,
-// drop-oldest on overflow for every class but PriorityBulk, whose full lane
-// makes its sender wait — a token-bucket pacer that shapes the PriorityBulk
-// class per bearer (qos.BearerProfile.BulkRateBPS, or
+// drop-oldest on overflow for every class but PriorityBulk, whose sender
+// waits once its lane holds a 16-frame window — a token-bucket pacer that
+// shapes the PriorityBulk class per bearer (qos.BearerProfile.BulkRateBPS, or
 // egress.Config.BulkRateBPS through core.WithEgress; file transfers have no
 // rate of their own and run at the rate their lane drains) so file-transfer
 // chunks never fill a constrained link's queue ahead of critical frames,

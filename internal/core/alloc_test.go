@@ -1,11 +1,16 @@
 package core
 
 import (
+	"bytes"
+	"context"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
 	"uavmw/internal/bufpool"
+	"uavmw/internal/filetransfer"
+	"uavmw/internal/naming"
 	"uavmw/internal/protocol"
 	"uavmw/internal/qos"
 	"uavmw/internal/transport"
@@ -150,5 +155,74 @@ func TestReceivePathAllocs(t *testing.T) {
 		if allocs := testing.AllocsPerRun(200, v.op); allocs != 0 {
 			t.Errorf("receive path, %s: %v allocs/frame, want 0", v.name, allocs)
 		}
+	}
+}
+
+// raceEnabled reports a -race build (race_test.go).
+var raceEnabled bool
+
+// TestBulkFetchStaysInPool gates a 1 MiB fetch between two bus nodes at 150
+// heap allocations, the median of ten fetches after a warm-up one. The file's
+// 874 chunks each cross a pooled MTU buffer on the way out; a transfer loop
+// that runs far ahead of its lane holds more of them at once than the pool
+// keeps, and every one past the pool's depth is a fresh allocation.
+func TestBulkFetchStaysInPool(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops pooled frames at random")
+	}
+	bus := transport.NewBus()
+	node := func(id transport.NodeID) *Node {
+		ep, err := bus.Endpoint(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Discovery stays quiet for the length of the measurement.
+		n, err := NewNode(WithDatagram(ep), WithAnnouncePeriod(time.Hour))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = n.Close() })
+		return n
+	}
+	camera, storage := node("camera"), node("storage")
+	data := make([]byte, 1<<20)
+	for i := range data {
+		data[i] = byte(i * 7)
+	}
+	if _, err := camera.Files().Offer("frame", "camera", data, qos.TransferQoS{}); err != nil {
+		t.Fatal(err)
+	}
+	syncNodes(t, camera, storage)
+	waitUntil(t, 2*time.Second, "file record", func() bool {
+		return storage.Directory().ProviderCount(naming.KindFile, "frame") == 1
+	})
+
+	fetch := func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		got, _, err := storage.Files().Fetch(ctx, "frame", filetransfer.FetchOptions{})
+		if err != nil {
+			t.Fatalf("Fetch: %v", err)
+		}
+		if !bytes.Equal(got, data) {
+			t.Fatal("fetched bytes differ from the offer")
+		}
+	}
+	fetch()
+	var perFetch [10]uint64
+	var ms runtime.MemStats
+	for i := range perFetch {
+		runtime.ReadMemStats(&ms)
+		before := ms.Mallocs
+		fetch()
+		runtime.ReadMemStats(&ms)
+		perFetch[i] = ms.Mallocs - before
+	}
+	sorted := perFetch
+	slices.Sort(sorted[:])
+	if median := (sorted[4] + sorted[5]) / 2; median > 150 {
+		t.Errorf("a 1 MiB fetch allocates %d times (median; per fetch %v), want at most 150", median, perFetch)
+	} else {
+		t.Logf("allocs per fetch: median %d, %v", median, perFetch)
 	}
 }

@@ -330,3 +330,94 @@ func TestRerouteGroupFramesAvoidDeadBearer(t *testing.T) {
 	}
 	close(wifi.gate)
 }
+
+// queuedAt reports how many frames bearer holds for node at class pr.
+func queuedAt(p *Plane, bearer string, node transport.NodeID, pr qos.Priority) int {
+	p.mu.RLock()
+	b := p.bearers[bearer]
+	p.mu.RUnlock()
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if ln := b.lanes[destKey{node: node}]; ln != nil {
+		return ln.size(pr.Index())
+	}
+	return 0
+}
+
+// With the default QueueCap a bulk producer parks once its lane holds
+// bulkWindow frames, while QueueCap keeps bounding everything that does not
+// wait: another class on the same lane queues up to QueueCap and sheds its
+// oldest past it, and Reroute lands bulk frames on a lane already at the
+// window without waiting.
+func TestBulkWindowBoundsProducer(t *testing.T) {
+	p, wifi, radio := twoBearers(t, Config{}, Config{})
+	defer p.Close()
+	sel := &funcSelector{}
+	sel.set(func(transport.NodeID, qos.Priority) string { return "radio" }, nil)
+	p.SetSelector(sel)
+	wifi.gate, radio.gate = make(chan struct{}), make(chan struct{})
+	// 600-byte chunks never coalesce, so every frame is one datagram.
+	chunk := func(seq uint64) []byte {
+		return frameBytes(t, protocol.MTFileChunk, qos.PriorityBulk, seq, 600)
+	}
+	onRadio, onWifi := Dest{Node: "gs", Bearer: "radio"}, Dest{Node: "gs", Bearer: "wifi"}
+
+	const n = 3 * bulkWindow
+	raws := make([][]byte, n)
+	for i := range raws {
+		raws[i] = chunk(uint64(i + 1))
+	}
+	done := make(chan error, 1)
+	go func() {
+		for _, raw := range raws {
+			if err := p.EnqueueTo(onRadio, qos.PriorityBulk, raw); err != nil {
+				done <- err
+				return
+			}
+		}
+		done <- nil
+	}()
+	// One frame at the gate, a window's worth queued, the producer holds the next.
+	waitParkedAt(t, p, "radio", 1+bulkWindow)
+	if got := queuedAt(p, "radio", "gs", qos.PriorityBulk); got != bulkWindow {
+		t.Fatalf("producer parked with %d bulk frames queued, want %d", got, bulkWindow)
+	}
+
+	const over = 10
+	for seq := uint64(1); seq <= DefaultQueueCap+over; seq++ {
+		if err := p.EnqueueTo(onRadio, qos.PriorityNormal, frameBytes(t, protocol.MTSample, qos.PriorityNormal, seq, 10)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := queuedAt(p, "radio", "gs", qos.PriorityNormal); got != DefaultQueueCap {
+		t.Errorf("normal lane holds %d frames, want QueueCap = %d", got, DefaultQueueCap)
+	}
+	if dropped := counter(t, p, "radio", "dropped", qos.PriorityNormal); dropped != over {
+		t.Errorf("normal dropped = %d, want %d", dropped, over)
+	}
+
+	for seq := uint64(1); seq <= 1+bulkWindow; seq++ {
+		if err := p.EnqueueTo(onWifi, qos.PriorityBulk, chunk(1000+seq)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitDequeued(t, p, qos.PriorityBulk, 2) // each drainer holds one at its gate
+	if moved := p.Reroute("wifi"); moved != bulkWindow {
+		t.Fatalf("Reroute moved %d frames, want %d", moved, bulkWindow)
+	}
+	if got := queuedAt(p, "radio", "gs", qos.PriorityBulk); got != 2*bulkWindow {
+		t.Errorf("radio bulk lane holds %d frames after the reroute, want %d", got, 2*bulkWindow)
+	}
+	if got := counter(t, p, "radio", "enqueued", qos.PriorityBulk); got != 1+2*bulkWindow {
+		t.Errorf("radio accepted %d bulk frames, want %d: the producer ran on past the rerouted ones", got, 1+2*bulkWindow)
+	}
+
+	close(radio.gate)
+	close(wifi.gate)
+	if err := <-done; err != nil {
+		t.Fatalf("producer: %v", err)
+	}
+	if dropped := counter(t, p, "radio", "dropped", qos.PriorityBulk) + counter(t, p, "wifi", "dropped", qos.PriorityBulk); dropped != 0 {
+		t.Errorf("bulk dropped = %d, want 0", dropped)
+	}
+}

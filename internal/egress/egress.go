@@ -16,11 +16,12 @@
 //     urgent frames would then have to wait behind;
 //   - bounded (destination, class) queues: drop-oldest overflow for every
 //     class but PriorityBulk — a stalled destination sheds its stalest
-//     frames first and never blocks senders — while a full PriorityBulk
-//     queue makes its sender wait for room, so the lane, drained at the
-//     pacer's rate, is the one pacer of every bulk producer. PriorityBulk
-//     is therefore for goroutines that may wait (a file-transfer loop is
-//     one; a handler running on an ingress worker is not);
+//     frames first and never blocks senders — while a PriorityBulk sender
+//     waits once its queue holds a 16-frame window, so the lane, drained at
+//     the pacer's rate, is the one pacer of every bulk producer and holds
+//     no more of its pooled buffers than that. PriorityBulk is therefore
+//     for goroutines that may wait (a file-transfer loop is one; a handler
+//     running on an ingress worker is not);
 //   - frame coalescing: small frames waiting for the same destination in
 //     the same class are packed into one protocol.MTBatch datagram, fewer
 //     syscalls and wire packets on small-frame-heavy paths.
@@ -107,6 +108,13 @@ const (
 	DefaultBulkBurst = 4096
 )
 
+// bulkWindow is how many frames a waiting PriorityBulk producer may have
+// queued in its lane (or QueueCap, if smaller). A producer that waits needs
+// only enough queued to keep the wire busy across its own wake-up; every
+// frame beyond that is a pooled buffer held for nothing, and on a narrow link
+// a chunk the next NACK round may send again.
+const bulkWindow = 16
+
 // numClasses mirrors qos.NumLevels(); sized as a constant for arrays. A
 // test pins the two against each other.
 const numClasses = 5
@@ -135,8 +143,10 @@ type Config struct {
 	// link: keep it near one datagram on tightly constrained links.
 	BulkBurst int
 	// QueueCap bounds each (destination, class) queue in frames (default
-	// DefaultQueueCap). A full PriorityBulk queue makes its sender wait; on
-	// overflow of any other class the oldest frame in that queue drops.
+	// DefaultQueueCap): on overflow the oldest frame in that queue drops.
+	// A PriorityBulk sender waits earlier, once its queue holds 16 frames
+	// (or QueueCap, if smaller); only bulk frames Reroute moves, which
+	// never wait, fill a bulk queue past that.
 	QueueCap int
 	// MaxDatagram is the size budget for coalesced batch datagrams
 	// (default protocol.DefaultMTU).
@@ -341,7 +351,8 @@ type Dest struct {
 // datagram raw for d in class pr and returns without waiting for the wire.
 // An unpinned unicast rides the bearer the selector chooses; an unpinned
 // group datagram rides every distinct bearer the selector names. Only a
-// PriorityBulk datagram offered to a full lane waits, for room in that lane.
+// PriorityBulk datagram waits, while its lane holds the bulk window, for
+// room in that lane.
 //
 // raw is a bufpool buffer nothing else aliases, and the plane owns it from
 // the call on: it recycles raw once the bytes are on the wire, evicted, or
@@ -351,8 +362,8 @@ func (p *Plane) EnqueueTo(d Dest, pr qos.Priority, raw []byte) error {
 	return p.route(d, pr, raw, true)
 }
 
-// route is EnqueueTo for a caller that may (wait) or may not park on a full
-// bulk lane; Reroute, run by the link monitor's sweep, may not.
+// route is EnqueueTo for a caller that may (wait) or may not park on a bulk
+// lane at its window; Reroute, run by the link monitor's sweep, may not.
 func (p *Plane) route(d Dest, pr qos.Priority, raw []byte, wait bool) error {
 	key := destKey{node: d.Node, group: d.Group}
 	name := d.Bearer
@@ -636,9 +647,9 @@ func (b *bearer) setBulkRate(bps int64) {
 }
 
 // enqueue queues raw at class pr of key's lane. A producer that may wait,
-// offered a full bulk lane, parks on the bearer's clock until the drainer
-// pops a frame, Reroute empties the bearer or it closes; anything else
-// offered a full lane evicts the lane's oldest.
+// offered a bulk lane that holds the window, parks on the bearer's clock
+// until the drainer pops a frame, Reroute empties the bearer or it closes;
+// anything else offered a full lane evicts the lane's oldest.
 func (b *bearer) enqueue(key destKey, pr qos.Priority, raw []byte, wait bool) error {
 	c := pr.Index()
 	if c < 0 {
@@ -648,7 +659,7 @@ func (b *bearer) enqueue(key destKey, pr qos.Priority, raw []byte, wait bool) er
 	// The lane is looked up again after every wait: drained empty it is
 	// reaped, and its struct may by now serve another destination.
 	ln := b.lanes[key]
-	for wait && c == bulkClass && !b.closed && ln != nil && ln.size(c) >= b.cfg.QueueCap {
+	for wait && c == bulkClass && !b.closed && ln != nil && ln.size(c) >= min(b.cfg.QueueCap, bulkWindow) {
 		b.room.Wait()
 		ln = b.lanes[key]
 	}

@@ -149,13 +149,8 @@ func runE14Multi(clk clock.Clock, res *E14Result, seed int64) error {
 				filetransfer.WithMaxStrikes(100)),
 			// Keep the bulk burst near one chunk: on the radio a single
 			// 1KB chunk occupies the link for ~34ms, and every queued
-			// chunk beyond it is latency an alarm could inherit. The deep
-			// bulk queue is deliberate: the transfer pushes chunks at the
-			// wifi rate, and after the handover the radio lane must absorb
-			// the mismatch in memory rather than shed chunks that NACK
-			// repair would only re-send (wire redundancy on the narrow
-			// link).
-			core.WithEgress(egress.Config{BulkBurst: 1100, QueueCap: 2048}),
+			// chunk beyond it is latency an alarm could inherit.
+			core.WithEgress(egress.Config{BulkBurst: 1100}),
 		)
 	}
 	uav, err := mk("uav")

@@ -30,10 +30,10 @@ import (
 //     priority scheduler never gets a chance to matter — and those whose
 //     retransmissions run out meanwhile are lost.
 //   - shaped mode sets one rate, the bearer's bulk token bucket, just under
-//     the link rate; the full lane passes it back to the publisher, so the
-//     link queue stays ~one chunk deep and alarms, draining from the
-//     strict-priority critical lane, stay bounded near the unloaded latency
-//     while bulk still moves at close to line rate.
+//     the link rate; the lane's bulk window passes it back to the
+//     publisher, so the link queue stays ~one chunk deep and alarms,
+//     draining from the strict-priority critical lane, stay bounded near
+//     the unloaded latency while bulk still moves at close to line rate.
 //
 // The baseline's flood arm (138 of 438 alarms lost, p99 14.8 s) is the same
 // at any GOMAXPROCS because every chunk reaches the link. While a full bulk
@@ -62,7 +62,7 @@ type E13Result struct {
 	FloodGoodput, ShapedGoodput   float64 // bytes/second
 
 	// ShapedDropped counts bulk frames evicted from an egress lane during
-	// the shaped run (zero: a full bulk lane makes its sender wait).
+	// the shaped run (zero: a bulk sender waits at its lane's window).
 	ShapedDropped uint64
 	// ShapedCoalesced counts frames that shared a batch datagram.
 	ShapedCoalesced uint64

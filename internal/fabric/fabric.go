@@ -40,11 +40,11 @@ import (
 // transport failures surface in the registry's "egress" families. Engines
 // must set Priority deliberately — it decides both who the frame may
 // overtake on a congested link and how the receiver schedules its handler.
-// It also decides whether the send can wait: a PriorityBulk frame offered
-// to a full lane waits for room in it (the lane is the bulk sender's
-// pacer), every other class never does. PriorityBulk is therefore for
-// goroutines that may wait (the file-transfer loop is one; a handler on an
-// ingress worker is not).
+// It also decides whether the send can wait: a PriorityBulk frame waits
+// while its lane holds 16 frames (the lane is the bulk sender's pacer, and
+// a short one keeps few pooled buffers queued), every other class never
+// does. PriorityBulk is therefore for goroutines that may wait (the
+// file-transfer loop is one; a handler on an ingress worker is not).
 //
 // Transmission is also bearer-aware: a container may carry several
 // datagram links (WiFi, radio modem, satcom), and the frame's Priority —

@@ -105,10 +105,10 @@ type Option func(*Engine)
 
 // WithQueryWindow sets the completion-phase collection window. The window is
 // timed from the moment the query is queued for transmission, and the query
-// rides the transfer's own class behind the round's chunks — up to a lane's
-// worth of them (egress.Config.QueueCap) — so on a slow link it must cover
-// the time that backlog takes to drain plus a round trip, or every round
-// ends before its answers arrive.
+// rides the transfer's own class behind the round's last chunks — at most
+// the 16 a waiting bulk sender may keep queued — so on a slow link it must
+// cover the time those take to drain plus a round trip, or every round ends
+// before its answers arrive.
 func WithQueryWindow(d time.Duration) Option {
 	return func(e *Engine) {
 		if d > 0 {
@@ -358,7 +358,8 @@ func (o *Offer) announce() {
 	o.mu.Unlock()
 	payload := appendFileMeta(bufpool.Get(fileMetaSize), revision, uint64(size),
 		uint32(o.q.ChunkSize), uint32(chunkCount(size, o.q.ChunkSize)))
-	frame := &protocol.Frame{
+	frame := protocol.GetFrame()
+	*frame = protocol.Frame{
 		Type:     protocol.MTFileAnnounce,
 		Priority: o.q.Priority,
 		Channel:  o.name,
@@ -368,6 +369,7 @@ func (o *Offer) announce() {
 	if err := o.engine.f.SendGroup(fabric.FileGroup(o.name), frame); err != nil {
 		uerr.Wrapf(o.engine.reg, codeFileAnnounce, err, "announce %s", o.name)
 	}
+	protocol.PutFrame(frame)
 	bufpool.Put(payload)
 }
 
@@ -396,8 +398,9 @@ func (o *Offer) addSubscriber(node transport.NodeID, token uint64) {
 }
 
 // transferLoop runs phases 2 and 3 until no subscribers remain. It has no
-// pacer of its own: a full egress lane makes SendGroup wait, so the loop runs
-// at the rate its lane drains — the bearer's bulk rate on a shaped link.
+// pacer of its own: SendGroup waits while the egress lane holds its bulk
+// window, so the loop runs at the rate its lane drains — the bearer's bulk
+// rate on a shaped link.
 func (o *Offer) transferLoop() {
 	e := o.engine
 	group := fabric.FileGroup(o.name)
@@ -627,7 +630,7 @@ func (e *Engine) subscribeToProvider(ctx context.Context, st *fetchState) error 
 			st.mu.Lock()
 			st.provider = rec.Node
 			st.mu.Unlock()
-			e.sendControl(rec.Node, protocol.MTFileSubscribe, st.name, binary.BigEndian.AppendUint64(nil, st.token))
+			e.sendControl(rec.Node, protocol.MTFileSubscribe, st.name, binary.BigEndian.AppendUint64(bufpool.Get(8), st.token))
 			return nil
 		}
 		if !clock.SleepStop(e.clk, 10*time.Millisecond, ctx.Done()) {
@@ -871,17 +874,22 @@ func (e *Engine) HandleChunk(from transport.NodeID, fr *protocol.Frame) {
 
 	if complete {
 		// Proactive ACK: don't wait for the query round.
-		e.sendControl(from, protocol.MTFileAck, fr.Channel, appendAck(nil, revision, st.token))
+		e.sendControl(from, protocol.MTFileAck, fr.Channel, appendAck(bufpool.Get(16), revision, st.token))
 	}
 }
 
 // sendControl sends a subscribe, ack or NACK. Control frames ride
 // PriorityNormal, not the bulk lane: joining or completing a transfer must
 // not queue behind a chunk backlog, the node's own or one flowing the other
-// way through a shared medium.
+// way through a shared medium. payload is a bufpool buffer; it and the
+// pooled frame are recycled once SendReliable returns (the fabric has
+// encoded both by then).
 func (e *Engine) sendControl(to transport.NodeID, t protocol.MsgType, name string, payload []byte) {
-	frame := &protocol.Frame{Type: t, Priority: qos.PriorityNormal, Channel: name, Seq: e.f.NextSeq(), Payload: payload}
+	frame := protocol.GetFrame()
+	*frame = protocol.Frame{Type: t, Priority: qos.PriorityNormal, Channel: name, Seq: e.f.NextSeq(), Payload: payload}
 	e.f.SendReliable(to, frame, qos.ReliableARQ, nil)
+	protocol.PutFrame(frame)
+	bufpool.Put(payload)
 }
 
 // HandleQuery answers a completion-phase query with ACK or NACK.
@@ -898,7 +906,7 @@ func (e *Engine) HandleQuery(from transport.NodeID, fr *protocol.Frame) {
 		complete := revision == st.revision
 		st.mu.Unlock()
 		if complete {
-			e.sendControl(from, protocol.MTFileAck, fr.Channel, appendAck(nil, revision, st.token))
+			e.sendControl(from, protocol.MTFileAck, fr.Channel, appendAck(bufpool.Get(16), revision, st.token))
 		}
 		return
 	}
@@ -913,7 +921,6 @@ func (e *Engine) HandleQuery(from transport.NodeID, fr *protocol.Frame) {
 	st.mu.Unlock()
 
 	e.sendControl(from, protocol.MTFileNack, fr.Channel, payload)
-	bufpool.Put(payload)
 }
 
 // HandleAck processes a receiver's completion at the publisher: it ends the

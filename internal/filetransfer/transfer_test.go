@@ -296,6 +296,17 @@ type countingFabric struct {
 	scratch []byte
 	chunks  atomic.Int64
 	queries atomic.Int64
+
+	control        protocol.Frame
+	controlPayload []byte
+}
+
+// SendReliable keeps the last control frame, its payload copied into a
+// buffer the fabric owns.
+func (f *countingFabric) SendReliable(_ transport.NodeID, fr *protocol.Frame, _ qos.Reliability, _ func(error)) {
+	f.control = *fr
+	f.control.Payload = append(f.controlPayload[:0], fr.Payload...)
+	f.controlPayload = f.control.Payload
 }
 
 func (f *countingFabric) SendGroup(_ string, fr *protocol.Frame) error {
@@ -363,5 +374,58 @@ func TestHandleChunkAllocatesNothing(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("HandleChunk: %.1f allocs per chunk, want 0", allocs)
+	}
+}
+
+// Control frames allocate nothing: the NACK a completion query draws and the
+// ack a completing chunk sends each ride a pooled frame and a pooled payload,
+// both recycled once the fabric has encoded them.
+func TestControlFramesAllocateNothing(t *testing.T) {
+	f := &countingFabric{fakeFabric: newFakeFabric("sub"), controlPayload: make([]byte, 0, 64)}
+	e := New(f)
+	const chunkSize, chunks, runs = 1000, 4, 200
+	// A fetch of pub's file that holds every chunk but the last.
+	st := &fetchState{name: "file", token: 7, provider: "pub", done: make(chan struct{}), refs: 1}
+	e.fetches["file"] = st
+	data := seqBytes(chunks*chunkSize - 10)
+	for i := 0; i < chunks-1; i++ {
+		e.HandleChunk("pub", chunkFrame("file", 1, data, chunkSize, i))
+	}
+	query := &protocol.Frame{Type: protocol.MTFileQuery, Channel: "file",
+		Payload: appendFileMeta(nil, 1, 0, chunkSize, chunks)}
+	if allocs := testing.AllocsPerRun(runs, func() { e.HandleQuery("pub", query) }); allocs != 0 {
+		t.Errorf("NACK: %.1f allocs, want 0", allocs)
+	}
+	wantNack := appendMissing(binary.BigEndian.AppendUint64(nil, 1), []bool{true, true, true, false})
+	if f.control.Type != protocol.MTFileNack || !bytes.Equal(f.control.Payload, wantNack) {
+		t.Fatalf("sent %v %x, want the NACK %x", f.control.Type, f.control.Payload, wantNack)
+	}
+
+	// The last chunk completes the fetch. Each run then reopens it one chunk
+	// short, on a fresh done channel made up front (AllocsPerRun calls the
+	// function once more than runs), and completes it again.
+	last := chunkFrame("file", 1, data, chunkSize, chunks-1)
+	e.HandleChunk("pub", last)
+	dones := make([]chan struct{}, runs+1)
+	for i := range dones {
+		dones[i] = make(chan struct{})
+	}
+	run := 0
+	complete := func() {
+		st.mu.Lock()
+		st.data, st.have[chunks-1], st.done = nil, false, dones[run]
+		st.received--
+		st.mu.Unlock()
+		run++
+		e.HandleChunk("pub", last)
+	}
+	if allocs := testing.AllocsPerRun(runs, complete); allocs != 0 {
+		t.Errorf("ack: %.1f allocs, want 0", allocs)
+	}
+	if wantAck := appendAck(nil, 1, st.token); f.control.Type != protocol.MTFileAck || !bytes.Equal(f.control.Payload, wantAck) {
+		t.Fatalf("sent %v %x, want the ack %x", f.control.Type, f.control.Payload, wantAck)
+	}
+	if !bytes.Equal(st.data, data) {
+		t.Fatal("the completing chunk did not complete the file")
 	}
 }
