@@ -15,8 +15,9 @@ import "sync/atomic"
 // Releasing more times than retained corrupts an unrelated frame later;
 // the count going negative panics to surface that bug at the offender.
 type Shared struct {
-	b    []byte
-	refs atomic.Int32
+	b      []byte
+	onLast func()
+	refs   atomic.Int32
 }
 
 // sharedDepth bounds idle Shared headers kept for reuse; overflow falls to
@@ -28,7 +29,17 @@ var sharedFree = make(chan *Shared, sharedDepth)
 // Share wraps buf (typically obtained from Get) with a reference count of
 // one. The final Release passes buf to Put; callers that want the storage
 // to outlive the pool must Copy before the last Release.
-func Share(buf []byte) *Shared {
+func Share(buf []byte) *Shared { return ShareHooked(buf, nil) }
+
+// ShareHooked is Share with a release hook: onLast, when non-nil, runs
+// exactly once, on the goroutine of the final Release, after buf is back in
+// the pool. It is how a producer learns that the last consumer is done with
+// a buffer it handed out. The hook runs wherever that Release happens —
+// possibly on the producer's own goroutine, in the middle of a send — so it
+// must not block and must not take a lock its producer may hold while
+// releasing. Pass a function bound once (a method value kept in a field),
+// not a fresh closure per buffer, or the hook allocates.
+func ShareHooked(buf []byte, onLast func()) *Shared {
 	var s *Shared
 	select {
 	case s = <-sharedFree:
@@ -36,6 +47,7 @@ func Share(buf []byte) *Shared {
 		s = &Shared{}
 	}
 	s.b = buf
+	s.onLast = onLast
 	s.refs.Store(1)
 	return s
 }
@@ -55,7 +67,8 @@ func (s *Shared) Retain() *Shared {
 }
 
 // Release drops one reference. The last release recycles both the buffer
-// (to the byte pool) and the handle (to the header freelist).
+// (to the byte pool) and the handle (to the header freelist), then runs the
+// release hook, if any.
 func (s *Shared) Release() {
 	n := s.refs.Add(-1)
 	if n > 0 {
@@ -64,12 +77,15 @@ func (s *Shared) Release() {
 	if n < 0 {
 		panic("bufpool: Shared released more times than retained")
 	}
-	b := s.b
-	s.b = nil
+	b, onLast := s.b, s.onLast
+	s.b, s.onLast = nil, nil
 	Put(b)
 	select {
 	case sharedFree <- s:
 	default: // freelist full: the GC takes the header
+	}
+	if onLast != nil {
+		onLast()
 	}
 }
 

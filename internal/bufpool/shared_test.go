@@ -64,3 +64,47 @@ func TestSharedCycleAllocationFree(t *testing.T) {
 		t.Fatalf("Share/Retain/Release cycle allocates %.1f/op, want 0", allocs)
 	}
 }
+
+// TestSharedHookFiresOnceOnFinalRelease pins the release hook: it runs on
+// the final Release only, exactly once, with the buffer already back in the
+// pool, and a recycled handle does not carry it into its next life.
+func TestSharedHookFiresOnceOnFinalRelease(t *testing.T) {
+	var fired, idleAtHook int
+	hook := func() {
+		fired++
+		idleAtHook = Idle(64)
+	}
+	buf := Get(64)
+	idle := Idle(64)
+	s := ShareHooked(buf, hook)
+	s.Retain()
+	s.Retain()
+	s.Release()
+	s.Release()
+	if fired != 0 {
+		t.Fatalf("hook fired %d times with a reference still live", fired)
+	}
+	s.Release()
+	if fired != 1 {
+		t.Fatalf("hook fired %d times on the final Release, want 1", fired)
+	}
+	if idleAtHook != idle+1 {
+		t.Errorf("pool held %d idle buffers when the hook ran, want %d: the buffer was not back yet", idleAtHook, idle+1)
+	}
+	plain := Share(Get(64)) // likely the same recycled handle
+	plain.Release()
+	if fired != 1 {
+		t.Errorf("a recycled handle ran the previous hook: fired %d times", fired)
+	}
+
+	// Hooked handles cycle without allocating, like plain ones.
+	op := func() {
+		s := ShareHooked(Get(256), hook)
+		s.Retain().Release()
+		s.Release()
+	}
+	op()
+	if allocs := testing.AllocsPerRun(200, op); allocs != 0 {
+		t.Errorf("hooked Share/Release cycle allocates %.1f/op, want 0", allocs)
+	}
+}

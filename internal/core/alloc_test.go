@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"runtime"
-	"slices"
 	"testing"
 	"time"
 
@@ -161,11 +160,14 @@ func TestReceivePathAllocs(t *testing.T) {
 // raceEnabled reports a -race build (race_test.go).
 var raceEnabled bool
 
-// TestBulkFetchStaysInPool gates a 1 MiB fetch between two bus nodes at 150
-// heap allocations, the median of ten fetches after a warm-up one. The file's
-// 874 chunks each cross a pooled MTU buffer on the way out; a transfer loop
-// that runs far ahead of its lane holds more of them at once than the pool
-// keeps, and every one past the pool's depth is a fresh allocation.
+// TestBulkFetchStaysInPool gates the heap allocations of a 1 MiB fetch
+// between two bus nodes at a mean of 60 over 24 fetches after a warm-up one,
+// with the benchmark's node settings (50 ms announce period, default failure
+// deadline and directory TTL) and its 5 ms pause between fetches. The file's
+// 874 chunks each cross a pooled MTU buffer; a transfer loop that runs ahead
+// of its receiver leaves more of them queued between the two than the pool
+// keeps, and every one past the pool's depth is a fresh allocation. That
+// backlog comes in bursts, so the mean is gated, not the median.
 func TestBulkFetchStaysInPool(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's sync.Pool drops pooled frames at random")
@@ -176,8 +178,8 @@ func TestBulkFetchStaysInPool(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Discovery stays quiet for the length of the measurement.
-		n, err := NewNode(WithDatagram(ep), WithAnnouncePeriod(time.Hour))
+		n, err := NewNode(WithDatagram(ep), WithAnnouncePeriod(50*time.Millisecond),
+			WithFailureDeadline(5*DefaultAnnouncePeriod), WithDirectoryTTL(6*DefaultAnnouncePeriod))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -209,20 +211,21 @@ func TestBulkFetchStaysInPool(t *testing.T) {
 		}
 	}
 	fetch()
-	var perFetch [10]uint64
+	var perFetch [24]uint64
+	var total uint64
 	var ms runtime.MemStats
 	for i := range perFetch {
+		time.Sleep(5 * time.Millisecond)
 		runtime.ReadMemStats(&ms)
 		before := ms.Mallocs
 		fetch()
 		runtime.ReadMemStats(&ms)
 		perFetch[i] = ms.Mallocs - before
+		total += perFetch[i]
 	}
-	sorted := perFetch
-	slices.Sort(sorted[:])
-	if median := (sorted[4] + sorted[5]) / 2; median > 150 {
-		t.Errorf("a 1 MiB fetch allocates %d times (median; per fetch %v), want at most 150", median, perFetch)
+	if mean := float64(total) / float64(len(perFetch)); mean > 60 {
+		t.Errorf("a 1 MiB fetch allocates %.1f times (mean; per fetch %v), want at most 60", mean, perFetch)
 	} else {
-		t.Logf("allocs per fetch: median %d, %v", median, perFetch)
+		t.Logf("allocs per fetch: mean %.1f, %v", mean, perFetch)
 	}
 }

@@ -407,7 +407,9 @@ func NewNode(opts ...NodeOption) (*Node, error) {
 
 	// Each bearer's receive path is tagged with the bearer name: the link
 	// monitor sees every arrival, and replies that must ride the arrival
-	// link (ARQ acks, probe echoes) know where to go.
+	// link (ARQ acks, probe echoes) know where to go. The handler never
+	// blocks — it stamps the arrival and pushes onto the bounded ingress
+	// ring — because on the in-process bus it runs on the sender's drainer.
 	for _, b := range cfg.bearers {
 		b := b
 		b.Transport.SetHandler(func(pkt transport.Packet) {

@@ -544,9 +544,7 @@ func (e *Engine) sweep() {
 	// follows liveness (any discovery frame), so a queue-delayed or
 	// version-skewed digest cannot purge a healthy node's catalog. The
 	// directory TTL remains as a backstop for nodes liveness has lost.
-	for _, node := range e.live.Peers() {
-		e.dir.TouchNode(node, now)
-	}
+	e.live.Each(func(node transport.NodeID) { e.dir.TouchNode(node, now) })
 	for _, node := range e.dir.Expire(now) {
 		if node == e.self {
 			continue

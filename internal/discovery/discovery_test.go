@@ -450,3 +450,23 @@ func TestHooksFollowTheDirectory(t *testing.T) {
 		t.Errorf("bye: gone hooks %v, peers %v, %d records left", h.gone, h.Peers(), h.f.dir.NodeRecordCount("peer"))
 	}
 }
+
+// TestSteadySweepAllocatesNothing: the sweep every node runs every announce
+// period — touch its own records, find no failed peer, keep every live
+// peer's records fresh, expire nothing — allocates nothing.
+func TestSteadySweepAllocatesNothing(t *testing.T) {
+	h := newHarness()
+	now := h.clk.Now()
+	for i := 0; i < 8; i++ {
+		peer := transport.NodeID(fmt.Sprintf("peer%d", i))
+		h.live.Touch(peer, now)
+		h.dir.TouchNode(peer, now)
+	}
+	h.sweep()
+	if allocs := testing.AllocsPerRun(100, h.sweep); allocs != 0 {
+		t.Errorf("steady-state sweep allocates %.1f times, want 0", allocs)
+	}
+	if got := len(h.Peers()); got != 8 || len(h.gone) != 0 {
+		t.Errorf("after sweeping: %d live peers, %d gone; want 8 and 0", got, len(h.gone))
+	}
+}

@@ -19,9 +19,14 @@
 //     frames first and never blocks senders — while a PriorityBulk sender
 //     waits once its queue holds a 16-frame window, so the lane, drained at
 //     the pacer's rate, is the one pacer of every bulk producer and holds
-//     no more of its pooled buffers than that. PriorityBulk is therefore
-//     for goroutines that may wait (a file-transfer loop is one; a handler
-//     running on an ingress worker is not);
+//     no more of its pooled buffers than that. On a bearer whose transport
+//     hands receivers the datagram itself (transport.SharedSender, the
+//     in-process bus) a bulk sender also waits while 64 of its bearer's
+//     bulk datagrams are still held by receivers: a buffer's credit comes
+//     back when its last receiver releases it, not when it leaves the lane.
+//     PriorityBulk is therefore for goroutines that may wait (a
+//     file-transfer loop is one; a handler running on an ingress worker is
+//     not);
 //   - frame coalescing: small frames waiting for the same destination in
 //     the same class are packed into one protocol.MTBatch datagram, fewer
 //     syscalls and wire packets on small-frame-heavy paths.
@@ -70,10 +75,13 @@ var (
 // Sender is the downstream transmit interface (one raw datagram transport).
 // Implementations must not retain payload once the call returns — the plane
 // recycles pooled datagrams immediately after a send — so a sender that
-// delivers asynchronously (in-process bus, network simulator) copies first.
-// A Sender that also implements transport.BatchSender gets runs of queued
-// datagrams handed over in one call (syscall batching); bearers detect that
-// at registration time.
+// delivers asynchronously (the network simulator) copies first. A Sender
+// that also implements transport.BatchSender gets runs of queued datagrams
+// handed over in one call (syscall batching); one that implements
+// transport.SharedSender (the in-process bus, which delivers inline) gets
+// each datagram's pooled buffer itself, which its receivers retain instead
+// of copying, and the buffer returns to the pool on their last release.
+// Bearers detect both at registration time.
 type Sender interface {
 	Send(to transport.NodeID, payload []byte) error
 	SendGroup(group string, payload []byte) error
@@ -113,7 +121,19 @@ const (
 // only enough queued to keep the wire busy across its own wake-up; every
 // frame beyond that is a pooled buffer held for nothing, and on a narrow link
 // a chunk the next NACK round may send again.
-const bulkWindow = 16
+//
+// The lane bounds only the sender's side. On a SharedSender bearer a sent
+// datagram's buffer lives on in the receivers' queues until the last of them
+// releases it, so a lagging receiver would let the backlog pile up there, past
+// what the buffer pool keeps. creditWindow bounds that: a waiting bulk
+// producer also parks while its bearer has that many bulk datagrams out
+// unreleased, and wakes when the count falls to half — credit returns when
+// the buffer is freed, as in Linux's TCP Small Queues, not when it leaves
+// the queue.
+const (
+	bulkWindow   = 16
+	creditWindow = 4 * bulkWindow
+)
 
 // numClasses mirrors qos.NumLevels(); sized as a constant for arrays. A
 // test pins the two against each other.
@@ -540,6 +560,12 @@ type bearer struct {
 	// batch is non-nil when sender supports syscall-batched transmission;
 	// the drainer then hands it runs of queued datagrams in one call.
 	batch transport.BatchSender
+	// shared is non-nil when sender takes the pooled datagram itself. Its
+	// bulk datagrams carry creditBack, b.released bound once, as their
+	// release hook, and unreleased counts those not yet released.
+	shared     transport.SharedSender
+	creditBack func()
+	unreleased *metrics.Gauge
 
 	clk clock.Clock
 
@@ -631,6 +657,10 @@ func newBearer(name string, sender Sender, cfg Config) *bearer {
 		stop:       make(chan struct{}),
 	}
 	b.batch, _ = sender.(transport.BatchSender)
+	if b.shared, _ = sender.(transport.SharedSender); b.shared != nil {
+		b.creditBack = b.released
+		b.unreleased = reg.Gauge("egress", "bulk_unreleased", metrics.L("bearer", name))
+	}
 	b.idle = clock.NewCond(clk, &b.mu)
 	b.room = clock.NewCond(clk, &b.mu)
 	b.wg.Add(1)
@@ -646,10 +676,12 @@ func (b *bearer) setBulkRate(bps int64) {
 	b.signal()
 }
 
-// enqueue queues raw at class pr of key's lane. A producer that may wait,
-// offered a bulk lane that holds the window, parks on the bearer's clock
-// until the drainer pops a frame, Reroute empties the bearer or it closes;
-// anything else offered a full lane evicts the lane's oldest.
+// enqueue queues raw at class pr of key's lane. A bulk producer that may
+// wait parks on the bearer's clock while its lane holds the window — until
+// the drainer pops a frame, Reroute empties the bearer or it closes — and,
+// on a SharedSender bearer, while creditWindow bulk datagrams are out
+// unreleased, until half of them have come back or the bearer closes.
+// Anything else offered a full lane evicts the lane's oldest.
 func (b *bearer) enqueue(key destKey, pr qos.Priority, raw []byte, wait bool) error {
 	c := pr.Index()
 	if c < 0 {
@@ -659,8 +691,16 @@ func (b *bearer) enqueue(key destKey, pr qos.Priority, raw []byte, wait bool) er
 	// The lane is looked up again after every wait: drained empty it is
 	// reaped, and its struct may by now serve another destination.
 	ln := b.lanes[key]
-	for wait && c == bulkClass && !b.closed && ln != nil && ln.size(c) >= min(b.cfg.QueueCap, bulkWindow) {
-		b.room.Wait()
+	for wait && c == bulkClass && !b.closed {
+		if ln != nil && ln.size(c) >= min(b.cfg.QueueCap, bulkWindow) {
+			b.room.Wait()
+		} else if b.unreleased != nil && b.unreleased.Value() >= creditWindow {
+			for !b.closed && b.unreleased.Value() > creditWindow/2 {
+				b.room.Wait()
+			}
+		} else {
+			break
+		}
 		ln = b.lanes[key]
 	}
 	if b.closed {
@@ -698,6 +738,21 @@ func (b *bearer) enqueue(key destKey, pr qos.Priority, raw []byte, wait bool) er
 
 func (b *bearer) signal() { b.trigger.Signal() }
 
+// released is the release hook of the bulk datagrams the bearer hands its
+// SharedSender: the last receiver is done with one, so its credit returns,
+// and producers parked on credit wake as the count falls to half the
+// window. It runs on whichever goroutine drops the last reference — the
+// receiver's ingress worker, an ingress drop-oldest eviction, or this
+// bearer's own drainer when no receiver kept the datagram — and takes b.mu
+// only at that edge, which is why nothing transmits while holding b.mu.
+func (b *bearer) released() {
+	if b.unreleased.Add(-1) == creditWindow/2 {
+		b.mu.Lock()
+		b.room.Broadcast()
+		b.mu.Unlock()
+	}
+}
+
 // refillLocked accrues bulk tokens. Caller holds b.mu.
 func (b *bearer) refillLocked(now time.Time) {
 	if elapsed := now.Sub(b.lastRefill); elapsed > 0 && b.rate > 0 {
@@ -711,10 +766,10 @@ func (b *bearer) refillLocked(now time.Time) {
 
 // next picks the next datagram to transmit: the head of the highest
 // non-empty class, round-robin across that class's destinations, coalescing
-// small same-lane same-class frames into a batch. If only throttled bulk is
-// pending it returns wait > 0 instead. The drainer returns the datagram (a
-// queued frame or a batch buffer) to bufpool after transmission.
-func (b *bearer) next() (datagram []byte, key destKey, wait time.Duration, ok bool) {
+// small same-lane same-class frames into a batch, and reports the class. If
+// only throttled bulk is pending it returns wait > 0 instead. The datagram (a
+// queued frame or a batch buffer) goes to transmit, which recycles it.
+func (b *bearer) next() (datagram []byte, key destKey, class int, wait time.Duration, ok bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	for c := numClasses - 1; c >= 0; c-- {
@@ -740,7 +795,7 @@ func (b *bearer) next() (datagram []byte, key destKey, wait time.Duration, ok bo
 					if wait <= 0 {
 						wait = time.Millisecond
 					}
-					return nil, destKey{}, wait, false
+					return nil, destKey{}, 0, wait, false
 				}
 			}
 			n := b.collectLocked(ln, c)
@@ -795,10 +850,10 @@ func (b *bearer) next() (datagram []byte, key destKey, wait time.Duration, ok bo
 				b.reapLocked(ln)
 			}
 			b.transmitting = true
-			return datagram, key, 0, true
+			return datagram, key, c, 0, true
 		}
 	}
-	return nil, destKey{}, 0, false
+	return nil, destKey{}, 0, 0, false
 }
 
 // collectLocked pops the head frame of lane ln at class c plus any
@@ -843,13 +898,29 @@ func (b *bearer) reapLocked(ln *lane) {
 	}
 }
 
-// transmit hands one datagram to the transport.
-func (b *bearer) transmit(key destKey, datagram []byte) {
+// transmit hands one datagram of class c to the transport and gives up the
+// plane's hold on its pooled buffer. A SharedSender gets the buffer itself,
+// and it returns to the pool when the last receiver releases it — a bulk
+// datagram's credit with it; any other sender gets the bytes for the call,
+// and the buffer is recycled when it returns.
+func (b *bearer) transmit(key destKey, c int, datagram []byte) {
 	var err error
-	if key.group != "" {
+	switch {
+	case b.shared != nil:
+		var onLast func()
+		if c == bulkClass {
+			b.unreleased.Add(1)
+			onLast = b.creditBack
+		}
+		s := bufpool.ShareHooked(datagram, onLast)
+		err = b.shared.SendShared(key.node, key.group, s)
+		s.Release()
+	case key.group != "":
 		err = b.sender.SendGroup(key.group, datagram)
-	} else {
+		bufpool.Put(datagram)
+	default:
 		err = b.sender.Send(key.node, datagram)
+		bufpool.Put(datagram)
 	}
 	if err != nil {
 		b.ctr.sendFailures.Inc()
@@ -888,13 +959,27 @@ func (b *bearer) run() {
 // event order stable. Pacing and priority come from next(): a throttled
 // bulk lane ends the run and its wait is returned.
 func (b *bearer) drain() (wait time.Duration, ok bool) {
-	limit := 1
-	if b.batch != nil {
-		limit = maxSyscallBatch
+	if b.batch == nil {
+		datagram, key, c, w, k := b.next()
+		if !k {
+			return w, false
+		}
+		b.transmit(key, c, datagram)
+	} else if wait, ok = b.drainBatch(); !ok {
+		return wait, false
 	}
+	b.mu.Lock()
+	b.transmitting = false
+	b.idle.Broadcast()
+	b.mu.Unlock()
+	return wait, true
+}
+
+// drainBatch is drain for a transport.BatchSender: one call carries the run.
+func (b *bearer) drainBatch() (wait time.Duration, ok bool) {
 	msgs := b.batchMsgs[:0]
-	for len(msgs) < limit {
-		datagram, key, w, k := b.next()
+	for len(msgs) < maxSyscallBatch {
+		datagram, key, _, w, k := b.next()
 		if !k {
 			wait = w
 			break
@@ -905,9 +990,7 @@ func (b *bearer) drain() (wait time.Duration, ok bool) {
 		b.batchMsgs = msgs
 		return wait, false
 	}
-	if b.batch == nil {
-		b.transmit(destKey{node: msgs[0].To, group: msgs[0].Group}, msgs[0].Payload)
-	} else if err := b.batch.SendBatch(msgs); err != nil {
+	if err := b.batch.SendBatch(msgs); err != nil {
 		b.ctr.sendFailures.Inc()
 		uerr.Wrapf(b.reg, codeTransmit, err, "batched transport send on %s", b.name)
 	}
@@ -916,10 +999,6 @@ func (b *bearer) drain() (wait time.Duration, ok bool) {
 		msgs[i] = transport.BatchMessage{} // drop pooled-buffer refs
 	}
 	b.batchMsgs = msgs[:0]
-	b.mu.Lock()
-	b.transmitting = false
-	b.idle.Broadcast()
-	b.mu.Unlock()
 	return wait, true
 }
 
@@ -960,6 +1039,16 @@ func (b *bearer) drainQueued() []queuedFrame {
 	if b.closed {
 		return nil
 	}
+	out := b.takeLocked()
+	b.ctr.rerouted.Add(uint64(len(out)))
+	b.idle.Broadcast()
+	b.room.Broadcast()
+	return out
+}
+
+// takeLocked empties every lane and returns the frames in strict
+// class-descending order. Caller holds b.mu.
+func (b *bearer) takeLocked() []queuedFrame {
 	var out []queuedFrame
 	for c := numClasses - 1; c >= 0; c-- {
 		for _, ln := range b.ready[c] {
@@ -977,9 +1066,6 @@ func (b *bearer) drainQueued() []queuedFrame {
 			delete(b.lanes, key)
 		}
 	}
-	b.ctr.rerouted.Add(uint64(len(out)))
-	b.idle.Broadcast()
-	b.room.Broadcast()
 	return out
 }
 
@@ -996,22 +1082,16 @@ func (b *bearer) close() {
 	close(b.stop)
 	clock.Blocking(b.clk, b.wg.Wait)
 
+	// The drainer is gone and enqueue and Reroute refuse a closed bearer,
+	// so the frames taken here are the last; they go out unlocked, because
+	// a release hook may take b.mu inside the send.
 	b.mu.Lock()
-	defer b.mu.Unlock()
-	for c := numClasses - 1; c >= 0; c-- {
-		for _, ln := range b.ready[c] {
-			for _, raw := range ln.q[c][ln.head[c]:] {
-				b.transmit(ln.key, raw)
-				b.ctr.perClass[c].sent.Inc()
-				b.ctr.perClass[c].datagrams.Inc()
-				b.ctr.perClass[c].bytes.Add(uint64(len(raw)))
-				bufpool.Put(raw)
-			}
-			ln.q[c] = nil
-			ln.head[c] = 0
-			ln.queued[c] = false
-		}
-		b.ready[c] = nil
+	items := b.takeLocked()
+	b.mu.Unlock()
+	for _, qf := range items {
+		b.ctr.perClass[qf.class].sent.Inc()
+		b.ctr.perClass[qf.class].datagrams.Inc()
+		b.ctr.perClass[qf.class].bytes.Add(uint64(len(qf.raw)))
+		b.transmit(qf.key, qf.class, qf.raw)
 	}
-	b.lanes = make(map[destKey]*lane)
 }

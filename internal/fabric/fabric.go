@@ -42,9 +42,11 @@ import (
 // overtake on a congested link and how the receiver schedules its handler.
 // It also decides whether the send can wait: a PriorityBulk frame waits
 // while its lane holds 16 frames (the lane is the bulk sender's pacer, and
-// a short one keeps few pooled buffers queued), every other class never
-// does. PriorityBulk is therefore for goroutines that may wait (the
-// file-transfer loop is one; a handler on an ingress worker is not).
+// a short one keeps few pooled buffers queued) and, on the in-process bus,
+// while its receivers still hold 64 of the link's bulk datagrams; every
+// other class never does. PriorityBulk is therefore for goroutines that may
+// wait (the file-transfer loop is one; a handler on an ingress worker is
+// not).
 //
 // Transmission is also bearer-aware: a container may carry several
 // datagram links (WiFi, radio modem, satcom), and the frame's Priority —

@@ -97,7 +97,7 @@ type Engine struct {
 	offers   map[string]*Offer
 	fetches  map[string]*fetchState
 	watchers map[string][]chan uint64
-	joins    map[string]int // multicast group refcounts
+	joins    map[string]int // multicast group refcounts, by group name
 }
 
 // Option customizes an engine.
@@ -207,6 +207,7 @@ func (e *Engine) Offer(name, service string, data []byte, q qos.TransferQoS) (*O
 	o := &Offer{
 		engine:      e,
 		name:        name,
+		group:       fabric.FileGroup(name),
 		service:     service,
 		q:           q,
 		revision:    1,
@@ -232,6 +233,7 @@ func (e *Engine) checkSize(name string, size, chunkSize int) error {
 type Offer struct {
 	engine  *Engine
 	name    string
+	group   string // fabric.FileGroup(name)
 	service string
 	q       qos.TransferQoS
 
@@ -366,7 +368,7 @@ func (o *Offer) announce() {
 		Seq:      o.engine.f.NextSeq(),
 		Payload:  payload,
 	}
-	if err := o.engine.f.SendGroup(fabric.FileGroup(o.name), frame); err != nil {
+	if err := o.engine.f.SendGroup(o.group, frame); err != nil {
 		uerr.Wrapf(o.engine.reg, codeFileAnnounce, err, "announce %s", o.name)
 	}
 	protocol.PutFrame(frame)
@@ -399,11 +401,11 @@ func (o *Offer) addSubscriber(node transport.NodeID, token uint64) {
 
 // transferLoop runs phases 2 and 3 until no subscribers remain. It has no
 // pacer of its own: SendGroup waits while the egress lane holds its bulk
-// window, so the loop runs at the rate its lane drains — the bearer's bulk
-// rate on a shaped link.
+// window (and, on the in-process bus, while the receivers still hold the
+// bearer's bulk credit), so the loop runs at the rate its lane drains — the
+// bearer's bulk rate on a shaped link — or its slowest receiver dispatches.
 func (o *Offer) transferLoop() {
 	e := o.engine
-	group := fabric.FileGroup(o.name)
 	chunkSize := o.q.ChunkSize
 	// One frame and one payload buffer serve every send of every round:
 	// the fabric has encoded a frame by the time SendGroup returns.
@@ -451,7 +453,7 @@ rounds:
 			}
 			*frame = protocol.Frame{Type: protocol.MTFileChunk, Priority: o.q.Priority, Channel: o.name, Seq: e.f.NextSeq(),
 				Payload: appendChunk(payload[:0], revision, uint32(i), uint32(total), chunkAt(data, chunkSize, i))}
-			uerr.Note(e.reg, codeFileChunk, e.f.SendGroup(group, frame), "chunk round")
+			uerr.Note(e.reg, codeFileChunk, e.f.SendGroup(o.group, frame), "chunk round")
 		}
 
 		// Phase 3: query and collect. The query rides the transfer's own
@@ -459,7 +461,7 @@ rounds:
 		// overtaking them would solicit NACKs for chunks still in flight.
 		*frame = protocol.Frame{Type: protocol.MTFileQuery, Priority: o.q.Priority, Channel: o.name, Seq: round,
 			Payload: appendFileMeta(payload[:0], revision, 0, uint32(chunkSize), uint32(total))}
-		uerr.Note(e.reg, codeFileQuery, e.f.SendGroup(group, frame), "completion query")
+		uerr.Note(e.reg, codeFileQuery, e.f.SendGroup(o.group, frame), "completion query")
 		if !clock.SleepStop(e.clk, e.queryWindow, o.stop) {
 			continue // closed; the loop head exits
 		}
@@ -585,6 +587,7 @@ func (e *Engine) Fetch(ctx context.Context, name string, opts FetchOptions) ([]b
 	ctx, release := e.bind(ctx)
 	defer release()
 
+	group := fabric.FileGroup(name)
 	defer func() {
 		e.mu.Lock()
 		st.refs--
@@ -592,10 +595,10 @@ func (e *Engine) Fetch(ctx context.Context, name string, opts FetchOptions) ([]b
 			delete(e.fetches, name)
 		}
 		e.mu.Unlock()
-		e.leaveGroup(name)
+		e.leaveGroup(group)
 	}()
 
-	if err := e.joinGroup(name); err != nil {
+	if err := e.joinGroup(group); err != nil {
 		return nil, 0, err
 	}
 
@@ -652,10 +655,11 @@ func (e *Engine) Watch(ctx context.Context, name string, opts FetchOptions, cb f
 	notify := make(chan uint64, 4)
 	// Hold group membership for the whole watch so revision announces
 	// keep arriving between fetches.
-	if err := e.joinGroup(name); err != nil {
+	group := fabric.FileGroup(name)
+	if err := e.joinGroup(group); err != nil {
 		return err
 	}
-	defer e.leaveGroup(name)
+	defer e.leaveGroup(group)
 	e.mu.Lock()
 	e.watchers[name] = append(e.watchers[name], notify)
 	e.mu.Unlock()
@@ -705,36 +709,36 @@ func (e *Engine) Watch(ctx context.Context, name string, opts FetchOptions, cb f
 	}
 }
 
-// joinGroup reference-counts multicast membership so overlapping fetches
-// and watches share one Join.
-func (e *Engine) joinGroup(name string) error {
+// joinGroup reference-counts multicast membership of a resource's group
+// (fabric.FileGroup) so overlapping fetches and watches share one Join.
+func (e *Engine) joinGroup(group string) error {
 	e.mu.Lock()
-	e.joins[name]++
-	first := e.joins[name] == 1
+	e.joins[group]++
+	first := e.joins[group] == 1
 	e.mu.Unlock()
 	if !first {
 		return nil
 	}
-	if err := e.f.Join(fabric.FileGroup(name)); err != nil {
+	if err := e.f.Join(group); err != nil {
 		e.mu.Lock()
-		e.joins[name]--
+		e.joins[group]--
 		e.mu.Unlock()
 		return err
 	}
 	return nil
 }
 
-func (e *Engine) leaveGroup(name string) {
+func (e *Engine) leaveGroup(group string) {
 	e.mu.Lock()
-	e.joins[name]--
-	last := e.joins[name] <= 0
+	e.joins[group]--
+	last := e.joins[group] <= 0
 	if last {
-		delete(e.joins, name)
+		delete(e.joins, group)
 	}
 	e.mu.Unlock()
 	if last {
-		if err := e.f.Leave(fabric.FileGroup(name)); err != nil {
-			uerr.Wrapf(e.reg, codeFileLeave, err, "leave %s", name)
+		if err := e.f.Leave(group); err != nil {
+			uerr.Wrapf(e.reg, codeFileLeave, err, "leave %s", group)
 		}
 	}
 }

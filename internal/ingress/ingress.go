@@ -1,6 +1,7 @@
 // Package ingress implements the container's sharded receive pipeline: the
-// stage between the transports' dispatch goroutines and the node's frame
-// dispatcher.
+// stage between the transports' receive handlers (a UDP read loop, or on the
+// in-process bus the sending container's own egress drainer) and the node's
+// frame dispatcher.
 //
 // PR 8 drove the send path to zero allocations and flat syscall cost, but
 // the receive path stayed serial: every arriving datagram was decoded,
@@ -20,11 +21,13 @@
 //     blocks the transport's read loop — the same discipline the egress
 //     lanes apply on the way out.
 //   - Ownership rides refcounted pooled buffers (bufpool.Shared). A packet
-//     whose transport provided an Owner is retained, not copied; one
-//     without (netsim's shared multicast copy) is copied
-//     once into a pooled buffer. Either way the payload handed to Deliver
-//     aliases pooled storage that the pipeline releases after the callback
-//     returns, and the steady-state routed-frame path allocates nothing.
+//     whose transport provided an Owner (UDP's pooled receive buffer, or
+//     on the bus the sender's own egress buffer) is retained, not copied;
+//     one without (netsim's shared multicast copy, a plain bus Send) is
+//     copied once into a pooled buffer. Either way the payload handed to
+//     Deliver aliases pooled storage that the pipeline releases after the
+//     callback returns, and the steady-state routed-frame path allocates
+//     nothing.
 //
 // Under a clock.Virtual the pipeline defaults to one shard and one packet
 // per drain, which serializes processing exactly like the pre-pipeline
@@ -251,8 +254,9 @@ func (p *Pipeline) Enqueue(bearer string, pkt transport.Packet) {
 		q.Owner.Release()
 		return
 	}
+	var evicted *bufpool.Shared
 	if sh.n == len(sh.ring) {
-		old := sh.ring[sh.head]
+		evicted = sh.ring[sh.head].Owner
 		sh.ring[sh.head] = Packet{}
 		sh.head++
 		if sh.head == len(sh.ring) {
@@ -260,7 +264,6 @@ func (p *Pipeline) Enqueue(bearer string, pkt transport.Packet) {
 		}
 		sh.n--
 		sh.drops.Inc()
-		old.Owner.Release()
 	}
 	tail := sh.head + sh.n
 	if tail >= len(sh.ring) {
@@ -271,6 +274,11 @@ func (p *Pipeline) Enqueue(bearer string, pkt transport.Packet) {
 	sh.depth.Set(int64(sh.n))
 	sh.mu.Unlock()
 	sh.trig.Signal()
+	// Released outside the shard lock: a final Release runs its buffer's
+	// release hook, which may take its producer's locks.
+	if evicted != nil {
+		evicted.Release()
+	}
 }
 
 // take moves up to maxBatch queued packets into the shard's drain scratch,

@@ -19,7 +19,6 @@ import (
 var bareGoroutines = []string{
 	"internal/gateway/shard.go:service",
 	"internal/gateway/wire.go:Serve",
-	"internal/transport/inproc.go:Endpoint",
 	"internal/transport/udp.go:Join",
 	"internal/transport/udp.go:NewUDP",
 }

@@ -52,8 +52,8 @@ type Gauge struct {
 // Set stores the current value.
 func (g *Gauge) Set(v int64) { g.v.Store(v) }
 
-// Add adjusts the value by delta.
-func (g *Gauge) Add(delta int64) { g.v.Add(delta) }
+// Add adjusts the value by delta and returns the new value.
+func (g *Gauge) Add(delta int64) int64 { return g.v.Add(delta) }
 
 // Value reads the current value.
 func (g *Gauge) Value() int64 { return g.v.Load() }

@@ -304,7 +304,7 @@ func (d *Directory) Expire(now time.Time) []transport.NodeID {
 			out = append(out, node)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 

@@ -1,7 +1,7 @@
 package naming
 
 import (
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -60,7 +60,7 @@ func (l *Liveness) Sweep(now time.Time) []transport.NodeID {
 			delete(l.lastHeard, node)
 		}
 	}
-	sort.Slice(failed, func(i, j int) bool { return failed[i] < failed[j] })
+	slices.Sort(failed)
 	return failed
 }
 
@@ -80,6 +80,17 @@ func (l *Liveness) Peers() []transport.NodeID {
 	for node := range l.lastHeard {
 		out = append(out, node)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
+}
+
+// Each calls fn for every tracked node, in no particular order, holding the
+// detector's lock: fn must not call back into l. Unlike Peers it builds no
+// list, so a periodic walk over the peers allocates nothing.
+func (l *Liveness) Each(fn func(transport.NodeID)) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for node := range l.lastHeard {
+		fn(node)
+	}
 }

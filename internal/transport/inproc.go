@@ -12,14 +12,16 @@ import (
 // the paper's same-host case where several containers share one airframe
 // computer, and it is the default substrate for unit tests.
 //
-// Delivery is asynchronous: each endpoint owns a bounded queue drained by a
-// dispatch goroutine, so a slow handler exerts backpressure on its own
-// queue and overflow is counted as drop — mirroring a NIC ring buffer.
+// Delivery is inline: Send, SendGroup and SendShared call each destination's
+// Handler on the sender's goroutine before they return, so the bus has no
+// queue, no goroutine and no drop path of its own. The receiving container's
+// ingress ring is the bounded queue, and the Handler contract (never block)
+// keeps a sender from stalling on a slow receiver.
 type Bus struct {
 	mu    sync.RWMutex
 	nodes map[NodeID]*BusEndpoint
 	// groups lists are copy-on-write: join, leave and remove install a
-	// fresh slice, so SendGroup reads one under the lock and walks it
+	// fresh slice, so a group send reads one under the lock and walks it
 	// unlocked without copying.
 	groups map[string][]*BusEndpoint
 }
@@ -32,11 +34,6 @@ func NewBus() *Bus {
 	}
 }
 
-// defaultQueueLen is the per-endpoint receive queue length. Sized like a
-// small NIC ring: large enough to absorb bursts, small enough that runaway
-// producers surface as drops in tests instead of unbounded memory.
-const defaultQueueLen = 1024
-
 // Endpoint creates and registers the endpoint for node id.
 func (b *Bus) Endpoint(id NodeID) (*BusEndpoint, error) {
 	if id == "" {
@@ -47,14 +44,7 @@ func (b *Bus) Endpoint(id NodeID) (*BusEndpoint, error) {
 	if _, exists := b.nodes[id]; exists {
 		return nil, fmt.Errorf("transport: %q: %w", id, ErrDuplicateNode)
 	}
-	ep := &BusEndpoint{
-		bus:   b,
-		id:    id,
-		queue: make(chan Packet, defaultQueueLen),
-		done:  make(chan struct{}),
-	}
-	ep.wg.Add(1)
-	go ep.dispatch()
+	ep := &BusEndpoint{bus: b, id: id}
 	b.nodes[id] = ep
 	return ep, nil
 }
@@ -135,9 +125,6 @@ func (b *Bus) Nodes() []NodeID {
 type BusEndpoint struct {
 	bus   *Bus
 	id    NodeID
-	queue chan Packet
-	done  chan struct{}
-	wg    sync.WaitGroup
 	stats counters
 
 	mu      sync.Mutex
@@ -147,12 +134,13 @@ type BusEndpoint struct {
 
 var _ Transport = (*BusEndpoint)(nil)
 var _ Multicaster = (*BusEndpoint)(nil)
+var _ SharedSender = (*BusEndpoint)(nil)
 
 // Node implements Transport.
 func (e *BusEndpoint) Node() NodeID { return e.id }
 
 // NativeMulticast implements Multicaster: a bus send reaches all members
-// with one enqueue per member but one logical wire packet.
+// with one handler call per member but one logical wire packet.
 func (e *BusEndpoint) NativeMulticast() bool { return true }
 
 // SetHandler implements Transport.
@@ -162,9 +150,13 @@ func (e *BusEndpoint) SetHandler(h Handler) {
 	e.handler = h
 }
 
-func (e *BusEndpoint) currentHandler() Handler {
+// receiver returns the handler to deliver to, or nil once closed.
+func (e *BusEndpoint) receiver() Handler {
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	if e.closed {
+		return nil
+	}
 	return e.handler
 }
 
@@ -174,57 +166,62 @@ func (e *BusEndpoint) isClosed() bool {
 	return e.closed
 }
 
-// Send implements Transport.
+// Send implements Transport. The receiver's handler sees payload itself,
+// with no Owner: a receiver that keeps it past the call copies.
 func (e *BusEndpoint) Send(to NodeID, payload []byte) error {
-	if e.isClosed() {
-		return fmt.Errorf("transport: send from %q: %w", e.id, ErrClosed)
-	}
-	dst := e.bus.lookup(to)
-	if dst == nil {
-		return fmt.Errorf("transport: send to %q: %w", to, ErrUnknownNode)
-	}
-	e.stats.sent(len(payload))
-	e.stats.wire(len(payload))
-	// Delivery is asynchronous (queue + dispatch goroutine) while the
-	// caller may recycle payload the moment Send returns, so the bus takes
-	// a pooled copy and hands the receiver a refcounted reference — the
-	// transport ownership contract, with zero GC garbage in steady state.
-	dst.enqueue(sharedPacket(Packet{From: e.id, To: to}, payload))
-	return nil
-}
-
-// sharedPacket copies payload into a pooled buffer and attaches it to pkt
-// as a refcounted Owner holding one reference (the queue's).
-func sharedPacket(pkt Packet, payload []byte) Packet {
-	buf := append(bufpool.Get(len(payload)), payload...)
-	pkt.Owner = bufpool.Share(buf)
-	pkt.Payload = buf
-	return pkt
+	return e.send(Packet{From: e.id, To: to, Payload: payload})
 }
 
 // SendGroup implements Transport.
 func (e *BusEndpoint) SendGroup(group string, payload []byte) error {
+	return e.send(Packet{From: e.id, Group: group, Payload: payload})
+}
+
+// SendShared implements SharedSender: every receiver's handler gets buf
+// itself as Packet.Owner and retains it to keep the bytes, so nothing is
+// copied between the sender's pool buffer and the receiver's dispatch.
+func (e *BusEndpoint) SendShared(to NodeID, group string, buf *bufpool.Shared) error {
+	return e.send(Packet{From: e.id, To: to, Group: group, Payload: buf.Bytes(), Owner: buf})
+}
+
+// send delivers pkt to its unicast destination or to every member of its
+// group but the sender, one logical wire packet either way: the bus models
+// a shared medium with true multicast, and local delivery is the
+// container's bypass path, not a loopback.
+func (e *BusEndpoint) send(pkt Packet) error {
 	if e.isClosed() {
 		return fmt.Errorf("transport: send from %q: %w", e.id, ErrClosed)
 	}
-	e.stats.sent(len(payload))
-	// One wire packet regardless of member count: the in-process bus
-	// models a shared medium with true multicast. No self-loopback —
-	// local delivery is the container's bypass path.
-	e.stats.wire(len(payload))
-	// One pooled copy shared by every member: each queue holds its own
-	// reference on the same immutable buffer, and the last consumer's
-	// Release returns it to the pool.
-	pkt := sharedPacket(Packet{From: e.id, Group: group}, payload)
-	for _, member := range e.bus.members(group) {
-		if member == e {
-			continue
+	if pkt.Group == "" {
+		dst := e.bus.lookup(pkt.To)
+		if dst == nil {
+			return fmt.Errorf("transport: send to %q: %w", pkt.To, ErrUnknownNode)
 		}
-		member.enqueue(Packet{From: pkt.From, Group: pkt.Group, Payload: pkt.Payload, Owner: pkt.Owner.Retain()})
+		e.stats.sent(len(pkt.Payload))
+		e.stats.wire(len(pkt.Payload))
+		dst.deliver(pkt)
+		return nil
 	}
-	// Drop the construction reference: delivery queues now own the buffer.
-	pkt.Owner.Release()
+	e.stats.sent(len(pkt.Payload))
+	e.stats.wire(len(pkt.Payload))
+	for _, member := range e.bus.members(pkt.Group) {
+		if member != e {
+			member.deliver(pkt)
+		}
+	}
 	return nil
+}
+
+// deliver hands pkt to the handler on the sending goroutine. An endpoint
+// with no handler, or closed since the sender looked it up, counts a drop.
+func (e *BusEndpoint) deliver(pkt Packet) {
+	h := e.receiver()
+	if h == nil {
+		e.stats.dropped()
+		return
+	}
+	e.stats.recv(len(pkt.Payload))
+	h(pkt)
 }
 
 // Join implements Transport.
@@ -248,7 +245,9 @@ func (e *BusEndpoint) Leave(group string) error {
 // Stats implements Transport.
 func (e *BusEndpoint) Stats() Stats { return e.stats.snapshot() }
 
-// Close implements Transport.
+// Close implements Transport. A send that reaches the endpoint after Close
+// counts a drop; one already inside the handler, on its sender's goroutine,
+// finishes there.
 func (e *BusEndpoint) Close() error {
 	e.mu.Lock()
 	if e.closed {
@@ -257,61 +256,6 @@ func (e *BusEndpoint) Close() error {
 	}
 	e.closed = true
 	e.mu.Unlock()
-
 	e.bus.remove(e)
-	close(e.done)
-	e.wg.Wait()
 	return nil
-}
-
-// enqueue places a packet on the receive queue, dropping on overflow or
-// after close. A dropped packet's buffer reference is released here; a
-// queued one is released by deliver.
-func (e *BusEndpoint) enqueue(pkt Packet) {
-	select {
-	case <-e.done:
-		e.stats.dropped()
-		pkt.Owner.Release()
-		return
-	default:
-	}
-	select {
-	case e.queue <- pkt:
-	default:
-		e.stats.dropped()
-		pkt.Owner.Release()
-	}
-}
-
-// dispatch drains the queue onto the handler until Close.
-func (e *BusEndpoint) dispatch() {
-	defer e.wg.Done()
-	for {
-		select {
-		case <-e.done:
-			// Drain whatever is already queued so tests observe
-			// deterministic delivery for pre-close sends.
-			for {
-				select {
-				case pkt := <-e.queue:
-					e.deliver(pkt)
-				default:
-					return
-				}
-			}
-		case pkt := <-e.queue:
-			e.deliver(pkt)
-		}
-	}
-}
-
-func (e *BusEndpoint) deliver(pkt Packet) {
-	defer pkt.Owner.Release()
-	h := e.currentHandler()
-	if h == nil {
-		e.stats.dropped()
-		return
-	}
-	e.stats.recv(len(pkt.Payload))
-	h(pkt)
 }

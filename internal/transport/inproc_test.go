@@ -6,6 +6,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"uavmw/internal/bufpool"
 )
 
 // collector gathers delivered packets for assertions.
@@ -337,5 +339,73 @@ func TestStatsAdd(t *testing.T) {
 	want := Stats{PacketsSent: 2, BytesSent: 4, PacketsWire: 6, BytesWire: 8, PacketsRecv: 10, BytesRecv: 12, PacketsDropped: 14}
 	if b != want {
 		t.Errorf("Add = %+v, want %+v", b, want)
+	}
+}
+
+// TestBusSendSharedHandsOverTheBuffer: SendShared runs every receiver's
+// handler before it returns and gives each the sender's own buffer — the
+// same handle over the same bytes, no copy. The bus keeps no reference, so
+// after the sender's release only the receivers' retains keep it alive.
+func TestBusSendSharedHandsOverTheBuffer(t *testing.T) {
+	bus := NewBus()
+	eps := make(map[NodeID]*BusEndpoint)
+	got := make(map[NodeID][]Packet)
+	for _, id := range []NodeID{"a", "b", "c"} {
+		ep, err := bus.Endpoint(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer func() { _ = ep.Close() }()
+		id := id
+		eps[id] = ep
+		// Delivery is inline on this goroutine: no lock needed.
+		ep.SetHandler(func(pkt Packet) { got[id] = append(got[id], Packet{Payload: pkt.Payload, Owner: pkt.Owner.Retain()}) })
+	}
+	for _, id := range []NodeID{"b", "c"} {
+		if err := eps[id].Join("g"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	share := func(s string) *bufpool.Shared { return bufpool.Share(append(bufpool.Get(len(s)), s...)) }
+	same := func(pkt Packet, buf *bufpool.Shared) bool {
+		return pkt.Owner == buf && &pkt.Payload[0] == &buf.Bytes()[0] && len(pkt.Payload) == buf.Len()
+	}
+
+	uni := share("unicast")
+	if err := eps["a"].SendShared("b", "", uni); err != nil {
+		t.Fatal(err)
+	}
+	if len(got["b"]) != 1 || !same(got["b"][0], uni) {
+		t.Fatalf("b got %+v by the time SendShared returned, want the sender's buffer itself", got["b"])
+	}
+	uni.Release()
+	if uni.Refs() != 1 || string(got["b"][0].Payload) != "unicast" {
+		t.Fatalf("after the sender's release: refs %d, payload %q; want the receiver's 1 and the bytes intact", uni.Refs(), got["b"][0].Payload)
+	}
+
+	grp := share("group")
+	if err := eps["a"].SendShared("", "g", grp); err != nil {
+		t.Fatal(err)
+	}
+	if len(got["b"]) != 2 || len(got["c"]) != 1 || !same(got["b"][1], grp) || !same(got["c"][0], grp) {
+		t.Fatalf("group members got b=%d c=%d packets, want the one shared buffer each", len(got["b"]), len(got["c"]))
+	}
+	if grp.Refs() != 3 {
+		t.Fatalf("group buffer refs = %d, want the sender's and two receivers'", grp.Refs())
+	}
+	grp.Release()
+
+	ghost := share("ghost")
+	if err := eps["a"].SendShared("ghost", "", ghost); !errors.Is(err, ErrUnknownNode) {
+		t.Fatalf("SendShared to an unknown node: %v, want ErrUnknownNode", err)
+	}
+	if ghost.Refs() != 1 {
+		t.Fatalf("a failed SendShared left refs = %d, want the sender's 1", ghost.Refs())
+	}
+	ghost.Release()
+	for _, pkts := range got {
+		for _, pkt := range pkts {
+			pkt.Owner.Release()
+		}
 	}
 }

@@ -14,19 +14,24 @@
 // contract, not a convention:
 //
 //   - Send / SendGroup / SendBatch: the payload belongs to the caller and
-//     is valid only for the duration of the call. A transport that delivers
-//     asynchronously — enqueueing, simulating latency, fanning out on
-//     another goroutine — must copy the payload before returning (see
-//     bufpool.Copy). UDP hands the bytes to the kernel within the call and
-//     retains nothing.
-//   - Receive: Packet.Payload belongs to the transport and is valid only
-//     for the duration of the Handler call; the backing storage (typically
-//     a pooled receive buffer) is reused for the next datagram. Handlers
-//     that retain any part of it must copy — unless the packet carries an
-//     Owner, in which case the handler may Retain the reference instead and
-//     keep the payload alive past the call without copying (the ingress
-//     pipeline's zero-copy handoff). The transport drops its own reference
-//     when the handler returns; the last Release recycles the buffer.
+//     is valid only for the duration of the call. A transport that still
+//     needs the bytes after returning — netsim simulating latency — copies
+//     them first (see bufpool.Copy). UDP hands the bytes to the kernel
+//     within the call, and the in-process bus calls every receiver's
+//     Handler before it returns; neither retains anything.
+//   - SendShared (SharedSender, the bus): the payload is a refcounted
+//     pooled buffer the caller holds a reference on for the call. The
+//     transport takes no reference of its own; it passes the buffer to each
+//     receiving Handler as Packet.Owner, and a receiver that keeps the bytes
+//     Retains it. The caller Releases its reference once the call returns,
+//     and the last Release, wherever it happens, recycles the buffer.
+//   - Receive: Packet.Payload is valid only for the duration of the Handler
+//     call; the backing storage (a pooled receive buffer, or the sender's
+//     own buffer on the bus) is reused afterwards. Handlers that retain any
+//     part of it must copy — unless the packet carries an Owner, in which
+//     case the handler may Retain the reference instead and keep the
+//     payload alive past the call without copying (the ingress pipeline's
+//     zero-copy handoff).
 package transport
 
 import (
@@ -57,15 +62,19 @@ type Packet struct {
 	// Owner, when non-nil, is the refcounted pooled buffer backing Payload.
 	// A handler that needs the payload past its call Retains it and
 	// Releases when done; handlers that consume synchronously ignore it.
-	// Transports that deliver from GC-owned or shared storage (netsim's
-	// one-copy multicast) leave it nil, and receivers needing ownership
-	// copy as before.
+	// Transports that deliver from GC-owned or caller-owned storage
+	// (netsim's one-copy multicast, a plain bus Send) leave it nil, and
+	// receivers needing ownership copy.
 	Owner *bufpool.Shared
 }
 
-// Handler processes one received packet on the transport's dispatch
-// goroutine. Handlers must be quick; long work belongs on the container
-// scheduler.
+// Handler processes one received packet. It runs on a goroutine of the
+// transport's choosing — a UDP read loop, or on the in-process bus the
+// sender's own goroutine, inside its Send — and may run concurrently with
+// itself. A Handler never blocks: it stamps, copies or retains what it
+// needs and queues it (the container pushes onto its ingress ring, a
+// bounded drop-oldest queue). Work that may wait belongs on the container
+// scheduler; on the bus a blocked handler stalls its sender.
 type Handler func(pkt Packet)
 
 // Transport moves packets between nodes. Implementations must be safe for
@@ -89,8 +98,8 @@ type Transport interface {
 	SetHandler(h Handler)
 	// Stats returns a snapshot of traffic counters.
 	Stats() Stats
-	// Close releases resources and stops the dispatch goroutines.
-	// Implementations must be idempotent.
+	// Close releases resources and stops the transport's goroutines, if
+	// it has any. Implementations must be idempotent.
 	Close() error
 }
 
@@ -113,6 +122,18 @@ type BatchMessage struct {
 // and callers fall back to one Send per datagram.
 type BatchSender interface {
 	SendBatch(msgs []BatchMessage) error
+}
+
+// SharedSender is implemented by transports that can hand receivers the
+// sender's own pooled datagram (the in-process bus). SendShared sends
+// buf's bytes to the node to, or, when group is set, to every member of
+// group, as Send and SendGroup do; receivers get buf as Packet.Owner, so
+// the bytes cross with no copy. The caller holds a reference on buf for the
+// call and releases it afterwards; the transport takes none. Senders
+// detect the interface once, as they do BatchSender, and fall back to Send
+// and SendGroup without it.
+type SharedSender interface {
+	SendShared(to NodeID, group string, buf *bufpool.Shared) error
 }
 
 // Multicaster is implemented by transports whose SendGroup puts a single
