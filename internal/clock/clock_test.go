@@ -385,27 +385,44 @@ func TestCondRecyclesChannelsFIFO(t *testing.T) {
 func TestCondWaitAllocs(t *testing.T) {
 	var mu sync.Mutex
 	cond := NewCond(Real{}, &mu)
-	woke := make(chan struct{})
+	woke, exited := make(chan struct{}), make(chan struct{})
+	stop := false // guarded by mu
 	go func() {
+		defer close(exited)
 		mu.Lock()
+		defer mu.Unlock()
 		for {
 			cond.Wait()
+			if stop {
+				return
+			}
 			woke <- struct{}{}
 		}
 	}()
-	cycle := func() {
+	parked := func() {
 		for {
 			cond.mu.Lock()
 			n := len(cond.waiters)
 			cond.mu.Unlock()
 			if n == 1 {
-				break
+				return
 			}
 			runtime.Gosched()
 		}
+	}
+	cycle := func() {
+		parked()
 		cond.Signal()
 		<-woke
 	}
+	defer func() {
+		parked()
+		mu.Lock()
+		stop = true
+		mu.Unlock()
+		cond.Signal()
+		<-exited
+	}()
 	for i := 0; i < 4; i++ {
 		cycle()
 	}

@@ -349,24 +349,51 @@ func (s *sinkConn) Close() error                     { return nil }
 func (s *sinkConn) SetWriteDeadline(time.Time) error { return nil }
 
 // stallConn models a consumer whose TCP window is jammed: every write
-// parks until the deadline and fails with a timeout.
+// parks until the deadline and fails with a timeout. Close wakes a parked
+// write, as it does on a real connection.
 type stallConn struct {
 	mu       sync.Mutex
 	deadline time.Time
+	closed   chan struct{} // closed by Close; made on first use
 	attempts atomic.Int64
+}
+
+// closedLocked returns the channel Close closes. Caller holds s.mu.
+func (s *stallConn) closedLocked() chan struct{} {
+	if s.closed == nil {
+		s.closed = make(chan struct{})
+	}
+	return s.closed
 }
 
 func (s *stallConn) Write(p []byte) (int, error) {
 	s.attempts.Add(1)
 	s.mu.Lock()
-	d := time.Until(s.deadline)
+	d, closed := time.Until(s.deadline), s.closedLocked()
 	s.mu.Unlock()
 	if d > 0 {
-		time.Sleep(d)
+		t := time.NewTimer(d)
+		defer t.Stop()
+		select {
+		case <-t.C:
+		case <-closed:
+			return 0, net.ErrClosed
+		}
 	}
 	return 0, os.ErrDeadlineExceeded
 }
-func (s *stallConn) Close() error { return nil }
+
+func (s *stallConn) Close() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	select {
+	case <-s.closedLocked():
+	default:
+		close(s.closed)
+	}
+	return nil
+}
+
 func (s *stallConn) SetWriteDeadline(t time.Time) error {
 	s.mu.Lock()
 	s.deadline = t

@@ -329,7 +329,11 @@ func DecodeFrameInto(f *Frame, data []byte) error {
 	f.Flags = r.Uint8()
 	f.Encoding = r.Uint8()
 	f.Priority = qos.Priority(r.Uint8())
-	f.Channel = internChannel(r.RawBytes())
+	channel := r.RawBytes()
+	if len(channel) > MaxChannelLen {
+		return fmt.Errorf("protocol: %d-byte channel: %w", len(channel), ErrBadFrame)
+	}
+	f.Channel = internChannel(channel)
 	f.Seq = r.Uint64()
 	f.Budget = 0
 	if f.Flags&FlagHasBudget != 0 {
@@ -337,6 +341,10 @@ func DecodeFrameInto(f *Frame, data []byte) error {
 	}
 	if err := r.Err(); err != nil {
 		return fmt.Errorf("protocol: header: %w", err)
+	}
+	if f.Flags&FlagHasBudget != 0 && f.Budget == 0 {
+		// The flag implies a non-zero word; this frame has two encodings.
+		return fmt.Errorf("protocol: zero budget word: %w", ErrBadFrame)
 	}
 	if !f.Type.Valid() {
 		return fmt.Errorf("protocol: type %d: %w", f.Type, ErrBadFrame)
