@@ -36,6 +36,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // Limits protect receivers from hostile or corrupt length prefixes.
@@ -219,6 +220,42 @@ func (r *Reader) Uint64() uint64 {
 	r.pos += 8
 	return v
 }
+
+// Uvarint reads an unsigned LEB128 varint (encoding/binary's Uvarint form)
+// of at most ten bytes. Only the shortest encoding of a value is accepted:
+// a final byte of zero after a continuation byte, or a value beyond 64
+// bits, is ErrCorrupt, so every value has exactly one wire form.
+func (r *Reader) Uvarint() uint64 {
+	if r.err != nil {
+		return 0
+	}
+	var v uint64
+	for i := 0; i < binary.MaxVarintLen64; i++ {
+		if r.pos >= len(r.data) {
+			r.err = fmt.Errorf("encoding: uvarint at %d of %d: %w", r.pos, len(r.data), ErrTruncated)
+			return 0
+		}
+		b := r.data[r.pos]
+		r.pos++
+		if b < 0x80 {
+			switch {
+			case i > 0 && b == 0:
+				r.err = fmt.Errorf("encoding: overlong uvarint ending at %d: %w", r.pos, ErrCorrupt)
+				return 0
+			case i == binary.MaxVarintLen64-1 && b > 1:
+				r.err = fmt.Errorf("encoding: uvarint overflows 64 bits at %d: %w", r.pos, ErrCorrupt)
+				return 0
+			}
+			return v | uint64(b)<<(7*i)
+		}
+		v |= uint64(b&0x7f) << (7 * i)
+	}
+	r.err = fmt.Errorf("encoding: uvarint longer than %d bytes at %d: %w", binary.MaxVarintLen64, r.pos, ErrCorrupt)
+	return 0
+}
+
+// UvarintLen returns the length of v's uvarint encoding, 1 to 10 bytes.
+func UvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
 
 // Int8 reads one byte, two's complement.
 func (r *Reader) Int8() int8 { return int8(r.Uint8()) }

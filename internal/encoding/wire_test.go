@@ -1,6 +1,7 @@
 package encoding
 
 import (
+	"encoding/binary"
 	"errors"
 	"math"
 	"testing"
@@ -159,5 +160,38 @@ func TestReaderPos(t *testing.T) {
 	r.Uint32()
 	if r.Pos() != 4 {
 		t.Errorf("Pos = %d", r.Pos())
+	}
+}
+
+func TestReaderUvarint(t *testing.T) {
+	for _, v := range []uint64{0, 1, 127, 128, 16383, 16384, 1 << 32, 1 << 63, math.MaxUint64} {
+		raw := binary.AppendUvarint(nil, v)
+		if n := UvarintLen(v); n != len(raw) {
+			t.Errorf("UvarintLen(%d) = %d, encoding is %d bytes", v, n, len(raw))
+		}
+		r := NewReader(raw)
+		if got := r.Uvarint(); got != v || r.ExpectEOF() != nil {
+			t.Errorf("uvarint %d read back as %d (err %v)", v, got, r.Err())
+		}
+		if allocs := testing.AllocsPerRun(100, func() { NewReader(raw).Uvarint() }); allocs != 0 {
+			t.Errorf("uvarint %d: %v allocs", v, allocs)
+		}
+	}
+	for _, c := range []struct {
+		name string
+		raw  []byte
+		want error
+	}{
+		{"empty", nil, ErrTruncated},
+		{"dangling continuation", []byte{0x80}, ErrTruncated},
+		{"overlong zero", []byte{0x80, 0x00}, ErrCorrupt},
+		{"overlong one", []byte{0x81, 0x80, 0x00}, ErrCorrupt},
+		{"65 bits", []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02}, ErrCorrupt},
+		{"11 bytes", []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x81, 0x00}, ErrCorrupt},
+	} {
+		r := NewReader(c.raw)
+		if got := r.Uvarint(); got != 0 || !errors.Is(r.Err(), c.want) {
+			t.Errorf("%s: got %d, err %v; want %v", c.name, got, r.Err(), c.want)
+		}
 	}
 }
