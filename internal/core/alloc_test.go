@@ -84,8 +84,9 @@ func TestReliableTransmitAllocs(t *testing.T) {
 // TestReceivePathAllocs gates the receive side at zero per routed frame:
 // transport handler → ingress shard ring → worker decode → dispatch, for a
 // transport that hands over a refcounted buffer (owned), one that does not
-// (one pooled copy), and a frame that asks for an acknowledgment (dedup, a
-// pooled ack encode and an egress enqueue on top of owned). The frame type
+// (one pooled copy), a frame that asks for an acknowledgment (dedup, a
+// pooled ack encode and an egress enqueue on top of owned), and a
+// three-range ack (range decode and an ARQ lookup per seq). The frame type
 // is one the dispatcher drops at its routing switch, so no engine runs
 // behind the measurement. The node runs on the real clock: a virtual
 // clock's park allocates a waiter per wake, which is simulation
@@ -134,6 +135,8 @@ func TestReceivePathAllocs(t *testing.T) {
 	}
 	acked := f
 	acked.Flags = protocol.FlagAckRequired
+	var ranges protocol.Frame
+	protocol.AppendAck(&ranges, nil, []uint64{100, 99, 97, 90, 89, 88}, 0)
 	for _, v := range []struct {
 		name string
 		op   func()
@@ -144,6 +147,7 @@ func TestReceivePathAllocs(t *testing.T) {
 			acked.Seq++ // a fresh sequence each time, or dedup drops it
 			owned("src-acked", &acked)
 		}},
+		{"range ack", func() { owned("src-ranges", &ranges) }},
 	} {
 		// Warm pools, the sender's dedup window, lane state and the
 		// channel intern table out of the measurement.

@@ -149,10 +149,10 @@ func nestBatch(t *testing.T, raw []byte, depth int) []byte {
 	return raw
 }
 
-// TestNestedBatchDepthRejected: the dispatcher unpacks one level of
-// legitimate nesting (a coalesced ack batch riding an egress batch) but
-// refuses deeper recursion, counting the drop under the protocol-violation
-// taxonomy instead of recursing into attacker-controlled depth.
+// TestNestedBatchDepthRejected: the dispatcher unpacks a batch datagram but
+// refuses a batch nested inside one, which this stack never builds, counting
+// the drop under the protocol-violation taxonomy instead of recursing into
+// attacker-controlled depth.
 func TestNestedBatchDepthRejected(t *testing.T) {
 	bus := transport.NewBus()
 	n := newBusNode(t, bus, "solo")
@@ -170,23 +170,22 @@ func TestNestedBatchDepthRejected(t *testing.T) {
 		n.deliverBatch(n.ingress.ShardOf("peer"), []ingress.Packet{{Bearer: DefaultBearer, From: "peer", Payload: raw}})
 	}
 
-	// Depth 2 (batch in batch) is the deepest shape this stack produces
+	// Depth 1 (egress coalescing) is the deepest shape this stack produces
 	// and must pass.
-	deliver(nestBatch(t, inner, 2))
+	deliver(nestBatch(t, inner, 1))
 	if got := nested(); got != 0 {
-		t.Fatalf("legitimate batch-in-batch counted as nested violation (%d)", got)
+		t.Fatalf("legitimate batch counted as nested violation (%d)", got)
 	}
-	// Depth 3 cannot occur and is rejected at the third level.
-	deliver(nestBatch(t, inner, 3))
+	// Depth 2 cannot occur and is rejected at the second level.
+	deliver(nestBatch(t, inner, 2))
 	if got := nested(); got != 1 {
 		t.Fatalf("over-nested batch: violation count %d, want 1", got)
 	}
 }
 
 // TestAckBatchCoalescing: acks generated within one ingress drain batch for
-// the same peer leave as a single MTBatch of MTAck frames — one egress
-// enqueue and one wire datagram for a burst that previously cost one
-// datagram each.
+// the same peer leave as a single range MTAck — one egress enqueue and one
+// wire datagram for a burst that would otherwise cost one datagram each.
 func TestAckBatchCoalescing(t *testing.T) {
 	bus := transport.NewBus()
 	n := newBusNode(t, bus, "recv")
@@ -204,26 +203,13 @@ func TestAckBatchCoalescing(t *testing.T) {
 			t.Errorf("peer received undecodable frame: %v", err)
 			return
 		}
-		var seqs []uint64
-		switch f.Type {
-		case protocol.MTAck:
-			seqs = []uint64{f.Seq}
-		case protocol.MTBatch:
-			subs, err := protocol.DecodeBatch(f.Payload)
-			if err != nil {
-				t.Errorf("peer received undecodable batch: %v", err)
-				return
-			}
-			for _, sub := range subs {
-				sf, err := protocol.DecodeFrame(sub)
-				if err != nil || sf.Type != protocol.MTAck {
-					t.Errorf("unexpected inner frame (type %v, err %v)", sf, err)
-					return
-				}
-				seqs = append(seqs, sf.Seq)
-			}
-		default:
+		if f.Type != protocol.MTAck {
 			return // discovery chatter is not under test
+		}
+		seqs, err := ackedSeqs(f)
+		if err != nil {
+			t.Errorf("peer received undecodable ack: %v", err)
+			return
 		}
 		mu.Lock()
 		batches = append(batches, seqs)

@@ -8,6 +8,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -55,6 +56,7 @@ const DefaultBearer = egress.DefaultBearer
 var (
 	codeFrameDecode    = uerr.Register("core.frame_decode", uerr.CatDecode)
 	codeBatchDecode    = uerr.Register("core.batch_decode", uerr.CatDecode)
+	codeAckDecode      = uerr.Register("core.ack_decode", uerr.CatDecode)
 	codeBatchNested    = uerr.Register("core.batch_nested", uerr.CatProtocol)
 	codeFragReassembly = uerr.Register("core.fragment_reassembly", uerr.CatDecode)
 	codeAckSend        = uerr.Register("core.ack_send", uerr.CatSend)
@@ -572,7 +574,7 @@ func (n *Node) transmitSplit(d egress.Dest, f *protocol.Frame, raw []byte, rel *
 		if viaARQ {
 			seq = n.NextSeq()
 		}
-		part := parts.Append(bufpool.Get(parts.WireSize(i)), i, seq, flags)
+		part := parts.Append(bufpool.Get(parts.WireSize(i, seq)), i, seq, flags)
 		if err := n.enqueue(d, f.Priority, seq, part, frag); err != nil {
 			return frag.complete(err)
 		}
@@ -656,11 +658,11 @@ var (
 type recvShard struct {
 	dedup *protocol.Dedup
 	reasm *protocol.Reassembler
-	// acks generated within one pipeline drain leave as a single MTBatch
+	// acks generated within one pipeline drain leave as one range MTAck
 	// per (bearer, peer) at batch end.
 	acks   []pendingAck
 	seqs   []uint64
-	ackBuf []byte // ack batch payload under construction
+	ackBuf []byte // ack range payload under construction
 }
 
 // pendingAck is one acknowledgment owed at the end of a drain batch.
@@ -679,12 +681,11 @@ func newRecvShard(clk clock.Clock) *recvShard {
 }
 
 // maxBatchNesting bounds MTBatch recursion. Depth 0 is a batch arriving as
-// its own datagram (egress coalescing); depth 1 is a batch inside that
-// batch (a coalesced ack batch riding an egress batch). Anything deeper
-// cannot be produced by this stack and is rejected as a protocol violation
-// rather than recursed into — a hostile or corrupt nested batch must not
-// turn the dispatcher into unbounded recursion.
-const maxBatchNesting = 2
+// its own datagram (egress coalescing). This stack never nests a batch in
+// a batch (acks travel as one range MTAck), so anything deeper is rejected as a protocol violation rather
+// than recursed into — a hostile or corrupt nested batch must not turn the
+// dispatcher into unbounded recursion.
+const maxBatchNesting = 1
 
 // deliverBatch is the ingress pipeline's dispatch callback: one shard
 // worker hands over a drain batch in per-source arrival order. Frame
@@ -745,7 +746,8 @@ func (n *Node) handleFrame(sh *recvShard, bearer string, from transport.NodeID, 
 	}
 	switch f.Type {
 	case protocol.MTAck:
-		n.arq.Ack(from, f.Seq)
+		err := protocol.EachAcked(f, func(seq uint64) { n.arq.Ack(from, seq) })
+		uerr.Note(n.metrics, codeAckDecode, err, "drop undecodable ack")
 	case protocol.MTBatch:
 		// Transparent batched receive: unpack coalesced frames and feed
 		// each through the full decode path, so per-frame acknowledgment,
@@ -816,10 +818,11 @@ func (n *Node) flushAcks(sh *recvShard) {
 	sh.acks = sh.acks[:0]
 }
 
-// sendAcks acknowledges seqs to one peer: a lone ack as a plain MTAck,
-// several as one MTBatch of MTAck frames — one egress enqueue and one wire
-// packet where a drained burst would have produced an ack datagram per
-// frame — and a burst too long for one datagram as several such batches.
+// sendAcks acknowledges seqs to one peer in range MTAcks: one frame, one
+// egress enqueue and one wire packet where a drained burst would have
+// produced an ack datagram per frame, and a range list too long for one
+// datagram as several. A seq acknowledged twice in one drain (a
+// retransmission of a frame already in the batch) is acknowledged once.
 //
 // Acks ride the critical lane: a delayed ack inflates the peer's ARQ RTT
 // and triggers spurious retransmissions exactly when a link is congested
@@ -828,25 +831,15 @@ func (n *Node) flushAcks(sh *recvShard) {
 // same link as the data it acknowledges. A refused enqueue (node closing)
 // is counted, not returned: the peer's ARQ retry is the recovery path.
 func (n *Node) sendAcks(sh *recvShard, bearer string, to transport.NodeID, seqs []uint64) {
+	slices.Sort(seqs)
+	slices.Reverse(seqs)
+	seqs = slices.Compact(seqs)
 	d := egress.Dest{Node: to, Bearer: bearer}
-	ack := protocol.Frame{Type: protocol.MTAck, Priority: qos.PriorityCritical}
-	perDatagram := max(1, (n.mtu-protocol.BatchOverhead(0))/(protocol.BatchEntryOverhead+protocol.FrameWireSize(&ack)))
 	for len(seqs) > 0 {
-		now := seqs[:min(len(seqs), perDatagram)]
-		seqs = seqs[len(now):]
-		if len(now) == 1 {
-			ack.Seq = now[0]
-			uerr.Note(n.metrics, codeAckSend, n.transmit(d, &ack, nil), "enqueue ack")
-			continue
-		}
-		batch := protocol.Frame{Type: protocol.MTBatch, Priority: qos.PriorityCritical, Payload: sh.ackBuf[:0]}
-		for _, seq := range now {
-			ack.Seq = seq
-			// Cannot fail: an ack has a valid type and no channel or budget.
-			batch.Payload, _ = protocol.AppendBatchEntry(batch.Payload, &ack)
-		}
-		sh.ackBuf = batch.Payload
-		uerr.Note(n.metrics, codeAckSend, n.transmit(d, &batch, nil), "enqueue ack batch")
+		ack := protocol.Frame{Priority: qos.PriorityCritical}
+		seqs = protocol.AppendAck(&ack, sh.ackBuf, seqs, n.mtu)
+		sh.ackBuf = ack.Payload
+		uerr.Note(n.metrics, codeAckSend, n.transmit(d, &ack, nil), "enqueue ack")
 	}
 }
 

@@ -311,9 +311,46 @@ func TestOversizeSelfLoopbackNeverFragments(t *testing.T) {
 	}
 }
 
+// ackedSeqs lists the seqs an MTAck acknowledges.
+func ackedSeqs(f *protocol.Frame) ([]uint64, error) {
+	var seqs []uint64
+	err := protocol.EachAcked(f, func(seq uint64) { seqs = append(seqs, seq) })
+	return seqs, err
+}
+
+// acksIn lists the seqs a datagram acknowledges: a lone MTAck, or MTAcks
+// coalesced into a batch; other frames acknowledge nothing.
+func acksIn(raw []byte) ([]uint64, error) {
+	f, err := protocol.DecodeFrame(raw)
+	if err != nil {
+		return nil, err
+	}
+	switch f.Type {
+	case protocol.MTAck:
+		return ackedSeqs(f)
+	case protocol.MTBatch:
+		subs, err := protocol.DecodeBatch(f.Payload)
+		if err != nil {
+			return nil, err
+		}
+		var seqs []uint64
+		for _, sub := range subs {
+			more, err := acksIn(sub)
+			if err != nil {
+				return nil, err
+			}
+			seqs = append(seqs, more...)
+		}
+		return seqs, nil
+	}
+	return nil, nil
+}
+
 // TestOversizeAckBurstStaysWithinMTU: a drain batch owing one peer more
-// acks than a datagram holds acknowledges all of them, in MTU-sized
-// batches rather than one oversized datagram.
+// ack ranges than a datagram holds, interleaved with a second peer's
+// frames, acknowledges every seq of each peer exactly once, to that peer,
+// in datagrams within the MTU. The first peer's seqs are spread far apart,
+// so each is its own range with a multi-byte gap; one frame arrives twice.
 func TestOversizeAckBurstStaysWithinMTU(t *testing.T) {
 	bus := transport.NewBus()
 	ep, err := bus.Endpoint("recv")
@@ -321,62 +358,76 @@ func TestOversizeAckBurstStaysWithinMTU(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := newGuardedNode(t, ep)
-	peer, err := bus.Endpoint("peer")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = peer.Close() })
-	var (
-		mu        sync.Mutex
-		acked     = make(map[uint64]int)
-		datagrams int
-	)
-	peer.SetHandler(func(pkt transport.Packet) {
-		f, err := protocol.DecodeFrame(pkt.Payload)
-		if err != nil || f.Type != protocol.MTBatch {
-			return // discovery chatter is not under test
-		}
-		subs, err := protocol.DecodeBatch(f.Payload)
+	var mu sync.Mutex
+	acked := map[transport.NodeID]map[uint64]int{}
+	datagrams := map[transport.NodeID]int{}
+	for _, id := range []transport.NodeID{"peer", "other"} {
+		peer, err := bus.Endpoint(id)
 		if err != nil {
-			t.Errorf("undecodable ack batch: %v", err)
-			return
+			t.Fatal(err)
 		}
-		mu.Lock()
-		defer mu.Unlock()
-		datagrams++
-		for _, sub := range subs {
-			if sf, err := protocol.DecodeFrame(sub); err == nil && sf.Type == protocol.MTAck {
-				acked[sf.Seq]++
+		t.Cleanup(func() { _ = peer.Close() })
+		acked[id] = map[uint64]int{}
+		peer.SetHandler(func(pkt transport.Packet) {
+			seqs, err := acksIn(pkt.Payload)
+			if err != nil {
+				t.Errorf("%s: undecodable datagram: %v", id, err)
 			}
-		}
-	})
+			if len(seqs) == 0 {
+				return // discovery chatter is not under test
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			datagrams[id]++
+			for _, seq := range seqs {
+				acked[id][seq]++
+			}
+		})
+	}
 
-	const burst = 100 // × 23 B per batched ack: far beyond one 512 B datagram
+	const burst = 100 // ranges × ~6 B each: beyond one 512 B datagram
+	rng := rand.New(rand.NewSource(5))
+	sent := map[transport.NodeID][]uint64{}
 	var batch []ingress.Packet
-	for seq := uint64(1); seq <= burst; seq++ {
+	frame := func(from transport.NodeID, seq uint64) {
 		raw, err := protocol.EncodeFrame(&protocol.Frame{
 			Type: protocol.MTFileCancel, Flags: protocol.FlagAckRequired, Seq: seq, Priority: qos.PriorityHigh,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		batch = append(batch, ingress.Packet{Bearer: DefaultBearer, From: "peer", Payload: raw})
+		batch = append(batch, ingress.Packet{Bearer: DefaultBearer, From: from, Payload: raw})
 	}
+	seq := uint64(1)
+	for i := 0; i < burst; i++ {
+		seq += 2 + uint64(rng.Int63n(1<<36))
+		frame("peer", seq)
+		sent["peer"] = append(sent["peer"], seq)
+		// The second peer's seqs sit in the first one's gaps, in runs.
+		for j := uint64(1); j <= uint64(i%3); j++ {
+			frame("other", seq+j)
+			sent["other"] = append(sent["other"], seq+j)
+		}
+		seq += 3
+	}
+	frame("peer", sent["peer"][burst/2]) // a retransmission in the same drain
 	n.deliverBatch(n.ingress.ShardOf("peer"), batch)
 
 	waitUntil(t, 2*time.Second, "every ack of the burst", func() bool {
 		mu.Lock()
 		defer mu.Unlock()
-		return len(acked) == burst
+		return len(acked["peer"]) == len(sent["peer"]) && len(acked["other"]) == len(sent["other"])
 	})
 	mu.Lock()
 	defer mu.Unlock()
-	for seq, times := range acked {
-		if times != 1 {
-			t.Errorf("seq %d acknowledged %d times", seq, times)
+	for id, seqs := range sent {
+		for _, seq := range seqs {
+			if times := acked[id][seq]; times != 1 {
+				t.Errorf("%s: seq %d acknowledged %d times", id, seq, times)
+			}
 		}
 	}
-	if datagrams < 2 {
-		t.Errorf("%d acks left in %d datagram(s); the burst cannot fit one", burst, datagrams)
+	if datagrams["peer"] < 2 {
+		t.Errorf("%d ack ranges left in %d datagram(s); they cannot fit one", burst, datagrams["peer"])
 	}
 }

@@ -235,9 +235,11 @@ func RunE2(n int, loss float64, payloadBytes int, seed int64) (*E2Result, error)
 			if err := protocol.DecodeFrameInto(&f, pkt.Payload); err != nil || f.Type == protocol.MTAck {
 				return
 			}
-			// Ack everything with FlagAckRequired.
-			ack, _ := protocol.AppendFrame(nil, &protocol.Frame{Type: protocol.MTAck, Seq: f.Seq})
-			_ = dst.Send("src", ack)
+			// Ack everything with FlagAckRequired, as a node does.
+			var ack protocol.Frame
+			protocol.AppendAck(&ack, nil, []uint64{f.Seq}, 0)
+			raw, _ := protocol.AppendFrame(nil, &ack)
+			_ = dst.Send("src", raw)
 		})
 		reg := metrics.NewRegistry()
 		arq := protocol.NewARQ(func(to transport.NodeID, frame []byte) error {
@@ -248,7 +250,7 @@ func RunE2(n int, loss float64, payloadBytes int, seed int64) (*E2Result, error)
 			if err := protocol.DecodeFrameInto(&f, pkt.Payload); err != nil || f.Type != protocol.MTAck {
 				return
 			}
-			arq.Ack(pkt.From, f.Seq)
+			_ = protocol.EachAcked(&f, func(seq uint64) { arq.Ack(pkt.From, seq) })
 		})
 
 		start := time.Now()

@@ -70,79 +70,53 @@ func contiguous(seqs []uint64, i, limit int) int {
 	return j
 }
 
-// AckReader walks the ranges of an MTAck, largest first.
-type AckReader struct {
-	rest   []byte
-	next   uint64 // largest seq of the range Next returns
-	first  bool   // the next range is the first one
-	single bool   // empty payload: Seq alone
-	done   bool
+// EachAcked validates an MTAck's whole range list — canonical uvarints,
+// ranges that stay at or above seq 0, at most MaxAckSeqs seqs and no
+// trailing bytes — and only then calls fn for every seq it acknowledges,
+// largest range first, ascending within a range.
+func EachAcked(f *Frame, fn func(seq uint64)) error {
+	if err := walkAck(f, nil); err != nil {
+		return err
+	}
+	return walkAck(f, func(lo, hi uint64) {
+		for seq := lo; ; seq++ {
+			fn(seq)
+			if seq == hi {
+				return
+			}
+		}
+	})
 }
 
-// ReadAck validates the whole of an MTAck's range list — canonical
-// uvarints, ranges that stay at or above seq 0, at most MaxAckSeqs seqs and
-// no trailing bytes — before anything is acknowledged, and returns a reader
-// over its ranges.
-func ReadAck(f *Frame) (AckReader, error) {
-	a := AckReader{rest: f.Payload, next: f.Seq, first: true, single: len(f.Payload) == 0}
-	if a.single {
-		return a, nil
+// walkAck checks an MTAck's ranges and passes each, largest first, to
+// visit when it is not nil.
+func walkAck(f *Frame, visit func(lo, hi uint64)) error {
+	if len(f.Payload) == 1 && f.Payload[0] == 0 {
+		return fmt.Errorf("protocol: ack of one seq with a payload: %w", ErrBadFrame)
 	}
 	r := encoding.NewReader(f.Payload)
-	hi, covered := f.Seq, uint64(0)
-	for n := r.Uvarint(); ; n = r.Uvarint() {
-		if r.Err() != nil {
-			break
-		}
+	hi, n, covered := f.Seq, uint64(0), uint64(0)
+	if len(f.Payload) > 0 {
+		n = r.Uvarint()
+	}
+	for r.Err() == nil {
 		if n > hi || n >= MaxAckSeqs-covered {
-			return AckReader{}, fmt.Errorf("protocol: ack range of %d below %d after %d seqs: %w", n+1, hi, covered, ErrBadFrame)
+			return fmt.Errorf("protocol: ack range of %d below %d after %d seqs: %w", n+1, hi, covered, ErrBadFrame)
 		}
 		covered += n + 1
 		lo := hi - n
+		if visit != nil {
+			visit(lo, hi)
+		}
 		if r.Remaining() == 0 {
-			break
+			return nil
 		}
 		gap := r.Uvarint()
+		n = r.Uvarint()
 		if r.Err() == nil && (lo < 2 || gap > lo-2) {
-			return AckReader{}, fmt.Errorf("protocol: ack gap %d below %d: %w", gap, lo, ErrBadFrame)
+			return fmt.Errorf("protocol: ack gap %d below %d: %w", gap, lo, ErrBadFrame)
 		}
 		hi = lo - gap - 2
-		if r.Remaining() == 0 && r.Err() == nil {
-			return AckReader{}, fmt.Errorf("protocol: ack gap with no range: %w", encoding.ErrTruncated)
-		}
 	}
-	if err := r.Err(); err != nil {
-		return AckReader{}, fmt.Errorf("protocol: ack ranges: %w", err)
-	}
-	if len(f.Payload) == 1 && f.Payload[0] == 0 {
-		return AckReader{}, fmt.Errorf("protocol: ack of one seq with a payload: %w", ErrBadFrame)
-	}
-	return a, nil
-}
-
-// Next returns the next range of acknowledged seqs, lo ≤ hi, or ok=false
-// after the last.
-func (a *AckReader) Next() (lo, hi uint64, ok bool) {
-	switch {
-	case a.done:
-		return 0, 0, false
-	case a.single:
-		a.done = true
-		return a.next, a.next, true
-	}
-	if !a.first {
-		if len(a.rest) == 0 {
-			a.done = true
-			return 0, 0, false
-		}
-		gap, k := binary.Uvarint(a.rest)
-		a.rest = a.rest[k:]
-		a.next -= gap + 2
-	}
-	a.first = false
-	n, k := binary.Uvarint(a.rest)
-	a.rest = a.rest[k:]
-	hi = a.next
-	a.next = hi - n
-	return hi - n, hi, true
+	return fmt.Errorf("protocol: ack ranges: %w", r.Err())
 }

@@ -7,28 +7,21 @@ import (
 	"testing"
 )
 
-// ackedSeqs expands an accepted MTAck into its seqs, largest first.
+// ackedSeqs expands an accepted MTAck into its seqs, in descending order.
 func ackedSeqs(t *testing.T, f *Frame) []uint64 {
 	t.Helper()
-	a, err := ReadAck(f)
-	if err != nil {
+	var seqs []uint64
+	if err := EachAcked(f, func(seq uint64) { seqs = append(seqs, seq) }); err != nil {
 		t.Fatalf("ack %d %x rejected: %v", f.Seq, f.Payload, err)
 	}
-	var seqs []uint64
-	for lo, hi, ok := a.Next(); ok; lo, hi, ok = a.Next() {
-		for s := hi; ; s-- {
-			seqs = append(seqs, s)
-			if s == lo {
-				break
-			}
-		}
-	}
+	slices.Sort(seqs)
+	slices.Reverse(seqs)
 	return seqs
 }
 
 // FuzzAckRanges holds the ack codec to two properties.
 //
-// seq and payload are an MTAck off the network. ReadAck must not panic,
+// seq and payload are an MTAck off the network. EachAcked must not panic,
 // and an ack it accepts must cover at most MaxAckSeqs seqs and re-encode
 // through AppendAck to exactly the same Seq and payload.
 //
@@ -47,7 +40,7 @@ func FuzzAckRanges(f *testing.F) {
 	f.Add(uint64(5000), []byte{0xff, 0x3f}, uint64(3), []byte{}, uint16(9)) // 16,384 seqs
 	f.Fuzz(func(t *testing.T, seq uint64, payload []byte, top uint64, steps []byte, mtuSeed uint16) {
 		in := Frame{Type: MTAck, Seq: seq, Payload: payload}
-		if _, err := ReadAck(&in); err == nil {
+		if walkAck(&in, nil) == nil {
 			seqs := ackedSeqs(t, &in)
 			if len(seqs) > MaxAckSeqs {
 				t.Fatalf("accepted ack covers %d seqs", len(seqs))

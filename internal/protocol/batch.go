@@ -11,21 +11,27 @@ import (
 // Batch wire layout. An MTBatch frame is an ordinary frame whose payload is
 // a sequence of complete encoded frames, each prefixed by its length:
 //
-//	| u32 len | frame bytes | u32 len | frame bytes | ...
+//	| u16 len | frame bytes | u16 len | frame bytes | ...
 //
-// The outer frame carries no sequence semantics of its own (Seq is unused,
-// never ack-required); reliability belongs to the inner frames, which the
+// An entry is at most MaxBatchEntry bytes; egress bounds a whole batch by
+// the datagram MTU anyway. The outer frame carries no sequence semantics of
+// its own (Seq is 0, one uvarint byte, never ack-required); reliability
+// belongs to the inner frames, which the
 // receiver feeds through the normal decode path one by one. The outer
 // Priority is the egress lane the batch was drained from, so transports or
 // diagnostics that peek at the header still see the right class.
 
 // BatchEntryOverhead is the per-inner-frame cost of riding in a batch.
-const BatchEntryOverhead = 4
+const BatchEntryOverhead = 2
+
+// MaxBatchEntry is the longest inner frame a batch can carry.
+const MaxBatchEntry = 1<<16 - 1
 
 // BatchOverhead returns the wire bytes an n-frame batch adds on top of the
-// inner frames themselves. Egress uses it to keep coalesced datagrams under
+// inner frames themselves: the outer header, whose seq 0 takes one byte,
+// and the entry prefixes. Egress uses it to keep coalesced datagrams under
 // the MTU.
-func BatchOverhead(n int) int { return frameHeaderLen + n*BatchEntryOverhead }
+func BatchOverhead(n int) int { return frameHeaderLen + 1 + n*BatchEntryOverhead }
 
 // AppendBatch serializes an MTBatch datagram containing the given encoded
 // frames onto dst and returns the extended slice. Each inner frame is
@@ -38,11 +44,16 @@ func AppendBatch(dst []byte, frames [][]byte, p qos.Priority) ([]byte, error) {
 	if len(frames) == 0 {
 		return dst, fmt.Errorf("protocol: empty batch: %w", ErrBadFrame)
 	}
+	for _, f := range frames {
+		if len(f) > MaxBatchEntry {
+			return dst, fmt.Errorf("protocol: %d-byte batch entry: %w", len(f), ErrBadFrame)
+		}
+	}
 	// Outer frame header: empty channel, no seq, no flags — batches carry
 	// no sequence semantics of their own. Cannot fail: the type is valid.
 	dst, _ = AppendFrame(dst, &Frame{Type: MTBatch, Priority: p})
 	for _, f := range frames {
-		dst = binary.BigEndian.AppendUint32(dst, uint32(len(f)))
+		dst = binary.BigEndian.AppendUint16(dst, uint16(len(f)))
 		dst = append(dst, f...)
 	}
 	return dst, nil
@@ -53,7 +64,11 @@ func AppendBatch(dst []byte, frames [][]byte, p qos.Priority) ([]byte, error) {
 // assemble an MTBatch frame themselves instead of collecting encoded
 // frames for AppendBatch. On error dst is returned unmodified.
 func AppendBatchEntry(dst []byte, f *Frame) ([]byte, error) {
-	out, err := AppendFrame(binary.BigEndian.AppendUint32(dst, uint32(FrameWireSize(f))), f)
+	n := FrameWireSize(f)
+	if n > MaxBatchEntry {
+		return dst, fmt.Errorf("protocol: %d-byte batch entry: %w", n, ErrBadFrame)
+	}
+	out, err := AppendFrame(binary.BigEndian.AppendUint16(dst, uint16(n)), f)
 	if err != nil {
 		return dst, err
 	}
@@ -74,13 +89,13 @@ func ReadBatch(payload []byte) (BatchReader, error) {
 		return BatchReader{}, fmt.Errorf("protocol: empty batch: %w", ErrBadFrame)
 	}
 	for rest := payload; len(rest) > 0; {
-		if len(rest) < 4 {
+		if len(rest) < BatchEntryOverhead {
 			return BatchReader{}, fmt.Errorf("protocol: batch entry: %d-byte length prefix: %w",
 				len(rest), encoding.ErrTruncated)
 		}
-		n := binary.BigEndian.Uint32(rest)
-		rest = rest[4:]
-		if uint64(n) > uint64(len(rest)) {
+		n := int(binary.BigEndian.Uint16(rest))
+		rest = rest[BatchEntryOverhead:]
+		if n > len(rest) {
 			return BatchReader{}, fmt.Errorf("protocol: batch entry %d bytes, %d left: %w",
 				n, len(rest), ErrBadFrame)
 		}
@@ -95,8 +110,8 @@ func (b *BatchReader) Next() (frame []byte, ok bool) {
 	if len(b.rest) == 0 {
 		return nil, false
 	}
-	n := binary.BigEndian.Uint32(b.rest)
-	frame, b.rest = b.rest[4:4+n], b.rest[4+n:]
+	n := BatchEntryOverhead + int(binary.BigEndian.Uint16(b.rest))
+	frame, b.rest = b.rest[BatchEntryOverhead:n], b.rest[n:]
 	return frame, true
 }
 

@@ -128,8 +128,33 @@ func TestBatchRejectsEmptyAndTruncated(t *testing.T) {
 	}
 	// A dangling partial length prefix after a good entry rejects the
 	// whole batch before the in-place reader hands out anything.
-	if _, err := ReadBatch(append(append([]byte(nil), outer.Payload...), 0, 0)); !errors.Is(err, encoding.ErrTruncated) {
+	if _, err := ReadBatch(append(append([]byte(nil), outer.Payload...), 0)); !errors.Is(err, encoding.ErrTruncated) {
 		t.Fatalf("dangling prefix: err = %v, want ErrTruncated", err)
+	}
+}
+
+// An entry's u16 length prefix bounds it at MaxBatchEntry bytes; a longer
+// one is an encode error that leaves dst as it was.
+func TestBatchRejectsOversizedEntry(t *testing.T) {
+	big := make([]byte, MaxBatchEntry+1)
+	if out, err := AppendBatch([]byte("x"), [][]byte{{1}, big}, qos.PriorityBulk); !errors.Is(err, ErrBadFrame) || string(out) != "x" {
+		t.Fatalf("AppendBatch of a %d-byte entry: err %v, dst %d bytes", len(big), err, len(out))
+	}
+	f := &Frame{Type: MTFileChunk, Payload: big}
+	if out, err := AppendBatchEntry([]byte("x"), f); !errors.Is(err, ErrBadFrame) || string(out) != "x" {
+		t.Fatalf("AppendBatchEntry of a %d-byte frame: err %v, dst %d bytes", FrameWireSize(f), err, len(out))
+	}
+	f.Payload = big[:MaxBatchEntry-FrameWireSize(&Frame{Type: MTFileChunk})]
+	payload, err := AppendBatchEntry(nil, f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := ReadBatch(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := r.Next(); len(got) != MaxBatchEntry {
+		t.Fatalf("largest entry read back as %d bytes", len(got))
 	}
 }
 

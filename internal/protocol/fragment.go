@@ -36,9 +36,11 @@ const maxFragments = 1 << 14
 // total.
 const fragHeaderLen = 12
 
-// fragOverhead is what riding in a fragment costs on the wire: the
-// MTFragment frame's own header plus the fragment header.
-const fragOverhead = frameHeaderLen + fragHeaderLen
+// fragOverhead bounds what riding in a fragment costs on the wire: the
+// MTFragment frame's own header with the longest seq plus the fragment
+// header. A reliable fragment draws its seq after the split, so the split
+// budgets for any seq.
+const fragOverhead = frameHeaderLen + maxSeqLen + fragHeaderLen
 
 // Fragments is the plan for sending one oversized encoded frame as
 // MTFragment datagrams that each fit the MTU. The sender builds fragment i
@@ -78,9 +80,10 @@ func Split(raw []byte, msgID uint64, mtu int) (Fragments, error) {
 // Count returns the number of fragments.
 func (s Fragments) Count() int { return s.total }
 
-// WireSize returns the exact datagram size of fragment i.
-func (s Fragments) WireSize(i int) int {
-	return fragOverhead + min(s.chunk, len(s.raw)-i*s.chunk)
+// WireSize returns the exact datagram size of fragment i sent under seq. It
+// is at most the split's mtu whatever the seq.
+func (s Fragments) WireSize(i int, seq uint64) int {
+	return frameHeaderLen + encoding.UvarintLen(seq) + fragHeaderLen + min(s.chunk, len(s.raw)-i*s.chunk)
 }
 
 // Append writes fragment i onto dst as a complete MTFragment wire frame

@@ -3,6 +3,7 @@ package protocol
 import (
 	"bytes"
 	"errors"
+	"math"
 	"math/rand"
 	"testing"
 	"time"
@@ -20,9 +21,9 @@ func fragmentAll(t testing.TB, raw []byte, msgID uint64, mtu int) [][]byte {
 	}
 	out := make([][]byte, split.Count())
 	for i := range out {
-		out[i] = split.Append(make([]byte, 0, split.WireSize(i)), i, msgID, 0)
-		if len(out[i]) != split.WireSize(i) {
-			t.Fatalf("fragment %d is %d bytes, WireSize said %d", i, len(out[i]), split.WireSize(i))
+		out[i] = split.Append(make([]byte, 0, split.WireSize(i, msgID)), i, msgID, 0)
+		if len(out[i]) != split.WireSize(i, msgID) {
+			t.Fatalf("fragment %d is %d bytes, WireSize said %d", i, len(out[i]), split.WireSize(i, msgID))
 		}
 	}
 	return out
@@ -202,7 +203,9 @@ func TestFragmentMTUDefault(t *testing.T) {
 // exist), carries the original frame's priority in its own header so
 // priority-peeking send paths (ARQ resends, egress laning) keep every
 // fragment in the original class, takes the sender's per-fragment seq and
-// flags, and the set reassembles to the original bytes.
+// flags, and the set reassembles to the original bytes. Reliable fragments
+// draw their seq after the split, so every other fragment takes a 10-byte
+// seq: the split must budget for the widest one.
 func TestFragmentsFitMTUAndInheritPriority(t *testing.T) {
 	const mtu = 1400
 	for _, pr := range qos.Levels() {
@@ -225,10 +228,13 @@ func TestFragmentsFitMTUAndInheritPriority(t *testing.T) {
 			var out []byte
 			for i := 0; i < split.Count(); i++ {
 				seq := uint64(100 + i)
+				if i%2 == 1 {
+					seq = math.MaxUint64 - uint64(i)
+				}
 				part := split.Append(nil, i, seq, FlagAckRequired)
-				if len(part) > mtu || len(part) != split.WireSize(i) {
+				if len(part) > mtu || len(part) != split.WireSize(i, seq) {
 					t.Fatalf("%d bytes at %v: fragment %d is %d bytes (WireSize %d), mtu %d",
-						size, pr, i, len(part), split.WireSize(i), mtu)
+						size, pr, i, len(part), split.WireSize(i, seq), mtu)
 				}
 				if got := PeekPriority(part); got != pr {
 					t.Fatalf("PeekPriority(fragment %d) = %v, want %v", i, got, pr)

@@ -195,7 +195,7 @@ const maxBudget = time.Duration(^uint32(0)) * time.Microsecond
 
 const (
 	frameMagic   uint16 = 0x5541 // "UA"
-	frameVersion uint8  = 1
+	frameVersion uint8  = 2
 )
 
 // MaxChannelLen bounds channel names on the wire.
@@ -209,16 +209,30 @@ var (
 	ErrVersion = errors.New("protocol version mismatch")
 )
 
-// frameHeaderLen is the fixed header cost of every encoded frame: magic
-// u16, version, type, flags, encoding, priority, the channel's u32 length
-// prefix, and the u64 sequence number. Channel bytes and the optional
-// budget word come on top.
-const frameHeaderLen = 19
+// Frame wire layout, version 2:
+//
+//	| u16 magic | u8 version | u8 type | u8 flags | u8 encoding | u8 priority |
+//	| u8 channel length | channel | uvarint seq | [u32 budget µs] | payload |
+//
+// The seq is a canonical uvarint (encoding.Reader.Uvarint): 1 byte below
+// 128, 3 bytes below 2^21, 10 at most. The budget word is present exactly
+// when FlagHasBudget is set, and is then non-zero. Version 1 carried a u32
+// channel length and a u64 seq; its frames are rejected with ErrVersion.
+
+// frameHeaderLen is the fixed part of every encoded frame's header: magic
+// u16, version, type, flags, encoding, priority and the channel's u8
+// length. The channel bytes, the seq's uvarint and the optional budget
+// word come on top.
+const frameHeaderLen = 8
+
+// maxSeqLen is the longest seq encoding. A frame sized before its seq is
+// drawn (a reliable fragment) budgets for it.
+const maxSeqLen = binary.MaxVarintLen64
 
 // FrameWireSize returns the exact number of bytes AppendFrame writes for f,
 // so callers can size a buffer with no slack and no regrowth.
 func FrameWireSize(f *Frame) int {
-	n := frameHeaderLen + len(f.Channel) + len(f.Payload)
+	n := frameHeaderLen + len(f.Channel) + encoding.UvarintLen(f.Seq) + len(f.Payload)
 	if f.Budget > 0 {
 		n += 4
 	}
@@ -248,9 +262,9 @@ func AppendFrame(dst []byte, f *Frame) ([]byte, error) {
 	}
 	dst = binary.BigEndian.AppendUint16(dst, frameMagic)
 	dst = append(dst, frameVersion, uint8(f.Type), flags, f.Encoding, uint8(f.Priority))
-	dst = binary.BigEndian.AppendUint32(dst, uint32(len(f.Channel)))
+	dst = append(dst, uint8(len(f.Channel)))
 	dst = append(dst, f.Channel...)
-	dst = binary.BigEndian.AppendUint64(dst, f.Seq)
+	dst = binary.AppendUvarint(dst, f.Seq)
 	if f.Budget > 0 {
 		budget := f.Budget
 		if budget > maxBudget {
@@ -329,12 +343,8 @@ func DecodeFrameInto(f *Frame, data []byte) error {
 	f.Flags = r.Uint8()
 	f.Encoding = r.Uint8()
 	f.Priority = qos.Priority(r.Uint8())
-	channel := r.RawBytes()
-	if len(channel) > MaxChannelLen {
-		return fmt.Errorf("protocol: %d-byte channel: %w", len(channel), ErrBadFrame)
-	}
-	f.Channel = internChannel(channel)
-	f.Seq = r.Uint64()
+	f.Channel = internChannel(r.Raw(int(r.Uint8())))
+	f.Seq = r.Uvarint()
 	f.Budget = 0
 	if f.Flags&FlagHasBudget != 0 {
 		f.Budget = time.Duration(r.Uint32()) * time.Microsecond

@@ -3,10 +3,12 @@ package protocol
 import (
 	"bytes"
 	"errors"
+	"math"
 	"strings"
 	"testing"
 	"time"
 
+	"uavmw/internal/encoding"
 	"uavmw/internal/qos"
 )
 
@@ -104,6 +106,49 @@ func TestFrameDecodeErrors(t *testing.T) {
 	}
 	if _, err := DecodeFrame(good[:8]); err == nil {
 		t.Error("truncated header must fail")
+	}
+	// Version 1 (u32 channel length, u64 seq) is refused, not misread.
+	v1 := []byte{0x55, 0x41, 1, byte(MTEvent), 0, 0, 0, 0, 0, 0, 1, 'c', 0, 0, 0, 0, 0, 0, 0, 1}
+	if _, err := DecodeFrame(v1); !errors.Is(err, ErrVersion) {
+		t.Errorf("version 1 frame: %v", err)
+	}
+	// The seq has one wire form: an overlong uvarint is corrupt.
+	head := []byte{0x55, 0x41, 2, byte(MTEvent), 0, 0, 0, 1, 'c'}
+	if _, err := DecodeFrame(append(head[:9:9], 0x81, 0x00)); !errors.Is(err, encoding.ErrCorrupt) {
+		t.Errorf("overlong seq: %v", err)
+	}
+	if _, err := DecodeFrame(append(head[:9:9], 0x81)); !errors.Is(err, encoding.ErrTruncated) {
+		t.Errorf("truncated seq: %v", err)
+	}
+	if f, err := DecodeFrame(append(head[:9:9], 0x81, 0x01)); err != nil || f.Seq != 129 {
+		t.Errorf("two-byte seq: %+v, %v", f, err)
+	}
+	// A budget flag implies a non-zero word.
+	zeroBudget := append(append(head[:9:9], 1), 0, 0, 0, 0)
+	zeroBudget[4] = FlagHasBudget
+	if _, err := DecodeFrame(zeroBudget); !errors.Is(err, ErrBadFrame) {
+		t.Errorf("zero budget word: %v", err)
+	}
+}
+
+// FrameWireSize is exact at every seq width: the header is 8 bytes plus
+// the channel plus the seq's uvarint.
+func TestFrameWireSizeSeqWidths(t *testing.T) {
+	for _, c := range []struct {
+		seq   uint64
+		width int
+	}{{0, 1}, {127, 1}, {128, 2}, {16383, 2}, {16384, 3}, {1<<21 - 1, 3}, {1 << 63, 10}, {math.MaxUint64, 10}} {
+		f := &Frame{Type: MTEvent, Channel: "ch", Seq: c.seq, Payload: []byte{1}}
+		raw, err := EncodeFrame(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := 8 + 2 + c.width + 1; len(raw) != want || FrameWireSize(f) != want {
+			t.Errorf("seq %d: %d bytes, FrameWireSize %d, want %d", c.seq, len(raw), FrameWireSize(f), want)
+		}
+		if got, err := DecodeFrame(raw); err != nil || got.Seq != c.seq {
+			t.Errorf("seq %d decoded as %v, %v", c.seq, got, err)
+		}
 	}
 }
 
