@@ -682,9 +682,9 @@ func newRecvShard(clk clock.Clock) *recvShard {
 
 // maxBatchNesting bounds MTBatch recursion. Depth 0 is a batch arriving as
 // its own datagram (egress coalescing). This stack never nests a batch in
-// a batch (acks travel as one range MTAck), so anything deeper is rejected as a protocol violation rather
-// than recursed into — a hostile or corrupt nested batch must not turn the
-// dispatcher into unbounded recursion.
+// a batch (acks travel as one range MTAck), so anything deeper is rejected
+// as a protocol violation rather than recursed into — a hostile or corrupt
+// nested batch must not turn the dispatcher into unbounded recursion.
 const maxBatchNesting = 1
 
 // deliverBatch is the ingress pipeline's dispatch callback: one shard

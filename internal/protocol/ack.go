@@ -39,7 +39,7 @@ func AppendAck(f *Frame, scratch []byte, seqs []uint64, mtu int) (rest []uint64)
 	room := mtu - FrameWireSize(f)
 	i := contiguous(seqs, 0, MaxAckSeqs)
 	first := uint64(i - 1)
-	if first == 0 && i == len(seqs) || encoding.UvarintLen(first) > room {
+	if encoding.UvarintLen(first) > room {
 		f.Payload = scratch[:0]
 		return seqs[1:]
 	}

@@ -16,10 +16,10 @@ import (
 // An entry is at most MaxBatchEntry bytes; egress bounds a whole batch by
 // the datagram MTU anyway. The outer frame carries no sequence semantics of
 // its own (Seq is 0, one uvarint byte, never ack-required); reliability
-// belongs to the inner frames, which the
-// receiver feeds through the normal decode path one by one. The outer
-// Priority is the egress lane the batch was drained from, so transports or
-// diagnostics that peek at the header still see the right class.
+// belongs to the inner frames, which the receiver feeds through the normal
+// decode path one by one. The outer Priority is the egress lane the batch
+// was drained from, so transports or diagnostics that peek at the header
+// still see the right class.
 
 // BatchEntryOverhead is the per-inner-frame cost of riding in a batch.
 const BatchEntryOverhead = 2
@@ -57,22 +57,6 @@ func AppendBatch(dst []byte, frames [][]byte, p qos.Priority) ([]byte, error) {
 		dst = append(dst, f...)
 	}
 	return dst, nil
-}
-
-// AppendBatchEntry encodes f straight into a batch payload under
-// construction — its length prefix, then the frame — for senders that
-// assemble an MTBatch frame themselves instead of collecting encoded
-// frames for AppendBatch. On error dst is returned unmodified.
-func AppendBatchEntry(dst []byte, f *Frame) ([]byte, error) {
-	n := FrameWireSize(f)
-	if n > MaxBatchEntry {
-		return dst, fmt.Errorf("protocol: %d-byte batch entry: %w", n, ErrBadFrame)
-	}
-	out, err := AppendFrame(binary.BigEndian.AppendUint16(dst, uint16(n)), f)
-	if err != nil {
-		return dst, err
-	}
-	return out, nil
 }
 
 // BatchReader walks the raw inner frames of an MTBatch payload in place.

@@ -75,37 +75,6 @@ func TestBatchOverheadAccountsForWire(t *testing.T) {
 	}
 }
 
-// TestBatchEntriesMatchAppendBatch: a batch frame whose payload is built
-// entry by entry from Frame values is byte-identical to AppendBatch over
-// the separately encoded frames, and a rejected entry leaves dst alone.
-func TestBatchEntriesMatchAppendBatch(t *testing.T) {
-	acks := []*Frame{
-		{Type: MTAck, Priority: qos.PriorityCritical, Seq: 4},
-		{Type: MTAck, Priority: qos.PriorityCritical, Seq: 9},
-		{Type: MTEvent, Priority: qos.PriorityHigh, Channel: "alarm", Seq: 11, Payload: []byte("x")},
-	}
-	var encoded [][]byte
-	var payload []byte
-	for _, f := range acks {
-		encoded = append(encoded, encodeTestFrame(t, f))
-		var err error
-		if payload, err = AppendBatchEntry(payload, f); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := AppendBatch(nil, encoded, qos.PriorityCritical)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := encodeTestFrame(t, &Frame{Type: MTBatch, Priority: qos.PriorityCritical, Payload: payload})
-	if !bytes.Equal(got, want) {
-		t.Fatalf("entry-built batch\n %x\nwant\n %x", got, want)
-	}
-	if out, err := AppendBatchEntry(payload, &Frame{Type: 0}); err == nil || len(out) != len(payload) {
-		t.Fatalf("invalid entry: err = %v, dst grew from %d to %d bytes", err, len(payload), len(out))
-	}
-}
-
 func TestBatchRejectsEmptyAndTruncated(t *testing.T) {
 	if _, err := AppendBatch(nil, nil, qos.PriorityNormal); err == nil {
 		t.Fatal("AppendBatch of no frames succeeded")
@@ -140,16 +109,15 @@ func TestBatchRejectsOversizedEntry(t *testing.T) {
 	if out, err := AppendBatch([]byte("x"), [][]byte{{1}, big}, qos.PriorityBulk); !errors.Is(err, ErrBadFrame) || string(out) != "x" {
 		t.Fatalf("AppendBatch of a %d-byte entry: err %v, dst %d bytes", len(big), err, len(out))
 	}
-	f := &Frame{Type: MTFileChunk, Payload: big}
-	if out, err := AppendBatchEntry([]byte("x"), f); !errors.Is(err, ErrBadFrame) || string(out) != "x" {
-		t.Fatalf("AppendBatchEntry of a %d-byte frame: err %v, dst %d bytes", FrameWireSize(f), err, len(out))
-	}
-	f.Payload = big[:MaxBatchEntry-FrameWireSize(&Frame{Type: MTFileChunk})]
-	payload, err := AppendBatchEntry(nil, f)
+	raw, err := AppendBatch(nil, [][]byte{big[:MaxBatchEntry]}, qos.PriorityBulk)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := ReadBatch(payload)
+	outer, err := DecodeFrame(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := ReadBatch(outer.Payload)
 	if err != nil {
 		t.Fatal(err)
 	}

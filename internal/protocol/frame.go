@@ -76,7 +76,7 @@ const (
 
 	// Transport-level.
 	MTFragment // piece of an oversized frame
-	MTAck      // ARQ acknowledgment of any FlagAckRequired frame
+	MTAck      // ARQ acknowledgment of FlagAckRequired frames, as seq ranges (ack.go)
 
 	// Events, group-addressed mode (§4.1 bandwidth argument applied to
 	// §4.2 delivery). Appended after the transport types to keep existing
@@ -123,8 +123,9 @@ const (
 
 // Frame flag bits.
 const (
-	// FlagAckRequired asks the receiving container to reply MTAck with
-	// the same Seq; the sender's ARQ engine retransmits until it does.
+	// FlagAckRequired asks the receiving container to reply with an MTAck
+	// covering the frame's Seq; the sender's ARQ engine retransmits until
+	// it does.
 	FlagAckRequired uint8 = 1 << 0
 	// FlagAppError marks an MTError frame as an application-level
 	// failure (no failover) rather than an infrastructure failure.
