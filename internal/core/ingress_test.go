@@ -234,7 +234,7 @@ func TestAckBatchCoalescing(t *testing.T) {
 	}
 	n.deliverBatch(n.ingress.ShardOf("peer"), batch)
 
-	waitUntil(t, 2*time.Second, "coalesced ack batch", func() bool {
+	waitUntil(t, 2*time.Second, "coalesced range ack", func() bool {
 		mu.Lock()
 		defer mu.Unlock()
 		return len(batches) > 0
@@ -242,15 +242,15 @@ func TestAckBatchCoalescing(t *testing.T) {
 	mu.Lock()
 	defer mu.Unlock()
 	if len(batches) != 1 {
-		t.Fatalf("acks arrived in %d datagrams, want 1 coalesced batch: %v", len(batches), batches)
+		t.Fatalf("acks arrived in %d datagrams, want 1 range ack: %v", len(batches), batches)
 	}
 	want := []uint64{1, 2, 3, 4}
 	if len(batches[0]) != len(want) {
-		t.Fatalf("coalesced batch has seqs %v, want %v", batches[0], want)
+		t.Fatalf("range ack has seqs %v, want %v", batches[0], want)
 	}
 	for i, seq := range batches[0] {
 		if seq != want[i] {
-			t.Fatalf("coalesced batch has seqs %v, want %v", batches[0], want)
+			t.Fatalf("range ack has seqs %v, want %v", batches[0], want)
 		}
 	}
 }
