@@ -136,7 +136,7 @@ func TestReceivePathAllocs(t *testing.T) {
 	acked := f
 	acked.Flags = protocol.FlagAckRequired
 	var ranges protocol.Frame
-	protocol.AppendAck(&ranges, nil, []uint64{100, 99, 97, 90, 89, 88}, 0)
+	protocol.AppendAck(&ranges, nil, []uint64{100, 99, 97, 90, 89, 88}, protocol.DefaultMTU)
 	for _, v := range []struct {
 		name string
 		op   func()

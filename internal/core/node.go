@@ -746,7 +746,7 @@ func (n *Node) handleFrame(sh *recvShard, bearer string, from transport.NodeID, 
 	}
 	switch f.Type {
 	case protocol.MTAck:
-		err := protocol.EachAcked(f, func(seq uint64) { n.arq.Ack(from, seq) })
+		err := protocol.EachAckRange(f, func(lo, hi uint64) { n.arq.AckRange(from, lo, hi) })
 		uerr.Note(n.metrics, codeAckDecode, err, "drop undecodable ack")
 	case protocol.MTBatch:
 		// Transparent batched receive: unpack coalesced frames and feed

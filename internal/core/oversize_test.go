@@ -314,7 +314,11 @@ func TestOversizeSelfLoopbackNeverFragments(t *testing.T) {
 // ackedSeqs lists the seqs an MTAck acknowledges.
 func ackedSeqs(f *protocol.Frame) ([]uint64, error) {
 	var seqs []uint64
-	err := protocol.EachAcked(f, func(seq uint64) { seqs = append(seqs, seq) })
+	err := protocol.EachAckRange(f, func(lo, hi uint64) {
+		for seq := lo; seq <= hi && seq >= lo; seq++ {
+			seqs = append(seqs, seq)
+		}
+	})
 	return seqs, err
 }
 

@@ -157,7 +157,7 @@ func TestMessageWireBytes(t *testing.T) {
 	})
 
 	var ranges protocol.Frame
-	protocol.AppendAck(&ranges, nil, []uint64{1000, 999, 998, 990, 980, 979}, 0)
+	protocol.AppendAck(&ranges, nil, []uint64{1000, 999, 998, 990, 980, 979}, protocol.DefaultMTU)
 	raw, err := protocol.EncodeFrame(&ranges)
 	if err != nil {
 		t.Fatal(err)

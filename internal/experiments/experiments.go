@@ -237,7 +237,7 @@ func RunE2(n int, loss float64, payloadBytes int, seed int64) (*E2Result, error)
 			}
 			// Ack everything with FlagAckRequired, as a node does.
 			var ack protocol.Frame
-			protocol.AppendAck(&ack, nil, []uint64{f.Seq}, 0)
+			protocol.AppendAck(&ack, nil, []uint64{f.Seq}, protocol.DefaultMTU)
 			raw, _ := protocol.AppendFrame(nil, &ack)
 			_ = dst.Send("src", raw)
 		})
@@ -250,7 +250,7 @@ func RunE2(n int, loss float64, payloadBytes int, seed int64) (*E2Result, error)
 			if err := protocol.DecodeFrameInto(&f, pkt.Payload); err != nil || f.Type != protocol.MTAck {
 				return
 			}
-			_ = protocol.EachAcked(&f, func(seq uint64) { arq.Ack(pkt.From, seq) })
+			_ = protocol.EachAckRange(&f, func(lo, hi uint64) { arq.AckRange(pkt.From, lo, hi) })
 		})
 
 		start := time.Now()

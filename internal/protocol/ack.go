@@ -20,21 +20,19 @@ import (
 // spans len more seqs below it. A lone zero would repeat the empty form and
 // is rejected, so a set of acknowledged seqs has one encoding.
 
-// MaxAckSeqs bounds the seqs one MTAck may acknowledge, so a receiver's
-// work per ack datagram is bounded whatever its ranges claim. A sender
-// acknowledging more splits them over several MTAck frames.
+// MaxAckSeqs bounds the seqs one MTAck may acknowledge: far more than one
+// receive drain acknowledges, so an ack claiming more is malformed. A
+// sender acknowledging more splits them over several MTAck frames. It does
+// not bound a receiver's work, which follows the messages it has pending,
+// not the seqs an ack claims: see ARQ.AckRange.
 const MaxAckSeqs = 4096
 
 // AppendAck fills f as the MTAck for a prefix of seqs, which must be sorted
 // in descending order with no repeats, and returns the seqs it left out.
 // The payload is appended to scratch[:0]. The prefix is as long as keeps
-// the encoded frame within mtu bytes (DefaultMTU when mtu <= 0) and under
-// MaxAckSeqs; it holds at least one seq. f's other fields (Priority,
-// Channel) are the caller's.
+// the encoded frame within mtu bytes and under MaxAckSeqs; it holds at
+// least one seq. f's other fields (Priority, Channel) are the caller's.
 func AppendAck(f *Frame, scratch []byte, seqs []uint64, mtu int) (rest []uint64) {
-	if mtu <= 0 {
-		mtu = DefaultMTU
-	}
 	f.Type, f.Seq, f.Payload = MTAck, seqs[0], nil
 	room := mtu - FrameWireSize(f)
 	i := contiguous(seqs, 0, MaxAckSeqs)
@@ -70,22 +68,15 @@ func contiguous(seqs []uint64, i, limit int) int {
 	return j
 }
 
-// EachAcked validates an MTAck's whole range list — canonical uvarints,
-// ranges that stay at or above seq 0, at most MaxAckSeqs seqs and no
-// trailing bytes — and only then calls fn for every seq it acknowledges,
-// largest range first, ascending within a range.
-func EachAcked(f *Frame, fn func(seq uint64)) error {
+// EachAckRange validates an MTAck's whole range list — canonical
+// uvarints, ranges that stay at or above seq 0, at most MaxAckSeqs seqs and
+// no trailing bytes — and only then calls fn with every range [lo, hi] it
+// acknowledges, largest first.
+func EachAckRange(f *Frame, fn func(lo, hi uint64)) error {
 	if err := walkAck(f, nil); err != nil {
 		return err
 	}
-	return walkAck(f, func(lo, hi uint64) {
-		for seq := lo; ; seq++ {
-			fn(seq)
-			if seq == hi {
-				return
-			}
-		}
-	})
+	return walkAck(f, fn)
 }
 
 // walkAck checks an MTAck's ranges and passes each, largest first, to

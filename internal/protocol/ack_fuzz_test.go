@@ -11,7 +11,12 @@ import (
 func ackedSeqs(t *testing.T, f *Frame) []uint64 {
 	t.Helper()
 	var seqs []uint64
-	if err := EachAcked(f, func(seq uint64) { seqs = append(seqs, seq) }); err != nil {
+	err := EachAckRange(f, func(lo, hi uint64) {
+		for seq := lo; seq <= hi && seq >= lo; seq++ {
+			seqs = append(seqs, seq)
+		}
+	})
+	if err != nil {
 		t.Fatalf("ack %d %x rejected: %v", f.Seq, f.Payload, err)
 	}
 	slices.Sort(seqs)
@@ -21,7 +26,7 @@ func ackedSeqs(t *testing.T, f *Frame) []uint64 {
 
 // FuzzAckRanges holds the ack codec to two properties.
 //
-// seq and payload are an MTAck off the network. EachAcked must not panic,
+// seq and payload are an MTAck off the network. EachAckRange must not panic,
 // and an ack it accepts must cover at most MaxAckSeqs seqs and re-encode
 // through AppendAck to exactly the same Seq and payload.
 //

@@ -203,7 +203,7 @@ func TestARQSteadyStateAllocs(t *testing.T) {
 	if err := a.Send("peer", seq, frame, done); err != nil {
 		t.Fatal(err)
 	}
-	p := a.pending[arqKey{to: "peer", seq: seq}]
+	p := a.pending["peer"][0]
 	for i := 0; i < 4; i++ {
 		p.retransmit()
 	}

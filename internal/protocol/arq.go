@@ -2,6 +2,7 @@ package protocol
 
 import (
 	"errors"
+	"slices"
 	"sync"
 	"time"
 
@@ -41,10 +42,16 @@ type ARQ struct {
 	maxRetries int
 	backoff    float64
 
-	mu      sync.Mutex
-	pending map[arqKey]*arqPending
+	mu sync.Mutex
+	// pending holds each peer's unacknowledged messages in ascending seq
+	// order, so a range ack finds the messages it completes by binary
+	// search, whatever width of seqs it claims.
+	pending map[transport.NodeID][]*arqPending
 	free    []*arqPending // recycled records, at most arqFreeCap; starts empty
 	closed  bool
+	// probes counts the pending records examined finding messages to
+	// complete; tests bound it against what an ack claims.
+	probes int
 
 	reg   *metrics.Registry
 	stats arqCounters
@@ -194,7 +201,7 @@ func NewARQ(send SendFunc, opts ...ARQOption) *ARQ {
 		timeout:    DefaultARQTimeout,
 		maxRetries: DefaultARQRetries,
 		backoff:    defaultARQBackoff,
-		pending:    make(map[arqKey]*arqPending),
+		pending:    make(map[transport.NodeID][]*arqPending),
 	}
 	for _, opt := range opts {
 		opt(a)
@@ -223,14 +230,16 @@ func (a *ARQ) SendTuned(to transport.NodeID, seq uint64, frame []byte, tune Send
 		a.mu.Unlock()
 		return uerr.Wrap(a.reg, codeARQClosed, ErrARQClosed, "send refused")
 	}
-	if _, dup := a.pending[key]; dup {
+	recs := a.pending[to]
+	i := a.search(recs, seq)
+	if i < len(recs) && recs[i].key.seq == seq {
 		a.mu.Unlock()
 		return uerr.Newf(a.reg, codeARQDupSeq, "in-flight seq %d to %q", seq, to)
 	}
 	p := a.recordLocked()
 	p.key, p.result, p.timeout, p.maxRetries = key, result, tune.Timeout, tune.MaxRetries
 	p.frame = bufpool.Clone(frame)
-	a.pending[key] = p
+	a.pending[to] = slices.Insert(recs, i, p)
 	if p.timer == nil {
 		p.timer = a.clk.AfterFunc(a.timeoutFor(p), p.retransmit)
 	} else {
@@ -269,7 +278,8 @@ func (a *ARQ) recordLocked() *arqPending {
 func (p *arqPending) retransmit() {
 	a := p.a
 	a.mu.Lock()
-	if a.pending[p.key] != p || a.closed {
+	recs := a.pending[p.key.to]
+	if i := a.search(recs, p.key.seq); i == len(recs) || recs[i] != p || a.closed {
 		a.mu.Unlock()
 		return
 	}
@@ -322,18 +332,47 @@ func (a *ARQ) Ack(from transport.NodeID, seq uint64) {
 	a.finish(arqKey{to: from, seq: seq}, nil)
 }
 
-// finish resolves a pending entry exactly once: it leaves the table, its
+// AckRange completes every pending message to from whose seq lies in
+// [lo, hi]. Its cost follows the messages it completes, not the width of
+// the range: one binary search of from's pending records per completed
+// message, plus one for the range, so a range claiming thousands of seqs
+// that were never sent costs a single search.
+func (a *ARQ) AckRange(from transport.NodeID, lo, hi uint64) {
+	for {
+		seq, ok := a.resolve(from, lo, hi, nil)
+		if !ok || seq == hi {
+			return
+		}
+		lo = seq + 1
+	}
+}
+
+// finish resolves the pending message key with err, if it is pending.
+func (a *ARQ) finish(key arqKey, err error) {
+	a.resolve(key.to, key.seq, key.seq, err)
+}
+
+// resolve ends, exactly once, the first pending message to `to` whose seq
+// lies in [lo, hi], and reports its seq: the message leaves the table, its
 // retained datagram goes back to the pool, and the record is recycled
 // unless its timer has already fired (that callback may still be on its
-// way to a.mu, so the record is left to it and the GC).
-func (a *ARQ) finish(key arqKey, err error) {
+// way to a.mu, so the record is left to it and the GC). result runs
+// outside the lock.
+func (a *ARQ) resolve(to transport.NodeID, lo, hi uint64, err error) (uint64, bool) {
 	a.mu.Lock()
-	p, ok := a.pending[key]
-	if !ok {
+	recs := a.pending[to]
+	i := a.search(recs, lo)
+	if i == len(recs) || recs[i].key.seq > hi {
 		a.mu.Unlock()
-		return
+		return 0, false
 	}
-	delete(a.pending, key)
+	p := recs[i]
+	seq := p.key.seq
+	if recs = slices.Delete(recs, i, i+1); len(recs) == 0 && cap(recs) > arqFreeCap {
+		delete(a.pending, to) // a burst's backing array is not kept
+	} else {
+		a.pending[to] = recs
+	}
 	bufpool.Put(p.frame)
 	result := p.result
 	p.frame, p.result, p.attempt = nil, nil, 0
@@ -347,13 +386,43 @@ func (a *ARQ) finish(key arqKey, err error) {
 	if result != nil {
 		result(err)
 	}
+	return seq, true
+}
+
+// search returns the index of the first of recs, which ascend by seq, whose
+// seq is at least lo. A seq outside the span of recs costs one probe.
+// Caller holds a.mu.
+func (a *ARQ) search(recs []*arqPending, lo uint64) int {
+	n := len(recs)
+	a.probes++
+	if n == 0 || lo <= recs[0].key.seq {
+		return 0
+	}
+	if lo > recs[n-1].key.seq {
+		return n
+	}
+	i, j := 1, n-1 // recs[0] < lo <= recs[n-1]
+	for i < j {
+		a.probes++
+		h := int(uint(i+j) >> 1)
+		if recs[h].key.seq < lo {
+			i = h + 1
+		} else {
+			j = h
+		}
+	}
+	return i
 }
 
 // Pending reports the number of unacknowledged messages.
 func (a *ARQ) Pending() int {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return len(a.pending)
+	n := 0
+	for _, recs := range a.pending {
+		n += len(recs)
+	}
+	return n
 }
 
 // Close fails every pending message with ErrARQClosed and stops timers.
@@ -364,9 +433,11 @@ func (a *ARQ) Close() {
 		return
 	}
 	a.closed = true
-	keys := make([]arqKey, 0, len(a.pending))
-	for key := range a.pending {
-		keys = append(keys, key)
+	var keys []arqKey
+	for _, recs := range a.pending {
+		for _, p := range recs {
+			keys = append(keys, p.key)
+		}
 	}
 	a.mu.Unlock()
 	for _, key := range keys {

@@ -2,6 +2,7 @@ package protocol
 
 import (
 	"errors"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -306,4 +307,102 @@ func TestARQSendTunedOverrides(t *testing.T) {
 	if n := sends.Load(); n != 2 {
 		t.Errorf("transmitted %d times, want 2 (initial + 1 retry)", n)
 	}
+}
+
+// TestAckRangeCostFollowsPending sends a datagram-sized batch of maximal
+// range acks — thousands of MTAcks that each claim 4,096 seqs — at an
+// engine holding 256 messages to the acking peer and 256 to another. The
+// work must follow what is pending, not what the acks claim: every range
+// costs a binary search of the peer's records, and each completed message
+// one more. The other peer's messages, whose seqs the ranges also span,
+// stay pending.
+func TestAckRangeCostFollowsPending(t *testing.T) {
+	a := NewARQ(func(transport.NodeID, []byte) error { return nil }, WithTimeout(time.Hour))
+	defer a.Close()
+	const perPeer = 256
+	var acked atomic.Int64
+	done := func(err error) {
+		if err == nil {
+			acked.Add(1)
+		}
+	}
+	for i := uint64(0); i < perPeer; i++ {
+		for _, to := range []transport.NodeID{"peer", "other"} {
+			if err := a.Send(to, 100+3*i, mustFrame(t, 100+3*i), done); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	// Lone acks in the gaps between the peer's seqs come first, so their
+	// searches run over all 256 records; then maximal ranges, one of them
+	// covering every pending seq and the rest past it.
+	var frames [][]byte
+	size := BatchOverhead(0)
+	add := func(f *Frame) bool {
+		raw, err := EncodeFrame(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if size+BatchEntryOverhead+len(raw) > 65507 { // the largest UDP datagram
+			return false
+		}
+		size += BatchEntryOverhead + len(raw)
+		frames = append(frames, raw)
+		return true
+	}
+	for i := uint64(0); i < perPeer; i++ {
+		add(&Frame{Type: MTAck, Seq: 101 + 3*i})
+	}
+	for top := uint64(MaxAckSeqs - 1); add(&Frame{Type: MTAck, Seq: top, Payload: []byte{0xff, 0x1f}}); top += MaxAckSeqs {
+	}
+	raw, err := AppendBatch(nil, frames, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	batch, err := DecodeFrame(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	subs, err := ReadBatch(batch.Payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.mu.Lock()
+	a.probes = 0
+	a.mu.Unlock()
+	ranges, claimed := 0, 0
+	for sub, ok := subs.Next(); ok; sub, ok = subs.Next() {
+		f, err := DecodeFrame(sub)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = EachAckRange(f, func(lo, hi uint64) {
+			ranges++
+			claimed += int(hi - lo + 1)
+			a.AckRange("peer", lo, hi)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	if got := acked.Load(); got != perPeer {
+		t.Fatalf("%d messages acknowledged, want the peer's %d", got, perPeer)
+	}
+	if got := a.Pending(); got != perPeer {
+		t.Fatalf("%d messages pending, want the other peer's %d", got, perPeer)
+	}
+	a.mu.Lock()
+	probes := a.probes
+	a.mu.Unlock()
+	// A search of n records probes at most bits.Len(n)+1 of them.
+	if bound := (ranges + perPeer) * (bits.Len(perPeer) + 1); probes > bound {
+		t.Errorf("%d probes for %d ranges claiming %d seqs, want at most %d", probes, ranges, claimed, bound)
+	}
+	if claimed < 3000*MaxAckSeqs {
+		t.Fatalf("the batch claims only %d seqs", claimed)
+	}
+	t.Logf("%d-byte datagram: %d ranges claiming %d seqs cost %d probes", len(raw), ranges, claimed, probes)
 }
