@@ -28,9 +28,9 @@
 // (internal/egress) of per-destination strict-priority lanes — bounded,
 // drop-oldest on overflow for every class but PriorityBulk, whose sender
 // waits once its lane holds a 16-frame window — a token-bucket pacer that
-// shapes the PriorityBulk class per bearer (qos.BearerProfile.BulkRateBPS, or
-// egress.Config.BulkRateBPS through core.WithEgress; file transfers have no
-// rate of their own and run at the rate their lane drains) so file-transfer
+// shapes the PriorityBulk class per bearer (qos.BearerProfile.BulkRateBPS and
+// BulkBurst, set only on the bearer's profile; file transfers have no rate
+// of their own and run at the rate their lane drains) so file-transfer
 // chunks never fill a constrained link's queue ahead of critical frames,
 // and coalescing of small same-lane frames into MTBatch datagrams that
 // receivers unpack transparently. Experiment E13 measures the priority
@@ -42,8 +42,8 @@
 // (internal/link) that tracks per-bearer liveness, probe RTT and loss
 // (MTProbe/MTProbeEcho on idle links; every received packet otherwise),
 // and each with its own egress lanes and bulk pacer keyed
-// (bearer, destination, class). A policy layer (qos.LinkPolicy, or the
-// default derived from qos.BearerProfile) routes classes onto bearers —
+// (bearer, destination, class). A policy layer (qos.BearerOrder, derived
+// from the qos.BearerProfile of each bearer) routes classes onto bearers —
 // bulk on the highest-rate healthy link, critical pinned to the most
 // robust — and fails a class over within a failure deadline when its
 // bearer blacks out: queued frames are rerouted, ARQ retransmissions

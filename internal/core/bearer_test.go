@@ -24,8 +24,8 @@ var (
 )
 
 // newTwoBearerNode attaches id to both simulated networks and builds a
-// node with wifi + radio bearers.
-func newTwoBearerNode(t *testing.T, wifi, radio *netsim.Net, id transport.NodeID, opts ...NodeOption) *Node {
+// node with wifi (given its profile) + radio bearers.
+func newTwoBearerNode(t *testing.T, wifi, radio *netsim.Net, id transport.NodeID, wifiProf qos.BearerProfile) *Node {
 	t.Helper()
 	wep, err := wifi.Node(id)
 	if err != nil {
@@ -35,14 +35,13 @@ func newTwoBearerNode(t *testing.T, wifi, radio *netsim.Net, id transport.NodeID
 	if err != nil {
 		t.Fatal(err)
 	}
-	all := append([]NodeOption{
-		WithBearer("wifi", wep, wifiProfile),
+	n, err := NewNode(
+		WithBearer("wifi", wep, wifiProf),
 		WithBearer("radio", rep, radioProfile),
-		WithAnnouncePeriod(25 * time.Millisecond),
-		WithFailureDeadline(100 * time.Millisecond),
+		WithAnnouncePeriod(25*time.Millisecond),
+		WithFailureDeadline(100*time.Millisecond),
 		WithARQ(protocol.WithTimeout(20*time.Millisecond), protocol.WithMaxRetries(10)),
-	}, opts...)
-	n, err := NewNode(all...)
+	)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,8 +81,8 @@ func TestBearerRecordsAdvertised(t *testing.T) {
 	defer wifi.Close()
 	radio := netsim.New(netsim.Config{Seed: 2})
 	defer radio.Close()
-	uav := newTwoBearerNode(t, wifi, radio, "uav")
-	gs := newTwoBearerNode(t, wifi, radio, "gs")
+	uav := newTwoBearerNode(t, wifi, radio, "uav", wifiProfile)
+	gs := newTwoBearerNode(t, wifi, radio, "gs", wifiProfile)
 
 	waitUntil(t, 5*time.Second, "bearer records discovered", func() bool {
 		return gs.Directory().ProviderCount(naming.KindBearer, "wifi") >= 2 &&
@@ -108,8 +107,8 @@ func TestCriticalPinsToRobustBearer(t *testing.T) {
 	defer wifi.Close()
 	radio := netsim.New(netsim.Config{Seed: 2})
 	defer radio.Close()
-	uav := newTwoBearerNode(t, wifi, radio, "uav")
-	newTwoBearerNode(t, wifi, radio, "gs")
+	uav := newTwoBearerNode(t, wifi, radio, "uav", wifiProfile)
+	newTwoBearerNode(t, wifi, radio, "gs", wifiProfile)
 	waitUntil(t, 5*time.Second, "peers discovered", func() bool {
 		return len(uav.Peers()) == 1
 	})
@@ -133,13 +132,12 @@ func TestEventsSurviveBearerBlackout(t *testing.T) {
 	defer wifi.Close()
 	radio := netsim.New(netsim.Config{Seed: 2, Latency: 5 * time.Millisecond})
 	defer radio.Close()
-	// Pin every class to wifi-first so the blackout forces a real failover.
-	policy := qos.LinkPolicy{Affinity: map[qos.Priority][]string{
-		qos.PriorityCritical: {"wifi", "radio"},
-		qos.PriorityHigh:     {"wifi", "radio"},
-	}}
-	uav := newTwoBearerNode(t, wifi, radio, "uav", WithLinkPolicy(policy))
-	gs := newTwoBearerNode(t, wifi, radio, "gs", WithLinkPolicy(policy))
+	// A wifi more robust than the radio puts every class wifi-first, so the
+	// blackout forces a real failover.
+	robustWifi := wifiProfile
+	robustWifi.Robustness = radioProfile.Robustness + 1
+	uav := newTwoBearerNode(t, wifi, radio, "uav", robustWifi)
+	gs := newTwoBearerNode(t, wifi, radio, "gs", robustWifi)
 
 	alarmType := presentation.Uint32()
 	alarmQoS := qos.EventQoS{Priority: qos.PriorityCritical}
@@ -202,7 +200,7 @@ func TestEventsSurviveBearerBlackout(t *testing.T) {
 	}
 
 	// Heal: probes keep flowing on the dead bearer, so recovery is
-	// detected and traffic fails back to the affinity-preferred wifi.
+	// detected and traffic fails back to the preferred wifi.
 	wifi.Heal("uav", "gs")
 	waitUntil(t, 5*time.Second, "wifi recovers", func() bool {
 		return uav.links.Unicast("gs", qos.PriorityCritical) == "wifi"

@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"uavmw/internal/egress"
 	"uavmw/internal/naming"
 	"uavmw/internal/netsim"
 	"uavmw/internal/presentation"
@@ -23,10 +22,7 @@ var mcastEventQoS = qos.EventQoS{Delivery: qos.DeliverMulticast}
 func TestMulticastEventNackRepairUnderLoss(t *testing.T) {
 	net := netsim.New(netsim.Config{Loss: 0.15, Seed: 77, Latency: time.Millisecond})
 	defer net.Close()
-	// Coalescing off: this test's subject is per-occurrence loss and
-	// repair, so each occurrence must ride its own datagram for the
-	// seeded loss pattern to hit individual sequence numbers.
-	pub := newSimNode(t, net, "uav", WithEgress(egress.Config{CoalesceMax: -1}))
+	pub := newSimNode(t, net, "uav")
 	sub := newSimNode(t, net, "gs")
 	syncNodes(t, pub, sub)
 
@@ -56,12 +52,16 @@ func TestMulticastEventNackRepairUnderLoss(t *testing.T) {
 		return len(p.Subscribers()) == 1
 	})
 
+	// This test's subject is per-occurrence loss and repair: each
+	// occurrence goes out before the next is published, so none coalesce
+	// and the seeded loss pattern hits individual sequence numbers.
 	const n = 40
 	ctx := context.Background()
 	for i := 1; i <= n; i++ {
 		if err := p.Publish(ctx, uint32(i)); err != nil {
 			t.Fatalf("Publish %d: %v", i, err)
 		}
+		pub.FlushEgress()
 	}
 	// Tail losses are only detectable when a later occurrence arrives;
 	// keep a trickle of follow-on occurrences flowing until every one of

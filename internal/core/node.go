@@ -115,7 +115,6 @@ type Node struct {
 // nodeConfig collects option state before construction.
 type nodeConfig struct {
 	bearers         []*link.Bearer
-	policy          qos.LinkPolicy
 	enc             encoding.Encoding
 	sched           scheduler.Scheduler
 	announcePeriod  time.Duration
@@ -126,7 +125,6 @@ type nodeConfig struct {
 	mtu             int
 	budget          ResourceBudget
 	rpcInflight     int
-	egressCfg       egress.Config
 	ingressShards   int
 	clk             clock.Clock
 }
@@ -144,26 +142,19 @@ func WithDatagram(t transport.Transport) NodeOption {
 // WithBearer registers one named datalink (bearer) the node transmits
 // over. A node may carry several dissimilar bearers at once — short-range
 // high-bandwidth WiFi, a long-range radio modem, satcom — each wrapped in
-// a link monitor and given its own egress lanes and bulk pacer; the link
-// policy (WithLinkPolicy, or the profile-derived default) routes each
-// traffic class onto the preferred healthy bearer and fails it over within
-// a failure-deadline when that bearer blacks out. Bearer names are fleet-
-// wide vocabulary: discovery advertises them, and peers match them against
-// their own bearer set, so give the same physical network the same name on
-// every node. The first bearer registered is the default. All bearer
-// transports must agree on the node identity.
+// a link monitor and given its own egress lanes and a bulk pacer shaped by
+// the profile (BulkRateBPS, BulkBurst); the profiles alone order the
+// bearers per traffic class (qos.BearerOrder), so each class rides its
+// preferred healthy bearer and fails over within a failure-deadline when
+// that bearer blacks out. Bearer names are fleet-wide vocabulary:
+// discovery advertises them, and peers match them against their own bearer
+// set, so give the same physical network the same name on every node.
+// The first bearer registered is the default. All bearer transports must
+// agree on the node identity.
 func WithBearer(name string, t transport.Transport, profile qos.BearerProfile) NodeOption {
 	return func(c *nodeConfig) {
 		c.bearers = append(c.bearers, &link.Bearer{Name: name, Transport: t, Profile: profile})
 	}
-}
-
-// WithLinkPolicy sets the class→bearer affinity and failover order for
-// multi-bearer nodes. Without it, the default policy derived from bearer
-// profiles applies: bulk rides the highest-rate healthy bearer, critical
-// pins to the most robust one, interactive classes chase latency.
-func WithLinkPolicy(p qos.LinkPolicy) NodeOption {
-	return func(c *nodeConfig) { c.policy = p }
 }
 
 // WithEncoding overrides the default binary payload encoding.
@@ -229,12 +220,6 @@ func WithResourceBudget(b ResourceBudget) NodeOption {
 	return func(c *nodeConfig) { c.budget = b }
 }
 
-// WithEgress tunes the priority-aware egress plane (per-link QoS lanes,
-// bulk pacing, frame coalescing). Zero fields take the plane defaults.
-func WithEgress(cfg egress.Config) NodeOption {
-	return func(c *nodeConfig) { c.egressCfg = cfg }
-}
-
 // WithRPCInflightLimit caps concurrently executing remote-call handlers on
 // this node; excess MTCall requests are answered MTBusy so callers fail
 // over to redundant providers instead of queueing (§4.3 admission
@@ -281,9 +266,6 @@ func NewNode(opts ...NodeOption) (*Node, error) {
 	if len(cfg.bearers) == 0 {
 		return nil, fmt.Errorf("core: %w", ErrNoDatagram)
 	}
-	if err := cfg.policy.Validate(); err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
 	id := cfg.bearers[0].Transport.Node()
 	seen := make(map[string]bool, len(cfg.bearers))
 	for _, b := range cfg.bearers {
@@ -325,33 +307,28 @@ func NewNode(opts ...NodeOption) (*Node, error) {
 		n.sched = scheduler.NewPool(scheduler.WithPoolClock(clk))
 		n.ownSched = true
 	}
-	// All datagram transmission drains through the egress plane: strict
-	// per-(bearer, destination) priority lanes, shaped bulk per bearer,
-	// coalesced small frames. The plane's MTU budget for coalesced batches
-	// tracks the node's.
-	if cfg.egressCfg.MaxDatagram == 0 {
-		cfg.egressCfg.MaxDatagram = cfg.mtu
-	}
-	cfg.egressCfg.Clock = clk
-	cfg.egressCfg.Metrics = n.metrics
 	n.egress = egress.NewPlane()
 	n.links = link.NewPlane(link.PlaneConfig{
 		Self:      id,
 		Clock:     clk,
 		Directory: n.dir,
-		Policy:    cfg.policy,
 		Deadline:  cfg.failureDeadline,
 		Period:    cfg.announcePeriod,
 		Send:      n.sendOnBearer,
 		Reroute:   func(bearer string) { n.egress.Reroute(bearer) },
 	}, cfg.bearers)
 	for _, b := range cfg.bearers {
-		// Each bearer gets its own lanes and bulk pacer: the profile's
-		// BulkRateBPS overrides the node-wide rate so a 1 Mb/s WiFi pipe
-		// and a 250 kb/s radio modem are shaped independently.
-		bcfg := cfg.egressCfg
-		if b.Profile.BulkRateBPS != 0 {
-			bcfg.BulkRateBPS = b.Profile.BulkRateBPS
+		// All datagram transmission drains through the egress plane: strict
+		// per-(bearer, destination) priority lanes, coalesced small frames
+		// within the node's MTU, and a bulk pacer per bearer shaped by its
+		// profile, so a 1 Mb/s WiFi pipe and a 250 kb/s radio modem are
+		// shaped independently.
+		bcfg := egress.Config{
+			BulkRateBPS: b.Profile.BulkRateBPS,
+			BulkBurst:   b.Profile.BulkBurst,
+			MaxDatagram: cfg.mtu,
+			Clock:       clk,
+			Metrics:     n.metrics,
 		}
 		if err := n.egress.AddBearer(b.Name, b.Transport, bcfg); err != nil {
 			n.egress.Close()
@@ -630,17 +607,14 @@ func (n *Node) SendGroup(group string, f *protocol.Frame) error {
 // SendReliable implements fabric.Fabric with engine-default ARQ tuning.
 // The reliability class has one value, ReliableARQ (see fabric.Fabric).
 func (n *Node) SendReliable(to transport.NodeID, f *protocol.Frame, _ qos.Reliability, done func(error)) {
-	n.SendReliableTuned(to, f, fabric.ReliableOpts{}, done)
+	n.SendReliableTuned(to, f, protocol.SendTuning{}, done)
 }
 
 // SendReliableTuned implements fabric.TunedSender: SendReliable with
 // per-send ARQ timeout/retry overrides carried from the primitive's QoS.
-func (n *Node) SendReliableTuned(to transport.NodeID, f *protocol.Frame, opts fabric.ReliableOpts, done func(error)) {
+func (n *Node) SendReliableTuned(to transport.NodeID, f *protocol.Frame, tune protocol.SendTuning, done func(error)) {
 	// transmit reports every reliable outcome through done.
-	_ = n.transmit(egress.Dest{Node: to}, f, &reliable{
-		tune: protocol.SendTuning{Timeout: opts.AckTimeout, MaxRetries: opts.MaxRetries},
-		done: done,
-	})
+	_ = n.transmit(egress.Dest{Node: to}, f, &reliable{tune: tune, done: done})
 }
 
 var (
@@ -1086,12 +1060,6 @@ func (n *Node) sampleGauges() {
 	if pool, ok := n.sched.(*scheduler.Pool); ok {
 		n.metrics.Gauge("scheduler", "backlog").Set(int64(pool.Backlog()))
 	}
-}
-
-// SetBearerBulkRate re-shapes one named bearer's PriorityBulk lane at
-// runtime (0 turns shaping off). It reports whether the bearer exists.
-func (n *Node) SetBearerBulkRate(name string, bps int64) bool {
-	return n.egress.SetBearerBulkRate(name, bps)
 }
 
 // FlushEgress blocks until every frame queued on the egress plane at call

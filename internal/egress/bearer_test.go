@@ -252,7 +252,7 @@ func TestRerouteMovesQueuedFramesToSurvivingBearer(t *testing.T) {
 // the frame it was holding takes the room the drain made, the ones after it
 // are routed afresh.
 func TestRerouteReleasesWaitingBulkProducer(t *testing.T) {
-	p, wifi, radio := twoBearers(t, Config{QueueCap: 2, CoalesceMax: -1}, Config{CoalesceMax: -1})
+	p, wifi, radio := twoBearers(t, Config{CoalesceMax: -1}, Config{CoalesceMax: -1})
 	defer p.Close()
 	var wifiDown atomic.Bool
 	sel := &funcSelector{}
@@ -265,12 +265,14 @@ func TestRerouteReleasesWaitingBulkProducer(t *testing.T) {
 	p.SetSelector(sel)
 
 	wifi.gate = make(chan struct{})
-	done := bulkProducer(t, p, 1, 6)
-	waitParkedAt(t, p, "wifi", 3) // 1 at the gate, 2–3 queued, the producer holds 4
+	const n = bulkWindow + 4
+	done := bulkProducer(t, p, 1, n)
+	// 1 at the gate, a window's worth queued, the producer holds the next.
+	waitParkedAt(t, p, "wifi", 1+bulkWindow)
 
 	wifiDown.Store(true)
-	if moved := p.Reroute("wifi"); moved != 2 {
-		t.Fatalf("Reroute moved %d frames, want the 2 queued", moved)
+	if moved := p.Reroute("wifi"); moved != bulkWindow {
+		t.Fatalf("Reroute moved %d frames, want the %d queued", moved, bulkWindow)
 	}
 	select {
 	case err := <-done:
@@ -280,25 +282,14 @@ func TestRerouteReleasesWaitingBulkProducer(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("Reroute left the producer parked")
 	}
-	waitSends(t, radio, 4) // the two moved, then 5 and 6
-	if got := counter(t, p, "wifi", "enqueued", qos.PriorityBulk); got != 4 {
-		t.Errorf("wifi accepted %d bulk frames, want the 3 before the reroute and the one held across it", got)
+	waitSends(t, radio, n-2) // the moved window, then the two after the held frame
+	if got := counter(t, p, "wifi", "enqueued", qos.PriorityBulk); got != bulkWindow+2 {
+		t.Errorf("wifi accepted %d bulk frames, want the %d before the reroute and the one held across it", got, bulkWindow+1)
 	}
 	if dropped := counter(t, p, "wifi", "dropped") + counter(t, p, "radio", "dropped"); dropped != 0 {
 		t.Errorf("dropped = %d, want 0", dropped)
 	}
 	close(wifi.gate)
-}
-
-func TestSetBearerBulkRate(t *testing.T) {
-	p, _, _ := twoBearers(t, Config{}, Config{})
-	defer p.Close()
-	if !p.SetBearerBulkRate("radio", 1000) {
-		t.Error("known bearer rejected")
-	}
-	if p.SetBearerBulkRate("satcom", 1000) {
-		t.Error("unknown bearer accepted")
-	}
 }
 
 func TestRerouteGroupFramesAvoidDeadBearer(t *testing.T) {
@@ -344,9 +335,9 @@ func queuedAt(p *Plane, bearer string, node transport.NodeID, pr qos.Priority) i
 	return 0
 }
 
-// With the default QueueCap a bulk producer parks once its lane holds
-// bulkWindow frames, while QueueCap keeps bounding everything that does not
-// wait: another class on the same lane queues up to QueueCap and sheds its
+// A bulk producer parks once its lane holds bulkWindow frames, while
+// DefaultQueueCap keeps bounding everything that does not wait: another
+// class on the same lane queues up to DefaultQueueCap and sheds its
 // oldest past it, and Reroute lands bulk frames on a lane already at the
 // window without waiting.
 func TestBulkWindowBoundsProducer(t *testing.T) {
@@ -390,7 +381,7 @@ func TestBulkWindowBoundsProducer(t *testing.T) {
 		}
 	}
 	if got := queuedAt(p, "radio", "gs", qos.PriorityNormal); got != DefaultQueueCap {
-		t.Errorf("normal lane holds %d frames, want QueueCap = %d", got, DefaultQueueCap)
+		t.Errorf("normal lane holds %d frames, want DefaultQueueCap = %d", got, DefaultQueueCap)
 	}
 	if dropped := counter(t, p, "radio", "dropped", qos.PriorityNormal); dropped != over {
 		t.Errorf("normal dropped = %d, want %d", dropped, over)

@@ -270,6 +270,15 @@ func TestBulkCreditLeavesCriticalUnblocked(t *testing.T) {
 	waitFor(t, "the critical datagram to arrive", func() bool { return h.count() == held+1 })
 }
 
+// throttle shapes a running bearer's bulk lane to bps from now on.
+func throttle(b *bearer, bps int64) {
+	b.mu.Lock()
+	b.refillLocked(b.clk.Now())
+	b.cfg.BulkRateBPS = bps
+	b.mu.Unlock()
+	b.signal()
+}
+
 // TestBulkCreditFinalReleaseOnSenderGoroutine: once the receiver is gone
 // the bearer's own reference is each datagram's last, so the release hook
 // runs on the sender's goroutine — the drainer, and Close's final flush.
@@ -289,9 +298,7 @@ func TestBulkCreditFinalReleaseOnSenderGoroutine(t *testing.T) {
 		t.Fatalf("unreleased = %d, want %d", got, creditWindow/2)
 	}
 	_ = hs[0].ep.Close()
-	if !p.SetBearerBulkRate(DefaultBearer, 1) {
-		t.Fatal("no default bearer")
-	}
+	throttle(p.bearers[DefaultBearer], 1)
 	for i := 0; i < 3; i++ {
 		if err := p.EnqueueTo(Dest{Group: "g"}, qos.PriorityBulk, bulkChunk(t, uint64(100+i))); err != nil {
 			t.Fatal(err)
@@ -321,12 +328,19 @@ func TestBulkCreditFinalReleaseOnSenderGoroutine(t *testing.T) {
 }
 
 // ingressReceiver wires a bus endpoint to a one-shard ingress pipeline
-// whose ring holds ring packets and whose dispatch waits at gate.
-func ingressReceiver(t *testing.T, ep *transport.BusEndpoint, ring int, gate chan struct{}) *ingress.Pipeline {
+// whose dispatch signals dispatching, then waits at gate.
+func ingressReceiver(t *testing.T, ep *transport.BusEndpoint, gate chan struct{}) (pipe *ingress.Pipeline, dispatching <-chan struct{}) {
 	t.Helper()
-	pipe := ingress.New(ingress.Config{Shards: 1, Ring: ring, MaxBatch: 1, Deliver: func(int, []ingress.Packet) { <-gate }})
+	entered := make(chan struct{}, 1)
+	pipe = ingress.New(ingress.Config{Shards: 1, Deliver: func(int, []ingress.Packet) {
+		select {
+		case entered <- struct{}{}:
+		default:
+		}
+		<-gate
+	}})
 	ep.SetHandler(func(pkt transport.Packet) { pipe.Enqueue("bus", pkt) })
-	return pipe
+	return pipe, entered
 }
 
 // TestBulkCreditReturnsAfterIngressDropOldest: datagrams a full ingress
@@ -336,19 +350,30 @@ func TestBulkCreditReturnsAfterIngressDropOldest(t *testing.T) {
 	gate := make(chan struct{})
 	var opened sync.Once
 	open := func() { opened.Do(func() { close(gate) }) }
-	pipe := ingressReceiver(t, hs[0].ep, 4, gate)
+	pipe, dispatching := ingressReceiver(t, hs[0].ep, gate)
 	defer pipe.Close()
 	defer open()
-	const n = 20
+	// A filler packet wedges the worker in dispatch with the ring empty.
+	filler := transport.Packet{From: "tx", Payload: []byte{0}}
+	pipe.Enqueue("bus", filler)
+	<-dispatching
+	const n, kept = 20, 4
 	for i := 0; i < n; i++ {
 		if err := p.EnqueueTo(Dest{Node: "rx0"}, qos.PriorityBulk, bulkChunk(t, uint64(i+1))); err != nil {
 			t.Fatal(err)
 		}
 	}
 	p.Flush()
-	// One in dispatch (or not yet taken), four in the ring.
-	if got := unreleased(p); got < 4 || got > 5 {
-		t.Fatalf("unreleased = %d with a four-slot ring, want 4 or 5: evicted datagrams kept their credit", got)
+	if got := unreleased(p); got != n {
+		t.Fatalf("unreleased = %d with every datagram in the ring, want %d", got, n)
+	}
+	// Fillers behind the datagrams overflow the ring, which sheds all but
+	// the newest kept of them.
+	for i := 0; i < ingress.DefaultRing-kept; i++ {
+		pipe.Enqueue("bus", filler)
+	}
+	if got := unreleased(p); got != kept {
+		t.Fatalf("unreleased = %d with %d datagrams left in the ring, want %d: evicted datagrams kept their credit", got, kept, kept)
 	}
 	open()
 	waitFor(t, "the ring to drain", func() bool { return unreleased(p) == 0 })
@@ -360,7 +385,7 @@ func TestBulkCreditReturnsAfterIngressDropOldest(t *testing.T) {
 func TestBulkCreditReturnsWhenReceiverClosesMidTransfer(t *testing.T) {
 	p, hs := busPlane(t, Config{}, 1)
 	gate := make(chan struct{})
-	pipe := ingressReceiver(t, hs[0].ep, 1024, gate)
+	pipe, _ := ingressReceiver(t, hs[0].ep, gate)
 	raws := make([][]byte, 3*creditWindow)
 	for i := range raws {
 		raws[i] = bulkChunk(t, uint64(i+1))

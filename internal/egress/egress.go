@@ -36,11 +36,12 @@
 // are keyed (bearer, destination, class). Every bearer owns its queues, its
 // drain goroutine and its own bulk token bucket, so a 1 Mb/s WiFi pipe and
 // a 250 kb/s radio modem are paced independently. A pluggable Selector
-// (installed by the container, combining qos.LinkPolicy with per-bearer
-// link-monitor health) routes each frame to a bearer at enqueue time;
-// Reroute moves a blacked-out bearer's queued frames through the selector
-// again so failover does not strand traffic. A plane built with New has a
-// single default bearer and behaves exactly like the pre-bearer plane.
+// (installed by the container, combining the profile-derived bearer order,
+// qos.BearerOrder, with per-bearer link-monitor health) routes each frame
+// to a bearer at enqueue time; Reroute moves a blacked-out bearer's queued
+// frames through the selector again so failover does not strand traffic. A
+// plane built with New has a single default bearer and behaves exactly like
+// the pre-bearer plane.
 //
 // The plane sits between the container's transmit routine and the datagram
 // transports. It has one send contract, stated on Plane.EnqueueTo: a
@@ -88,7 +89,7 @@ type Sender interface {
 }
 
 // Selector routes frames to bearers. The container implements it by
-// combining the static class→bearer policy (qos.LinkPolicy) with dynamic
+// combining the static class→bearer order (qos.BearerOrder) with dynamic
 // link-monitor health and per-peer reachability. Implementations must be
 // fast and must not call back into the Plane. Returned names that don't
 // match a registered bearer fall back to the default bearer.
@@ -105,10 +106,14 @@ type Selector interface {
 // DefaultBearer names the bearer created by New for single-link nodes.
 const DefaultBearer = "datagram"
 
+// DefaultQueueCap bounds each (destination, class) queue in frames: on
+// overflow the oldest frame in that queue drops. A PriorityBulk sender waits
+// earlier, once its queue holds bulkWindow frames; only bulk frames Reroute
+// moves, which never wait, fill a bulk queue past that.
+const DefaultQueueCap = 256
+
 // Defaults applied when Config fields are zero.
 const (
-	// DefaultQueueCap bounds each (destination, class) queue in frames.
-	DefaultQueueCap = 256
 	// DefaultCoalesceMax is the largest frame eligible for coalescing;
 	// bigger frames (file chunks, fragments) always ride alone.
 	DefaultCoalesceMax = 512
@@ -117,10 +122,10 @@ const (
 )
 
 // bulkWindow is how many frames a waiting PriorityBulk producer may have
-// queued in its lane (or QueueCap, if smaller). A producer that waits needs
-// only enough queued to keep the wire busy across its own wake-up; every
-// frame beyond that is a pooled buffer held for nothing, and on a narrow link
-// a chunk the next NACK round may send again.
+// queued in its lane. A producer that waits needs only enough queued to keep
+// the wire busy across its own wake-up; every frame beyond that is a pooled
+// buffer held for nothing, and on a narrow link a chunk the next NACK round
+// may send again.
 //
 // The lane bounds only the sender's side. On a SharedSender bearer a sent
 // datagram's buffer lives on in the receivers' queues until the last of them
@@ -162,12 +167,6 @@ type Config struct {
 	// therefore how much bulk can sit in front of an urgent frame at the
 	// link: keep it near one datagram on tightly constrained links.
 	BulkBurst int
-	// QueueCap bounds each (destination, class) queue in frames (default
-	// DefaultQueueCap): on overflow the oldest frame in that queue drops.
-	// A PriorityBulk sender waits earlier, once its queue holds 16 frames
-	// (or QueueCap, if smaller); only bulk frames Reroute moves, which
-	// never wait, fill a bulk queue past that.
-	QueueCap int
 	// MaxDatagram is the size budget for coalesced batch datagrams
 	// (default protocol.DefaultMTU).
 	MaxDatagram int
@@ -187,9 +186,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.BulkBurst <= 0 {
 		c.BulkBurst = DefaultBulkBurst
-	}
-	if c.QueueCap <= 0 {
-		c.QueueCap = DefaultQueueCap
 	}
 	if c.MaxDatagram <= 0 {
 		c.MaxDatagram = protocol.DefaultMTU
@@ -458,19 +454,6 @@ func repeated(names []string, i int) bool {
 	return false
 }
 
-// SetBearerBulkRate changes one bearer's bulk shaping rate at runtime.
-// It reports whether the bearer exists.
-func (p *Plane) SetBearerBulkRate(name string, bps int64) bool {
-	p.mu.RLock()
-	b := p.bearers[name]
-	p.mu.RUnlock()
-	if b == nil {
-		return false
-	}
-	b.setBulkRate(bps)
-	return true
-}
-
 // Reroute drains everything queued on the named bearer and re-enqueues it
 // through the selector — called when a bearer's link monitor declares it
 // down, so already-queued frames follow their class's failover order
@@ -583,8 +566,7 @@ type bearer struct {
 	ready        [numClasses][]*lane
 	tokens       float64 // bulk bucket fill, bytes; may go briefly negative
 	lastRefill   time.Time
-	rate         int64 // current bulk shaping rate (0 = off)
-	transmitting bool  // drainer holds a dequeued datagram
+	transmitting bool // drainer holds a dequeued datagram
 	reg          *metrics.Registry
 	ctr          bearerCounters
 	closed       bool
@@ -648,7 +630,6 @@ func newBearer(name string, sender Sender, cfg Config) *bearer {
 		sender:     sender,
 		clk:        clk,
 		lanes:      make(map[destKey]*lane),
-		rate:       cfg.BulkRateBPS,
 		tokens:     float64(cfg.BulkBurst),
 		lastRefill: clk.Now(),
 		reg:        reg,
@@ -668,14 +649,6 @@ func newBearer(name string, sender Sender, cfg Config) *bearer {
 	return b
 }
 
-func (b *bearer) setBulkRate(bps int64) {
-	b.mu.Lock()
-	b.refillLocked(b.clk.Now())
-	b.rate = bps
-	b.mu.Unlock()
-	b.signal()
-}
-
 // enqueue queues raw at class pr of key's lane. A bulk producer that may
 // wait parks on the bearer's clock while its lane holds the window — until
 // the drainer pops a frame, Reroute empties the bearer or it closes — and,
@@ -692,7 +665,7 @@ func (b *bearer) enqueue(key destKey, pr qos.Priority, raw []byte, wait bool) er
 	// reaped, and its struct may by now serve another destination.
 	ln := b.lanes[key]
 	for wait && c == bulkClass && !b.closed {
-		if ln != nil && ln.size(c) >= min(b.cfg.QueueCap, bulkWindow) {
+		if ln != nil && ln.size(c) >= bulkWindow {
 			b.room.Wait()
 		} else if b.unreleased != nil && b.unreleased.Value() >= creditWindow {
 			for !b.closed && b.unreleased.Value() > creditWindow/2 {
@@ -719,7 +692,7 @@ func (b *bearer) enqueue(key destKey, pr qos.Priority, raw []byte, wait bool) er
 		}
 		b.lanes[key] = ln
 	}
-	if ln.size(c) >= b.cfg.QueueCap {
+	if ln.size(c) >= DefaultQueueCap {
 		// Drop-oldest: the stalest frame in this lane+class makes room.
 		bufpool.Put(ln.pop(c))
 		b.ctr.perClass[c].dropped.Inc()
@@ -755,8 +728,8 @@ func (b *bearer) released() {
 
 // refillLocked accrues bulk tokens. Caller holds b.mu.
 func (b *bearer) refillLocked(now time.Time) {
-	if elapsed := now.Sub(b.lastRefill); elapsed > 0 && b.rate > 0 {
-		b.tokens += elapsed.Seconds() * float64(b.rate)
+	if elapsed := now.Sub(b.lastRefill); elapsed > 0 && b.cfg.BulkRateBPS > 0 {
+		b.tokens += elapsed.Seconds() * float64(b.cfg.BulkRateBPS)
 		if burst := float64(b.cfg.BulkBurst); b.tokens > burst {
 			b.tokens = burst
 		}
@@ -781,7 +754,7 @@ func (b *bearer) next() (datagram []byte, key destKey, class int, wait time.Dura
 				b.reapLocked(ln)
 				continue
 			}
-			if c == bulkClass && b.rate > 0 {
+			if c == bulkClass && b.cfg.BulkRateBPS > 0 {
 				b.refillLocked(b.clk.Now())
 				// A frame larger than the whole bucket must still pass
 				// once the bucket is full; the deficit is repaid below.
@@ -791,7 +764,7 @@ func (b *bearer) next() (datagram []byte, key destKey, class int, wait time.Dura
 				}
 				if b.tokens < need {
 					b.ctr.bulkWaits.Inc()
-					wait = time.Duration((need - b.tokens) / float64(b.rate) * float64(time.Second))
+					wait = time.Duration((need - b.tokens) / float64(b.cfg.BulkRateBPS) * float64(time.Second))
 					if wait <= 0 {
 						wait = time.Millisecond
 					}
@@ -829,7 +802,7 @@ func (b *bearer) next() (datagram []byte, key destKey, class int, wait time.Dura
 				}
 			}
 			if c == bulkClass {
-				if b.rate > 0 {
+				if b.cfg.BulkRateBPS > 0 {
 					b.tokens -= float64(len(datagram))
 				}
 				b.room.Broadcast()

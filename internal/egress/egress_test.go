@@ -3,6 +3,7 @@ package egress
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -221,29 +222,30 @@ func TestRoundRobinAcrossDestinationsWithinClass(t *testing.T) {
 
 func TestDropOldestOverflow(t *testing.T) {
 	s := &gateSender{gate: make(chan struct{})}
-	p := New(s, Config{QueueCap: 4, CoalesceMax: -1})
+	p := New(s, Config{CoalesceMax: -1})
 	defer p.Close()
 	const pr = qos.PriorityLow // every class but bulk sheds its oldest
 	_ = p.Enqueue("hold", pr, frameBytes(t, protocol.MTSample, pr, 1, 10))
 	waitDequeued(t, p, pr, 1)
-	for seq := uint64(10); seq < 20; seq++ { // 10 frames into a cap-4 queue
+	const first, over = 10, 6 // over frames more than the queue holds
+	for seq := uint64(first); seq < first+DefaultQueueCap+over; seq++ {
 		_ = p.Enqueue("gs", pr, frameBytes(t, protocol.MTSample, pr, seq, 10))
 	}
 	close(s.gate)
-	recs := waitSends(t, s, 1+4)
-	seqs := decodeAll(t, recs)
-	want := []uint64{1, 16, 17, 18, 19} // newest 4 survive, oldest dropped
-	for i := range want {
-		if seqs[i] != want[i] {
-			t.Fatalf("drop-oldest order = %v, want %v", seqs, want)
-		}
+	seqs := decodeAll(t, waitSends(t, s, 1+DefaultQueueCap))
+	want := []uint64{1} // then the newest DefaultQueueCap survive, oldest dropped
+	for seq := uint64(first + over); seq < first+DefaultQueueCap+over; seq++ {
+		want = append(want, seq)
+	}
+	if !slices.Equal(seqs, want) {
+		t.Fatalf("drop-oldest order = %v, want %v", seqs, want)
 	}
 	low := func(name string) uint64 { return counter(t, p, DefaultBearer, name, pr) }
-	if dropped := low("dropped"); dropped != 6 {
-		t.Fatalf("dropped = %d, want 6", dropped)
+	if dropped := low("dropped"); dropped != over {
+		t.Fatalf("dropped = %d, want %d", dropped, over)
 	}
-	if enqueued, sent := low("enqueued"), low("sent"); enqueued != 11 || sent != 5 {
-		t.Fatalf("enqueued/sent = %d/%d, want 11/5", enqueued, sent)
+	if enqueued, sent := low("enqueued"), low("sent"); enqueued != 1+DefaultQueueCap+over || sent != 1+DefaultQueueCap {
+		t.Fatalf("enqueued/sent = %d/%d, want %d/%d", enqueued, sent, 1+DefaultQueueCap+over, 1+DefaultQueueCap)
 	}
 }
 
@@ -287,24 +289,26 @@ func waitParkedAt(t *testing.T, p *Plane, bearer string, n uint64) {
 }
 
 // A full bulk lane makes its producer wait: nothing is evicted, the lane
-// never holds more than QueueCap, and frames leave in the order offered.
+// never holds more than bulkWindow, and frames leave in the order offered.
 func TestBulkProducerWaitsForRoom(t *testing.T) {
 	s := &gateSender{gate: make(chan struct{})}
-	p := New(s, Config{QueueCap: 4, CoalesceMax: -1})
+	p := New(s, Config{CoalesceMax: -1})
 	defer p.Close()
-	done := bulkProducer(t, p, 1, 10)
-	// Frame 1 is at the gate, 2–5 fill the lane, the producer holds 6.
-	waitParkedAt(t, p, DefaultBearer, 5)
+	const n = 1 + bulkWindow + 5
+	done := bulkProducer(t, p, 1, n)
+	// Frame 1 is at the gate, a window's worth fills the lane, the
+	// producer holds the next.
+	waitParkedAt(t, p, DefaultBearer, 1+bulkWindow)
 	for sent := 1; sent <= 5; sent++ {
 		s.gate <- struct{}{} // one datagram out, one slot free
 		waitSends(t, s, sent)
-		waitParkedAt(t, p, DefaultBearer, uint64(5+sent))
+		waitParkedAt(t, p, DefaultBearer, uint64(1+bulkWindow+sent))
 	}
 	close(s.gate)
 	if err := <-done; err != nil {
 		t.Fatalf("producer: %v", err)
 	}
-	seqs := decodeAll(t, waitSends(t, s, 10))
+	seqs := decodeAll(t, waitSends(t, s, n))
 	for i, seq := range seqs {
 		if seq != uint64(i+1) {
 			t.Fatalf("bulk left out of order: %v", seqs)
@@ -317,9 +321,9 @@ func TestBulkProducerWaitsForRoom(t *testing.T) {
 
 func TestCloseReleasesWaitingBulkProducer(t *testing.T) {
 	s := &gateSender{gate: make(chan struct{})}
-	p := New(s, Config{QueueCap: 2, CoalesceMax: -1})
-	done := bulkProducer(t, p, 1, 6)
-	waitParkedAt(t, p, DefaultBearer, 3)
+	p := New(s, Config{CoalesceMax: -1})
+	done := bulkProducer(t, p, 1, bulkWindow+4)
+	waitParkedAt(t, p, DefaultBearer, 1+bulkWindow)
 	closed := make(chan struct{})
 	go func() { p.Close(); close(closed) }()
 	select {
@@ -345,7 +349,7 @@ func TestBulkProducerWaitsOnVirtualClock(t *testing.T) {
 	var p *Plane
 	var enqErr error
 	v.Run(func() {
-		p = New(s, Config{Clock: v, QueueCap: 4, CoalesceMax: -1, BulkRateBPS: rate, BulkBurst: size})
+		p = New(s, Config{Clock: v, CoalesceMax: -1, BulkRateBPS: rate, BulkBurst: size})
 		defer p.Close()
 		start := v.Now()
 		for seq := uint64(1); seq <= n && enqErr == nil; seq++ {
@@ -357,8 +361,9 @@ func TestBulkProducerWaitsOnVirtualClock(t *testing.T) {
 		t.Fatal(enqErr)
 	}
 	// The producer returns once the last frame is queued, so all but the
-	// lane's worth (and the bucket's burst) left at the shaped rate first.
-	wire := float64((n - 6) * size)
+	// lane's worth, the one in transmission and the bucket's burst left at
+	// the shaped rate first.
+	wire := float64((n - bulkWindow - 2) * size)
 	if min := time.Duration(wire / rate * float64(time.Second)); elapsed < min {
 		t.Fatalf("producer offered %d frames in %v of virtual time, lane drains them in ≥ %v", n, elapsed, min)
 	}

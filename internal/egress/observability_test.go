@@ -44,9 +44,9 @@ func TestSendFailuresAreCountedInRegistry(t *testing.T) {
 func TestLaneOverflowCountsResourceErrors(t *testing.T) {
 	reg := metrics.NewRegistry()
 	s := &gateSender{gate: make(chan struct{})} // hold the drainer: queues fill
-	p := New(s, Config{Metrics: reg, QueueCap: 2, CoalesceMax: -1})
+	p := New(s, Config{Metrics: reg, CoalesceMax: -1})
 
-	const sends = 8
+	const sends = DefaultQueueCap + 8
 	for i := 0; i < sends; i++ {
 		if err := p.Enqueue("gs", qos.PriorityNormal, frameBytes(t, 20, qos.PriorityNormal, uint64(i), 600)); err != nil {
 			t.Fatal(err)
@@ -57,7 +57,7 @@ func TestLaneOverflowCountsResourceErrors(t *testing.T) {
 
 	dropped := counter(t, p, DefaultBearer, "dropped")
 	if dropped == 0 {
-		t.Fatal("no drops with QueueCap=2 and a gated drainer")
+		t.Fatal("no drops past DefaultQueueCap with a gated drainer")
 	}
 	typed := metricstest.Counter(t, reg, "egress", "errors", metrics.L("category", uerr.CatResource.String()))
 	if typed < dropped {

@@ -541,8 +541,8 @@ func (p *Publisher) repairFor(node transport.NodeID, seqs []uint64) {
 // duplicates. Fabrics without per-send tuning get the plain reliable path.
 func (p *Publisher) sendEvent(node transport.NodeID, frame *protocol.Frame, done func(error)) {
 	if ts, ok := p.engine.f.(fabric.TunedSender); ok && (p.q.AckTimeout > 0 || p.q.MaxRetries > 0) {
-		ts.SendReliableTuned(node, frame, fabric.ReliableOpts{
-			AckTimeout: p.q.AckTimeout, MaxRetries: p.q.MaxRetries,
+		ts.SendReliableTuned(node, frame, protocol.SendTuning{
+			Timeout: p.q.AckTimeout, MaxRetries: p.q.MaxRetries,
 		}, done)
 		return
 	}

@@ -8,7 +8,6 @@ import (
 
 	"uavmw/internal/clock"
 	"uavmw/internal/core"
-	"uavmw/internal/egress"
 	"uavmw/internal/filetransfer"
 	"uavmw/internal/metrics"
 	"uavmw/internal/netsim"
@@ -117,13 +116,16 @@ func runE14Multi(clk clock.Clock, res *E14Result, seed int64) error {
 	e14Link(wifi, res.WifiBPS)
 	e14Link(radio, res.RadioBPS)
 
+	// Keep the bulk burst near one chunk: on the radio a single 1KB chunk
+	// occupies the link for ~34ms, and every queued chunk beyond it is
+	// latency an alarm could inherit.
 	wifiProf := qos.BearerProfile{
 		RateBPS: res.WifiBPS, Latency: 5 * time.Millisecond,
-		Robustness: 1, BulkRateBPS: res.WifiShapedBPS,
+		Robustness: 1, BulkRateBPS: res.WifiShapedBPS, BulkBurst: 1100,
 	}
 	radioProf := qos.BearerProfile{
 		RateBPS: res.RadioBPS, Latency: 40 * time.Millisecond,
-		Robustness: 10, BulkRateBPS: res.RadioShaped,
+		Robustness: 10, BulkRateBPS: res.RadioShaped, BulkBurst: 1100,
 	}
 	mk := func(id transport.NodeID) (*core.Node, error) {
 		wep, err := wifi.Node(id)
@@ -147,10 +149,6 @@ func runE14Multi(clk clock.Clock, res *E14Result, seed int64) error {
 			core.WithFileTransfer(
 				filetransfer.WithQueryWindow(time.Second),
 				filetransfer.WithMaxStrikes(100)),
-			// Keep the bulk burst near one chunk: on the radio a single
-			// 1KB chunk occupies the link for ~34ms, and every queued
-			// chunk beyond it is latency an alarm could inherit.
-			core.WithEgress(egress.Config{BulkBurst: 1100}),
 		)
 	}
 	uav, err := mk("uav")

@@ -8,7 +8,6 @@ import (
 
 	"uavmw/internal/clock"
 	"uavmw/internal/core"
-	"uavmw/internal/egress"
 	"uavmw/internal/events"
 	"uavmw/internal/filetransfer"
 	"uavmw/internal/metrics"
@@ -239,33 +238,38 @@ func runE13Phase(clk clock.Clock, res *E13Result, shaped bool, seed int64) error
 	net.SetLink("uav", "gs", lc)
 
 	shapedRate := int64(float64(res.LinkBPS) * e13ShapeFraction)
-	mk := func(id transport.NodeID, extra ...core.NodeOption) (*core.Node, error) {
-		opts := []core.NodeOption{
-			core.WithAnnouncePeriod(100 * time.Millisecond),
+	mk := func(id transport.NodeID, profile qos.BearerProfile) (*core.Node, error) {
+		ep, err := net.Node(id)
+		if err != nil {
+			return nil, err
+		}
+		return core.NewNode(
+			core.WithClock(clk),
+			core.WithBearer(core.DefaultBearer, ep, profile),
+			core.WithAnnouncePeriod(100*time.Millisecond),
 			// Under flood the constrained link delays heartbeats by
 			// seconds; liveness and the directory must tolerate that.
-			core.WithFailureDeadline(60 * time.Second),
-			core.WithDirectoryTTL(60 * time.Second),
+			core.WithFailureDeadline(60*time.Second),
+			core.WithDirectoryTTL(60*time.Second),
 			core.WithARQ(protocol.WithTimeout(80*time.Millisecond), protocol.WithMaxRetries(8)),
 			core.WithFileTransfer(
 				filetransfer.WithQueryWindow(3*time.Second),
 				filetransfer.WithMaxStrikes(100)),
-		}
-		return simNode(clk, net, id, append(opts, extra...)...)
+		)
 	}
-	var uavOpts []core.NodeOption
+	var uavProfile qos.BearerProfile
 	if shaped {
-		uavOpts = append(uavOpts, core.WithEgress(egress.Config{
+		uavProfile = qos.BearerProfile{
 			BulkRateBPS: shapedRate,
 			BulkBurst:   2048, // ≲ two chunks may ever sit ahead of an alarm
-		}))
+		}
 	}
-	uav, err := mk("uav", uavOpts...)
+	uav, err := mk("uav", uavProfile)
 	if err != nil {
 		return err
 	}
 	defer func() { _ = uav.Close() }()
-	gs, err := mk("gs")
+	gs, err := mk("gs", qos.BearerProfile{})
 	if err != nil {
 		return err
 	}

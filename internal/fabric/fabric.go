@@ -7,8 +7,6 @@
 package fabric
 
 import (
-	"time"
-
 	"uavmw/internal/clock"
 
 	"uavmw/internal/encoding"
@@ -101,25 +99,12 @@ type Fabric interface {
 	OfferChanged()
 }
 
-// ReliableOpts tunes one reliable-ARQ send. Zero fields take the
-// container's engine defaults.
-type ReliableOpts struct {
-	// AckTimeout is the initial retransmission timeout. QoS policies set
-	// it per primitive (qos.EventQoS.AckTimeout): a critical alarm routed
-	// onto a 40ms-latency radio bearer needs a longer fuse than the same
-	// alarm on local WiFi, or queueing jitter spawns duplicate
-	// transmissions that eat the narrow link's headroom.
-	AckTimeout time.Duration
-	// MaxRetries is the retransmission budget before the send fails.
-	MaxRetries int
-}
-
 // TunedSender is optionally implemented by fabrics whose reliable path
 // accepts per-send tuning. Engines should feature-test for it and fall
 // back to SendReliable (engine-default tuning) when absent, so
 // instrumented test fabrics keep working unchanged.
 type TunedSender interface {
-	SendReliableTuned(to transport.NodeID, f *protocol.Frame, opts ReliableOpts, done func(error))
+	SendReliableTuned(to transport.NodeID, f *protocol.Frame, tune protocol.SendTuning, done func(error))
 }
 
 // Clocked is optionally implemented by fabrics that run on an injectable

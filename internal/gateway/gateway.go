@@ -91,20 +91,22 @@ type Options struct {
 	// QueueLen bounds each client's write queue in frames. Zero defaults
 	// to 64.
 	QueueLen int
-	// WriterBatch is how many frames a shard writer sends to one client
-	// before moving on (fairness inside a shard). Zero defaults to 32.
-	WriterBatch int
 	// WriteStall is the per-write socket deadline; a write that cannot
 	// make progress within it counts as one stall. Zero defaults to 2s.
 	WriteStall time.Duration
 	// StallLimit is how many consecutive stalled writes evict a client.
 	// Zero defaults to 3.
 	StallLimit int
-	// ReliableDropLimit is how many reliable (event) frames may be
-	// dropped on a full queue before the client is evicted. Zero
-	// defaults to 32.
-	ReliableDropLimit int
 }
+
+const (
+	// writerBatch is how many frames a shard writer sends to one client
+	// before moving on (fairness inside a shard).
+	writerBatch = 32
+	// reliableDropLimit is how many reliable (event) frames may be dropped
+	// on a full queue before the client is evicted.
+	reliableDropLimit = 32
+)
 
 func (o Options) withDefaults() Options {
 	if o.Shards <= 0 {
@@ -113,17 +115,11 @@ func (o Options) withDefaults() Options {
 	if o.QueueLen <= 0 {
 		o.QueueLen = 64
 	}
-	if o.WriterBatch <= 0 {
-		o.WriterBatch = 32
-	}
 	if o.WriteStall <= 0 {
 		o.WriteStall = 2 * time.Second
 	}
 	if o.StallLimit <= 0 {
 		o.StallLimit = 3
-	}
-	if o.ReliableDropLimit <= 0 {
-		o.ReliableDropLimit = 32
 	}
 	return o
 }

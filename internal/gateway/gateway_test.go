@@ -475,7 +475,6 @@ func TestReliableBacklogEviction(t *testing.T) {
 	uav, g := pair(t, Options{
 		Shards: 1, QueueLen: 4,
 		WriteStall: time.Hour, StallLimit: 1000, // never evict via stalls
-		ReliableDropLimit: 3,
 	})
 
 	pub, err := uav.Events().Offer("alarm", "nav", presentation.Uint32(), qos.EventQoS{})

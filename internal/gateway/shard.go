@@ -160,7 +160,7 @@ func (sh *shard) enqueueLocked(c *Client, s *bufpool.Shared, reliable bool) (evi
 			return false
 		default:
 			c.relDrops++
-			evict = c.relDrops >= g.opts.ReliableDropLimit
+			evict = c.relDrops >= reliableDropLimit
 			c.mu.Unlock()
 			return evict
 		}
@@ -218,13 +218,13 @@ func (sh *shard) run() {
 	}
 }
 
-// service writes up to WriterBatch frames to c, then requeues it if more
+// service writes up to writerBatch frames to c, then requeues it if more
 // remain (fairness inside the shard). A write that misses the fast
 // deadline marks the client stalled and hands it to its own slow drain
 // goroutine — the shared writer never waits on one socket twice.
 func (sh *shard) service(c *Client) {
 	g := sh.g
-	for budget := g.opts.WriterBatch; ; {
+	for budget := writerBatch; ; {
 		c.mu.Lock()
 		if c.closed || c.stalled {
 			c.mu.Unlock()

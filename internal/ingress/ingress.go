@@ -62,10 +62,11 @@ type Packet struct {
 	Owner   *bufpool.Shared
 }
 
-// Defaults applied when Config fields are zero.
 const (
 	// DefaultRing bounds each shard's queue in packets; on overflow the
-	// oldest queued packet for that shard drops.
+	// oldest queued packet for that shard drops. One drain hands Deliver
+	// the whole ring's worth on a real clock and one packet on a
+	// clock.Virtual.
 	DefaultRing = 1024
 	// maxShards caps the worker count against absurd configuration.
 	maxShards = 256
@@ -77,11 +78,6 @@ type Config struct {
 	// and 1 on a clock.Virtual (serial processing keeps same-seed virtual
 	// runs byte-identical).
 	Shards int
-	// Ring bounds each shard's queue in packets (default DefaultRing).
-	Ring int
-	// MaxBatch caps how many packets one drain hands to Deliver. Zero
-	// means the whole ring on a real clock and 1 on a clock.Virtual.
-	MaxBatch int
 	// Clock is the time source the workers register with; nil means the
 	// wall clock.
 	Clock clock.Clock
@@ -147,17 +143,9 @@ func New(cfg Config) *Pipeline {
 	if shards > maxShards {
 		shards = maxShards
 	}
-	ring := cfg.Ring
-	if ring <= 0 {
-		ring = DefaultRing
-	}
-	maxBatch := cfg.MaxBatch
-	if maxBatch <= 0 {
-		if virtual {
-			maxBatch = 1
-		} else {
-			maxBatch = ring
-		}
+	maxBatch := DefaultRing
+	if virtual {
+		maxBatch = 1
 	}
 	reg := cfg.Metrics
 	if reg == nil {
@@ -174,7 +162,7 @@ func New(cfg Config) *Pipeline {
 	for i := range p.shards {
 		lb := metrics.L("shard", strconv.Itoa(i))
 		p.shards[i] = &shard{
-			ring:      make([]Packet, ring),
+			ring:      make([]Packet, DefaultRing),
 			trig:      clock.NewTrigger(clk),
 			batch:     make([]Packet, 0, maxBatch),
 			depth:     reg.Gauge("ingress", "queue_depth", lb),

@@ -3,6 +3,7 @@ package ingress
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -173,10 +174,8 @@ func TestDropOldest(t *testing.T) {
 	var got []uint64
 	first := true
 	p := New(Config{
-		Shards:   1,
-		Ring:     4,
-		MaxBatch: 1,
-		Metrics:  reg,
+		Shards:  1,
+		Metrics: reg,
 		Deliver: func(_ int, batch []Packet) {
 			if first {
 				first = false
@@ -193,22 +192,26 @@ func TestDropOldest(t *testing.T) {
 	defer p.Close()
 
 	p.Enqueue("", transport.Packet{From: "a", Payload: seqPayload(0)})
-	<-entered // worker is now wedged inside Deliver; the ring is empty
-	for seq := uint64(1); seq <= 5; seq++ {
+	<-entered                    // worker is now wedged inside Deliver; the ring is empty
+	const last = DefaultRing + 1 // one packet more than the ring holds
+	for seq := uint64(1); seq <= last; seq++ {
 		p.Enqueue("", transport.Packet{From: "a", Payload: seqPayload(seq)})
 	}
 	close(gate)
 	deadline := time.Now().Add(2 * time.Second)
-	for p.Delivered() < 5 {
+	for p.Delivered() < last {
 		if time.Now().After(deadline) {
-			t.Fatalf("delivered %d packets, want 5", p.Delivered())
+			t.Fatalf("delivered %d packets, want %d", p.Delivered(), last)
 		}
 		time.Sleep(time.Millisecond)
 	}
 	mu.Lock()
 	defer mu.Unlock()
-	want := []uint64{0, 2, 3, 4, 5} // seq 1 was oldest when the ring overflowed
-	if fmt.Sprint(got) != fmt.Sprint(want) {
+	want := []uint64{0} // seq 1 was oldest when the ring overflowed
+	for seq := uint64(2); seq <= last; seq++ {
+		want = append(want, seq)
+	}
+	if !slices.Equal(got, want) {
 		t.Fatalf("delivered %v, want %v", got, want)
 	}
 	if drops := reg.SumCounters("ingress", "drops"); drops != 1 {

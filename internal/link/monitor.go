@@ -3,7 +3,7 @@
 // modem, satcom). The paper's container owns all network access on a node
 // (§3); when that access spans redundant bearers, the container needs to
 // know — per bearer — whether the link is alive, how far away the peer is
-// (RTT), and how lossy the path has been, so the link policy (qos.LinkPolicy)
+// (RTT), and how lossy the path has been, so the link policy (qos.BearerOrder)
 // can route each traffic class onto the right datalink and fail classes
 // over when their bearer blacks out.
 //

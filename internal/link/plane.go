@@ -37,8 +37,6 @@ type PlaneConfig struct {
 	// are read from; the plane keeps no second copy of what a peer offers
 	// beyond what selection needs per frame.
 	Directory *naming.Directory
-	// Policy supplies the static class→bearer preference order.
-	Policy qos.LinkPolicy
 	// Deadline is how long a bearer may stay silent before its monitor
 	// reports it unhealthy; Period is how long before it is probed.
 	Deadline, Period time.Duration
@@ -50,9 +48,9 @@ type PlaneConfig struct {
 }
 
 // Plane is a node's bearer plane: it routes each egress frame onto one of
-// the node's datalinks. Policy (qos.LinkPolicy, precomputed per class at
-// construction) supplies the static preference order; the per-bearer
-// monitors supply dynamic health; peers' directory-accepted KindBearer
+// the node's datalinks. The bearer profiles (qos.BearerOrder, precomputed
+// per class at construction) supply the static preference order; the
+// per-bearer monitors supply dynamic health; peers' directory-accepted KindBearer
 // records plus per-bearer receive history supply reachability. Selection
 // runs per enqueue, so an ARQ retransmission re-selects — a frame stranded
 // on a bearer that blacks out follows its class's failover order on the
@@ -65,7 +63,7 @@ type Plane struct {
 	bearers []*Bearer
 	byName  map[string]*Bearer
 	names   []string
-	// order is the policy-derived bearer preference per qos.Priority index.
+	// order is the profile-derived bearer preference per qos.Priority index.
 	order [][]string
 
 	// reach caches which local bearers each peer advertises, so the
@@ -92,7 +90,7 @@ func NewPlane(cfg PlaneConfig, bearers []*Bearer) *Plane {
 		profiles[b.Name] = b.Profile
 	}
 	for _, pr := range qos.Levels() {
-		p.order = append(p.order, cfg.Policy.Order(pr, profiles))
+		p.order = append(p.order, qos.BearerOrder(pr, profiles))
 	}
 	return p
 }

@@ -174,9 +174,8 @@ func BenchmarkFrameEncodeDecode(b *testing.B) {
 func TestARQSteadyStateAllocs(t *testing.T) {
 	send := func(transport.NodeID, []byte) error { return nil }
 	// A huge timeout keeps the armed timers from firing mid-measurement;
-	// the test invokes the retransmit path directly instead. Backoff 1
-	// keeps that timeout from overflowing as attempts accumulate.
-	a := NewARQ(send, WithTimeout(time.Hour), WithMaxRetries(1<<30), WithBackoff(1))
+	// the test invokes the retransmit path directly instead.
+	a := NewARQ(send, WithTimeout(time.Hour), WithMaxRetries(1<<30))
 	defer a.Close()
 
 	frame, err := EncodeFrame(wireTestFrame(make([]byte, 64)))
@@ -204,10 +203,16 @@ func TestARQSteadyStateAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := a.pending["peer"][0]
-	for i := 0; i < 4; i++ {
+	// Each run is a first retransmission: the backed-off timeout of a
+	// hundredth would overflow and fire the timer mid-measurement.
+	retransmit := func() {
+		p.attempt = 0
 		p.retransmit()
 	}
-	if allocs := testing.AllocsPerRun(100, p.retransmit); allocs != 0 {
+	for i := 0; i < 4; i++ {
+		retransmit()
+	}
+	if allocs := testing.AllocsPerRun(100, retransmit); allocs != 0 {
 		t.Errorf("ARQ retransmit: %v allocs/op, want 0", allocs)
 	}
 }

@@ -40,7 +40,11 @@ type ARQ struct {
 	clk        clock.Clock
 	timeout    time.Duration
 	maxRetries int
-	backoff    float64
+	// clone and release take and give back the engine's pooled copies of
+	// datagrams: bufpool.Clone and bufpool.Put, which tests wrap to hold
+	// one engine to exactly the buffers it took.
+	clone   func([]byte) []byte
+	release func([]byte)
 
 	mu sync.Mutex
 	// pending holds each peer's unacknowledged messages in ascending seq
@@ -138,8 +142,10 @@ var (
 const (
 	DefaultARQTimeout = 20 * time.Millisecond
 	DefaultARQRetries = 8
-	defaultARQBackoff = 1.6
 )
+
+// arqBackoff multiplies the retransmission timeout between attempts.
+const arqBackoff = 1.6
 
 // ARQOption customizes the engine.
 type ARQOption func(*ARQ)
@@ -172,15 +178,6 @@ func WithClock(c clock.Clock) ARQOption {
 	}
 }
 
-// WithBackoff sets the timeout multiplier between attempts (>= 1).
-func WithBackoff(f float64) ARQOption {
-	return func(a *ARQ) {
-		if f >= 1 {
-			a.backoff = f
-		}
-	}
-}
-
 // WithMetrics lands the engine's counters and typed-error families in the
 // given registry — the container passes the node registry so ARQ activity
 // shows up in MetricsSnapshot. Without it the engine keeps a private
@@ -200,7 +197,8 @@ func NewARQ(send SendFunc, opts ...ARQOption) *ARQ {
 		clk:        clock.Real{},
 		timeout:    DefaultARQTimeout,
 		maxRetries: DefaultARQRetries,
-		backoff:    defaultARQBackoff,
+		clone:      bufpool.Clone,
+		release:    bufpool.Put,
 		pending:    make(map[transport.NodeID][]*arqPending),
 	}
 	for _, opt := range opts {
@@ -238,7 +236,7 @@ func (a *ARQ) SendTuned(to transport.NodeID, seq uint64, frame []byte, tune Send
 	}
 	p := a.recordLocked()
 	p.key, p.result, p.timeout, p.maxRetries = key, result, tune.Timeout, tune.MaxRetries
-	p.frame = bufpool.Clone(frame)
+	p.frame = a.clone(frame)
 	a.pending[to] = slices.Insert(recs, i, p)
 	if p.timer == nil {
 		p.timer = a.clk.AfterFunc(a.timeoutFor(p), p.retransmit)
@@ -294,12 +292,12 @@ func (p *arqPending) retransmit() {
 	p.attempt++
 	delay := a.timeoutFor(p)
 	for i := 0; i < p.attempt; i++ {
-		delay = time.Duration(float64(delay) * a.backoff)
+		delay = time.Duration(float64(delay) * arqBackoff)
 	}
 	p.timer.Reset(delay)
 	// An ack may finish the record and recycle p.frame the moment the lock
 	// drops, so this transmission reads its own copy.
-	tx := bufpool.Clone(p.frame)
+	tx := a.clone(p.frame)
 	a.mu.Unlock()
 
 	a.stats.retransmits.Inc()
@@ -307,7 +305,7 @@ func (p *arqPending) retransmit() {
 	// not discarded: a bearer blackout shows up as arq.retransmit send
 	// errors long before retry budgets start expiring.
 	uerr.Note(a.reg, codeARQRetryTx, a.send(key.to, tx), "retransmission")
-	bufpool.Put(tx)
+	a.release(tx)
 }
 
 // timeoutFor resolves one message's effective initial timeout.
@@ -373,7 +371,7 @@ func (a *ARQ) resolve(to transport.NodeID, lo, hi uint64, err error) (uint64, bo
 	} else {
 		a.pending[to] = recs
 	}
-	bufpool.Put(p.frame)
+	a.release(p.frame)
 	result := p.result
 	p.frame, p.result, p.attempt = nil, nil, 0
 	if p.timer.Stop() && len(a.free) < arqFreeCap {

@@ -85,7 +85,7 @@ func TestARQRecordReuseUnderAckRetransmitRace(t *testing.T) {
 		}()
 		return nil
 	}
-	arq = NewARQ(send, WithTimeout(timeout), WithBackoff(1), WithMaxRetries(1<<20))
+	arq = NewARQ(send, WithTimeout(timeout), WithMaxRetries(1<<20))
 	defer arq.Close()
 
 	results := make([]atomic.Int32, messages)
@@ -136,21 +136,53 @@ func TestARQRecordReuseUnderAckRetransmitRace(t *testing.T) {
 	}
 }
 
-// TestARQRetainedBufferRecycledOnce balances the pool across each way a
-// reliable send ends. The engine takes one pooled buffer per message and
-// must give back exactly that one: a second Put would hand one buffer to two
-// owners, a missing one leaks it to the GC.
-func TestARQRetainedBufferRecycledOnce(t *testing.T) {
-	frame := mustFrame(t, 1)
-	// Keep the class away from both its ends, where Get and Put stop
-	// moving the count.
-	var spare [][]byte
-	for i := 0; i < 16; i++ {
-		spare = append(spare, bufpool.Get(len(frame)))
+// bufLedger holds one engine to exactly the pooled buffers it took: it
+// wraps the engine's clone and release and counts every buffer given back
+// that the engine did not hold — a second Put of one buffer, or a Put of
+// one it never took.
+type bufLedger struct {
+	mu      sync.Mutex
+	held    map[*byte]bool
+	foreign int
+}
+
+func trackBuffers(a *ARQ) *bufLedger {
+	l := &bufLedger{held: make(map[*byte]bool)}
+	a.clone = func(b []byte) []byte {
+		c := bufpool.Clone(b)
+		l.mu.Lock()
+		l.held[&c[:1][0]] = true
+		l.mu.Unlock()
+		return c
 	}
-	for _, b := range spare {
+	a.release = func(b []byte) {
+		l.mu.Lock()
+		if id := &b[:1][0]; l.held[id] {
+			delete(l.held, id)
+		} else {
+			l.foreign++
+		}
+		l.mu.Unlock()
 		bufpool.Put(b)
 	}
+	return l
+}
+
+func (l *bufLedger) state() (held, foreign int) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return len(l.held), l.foreign
+}
+
+// TestARQRetainedBufferRecycledOnce checks each way a reliable send ends.
+// The engine takes one pooled buffer per message and one per
+// retransmission, and must give back exactly those: a second Put would hand
+// one buffer to two owners, a missing one leaks it to the GC. The ledger
+// watches this engine alone; the pool's idle count is shared with whatever
+// else is running, such as retransmissions an earlier test's engine had
+// started before it closed.
+func TestARQRetainedBufferRecycledOnce(t *testing.T) {
+	frame := mustFrame(t, 1)
 	sendErr := errors.New("no route")
 	cases := []struct {
 		name string
@@ -163,7 +195,7 @@ func TestARQRetainedBufferRecycledOnce(t *testing.T) {
 			opts: []ARQOption{WithTimeout(time.Hour)},
 			end:  func(a *ARQ) { a.Ack("peer", 1) }},
 		{name: "retry exhaustion", send: func(transport.NodeID, []byte) error { return nil },
-			opts: []ARQOption{WithTimeout(200 * time.Microsecond), WithBackoff(1), WithMaxRetries(3)},
+			opts: []ARQOption{WithTimeout(200 * time.Microsecond), WithMaxRetries(3)},
 			end:  func(*ARQ) {}, want: ErrTimeout},
 		{name: "first transmit failure", send: func(transport.NodeID, []byte) error { return sendErr },
 			end: func(*ARQ) {}, want: sendErr},
@@ -173,9 +205,9 @@ func TestARQRetainedBufferRecycledOnce(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			before := bufpool.Idle(len(frame))
 			arq := NewARQ(tc.send, tc.opts...)
 			defer arq.Close()
+			ledger := trackBuffers(arq)
 			result := make(chan error, 1)
 			if err := arq.Send("peer", 1, frame, func(err error) { result <- err }); err != nil {
 				t.Fatal(err)
@@ -191,11 +223,13 @@ func TestARQRetainedBufferRecycledOnce(t *testing.T) {
 			}
 			// A retransmission's own copy may still be on its way back.
 			deadline := time.Now().Add(time.Second)
-			for bufpool.Idle(len(frame)) != before && time.Now().Before(deadline) {
+			held, foreign := ledger.state()
+			for held != 0 && time.Now().Before(deadline) {
 				time.Sleep(time.Millisecond)
+				held, foreign = ledger.state()
 			}
-			if after := bufpool.Idle(len(frame)); after != before {
-				t.Errorf("pool holds %d idle buffers after the send ended, %d before it", after, before)
+			if held != 0 || foreign != 0 {
+				t.Errorf("after the send ended the engine holds %d pooled buffers and gave back %d it did not hold, want 0 and 0", held, foreign)
 			}
 		})
 	}

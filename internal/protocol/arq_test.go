@@ -107,7 +107,7 @@ func TestARQRetransmitsUntilAck(t *testing.T) {
 
 func TestARQTimeoutAfterBudget(t *testing.T) {
 	ls := &lossySend{}
-	arq := NewARQ(ls.send(1000), WithTimeout(time.Millisecond), WithMaxRetries(3), WithBackoff(1.0))
+	arq := NewARQ(ls.send(1000), WithTimeout(time.Millisecond), WithMaxRetries(3))
 	defer arq.Close()
 
 	done := make(chan error, 1)

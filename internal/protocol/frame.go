@@ -36,6 +36,7 @@ import (
 	"time"
 
 	"uavmw/internal/encoding"
+	"uavmw/internal/intern"
 	"uavmw/internal/qos"
 )
 
@@ -289,43 +290,10 @@ func EncodeFrame(f *Frame) ([]byte, error) {
 	return out, nil
 }
 
-// Channel-name interning for the decode path. Channels are primitive
-// instance names — a small, stable vocabulary per deployment — so decoding
-// them as fresh strings on every frame is pure garbage. The table is
-// bounded: once full, unseen names fall back to a plain allocation rather
-// than evicting hot entries, so a hostile sender spraying channel names
-// costs allocations, not memory.
-const internCap = 4096
-
-var (
-	internMu sync.RWMutex
-	interned = make(map[string]string, 64)
-)
-
-// internChannel resolves the channel bytes to a shared string, allocating
-// only the first time a name is seen (the map lookup on a []byte key
-// compiles to a no-allocation probe).
-func internChannel(b []byte) string {
-	if len(b) == 0 {
-		return ""
-	}
-	internMu.RLock()
-	s, ok := interned[string(b)]
-	internMu.RUnlock()
-	if ok {
-		return s
-	}
-	internMu.Lock()
-	defer internMu.Unlock()
-	if s, ok = interned[string(b)]; ok {
-		return s
-	}
-	s = string(b)
-	if len(interned) < internCap {
-		interned[s] = s
-	}
-	return s
-}
+// channels interns decoded channel names. Channels are primitive instance
+// names — a small, stable vocabulary per deployment — so decoding them as
+// fresh strings on every frame is pure garbage.
+var channels intern.Table
 
 // DecodeFrameInto parses data into f, overwriting every field. The frame's
 // Payload aliases data (callers that retain it must copy) and the Channel
@@ -344,7 +312,7 @@ func DecodeFrameInto(f *Frame, data []byte) error {
 	f.Flags = r.Uint8()
 	f.Encoding = r.Uint8()
 	f.Priority = qos.Priority(r.Uint8())
-	f.Channel = internChannel(r.Raw(int(r.Uint8())))
+	f.Channel = channels.String(r.Raw(int(r.Uint8())))
 	f.Seq = r.Uvarint()
 	f.Budget = 0
 	if f.Flags&FlagHasBudget != 0 {

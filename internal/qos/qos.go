@@ -328,7 +328,7 @@ func (q CallQoS) Validate() error {
 // TransferQoS is the contract for file-based transmission (§4.4). It has no
 // rate: the egress lane of its Priority class makes the publisher wait when
 // full, and a bulk rate is set on the bearer that lane drains into
-// (BearerProfile.BulkRateBPS, or egress.Config.BulkRateBPS on one link).
+// (BearerProfile.BulkRateBPS).
 type TransferQoS struct {
 	// ChunkSize is the payload bytes per multicast chunk. Zero defaults to
 	// the engine default.
@@ -357,9 +357,9 @@ func (q TransferQoS) Validate() error {
 // (bearer) a node transmits over. A UAV typically carries several dissimilar
 // bearers at once — short-range high-bandwidth WiFi, a long-range low-rate
 // radio modem, satcom — and the middleware chooses per traffic class which
-// one carries each frame (see LinkPolicy). The profile feeds the default
-// class→bearer ordering; the link monitor supplies the dynamic half
-// (liveness, observed RTT and loss).
+// one carries each frame (see BearerOrder). The profile alone sets the
+// class→bearer ordering and the bearer's bulk shaping; the link monitor
+// supplies the dynamic half (liveness, observed RTT and loss).
 type BearerProfile struct {
 	// RateBPS is the nominal link capacity in wire bytes/second. Bulk
 	// classes prefer the highest-rate healthy bearer. Zero means unknown.
@@ -374,62 +374,35 @@ type BearerProfile struct {
 	// BulkRateBPS token-bucket-shapes the PriorityBulk egress lane of this
 	// bearer (see package egress). Set it at or just below RateBPS so bulk
 	// never fills the link queue critical frames would wait behind. Zero
-	// inherits the node-wide bulk rate (which may itself be zero: unshaped).
+	// leaves bulk unshaped.
 	BulkRateBPS int64
+	// BulkBurst is the bulk token bucket's capacity in bytes (zero means
+	// egress.DefaultBulkBurst). It bounds how far ahead of BulkRateBPS a
+	// bulk burst may run, and so how much bulk can sit in front of an
+	// urgent frame at the link: keep it near one datagram on tightly
+	// constrained links.
+	BulkBurst int
 }
 
-// LinkPolicy maps traffic classes to bearers: which datalink each
-// qos.Priority class prefers, and in what order the remaining bearers are
-// tried when the preferred one is unhealthy (automatic failover order).
-type LinkPolicy struct {
-	// Affinity[p] lists bearer names in preference order for class p.
-	// Bearers not listed are appended in the class's default order, so an
-	// affinity entry narrows preference without ever stranding a class with
-	// no failover path. A nil map (or missing class) uses the default
-	// ordering for every class.
-	Affinity map[Priority][]string
-}
-
-// Validate reports whether the policy is self-consistent.
-func (lp LinkPolicy) Validate() error {
-	for p := range lp.Affinity {
-		if !p.Valid() {
-			return fmt.Errorf("qos: link affinity priority %d out of range: %w", p, ErrInvalidPolicy)
-		}
-	}
-	return nil
-}
-
-// Order returns the bearer preference order for class p over the given
-// bearer set: the explicit affinity list first (unknown names skipped),
-// then every remaining bearer in the class's default order. The default
-// order encodes the multi-bearer doctrine: bulk rides the fattest pipe,
-// critical pins to the most robust link, and interactive classes chase
-// latency.
-func (lp LinkPolicy) Order(p Priority, bearers map[string]BearerProfile) []string {
+// BearerOrder returns the bearer preference order for class p over the
+// given bearer set — the order a class fails over in when its preferred
+// bearer is unhealthy. It follows from the profiles alone and encodes the
+// multi-bearer doctrine: bulk rides the fattest pipe, critical pins to the
+// most robust link, and interactive classes chase latency.
+func BearerOrder(p Priority, bearers map[string]BearerProfile) []string {
 	out := make([]string, 0, len(bearers))
-	seen := make(map[string]bool, len(bearers))
-	for _, name := range lp.Affinity[p] {
-		if _, ok := bearers[name]; ok && !seen[name] {
-			out = append(out, name)
-			seen[name] = true
-		}
-	}
-	rest := make([]string, 0, len(bearers))
 	for name := range bearers {
-		if !seen[name] {
-			rest = append(rest, name)
-		}
+		out = append(out, name)
 	}
-	sort.Slice(rest, func(i, j int) bool {
-		return defaultBearerLess(p, rest[i], rest[j], bearers)
+	sort.Slice(out, func(i, j int) bool {
+		return bearerLess(p, out[i], out[j], bearers)
 	})
-	return append(out, rest...)
+	return out
 }
 
-// defaultBearerLess orders bearers a, b for class p by profile, with the
-// bearer name as the final deterministic tie-break.
-func defaultBearerLess(p Priority, a, b string, bearers map[string]BearerProfile) bool {
+// bearerLess orders bearers a, b for class p by profile, with the bearer
+// name as the final deterministic tie-break.
+func bearerLess(p Priority, a, b string, bearers map[string]BearerProfile) bool {
 	pa, pb := bearers[a], bearers[b]
 	type cmp struct{ x, y int64 }
 	var keys []cmp

@@ -271,7 +271,7 @@ func TestValidatedPoliciesSurviveNormalize(t *testing.T) {
 	}
 }
 
-// e14Bearers is the E14-style two-bearer set used by the LinkPolicy tests:
+// e14Bearers is the E14-style two-bearer set used by the BearerOrder tests:
 // a fat short-range low-latency WiFi pipe and a slow long-range robust
 // radio modem.
 func e14Bearers() map[string]BearerProfile {
@@ -282,7 +282,6 @@ func e14Bearers() map[string]BearerProfile {
 }
 
 func TestLinkPolicyDefaultOrderPerClass(t *testing.T) {
-	var lp LinkPolicy
 	bearers := e14Bearers()
 	cases := []struct {
 		p    Priority
@@ -295,7 +294,7 @@ func TestLinkPolicyDefaultOrderPerClass(t *testing.T) {
 		{PriorityCritical, []string{"radio", "wifi"}}, // robust first
 	}
 	for _, tc := range cases {
-		got := lp.Order(tc.p, bearers)
+		got := BearerOrder(tc.p, bearers)
 		if len(got) != len(tc.want) {
 			t.Fatalf("%v: order %v, want %v", tc.p, got, tc.want)
 		}
@@ -308,38 +307,12 @@ func TestLinkPolicyDefaultOrderPerClass(t *testing.T) {
 	}
 }
 
-func TestLinkPolicyAffinityLeadsAndFailoverFollows(t *testing.T) {
-	lp := LinkPolicy{Affinity: map[Priority][]string{
-		PriorityCritical: {"wifi"},                // override the default robust-first order
-		PriorityBulk:     {"sat", "wifi", "wifi"}, // unknown names skipped, dups dropped
-	}}
-	bearers := e14Bearers()
-	if got := lp.Order(PriorityCritical, bearers); got[0] != "wifi" || got[1] != "radio" {
-		t.Errorf("critical order = %v, want [wifi radio]", got)
-	}
-	if got := lp.Order(PriorityBulk, bearers); len(got) != 2 || got[0] != "wifi" || got[1] != "radio" {
-		t.Errorf("bulk order = %v, want [wifi radio]", got)
-	}
-}
-
 func TestLinkPolicyOrderDeterministicOnTies(t *testing.T) {
-	var lp LinkPolicy
 	bearers := map[string]BearerProfile{"b": {}, "a": {}, "c": {}}
 	for i := 0; i < 10; i++ {
-		got := lp.Order(PriorityNormal, bearers)
+		got := BearerOrder(PriorityNormal, bearers)
 		if len(got) != 3 || got[0] != "a" || got[1] != "b" || got[2] != "c" {
 			t.Fatalf("tie order = %v, want [a b c]", got)
 		}
-	}
-}
-
-func TestLinkPolicyValidate(t *testing.T) {
-	good := LinkPolicy{Affinity: map[Priority][]string{PriorityBulk: {"x"}}}
-	if err := good.Validate(); err != nil {
-		t.Errorf("valid policy rejected: %v", err)
-	}
-	bad := LinkPolicy{Affinity: map[Priority][]string{Priority(99): {"x"}}}
-	if err := bad.Validate(); err == nil {
-		t.Error("invalid affinity priority accepted")
 	}
 }

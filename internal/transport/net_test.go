@@ -12,6 +12,56 @@ func netDial(addr string) (net.Conn, error) {
 	return net.Dial("udp4", addr)
 }
 
+// unreadSocket binds a loopback UDP socket nobody reads from: datagrams
+// sent to it are queued or dropped by the kernel, so a sender's allocation
+// count is the sender's alone.
+func unreadSocket(t *testing.T) *net.UDPConn {
+	t.Helper()
+	conn, err := net.ListenUDP("udp4", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Skipf("udp unavailable: %v", err)
+	}
+	t.Cleanup(func() { _ = conn.Close() })
+	return conn
+}
+
+// readAllocs queues datagrams on conn and reports rd's allocations per
+// read of one of them.
+func readAllocs(t *testing.T, conn *net.UDPConn, rd datagramReader) float64 {
+	t.Helper()
+	src, err := net.DialUDP("udp4", nil, conn.LocalAddr().(*net.UDPAddr))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = src.Close() }()
+	const runs = 50
+	for i := 0; i < runs+1; i++ { // AllocsPerRun warms up with one extra call
+		if _, err := src.Write([]byte("datagram")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// A datagram the kernel dropped must fail the test, not hang it.
+	if err := conn.SetReadDeadline(time.Now().Add(5 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	bufs := [][]byte{make([]byte, 2048)}
+	sizes := make([]int, 1)
+	return testing.AllocsPerRun(runs, func() {
+		if n, err := rd.read(bufs, sizes); err != nil || n != 1 || sizes[0] != len("datagram") {
+			t.Fatalf("read = %d datagrams of %d bytes, %v", n, sizes[0], err)
+		}
+	})
+}
+
+// TestSingleReaderAllocs gates the portable one-datagram read: reading a
+// queued datagram allocates nothing (no sender address is asked for).
+func TestSingleReaderAllocs(t *testing.T) {
+	conn := unreadSocket(t)
+	if allocs := readAllocs(t, conn, singleReader{conn}); allocs != 0 {
+		t.Errorf("singleReader.read: %v allocs/op, want 0", allocs)
+	}
+}
+
 // newUDPPair builds two UDP transports wired to each other on loopback.
 func newUDPPair(t *testing.T) (*UDP, *UDP) {
 	t.Helper()

@@ -9,6 +9,7 @@ import (
 
 	"uavmw/internal/bufpool"
 	"uavmw/internal/encoding"
+	"uavmw/internal/intern"
 )
 
 // UDP is the datagram transport used between airframe nodes on the real
@@ -324,6 +325,30 @@ func (u *UDP) Close() error {
 	return nil
 }
 
+// envelopeNames interns the sender ids and group names of arriving
+// envelopes, apart from the channel names of the frames inside them.
+var envelopeNames intern.Table
+
+// datagramReader fills bufs with arriving datagrams, their lengths in
+// sizes, and reports how many it filled.
+type datagramReader interface {
+	read(bufs [][]byte, sizes []int) (int, error)
+}
+
+// singleReader reads one datagram per call. It uses Read, not ReadFromUDP:
+// identity rides in the envelope, and the sender address ReadFromUDP
+// returns would cost an allocation per datagram.
+type singleReader struct{ conn *net.UDPConn }
+
+func (r singleReader) read(bufs [][]byte, sizes []int) (int, error) {
+	n, err := r.conn.Read(bufs[0])
+	if err != nil {
+		return 0, err
+	}
+	sizes[0] = n
+	return 1, nil
+}
+
 // maxDatagram bounds receive buffers; UDP payloads beyond typical MTU-sized
 // frames are fragmented by the protocol layer, but loopback jumbo frames
 // still fit here.
@@ -333,7 +358,7 @@ func (u *UDP) readLoop(conn *net.UDPConn, g *udpGroup) {
 	defer u.wg.Done()
 	// A ring of pooled receive buffers. Where recvmmsg is available (Linux)
 	// one syscall fills a run of them; elsewhere the ring is a single buffer
-	// and read degenerates to one ReadFromUDP. Handlers see the buffers
+	// and read degenerates to one Read. Handlers see the buffers
 	// directly (no per-datagram copy): each filled slot is wrapped in a
 	// refcounted bufpool.Shared and delivered as Packet.Owner, so a handler
 	// that needs the payload past its call Retains the buffer instead of
@@ -371,8 +396,8 @@ func (u *UDP) handleDatagram(data []byte, owner *bufpool.Shared) {
 		return
 	}
 	kind := r.Uint8()
-	from := NodeID(internString(r.RawBytes()))
-	group := internString(r.RawBytes())
+	from := NodeID(envelopeNames.String(r.RawBytes()))
+	group := envelopeNames.String(r.RawBytes())
 	if r.Err() != nil || from == "" {
 		u.stats.dropped()
 		return

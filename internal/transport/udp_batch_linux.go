@@ -156,21 +156,6 @@ func (r *mmsgReader) recvmmsg(fd uintptr) bool {
 	}
 }
 
-type singleReader struct{ conn *net.UDPConn }
-
-func (r singleReader) read(bufs [][]byte, sizes []int) (int, error) {
-	n, _, err := r.conn.ReadFromUDP(bufs[0])
-	if err != nil {
-		return 0, err
-	}
-	sizes[0] = n
-	return 1, nil
-}
-
-type datagramReader interface {
-	read(bufs [][]byte, sizes []int) (int, error)
-}
-
 func newDatagramReader(conn *net.UDPConn) datagramReader {
 	rc, err := conn.SyscallConn()
 	if err != nil {

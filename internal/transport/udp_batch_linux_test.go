@@ -3,25 +3,11 @@
 package transport
 
 import (
-	"net"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 )
-
-// unreadSocket binds a loopback UDP socket nobody reads from: datagrams
-// sent to it are queued or dropped by the kernel, so a sender's allocation
-// count is the sender's alone.
-func unreadSocket(t *testing.T) *net.UDPConn {
-	t.Helper()
-	conn, err := net.ListenUDP("udp4", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
-	if err != nil {
-		t.Skipf("udp unavailable: %v", err)
-	}
-	t.Cleanup(func() { _ = conn.Close() })
-	return conn
-}
 
 // TestSendBatchSteadyStateAllocs gates the sendmmsg path: sealing into
 // pooled envelopes, the reused header arrays, and the RawConn.Write callback
@@ -59,28 +45,7 @@ func TestMmsgReadAllocs(t *testing.T) {
 	if !ok {
 		t.Skip("no raw access to the socket")
 	}
-	src, err := net.DialUDP("udp4", nil, conn.LocalAddr().(*net.UDPAddr))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = src.Close() }()
-	const runs = 50
-	for i := 0; i < runs+1; i++ { // AllocsPerRun warms up with one extra call
-		if _, err := src.Write([]byte("datagram")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// A datagram the kernel dropped must fail the test, not hang it.
-	if err := conn.SetReadDeadline(time.Now().Add(5 * time.Second)); err != nil {
-		t.Fatal(err)
-	}
-	bufs := [][]byte{make([]byte, 2048)}
-	sizes := make([]int, 1)
-	if allocs := testing.AllocsPerRun(runs, func() {
-		if n, err := rd.read(bufs, sizes); err != nil || n != 1 || sizes[0] != len("datagram") {
-			t.Fatalf("read = %d datagrams of %d bytes, %v", n, sizes[0], err)
-		}
-	}); allocs != 0 {
+	if allocs := readAllocs(t, conn, rd); allocs != 0 {
 		t.Errorf("mmsgReader.read: %v allocs/op, want 0", allocs)
 	}
 }

@@ -16,21 +16,6 @@ func (u *UDP) writeBatch(outs []wireDatagram) (int, error) {
 	return sequentialWrite(u.conn, outs)
 }
 
-type datagramReader interface {
-	read(bufs [][]byte, sizes []int) (int, error)
-}
-
-type singleReader struct{ conn *net.UDPConn }
-
 func newDatagramReader(conn *net.UDPConn) datagramReader {
 	return singleReader{conn}
-}
-
-func (r singleReader) read(bufs [][]byte, sizes []int) (int, error) {
-	n, _, err := r.conn.ReadFromUDP(bufs[0])
-	if err != nil {
-		return 0, err
-	}
-	sizes[0] = n
-	return 1, nil
 }
