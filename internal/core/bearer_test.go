@@ -109,7 +109,15 @@ func TestCriticalPinsToRobustBearer(t *testing.T) {
 	defer radio.Close()
 	uav := newTwoBearerNode(t, wifi, radio, "uav", wifiProfile)
 	newTwoBearerNode(t, wifi, radio, "gs", wifiProfile)
-	waitUntil(t, 5*time.Second, "peers discovered", func() bool {
+	// Knowing gs is not enough: uav may have heard it only on the radio,
+	// and then the radio is rightly the one bearer that reaches it. The
+	// premise is both links up, so wait until uav hears gs on each.
+	waitUntil(t, 5*time.Second, "uav to hear gs on both bearers", func() bool {
+		for _, rep := range uav.LinkReports() {
+			if !rep.Healthy || rep.PeersHeard == 0 {
+				return false
+			}
+		}
 		return len(uav.Peers()) == 1
 	})
 	if got := uav.links.Unicast("gs", qos.PriorityCritical); got != "radio" {

@@ -76,13 +76,12 @@ var (
 // Sender is the downstream transmit interface (one raw datagram transport).
 // Implementations must not retain payload once the call returns — the plane
 // recycles pooled datagrams immediately after a send — so a sender that
-// delivers asynchronously (the network simulator) copies first. A Sender
-// that also implements transport.BatchSender gets runs of queued datagrams
-// handed over in one call (syscall batching); one that implements
+// delivers asynchronously (the network simulator) copies first. Each call
+// carries one datagram. A Sender that also implements
 // transport.SharedSender (the in-process bus, which delivers inline) gets
 // each datagram's pooled buffer itself, which its receivers retain instead
 // of copying, and the buffer returns to the pool on their last release.
-// Bearers detect both at registration time.
+// Bearers detect it at registration time.
 type Sender interface {
 	Send(to transport.NodeID, payload []byte) error
 	SendGroup(group string, payload []byte) error
@@ -540,9 +539,6 @@ type bearer struct {
 	name   string
 	cfg    Config
 	sender Sender
-	// batch is non-nil when sender supports syscall-batched transmission;
-	// the drainer then hands it runs of queued datagrams in one call.
-	batch transport.BatchSender
 	// shared is non-nil when sender takes the pooled datagram itself. Its
 	// bulk datagrams carry creditBack, b.released bound once, as their
 	// release hook, and unreleased counts those not yet released.
@@ -552,11 +548,9 @@ type bearer struct {
 
 	clk clock.Clock
 
-	// Drainer-private scratch, reused across drains so the steady-state
-	// transmit path allocates nothing. collectRaw is filled under b.mu by
-	// collectLocked; batchMsgs is only ever touched by the drain goroutine.
+	// Drainer scratch, reused across drains so the steady-state transmit
+	// path allocates nothing; filled under b.mu by collectLocked.
 	collectRaw [][]byte
-	batchMsgs  []transport.BatchMessage
 
 	mu           sync.Mutex
 	idle         *clock.Cond // signalled when a transmit completes
@@ -637,7 +631,6 @@ func newBearer(name string, sender Sender, cfg Config) *bearer {
 		trigger:    clock.NewTrigger(clk),
 		stop:       make(chan struct{}),
 	}
-	b.batch, _ = sender.(transport.BatchSender)
 	if b.shared, _ = sender.(transport.SharedSender); b.shared != nil {
 		b.creditBack = b.released
 		b.unreleased = reg.Gauge("egress", "bulk_unreleased", metrics.L("bearer", name))
@@ -901,11 +894,6 @@ func (b *bearer) transmit(key destKey, c int, datagram []byte) {
 	}
 }
 
-// maxSyscallBatch bounds how many queued datagrams one BatchSender call
-// carries — enough to amortize the syscall, small enough to keep the
-// drainer responsive to newly enqueued critical frames.
-const maxSyscallBatch = 32
-
 // run is the drain goroutine. It parks on the clock between frames, so
 // under a Virtual clock bulk pacing is discrete-event driven.
 func (b *bearer) run() {
@@ -926,53 +914,20 @@ func (b *bearer) run() {
 	}
 }
 
-// drain dequeues ready datagrams and hands them to the sender: up to
-// maxSyscallBatch in one call for a transport.BatchSender, strictly one per
-// send for everything else, which also keeps the deterministic simulators'
-// event order stable. Pacing and priority come from next(): a throttled
-// bulk lane ends the run and its wait is returned.
+// drain dequeues one datagram and hands it to the sender, which keeps the
+// deterministic simulators' event order stable. Pacing and priority come
+// from next(): a throttled bulk lane returns its wait.
 func (b *bearer) drain() (wait time.Duration, ok bool) {
-	if b.batch == nil {
-		datagram, key, c, w, k := b.next()
-		if !k {
-			return w, false
-		}
-		b.transmit(key, c, datagram)
-	} else if wait, ok = b.drainBatch(); !ok {
+	datagram, key, c, wait, ok := b.next()
+	if !ok {
 		return wait, false
 	}
+	b.transmit(key, c, datagram)
 	b.mu.Lock()
 	b.transmitting = false
 	b.idle.Broadcast()
 	b.mu.Unlock()
-	return wait, true
-}
-
-// drainBatch is drain for a transport.BatchSender: one call carries the run.
-func (b *bearer) drainBatch() (wait time.Duration, ok bool) {
-	msgs := b.batchMsgs[:0]
-	for len(msgs) < maxSyscallBatch {
-		datagram, key, _, w, k := b.next()
-		if !k {
-			wait = w
-			break
-		}
-		msgs = append(msgs, transport.BatchMessage{To: key.node, Group: key.group, Payload: datagram})
-	}
-	if len(msgs) == 0 {
-		b.batchMsgs = msgs
-		return wait, false
-	}
-	if err := b.batch.SendBatch(msgs); err != nil {
-		b.ctr.sendFailures.Inc()
-		uerr.Wrapf(b.reg, codeTransmit, err, "batched transport send on %s", b.name)
-	}
-	for i := range msgs {
-		bufpool.Put(msgs[i].Payload)
-		msgs[i] = transport.BatchMessage{} // drop pooled-buffer refs
-	}
-	b.batchMsgs = msgs[:0]
-	return wait, true
+	return 0, true
 }
 
 func (b *bearer) flush() {

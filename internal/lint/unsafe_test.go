@@ -12,12 +12,10 @@ import (
 )
 
 // unsafeFiles is every non-test file in the module that imports unsafe: the
-// raw sendmmsg/recvmmsg syscalls, and the decode slab, which builds
-// interfaces over its slots. Each states the layout it relies on. The list
-// only shrinks; new code does without unsafe.
+// decode slab, which builds interfaces over its slots and states the layout
+// it relies on. The list only shrinks; new code does without unsafe.
 var unsafeFiles = []string{
 	"internal/encoding/slab.go",
-	"internal/transport/udp_batch_linux.go",
 }
 
 // TestUnsafeIsConfined holds the non-test imports of unsafe to unsafeFiles.

@@ -53,6 +53,9 @@ type ARQ struct {
 	pending map[transport.NodeID][]*arqPending
 	free    []*arqPending // recycled records, at most arqFreeCap; starts empty
 	closed  bool
+	// retransmitting counts retransmissions past the pending-table check
+	// and not yet done with their send and copy; Close waits for them.
+	retransmitting sync.WaitGroup
 	// probes counts the pending records examined finding messages to
 	// complete; tests bound it against what an ack claims.
 	probes int
@@ -146,6 +149,25 @@ const (
 
 // arqBackoff multiplies the retransmission timeout between attempts.
 const arqBackoff = 1.6
+
+// arqMaxDelay caps the backed-off retransmission timeout: RFC 6298 §2.5
+// allows a maximum RTO of no less than 60 s. The default budget (8
+// retries from 20 ms, at most ~0.86 s) never reaches it; without it a
+// large retry budget overflows the delay to a negative duration and spends
+// itself in a burst.
+const arqMaxDelay = 60 * time.Second
+
+// retryDelay is the timeout before retransmission attempt+1 of a message
+// whose first timeout was initial: initial × arqBackoff^attempt, capped at
+// arqMaxDelay, or at initial when that is longer.
+func retryDelay(initial time.Duration, attempt int) time.Duration {
+	ceiling := max(initial, arqMaxDelay)
+	delay := initial
+	for i := 0; i < attempt && delay < ceiling; i++ {
+		delay = time.Duration(float64(delay) * arqBackoff)
+	}
+	return min(delay, ceiling)
+}
 
 // ARQOption customizes the engine.
 type ARQOption func(*ARQ)
@@ -290,15 +312,13 @@ func (p *arqPending) retransmit() {
 		return
 	}
 	p.attempt++
-	delay := a.timeoutFor(p)
-	for i := 0; i < p.attempt; i++ {
-		delay = time.Duration(float64(delay) * arqBackoff)
-	}
-	p.timer.Reset(delay)
+	p.timer.Reset(retryDelay(a.timeoutFor(p), p.attempt))
 	// An ack may finish the record and recycle p.frame the moment the lock
 	// drops, so this transmission reads its own copy.
 	tx := a.clone(p.frame)
+	a.retransmitting.Add(1)
 	a.mu.Unlock()
+	defer a.retransmitting.Done()
 
 	a.stats.retransmits.Inc()
 	// A transient failure retries on the next timer, but it is counted,
@@ -423,7 +443,9 @@ func (a *ARQ) Pending() int {
 	return n
 }
 
-// Close fails every pending message with ErrARQClosed and stops timers.
+// Close fails every pending message with ErrARQClosed and stops timers. It
+// returns once retransmissions already under way have sent and given back
+// their copies, so a closed engine sends nothing and holds no buffer.
 func (a *ARQ) Close() {
 	a.mu.Lock()
 	if a.closed {
@@ -441,4 +463,7 @@ func (a *ARQ) Close() {
 	for _, key := range keys {
 		a.finish(key, uerr.Wrap(a.reg, codeARQClosed, ErrARQClosed, "engine closing"))
 	}
+	// No retransmission starts once closed is set under a.mu, so none is
+	// added while this waits.
+	clock.Blocking(a.clk, a.retransmitting.Wait)
 }

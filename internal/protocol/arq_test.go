@@ -406,3 +406,86 @@ func TestAckRangeCostFollowsPending(t *testing.T) {
 	}
 	t.Logf("%d-byte datagram: %d ranges claiming %d seqs cost %d probes", len(raw), ranges, claimed, probes)
 }
+
+// TestARQBackoffIsCapped gives one message a large retry budget and moves
+// it to its sixtieth attempt. Uncapped, 20 ms × 1.6^61 overflows
+// time.Duration to a negative delay, the timer fires at once, and the
+// budget goes out in a burst; capped, the next retransmission is a minute
+// away.
+func TestARQBackoffIsCapped(t *testing.T) {
+	var sends atomic.Int64
+	arq := NewARQ(func(transport.NodeID, []byte) error { sends.Add(1); return nil },
+		WithTimeout(20*time.Millisecond), WithMaxRetries(1000))
+	defer arq.Close()
+	if err := arq.Send("peer", 1, mustFrame(t, 1), nil); err != nil {
+		t.Fatal(err)
+	}
+	arq.mu.Lock()
+	arq.pending["peer"][0].attempt = 60
+	arq.mu.Unlock()
+	time.Sleep(150 * time.Millisecond)
+	// The first transmission, then the retransmission the 20 ms timer
+	// fires, then nothing for arqMaxDelay.
+	if n := sends.Load(); n > 2 {
+		t.Errorf("%d sends in 150 ms from attempt 60, want at most 2", n)
+	}
+}
+
+// TestARQRetryDelay pins the backoff: the default budget's delays are the
+// uncapped 20 ms × 1.6^k, and no attempt count yields a delay that is
+// negative, above arqMaxDelay, or below the one before it.
+func TestARQRetryDelay(t *testing.T) {
+	want := DefaultARQTimeout
+	for k := 0; k <= DefaultARQRetries; k++ {
+		if got := retryDelay(DefaultARQTimeout, k); got != want {
+			t.Errorf("retryDelay(20ms, %d) = %v, want %v", k, got, want)
+		}
+		want = time.Duration(float64(want) * arqBackoff)
+	}
+	prev := time.Duration(0)
+	for k := 0; k <= 10000; k++ {
+		d := retryDelay(DefaultARQTimeout, k)
+		if d < prev || d > arqMaxDelay {
+			t.Fatalf("retryDelay(20ms, %d) = %v after %v, want ascending to at most %v", k, d, prev, arqMaxDelay)
+		}
+		prev = d
+	}
+	if prev != arqMaxDelay {
+		t.Errorf("retryDelay(20ms, 10000) = %v, want the cap %v", prev, arqMaxDelay)
+	}
+	if d := retryDelay(2*time.Minute, 5); d != 2*time.Minute {
+		t.Errorf("retryDelay(2m, 5) = %v, want 2m: a first timeout above the cap is its own ceiling", d)
+	}
+}
+
+// TestARQCloseEndsRetransmissions closes an engine while slow
+// retransmissions are under way. Once Close returns the engine must make
+// no send and hold no pooled copy: retransmissions that had already passed
+// the pending-table check finish before Close returns, not after.
+func TestARQCloseEndsRetransmissions(t *testing.T) {
+	var closed atomic.Bool
+	var lateSends atomic.Int64
+	arq := NewARQ(func(transport.NodeID, []byte) error {
+		if closed.Load() {
+			lateSends.Add(1)
+		}
+		time.Sleep(100 * time.Microsecond) // keep the send in flight
+		return nil
+	}, WithTimeout(50*time.Microsecond), WithMaxRetries(1<<20))
+	ledger := trackBuffers(arq)
+	for seq := uint64(1); seq <= 32; seq++ {
+		if err := arq.Send("peer", seq, mustFrame(t, seq), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	time.Sleep(2 * time.Millisecond)
+	arq.Close()
+	closed.Store(true)
+	if held, foreign := ledger.state(); held != 0 || foreign != 0 {
+		t.Errorf("after Close the engine holds %d pooled buffers and gave back %d it did not hold, want 0 and 0", held, foreign)
+	}
+	time.Sleep(2 * time.Millisecond)
+	if n := lateSends.Load(); n != 0 {
+		t.Errorf("%d sends after Close returned", n)
+	}
+}

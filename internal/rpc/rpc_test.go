@@ -268,13 +268,21 @@ func TestFailoverToSecondProvider(t *testing.T) {
 	}
 }
 
+// stall is the handler of a provider that answers ret only once the test
+// has ended, past any deadline the test sets, and does not outlive it.
+func stall(t *testing.T, ret any) func(any) (any, error) {
+	release := make(chan struct{})
+	t.Cleanup(func() { close(release) })
+	return func(any) (any, error) {
+		<-release
+		return ret, nil
+	}
+}
+
 func TestDeadlineRespected(t *testing.T) {
 	client, server, cf, _ := wire(t)
 	if err := server.Register("slow", "svc", nil, nil, qos.CallQoS{},
-		func(any) (any, error) {
-			time.Sleep(time.Second)
-			return nil, nil
-		}); err != nil {
+		stall(t, nil)); err != nil {
 		t.Fatal(err)
 	}
 	announce(t, cf, "server", server)
@@ -402,10 +410,7 @@ func TestHedgedCallBeatsSlowProvider(t *testing.T) {
 	client, slow, fast, cf := threeWay(t)
 	retT := presentation.String_()
 	if err := slow.Register("fn", "svc", nil, retT, qos.CallQoS{},
-		func(any) (any, error) {
-			time.Sleep(2 * time.Second)
-			return "slow", nil
-		}); err != nil {
+		stall(t, "slow")); err != nil {
 		t.Fatal(err)
 	}
 	if err := fast.Register("fn", "svc", nil, retT, qos.CallQoS{},
@@ -589,10 +594,7 @@ func TestDeadlineMissUnpinsStalledProvider(t *testing.T) {
 	client, server, cf, _ := wire(t)
 	retT := presentation.String_()
 	if err := server.Register("fn", "svc", nil, retT, qos.CallQoS{},
-		func(any) (any, error) {
-			time.Sleep(2 * time.Second)
-			return "late", nil
-		}); err != nil {
+		stall(t, "late")); err != nil {
 		t.Fatal(err)
 	}
 	announce(t, cf, "server", server)

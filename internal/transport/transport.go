@@ -13,7 +13,7 @@
 // The wire path recycles its buffers (internal/bufpool), so retention is a
 // contract, not a convention:
 //
-//   - Send / SendGroup / SendBatch: the payload belongs to the caller and
+//   - Send / SendGroup: the payload belongs to the caller and
 //     is valid only for the duration of the call. A transport that still
 //     needs the bytes after returning — netsim simulating latency — copies
 //     them first (see bufpool.Copy). UDP hands the bytes to the kernel
@@ -111,15 +111,13 @@ type BatchMessage struct {
 	Payload []byte
 }
 
-// BatchSender is implemented by transports that can put several datagrams
-// on the wire in one call (sendmmsg on Linux UDP). The egress drainers feed
-// it runs of already-paced, priority-ordered datagrams, amortizing the
-// per-datagram syscall cost. Semantics match issuing the Sends in slice
-// order; a non-nil error means one or more messages failed (best effort —
-// datagram transports don't guarantee delivery anyway). Payloads follow the
-// Send ownership rule: valid only for the duration of the call. Transports
-// without a native batching primitive simply don't implement the interface
-// and callers fall back to one Send per datagram.
+// BatchSender is an optional interface for transports that put several
+// datagrams on the wire in one call, with the semantics of issuing the
+// Sends in slice order. No transport in this module implements it and the
+// egress drainers send one datagram per call: UDP's vectored path saved
+// too little per datagram to keep. The declaration stays only because the
+// benchmark harness's trace decorator forwards it; it goes when that
+// harness is next revised.
 type BatchSender interface {
 	SendBatch(msgs []BatchMessage) error
 }
@@ -130,8 +128,7 @@ type BatchSender interface {
 // group, as Send and SendGroup do; receivers get buf as Packet.Owner, so
 // the bytes cross with no copy. The caller holds a reference on buf for the
 // call and releases it afterwards; the transport takes none. Senders
-// detect the interface once, as they do BatchSender, and fall back to Send
-// and SendGroup without it.
+// detect the interface once and fall back to Send and SendGroup without it.
 type SharedSender interface {
 	SendShared(to NodeID, group string, buf *bufpool.Shared) error
 }

@@ -3,8 +3,8 @@ package transport
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 	"net"
+	"net/netip"
 	"sync"
 
 	"uavmw/internal/bufpool"
@@ -19,16 +19,22 @@ import (
 //
 // Every datagram carries a small envelope (magic, kind, sender, group) so
 // receivers can attribute packets without reverse DNS of ephemeral ports.
+// Each send is one write and each receive one read; the wire path
+// allocates nothing per datagram.
 type UDP struct {
 	id   NodeID
 	conn *net.UDPConn // unicast socket, also used to send multicast
 
-	mu      sync.Mutex
-	peers   map[NodeID]*net.UDPAddr
-	groups  map[string]*udpGroup
-	joined  map[string]bool // groups joined (native or fan-out)
-	handler Handler
-	closed  bool
+	mu    sync.Mutex
+	peers map[NodeID]netip.AddrPort
+	// peerAddrs holds the addresses in peers. AddPeer and RemovePeer
+	// replace it, never write into it, so a fan-out send ranges over the
+	// slice it read under mu after releasing the lock.
+	peerAddrs []netip.AddrPort
+	groups    map[string]*net.UDPConn // native multicast listeners
+	joined    map[string]bool         // groups joined (native or fan-out)
+	handler   Handler
+	closed    bool
 
 	fanout bool // emulate multicast with unicast copies to all peers
 
@@ -36,23 +42,10 @@ type UDP struct {
 	stats counters
 
 	groupBase int // base UDP port for derived multicast groups
-
-	// SendBatch scratch, guarded by batchMu: resolved datagrams, the
-	// pooled envelopes to release, and the platform syscall state.
-	batchMu   sync.Mutex
-	batchOuts []wireDatagram
-	batchEnvs [][]byte
-	bw        batchWriter
-}
-
-type udpGroup struct {
-	addr *net.UDPAddr
-	conn *net.UDPConn
 }
 
 var _ Transport = (*UDP)(nil)
 var _ Multicaster = (*UDP)(nil)
-var _ BatchSender = (*UDP)(nil)
 
 // envelope bytes.
 const (
@@ -96,8 +89,8 @@ func NewUDP(id NodeID, bindAddr string, peers map[NodeID]string, opts ...UDPOpti
 	u := &UDP{
 		id:        id,
 		conn:      conn,
-		peers:     make(map[NodeID]*net.UDPAddr, len(peers)),
-		groups:    make(map[string]*udpGroup),
+		peers:     make(map[NodeID]netip.AddrPort, len(peers)),
+		groups:    make(map[string]*net.UDPConn),
 		joined:    make(map[string]bool),
 		groupBase: 17000,
 	}
@@ -111,7 +104,7 @@ func NewUDP(id NodeID, bindAddr string, peers map[NodeID]string, opts ...UDPOpti
 		}
 	}
 	u.wg.Add(1)
-	go u.readLoop(conn, nil)
+	go u.readLoop(conn)
 	return u, nil
 }
 
@@ -130,9 +123,12 @@ func (u *UDP) AddPeer(id NodeID, addr string) error {
 	if err != nil {
 		return fmt.Errorf("transport: resolve peer %q addr %q: %w", id, addr, err)
 	}
+	ap := uaddr.AddrPort()
 	u.mu.Lock()
 	defer u.mu.Unlock()
-	u.peers[id] = uaddr
+	// The socket is udp4: an IPv4 address resolves in its 16-byte form.
+	u.peers[id] = netip.AddrPortFrom(ap.Addr().Unmap(), ap.Port())
+	u.rebuildPeerAddrsLocked()
 	return nil
 }
 
@@ -142,7 +138,20 @@ func (u *UDP) AddPeer(id NodeID, addr string) error {
 func (u *UDP) RemovePeer(id NodeID) {
 	u.mu.Lock()
 	defer u.mu.Unlock()
-	delete(u.peers, id)
+	if _, ok := u.peers[id]; ok {
+		delete(u.peers, id)
+		u.rebuildPeerAddrsLocked()
+	}
+}
+
+// rebuildPeerAddrsLocked replaces peerAddrs with a fresh slice of the
+// address book. Caller holds u.mu.
+func (u *UDP) rebuildPeerAddrsLocked() {
+	addrs := make([]netip.AddrPort, 0, len(u.peers))
+	for _, ap := range u.peers {
+		addrs = append(addrs, ap)
+	}
+	u.peerAddrs = addrs
 }
 
 // Node implements Transport.
@@ -166,16 +175,17 @@ func (u *UDP) currentHandler() Handler {
 }
 
 // GroupAddr derives the deterministic multicast address for a group name:
-// 239.255.h/16 with a port in [base, base+512). Both ends derive the same
-// address from the name alone, so no rendezvous service is needed.
-func (u *UDP) GroupAddr(group string) *net.UDPAddr {
-	h := fnv.New32a()
-	_, _ = h.Write([]byte(group))
-	s := h.Sum32()
-	return &net.UDPAddr{
-		IP:   net.IPv4(239, 255, byte(s>>8), byte(s)),
-		Port: u.groupBase + int(s%512),
+// 239.255.h/16 with a port in [base, base+512), h the group's 32-bit
+// FNV-1a hash. Both ends derive the same address from the name alone, so
+// no rendezvous service is needed.
+func (u *UDP) GroupAddr(group string) netip.AddrPort {
+	s := uint32(2166136261)
+	for i := 0; i < len(group); i++ {
+		s ^= uint32(group[i])
+		s *= 16777619
 	}
+	ip := netip.AddrFrom4([4]byte{239, 255, byte(s >> 8), byte(s)})
+	return netip.AddrPortFrom(ip, uint16(u.groupBase+int(s%512)))
 }
 
 // envelopeLen is the sealed size of one datagram: magic, kind, u32-prefixed
@@ -202,15 +212,15 @@ func (u *UDP) Send(to NodeID, payload []byte) error {
 		u.mu.Unlock()
 		return fmt.Errorf("transport: send from %q: %w", u.id, ErrClosed)
 	}
-	addr := u.peers[to]
+	addr, ok := u.peers[to]
 	u.mu.Unlock()
-	if addr == nil {
+	if !ok {
 		return fmt.Errorf("transport: send to %q: %w", to, ErrUnknownNode)
 	}
 	env := u.seal(bufpool.Get(u.envelopeLen("", payload)), udpUnicast, "", payload)
 	u.stats.sent(len(payload))
-	_, err := u.conn.WriteToUDP(env, addr)
-	bufpool.Put(env) // the kernel copied the bytes; WriteToUDP retains nothing
+	_, err := u.conn.WriteToUDPAddrPort(env, addr)
+	bufpool.Put(env) // the kernel copied the bytes; the write retains nothing
 	if err != nil {
 		u.stats.dropped()
 		return fmt.Errorf("transport: udp send to %q: %w", to, err)
@@ -226,30 +236,22 @@ func (u *UDP) SendGroup(group string, payload []byte) error {
 		u.mu.Unlock()
 		return fmt.Errorf("transport: send from %q: %w", u.id, ErrClosed)
 	}
-	var peerAddrs []*net.UDPAddr
-	if u.fanout {
-		peerAddrs = make([]*net.UDPAddr, 0, len(u.peers))
-		for _, addr := range u.peers {
-			peerAddrs = append(peerAddrs, addr)
-		}
-	}
+	peerAddrs := u.peerAddrs
 	u.mu.Unlock()
 	env := u.seal(bufpool.Get(u.envelopeLen(group, payload)), udpMulticast, group, payload)
+	defer bufpool.Put(env)
 	u.stats.sent(len(payload))
 	if u.fanout {
 		for _, addr := range peerAddrs {
-			if _, err := u.conn.WriteToUDP(env, addr); err != nil {
+			if _, err := u.conn.WriteToUDPAddrPort(env, addr); err != nil {
 				u.stats.dropped()
 				continue
 			}
 			u.stats.wire(len(payload))
 		}
-		bufpool.Put(env)
 		return nil
 	}
-	_, err := u.conn.WriteToUDP(env, u.GroupAddr(group))
-	bufpool.Put(env)
-	if err != nil {
+	if _, err := u.conn.WriteToUDPAddrPort(env, u.GroupAddr(group)); err != nil {
 		u.stats.dropped()
 		return fmt.Errorf("transport: udp multicast to %q: %w", group, err)
 	}
@@ -273,14 +275,13 @@ func (u *UDP) Join(group string) error {
 		return nil
 	}
 	gaddr := u.GroupAddr(group)
-	conn, err := net.ListenMulticastUDP("udp4", nil, gaddr)
+	conn, err := net.ListenMulticastUDP("udp4", nil, net.UDPAddrFromAddrPort(gaddr))
 	if err != nil {
 		return fmt.Errorf("transport: join group %q at %v: %w", group, gaddr, err)
 	}
-	g := &udpGroup{addr: gaddr, conn: conn}
-	u.groups[group] = g
+	u.groups[group] = conn
 	u.wg.Add(1)
-	go u.readLoop(conn, g)
+	go u.readLoop(conn)
 	return nil
 }
 
@@ -294,12 +295,12 @@ func (u *UDP) Leave(group string) error {
 		return fmt.Errorf("transport: leave from %q: %w", u.id, ErrClosed)
 	}
 	delete(u.joined, group)
-	g, joined := u.groups[group]
+	conn, joined := u.groups[group]
 	if !joined {
 		return nil
 	}
 	delete(u.groups, group)
-	return g.conn.Close()
+	return conn.Close()
 }
 
 // Stats implements Transport.
@@ -314,12 +315,12 @@ func (u *UDP) Close() error {
 	}
 	u.closed = true
 	groups := u.groups
-	u.groups = make(map[string]*udpGroup)
+	u.groups = make(map[string]*net.UDPConn)
 	u.mu.Unlock()
 
 	_ = u.conn.Close()
-	for _, g := range groups {
-		_ = g.conn.Close()
+	for _, conn := range groups {
+		_ = conn.Close()
 	}
 	u.wg.Wait()
 	return nil
@@ -329,64 +330,36 @@ func (u *UDP) Close() error {
 // envelopes, apart from the channel names of the frames inside them.
 var envelopeNames intern.Table
 
-// datagramReader fills bufs with arriving datagrams, their lengths in
-// sizes, and reports how many it filled.
-type datagramReader interface {
-	read(bufs [][]byte, sizes []int) (int, error)
-}
-
-// singleReader reads one datagram per call. It uses Read, not ReadFromUDP:
-// identity rides in the envelope, and the sender address ReadFromUDP
-// returns would cost an allocation per datagram.
-type singleReader struct{ conn *net.UDPConn }
-
-func (r singleReader) read(bufs [][]byte, sizes []int) (int, error) {
-	n, err := r.conn.Read(bufs[0])
-	if err != nil {
-		return 0, err
-	}
-	sizes[0] = n
-	return 1, nil
-}
-
 // maxDatagram bounds receive buffers; UDP payloads beyond typical MTU-sized
 // frames are fragmented by the protocol layer, but loopback jumbo frames
 // still fit here.
 const maxDatagram = 64 << 10
 
-func (u *UDP) readLoop(conn *net.UDPConn, g *udpGroup) {
+func (u *UDP) readLoop(conn *net.UDPConn) {
 	defer u.wg.Done()
-	// A ring of pooled receive buffers. Where recvmmsg is available (Linux)
-	// one syscall fills a run of them; elsewhere the ring is a single buffer
-	// and read degenerates to one Read. Handlers see the buffers
-	// directly (no per-datagram copy): each filled slot is wrapped in a
-	// refcounted bufpool.Shared and delivered as Packet.Owner, so a handler
-	// that needs the payload past its call Retains the buffer instead of
-	// copying. The loop drops its own reference after the handler returns
-	// and refills the slot from the pool — in steady state the consumer's
-	// Release has already returned the previous buffer, so the ring cycles
-	// through pooled storage without touching the GC.
-	rd := newDatagramReader(conn)
-	bufs := make([][]byte, recvRing)
-	for i := range bufs {
-		bufs[i] = bufpool.Get(maxDatagram)[:maxDatagram]
+	for u.receive(conn) {
 	}
-	sizes := make([]int, recvRing)
-	for {
-		n, err := rd.read(bufs, sizes)
-		if err != nil {
-			for i := range bufs {
-				bufpool.Put(bufs[i])
-			}
-			return // closed
-		}
-		for i := 0; i < n; i++ {
-			owner := bufpool.Share(bufs[i][:sizes[i]])
-			u.handleDatagram(bufs[i][:sizes[i]], owner)
-			owner.Release()
-			bufs[i] = bufpool.Get(maxDatagram)[:maxDatagram]
-		}
+}
+
+// receive reads one datagram from conn into a pooled buffer and delivers
+// it, reporting false once the socket is closed. Handlers see the buffer
+// directly, with no copy: it travels as Packet.Owner, so a handler that
+// needs the payload past its call Retains it instead of copying. The read
+// uses Read, not ReadFromUDP: identity rides in the envelope, and the
+// sender address ReadFromUDP returns would cost an allocation per datagram.
+// In steady state the consumer's Release has already returned the previous
+// buffer, so the loop cycles through pooled storage without touching the GC.
+func (u *UDP) receive(conn *net.UDPConn) bool {
+	buf := bufpool.Get(maxDatagram)[:maxDatagram]
+	n, err := conn.Read(buf)
+	if err != nil {
+		bufpool.Put(buf)
+		return false // closed
 	}
+	owner := bufpool.Share(buf[:n])
+	u.handleDatagram(buf[:n], owner)
+	owner.Release()
+	return true
 }
 
 func (u *UDP) handleDatagram(data []byte, owner *bufpool.Shared) {
@@ -423,8 +396,8 @@ func (u *UDP) handleDatagram(data []byte, owner *bufpool.Shared) {
 		u.stats.dropped()
 		return
 	}
-	// No copy: payload aliases the pooled ring buffer, whose lifetime the
-	// Owner reference controls (the Packet ownership contract).
+	// No copy: payload aliases the pooled receive buffer, whose lifetime
+	// the Owner reference controls (the Packet ownership contract).
 	u.stats.recv(len(payload))
 	pkt := Packet{From: from, Payload: payload, Owner: owner}
 	if kind == udpMulticast {
@@ -433,99 +406,4 @@ func (u *UDP) handleDatagram(data []byte, owner *bufpool.Shared) {
 		pkt.To = u.id
 	}
 	h(pkt)
-}
-
-// wireDatagram is one resolved, sealed datagram awaiting transmission.
-type wireDatagram struct {
-	env  []byte // sealed envelope (pooled)
-	addr *net.UDPAddr
-	pay  int // payload bytes, for wire accounting
-}
-
-// SendBatch implements BatchSender: it seals every message into a pooled
-// envelope, resolves addresses under one lock acquisition, and hands the
-// whole run to the platform writer — sendmmsg on Linux, a WriteToUDP loop
-// elsewhere. Group messages expand to their fan-out targets when the
-// transport runs in fan-out mode.
-func (u *UDP) SendBatch(msgs []BatchMessage) error {
-	if len(msgs) == 0 {
-		return nil
-	}
-	u.batchMu.Lock()
-	defer u.batchMu.Unlock()
-	outs := u.batchOuts[:0]
-	envs := u.batchEnvs[:0]
-
-	u.mu.Lock()
-	if u.closed {
-		u.mu.Unlock()
-		return fmt.Errorf("transport: udp batch from %q: %w", u.id, ErrClosed)
-	}
-	var firstErr error
-	for i := range msgs {
-		m := &msgs[i]
-		if m.Group != "" {
-			env := u.seal(bufpool.Get(u.envelopeLen(m.Group, m.Payload)), udpMulticast, m.Group, m.Payload)
-			envs = append(envs, env)
-			u.stats.sent(len(m.Payload))
-			if u.fanout {
-				for _, addr := range u.peers {
-					outs = append(outs, wireDatagram{env: env, addr: addr, pay: len(m.Payload)})
-				}
-			} else {
-				outs = append(outs, wireDatagram{env: env, addr: u.GroupAddr(m.Group), pay: len(m.Payload)})
-			}
-			continue
-		}
-		addr, ok := u.peers[m.To]
-		if !ok {
-			u.stats.dropped()
-			if firstErr == nil {
-				firstErr = fmt.Errorf("transport: udp batch to %q: %w", m.To, ErrUnknownNode)
-			}
-			continue
-		}
-		env := u.seal(bufpool.Get(u.envelopeLen("", m.Payload)), udpUnicast, "", m.Payload)
-		envs = append(envs, env)
-		u.stats.sent(len(m.Payload))
-		outs = append(outs, wireDatagram{env: env, addr: addr, pay: len(m.Payload)})
-	}
-	u.mu.Unlock()
-
-	sent, werr := u.writeBatch(outs)
-	for i := range outs {
-		if i < sent {
-			u.stats.wire(outs[i].pay)
-		} else {
-			u.stats.dropped()
-		}
-	}
-	if werr != nil && firstErr == nil {
-		firstErr = fmt.Errorf("transport: udp batch from %q: %w", u.id, werr)
-	}
-
-	// The kernel (or the fallback WriteToUDP loop) copied every envelope
-	// it accepted; recycle them all.
-	for i, env := range envs {
-		bufpool.Put(env)
-		envs[i] = nil
-	}
-	for i := range outs {
-		outs[i] = wireDatagram{}
-	}
-	u.batchOuts = outs[:0]
-	u.batchEnvs = envs[:0]
-	return firstErr
-}
-
-// sequentialWrite is the portable datagram batch writer: one WriteToUDP per
-// datagram. It reports how many datagrams were accepted before the first
-// failure.
-func sequentialWrite(conn *net.UDPConn, outs []wireDatagram) (int, error) {
-	for i, out := range outs {
-		if _, err := conn.WriteToUDP(out.env, out.addr); err != nil {
-			return i, err
-		}
-	}
-	return len(outs), nil
 }
