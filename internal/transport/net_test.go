@@ -421,3 +421,22 @@ func TestUDPRemovePeer(t *testing.T) {
 	}
 	col.wait(t, 1, 2*time.Second)
 }
+
+// TestUDPAddPeerEmptyHost: a peer address with no host (":port") means
+// this host, as it does to the net package's own writes.
+func TestUDPAddPeerEmptyHost(t *testing.T) {
+	a, b := newUDPPair(t)
+	_, port, err := net.SplitHostPort(b.LocalAddr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := a.AddPeer("b", ":"+port); err != nil {
+		t.Fatal(err)
+	}
+	col := newCollector()
+	b.SetHandler(col.handler())
+	if err := a.Send("b", []byte("here")); err != nil {
+		t.Fatalf("Send to an empty-host address: %v", err)
+	}
+	col.wait(t, 1, 2*time.Second)
+}

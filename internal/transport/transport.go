@@ -13,12 +13,12 @@
 // The wire path recycles its buffers (internal/bufpool), so retention is a
 // contract, not a convention:
 //
-//   - Send / SendGroup: the payload belongs to the caller and
-//     is valid only for the duration of the call. A transport that still
-//     needs the bytes after returning — netsim simulating latency — copies
-//     them first (see bufpool.Copy). UDP hands the bytes to the kernel
-//     within the call, and the in-process bus calls every receiver's
-//     Handler before it returns; neither retains anything.
+//   - Send / SendGroup: the payload belongs to the caller and is valid
+//     only for the duration of the call. A transport that still needs the
+//     bytes after returning — netsim simulating latency — copies them first
+//     (see bufpool.Copy). UDP hands the bytes to the kernel within the
+//     call, and the in-process bus calls every receiver's Handler before it
+//     returns; neither retains anything.
 //   - SendShared (SharedSender, the bus): the payload is a refcounted
 //     pooled buffer the caller holds a reference on for the call. The
 //     transport takes no reference of its own; it passes the buffer to each
@@ -113,11 +113,10 @@ type BatchMessage struct {
 
 // BatchSender is an optional interface for transports that put several
 // datagrams on the wire in one call, with the semantics of issuing the
-// Sends in slice order. No transport in this module implements it and the
-// egress drainers send one datagram per call: UDP's vectored path saved
-// too little per datagram to keep. The declaration stays only because the
-// benchmark harness's trace decorator forwards it; it goes when that
-// harness is next revised.
+// Sends in slice order. No transport in this module implements it: UDP
+// writes one datagram per call, and the egress drainers send one per call.
+// The declaration stays only because the benchmark harness's trace
+// decorator forwards it; it goes when that harness is next revised.
 type BatchSender interface {
 	SendBatch(msgs []BatchMessage) error
 }

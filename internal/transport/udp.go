@@ -123,11 +123,15 @@ func (u *UDP) AddPeer(id NodeID, addr string) error {
 	if err != nil {
 		return fmt.Errorf("transport: resolve peer %q addr %q: %w", id, addr, err)
 	}
-	ap := uaddr.AddrPort()
+	// The socket is udp4: an IPv4 address resolves in its 16-byte form, and
+	// an empty host (":port") means this host, as it does to WriteToUDP.
+	ip := uaddr.AddrPort().Addr().Unmap()
+	if !ip.IsValid() {
+		ip = netip.IPv4Unspecified()
+	}
 	u.mu.Lock()
 	defer u.mu.Unlock()
-	// The socket is udp4: an IPv4 address resolves in its 16-byte form.
-	u.peers[id] = netip.AddrPortFrom(ap.Addr().Unmap(), ap.Port())
+	u.peers[id] = netip.AddrPortFrom(ip, uint16(uaddr.Port))
 	u.rebuildPeerAddrsLocked()
 	return nil
 }
