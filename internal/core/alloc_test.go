@@ -161,6 +161,50 @@ func TestReceivePathAllocs(t *testing.T) {
 	}
 }
 
+// TestHeldCallAckAllocs gates a call's held acknowledgment at zero: held
+// and then cancelled by its reply, and held and then flushed when its
+// delay runs out, the ack's transmit and drain included. The delay is set
+// past the measurement, so the shard's timer, armed once in the warm-up,
+// stays pending and the flush runs on the test's goroutine.
+func TestHeldCallAckAllocs(t *testing.T) {
+	sink := &wireSink{id: "held-gate", sent: make(chan struct{}, 1)}
+	n, err := NewNode(WithDatagram(sink), WithAnnouncePeriod(time.Hour), WithIngressShards(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = n.Close() }()
+	h := n.shards[0].held
+	h.delay = time.Hour
+	seq := uint64(0)
+	for _, v := range []struct {
+		name string
+		op   func()
+	}{
+		{"hold, cancel", func() {
+			seq++
+			h.hold(DefaultBearer, "peer", seq)
+			if !h.cancel("peer", seq) {
+				t.Fatalf("call %d: no held ack to cancel", seq)
+			}
+		}},
+		{"hold, flush", func() {
+			seq++
+			h.hold(DefaultBearer, "peer", seq)
+			h.mu.Lock()
+			h.flushDue(h.clk.Now().Add(2 * h.delay))
+			h.mu.Unlock()
+			<-sink.sent
+		}},
+	} {
+		for i := 0; i < 64; i++ {
+			v.op()
+		}
+		if allocs := testing.AllocsPerRun(200, v.op); allocs != 0 {
+			t.Errorf("held call ack, %s: %v allocs/op, want 0", v.name, allocs)
+		}
+	}
+}
+
 // raceEnabled reports a -race build (race_test.go).
 var raceEnabled bool
 

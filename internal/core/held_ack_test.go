@@ -1,0 +1,498 @@
+package core
+
+import (
+	"context"
+	"slices"
+	"strings"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"uavmw/internal/clock"
+	"uavmw/internal/naming"
+	"uavmw/internal/netsim"
+	"uavmw/internal/presentation"
+	"uavmw/internal/protocol"
+	"uavmw/internal/qos"
+	"uavmw/internal/transport"
+)
+
+// wireLog records the unicast frames a container puts on the wire, looking
+// inside egress batches, and can lose the first datagram that carries a
+// frame of one type, as a lossy medium would.
+type wireLog struct {
+	transport.Transport
+	mu        sync.Mutex
+	lose      protocol.MsgType // lose the next datagram carrying one; 0: none
+	lost      int
+	datagrams int                           // datagrams carrying a call, reply, fragment or ack
+	seqs      map[protocol.MsgType][]uint64 // frame seqs sent, by type
+	acked     []uint64                      // the seqs the MTAcks sent acknowledge
+}
+
+func newWireLog(tr transport.Transport) *wireLog {
+	return &wireLog{Transport: tr, seqs: map[protocol.MsgType][]uint64{}}
+}
+
+// unbatch decodes a datagram into its frames, batch entries one by one.
+func unbatch(raw []byte) []*protocol.Frame {
+	f, err := protocol.DecodeFrame(raw)
+	if err != nil {
+		return nil
+	}
+	if f.Type != protocol.MTBatch {
+		return []*protocol.Frame{f}
+	}
+	subs, err := protocol.DecodeBatch(f.Payload)
+	if err != nil {
+		return nil
+	}
+	var out []*protocol.Frame
+	for _, sub := range subs {
+		out = append(out, unbatch(sub)...)
+	}
+	return out
+}
+
+func (w *wireLog) Send(to transport.NodeID, payload []byte) error {
+	frames := unbatch(payload)
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.lose != 0 && slices.ContainsFunc(frames, func(f *protocol.Frame) bool { return f.Type == w.lose }) {
+		w.lose = 0
+		w.lost++
+		return nil
+	}
+	counted := false
+	for _, f := range frames {
+		w.seqs[f.Type] = append(w.seqs[f.Type], f.Seq)
+		switch f.Type {
+		case protocol.MTAck:
+			_ = protocol.EachAckRange(f, func(lo, hi uint64) {
+				for seq := lo; seq <= hi; seq++ {
+					w.acked = append(w.acked, seq)
+				}
+			})
+		case protocol.MTCall, protocol.MTReturn, protocol.MTError, protocol.MTBusy, protocol.MTFragment:
+		default:
+			continue
+		}
+		counted = true
+	}
+	if counted {
+		w.datagrams++
+	}
+	return w.Transport.Send(to, payload)
+}
+
+// loseNext makes the next datagram carrying a frame of type mt disappear.
+func (w *wireLog) loseNext(mt protocol.MsgType) {
+	w.mu.Lock()
+	w.lose = mt
+	w.mu.Unlock()
+}
+
+// reset forgets what was recorded so far.
+func (w *wireLog) reset() {
+	w.mu.Lock()
+	w.datagrams, w.acked = 0, nil
+	clear(w.seqs)
+	w.mu.Unlock()
+}
+
+func (w *wireLog) sent(mt protocol.MsgType) []uint64 {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return slices.Clone(w.seqs[mt])
+}
+
+func (w *wireLog) ackedSeqs() []uint64 {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return slices.Clone(w.acked)
+}
+
+func (w *wireLog) rpcDatagrams() int {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.datagrams
+}
+
+// virtualNode builds a container on tr under v. The test closes it.
+func virtualNode(t *testing.T, v *clock.Virtual, tr transport.Transport, opts ...NodeOption) *Node {
+	t.Helper()
+	n, err := NewNode(append([]NodeOption{WithClock(v), WithDatagram(tr), WithAnnouncePeriod(20 * time.Millisecond)}, opts...)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
+}
+
+// virtualWait sleeps on v until cond holds, for at most limit of virtual
+// time, and reports whether it held.
+func virtualWait(v *clock.Virtual, limit time.Duration, cond func() bool) bool {
+	for end := v.Now().Add(limit); !cond(); v.Sleep(100 * time.Microsecond) {
+		if !v.Now().Before(end) {
+			return false
+		}
+	}
+	return true
+}
+
+// waitProviders waits until caller's directory lists n providers of fn.
+func waitProviders(t *testing.T, v *clock.Virtual, caller *Node, fn string, n int) {
+	t.Helper()
+	if !virtualWait(v, 5*time.Second, func() bool {
+		return caller.Directory().ProviderCount(naming.KindFunction, fn) == n
+	}) {
+		t.Fatalf("%s never saw %d providers of %s", caller.ID(), n, fn)
+	}
+}
+
+// registerIncrement offers fn on n: it returns its u32 argument plus one,
+// after stall when stall is set, and counts its runs in runs.
+func registerIncrement(t *testing.T, n *Node, fn string, runs *atomic.Int32, stall func()) {
+	t.Helper()
+	u32 := presentation.Uint32()
+	if err := n.RPC().Register(fn, "svc", u32, u32, qos.CallQoS{}, func(a any) (any, error) {
+		if runs != nil {
+			runs.Add(1)
+		}
+		if stall != nil {
+			stall()
+		}
+		return a.(uint32) + 1, nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	n.AnnounceNow()
+}
+
+// callIncrement calls fn with x and checks the answer.
+func callIncrement(t *testing.T, caller *Node, fn string, x uint32) {
+	t.Helper()
+	u32 := presentation.Uint32()
+	got, err := caller.RPC().Call(context.Background(), fn, x, u32, u32, qos.CallQoS{Deadline: 2 * time.Second})
+	if err != nil {
+		t.Fatalf("call %s(%d): %v", fn, x, err)
+	}
+	if got != x+1 {
+		t.Fatalf("call %s(%d) = %v, want %d", fn, x, got, x+1)
+	}
+}
+
+// TestRPCReplyAcknowledgesCall runs calls to a handler that answers at once
+// on the in-process bus: each costs exactly three datagrams — the call, the
+// reply and the caller's ack of the reply — because the reply acknowledges
+// the call and the provider sends no ack of its own. The virtual clock
+// makes "at once" exact: time cannot pass while the handler runs.
+func TestRPCReplyAcknowledgesCall(t *testing.T) {
+	v := clock.NewVirtual()
+	v.Run(func() {
+		bus := transport.NewBus()
+		endpoint := func(id transport.NodeID) *wireLog {
+			ep, err := bus.Endpoint(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return newWireLog(ep)
+		}
+		callerLog, providerLog := endpoint("caller"), endpoint("provider")
+		caller := virtualNode(t, v, callerLog)
+		defer func() { _ = caller.Close() }()
+		provider := virtualNode(t, v, providerLog)
+		defer func() { _ = provider.Close() }()
+		registerIncrement(t, provider, "fn", nil, nil)
+		waitProviders(t, v, caller, "fn", 1)
+		callerLog.reset()
+		providerLog.reset()
+
+		const calls = 16
+		for i := uint32(0); i < calls; i++ {
+			callIncrement(t, caller, "fn", i)
+			// The caller's ack of the reply leaves before the next call, so
+			// no egress batch carries both.
+			if !virtualWait(v, time.Second, func() bool { return provider.arq.Pending() == 0 }) {
+				t.Fatalf("call %d: the reply was never acknowledged", i)
+			}
+		}
+		if acks := providerLog.sent(protocol.MTAck); len(acks) != 0 {
+			t.Errorf("provider sent %d acks for %d calls answered at once, want none: the reply is the ack", len(acks), calls)
+		}
+		if got, want := callerLog.rpcDatagrams()+providerLog.rpcDatagrams(), 3*calls; got != want {
+			t.Errorf("%d calls took %d datagrams, want %d", calls, got, want)
+		}
+		if got := len(callerLog.ackedSeqs()); got != calls {
+			t.Errorf("caller acknowledged %d replies, want %d", got, calls)
+		}
+		if p := caller.arq.Pending(); p != 0 {
+			t.Errorf("caller holds %d unacknowledged messages after every call returned", p)
+		}
+		if r := counter(t, caller, "arq", "retransmits"); r != 0 {
+			t.Errorf("caller retransmitted %d times on a clean link", r)
+		}
+	})
+}
+
+// TestHeldCallAckLeavesAfterDelay stalls the handler past maxAckDelay: the
+// provider then acknowledges the call on its own, once, before the
+// caller's first ARQ timeout, so the call is never retransmitted.
+func TestHeldCallAckLeavesAfterDelay(t *testing.T) {
+	v := clock.NewVirtual()
+	v.Run(func() {
+		net := netsim.New(netsim.Config{Seed: 3, Latency: 200 * time.Microsecond, Clock: v})
+		defer net.Close()
+		endpoint := func(id transport.NodeID) *wireLog {
+			ep, err := net.Node(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return newWireLog(ep)
+		}
+		callerLog, providerLog := endpoint("caller"), endpoint("provider")
+		caller := virtualNode(t, v, callerLog)
+		defer func() { _ = caller.Close() }()
+		provider := virtualNode(t, v, providerLog)
+		defer func() { _ = provider.Close() }()
+		if d := provider.shards[0].held.delay; d != maxAckDelay {
+			t.Fatalf("ack delay %v with the default ARQ timeout, want %v", d, maxAckDelay)
+		}
+		registerIncrement(t, provider, "slow", nil, func() { v.Sleep(5 * maxAckDelay) })
+		waitProviders(t, v, caller, "slow", 1)
+		callerLog.reset()
+		providerLog.reset()
+
+		callIncrement(t, caller, "slow", 41)
+		if !virtualWait(v, time.Second, func() bool { return provider.arq.Pending() == 0 }) {
+			t.Fatal("the reply was never acknowledged")
+		}
+		calls := callerLog.sent(protocol.MTCall)
+		if len(calls) != 1 {
+			t.Fatalf("caller sent %d call frames, want 1", len(calls))
+		}
+		if acks := providerLog.sent(protocol.MTAck); len(acks) != 1 {
+			t.Errorf("provider sent %d acks, want one for the stalled call", len(acks))
+		}
+		if got := providerLog.ackedSeqs(); !slices.Equal(got, calls) {
+			t.Errorf("provider acknowledged seqs %v, want the call's %v", got, calls)
+		}
+		if r := counter(t, caller, "arq", "retransmits"); r != 0 {
+			t.Errorf("caller retransmitted %d times although the call was acknowledged after %v", r, maxAckDelay)
+		}
+	})
+}
+
+// TestRPCReplyLostOnce loses the first reply on the wire. The call's held
+// ack left with that reply, so the caller retransmits the call and the
+// provider acknowledges the duplicate without running the handler again;
+// the provider's ARQ retransmits the reply. The call returns its value,
+// the handler ran once, and neither node is left with a pending message.
+func TestRPCReplyLostOnce(t *testing.T) {
+	v := clock.NewVirtual()
+	v.Run(func() {
+		net := netsim.New(netsim.Config{Seed: 4, Latency: 200 * time.Microsecond, Clock: v})
+		defer net.Close()
+		callerEP, err := net.Node("caller")
+		if err != nil {
+			t.Fatal(err)
+		}
+		providerEP, err := net.Node("provider")
+		if err != nil {
+			t.Fatal(err)
+		}
+		providerLog := newWireLog(providerEP)
+		caller := virtualNode(t, v, callerEP)
+		defer func() { _ = caller.Close() }()
+		provider := virtualNode(t, v, providerLog)
+		defer func() { _ = provider.Close() }()
+		var runs atomic.Int32
+		registerIncrement(t, provider, "fn", &runs, nil)
+		waitProviders(t, v, caller, "fn", 1)
+
+		providerLog.loseNext(protocol.MTReturn)
+		callIncrement(t, caller, "fn", 7)
+		if providerLog.lost != 1 {
+			t.Fatal("no reply was lost")
+		}
+		if n := runs.Load(); n != 1 {
+			t.Errorf("handler ran %d times, want once", n)
+		}
+		if !virtualWait(v, 2*time.Second, func() bool {
+			return caller.arq.Pending() == 0 && provider.arq.Pending() == 0
+		}) {
+			t.Errorf("ARQ tables not empty: caller %d, provider %d", caller.arq.Pending(), provider.arq.Pending())
+		}
+		if r := counter(t, provider, "arq", "retransmits"); r == 0 {
+			t.Error("the lost reply was not retransmitted")
+		}
+	})
+}
+
+// TestHedgedReplySettlesOwnAttempt hedges a call whose first provider never
+// receives it: the second provider's reply settles the second attempt's
+// reliable send and not the first's, which stays pending until the first
+// provider, reachable again, answers its retransmission.
+func TestHedgedReplySettlesOwnAttempt(t *testing.T) {
+	v := clock.NewVirtual()
+	v.Run(func() {
+		net := netsim.New(netsim.Config{Seed: 5, Latency: 200 * time.Microsecond, Clock: v})
+		defer net.Close()
+		node := func(id transport.NodeID) *Node {
+			ep, err := net.Node(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return virtualNode(t, v, ep)
+		}
+		provA, provB, client := node("a-prov"), node("b-prov"), node("client")
+		for _, n := range []*Node{provA, provB, client} {
+			defer func(n *Node) { _ = n.Close() }(n)
+		}
+		var runsA, runsB atomic.Int32
+		registerIncrement(t, provA, "fn", &runsA, nil)
+		registerIncrement(t, provB, "fn", &runsB, nil)
+		waitProviders(t, v, client, "fn", 2)
+
+		// Static binding tries the lowest node id, a-prov, first.
+		net.SetLink("client", "a-prov", netsim.LinkConfig{Loss: -1, Duplicate: -1, Blocked: true})
+		u32 := presentation.Uint32()
+		q := qos.CallQoS{Binding: qos.BindStatic, Deadline: time.Second, HedgeAfter: 0.05}
+		got, err := client.RPC().Call(context.Background(), "fn", uint32(1), u32, u32, q)
+		if err != nil || got != uint32(2) {
+			t.Fatalf("hedged call: %v, %v", got, err)
+		}
+		if h := counter(t, client, "rpc", "hedges"); h != 1 {
+			t.Fatalf("%d hedges, want 1", h)
+		}
+		if a, b := runsA.Load(), runsB.Load(); a != 0 || b != 1 {
+			t.Fatalf("handler runs: a-prov %d, b-prov %d; want 0 and 1", a, b)
+		}
+		if p := client.arq.Pending(); p != 1 {
+			t.Errorf("client holds %d pending messages after b-prov's reply, want 1: the attempt at a-prov", p)
+		}
+		net.ClearLink("client", "a-prov")
+		if !virtualWait(v, 2*time.Second, func() bool { return client.arq.Pending() == 0 }) {
+			t.Errorf("the attempt at a-prov was never settled: %d pending", client.arq.Pending())
+		}
+		if a := runsA.Load(); a != 1 {
+			t.Errorf("a-prov ran the retransmitted call %d times, want once", a)
+		}
+	})
+}
+
+// TestFragmentedCallAckedPerFragment sends a call too large for one
+// datagram: each fragment is acknowledged on its own, as any reliable
+// fragment is, and nothing is held for the reassembled call.
+func TestFragmentedCallAckedPerFragment(t *testing.T) {
+	v := clock.NewVirtual()
+	v.Run(func() {
+		net := netsim.New(netsim.Config{Seed: 6, Latency: 200 * time.Microsecond, Clock: v})
+		defer net.Close()
+		endpoint := func(id transport.NodeID) *wireLog {
+			ep, err := net.Node(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return newWireLog(ep)
+		}
+		callerLog, providerLog := endpoint("caller"), endpoint("provider")
+		caller := virtualNode(t, v, callerLog, WithMTU(256))
+		defer func() { _ = caller.Close() }()
+		provider := virtualNode(t, v, providerLog)
+		defer func() { _ = provider.Close() }()
+		str, u32 := presentation.String_(), presentation.Uint32()
+		if err := provider.RPC().Register("len", "svc", str, u32, qos.CallQoS{},
+			func(a any) (any, error) { return uint32(len(a.(string))), nil }); err != nil {
+			t.Fatal(err)
+		}
+		provider.AnnounceNow()
+		waitProviders(t, v, caller, "len", 1)
+		callerLog.reset()
+		providerLog.reset()
+
+		arg := strings.Repeat("w", 1000)
+		got, err := caller.RPC().Call(context.Background(), "len", arg, str, u32, qos.CallQoS{Deadline: 2 * time.Second})
+		if err != nil || got != uint32(len(arg)) {
+			t.Fatalf("fragmented call: %v, %v", got, err)
+		}
+		if !virtualWait(v, time.Second, func() bool {
+			return caller.arq.Pending() == 0 && provider.arq.Pending() == 0
+		}) {
+			t.Fatalf("ARQ tables not empty: caller %d, provider %d", caller.arq.Pending(), provider.arq.Pending())
+		}
+		frags := callerLog.sent(protocol.MTFragment)
+		if len(frags) < 2 {
+			t.Fatalf("the call went out in %d fragments, want several", len(frags))
+		}
+		acked := providerLog.ackedSeqs()
+		for _, seq := range frags {
+			if !slices.Contains(acked, seq) {
+				t.Errorf("fragment %d was not acknowledged (acked %v)", seq, acked)
+			}
+		}
+		for _, sh := range provider.shards {
+			sh.held.mu.Lock()
+			held := len(sh.held.acks)
+			sh.held.mu.Unlock()
+			if held != 0 {
+				t.Errorf("provider still holds %d call acks", held)
+			}
+		}
+	})
+}
+
+// TestHeldCallAckReuse races replies cancelling held call acks against the
+// shard timer flushing them, on a delay short enough that the two meet
+// (run it with -race): every held ack leaves exactly one way — dropped for
+// its reply or sent in an MTAck — however the held list's reused array
+// shifts under the two.
+func TestHeldCallAckReuse(t *testing.T) {
+	sink := newWireLog(&wireSink{id: "held-race"})
+	n, err := NewNode(WithDatagram(sink), WithAnnouncePeriod(time.Hour), WithIngressShards(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := n.shards[0].held
+	h.delay = 100 * time.Microsecond
+	const holds = 2000
+	cancelled := make([]bool, holds+1)
+	replies := make(chan uint64)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for seq := range replies {
+			// Every eighth reply comes around the delay's end.
+			if seq%8 == 0 {
+				time.Sleep(h.delay)
+			}
+			cancelled[seq] = h.cancel("peer", seq)
+		}
+	}()
+	for seq := uint64(1); seq <= holds; seq++ {
+		h.hold(DefaultBearer, "peer", seq)
+		replies <- seq
+	}
+	close(replies)
+	<-done
+	// Close sends what is still held and drains the egress plane.
+	if err := n.Close(); err != nil {
+		t.Fatal(err)
+	}
+	sent := map[uint64]int{}
+	for _, seq := range sink.ackedSeqs() {
+		sent[seq]++
+	}
+	dropped := 0
+	for seq := uint64(1); seq <= holds; seq++ {
+		switch {
+		case cancelled[seq] && sent[seq] != 0:
+			t.Fatalf("call %d: ack both cancelled by the reply and sent", seq)
+		case cancelled[seq]:
+			dropped++
+		case sent[seq] != 1:
+			t.Fatalf("call %d: ack sent %d times, want once", seq, sent[seq])
+		}
+	}
+	t.Logf("%d of %d held acks dropped for their replies, %d sent", dropped, holds, holds-dropped)
+}

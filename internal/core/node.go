@@ -381,7 +381,7 @@ func NewNode(opts ...NodeOption) (*Node, error) {
 	})
 	n.shards = make([]*recvShard, n.ingress.Shards())
 	for i := range n.shards {
-		n.shards[i] = newRecvShard(clk)
+		n.shards[i] = n.newRecvShard()
 	}
 
 	// Each bearer's receive path is tagged with the bearer name: the link
@@ -503,6 +503,12 @@ func (n *Node) transmit(d egress.Dest, f *protocol.Frame, rel *reliable) error {
 	loopback := d.Node == n.id
 	if rel != nil && !loopback {
 		f.Flags |= protocol.FlagAckRequired
+	}
+	if !loopback && isReply(f.Type) {
+		// The reply acknowledges its call: the call's held ack stays home.
+		if id, ok := rpc.ReplyCallID(f.Payload); ok {
+			n.shards[n.ingress.ShardOf(d.Node)].held.cancel(d.Node, id)
+		}
 	}
 	size := protocol.FrameWireSize(f)
 	split := !loopback && size > n.mtu
@@ -627,19 +633,27 @@ var (
 // reassembly are source-keyed, and the pipeline hashes packets by source,
 // so each peer's state lives on exactly one shard and the pre-pipeline
 // global dedup lock is gone (the embedded mutexes survive only for the
-// rare cross-shard Forget on peer failure). The ack fields are the drain
-// batch's coalescing scratch, touched only by the owning shard worker.
+// rare cross-shard Forget on peer failure). The calls' acks held for their
+// replies are keyed by the same source: a reply to a peer finds the held
+// ack of its call on that peer's shard.
 type recvShard struct {
 	dedup *protocol.Dedup
 	reasm *protocol.Reassembler
 	// acks generated within one pipeline drain leave as one range MTAck
-	// per (bearer, peer) at batch end.
-	acks   []pendingAck
-	seqs   []uint64
-	ackBuf []byte // ack range payload under construction
+	// per (bearer, peer) at batch end; touched only by the shard worker.
+	acks ackQueue
+	held *heldAcks
 }
 
-// pendingAck is one acknowledgment owed at the end of a drain batch.
+// ackQueue is a list of acknowledgments owed to peers and the scratch that
+// sends them as range MTAcks, one per (bearer, peer).
+type ackQueue struct {
+	acks []pendingAck
+	seqs []uint64
+	buf  []byte // ack range payload under construction
+}
+
+// pendingAck is one acknowledgment owed to a peer.
 type pendingAck struct {
 	bearer string
 	to     transport.NodeID
@@ -647,10 +661,11 @@ type pendingAck struct {
 	done   bool
 }
 
-func newRecvShard(clk clock.Clock) *recvShard {
+func (n *Node) newRecvShard() *recvShard {
 	return &recvShard{
 		dedup: protocol.NewDedup(0),
-		reasm: protocol.NewReassembler(0, clk),
+		reasm: protocol.NewReassembler(0, n.clk),
+		held:  newHeldAcks(n.clk, min(maxAckDelay, n.arq.Timeout()/4), n.flushAcks),
 	}
 }
 
@@ -672,7 +687,7 @@ func (n *Node) deliverBatch(shard int, batch []ingress.Packet) {
 	for i := range batch {
 		n.handleFrameOn(sh, batch[i].Bearer, batch[i].From, batch[i].Payload, 0)
 	}
-	n.flushAcks(sh)
+	n.flushAcks(&sh.acks)
 }
 
 // routeSelf decodes and routes one frame this node addressed to itself,
@@ -711,10 +726,14 @@ func (n *Node) handleFrame(sh *recvShard, bearer string, from transport.NodeID, 
 	// acknowledged, even when it is a retransmission whose first copy was
 	// already delivered (the ack was lost), and then delivered at most
 	// once. The ack is deferred to the end of the drain batch so acks to
-	// the same peer coalesce into one datagram.
+	// the same peer coalesce into one datagram. A call's first copy is the
+	// exception: its ack is held for the reply, which acknowledges it.
 	if f.Flags&protocol.FlagAckRequired != 0 {
-		sh.acks = append(sh.acks, pendingAck{bearer: bearer, to: from, seq: f.Seq})
-		if sh.dedup.Seen(from, f.Seq) {
+		dup := sh.dedup.Seen(from, f.Seq)
+		if dup || f.Type != protocol.MTCall || !sh.held.hold(bearer, from, f.Seq) {
+			sh.acks.acks = append(sh.acks.acks, pendingAck{bearer: bearer, to: from, seq: f.Seq})
+		}
+		if dup {
 			return
 		}
 	}
@@ -771,25 +790,25 @@ func (n *Node) handleFrame(sh *recvShard, bearer string, from transport.NodeID, 
 	}
 }
 
-// flushAcks sends every acknowledgment queued during a drain batch,
-// grouped per (bearer, peer).
-func (n *Node) flushAcks(sh *recvShard) {
-	acks := sh.acks
+// flushAcks sends and empties the queued acknowledgments, grouped per
+// (bearer, peer).
+func (n *Node) flushAcks(q *ackQueue) {
+	acks := q.acks
 	for i := range acks {
 		if acks[i].done {
 			continue
 		}
 		bearer, to := acks[i].bearer, acks[i].to
-		sh.seqs = sh.seqs[:0]
+		q.seqs = q.seqs[:0]
 		for j := i; j < len(acks); j++ {
 			if !acks[j].done && acks[j].bearer == bearer && acks[j].to == to {
 				acks[j].done = true
-				sh.seqs = append(sh.seqs, acks[j].seq)
+				q.seqs = append(q.seqs, acks[j].seq)
 			}
 		}
-		n.sendAcks(sh, bearer, to, sh.seqs)
+		n.sendAcks(q, bearer, to, q.seqs)
 	}
-	sh.acks = sh.acks[:0]
+	q.acks = acks[:0]
 }
 
 // sendAcks acknowledges seqs to one peer in range MTAcks: one frame, one
@@ -798,21 +817,24 @@ func (n *Node) flushAcks(sh *recvShard) {
 // datagram as several. A seq acknowledged twice in one drain (a
 // retransmission of a frame already in the batch) is acknowledged once.
 //
-// Acks ride the critical lane: a delayed ack inflates the peer's ARQ RTT
-// and triggers spurious retransmissions exactly when a link is congested
-// with lower-class traffic. They are pinned to the bearer the data arrived
-// on, so acknowledgment traffic keeps measuring (and keeping alive) the
-// same link as the data it acknowledges. A refused enqueue (node closing)
-// is counted, not returned: the peer's ARQ retry is the recovery path.
-func (n *Node) sendAcks(sh *recvShard, bearer string, to transport.NodeID, seqs []uint64) {
+// Acks ride the critical lane, so lower-class traffic congesting a link
+// cannot hold one past the peer's ARQ timeout and draw a spurious
+// retransmission. The only deliberate wait is a held call ack's, at most
+// maxAckDelay, under a quarter of the first ARQ timeout (ARQ keeps no RTT
+// estimate; its first timeout is a fixed 20 ms by default). Acks are
+// pinned to the bearer the data arrived on, so acknowledgment traffic
+// keeps measuring (and keeping alive) the same link as the data it
+// acknowledges. A refused enqueue (node closing) is counted, not returned:
+// the peer's ARQ retry is the recovery path.
+func (n *Node) sendAcks(q *ackQueue, bearer string, to transport.NodeID, seqs []uint64) {
 	slices.Sort(seqs)
 	slices.Reverse(seqs)
 	seqs = slices.Compact(seqs)
 	d := egress.Dest{Node: to, Bearer: bearer}
 	for len(seqs) > 0 {
 		ack := protocol.Frame{Priority: qos.PriorityCritical}
-		seqs = protocol.AppendAck(&ack, sh.ackBuf, seqs, n.mtu)
-		sh.ackBuf = ack.Payload
+		seqs = protocol.AppendAck(&ack, q.buf, seqs, n.mtu)
+		q.buf = ack.Payload
 		uerr.Note(n.metrics, codeAckSend, n.transmit(d, &ack, nil), "enqueue ack")
 	}
 }
@@ -853,10 +875,13 @@ func (n *Node) route(bearer string, from transport.NodeID, f *protocol.Frame) {
 	case protocol.MTCall:
 		n.rpc.HandleCall(from, f)
 	case protocol.MTReturn:
+		n.callAnswered(from, f)
 		n.rpc.HandleReturn(from, f)
 	case protocol.MTError:
+		n.callAnswered(from, f)
 		n.rpc.HandleError(from, f)
 	case protocol.MTBusy:
+		n.callAnswered(from, f)
 		n.rpc.HandleBusy(from, f)
 	case protocol.MTFileAnnounce:
 		n.files.HandleAnnounce(from, f)
@@ -872,6 +897,22 @@ func (n *Node) route(bearer string, from transport.NodeID, f *protocol.Frame) {
 		n.files.HandleNack(from, f)
 	default:
 		// Unknown types drop.
+	}
+}
+
+// isReply reports whether mt answers an MTCall.
+func isReply(mt protocol.MsgType) bool {
+	return mt == protocol.MTReturn || mt == protocol.MTError || mt == protocol.MTBusy
+}
+
+// callAnswered settles the reliable send of the call a reply from a peer
+// answers. A remote call's frame seq is its call id, so the reply names the
+// ARQ record; it proves the call arrived, and the callee sends no ack of
+// its own when it replies in time (heldAcks). A hedged call keeps one
+// record per attempt, and a reply settles only its own.
+func (n *Node) callAnswered(from transport.NodeID, f *protocol.Frame) {
+	if id, ok := rpc.ReplyCallID(f.Payload); ok {
+		n.arq.Ack(from, id)
 	}
 }
 
@@ -976,8 +1017,12 @@ func (n *Node) Close() error {
 	n.discovery.Close()
 	// Drain the receive pipeline before the ARQ and egress planes go
 	// down: queued arrivals still dispatch (final acks enqueue onto a
-	// live egress), then the workers stop.
+	// live egress), then the workers stop, and the call acks still held
+	// for replies leave too.
 	n.ingress.Close()
+	for _, sh := range n.shards {
+		sh.held.close()
+	}
 	n.arq.Close()
 	// Flush the egress plane (goodbye, final acks) before the transports
 	// close underneath it.

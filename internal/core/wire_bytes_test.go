@@ -171,7 +171,7 @@ func TestMessageWireBytes(t *testing.T) {
 		{"variable sample", uavTap, protocol.MTSample, 58},
 		{"event", uavTap, protocol.MTEvent, 43},
 		{"rpc call", gcsTap, protocol.MTCall, 34},
-		{"rpc reply", uavTap, protocol.MTReturn, 31},
+		{"rpc reply", uavTap, protocol.MTReturn, 24},
 		{"file chunk", uavTap, protocol.MTFileChunk, 1237},
 		{"lone ack", gcsTap, protocol.MTAck, 9},
 		{"3-range ack", nil, protocol.MTAck, 15},

@@ -233,6 +233,9 @@ func NewARQ(send SendFunc, opts ...ARQOption) *ARQ {
 	return a
 }
 
+// Timeout reports the engine's default initial retransmission timeout.
+func (a *ARQ) Timeout() time.Duration { return a.timeout }
+
 // Send transmits frame to peer reliably with the engine-default tuning.
 // seq must be unique per (peer, message); result is invoked exactly once
 // from a timer or Ack goroutine. frame stays the caller's: the engine keeps

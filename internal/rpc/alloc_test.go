@@ -85,7 +85,7 @@ type answeringFabric struct {
 
 func (f *answeringFabric) SendReliable(to transport.NodeID, fr *protocol.Frame, _ qos.Reliability, done func(error)) {
 	done(nil)
-	f.buf = append(binary.BigEndian.AppendUint64(f.buf[:0], fr.Seq), f.ret...)
+	f.buf = append(binary.AppendUvarint(f.buf[:0], fr.Seq), f.ret...)
 	f.reply = protocol.Frame{Type: protocol.MTReturn, Channel: fr.Channel, Payload: f.buf}
 	f.client.HandleReturn(to, &f.reply)
 }

@@ -904,7 +904,7 @@ func (e *Engine) HandleCall(from transport.NodeID, fr *protocol.Frame) {
 // replyPayload starts a reply payload in a pooled buffer with room for n
 // more bytes: the call id the reply answers, then the body.
 func replyPayload(callID uint64, n int) []byte {
-	return binary.BigEndian.AppendUint64(bufpool.Get(8+n), callID)
+	return binary.AppendUvarint(bufpool.Get(encoding.UvarintLen(callID)+n), callID)
 }
 
 // sendReply sends one reply frame (MTReturn / MTError / MTBusy) carrying a
@@ -943,10 +943,23 @@ func (e *Engine) replyBusy(to transport.NodeID, callID uint64, pr qos.Priority, 
 }
 
 func (e *Engine) replyAppError(to transport.NodeID, callID uint64, pr qos.Priority, ch string, msg string) {
-	buf := replyPayload(callID, 4+len(msg))
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(msg)))
-	buf = append(buf, msg...)
+	buf := appendAppError(replyPayload(callID, 4+len(msg)), msg)
 	e.sendReply(to, protocol.MTError, protocol.FlagAppError, 0, pr, ch, buf)
+}
+
+// appendAppError appends an MTError's application message to a reply
+// payload: a u32 length, then the bytes.
+func appendAppError(dst []byte, msg string) []byte {
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(msg)))
+	return append(dst, msg...)
+}
+
+// decodeAppError reads the application message appendAppError wrote at
+// the start of an MTError's body.
+func decodeAppError(body []byte) (string, bool) {
+	r := encoding.NewReader(body)
+	msg := r.String()
+	return msg, r.Err() == nil
 }
 
 // Replies must not reuse the caller-allocated call id as their wire
@@ -954,17 +967,27 @@ func (e *Engine) replyAppError(to transport.NodeID, callID uint64, pr qos.Priori
 // dedup) are per sender, so a reply frame squatting a number from the
 // caller's space can collide with an unrelated frame the provider sends
 // later under its own numbering — and be silently dropped as a duplicate.
-// The call id therefore travels as a u64 prefix of the reply payload and
-// the reply's Seq is provider-allocated (SendReliable fills it).
+// The call id therefore travels as a canonical uvarint prefix of the reply
+// payload (an overlong form is rejected, as in frame seqs) and the reply's
+// Seq is provider-allocated (SendReliable fills it).
 
 // decodeReply splits a reply payload into call id and body.
 func decodeReply(payload []byte) (callID uint64, body []byte, ok bool) {
 	r := encoding.NewReader(payload)
-	callID = r.Uint64()
+	callID = r.Uvarint()
 	if r.Err() != nil {
 		return 0, nil, false
 	}
 	return callID, r.Raw(r.Remaining()), true
+}
+
+// ReplyCallID reports the call id an MTReturn, MTError or MTBusy payload
+// answers. A remote call's frame seq is its call id, so the id also names
+// the call's reliable send: the container settles that send when the reply
+// arrives, and drops the call's held acknowledgment when the reply leaves.
+func ReplyCallID(payload []byte) (uint64, bool) {
+	callID, _, ok := decodeReply(payload)
+	return callID, ok
 }
 
 // HandleReturn completes a pending attempt with a success reply.
@@ -1000,9 +1023,8 @@ func (e *Engine) HandleError(from transport.NodeID, fr *protocol.Frame) {
 			"%s: provider %q has no such function", fr.Channel, from)})
 		return
 	}
-	r := encoding.NewReader(body)
-	msg := r.String()
-	if r.Err() != nil {
+	msg, ok := decodeAppError(body)
+	if !ok {
 		msg = "remote error"
 	}
 	e.deliver(callID, outcome{appErr: &AppError{Name: fr.Channel, Message: msg}})

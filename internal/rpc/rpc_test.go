@@ -85,7 +85,7 @@ func (f *fakeFabric) SendReliable(to transport.NodeID, fr *protocol.Frame, _ qos
 
 // encodeReply prefixes a reply body with the call id it answers.
 func encodeReply(callID uint64, body []byte) []byte {
-	return append(binary.BigEndian.AppendUint64(nil, callID), body...)
+	return append(binary.AppendUvarint(nil, callID), body...)
 }
 
 func dispatch(e *Engine, from transport.NodeID, fr *protocol.Frame) {

@@ -3,10 +3,13 @@ package transport
 import (
 	"errors"
 	"net"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"uavmw/internal/bufpool"
 )
 
 // netDial opens a plain UDP connection to addr for injecting raw datagrams.
@@ -96,8 +99,9 @@ func TestUDPWirePathAllocs(t *testing.T) {
 		if err := conn.SetReadDeadline(time.Now().Add(5 * time.Second)); err != nil {
 			t.Fatal(err)
 		}
+		buf := make([]byte, maxDatagram)
 		allocs := testing.AllocsPerRun(runs, func() {
-			if !native.receive(conn) {
+			if !native.receive(conn, buf) {
 				t.Fatal("read failed")
 			}
 		})
@@ -108,6 +112,62 @@ func TestUDPWirePathAllocs(t *testing.T) {
 			t.Errorf("read loop: %v allocs/datagram, want 0", allocs)
 		}
 	})
+}
+
+// TestUDPHeldDatagramsPinTheirOwnSize holds 64 received small datagrams
+// unreleased, as an ingress ring does until dispatch: each must pin a
+// buffer of its own size class, not the read loop's 64 KiB one, and the
+// reads must allocate no 64 KiB buffer once the loop's own exists.
+func TestUDPHeldDatagramsPinTheirOwnSize(t *testing.T) {
+	u, err := NewUDP("held", "127.0.0.1:0", nil)
+	if err != nil {
+		t.Skipf("udp unavailable: %v", err)
+	}
+	t.Cleanup(func() { _ = u.Close() })
+	conn := unreadSocket(t)
+	src, err := net.DialUDP("udp4", nil, conn.LocalAddr().(*net.UDPAddr))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = src.Close() }()
+	const held = 64
+	var owners []*bufpool.Shared
+	u.SetHandler(func(pkt Packet) { owners = append(owners, pkt.Owner.Retain()) })
+	defer func() {
+		for _, o := range owners {
+			o.Release()
+		}
+	}()
+	env := u.seal(nil, udpUnicast, "", make([]byte, 100))
+	for i := 0; i < held; i++ {
+		if _, err := src.Write(env); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := conn.SetReadDeadline(time.Now().Add(5 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, maxDatagram)
+	owners = make([]*bufpool.Shared, 0, held)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < held; i++ {
+		if !u.receive(conn, buf) {
+			t.Fatalf("read %d failed", i)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if len(owners) != held {
+		t.Fatalf("handler saw %d datagrams, want %d", len(owners), held)
+	}
+	for i, o := range owners {
+		if c := cap(o.Bytes()); c >= maxDatagram {
+			t.Fatalf("datagram %d of %d B pins a %d B buffer", i, o.Len(), c)
+		}
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= maxDatagram {
+		t.Errorf("%d held datagrams allocated %d B, at least one 64 KiB buffer", held, grew)
+	}
 }
 
 // TestUDPFanoutDuringPeerChurn sends fan-out group packets from several

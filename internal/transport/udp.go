@@ -334,34 +334,37 @@ func (u *UDP) Close() error {
 // envelopes, apart from the channel names of the frames inside them.
 var envelopeNames intern.Table
 
-// maxDatagram bounds receive buffers; UDP payloads beyond typical MTU-sized
-// frames are fragmented by the protocol layer, but loopback jumbo frames
-// still fit here.
+// maxDatagram sizes the read loop's buffer; UDP payloads beyond typical
+// MTU-sized frames are fragmented by the protocol layer, but loopback
+// jumbo frames still fit here.
 const maxDatagram = 64 << 10
 
 func (u *UDP) readLoop(conn *net.UDPConn) {
 	defer u.wg.Done()
-	for u.receive(conn) {
+	buf := bufpool.Get(maxDatagram)[:maxDatagram]
+	for u.receive(conn, buf) {
 	}
+	bufpool.Put(buf)
 }
 
-// receive reads one datagram from conn into a pooled buffer and delivers
-// it, reporting false once the socket is closed. Handlers see the buffer
-// directly, with no copy: it travels as Packet.Owner, so a handler that
-// needs the payload past its call Retains it instead of copying. The read
-// uses Read, not ReadFromUDP: identity rides in the envelope, and the
-// sender address ReadFromUDP returns would cost an allocation per datagram.
-// In steady state the consumer's Release has already returned the previous
-// buffer, so the loop cycles through pooled storage without touching the GC.
-func (u *UDP) receive(conn *net.UDPConn) bool {
-	buf := bufpool.Get(maxDatagram)[:maxDatagram]
+// receive reads one datagram from conn into buf, the read loop's own
+// buffer, and delivers it, reporting false once the socket is closed. The
+// datagram's n bytes are copied into a pooled buffer of their own size,
+// which travels as Packet.Owner, so a handler that needs the payload past
+// its call Retains it instead of copying, and a held small datagram pins a
+// small buffer, not a 64 KiB one. The read uses Read, not ReadFromUDP:
+// identity rides in the envelope, and the sender address ReadFromUDP
+// returns would cost an allocation per datagram. In steady state the
+// consumer's Release has already returned an earlier copy, so the loop
+// cycles through pooled storage without touching the GC.
+func (u *UDP) receive(conn *net.UDPConn, buf []byte) bool {
 	n, err := conn.Read(buf)
 	if err != nil {
-		bufpool.Put(buf)
 		return false // closed
 	}
-	owner := bufpool.Share(buf[:n])
-	u.handleDatagram(buf[:n], owner)
+	data := append(bufpool.Get(n), buf[:n]...)
+	owner := bufpool.Share(data)
+	u.handleDatagram(data, owner)
 	owner.Release()
 	return true
 }
