@@ -1,9 +1,10 @@
 // Command uavmission runs the complete Figure 3 mission (§5) as a single
-// process over a choice of substrates: the in-process bus, the simulated
-// network with configurable loss/latency, or real UDP loopback sockets.
+// process over a choice of substrates: the in-process bus, the bus with a
+// simulated medium of configurable loss/latency, or real UDP loopback
+// sockets.
 // It is the flag-driven sibling of examples/imaging-mission.
 //
-//	uavmission -transport netsim -loss 0.05 -latency 2ms -rows 3
+//	uavmission -transport sim -loss 0.05 -latency 2ms -rows 3
 package main
 
 import (
@@ -14,17 +15,16 @@ import (
 	"time"
 
 	"uavmw/internal/flightsim"
-	"uavmw/internal/netsim"
 	"uavmw/internal/services"
 	"uavmw/internal/transport"
 )
 
 func main() {
 	var (
-		transportKind = flag.String("transport", "bus", "substrate: bus | netsim | udp")
+		transportKind = flag.String("transport", "bus", "substrate: bus | sim | udp")
 		rows          = flag.Int("rows", 2, "survey rows (2 photo sites each)")
-		loss          = flag.Float64("loss", 0, "netsim loss probability")
-		latency       = flag.Duration("latency", time.Millisecond, "netsim one-way latency")
+		loss          = flag.Float64("loss", 0, "sim: loss probability")
+		latency       = flag.Duration("latency", time.Millisecond, "sim: one-way latency")
 		timescale     = flag.Float64("timescale", 40, "simulated seconds per wall second")
 		quiet         = flag.Bool("quiet", false, "suppress ground-station terminal output")
 		seed          = flag.Int64("seed", 9, "simulation seed")
@@ -47,11 +47,11 @@ func run(kind string, rows int, loss float64, latency time.Duration, timescale f
 		factory = func(id transport.NodeID) (transport.Transport, error) {
 			return bus.Endpoint(id)
 		}
-	case "netsim":
-		net := netsim.New(netsim.Config{Loss: loss, Latency: latency, Seed: seed})
+	case "sim":
+		net := transport.NewSimBus(transport.SimConfig{Loss: loss, Latency: latency, Seed: seed})
 		defer net.Close()
 		factory = func(id transport.NodeID) (transport.Transport, error) {
-			return net.Node(id)
+			return net.Endpoint(id)
 		}
 		wireStats = net.WireStats
 	case "udp":

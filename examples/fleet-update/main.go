@@ -20,7 +20,6 @@ import (
 
 	"uavmw/internal/core"
 	"uavmw/internal/filetransfer"
-	"uavmw/internal/netsim"
 	"uavmw/internal/protocol"
 	"uavmw/internal/qos"
 	"uavmw/internal/transport"
@@ -36,8 +35,8 @@ func main() {
 	}
 }
 
-func newNode(net *netsim.Net, id transport.NodeID) (*core.Node, error) {
-	ep, err := net.Node(id)
+func newNode(net *transport.Bus, id transport.NodeID) (*core.Node, error) {
+	ep, err := net.Endpoint(id)
 	if err != nil {
 		return nil, err
 	}
@@ -50,7 +49,7 @@ func newNode(net *netsim.Net, id transport.NodeID) (*core.Node, error) {
 }
 
 func run(fleetSize int, loss float64) error {
-	net := netsim.New(netsim.Config{Loss: loss, Seed: 11, Latency: time.Millisecond})
+	net := transport.NewSimBus(transport.SimConfig{Loss: loss, Seed: 11, Latency: time.Millisecond})
 	defer net.Close()
 
 	ops, err := newNode(net, "ops")

@@ -19,7 +19,6 @@ import (
 	"time"
 
 	"uavmw/internal/flightsim"
-	"uavmw/internal/netsim"
 	"uavmw/internal/services"
 	"uavmw/internal/transport"
 )
@@ -47,7 +46,7 @@ func run(rows int, loss, timescale float64, seed int64) error {
 	fmt.Printf("mission %q: %d waypoints, %d photo sites, %.1f km, loss %.1f%%\n",
 		plan.Name, len(plan.Waypoints), photoSites, plan.TotalDistanceM()/1000, loss*100)
 
-	net := netsim.New(netsim.Config{
+	net := transport.NewSimBus(transport.SimConfig{
 		Loss:    loss,
 		Seed:    seed,
 		Latency: time.Millisecond,
@@ -58,7 +57,7 @@ func run(rows int, loss, timescale float64, seed int64) error {
 	res, err := services.RunMission(services.MissionConfig{
 		Plan: plan,
 		Transports: func(id transport.NodeID) (transport.Transport, error) {
-			return net.Node(id)
+			return net.Endpoint(id)
 		},
 		TimeScale:  timescale,
 		SampleRate: 25 * time.Millisecond,

@@ -6,8 +6,8 @@ import (
 )
 
 // Trigger is a coalescing wake-up for single-consumer work loops of the
-// shape `for { drain work; wait for more or a deadline }` — the netsim
-// delivery loop, egress lane drains, the discovery offer flush. Signal
+// shape `for { drain work; wait for more or a deadline }` — the simulated
+// bus's delivery loop, egress lane drains, the discovery offer flush. Signal
 // from any goroutine wakes the parked waiter (or is remembered if none
 // is parked); Wait parks until a signal, an optional deadline, or stop.
 //

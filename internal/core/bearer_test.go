@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"uavmw/internal/naming"
-	"uavmw/internal/netsim"
 	"uavmw/internal/presentation"
 	"uavmw/internal/protocol"
 	"uavmw/internal/qos"
@@ -25,13 +24,13 @@ var (
 
 // newTwoBearerNode attaches id to both simulated networks and builds a
 // node with wifi (given its profile) + radio bearers.
-func newTwoBearerNode(t *testing.T, wifi, radio *netsim.Net, id transport.NodeID, wifiProf qos.BearerProfile) *Node {
+func newTwoBearerNode(t *testing.T, wifi, radio *transport.Bus, id transport.NodeID, wifiProf qos.BearerProfile) *Node {
 	t.Helper()
-	wep, err := wifi.Node(id)
+	wep, err := wifi.Endpoint(id)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := radio.Node(id)
+	rep, err := radio.Endpoint(id)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,9 +76,9 @@ func TestBearerConfigValidation(t *testing.T) {
 // node's offer includes one KindBearer record per datalink, visible in
 // peers' directories.
 func TestBearerRecordsAdvertised(t *testing.T) {
-	wifi := netsim.New(netsim.Config{Seed: 1})
+	wifi := transport.NewSimBus(transport.SimConfig{Seed: 1})
 	defer wifi.Close()
-	radio := netsim.New(netsim.Config{Seed: 2})
+	radio := transport.NewSimBus(transport.SimConfig{Seed: 2})
 	defer radio.Close()
 	uav := newTwoBearerNode(t, wifi, radio, "uav", wifiProfile)
 	gs := newTwoBearerNode(t, wifi, radio, "gs", wifiProfile)
@@ -103,9 +102,9 @@ func TestBearerRecordsAdvertised(t *testing.T) {
 // healthy, critical events ride the robust radio while bulk-class frames
 // ride the fat wifi pipe.
 func TestCriticalPinsToRobustBearer(t *testing.T) {
-	wifi := netsim.New(netsim.Config{Seed: 1})
+	wifi := transport.NewSimBus(transport.SimConfig{Seed: 1})
 	defer wifi.Close()
-	radio := netsim.New(netsim.Config{Seed: 2})
+	radio := transport.NewSimBus(transport.SimConfig{Seed: 2})
 	defer radio.Close()
 	uav := newTwoBearerNode(t, wifi, radio, "uav", wifiProfile)
 	newTwoBearerNode(t, wifi, radio, "gs", wifiProfile)
@@ -136,9 +135,9 @@ func TestCriticalPinsToRobustBearer(t *testing.T) {
 // retransmissions re-select per the failover order, and the link monitor
 // declares the bearer down within the failure deadline.
 func TestEventsSurviveBearerBlackout(t *testing.T) {
-	wifi := netsim.New(netsim.Config{Seed: 1, Latency: time.Millisecond})
+	wifi := transport.NewSimBus(transport.SimConfig{Seed: 1, Latency: time.Millisecond})
 	defer wifi.Close()
-	radio := netsim.New(netsim.Config{Seed: 2, Latency: 5 * time.Millisecond})
+	radio := transport.NewSimBus(transport.SimConfig{Seed: 2, Latency: 5 * time.Millisecond})
 	defer radio.Close()
 	// A wifi more robust than the radio puts every class wifi-first, so the
 	// blackout forces a real failover.

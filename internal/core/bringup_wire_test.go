@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"uavmw/internal/clock"
-	"uavmw/internal/netsim"
 	"uavmw/internal/qos"
 	"uavmw/internal/transport"
 )
@@ -61,10 +60,10 @@ func TestBringUpWireBytesGolden(t *testing.T) {
 		// Epochs are the construction instant plus this counter; pin it so
 		// the run does not depend on how many nodes earlier tests built.
 		defer epochSalt.Store(epochSalt.Swap(0))
-		net := netsim.New(netsim.Config{Seed: 1, Latency: time.Millisecond, Clock: v})
+		net := transport.NewSimBus(transport.SimConfig{Seed: 1, Latency: time.Millisecond, Clock: v})
 		defer net.Close()
 		node := func(id transport.NodeID) (*tapTransport, *Node) {
-			ep, err := net.Node(id)
+			ep, err := net.Endpoint(id)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -7,7 +7,6 @@ import (
 
 	"uavmw/internal/metrics"
 	"uavmw/internal/naming"
-	"uavmw/internal/netsim"
 	"uavmw/internal/presentation"
 	"uavmw/internal/protocol"
 	"uavmw/internal/qos"
@@ -74,7 +73,7 @@ func TestRegistrationAnnouncesWithoutBeacon(t *testing.T) {
 }
 
 func TestLateJoinerConvergesViaSync(t *testing.T) {
-	net := netsim.New(netsim.Config{Seed: 21, Latency: 200 * time.Microsecond})
+	net := transport.NewSimBus(transport.SimConfig{Seed: 21, Latency: 200 * time.Microsecond})
 	t.Cleanup(net.Close)
 	a := newSimNode(t, net, "a")
 	const records = 40
@@ -97,7 +96,7 @@ func TestLateJoinerConvergesViaSync(t *testing.T) {
 }
 
 func TestRestartWithNewEpochConverges(t *testing.T) {
-	net := netsim.New(netsim.Config{Seed: 22, Latency: 200 * time.Microsecond})
+	net := transport.NewSimBus(transport.SimConfig{Seed: 22, Latency: 200 * time.Microsecond})
 	t.Cleanup(net.Close)
 	a := newSimNode(t, net, "a")
 	b := newSimNode(t, net, "b")
@@ -129,7 +128,7 @@ func TestRestartWithNewEpochConverges(t *testing.T) {
 }
 
 func TestPartitionHealConverges(t *testing.T) {
-	net := netsim.New(netsim.Config{Seed: 23, Latency: 200 * time.Microsecond})
+	net := transport.NewSimBus(transport.SimConfig{Seed: 23, Latency: 200 * time.Microsecond})
 	t.Cleanup(net.Close)
 	// Generous failure deadline so the partition outlives suspicion and
 	// the heal exercises version-gap repair, not a fresh join.

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"uavmw/internal/naming"
-	"uavmw/internal/netsim"
 	"uavmw/internal/presentation"
 	"uavmw/internal/qos"
 	"uavmw/internal/scheduler"
@@ -19,7 +18,7 @@ import (
 // into MTBatch datagrams by the publisher's egress plane and unpacked by
 // the receiving container with no occurrence lost or reordered.
 func TestBatchedFramesDeliverTransparently(t *testing.T) {
-	net := netsim.New(netsim.Config{Seed: 21, Latency: 200 * time.Microsecond})
+	net := transport.NewSimBus(transport.SimConfig{Seed: 21, Latency: 200 * time.Microsecond})
 	defer net.Close()
 	pub := newSimNode(t, net, "uav")
 	// One scheduler worker on the receiver: the handler below asserts
@@ -74,7 +73,7 @@ func TestBatchedFramesDeliverTransparently(t *testing.T) {
 // TestEgressAccounting pins the "egress" counter families: frames a node
 // sends are counted with no drops on an uncongested link.
 func TestEgressAccounting(t *testing.T) {
-	net := netsim.New(netsim.Config{Seed: 22})
+	net := transport.NewSimBus(transport.SimConfig{Seed: 22})
 	defer net.Close()
 	a := newSimNode(t, net, "a")
 	b := newSimNode(t, net, "b")

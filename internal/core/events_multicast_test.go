@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"uavmw/internal/naming"
-	"uavmw/internal/netsim"
 	"uavmw/internal/presentation"
 	"uavmw/internal/qos"
 	"uavmw/internal/transport"
@@ -20,7 +19,7 @@ var mcastEventQoS = qos.EventQoS{Delivery: qos.DeliverMulticast}
 // sequence gaps and recovered through NACK-triggered unicast
 // retransmissions from the publisher's replay buffer.
 func TestMulticastEventNackRepairUnderLoss(t *testing.T) {
-	net := netsim.New(netsim.Config{Loss: 0.15, Seed: 77, Latency: time.Millisecond})
+	net := transport.NewSimBus(transport.SimConfig{Loss: 0.15, Seed: 77, Latency: time.Millisecond})
 	defer net.Close()
 	pub := newSimNode(t, net, "uav")
 	sub := newSimNode(t, net, "gs")
@@ -105,7 +104,7 @@ func TestMulticastEventNackRepairUnderLoss(t *testing.T) {
 // the event primitive: one occurrence is one wire packet however many nodes
 // subscribe.
 func TestMulticastEventFanoutWireCost(t *testing.T) {
-	net := netsim.New(netsim.Config{Seed: 3})
+	net := transport.NewSimBus(transport.SimConfig{Seed: 3, Latency: time.Millisecond})
 	defer net.Close()
 	pub := newSimNode(t, net, "uav")
 	const nSubs = 4

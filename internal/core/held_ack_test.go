@@ -11,7 +11,6 @@ import (
 
 	"uavmw/internal/clock"
 	"uavmw/internal/naming"
-	"uavmw/internal/netsim"
 	"uavmw/internal/presentation"
 	"uavmw/internal/protocol"
 	"uavmw/internal/qos"
@@ -241,10 +240,10 @@ func TestRPCReplyAcknowledgesCall(t *testing.T) {
 func TestHeldCallAckLeavesAfterDelay(t *testing.T) {
 	v := clock.NewVirtual()
 	v.Run(func() {
-		net := netsim.New(netsim.Config{Seed: 3, Latency: 200 * time.Microsecond, Clock: v})
+		net := transport.NewSimBus(transport.SimConfig{Seed: 3, Latency: 200 * time.Microsecond, Clock: v})
 		defer net.Close()
 		endpoint := func(id transport.NodeID) *wireLog {
-			ep, err := net.Node(id)
+			ep, err := net.Endpoint(id)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -291,13 +290,13 @@ func TestHeldCallAckLeavesAfterDelay(t *testing.T) {
 func TestRPCReplyLostOnce(t *testing.T) {
 	v := clock.NewVirtual()
 	v.Run(func() {
-		net := netsim.New(netsim.Config{Seed: 4, Latency: 200 * time.Microsecond, Clock: v})
+		net := transport.NewSimBus(transport.SimConfig{Seed: 4, Latency: 200 * time.Microsecond, Clock: v})
 		defer net.Close()
-		callerEP, err := net.Node("caller")
+		callerEP, err := net.Endpoint("caller")
 		if err != nil {
 			t.Fatal(err)
 		}
-		providerEP, err := net.Node("provider")
+		providerEP, err := net.Endpoint("provider")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -336,10 +335,10 @@ func TestRPCReplyLostOnce(t *testing.T) {
 func TestHedgedReplySettlesOwnAttempt(t *testing.T) {
 	v := clock.NewVirtual()
 	v.Run(func() {
-		net := netsim.New(netsim.Config{Seed: 5, Latency: 200 * time.Microsecond, Clock: v})
+		net := transport.NewSimBus(transport.SimConfig{Seed: 5, Latency: 200 * time.Microsecond, Clock: v})
 		defer net.Close()
 		node := func(id transport.NodeID) *Node {
-			ep, err := net.Node(id)
+			ep, err := net.Endpoint(id)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -355,7 +354,7 @@ func TestHedgedReplySettlesOwnAttempt(t *testing.T) {
 		waitProviders(t, v, client, "fn", 2)
 
 		// Static binding tries the lowest node id, a-prov, first.
-		net.SetLink("client", "a-prov", netsim.LinkConfig{Loss: -1, Duplicate: -1, Blocked: true})
+		net.SetLink("client", "a-prov", transport.LinkConfig{Blocked: true})
 		u32 := presentation.Uint32()
 		q := qos.CallQoS{Binding: qos.BindStatic, Deadline: time.Second, HedgeAfter: 0.05}
 		got, err := client.RPC().Call(context.Background(), "fn", uint32(1), u32, u32, q)
@@ -387,10 +386,10 @@ func TestHedgedReplySettlesOwnAttempt(t *testing.T) {
 func TestFragmentedCallAckedPerFragment(t *testing.T) {
 	v := clock.NewVirtual()
 	v.Run(func() {
-		net := netsim.New(netsim.Config{Seed: 6, Latency: 200 * time.Microsecond, Clock: v})
+		net := transport.NewSimBus(transport.SimConfig{Seed: 6, Latency: 200 * time.Microsecond, Clock: v})
 		defer net.Close()
 		endpoint := func(id transport.NodeID) *wireLog {
-			ep, err := net.Node(id)
+			ep, err := net.Endpoint(id)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -8,7 +8,6 @@ import (
 	"uavmw/internal/clock"
 	"uavmw/internal/ingress"
 	"uavmw/internal/metrics"
-	"uavmw/internal/netsim"
 	"uavmw/internal/presentation"
 	"uavmw/internal/protocol"
 	"uavmw/internal/qos"
@@ -27,10 +26,10 @@ func TestIngressPerSourceOrderingVirtual(t *testing.T) {
 	v := clock.NewVirtual()
 	var failure string
 	v.Run(func() {
-		net := netsim.New(netsim.Config{Seed: 7, Latency: time.Millisecond, Clock: v})
+		net := transport.NewSimBus(transport.SimConfig{Seed: 7, Latency: time.Millisecond, Clock: v})
 		defer net.Close()
 		mk := func(id transport.NodeID, opts ...NodeOption) *Node {
-			ep, err := net.Node(id)
+			ep, err := net.Endpoint(id)
 			if err != nil {
 				t.Fatal(err)
 			}

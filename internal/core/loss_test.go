@@ -8,7 +8,6 @@ import (
 
 	"uavmw/internal/filetransfer"
 	"uavmw/internal/naming"
-	"uavmw/internal/netsim"
 	"uavmw/internal/presentation"
 	"uavmw/internal/protocol"
 	"uavmw/internal/qos"
@@ -17,9 +16,9 @@ import (
 )
 
 // newSimNode attaches a container to a simulated network.
-func newSimNode(t *testing.T, net *netsim.Net, id transport.NodeID, opts ...NodeOption) *Node {
+func newSimNode(t *testing.T, net *transport.Bus, id transport.NodeID, opts ...NodeOption) *Node {
 	t.Helper()
-	ep, err := net.Node(id)
+	ep, err := net.Endpoint(id)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +39,7 @@ func newSimNode(t *testing.T, net *netsim.Net, id transport.NodeID, opts ...Node
 func TestEventGuaranteedDeliveryUnderLoss(t *testing.T) {
 	// 20% loss: best-effort traffic suffers, but every event arrives
 	// (§4.2's guarantee via application-level ack/resend).
-	net := netsim.New(netsim.Config{Loss: 0.2, Seed: 99, Latency: time.Millisecond})
+	net := transport.NewSimBus(transport.SimConfig{Loss: 0.2, Seed: 99, Latency: time.Millisecond})
 	defer net.Close()
 	// The test is about ARQ delivery, not liveness: at 20% loss five
 	// heartbeats in a row go missing often enough (~1 run in 80) to trip
@@ -87,7 +86,7 @@ func TestEventGuaranteedDeliveryUnderLoss(t *testing.T) {
 func TestRPCFailoverOnNodeDeath(t *testing.T) {
 	// Two redundant providers; the one serving calls dies mid-mission and
 	// the middleware redirects (§4.3, E7).
-	net := netsim.New(netsim.Config{Latency: time.Millisecond, Seed: 5})
+	net := transport.NewSimBus(transport.SimConfig{Latency: time.Millisecond, Seed: 5})
 	defer net.Close()
 	primary := newSimNode(t, net, "primary", WithFailureDeadline(150*time.Millisecond))
 	backup := newSimNode(t, net, "backup", WithFailureDeadline(150*time.Millisecond))
@@ -135,7 +134,7 @@ func TestRPCFailoverOnNodeDeath(t *testing.T) {
 }
 
 func TestRPCStaticBindingSurvivesUntilPinDies(t *testing.T) {
-	net := netsim.New(netsim.Config{Latency: time.Millisecond, Seed: 6})
+	net := transport.NewSimBus(transport.SimConfig{Latency: time.Millisecond, Seed: 6})
 	defer net.Close()
 	a := newSimNode(t, net, "a", WithFailureDeadline(150*time.Millisecond))
 	b := newSimNode(t, net, "b", WithFailureDeadline(150*time.Millisecond))
@@ -190,7 +189,7 @@ func TestRPCStaticBindingSurvivesUntilPinDies(t *testing.T) {
 func TestFileTransferRecoversFromLoss(t *testing.T) {
 	// 15% loss: chunks vanish, the completion phase NACKs them back
 	// (§4.4, E4 foundation).
-	net := netsim.New(netsim.Config{Loss: 0.15, Seed: 21, Latency: time.Millisecond})
+	net := transport.NewSimBus(transport.SimConfig{Loss: 0.15, Seed: 21, Latency: time.Millisecond})
 	defer net.Close()
 	pub := newSimNode(t, net, "camera")
 	sub := newSimNode(t, net, "storage")
@@ -232,7 +231,7 @@ func TestFileTransferLateJoinerResumes(t *testing.T) {
 	// A second receiver subscribes mid-transfer and still completes
 	// (§4.4: "a new service can subscribe ... and resume at the current
 	// point").
-	net := netsim.New(netsim.Config{Latency: time.Millisecond, Seed: 33})
+	net := transport.NewSimBus(transport.SimConfig{Latency: time.Millisecond, Seed: 33})
 	defer net.Close()
 	pub := newSimNode(t, net, "camera",
 		WithFileTransfer(filetransfer.WithQueryWindow(30*time.Millisecond)))
@@ -293,7 +292,7 @@ func TestFileTransferLateJoinerResumes(t *testing.T) {
 func TestMulticastVariableFanoutOneWirePacket(t *testing.T) {
 	// E3's core property through the full middleware stack: one published
 	// sample = one wire packet regardless of subscriber count.
-	net := netsim.New(netsim.Config{Seed: 2})
+	net := transport.NewSimBus(transport.SimConfig{Seed: 2, Latency: time.Millisecond})
 	defer net.Close()
 	pub := newSimNode(t, net, "uav")
 	subs := make([]*Node, 4)

@@ -132,7 +132,7 @@ type nodeConfig struct {
 // NodeOption configures a Node.
 type NodeOption func(*nodeConfig)
 
-// WithDatagram sets a datagram transport (UDP, bus, netsim) as the node's
+// WithDatagram sets a datagram transport (UDP, bus) as the node's
 // default bearer — the single-datalink configuration. It is shorthand for
 // WithBearer(DefaultBearer, t, qos.BearerProfile{}).
 func WithDatagram(t transport.Transport) NodeOption {

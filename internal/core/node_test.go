@@ -297,7 +297,7 @@ func TestEventDeliveryAcrossNodes(t *testing.T) {
 
 func TestEventGuaranteedUnderLoss(t *testing.T) {
 	// Even at heavy loss the ARQ path delivers every event (§4.2).
-	t.Skip("moved to netsim integration test in loss_test.go")
+	t.Skip("moved to the simulated-bus integration test in loss_test.go")
 }
 
 func TestRPCLocalAndRemote(t *testing.T) {

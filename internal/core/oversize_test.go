@@ -13,7 +13,6 @@ import (
 	"uavmw/internal/fabric"
 	"uavmw/internal/ingress"
 	"uavmw/internal/metrics"
-	"uavmw/internal/netsim"
 	"uavmw/internal/presentation"
 	"uavmw/internal/protocol"
 	"uavmw/internal/qos"
@@ -201,9 +200,9 @@ func TestOversizeReliableUnderLoss(t *testing.T) {
 	// 20% loss hits fragments and their acks alike, so fragments are
 	// retransmitted and re-acknowledged; the message must still surface
 	// exactly once and its completion fire exactly once.
-	net := netsim.New(netsim.Config{Loss: 0.2, Seed: 41, Latency: time.Millisecond})
+	net := transport.NewSimBus(transport.SimConfig{Loss: 0.2, Seed: 41, Latency: time.Millisecond})
 	defer net.Close()
-	ep, err := net.Node("uav")
+	ep, err := net.Endpoint("uav")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +251,7 @@ func TestOversizeReliableUnderLoss(t *testing.T) {
 }
 
 func TestOversizeReliableRetryBudgetExhausted(t *testing.T) {
-	net := netsim.New(netsim.Config{Seed: 43, Latency: time.Millisecond})
+	net := transport.NewSimBus(transport.SimConfig{Seed: 43, Latency: time.Millisecond})
 	defer net.Close()
 	src := newSimNode(t, net, "uav", WithMTU(oversizeMTU),
 		WithARQ(protocol.WithTimeout(4*time.Millisecond), protocol.WithMaxRetries(2)))

@@ -10,17 +10,17 @@ import (
 	"uavmw/internal/metrics"
 	"uavmw/internal/metrics/metricstest"
 	"uavmw/internal/naming"
-	"uavmw/internal/netsim"
 	"uavmw/internal/presentation"
 	"uavmw/internal/qos"
 	"uavmw/internal/rpc"
+	"uavmw/internal/transport"
 )
 
 // TestRPCHedgedFailoverUnderLoss kills the pinned provider mid-stream on a
 // 15% lossy network; a hedged call must still complete within its QoS
 // deadline via the redundant provider (§4.3 bounded-latency redirection).
 func TestRPCHedgedFailoverUnderLoss(t *testing.T) {
-	net := netsim.New(netsim.Config{Loss: 0.15, Seed: 21, Latency: 500 * time.Microsecond})
+	net := transport.NewSimBus(transport.SimConfig{Loss: 0.15, Seed: 21, Latency: 500 * time.Microsecond})
 	defer net.Close()
 	provA := newSimNode(t, net, "a-prov")
 	provB := newSimNode(t, net, "b-prov")
@@ -81,7 +81,7 @@ func TestRPCHedgedFailoverUnderLoss(t *testing.T) {
 // 1; the next call must receive MTBusy and fail over to the redundant
 // provider instead of queueing blind or surfacing an app error.
 func TestRPCBusyShedFailsOver(t *testing.T) {
-	net := netsim.New(netsim.Config{Seed: 33, Latency: 300 * time.Microsecond})
+	net := transport.NewSimBus(transport.SimConfig{Seed: 33, Latency: 300 * time.Microsecond})
 	defer net.Close()
 	provA := newSimNode(t, net, "a-prov", WithRPCInflightLimit(1))
 	provB := newSimNode(t, net, "b-prov")

@@ -10,7 +10,6 @@ import (
 	"uavmw/internal/core"
 	"uavmw/internal/filetransfer"
 	"uavmw/internal/metrics"
-	"uavmw/internal/netsim"
 	"uavmw/internal/protocol"
 	"uavmw/internal/qos"
 	"uavmw/internal/transport"
@@ -100,18 +99,17 @@ func RunE14(clk clock.Clock, fileBytes int, blackoutAfter time.Duration, seed in
 }
 
 // e14Link constrains both directions between uav and gs on one net.
-func e14Link(net *netsim.Net, bps int64) {
-	lc := netsim.InheritLink()
-	lc.BandwidthBPS = bps
+func e14Link(net *transport.Bus, bps int64) {
+	lc := transport.LinkConfig{BandwidthBPS: bps}
 	net.SetLink("uav", "gs", lc)
 	net.SetLink("gs", "uav", lc)
 }
 
 func runE14Multi(clk clock.Clock, res *E14Result, seed int64) error {
 	// Two separate media: the bearers share nothing but the endpoints.
-	wifi := netsim.New(netsim.Config{Seed: seed, Latency: 5 * time.Millisecond, Clock: clk})
+	wifi := transport.NewSimBus(transport.SimConfig{Seed: seed, Latency: 5 * time.Millisecond, Clock: clk})
 	defer wifi.Close()
-	radio := netsim.New(netsim.Config{Seed: seed + 100, Latency: 40 * time.Millisecond, Clock: clk})
+	radio := transport.NewSimBus(transport.SimConfig{Seed: seed + 100, Latency: 40 * time.Millisecond, Clock: clk})
 	defer radio.Close()
 	e14Link(wifi, res.WifiBPS)
 	e14Link(radio, res.RadioBPS)
@@ -128,11 +126,11 @@ func runE14Multi(clk clock.Clock, res *E14Result, seed int64) error {
 		Robustness: 10, BulkRateBPS: res.RadioShaped, BulkBurst: 1100,
 	}
 	mk := func(id transport.NodeID) (*core.Node, error) {
-		wep, err := wifi.Node(id)
+		wep, err := wifi.Endpoint(id)
 		if err != nil {
 			return nil, err
 		}
-		rep, err := radio.Node(id)
+		rep, err := radio.Endpoint(id)
 		if err != nil {
 			return nil, err
 		}
@@ -335,7 +333,7 @@ func runE14Multi(clk clock.Clock, res *E14Result, seed int64) error {
 // with the same blackout. The ARQ budget is real but finite; once it is
 // spent the alarms are gone — there is no second link to fail over to.
 func runE14Single(clk clock.Clock, res *E14Result, seed int64) error {
-	wifi := netsim.New(netsim.Config{Seed: seed, Latency: 5 * time.Millisecond, Clock: clk})
+	wifi := transport.NewSimBus(transport.SimConfig{Seed: seed, Latency: 5 * time.Millisecond, Clock: clk})
 	defer wifi.Close()
 	e14Link(wifi, res.WifiBPS)
 	const blackout = 1500 * time.Millisecond

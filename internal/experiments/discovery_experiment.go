@@ -8,7 +8,6 @@ import (
 	"uavmw/internal/clock"
 	"uavmw/internal/core"
 	"uavmw/internal/naming"
-	"uavmw/internal/netsim"
 	"uavmw/internal/protocol"
 	"uavmw/internal/qos"
 	"uavmw/internal/transport"
@@ -49,7 +48,7 @@ func e12Fn(node transport.NodeID, i int) string {
 }
 
 // buildE12Fleet spins up n converged nodes each offering records functions.
-func buildE12Fleet(clk clock.Clock, net *netsim.Net, n, records int, period time.Duration) ([]*core.Node, error) {
+func buildE12Fleet(clk clock.Clock, net *transport.Bus, n, records int, period time.Duration) ([]*core.Node, error) {
 	nodes := make([]*core.Node, n)
 	for i := range nodes {
 		// The ARQ retransmit timer must exceed the fleet's worst-case
@@ -141,7 +140,7 @@ func buildE12Fleet(clk clock.Clock, net *netsim.Net, n, records int, period time
 
 // e12Period picks the beacon period for a fleet size: larger fleets beacon
 // less often, as real deployments do — and as the in-process simulation
-// requires (64 containers, their schedulers and the netsim medium all
+// requires (64 containers, their schedulers and the bus medium all
 // timeshare the host, possibly a single core) to stay within its delivery
 // throughput. Wire cost per period and convergence-vs-period contrast are
 // unaffected by the absolute period.
@@ -160,7 +159,7 @@ func RunE12(clk clock.Clock, nodes, recordsPerNode int, seed int64) (*E12Result,
 	period := e12Period(nodes)
 	res := &E12Result{Nodes: nodes, RecordsPerNode: recordsPerNode, AnnouncePeriod: period}
 
-	net := netsim.New(netsim.Config{Seed: seed, Latency: 200 * time.Microsecond, Clock: clk})
+	net := transport.NewSimBus(transport.SimConfig{Seed: seed, Latency: 200 * time.Microsecond, Clock: clk})
 	defer net.Close()
 	fleet, err := buildE12Fleet(clk, net, nodes, recordsPerNode, period)
 	if err != nil {
@@ -255,7 +254,7 @@ func RunE12Scale(clk clock.Clock, nodes, recordsPerNode int, seed int64) (*E12Sc
 	period := e12Period(nodes)
 	res := &E12ScaleResult{Nodes: nodes, RecordsPerNode: recordsPerNode, AnnouncePeriod: period}
 
-	net := netsim.New(netsim.Config{Seed: seed, Latency: 200 * time.Microsecond, Clock: clk})
+	net := transport.NewSimBus(transport.SimConfig{Seed: seed, Latency: 200 * time.Microsecond, Clock: clk})
 	defer net.Close()
 	start := clk.Now()
 	fleet, err := buildE12Fleet(clk, net, nodes, recordsPerNode, period)
@@ -285,7 +284,7 @@ func RunE12Scale(clk clock.Clock, nodes, recordsPerNode int, seed int64) (*E12Sc
 // about the heartbeat digests alone (one per node, two packets of slack):
 // the residual sync repairs and ARQ retransmissions of a registration
 // storm have drained.
-func e12Quiesce(clk clock.Clock, net *netsim.Net, nodes int, period time.Duration, periods int, limit time.Duration) error {
+func e12Quiesce(clk clock.Clock, net *transport.Bus, nodes int, period time.Duration, periods int, limit time.Duration) error {
 	deadline := clk.Now().Add(limit)
 	for quiet := 0; quiet < periods; {
 		net.ResetWireStats()
@@ -305,7 +304,7 @@ func e12Quiesce(clk clock.Clock, net *netsim.Net, nodes int, period time.Duratio
 
 // e12Steady returns the wire bytes and packets per announce period over
 // the next `periods` periods.
-func e12Steady(clk clock.Clock, net *netsim.Net, period time.Duration, periods int) (bytesPer, packetsPer float64) {
+func e12Steady(clk clock.Clock, net *transport.Bus, period time.Duration, periods int) (bytesPer, packetsPer float64) {
 	net.ResetWireStats()
 	clk.Sleep(time.Duration(periods) * period)
 	packets, bytes, _ := net.WireStats()
@@ -351,7 +350,7 @@ func RunE12Churn(clk clock.Clock, nodes, recordsPerNode, missedOffers int, seed 
 		Nodes: nodes, RecordsPerNode: recordsPerNode,
 		MissedOffers: missedOffers, AnnouncePeriod: period,
 	}
-	net := netsim.New(netsim.Config{Seed: seed, Latency: 200 * time.Microsecond, Clock: clk})
+	net := transport.NewSimBus(transport.SimConfig{Seed: seed, Latency: 200 * time.Microsecond, Clock: clk})
 	defer net.Close()
 	fleet, err := buildE12Fleet(clk, net, nodes, recordsPerNode, period)
 	if err != nil {

@@ -11,7 +11,6 @@ import (
 	"uavmw/internal/events"
 	"uavmw/internal/filetransfer"
 	"uavmw/internal/metrics"
-	"uavmw/internal/netsim"
 	"uavmw/internal/presentation"
 	"uavmw/internal/protocol"
 	"uavmw/internal/qos"
@@ -229,17 +228,15 @@ const e13ShapeFraction = 0.92
 
 func runE13Phase(clk clock.Clock, res *E13Result, shaped bool, seed int64) error {
 	const latency = 15 * time.Millisecond
-	net := netsim.New(netsim.Config{Seed: seed, Latency: latency, Clock: clk})
+	net := transport.NewSimBus(transport.SimConfig{Seed: seed, Latency: latency, Clock: clk})
 	defer net.Close()
 
 	// One constrained air-to-ground direction; everything else is fast.
-	lc := netsim.InheritLink()
-	lc.BandwidthBPS = res.LinkBPS
-	net.SetLink("uav", "gs", lc)
+	net.SetLink("uav", "gs", transport.LinkConfig{BandwidthBPS: res.LinkBPS})
 
 	shapedRate := int64(float64(res.LinkBPS) * e13ShapeFraction)
 	mk := func(id transport.NodeID, profile qos.BearerProfile) (*core.Node, error) {
-		ep, err := net.Node(id)
+		ep, err := net.Endpoint(id)
 		if err != nil {
 			return nil, err
 		}

@@ -8,12 +8,12 @@
 //
 // Every harness builds a fresh middleware deployment on an in-process or
 // simulated substrate, measures, and tears down, so experiments are
-// independent and repeatable (seeded netsim, no shared global state).
+// independent and repeatable (seeded simulated bus, no shared global state).
 //
 // The simulation-backed harnesses (E3, E11–E17) take an injected
 // clock.Clock and by default run under RunVirtual on a discrete-event
 // virtual clock: minutes of scenario time execute in wall milliseconds.
-// A seed fixes the netsim draws and the event times, but the order of
+// A seed fixes the bus medium's draws and the event times, but the order of
 // goroutines woken at the same instant is still the Go scheduler's, so
 // some figures (E3 and E11 tails, E14's single-bearer losses) vary from
 // run to run while others (E12's determinism test, E15 and E17) replay
@@ -37,7 +37,6 @@ import (
 	"uavmw/internal/filetransfer"
 	"uavmw/internal/metrics"
 	"uavmw/internal/naming"
-	"uavmw/internal/netsim"
 	"uavmw/internal/presentation"
 	"uavmw/internal/protocol"
 	"uavmw/internal/qos"
@@ -91,8 +90,8 @@ func pair(opts ...core.NodeOption) (a, b *core.Node, cleanup func(), err error) 
 
 // simNode attaches a container to a simulated network, on clk's timeline
 // (nil: the wall clock).
-func simNode(clk clock.Clock, net *netsim.Net, id transport.NodeID, opts ...core.NodeOption) (*core.Node, error) {
-	ep, err := net.Node(id)
+func simNode(clk clock.Clock, net *transport.Bus, id transport.NodeID, opts ...core.NodeOption) (*core.Node, error) {
+	ep, err := net.Endpoint(id)
 	if err != nil {
 		return nil, err
 	}
@@ -219,14 +218,14 @@ func RunE2(n int, loss float64, payloadBytes int, seed int64) (*E2Result, error)
 		payload[i] = byte(i)
 	}
 
-	// --- ARQ over lossy netsim ---
+	// --- ARQ over a lossy simulated bus ---
 	{
-		net := netsim.New(netsim.Config{Loss: loss, Seed: seed, Latency: 500 * time.Microsecond})
-		src, err := net.Node("src")
+		net := transport.NewSimBus(transport.SimConfig{Loss: loss, Seed: seed, Latency: 500 * time.Microsecond})
+		src, err := net.Endpoint("src")
 		if err != nil {
 			return nil, err
 		}
-		dst, err := net.Node("dst")
+		dst, err := net.Endpoint("dst")
 		if err != nil {
 			return nil, err
 		}
@@ -285,12 +284,12 @@ func RunE2(n int, loss float64, payloadBytes int, seed int64) (*E2Result, error)
 
 	// --- Go-Back-N (TCP semantics) over the same loss ---
 	{
-		net := netsim.New(netsim.Config{Loss: loss, Seed: seed + 1, Latency: 500 * time.Microsecond})
-		src, err := net.Node("src")
+		net := transport.NewSimBus(transport.SimConfig{Loss: loss, Seed: seed + 1, Latency: 500 * time.Microsecond})
+		src, err := net.Endpoint("src")
 		if err != nil {
 			return nil, err
 		}
-		dst, err := net.Node("dst")
+		dst, err := net.Endpoint("dst")
 		if err != nil {
 			return nil, err
 		}
@@ -358,7 +357,7 @@ type E3Result struct {
 }
 
 // RunE3 publishes occurrences through the event engine to n subscriber
-// containers in both delivery modes on a fresh netsim and reports wire
+// containers in both delivery modes on a fresh simulated bus and reports wire
 // packet/byte counts. A nil clk runs on wall time; pass a Virtual clock
 // (from inside its Run) for a discrete-event run.
 func RunE3(clk clock.Clock, subscribers, samples int, seed int64) (*E3Result, error) {
@@ -366,7 +365,7 @@ func RunE3(clk clock.Clock, subscribers, samples int, seed int64) (*E3Result, er
 	res := &E3Result{Subscribers: subscribers, Samples: samples}
 
 	run := func(delivery qos.Delivery) (uint64, uint64, error) {
-		net := netsim.New(netsim.Config{Seed: seed, Latency: 200 * time.Microsecond, Clock: clk})
+		net := transport.NewSimBus(transport.SimConfig{Seed: seed, Latency: 200 * time.Microsecond, Clock: clk})
 		defer net.Close()
 		// A long announce period keeps heartbeat chatter out of the
 		// measured window; discovery itself is incremental (deltas fire
@@ -456,8 +455,8 @@ func RunE4(fileBytes, receivers int, loss float64, seed int64) (*E4Result, error
 		data[i] = byte(i * 13)
 	}
 
-	build := func(seed int64) (*netsim.Net, *core.Node, []*core.Node, func(), error) {
-		net := netsim.New(netsim.Config{Loss: loss, Seed: seed, Latency: 300 * time.Microsecond})
+	build := func(seed int64) (*transport.Bus, *core.Node, []*core.Node, func(), error) {
+		net := transport.NewSimBus(transport.SimConfig{Loss: loss, Seed: seed, Latency: 300 * time.Microsecond})
 		mk := func(id transport.NodeID) (*core.Node, error) {
 			return simNode(nil, net, id,
 				core.WithAnnouncePeriod(20*time.Millisecond),
@@ -703,7 +702,7 @@ type E7Result struct {
 
 // RunE7 kills the active provider mid-call-stream and times redirection.
 func RunE7(failureDeadline time.Duration, seed int64) (*E7Result, error) {
-	net := netsim.New(netsim.Config{Latency: 300 * time.Microsecond, Seed: seed})
+	net := transport.NewSimBus(transport.SimConfig{Latency: 300 * time.Microsecond, Seed: seed})
 	defer net.Close()
 	mk := func(id transport.NodeID) (*core.Node, error) {
 		return simNode(nil, net, id,

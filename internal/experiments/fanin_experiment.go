@@ -8,7 +8,6 @@ import (
 	"uavmw/internal/clock"
 	"uavmw/internal/core"
 	"uavmw/internal/naming"
-	"uavmw/internal/netsim"
 	"uavmw/internal/presentation"
 	"uavmw/internal/qos"
 	"uavmw/internal/transport"
@@ -18,7 +17,7 @@ import (
 // fanIn is the scenario E15 and E17 share, and the one figure of either
 // that only a scenario can produce: `senders` publisher containers each
 // offer a uint32 variable, one ground-station container subscribes to all
-// of them, and a netsim link carries the traffic under the injected clock.
+// of them, and a simulated bus carries the traffic under the injected clock.
 // Once every flow has delivered a first sample, each publisher sends
 // `samples` values 2ms apart; the report records what arrived and what the
 // window cost on the wire, discovery heartbeats included (they are part of
@@ -38,7 +37,7 @@ type fanIn struct {
 
 func (s fanIn) report(clk clock.Clock, seed int64, samples int) (*Report, error) {
 	clk = clock.Or(clk)
-	net := netsim.New(netsim.Config{Seed: seed, Latency: s.latency, Clock: clk})
+	net := transport.NewSimBus(transport.SimConfig{Seed: seed, Latency: s.latency, Clock: clk})
 	defer net.Close()
 
 	period := core.WithAnnouncePeriod(100 * time.Millisecond)
@@ -120,7 +119,7 @@ type window struct {
 
 // publishWindow publishes `samples` rounds, value i+1 on every publisher
 // 2ms apart, then waits up to timeout for perRound deliveries per round.
-func publishWindow(clk clock.Clock, net *netsim.Net, pubs []*variables.Publisher, heard func() int64, perRound, samples int, timeout time.Duration) (window, error) {
+func publishWindow(clk clock.Clock, net *transport.Bus, pubs []*variables.Publisher, heard func() int64, perRound, samples int, timeout time.Duration) (window, error) {
 	startPkts, startBytes, _ := net.WireStats()
 	before := heard()
 	for i := 0; i < samples; i++ {

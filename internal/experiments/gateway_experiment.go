@@ -11,9 +11,9 @@ import (
 	"uavmw/internal/core"
 	"uavmw/internal/gateway"
 	"uavmw/internal/naming"
-	"uavmw/internal/netsim"
 	"uavmw/internal/presentation"
 	"uavmw/internal/qos"
+	"uavmw/internal/transport"
 	"uavmw/internal/variables"
 )
 
@@ -159,10 +159,10 @@ func RunE16(clk clock.Clock, clientCounts []int, samples int, seed int64) (*E16R
 
 // e16Pair builds a uav publisher node and a gateway-hosting node on one
 // simulated medium.
-func e16Pair(clk clock.Clock, seed int64, opts gateway.Options) (*netsim.Net, *core.Node, *gateway.Gateway, *variables.Publisher, error) {
+func e16Pair(clk clock.Clock, seed int64, opts gateway.Options) (*transport.Bus, *core.Node, *gateway.Gateway, *variables.Publisher, error) {
 	clk = clock.Or(clk)
-	sim := netsim.New(netsim.Config{Seed: seed, Latency: 2 * time.Millisecond, Clock: clk})
-	fail := func(err error) (*netsim.Net, *core.Node, *gateway.Gateway, *variables.Publisher, error) {
+	sim := transport.NewSimBus(transport.SimConfig{Seed: seed, Latency: 2 * time.Millisecond, Clock: clk})
+	fail := func(err error) (*transport.Bus, *core.Node, *gateway.Gateway, *variables.Publisher, error) {
 		sim.Close()
 		return nil, nil, nil, nil, err
 	}
@@ -233,9 +233,9 @@ func e16Sweep(clk clock.Clock, n, samples int, seed int64) (E16SweepPoint, strin
 // attached, publish→encode→fan-out→write inclusive, on a quiet
 // real-clock node with a local publisher (no air traffic in the loop).
 func e16AllocPoint(n int) (float64, error) {
-	sim := netsim.New(netsim.Config{Seed: 99, Latency: time.Millisecond})
+	sim := transport.NewSimBus(transport.SimConfig{Seed: 99, Latency: time.Millisecond})
 	defer sim.Close()
-	ep, err := sim.Node("gs")
+	ep, err := sim.Endpoint("gs")
 	if err != nil {
 		return 0, err
 	}

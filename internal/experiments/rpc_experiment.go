@@ -10,7 +10,6 @@ import (
 	"uavmw/internal/clock"
 	"uavmw/internal/core"
 	"uavmw/internal/metrics"
-	"uavmw/internal/netsim"
 	"uavmw/internal/presentation"
 	"uavmw/internal/protocol"
 	"uavmw/internal/qos"
@@ -20,7 +19,7 @@ import (
 
 // E11Result measures the concurrent RPC engine (§4.3) under a stalled
 // pinned provider: throughput and latency at N concurrent callers, with
-// and without hedged failover, under netsim loss. The pinned provider
+// and without hedged failover, under simulated loss. The pinned provider
 // sleeps past the call deadline, so every call that meets its deadline did
 // so by reaching the redundant fast provider — by hedging, or by an MTBusy
 // shed, or not at all.
@@ -57,7 +56,7 @@ func RunE11(clk clock.Clock, callers, callsPerCaller int, hedged bool, loss floa
 		Latency:   &metrics.Histogram{},
 	}
 
-	net := netsim.New(netsim.Config{Loss: loss, Seed: seed, Latency: 300 * time.Microsecond, Clock: clk})
+	net := transport.NewSimBus(transport.SimConfig{Loss: loss, Seed: seed, Latency: 300 * time.Microsecond, Clock: clk})
 	defer net.Close()
 	mk := func(id transport.NodeID) (*core.Node, error) {
 		return simNode(clk, net, id,

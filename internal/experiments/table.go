@@ -43,8 +43,9 @@ type Guard struct {
 	Rel, Floor float64
 }
 
-// fanInGuards pin E15 and E17, one deterministic netsim scenario at two
-// shapes: every figure it records is exact.
+// fanInGuards pin E15 and E17, one deterministic simulated-bus scenario at
+// two shapes: every figure it records is exact. The keys keep the netsim_
+// prefix of the committed baselines.
 var fanInGuards = []Guard{{"netsim_*", 0, 0}}
 
 // table lists the experiments in README order. E6 and E10 are plain Go
@@ -97,7 +98,7 @@ var table = []*Experiment{
 			{"single_lost", 0.25, 8},
 			{"single_sent", 0, 0},
 		}},
-	{Name: "e15", Title: "E15 — pooled wire path end to end: one publisher to one subscriber over netsim",
+	{Name: "e15", Title: "E15 — pooled wire path end to end: one publisher to one subscriber over the simulated bus",
 		Seed: 15, Virtual: true, run: reportE15, Guards: fanInGuards},
 	{Name: "e16", Title: "E16 — ground gateway: encode-once fan-out to external clients (shared subs, LVC)",
 		Seed: 16, Virtual: true, run: reportE16,
@@ -132,7 +133,7 @@ var table = []*Experiment{
 			}
 			return nil
 		}},
-	{Name: "e17", Title: "E17 — sharded ingress: four publishers into one four-shard subscriber over netsim",
+	{Name: "e17", Title: "E17 — sharded ingress: four publishers into one four-shard subscriber over the simulated bus",
 		Seed: 17, Virtual: true, run: reportE17, Guards: fanInGuards},
 }
 

@@ -21,7 +21,7 @@ var nondeterministic = map[string]bool{
 
 // Two virtual runs of the same scenario with the same seed must produce
 // byte-identical results, whatever the core count: the clock starts at the
-// same epoch, the netsim medium draws from the same seeded stream, and event
+// same epoch, the bus medium draws from the same seeded stream, and event
 // order is serialized by the clock — so every measured field (wire bytes,
 // packet counts, convergence latencies) and the node's metrics snapshot land
 // on exactly the same value. Every Virtual entry of the table runs at quick

@@ -8,7 +8,6 @@ import (
 
 	"uavmw/internal/bufpool"
 	"uavmw/internal/core"
-	"uavmw/internal/netsim"
 	"uavmw/internal/transport"
 )
 
@@ -31,9 +30,9 @@ func (c *countConn) SetWriteDeadline(time.Time) error { return nil }
 // allocates nothing. The per-occurrence encode (JSON marshal) is outside
 // the measured op because it is paid once per sample, not per client.
 func TestFanOutAllocationFree(t *testing.T) {
-	sim := netsim.New(netsim.Config{Seed: 7, Latency: time.Millisecond})
+	sim := transport.NewSimBus(transport.SimConfig{Seed: 7, Latency: time.Millisecond})
 	t.Cleanup(sim.Close)
-	ep, err := sim.Node(transport.NodeID("gs"))
+	ep, err := sim.Endpoint(transport.NodeID("gs"))
 	if err != nil {
 		t.Fatal(err)
 	}

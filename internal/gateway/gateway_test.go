@@ -14,7 +14,6 @@ import (
 
 	"uavmw/internal/core"
 	"uavmw/internal/naming"
-	"uavmw/internal/netsim"
 	"uavmw/internal/presentation"
 	"uavmw/internal/qos"
 	"uavmw/internal/transport"
@@ -37,10 +36,10 @@ func waitUntil(t *testing.T, timeout time.Duration, what string, ok func() bool)
 // link and the gateway on gs.
 func pair(t *testing.T, opts Options) (*core.Node, *Gateway) {
 	t.Helper()
-	sim := netsim.New(netsim.Config{Seed: 42, Latency: time.Millisecond})
+	sim := transport.NewSimBus(transport.SimConfig{Seed: 42, Latency: time.Millisecond})
 	t.Cleanup(sim.Close)
 	mk := func(id string) *core.Node {
-		ep, err := sim.Node(transport.NodeID(id))
+		ep, err := sim.Endpoint(transport.NodeID(id))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -23,7 +23,7 @@
 //   - Ownership rides refcounted pooled buffers (bufpool.Shared). A packet
 //     whose transport provided an Owner (UDP's pooled receive buffer, or
 //     on the bus the sender's own egress buffer) is retained, not copied;
-//     one without (netsim's shared multicast copy, a plain bus Send) is
+//     one without (a simulated medium's shared copy, a plain bus Send) is
 //     copied once into a pooled buffer. Either way the payload handed to
 //     Deliver aliases pooled storage that the pipeline releases after the
 //     callback returns, and the steady-state routed-frame path allocates

@@ -12,6 +12,7 @@ package leakcheck
 import (
 	"fmt"
 	"os"
+	"os/signal"
 	"runtime"
 	"testing"
 	"time"
@@ -22,10 +23,10 @@ const Settle = 2 * time.Second
 
 // Main runs the package's tests, checks for leftover goroutines, and exits.
 func Main(m *testing.M) {
-	start := runtime.NumGoroutine()
+	start := baseline()
 	code := m.Run()
 	if code == 0 {
-		if err := settle(start); err != nil {
+		if err := settle(start, Settle); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			code = 1
 		}
@@ -33,15 +34,25 @@ func Main(m *testing.M) {
 	os.Exit(code)
 }
 
-// settle waits for the goroutine count to return to start.
-func settle(start int) error {
-	deadline := time.Now().Add(Settle)
+// baseline counts goroutines before the first test. It first starts the
+// runtime's signal loop, which never exits once started: the fuzz
+// coordinator's signal.Notify would otherwise add it after the count.
+func baseline() int {
+	c := make(chan os.Signal, 1)
+	signal.Notify(c, os.Interrupt)
+	signal.Stop(c)
+	return runtime.NumGoroutine()
+}
+
+// settle waits up to timeout for the goroutine count to return to start.
+func settle(start int, timeout time.Duration) error {
+	deadline := time.Now().Add(timeout)
 	for runtime.NumGoroutine() > start {
 		if time.Now().After(deadline) {
 			buf := make([]byte, 1<<20)
 			buf = buf[:runtime.Stack(buf, true)]
 			return fmt.Errorf("leakcheck: %d goroutines %v after the tests, %d before them:\n\n%s",
-				runtime.NumGoroutine(), Settle, start, buf)
+				runtime.NumGoroutine(), timeout, start, buf)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}

@@ -63,10 +63,10 @@ func TestEnginesImportNoContainerInternals(t *testing.T) {
 // hand-written snapshot struct is a second copy to keep in step. The two
 // exceptions count where no node registry exists: transport.Stats is part
 // of the Transport interface (transports are built outside the node, and
-// the benchmark implements it), netsim.LinkStats describes the simulated
+// the benchmark implements it), transport.LinkStats describes the simulated
 // medium. internal/experiments is exempt — result records are its product.
 var statsStructs = []string{
-	"internal/netsim.LinkStats",
+	"internal/transport.LinkStats",
 	"internal/transport.Stats",
 }
 

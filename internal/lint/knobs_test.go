@@ -71,19 +71,6 @@ var tuningKnobs = []string{
 	"internal/link.PlaneConfig.Reroute",
 	"internal/link.PlaneConfig.Self",
 	"internal/link.PlaneConfig.Send",
-	"internal/netsim.Config.BandwidthBPS",
-	"internal/netsim.Config.Clock",
-	"internal/netsim.Config.Duplicate",
-	"internal/netsim.Config.Jitter",
-	"internal/netsim.Config.Latency",
-	"internal/netsim.Config.Loss",
-	"internal/netsim.Config.Seed",
-	"internal/netsim.LinkConfig.BandwidthBPS",
-	"internal/netsim.LinkConfig.Blocked",
-	"internal/netsim.LinkConfig.Duplicate",
-	"internal/netsim.LinkConfig.Jitter",
-	"internal/netsim.LinkConfig.Latency",
-	"internal/netsim.LinkConfig.Loss",
 	"internal/protocol.WithClock",
 	"internal/protocol.WithMaxRetries",
 	"internal/protocol.WithMetrics",
@@ -105,6 +92,12 @@ var tuningKnobs = []string{
 	"internal/services.MissionConfig.Timeout",
 	"internal/services.MissionConfig.Transports",
 	"internal/services.MissionConfig.Wind",
+	"internal/transport.LinkConfig.BandwidthBPS",
+	"internal/transport.LinkConfig.Blocked",
+	"internal/transport.SimConfig.Clock",
+	"internal/transport.SimConfig.Latency",
+	"internal/transport.SimConfig.Loss",
+	"internal/transport.SimConfig.Seed",
 	"internal/transport.WithGroupPortBase",
 	"internal/transport.WithUnicastFanout",
 	"internal/variables.SubscribeOptions.InitialTimeout",

@@ -28,7 +28,7 @@ const (
 	// the fleet so peers can match it against their own bearer set, and
 	// Service carries the bearer's dialable transport address when the
 	// substrate needs one (UDP), empty on substrates with a global address
-	// book (bus, netsim). Riding the ordinary offer log means bearer
+	// book (the bus). Riding the ordinary offer log means bearer
 	// reachability propagates through the same deltas, digests and
 	// anti-entropy syncs as every other record.
 	KindBearer

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"uavmw/internal/flightsim"
-	"uavmw/internal/netsim"
 	"uavmw/internal/transport"
 )
 
@@ -94,12 +93,12 @@ func TestFigure3MissionUnderLoss(t *testing.T) {
 	if testing.Short() {
 		t.Skip("lossy mission is slow")
 	}
-	net := netsim.New(netsim.Config{Loss: 0.05, Seed: 13, Latency: time.Millisecond})
+	net := transport.NewSimBus(transport.SimConfig{Loss: 0.05, Seed: 13, Latency: time.Millisecond})
 	defer net.Close()
 	res, err := RunMission(MissionConfig{
 		Plan: testPlan(),
 		Transports: func(id transport.NodeID) (transport.Transport, error) {
-			return net.Node(id)
+			return net.Endpoint(id)
 		},
 		TimeScale:  40,
 		SampleRate: 20 * time.Millisecond,

@@ -17,23 +17,17 @@ func TestStatsUniformShape(t *testing.T) {
 	type endpoints struct {
 		sender, receiver Transport
 	}
+	bus := func(t *testing.T, cfg SimConfig) endpoints {
+		bus := NewSimBus(cfg)
+		t.Cleanup(bus.Close)
+		return endpoints{endpoint(t, bus, "a"), endpoint(t, bus, "b")}
+	}
 	cases := []struct {
 		name  string
 		build func(t *testing.T) endpoints
 	}{
-		{"inproc", func(t *testing.T) endpoints {
-			bus := NewBus()
-			a, err := bus.Endpoint("a")
-			if err != nil {
-				t.Fatal(err)
-			}
-			b, err := bus.Endpoint("b")
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() { _ = a.Close(); _ = b.Close() })
-			return endpoints{a, b}
-		}},
+		{"inproc", func(t *testing.T) endpoints { return bus(t, SimConfig{}) }},
+		{"sim", func(t *testing.T) endpoints { return bus(t, SimConfig{Latency: time.Millisecond}) }},
 		{"udp", func(t *testing.T) endpoints {
 			a, b := newUDPPair(t)
 			return endpoints{a, b}

@@ -3,10 +3,10 @@
 // "abstracts the network access, allowing the middleware to be deployed in
 // different networks" (§3); that abstraction is the Transport interface.
 //
-// Three implementations exist: an in-process bus (this file's sibling
-// inproc.go) for same-host containers and tests, a real UDP transport over
-// the loopback/LAN, and the deterministic simulated network in package
-// netsim used by the loss/latency experiments.
+// Two implementations exist: the in-process bus (inproc.go), which
+// delivers inline between same-host containers or, given latency, loss or
+// a link override, through a seeded simulated medium for the loss/latency
+// experiments; and a real UDP transport over the loopback/LAN.
 //
 // # Buffer ownership
 //
@@ -15,9 +15,9 @@
 //
 //   - Send / SendGroup: the payload belongs to the caller and is valid
 //     only for the duration of the call. A transport that still needs the
-//     bytes after returning — netsim simulating latency — copies them first
+//     bytes after returning — a bus simulating latency — copies them first
 //     (see bufpool.Copy). UDP hands the bytes to the kernel within the
-//     call, and the in-process bus calls every receiver's Handler before it
+//     call, and an inline bus calls every receiver's Handler before it
 //     returns; neither retains anything.
 //   - SendShared (SharedSender, the bus): the payload is a refcounted
 //     pooled buffer the caller holds a reference on for the call. The
@@ -63,7 +63,7 @@ type Packet struct {
 	// A handler that needs the payload past its call Retains it and
 	// Releases when done; handlers that consume synchronously ignore it.
 	// Transports that deliver from GC-owned or caller-owned storage
-	// (netsim's one-copy multicast, a plain bus Send) leave it nil, and
+	// (a simulated medium's one copy, a plain bus Send) leave it nil, and
 	// receivers needing ownership copy.
 	Owner *bufpool.Shared
 }
@@ -146,7 +146,7 @@ type Multicaster interface {
 // updates it (a bearer's endpoint can move at runtime — a UAV re-acquiring
 // WiFi on a different ground segment); RemovePeer drops the entry so
 // frames to a departed peer fail fast instead of dialing a stale address.
-// Substrates with a global address book (bus, netsim) don't implement it.
+// A substrate with a global address book (the bus) doesn't implement it.
 type PeerBook interface {
 	AddPeer(id NodeID, addr string) error
 	RemovePeer(id NodeID)
