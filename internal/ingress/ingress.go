@@ -64,10 +64,14 @@ type Packet struct {
 
 const (
 	// DefaultRing bounds each shard's queue in packets; on overflow the
-	// oldest queued packet for that shard drops. One drain hands Deliver
-	// the whole ring's worth on a real clock and one packet on a
-	// clock.Virtual.
+	// oldest queued packet for that shard drops. A shard's ring starts at
+	// minRing slots and doubles up to this bound as its backlog demands.
+	// One drain hands Deliver up to this many packets on a real clock and
+	// one packet on a clock.Virtual.
 	DefaultRing = 1024
+	// minRing is a new shard's ring size: an idle node holds 1 KB per
+	// shard, not a busy node's 64 KB.
+	minRing = 16
 	// maxShards caps the worker count against absurd configuration.
 	maxShards = 256
 )
@@ -93,8 +97,8 @@ type Config struct {
 	Deliver func(shard int, batch []Packet)
 }
 
-// shard is one worker's queue: a fixed-capacity circular buffer guarded by
-// mu, drained by a dedicated goroutine parked on trig.
+// shard is one worker's queue: a circular buffer guarded by mu that grows
+// up to DefaultRing, drained by a dedicated goroutine parked on trig.
 type shard struct {
 	mu   sync.Mutex
 	ring []Packet
@@ -102,7 +106,7 @@ type shard struct {
 	n    int // queued packet count
 	trig clock.Trigger
 
-	batch []Packet // worker-local drain scratch
+	batch []Packet // worker-local drain scratch, grown by append
 
 	depth     *metrics.Gauge
 	drops     *metrics.Counter
@@ -162,9 +166,8 @@ func New(cfg Config) *Pipeline {
 	for i := range p.shards {
 		lb := metrics.L("shard", strconv.Itoa(i))
 		p.shards[i] = &shard{
-			ring:      make([]Packet, DefaultRing),
+			ring:      make([]Packet, minRing),
 			trig:      clock.NewTrigger(clk),
-			batch:     make([]Packet, 0, maxBatch),
 			depth:     reg.Gauge("ingress", "queue_depth", lb),
 			drops:     reg.Counter("ingress", "drops", lb),
 			frames:    reg.Counter("ingress", "frames", lb),
@@ -243,6 +246,9 @@ func (p *Pipeline) Enqueue(bearer string, pkt transport.Packet) {
 		return
 	}
 	var evicted *bufpool.Shared
+	if sh.n == len(sh.ring) && len(sh.ring) < DefaultRing {
+		sh.grow()
+	}
 	if sh.n == len(sh.ring) {
 		evicted = sh.ring[sh.head].Owner
 		sh.ring[sh.head] = Packet{}
@@ -267,6 +273,16 @@ func (p *Pipeline) Enqueue(bearer string, pkt transport.Packet) {
 	if evicted != nil {
 		evicted.Release()
 	}
+}
+
+// grow doubles a full ring, unwrapping it so the oldest packet sits at
+// index 0 and arrival order survives. Called with mu held.
+func (sh *shard) grow() {
+	ring := make([]Packet, min(2*len(sh.ring), DefaultRing))
+	k := copy(ring, sh.ring[sh.head:])
+	copy(ring[k:], sh.ring[:sh.head])
+	sh.ring = ring
+	sh.head = 0
 }
 
 // take moves up to maxBatch queued packets into the shard's drain scratch,

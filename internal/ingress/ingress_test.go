@@ -165,7 +165,9 @@ func TestOwnershipHandoff(t *testing.T) {
 
 // TestDropOldest fills a shard ring behind a blocked Deliver and checks the
 // stalest packet is shed, the transports' read loop is never blocked, and
-// the drop is counted.
+// the drop is counted. The ring's head starts near its end, so the ring is
+// wrapped when it first fills and grows: arrival order survives every
+// doubling, and the ring stops at DefaultRing.
 func TestDropOldest(t *testing.T) {
 	reg := metrics.NewRegistry()
 	entered := make(chan struct{})
@@ -192,10 +194,23 @@ func TestDropOldest(t *testing.T) {
 	defer p.Close()
 
 	p.Enqueue("", transport.Packet{From: "a", Payload: seqPayload(0)})
-	<-entered                    // worker is now wedged inside Deliver; the ring is empty
-	const last = DefaultRing + 1 // one packet more than the ring holds
+	<-entered // worker is now wedged inside Deliver; the ring is empty
+	sh := p.shards[0]
+	sh.mu.Lock()
+	if len(sh.ring) != minRing {
+		t.Fatalf("a fresh shard ring holds %d slots, want %d", len(sh.ring), minRing)
+	}
+	sh.head = minRing - 5 // the next packets wrap after five
+	sh.mu.Unlock()
+	const last = DefaultRing + 1 // one packet more than the largest ring holds
 	for seq := uint64(1); seq <= last; seq++ {
 		p.Enqueue("", transport.Packet{From: "a", Payload: seqPayload(seq)})
+	}
+	sh.mu.Lock()
+	size := len(sh.ring)
+	sh.mu.Unlock()
+	if size != DefaultRing {
+		t.Fatalf("ring grew to %d slots, want %d", size, DefaultRing)
 	}
 	close(gate)
 	deadline := time.Now().Add(2 * time.Second)
@@ -216,6 +231,47 @@ func TestDropOldest(t *testing.T) {
 	}
 	if drops := reg.SumCounters("ingress", "drops"); drops != 1 {
 		t.Fatalf("ingress drops = %d, want 1", drops)
+	}
+}
+
+// TestCloseReleasesQueuedOwners queues owned packets behind a blocked
+// Deliver, more than the ring holds, then closes the pipeline: every
+// Owner, whether evicted, delivered or swept, is back to the caller's one
+// reference.
+func TestCloseReleasesQueuedOwners(t *testing.T) {
+	entered := make(chan struct{})
+	gate := make(chan struct{})
+	var once sync.Once
+	p := New(Config{
+		Shards: 1,
+		Deliver: func(int, []Packet) {
+			once.Do(func() {
+				close(entered)
+				<-gate
+			})
+		},
+	})
+	owners := make([]*bufpool.Shared, DefaultRing+6)
+	for i := range owners {
+		owners[i] = bufpool.Share(bufpool.Get(8)[:8])
+	}
+	p.Enqueue("", transport.Packet{From: "a", Payload: owners[0].Bytes(), Owner: owners[0]})
+	<-entered
+	for _, o := range owners[1:] {
+		p.Enqueue("", transport.Packet{From: "a", Payload: o.Bytes(), Owner: o})
+	}
+	closed := make(chan struct{})
+	go func() {
+		p.Close()
+		close(closed)
+	}()
+	close(gate)
+	<-closed
+	for i, o := range owners {
+		if refs := o.Refs(); refs != 1 {
+			t.Fatalf("owner %d holds %d references after Close, want 1", i, refs)
+		}
+		o.Release()
 	}
 }
 

@@ -299,23 +299,35 @@ func EncodeSyncChunks(a *Announcement, maxBytes int) ([][]byte, error) {
 	// Pass 2: encode with the final count stamped into every chunk.
 	out := make([][]byte, 0, len(groups))
 	for idx, recs := range groups {
-		w := encoding.NewWriter(syncChunkHeaderSize(a.Node) + 48*len(recs))
-		w.Uint8(syncWireVersion)
-		w.String(string(a.Node))
-		w.Uint64(a.Epoch)
-		w.Uint64(a.Version)
-		w.Float64(a.Load)
-		w.Uint32(uint32(idx))
-		w.Uint32(uint32(len(groups)))
-		w.Uint32(uint32(len(recs)))
-		for i, rec := range recs {
-			if err := encodeRecord(w, rec); err != nil {
-				return nil, fmt.Errorf("naming: sync chunk %d record %d: %w", idx, i, err)
-			}
+		chunk, err := encodeSyncChunk(&SyncChunk{
+			Node: a.Node, Epoch: a.Epoch, Version: a.Version, Load: a.Load,
+			Index: uint32(idx), Count: uint32(len(groups)), Records: recs,
+		})
+		if err != nil {
+			return nil, err
 		}
-		out = append(out, w.Bytes())
+		out = append(out, chunk)
 	}
 	return out, nil
+}
+
+// encodeSyncChunk serializes one chunk.
+func encodeSyncChunk(c *SyncChunk) ([]byte, error) {
+	w := encoding.NewWriter(syncChunkHeaderSize(c.Node) + 48*len(c.Records))
+	w.Uint8(syncWireVersion)
+	w.String(string(c.Node))
+	w.Uint64(c.Epoch)
+	w.Uint64(c.Version)
+	w.Float64(c.Load)
+	w.Uint32(c.Index)
+	w.Uint32(c.Count)
+	w.Uint32(uint32(len(c.Records)))
+	for i, rec := range c.Records {
+		if err := encodeRecord(w, rec); err != nil {
+			return nil, fmt.Errorf("naming: sync chunk %d record %d: %w", c.Index, i, err)
+		}
+	}
+	return w.Bytes(), nil
 }
 
 // DecodeSyncChunk parses one chunk payload.

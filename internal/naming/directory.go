@@ -21,23 +21,102 @@ import (
 // node emits covers its whole offer (a digest vouches for all of it, a
 // delta advances all of it), so one expiry instant per node suffices and a
 // constant-size heartbeat refreshes a thousand cached records in O(1).
+//
+// Every container caches every other container's offer, so the cache
+// grows as nodes × records and a binding is kept small: a name's providers
+// are ids into two tables of the directory (provider nodes, and the
+// (Service, TypeSig, ArgSig) triples the records carry), with the first
+// provider inline in the name's entry.
 type Directory struct {
 	ttl time.Duration
 
 	mu       sync.Mutex
-	entries  map[dirKey]map[transport.NodeID]Record
-	byNode   map[transport.NodeID]map[dirKey]struct{} // per-node key index
+	entries  map[dirKey]providers
+	byNode   map[transport.NodeID][]dirKey // per-node key index
 	epochs   map[transport.NodeID]uint64
 	versions map[transport.NodeID]uint64    // record-log version per node
 	expiries map[transport.NodeID]time.Time // per-node freshness deadline
 	loads    map[transport.NodeID]float64
-	rr       map[dirKey]uint64  // round-robin cursors of names with a provider
-	pick     []transport.NodeID // Select's scratch provider list
+	rr       map[dirKey]uint64 // round-robin cursors of names with a provider
+	nodes    idTable[transport.NodeID]
+	sigs     idTable[signature]
+	offered  map[dirKey]struct{} // Apply's scratch set of announced keys
+	pick     []provider          // Select's scratch candidate list
 }
 
 type dirKey struct {
 	kind Kind
 	name string
+}
+
+// signature is what a record carries beyond its key and provider node.
+type signature struct {
+	service, typeSig, argSig string
+}
+
+// provider is one node's binding of a name, as ids in the directory's
+// node and signature tables.
+type provider struct {
+	node, sig uint32
+}
+
+// providers are the bindings of one name, sorted by node; an entry exists
+// only while it holds at least one. Most names have a single provider:
+// first holds it inline, and only a name with more allocates the list
+// behind more, which keeps an entry's value at 16 bytes.
+type providers struct {
+	first provider
+	more  *[]provider
+}
+
+func (ps *providers) len() int {
+	if ps.more == nil {
+		return 1
+	}
+	return 1 + len(*ps.more)
+}
+
+func (ps *providers) at(i int) *provider {
+	if i == 0 {
+		return &ps.first
+	}
+	return &(*ps.more)[i-1]
+}
+
+// index reports where node's binding sits, or -1.
+func (ps *providers) index(node uint32) int {
+	for i := 0; i < ps.len(); i++ {
+		if ps.at(i).node == node {
+			return i
+		}
+	}
+	return -1
+}
+
+func (ps *providers) insert(i int, p provider) {
+	if i == 0 {
+		p, ps.first = ps.first, p
+		i = 1
+	}
+	if ps.more == nil {
+		ps.more = new([]provider)
+	}
+	*ps.more = slices.Insert(*ps.more, i-1, p)
+}
+
+// remove drops the binding at i and reports whether none is left.
+func (ps *providers) remove(i int) (empty bool) {
+	if ps.more == nil {
+		return true
+	}
+	if i == 0 {
+		ps.first = (*ps.more)[0]
+		i = 1
+	}
+	if *ps.more = slices.Delete(*ps.more, i-1, i); len(*ps.more) == 0 {
+		ps.more = nil
+	}
+	return false
 }
 
 // DefaultTTL is how long a cached binding survives without refresh. It must
@@ -55,8 +134,8 @@ func NewDirectory(ttl time.Duration) *Directory {
 	}
 	return &Directory{
 		ttl:      ttl,
-		entries:  make(map[dirKey]map[transport.NodeID]Record),
-		byNode:   make(map[transport.NodeID]map[dirKey]struct{}),
+		entries:  make(map[dirKey]providers),
+		byNode:   make(map[transport.NodeID][]dirKey),
 		epochs:   make(map[transport.NodeID]uint64),
 		versions: make(map[transport.NodeID]uint64),
 		expiries: make(map[transport.NodeID]time.Time),
@@ -88,25 +167,22 @@ func (d *Directory) Apply(a *Announcement, now time.Time) bool {
 	d.loads[a.Node] = a.Load
 	d.expiries[a.Node] = now.Add(d.ttl)
 
-	offered := make(map[dirKey]struct{}, len(a.Records))
+	if d.offered == nil {
+		d.offered = make(map[dirKey]struct{}, len(a.Records))
+	}
+	offered := d.offered
 	changed := false
 	for _, rec := range a.Records {
 		key := dirKey{kind: rec.Kind, name: rec.Name}
 		offered[key] = struct{}{}
-		nodeMap := d.entries[key]
-		if nodeMap == nil {
-			nodeMap = make(map[transport.NodeID]Record)
-			d.entries[key] = nodeMap
-		}
-		prev, exists := nodeMap[a.Node]
-		if !exists || prev != rec {
+		if _, ch := d.bindLocked(key, a.Node, rec); ch {
 			changed = true
 		}
-		nodeMap[a.Node] = rec
 	}
 	// Drop records this node previously offered but no longer announces.
 	// The per-node index makes this O(node's records), not O(directory).
-	for key := range d.byNode[a.Node] {
+	index := d.byNode[a.Node]
+	for _, key := range index {
 		if _, still := offered[key]; still {
 			continue
 		}
@@ -114,7 +190,27 @@ func (d *Directory) Apply(a *Announcement, now time.Time) bool {
 			changed = true
 		}
 	}
-	d.byNode[a.Node] = offered
+	// The new index lists each announced key once, in the old index's
+	// storage unless that is more than twice the size needed. Taking each
+	// key out of offered as it is listed leaves the set empty for the
+	// next call.
+	n := len(offered)
+	if n == 0 {
+		delete(d.byNode, a.Node)
+		return changed
+	}
+	if cap(index) < n || cap(index) > 2*n {
+		index = make([]dirKey, 0, n)
+	}
+	index = index[:0]
+	for _, rec := range a.Records {
+		key := dirKey{kind: rec.Kind, name: rec.Name}
+		if _, first := offered[key]; first {
+			delete(offered, key)
+			index = append(index, key)
+		}
+	}
+	d.byNode[a.Node] = index
 	return changed
 }
 
@@ -158,24 +254,29 @@ func (d *Directory) ApplyDelta(dl *Delta, now time.Time) (needSync bool) {
 		}
 	}
 	index := d.byNode[dl.Node]
-	if index == nil {
-		index = make(map[dirKey]struct{}, len(dl.Added))
-		d.byNode[dl.Node] = index
-	}
 	for _, rec := range dl.Added {
 		key := dirKey{kind: rec.Kind, name: rec.Name}
-		nodeMap := d.entries[key]
-		if nodeMap == nil {
-			nodeMap = make(map[transport.NodeID]Record)
-			d.entries[key] = nodeMap
+		if fresh, _ := d.bindLocked(key, dl.Node, rec); fresh {
+			index = append(index, key)
 		}
-		nodeMap[dl.Node] = rec
-		index[key] = struct{}{}
 	}
+	withdrawn := false
 	for _, k := range dl.Withdrawn {
-		key := dirKey{kind: k.Kind, name: k.Name}
-		d.unbindLocked(key, dl.Node)
-		delete(index, key)
+		if d.unbindLocked(dirKey{kind: k.Kind, name: k.Name}, dl.Node) {
+			withdrawn = true
+		}
+	}
+	if withdrawn {
+		// One pass over the index, however many keys went.
+		index = slices.DeleteFunc(index, func(key dirKey) bool {
+			_, i := d.bindingLocked(key, dl.Node)
+			return i < 0
+		})
+	}
+	if len(index) > 0 {
+		d.byNode[dl.Node] = index
+	} else {
+		delete(d.byNode, dl.Node)
 	}
 	d.epochs[dl.Node] = dl.Epoch
 	d.versions[dl.Node] = dl.To
@@ -248,8 +349,25 @@ func (d *Directory) NodeRecordCount(node transport.NodeID) int {
 func (d *Directory) Record(kind Kind, name string, node transport.NodeID) (Record, bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	rec, ok := d.entries[dirKey{kind: kind, name: name}][node]
-	return rec, ok
+	key := dirKey{kind: kind, name: name}
+	ps, i := d.bindingLocked(key, node)
+	if i < 0 {
+		return Record{}, false
+	}
+	return d.recordLocked(key, *ps.at(i)), true
+}
+
+// recordLocked rebuilds the Record a provider binds under key.
+func (d *Directory) recordLocked(key dirKey, p provider) Record {
+	sig := d.sigs.val(p.sig)
+	return Record{
+		Kind:    key.kind,
+		Name:    key.name,
+		Service: sig.service,
+		Node:    d.nodes.val(p.node),
+		TypeSig: sig.typeSig,
+		ArgSig:  sig.argSig,
+	}
 }
 
 // RemoveNode purges every binding of a failed or departed node (§3: "In
@@ -267,24 +385,74 @@ func (d *Directory) RemoveNode(node transport.NodeID) {
 }
 
 func (d *Directory) purgeNodeLocked(node transport.NodeID) {
-	for key := range d.byNode[node] {
+	for _, key := range d.byNode[node] {
 		d.unbindLocked(key, node)
 	}
 	delete(d.byNode, node)
 }
 
-// unbindLocked drops node's binding of key and reports whether the key had
-// any. The key's last binding takes its round-robin cursor with it, so the
+// bindLocked binds rec as node's provider of key. It reports whether the
+// binding is new (fresh) and whether it is new or differs from the one it
+// replaces (changed).
+func (d *Directory) bindLocked(key dirKey, node transport.NodeID, rec Record) (fresh, changed bool) {
+	sig := signature{service: rec.Service, typeSig: rec.TypeSig, argSig: rec.ArgSig}
+	ps, ok := d.entries[key]
+	if !ok {
+		d.entries[key] = providers{first: provider{node: d.nodes.ref(node), sig: d.sigs.ref(sig)}}
+		return true, true
+	}
+	if id, known := d.nodes.id(node); known {
+		if i := ps.index(id); i >= 0 {
+			p := ps.at(i)
+			if d.sigs.val(p.sig) == sig {
+				return false, false
+			}
+			old := p.sig
+			p.sig = d.sigs.ref(sig)
+			d.sigs.unref(old)
+			d.entries[key] = ps
+			return false, true
+		}
+	}
+	i := 0
+	for i < ps.len() && d.nodes.val(ps.at(i).node) < node {
+		i++
+	}
+	ps.insert(i, provider{node: d.nodes.ref(node), sig: d.sigs.ref(sig)})
+	d.entries[key] = ps
+	return true, true
+}
+
+// bindingLocked finds node's binding of key: the name's providers and the
+// binding's position among them, or -1 when node does not provide key.
+func (d *Directory) bindingLocked(key dirKey, node transport.NodeID) (providers, int) {
+	ps, ok := d.entries[key]
+	if !ok {
+		return ps, -1
+	}
+	id, ok := d.nodes.id(node)
+	if !ok {
+		return ps, -1
+	}
+	return ps, ps.index(id)
+}
+
+// unbindLocked drops node's binding of key and reports whether it had
+// one. The key's last binding takes its round-robin cursor with it, so the
 // cursors of names nobody offers any more do not pile up.
 func (d *Directory) unbindLocked(key dirKey, node transport.NodeID) bool {
-	nodeMap := d.entries[key]
-	if nodeMap == nil {
+	ps, i := d.bindingLocked(key, node)
+	if i < 0 {
 		return false
 	}
-	delete(nodeMap, node)
-	if len(nodeMap) == 0 {
+	p := ps.at(i)
+	d.sigs.unref(p.sig)
+	d.nodes.unref(p.node)
+	if ps.remove(i) {
 		delete(d.entries, key)
 		delete(d.rr, key)
+	} else {
+		d.entries[key] = ps
 	}
 	return true
 }
@@ -313,12 +481,15 @@ func (d *Directory) Expire(now time.Time) []transport.NodeID {
 func (d *Directory) Lookup(kind Kind, name string) []Record {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	nodeMap := d.entries[dirKey{kind: kind, name: name}]
-	out := make([]Record, 0, len(nodeMap))
-	for _, rec := range nodeMap {
-		out = append(out, rec)
+	key := dirKey{kind: kind, name: name}
+	ps, ok := d.entries[key]
+	if !ok {
+		return []Record{}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Node < out[j].Node })
+	out := make([]Record, 0, ps.len())
+	for i := 0; i < ps.len(); i++ {
+		out = append(out, d.recordLocked(key, *ps.at(i)))
+	}
 	return out
 }
 
@@ -327,8 +498,8 @@ func (d *Directory) Names(kind Kind) []string {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	var out []string
-	for key, nodeMap := range d.entries {
-		if key.kind == kind && len(nodeMap) > 0 {
+	for key := range d.entries {
+		if key.kind == kind {
 			out = append(out, key.name)
 		}
 	}
@@ -355,52 +526,49 @@ func (d *Directory) Select(kind Kind, name string, binding qos.Binding, pinned t
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	key := dirKey{kind: kind, name: name}
-	nodeMap := d.entries[key]
-	if len(nodeMap) == 0 {
+	ps, ok := d.entries[key]
+	if !ok {
 		return Record{}, fmt.Errorf("naming: %v %q: %w", kind, name, ErrNotFound)
 	}
 	if binding == qos.BindStatic && pinned != "" {
-		if rec, alive := nodeMap[pinned]; alive {
-			return rec, nil
+		if _, i := d.bindingLocked(key, pinned); i >= 0 {
+			return d.recordLocked(key, *ps.at(i)), nil
 		}
 		// Fall through: redundancy failover even for static binding.
 	}
-	// Deterministic provider list, built in the directory's scratch slice
-	// (d.mu is held until return).
-	nodes := d.pick[:0]
-	for node := range nodeMap {
-		nodes = append(nodes, node)
-	}
-	slices.Sort(nodes)
-	d.pick = nodes
-
 	if binding == qos.BindStatic {
 		// New pin: lowest node id for stability across containers.
-		return nodeMap[nodes[0]], nil
+		return d.recordLocked(key, ps.first), nil
 	}
 
-	// Dynamic: restrict to near-least-loaded, then round-robin.
-	minLoad := d.loads[nodes[0]]
-	for _, node := range nodes[1:] {
-		if l := d.loads[node]; l < minLoad {
+	// Dynamic: restrict to near-least-loaded, then round-robin over the
+	// providers in node order, listed in the directory's scratch slice
+	// (d.mu is held until return).
+	minLoad := d.loads[d.nodes.val(ps.first.node)]
+	for i := 1; i < ps.len(); i++ {
+		if l := d.loads[d.nodes.val(ps.at(i).node)]; l < minLoad {
 			minLoad = l
 		}
 	}
-	candidates := nodes[:0]
-	for _, node := range nodes {
-		if d.loads[node] <= minLoad+0.1 {
-			candidates = append(candidates, node)
+	candidates := d.pick[:0]
+	for i := 0; i < ps.len(); i++ {
+		if p := *ps.at(i); d.loads[d.nodes.val(p.node)] <= minLoad+0.1 {
+			candidates = append(candidates, p)
 		}
 	}
+	d.pick = candidates
 	cursor := d.rr[key]
 	d.rr[key] = cursor + 1
-	chosen := candidates[cursor%uint64(len(candidates))]
-	return nodeMap[chosen], nil
+	return d.recordLocked(key, candidates[cursor%uint64(len(candidates))]), nil
 }
 
 // ProviderCount reports the number of live providers for a name.
 func (d *Directory) ProviderCount(kind Kind, name string) int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return len(d.entries[dirKey{kind: kind, name: name}])
+	ps, ok := d.entries[dirKey{kind: kind, name: name}]
+	if !ok {
+		return 0
+	}
+	return ps.len()
 }

@@ -1,0 +1,90 @@
+package naming
+
+import (
+	"fmt"
+	"runtime"
+	"testing"
+	"time"
+
+	"uavmw/internal/transport"
+)
+
+// liveHeap reads the live heap after a collection.
+func liveHeap() int64 {
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	return int64(ms.HeapAlloc)
+}
+
+// TestDirectoryBindingFootprint pins what one cached binding costs: 16
+// nodes' announcements of 1,000 records each, decoded from their wire
+// bytes as a receiver gets them, cost at most 150 B per binding once
+// applied to one directory.
+func TestDirectoryBindingFootprint(t *testing.T) {
+	const nodes, records = 16, 1000
+	wire := make([][]byte, nodes)
+	for n := range wire {
+		node := transport.NodeID(fmt.Sprintf("n%03d", n))
+		a := &Announcement{Node: node, Epoch: 1, Version: 1}
+		for i := 0; i < records; i++ {
+			a.Records = append(a.Records, Record{
+				Kind:    KindFunction,
+				Name:    fmt.Sprintf("fn.%s.%04d", node, i),
+				Service: fmt.Sprintf("svc%d", i%8),
+				Node:    node,
+				TypeSig: "f64",
+				ArgSig:  "{a:i32,b:i32}",
+			})
+		}
+		var err error
+		if wire[n], err = EncodeAnnouncement(a); err != nil {
+			t.Fatal(err)
+		}
+	}
+	d := NewDirectory(time.Minute)
+	now := time.Now()
+	before := liveHeap()
+	for _, b := range wire {
+		a, err := DecodeAnnouncement(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d.Apply(a, now)
+	}
+	after := liveHeap()
+	runtime.KeepAlive(d)
+	if got := d.NodeRecordCount("n007"); got != records {
+		t.Fatalf("n007 has %d records cached, want %d", got, records)
+	}
+	perBinding := float64(after-before) / (nodes * records)
+	t.Logf("%.0f B per binding", perBinding)
+	if perBinding > 150 {
+		t.Errorf("one binding costs %.0f B, want <= 150", perBinding)
+	}
+}
+
+// TestLogHistoryIsLazy: a log that never changed holds no catch-up ring,
+// and answers DeltaSince exactly as one that has one.
+func TestLogHistoryIsLazy(t *testing.T) {
+	l := NewLog()
+	if _, _, _, _, changed := l.Update(nil); changed {
+		t.Fatal("an empty update changed an empty log")
+	}
+	if l.history != nil {
+		t.Fatal("a log with no change allocated its history")
+	}
+	if added, withdrawn, to, ok := l.DeltaSince(0); !ok || to != 0 || added != nil || withdrawn != nil {
+		t.Fatalf("DeltaSince(0) on a fresh log = %v %v %d %v", added, withdrawn, to, ok)
+	}
+	if _, _, _, ok := l.DeltaSince(1); ok {
+		t.Fatal("DeltaSince ahead of a fresh log answered")
+	}
+	rec := Record{Kind: KindVariable, Name: "a", Node: "n"}
+	if _, _, _, _, changed := l.Update([]Record{rec}); !changed || len(l.history) != logHistoryDepth {
+		t.Fatalf("first change: changed=%v, history of %d", changed, len(l.history))
+	}
+	if added, _, to, ok := l.DeltaSince(0); !ok || to != 1 || len(added) != 1 || added[0] != rec {
+		t.Fatalf("DeltaSince(0) after one change = %v %d %v", added, to, ok)
+	}
+}

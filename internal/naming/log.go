@@ -14,6 +14,7 @@ type Log struct {
 	// history is a ring of recent changes indexed by version % depth, so
 	// an anti-entropy request from a slightly stale peer can be answered
 	// with a compact catch-up delta instead of the full chunked catalog.
+	// The first change allocates it: a node that offers nothing holds none.
 	history []logChange
 }
 
@@ -29,10 +30,7 @@ const logHistoryDepth = 256
 
 // NewLog builds an empty log at version zero.
 func NewLog() *Log {
-	return &Log{
-		records: make(map[RecordKey]Record),
-		history: make([]logChange, logHistoryDepth),
-	}
+	return &Log{records: make(map[RecordKey]Record)}
 }
 
 // Update replaces the offer with recs and, if anything changed, bumps the
@@ -63,6 +61,9 @@ func (l *Log) Update(recs []Record) (added []Record, withdrawn []RecordKey, from
 	from = l.version
 	l.version++
 	l.records = next
+	if l.history == nil {
+		l.history = make([]logChange, logHistoryDepth)
+	}
 	l.history[l.version%logHistoryDepth] = logChange{
 		to: l.version, added: added, withdrawn: withdrawn,
 	}

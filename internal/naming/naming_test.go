@@ -270,8 +270,9 @@ func providerDirectory(n int) *Directory {
 	return d
 }
 
-// TestSelectAllocs gates Select at zero allocations: the provider list is
-// built in the directory's scratch slice and sorted in place.
+// TestSelectAllocs gates Select at zero allocations: providers are kept in
+// node order, and the candidate list is built in the directory's scratch
+// slice.
 func TestSelectAllocs(t *testing.T) {
 	for _, n := range []int{1, 3} {
 		d := providerDirectory(n)
