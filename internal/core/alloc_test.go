@@ -161,9 +161,10 @@ func TestReceivePathAllocs(t *testing.T) {
 	}
 }
 
-// TestHeldCallAckAllocs gates a call's held acknowledgment at zero: held
-// and then cancelled by its reply, and held and then flushed when its
-// delay runs out, the ack's transmit and drain included. The delay is set
+// TestHeldCallAckAllocs gates a held acknowledgment at zero: a call's held
+// and then cancelled by its reply, a reply's held and then carried by the
+// next frame to its peer, and one held and then flushed when its delay runs
+// out, the transmit and drain included. The delay is set
 // past the measurement, so the shard's timer, armed once in the warm-up,
 // stays pending and the flush runs on the test's goroutine.
 func TestHeldCallAckAllocs(t *testing.T) {
@@ -182,14 +183,26 @@ func TestHeldCallAckAllocs(t *testing.T) {
 	}{
 		{"hold, cancel", func() {
 			seq++
-			h.hold(DefaultBearer, "peer", seq)
+			h.hold(DefaultBearer, "peer", seq, qos.PriorityNormal, false)
 			if !h.cancel("peer", seq) {
 				t.Fatalf("call %d: no held ack to cancel", seq)
 			}
 		}},
+		{"hold reply, carry", func() {
+			seq++
+			h.hold(DefaultBearer, "peer", seq, qos.PriorityNormal, true)
+			f := protocol.Frame{Type: protocol.MTEvent, Priority: qos.PriorityNormal, Channel: "held.gate"}
+			if err := n.SendBestEffort("peer", &f); err != nil {
+				t.Fatal(err)
+			}
+			<-sink.sent
+			if h.replies.Load() != 0 {
+				t.Fatalf("reply %d: its held ack was not carried", seq)
+			}
+		}},
 		{"hold, flush", func() {
 			seq++
-			h.hold(DefaultBearer, "peer", seq)
+			h.hold(DefaultBearer, "peer", seq, qos.PriorityNormal, false)
 			h.mu.Lock()
 			h.flushDue(h.clk.Now().Add(2 * h.delay))
 			h.mu.Unlock()

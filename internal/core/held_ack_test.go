@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"uavmw/internal/clock"
+	"uavmw/internal/egress"
 	"uavmw/internal/naming"
 	"uavmw/internal/presentation"
 	"uavmw/internal/protocol"
@@ -27,7 +28,9 @@ type wireLog struct {
 	lost      int
 	datagrams int                           // datagrams carrying a call, reply, fragment or ack
 	seqs      map[protocol.MsgType][]uint64 // frame seqs sent, by type
-	acked     []uint64                      // the seqs the MTAcks sent acknowledge
+	acked     []uint64                      // the seqs the MTAcks and header ack blocks sent acknowledge
+	carried   []uint64                      // the seqs the header ack blocks sent acknowledge
+	sends     int                           // unicast datagrams
 }
 
 func newWireLog(tr transport.Transport) *wireLog {
@@ -58,6 +61,7 @@ func (w *wireLog) Send(to transport.NodeID, payload []byte) error {
 	frames := unbatch(payload)
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	w.sends++
 	if w.lose != 0 && slices.ContainsFunc(frames, func(f *protocol.Frame) bool { return f.Type == w.lose }) {
 		w.lose = 0
 		w.lost++
@@ -66,6 +70,12 @@ func (w *wireLog) Send(to transport.NodeID, payload []byte) error {
 	counted := false
 	for _, f := range frames {
 		w.seqs[f.Type] = append(w.seqs[f.Type], f.Seq)
+		_ = protocol.EachAckBlockRange(f, func(lo, hi uint64) {
+			for seq := lo; seq <= hi; seq++ {
+				w.acked = append(w.acked, seq)
+				w.carried = append(w.carried, seq)
+			}
+		})
 		switch f.Type {
 		case protocol.MTAck:
 			_ = protocol.EachAckRange(f, func(lo, hi uint64) {
@@ -95,7 +105,7 @@ func (w *wireLog) loseNext(mt protocol.MsgType) {
 // reset forgets what was recorded so far.
 func (w *wireLog) reset() {
 	w.mu.Lock()
-	w.datagrams, w.acked = 0, nil
+	w.datagrams, w.sends, w.acked, w.carried = 0, 0, nil, nil
 	clear(w.seqs)
 	w.mu.Unlock()
 }
@@ -110,6 +120,18 @@ func (w *wireLog) ackedSeqs() []uint64 {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return slices.Clone(w.acked)
+}
+
+func (w *wireLog) carriedSeqs() []uint64 {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return slices.Clone(w.carried)
+}
+
+func (w *wireLog) unicast() int {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.sends
 }
 
 func (w *wireLog) rpcDatagrams() int {
@@ -181,11 +203,14 @@ func callIncrement(t *testing.T, caller *Node, fn string, x uint32) {
 	}
 }
 
-// TestRPCReplyAcknowledgesCall runs calls to a handler that answers at once
-// on the in-process bus: each costs exactly three datagrams — the call, the
-// reply and the caller's ack of the reply — because the reply acknowledges
-// the call and the provider sends no ack of its own. The virtual clock
-// makes "at once" exact: time cannot pass while the handler runs.
+// TestRPCReplyAcknowledgesCall runs back-to-back calls to a handler that
+// answers at once on the in-process bus: each costs exactly two datagrams,
+// the call and the reply. The reply acknowledges its call, so the provider
+// sends no ack of its own, and each call carries the caller's ack of the
+// previous reply in its header ack block; only the last reply's ack leaves
+// alone, once the hold's delay runs out. The virtual clock makes "at once"
+// and "back to back" exact: no time passes between a reply and the next
+// call.
 func TestRPCReplyAcknowledgesCall(t *testing.T) {
 	v := clock.NewVirtual()
 	v.Run(func() {
@@ -204,32 +229,96 @@ func TestRPCReplyAcknowledgesCall(t *testing.T) {
 		defer func() { _ = provider.Close() }()
 		registerIncrement(t, provider, "fn", nil, nil)
 		waitProviders(t, v, caller, "fn", 1)
+		// Let the discovery exchange's own acks leave first.
+		v.Sleep(5 * maxAckDelay)
 		callerLog.reset()
 		providerLog.reset()
 
 		const calls = 16
 		for i := uint32(0); i < calls; i++ {
 			callIncrement(t, caller, "fn", i)
-			// The caller's ack of the reply leaves before the next call, so
-			// no egress batch carries both.
-			if !virtualWait(v, time.Second, func() bool { return provider.arq.Pending() == 0 }) {
-				t.Fatalf("call %d: the reply was never acknowledged", i)
-			}
+		}
+		if !virtualWait(v, time.Second, func() bool { return provider.arq.Pending() == 0 }) {
+			t.Fatal("the replies were never all acknowledged")
 		}
 		if acks := providerLog.sent(protocol.MTAck); len(acks) != 0 {
 			t.Errorf("provider sent %d acks for %d calls answered at once, want none: the reply is the ack", len(acks), calls)
 		}
-		if got, want := callerLog.rpcDatagrams()+providerLog.rpcDatagrams(), 3*calls; got != want {
+		if acks := callerLog.sent(protocol.MTAck); len(acks) != 1 {
+			t.Errorf("caller sent %d acks, want one for the last reply", len(acks))
+		}
+		if got, want := callerLog.rpcDatagrams()+providerLog.rpcDatagrams(), 2*calls+1; got != want {
 			t.Errorf("%d calls took %d datagrams, want %d", calls, got, want)
 		}
-		if got := len(callerLog.ackedSeqs()); got != calls {
-			t.Errorf("caller acknowledged %d replies, want %d", got, calls)
+		replies := providerLog.sent(protocol.MTReturn)
+		if got := callerLog.ackedSeqs(); !slices.Equal(got, replies) {
+			t.Errorf("caller acknowledged %v, want each reply once: %v", got, replies)
+		}
+		if got := len(callerLog.carriedSeqs()); got != calls-1 {
+			t.Errorf("calls carried %d reply acks, want %d", got, calls-1)
 		}
 		if p := caller.arq.Pending(); p != 0 {
 			t.Errorf("caller holds %d unacknowledged messages after every call returned", p)
 		}
-		if r := counter(t, caller, "arq", "retransmits"); r != 0 {
-			t.Errorf("caller retransmitted %d times on a clean link", r)
+		for _, n := range []*Node{caller, provider} {
+			if r := counter(t, n, "arq", "retransmits"); r != 0 {
+				t.Errorf("%s retransmitted %d times on a clean link", n.ID(), r)
+			}
+		}
+	})
+}
+
+// TestReplyAckLeavesAfterDelay makes one call and then falls silent: with
+// no next frame to carry it, the caller's ack of the reply leaves alone in
+// an MTAck once the hold's delay has run out, before the provider's first
+// ARQ timeout, so the provider retransmits nothing.
+func TestReplyAckLeavesAfterDelay(t *testing.T) {
+	v := clock.NewVirtual()
+	v.Run(func() {
+		net := transport.NewSimBus(transport.SimConfig{Seed: 7, Latency: 200 * time.Microsecond, Clock: v})
+		defer net.Close()
+		endpoint := func(id transport.NodeID) *wireLog {
+			ep, err := net.Endpoint(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return newWireLog(ep)
+		}
+		callerLog, providerLog := endpoint("caller"), endpoint("provider")
+		caller := virtualNode(t, v, callerLog)
+		defer func() { _ = caller.Close() }()
+		provider := virtualNode(t, v, providerLog)
+		defer func() { _ = provider.Close() }()
+		registerIncrement(t, provider, "fn", nil, nil)
+		waitProviders(t, v, caller, "fn", 1)
+		v.Sleep(5 * maxAckDelay)
+		callerLog.reset()
+		providerLog.reset()
+
+		callIncrement(t, caller, "fn", 1)
+		answered := v.Now()
+		if !virtualWait(v, time.Second, func() bool { return len(callerLog.sent(protocol.MTAck)) > 0 }) {
+			t.Fatal("the reply was never acknowledged")
+		}
+		if waited := v.Now().Sub(answered); waited > maxAckDelay+100*time.Microsecond {
+			t.Errorf("the reply's ack left %v after the reply, want within the %v hold", waited, maxAckDelay)
+		}
+		if !virtualWait(v, time.Second, func() bool { return provider.arq.Pending() == 0 }) {
+			t.Fatal("the provider never saw the reply's ack")
+		}
+		v.Sleep(50 * time.Millisecond)
+		replies := providerLog.sent(protocol.MTReturn)
+		if len(replies) != 1 {
+			t.Fatalf("provider sent %d reply frames, want 1", len(replies))
+		}
+		if acks := callerLog.sent(protocol.MTAck); len(acks) != 1 {
+			t.Errorf("caller sent %d acks, want one", len(acks))
+		}
+		if got := callerLog.ackedSeqs(); !slices.Equal(got, replies) {
+			t.Errorf("caller acknowledged %v, want the reply's %v", got, replies)
+		}
+		if r := counter(t, provider, "arq", "retransmits"); r != 0 {
+			t.Errorf("provider retransmitted %d times although the reply was acknowledged after %v", r, maxAckDelay)
 		}
 	})
 }
@@ -469,7 +558,7 @@ func TestHeldCallAckReuse(t *testing.T) {
 		}
 	}()
 	for seq := uint64(1); seq <= holds; seq++ {
-		h.hold(DefaultBearer, "peer", seq)
+		h.hold(DefaultBearer, "peer", seq, qos.PriorityNormal, false)
 		replies <- seq
 	}
 	close(replies)
@@ -494,4 +583,225 @@ func TestHeldCallAckReuse(t *testing.T) {
 		}
 	}
 	t.Logf("%d of %d held acks dropped for their replies, %d sent", dropped, holds, holds-dropped)
+}
+
+// TestRPCClosedLoopPackets runs the rpc_closed shape on the wall clock: two
+// callers on one node, each issuing its next call to its own function on a
+// provider when the previous one returned, over a clean in-process bus. A
+// call and its reply are the only datagrams an RPC needs: the reply
+// acknowledges the call, and the next call, whichever caller issues it,
+// acknowledges the replies that arrived before it. ARQ's first timeout is
+// raised so that a test binary starved for 20 ms cannot draw a spurious
+// retransmission; the ack hold stays at its 1 ms.
+func TestRPCClosedLoopPackets(t *testing.T) {
+	bus := transport.NewBus()
+	node := func(id transport.NodeID) (*Node, *wireLog) {
+		ep, err := bus.Endpoint(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := newWireLog(ep)
+		n, err := NewNode(WithDatagram(w), WithARQ(protocol.WithTimeout(time.Second)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = n.Close() })
+		return n, w
+	}
+	caller, callerLog := node("caller")
+	provider, providerLog := node("provider")
+	if d := provider.shards[0].held.delay; d != maxAckDelay {
+		t.Fatalf("ack hold %v, want %v", d, maxAckDelay)
+	}
+	fns := []string{"fn0", "fn1"}
+	for _, fn := range fns {
+		registerIncrement(t, provider, fn, nil, nil)
+	}
+	waitUntil(t, 5*time.Second, "discovery", func() bool {
+		return caller.Directory().ProviderCount(naming.KindFunction, fns[1]) == 1 &&
+			caller.Directory().ProviderCount(naming.KindFunction, fns[0]) == 1
+	})
+	time.Sleep(5 * maxAckDelay)
+	callerLog.reset()
+	providerLog.reset()
+
+	const calls = 5000
+	var wg sync.WaitGroup
+	for _, fn := range fns {
+		wg.Add(1)
+		go func(fn string) {
+			defer wg.Done()
+			for i := uint32(0); i < calls; i++ {
+				callIncrement(t, caller, fn, i)
+			}
+		}(fn)
+	}
+	wg.Wait()
+	// Well inside the raised timeout: every reply was acknowledged, most
+	// of them by the next call's header.
+	waitUntil(t, 500*time.Millisecond, "every reply acknowledged", func() bool { return provider.arq.Pending() == 0 })
+	total := float64(len(fns) * calls)
+	packets := float64(callerLog.unicast() + providerLog.unicast())
+	t.Logf("%.3f datagrams per call, %d reply acks carried, %d sent alone",
+		packets/total, len(callerLog.carriedSeqs()), len(callerLog.sent(protocol.MTAck)))
+	if packets/total > 2.1 {
+		t.Errorf("%.0f calls took %.0f datagrams, %.3f per call, want <= 2.1", total, packets, packets/total)
+	}
+	for _, n := range []*Node{caller, provider} {
+		if r := counter(t, n, "arq", "retransmits"); r != 0 {
+			t.Errorf("%s retransmitted %d times on a clean link", n.ID(), r)
+		}
+	}
+}
+
+// TestHeldAckRidesOnlyEligibleFrames holds reply acks on a two-bearer node
+// and sends the frames that must not carry them — group, bulk, loopback,
+// over-MTU, too full for the block, below the acked replies' class, and on
+// the other bearer — and then the frames that must: each held ack leaves
+// once, in the header of a unicast frame on the bearer its reply arrived
+// on, in a class no lower than the reply's.
+func TestHeldAckRidesOnlyEligibleFrames(t *testing.T) {
+	logA, logB := newWireLog(&wireSink{id: "n"}), newWireLog(&wireSink{id: "n"})
+	n, err := NewNode(WithBearer("a", logA, qos.BearerProfile{}), WithBearer("b", logB, qos.BearerProfile{}),
+		WithAnnouncePeriod(time.Hour), WithIngressShards(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = n.Close() }()
+	h := n.shards[0].held
+	h.delay = time.Hour // nothing falls due during the test
+	hold := func(bearer string, pr qos.Priority, seqs ...uint64) {
+		for _, seq := range seqs {
+			if !h.hold(bearer, "peer", seq, pr, true) {
+				t.Fatal("hold refused")
+			}
+		}
+	}
+	hold("a", qos.PriorityNormal, 10, 11, 12)
+	hold("a", qos.PriorityHigh, 13)
+	hold("b", qos.PriorityNormal, 14)
+
+	send := func(d egress.Dest, pr qos.Priority, payload int) {
+		t.Helper()
+		f := protocol.Frame{Type: protocol.MTSample, Priority: pr, Channel: "held.ride", Payload: make([]byte, payload)}
+		if err := n.transmit(d, &f, nil); err != nil {
+			t.Fatal(err)
+		}
+		n.FlushEgress()
+	}
+	// The largest payload that still fits one datagram with no block.
+	plain := protocol.Frame{Type: protocol.MTSample, Channel: "held.ride", Seq: n.seq.Load() + 1}
+	full := n.mtu - protocol.FrameWireSize(&plain)
+	for _, c := range []struct {
+		name string
+		d    egress.Dest
+		pr   qos.Priority
+		size int
+	}{
+		{"group", egress.Dest{Group: "g"}, qos.PriorityCritical, 8},
+		{"bulk", egress.Dest{Node: "peer", Bearer: "a"}, qos.PriorityBulk, 8},
+		{"loopback", egress.Dest{Node: n.ID()}, qos.PriorityCritical, 8},
+		{"over the MTU", egress.Dest{Node: "peer", Bearer: "a"}, qos.PriorityCritical, 2 * n.mtu},
+		{"no room for the block", egress.Dest{Node: "peer", Bearer: "a"}, qos.PriorityCritical, full},
+		{"below the replies' class", egress.Dest{Node: "peer", Bearer: "a"}, qos.PriorityLow, 8},
+		{"other bearer", egress.Dest{Node: "peer", Bearer: "b"}, qos.PriorityLow, 8},
+	} {
+		send(c.d, c.pr, c.size)
+		if got := append(logA.carriedSeqs(), logB.carriedSeqs()...); len(got) != 0 {
+			t.Fatalf("%s frame carried held acks %v", c.name, got)
+		}
+		if r := h.replies.Load(); r != 5 {
+			t.Fatalf("after the %s frame %d reply acks are held, want 5", c.name, r)
+		}
+	}
+
+	// A normal frame on a carries the normal acks that arrived on a; a high
+	// one the rest; an unpinned one takes the selector's bearer.
+	send(egress.Dest{Node: "peer", Bearer: "a"}, qos.PriorityNormal, 8)
+	if got := logA.carriedSeqs(); !slices.Equal(got, []uint64{10, 11, 12}) {
+		t.Errorf("normal frame on a carried %v, want [10 11 12]", got)
+	}
+	send(egress.Dest{Node: "peer", Bearer: "a"}, qos.PriorityHigh, 8)
+	if got := logA.carriedSeqs(); !slices.Equal(got, []uint64{10, 11, 12, 13}) {
+		t.Errorf("high frame on a carried %v, want 13 too", got)
+	}
+	sel := n.unicastBearer("peer", qos.PriorityNormal)
+	hold(sel, qos.PriorityNormal, 15)
+	send(egress.Dest{Node: "peer"}, qos.PriorityNormal, 8)
+	want := map[string][]uint64{"a": {10, 11, 12, 13}, "b": {14, 15}}
+	if sel == "a" {
+		want = map[string][]uint64{"a": {10, 11, 12, 13, 15}, "b": nil}
+		send(egress.Dest{Node: "peer", Bearer: "b"}, qos.PriorityNormal, 8)
+		want["b"] = []uint64{14}
+	}
+	if got := logA.carriedSeqs(); !slices.Equal(got, want["a"]) {
+		t.Errorf("bearer a carried %v, want %v", got, want["a"])
+	}
+	if got := logB.carriedSeqs(); !slices.Equal(got, want["b"]) {
+		t.Errorf("bearer b carried %v, want %v", got, want["b"])
+	}
+	if r := h.replies.Load(); r != 0 {
+		t.Errorf("%d reply acks still held", r)
+	}
+	if acks := append(logA.sent(protocol.MTAck), logB.sent(protocol.MTAck)...); len(acks) != 0 {
+		t.Errorf("%d acks left alone, want none", len(acks))
+	}
+}
+
+// TestHeldReplyAckReuse races frames carrying held reply acks against the
+// shard timer flushing them, on a delay short enough that the two meet
+// (run it with -race): every held ack leaves exactly once, in one frame's
+// header or in one MTAck, however the held list's reused array shifts
+// under the two.
+func TestHeldReplyAckReuse(t *testing.T) {
+	sink := newWireLog(&wireSink{id: "held-race"})
+	n, err := NewNode(WithDatagram(sink), WithAnnouncePeriod(time.Hour), WithIngressShards(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := n.shards[0].held
+	h.delay = 100 * time.Microsecond
+	const holds = 2000
+	held := make(chan uint64)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for seq := range held {
+			if seq%3 != 0 {
+				continue
+			}
+			// Every ninth frame comes around the delay's end.
+			if seq%9 == 0 {
+				time.Sleep(h.delay)
+			}
+			f := protocol.Frame{Type: protocol.MTSample, Priority: qos.PriorityNormal, Channel: "held.race"}
+			if err := n.SendBestEffort("peer", &f); err != nil {
+				t.Error(err)
+				return
+			}
+			// Keep the lane short of its cap: a frame dropped there would
+			// take its acks with it.
+			n.FlushEgress()
+		}
+	}()
+	for seq := uint64(1); seq <= holds; seq++ {
+		h.hold(DefaultBearer, "peer", seq, qos.PriorityNormal, true)
+		held <- seq
+	}
+	close(held)
+	<-done
+	// Close sends what is still held and drains the egress plane.
+	if err := n.Close(); err != nil {
+		t.Fatal(err)
+	}
+	sent := map[uint64]int{}
+	for _, seq := range sink.ackedSeqs() {
+		sent[seq]++
+	}
+	for seq := uint64(1); seq <= holds; seq++ {
+		if sent[seq] != 1 {
+			t.Fatalf("reply %d: ack sent %d times, want once", seq, sent[seq])
+		}
+	}
+	t.Logf("%d of %d held acks carried, %d sent alone", len(sink.carriedSeqs()), holds, holds-len(sink.carriedSeqs()))
 }

@@ -490,8 +490,10 @@ func (r *reliable) complete(err error) error {
 // this node straight to its engine, split what exceeds the MTU, and hand
 // each datagram to the egress plane — directly and plane-owned for
 // best-effort traffic, through ARQ (which keeps its own copy and re-enters
-// the plane per transmission) when rel is set. Every Send* method, the ack
-// path and the link probes go through it.
+// the plane per transmission) when rel is set. A unicast frame to a peer
+// settles the acks held for it (heldAcks): a reply drops its call's, and a
+// frame that fits one datagram carries the held reply acks it may. Every
+// Send* method, the ack path and the link probes go through it.
 func (n *Node) transmit(d egress.Dest, f *protocol.Frame, rel *reliable) error {
 	// A batch's outer header carries no sequence semantics; its zero Seq
 	// is not "unassigned".
@@ -504,13 +506,30 @@ func (n *Node) transmit(d egress.Dest, f *protocol.Frame, rel *reliable) error {
 	if rel != nil && !loopback {
 		f.Flags |= protocol.FlagAckRequired
 	}
-	if !loopback && isReply(f.Type) {
-		// The reply acknowledges its call: the call's held ack stays home.
-		if id, ok := rpc.ReplyCallID(f.Payload); ok {
-			n.shards[n.ingress.ShardOf(d.Node)].held.cancel(d.Node, id)
+	size := protocol.FrameWireSize(f)
+	if !loopback && d.Group == "" {
+		held := n.shards[n.ingress.ShardOf(d.Node)].held
+		if isReply(f.Type) {
+			// The reply acknowledges its call: the call's held ack stays home.
+			if id, ok := rpc.ReplyCallID(f.Payload); ok {
+				held.cancel(d.Node, id)
+			}
+		}
+		if size < n.mtu && carriesAcks(f) && held.replies.Load() > 0 {
+			// The frame carries the held acks of replies that arrived on
+			// its bearer, the one it would take anyway, now pinned, in a
+			// class no higher than its own. The block rides a copy: the
+			// caller's frame is not touched.
+			if d.Bearer == "" {
+				d.Bearer = n.unicastBearer(d.Node, f.Priority)
+			}
+			var c carried
+			c.frame = *f
+			c.frame.AckLargest, c.frame.AckRanges = held.carry(d.Node, d.Bearer, f.Priority, n.mtu-size, &c)
+			f = &c.frame
+			size = protocol.FrameWireSize(f)
 		}
 	}
-	size := protocol.FrameWireSize(f)
 	split := !loopback && size > n.mtu
 	buf := bufpool.Get(size)
 	raw, err := protocol.AppendFrame(buf, f)
@@ -535,6 +554,26 @@ func (n *Node) transmit(d egress.Dest, f *protocol.Frame, rel *reliable) error {
 	err = n.transmitSplit(d, f, raw, rel)
 	bufpool.Put(raw) // fragments carry their own copies
 	return err
+}
+
+// carriesAcks reports whether f may carry held acks in its header block.
+// Acks, batches and fragments never do, nor bulk frames, which may wait for
+// a shaped lane far longer than an ack may be held.
+func carriesAcks(f *protocol.Frame) bool {
+	switch f.Type {
+	case protocol.MTAck, protocol.MTBatch, protocol.MTFragment:
+		return false
+	}
+	return f.Priority != qos.PriorityBulk && f.AckLargest == 0
+}
+
+// unicastBearer names the bearer a unicast frame of class pr to peer to
+// leaves on: the node's only bearer, or the selector's choice.
+func (n *Node) unicastBearer(to transport.NodeID, pr qos.Priority) string {
+	if bearers := n.links.Bearers(); len(bearers) == 1 {
+		return bearers[0].Name
+	}
+	return n.links.Unicast(to, pr)
 }
 
 // transmitSplit is transmit's over-MTU tail: raw, the encoded frame f, goes
@@ -633,15 +672,17 @@ var (
 // reassembly are source-keyed, and the pipeline hashes packets by source,
 // so each peer's state lives on exactly one shard and the pre-pipeline
 // global dedup lock is gone (the embedded mutexes survive only for the
-// rare cross-shard Forget on peer failure). The calls' acks held for their
-// replies are keyed by the same source: a reply to a peer finds the held
-// ack of its call on that peer's shard.
+// rare cross-shard Forget on peer failure). The acks held for the traffic
+// that acknowledges them are keyed by the same source: a frame to a peer
+// finds the held acks it cancels or carries on that peer's shard.
 type recvShard struct {
 	dedup *protocol.Dedup
 	reasm *protocol.Reassembler
 	// acks generated within one pipeline drain leave as one range MTAck
 	// per (bearer, peer) at batch end; touched only by the shard worker.
 	acks ackQueue
+	// held are the acks of arrived calls and replies that wait, up to
+	// maxAckDelay, for a frame back to their peer to make them free.
 	held *heldAcks
 }
 
@@ -722,15 +763,24 @@ func (n *Node) handleFrameOn(sh *recvShard, bearer string, from transport.NodeID
 }
 
 func (n *Node) handleFrame(sh *recvShard, bearer string, from transport.NodeID, f *protocol.Frame, depth int) {
+	// The acks a frame carries are true whatever becomes of the frame, a
+	// duplicate's too.
+	if f.AckLargest != 0 {
+		err := protocol.EachAckBlockRange(f, func(lo, hi uint64) { n.arq.AckRange(from, lo, hi) })
+		uerr.Note(n.metrics, codeAckDecode, err, "ignore undecodable ack block")
+	}
 	// Every ack-required frame — whole message or single fragment — is
 	// acknowledged, even when it is a retransmission whose first copy was
 	// already delivered (the ack was lost), and then delivered at most
 	// once. The ack is deferred to the end of the drain batch so acks to
-	// the same peer coalesce into one datagram. A call's first copy is the
-	// exception: its ack is held for the reply, which acknowledges it.
+	// the same peer coalesce into one datagram. The first copy of a call or
+	// a reply is the exception: its ack is held (heldAcks) for the traffic
+	// that acknowledges it, the call's reply or the next frame to the
+	// reply's sender.
 	if f.Flags&protocol.FlagAckRequired != 0 {
 		dup := sh.dedup.Seen(from, f.Seq)
-		if dup || f.Type != protocol.MTCall || !sh.held.hold(bearer, from, f.Seq) {
+		reply := isReply(f.Type)
+		if dup || (f.Type != protocol.MTCall && !reply) || !sh.held.hold(bearer, from, f.Seq, f.Priority, reply) {
 			sh.acks.acks = append(sh.acks.acks, pendingAck{bearer: bearer, to: from, seq: f.Seq})
 		}
 		if dup {
@@ -819,13 +869,15 @@ func (n *Node) flushAcks(q *ackQueue) {
 //
 // Acks ride the critical lane, so lower-class traffic congesting a link
 // cannot hold one past the peer's ARQ timeout and draw a spurious
-// retransmission. The only deliberate wait is a held call ack's, at most
-// maxAckDelay, under a quarter of the first ARQ timeout (ARQ keeps no RTT
-// estimate; its first timeout is a fixed 20 ms by default). Acks are
-// pinned to the bearer the data arrived on, so acknowledgment traffic
-// keeps measuring (and keeping alive) the same link as the data it
-// acknowledges. A refused enqueue (node closing) is counted, not returned:
-// the peer's ARQ retry is the recovery path.
+// retransmission. The only deliberate wait is that of an ack held for the
+// traffic that would carry it (a call's for its reply, a reply's for the
+// next frame to its sender: heldAcks), at most maxAckDelay, under a
+// quarter of the first ARQ timeout (ARQ keeps no RTT estimate; its first
+// timeout is a fixed 20 ms by default). Acks are pinned to the bearer the
+// data arrived on, so acknowledgment traffic keeps measuring (and keeping
+// alive) the same link as the data it acknowledges; a held ack rides only
+// a frame leaving on that bearer. A refused enqueue (node closing) is
+// counted, not returned: the peer's ARQ retry is the recovery path.
 func (n *Node) sendAcks(q *ackQueue, bearer string, to transport.NodeID, seqs []uint64) {
 	slices.Sort(seqs)
 	slices.Reverse(seqs)
@@ -1017,8 +1069,8 @@ func (n *Node) Close() error {
 	n.discovery.Close()
 	// Drain the receive pipeline before the ARQ and egress planes go
 	// down: queued arrivals still dispatch (final acks enqueue onto a
-	// live egress), then the workers stop, and the call acks still held
-	// for replies leave too.
+	// live egress), then the workers stop, and the acks still held leave
+	// too, their timers stopped.
 	n.ingress.Close()
 	for _, sh := range n.shards {
 		sh.held.close()

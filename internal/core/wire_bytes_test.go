@@ -18,11 +18,13 @@ import (
 
 // frameTap records the encoded size of the first frame of each type a
 // container hands its transport, looking inside egress batches; for MTAck
-// it records only a lone (one-seq) ack.
+// it records only a lone (one-seq) ack. A frame carrying a header ack
+// block is recorded apart, in carrying.
 type frameTap struct {
 	transport.Transport
-	mu    sync.Mutex
-	first map[protocol.MsgType]int
+	mu       sync.Mutex
+	first    map[protocol.MsgType]int
+	carrying map[protocol.MsgType]int
 }
 
 func (t *frameTap) note(raw []byte) {
@@ -43,8 +45,12 @@ func (t *frameTap) note(raw []byte) {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if _, seen := t.first[f.Type]; !seen {
-		t.first[f.Type] = len(raw)
+	first := t.first
+	if f.AckLargest != 0 {
+		first = t.carrying
+	}
+	if _, seen := first[f.Type]; !seen {
+		first[f.Type] = len(raw)
 	}
 }
 
@@ -52,6 +58,14 @@ func (t *frameTap) size(mt protocol.MsgType) (int, bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	n, ok := t.first[mt]
+	return n, ok
+}
+
+// carryingSize is size for frames that carry a header ack block.
+func (t *frameTap) carryingSize(mt protocol.MsgType) (int, bool) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	n, ok := t.carrying[mt]
 	return n, ok
 }
 
@@ -68,8 +82,8 @@ func (t *frameTap) SendGroup(group string, payload []byte) error {
 // TestMessageWireBytes pins the encoded size of one frame of each kind the
 // four primitives and the container put on the wire, captured from a real
 // exchange between two containers: a variable sample, a reliable event,
-// an RPC call and its reply, a file chunk, a lone ack and a heartbeat
-// digest. The three-range ack is built with the node's ack encoder: a
+// an RPC call and its reply, a call that carries the ack of the previous
+// reply, a file chunk, a lone ack and a heartbeat digest. The three-range ack is built with the node's ack encoder: a
 // container acknowledges six seqs in three runs with one frame. The
 // figures are the README's wire table; a change to any of them is a wire
 // format change.
@@ -80,7 +94,7 @@ func TestMessageWireBytes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tap := &frameTap{Transport: ep, first: map[protocol.MsgType]int{}}
+		tap := &frameTap{Transport: ep, first: map[protocol.MsgType]int{}, carrying: map[protocol.MsgType]int{}}
 		n, err := NewNode(WithDatagram(tap), WithAnnouncePeriod(50*time.Millisecond))
 		if err != nil {
 			t.Fatal(err)
@@ -144,9 +158,16 @@ func TestMessageWireBytes(t *testing.T) {
 	if err := alarm.Publish(ctx, map[string]any{"celsius": 86.0}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := gcs.RPC().Call(ctx, "nav.calibrate", map[string]any{"offset": -0.5},
-		argType, presentation.Bool(), qos.CallQoS{}); err != nil {
-		t.Fatal(err)
+	// Back-to-back calls: the next call carries the ack of the previous
+	// reply, unless the ack's hold ran out first.
+	for i := 0; i < 20; i++ {
+		if _, err := gcs.RPC().Call(ctx, "nav.calibrate", map[string]any{"offset": -0.5},
+			argType, presentation.Bool(), qos.CallQoS{}); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := gcsTap.carryingSize(protocol.MTCall); ok {
+			break
+		}
 	}
 	if _, _, err := gcs.Files().Fetch(ctx, "mission.plan", filetransfer.FetchOptions{}); err != nil {
 		t.Fatal(err)
@@ -163,22 +184,27 @@ func TestMessageWireBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, c := range []struct {
-		kind string
-		tap  *frameTap
-		mt   protocol.MsgType
-		want int
+		kind     string
+		tap      *frameTap
+		mt       protocol.MsgType
+		carrying bool
+		want     int
 	}{
-		{"variable sample", uavTap, protocol.MTSample, 58},
-		{"event", uavTap, protocol.MTEvent, 43},
-		{"rpc call", gcsTap, protocol.MTCall, 34},
-		{"rpc reply", uavTap, protocol.MTReturn, 24},
-		{"file chunk", uavTap, protocol.MTFileChunk, 1237},
-		{"lone ack", gcsTap, protocol.MTAck, 9},
-		{"3-range ack", nil, protocol.MTAck, 15},
-		{"heartbeat", uavTap, protocol.MTHeartbeat, 45},
+		{"variable sample", uavTap, protocol.MTSample, false, 58},
+		{"event", uavTap, protocol.MTEvent, false, 43},
+		{"rpc call", gcsTap, protocol.MTCall, false, 34},
+		{"rpc call carrying a lone ack", gcsTap, protocol.MTCall, true, 36},
+		{"rpc reply", uavTap, protocol.MTReturn, false, 24},
+		{"file chunk", uavTap, protocol.MTFileChunk, false, 1237},
+		{"lone ack", gcsTap, protocol.MTAck, false, 9},
+		{"3-range ack", nil, protocol.MTAck, false, 15},
+		{"heartbeat", uavTap, protocol.MTHeartbeat, false, 45},
 	} {
 		n, ok := len(raw), true
-		if c.tap != nil {
+		switch {
+		case c.tap != nil && c.carrying:
+			n, ok = c.tap.carryingSize(c.mt)
+		case c.tap != nil:
 			n, ok = c.tap.size(c.mt)
 		}
 		switch {
@@ -187,7 +213,7 @@ func TestMessageWireBytes(t *testing.T) {
 		case n != c.want:
 			t.Errorf("%s: %d bytes, want %d", c.kind, n, c.want)
 		default:
-			t.Logf("%-16s %4d B", c.kind, n)
+			t.Logf("%-28s %4d B", c.kind, n)
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"testing"
 	"time"
+	"unsafe"
 
 	"uavmw/internal/transport"
 )
@@ -86,5 +87,42 @@ func TestLogHistoryIsLazy(t *testing.T) {
 	}
 	if added, _, to, ok := l.DeltaSince(0); !ok || to != 1 || len(added) != 1 || added[0] != rec {
 		t.Fatalf("DeltaSince(0) after one change = %v %d %v", added, to, ok)
+	}
+}
+
+// TestDecodeAnnouncementSharesStrings decodes a 1,000-record announcement
+// whose records share one service and one pair of signatures: beyond the
+// record slice, each record costs at most its name's string, and the
+// shared fields come back as one string each, not a copy per record.
+func TestDecodeAnnouncementSharesStrings(t *testing.T) {
+	const records = 1000
+	a := &Announcement{Node: "n", Epoch: 1, Version: 1}
+	for i := 0; i < records; i++ {
+		a.Records = append(a.Records, Record{Kind: KindFunction, Name: fmt.Sprintf("fn.%04d", i),
+			Service: "navigator", Node: "n", TypeSig: "{lat:f64,lon:f64}", ArgSig: "{wp:u32}"})
+	}
+	wire, err := EncodeAnnouncement(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got *Announcement
+	allocs := testing.AllocsPerRun(20, func() {
+		if got, err = DecodeAnnouncement(wire); err != nil {
+			t.Fatal(err)
+		}
+	})
+	// The announcement, its node id and its record slice, then one name
+	// per record.
+	if limit := float64(records + 4); allocs > limit {
+		t.Errorf("decoding %d records: %.0f allocs, want <= %.0f", records, allocs, limit)
+	}
+	if len(got.Records) != records || got.Records[records-1] != a.Records[records-1] {
+		t.Fatalf("decoded %d records, last %+v", len(got.Records), got.Records[len(got.Records)-1])
+	}
+	first, last := got.Records[0], got.Records[records-1]
+	if unsafe.StringData(first.Service) != unsafe.StringData(last.Service) ||
+		unsafe.StringData(first.TypeSig) != unsafe.StringData(last.TypeSig) ||
+		unsafe.StringData(first.ArgSig) != unsafe.StringData(last.ArgSig) {
+		t.Error("the shared fields of two decoded records are separate copies")
 	}
 }

@@ -18,9 +18,12 @@ type Log struct {
 	history []logChange
 }
 
+// logChange is one version's change: the keys it added or replaced and
+// the keys it withdrew. The records themselves live once, in the live
+// map: a key the window leaves present is answered from there.
 type logChange struct {
 	to        uint64 // version this change produced
-	added     []Record
+	added     []RecordKey
 	withdrawn []RecordKey
 }
 
@@ -64,8 +67,12 @@ func (l *Log) Update(recs []Record) (added []Record, withdrawn []RecordKey, from
 	if l.history == nil {
 		l.history = make([]logChange, logHistoryDepth)
 	}
+	keys := make([]RecordKey, len(added))
+	for i, rec := range added {
+		keys[i] = rec.Key()
+	}
 	l.history[l.version%logHistoryDepth] = logChange{
-		to: l.version, added: added, withdrawn: withdrawn,
+		to: l.version, added: keys, withdrawn: withdrawn,
 	}
 	return added, withdrawn, from, l.version, true
 }
@@ -89,26 +96,24 @@ func (l *Log) DeltaSince(since uint64) (added []Record, withdrawn []RecordKey, t
 	}
 	// Replay the window into a net-change overlay: the requester held our
 	// exact state at `since`, so last-wins per key reconstructs the diff.
-	type change struct {
-		present bool
-		rec     Record
-	}
-	overlay := make(map[RecordKey]change)
+	// The window runs to the current version, so a key its last change
+	// left present holds its latest record in the live map.
+	overlay := make(map[RecordKey]bool)
 	for v := since + 1; v <= l.version; v++ {
 		entry := l.history[v%logHistoryDepth]
 		if entry.to != v {
 			return nil, nil, 0, false // overwritten by a newer wrap
 		}
-		for _, rec := range entry.added {
-			overlay[rec.Key()] = change{present: true, rec: rec}
+		for _, key := range entry.added {
+			overlay[key] = true
 		}
 		for _, key := range entry.withdrawn {
-			overlay[key] = change{}
+			overlay[key] = false
 		}
 	}
-	for key, c := range overlay {
-		if c.present {
-			added = append(added, c.rec)
+	for key, present := range overlay {
+		if present {
+			added = append(added, l.records[key])
 		} else {
 			withdrawn = append(withdrawn, key)
 		}

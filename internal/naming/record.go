@@ -10,6 +10,7 @@ import (
 	"fmt"
 
 	"uavmw/internal/encoding"
+	"uavmw/internal/intern"
 	"uavmw/internal/transport"
 )
 
@@ -142,14 +143,25 @@ func encodedRecordSize(rec Record) int {
 	return 1 + 4*4 + len(rec.Name) + len(rec.Service) + len(rec.TypeSig) + len(rec.ArgSig)
 }
 
+// Decoded records share the strings of their small vocabularies: a node
+// offers hundreds of resources from a handful of services, typed by a
+// handful of signatures, and every full announcement, delta and sync chunk
+// repeats them. Names are unique per record and are decoded fresh. The
+// tables are bounded (intern), so a flood of novel strings costs what a
+// plain decode does and evicts nothing.
+var (
+	recordServices   intern.Table
+	recordSignatures intern.Table // TypeSig and ArgSig
+)
+
 // decodeRecord reads one record body and stamps it with the provider node.
 func decodeRecord(r *encoding.Reader, node transport.NodeID) (Record, error) {
 	var rec Record
 	rec.Kind = Kind(r.Uint8())
 	rec.Name = r.String()
-	rec.Service = r.String()
-	rec.TypeSig = r.String()
-	rec.ArgSig = r.String()
+	rec.Service = recordServices.String(r.RawBytes())
+	rec.TypeSig = recordSignatures.String(r.RawBytes())
+	rec.ArgSig = recordSignatures.String(r.RawBytes())
 	rec.Node = node
 	if err := r.Err(); err != nil {
 		return Record{}, err

@@ -30,11 +30,16 @@ func ackedSeqs(t *testing.T, f *Frame) []uint64 {
 // and an ack it accepts must cover at most MaxAckSeqs seqs and re-encode
 // through AppendAck to exactly the same Seq and payload.
 //
+// The same seq and payload are also a header ack block on another frame:
+// the frame must decode exactly when the MTAck is accepted, to the same
+// seqs, and the block must re-encode through AppendAckBlock.
+//
 // top, steps and mtuSeed are a sender's side: a descending set of seqs
 // spelled by the step bytes, acknowledged
-// through AppendAck into frames of at most an MTU picked by mtuSeed. Every
-// frame must fit, and the frames must decode to exactly the seqs sent, each
-// once, in order.
+// through AppendAck into frames of at most an MTU picked by mtuSeed, and
+// through AppendAckBlock into header blocks of at most a room picked the
+// same way. Every frame and block must fit, and they must decode to exactly
+// the seqs sent, each once, in order.
 func FuzzAckRanges(f *testing.F) {
 	f.Add(uint64(7), []byte{}, uint64(100), []byte{0, 0, 0, 5, 0, 200}, uint16(0))
 	f.Add(uint64(7), []byte{2}, uint64(1<<20), []byte{0, 1, 0, 1, 0, 1, 0, 1}, uint16(3))
@@ -45,8 +50,10 @@ func FuzzAckRanges(f *testing.F) {
 	f.Add(uint64(5000), []byte{0xff, 0x3f}, uint64(3), []byte{}, uint16(9)) // 16,384 seqs
 	f.Fuzz(func(t *testing.T, seq uint64, payload []byte, top uint64, steps []byte, mtuSeed uint16) {
 		in := Frame{Type: MTAck, Seq: seq, Payload: payload}
-		if walkAck(&in, nil) == nil {
-			seqs := ackedSeqs(t, &in)
+		valid := walkRanges(seq, payload, nil) == nil
+		var seqs []uint64
+		if valid {
+			seqs = ackedSeqs(t, &in)
 			if len(seqs) > MaxAckSeqs {
 				t.Fatalf("accepted ack covers %d seqs", len(seqs))
 			}
@@ -57,6 +64,9 @@ func FuzzAckRanges(f *testing.F) {
 			if out.Seq != seq || !bytes.Equal(out.Payload, payload) {
 				t.Fatalf("ack %d %x re-encodes as %d %x", seq, payload, out.Seq, out.Payload)
 			}
+		}
+		if seq != 0 {
+			checkAckBlock(t, seq, payload, valid, seqs)
 		}
 
 		sent := []uint64{top}
@@ -98,5 +108,65 @@ func FuzzAckRanges(f *testing.F) {
 		if !slices.Equal(got, sent) {
 			t.Fatalf("acked %v, sent %v", got, sent)
 		}
+
+		// A header block cannot name seq 0, which no frame carries.
+		if len(sent) > 0 && sent[len(sent)-1] == 0 {
+			sent = sent[:len(sent)-1]
+		}
+		room := AckBlockSize(top, nil) + int(mtuSeed%64)
+		got = got[:0]
+		for rest := sent; len(rest) > 0; {
+			largest := rest[0]
+			var ranges []byte
+			if ranges, rest = AppendAckBlock(nil, rest, room); len(rest) > 0 && rest[0] == largest {
+				t.Fatalf("no block of %d seqs fits in %d bytes", len(rest), room)
+			}
+			if n := AckBlockSize(largest, ranges); n > room {
+				t.Fatalf("%d-byte ack block, room %d", n, room)
+			}
+			raw, err := EncodeFrame(&Frame{Type: MTSample, Seq: 1, AckLargest: largest, AckRanges: ranges})
+			if err != nil {
+				t.Fatal(err)
+			}
+			dec, err := DecodeFrame(raw)
+			if err != nil {
+				t.Fatalf("block %d %x rejected: %v", largest, ranges, err)
+			}
+			got = append(got, blockSeqs(t, dec)...)
+		}
+		if !slices.Equal(got, sent) {
+			t.Fatalf("blocks acked %v, sent %v", got, sent)
+		}
 	})
+}
+
+// blockSeqs expands an accepted frame's header ack block into its seqs, in
+// descending order.
+func blockSeqs(t *testing.T, f *Frame) []uint64 {
+	t.Helper()
+	return ackedSeqs(t, &Frame{Type: MTAck, Seq: f.AckLargest, Payload: f.AckRanges})
+}
+
+// checkAckBlock carries largest and ranges as a header ack block: the frame
+// decodes iff valid, to seqs, and the block re-encodes byte for byte.
+func checkAckBlock(t *testing.T, largest uint64, ranges []byte, valid bool, seqs []uint64) {
+	t.Helper()
+	raw, err := EncodeFrame(&Frame{Type: MTReturn, Seq: 3, AckLargest: largest, AckRanges: ranges, Payload: []byte{1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec, err := DecodeFrame(raw)
+	if (err == nil) != valid {
+		t.Fatalf("block %d %x: decode error %v, MTAck form valid %v", largest, ranges, err, valid)
+	}
+	if !valid {
+		return
+	}
+	if got := blockSeqs(t, dec); !slices.Equal(got, seqs) {
+		t.Fatalf("block %d %x acks %v, the MTAck form %v", largest, ranges, got, seqs)
+	}
+	out, rest := AppendAckBlock(nil, seqs, AckBlockSize(largest, ranges))
+	if len(rest) != 0 || !bytes.Equal(out, ranges) {
+		t.Fatalf("block %d %x re-encodes as %x, leaving %d seqs", largest, ranges, out, len(rest))
+	}
 }

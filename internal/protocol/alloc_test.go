@@ -24,36 +24,46 @@ func wireTestFrame(payload []byte) *Frame {
 	}
 }
 
+// ackingTestFrame is wireTestFrame carrying a three-range header ack block.
+func ackingTestFrame(payload []byte) *Frame {
+	f := wireTestFrame(payload)
+	f.AckLargest, f.AckRanges = 1<<20, []byte{1, 3, 0, 7, 2}
+	return f
+}
+
 func TestAppendFrameAllocs(t *testing.T) {
-	f := wireTestFrame(make([]byte, 64))
-	buf := make([]byte, 0, FrameWireSize(f))
-	allocs := testing.AllocsPerRun(200, func() {
-		if _, err := AppendFrame(buf[:0], f); err != nil {
-			t.Fatal(err)
+	for _, f := range []*Frame{wireTestFrame(make([]byte, 64)), ackingTestFrame(make([]byte, 64))} {
+		buf := make([]byte, 0, FrameWireSize(f))
+		allocs := testing.AllocsPerRun(200, func() {
+			if _, err := AppendFrame(buf[:0], f); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("AppendFrame (ack block %v): %v allocs/op, want 0", f.AckLargest != 0, allocs)
 		}
-	})
-	if allocs != 0 {
-		t.Errorf("AppendFrame: %v allocs/op, want 0", allocs)
 	}
 }
 
 func TestDecodeFrameIntoAllocs(t *testing.T) {
-	raw, err := EncodeFrame(wireTestFrame(make([]byte, 64)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var f Frame
-	// Warm the channel-name intern table so the steady state is measured.
-	if err := DecodeFrameInto(&f, raw); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(200, func() {
+	for _, in := range []*Frame{wireTestFrame(make([]byte, 64)), ackingTestFrame(make([]byte, 64))} {
+		raw, err := EncodeFrame(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var f Frame
+		// Warm the channel-name intern table so the steady state is measured.
 		if err := DecodeFrameInto(&f, raw); err != nil {
 			t.Fatal(err)
 		}
-	})
-	if allocs != 0 {
-		t.Errorf("DecodeFrameInto: %v allocs/op, want 0", allocs)
+		allocs := testing.AllocsPerRun(200, func() {
+			if err := DecodeFrameInto(&f, raw); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("DecodeFrameInto (ack block %v): %v allocs/op, want 0", in.AckLargest != 0, allocs)
+		}
 	}
 }
 

@@ -136,6 +136,11 @@ const (
 	// receivers can shed work that can no longer meet it (§4.3). Only
 	// MTCall frames set it today, but the field is type-agnostic.
 	FlagHasBudget uint8 = 1 << 2
+	// FlagHasAck marks a frame that carries a header ack block after the
+	// seq and the optional budget word: acknowledgments of the receiver's
+	// own frames riding this one, so they need no MTAck datagram (see
+	// Frame.AckLargest).
+	FlagHasAck uint8 = 1 << 3
 )
 
 // String implements fmt.Stringer.
@@ -187,6 +192,15 @@ type Frame struct {
 	// provider can reject an MTCall whose budget is already spent by the
 	// time a handler would run (§4.3 admission control).
 	Budget time.Duration
+	// AckLargest and AckRanges are the header ack block: seqs of the
+	// receiver's frames that this frame acknowledges, as an MTAck would
+	// (ack.go). AckLargest is the largest of them, and zero means no block;
+	// AckRanges is the range list below it in the MTAck payload form, empty
+	// for AckLargest alone. The block travels on the wire only when
+	// AckLargest is non-zero (FlagHasAck). On decode AckRanges aliases the
+	// input, like Payload.
+	AckLargest uint64
+	AckRanges  []byte
 	// Payload is the encoded body; interpretation depends on Type.
 	Payload []byte
 }
@@ -214,17 +228,22 @@ var (
 // Frame wire layout, version 2:
 //
 //	| u16 magic | u8 version | u8 type | u8 flags | u8 encoding | u8 priority |
-//	| u8 channel length | channel | uvarint seq | [u32 budget µs] | payload |
+//	| u8 channel length | channel | uvarint seq | [u32 budget µs] |
+//	| [uvarint largest | uvarint ranges length | ranges] | payload |
 //
 // The seq is a canonical uvarint (encoding.Reader.Uvarint): 1 byte below
 // 128, 3 bytes below 2^21, 10 at most. The budget word is present exactly
-// when FlagHasBudget is set, and is then non-zero. Version 1 carried a u32
-// channel length and a u64 seq; its frames are rejected with ErrVersion.
+// when FlagHasBudget is set, and is then non-zero. The ack block is present
+// exactly when FlagHasAck is set: a non-zero largest acknowledged seq, then
+// the byte length of its range list (0 for the largest alone) and the list,
+// in the MTAck payload form and held to the same rules (ack.go). Version 1
+// carried a u32 channel length and a u64 seq; its frames are rejected with
+// ErrVersion.
 
 // frameHeaderLen is the fixed part of every encoded frame's header: magic
 // u16, version, type, flags, encoding, priority and the channel's u8
-// length. The channel bytes, the seq's uvarint and the optional budget
-// word come on top.
+// length. The channel bytes, the seq's uvarint, the optional budget word
+// and the optional ack block come on top.
 const frameHeaderLen = 8
 
 // maxSeqLen is the longest seq encoding. A frame sized before its seq is
@@ -238,7 +257,16 @@ func FrameWireSize(f *Frame) int {
 	if f.Budget > 0 {
 		n += 4
 	}
+	if f.AckLargest != 0 {
+		n += AckBlockSize(f.AckLargest, f.AckRanges)
+	}
 	return n
+}
+
+// AckBlockSize returns the wire size of a header ack block acknowledging
+// largest and the ranges below it.
+func AckBlockSize(largest uint64, ranges []byte) int {
+	return encoding.UvarintLen(largest) + encoding.UvarintLen(uint64(len(ranges))) + len(ranges)
 }
 
 // AppendFrame serializes f onto the end of dst and returns the extended
@@ -256,11 +284,15 @@ func AppendFrame(dst []byte, f *Frame) ([]byte, error) {
 	if f.Budget < 0 {
 		return dst, fmt.Errorf("protocol: negative budget %v: %w", f.Budget, ErrBadFrame)
 	}
-	flags := f.Flags
+	if f.AckLargest == 0 && len(f.AckRanges) > 0 {
+		return dst, fmt.Errorf("protocol: ack ranges below no largest seq: %w", ErrBadFrame)
+	}
+	flags := f.Flags &^ (FlagHasBudget | FlagHasAck)
 	if f.Budget > 0 {
 		flags |= FlagHasBudget
-	} else {
-		flags &^= FlagHasBudget
+	}
+	if f.AckLargest != 0 {
+		flags |= FlagHasAck
 	}
 	dst = binary.BigEndian.AppendUint16(dst, frameMagic)
 	dst = append(dst, frameVersion, uint8(f.Type), flags, f.Encoding, uint8(f.Priority))
@@ -276,6 +308,11 @@ func AppendFrame(dst []byte, f *Frame) ([]byte, error) {
 			budget = time.Microsecond // flag implies a non-zero word
 		}
 		dst = binary.BigEndian.AppendUint32(dst, uint32(budget/time.Microsecond))
+	}
+	if f.AckLargest != 0 {
+		dst = binary.AppendUvarint(dst, f.AckLargest)
+		dst = binary.AppendUvarint(dst, uint64(len(f.AckRanges)))
+		dst = append(dst, f.AckRanges...)
 	}
 	return append(dst, f.Payload...), nil
 }
@@ -318,12 +355,31 @@ func DecodeFrameInto(f *Frame, data []byte) error {
 	if f.Flags&FlagHasBudget != 0 {
 		f.Budget = time.Duration(r.Uint32()) * time.Microsecond
 	}
+	f.AckLargest, f.AckRanges = 0, nil
+	if f.Flags&FlagHasAck != 0 {
+		f.AckLargest = r.Uvarint()
+		n := r.Uvarint()
+		if n > uint64(r.Remaining()) {
+			return fmt.Errorf("protocol: %d-byte ack ranges past the end: %w", n, ErrBadFrame)
+		}
+		f.AckRanges = r.Raw(int(n))
+	}
 	if err := r.Err(); err != nil {
 		return fmt.Errorf("protocol: header: %w", err)
 	}
 	if f.Flags&FlagHasBudget != 0 && f.Budget == 0 {
 		// The flag implies a non-zero word; this frame has two encodings.
 		return fmt.Errorf("protocol: zero budget word: %w", ErrBadFrame)
+	}
+	if f.Flags&FlagHasAck != 0 {
+		// As with the budget, the flag implies a non-zero largest seq, and
+		// the list obeys the MTAck rules, so the block has one encoding.
+		if f.AckLargest == 0 {
+			return fmt.Errorf("protocol: zero largest acked seq: %w", ErrBadFrame)
+		}
+		if err := walkRanges(f.AckLargest, f.AckRanges, nil); err != nil {
+			return err
+		}
 	}
 	if !f.Type.Valid() {
 		return fmt.Errorf("protocol: type %d: %w", f.Type, ErrBadFrame)

@@ -25,8 +25,15 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add(encodeFuzzSeed(f, &Frame{Type: MTSample, Channel: strings.Repeat("c", MaxChannelLen), Seq: 9}))
 	f.Add(encodeFuzzSeed(f, &Frame{Type: MTCall, Priority: qos.PriorityHigh, Channel: "svc.op", Seq: 300,
 		Budget: 250 * time.Millisecond, Payload: []byte("args")}))
+	// Header ack blocks: a lone ack, three ranges, one beside a budget word,
+	// and one in a batch entry below.
+	f.Add(encodeFuzzSeed(f, &Frame{Type: MTCall, Channel: "svc.op", Seq: 1<<20 + 1, AckLargest: 1 << 20, Payload: []byte("args")}))
+	ranges, _ := AppendAckBlock(nil, []uint64{5000, 4999, 4990, 4989, 4900}, 64)
+	f.Add(encodeFuzzSeed(f, &Frame{Type: MTEvent, Channel: "e", Seq: 77, AckLargest: 5000, AckRanges: ranges}))
+	f.Add(encodeFuzzSeed(f, &Frame{Type: MTCall, Channel: "svc.op", Seq: 300, Budget: time.Second, AckLargest: 299, Payload: []byte("args")}))
 	inner := encodeFuzzSeed(f, &Frame{Type: MTAck, Priority: qos.PriorityCritical, Seq: 41})
-	batch, err := AppendBatch(nil, [][]byte{inner, inner}, qos.PriorityCritical)
+	acking := encodeFuzzSeed(f, &Frame{Type: MTReturn, Seq: 42, AckLargest: 40, AckRanges: []byte{3}, Payload: []byte{7}})
+	batch, err := AppendBatch(nil, [][]byte{inner, acking, inner}, qos.PriorityCritical)
 	if err != nil {
 		f.Fatal(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -264,5 +265,89 @@ func TestMsgTypeString(t *testing.T) {
 	}
 	if MsgType(0).Valid() || mtMax.Valid() {
 		t.Error("Valid() bounds wrong")
+	}
+}
+
+// TestFrameAckBlock: a header ack block rides any frame after the seq and
+// the budget word, is sized exactly by FrameWireSize, and acknowledges what
+// the same list would as an MTAck. The flag follows the block: set with
+// AckLargest, cleared without it.
+func TestFrameAckBlock(t *testing.T) {
+	seqs := []uint64{1 << 20, 1<<20 - 1, 1<<20 - 5, 1<<20 - 9, 1<<20 - 10}
+	ranges, rest := AppendAckBlock(nil, seqs, 64)
+	if len(rest) != 0 {
+		t.Fatalf("a 64-byte room left %d seqs", len(rest))
+	}
+	for _, c := range []struct {
+		name string
+		f    Frame
+		adds int // bytes the block adds
+	}{
+		{"lone ack", Frame{Type: MTCall, Channel: "fn", Seq: 1<<20 + 3, AckLargest: 1 << 20, Payload: []byte("args")}, 4},
+		{"three ranges", Frame{Type: MTCall, Channel: "fn", Seq: 7, AckLargest: seqs[0], AckRanges: ranges}, 4 + len(ranges)},
+		{"with budget", Frame{Type: MTCall, Flags: FlagHasAck, Channel: "fn", Seq: 7, Budget: time.Second, AckLargest: 9}, 2},
+	} {
+		plain := c.f
+		plain.AckLargest, plain.AckRanges = 0, nil
+		raw, err := EncodeFrame(&c.f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := len(raw) - FrameWireSize(&plain); got != c.adds || FrameWireSize(&c.f) != len(raw) {
+			t.Errorf("%s: the block adds %d bytes (want %d), FrameWireSize %d of %d", c.name, got, c.adds, FrameWireSize(&c.f), len(raw))
+		}
+		got, err := DecodeFrame(raw)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if got.Flags&FlagHasAck == 0 || got.AckLargest != c.f.AckLargest || !bytes.Equal(got.AckRanges, c.f.AckRanges) ||
+			got.Budget != c.f.Budget || !bytes.Equal(got.Payload, c.f.Payload) {
+			t.Errorf("%s: decoded as %+v", c.name, got)
+		}
+		var acked []uint64
+		if err := EachAckBlockRange(got, func(lo, hi uint64) {
+			for s := hi; s >= lo; s-- {
+				acked = append(acked, s)
+			}
+		}); err != nil {
+			t.Errorf("%s: %v", c.name, err)
+		}
+		if c.name == "three ranges" && !slices.Equal(acked, seqs) {
+			t.Errorf("%s: acknowledges %v, want %v", c.name, acked, seqs)
+		}
+	}
+	// A stale flag with no block is cleared; ranges with no largest seq
+	// cannot be encoded.
+	raw, err := EncodeFrame(&Frame{Type: MTEvent, Flags: FlagHasAck, Channel: "c", Seq: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := DecodeFrame(raw); err != nil || got.Flags&FlagHasAck != 0 || got.AckLargest != 0 {
+		t.Errorf("stale ack flag: %+v, %v", got, err)
+	}
+	if _, err := EncodeFrame(&Frame{Type: MTEvent, Seq: 1, AckRanges: []byte{1}}); !errors.Is(err, ErrBadFrame) {
+		t.Errorf("ranges without a largest seq: %v", err)
+	}
+}
+
+// TestFrameAckBlockRejects: every malformed block is refused, so a block
+// has one wire form. These are the committed FuzzDecodeFrame seeds.
+func TestFrameAckBlockRejects(t *testing.T) {
+	head := []byte{0x55, 0x41, 2, byte(MTReturn), FlagHasAck, 0, byte(qos.PriorityNormal), 1, 'r', 5}
+	for name, block := range map[string][]byte{
+		"flag without block":     {},
+		"overlong largest":       {0x80, 0x00, 0x00, 'o', 'k'},
+		"zero largest":           {0x00, 0x00, 'o', 'k'},
+		"ranges past the end":    {0x64, 0x05, 0x00, 0x01},
+		"overlong ranges length": {0x64, 0x80, 0x00, 'o', 'k'},
+		"lone zero list":         {0x64, 0x01, 0x00, 'o', 'k'},
+		"over MaxAckSeqs":        {0xa0, 0x8d, 0x06, 0x04, 0xa0, 0x1f, 0x00, 0x64, 'o', 'k'},
+	} {
+		if f, err := DecodeFrame(append(head[:len(head):len(head)], block...)); err == nil {
+			t.Errorf("%s: accepted as %+v", name, f)
+		}
+	}
+	if _, err := DecodeFrame(append(head[:len(head):len(head)], 0x64, 0x00, 'o', 'k')); err != nil {
+		t.Errorf("a well-formed lone ack: %v", err)
 	}
 }
