@@ -44,7 +44,6 @@ func newNode(net *transport.Bus, id transport.NodeID) (*core.Node, error) {
 		core.WithDatagram(ep),
 		core.WithAnnouncePeriod(30*time.Millisecond),
 		core.WithARQ(protocol.WithTimeout(10*time.Millisecond)),
-		core.WithFileTransfer(filetransfer.WithQueryWindow(15*time.Millisecond)),
 	)
 }
 

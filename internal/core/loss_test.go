@@ -26,7 +26,6 @@ func newSimNode(t *testing.T, net *transport.Bus, id transport.NodeID, opts ...N
 		WithDatagram(ep),
 		WithAnnouncePeriod(25 * time.Millisecond),
 		WithARQ(protocol.WithTimeout(8*time.Millisecond), protocol.WithMaxRetries(12)),
-		WithFileTransfer(filetransfer.WithQueryWindow(15 * time.Millisecond)),
 	}, opts...)
 	n, err := NewNode(all...)
 	if err != nil {
@@ -233,8 +232,7 @@ func TestFileTransferLateJoinerResumes(t *testing.T) {
 	// point").
 	net := transport.NewSimBus(transport.SimConfig{Latency: time.Millisecond, Seed: 33})
 	defer net.Close()
-	pub := newSimNode(t, net, "camera",
-		WithFileTransfer(filetransfer.WithQueryWindow(30*time.Millisecond)))
+	pub := newSimNode(t, net, "camera")
 	early := newSimNode(t, net, "early")
 	late := newSimNode(t, net, "late")
 	syncNodes(t, pub, early, late)

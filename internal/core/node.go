@@ -121,7 +121,6 @@ type nodeConfig struct {
 	failureDeadline time.Duration
 	directoryTTL    time.Duration
 	arqOpts         []protocol.ARQOption
-	fileOpts        []filetransfer.Option
 	mtu             int
 	budget          ResourceBudget
 	rpcInflight     int
@@ -198,11 +197,6 @@ func WithDirectoryTTL(d time.Duration) NodeOption {
 // WithARQ forwards tuning options to the reliable-datagram engine.
 func WithARQ(opts ...protocol.ARQOption) NodeOption {
 	return func(c *nodeConfig) { c.arqOpts = append(c.arqOpts, opts...) }
-}
-
-// WithFileTransfer forwards tuning options to the file engine.
-func WithFileTransfer(opts ...filetransfer.Option) NodeOption {
-	return func(c *nodeConfig) { c.fileOpts = append(c.fileOpts, opts...) }
 }
 
 // WithMTU overrides the fragmentation threshold.
@@ -352,7 +346,7 @@ func NewNode(opts ...NodeOption) (*Node, error) {
 	n.events = events.New(n)
 	n.rpc = rpc.New(n)
 	n.rpc.SetInflightLimit(cfg.rpcInflight)
-	n.files = filetransfer.New(n, cfg.fileOpts...)
+	n.files = filetransfer.New(n)
 	n.discovery = discovery.New(n, discovery.Config{
 		Epoch:           uint64(clk.Now().UnixNano()) + epochSalt.Add(1),
 		Period:          cfg.announcePeriod,

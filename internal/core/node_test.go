@@ -40,7 +40,6 @@ func newBusNode(t *testing.T, bus *transport.Bus, id transport.NodeID, opts ...N
 		WithDatagram(ep),
 		WithAnnouncePeriod(25 * time.Millisecond),
 		WithARQ(protocol.WithTimeout(5 * time.Millisecond)),
-		WithFileTransfer(filetransfer.WithQueryWindow(10 * time.Millisecond)),
 	}, opts...)
 	n, err := NewNode(all...)
 	if err != nil {

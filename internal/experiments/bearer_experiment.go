@@ -144,9 +144,6 @@ func runE14Multi(clk clock.Clock, res *E14Result, seed int64) error {
 			core.WithFailureDeadline(250*time.Millisecond),
 			core.WithDirectoryTTL(60*time.Second),
 			core.WithARQ(protocol.WithTimeout(60*time.Millisecond), protocol.WithMaxRetries(8)),
-			core.WithFileTransfer(
-				filetransfer.WithQueryWindow(time.Second),
-				filetransfer.WithMaxStrikes(100)),
 		)
 	}
 	uav, err := mk("uav")

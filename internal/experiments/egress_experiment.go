@@ -249,9 +249,6 @@ func runE13Phase(clk clock.Clock, res *E13Result, shaped bool, seed int64) error
 			core.WithFailureDeadline(60*time.Second),
 			core.WithDirectoryTTL(60*time.Second),
 			core.WithARQ(protocol.WithTimeout(80*time.Millisecond), protocol.WithMaxRetries(8)),
-			core.WithFileTransfer(
-				filetransfer.WithQueryWindow(3*time.Second),
-				filetransfer.WithMaxStrikes(100)),
 		)
 	}
 	var uavProfile qos.BearerProfile

@@ -70,7 +70,6 @@ func pair(opts ...core.NodeOption) (a, b *core.Node, cleanup func(), err error) 
 	base := []core.NodeOption{
 		core.WithAnnouncePeriod(20 * time.Millisecond),
 		core.WithARQ(protocol.WithTimeout(5 * time.Millisecond)),
-		core.WithFileTransfer(filetransfer.WithQueryWindow(10 * time.Millisecond)),
 	}
 	a, err = core.NewNode(append(append([]core.NodeOption{core.WithDatagram(epA)}, base...), opts...)...)
 	if err != nil {
@@ -125,8 +124,8 @@ func waitProviders(clk clock.Clock, node *core.Node, kind naming.Kind, name stri
 // their function equivalent").
 type E1Result struct {
 	PayloadBytes int
-	Event        *metrics.Histogram
-	RPC          *metrics.Histogram
+	Event        []time.Duration // one latency per notification
+	RPC          []time.Duration
 }
 
 // RunE1 measures n notifications per primitive with a payload of
@@ -168,8 +167,8 @@ func RunE1(n, payloadBytes int) (*E1Result, error) {
 
 	res := &E1Result{
 		PayloadBytes: payloadBytes,
-		Event:        &metrics.Histogram{},
-		RPC:          &metrics.Histogram{},
+		Event:        make([]time.Duration, 0, n),
+		RPC:          make([]time.Duration, 0, n),
 	}
 	ctx := context.Background()
 	for i := 0; i < n; i++ {
@@ -178,14 +177,14 @@ func RunE1(n, payloadBytes int) (*E1Result, error) {
 			return nil, fmt.Errorf("e1 event %d: %w", i, err)
 		}
 		at := <-received
-		res.Event.Observe(at.Sub(start))
+		res.Event = append(res.Event, at.Sub(start))
 	}
 	for i := 0; i < n; i++ {
 		start := time.Now()
 		if _, err := pub.RPC().Call(ctx, "e1.notify", boxed, payloadType, nil, qos.CallQoS{}); err != nil {
 			return nil, fmt.Errorf("e1 rpc %d: %w", i, err)
 		}
-		res.RPC.Observe(time.Since(start))
+		res.RPC = append(res.RPC, time.Since(start))
 	}
 	return res, nil
 }
@@ -197,8 +196,8 @@ type E2Result struct {
 	Messages   int
 	ARQTotal   time.Duration
 	GBNTotal   time.Duration
-	ARQPerMsg  *metrics.Histogram // individual message completion times
-	GBNPerMsg  *metrics.Histogram
+	ARQPerMsg  []time.Duration // individual message completion times
+	GBNPerMsg  []time.Duration
 	ARQRetrans uint64
 	GBNRetrans uint64
 }
@@ -209,8 +208,8 @@ func RunE2(n int, loss float64, payloadBytes int, seed int64) (*E2Result, error)
 	res := &E2Result{
 		Loss:      loss,
 		Messages:  n,
-		ARQPerMsg: &metrics.Histogram{},
-		GBNPerMsg: &metrics.Histogram{},
+		ARQPerMsg: make([]time.Duration, 0, n),
+		GBNPerMsg: make([]time.Duration, 0, n),
 	}
 
 	payload := make([]byte, payloadBytes)
@@ -253,7 +252,10 @@ func RunE2(n int, loss float64, payloadBytes int, seed int64) (*E2Result, error)
 		})
 
 		start := time.Now()
-		var wg sync.WaitGroup
+		var (
+			wg sync.WaitGroup
+			mu sync.Mutex // guards res.ARQPerMsg against concurrent completions
+		)
 		starts := make([]time.Time, n)
 		for i := 0; i < n; i++ {
 			frame, err := protocol.AppendFrame(nil, &protocol.Frame{
@@ -268,7 +270,10 @@ func RunE2(n int, loss float64, payloadBytes int, seed int64) (*E2Result, error)
 			i := i
 			if err := arq.Send("dst", uint64(i+1), frame, func(err error) {
 				if err == nil {
-					res.ARQPerMsg.Observe(time.Since(starts[i]))
+					took := time.Since(starts[i])
+					mu.Lock()
+					res.ARQPerMsg = append(res.ARQPerMsg, took)
+					mu.Unlock()
 				}
 				wg.Done()
 			}); err != nil {
@@ -331,7 +336,7 @@ func RunE2(n int, loss float64, payloadBytes int, seed int64) (*E2Result, error)
 		res.GBNTotal = time.Since(start)
 		mu.Lock()
 		for i, at := range deliverAt {
-			res.GBNPerMsg.Observe(at.Sub(starts[i]))
+			res.GBNPerMsg = append(res.GBNPerMsg, at.Sub(starts[i]))
 		}
 		mu.Unlock()
 		res.GBNRetrans = sender.Retransmits()
@@ -460,8 +465,7 @@ func RunE4(fileBytes, receivers int, loss float64, seed int64) (*E4Result, error
 		mk := func(id transport.NodeID) (*core.Node, error) {
 			return simNode(nil, net, id,
 				core.WithAnnouncePeriod(20*time.Millisecond),
-				core.WithARQ(protocol.WithTimeout(4*time.Millisecond), protocol.WithMaxRetries(15)),
-				core.WithFileTransfer(filetransfer.WithQueryWindow(8*time.Millisecond)))
+				core.WithARQ(protocol.WithTimeout(4*time.Millisecond), protocol.WithMaxRetries(15)))
 		}
 		pub, err := mk("pub")
 		if err != nil {

@@ -346,7 +346,7 @@ func e16SlowRun(healthy, stalled, samples int, seed int64) (p50, p99 float64, ev
 		return int64(g.Node().Metrics().SumCounters("gateway", "evictions"))
 	}
 	await(clock.Real{}, 5*time.Second, 10*time.Millisecond, func() bool { return snap() >= int64(stalled) })
-	return quantileMs(lat, 0.50), quantileMs(lat, 0.99), snap(), nil
+	return ms(quantile(lat, 0.50)), ms(quantile(lat, 0.99)), snap(), nil
 }
 
 // e16Slow runs the clean baseline and the stalled-consumer run.
@@ -383,19 +383,4 @@ func attach(g *gateway.Gateway, n int, topic string, newConn func() gateway.Conn
 		}
 	}
 	return nil
-}
-
-// quantileMs returns the q-quantile of lat in milliseconds (nearest-rank).
-func quantileMs(lat []time.Duration, q float64) float64 {
-	if len(lat) == 0 {
-		return 0
-	}
-	sorted := append([]time.Duration(nil), lat...)
-	for i := 1; i < len(sorted); i++ {
-		for j := i; j > 0 && sorted[j] < sorted[j-1]; j-- {
-			sorted[j], sorted[j-1] = sorted[j-1], sorted[j]
-		}
-	}
-	idx := int(q * float64(len(sorted)-1))
-	return float64(sorted[idx]) / float64(time.Millisecond)
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"reflect"
+	"slices"
 	"strings"
 	"text/tabwriter"
 	"time"
@@ -67,6 +68,17 @@ func rec(key string, v any) fig {
 		panic(fmt.Sprintf("experiments: metric %q recorded from non-numeric %T", key, v))
 	}
 	return fig{key: key, num: num, show: show}
+}
+
+// quantile returns the q-quantile of lat, an order statistic (nearest
+// rank): a measured latency, not a histogram bucket's bound.
+func quantile(lat []time.Duration, q float64) time.Duration {
+	if len(lat) == 0 {
+		return 0
+	}
+	sorted := slices.Clone(lat)
+	slices.Sort(sorted)
+	return sorted[int(q*float64(len(sorted)-1))]
 }
 
 func us(d time.Duration) float64 { return float64(d) / float64(time.Microsecond) }

@@ -46,9 +46,9 @@ func reportE1(_ clock.Clock, _ int64, quick bool) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		event, rpc := res.Event.Percentile(50), res.RPC.Percentile(50)
-		t.Row(fmt.Sprint(size), size, usec(event), usec(res.Event.Percentile(99)),
-			usec(rpc), usec(res.RPC.Percentile(99)), float64(rpc)/float64(event))
+		event, rpc := quantile(res.Event, 0.50), quantile(res.RPC, 0.50)
+		t.Row(fmt.Sprint(size), size, usec(event), usec(quantile(res.Event, 0.99)),
+			usec(rpc), usec(quantile(res.RPC, 0.99)), float64(rpc)/float64(event))
 	}
 	return r, nil
 }
@@ -66,7 +66,7 @@ func reportE2(_ clock.Clock, seed int64, quick bool) (*Report, error) {
 			return nil, err
 		}
 		t.Row(fmt.Sprintf("%.0fpct", 100*loss), loss, msec(res.ARQTotal), msec(res.GBNTotal),
-			usec(res.ARQPerMsg.Percentile(99)), usec(res.GBNPerMsg.Percentile(99)),
+			usec(quantile(res.ARQPerMsg, 0.99)), usec(quantile(res.GBNPerMsg, 0.99)),
 			res.ARQRetrans, res.GBNRetrans)
 	}
 	return r, nil

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"uavmw/internal/clock"
 	"uavmw/internal/encoding"
 	"uavmw/internal/naming"
 	"uavmw/internal/protocol"
@@ -109,6 +110,16 @@ func (f *fakeFabric) reliableFrames() []*protocol.Frame {
 	defer f.mu.Unlock()
 	return append([]*protocol.Frame(nil), f.reliable...)
 }
+
+// virtualFabric is a fakeFabric on a virtual clock: the engine's rounds
+// wait on virtual time, which stands still while a test goroutine registered
+// with the clock is running.
+type virtualFabric struct {
+	*fakeFabric
+	clk *clock.Virtual
+}
+
+func (f *virtualFabric) Clock() clock.Clock { return f.clk }
 
 // provides makes node the directory's provider of the named file.
 func (f *fakeFabric) provides(node transport.NodeID, names ...string) {
@@ -287,7 +298,7 @@ func TestFetchNoProviderTimesOut(t *testing.T) {
 
 func TestTransferLoopServesSubscriber(t *testing.T) {
 	f := newFakeFabric("pub")
-	e := New(f, WithQueryWindow(5*time.Millisecond))
+	e := New(f)
 	data := make([]byte, 2500)
 	for i := range data {
 		data[i] = byte(i)
@@ -335,30 +346,43 @@ func TestTransferLoopServesSubscriber(t *testing.T) {
 	}
 }
 
+// A subscriber that answers no query gets the first round's chunks and no
+// more: until it answers, its needs are unknown. It is dropped after its
+// DefaultMaxStrikes+1st unanswered query, the waits before them doubling
+// from DefaultQueryWindow, and the loop stops.
 func TestSilentSubscriberDropped(t *testing.T) {
-	f := newFakeFabric("pub")
-	e := New(f, WithQueryWindow(2*time.Millisecond), WithMaxStrikes(2))
-	if _, err := e.Offer("file", "svc", make([]byte, 100), qos.TransferQoS{}); err != nil {
+	v := clock.NewVirtual()
+	f := &virtualFabric{newFakeFabric("pub"), v}
+	e := New(f)
+	const chunks = 4
+	o, err := e.Offer("file", "svc", make([]byte, chunks*1000), qos.TransferQoS{ChunkSize: 1000})
+	if err != nil {
 		t.Fatal(err)
 	}
-	e.HandleSubscribe("ghost", &protocol.Frame{Type: protocol.MTFileSubscribe, Channel: "file"})
-	// The ghost never responds to queries; after maxStrikes rounds it is
-	// dropped and the loop stops.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		e.mu.Lock()
-		o := e.offers["file"]
-		e.mu.Unlock()
-		o.mu.Lock()
-		n, active := len(o.subscribers), o.active
-		o.mu.Unlock()
-		if n == 0 && !active {
-			return
+	// Six waits of 1, 2, 4, 8, 16 and 32 query windows.
+	const bound = 63*DefaultQueryWindow + time.Millisecond
+	v.Run(func() {
+		start := v.Now()
+		e.HandleSubscribe("ghost", subscribeFrame("file", 1))
+		for {
+			o.mu.Lock()
+			n, active := len(o.subscribers), o.active
+			o.mu.Unlock()
+			if n == 0 && !active {
+				return
+			}
+			if v.Since(start) > bound {
+				t.Fatalf("ghost subscriber not dropped within %v (n=%d active=%v)", bound, n, active)
+			}
+			v.Sleep(time.Millisecond)
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("ghost subscriber never dropped (n=%d active=%v)", n, active)
-		}
-		time.Sleep(time.Millisecond)
+	})
+	frames := f.groupFrames("f:file")
+	if got := countType(frames, protocol.MTFileChunk); got != chunks {
+		t.Errorf("%d chunks sent to a subscriber that answered no query, want the first round's %d", got, chunks)
+	}
+	if got := countType(frames, protocol.MTFileQuery); got != DefaultMaxStrikes+1 {
+		t.Errorf("%d queries before the drop, want %d", got, DefaultMaxStrikes+1)
 	}
 }
 
@@ -366,7 +390,7 @@ func TestNackFromUnknownSubscriberAdopted(t *testing.T) {
 	// §4.4 late join: a NACK from a node that joined the multicast group
 	// without an explicit subscribe still enters the subscriber set.
 	f := newFakeFabric("pub")
-	e := New(f, WithQueryWindow(5*time.Millisecond))
+	e := New(f)
 	if _, err := e.Offer("file", "svc", make([]byte, 3000), qos.TransferQoS{ChunkSize: 1000}); err != nil {
 		t.Fatal(err)
 	}
@@ -391,7 +415,7 @@ func TestNackFromUnknownSubscriberAdopted(t *testing.T) {
 
 func TestPeerGoneDropsSubscribers(t *testing.T) {
 	f := newFakeFabric("pub")
-	e := New(f, WithQueryWindow(5*time.Millisecond))
+	e := New(f)
 	if _, err := e.Offer("file", "svc", make([]byte, 10), qos.TransferQoS{}); err != nil {
 		t.Fatal(err)
 	}
@@ -429,14 +453,16 @@ func waitInactive(t *testing.T, o *Offer) {
 }
 
 // TestCloseAbortsQueryWindow pins the fast-shutdown property: Close must
-// not wait out the completion query window (the loop's sleep is abortable).
+// not wait out the wait for a query's answers (the loop's wait is
+// abortable).
 func TestCloseAbortsQueryWindow(t *testing.T) {
 	f := newFakeFabric("pub")
-	e := New(f, WithQueryWindow(30*time.Second))
+	e := New(f)
 	o, err := e.Offer("big", "svc", make([]byte, 4096), qos.TransferQoS{ChunkSize: 1024})
 	if err != nil {
 		t.Fatal(err)
 	}
+	o.slowest = 15 * time.Second // as if the last answer took that long: a 30 s wait
 	o.addSubscriber("sub", 0)
 	time.Sleep(20 * time.Millisecond) // loop is now inside the query window
 	start := time.Now()

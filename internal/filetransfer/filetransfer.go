@@ -63,14 +63,17 @@ var (
 	ErrTooLarge = errors.New("file too large")
 )
 
-// Tunables (overridable per engine for tests).
+// Tunables.
 const (
 	// DefaultChunkSize fits a chunk frame within the datagram MTU.
 	DefaultChunkSize = 1200
-	// DefaultQueryWindow is how long the publisher collects completion
-	// responses each round.
+	// DefaultQueryWindow is the shortest wait for the answers a completion
+	// query is owed. The wait is at least twice the slowest answer to the
+	// last answered query, and doubles for every consecutive round that
+	// ends with answers still owed; it ends early once nothing is owed.
 	DefaultQueryWindow = 40 * time.Millisecond
-	// DefaultMaxStrikes drops a subscriber after this many silent rounds.
+	// DefaultMaxStrikes drops a subscriber once it has left more than this
+	// many queries in a row unanswered.
 	DefaultMaxStrikes = 5
 	// MaxFileBytes bounds chunks × chunk size of one resource: it is what
 	// geometry a peer put on the wire can make a receiver allocate, and
@@ -84,9 +87,7 @@ type Engine struct {
 	clk clock.Clock
 	reg *metrics.Registry
 
-	queryWindow time.Duration
-	maxStrikes  int
-	maxFile     int // MaxFileBytes; tests lower it
+	maxFile int // MaxFileBytes; tests lower it
 
 	// ctx ends with the engine: every Fetch and Watch waits on it too.
 	ctx    context.Context
@@ -100,54 +101,22 @@ type Engine struct {
 	joins    map[string]int // multicast group refcounts, by group name
 }
 
-// Option customizes an engine.
-type Option func(*Engine)
-
-// WithQueryWindow sets the completion-phase collection window. The window is
-// timed from the moment the query is queued for transmission, and the query
-// rides the transfer's own class behind the round's last chunks — at most
-// the 16 a waiting bulk sender may keep queued — so on a slow link it must
-// cover the time those take to drain plus a round trip, or every round ends
-// before its answers arrive.
-func WithQueryWindow(d time.Duration) Option {
-	return func(e *Engine) {
-		if d > 0 {
-			e.queryWindow = d
-		}
-	}
-}
-
-// WithMaxStrikes sets the silent-round budget before a subscriber is
-// dropped.
-func WithMaxStrikes(n int) Option {
-	return func(e *Engine) {
-		if n > 0 {
-			e.maxStrikes = n
-		}
-	}
-}
-
 // New builds the engine for a container. The engine paces its transfer
 // rounds on the fabric's clock when the fabric exposes one
 // (fabric.Clocked), so virtual-time containers carry file-transfer timing
 // with them.
-func New(f fabric.Fabric, opts ...Option) *Engine {
+func New(f fabric.Fabric) *Engine {
 	e := &Engine{
-		f:           f,
-		clk:         fabric.ClockOf(f),
-		reg:         fabric.MetricsOf(f),
-		queryWindow: DefaultQueryWindow,
-		maxStrikes:  DefaultMaxStrikes,
-		maxFile:     MaxFileBytes,
-		offers:      make(map[string]*Offer),
-		fetches:     make(map[string]*fetchState),
-		watchers:    make(map[string][]chan uint64),
-		joins:       make(map[string]int),
+		f:        f,
+		clk:      fabric.ClockOf(f),
+		reg:      fabric.MetricsOf(f),
+		maxFile:  MaxFileBytes,
+		offers:   make(map[string]*Offer),
+		fetches:  make(map[string]*fetchState),
+		watchers: make(map[string][]chan uint64),
+		joins:    make(map[string]int),
 	}
 	e.ctx, e.cancel = context.WithCancel(context.Background())
-	for _, opt := range opts {
-		opt(e)
-	}
 	return e
 }
 
@@ -213,6 +182,7 @@ func (e *Engine) Offer(name, service string, data []byte, q qos.TransferQoS) (*O
 		revision:    1,
 		data:        data,
 		subscribers: make(map[transport.NodeID]*subState),
+		wake:        clock.NewTrigger(e.clk),
 		stop:        make(chan struct{}),
 	}
 	e.offers[name] = o
@@ -243,8 +213,14 @@ type Offer struct {
 	subscribers map[transport.NodeID]*subState
 	active      bool
 	closed      bool
-	roundID     uint64
 	rounds      uint64 // total transfer rounds run (diagnostics/E4)
+
+	// The completion phase waits for the answers its query is owed.
+	owed     int           // subscribers whose owed flag is set
+	queried  time.Time     // when the current query was queued
+	answered bool          // the current query has had an answer
+	slowest  time.Duration // the slowest answer to the last answered query
+	wake     clock.Trigger // signalled when the last owed answer settles
 
 	stop chan struct{} // closed by Close; aborts the transfer loop
 }
@@ -252,10 +228,37 @@ type Offer struct {
 type subState struct {
 	// token names the fetch that subscribed, and only an ack carrying it
 	// ends the subscription. Zero (adopted from a NACK) accepts any ack.
-	token     uint64
-	strikes   int
-	missing   []bool // by chunk index; nil until the first NACK: needs everything
-	responded bool   // in current round
+	token   uint64
+	strikes int    // queries in a row left unanswered
+	missing []bool // by chunk index; nil until the first NACK: needs everything
+	// owed is set when a query is queued and cleared, once, by the first of
+	// its ACK or NACK, a restart (new token or Update) or its removal.
+	owed bool
+}
+
+// settle clears st's owed answer, if it has one; answered says an ACK or
+// NACK settled it, whose delay sizes the next round's wait. The last
+// settlement wakes the waiting round. Caller holds o.mu.
+func (o *Offer) settle(st *subState, answered bool) {
+	if !st.owed {
+		return
+	}
+	st.owed = false
+	o.owed--
+	if answered {
+		if d := o.engine.clk.Since(o.queried); !o.answered || d > o.slowest {
+			o.slowest, o.answered = d, true
+		}
+	}
+	if o.owed == 0 {
+		o.wake.Signal()
+	}
+}
+
+// drop ends node's subscription, settling what it owed. Caller holds o.mu.
+func (o *Offer) drop(node transport.NodeID, st *subState) {
+	o.settle(st, false)
+	delete(o.subscribers, node)
 }
 
 // chunkCount is the number of chunkSize-byte chunks size bytes split into.
@@ -297,8 +300,10 @@ func (o *Offer) Update(data []byte) (uint64, error) {
 	o.revision++
 	o.data = data
 	rev := o.revision
-	// Every subscriber restarts against the new revision.
+	// Every subscriber restarts against the new revision, so nothing the
+	// old one's query asked is owed.
 	for _, st := range o.subscribers {
+		o.settle(st, false)
 		st.missing = nil
 		st.strikes = 0
 	}
@@ -328,7 +333,7 @@ func (o *Offer) Record() naming.Record {
 }
 
 // Close withdraws the offer and stops its transfer loop: the loop checks
-// for it before every chunk and its query-window sleep aborts on it, so a
+// for it before every chunk and its wait for answers aborts on it, so a
 // withdrawn offer stops feeding its lane at once.
 func (o *Offer) Close() {
 	if o.close() {
@@ -365,7 +370,6 @@ func (o *Offer) announce() {
 		Type:     protocol.MTFileAnnounce,
 		Priority: o.q.Priority,
 		Channel:  o.name,
-		Seq:      o.engine.f.NextSeq(),
 		Payload:  payload,
 	}
 	if err := o.engine.f.SendGroup(o.group, frame); err != nil {
@@ -376,7 +380,8 @@ func (o *Offer) announce() {
 }
 
 // addSubscriber registers a receiver's fetch and ensures the transfer loop
-// runs. A new token is a new fetch, which has received nothing yet.
+// runs. A new token is a new fetch, which has received nothing yet and owes
+// nothing to a query the old one was asked.
 func (o *Offer) addSubscriber(node transport.NodeID, token uint64) {
 	o.mu.Lock()
 	if o.closed {
@@ -389,6 +394,7 @@ func (o *Offer) addSubscriber(node transport.NodeID, token uint64) {
 		o.subscribers[node] = st
 	}
 	if st.token != token {
+		o.settle(st, false)
 		st.token, st.missing, st.strikes = token, nil, 0
 	}
 	start := !o.active
@@ -404,6 +410,11 @@ func (o *Offer) addSubscriber(node transport.NodeID, token uint64) {
 // window (and, on the in-process bus, while the receivers still hold the
 // bearer's bulk credit), so the loop runs at the rate its lane drains — the
 // bearer's bulk rate on a shaped link — or its slowest receiver dispatches.
+//
+// A round ends on its last owed answer. Its wait is a backstop for answers
+// that do not come, sized from the answers that did: twice the slowest
+// answer to the last answered query, at least DefaultQueryWindow, doubled
+// for every round in a row that ended with answers owed.
 func (o *Offer) transferLoop() {
 	e := o.engine
 	chunkSize := o.q.ChunkSize
@@ -414,6 +425,7 @@ func (o *Offer) transferLoop() {
 	payload := bufpool.Get(chunkHeaderSize + chunkSize) // never outgrown
 	defer bufpool.Put(payload)
 	var pending []bool // by chunk index: some subscriber lacks it
+	misses := 0        // rounds in a row that ended with answers owed
 rounds:
 	for {
 		o.mu.Lock()
@@ -425,16 +437,18 @@ rounds:
 		revision, data := o.revision, o.data
 		total := chunkCount(len(data), chunkSize)
 		// Pending = union of subscriber needs; a subscriber with no
-		// recorded NACK yet needs everything.
+		// recorded NACK yet needs everything. One that still owes an answer
+		// is left out: its needs are unknown until it answers, and sending
+		// on speculation repeats whole rounds on a slow link.
 		pending = append(pending[:0], make([]bool, total)...)
 		for _, st := range o.subscribers {
+			if st.owed {
+				continue
+			}
 			for i := range pending {
 				pending[i] = pending[i] || st.missing == nil || st.missing[i]
 			}
-			st.responded = false
 		}
-		o.roundID++
-		round := o.roundID
 		o.mu.Unlock()
 
 		// Phase 1 refresher for late joiners.
@@ -451,31 +465,58 @@ rounds:
 				continue rounds // the loop head exits
 			default:
 			}
-			*frame = protocol.Frame{Type: protocol.MTFileChunk, Priority: o.q.Priority, Channel: o.name, Seq: e.f.NextSeq(),
+			*frame = protocol.Frame{Type: protocol.MTFileChunk, Priority: o.q.Priority, Channel: o.name,
 				Payload: appendChunk(payload[:0], revision, uint32(i), uint32(total), chunkAt(data, chunkSize, i))}
 			uerr.Note(e.reg, codeFileChunk, e.f.SendGroup(o.group, frame), "chunk round")
 		}
 
-		// Phase 3: query and collect. The query rides the transfer's own
+		// Phase 3: query and collect. Every subscriber owes the query an
+		// answer from before it is queued: on the in-process bus the answer
+		// can arrive inside SendGroup. The query rides the transfer's own
 		// class so it trails the round's chunks through the egress lane;
 		// overtaking them would solicit NACKs for chunks still in flight.
-		*frame = protocol.Frame{Type: protocol.MTFileQuery, Priority: o.q.Priority, Channel: o.name, Seq: round,
+		o.mu.Lock()
+		wait := max(DefaultQueryWindow, 2*o.slowest) << min(misses, DefaultMaxStrikes)
+		o.queried, o.answered = e.clk.Now(), false
+		for _, st := range o.subscribers {
+			if !st.owed {
+				st.owed = true
+				o.owed++
+			}
+		}
+		o.mu.Unlock()
+		*frame = protocol.Frame{Type: protocol.MTFileQuery, Priority: o.q.Priority, Channel: o.name,
 			Payload: appendFileMeta(payload[:0], revision, 0, uint32(chunkSize), uint32(total))}
 		uerr.Note(e.reg, codeFileQuery, e.f.SendGroup(o.group, frame), "completion query")
-		if !clock.SleepStop(e.clk, e.queryWindow, o.stop) {
-			continue // closed; the loop head exits
+		deadline := e.clk.Now().Add(wait)
+		for {
+			o.mu.Lock()
+			owed := o.owed
+			o.mu.Unlock()
+			left := deadline.Sub(e.clk.Now())
+			if owed == 0 || left <= 0 {
+				break
+			}
+			if !o.wake.Wait(left, o.stop) {
+				continue rounds // closed; the loop head exits
+			}
 		}
 
 		o.mu.Lock()
 		o.rounds++
+		if o.owed == 0 {
+			misses = 0
+		} else {
+			misses++
+		}
 		for node, st := range o.subscribers {
-			if st.responded {
+			if !st.owed {
 				st.strikes = 0
 				continue
 			}
 			st.strikes++
-			if st.strikes > e.maxStrikes {
-				delete(o.subscribers, node)
+			if st.strikes > DefaultMaxStrikes {
+				o.drop(node, st)
 			}
 		}
 		o.mu.Unlock()
@@ -890,7 +931,7 @@ func (e *Engine) HandleChunk(from transport.NodeID, fr *protocol.Frame) {
 // encoded both by then).
 func (e *Engine) sendControl(to transport.NodeID, t protocol.MsgType, name string, payload []byte) {
 	frame := protocol.GetFrame()
-	*frame = protocol.Frame{Type: t, Priority: qos.PriorityNormal, Channel: name, Seq: e.f.NextSeq(), Payload: payload}
+	*frame = protocol.Frame{Type: t, Priority: qos.PriorityNormal, Channel: name, Payload: payload}
 	e.f.SendReliable(to, frame, qos.ReliableARQ, nil)
 	protocol.PutFrame(frame)
 	bufpool.Put(payload)
@@ -948,6 +989,7 @@ func (e *Engine) HandleAck(from transport.NodeID, fr *protocol.Frame) {
 	defer o.mu.Unlock()
 	st := o.subscribers[from]
 	if st != nil && revision == o.revision && (st.token == 0 || st.token == token) {
+		o.settle(st, true)
 		delete(o.subscribers, from)
 	}
 }
@@ -979,8 +1021,7 @@ func (e *Engine) HandleNack(from transport.NodeID, fr *protocol.Frame) {
 		st = &subState{}
 		o.subscribers[from] = st
 	}
-	st.responded = true
-	st.strikes = 0
+	o.settle(st, true)
 	st.missing = missing
 }
 
@@ -994,7 +1035,9 @@ func (e *Engine) PeerGone(node transport.NodeID) {
 	e.mu.Unlock()
 	for _, o := range offers {
 		o.mu.Lock()
-		delete(o.subscribers, node)
+		if st := o.subscribers[node]; st != nil {
+			o.drop(node, st)
+		}
 		o.mu.Unlock()
 	}
 }

@@ -44,12 +44,13 @@ func FuzzFileTransferFrames(f *testing.F) {
 		fab := newFakeFabric("n")
 		fab.provides("pub", "good")
 		fab.provides("mallory", "evil")
-		e := New(fab, WithQueryWindow(time.Hour))
+		e := New(fab)
 		e.maxFile = bound
 		offer, err := e.Offer("out", "svc", seqBytes(2500), qos.TransferQoS{ChunkSize: 1000})
 		if err != nil {
 			t.Fatal(err)
 		}
+		offer.slowest = time.Hour // a round ends on an answer, not on its wait
 		defer offer.Close()
 		e.HandleSubscribe("gs", subscribeFrame("out", 5))
 		good := startFetch(t, e, "good")

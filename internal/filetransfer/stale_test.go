@@ -30,8 +30,7 @@ func TestStaleAckDoesNotCancelNextFetch(t *testing.T) {
 			t.Fatal(err)
 		}
 		n, err := core.NewNode(core.WithDatagram(ep),
-			core.WithAnnouncePeriod(25*time.Millisecond),
-			core.WithFileTransfer(filetransfer.WithQueryWindow(2*time.Millisecond)))
+			core.WithAnnouncePeriod(25*time.Millisecond))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"uavmw/internal/clock"
 	"uavmw/internal/protocol"
 	"uavmw/internal/qos"
 	"uavmw/internal/transport"
@@ -35,7 +36,7 @@ func subscribed(o *Offer, node transport.NodeID) bool {
 // after the same node's next subscribe. It names the old fetch and must not
 // end the new one's subscription.
 func TestAckEndsOnlyTheFetchItNames(t *testing.T) {
-	e := New(newFakeFabric("pub"), WithQueryWindow(time.Millisecond))
+	e := New(newFakeFabric("pub"))
 	o, err := e.Offer("file", "svc", seqBytes(3000), qos.TransferQoS{ChunkSize: 1000})
 	if err != nil {
 		t.Fatal(err)
@@ -206,10 +207,16 @@ func TestOfferRejectsFilesPastTheBound(t *testing.T) {
 func TestWireGolden(t *testing.T) {
 	pubF, subF := newFakeFabric("pub"), newFakeFabric("sub")
 	subF.provides("pub", "g")
-	// The window only has to outlast the few calls between a query and the
-	// ack that answers it, or a round would repeat into the record.
-	pub := New(pubF, WithQueryWindow(100*time.Millisecond))
+	// The publisher's rounds wait on virtual time, which stands still while
+	// this test runs: no round can time out between its query and the ack
+	// that answers it and repeat into the record.
+	v := clock.NewVirtual()
+	pub := New(&virtualFabric{pubF, v})
 	sub := New(subF)
+	v.Run(func() { wireGoldenRounds(t, pub, pubF, sub, subF) })
+}
+
+func wireGoldenRounds(t *testing.T, pub *Engine, pubF *fakeFabric, sub *Engine, subF *fakeFabric) {
 	data := seqBytes(25)
 	o, err := pub.Offer("g", "svc", data, qos.TransferQoS{ChunkSize: 10})
 	if err != nil {
@@ -327,7 +334,7 @@ func (f *countingFabric) SendGroup(_ string, fr *protocol.Frame) error {
 func TestRoundAllocatesNothingPerChunk(t *testing.T) {
 	perTransfer := func(chunks int) float64 {
 		f := &countingFabric{fakeFabric: newFakeFabric("pub"), scratch: make([]byte, 2048)}
-		e := New(f, WithQueryWindow(time.Millisecond))
+		e := New(f)
 		o, err := e.Offer("file", "svc", make([]byte, chunks*1000), qos.TransferQoS{ChunkSize: 1000})
 		if err != nil {
 			t.Fatal(err)

@@ -250,11 +250,15 @@ func (p *Plane) PeerGone(peer transport.NodeID) {
 	}
 }
 
-// HandleProbe answers a peer's MTProbe: echo the payload back on the
-// bearer it arrived on. The echo rides PriorityHigh so a congested bulk
-// lane cannot make a live link look dead.
+// probeSize is a probe's payload, and its echo's: the u64 nonce alone.
+const probeSize = 8
+
+// HandleProbe answers a peer's MTProbe: echo the nonce back on the bearer
+// it arrived on. A payload that is not exactly a nonce is not a probe and
+// gets no echo. The echo rides PriorityHigh so a congested bulk lane cannot
+// make a live link look dead.
 func (p *Plane) HandleProbe(bearer string, from transport.NodeID, f *protocol.Frame) {
-	if from == p.cfg.Self {
+	if from == p.cfg.Self || len(f.Payload) != probeSize {
 		return
 	}
 	p.cfg.Send(bearer, from, &protocol.Frame{
@@ -264,18 +268,14 @@ func (p *Plane) HandleProbe(bearer string, from transport.NodeID, f *protocol.Fr
 	})
 }
 
-// HandleProbeEcho closes a probe round trip on the bearer that carried it.
+// HandleProbeEcho closes a probe round trip on the bearer that carried it;
+// an echo that is not exactly a nonce is dropped.
 func (p *Plane) HandleProbeEcho(bearer string, f *protocol.Frame) {
 	b := p.byName[bearer]
-	if b == nil {
+	if b == nil || len(f.Payload) != probeSize {
 		return
 	}
-	r := encoding.NewReader(f.Payload)
-	nonce := r.Uint64()
-	if r.Err() != nil {
-		return
-	}
-	b.Monitor.ProbeEchoed(nonce, p.cfg.Clock.Now())
+	b.Monitor.ProbeEchoed(encoding.NewReader(f.Payload).Uint64(), p.cfg.Clock.Now())
 }
 
 // Sweep runs once per announce period on multi-bearer nodes: it probes
@@ -313,7 +313,7 @@ func (p *Plane) probe(b *Bearer, now time.Time, peers []transport.NodeID) {
 		if !b.Monitor.PeerKnown(peer) && !p.advertises(peer, b.Name) {
 			continue
 		}
-		w := encoding.NewWriter(8)
+		w := encoding.NewWriter(probeSize)
 		w.Uint64(b.Monitor.NextProbe(now))
 		p.cfg.Send(b.Name, peer, &protocol.Frame{
 			Type:     protocol.MTProbe,

@@ -27,7 +27,6 @@ var tuningKnobs = []string{
 	"internal/core.WithDirectoryTTL",
 	"internal/core.WithEncoding",
 	"internal/core.WithFailureDeadline",
-	"internal/core.WithFileTransfer",
 	"internal/core.WithIngressShards",
 	"internal/core.WithMTU",
 	"internal/core.WithRPCInflightLimit",
@@ -48,8 +47,6 @@ var tuningKnobs = []string{
 	"internal/egress.Config.CoalesceMax",
 	"internal/egress.Config.MaxDatagram",
 	"internal/egress.Config.Metrics",
-	"internal/filetransfer.WithMaxStrikes",
-	"internal/filetransfer.WithQueryWindow",
 	"internal/flightsim.Options.ClimbRateMS",
 	"internal/flightsim.Options.GustMS",
 	"internal/flightsim.Options.Seed",

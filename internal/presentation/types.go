@@ -12,7 +12,6 @@ package presentation
 import (
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"strconv"
 	"strings"
 )
@@ -84,12 +83,6 @@ func (k Kind) String() string {
 	default:
 		return fmt.Sprintf("kind(%d)", uint8(k))
 	}
-}
-
-// Primitive reports whether the kind is a scalar leaf (including string and
-// bytes, which need no element descriptors).
-func (k Kind) Primitive() bool {
-	return k >= KindBool && k <= KindBytes
 }
 
 // Field is one member of a struct type.
@@ -424,15 +417,6 @@ func (t *Type) Equal(other *Type) bool {
 		return false
 	}
 	return t.String() == other.String()
-}
-
-// Fingerprint returns a 64-bit FNV-1a hash of the structural signature. The
-// container includes it in announcements so subscribers can verify payload
-// compatibility without shipping whole descriptors on every message.
-func (t *Type) Fingerprint() uint64 {
-	h := fnv.New64a()
-	_, _ = h.Write([]byte(t.String()))
-	return h.Sum64()
 }
 
 // ErrInvalidType tags descriptor validation failures.

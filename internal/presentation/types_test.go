@@ -3,7 +3,6 @@ package presentation
 import (
 	"errors"
 	"math/rand"
-	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -41,19 +40,6 @@ func TestKindString(t *testing.T) {
 	for _, tt := range tests {
 		if got := tt.k.String(); got != tt.want {
 			t.Errorf("Kind(%d).String() = %q, want %q", tt.k, got, tt.want)
-		}
-	}
-}
-
-func TestKindPrimitive(t *testing.T) {
-	for _, k := range []Kind{KindBool, KindInt8, KindInt64, KindUint8, KindFloat32, KindString, KindBytes} {
-		if !k.Primitive() {
-			t.Errorf("%v must be primitive", k)
-		}
-	}
-	for _, k := range []Kind{KindArray, KindVector, KindStruct, KindUnion, KindVoid, Kind(0)} {
-		if k.Primitive() {
-			t.Errorf("%v must not be primitive", k)
 		}
 	}
 }
@@ -100,12 +86,6 @@ func TestEqualStructural(t *testing.T) {
 	}
 	if a.Equal(nil) {
 		t.Error("Equal(nil) must be false")
-	}
-	if a.Fingerprint() != b.Fingerprint() {
-		t.Error("equal types must share a fingerprint")
-	}
-	if a.Fingerprint() == c.Fingerprint() {
-		t.Error("different types should (overwhelmingly) differ in fingerprint")
 	}
 }
 
@@ -283,73 +263,6 @@ func TestParseRoundTripProperty(t *testing.T) {
 			t.Fatalf("round trip mismatch: %s vs %s", typ, back)
 		}
 	}
-}
-
-func TestZeroChecks(t *testing.T) {
-	r := rand.New(rand.NewSource(7))
-	for i := 0; i < 200; i++ {
-		typ := randomType(r, 4)
-		if err := Check(typ, Zero(typ)); err != nil {
-			t.Fatalf("Zero(%s) fails Check: %v", typ, err)
-		}
-	}
-}
-
-func TestRegistry(t *testing.T) {
-	reg := NewRegistry()
-	gps := gpsPosition()
-	if err := reg.Register("gps.position", gps); err != nil {
-		t.Fatalf("Register: %v", err)
-	}
-	// Same structure re-registration is a no-op.
-	if err := reg.Register("gps.position", StructOf(
-		F("lat", Float64()), F("lon", Float64()), F("alt", Float32()), F("fix", Uint8()),
-	)); err != nil {
-		t.Errorf("re-register identical: %v", err)
-	}
-	// Conflicting rebind fails.
-	if err := reg.Register("gps.position", Float64()); err == nil {
-		t.Error("conflicting rebind must fail")
-	}
-	got, ok := reg.Lookup("gps.position")
-	if !ok || !got.Equal(gps) {
-		t.Error("Lookup must return the registered type")
-	}
-	if _, ok := reg.Lookup("nope"); ok {
-		t.Error("Lookup of unknown name must miss")
-	}
-	if err := reg.Register("", Float64()); err == nil {
-		t.Error("empty name must fail")
-	}
-	if err := reg.Register("bad", ArrayOf(0, Int8())); err == nil {
-		t.Error("invalid type must fail registration")
-	}
-	if err := reg.Register("alt", Float32()); err != nil {
-		t.Fatal(err)
-	}
-	names := reg.Names()
-	if len(names) != 2 || names[0] != "alt" || names[1] != "gps.position" {
-		t.Errorf("Names() = %v", names)
-	}
-	if reg.Len() != 2 {
-		t.Errorf("Len() = %d, want 2", reg.Len())
-	}
-}
-
-func TestRegistryConcurrent(t *testing.T) {
-	reg := NewRegistry()
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for i := 0; i < 500; i++ {
-			_ = reg.Register("t"+strings.Repeat("x", i%5), Float64())
-		}
-	}()
-	for i := 0; i < 500; i++ {
-		reg.Lookup("txx")
-		reg.Names()
-	}
-	<-done
 }
 
 func TestValidIdentProperty(t *testing.T) {

@@ -470,58 +470,6 @@ func box[T any](s []T) []any {
 	return out
 }
 
-// Zero returns the canonical zero value of t.
-func Zero(t *Type) any {
-	switch t.kind {
-	case KindVoid:
-		return nil
-	case KindBool:
-		return false
-	case KindInt8:
-		return int8(0)
-	case KindInt16:
-		return int16(0)
-	case KindInt32:
-		return int32(0)
-	case KindInt64:
-		return int64(0)
-	case KindUint8:
-		return uint8(0)
-	case KindUint16:
-		return uint16(0)
-	case KindUint32:
-		return uint32(0)
-	case KindUint64:
-		return uint64(0)
-	case KindFloat32:
-		return float32(0)
-	case KindFloat64:
-		return float64(0)
-	case KindString:
-		return ""
-	case KindBytes:
-		return []byte{}
-	case KindArray:
-		s := make([]any, t.length)
-		for i := range s {
-			s[i] = Zero(t.elem)
-		}
-		return s
-	case KindVector:
-		return []any{}
-	case KindStruct:
-		m := make(map[string]any, len(t.fields))
-		for _, f := range t.fields {
-			m[f.Name] = Zero(f.Type)
-		}
-		return m
-	case KindUnion:
-		return Union{Case: t.cases[0].Name, Value: Zero(t.cases[0].Type)}
-	default:
-		return nil
-	}
-}
-
 // DeepCopy clones a canonical value so caches can hand out values without
 // aliasing publisher buffers.
 func DeepCopy(v any) any {

@@ -193,36 +193,6 @@ func TestCoerceUnion(t *testing.T) {
 	}
 }
 
-func TestZeroValues(t *testing.T) {
-	tests := []struct {
-		typ  *Type
-		want any
-	}{
-		{Bool(), false},
-		{Int8(), int8(0)},
-		{Uint64(), uint64(0)},
-		{Float32(), float32(0)},
-		{String_(), ""},
-	}
-	for _, tt := range tests {
-		if got := Zero(tt.typ); got != tt.want {
-			t.Errorf("Zero(%s) = %#v, want %#v", tt.typ, got, tt.want)
-		}
-	}
-	z := Zero(gpsPosition()).(map[string]any)
-	if z["lat"] != float64(0) || z["fix"] != uint8(0) {
-		t.Errorf("struct zero wrong: %#v", z)
-	}
-	arr := Zero(ArrayOf(2, Int8())).([]any)
-	if len(arr) != 2 || arr[0] != int8(0) {
-		t.Errorf("array zero wrong: %#v", arr)
-	}
-	uz := Zero(UnionOf(C("a", Int16()), C("b", nil))).(Union)
-	if uz.Case != "a" || uz.Value != int16(0) {
-		t.Errorf("union zero wrong: %#v", uz)
-	}
-}
-
 func TestDeepCopyIsolation(t *testing.T) {
 	gps := gpsPosition()
 	orig := map[string]any{"lat": 1.0, "lon": 2.0, "alt": float32(3), "fix": uint8(1)}

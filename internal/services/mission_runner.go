@@ -8,7 +8,6 @@ import (
 
 	"uavmw/internal/clock"
 	"uavmw/internal/core"
-	"uavmw/internal/filetransfer"
 	"uavmw/internal/flightsim"
 	"uavmw/internal/protocol"
 	"uavmw/internal/transport"
@@ -110,7 +109,6 @@ func RunMission(cfg MissionConfig) (*MissionResult, error) {
 			core.WithClock(clk),
 			core.WithAnnouncePeriod(cfg.AnnouncePeriod),
 			core.WithARQ(protocol.WithTimeout(10*time.Millisecond)),
-			core.WithFileTransfer(filetransfer.WithQueryWindow(15*time.Millisecond)),
 		)
 	}
 
