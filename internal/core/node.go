@@ -123,7 +123,6 @@ type nodeConfig struct {
 	arqOpts         []protocol.ARQOption
 	mtu             int
 	budget          ResourceBudget
-	rpcInflight     int
 	ingressShards   int
 	clk             clock.Clock
 }
@@ -212,14 +211,6 @@ func WithMTU(n int) NodeOption {
 // management).
 func WithResourceBudget(b ResourceBudget) NodeOption {
 	return func(c *nodeConfig) { c.budget = b }
-}
-
-// WithRPCInflightLimit caps concurrently executing remote-call handlers on
-// this node; excess MTCall requests are answered MTBusy so callers fail
-// over to redundant providers instead of queueing (§4.3 admission
-// control). Zero (the default) means unlimited.
-func WithRPCInflightLimit(n int) NodeOption {
-	return func(c *nodeConfig) { c.rpcInflight = n }
 }
 
 // WithIngressShards pins the receive pipeline's worker count. Zero (the
@@ -345,7 +336,6 @@ func NewNode(opts ...NodeOption) (*Node, error) {
 	n.vars = variables.New(n)
 	n.events = events.New(n)
 	n.rpc = rpc.New(n)
-	n.rpc.SetInflightLimit(cfg.rpcInflight)
 	n.files = filetransfer.New(n)
 	n.discovery = discovery.New(n, discovery.Config{
 		Epoch:           uint64(clk.Now().UnixNano()) + epochSalt.Add(1),

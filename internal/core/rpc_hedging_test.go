@@ -83,7 +83,8 @@ func TestRPCHedgedFailoverUnderLoss(t *testing.T) {
 func TestRPCBusyShedFailsOver(t *testing.T) {
 	net := transport.NewSimBus(transport.SimConfig{Seed: 33, Latency: 300 * time.Microsecond})
 	defer net.Close()
-	provA := newSimNode(t, net, "a-prov", WithRPCInflightLimit(1))
+	provA := newSimNode(t, net, "a-prov")
+	provA.RPC().SetInflightLimit(1)
 	provB := newSimNode(t, net, "b-prov")
 	client := newSimNode(t, net, "client")
 	syncNodes(t, provA, provB, client)

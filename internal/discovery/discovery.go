@@ -413,7 +413,6 @@ func (e *Engine) requestSync(to transport.NodeID) {
 	frame := &protocol.Frame{
 		Type:     protocol.MTSyncReq,
 		Priority: qos.PriorityHigh,
-		Seq:      e.f.NextSeq(),
 		Payload:  naming.EncodeSyncRequest(&naming.SyncRequest{KnownEpoch: epoch, KnownVersion: version}),
 	}
 	if err := e.f.SendBestEffort(to, frame); err != nil {
@@ -496,7 +495,6 @@ func (e *Engine) sendReply(to transport.NodeID, t protocol.MsgType, payload []by
 	e.f.SendReliable(to, &protocol.Frame{
 		Type:     t,
 		Priority: qos.PriorityHigh,
-		Seq:      e.f.NextSeq(),
 		Payload:  payload,
 	}, qos.ReliableARQ, done)
 }

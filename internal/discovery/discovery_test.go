@@ -6,7 +6,7 @@ import (
 	"time"
 
 	"uavmw/internal/clock"
-	"uavmw/internal/encoding"
+	"uavmw/internal/fabric/fabrictest"
 	"uavmw/internal/metrics"
 	"uavmw/internal/metrics/metricstest"
 	"uavmw/internal/naming"
@@ -27,76 +27,21 @@ const (
 	testMTU    = 300
 )
 
-// sent is one frame the engine handed the fabric.
-type sent struct {
-	to    transport.NodeID // unicast destination; empty for a group send
-	group string
-	frame protocol.Frame // Payload is a private copy
-	done  func(error)    // set on reliable sends, which stay in flight until the test calls it
-}
-
-// fakeFabric is a recording fabric.Fabric (plus Clocked and Instrumented).
-type fakeFabric struct {
-	clk   *clock.Virtual
-	reg   *metrics.Registry
-	dir   *naming.Directory
-	seq   uint64
-	sends []sent
-}
-
-func (f *fakeFabric) Self() transport.NodeID                    { return "self" }
-func (f *fakeFabric) Encoding() encoding.Encoding               { return encoding.Binary{} }
-func (f *fakeFabric) Directory() *naming.Directory              { return f.dir }
-func (f *fakeFabric) Schedule(_ qos.Priority, job func()) error { job(); return nil }
-func (f *fakeFabric) NextSeq() uint64                           { f.seq++; return f.seq }
-func (f *fakeFabric) Join(string) error                         { return nil }
-func (f *fakeFabric) Leave(string) error                        { return nil }
-func (f *fakeFabric) OfferChanged()                             {}
-func (f *fakeFabric) Clock() clock.Clock                        { return f.clk }
-func (f *fakeFabric) Metrics() *metrics.Registry                { return f.reg }
-
-func (f *fakeFabric) record(s sent, fr *protocol.Frame) {
-	s.frame = *fr
-	s.frame.Payload = append([]byte(nil), fr.Payload...)
-	f.sends = append(f.sends, s)
-}
-
-func (f *fakeFabric) SendBestEffort(to transport.NodeID, fr *protocol.Frame) error {
-	f.record(sent{to: to}, fr)
-	return nil
-}
-
-func (f *fakeFabric) SendGroup(group string, fr *protocol.Frame) error {
-	f.record(sent{group: group}, fr)
-	return nil
-}
-
-func (f *fakeFabric) SendReliable(to transport.NodeID, fr *protocol.Frame, _ qos.Reliability, done func(error)) {
-	f.record(sent{to: to, done: done}, fr)
-}
-
-// take returns the sends recorded since the last take.
-func (f *fakeFabric) take() []sent {
-	out := f.sends
-	f.sends = nil
-	return out
-}
-
-// harness is an engine on a fake fabric, with its hooks recorded.
+// harness is an engine on a test double, with its hooks recorded. The
+// double runs on a virtual clock and holds every reliable send in flight
+// until the test releases it.
 type harness struct {
 	*Engine
-	f       *fakeFabric
+	f       *fabrictest.Fabric
 	offer   []naming.Record
 	applied []transport.NodeID
 	gone    []transport.NodeID
 }
 
-func newHarness() *harness {
-	h := &harness{f: &fakeFabric{
-		clk: clock.NewVirtual(),
-		reg: metrics.NewRegistry(),
-		dir: naming.NewDirectory(time.Minute),
-	}}
+func newHarness(t *testing.T) *harness {
+	h := &harness{f: fabrictest.New(t, "self")}
+	h.f.Clk = clock.NewVirtual()
+	h.f.Hold()
 	h.Engine = New(h.f, Config{
 		Epoch:           testEpoch,
 		Period:          testPeriod,
@@ -114,7 +59,7 @@ func newHarness() *harness {
 // errors reads the engine's typed-error count for one category.
 func (h *harness) errors(t *testing.T, cat uerr.Category) uint64 {
 	t.Helper()
-	return metricstest.Counter(t, h.f.reg, "discovery", "errors", metrics.L("category", cat.String()))
+	return metricstest.Counter(t, h.f.Metrics(), "discovery", "errors", metrics.L("category", cat.String()))
 }
 
 // variables returns n KindVariable records "prefix.i" offered by node.
@@ -151,7 +96,7 @@ func syncReq(epoch, version uint64) *protocol.Frame {
 // period however many digests expose the same gap, and again once the
 // period has passed (the reply may have been lost).
 func TestDigestGapRequestsOneSyncPerPeerPerPeriod(t *testing.T) {
-	h := newHarness()
+	h := newHarness(t)
 	steps := []struct {
 		advance  time.Duration
 		from     transport.NodeID
@@ -167,24 +112,24 @@ func TestDigestGapRequestsOneSyncPerPeerPerPeriod(t *testing.T) {
 	}
 	for i, st := range steps {
 		if st.advance > 0 {
-			h.f.clk.Sleep(st.advance)
+			h.f.Clock().Sleep(st.advance)
 		}
 		h.HandleHeartbeat(st.from, digest(t, st.from, 3, 5))
-		got := h.f.take()
+		got := h.f.Take()
 		if len(got) != st.wantReqs {
 			t.Fatalf("step %d: digest from %s triggered %d sends, want %d", i, st.from, len(got), st.wantReqs)
 		}
 		for _, s := range got {
-			if s.frame.Type != protocol.MTSyncReq || s.to != st.from || s.done != nil {
+			if s.Frame.Type != protocol.MTSyncReq || s.To != st.from || s.Held != nil {
 				t.Errorf("step %d: sent %v to %q (reliable %v), want a best-effort MTSyncReq to %s",
-					i, s.frame.Type, s.to, s.done != nil, st.from)
+					i, s.Frame.Type, s.To, s.Held != nil, st.from)
 			}
 		}
 	}
-	if got, want := metricstest.Counter(t, h.f.reg, "discovery", "syncs_triggered"), uint64(len(steps)); got != want {
+	if got, want := metricstest.Counter(t, h.f.Metrics(), "discovery", "syncs_triggered"), uint64(len(steps)); got != want {
 		t.Errorf("syncs_triggered = %d, want %d (suppressed detections count too)", got, want)
 	}
-	if got := metricstest.Counter(t, h.f.reg, "discovery", "sync_requests_sent"); got != 3 {
+	if got := metricstest.Counter(t, h.f.Metrics(), "discovery", "sync_requests_sent"); got != 3 {
 		t.Errorf("sync_requests_sent = %d, want 3", got)
 	}
 }
@@ -213,15 +158,15 @@ func TestSyncRequestIsAnsweredByGapSize(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			h := newHarness()
+			h := newHarness(t)
 			h.offer = variables("self", "base", base)
 			h.AnnounceNow() // version 1
 			h.offer = append(h.offer, variables("self", "late", tc.gap)...)
 			h.flushOffer() // version 2
-			h.f.take()
+			h.f.Take()
 
 			h.HandleSyncReq("peer", syncReq(tc.knownEpoch, tc.knownVersion))
-			got := h.f.take()
+			got := h.f.Take()
 			switch {
 			case tc.wantNothing:
 				if len(got) != 0 {
@@ -229,10 +174,10 @@ func TestSyncRequestIsAnsweredByGapSize(t *testing.T) {
 				}
 				return
 			case tc.wantDelta:
-				if len(got) != 1 || got[0].frame.Type != protocol.MTAnnounceDelta {
-					t.Fatalf("answered with %d frames (first %v), want one MTAnnounceDelta", len(got), got[0].frame.Type)
+				if len(got) != 1 || got[0].Frame.Type != protocol.MTAnnounceDelta {
+					t.Fatalf("answered with %d frames (first %v), want one MTAnnounceDelta", len(got), got[0].Frame.Type)
 				}
-				d, err := naming.DecodeDelta(got[0].frame.Payload)
+				d, err := naming.DecodeDelta(got[0].Frame.Payload)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -246,16 +191,16 @@ func TestSyncRequestIsAnsweredByGapSize(t *testing.T) {
 				}
 				records := 0
 				for i, s := range got {
-					if s.frame.Type != protocol.MTSyncRep {
-						t.Fatalf("frame %d is %v, want MTSyncRep", i, s.frame.Type)
+					if s.Frame.Type != protocol.MTSyncRep {
+						t.Fatalf("frame %d is %v, want MTSyncRep", i, s.Frame.Type)
 					}
-					if len(s.frame.Payload) > testMTU-syncFrameOverhead {
-						t.Errorf("chunk %d payload is %d bytes, budget is %d", i, len(s.frame.Payload), testMTU-syncFrameOverhead)
+					if len(s.Frame.Payload) > testMTU-syncFrameOverhead {
+						t.Errorf("chunk %d payload is %d bytes, budget is %d", i, len(s.Frame.Payload), testMTU-syncFrameOverhead)
 					}
-					if size := protocol.FrameWireSize(&s.frame); size > testMTU {
+					if size := protocol.FrameWireSize(s.Frame); size > testMTU {
 						t.Errorf("chunk %d is a %d-byte frame, MTU is %d", i, size, testMTU)
 					}
-					c, err := naming.DecodeSyncChunk(s.frame.Payload)
+					c, err := naming.DecodeSyncChunk(s.Frame.Payload)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -269,9 +214,9 @@ func TestSyncRequestIsAnsweredByGapSize(t *testing.T) {
 				}
 			}
 			for i, s := range got {
-				if s.to != "peer" || s.done == nil || s.frame.Priority != qos.PriorityHigh {
+				if s.To != "peer" || s.Held == nil || s.Frame.Priority != qos.PriorityHigh {
 					t.Errorf("frame %d: to %q, reliable %v, priority %v; want a reliable PriorityHigh send to peer",
-						i, s.to, s.done != nil, s.frame.Priority)
+						i, s.To, s.Held != nil, s.Frame.Priority)
 				}
 			}
 		})
@@ -282,15 +227,15 @@ func TestSyncRequestIsAnsweredByGapSize(t *testing.T) {
 // in flight; the fifth request is dropped and counted as an admission
 // failure, and a slot frees once a reply's last chunk is acknowledged.
 func TestFifthConcurrentSnapshotServeIsShed(t *testing.T) {
-	h := newHarness()
+	h := newHarness(t)
 	h.offer = variables("self", "v", 12)
 	h.AnnounceNow()
-	h.f.take()
+	h.f.Take()
 
-	var inFlight [][]sent
+	var inFlight [][]fabrictest.Sent
 	for i := 0; i < maxConcurrentSyncServes; i++ {
 		h.HandleSyncReq(transport.NodeID(fmt.Sprintf("p%d", i)), syncReq(0, 0))
-		chunks := h.f.take()
+		chunks := h.f.Take()
 		if len(chunks) == 0 {
 			t.Fatalf("request %d was not served", i)
 		}
@@ -301,7 +246,7 @@ func TestFifthConcurrentSnapshotServeIsShed(t *testing.T) {
 	}
 
 	h.HandleSyncReq("p4", syncReq(0, 0))
-	if got := h.f.take(); len(got) != 0 {
+	if got := h.f.Take(); len(got) != 0 {
 		t.Fatalf("fifth concurrent request was served %d frames", len(got))
 	}
 	if got := h.errors(t, uerr.CatAdmission); got != 1 {
@@ -311,18 +256,18 @@ func TestFifthConcurrentSnapshotServeIsShed(t *testing.T) {
 	// All but the last chunk of one reply acknowledged: still in flight.
 	first := inFlight[0]
 	for _, s := range first[:len(first)-1] {
-		s.done(nil)
+		s.Held.Release(nil)
 	}
 	h.HandleSyncReq("p4", syncReq(0, 0))
-	if got := h.f.take(); len(got) != 0 {
+	if got := h.f.Take(); len(got) != 0 {
 		t.Fatal("a reply with a chunk outstanding freed its slot")
 	}
-	first[len(first)-1].done(nil)
+	first[len(first)-1].Held.Release(nil)
 	h.HandleSyncReq("p4", syncReq(0, 0))
-	if got := h.f.take(); len(got) == 0 {
+	if got := h.f.Take(); len(got) == 0 {
 		t.Fatal("request not served after a reply completed")
 	}
-	if got := metricstest.Counter(t, h.f.reg, "discovery", "sync_requests_served"); got != maxConcurrentSyncServes+1 {
+	if got := metricstest.Counter(t, h.f.Metrics(), "discovery", "sync_requests_served"); got != maxConcurrentSyncServes+1 {
 		t.Errorf("sync_requests_served = %d, want %d", got, maxConcurrentSyncServes+1)
 	}
 }
@@ -358,17 +303,17 @@ func TestMisattributedPayloadIsCountedNotApplied(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			h := newHarness()
+			h := newHarness(t)
 			tc.handle(h.Engine, "rogue", tc.frame(t))
 			if got := h.errors(t, uerr.CatProtocol); got != 1 {
 				t.Errorf("discovery.errors{category=protocol_violation} = %d, want 1", got)
 			}
 			for _, node := range []transport.NodeID{"victim", "rogue"} {
-				if _, _, known := h.f.dir.NodeVersion(node); known || h.f.dir.NodeRecordCount(node) != 0 {
+				if _, _, known := h.f.Directory().NodeVersion(node); known || h.f.Directory().NodeRecordCount(node) != 0 {
 					t.Errorf("directory learned about %s from a misattributed frame", node)
 				}
 			}
-			if len(h.Peers()) != 0 || len(h.applied) != 0 || len(h.f.take()) != 0 {
+			if len(h.Peers()) != 0 || len(h.applied) != 0 || len(h.f.Take()) != 0 {
 				t.Errorf("peers %v, applied hooks %v: the frame must leave no trace", h.Peers(), h.applied)
 			}
 			// The same frame from its rightful sender is taken.
@@ -384,19 +329,19 @@ func TestMisattributedPayloadIsCountedNotApplied(t *testing.T) {
 // introduced itself put nothing on the wire and leave the log alone — they
 // ride the full announce — and from then on each flush is one delta.
 func TestOfferFlushWaitsForIntroduction(t *testing.T) {
-	h := newHarness()
+	h := newHarness(t)
 	h.offer = variables("self", "early", 3)
 	h.flushOffer()
-	if got := h.f.take(); len(got) != 0 || h.OfferVersion() != 0 {
+	if got := h.f.Take(); len(got) != 0 || h.OfferVersion() != 0 {
 		t.Fatalf("pre-introduction flush sent %d frames and moved the log to version %d", len(got), h.OfferVersion())
 	}
 
 	h.AnnounceNow()
-	got := h.f.take()
-	if len(got) != 1 || got[0].frame.Type != protocol.MTAnnounce || got[0].group == "" {
+	got := h.f.Take()
+	if len(got) != 1 || got[0].Frame.Type != protocol.MTAnnounce || got[0].Group == "" {
 		t.Fatalf("introduction sent %d frames, want one multicast MTAnnounce", len(got))
 	}
-	ann, err := naming.DecodeAnnouncement(got[0].frame.Payload)
+	ann, err := naming.DecodeAnnouncement(got[0].Frame.Payload)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -405,24 +350,24 @@ func TestOfferFlushWaitsForIntroduction(t *testing.T) {
 	}
 
 	h.flushOffer()
-	if got := h.f.take(); len(got) != 0 {
+	if got := h.f.Take(); len(got) != 0 {
 		t.Fatalf("flush of an unchanged offer sent %d frames", len(got))
 	}
 	h.offer = append(h.offer, variables("self", "late", 2)...)
 	h.flushOffer()
-	got = h.f.take()
-	if len(got) != 1 || got[0].frame.Type != protocol.MTAnnounceDelta || got[0].group == "" {
+	got = h.f.Take()
+	if len(got) != 1 || got[0].Frame.Type != protocol.MTAnnounceDelta || got[0].Group == "" {
 		t.Fatalf("flush sent %d frames, want one multicast MTAnnounceDelta", len(got))
 	}
-	d, err := naming.DecodeDelta(got[0].frame.Payload)
+	d, err := naming.DecodeDelta(got[0].Frame.Payload)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if d.From != 1 || d.To != 2 || len(d.Added) != 2 || len(d.Withdrawn) != 0 {
 		t.Errorf("delta %d→%d adds %d withdraws %d, want 1→2 adding 2", d.From, d.To, len(d.Added), len(d.Withdrawn))
 	}
-	if h.f.dir.NodeRecordCount("self") != 5 {
-		t.Errorf("local directory holds %d of the node's own 5 records", h.f.dir.NodeRecordCount("self"))
+	if h.f.Directory().NodeRecordCount("self") != 5 {
+		t.Errorf("local directory holds %d of the node's own 5 records", h.f.Directory().NodeRecordCount("self"))
 	}
 }
 
@@ -430,7 +375,7 @@ func TestOfferFlushWaitsForIntroduction(t *testing.T) {
 // accepted and not for what it rejected; PeerGone fires once the peer is
 // purged.
 func TestHooksFollowTheDirectory(t *testing.T) {
-	h := newHarness()
+	h := newHarness(t)
 	announce := func(epoch, version uint64, n int) *protocol.Frame {
 		return &protocol.Frame{Type: protocol.MTAnnounce, Payload: must(t)(naming.EncodeAnnouncement(
 			&naming.Announcement{Node: "peer", Epoch: epoch, Version: version, Records: variables("peer", "v", n)}))}
@@ -441,13 +386,13 @@ func TestHooksFollowTheDirectory(t *testing.T) {
 	}
 	h.HandleAnnounce("peer", announce(1, 9, 1)) // previous incarnation
 	h.HandleAnnounce("peer", announce(2, 2, 1)) // rolled-back version
-	if len(h.applied) != 1 || h.f.dir.NodeRecordCount("peer") != 2 {
+	if len(h.applied) != 1 || h.f.Directory().NodeRecordCount("peer") != 2 {
 		t.Fatalf("rejected announces fired OfferApplied (%d calls) or changed the directory (%d records)",
-			len(h.applied), h.f.dir.NodeRecordCount("peer"))
+			len(h.applied), h.f.Directory().NodeRecordCount("peer"))
 	}
 	h.HandleBye("peer")
-	if len(h.gone) != 1 || h.gone[0] != "peer" || len(h.Peers()) != 0 || h.f.dir.NodeRecordCount("peer") != 0 {
-		t.Errorf("bye: gone hooks %v, peers %v, %d records left", h.gone, h.Peers(), h.f.dir.NodeRecordCount("peer"))
+	if len(h.gone) != 1 || h.gone[0] != "peer" || len(h.Peers()) != 0 || h.f.Directory().NodeRecordCount("peer") != 0 {
+		t.Errorf("bye: gone hooks %v, peers %v, %d records left", h.gone, h.Peers(), h.f.Directory().NodeRecordCount("peer"))
 	}
 }
 
@@ -455,7 +400,7 @@ func TestHooksFollowTheDirectory(t *testing.T) {
 // period — touch its own records, find no failed peer, keep every live
 // peer's records fresh, expire nothing — allocates nothing.
 func TestSteadySweepAllocatesNothing(t *testing.T) {
-	h := newHarness()
+	h := newHarness(t)
 	now := h.clk.Now()
 	for i := 0; i < 8; i++ {
 		peer := transport.NodeID(fmt.Sprintf("peer%d", i))

@@ -4,22 +4,11 @@ import (
 	"context"
 	"testing"
 
+	"uavmw/internal/fabric/fabrictest"
 	"uavmw/internal/presentation/ptest"
 	"uavmw/internal/protocol"
 	"uavmw/internal/qos"
-	"uavmw/internal/transport"
 )
-
-// nopFabric accepts and drops every send without recording it, completing
-// reliable ones at once, so allocation gates measure the engine alone.
-type nopFabric struct{ *fakeFabric }
-
-func (nopFabric) SendGroup(string, *protocol.Frame) error { return nil }
-func (nopFabric) SendReliable(_ transport.NodeID, _ *protocol.Frame, _ qos.Reliability, done func(error)) {
-	if done != nil {
-		done(nil)
-	}
-}
 
 // TestPublishEncodeAllocatesNothing gates the event publish-encode site.
 // A multicast occurrence — header, fused coerce+append of the value onto
@@ -36,7 +25,11 @@ func TestPublishEncodeAllocatesNothing(t *testing.T) {
 		{"multicast", qos.DeliverMulticast},
 		{"unicast", qos.DeliverUnicast},
 	} {
-		e := New(nopFabric{newFakeFabric("n")})
+		// The double drops every send unrecorded, completing reliable ones
+		// at once, so the gate measures the engine alone.
+		f := fabrictest.New(t, "n")
+		f.Discard(nil)
+		e := New(f)
 		p, err := e.Offer("det.alarm", "svc", ptest.DetectionType, qos.EventQoS{Delivery: tc.delivery})
 		if err != nil {
 			t.Fatal(err)

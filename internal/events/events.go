@@ -352,7 +352,6 @@ func (p *Publisher) publishGroup(payload []byte) error {
 	frame.Encoding = p.engine.enc.ID()
 	frame.Priority = p.q.Priority
 	frame.Channel = p.topic
-	frame.Seq = p.engine.f.NextSeq()
 	frame.Payload = payload
 	err := p.engine.f.SendGroup(p.group, frame)
 	putFrame(frame)
@@ -375,7 +374,6 @@ func (p *Publisher) publishUnicast(ctx context.Context, payload []byte, fan *fan
 		frame.Encoding = p.engine.enc.ID()
 		frame.Priority = p.q.Priority
 		frame.Channel = p.topic
-		frame.Seq = p.engine.f.NextSeq()
 		frame.Payload = payload
 		p.sendEvent(node, frame, fan.slots[i].done)
 		putFrame(frame)
@@ -527,7 +525,6 @@ func (p *Publisher) repairFor(node transport.NodeID, seqs []uint64) {
 			Encoding: p.engine.f.Encoding().ID(),
 			Priority: p.q.Priority,
 			Channel:  p.topic,
-			Seq:      p.engine.f.NextSeq(),
 			Payload:  protocol.EncodeEventPayload(p.id, rep.seq, rep.body, nil),
 		}
 		p.sendEvent(node, frame, nil)
@@ -684,7 +681,6 @@ func (s *Subscription) register() {
 		Type:     protocol.MTSubscribe,
 		Priority: qos.PriorityHigh,
 		Channel:  s.topic,
-		Seq:      e.f.NextSeq(),
 	}
 	e.f.SendReliable(rec.Node, frame, qos.ReliableARQ, nil)
 }
@@ -779,7 +775,6 @@ func (s *Subscription) Close() {
 			Type:     protocol.MTUnsubscribe,
 			Priority: qos.PriorityHigh,
 			Channel:  s.topic,
-			Seq:      e.f.NextSeq(),
 		}
 		e.f.SendReliable(provider, frame, qos.ReliableARQ, nil)
 	}
@@ -1062,7 +1057,6 @@ func (e *Engine) sendNack(to transport.NodeID, topic string, missing []uint64) {
 		Type:     protocol.MTEventNack,
 		Priority: qos.PriorityHigh,
 		Channel:  topic,
-		Seq:      e.f.NextSeq(),
 		Payload:  payload,
 	}
 	e.f.SendReliable(to, frame, qos.ReliableARQ, nil)

@@ -3,12 +3,12 @@ package events
 import (
 	"context"
 	"errors"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"uavmw/internal/encoding"
+	"uavmw/internal/fabric/fabrictest"
 	"uavmw/internal/naming"
 	"uavmw/internal/presentation"
 	"uavmw/internal/protocol"
@@ -16,105 +16,10 @@ import (
 	"uavmw/internal/transport"
 )
 
-// fakeFabric runs handlers inline; reliable sends succeed (or fail, when
-// failNodes matches) immediately.
-type fakeFabric struct {
-	self transport.NodeID
-	dir  *naming.Directory
-	seq  atomic.Uint64
-
-	// offerChanges counts OfferChanged notifications (the container would
-	// broadcast a discovery delta for each).
-	offerChanges atomic.Uint64
-
-	mu        sync.Mutex
-	reliable  []*protocol.Frame
-	reliantTo []transport.NodeID // destination of each reliable frame
-	group     []*protocol.Frame  // group-addressed frames
-	groupName []string           // group of each group frame
-	joined    map[string]int     // Join minus Leave per group
-	failNodes map[transport.NodeID]bool
-}
-
-func newFakeFabric(self transport.NodeID) *fakeFabric {
-	return &fakeFabric{
-		self:      self,
-		dir:       naming.NewDirectory(time.Minute),
-		joined:    make(map[string]int),
-		failNodes: make(map[transport.NodeID]bool),
-	}
-}
-
-func (f *fakeFabric) Self() transport.NodeID       { return f.self }
-func (f *fakeFabric) Encoding() encoding.Encoding  { return encoding.Binary{} }
-func (f *fakeFabric) Directory() *naming.Directory { return f.dir }
-func (f *fakeFabric) NextSeq() uint64              { return f.seq.Add(1) }
-func (f *fakeFabric) OfferChanged()                { f.offerChanges.Add(1) }
-func (f *fakeFabric) Schedule(_ qos.Priority, job func()) error {
-	job()
-	return nil
-}
-func (f *fakeFabric) SendBestEffort(transport.NodeID, *protocol.Frame) error { return nil }
-
-func (f *fakeFabric) SendGroup(group string, fr *protocol.Frame) error {
-	cp := *fr
-	cp.Payload = append([]byte(nil), fr.Payload...)
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.group = append(f.group, &cp)
-	f.groupName = append(f.groupName, group)
-	return nil
-}
-
-func (f *fakeFabric) Join(group string) error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.joined[group]++
-	return nil
-}
-
-func (f *fakeFabric) Leave(group string) error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.joined[group]--
-	return nil
-}
-
-func (f *fakeFabric) SendReliable(to transport.NodeID, fr *protocol.Frame, _ qos.Reliability, done func(error)) {
-	// Fabric contract: the frame may be pooled by the caller after the
-	// call returns, so retain a copy, not the original.
-	cp := *fr
-	cp.Payload = append([]byte(nil), fr.Payload...)
-	f.mu.Lock()
-	f.reliable = append(f.reliable, &cp)
-	f.reliantTo = append(f.reliantTo, to)
-	fail := f.failNodes[to]
-	f.mu.Unlock()
-	if done != nil {
-		if fail {
-			done(errors.New("injected send failure"))
-		} else {
-			done(nil)
-		}
-	}
-}
-
-func (f *fakeFabric) reliableCount(mt protocol.MsgType) int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	n := 0
-	for _, fr := range f.reliable {
-		if fr.Type == mt {
-			n++
-		}
-	}
-	return n
-}
-
 var alertType = presentation.MustParse("{code:u32}")
 
 func TestOfferValidation(t *testing.T) {
-	e := New(newFakeFabric("n"))
+	e := New(fabrictest.New(t, "n"))
 	if _, err := e.Offer("t", "svc", presentation.StructOf(), qos.EventQoS{}); err == nil {
 		t.Error("invalid type accepted")
 	}
@@ -130,7 +35,7 @@ func TestOfferValidation(t *testing.T) {
 }
 
 func TestLocalDeliveryBypass(t *testing.T) {
-	f := newFakeFabric("n")
+	f := fabrictest.New(t, "n")
 	e := New(f)
 	p, err := e.Offer("t", "svc", alertType, qos.EventQoS{})
 	if err != nil {
@@ -149,13 +54,13 @@ func TestLocalDeliveryBypass(t *testing.T) {
 		t.Fatalf("local delivery = %v", v)
 	}
 	// Purely local: no reliable frames.
-	if n := f.reliableCount(protocol.MTEvent); n != 0 {
+	if n := f.Count(fabrictest.Reliable, protocol.MTEvent); n != 0 {
 		t.Errorf("local publish sent %d event frames", n)
 	}
 }
 
 func TestRemoteSubscriberManagement(t *testing.T) {
-	f := newFakeFabric("pub")
+	f := fabrictest.New(t, "pub")
 	e := New(f)
 	p, err := e.Offer("t", "svc", alertType, qos.EventQoS{})
 	if err != nil {
@@ -169,7 +74,7 @@ func TestRemoteSubscriberManagement(t *testing.T) {
 	if err := p.Publish(context.Background(), map[string]any{"code": 1}); err != nil {
 		t.Fatal(err)
 	}
-	if n := f.reliableCount(protocol.MTEvent); n != 2 {
+	if n := f.Count(fabrictest.Reliable, protocol.MTEvent); n != 2 {
 		t.Errorf("event frames = %d, want 2", n)
 	}
 	e.HandleUnsubscribe("gs", &protocol.Frame{Type: protocol.MTUnsubscribe, Channel: "t"})
@@ -187,7 +92,7 @@ func TestRemoteSubscriberManagement(t *testing.T) {
 }
 
 func TestPartialDeliveryDropsSubscriber(t *testing.T) {
-	f := newFakeFabric("pub")
+	f := fabrictest.New(t, "pub")
 	e := New(f)
 	p, err := e.Offer("t", "svc", nil, qos.EventQoS{})
 	if err != nil {
@@ -195,9 +100,7 @@ func TestPartialDeliveryDropsSubscriber(t *testing.T) {
 	}
 	e.HandleSubscribe("good", &protocol.Frame{Type: protocol.MTSubscribe, Channel: "t"})
 	e.HandleSubscribe("bad", &protocol.Frame{Type: protocol.MTSubscribe, Channel: "t"})
-	f.mu.Lock()
-	f.failNodes["bad"] = true
-	f.mu.Unlock()
+	f.Fail("bad")
 
 	err = p.Publish(context.Background(), nil)
 	if !errors.Is(err, ErrPartialDelivery) {
@@ -213,7 +116,7 @@ func TestPartialDeliveryDropsSubscriber(t *testing.T) {
 }
 
 func TestPublishTypeEnforcement(t *testing.T) {
-	e := New(newFakeFabric("n"))
+	e := New(fabrictest.New(t, "n"))
 	p, err := e.Offer("payload-less", "svc", nil, qos.EventQoS{})
 	if err != nil {
 		t.Fatal(err)
@@ -231,9 +134,9 @@ func TestPublishTypeEnforcement(t *testing.T) {
 }
 
 func TestSubscribeRegistersWithRemotePublisher(t *testing.T) {
-	f := newFakeFabric("sub")
+	f := fabrictest.New(t, "sub")
 	e := New(f)
-	f.dir.Apply(&naming.Announcement{
+	f.Directory().Apply(&naming.Announcement{
 		Node: "pub", Epoch: 1,
 		Records: []naming.Record{{
 			Kind: naming.KindEvent, Name: "t", Service: "svc", Node: "pub",
@@ -245,22 +148,22 @@ func TestSubscribeRegistersWithRemotePublisher(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := f.reliableCount(protocol.MTSubscribe); n != 1 {
+	if n := f.Count(fabrictest.Reliable, protocol.MTSubscribe); n != 1 {
 		t.Fatalf("subscribe frames = %d", n)
 	}
 	// Refresh re-registers (publisher restart recovery).
 	e.Refresh()
-	if n := f.reliableCount(protocol.MTSubscribe); n != 2 {
+	if n := f.Count(fabrictest.Reliable, protocol.MTSubscribe); n != 2 {
 		t.Errorf("after refresh = %d", n)
 	}
 	s.Close()
-	if n := f.reliableCount(protocol.MTUnsubscribe); n != 1 {
+	if n := f.Count(fabrictest.Reliable, protocol.MTUnsubscribe); n != 1 {
 		t.Errorf("unsubscribe frames = %d", n)
 	}
 }
 
 func TestHandleEventDecodesAndCounts(t *testing.T) {
-	f := newFakeFabric("sub")
+	f := fabrictest.New(t, "sub")
 	e := New(f)
 	var got atomic.Value
 	s, err := e.Subscribe("t", alertType, qos.EventQoS{},
@@ -294,14 +197,14 @@ func TestHandleEventDecodesAndCounts(t *testing.T) {
 }
 
 func TestNilHandlerRejected(t *testing.T) {
-	e := New(newFakeFabric("n"))
+	e := New(fabrictest.New(t, "n"))
 	if _, err := e.Subscribe("t", nil, qos.EventQoS{}, nil); err == nil {
 		t.Error("nil handler accepted")
 	}
 }
 
 func TestRecords(t *testing.T) {
-	e := New(newFakeFabric("node3"))
+	e := New(fabrictest.New(t, "node3"))
 	if _, err := e.Offer("alarm", "svc", alertType, qos.EventQoS{}); err != nil {
 		t.Fatal(err)
 	}

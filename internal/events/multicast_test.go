@@ -9,6 +9,7 @@ import (
 
 	"uavmw/internal/encoding"
 	"uavmw/internal/fabric"
+	"uavmw/internal/fabric/fabrictest"
 	"uavmw/internal/protocol"
 	"uavmw/internal/qos"
 	"uavmw/internal/transport"
@@ -17,7 +18,7 @@ import (
 var mcastQoS = qos.EventQoS{Delivery: qos.DeliverMulticast}
 
 func TestMulticastQoSValidation(t *testing.T) {
-	e := New(newFakeFabric("n"))
+	e := New(fabrictest.New(t, "n"))
 	if _, err := e.Offer("t", "svc", alertType,
 		qos.EventQoS{Delivery: qos.DeliverMulticast, Reliability: qos.BestEffort}); err == nil {
 		t.Error("best-effort multicast accepted")
@@ -28,7 +29,7 @@ func TestMulticastQoSValidation(t *testing.T) {
 }
 
 func TestMulticastPublishSendsOneGroupFrame(t *testing.T) {
-	f := newFakeFabric("pub")
+	f := fabrictest.New(t, "pub")
 	e := New(f)
 	p, err := e.Offer("t", "svc", alertType, mcastQoS)
 	if err != nil {
@@ -44,21 +45,24 @@ func TestMulticastPublishSendsOneGroupFrame(t *testing.T) {
 		}
 	}
 
-	f.mu.Lock()
-	groupFrames, groups := f.group, f.groupName
-	f.mu.Unlock()
-	// One frame per occurrence regardless of the 3 subscribers.
-	if len(groupFrames) != 3 {
-		t.Fatalf("group frames = %d, want 3", len(groupFrames))
+	var groupSends []fabrictest.Sent
+	for _, s := range f.Sent() {
+		if s.Kind == fabrictest.Group {
+			groupSends = append(groupSends, s)
+		}
 	}
-	if n := f.reliableCount(protocol.MTEvent); n != 0 {
+	// One frame per occurrence regardless of the 3 subscribers.
+	if len(groupSends) != 3 {
+		t.Fatalf("group frames = %d, want 3", len(groupSends))
+	}
+	if n := f.Count(fabrictest.Reliable, protocol.MTEvent); n != 0 {
 		t.Errorf("multicast publish also sent %d unicast event frames", n)
 	}
-	for i, fr := range groupFrames {
-		if groups[i] != fabric.EventGroup("t") {
-			t.Errorf("frame %d group = %q", i, groups[i])
+	for i, s := range groupSends {
+		if s.Group != fabric.EventGroup("t") {
+			t.Errorf("frame %d group = %q", i, s.Group)
 		}
-		pubID, seq, _, err := protocol.DecodeEventPayload(fr.Payload)
+		pubID, seq, _, err := protocol.DecodeEventPayload(s.Frame.Payload)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -69,22 +73,18 @@ func TestMulticastPublishSendsOneGroupFrame(t *testing.T) {
 }
 
 func TestMulticastSubscribeJoinsGroup(t *testing.T) {
-	f := newFakeFabric("sub")
+	f := fabrictest.New(t, "sub")
 	e := New(f)
 	s, err := e.Subscribe("t", alertType, mcastQoS, func(any, transport.NodeID) {})
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.mu.Lock()
-	joined := f.joined[fabric.EventGroup("t")]
-	f.mu.Unlock()
+	joined := f.Joined(fabric.EventGroup("t"))
 	if joined != 1 {
 		t.Fatalf("join count = %d", joined)
 	}
 	s.Close()
-	f.mu.Lock()
-	joined = f.joined[fabric.EventGroup("t")]
-	f.mu.Unlock()
+	joined = f.Joined(fabric.EventGroup("t"))
 	if joined != 0 {
 		t.Errorf("after close join count = %d", joined)
 	}
@@ -101,7 +101,7 @@ func occurrence(t *testing.T, pubID uint32, seq uint64, code uint32) []byte {
 }
 
 func TestGapDetectionNackAndRepair(t *testing.T) {
-	f := newFakeFabric("sub")
+	f := fabrictest.New(t, "sub")
 	e := New(f)
 	var received atomic.Int64
 	s, err := e.Subscribe("t", alertType, mcastQoS,
@@ -123,17 +123,15 @@ func TestGapDetectionNackAndRepair(t *testing.T) {
 		t.Fatalf("gaps = %d/%d, want 2/0", detected, repaired)
 	}
 	// A NACK listing both missing sequences went back to the source.
-	if n := f.reliableCount(protocol.MTEventNack); n != 1 {
+	if n := f.Count(fabrictest.Reliable, protocol.MTEventNack); n != 1 {
 		t.Fatalf("nack frames = %d", n)
 	}
-	f.mu.Lock()
 	var nack *protocol.Frame
-	for _, fr := range f.reliable {
+	for _, fr := range f.Frames(fabrictest.Reliable) {
 		if fr.Type == protocol.MTEventNack {
 			nack = fr
 		}
 	}
-	f.mu.Unlock()
 	missing, err := protocol.DecodeEventNack(nack.Payload)
 	if err != nil {
 		t.Fatal(err)
@@ -163,7 +161,7 @@ func TestReorderedStartupOccurrencesAreNotDropped(t *testing.T) {
 	// observation is not the stream's first occurrence; the earlier one
 	// arriving late must still be delivered (guaranteed primitive), not
 	// suppressed as a duplicate.
-	f := newFakeFabric("sub")
+	f := fabrictest.New(t, "sub")
 	e := New(f)
 	var received atomic.Int64
 	if _, err := e.Subscribe("t", alertType, qos.EventQoS{},
@@ -187,15 +185,13 @@ func TestUnicastSubscriberHearsMulticastPublisher(t *testing.T) {
 	// Delivery mode is the publisher's choice: a subscriber that asked
 	// for unicast QoS still joins the topic group so group-addressed
 	// occurrences reach it.
-	f := newFakeFabric("sub")
+	f := fabrictest.New(t, "sub")
 	e := New(f)
 	s, err := e.Subscribe("t", alertType, qos.EventQoS{}, func(any, transport.NodeID) {})
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.mu.Lock()
-	joined := f.joined[fabric.EventGroup("t")]
-	f.mu.Unlock()
+	joined := f.Joined(fabric.EventGroup("t"))
 	if joined != 1 {
 		t.Fatalf("unicast subscription join count = %d, want 1", joined)
 	}
@@ -209,14 +205,14 @@ func TestUnicastSubscriberHearsMulticastPublisher(t *testing.T) {
 		Type: protocol.MTEvent, Encoding: 1, Channel: "t", Seq: 3,
 		Payload: occurrence(t, 11, 3, 3),
 	})
-	if n := f.reliableCount(protocol.MTEventNack); n != 1 {
+	if n := f.Count(fabrictest.Reliable, protocol.MTEventNack); n != 1 {
 		t.Errorf("nack frames = %d, want 1", n)
 	}
 	s.Close()
 }
 
 func TestHugeGapNackBoundedByReplayDepth(t *testing.T) {
-	f := newFakeFabric("sub")
+	f := fabrictest.New(t, "sub")
 	e := New(f)
 	s, err := e.Subscribe("t", alertType, mcastQoS, func(any, transport.NodeID) {})
 	if err != nil {
@@ -234,14 +230,12 @@ func TestHugeGapNackBoundedByReplayDepth(t *testing.T) {
 	if detected, _ := s.Gaps(); detected != 298 {
 		t.Fatalf("gaps detected = %d, want 298", detected)
 	}
-	f.mu.Lock()
 	var nack *protocol.Frame
-	for _, fr := range f.reliable {
+	for _, fr := range f.Frames(fabrictest.Reliable) {
 		if fr.Type == protocol.MTEventNack {
 			nack = fr
 		}
 	}
-	f.mu.Unlock()
 	if nack == nil {
 		t.Fatal("no nack sent")
 	}
@@ -260,7 +254,7 @@ func TestHugeGapNackBoundedByReplayDepth(t *testing.T) {
 }
 
 func TestPublisherRestartResetsTracker(t *testing.T) {
-	f := newFakeFabric("sub")
+	f := fabrictest.New(t, "sub")
 	e := New(f)
 	var received atomic.Int64
 	if _, err := e.Subscribe("t", alertType, mcastQoS,
@@ -280,13 +274,13 @@ func TestPublisherRestartResetsTracker(t *testing.T) {
 	if got := received.Load(); got != 2 {
 		t.Fatalf("received = %d, want 2", got)
 	}
-	if n := f.reliableCount(protocol.MTEventNack); n != 0 {
+	if n := f.Count(fabrictest.Reliable, protocol.MTEventNack); n != 0 {
 		t.Errorf("restart produced %d nacks", n)
 	}
 }
 
 func TestHandleEventNackRepairsFromReplay(t *testing.T) {
-	f := newFakeFabric("pub")
+	f := fabrictest.New(t, "pub")
 	e := New(f)
 	p, err := e.Offer("t", "svc", alertType, mcastQoS)
 	if err != nil {
@@ -307,18 +301,16 @@ func TestHandleEventNackRepairsFromReplay(t *testing.T) {
 		Type: protocol.MTEventNack, Channel: "t", Seq: 9, Payload: nackPayload,
 	})
 
-	if n := f.reliableCount(protocol.MTEvent); n != 1 {
+	if n := f.Count(fabrictest.Reliable, protocol.MTEvent); n != 1 {
 		t.Fatalf("repair frames = %d", n)
 	}
-	f.mu.Lock()
 	var repair *protocol.Frame
 	var repairTo transport.NodeID
-	for i, fr := range f.reliable {
-		if fr.Type == protocol.MTEvent {
-			repair, repairTo = fr, f.reliantTo[i]
+	for _, s := range f.Sent() {
+		if s.Kind == fabrictest.Reliable && s.Frame.Type == protocol.MTEvent {
+			repair, repairTo = s.Frame, s.To
 		}
 	}
-	f.mu.Unlock()
 	if repairTo != "sub1" {
 		t.Errorf("repair sent to %q", repairTo)
 	}
@@ -348,13 +340,13 @@ func TestHandleEventNackRepairsFromReplay(t *testing.T) {
 	e.HandleEventNack("sub1", &protocol.Frame{
 		Type: protocol.MTEventNack, Channel: "t", Seq: 10, Payload: old,
 	})
-	if n := f.reliableCount(protocol.MTEvent); n != 1 {
+	if n := f.Count(fabrictest.Reliable, protocol.MTEvent); n != 1 {
 		t.Errorf("unrepairable nack produced frames: %d", n)
 	}
 }
 
 func TestUnicastCarriesTopicSeqOnWire(t *testing.T) {
-	f := newFakeFabric("pub")
+	f := fabrictest.New(t, "pub")
 	e := New(f)
 	p, err := e.Offer("t", "svc", alertType, qos.EventQoS{})
 	if err != nil {
@@ -366,10 +358,8 @@ func TestUnicastCarriesTopicSeqOnWire(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	want := uint64(1)
-	for _, fr := range f.reliable {
+	for _, fr := range f.Frames(fabrictest.Reliable) {
 		if fr.Type != protocol.MTEvent {
 			continue
 		}
@@ -387,21 +377,10 @@ func TestUnicastCarriesTopicSeqOnWire(t *testing.T) {
 	}
 }
 
-// stallFabric never completes reliable sends to the "slow" node; sends to
-// the "bad" node fail immediately.
-type stallFabric struct {
-	*fakeFabric
-}
-
-func (f *stallFabric) SendReliable(to transport.NodeID, fr *protocol.Frame, rel qos.Reliability, done func(error)) {
-	if to == "slow" {
-		return // outcome never arrives
-	}
-	f.fakeFabric.SendReliable(to, fr, rel, done)
-}
-
 func TestPublishCancellationAccountsDrainedOutcomes(t *testing.T) {
-	f := &stallFabric{fakeFabric: newFakeFabric("pub")}
+	// Sends to "slow" never complete; sends to "bad" fail at once.
+	f := fabrictest.New(t, "pub")
+	f.Hold("slow")
 	e := New(f)
 	p, err := e.Offer("t", "svc", nil, qos.EventQoS{})
 	if err != nil {
@@ -409,9 +388,7 @@ func TestPublishCancellationAccountsDrainedOutcomes(t *testing.T) {
 	}
 	e.HandleSubscribe("bad", &protocol.Frame{Type: protocol.MTSubscribe, Channel: "t"})
 	e.HandleSubscribe("slow", &protocol.Frame{Type: protocol.MTSubscribe, Channel: "t"})
-	f.mu.Lock()
-	f.failNodes["bad"] = true
-	f.mu.Unlock()
+	f.Fail("bad")
 
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()

@@ -8,20 +8,12 @@ import (
 	"time"
 
 	"uavmw/internal/encoding"
+	"uavmw/internal/fabric/fabrictest"
 	"uavmw/internal/protocol"
 	"uavmw/internal/qos"
 	"uavmw/internal/scheduler"
 	"uavmw/internal/transport"
 )
-
-// inlineSchedFabric queues scheduled work on a scheduler.Inline: a job runs
-// inside the Schedule call that queues it.
-type inlineSchedFabric struct {
-	*fakeFabric
-	sched *scheduler.Inline
-}
-
-func (f inlineSchedFabric) Schedule(p qos.Priority, job func()) error { return f.sched.Submit(p, job) }
 
 // TestDeliveryRecordReuseUnderInlineReentry has a handler re-enter the
 // engine with a second occurrence. On an inline scheduler the nested
@@ -29,7 +21,9 @@ func (f inlineSchedFabric) Schedule(p qos.Priority, job func()) error { return f
 // recycled before that handler ran, so the nested delivery takes it again,
 // and the first handler still sees its own value afterwards.
 func TestDeliveryRecordReuseUnderInlineReentry(t *testing.T) {
-	e := New(inlineSchedFabric{newFakeFabric("n"), scheduler.NewInline()})
+	f := fabrictest.New(t, "n")
+	f.Sched = scheduler.NewInline().Submit // a job runs inside the Schedule call that queues it
+	e := New(f)
 	enc := encoding.Binary{}
 	occurrence := func(seq uint64, code uint32) *protocol.Frame {
 		body, err := enc.Marshal(alertType, map[string]any{"code": code})
@@ -63,19 +57,6 @@ func TestDeliveryRecordReuseUnderInlineReentry(t *testing.T) {
 	}
 }
 
-// heldFabric hands every event send's completion to the test, which fires
-// it when it chooses.
-type heldFabric struct {
-	*fakeFabric
-	dones chan func(error)
-}
-
-func (f *heldFabric) SendReliable(_ transport.NodeID, fr *protocol.Frame, _ qos.Reliability, done func(error)) {
-	if fr.Type == protocol.MTEvent {
-		f.dones <- done
-	}
-}
-
 // TestFanoutReuseAfterCancelledPublish cancels a unicast publish with its
 // completion still in flight, starts a second publish, and only then lets
 // the first one's completion land, with a failure. The abandoned record
@@ -83,7 +64,10 @@ func (f *heldFabric) SendReliable(_ transport.NodeID, fr *protocol.Frame, _ qos.
 // second publish sees none of it and returns on its own ack; a third
 // publish runs on a recycled record.
 func TestFanoutReuseAfterCancelledPublish(t *testing.T) {
-	f := &heldFabric{fakeFabric: newFakeFabric("pub"), dones: make(chan func(error), 1)}
+	// The double hands every event send's completion to the test, which
+	// fires it when it chooses.
+	f := fabrictest.New(t, "pub")
+	f.Hold()
 	e := New(f)
 	p, err := e.Offer("t", "svc", nil, qos.EventQoS{})
 	if err != nil {
@@ -95,7 +79,7 @@ func TestFanoutReuseAfterCancelledPublish(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	go publish(ctx)
-	late := <-f.dones
+	late := f.NextHeld()
 	cancel()
 	if err := <-errc; !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled publish: %v, want context.Canceled", err)
@@ -105,8 +89,8 @@ func TestFanoutReuseAfterCancelledPublish(t *testing.T) {
 	}
 
 	go publish(context.Background())
-	own := <-f.dones
-	late(errors.New("late failure"))
+	own := f.NextHeld()
+	late.Release(errors.New("late failure"))
 	select {
 	case err := <-errc:
 		t.Fatalf("second publish returned %v on the first one's late outcome", err)
@@ -118,13 +102,13 @@ func TestFanoutReuseAfterCancelledPublish(t *testing.T) {
 	if subs := p.Subscribers(); len(subs) != 1 {
 		t.Fatalf("subscribers %v: an outcome that landed after cancellation was accounted", subs)
 	}
-	own(nil)
+	own.Release(nil)
 	if err := <-errc; err != nil {
 		t.Fatalf("second publish: %v", err)
 	}
 
 	go publish(context.Background())
-	(<-f.dones)(nil)
+	f.NextHeld().Release(nil)
 	if err := <-errc; err != nil {
 		t.Fatalf("publish on a recycled record: %v", err)
 	}

@@ -3,7 +3,8 @@
 // events, remote invocation, file transfer) and discovery, which announces
 // what the other four offer. The container implements Fabric; engines are
 // written against it, which keeps them free of container internals and lets
-// tests substitute instrumented fabrics.
+// their tests run them on fabrictest.Fabric, the one test double, which
+// keeps the same send contract.
 package fabric
 
 import (
@@ -20,12 +21,13 @@ import (
 // Fabric is what an engine may ask of its container.
 //
 // One send contract covers SendBestEffort, SendGroup and SendReliable. The
-// fabric assigns a zero Seq from NextSeq, encodes the frame (header and
-// payload both) into its own wire buffer before returning, and keeps
-// neither the *protocol.Frame nor an alias of its Payload afterwards, so
-// engines hand in pooled frames and payload buffers and recycle them the
-// moment the call returns; an implementation that defers the send (test
-// fakes included) must copy first. A frame addressed to the node itself is
+// fabric assigns a zero Seq from NextSeq's counter (engines leave Seq
+// zero), encodes the frame (header and payload both) into its own wire
+// buffer before returning, and keeps neither the *protocol.Frame nor an
+// alias of its Payload afterwards, so engines hand in pooled frames and
+// payload buffers and recycle them the moment the call returns; an
+// implementation that records or defers the send (fabrictest.Fabric
+// included) must copy first. A frame addressed to the node itself is
 // dispatched synchronously and never touches a link. A frame larger than
 // the node's MTU travels as fragments that each fit it and is reassembled
 // at the receiver; engines never see the split.
@@ -68,8 +70,10 @@ type Fabric interface {
 	Directory() *naming.Directory
 	// Schedule queues handler work on the container scheduler (§6).
 	Schedule(p qos.Priority, job func()) error
-	// NextSeq allocates a node-unique message id for reliable sends and
-	// call matching.
+	// NextSeq draws a node-unique id from the counter the fabric numbers
+	// frames from. Engines leave a frame's Seq zero for the fabric; they
+	// draw ids themselves only for the RPC call id and the file fetch
+	// token.
 	NextSeq() uint64
 	// SendBestEffort transmits one unacknowledged frame to a node over
 	// the datagram transport (§4.1 variables).
@@ -101,8 +105,8 @@ type Fabric interface {
 
 // TunedSender is optionally implemented by fabrics whose reliable path
 // accepts per-send tuning. Engines should feature-test for it and fall
-// back to SendReliable (engine-default tuning) when absent, so
-// instrumented test fabrics keep working unchanged.
+// back to SendReliable (engine-default tuning) when absent, so a fabric
+// with only the base methods (bench's nullFabric) keeps working.
 type TunedSender interface {
 	SendReliableTuned(to transport.NodeID, f *protocol.Frame, tune protocol.SendTuning, done func(error))
 }
@@ -110,8 +114,8 @@ type TunedSender interface {
 // Clocked is optionally implemented by fabrics that run on an injectable
 // time source. Engines feature-test for it and pace their loops on the
 // same clock as the container, so a node built on a virtual clock carries
-// every layer's timing with it; absent, engines default to the wall clock
-// and test fabrics keep working unchanged.
+// every layer's timing with it; absent, engines default to the wall
+// clock.
 type Clocked interface {
 	Clock() clock.Clock
 }
@@ -128,8 +132,8 @@ func ClockOf(f Fabric) clock.Clock {
 // Instrumented is optionally implemented by fabrics that carry the node's
 // unified metrics registry. Engines resolve it through MetricsOf, so every
 // plane's counters and typed-error families land in one exportable
-// registry (core.Node.MetricsSnapshot); bare test fabrics get a private
-// registry and keep working unchanged.
+// registry (core.Node.MetricsSnapshot); a fabric without one gets each
+// engine a private registry.
 type Instrumented interface {
 	Metrics() *metrics.Registry
 }

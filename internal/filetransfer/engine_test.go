@@ -4,130 +4,34 @@ import (
 	"context"
 	"errors"
 	"runtime"
-	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"uavmw/internal/clock"
 	"uavmw/internal/encoding"
+	"uavmw/internal/fabric/fabrictest"
 	"uavmw/internal/naming"
 	"uavmw/internal/protocol"
 	"uavmw/internal/qos"
 	"uavmw/internal/transport"
 )
 
-// fakeFabric satisfies fabric.Fabric for engine-level tests: Schedule runs
-// inline, sends are recorded, reliable sends succeed immediately. It keeps
-// what it records past the call, so by the fabric contract it records copies:
-// engines reuse one frame and one payload buffer across sends.
-type fakeFabric struct {
-	self transport.NodeID
-	dir  *naming.Directory
-	seq  atomic.Uint64
-
-	// offerChanges counts OfferChanged notifications (the container would
-	// broadcast a discovery delta for each).
-	offerChanges atomic.Uint64
-
-	mu       sync.Mutex
-	unicast  []*protocol.Frame
-	group    map[string][]*protocol.Frame
-	joined   map[string]int
-	reliable []*protocol.Frame
-}
-
-func newFakeFabric(self transport.NodeID) *fakeFabric {
-	return &fakeFabric{
-		self:   self,
-		dir:    naming.NewDirectory(time.Minute),
-		group:  make(map[string][]*protocol.Frame),
-		joined: make(map[string]int),
-	}
-}
-
-func (f *fakeFabric) Self() transport.NodeID       { return f.self }
-func (f *fakeFabric) Encoding() encoding.Encoding  { return encoding.Binary{} }
-func (f *fakeFabric) Directory() *naming.Directory { return f.dir }
-func (f *fakeFabric) NextSeq() uint64              { return f.seq.Add(1) }
-func (f *fakeFabric) OfferChanged()                { f.offerChanges.Add(1) }
-func (f *fakeFabric) Schedule(_ qos.Priority, job func()) error {
-	job()
-	return nil
-}
-
-func cloneFrame(fr *protocol.Frame) *protocol.Frame {
-	cp := *fr
-	cp.Payload = append([]byte(nil), fr.Payload...)
-	return &cp
-}
-
-func (f *fakeFabric) SendBestEffort(_ transport.NodeID, fr *protocol.Frame) error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.unicast = append(f.unicast, cloneFrame(fr))
-	return nil
-}
-
-func (f *fakeFabric) SendGroup(group string, fr *protocol.Frame) error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.group[group] = append(f.group[group], cloneFrame(fr))
-	return nil
-}
-
-func (f *fakeFabric) SendReliable(_ transport.NodeID, fr *protocol.Frame, _ qos.Reliability, done func(error)) {
-	f.mu.Lock()
-	f.reliable = append(f.reliable, cloneFrame(fr))
-	f.mu.Unlock()
-	if done != nil {
-		done(nil)
-	}
-}
-
-func (f *fakeFabric) Join(group string) error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.joined[group]++
-	return nil
-}
-
-func (f *fakeFabric) Leave(group string) error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.joined[group]--
-	return nil
-}
-
-func (f *fakeFabric) groupFrames(group string) []*protocol.Frame {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return append([]*protocol.Frame(nil), f.group[group]...)
-}
-
-func (f *fakeFabric) reliableFrames() []*protocol.Frame {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return append([]*protocol.Frame(nil), f.reliable...)
-}
-
-// virtualFabric is a fakeFabric on a virtual clock: the engine's rounds
-// wait on virtual time, which stands still while a test goroutine registered
-// with the clock is running.
-type virtualFabric struct {
-	*fakeFabric
-	clk *clock.Virtual
-}
-
-func (f *virtualFabric) Clock() clock.Clock { return f.clk }
-
 // provides makes node the directory's provider of the named file.
-func (f *fakeFabric) provides(node transport.NodeID, names ...string) {
+func provides(f *fabrictest.Fabric, node transport.NodeID, names ...string) {
 	recs := make([]naming.Record, len(names))
 	for i, name := range names {
 		recs[i] = naming.Record{Kind: naming.KindFile, Name: name, Service: "svc", Node: node}
 	}
-	f.dir.Apply(&naming.Announcement{Node: node, Epoch: 1, Version: 1, Records: recs}, time.Now())
+	f.Directory().Apply(&naming.Announcement{Node: node, Epoch: 1, Version: 1, Records: recs}, time.Now())
+}
+
+// onVirtual is a double on a virtual clock: the engine's rounds wait on
+// virtual time, which stands still while a test goroutine registered with
+// the clock is running.
+func onVirtual(t testing.TB, self transport.NodeID, v *clock.Virtual) *fabrictest.Fabric {
+	f := fabrictest.New(t, self)
+	f.Clk = v
+	return f
 }
 
 // waitFor polls cond for up to five seconds, yielding at first — what the
@@ -145,17 +49,6 @@ func waitFor(t testing.TB, what string, cond func() bool) {
 			time.Sleep(200 * time.Microsecond)
 		}
 	}
-}
-
-// countType counts the frames of type mt.
-func countType(frames []*protocol.Frame, mt protocol.MsgType) int {
-	n := 0
-	for _, fr := range frames {
-		if fr.Type == mt {
-			n++
-		}
-	}
-	return n
 }
 
 type fetched struct {
@@ -210,7 +103,7 @@ func chunkFrame(name string, revision uint64, data []byte, chunkSize, i int) *pr
 }
 
 func TestOfferValidation(t *testing.T) {
-	e := New(newFakeFabric("n"))
+	e := New(fabrictest.New(t, "n"))
 	if _, err := e.Offer("x", "svc", nil, qos.TransferQoS{}); !errors.Is(err, ErrEmpty) {
 		t.Errorf("empty data: %v", err)
 	}
@@ -226,7 +119,7 @@ func TestOfferValidation(t *testing.T) {
 }
 
 func TestOfferUpdateAndClose(t *testing.T) {
-	e := New(newFakeFabric("n"))
+	e := New(fabrictest.New(t, "n"))
 	o, err := e.Offer("cfg", "svc", []byte("v1"), qos.TransferQoS{})
 	if err != nil {
 		t.Fatal(err)
@@ -257,7 +150,7 @@ func TestOfferUpdateAndClose(t *testing.T) {
 }
 
 func TestLocalBypassFetch(t *testing.T) {
-	f := newFakeFabric("n")
+	f := fabrictest.New(t, "n")
 	e := New(f)
 	if _, err := e.Offer("local", "svc", []byte("content"), qos.TransferQoS{}); err != nil {
 		t.Fatal(err)
@@ -270,9 +163,7 @@ func TestLocalBypassFetch(t *testing.T) {
 		t.Errorf("got %q rev %d", got, rev)
 	}
 	// Bypass must not touch the network at all.
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if len(f.unicast) != 0 || len(f.reliable) != 0 {
+	if len(f.Frames(fabrictest.BestEffort)) != 0 || len(f.Frames(fabrictest.Reliable)) != 0 {
 		t.Error("local fetch sent frames")
 	}
 	// Returned slice must be a copy.
@@ -288,7 +179,7 @@ func TestLocalBypassFetch(t *testing.T) {
 }
 
 func TestFetchNoProviderTimesOut(t *testing.T) {
-	e := New(newFakeFabric("n"))
+	e := New(fabrictest.New(t, "n"))
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
 	if _, _, err := e.Fetch(ctx, "ghost", FetchOptions{}); !errors.Is(err, ErrNoProvider) {
@@ -297,7 +188,7 @@ func TestFetchNoProviderTimesOut(t *testing.T) {
 }
 
 func TestTransferLoopServesSubscriber(t *testing.T) {
-	f := newFakeFabric("pub")
+	f := fabrictest.New(t, "pub")
 	e := New(f)
 	data := make([]byte, 2500)
 	for i := range data {
@@ -312,13 +203,7 @@ func TestTransferLoopServesSubscriber(t *testing.T) {
 
 	deadline := time.Now().Add(2 * time.Second)
 	for {
-		frames := f.groupFrames("f:file")
-		chunks := 0
-		for _, fr := range frames {
-			if fr.Type == protocol.MTFileChunk {
-				chunks++
-			}
-		}
+		chunks := f.Count(fabrictest.Group, protocol.MTFileChunk)
 		if chunks >= 3 {
 			break
 		}
@@ -352,7 +237,7 @@ func TestTransferLoopServesSubscriber(t *testing.T) {
 // from DefaultQueryWindow, and the loop stops.
 func TestSilentSubscriberDropped(t *testing.T) {
 	v := clock.NewVirtual()
-	f := &virtualFabric{newFakeFabric("pub"), v}
+	f := onVirtual(t, "pub", v)
 	e := New(f)
 	const chunks = 4
 	o, err := e.Offer("file", "svc", make([]byte, chunks*1000), qos.TransferQoS{ChunkSize: 1000})
@@ -377,11 +262,10 @@ func TestSilentSubscriberDropped(t *testing.T) {
 			v.Sleep(time.Millisecond)
 		}
 	})
-	frames := f.groupFrames("f:file")
-	if got := countType(frames, protocol.MTFileChunk); got != chunks {
+	if got := f.Count(fabrictest.Group, protocol.MTFileChunk); got != chunks {
 		t.Errorf("%d chunks sent to a subscriber that answered no query, want the first round's %d", got, chunks)
 	}
-	if got := countType(frames, protocol.MTFileQuery); got != DefaultMaxStrikes+1 {
+	if got := f.Count(fabrictest.Group, protocol.MTFileQuery); got != DefaultMaxStrikes+1 {
 		t.Errorf("%d queries before the drop, want %d", got, DefaultMaxStrikes+1)
 	}
 }
@@ -389,7 +273,7 @@ func TestSilentSubscriberDropped(t *testing.T) {
 func TestNackFromUnknownSubscriberAdopted(t *testing.T) {
 	// §4.4 late join: a NACK from a node that joined the multicast group
 	// without an explicit subscribe still enters the subscriber set.
-	f := newFakeFabric("pub")
+	f := fabrictest.New(t, "pub")
 	e := New(f)
 	if _, err := e.Offer("file", "svc", make([]byte, 3000), qos.TransferQoS{ChunkSize: 1000}); err != nil {
 		t.Fatal(err)
@@ -414,7 +298,7 @@ func TestNackFromUnknownSubscriberAdopted(t *testing.T) {
 }
 
 func TestPeerGoneDropsSubscribers(t *testing.T) {
-	f := newFakeFabric("pub")
+	f := fabrictest.New(t, "pub")
 	e := New(f)
 	if _, err := e.Offer("file", "svc", make([]byte, 10), qos.TransferQoS{}); err != nil {
 		t.Fatal(err)
@@ -432,7 +316,7 @@ func TestPeerGoneDropsSubscribers(t *testing.T) {
 }
 
 func TestRecordsExposeOffers(t *testing.T) {
-	e := New(newFakeFabric("pub"))
+	e := New(fabrictest.New(t, "pub"))
 	if _, err := e.Offer("a", "svc", []byte("x"), qos.TransferQoS{}); err != nil {
 		t.Fatal(err)
 	}
@@ -456,7 +340,7 @@ func waitInactive(t *testing.T, o *Offer) {
 // not wait out the wait for a query's answers (the loop's wait is
 // abortable).
 func TestCloseAbortsQueryWindow(t *testing.T) {
-	f := newFakeFabric("pub")
+	f := fabrictest.New(t, "pub")
 	e := New(f)
 	o, err := e.Offer("big", "svc", make([]byte, 4096), qos.TransferQoS{ChunkSize: 1024})
 	if err != nil {

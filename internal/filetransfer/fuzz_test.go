@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"uavmw/internal/fabric/fabrictest"
 	"uavmw/internal/protocol"
 	"uavmw/internal/qos"
 	"uavmw/internal/transport"
@@ -41,9 +42,9 @@ func FuzzFileTransferFrames(f *testing.F) {
 		if len(file) == 0 || len(file) > bound/2 {
 			t.Skip()
 		}
-		fab := newFakeFabric("n")
-		fab.provides("pub", "good")
-		fab.provides("mallory", "evil")
+		fab := fabrictest.New(t, "n")
+		provides(fab, "pub", "good")
+		provides(fab, "mallory", "evil")
 		e := New(fab)
 		e.maxFile = bound
 		offer, err := e.Offer("out", "svc", seqBytes(2500), qos.TransferQoS{ChunkSize: 1000})

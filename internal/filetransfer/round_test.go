@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"uavmw/internal/clock"
+	"uavmw/internal/fabric/fabrictest"
 	"uavmw/internal/protocol"
 	"uavmw/internal/qos"
 	"uavmw/internal/transport"
@@ -22,14 +23,14 @@ func nackFrame(name string, revision uint64, missing []bool) *protocol.Frame {
 // rather than after the wait.
 func TestResubscribeEndsTheOwedWait(t *testing.T) {
 	v := clock.NewVirtual()
-	f := &virtualFabric{newFakeFabric("pub"), v}
+	f := onVirtual(t, "pub", v)
 	e := New(f)
 	const chunks = 3
 	o, err := e.Offer("file", "svc", seqBytes(chunks*1000), qos.TransferQoS{ChunkSize: 1000})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sent := func(mt protocol.MsgType) int { return countType(f.groupFrames("f:file"), mt) }
+	sent := func(mt protocol.MsgType) int { return f.Count(fabrictest.Group, mt) }
 	v.Run(func() {
 		defer func() {
 			o.Close()
@@ -56,7 +57,7 @@ func TestResubscribeEndsTheOwedWait(t *testing.T) {
 func TestStaleAnswerSettlesOnce(t *testing.T) {
 	const runs = 10
 	for run := 0; run < runs; run++ {
-		f := newFakeFabric("pub")
+		f := fabrictest.New(t, "pub")
 		e := New(f)
 		o, err := e.Offer("file", "svc", seqBytes(3000), qos.TransferQoS{ChunkSize: 1000})
 		if err != nil {
@@ -66,7 +67,7 @@ func TestStaleAnswerSettlesOnce(t *testing.T) {
 		for i, node := range subs {
 			e.HandleSubscribe(node, subscribeFrame("file", uint64(i+1)))
 		}
-		waitFor(t, "the first query", func() bool { return countType(f.groupFrames("f:file"), protocol.MTFileQuery) > 0 })
+		waitFor(t, "the first query", func() bool { return f.Count(fabrictest.Group, protocol.MTFileQuery) > 0 })
 		check := func() {
 			o.mu.Lock()
 			flagged := 0

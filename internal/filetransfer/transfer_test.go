@@ -7,11 +7,11 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"uavmw/internal/clock"
+	"uavmw/internal/fabric/fabrictest"
 	"uavmw/internal/protocol"
 	"uavmw/internal/qos"
 	"uavmw/internal/transport"
@@ -36,7 +36,7 @@ func subscribed(o *Offer, node transport.NodeID) bool {
 // after the same node's next subscribe. It names the old fetch and must not
 // end the new one's subscription.
 func TestAckEndsOnlyTheFetchItNames(t *testing.T) {
-	e := New(newFakeFabric("pub"))
+	e := New(fabrictest.New(t, "pub"))
 	o, err := e.Offer("file", "svc", seqBytes(3000), qos.TransferQoS{ChunkSize: 1000})
 	if err != nil {
 		t.Fatal(err)
@@ -65,8 +65,8 @@ func TestAckEndsOnlyTheFetchItNames(t *testing.T) {
 // A fetch takes its transfer from the provider it subscribed to and from
 // nobody else on the group.
 func TestFetchIgnoresOtherSenders(t *testing.T) {
-	f := newFakeFabric("sub")
-	f.provides("pub", "file")
+	f := fabrictest.New(t, "sub")
+	provides(f, "pub", "file")
 	e := New(f)
 	got := startFetch(t, e, "file")
 	want, forged := seqBytes(2500), make([]byte, 2500)
@@ -86,8 +86,8 @@ func TestFetchIgnoresOtherSenders(t *testing.T) {
 // it is dropped, the next query's NACK names it, and the file still arrives
 // byte-identical.
 func TestLastChunkFirstIsRecoveredByNack(t *testing.T) {
-	f := newFakeFabric("sub")
-	f.provides("pub", "file")
+	f := fabrictest.New(t, "sub")
+	provides(f, "pub", "file")
 	e := New(f)
 	got := startFetch(t, e, "file")
 	const chunkSize = 1000
@@ -98,7 +98,7 @@ func TestLastChunkFirstIsRecoveredByNack(t *testing.T) {
 	e.HandleQuery("pub", &protocol.Frame{Type: protocol.MTFileQuery, Channel: "file",
 		Payload: appendFileMeta(nil, 1, 0, chunkSize, 4)})
 	var nack *protocol.Frame
-	for _, fr := range f.reliableFrames() {
+	for _, fr := range f.Frames(fabrictest.Reliable) {
 		if fr.Type == protocol.MTFileNack {
 			nack = fr
 		}
@@ -152,8 +152,8 @@ func TestFetchRejectsBadGeometry(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			f := newFakeFabric("sub")
-			f.provides("pub", "file")
+			f := fabrictest.New(t, "sub")
+			provides(f, "pub", "file")
 			e := New(f)
 			e.maxFile = limit
 			startFetch(t, e, "file")
@@ -188,7 +188,7 @@ func TestFetchRejectsBadGeometry(t *testing.T) {
 }
 
 func TestOfferRejectsFilesPastTheBound(t *testing.T) {
-	e := New(newFakeFabric("pub"))
+	e := New(fabrictest.New(t, "pub"))
 	e.maxFile = 4000
 	if _, err := e.Offer("big", "svc", make([]byte, 3001), qos.TransferQoS{ChunkSize: 1000}); err != nil {
 		t.Fatalf("four chunks of 1000 fit a 4000-byte bound: %v", err)
@@ -205,28 +205,29 @@ func TestOfferRejectsFilesPastTheBound(t *testing.T) {
 // still exchange files; subscribe and ack, which gained the fetch token, are
 // not in it.
 func TestWireGolden(t *testing.T) {
-	pubF, subF := newFakeFabric("pub"), newFakeFabric("sub")
-	subF.provides("pub", "g")
+	subF := fabrictest.New(t, "sub")
+	provides(subF, "pub", "g")
 	// The publisher's rounds wait on virtual time, which stands still while
 	// this test runs: no round can time out between its query and the ack
 	// that answers it and repeat into the record.
 	v := clock.NewVirtual()
-	pub := New(&virtualFabric{pubF, v})
+	pubF := onVirtual(t, "pub", v)
+	pub := New(pubF)
 	sub := New(subF)
 	v.Run(func() { wireGoldenRounds(t, pub, pubF, sub, subF) })
 }
 
-func wireGoldenRounds(t *testing.T, pub *Engine, pubF *fakeFabric, sub *Engine, subF *fakeFabric) {
+func wireGoldenRounds(t *testing.T, pub *Engine, pubF *fabrictest.Fabric, sub *Engine, subF *fabrictest.Fabric) {
 	data := seqBytes(25)
 	o, err := pub.Offer("g", "svc", data, qos.TransferQoS{ChunkSize: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer o.Close()
-	group := func() []*protocol.Frame { return pubF.groupFrames("f:g") }
+	group := func() []*protocol.Frame { return pubF.GroupFrames("f:g") }
 	roundsSent := func(n int) {
 		t.Helper()
-		waitFor(t, "a completion query", func() bool { return countType(group(), protocol.MTFileQuery) >= n })
+		waitFor(t, "a completion query", func() bool { return pubF.Count(fabrictest.Group, protocol.MTFileQuery) >= n })
 	}
 
 	// Round one, to a subscriber that then leaves: the whole file.
@@ -249,7 +250,7 @@ func wireGoldenRounds(t *testing.T, pub *Engine, pubF *fakeFabric, sub *Engine, 
 		}
 	}
 	var nack *protocol.Frame
-	for _, fr := range subF.reliableFrames() {
+	for _, fr := range subF.Frames(fabrictest.Reliable) {
 		if fr.Type == protocol.MTFileNack {
 			nack = fr
 		}
@@ -295,45 +296,14 @@ func wireGoldenRounds(t *testing.T, pub *Engine, pubF *fakeFabric, sub *Engine, 
 	}
 }
 
-// countingFabric is a fabric that copies, as the contract demands of one that
-// looks at a frame after the call — into a buffer it keeps, so the copy costs
-// no allocation and what is left is the engine's own.
-type countingFabric struct {
-	*fakeFabric
-	scratch []byte
-	chunks  atomic.Int64
-	queries atomic.Int64
-
-	control        protocol.Frame
-	controlPayload []byte
-}
-
-// SendReliable keeps the last control frame, its payload copied into a
-// buffer the fabric owns.
-func (f *countingFabric) SendReliable(_ transport.NodeID, fr *protocol.Frame, _ qos.Reliability, _ func(error)) {
-	f.control = *fr
-	f.control.Payload = append(f.controlPayload[:0], fr.Payload...)
-	f.controlPayload = f.control.Payload
-}
-
-func (f *countingFabric) SendGroup(_ string, fr *protocol.Frame) error {
-	copy(f.scratch, fr.Payload)
-	switch fr.Type {
-	case protocol.MTFileChunk:
-		f.chunks.Add(1)
-	case protocol.MTFileQuery:
-		f.queries.Add(1)
-	}
-	return nil
-}
-
 // A steady-state round allocates nothing per chunk: the publisher slices
 // data into one pooled frame and one pooled payload. Measured as the
 // difference between serving a 16-chunk and a 1024-chunk file, start of the
 // loop to its exit, which cancels everything a round costs once.
 func TestRoundAllocatesNothingPerChunk(t *testing.T) {
 	perTransfer := func(chunks int) float64 {
-		f := &countingFabric{fakeFabric: newFakeFabric("pub"), scratch: make([]byte, 2048)}
+		f := fabrictest.New(t, "pub")
+		f.Discard(nil)
 		e := New(f)
 		o, err := e.Offer("file", "svc", make([]byte, chunks*1000), qos.TransferQoS{ChunkSize: 1000})
 		if err != nil {
@@ -342,9 +312,9 @@ func TestRoundAllocatesNothingPerChunk(t *testing.T) {
 		defer o.Close()
 		sub, ack := subscribeFrame("file", 1), ackFrame("file", 1, 1)
 		return testing.AllocsPerRun(20, func() {
-			round := f.queries.Load()
+			round := f.Count(fabrictest.Group, protocol.MTFileQuery)
 			e.HandleSubscribe("sub", sub)
-			for f.queries.Load() == round {
+			for f.Count(fabrictest.Group, protocol.MTFileQuery) == round {
 				time.Sleep(50 * time.Microsecond)
 			}
 			e.HandleAck("sub", ack)
@@ -359,8 +329,8 @@ func TestRoundAllocatesNothingPerChunk(t *testing.T) {
 
 // Once the reassembly buffer exists, placing a chunk allocates nothing.
 func TestHandleChunkAllocatesNothing(t *testing.T) {
-	f := newFakeFabric("sub")
-	f.provides("pub", "file")
+	f := fabrictest.New(t, "sub")
+	provides(f, "pub", "file")
 	e := New(f)
 	startFetch(t, e, "file")
 	data := seqBytes(8 * 1000)
@@ -388,7 +358,17 @@ func TestHandleChunkAllocatesNothing(t *testing.T) {
 // ack a completing chunk sends each ride a pooled frame and a pooled payload,
 // both recycled once the fabric has encoded them.
 func TestControlFramesAllocateNothing(t *testing.T) {
-	f := &countingFabric{fakeFabric: newFakeFabric("sub"), controlPayload: make([]byte, 0, 64)}
+	// The double keeps nothing; the test keeps the last control frame, its
+	// payload copied into a buffer it owns, so the copy costs no allocation
+	// and what is left is the engine's own.
+	var control protocol.Frame
+	controlPayload := make([]byte, 0, 64)
+	f := fabrictest.New(t, "sub")
+	f.Discard(func(_ transport.NodeID, fr *protocol.Frame) {
+		control = *fr
+		control.Payload = append(controlPayload[:0], fr.Payload...)
+		controlPayload = control.Payload
+	})
 	e := New(f)
 	const chunkSize, chunks, runs = 1000, 4, 200
 	// A fetch of pub's file that holds every chunk but the last.
@@ -404,8 +384,8 @@ func TestControlFramesAllocateNothing(t *testing.T) {
 		t.Errorf("NACK: %.1f allocs, want 0", allocs)
 	}
 	wantNack := appendMissing(binary.BigEndian.AppendUint64(nil, 1), []bool{true, true, true, false})
-	if f.control.Type != protocol.MTFileNack || !bytes.Equal(f.control.Payload, wantNack) {
-		t.Fatalf("sent %v %x, want the NACK %x", f.control.Type, f.control.Payload, wantNack)
+	if control.Type != protocol.MTFileNack || !bytes.Equal(control.Payload, wantNack) {
+		t.Fatalf("sent %v %x, want the NACK %x", control.Type, control.Payload, wantNack)
 	}
 
 	// The last chunk completes the fetch. Each run then reopens it one chunk
@@ -429,8 +409,8 @@ func TestControlFramesAllocateNothing(t *testing.T) {
 	if allocs := testing.AllocsPerRun(runs, complete); allocs != 0 {
 		t.Errorf("ack: %.1f allocs, want 0", allocs)
 	}
-	if wantAck := appendAck(nil, 1, st.token); f.control.Type != protocol.MTFileAck || !bytes.Equal(f.control.Payload, wantAck) {
-		t.Fatalf("sent %v %x, want the ack %x", f.control.Type, f.control.Payload, wantAck)
+	if wantAck := appendAck(nil, 1, st.token); control.Type != protocol.MTFileAck || !bytes.Equal(control.Payload, wantAck) {
+		t.Fatalf("sent %v %x, want the ack %x", control.Type, control.Payload, wantAck)
 	}
 	if !bytes.Equal(st.data, data) {
 		t.Fatal("the completing chunk did not complete the file")

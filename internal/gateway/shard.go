@@ -465,12 +465,14 @@ func (c *Client) replayLast(ts *topicState) {
 	if last == nil {
 		return
 	}
+	// The hit counts before the replay is queued, so a client that has
+	// received it also sees it counted.
+	c.g.m.cacheHits.Inc()
 	sh := c.sh
 	sh.mu.Lock()
 	sh.enqueueLocked(c, last, false)
 	sh.mu.Unlock()
 	last.Release()
-	c.g.m.cacheHits.Inc()
 	sh.trigger.Signal()
 }
 

@@ -29,7 +29,6 @@ var tuningKnobs = []string{
 	"internal/core.WithFailureDeadline",
 	"internal/core.WithIngressShards",
 	"internal/core.WithMTU",
-	"internal/core.WithRPCInflightLimit",
 	"internal/core.WithResourceBudget",
 	"internal/core.WithScheduler",
 	"internal/discovery.Config.Epoch",

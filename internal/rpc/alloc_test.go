@@ -7,6 +7,7 @@ import (
 
 	"uavmw/internal/bufpool"
 	"uavmw/internal/encoding"
+	"uavmw/internal/fabric/fabrictest"
 	"uavmw/internal/presentation"
 	"uavmw/internal/presentation/ptest"
 	"uavmw/internal/protocol"
@@ -14,13 +15,13 @@ import (
 	"uavmw/internal/transport"
 )
 
-// inlineFabric runs scheduled work on the caller's goroutine and drops
-// replies without recording them, so allocation gates measure the engine
-// alone.
-type inlineFabric struct{ *fakeFabric }
-
-func (inlineFabric) Schedule(_ qos.Priority, job func()) error                                    { job(); return nil }
-func (inlineFabric) SendReliable(transport.NodeID, *protocol.Frame, qos.Reliability, func(error)) {}
+// discarding is a double that runs scheduled work inline and drops every
+// send unrecorded, so allocation gates measure the engine alone.
+func discarding(t *testing.T, self transport.NodeID) *fabrictest.Fabric {
+	f := fabrictest.New(t, self)
+	f.Discard(nil)
+	return f
+}
 
 // TestHandleCallAllocatesDecodeFloor gates the provider: serving a call
 // costs exactly what decoding its arguments costs (the map[string]any
@@ -29,7 +30,7 @@ func (inlineFabric) SendReliable(transport.NodeID, *protocol.Frame, qos.Reliabil
 // call id in the pooled reply payload adds nothing. The floor itself is held
 // to the map and one scalar slab, so a decode regression cannot pass.
 func TestHandleCallAllocatesDecodeFloor(t *testing.T) {
-	e := New(inlineFabric{newFakeFabric("server")})
+	e := New(discarding(t, "server"))
 	retType := presentation.MustParse("{ok:bool,index:u32}")
 	ret := map[string]any{"ok": true, "index": 37}
 	if err := e.Register("nav.resolve", "svc", ptest.PositionType, retType, qos.CallQoS{},
@@ -59,7 +60,7 @@ func TestHandleCallAllocatesDecodeFloor(t *testing.T) {
 // encoding a call's arguments draws the buffer every attempt sends from out
 // of bufpool, and releasing the call gives it back — no allocation.
 func TestArgEncodeIsPooled(t *testing.T) {
-	e := New(inlineFabric{newFakeFabric("client")})
+	e := New(discarding(t, "client"))
 	c := &call{name: "nav.resolve", argType: ptest.PositionType}
 	args := ptest.PositionValue()
 	if allocs := testing.AllocsPerRun(200, func() {
@@ -72,43 +73,35 @@ func TestArgEncodeIsPooled(t *testing.T) {
 	}
 }
 
-// answeringFabric answers every MTCall inline, from inside SendReliable,
-// with a prepared return value — the shortest path a remote call can take,
-// and one that allocates nothing itself.
-type answeringFabric struct {
-	*fakeFabric
-	client *Engine
-	ret    []byte // encoded return value
-	reply  protocol.Frame
-	buf    []byte
-}
-
-func (f *answeringFabric) SendReliable(to transport.NodeID, fr *protocol.Frame, _ qos.Reliability, done func(error)) {
-	done(nil)
-	f.buf = append(binary.AppendUvarint(f.buf[:0], fr.Seq), f.ret...)
-	f.reply = protocol.Frame{Type: protocol.MTReturn, Channel: fr.Channel, Payload: f.buf}
-	f.client.HandleReturn(to, &f.reply)
-}
-
 // TestRemoteCallAllocs gates one remote Call end to end on the caller's
 // side at zero. The call record, its trigger, the attempt table entry, the
 // argument buffer, the frame, the reliable send's completion record,
 // Directory.Select's scratch and the reply body are all reused, and an
 // int32 return value boxes without allocating.
 func TestRemoteCallAllocs(t *testing.T) {
-	server := New(newFakeFabric("server"))
+	server := New(newFabric(t, "server"))
 	registerAdd(t, server)
-	f := &answeringFabric{fakeFabric: newFakeFabric("client")}
-	f.client = New(f)
-	announce(t, f.fakeFabric, "server", server)
-	var err error
-	if f.ret, err = (encoding.Binary{}).Marshal(i32, int32(42)); err != nil {
+	f := fabrictest.New(t, "client")
+	client := New(f)
+	announce(t, f, "server", server)
+	ret, err := (encoding.Binary{}).Marshal(i32, int32(42))
+	if err != nil {
 		t.Fatal(err)
 	}
+	// The double answers every MTCall inline, from inside SendReliable, with
+	// the prepared return value: the shortest path a remote call can take,
+	// and one that allocates nothing itself.
+	var reply protocol.Frame
+	var buf []byte
+	f.Discard(func(to transport.NodeID, fr *protocol.Frame) {
+		buf = append(binary.AppendUvarint(buf[:0], fr.Seq), ret...)
+		reply = protocol.Frame{Type: protocol.MTReturn, Channel: fr.Channel, Payload: buf}
+		client.HandleReturn(to, &reply)
+	})
 	args := map[string]any{"a": int32(20), "b": int32(22)}
 	ctx := context.Background()
 	call := func() {
-		got, err := f.client.Call(ctx, "add", args, addArgs, i32, qos.CallQoS{})
+		got, err := client.Call(ctx, "add", args, addArgs, i32, qos.CallQoS{})
 		if err != nil || got != int32(42) {
 			t.Fatalf("call: %v, %v", got, err)
 		}

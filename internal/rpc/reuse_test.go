@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"uavmw/internal/encoding"
+	"uavmw/internal/fabric/fabrictest"
 	"uavmw/internal/naming"
 	"uavmw/internal/protocol"
 	"uavmw/internal/qos"
@@ -15,42 +16,14 @@ import (
 	"uavmw/internal/transport"
 )
 
-// heldCall is one MTCall a heldFabric swallowed: everything a late answer
-// to it needs.
-type heldCall struct {
-	to   transport.NodeID
-	id   uint64
-	done func(error)
-}
-
-// heldFabric never answers: it hands each MTCall to the test, which decides
-// what comes back and when — in particular after the Call has returned.
-type heldFabric struct {
-	*fakeFabric
-	calls   chan heldCall
-	jobDone chan struct{} // a scheduled job ran to its end, result delivered
-}
-
-func newHeldFabric() *heldFabric {
-	return &heldFabric{
-		fakeFabric: newFakeFabric("client"),
-		calls:      make(chan heldCall, 8),
-		jobDone:    make(chan struct{}, 8),
-	}
-}
-
-func (f *heldFabric) SendReliable(to transport.NodeID, fr *protocol.Frame, _ qos.Reliability, done func(error)) {
-	if fr.Type == protocol.MTCall {
-		f.calls <- heldCall{to: to, id: fr.Seq, done: done}
-	}
-}
-
-func (f *heldFabric) Schedule(_ qos.Priority, job func()) error {
-	go func() {
-		job()
-		f.jobDone <- struct{}{}
-	}()
-	return nil
+// newHeldFabric never answers: it holds each MTCall for the test, which
+// decides what comes back and when — in particular after the Call has
+// returned.
+func newHeldFabric(t *testing.T) *fabrictest.Fabric {
+	f := fabrictest.New(t, "client")
+	f.Hold()
+	f.Sched = f.Go
+	return f
 }
 
 func returnFrame(t *testing.T, id uint64, v int32) *protocol.Frame {
@@ -65,12 +38,13 @@ func returnFrame(t *testing.T, id uint64, v int32) *protocol.Frame {
 // lateOutcomes delivers everything that can still arrive for an attempt
 // whose Call is over: the reply, the reliable send's failure, a shed, and
 // both kinds of error reply.
-func lateOutcomes(t *testing.T, e *Engine, hc heldCall) {
+func lateOutcomes(t *testing.T, e *Engine, hc *fabrictest.Held) {
 	t.Helper()
-	e.HandleReturn(hc.to, returnFrame(t, hc.id, 111))
-	hc.done(errors.New("late arq failure"))
-	e.HandleBusy(hc.to, &protocol.Frame{Type: protocol.MTBusy, Channel: "fn", Payload: encodeReply(hc.id, nil)})
-	e.HandleError(hc.to, &protocol.Frame{Type: protocol.MTError, Channel: "fn", Payload: encodeReply(hc.id, nil)})
+	id := hc.Frame.Seq
+	e.HandleReturn(hc.To, returnFrame(t, id, 111))
+	hc.Release(errors.New("late arq failure"))
+	e.HandleBusy(hc.To, &protocol.Frame{Type: protocol.MTBusy, Channel: "fn", Payload: encodeReply(id, nil)})
+	e.HandleError(hc.To, &protocol.Frame{Type: protocol.MTError, Channel: "fn", Payload: encodeReply(id, nil)})
 }
 
 // freeRecord returns the one call record on the engine's free list.
@@ -90,15 +64,15 @@ func freeRecord(t *testing.T, e *Engine) *call {
 // everything the abandoned attempt can still produce. The second Call must
 // see none of it: it waits for its own reply and returns that.
 func TestCallRecordReuseDropsLateOutcomes(t *testing.T) {
-	ends := map[string]func(t *testing.T, e *Engine, f *heldFabric) (abandoned []heldCall){
-		"deadline": func(t *testing.T, e *Engine, f *heldFabric) []heldCall {
+	ends := map[string]func(t *testing.T, e *Engine, f *fabrictest.Fabric) (abandoned []*fabrictest.Held){
+		"deadline": func(t *testing.T, e *Engine, f *fabrictest.Fabric) []*fabrictest.Held {
 			_, err := e.Call(context.Background(), "fn", nil, nil, i32, qos.CallQoS{Deadline: 20 * time.Millisecond})
 			if !errors.Is(err, ErrDeadline) {
 				t.Fatalf("first call: %v, want deadline", err)
 			}
-			return []heldCall{<-f.calls}
+			return []*fabrictest.Held{f.NextHeld()}
 		},
-		"hedge loser": func(t *testing.T, e *Engine, f *heldFabric) []heldCall {
+		"hedge loser": func(t *testing.T, e *Engine, f *fabrictest.Fabric) []*fabrictest.Held {
 			res := make(chan any, 1)
 			go func() {
 				v, err := e.Call(context.Background(), "fn", nil, nil, i32,
@@ -109,35 +83,35 @@ func TestCallRecordReuseDropsLateOutcomes(t *testing.T) {
 				}
 				res <- v
 			}()
-			loser, winner := <-f.calls, <-f.calls
-			e.HandleReturn(winner.to, returnFrame(t, winner.id, 100))
+			loser, winner := f.NextHeld(), f.NextHeld()
+			e.HandleReturn(winner.To, returnFrame(t, winner.Frame.Seq, 100))
 			if got := <-res; got != int32(100) {
 				t.Fatalf("hedged call: %v, want the hedge's 100", got)
 			}
-			return []heldCall{loser, winner}
+			return []*fabrictest.Held{loser, winner}
 		},
-		"caller cancel": func(t *testing.T, e *Engine, f *heldFabric) []heldCall {
+		"caller cancel": func(t *testing.T, e *Engine, f *fabrictest.Fabric) []*fabrictest.Held {
 			ctx, cancel := context.WithCancel(context.Background())
 			errc := make(chan error, 1)
 			go func() {
 				_, err := e.Call(ctx, "fn", nil, nil, i32, qos.CallQoS{Deadline: 5 * time.Second})
 				errc <- err
 			}()
-			hc := <-f.calls
+			hc := f.NextHeld()
 			cancel()
 			if err := <-errc; !errors.Is(err, ErrDeadline) {
 				t.Fatalf("cancelled call: %v, want deadline", err)
 			}
-			return []heldCall{hc}
+			return []*fabrictest.Held{hc}
 		},
 	}
 	for name, end := range ends {
 		t.Run(name, func(t *testing.T) {
-			f := newHeldFabric()
+			f := newHeldFabric(t)
 			e := New(f)
 			now := time.Now()
 			for _, node := range []transport.NodeID{"a", "b"} {
-				f.dir.Apply(&naming.Announcement{Node: node, Epoch: 1, Records: []naming.Record{
+				f.Directory().Apply(&naming.Announcement{Node: node, Epoch: 1, Records: []naming.Record{
 					{Kind: naming.KindFunction, Name: "fn", Service: "svc", Node: node, TypeSig: i32.String()},
 				}}, now)
 			}
@@ -153,10 +127,10 @@ func TestCallRecordReuseDropsLateOutcomes(t *testing.T) {
 				v, err := e.Call(context.Background(), "fn", nil, nil, i32, qos.CallQoS{Deadline: 5 * time.Second})
 				res <- result{v, err}
 			}()
-			fresh := <-f.calls
-			sh := e.pendingFor(fresh.id)
+			fresh := f.NextHeld()
+			sh := e.pendingFor(fresh.Frame.Seq)
 			sh.mu.Lock()
-			reused := sh.calls[fresh.id] == rec
+			reused := sh.calls[fresh.Frame.Seq] == rec
 			sh.mu.Unlock()
 			if !reused {
 				t.Fatal("the second Call did not reuse the first one's record")
@@ -169,7 +143,7 @@ func TestCallRecordReuseDropsLateOutcomes(t *testing.T) {
 				t.Fatalf("second Call returned (%v, %v) on an abandoned attempt's outcome", r.v, r.err)
 			case <-time.After(20 * time.Millisecond):
 			}
-			e.HandleReturn(fresh.to, returnFrame(t, fresh.id, 222))
+			e.HandleReturn(fresh.To, returnFrame(t, fresh.Frame.Seq, 222))
 			if r := <-res; r.err != nil || r.v != int32(222) {
 				t.Fatalf("second Call returned (%v, %v), want its own reply 222", r.v, r.err)
 			}
@@ -177,22 +151,15 @@ func TestCallRecordReuseDropsLateOutcomes(t *testing.T) {
 	}
 }
 
-// inlineSchedFabric queues scheduled work on a scheduler.Inline: a job runs
-// inside the Schedule call that queues it.
-type inlineSchedFabric struct {
-	*fakeFabric
-	sched *scheduler.Inline
-}
-
-func (f inlineSchedFabric) Schedule(p qos.Priority, job func()) error { return f.sched.Submit(p, job) }
-
 // TestServeRecordReuseUnderInlineReentry has a local handler call another
 // local function. On an inline scheduler the nested handler runs inside the
 // outer one. The outer serve record was recycled before its handler ran, so
 // the nested call takes it again, and the outer call still gets its own
 // result.
 func TestServeRecordReuseUnderInlineReentry(t *testing.T) {
-	e := New(inlineSchedFabric{newFakeFabric("n"), scheduler.NewInline()})
+	f := fabrictest.New(t, "n")
+	f.Sched = scheduler.NewInline().Submit // a job runs inside the Schedule call that queues it
+	e := New(f)
 	ctx := context.Background()
 	idle := func(where string) {
 		if n := e.serves.Len(); n != 1 {
@@ -224,7 +191,11 @@ func TestServeRecordReuseUnderInlineReentry(t *testing.T) {
 // a local handler that outlives its Call's deadline finishes while the next
 // Call, on the same record, is still waiting for its own handler.
 func TestCallRecordReuseDropsLateLocalResult(t *testing.T) {
-	f := newHeldFabric()
+	f := newHeldFabric(t)
+	jobDone := make(chan struct{}, 8) // a scheduled job ran to its end, result delivered
+	f.Sched = func(p qos.Priority, job scheduler.Job) error {
+		return f.Go(p, func() { job(); jobDone <- struct{}{} })
+	}
 	e := New(f)
 	gates := []chan int32{make(chan int32), make(chan int32)}
 	var invocations atomic.Int32
@@ -254,7 +225,7 @@ func TestCallRecordReuseDropsLateLocalResult(t *testing.T) {
 		t.Fatal("the second Call did not take the first one's record")
 	}
 	gates[0] <- 111 // the abandoned handler finishes
-	<-f.jobDone     // and its result has been delivered
+	<-jobDone       // and its result has been delivered
 	select {
 	case r := <-res:
 		t.Fatalf("second Call returned (%v, %v) on the abandoned handler's result", r.v, r.err)

@@ -10,7 +10,7 @@ import (
 	"testing"
 	"time"
 
-	"uavmw/internal/encoding"
+	"uavmw/internal/fabric/fabrictest"
 	"uavmw/internal/metrics"
 	"uavmw/internal/metrics/metricstest"
 	"uavmw/internal/naming"
@@ -20,67 +20,18 @@ import (
 	"uavmw/internal/transport"
 )
 
-// fakeFabric routes reliable frames through an optional peer engine so two
-// rpc engines can converse without a container.
-type fakeFabric struct {
-	self transport.NodeID
-	dir  *naming.Directory
-	seq  atomic.Uint64
-
-	// offerChanges counts OfferChanged notifications (the container would
-	// broadcast a discovery delta for each).
-	offerChanges atomic.Uint64
-
-	mu    sync.Mutex
-	peers map[transport.NodeID]*Engine
-	drop  map[transport.NodeID]bool
-	sent  []*protocol.Frame // every reliable frame this fabric sent
+// newFabric is a double whose scheduled work runs on goroutines of its
+// own: calls block on replies, so handler work runs concurrently.
+func newFabric(t *testing.T, self transport.NodeID) *fabrictest.Fabric {
+	f := fabrictest.New(t, self)
+	f.Sched = f.Go
+	return f
 }
 
-func newFakeFabric(self transport.NodeID) *fakeFabric {
-	return &fakeFabric{
-		self:  self,
-		dir:   naming.NewDirectory(time.Minute),
-		peers: make(map[transport.NodeID]*Engine),
-		drop:  make(map[transport.NodeID]bool),
-	}
-}
-
-func (f *fakeFabric) Self() transport.NodeID       { return f.self }
-func (f *fakeFabric) Encoding() encoding.Encoding  { return encoding.Binary{} }
-func (f *fakeFabric) Directory() *naming.Directory { return f.dir }
-func (f *fakeFabric) NextSeq() uint64              { return f.seq.Add(1) }
-func (f *fakeFabric) OfferChanged()                { f.offerChanges.Add(1) }
-func (f *fakeFabric) Schedule(_ qos.Priority, job func()) error {
-	go job() // calls block on replies, so run handler work concurrently
-	return nil
-}
-func (f *fakeFabric) SendBestEffort(transport.NodeID, *protocol.Frame) error { return nil }
-func (f *fakeFabric) SendGroup(string, *protocol.Frame) error                { return nil }
-func (f *fakeFabric) Join(string) error                                      { return nil }
-func (f *fakeFabric) Leave(string) error                                     { return nil }
-
-func (f *fakeFabric) SendReliable(to transport.NodeID, fr *protocol.Frame, _ qos.Reliability, done func(error)) {
-	f.mu.Lock()
-	rec := *fr
-	rec.Payload = append([]byte(nil), fr.Payload...)
-	f.sent = append(f.sent, &rec)
-	peer := f.peers[to]
-	dropped := f.drop[to]
-	f.mu.Unlock()
-	if dropped || peer == nil {
-		if done != nil {
-			done(errors.New("unreachable"))
-		}
-		return
-	}
-	if done != nil {
-		done(nil)
-	}
-	// Deliver on a fresh goroutine like a real dispatcher.
-	cp := *fr
-	cp.Payload = append([]byte(nil), fr.Payload...)
-	go dispatch(peer, f.self, &cp)
+// routed makes the frames f's linked peers send arrive at e.
+func routed(f *fabrictest.Fabric, e *Engine) *Engine {
+	f.Route = func(from transport.NodeID, fr *protocol.Frame) { dispatch(e, from, fr) }
+	return e
 }
 
 // encodeReply prefixes a reply body with the call id it answers.
@@ -101,22 +52,18 @@ func dispatch(e *Engine, from transport.NodeID, fr *protocol.Frame) {
 	}
 }
 
-// wire connects a client and a server engine through fake fabrics and
-// announces the server's functions into the client's directory.
-func wire(t *testing.T) (client, server *Engine, cf, sf *fakeFabric) {
+// wire connects a client and a server engine through linked doubles.
+func wire(t *testing.T) (client, server *Engine, cf, sf *fabrictest.Fabric) {
 	t.Helper()
-	cf = newFakeFabric("client")
-	sf = newFakeFabric("server")
-	client = New(cf)
-	server = New(sf)
-	cf.peers["server"] = server
-	sf.peers["client"] = client
+	cf, sf = newFabric(t, "client"), newFabric(t, "server")
+	client, server = routed(cf, New(cf)), routed(sf, New(sf))
+	fabrictest.Link(cf, sf)
 	return client, server, cf, sf
 }
 
-func announce(t *testing.T, f *fakeFabric, node transport.NodeID, e *Engine) {
+func announce(t *testing.T, f *fabrictest.Fabric, node transport.NodeID, e *Engine) {
 	t.Helper()
-	f.dir.Apply(&naming.Announcement{Node: node, Epoch: 1, Records: e.Records()}, time.Now())
+	f.Directory().Apply(&naming.Announcement{Node: node, Epoch: 1, Records: e.Records()}, time.Now())
 }
 
 var (
@@ -136,7 +83,7 @@ func registerAdd(t *testing.T, e *Engine) {
 }
 
 func TestRegisterValidation(t *testing.T) {
-	e := New(newFakeFabric("n"))
+	e := New(newFabric(t, "n"))
 	if err := e.Register("f", "svc", nil, nil, qos.CallQoS{}, nil); err == nil {
 		t.Error("nil handler accepted")
 	}
@@ -162,7 +109,7 @@ func TestRegisterValidation(t *testing.T) {
 }
 
 func TestLocalCallBypass(t *testing.T) {
-	e := New(newFakeFabric("n"))
+	e := New(newFabric(t, "n"))
 	registerAdd(t, e)
 	got, err := e.Call(context.Background(), "add", map[string]any{"a": 2, "b": 3}, addArgs, i32, qos.CallQoS{})
 	if err != nil {
@@ -230,7 +177,7 @@ func TestSignatureMismatchRejected(t *testing.T) {
 }
 
 func TestNoProvider(t *testing.T) {
-	e := New(newFakeFabric("n"))
+	e := New(newFabric(t, "n"))
 	_, err := e.Call(context.Background(), "ghost", nil, nil, nil, qos.CallQoS{})
 	if !errors.Is(err, ErrNoProvider) {
 		t.Errorf("want ErrNoProvider, got %v", err)
@@ -240,13 +187,10 @@ func TestNoProvider(t *testing.T) {
 func TestFailoverToSecondProvider(t *testing.T) {
 	// Two providers; the first is unreachable at send time, so the call
 	// must redirect within one Call invocation.
-	cf := newFakeFabric("client")
-	client := New(cf)
-	sfGood := newFakeFabric("good")
-	good := New(sfGood)
-	sfGood.peers["client"] = client
-	cf.peers["good"] = good
-	cf.drop["bad"] = true
+	cf, sfGood := newFabric(t, "client"), newFabric(t, "good")
+	client, good := routed(cf, New(cf)), routed(sfGood, New(sfGood))
+	fabrictest.Link(cf, sfGood)
+	cf.Fail("bad")
 
 	retT := presentation.String_()
 	if err := good.Register("fn", "svc", nil, retT, qos.CallQoS{},
@@ -254,10 +198,10 @@ func TestFailoverToSecondProvider(t *testing.T) {
 		t.Fatal(err)
 	}
 	now := time.Now()
-	cf.dir.Apply(&naming.Announcement{Node: "bad", Epoch: 1, Records: []naming.Record{
+	cf.Directory().Apply(&naming.Announcement{Node: "bad", Epoch: 1, Records: []naming.Record{
 		{Kind: naming.KindFunction, Name: "fn", Service: "svc", Node: "bad", TypeSig: retT.String()},
 	}}, now)
-	cf.dir.Apply(&naming.Announcement{Node: "good", Epoch: 1, Records: good.Records()}, now)
+	cf.Directory().Apply(&naming.Announcement{Node: "good", Epoch: 1, Records: good.Records()}, now)
 
 	got, err := client.Call(context.Background(), "fn", nil, nil, retT, qos.CallQoS{})
 	if err != nil {
@@ -302,7 +246,7 @@ func TestHandleCallUnknownFunction(t *testing.T) {
 	client, _, cf, sf := wire(t)
 	// Server with no functions: an infra error must come back, and with a
 	// single provider the call fails as all-providers-failed.
-	cf.dir.Apply(&naming.Announcement{Node: "server", Epoch: 1, Records: []naming.Record{
+	cf.Directory().Apply(&naming.Announcement{Node: "server", Epoch: 1, Records: []naming.Record{
 		{Kind: naming.KindFunction, Name: "phantom", Service: "svc", Node: "server"},
 	}}, time.Now())
 	_ = sf
@@ -317,7 +261,7 @@ func TestHandleCallUnknownFunction(t *testing.T) {
 }
 
 func TestDependencyCheck(t *testing.T) {
-	e := New(newFakeFabric("n"))
+	e := New(newFabric(t, "n"))
 	ok := func(any) (any, error) { return nil, nil }
 	if err := e.Register("have.local", "svc", nil, nil, qos.CallQoS{}, ok); err != nil {
 		t.Fatal(err)
@@ -358,9 +302,7 @@ func TestStaticPinUnpinOnFailure(t *testing.T) {
 		t.Fatalf("pin = %q", pin)
 	}
 	// Provider becomes unreachable: call fails, pin cleared.
-	cf.mu.Lock()
-	cf.drop["server"] = true
-	cf.mu.Unlock()
+	cf.Fail("server")
 	if _, err := client.Call(context.Background(), "add",
 		map[string]any{"a": 1, "b": 1}, addArgs, i32,
 		qos.CallQoS{Binding: qos.BindStatic, Deadline: 200 * time.Millisecond}); err == nil {
@@ -375,7 +317,7 @@ func TestStaticPinUnpinOnFailure(t *testing.T) {
 }
 
 func TestLateReplyIgnored(t *testing.T) {
-	e := New(newFakeFabric("n"))
+	e := New(newFabric(t, "n"))
 	// A reply for a call id nobody is waiting on must be harmless, as
 	// must a truncated reply payload with no call id at all.
 	e.HandleReturn("x", &protocol.Frame{Type: protocol.MTReturn, Payload: encodeReply(999, nil)})
@@ -388,18 +330,13 @@ func TestLateReplyIgnored(t *testing.T) {
 
 // threeWay wires one client to two server engines ("a-slow" sorts before
 // "b-fast", so static binding pins the slow one first).
-func threeWay(t *testing.T) (client, slow, fast *Engine, cf *fakeFabric) {
+func threeWay(t *testing.T) (client, slow, fast *Engine, cf *fabrictest.Fabric) {
 	t.Helper()
-	cf = newFakeFabric("client")
-	sfSlow := newFakeFabric("a-slow")
-	sfFast := newFakeFabric("b-fast")
-	client = New(cf)
-	slow = New(sfSlow)
-	fast = New(sfFast)
-	cf.peers["a-slow"] = slow
-	cf.peers["b-fast"] = fast
-	sfSlow.peers["client"] = client
-	sfFast.peers["client"] = client
+	cf = newFabric(t, "client")
+	sfSlow, sfFast := newFabric(t, "a-slow"), newFabric(t, "b-fast")
+	client, slow, fast = routed(cf, New(cf)), routed(sfSlow, New(sfSlow)), routed(sfFast, New(sfFast))
+	fabrictest.Link(cf, sfSlow)
+	fabrictest.Link(cf, sfFast)
 	return client, slow, fast, cf
 }
 
@@ -418,8 +355,8 @@ func TestHedgedCallBeatsSlowProvider(t *testing.T) {
 		t.Fatal(err)
 	}
 	now := time.Now()
-	cf.dir.Apply(&naming.Announcement{Node: "a-slow", Epoch: 1, Records: slow.Records()}, now)
-	cf.dir.Apply(&naming.Announcement{Node: "b-fast", Epoch: 1, Records: fast.Records()}, now)
+	cf.Directory().Apply(&naming.Announcement{Node: "a-slow", Epoch: 1, Records: slow.Records()}, now)
+	cf.Directory().Apply(&naming.Announcement{Node: "b-fast", Epoch: 1, Records: fast.Records()}, now)
 
 	q := qos.CallQoS{Binding: qos.BindStatic, Deadline: 600 * time.Millisecond, HedgeAfter: 0.1}
 	start := time.Now()
@@ -479,8 +416,8 @@ func TestBusyShedTriggersFailover(t *testing.T) {
 	}
 	slow.SetInflightLimit(1)
 	now := time.Now()
-	cf.dir.Apply(&naming.Announcement{Node: "a-slow", Epoch: 1, Records: slow.Records()}, now)
-	cf.dir.Apply(&naming.Announcement{Node: "b-fast", Epoch: 1, Records: fast.Records()}, now)
+	cf.Directory().Apply(&naming.Announcement{Node: "a-slow", Epoch: 1, Records: slow.Records()}, now)
+	cf.Directory().Apply(&naming.Announcement{Node: "b-fast", Epoch: 1, Records: fast.Records()}, now)
 
 	q := qos.CallQoS{Binding: qos.BindStatic, Deadline: 2 * time.Second}
 	firstDone := make(chan error, 1)
@@ -528,14 +465,12 @@ func TestServerShedsSpentBudget(t *testing.T) {
 	})
 	deadline := time.Now().Add(time.Second)
 	for {
-		sf.mu.Lock()
 		var busy *protocol.Frame
-		for _, fr := range sf.sent {
+		for _, fr := range sf.Frames(fabrictest.Reliable) {
 			if fr.Type == protocol.MTBusy {
 				busy = fr
 			}
 		}
-		sf.mu.Unlock()
 		if busy != nil {
 			// The call id travels in the reply payload, not the frame
 			// seq (replies use the provider's own seq space).
@@ -571,10 +506,8 @@ func TestCallRemoteStampsBudget(t *testing.T) {
 		qos.CallQoS{Deadline: 800 * time.Millisecond}); err != nil {
 		t.Fatal(err)
 	}
-	cf.mu.Lock()
-	defer cf.mu.Unlock()
 	var call *protocol.Frame
-	for _, fr := range cf.sent {
+	for _, fr := range cf.Frames(fabrictest.Reliable) {
 		if fr.Type == protocol.MTCall {
 			call = fr
 		}
@@ -613,7 +546,7 @@ func TestDeadlineMissUnpinsStalledProvider(t *testing.T) {
 }
 
 func TestUnregisterClearsPinAndIsIdempotent(t *testing.T) {
-	e := New(newFakeFabric("n"))
+	e := New(newFabric(t, "n"))
 	if err := e.Register("f", "svc", nil, nil, qos.CallQoS{},
 		func(any) (any, error) { return nil, nil }); err != nil {
 		t.Fatal(err)

@@ -10,6 +10,7 @@ import (
 
 	"uavmw/internal/clock"
 	"uavmw/internal/encoding"
+	"uavmw/internal/fabric/fabrictest"
 	"uavmw/internal/naming"
 	"uavmw/internal/presentation"
 	"uavmw/internal/presentation/ptest"
@@ -17,23 +18,15 @@ import (
 	"uavmw/internal/qos"
 )
 
-// nopFabric accepts and drops group sends without recording them, so
-// allocation gates measure the engine alone.
-type nopFabric struct{ *fakeFabric }
-
-func (nopFabric) SendGroup(string, *protocol.Frame) error { return nil }
-
-func (f *fakeFabric) reliableFrames() []*protocol.Frame {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return append([]*protocol.Frame(nil), f.reliable...)
-}
-
 // TestPublishAllocatesNothing is the publish-side gate of the fused
 // coerce+append encoder: one telemetry sample, header to SendGroup, with
 // no allocation at all.
 func TestPublishAllocatesNothing(t *testing.T) {
-	e := New(nopFabric{newFakeFabric("n")})
+	// The double drops every send unrecorded, so the gate measures the
+	// engine alone.
+	f := fabrictest.New(t, "n")
+	f.Discard(nil)
+	e := New(f)
 	p, err := e.Offer("nav.position", "svc", ptest.PositionType, qos.VariableQoS{Validity: time.Second})
 	if err != nil {
 		t.Fatal(err)
@@ -56,7 +49,7 @@ func TestPublishAllocatesNothing(t *testing.T) {
 // that carries the value to the scheduler is reused. The floor itself is
 // held to the map and one scalar slab, so a decode regression cannot pass.
 func TestHandleSampleAllocatesDecodeFloor(t *testing.T) {
-	f := newFakeFabric("n")
+	f := fabrictest.New(t, "n")
 	e := New(f)
 	s, err := e.Subscribe("nav.position", ptest.PositionType, SubscribeOptions{OnSample: func(any, time.Time) {}})
 	if err != nil {
@@ -92,7 +85,7 @@ func TestHandleSampleAllocatesDecodeFloor(t *testing.T) {
 }
 
 func TestOnChangeOnlyComparesEncodedBytes(t *testing.T) {
-	f := newFakeFabric("n")
+	f := fabrictest.New(t, "n")
 	e := New(f)
 	p, err := e.Offer("v", "svc", posType, qos.VariableQoS{OnChangeOnly: true, Period: time.Hour})
 	if err != nil {
@@ -103,7 +96,7 @@ func TestOnChangeOnlyComparesEncodedBytes(t *testing.T) {
 		if err := p.Publish(map[string]any{"lat": lat, "lon": 2.0}); err != nil {
 			t.Fatal(err)
 		}
-		return len(f.groupFrames("v:v"))
+		return len(f.GroupFrames("v:v"))
 	}
 	nan2 := math.Float64frombits(math.Float64bits(math.NaN()) ^ 1) // a second NaN payload
 	steps := []struct {
@@ -127,7 +120,7 @@ func TestOnChangeOnlyComparesEncodedBytes(t *testing.T) {
 	if err := p.Publish(map[string]any{"lat": nan2, "lon": 2}); err != nil {
 		t.Fatal(err)
 	}
-	if got := len(f.groupFrames("v:v")); got != 4 {
+	if got := len(f.GroupFrames("v:v")); got != 4 {
 		t.Fatalf("int spelling of an unchanged field counted as a change: %d frames", got)
 	}
 }
@@ -137,7 +130,7 @@ func TestOnChangeOnlyComparesEncodedBytes(t *testing.T) {
 // after Publish reach neither Snapshot, nor the snapshot reply, nor a local
 // subscriber — and every reader gets its own copy.
 func TestCachedValueSurvivesCallerMutation(t *testing.T) {
-	f := newFakeFabric("n")
+	f := fabrictest.New(t, "n")
 	e := New(f)
 	blobType := presentation.MustParse("{tag:bytes,lat:f64}")
 	p, err := e.Offer("v", "svc", blobType, qos.VariableQoS{Validity: time.Minute})
@@ -188,9 +181,8 @@ func TestCachedValueSurvivesCallerMutation(t *testing.T) {
 	// The snapshot reply is assembled from the cached bytes: the value as
 	// published, under its publish instant.
 	e.HandleSnapshotReq("asker", &protocol.Frame{Type: protocol.MTSnapshotReq, Channel: "v"})
-	f.mu.Lock()
-	reply := f.reliable[len(f.reliable)-1]
-	f.mu.Unlock()
+	reliable := f.Frames(fabrictest.Reliable)
+	reply := reliable[len(reliable)-1]
 	got, replyTS, validity, pub, err := decodeSamplePayload(encoding.Binary{}, blobType, reply.Payload)
 	if err != nil {
 		t.Fatal(err)
@@ -205,7 +197,7 @@ func TestCachedValueSurvivesCallerMutation(t *testing.T) {
 // value exchange between two engines: the subscriber ends up with the last
 // value under the instant it was published, not the instant it was asked for.
 func TestRequireInitialCarriesOriginalTimestamp(t *testing.T) {
-	pf, sf := newFakeFabric("pub"), newFakeFabric("sub")
+	pf, sf := fabrictest.New(t, "pub"), fabrictest.New(t, "sub")
 	pe, se := New(pf), New(sf)
 	p, err := pe.Offer("v", "svc", posType, qos.VariableQoS{Validity: time.Minute})
 	if err != nil {
@@ -218,7 +210,7 @@ func TestRequireInitialCarriesOriginalTimestamp(t *testing.T) {
 	_, publishedAt, _ := p.Snapshot()
 	time.Sleep(2 * time.Millisecond) // the request must not restamp the value
 
-	sf.dir.Apply(&naming.Announcement{Node: "pub", Epoch: 1, Records: pe.Records()}, time.Now())
+	sf.Directory().Apply(&naming.Announcement{Node: "pub", Epoch: 1, Records: pe.Records()}, time.Now())
 	done := make(chan *Subscription, 1)
 	go func() {
 		s, err := se.Subscribe("v", posType, SubscribeOptions{RequireInitial: true})
@@ -229,14 +221,14 @@ func TestRequireInitialCarriesOriginalTimestamp(t *testing.T) {
 	}()
 	// Carry the request to the publisher and the reply back.
 	deadline := time.Now().Add(2 * time.Second)
-	for len(sf.reliableFrames()) == 0 {
+	for len(sf.Frames(fabrictest.Reliable)) == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("no snapshot request sent")
 		}
 		time.Sleep(time.Millisecond)
 	}
-	pe.HandleSnapshotReq("sub", sf.reliableFrames()[0])
-	se.HandleSnapshotRep("pub", pf.reliableFrames()[0])
+	pe.HandleSnapshotReq("sub", sf.Frames(fabrictest.Reliable)[0])
+	se.HandleSnapshotRep("pub", pf.Frames(fabrictest.Reliable)[0])
 	s := <-done
 	if s == nil {
 		return
@@ -250,25 +242,19 @@ func TestRequireInitialCarriesOriginalTimestamp(t *testing.T) {
 		t.Fatalf("initial value stamped %v, published at %v", ts, publishedAt)
 	}
 	// The reply's header is the sample header, byte for byte.
-	if n := binary.BigEndian.Uint64(pf.reliableFrames()[0].Payload); int64(n) != publishedAt.UnixNano() {
+	if n := binary.BigEndian.Uint64(pf.Frames(fabrictest.Reliable)[0].Payload); int64(n) != publishedAt.UnixNano() {
 		t.Fatalf("reply header carries %d, want %d", n, publishedAt.UnixNano())
 	}
 }
-
-// clockedFabric puts the engine on an injected clock, as core.Node does.
-type clockedFabric struct {
-	*fakeFabric
-	clk clock.Clock
-}
-
-func (f clockedFabric) Clock() clock.Clock { return f.clk }
 
 // TestVirtualClockDrivesStalenessAndSilence is the regression test for the
 // engine ignoring the injected clock: validity and silence detection must
 // run on virtual time, with no wall-clock sleep anywhere.
 func TestVirtualClockDrivesStalenessAndSilence(t *testing.T) {
 	v := clock.NewVirtual()
-	e := New(clockedFabric{newFakeFabric("n"), v})
+	f := fabrictest.New(t, "n")
+	f.Clk = v // as core.Node does
+	e := New(f)
 	const period = 20 * time.Millisecond // silence deadline 3 × period
 	var (
 		mu    sync.Mutex

@@ -6,19 +6,10 @@ import (
 	"time"
 
 	"uavmw/internal/encoding"
+	"uavmw/internal/fabric/fabrictest"
 	"uavmw/internal/protocol"
-	"uavmw/internal/qos"
 	"uavmw/internal/scheduler"
 )
-
-// inlineSchedFabric queues scheduled work on a scheduler.Inline: a job runs
-// inside the Schedule call that queues it.
-type inlineSchedFabric struct {
-	*fakeFabric
-	sched *scheduler.Inline
-}
-
-func (f inlineSchedFabric) Schedule(p qos.Priority, job func()) error { return f.sched.Submit(p, job) }
 
 // TestDeliveryRecordReuseUnderInlineReentry has OnSample re-enter the engine
 // with a second sample. On an inline scheduler the nested delivery runs
@@ -26,7 +17,9 @@ func (f inlineSchedFabric) Schedule(p qos.Priority, job func()) error { return f
 // that callback ran, so the nested delivery takes it again, and the first
 // callback still sees its own value afterwards.
 func TestDeliveryRecordReuseUnderInlineReentry(t *testing.T) {
-	e := New(inlineSchedFabric{newFakeFabric("n"), scheduler.NewInline()})
+	f := fabrictest.New(t, "n")
+	f.Sched = scheduler.NewInline().Submit // a job runs inside the Schedule call that queues it
+	e := New(f)
 	enc := encoding.Binary{}
 	sample := func(seq uint64, lat float64) *protocol.Frame {
 		payload, err := encodeSamplePayload(enc, posType, map[string]any{"lat": lat, "lon": 0.0}, time.Now(), 0, 5)

@@ -426,7 +426,6 @@ func (s *Subscription) requestInitial() error {
 		Encoding: e.f.Encoding().ID(),
 		Priority: qos.PriorityHigh,
 		Channel:  s.name,
-		Seq:      e.f.NextSeq(),
 	}
 	// The reply arrives asynchronously via handleSnapshotRep; here we wait
 	// for either a value or the timeout.
@@ -740,7 +739,6 @@ func (e *Engine) HandleSnapshotReq(from transport.NodeID, fr *protocol.Frame) {
 		Encoding: e.enc.ID(),
 		Priority: qos.PriorityHigh,
 		Channel:  fr.Channel,
-		Seq:      e.f.NextSeq(),
 		Payload:  payload,
 	}
 	e.f.SendReliable(from, reply, qos.ReliableARQ, nil)

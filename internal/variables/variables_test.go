@@ -2,99 +2,17 @@ package variables
 
 import (
 	"errors"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"uavmw/internal/encoding"
+	"uavmw/internal/fabric/fabrictest"
 	"uavmw/internal/naming"
 	"uavmw/internal/presentation"
 	"uavmw/internal/protocol"
 	"uavmw/internal/qos"
-	"uavmw/internal/transport"
 )
-
-// fakeFabric runs handlers inline and records outgoing frames.
-type fakeFabric struct {
-	self transport.NodeID
-	dir  *naming.Directory
-	seq  atomic.Uint64
-
-	// offerChanges counts OfferChanged notifications (the container would
-	// broadcast a discovery delta for each).
-	offerChanges atomic.Uint64
-
-	mu       sync.Mutex
-	group    map[string][]*protocol.Frame
-	reliable []*protocol.Frame
-	joined   map[string]int
-}
-
-func newFakeFabric(self transport.NodeID) *fakeFabric {
-	return &fakeFabric{
-		self:   self,
-		dir:    naming.NewDirectory(time.Minute),
-		group:  make(map[string][]*protocol.Frame),
-		joined: make(map[string]int),
-	}
-}
-
-func (f *fakeFabric) Self() transport.NodeID       { return f.self }
-func (f *fakeFabric) Encoding() encoding.Encoding  { return encoding.Binary{} }
-func (f *fakeFabric) Directory() *naming.Directory { return f.dir }
-func (f *fakeFabric) NextSeq() uint64              { return f.seq.Add(1) }
-func (f *fakeFabric) OfferChanged()                { f.offerChanges.Add(1) }
-func (f *fakeFabric) Schedule(_ qos.Priority, job func()) error {
-	job()
-	return nil
-}
-
-func (f *fakeFabric) SendBestEffort(transport.NodeID, *protocol.Frame) error { return nil }
-
-func (f *fakeFabric) SendGroup(group string, fr *protocol.Frame) error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.group[group] = append(f.group[group], copyFrame(fr))
-	return nil
-}
-
-// copyFrame snapshots a frame: the engine recycles frame and payload once
-// the send returns, per the fabric no-retention contract.
-func copyFrame(fr *protocol.Frame) *protocol.Frame {
-	cp := *fr
-	cp.Payload = append([]byte(nil), fr.Payload...)
-	return &cp
-}
-
-func (f *fakeFabric) SendReliable(_ transport.NodeID, fr *protocol.Frame, _ qos.Reliability, done func(error)) {
-	f.mu.Lock()
-	f.reliable = append(f.reliable, copyFrame(fr))
-	f.mu.Unlock()
-	if done != nil {
-		done(nil)
-	}
-}
-
-func (f *fakeFabric) Join(group string) error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.joined[group]++
-	return nil
-}
-
-func (f *fakeFabric) Leave(group string) error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.joined[group]--
-	return nil
-}
-
-func (f *fakeFabric) groupFrames(group string) []*protocol.Frame {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return append([]*protocol.Frame(nil), f.group[group]...)
-}
 
 var posType = presentation.MustParse("{lat:f64,lon:f64}")
 
@@ -137,7 +55,7 @@ func TestSamplePayloadRoundTrip(t *testing.T) {
 }
 
 func TestOfferValidation(t *testing.T) {
-	e := New(newFakeFabric("n"))
+	e := New(fabrictest.New(t, "n"))
 	if _, err := e.Offer("v", "svc", presentation.ArrayOf(0, presentation.Int8()), qos.VariableQoS{}); err == nil {
 		t.Error("invalid type accepted")
 	}
@@ -156,7 +74,7 @@ func TestOfferValidation(t *testing.T) {
 }
 
 func TestPublishMulticastsAndCaches(t *testing.T) {
-	f := newFakeFabric("n")
+	f := fabrictest.New(t, "n")
 	e := New(f)
 	p, err := e.Offer("v", "svc", posType, qos.VariableQoS{Validity: time.Second})
 	if err != nil {
@@ -165,7 +83,7 @@ func TestPublishMulticastsAndCaches(t *testing.T) {
 	if err := p.Publish(map[string]any{"lat": 1.0, "lon": 2.0}); err != nil {
 		t.Fatal(err)
 	}
-	frames := f.groupFrames("v:v")
+	frames := f.GroupFrames("v:v")
 	if len(frames) != 1 || frames[0].Type != protocol.MTSample || frames[0].Seq != 1 {
 		t.Fatalf("frames = %+v", frames)
 	}
@@ -184,7 +102,7 @@ func TestPublishMulticastsAndCaches(t *testing.T) {
 }
 
 func TestOnChangeOnlySuppression(t *testing.T) {
-	f := newFakeFabric("n")
+	f := fabrictest.New(t, "n")
 	e := New(f)
 	p, err := e.Offer("v", "svc", posType, qos.VariableQoS{OnChangeOnly: true, Period: time.Hour})
 	if err != nil {
@@ -196,22 +114,22 @@ func TestOnChangeOnlySuppression(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := len(f.groupFrames("v:v")); got != 1 {
+	if got := len(f.GroupFrames("v:v")); got != 1 {
 		t.Errorf("unchanged value sent %d times, want 1", got)
 	}
 	// A changed value goes out immediately.
 	if err := p.Publish(map[string]any{"lat": 9.0, "lon": 2.0}); err != nil {
 		t.Fatal(err)
 	}
-	if got := len(f.groupFrames("v:v")); got != 2 {
+	if got := len(f.GroupFrames("v:v")); got != 2 {
 		t.Errorf("changed value not sent: %d frames", got)
 	}
 }
 
 func TestSubscribeTypeMismatchRejected(t *testing.T) {
-	f := newFakeFabric("n")
+	f := fabrictest.New(t, "n")
 	e := New(f)
-	f.dir.Apply(&naming.Announcement{
+	f.Directory().Apply(&naming.Announcement{
 		Node: "remote", Epoch: 1,
 		Records: []naming.Record{{
 			Kind: naming.KindVariable, Name: "v", Service: "svc",
@@ -224,7 +142,7 @@ func TestSubscribeTypeMismatchRejected(t *testing.T) {
 }
 
 func TestSubscriptionLifecycle(t *testing.T) {
-	f := newFakeFabric("n")
+	f := fabrictest.New(t, "n")
 	e := New(f)
 	s, err := e.Subscribe("v", posType, SubscribeOptions{})
 	if err != nil {
@@ -233,18 +151,18 @@ func TestSubscriptionLifecycle(t *testing.T) {
 	if _, _, err := s.Get(); !errors.Is(err, ErrNoValue) {
 		t.Errorf("empty Get: %v", err)
 	}
-	if f.joined["v:v"] != 1 {
+	if f.Joined("v:v") != 1 {
 		t.Error("subscription did not join the group")
 	}
 	s.Close()
 	s.Close() // idempotent
-	if f.joined["v:v"] != 0 {
+	if f.Joined("v:v") != 0 {
 		t.Error("close did not leave the group")
 	}
 }
 
 func TestHandleSampleDeliversAndOrders(t *testing.T) {
-	f := newFakeFabric("n")
+	f := fabrictest.New(t, "n")
 	e := New(f)
 	var got atomic.Value
 	s, err := e.Subscribe("v", posType, SubscribeOptions{
@@ -290,7 +208,7 @@ func TestHandleSampleDeliversAndOrders(t *testing.T) {
 }
 
 func TestHandleSnapshotReqRepliesReliably(t *testing.T) {
-	f := newFakeFabric("n")
+	f := fabrictest.New(t, "n")
 	e := New(f)
 	p, err := e.Offer("v", "svc", posType, qos.VariableQoS{})
 	if err != nil {
@@ -298,22 +216,20 @@ func TestHandleSnapshotReqRepliesReliably(t *testing.T) {
 	}
 	// No value yet: no reply.
 	e.HandleSnapshotReq("asker", &protocol.Frame{Type: protocol.MTSnapshotReq, Channel: "v"})
-	if len(f.reliable) != 0 {
+	if len(f.Frames(fabrictest.Reliable)) != 0 {
 		t.Error("snapshot replied before any publish")
 	}
 	if err := p.Publish(map[string]any{"lat": 4.0, "lon": 5.0}); err != nil {
 		t.Fatal(err)
 	}
 	e.HandleSnapshotReq("asker", &protocol.Frame{Type: protocol.MTSnapshotReq, Channel: "v"})
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if len(f.reliable) != 1 || f.reliable[0].Type != protocol.MTSnapshotRep {
-		t.Fatalf("reliable frames = %+v", f.reliable)
+	if reliable := f.Frames(fabrictest.Reliable); len(reliable) != 1 || reliable[0].Type != protocol.MTSnapshotRep {
+		t.Fatalf("reliable frames = %+v", reliable)
 	}
 }
 
 func TestRecords(t *testing.T) {
-	e := New(newFakeFabric("node9"))
+	e := New(fabrictest.New(t, "node9"))
 	if _, err := e.Offer("gps.position", "gps", posType, qos.VariableQoS{}); err != nil {
 		t.Fatal(err)
 	}
@@ -347,7 +263,7 @@ func TestPublisherRestartResetsReorderFilter(t *testing.T) {
 	// incarnation id rode on the wire, the subscriber's reorder filter
 	// discarded every new sample until the new seq overtook the old
 	// high-water mark; now the incarnation change resets the filter.
-	e := New(newFakeFabric("n"))
+	e := New(fabrictest.New(t, "n"))
 	s, err := e.Subscribe("v", posType, SubscribeOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -392,7 +308,7 @@ func TestPublisherTakeoverWithLaggingClock(t *testing.T) {
 	// one must not be locked out past the grace window: once the cached
 	// sample's arrival is no longer recent, the incarnation change wins
 	// regardless of the publisher timestamps.
-	e := New(newFakeFabric("n"))
+	e := New(fabrictest.New(t, "n"))
 	s, err := e.Subscribe("v", posType, SubscribeOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -417,7 +333,7 @@ func TestSnapshotOfOldValueIsStale(t *testing.T) {
 	// arrival (per the publisher clock, clamped >= 0) must count against
 	// validity, so a long-expired value is not served as fresh just
 	// because it arrived now.
-	e := New(newFakeFabric("n"))
+	e := New(fabrictest.New(t, "n"))
 	s, err := e.Subscribe("v", posType, SubscribeOptions{
 		QoS: qos.VariableQoS{Validity: 100 * time.Millisecond},
 	})
@@ -444,9 +360,9 @@ func TestSnapshotOfOldValueIsStale(t *testing.T) {
 func TestRequireInitialWakesOnArrival(t *testing.T) {
 	// The guaranteed-initial-value wait must wake as soon as the snapshot
 	// reply lands, well before InitialTimeout, without polling.
-	f := newFakeFabric("n")
+	f := fabrictest.New(t, "n")
 	e := New(f)
-	f.dir.Apply(&naming.Announcement{Node: "pub", Epoch: 1, Records: []naming.Record{
+	f.Directory().Apply(&naming.Announcement{Node: "pub", Epoch: 1, Records: []naming.Record{
 		{Kind: naming.KindVariable, Name: "v", Service: "svc", Node: "pub", TypeSig: posType.String()},
 	}}, time.Now())
 
@@ -477,7 +393,7 @@ func TestSilenceUsesReceiverClock(t *testing.T) {
 	// The publisher's embedded timestamp is an hour in the past (clock
 	// skew); the OnTimeout warning must report silence measured from the
 	// receiver-side arrival instant, not a bogus ~1h duration.
-	e := New(newFakeFabric("n"))
+	e := New(fabrictest.New(t, "n"))
 	silences := make(chan time.Duration, 4)
 	s, err := e.Subscribe("v", posType, SubscribeOptions{
 		QoS:       qos.VariableQoS{Period: 20 * time.Millisecond, DeadlineFactor: 2},
@@ -501,7 +417,7 @@ func TestSilenceUsesReceiverClock(t *testing.T) {
 }
 
 func TestForeignEncodingIgnored(t *testing.T) {
-	f := newFakeFabric("n")
+	f := fabrictest.New(t, "n")
 	e := New(f)
 	s, err := e.Subscribe("v", posType, SubscribeOptions{})
 	if err != nil {
@@ -522,7 +438,7 @@ func TestForeignEncodingIgnored(t *testing.T) {
 // publish, Subscription.Snapshot ignoring validity, and both returning
 // copies rather than aliases of the cached value.
 func TestSnapshotReadAPIs(t *testing.T) {
-	f := newFakeFabric("n")
+	f := fabrictest.New(t, "n")
 	e := New(f)
 	p, err := e.Offer("v", "svc", posType, qos.VariableQoS{Validity: 10 * time.Millisecond})
 	if err != nil {
