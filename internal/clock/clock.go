@@ -12,17 +12,16 @@
 //
 // Rules for code running under a Virtual clock:
 //
-//   - Spawn long-lived goroutines with Go (or Virtual.Go) so the clock
-//     knows they exist; time never advances while a registered goroutine
-//     is runnable.
-//   - Park only through clock-managed operations — Sleep, SleepStop,
-//     Trigger.Wait, Cond.Wait, Ticker.Wait — whose wake-ups decrement the
-//     parked count at fire time, before the sleeper is runnable.
-//   - A registered goroutine that must wait on a plain channel (an RPC
-//     reply, a WaitGroup) wraps the wait in Blocking so virtual time may
-//     advance while it waits. The un-park there is best effort: time can
-//     briefly advance past the wake-up, which is why hot loops use the
-//     managed primitives instead.
+//   - Register: start every goroutine that touches the clock with Go (or
+//     Virtual.Go), or run it inside Virtual.Run; AfterFunc callbacks are
+//     registered for you. Time never advances while a registered goroutine
+//     is runnable, and a park by an unregistered goroutine panics.
+//   - Park only on clock primitives — Sleep, SleepStop, Trigger.Wait,
+//     Cond.Wait, WaitGroup.Wait, Ticker.Wait — whose wake-ups release the
+//     parked count at fire time, before the sleeper is runnable. A
+//     registered goroutine blocked on anything else (a plain channel, a
+//     sync.WaitGroup) still counts as runnable, so time stands still until
+//     it returns.
 //
 // Timer/Ticker channels (C) keep stdlib semantics (capacity-1,
 // non-blocking send) for unregistered consumers; registered goroutines
@@ -73,42 +72,15 @@ type Ticker interface {
 }
 
 // Go spawns fn registered with c when c is Virtual, as a plain goroutine
-// otherwise. Every long-lived goroutine in a clock-injected component
-// must be spawned this way or virtual time will advance while it runs.
+// otherwise. Every goroutine in a clock-injected component must be spawned
+// this way: virtual time advances while an unregistered goroutine runs, and
+// its parks throw off the clock's count (Virtual panics where it can tell).
 func Go(c Clock, fn func()) {
 	if v, ok := c.(*Virtual); ok {
 		v.Go(fn)
 		return
 	}
 	go fn()
-}
-
-// Live registers the calling goroutine with a Virtual clock for the
-// duration of fn, so time cannot advance while it is runnable — the
-// companion to Go for goroutines the component did not spawn itself (an
-// engine making its caller's in-call work visible to the clock). Nested
-// use and already-registered callers are no-ops; on a Real clock it just
-// runs fn.
-func Live(c Clock, fn func()) {
-	v, ok := c.(*Virtual)
-	if !ok {
-		fn()
-		return
-	}
-	id := gid()
-	v.mu.Lock()
-	if v.reg[id] > 0 {
-		// Already visible (registering again would inflate the worker
-		// count past what one goroutine's park can satisfy).
-		v.mu.Unlock()
-		fn()
-		return
-	}
-	v.workers++
-	v.reg[id]++
-	v.mu.Unlock()
-	defer v.unregister(id)
-	fn()
 }
 
 // SleepStop sleeps d or until stop closes; false means stopped. It is
@@ -130,18 +102,6 @@ func SleepStop(c Clock, d time.Duration, stop <-chan struct{}) bool {
 	case <-stop:
 		return false
 	}
-}
-
-// Blocking marks the calling goroutine as parked for the duration of
-// wait, so a Virtual clock may advance while it blocks on something the
-// clock cannot see (an RPC reply channel, a WaitGroup). On a Real clock
-// it just runs wait.
-func Blocking(c Clock, wait func()) {
-	if v, ok := c.(*Virtual); ok {
-		v.Blocking(wait)
-		return
-	}
-	wait()
 }
 
 // Or returns c, or Real when c is nil — the idiom for optional clock

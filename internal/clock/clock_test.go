@@ -266,22 +266,46 @@ func TestRealClockSmoke(t *testing.T) {
 	<-done
 }
 
-// Blocking lets time advance while a registered goroutine waits outside
-// the clock.
-func TestVirtualBlockingExternalWait(t *testing.T) {
+// A WaitGroup waiter wakes at the instant of the last Done, even while
+// another registered goroutine keeps events due every millisecond: the
+// Done releases the waiter's parked count inside the clock lock, so no
+// event can fire between the Done and the waiter running again.
+func TestVirtualWaitGroupWakesAtLastDone(t *testing.T) {
+	const doneAt = 20*time.Millisecond + 500*time.Microsecond // between two ticks
 	v := NewVirtual()
-	ch := make(chan struct{})
-	v.Go(func() {
-		v.Sleep(20 * time.Millisecond)
-		close(ch)
-	})
-	v.Run(func() {
-		start := v.Now()
-		Blocking(v, func() { <-ch })
-		if got := v.Now().Sub(start); got != 20*time.Millisecond {
-			t.Fatalf("external wait resolved at +%v, want +20ms", got)
+	for round := 0; round < 20; round++ {
+		stop := make(chan struct{})
+		v.Go(func() {
+			for SleepStop(v, time.Millisecond, stop) {
+			}
+		})
+		v.Run(func() {
+			defer close(stop)
+			wg := NewWaitGroup(v)
+			wg.Add(1)
+			start := v.Now()
+			v.Go(func() {
+				v.Sleep(doneAt)
+				wg.Done()
+			})
+			wg.Wait()
+			if got := v.Since(start); got != doneAt {
+				t.Fatalf("round %d: Wait returned at +%v, want +%v (the last Done's instant)", round, got, doneAt)
+			}
+		})
+	}
+}
+
+// A park by a goroutine the clock does not know is a bug to report, not a
+// wait to guess around.
+func TestVirtualUnregisteredParkPanics(t *testing.T) {
+	v := NewVirtual()
+	defer func() {
+		if r := recover(); r != ErrUnregisteredPark {
+			t.Fatalf("unregistered Sleep: recovered %v, want %v", r, ErrUnregisteredPark)
 		}
-	})
+	}()
+	v.Sleep(time.Millisecond)
 }
 
 // TestTriggerWaitIgnoresStaleTick pins the reused deadline timer: a Wait
@@ -428,5 +452,34 @@ func TestCondWaitAllocs(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(200, cycle); allocs != 0 {
 		t.Errorf("Cond park/unpark: %v allocs/op, want 0", allocs)
+	}
+}
+
+// TestWaitGroupAllocs is TestCondWaitAllocs' companion: after the first
+// park, an Add/Done/Wait round on the real clock allocates nothing.
+func TestWaitGroupAllocs(t *testing.T) {
+	wg := NewWaitGroup(Real{})
+	kick := make(chan struct{})
+	exited := make(chan struct{})
+	go func() {
+		defer close(exited)
+		for range kick {
+			wg.Done()
+		}
+	}()
+	defer func() {
+		close(kick)
+		<-exited
+	}()
+	cycle := func() {
+		wg.Add(1)
+		kick <- struct{}{}
+		wg.Wait()
+	}
+	for i := 0; i < 4; i++ {
+		cycle()
+	}
+	if allocs := testing.AllocsPerRun(200, cycle); allocs != 0 {
+		t.Errorf("WaitGroup Add/Done/Wait: %v allocs/op, want 0", allocs)
 	}
 }

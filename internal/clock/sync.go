@@ -115,7 +115,6 @@ func (t *virtualTrigger) Wait(d time.Duration, stop <-chan struct{}) bool {
 		return false
 	default:
 	}
-	id := gid()
 	v := t.v
 	v.mu.Lock()
 	if t.pending {
@@ -136,11 +135,10 @@ func (t *virtualTrigger) Wait(d time.Duration, stop <-chan struct{}) bool {
 			close(w.ch)
 		})
 	}
-	temp := v.enterParkLocked(id)
+	v.parkLocked()
 	v.mu.Unlock()
 	select {
 	case <-w.ch:
-		v.exitPark(temp)
 		return true
 	case <-stop:
 		v.mu.Lock()
@@ -155,7 +153,6 @@ func (t *virtualTrigger) Wait(d time.Duration, stop <-chan struct{}) bool {
 			v.blocked--
 		}
 		v.mu.Unlock()
-		v.exitPark(temp)
 		return false
 	}
 }
@@ -195,13 +192,11 @@ func (c *Cond) Wait() {
 	} else {
 		ch = make(chan struct{}, 1)
 	}
-	var temp bool
 	if c.v != nil {
 		c.mu.Unlock()
-		id := gid()
 		c.v.mu.Lock()
 		c.waiters = append(c.waiters, ch)
-		temp = c.v.enterParkLocked(id)
+		c.v.parkLocked()
 		c.v.mu.Unlock()
 	} else {
 		c.waiters = append(c.waiters, ch)
@@ -213,9 +208,6 @@ func (c *Cond) Wait() {
 	c.idle = append(c.idle, ch)
 	c.mu.Unlock()
 	c.L.Lock()
-	if c.v != nil {
-		c.v.exitPark(temp)
-	}
 }
 
 // Signal wakes the longest-parked waiter, if any.
@@ -246,4 +238,46 @@ func (c *Cond) wake(max int) {
 	rest := copy(c.waiters, c.waiters[n:])
 	clear(c.waiters[rest:])
 	c.waiters = c.waiters[:rest]
+}
+
+// WaitGroup is sync.WaitGroup behind the Clock, built on Cond: under a
+// Virtual clock Wait parks on the clock, and the Done that brings the
+// counter to zero releases the waiters' parked count inside the clock lock,
+// so a waiter wakes at the instant of that Done.
+type WaitGroup struct {
+	mu   sync.Mutex
+	n    int
+	zero *Cond
+}
+
+// NewWaitGroup builds a wait group bound to c.
+func NewWaitGroup(c Clock) *WaitGroup {
+	wg := &WaitGroup{}
+	wg.zero = NewCond(c, &wg.mu)
+	return wg
+}
+
+// Add adds delta to the counter, waking every waiter when it reaches zero.
+func (wg *WaitGroup) Add(delta int) {
+	wg.mu.Lock()
+	defer wg.mu.Unlock()
+	wg.n += delta
+	switch {
+	case wg.n < 0:
+		panic("clock: negative WaitGroup counter")
+	case wg.n == 0:
+		wg.zero.Broadcast()
+	}
+}
+
+// Done decrements the counter by one.
+func (wg *WaitGroup) Done() { wg.Add(-1) }
+
+// Wait parks until the counter is zero.
+func (wg *WaitGroup) Wait() {
+	wg.mu.Lock()
+	for wg.n > 0 {
+		wg.zero.Wait()
+	}
+	wg.mu.Unlock()
 }

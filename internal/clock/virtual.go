@@ -2,24 +2,23 @@ package clock
 
 import (
 	"container/heap"
-	"runtime"
+	"errors"
 	"sync"
 	"time"
 )
 
 // Virtual is the discrete-event clock. Time is a number guarded by a
 // mutex; pending wake-ups live in an event heap ordered by (instant,
-// insertion seq). The clock tracks how many goroutines are registered
-// with it (workers) and how many of those are parked on it (blocked);
-// whenever every registered goroutine is parked, the goroutine that
-// parked last pops the earliest event, jumps time to it, and fires it —
-// waking exactly one sleeper, whose parked count is released at fire
-// time so time can never advance past a runnable goroutine.
+// insertion seq). The clock counts the goroutines registered with it
+// (workers: started by Go, Run or AfterFunc) and how many of those are
+// parked on it (blocked); whenever every registered goroutine is parked,
+// the goroutine that parked last pops the earliest event, jumps time to
+// it, and fires it — waking exactly one sleeper, whose parked count is
+// released at fire time so time can never advance past a runnable
+// goroutine.
 //
-// Goroutines not registered (via Go or Run) may still park on the clock:
-// the park temporarily registers them, so their wake-up is ordered like
-// any other — but while they are runnable the clock cannot see them, and
-// time may advance underneath their work. Register anything long-lived.
+// Only registered goroutines may park: a park that would leave more
+// goroutines parked than registered panics with ErrUnregisteredPark.
 //
 // Event fire functions run with the clock lock held; they only mutate
 // clock-guarded state, close channels, or spawn goroutines — never call
@@ -29,9 +28,8 @@ type Virtual struct {
 	now     time.Time
 	seq     uint64
 	events  eventHeap
-	workers int           // registered goroutines (incl. temporary park registrations)
-	blocked int           // registered goroutines currently parked on the clock
-	reg     map[int64]int // registration count per goroutine id
+	workers int // goroutines started by Go, Run or AfterFunc and not yet returned
+	blocked int // of those, how many are parked on the clock
 }
 
 // DefaultEpoch is where a Virtual clock starts unless NewVirtualAt is
@@ -44,27 +42,10 @@ func NewVirtual() *Virtual { return NewVirtualAt(DefaultEpoch) }
 
 // NewVirtualAt returns a virtual clock whose time starts at start.
 func NewVirtualAt(start time.Time) *Virtual {
-	return &Virtual{now: start, reg: make(map[int64]int)}
+	return &Virtual{now: start}
 }
 
 var _ Clock = (*Virtual)(nil)
-
-// gid extracts the current goroutine's id from its stack header
-// ("goroutine 123 [running]:"). It is how park operations distinguish
-// registered callers (account blocked only) from unregistered ones
-// (temporarily registered for the park).
-func gid() int64 {
-	var buf [32]byte
-	n := runtime.Stack(buf[:], false)
-	var id int64
-	for _, c := range buf[len("goroutine "):n] {
-		if c < '0' || c > '9' {
-			break
-		}
-		id = id*10 + int64(c-'0')
-	}
-	return id
-}
 
 type event struct {
 	at   time.Time
@@ -140,28 +121,19 @@ func (v *Virtual) maybeAdvanceLocked() {
 	}
 }
 
-// enterParkLocked accounts one goroutine parking on the clock; it
-// temporarily registers unregistered callers. Caller holds v.mu and
-// passes its gid. The returned temp flag goes back to exitPark.
-func (v *Virtual) enterParkLocked(id int64) (temp bool) {
-	temp = v.reg[id] == 0
-	if temp {
-		v.workers++
+// ErrUnregisteredPark is the panic value of a park by a goroutine the clock
+// does not know: one not started by Go, Run or AfterFunc.
+var ErrUnregisteredPark = errors.New("clock: goroutine parked on a Virtual clock without being registered; start it with Go or Run")
+
+// parkLocked accounts the caller parking on the clock and advances time
+// if that leaves every registered goroutine parked. Caller holds v.mu.
+func (v *Virtual) parkLocked() {
+	if v.blocked >= v.workers {
+		v.mu.Unlock()
+		panic(ErrUnregisteredPark)
 	}
 	v.blocked++
 	v.maybeAdvanceLocked()
-	return temp
-}
-
-// exitPark is the bookkeeping after a park whose blocked count was
-// already released (by the event fire or a stop-branch correction).
-func (v *Virtual) exitPark(temp bool) {
-	v.mu.Lock()
-	if temp {
-		v.workers--
-	}
-	v.maybeAdvanceLocked()
-	v.mu.Unlock()
 }
 
 // Now implements Clock.
@@ -188,58 +160,44 @@ func (v *Virtual) Go(fn func()) {
 	v.workers++ // counted before spawn so time cannot advance first
 	v.mu.Unlock()
 	go func() {
-		id := gid()
-		v.mu.Lock()
-		v.reg[id]++
-		v.mu.Unlock()
-		defer v.unregister(id)
+		defer v.unregister()
 		fn()
 	}()
 }
 
 // Run registers the calling goroutine for the duration of fn — the
 // harness entry point: v.Run(func(){ ...build nodes, sleep, assert... }).
+// A goroutine already registered must not call it.
 func (v *Virtual) Run(fn func()) {
-	id := gid()
 	v.mu.Lock()
 	v.workers++
-	v.reg[id]++
 	v.mu.Unlock()
-	defer v.unregister(id)
+	defer v.unregister()
 	fn()
 }
 
-func (v *Virtual) unregister(id int64) {
+func (v *Virtual) unregister() {
 	v.mu.Lock()
-	if v.reg[id] <= 1 {
-		delete(v.reg, id)
-	} else {
-		v.reg[id]--
-	}
 	v.workers--
 	v.maybeAdvanceLocked()
 	v.mu.Unlock()
 }
 
-// Sleep implements Clock, from registered and unregistered goroutines
-// alike.
+// Sleep implements Clock.
 func (v *Virtual) Sleep(d time.Duration) {
-	id := gid()
 	ch := make(chan struct{})
 	v.mu.Lock()
 	v.scheduleLocked(d, func() {
 		v.blocked--
 		close(ch)
 	})
-	temp := v.enterParkLocked(id)
+	v.parkLocked()
 	v.mu.Unlock()
 	<-ch
-	v.exitPark(temp)
 }
 
 // sleepStop is SleepStop's virtual arm.
 func (v *Virtual) sleepStop(d time.Duration, stop <-chan struct{}) bool {
-	id := gid()
 	ch := make(chan struct{})
 	fired := false
 	v.mu.Lock()
@@ -248,11 +206,10 @@ func (v *Virtual) sleepStop(d time.Duration, stop <-chan struct{}) bool {
 		v.blocked--
 		close(ch)
 	})
-	temp := v.enterParkLocked(id)
+	v.parkLocked()
 	v.mu.Unlock()
 	select {
 	case <-ch:
-		v.exitPark(temp)
 		return true
 	case <-stop:
 		v.mu.Lock()
@@ -261,25 +218,8 @@ func (v *Virtual) sleepStop(d time.Duration, stop <-chan struct{}) bool {
 			v.blocked--
 		}
 		v.mu.Unlock()
-		v.exitPark(temp)
 		return false
 	}
-}
-
-// Blocking marks the caller parked while wait runs, so time may advance
-// while it blocks outside the clock. The un-park on return is best
-// effort (time may already have advanced past the wake-up); hot loops
-// use the managed primitives instead.
-func (v *Virtual) Blocking(wait func()) {
-	id := gid()
-	v.mu.Lock()
-	temp := v.enterParkLocked(id)
-	v.mu.Unlock()
-	wait()
-	v.mu.Lock()
-	v.blocked--
-	v.mu.Unlock()
-	v.exitPark(temp)
 }
 
 // After implements Clock.
@@ -330,11 +270,7 @@ func (t *virtualTimer) fireFunc() {
 	t.ev = nil
 	t.v.workers++
 	go func() {
-		id := gid()
-		t.v.mu.Lock()
-		t.v.reg[id]++
-		t.v.mu.Unlock()
-		defer t.v.unregister(id)
+		defer t.v.unregister()
 		t.f()
 	}()
 }
@@ -425,7 +361,6 @@ func (t *virtualTicker) Wait(stop <-chan struct{}) bool {
 		return false
 	default:
 	}
-	id := gid()
 	v := t.v
 	v.mu.Lock()
 	if t.stopped {
@@ -443,11 +378,10 @@ func (t *virtualTicker) Wait(stop <-chan struct{}) bool {
 	}
 	w := make(chan struct{})
 	t.waiter = w
-	temp := v.enterParkLocked(id)
+	v.parkLocked()
 	v.mu.Unlock()
 	select {
 	case <-w:
-		v.exitPark(temp)
 		return true
 	case <-stop:
 		v.mu.Lock()
@@ -456,7 +390,6 @@ func (t *virtualTicker) Wait(stop <-chan struct{}) bool {
 			v.blocked--
 		}
 		v.mu.Unlock()
-		v.exitPark(temp)
 		return false
 	}
 }

@@ -151,7 +151,7 @@ type Engine struct {
 	syncServing atomic.Int64                   // full-state replies currently in flight
 
 	stop chan struct{}
-	wg   sync.WaitGroup
+	wg   *clock.WaitGroup
 }
 
 // New builds the engine for a container; Start sets it beaconing.
@@ -172,6 +172,7 @@ func New(f fabric.Fabric, cfg Config) *Engine {
 		syncAsm:    naming.NewSyncAssembler(),
 		syncReqAt:  make(map[transport.NodeID]time.Time),
 		stop:       make(chan struct{}),
+		wg:         clock.NewWaitGroup(clk),
 	}
 }
 
@@ -185,7 +186,7 @@ func (e *Engine) Start() {
 // Close stops both loops and returns once they have exited.
 func (e *Engine) Close() {
 	close(e.stop)
-	clock.Blocking(e.clk, e.wg.Wait)
+	e.wg.Wait()
 }
 
 // OfferVersion reports the node's current record-log version. Remote

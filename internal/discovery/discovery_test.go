@@ -110,22 +110,24 @@ func TestDigestGapRequestsOneSyncPerPeerPerPeriod(t *testing.T) {
 		{time.Nanosecond, "p1", 1}, // one full period after p1's first request
 		{0, "p2", 0},
 	}
-	for i, st := range steps {
-		if st.advance > 0 {
-			h.f.Clock().Sleep(st.advance)
-		}
-		h.HandleHeartbeat(st.from, digest(t, st.from, 3, 5))
-		got := h.f.Take()
-		if len(got) != st.wantReqs {
-			t.Fatalf("step %d: digest from %s triggered %d sends, want %d", i, st.from, len(got), st.wantReqs)
-		}
-		for _, s := range got {
-			if s.Frame.Type != protocol.MTSyncReq || s.To != st.from || s.Held != nil {
-				t.Errorf("step %d: sent %v to %q (reliable %v), want a best-effort MTSyncReq to %s",
-					i, s.Frame.Type, s.To, s.Held != nil, st.from)
+	h.f.Clk.(*clock.Virtual).Run(func() {
+		for i, st := range steps {
+			if st.advance > 0 {
+				h.f.Clock().Sleep(st.advance)
+			}
+			h.HandleHeartbeat(st.from, digest(t, st.from, 3, 5))
+			got := h.f.Take()
+			if len(got) != st.wantReqs {
+				t.Fatalf("step %d: digest from %s triggered %d sends, want %d", i, st.from, len(got), st.wantReqs)
+			}
+			for _, s := range got {
+				if s.Frame.Type != protocol.MTSyncReq || s.To != st.from || s.Held != nil {
+					t.Errorf("step %d: sent %v to %q (reliable %v), want a best-effort MTSyncReq to %s",
+						i, s.Frame.Type, s.To, s.Held != nil, st.from)
+				}
 			}
 		}
-	}
+	})
 	if got, want := metricstest.Counter(t, h.f.Metrics(), "discovery", "syncs_triggered"), uint64(len(steps)); got != want {
 		t.Errorf("syncs_triggered = %d, want %d (suppressed detections count too)", got, want)
 	}

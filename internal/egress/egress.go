@@ -567,7 +567,7 @@ type bearer struct {
 
 	trigger clock.Trigger
 	stop    chan struct{}
-	wg      sync.WaitGroup
+	wg      *clock.WaitGroup
 }
 
 // classCounters holds one (bearer, class) series set, pre-resolved so the
@@ -630,6 +630,7 @@ func newBearer(name string, sender Sender, cfg Config) *bearer {
 		ctr:        newBearerCounters(reg, name),
 		trigger:    clock.NewTrigger(clk),
 		stop:       make(chan struct{}),
+		wg:         clock.NewWaitGroup(clk),
 	}
 	if b.shared, _ = sender.(transport.SharedSender); b.shared != nil {
 		b.creditBack = b.released
@@ -1008,7 +1009,7 @@ func (b *bearer) close() {
 	b.room.Broadcast()
 	b.mu.Unlock()
 	close(b.stop)
-	clock.Blocking(b.clk, b.wg.Wait)
+	b.wg.Wait()
 
 	// The drainer is gone and enqueue and Reroute refuse a closed bearer,
 	// so the frames taken here are the last; they go out unlocked, because

@@ -378,15 +378,10 @@ func (p *Publisher) publishUnicast(ctx context.Context, payload []byte, fan *fan
 		p.sendEvent(node, frame, fan.slots[i].done)
 		putFrame(frame)
 	}
-	// Live makes the publisher visible to a Virtual clock while it waits,
-	// and the trigger is clock-managed, so virtual time cannot advance past
-	// an ack that has just arrived.
-	stopped := false
-	clock.Live(p.engine.clk, func() {
-		for !stopped && !fan.settled() {
-			stopped = !fan.trig.Wait(-1, ctx.Done())
-		}
-	})
+	// The trigger is clock-managed, so virtual time cannot advance past an
+	// ack that has just arrived.
+	for !fan.settled() && fan.trig.Wait(-1, ctx.Done()) {
+	}
 	targets := len(fan.nodes)
 	failed, complete := fan.finish(p)
 	if failed > 0 {

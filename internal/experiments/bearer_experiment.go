@@ -213,7 +213,7 @@ func runE14Multi(clk clock.Clock, res *E14Result, seed int64) error {
 		samples   []sample
 	)
 	samplerStop := make(chan struct{})
-	var samplerWG sync.WaitGroup
+	samplerWG := clock.NewWaitGroup(clk)
 	samplerWG.Add(1)
 	clock.Go(clk, func() {
 		defer samplerWG.Done()
@@ -227,10 +227,15 @@ func runE14Multi(clk clock.Clock, res *E14Result, seed int64) error {
 		}
 	})
 
-	fetchDone := make(chan error, 1)
-	var transfer time.Duration
+	var (
+		transfer time.Duration
+		fetchErr error
+	)
+	fetched := clock.NewWaitGroup(clk)
+	fetched.Add(1)
 	start := clk.Now()
 	clock.Go(clk, func() {
+		defer fetched.Done()
 		ctx, cancel := context.WithTimeout(context.Background(), 3*time.Minute)
 		defer cancel()
 		got, _, err := gs.Files().Fetch(ctx, "e14.file", filetransfer.FetchOptions{})
@@ -238,13 +243,14 @@ func runE14Multi(clk clock.Clock, res *E14Result, seed int64) error {
 		if err == nil && len(got) != res.FileBytes {
 			err = fmt.Errorf("short fetch: %d of %d bytes", len(got), res.FileBytes)
 		}
-		fetchDone <- err
+		fetchErr = err
 	})
 
 	alarmStop := make(chan struct{})
-	alarmsDone := make(chan struct{})
+	alarmsDone := clock.NewWaitGroup(clk)
+	alarmsDone.Add(1)
 	clock.Go(clk, func() {
-		defer close(alarmsDone)
+		defer alarmsDone.Done()
 		alarms.publish(alarmStop, 120*time.Second)
 	})
 
@@ -254,18 +260,21 @@ func runE14Multi(clk clock.Clock, res *E14Result, seed int64) error {
 	blackoutAt := clk.Now()
 
 	// Time the handover detection on the UAV.
-	detect := make(chan time.Duration, 1)
+	var detect time.Duration
+	detected := clock.NewWaitGroup(clk)
+	detected.Add(1)
 	detectStop := make(chan struct{})
 	clock.Go(clk, func() {
+		defer detected.Done()
 		for {
 			for _, rep := range uav.LinkReports() {
 				if rep.Name == "wifi" && !rep.Healthy {
-					detect <- clk.Since(blackoutAt)
+					detect = clk.Since(blackoutAt)
 					return
 				}
 			}
 			if clk.Since(blackoutAt) > 30*time.Second {
-				detect <- -1
+				detect = -1
 				return
 			}
 			if !clock.SleepStop(clk, 5*time.Millisecond, detectStop) {
@@ -274,8 +283,7 @@ func runE14Multi(clk clock.Clock, res *E14Result, seed int64) error {
 		}
 	})
 
-	var fetchErr error
-	clock.Blocking(clk, func() { fetchErr = <-fetchDone })
+	fetched.Wait()
 	if fetchErr != nil {
 		close(alarmStop)
 		close(samplerStop)
@@ -284,15 +292,16 @@ func runE14Multi(clk clock.Clock, res *E14Result, seed int64) error {
 	}
 	res.Transfer = transfer
 	close(alarmStop)
-	clock.Blocking(clk, func() { <-alarmsDone })
+	alarmsDone.Wait()
 	loadedTo := alarms.count()
-	clock.Blocking(clk, func() { res.HandoverDetect = <-detect })
+	detected.Wait()
+	res.HandoverDetect = detect
 	close(detectStop)
 	if res.HandoverDetect < 0 {
 		return fmt.Errorf("wifi blackout never detected")
 	}
 	close(samplerStop)
-	clock.Blocking(clk, samplerWG.Wait)
+	samplerWG.Wait()
 
 	// Recovered throughput: the best sustained 1s window of radio wire
 	// rate after the blackout.
@@ -368,9 +377,10 @@ func runE14Single(clk clock.Clock, res *E14Result, seed int64) error {
 	}
 
 	stop := make(chan struct{})
-	done := make(chan struct{})
+	done := clock.NewWaitGroup(clk)
+	done.Add(1)
 	clock.Go(clk, func() {
-		defer close(done)
+		defer done.Done()
 		alarms.publish(stop, time.Hour) // until stop; the arm lasts seconds
 	})
 
@@ -380,7 +390,7 @@ func runE14Single(clk clock.Clock, res *E14Result, seed int64) error {
 	wifi.Heal("uav", "gs")
 	clk.Sleep(500 * time.Millisecond)
 	close(stop)
-	clock.Blocking(clk, func() { <-done })
+	done.Wait()
 	clk.Sleep(time.Second) // drain stragglers
 
 	_, lost := alarms.collect(1, alarms.count())

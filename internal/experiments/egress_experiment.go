@@ -188,7 +188,7 @@ func (a *alarmStream) publish(stopCh <-chan struct{}, maxDur time.Duration) {
 	ticker := a.clk.NewTicker(time.Second / time.Duration(a.hz))
 	defer ticker.Stop()
 	stopAt := a.clk.Now().Add(maxDur)
-	var wg sync.WaitGroup
+	wg := clock.NewWaitGroup(a.clk)
 	for ticker.Wait(stopCh) {
 		now := a.clk.Now()
 		if now.After(stopAt) {
@@ -203,7 +203,7 @@ func (a *alarmStream) publish(stopCh <-chan struct{}, maxDur time.Duration) {
 			_ = a.pub.Publish(ctx, seq) // late/lost alarms are the measurement
 		})
 	}
-	clock.Blocking(a.clk, wg.Wait)
+	wg.Wait()
 }
 
 // RunE13 runs both modes and returns the comparison. alarmHz is the
@@ -300,10 +300,15 @@ func runE13Phase(clk clock.Clock, res *E13Result, shaped bool, seed int64) error
 		return err
 	}
 
-	fetchDone := make(chan error, 1)
-	var transfer time.Duration
+	var (
+		transfer time.Duration
+		fetchErr error
+	)
+	fetched := clock.NewWaitGroup(clk)
+	fetched.Add(1)
 	start := clk.Now()
 	clock.Go(clk, func() {
+		defer fetched.Done()
 		ctx, cancel := context.WithTimeout(context.Background(), 3*time.Minute)
 		defer cancel()
 		got, _, err := gs.Files().Fetch(ctx, "e13.file", filetransfer.FetchOptions{})
@@ -311,24 +316,23 @@ func runE13Phase(clk clock.Clock, res *E13Result, shaped bool, seed int64) error
 		if err == nil && len(got) != res.FileBytes {
 			err = fmt.Errorf("short fetch: %d of %d bytes", len(got), res.FileBytes)
 		}
-		fetchDone <- err
+		fetchErr = err
 	})
 
 	// Alarms run concurrently until the transfer completes (capped).
 	alarmStop := make(chan struct{})
-	alarmsDone := make(chan struct{})
+	alarmsDone := clock.NewWaitGroup(clk)
+	alarmsDone.Add(1)
 	clock.Go(clk, func() {
-		defer close(alarmsDone)
+		defer alarmsDone.Done()
 		alarms.publish(alarmStop, 60*time.Second)
 	})
-	var fetchErr error
-	clock.Blocking(clk, func() { fetchErr = <-fetchDone })
+	fetched.Wait()
+	close(alarmStop)
 	if fetchErr != nil {
-		close(alarmStop)
 		return fetchErr
 	}
-	close(alarmStop)
-	clock.Blocking(clk, func() { <-alarmsDone })
+	alarmsDone.Wait()
 	loadedTo := alarms.count()
 
 	// Let stragglers drain: in flood mode alarms can trail the transfer by

@@ -19,10 +19,11 @@
 // run to run while others (E12's determinism test, E15 and E17) replay
 // exactly; ROADMAP's executor item is what makes every run repeat. Passing
 // a nil clock selects the wall clock. Goroutines inside a virtual harness
-// must be registered with the clock (clock.Go / clock.Live), block on managed
-// primitives (clock.Trigger, clock.Cond, Sleep), and wrap foreign blocking
-// (channel receives, WaitGroup waits) in clock.Blocking — see the clock
-// package docs for the accounting rules.
+// are started with clock.Go (or run inside Virtual.Run) and park only on
+// clock primitives (Sleep, clock.Trigger, clock.Cond, clock.WaitGroup); a
+// result a harness waits for goes in a variable written before the
+// WaitGroup's Done, not through a channel — see the clock package docs for
+// the accounting rules.
 package experiments
 
 import (
@@ -253,7 +254,7 @@ func RunE2(n int, loss float64, payloadBytes int, seed int64) (*E2Result, error)
 
 		start := time.Now()
 		var (
-			wg sync.WaitGroup
+			wg = clock.NewWaitGroup(clock.Real{})
 			mu sync.Mutex // guards res.ARQPerMsg against concurrent completions
 		)
 		starts := make([]time.Time, n)
@@ -507,7 +508,7 @@ func RunE4(fileBytes, receivers int, loss float64, seed int64) (*E4Result, error
 		}
 		net.ResetWireStats()
 		start := time.Now()
-		var wg sync.WaitGroup
+		wg := clock.NewWaitGroup(clock.Real{})
 		errs := make(chan error, receivers)
 		for _, s := range subs {
 			wg.Add(1)

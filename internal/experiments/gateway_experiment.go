@@ -80,6 +80,8 @@ type E16SlowResult struct {
 	// Per-sample completion latency (publish → last healthy delivery).
 	BaselineP50Ms, BaselineP99Ms float64
 	StalledP50Ms, StalledP99Ms   float64
+	// StalledMaxMs is the slowest completion with stalled clients attached.
+	StalledMaxMs float64
 }
 
 // e16Conn counts delivered frames and bytes; never blocks. One value
@@ -290,18 +292,22 @@ func e16Alloc() (E16AllocResult, error) {
 	return res, nil
 }
 
+// e16WriteStall is the slow-consumer phase's per-write deadline: how long
+// one stalled write holds whatever waits behind it.
+const e16WriteStall = 50 * time.Millisecond
+
 // e16SlowRun measures per-sample completion latency (publish → last
 // healthy delivery) across `healthy` clients with `stalled` jammed
 // consumers attached, on the real clock.
-func e16SlowRun(healthy, stalled, samples int, seed int64) (p50, p99 float64, evicted int64, err error) {
+func e16SlowRun(healthy, stalled, samples int, seed int64) (lat []time.Duration, evicted int64, err error) {
 	sim, uav, g, pub, err := e16Pair(nil, seed, gateway.Options{
 		Shards:     8,
 		QueueLen:   16,
-		WriteStall: 50 * time.Millisecond,
+		WriteStall: e16WriteStall,
 		StallLimit: 3,
 	})
 	if err != nil {
-		return 0, 0, 0, err
+		return nil, 0, err
 	}
 	defer sim.Close()
 	defer func() { _ = uav.Close() }()
@@ -310,29 +316,29 @@ func e16SlowRun(healthy, stalled, samples int, seed int64) (p50, p99 float64, ev
 
 	var c e16Conn
 	if err := attach(g, healthy, "e16.pos", func() gateway.Conn { return &c }); err != nil {
-		return 0, 0, 0, err
+		return nil, 0, err
 	}
 	if err := attach(g, stalled, "e16.pos", func() gateway.Conn { return &e16StallConn{} }); err != nil {
-		return 0, 0, 0, err
+		return nil, 0, err
 	}
 
 	// Warm-up: every healthy client hears a sample; the stalled clients
 	// take their one fast-path stall here, outside the measured window.
 	if err := warmUp(clock.Real{}, 10*time.Second, []*variables.Publisher{pub}, c.frames.Load, int64(healthy)); err != nil {
-		return 0, 0, 0, err
+		return nil, 0, err
 	}
 
-	lat := make([]time.Duration, 0, samples)
+	lat = make([]time.Duration, 0, samples)
 	for i := 0; i < samples; i++ {
 		want := c.frames.Load() + int64(healthy)
 		t0 := time.Now()
 		if err := pub.Publish(uint32(i + 1)); err != nil {
-			return 0, 0, 0, err
+			return nil, 0, err
 		}
 		sampleDeadline := t0.Add(2 * time.Second)
 		for c.frames.Load() < want {
 			if time.Now().After(sampleDeadline) {
-				return 0, 0, 0, fmt.Errorf("sample %d: %d/%d deliveries", i, c.frames.Load()-(want-int64(healthy)), healthy)
+				return nil, 0, fmt.Errorf("sample %d: %d/%d deliveries", i, c.frames.Load()-(want-int64(healthy)), healthy)
 			}
 			runtime.Gosched()
 		}
@@ -346,7 +352,7 @@ func e16SlowRun(healthy, stalled, samples int, seed int64) (p50, p99 float64, ev
 		return int64(g.Node().Metrics().SumCounters("gateway", "evictions"))
 	}
 	await(clock.Real{}, 5*time.Second, 10*time.Millisecond, func() bool { return snap() >= int64(stalled) })
-	return ms(quantile(lat, 0.50)), ms(quantile(lat, 0.99)), snap(), nil
+	return lat, snap(), nil
 }
 
 // e16Slow runs the clean baseline and the stalled-consumer run.
@@ -356,17 +362,18 @@ func e16Slow(samples int, seed int64) (E16SlowResult, error) {
 		samples = 50
 	}
 	res := E16SlowResult{HealthyClients: healthy, StalledClients: stalled, Samples: samples}
-	var err error
-	var evicted int64
-	if res.BaselineP50Ms, res.BaselineP99Ms, evicted, err = e16SlowRun(healthy, 0, samples, seed); err != nil {
+	lat, evicted, err := e16SlowRun(healthy, 0, samples, seed)
+	if err != nil {
 		return res, err
 	}
 	if evicted != 0 {
 		return res, fmt.Errorf("baseline run evicted %d clients", evicted)
 	}
-	if res.StalledP50Ms, res.StalledP99Ms, res.Evicted, err = e16SlowRun(healthy, stalled, samples, seed+1); err != nil {
+	res.BaselineP50Ms, res.BaselineP99Ms = ms(quantile(lat, 0.50)), ms(quantile(lat, 0.99))
+	if lat, res.Evicted, err = e16SlowRun(healthy, stalled, samples, seed+1); err != nil {
 		return res, err
 	}
+	res.StalledP50Ms, res.StalledP99Ms, res.StalledMaxMs = ms(quantile(lat, 0.50)), ms(quantile(lat, 0.99)), ms(quantile(lat, 1))
 	return res, nil
 }
 

@@ -325,9 +325,9 @@ func reportE16(clk clock.Clock, seed int64, quick bool) (*Report, error) {
 		rec("alloc_small_per_sample", a.SmallPerSample), rec("alloc_small_clients", a.SmallClients),
 		rec("alloc_big_per_sample", a.BigPerSample), rec("alloc_big_clients", a.BigClients),
 		rec("alloc_per_client_marginal", a.PerClientMarginal))
-	r.Notef("slow consumers: %d/%d stalled clients evicted; healthy p50/p99 %.2f/%.2fms with stalls vs %.2f/%.2fms clean (%d healthy, %d samples)",
+	r.Notef("slow consumers: %d/%d stalled clients evicted; healthy p50/p99/max %.2f/%.2f/%.2fms with stalls vs p50/p99 %.2f/%.2fms clean (%d healthy, %d samples)",
 		rec("slow_evicted", s.Evicted), rec("slow_stalled", s.StalledClients),
-		rec("slow_stalled_p50_ms", s.StalledP50Ms), rec("slow_stalled_p99_ms", s.StalledP99Ms),
+		rec("slow_stalled_p50_ms", s.StalledP50Ms), rec("slow_stalled_p99_ms", s.StalledP99Ms), rec("slow_stalled_max_ms", s.StalledMaxMs),
 		rec("slow_baseline_p50_ms", s.BaselineP50Ms), rec("slow_baseline_p99_ms", s.BaselineP99Ms),
 		rec("slow_healthy", s.HealthyClients), rec("slow_samples", s.Samples))
 	return r, nil

@@ -112,7 +112,7 @@ func RunE11(clk clock.Clock, callers, callsPerCaller int, hedged bool, loss floa
 		mu      sync.Mutex
 		lats    []time.Duration
 		totals  tally
-		wg      sync.WaitGroup
+		wg      = clock.NewWaitGroup(clk)
 		ctx     = context.Background()
 		callErr error
 	)
@@ -150,9 +150,9 @@ func RunE11(clk clock.Clock, callers, callsPerCaller int, hedged bool, loss floa
 	}
 	// Caller goroutines are registered with the clock so their measured
 	// windows (t0 -> reply) cannot have virtual time advance underneath the
-	// dispatch work; the coordinator itself must not stall virtual time
-	// while it waits for them.
-	clock.Blocking(clk, wg.Wait)
+	// dispatch work; the coordinator parks on the clock and wakes at the
+	// instant the last caller finishes.
+	wg.Wait()
 	res.Wall = clk.Since(start)
 	if callErr != nil {
 		return nil, callErr

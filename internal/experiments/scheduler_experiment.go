@@ -1,9 +1,9 @@
 package experiments
 
 import (
-	"sync"
 	"time"
 
+	"uavmw/internal/clock"
 	"uavmw/internal/metrics"
 	"uavmw/internal/qos"
 	"uavmw/internal/scheduler"
@@ -33,7 +33,7 @@ func RunE8(workers, backgroundJobs, foregroundJobs int, jobWork time.Duration) (
 		}
 	}
 
-	var wg sync.WaitGroup
+	wg := clock.NewWaitGroup(clock.Real{})
 	// Background flood at bulk priority.
 	for i := 0; i < backgroundJobs; i++ {
 		wg.Add(1)

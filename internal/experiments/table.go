@@ -90,12 +90,12 @@ var table = []*Experiment{
 			// none of them may be lost.
 			{"multi_lost", 0, 0}, {"multi_sent", 0.10, 0},
 			// The single-bearer arm's loss count rides ARQ retry phase
-			// against the blackout edges, and host load shifts which edge
-			// alarms still recover (the harness's clock.Blocking waits
-			// advance virtual time by wall-clock-dependent amounts —
-			// observed 71 idle, 77–83 loaded). The dual-bearer gate above
-			// stays exact; the lossy baseline gets slack for that jitter.
-			{"single_lost", 0.25, 8},
+			// against the blackout edges. Every harness wait parks on the
+			// clock, so host load no longer moves virtual time under it (77
+			// in 40 full runs, idle and loaded, GOMAXPROCS 1 and 2); the
+			// slack left covers the order of goroutines woken at one
+			// instant.
+			{"single_lost", 0, 2},
 			{"single_sent", 0, 0},
 		}},
 	{Name: "e15", Title: "E15 — pooled wire path end to end: one publisher to one subscriber over the simulated bus",
@@ -124,12 +124,15 @@ var table = []*Experiment{
 			// healthy.
 			{"slow_evicted", 0, 0}, {"slow_stalled", 0, 0}, {"slow_healthy", 0, 0},
 		},
-		// Latencies are host wall-clock: this only catches healthy
-		// deliveries queueing behind a stalled socket, not scheduler noise.
+		// A healthy delivery that queues behind a stalled write waits for
+		// it to end, and for each stalled write that follows: one queued
+		// as a stall begins waits WriteStall or more. Clean deliveries
+		// take a few milliseconds even on a loaded host, so the slowest
+		// healthy completion with stalled consumers attached must stay
+		// under one WriteStall.
 		check: func(m map[string]float64) error {
-			stalled, clean := m["slow_stalled_p99_ms"], m["slow_baseline_p99_ms"]
-			if stalled > 2*clean && stalled > clean+5 {
-				return fmt.Errorf("healthy p99 %.2fms with stalled consumers vs %.2fms baseline (>2x)", stalled, clean)
+			if worst, stall := m["slow_stalled_max_ms"], ms(e16WriteStall); worst >= stall {
+				return fmt.Errorf("slowest healthy delivery took %.2fms with stalled consumers attached, not under one WriteStall (%.0fms): it queued behind a stalled write", worst, stall)
 			}
 			return nil
 		}},

@@ -10,11 +10,13 @@ import (
 )
 
 // nondeterministic lists the Virtual table entries whose quick run does not
-// yet reproduce byte for byte at GOMAXPROCS 1 and 2. Under the virtual clock
-// every goroutine runnable at one instant still runs at once, so order within
-// an instant belongs to the Go scheduler, and clock.Blocking advances virtual
-// time by wall-dependent amounts. The list may only shrink: an entry leaves
-// it when the scenario becomes deterministic, and no entry joins it.
+// yet reproduce byte for byte at GOMAXPROCS 1 and 2. Every wait in a virtual
+// run is owned by the clock, so virtual time never advances by a
+// wall-dependent amount; but every goroutine runnable at one instant still
+// runs at once, so order within an instant belongs to the Go scheduler, and
+// E16's slow-consumer arm measures wall-clock latencies. The list may only
+// shrink: an entry leaves it when the scenario becomes deterministic, and no
+// entry joins it.
 var nondeterministic = map[string]bool{
 	"e3": true, "e11": true, "e12": true, "e13": true, "e14": true, "e16": true,
 }

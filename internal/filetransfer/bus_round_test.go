@@ -94,7 +94,7 @@ func filePair(t *testing.T, v *clock.Virtual, bus *transport.Bus, tap *chunkTap,
 		if err != nil {
 			t.Fatal(err)
 		}
-		t.Cleanup(func() { _ = n.Close() })
+		t.Cleanup(func() { v.Run(func() { _ = n.Close() }) })
 		return n
 	}
 	pub := node("camera", func(ep transport.Transport) transport.Transport { tap.Transport = ep; return tap })
@@ -170,4 +170,30 @@ func TestSlowAnswersNeitherStrikeNorRepeat(t *testing.T) {
 	if queries > filetransfer.DefaultMaxStrikes {
 		t.Errorf("%d queries for one fetch: enough unanswered ones to strike its subscriber out", queries)
 	}
+}
+
+// Two fetches of one resource in flight at once share its fetch state, and
+// the completing chunk wakes both.
+func TestConcurrentFetchesOfOneFileBothComplete(t *testing.T) {
+	v := clock.NewVirtual()
+	want := bytes.Repeat([]byte("0123456789abcdef"), 4096) // 64 KiB
+	v.Run(func() {
+		bus := transport.NewSimBus(transport.SimConfig{Latency: time.Millisecond, Clock: v})
+		defer bus.Close()
+		sub := filePair(t, v, bus, &chunkTap{chunks: make(map[uint32]int)}, want)
+		fetched := clock.NewWaitGroup(v)
+		for i := range 2 {
+			fetched.Add(1)
+			v.Go(func() {
+				defer fetched.Done()
+				ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+				defer cancel()
+				got, _, err := sub.Files().Fetch(ctx, "frame", filetransfer.FetchOptions{})
+				if err != nil || !bytes.Equal(got, want) {
+					t.Errorf("fetch %d: %d bytes, err %v; want the %d offered", i, len(got), err, len(want))
+				}
+			})
+		}
+		fetched.Wait()
+	})
 }

@@ -25,6 +25,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -97,8 +98,9 @@ type Engine struct {
 	closed   bool
 	offers   map[string]*Offer
 	fetches  map[string]*fetchState
-	watchers map[string][]chan uint64
-	joins    map[string]int // multicast group refcounts, by group name
+	watchers map[string][]*watcher
+	joins    map[string]int  // multicast group refcounts, by group name
+	wakes    []clock.Trigger // idle fetch wake-ups, reused by later fetches
 }
 
 // New builds the engine for a container. The engine paces its transfer
@@ -113,7 +115,7 @@ func New(f fabric.Fabric) *Engine {
 		maxFile:  MaxFileBytes,
 		offers:   make(map[string]*Offer),
 		fetches:  make(map[string]*fetchState),
-		watchers: make(map[string][]chan uint64),
+		watchers: make(map[string][]*watcher),
 		joins:    make(map[string]int),
 	}
 	e.ctx, e.cancel = context.WithCancel(context.Background())
@@ -591,10 +593,16 @@ type fetchState struct {
 	buf       []byte // total × chunkSize; chunk i lands at i × chunkSize
 	have      []bool // by chunk index
 	received  int
-	size      int    // file length: announced, else known with the last chunk
-	data      []byte // the complete file, buf[:size]
-	done      chan struct{}
+	size      int             // file length: announced, else known with the last chunk
+	data      []byte          // the complete file, buf[:size]; nil until then
+	wakes     []clock.Trigger // one per waiting Fetch, signalled on completion
 	refs      int
+}
+
+// watcher is one Watch waiting for a newer revision than it delivered.
+type watcher struct {
+	wake   clock.Trigger
+	newest uint64 // highest revision announced since it registered (guarded by Engine.mu)
 }
 
 // FetchOptions tune a fetch; today there is nothing to tune.
@@ -620,21 +628,31 @@ func (e *Engine) Fetch(ctx context.Context, name string, opts FetchOptions) ([]b
 	}
 	st := e.fetches[name]
 	if st == nil {
-		st = &fetchState{name: name, token: e.f.NextSeq(), done: make(chan struct{})}
+		st = &fetchState{name: name, token: e.f.NextSeq()}
 		e.fetches[name] = st
 	}
 	st.refs++
+	var wake clock.Trigger
+	if n := len(e.wakes); n > 0 {
+		wake, e.wakes = e.wakes[n-1], e.wakes[:n-1]
+	} else {
+		wake = clock.NewTrigger(e.clk)
+	}
 	e.mu.Unlock()
 	ctx, release := e.bind(ctx)
 	defer release()
 
 	group := fabric.FileGroup(name)
 	defer func() {
+		st.mu.Lock()
+		st.wakes = slices.DeleteFunc(st.wakes, func(w clock.Trigger) bool { return w == wake })
+		st.mu.Unlock()
 		e.mu.Lock()
 		st.refs--
 		if st.refs == 0 {
 			delete(e.fetches, name)
 		}
+		e.wakes = append(e.wakes, wake)
 		e.mu.Unlock()
 		e.leaveGroup(group)
 	}()
@@ -649,20 +667,16 @@ func (e *Engine) Fetch(ctx context.Context, name string, opts FetchOptions) ([]b
 		return nil, 0, err
 	}
 
-	// Completion arrives from the network; a virtual-clock caller parks
-	// through the clock so delivery time keeps advancing while it waits.
-	var complete bool
-	clock.Blocking(e.clk, func() {
-		select {
-		case <-st.done:
-			complete = true
-		case <-ctx.Done():
-		}
-	})
-	if !complete {
-		return nil, 0, fmt.Errorf("filetransfer: fetch %q: %w", name, context.Cause(ctx))
-	}
+	// Completion arrives from the network and signals wake.
 	st.mu.Lock()
+	st.wakes = append(st.wakes, wake)
+	for st.data == nil {
+		st.mu.Unlock()
+		if !wake.Wait(-1, ctx.Done()) {
+			return nil, 0, fmt.Errorf("filetransfer: fetch %q: %w", name, context.Cause(ctx))
+		}
+		st.mu.Lock()
+	}
 	defer st.mu.Unlock()
 	return st.data, st.revision, nil
 }
@@ -693,7 +707,7 @@ func (e *Engine) subscribeToProvider(ctx context.Context, st *fetchState) error 
 func (e *Engine) Watch(ctx context.Context, name string, opts FetchOptions, cb func(data []byte, revision uint64)) error {
 	ctx, release := e.bind(ctx)
 	defer release()
-	notify := make(chan uint64, 4)
+	w := &watcher{wake: clock.NewTrigger(e.clk)}
 	// Hold group membership for the whole watch so revision announces
 	// keep arriving between fetches.
 	group := fabric.FileGroup(name)
@@ -702,17 +716,11 @@ func (e *Engine) Watch(ctx context.Context, name string, opts FetchOptions, cb f
 	}
 	defer e.leaveGroup(group)
 	e.mu.Lock()
-	e.watchers[name] = append(e.watchers[name], notify)
+	e.watchers[name] = append(e.watchers[name], w)
 	e.mu.Unlock()
 	defer func() {
 		e.mu.Lock()
-		list := e.watchers[name]
-		for i, ch := range list {
-			if ch == notify {
-				e.watchers[name] = append(list[:i], list[i+1:]...)
-				break
-			}
-		}
+		e.watchers[name] = slices.DeleteFunc(e.watchers[name], func(x *watcher) bool { return x == w })
 		e.mu.Unlock()
 	}()
 
@@ -726,28 +734,23 @@ func (e *Engine) Watch(ctx context.Context, name string, opts FetchOptions, cb f
 			have = rev
 			cb(data, rev)
 		}
-		// Wait for a newer revision (parking through the clock, as above).
-		var ended bool
-		clock.Blocking(e.clk, func() {
-			for {
-				select {
-				case rev := <-notify:
-					if rev > have {
-						return
-					}
-				case <-ctx.Done():
-					ended = true
-					return
+		// Wait for a newer revision.
+		for e.newest(w) <= have {
+			if !w.wake.Wait(-1, ctx.Done()) {
+				if cause := context.Cause(ctx); errors.Is(cause, ErrClosed) {
+					return fmt.Errorf("filetransfer: watch %q: %w", name, cause)
 				}
+				return nil
 			}
-		})
-		if ended {
-			if cause := context.Cause(ctx); errors.Is(cause, ErrClosed) {
-				return fmt.Errorf("filetransfer: watch %q: %w", name, cause)
-			}
-			return nil
 		}
 	}
+}
+
+// newest is the highest revision announced to w.
+func (e *Engine) newest(w *watcher) uint64 {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return w.newest
 }
 
 // joinGroup reference-counts multicast membership of a resource's group
@@ -786,13 +789,10 @@ func (e *Engine) leaveGroup(group string) {
 
 func (e *Engine) notifyWatchers(name string, revision uint64) {
 	e.mu.Lock()
-	watchers := append([]chan uint64(nil), e.watchers[name]...)
-	e.mu.Unlock()
-	for _, ch := range watchers {
-		select {
-		case ch <- revision:
-		default:
-		}
+	defer e.mu.Unlock()
+	for _, w := range e.watchers[name] {
+		w.newest = max(w.newest, revision)
+		w.wake.Signal()
 	}
 }
 
@@ -913,7 +913,9 @@ func (e *Engine) HandleChunk(from transport.NodeID, fr *protocol.Frame) {
 	complete := st.received == len(st.have)
 	if complete {
 		st.data = st.buf[:st.size]
-		close(st.done)
+		for _, w := range st.wakes {
+			w.Signal()
+		}
 	}
 	st.mu.Unlock()
 

@@ -372,7 +372,7 @@ func TestControlFramesAllocateNothing(t *testing.T) {
 	e := New(f)
 	const chunkSize, chunks, runs = 1000, 4, 200
 	// A fetch of pub's file that holds every chunk but the last.
-	st := &fetchState{name: "file", token: 7, provider: "pub", done: make(chan struct{}), refs: 1}
+	st := &fetchState{name: "file", token: 7, provider: "pub", refs: 1}
 	e.fetches["file"] = st
 	data := seqBytes(chunks*chunkSize - 10)
 	for i := 0; i < chunks-1; i++ {
@@ -389,21 +389,14 @@ func TestControlFramesAllocateNothing(t *testing.T) {
 	}
 
 	// The last chunk completes the fetch. Each run then reopens it one chunk
-	// short, on a fresh done channel made up front (AllocsPerRun calls the
-	// function once more than runs), and completes it again.
+	// short and completes it again.
 	last := chunkFrame("file", 1, data, chunkSize, chunks-1)
 	e.HandleChunk("pub", last)
-	dones := make([]chan struct{}, runs+1)
-	for i := range dones {
-		dones[i] = make(chan struct{})
-	}
-	run := 0
 	complete := func() {
 		st.mu.Lock()
-		st.data, st.have[chunks-1], st.done = nil, false, dones[run]
+		st.data, st.have[chunks-1] = nil, false
 		st.received--
 		st.mu.Unlock()
-		run++
 		e.HandleChunk("pub", last)
 	}
 	if allocs := testing.AllocsPerRun(runs, complete); allocs != 0 {

@@ -123,7 +123,7 @@ type Pipeline struct {
 	clk      clock.Clock
 	maxBatch int
 	stop     chan struct{}
-	wg       sync.WaitGroup
+	wg       *clock.WaitGroup
 	closed   atomic.Bool
 
 	delivered atomic.Uint64
@@ -160,6 +160,7 @@ func New(cfg Config) *Pipeline {
 		clk:      clk,
 		maxBatch: maxBatch,
 		stop:     make(chan struct{}),
+		wg:       clock.NewWaitGroup(clk),
 	}
 	reg.Gauge("ingress", "shards").Set(int64(shards))
 	p.shards = make([]*shard, shards)
@@ -347,7 +348,7 @@ func (p *Pipeline) Close() {
 		return
 	}
 	close(p.stop)
-	clock.Blocking(p.clk, p.wg.Wait)
+	p.wg.Wait()
 	for _, sh := range p.shards {
 		sh.mu.Lock()
 		for sh.n > 0 {

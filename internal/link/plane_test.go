@@ -103,57 +103,61 @@ func TestRecordsAdvertiseEveryBearer(t *testing.T) {
 // primary.
 func TestUnicastPolicyHealthReachability(t *testing.T) {
 	tp := newTestPlane()
-	// Nothing known about gs, both bearers optimistically healthy: policy.
-	if got := tp.Unicast("gs", qos.PriorityCritical); got != "radio" {
-		t.Errorf("critical = %q, want radio (most robust)", got)
-	}
-	if got := tp.Unicast("gs", qos.PriorityBulk); got != "wifi" {
-		t.Errorf("bulk = %q, want wifi (fattest)", got)
-	}
-	if got := tp.Unicast("gs", qos.Priority(99)); got != tp.Unicast("gs", qos.PriorityNormal) {
-		t.Errorf("out-of-range priority = %q, want the normal class's choice", got)
-	}
+	tp.clk.Run(func() {
+		// Nothing known about gs, both bearers optimistically healthy: policy.
+		if got := tp.Unicast("gs", qos.PriorityCritical); got != "radio" {
+			t.Errorf("critical = %q, want radio (most robust)", got)
+		}
+		if got := tp.Unicast("gs", qos.PriorityBulk); got != "wifi" {
+			t.Errorf("bulk = %q, want wifi (fattest)", got)
+		}
+		if got := tp.Unicast("gs", qos.Priority(99)); got != tp.Unicast("gs", qos.PriorityNormal) {
+			t.Errorf("out-of-range priority = %q, want the normal class's choice", got)
+		}
 
-	// gs advertises wifi only: reachable beats merely healthy.
-	tp.offer("gs", 1, map[string]string{"wifi": "wifi-gs:1"})
-	if got := tp.Unicast("gs", qos.PriorityCritical); got != "wifi" {
-		t.Errorf("critical to a wifi-only peer = %q, want wifi", got)
-	}
-	// Heard on radio too: back to policy.
-	tp.Bearers()[1].Monitor.SawRx("gs", tp.clk.Now())
-	if got := tp.Unicast("gs", qos.PriorityCritical); got != "radio" {
-		t.Errorf("critical to a peer heard on radio = %q, want radio", got)
-	}
+		// gs advertises wifi only: reachable beats merely healthy.
+		tp.offer("gs", 1, map[string]string{"wifi": "wifi-gs:1"})
+		if got := tp.Unicast("gs", qos.PriorityCritical); got != "wifi" {
+			t.Errorf("critical to a wifi-only peer = %q, want wifi", got)
+		}
+		// Heard on radio too: back to policy.
+		tp.Bearers()[1].Monitor.SawRx("gs", tp.clk.Now())
+		if got := tp.Unicast("gs", qos.PriorityCritical); got != "radio" {
+			t.Errorf("critical to a peer heard on radio = %q, want radio", got)
+		}
 
-	// Both bearers silent past the deadline, gs still advertised on wifi:
-	// a down link the peer is on beats a down link it is not.
-	tp.clk.Sleep(testDeadline + time.Millisecond)
-	if got := tp.Unicast("gs", qos.PriorityCritical); got != "wifi" {
-		t.Errorf("critical with every bearer down = %q, want wifi (advertised)", got)
-	}
-	// Radio comes back but gs is not on it; wifi down but gs is.
-	tp.Bearers()[1].Monitor.SawRx("other", tp.clk.Now())
-	if got := tp.Unicast("gs", qos.PriorityCritical); got != "wifi" {
-		t.Errorf("critical = %q, want wifi: reachable-but-down beats healthy-but-unreachable", got)
-	}
-	if got := tp.Unicast("stranger", qos.PriorityBulk); got != "radio" {
-		t.Errorf("bulk to an unknown peer = %q, want radio (the only healthy bearer)", got)
-	}
+		// Both bearers silent past the deadline, gs still advertised on wifi:
+		// a down link the peer is on beats a down link it is not.
+		tp.clk.Sleep(testDeadline + time.Millisecond)
+		if got := tp.Unicast("gs", qos.PriorityCritical); got != "wifi" {
+			t.Errorf("critical with every bearer down = %q, want wifi (advertised)", got)
+		}
+		// Radio comes back but gs is not on it; wifi down but gs is.
+		tp.Bearers()[1].Monitor.SawRx("other", tp.clk.Now())
+		if got := tp.Unicast("gs", qos.PriorityCritical); got != "wifi" {
+			t.Errorf("critical = %q, want wifi: reachable-but-down beats healthy-but-unreachable", got)
+		}
+		if got := tp.Unicast("stranger", qos.PriorityBulk); got != "radio" {
+			t.Errorf("bulk to an unknown peer = %q, want radio (the only healthy bearer)", got)
+		}
+	})
 }
 
 func TestGroupDiscoveryRidesEveryBearerDataRidesOne(t *testing.T) {
 	tp := newTestPlane()
-	if got := tp.Group(fabric.DiscoveryGroup, qos.PriorityNormal); !reflect.DeepEqual(got, []string{"wifi", "radio"}) {
-		t.Errorf("discovery group rides %v, want every bearer", got)
-	}
-	if got := tp.Group("v:gps", qos.PriorityBulk); !reflect.DeepEqual(got, []string{"wifi"}) {
-		t.Errorf("bulk data group rides %v, want [wifi]", got)
-	}
-	tp.clk.Sleep(testDeadline + time.Millisecond)
-	tp.Bearers()[1].Monitor.SawRx("gs", tp.clk.Now())
-	if got := tp.Group("v:gps", qos.PriorityBulk); !reflect.DeepEqual(got, []string{"radio"}) {
-		t.Errorf("bulk data group with wifi down rides %v, want [radio]", got)
-	}
+	tp.clk.Run(func() {
+		if got := tp.Group(fabric.DiscoveryGroup, qos.PriorityNormal); !reflect.DeepEqual(got, []string{"wifi", "radio"}) {
+			t.Errorf("discovery group rides %v, want every bearer", got)
+		}
+		if got := tp.Group("v:gps", qos.PriorityBulk); !reflect.DeepEqual(got, []string{"wifi"}) {
+			t.Errorf("bulk data group rides %v, want [wifi]", got)
+		}
+		tp.clk.Sleep(testDeadline + time.Millisecond)
+		tp.Bearers()[1].Monitor.SawRx("gs", tp.clk.Now())
+		if got := tp.Group("v:gps", qos.PriorityBulk); !reflect.DeepEqual(got, []string{"radio"}) {
+			t.Errorf("bulk data group with wifi down rides %v, want [radio]", got)
+		}
+	})
 }
 
 // TestPeerChangedFollowsTheDirectory: address books and advertised
@@ -199,64 +203,69 @@ func TestPeerChangedFollowsTheDirectory(t *testing.T) {
 // its queue rerouted exactly once per outage.
 func TestSweepProbesQuietBearersAndReroutesOnce(t *testing.T) {
 	tp := newTestPlane()
-	tp.offer("gs", 1, map[string]string{"wifi": "wifi-gs:1"})
-	peers := func() []transport.NodeID { return []transport.NodeID{"gs", "stranger"} }
+	tp.clk.Run(func() {
+		tp.offer("gs", 1, map[string]string{"wifi": "wifi-gs:1"})
+		peers := func() []transport.NodeID { return []transport.NodeID{"gs", "stranger"} }
 
-	tp.Sweep(peers)
-	if len(tp.sent) != 0 {
-		t.Fatalf("fresh bearers probed: %+v", tp.sent)
-	}
-	tp.clk.Sleep(testPeriod)
-	tp.Sweep(peers)
-	// gs is expected on wifi only (advertised); stranger on neither.
-	if len(tp.sent) != 1 || tp.sent[0].bearer != "wifi" || tp.sent[0].to != "gs" || tp.sent[0].typ != protocol.MTProbe {
-		t.Fatalf("sweep of quiet bearers sent %+v, want one MTProbe to gs on wifi", tp.sent)
-	}
-	tp.Sweep(peers)
-	if len(tp.sent) != 1 {
-		t.Fatalf("second sweep in the same period probed again: %+v", tp.sent)
-	}
+		tp.Sweep(peers)
+		if len(tp.sent) != 0 {
+			t.Fatalf("fresh bearers probed: %+v", tp.sent)
+		}
+		tp.clk.Sleep(testPeriod)
+		tp.Sweep(peers)
+		// gs is expected on wifi only (advertised); stranger on neither.
+		if len(tp.sent) != 1 || tp.sent[0].bearer != "wifi" || tp.sent[0].to != "gs" || tp.sent[0].typ != protocol.MTProbe {
+			t.Fatalf("sweep of quiet bearers sent %+v, want one MTProbe to gs on wifi", tp.sent)
+		}
+		tp.Sweep(peers)
+		if len(tp.sent) != 1 {
+			t.Fatalf("second sweep in the same period probed again: %+v", tp.sent)
+		}
 
-	// gs answers: the echo carries the nonce back on the same bearer.
-	probe := tp.sent[0]
-	tp.HandleProbe("wifi", "gs", &protocol.Frame{Type: protocol.MTProbe, Payload: probe.nonce})
-	echo := tp.sent[len(tp.sent)-1]
-	if echo.typ != protocol.MTProbeEcho || echo.bearer != "wifi" || echo.to != "gs" || string(echo.nonce) != string(probe.nonce) {
-		t.Fatalf("probe answered with %+v", echo)
-	}
-	tp.clk.Sleep(3 * time.Millisecond)
-	tp.HandleProbeEcho("wifi", &protocol.Frame{Type: protocol.MTProbeEcho, Payload: probe.nonce})
-	if rep := tp.Reports()[0]; rep.Name != "wifi" || rep.ProbesEchoed != 1 || rep.RTT != 3*time.Millisecond {
-		t.Errorf("wifi report after the echo = %+v", rep)
-	}
-	tp.HandleProbeEcho("nosuch", &protocol.Frame{Payload: probe.nonce}) // unknown bearer: ignored
-	tp.HandleProbeEcho("wifi", &protocol.Frame{Payload: []byte{1}})     // truncated nonce: ignored
+		// gs answers: the echo carries the nonce back on the same bearer.
+		probe := tp.sent[0]
+		tp.HandleProbe("wifi", "gs", &protocol.Frame{Type: protocol.MTProbe, Payload: probe.nonce})
+		echo := tp.sent[len(tp.sent)-1]
+		if echo.typ != protocol.MTProbeEcho || echo.bearer != "wifi" || echo.to != "gs" || string(echo.nonce) != string(probe.nonce) {
+			t.Fatalf("probe answered with %+v", echo)
+		}
+		tp.clk.Sleep(3 * time.Millisecond)
+		tp.HandleProbeEcho("wifi", &protocol.Frame{Type: protocol.MTProbeEcho, Payload: probe.nonce})
+		if rep := tp.Reports()[0]; rep.Name != "wifi" || rep.ProbesEchoed != 1 || rep.RTT != 3*time.Millisecond {
+			t.Errorf("wifi report after the echo = %+v", rep)
+		}
+		tp.HandleProbeEcho("nosuch", &protocol.Frame{Payload: probe.nonce}) // unknown bearer: ignored
+		tp.HandleProbeEcho("wifi", &protocol.Frame{Payload: []byte{1}})     // truncated nonce: ignored
 
-	// Nothing is ever received: past the deadline both bearers are down.
-	tp.clk.Sleep(testDeadline)
-	tp.Sweep(peers)
-	tp.Sweep(peers)
-	if !reflect.DeepEqual(tp.rerouted, []string{"wifi", "radio"}) {
-		t.Errorf("rerouted %v, want each bearer once", tp.rerouted)
-	}
-	// Wifi recovers, then fails again: a second outage, a second reroute.
-	tp.Bearers()[0].Monitor.SawRx("gs", tp.clk.Now())
-	tp.Sweep(peers)
-	tp.clk.Sleep(testDeadline + time.Millisecond)
-	tp.Sweep(peers)
-	if !reflect.DeepEqual(tp.rerouted, []string{"wifi", "radio", "wifi"}) {
-		t.Errorf("rerouted %v, want wifi rerouted again after recovering", tp.rerouted)
-	}
+		// Nothing is ever received: past the deadline both bearers are down.
+		tp.clk.Sleep(testDeadline)
+		tp.Sweep(peers)
+		tp.Sweep(peers)
+		if !reflect.DeepEqual(tp.rerouted, []string{"wifi", "radio"}) {
+			t.Errorf("rerouted %v, want each bearer once", tp.rerouted)
+		}
+		// Wifi recovers, then fails again: a second outage, a second reroute.
+		tp.Bearers()[0].Monitor.SawRx("gs", tp.clk.Now())
+		tp.Sweep(peers)
+		tp.clk.Sleep(testDeadline + time.Millisecond)
+		tp.Sweep(peers)
+		if !reflect.DeepEqual(tp.rerouted, []string{"wifi", "radio", "wifi"}) {
+			t.Errorf("rerouted %v, want wifi rerouted again after recovering", tp.rerouted)
+		}
+	})
 }
 
 func TestSingleBearerPlaneNeverSweeps(t *testing.T) {
 	only := &bookTransport{book: map[transport.NodeID]string{}}
+	clk := clock.NewVirtualAt(t0)
 	p := NewPlane(PlaneConfig{
-		Self: "n", Clock: clock.NewVirtualAt(t0), Directory: naming.NewDirectory(time.Minute),
+		Self: "n", Clock: clk, Directory: naming.NewDirectory(time.Minute),
 		Deadline: testDeadline, Period: testPeriod,
 		Send:    func(string, transport.NodeID, *protocol.Frame) { t.Error("single-bearer plane probed") },
 		Reroute: func(string) { t.Error("single-bearer plane rerouted") },
 	}, []*Bearer{{Name: "datagram", Transport: only}})
-	p.cfg.Clock.Sleep(time.Second)
-	p.Sweep(func() []transport.NodeID { return []transport.NodeID{"gs"} })
+	clk.Run(func() {
+		p.cfg.Clock.Sleep(time.Second)
+		p.Sweep(func() []transport.NodeID { return []transport.NodeID{"gs"} })
+	})
 }

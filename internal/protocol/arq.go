@@ -55,7 +55,7 @@ type ARQ struct {
 	closed  bool
 	// retransmitting counts retransmissions past the pending-table check
 	// and not yet done with their send and copy; Close waits for them.
-	retransmitting sync.WaitGroup
+	retransmitting *clock.WaitGroup
 	// probes counts the pending records examined finding messages to
 	// complete; tests bound it against what an ack claims.
 	probes int
@@ -230,6 +230,7 @@ func NewARQ(send SendFunc, opts ...ARQOption) *ARQ {
 		a.reg = metrics.NewRegistry()
 	}
 	a.stats = newARQCounters(a.reg)
+	a.retransmitting = clock.NewWaitGroup(a.clk)
 	return a
 }
 
@@ -468,5 +469,5 @@ func (a *ARQ) Close() {
 	}
 	// No retransmission starts once closed is set under a.mu, so none is
 	// added while this waits.
-	clock.Blocking(a.clk, a.retransmitting.Wait)
+	a.retransmitting.Wait()
 }

@@ -62,21 +62,21 @@ func TestARQRetransmitFailuresAreCounted(t *testing.T) {
 	reg := metrics.NewRegistry()
 	clk := clock.NewVirtual()
 	first := true
-	a := NewARQ(func(transport.NodeID, []byte) error {
-		if first {
-			first = false
-			return nil // first transmission succeeds; retries fail
-		}
-		return errors.New("bearer blackout")
-	}, WithMetrics(reg), WithClock(clk), WithTimeout(10*time.Millisecond), WithMaxRetries(3))
-	defer a.Close()
-
-	done := make(chan error, 1)
-	if err := a.Send("peer", 7, []byte("x"), func(e error) { done <- e }); err != nil {
-		t.Fatal(err)
-	}
 	var final error
-	clock.Blocking(clk, func() {
+	clk.Run(func() {
+		a := NewARQ(func(transport.NodeID, []byte) error {
+			if first {
+				first = false
+				return nil // first transmission succeeds; retries fail
+			}
+			return errors.New("bearer blackout")
+		}, WithMetrics(reg), WithClock(clk), WithTimeout(10*time.Millisecond), WithMaxRetries(3))
+		defer a.Close()
+
+		done := make(chan error, 1)
+		if err := a.Send("peer", 7, []byte("x"), func(e error) { done <- e }); err != nil {
+			t.Fatal(err)
+		}
 		for {
 			select {
 			case final = <-done:

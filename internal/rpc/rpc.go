@@ -439,15 +439,7 @@ func (e *Engine) Call(ctx context.Context, name string, args any, argType, retTy
 	// behaviour as real ones.
 	c.dlAt = e.clk.Now().Add(deadline)
 
-	// Live makes the caller visible to a Virtual clock for the call's
-	// duration, so the dispatch work between parks pins virtual time
-	// instead of letting it advance underneath the race.
-	var (
-		v   any
-		err error
-	)
-	clock.Live(e.clk, func() { v, err = e.race(ctx, c) })
-	return v, err
+	return e.race(ctx, c)
 }
 
 // encodeArgs coerces and encodes a call's arguments once, in one walk, into

@@ -55,7 +55,7 @@ type Pool struct {
 	pending  int
 
 	workers int
-	wg      sync.WaitGroup
+	wg      *clock.WaitGroup
 
 	queueDelay []*metrics.Histogram // per priority
 	executed   []*metrics.Counter
@@ -157,6 +157,7 @@ func NewPool(opts ...PoolOption) *Pool {
 		rejected:   make([]*metrics.Counter, n),
 	}
 	p.cond = clock.NewCond(p.clk, &p.mu)
+	p.wg = clock.NewWaitGroup(p.clk)
 	p.queueCap = cfg.queueCap
 	for i := 0; i < n; i++ {
 		p.queueDelay[i] = &metrics.Histogram{}
@@ -244,8 +245,9 @@ func (p *Pool) Stop() {
 	p.mu.Unlock()
 	p.cond.Broadcast()
 	// Workers mid-job may be parked on a Virtual clock (a handler sleeping
-	// in simulated time): the drain must let time advance under them.
-	clock.Blocking(p.clk, p.wg.Wait)
+	// in simulated time): the drain parks on the clock so time advances
+	// under them.
+	p.wg.Wait()
 }
 
 // QueueDelay exposes the queue-latency histogram for a priority, for the

@@ -31,7 +31,7 @@ type GPS struct {
 
 	pub  *variables.Publisher
 	stop chan struct{}
-	wg   sync.WaitGroup
+	wg   *clock.WaitGroup
 
 	mu        sync.Mutex
 	published uint64
@@ -77,6 +77,7 @@ func (g *GPS) Init(ctx *core.Context) error {
 // Start implements core.Service.
 func (g *GPS) Start(ctx *core.Context) error {
 	g.stop = make(chan struct{})
+	g.wg = clock.NewWaitGroup(ctx.Clock())
 	g.wg.Add(1)
 	clock.Go(ctx.Clock(), func() { g.run(ctx) })
 	return nil

@@ -298,7 +298,7 @@ type medium struct {
 
 	trigger clock.Trigger
 	done    chan struct{}
-	wg      sync.WaitGroup
+	wg      *clock.WaitGroup
 }
 
 type linkKey struct {
@@ -325,6 +325,7 @@ func newMedium(cfg SimConfig, closed bool) *medium {
 	}
 	if !closed {
 		m.trigger = clock.NewTrigger(m.clk)
+		m.wg = clock.NewWaitGroup(m.clk)
 		m.wg.Add(1)
 		clock.Go(m.clk, m.run)
 	}
@@ -340,7 +341,7 @@ func (m *medium) close() {
 	m.closed = true
 	m.mu.Unlock()
 	close(m.done)
-	clock.Blocking(m.clk, m.wg.Wait)
+	m.wg.Wait()
 }
 
 // event is one scheduled delivery.

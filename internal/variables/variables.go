@@ -348,7 +348,7 @@ type Subscription struct {
 	haveVal  bool
 	lastPub  uint32 // publisher incarnation of lastSeq
 	lastSeq  uint64
-	initCh   chan struct{} // closed when the first value lands
+	initial  clock.Trigger // RequireInitial only: signalled by the first value and the snapshot request's outcome
 	timer    clock.Timer
 	closed   bool
 
@@ -377,7 +377,10 @@ func (e *Engine) Subscribe(name string, t *presentation.Type, opts SubscribeOpti
 				name, recs[0].TypeSig, t, ErrTypeMismatch)
 		}
 	}
-	s := &Subscription{engine: e, name: name, group: fabric.VarGroup(name), typ: t, opts: opts, initCh: make(chan struct{})}
+	s := &Subscription{engine: e, name: name, group: fabric.VarGroup(name), typ: t, opts: opts}
+	if opts.RequireInitial {
+		s.initial = clock.NewTrigger(e.clk)
+	}
 
 	e.mu.Lock()
 	old := e.subs[name]
@@ -427,41 +430,49 @@ func (s *Subscription) requestInitial() error {
 		Priority: qos.PriorityHigh,
 		Channel:  s.name,
 	}
-	// The reply arrives asynchronously via handleSnapshotRep; here we wait
-	// for either a value or the timeout.
-	done := make(chan error, 1)
-	e.f.SendReliable(rec.Node, frame, qos.ReliableARQ, func(err error) { done <- err })
-	// Both waits block on plain channels, so under a Virtual clock they
-	// run in Blocking: the delivery that resolves them only happens while
-	// this goroutine counts as parked.
-	sent := e.clk.NewTimer(s.opts.InitialTimeout)
-	defer sent.Stop()
-	clock.Blocking(e.clk, func() {
-		select {
-		case err = <-done:
-		case <-sent.C():
-			err = protocol.ErrTimeout
-		}
+	// The request's outcome and the reply, which arrives asynchronously via
+	// handleSnapshotRep, both signal s.initial; each wait gives up after
+	// InitialTimeout.
+	var (
+		sent    bool
+		sendErr error
+	)
+	e.f.SendReliable(rec.Node, frame, qos.ReliableARQ, func(err error) {
+		s.mu.Lock()
+		sent, sendErr = true, err
+		s.mu.Unlock()
+		s.initial.Signal()
 	})
-	if err != nil {
-		return fmt.Errorf("variables: snapshot request %q: %w", s.name, err)
+	if !s.awaitInitial(func() bool { return sent }) {
+		return fmt.Errorf("variables: snapshot request %q: %w", s.name, protocol.ErrTimeout)
 	}
-	// Request delivered; wait for the value itself. accept closes initCh
-	// on the first installed sample, so this wakes immediately instead of
-	// polling.
-	replied := e.clk.NewTimer(s.opts.InitialTimeout)
-	defer replied.Stop()
-	clock.Blocking(e.clk, func() {
-		select {
-		case <-s.initCh:
-		case <-replied.C():
-			err = protocol.ErrTimeout
-		}
-	})
-	if err != nil {
-		return fmt.Errorf("variables: no snapshot reply for %q: %w", s.name, err)
+	if sendErr != nil {
+		return fmt.Errorf("variables: snapshot request %q: %w", s.name, sendErr)
+	}
+	if !s.awaitInitial(func() bool { return s.haveVal }) {
+		return fmt.Errorf("variables: no snapshot reply for %q: %w", s.name, protocol.ErrTimeout)
 	}
 	return nil
+}
+
+// awaitInitial parks on s.initial until done, checked under s.mu, holds;
+// false means InitialTimeout passed first.
+func (s *Subscription) awaitInitial(done func() bool) bool {
+	clk := s.engine.clk
+	deadline := clk.Now().Add(s.opts.InitialTimeout)
+	for {
+		s.mu.Lock()
+		ok := done()
+		s.mu.Unlock()
+		if ok {
+			return true
+		}
+		left := deadline.Sub(clk.Now())
+		if left <= 0 {
+			return false
+		}
+		s.initial.Wait(left, nil)
+	}
 }
 
 // Get returns the freshest valid value. While the publisher is silent the
@@ -558,8 +569,8 @@ func (s *Subscription) accept(v any, ts time.Time, validity time.Duration, pub u
 	if validity == 0 {
 		s.validity = s.opts.QoS.Validity
 	}
-	if !s.haveVal {
-		close(s.initCh) // wake a pending guaranteed-initial-value wait
+	if !s.haveVal && s.initial != nil {
+		s.initial.Signal() // wake a pending guaranteed-initial-value wait
 	}
 	s.haveVal = true
 	s.samples++
