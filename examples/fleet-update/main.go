@@ -20,7 +20,6 @@ import (
 
 	"uavmw/internal/core"
 	"uavmw/internal/filetransfer"
-	"uavmw/internal/protocol"
 	"uavmw/internal/qos"
 	"uavmw/internal/transport"
 )
@@ -43,7 +42,6 @@ func newNode(net *transport.Bus, id transport.NodeID) (*core.Node, error) {
 	return core.NewNode(
 		core.WithDatagram(ep),
 		core.WithAnnouncePeriod(30*time.Millisecond),
-		core.WithARQ(protocol.WithTimeout(10*time.Millisecond)),
 	)
 }
 

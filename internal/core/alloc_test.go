@@ -10,6 +10,7 @@ import (
 	"uavmw/internal/bufpool"
 	"uavmw/internal/filetransfer"
 	"uavmw/internal/naming"
+	"uavmw/internal/clock"
 	"uavmw/internal/protocol"
 	"uavmw/internal/qos"
 	"uavmw/internal/transport"
@@ -164,9 +165,9 @@ func TestReceivePathAllocs(t *testing.T) {
 // TestHeldCallAckAllocs gates a held acknowledgment at zero: a call's held
 // and then cancelled by its reply, a reply's held and then carried by the
 // next frame to its peer, and one held and then flushed when its delay runs
-// out, the transmit and drain included. The delay is set
-// past the measurement, so the shard's timer, armed once in the warm-up,
-// stays pending and the flush runs on the test's goroutine.
+// out, the transmit and drain included. The shard's held acks run on a
+// virtual clock nothing advances, so their timer, armed once in the
+// warm-up, stays pending and the flush runs on the test's goroutine.
 func TestHeldCallAckAllocs(t *testing.T) {
 	sink := &wireSink{id: "held-gate", sent: make(chan struct{}, 1)}
 	n, err := NewNode(WithDatagram(sink), WithAnnouncePeriod(time.Hour), WithIngressShards(1))
@@ -174,8 +175,8 @@ func TestHeldCallAckAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() { _ = n.Close() }()
-	h := n.shards[0].held
-	h.delay = time.Hour
+	h := newHeldAcks(clock.NewVirtual(), n.flushAcks)
+	n.shards[0].held = h
 	seq := uint64(0)
 	for _, v := range []struct {
 		name string
@@ -204,7 +205,7 @@ func TestHeldCallAckAllocs(t *testing.T) {
 			seq++
 			h.hold(DefaultBearer, "peer", seq, qos.PriorityNormal, false)
 			h.mu.Lock()
-			h.flushDue(h.clk.Now().Add(2 * h.delay))
+			h.flushDue(h.clk.Now().Add(2 * maxAckDelay))
 			h.mu.Unlock()
 			<-sink.sent
 		}},

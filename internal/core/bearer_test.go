@@ -39,7 +39,7 @@ func newTwoBearerNode(t *testing.T, wifi, radio *transport.Bus, id transport.Nod
 		WithBearer("radio", rep, radioProfile),
 		WithAnnouncePeriod(25*time.Millisecond),
 		WithFailureDeadline(100*time.Millisecond),
-		WithARQ(protocol.WithTimeout(20*time.Millisecond), protocol.WithMaxRetries(10)),
+		WithARQ(protocol.WithMaxRetries(10)),
 	)
 	if err != nil {
 		t.Fatal(err)

@@ -343,9 +343,6 @@ func TestHeldCallAckLeavesAfterDelay(t *testing.T) {
 		defer func() { _ = caller.Close() }()
 		provider := virtualNode(t, v, providerLog)
 		defer func() { _ = provider.Close() }()
-		if d := provider.shards[0].held.delay; d != maxAckDelay {
-			t.Fatalf("ack delay %v with the default ARQ timeout, want %v", d, maxAckDelay)
-		}
 		registerIncrement(t, provider, "slow", nil, func() { v.Sleep(5 * maxAckDelay) })
 		waitProviders(t, v, caller, "slow", 1)
 		callerLog.reset()
@@ -531,8 +528,8 @@ func TestFragmentedCallAckedPerFragment(t *testing.T) {
 }
 
 // TestHeldCallAckReuse races replies cancelling held call acks against the
-// shard timer flushing them, on a delay short enough that the two meet
-// (run it with -race): every held ack leaves exactly one way — dropped for
+// shard timer flushing them, with every eighth reply coming as the hold
+// runs out (run it with -race): every held ack leaves exactly one way — dropped for
 // its reply or sent in an MTAck — however the held list's reused array
 // shifts under the two.
 func TestHeldCallAckReuse(t *testing.T) {
@@ -542,7 +539,6 @@ func TestHeldCallAckReuse(t *testing.T) {
 		t.Fatal(err)
 	}
 	h := n.shards[0].held
-	h.delay = 100 * time.Microsecond
 	const holds = 2000
 	cancelled := make([]bool, holds+1)
 	replies := make(chan uint64)
@@ -552,7 +548,7 @@ func TestHeldCallAckReuse(t *testing.T) {
 		for seq := range replies {
 			// Every eighth reply comes around the delay's end.
 			if seq%8 == 0 {
-				time.Sleep(h.delay)
+				time.Sleep(maxAckDelay)
 			}
 			cancelled[seq] = h.cancel("peer", seq)
 		}
@@ -585,73 +581,69 @@ func TestHeldCallAckReuse(t *testing.T) {
 	t.Logf("%d of %d held acks dropped for their replies, %d sent", dropped, holds, holds-dropped)
 }
 
-// TestRPCClosedLoopPackets runs the rpc_closed shape on the wall clock: two
-// callers on one node, each issuing its next call to its own function on a
-// provider when the previous one returned, over a clean in-process bus. A
-// call and its reply are the only datagrams an RPC needs: the reply
-// acknowledges the call, and the next call, whichever caller issues it,
-// acknowledges the replies that arrived before it. ARQ's first timeout is
-// raised so that a test binary starved for 20 ms cannot draw a spurious
-// retransmission; the ack hold stays at its 1 ms.
+// TestRPCClosedLoopPackets runs the rpc_closed shape: two callers on one
+// node, each issuing its next call to its own function on a provider when
+// the previous one returned, over a clean in-process bus. A call and its
+// reply are the only datagrams an RPC needs: the reply acknowledges the
+// call, and the next call, whichever caller issues it, acknowledges the
+// replies that arrived before it. On the virtual clock no host stall can
+// hold an ack past the 20 ms retransmission timeout, so the run must
+// retransmit nothing.
 func TestRPCClosedLoopPackets(t *testing.T) {
-	bus := transport.NewBus()
-	node := func(id transport.NodeID) (*Node, *wireLog) {
-		ep, err := bus.Endpoint(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		w := newWireLog(ep)
-		n, err := NewNode(WithDatagram(w), WithARQ(protocol.WithTimeout(time.Second)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { _ = n.Close() })
-		return n, w
-	}
-	caller, callerLog := node("caller")
-	provider, providerLog := node("provider")
-	if d := provider.shards[0].held.delay; d != maxAckDelay {
-		t.Fatalf("ack hold %v, want %v", d, maxAckDelay)
-	}
-	fns := []string{"fn0", "fn1"}
-	for _, fn := range fns {
-		registerIncrement(t, provider, fn, nil, nil)
-	}
-	waitUntil(t, 5*time.Second, "discovery", func() bool {
-		return caller.Directory().ProviderCount(naming.KindFunction, fns[1]) == 1 &&
-			caller.Directory().ProviderCount(naming.KindFunction, fns[0]) == 1
-	})
-	time.Sleep(5 * maxAckDelay)
-	callerLog.reset()
-	providerLog.reset()
-
-	const calls = 5000
-	var wg sync.WaitGroup
-	for _, fn := range fns {
-		wg.Add(1)
-		go func(fn string) {
-			defer wg.Done()
-			for i := uint32(0); i < calls; i++ {
-				callIncrement(t, caller, fn, i)
+	v := clock.NewVirtual()
+	v.Run(func() {
+		bus := transport.NewBus()
+		node := func(id transport.NodeID) (*Node, *wireLog) {
+			ep, err := bus.Endpoint(id)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}(fn)
-	}
-	wg.Wait()
-	// Well inside the raised timeout: every reply was acknowledged, most
-	// of them by the next call's header.
-	waitUntil(t, 500*time.Millisecond, "every reply acknowledged", func() bool { return provider.arq.Pending() == 0 })
-	total := float64(len(fns) * calls)
-	packets := float64(callerLog.unicast() + providerLog.unicast())
-	t.Logf("%.3f datagrams per call, %d reply acks carried, %d sent alone",
-		packets/total, len(callerLog.carriedSeqs()), len(callerLog.sent(protocol.MTAck)))
-	if packets/total > 2.1 {
-		t.Errorf("%.0f calls took %.0f datagrams, %.3f per call, want <= 2.1", total, packets, packets/total)
-	}
-	for _, n := range []*Node{caller, provider} {
-		if r := counter(t, n, "arq", "retransmits"); r != 0 {
-			t.Errorf("%s retransmitted %d times on a clean link", n.ID(), r)
+			w := newWireLog(ep)
+			return virtualNode(t, v, w), w
 		}
-	}
+		caller, callerLog := node("caller")
+		defer func() { _ = caller.Close() }()
+		provider, providerLog := node("provider")
+		defer func() { _ = provider.Close() }()
+		fns := []string{"fn0", "fn1"}
+		for _, fn := range fns {
+			registerIncrement(t, provider, fn, nil, nil)
+		}
+		for _, fn := range fns {
+			waitProviders(t, v, caller, fn, 1)
+		}
+		v.Sleep(5 * maxAckDelay)
+		callerLog.reset()
+		providerLog.reset()
+
+		const calls = 5000
+		done := clock.NewWaitGroup(v)
+		for _, fn := range fns {
+			done.Add(1)
+			v.Go(func() {
+				defer done.Done()
+				for i := uint32(0); i < calls; i++ {
+					callIncrement(t, caller, fn, i)
+				}
+			})
+		}
+		done.Wait()
+		if !virtualWait(v, time.Second, func() bool { return provider.arq.Pending() == 0 }) {
+			t.Fatal("the replies were never all acknowledged")
+		}
+		total := float64(len(fns) * calls)
+		packets := float64(callerLog.unicast() + providerLog.unicast())
+		t.Logf("%.3f datagrams per call, %d reply acks carried, %d sent alone",
+			packets/total, len(callerLog.carriedSeqs()), len(callerLog.sent(protocol.MTAck)))
+		if packets/total > 2.1 {
+			t.Errorf("%.0f calls took %.0f datagrams, %.3f per call, want <= 2.1", total, packets, packets/total)
+		}
+		for _, n := range []*Node{caller, provider} {
+			if r := counter(t, n, "arq", "retransmits"); r != 0 {
+				t.Errorf("%s retransmitted %d times on a clean link", n.ID(), r)
+			}
+		}
+	})
 }
 
 // TestHeldAckRidesOnlyEligibleFrames holds reply acks on a two-bearer node
@@ -668,8 +660,10 @@ func TestHeldAckRidesOnlyEligibleFrames(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() { _ = n.Close() }()
-	h := n.shards[0].held
-	h.delay = time.Hour // nothing falls due during the test
+	// The held acks run on a virtual clock nothing advances: none falls
+	// due during the test.
+	h := newHeldAcks(clock.NewVirtual(), n.flushAcks)
+	n.shards[0].held = h
 	hold := func(bearer string, pr qos.Priority, seqs ...uint64) {
 		for _, seq := range seqs {
 			if !h.hold(bearer, "peer", seq, pr, true) {
@@ -760,7 +754,6 @@ func TestHeldReplyAckReuse(t *testing.T) {
 		t.Fatal(err)
 	}
 	h := n.shards[0].held
-	h.delay = 100 * time.Microsecond
 	const holds = 2000
 	held := make(chan uint64)
 	done := make(chan struct{})
@@ -772,7 +765,7 @@ func TestHeldReplyAckReuse(t *testing.T) {
 			}
 			// Every ninth frame comes around the delay's end.
 			if seq%9 == 0 {
-				time.Sleep(h.delay)
+				time.Sleep(maxAckDelay)
 			}
 			f := protocol.Frame{Type: protocol.MTSample, Priority: qos.PriorityNormal, Channel: "held.race"}
 			if err := n.SendBestEffort("peer", &f); err != nil {

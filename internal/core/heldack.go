@@ -12,12 +12,12 @@ import (
 	"uavmw/internal/transport"
 )
 
-// maxAckDelay bounds how long the acknowledgment of an arrived MTCall waits
-// for the call's reply, and that of an arrived reply for the next frame to
-// its peer. A node holds either for min(maxAckDelay, its first ARQ timeout
-// ÷ 4): with the default 20 ms timeout that is 1 ms, so a held ack leaves
-// at least three quarters of the peer's first timeout before the peer
-// would retransmit on a clean link.
+// maxAckDelay is how long the acknowledgment of an arrived MTCall waits for
+// the call's reply, and that of an arrived reply for the next frame to its
+// peer. A peer's retransmission timeout is never below
+// protocol.DefaultARQTimeout (20 ms), so a held ack leaves at least
+// nineteen twentieths of it before the peer would retransmit on a clean
+// link.
 const maxAckDelay = time.Millisecond
 
 // heldAcks are one ingress shard's acknowledgments of arrived RPC frames
@@ -38,7 +38,6 @@ const maxAckDelay = time.Millisecond
 // bearer the frame arrived on.
 type heldAcks struct {
 	clk   clock.Clock
-	delay time.Duration
 	send  func(*ackQueue) // Node.flushAcks, bound once
 	fire  func()          // h.expire, bound once
 	// replies counts the held reply acks, so a transmit to a peer with
@@ -75,8 +74,8 @@ type carried struct {
 	frame  protocol.Frame
 }
 
-func newHeldAcks(clk clock.Clock, delay time.Duration, send func(*ackQueue)) *heldAcks {
-	h := &heldAcks{clk: clk, delay: delay, send: send}
+func newHeldAcks(clk clock.Clock, send func(*ackQueue)) *heldAcks {
+	h := &heldAcks{clk: clk, send: send}
 	h.fire = h.expire
 	return h
 }
@@ -91,12 +90,12 @@ func (h *heldAcks) hold(bearer string, to transport.NodeID, seq uint64, pr qos.P
 	if h.closed {
 		return false
 	}
-	h.acks = append(h.acks, heldAck{pendingAck{bearer: bearer, to: to, seq: seq}, h.clk.Now().Add(h.delay), pr, reply})
+	h.acks = append(h.acks, heldAck{pendingAck{bearer: bearer, to: to, seq: seq}, h.clk.Now().Add(maxAckDelay), pr, reply})
 	if reply {
 		h.replies.Add(1)
 	}
 	if !h.armed {
-		h.arm(h.delay)
+		h.arm(maxAckDelay)
 	}
 	return true
 }
@@ -144,6 +143,21 @@ func (h *heldAcks) carry(to transport.NodeID, bearer string, pr qos.Priority, ro
 	h.acks = slices.DeleteFunc(h.acks, func(a heldAck) bool { return match(&a) && slices.Contains(taken, a.seq) })
 	h.replies.Add(int32(len(h.acks) - before))
 	return taken[0], ranges
+}
+
+// forget drops every acknowledgment held for peer: its incarnation ended,
+// and the next one does not expect them.
+func (h *heldAcks) forget(peer transport.NodeID) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	replies := int32(0)
+	h.acks = slices.DeleteFunc(h.acks, func(a heldAck) bool {
+		if a.to == peer && a.reply {
+			replies++
+		}
+		return a.to == peer
+	})
+	h.replies.Add(-replies)
 }
 
 // arm starts the timer for d. Caller holds h.mu.
@@ -197,5 +211,5 @@ func (h *heldAcks) close() {
 	if h.timer != nil && h.timer.Stop() {
 		h.armed = false
 	}
-	h.flushDue(h.clk.Now().Add(h.delay))
+	h.flushDue(h.clk.Now().Add(maxAckDelay))
 }

@@ -25,7 +25,7 @@ func newSimNode(t *testing.T, net *transport.Bus, id transport.NodeID, opts ...N
 	all := append([]NodeOption{
 		WithDatagram(ep),
 		WithAnnouncePeriod(25 * time.Millisecond),
-		WithARQ(protocol.WithTimeout(8*time.Millisecond), protocol.WithMaxRetries(12)),
+		WithARQ(protocol.WithMaxRetries(12)),
 	}, opts...)
 	n, err := NewNode(all...)
 	if err != nil {

@@ -95,6 +95,9 @@ type Node struct {
 	// families and typed-error families land here, and MetricsSnapshot
 	// exports them all (§ observability).
 	metrics *metrics.Registry
+	// duplicates counts the ack-required frames whose seq the dedup window
+	// already held: on a loss-free link, one per spurious retransmission.
+	duplicates *metrics.Counter
 
 	vars      *variables.Engine
 	events    *events.Engine
@@ -332,6 +335,7 @@ func NewNode(opts ...NodeOption) (*Node, error) {
 	n.arq = protocol.NewARQ(func(to transport.NodeID, frame []byte) error {
 		return n.egress.Enqueue(to, protocol.PeekPriority(frame), frame)
 	}, append([]protocol.ARQOption{protocol.WithClock(clk), protocol.WithMetrics(n.metrics)}, cfg.arqOpts...)...)
+	n.duplicates = n.metrics.Counter("arq", "duplicates")
 
 	n.vars = variables.New(n)
 	n.events = events.New(n)
@@ -450,10 +454,9 @@ func (n *Node) Leave(group string) error {
 	return firstErr
 }
 
-// reliable is what an acknowledged send adds to a transmit: its per-message
-// ARQ tuning and the completion callback.
+// reliable is what an acknowledged send adds to a transmit: its completion
+// callback.
 type reliable struct {
-	tune protocol.SendTuning
 	done func(error)
 }
 
@@ -573,7 +576,7 @@ func (n *Node) transmitSplit(d egress.Dest, f *protocol.Frame, raw []byte, rel *
 	// own seq, and the message completes when all of them have.
 	frag, seq, flags := rel, f.Seq, uint8(0)
 	if viaARQ {
-		frag = &reliable{tune: rel.tune, done: allAcked(parts.Count(), rel.done)}
+		frag = &reliable{done: allAcked(parts.Count(), rel.done)}
 		flags = protocol.FlagAckRequired
 	}
 	for i := 0; i < parts.Count(); i++ {
@@ -596,7 +599,7 @@ func (n *Node) enqueue(d egress.Dest, pr qos.Priority, seq uint64, raw []byte, r
 	if rel == nil {
 		return n.egress.EnqueueTo(d, pr, raw)
 	}
-	err := n.arq.SendTuned(d.Node, seq, raw, rel.tune, rel.done)
+	err := n.arq.Send(d.Node, seq, raw, rel.done)
 	bufpool.Put(raw)
 	return err
 }
@@ -633,22 +636,15 @@ func (n *Node) SendGroup(group string, f *protocol.Frame) error {
 	return n.transmit(egress.Dest{Group: group}, f, nil)
 }
 
-// SendReliable implements fabric.Fabric with engine-default ARQ tuning.
-// The reliability class has one value, ReliableARQ (see fabric.Fabric).
+// SendReliable implements fabric.Fabric. The reliability class has one
+// value, ReliableARQ (see fabric.Fabric).
 func (n *Node) SendReliable(to transport.NodeID, f *protocol.Frame, _ qos.Reliability, done func(error)) {
-	n.SendReliableTuned(to, f, protocol.SendTuning{}, done)
-}
-
-// SendReliableTuned implements fabric.TunedSender: SendReliable with
-// per-send ARQ timeout/retry overrides carried from the primitive's QoS.
-func (n *Node) SendReliableTuned(to transport.NodeID, f *protocol.Frame, tune protocol.SendTuning, done func(error)) {
 	// transmit reports every reliable outcome through done.
-	_ = n.transmit(egress.Dest{Node: to}, f, &reliable{tune: tune, done: done})
+	_ = n.transmit(egress.Dest{Node: to}, f, &reliable{done: done})
 }
 
 var (
 	_ fabric.Fabric       = (*Node)(nil)
-	_ fabric.TunedSender  = (*Node)(nil)
 	_ fabric.Instrumented = (*Node)(nil)
 )
 
@@ -690,7 +686,7 @@ func (n *Node) newRecvShard() *recvShard {
 	return &recvShard{
 		dedup: protocol.NewDedup(0),
 		reasm: protocol.NewReassembler(0, n.clk),
-		held:  newHeldAcks(n.clk, min(maxAckDelay, n.arq.Timeout()/4), n.flushAcks),
+		held:  newHeldAcks(n.clk, n.flushAcks),
 	}
 }
 
@@ -768,6 +764,7 @@ func (n *Node) handleFrame(sh *recvShard, bearer string, from transport.NodeID, 
 			sh.acks.acks = append(sh.acks.acks, pendingAck{bearer: bearer, to: from, seq: f.Seq})
 		}
 		if dup {
+			n.duplicates.Inc()
 			return
 		}
 	}
@@ -812,7 +809,9 @@ func (n *Node) handleFrame(sh *recvShard, bearer string, from transport.NodeID, 
 		}
 		// Dedup the logical message too: a fully retransmitted
 		// fragment set must not deliver twice.
-		if !sh.dedup.Seen(from, inner.Seq) {
+		if sh.dedup.Seen(from, inner.Seq) {
+			n.duplicates.Inc()
+		} else {
 			n.route(bearer, from, inner)
 		}
 		protocol.PutFrame(inner)
@@ -855,12 +854,11 @@ func (n *Node) flushAcks(q *ackQueue) {
 // cannot hold one past the peer's ARQ timeout and draw a spurious
 // retransmission. The only deliberate wait is that of an ack held for the
 // traffic that would carry it (a call's for its reply, a reply's for the
-// next frame to its sender: heldAcks), at most maxAckDelay, under a
-// quarter of the first ARQ timeout (ARQ keeps no RTT estimate; its first
-// timeout is a fixed 20 ms by default). Acks are pinned to the bearer the
-// data arrived on, so acknowledgment traffic keeps measuring (and keeping
-// alive) the same link as the data it acknowledges; a held ack rides only
-// a frame leaving on that bearer. A refused enqueue (node closing) is
+// next frame to its sender: heldAcks), at most maxAckDelay, a twentieth of
+// the shortest retransmission timeout ARQ arms. Acks are pinned to the
+// bearer the data arrived on, so acknowledgment traffic keeps measuring
+// (and keeping alive) the same link as the data it acknowledges; a held
+// ack rides only a frame leaving on that bearer. A refused enqueue (node closing) is
 // counted, not returned: the peer's ARQ retry is the recovery path.
 func (n *Node) sendAcks(q *ackQueue, bearer string, to transport.NodeID, seqs []uint64) {
 	slices.Sort(seqs)
@@ -990,14 +988,16 @@ func (n *Node) LinkReports() []link.Report { return n.links.Reports() }
 // Bearers lists the node's bearer names in registration order.
 func (n *Node) Bearers() []string { return n.links.Names() }
 
-// peerGone is discovery's peer-gone hook: the directory is already purged;
-// clear the container state tied to the failed or departed node and notify
-// the engines and registered callbacks (§3 cache clearing + §4.3 failover).
-func (n *Node) peerGone(node transport.NodeID) {
-	// The peer's dedup window lives on the ingress shard its traffic
-	// hashes to; forget it there so a rejoining peer starting from seq 1 is
-	// not silently dropped.
-	n.shards[n.ingress.ShardOf(node)].dedup.Forget(node)
+// peerGone is discovery's hook for the end of a peer's incarnation. A
+// restarted peer's new offer stands, so only what the container kept for
+// the old incarnation goes. A failed or departed one is already purged
+// from the directory; the engines and registered callbacks are told too
+// (§3 cache clearing + §4.3 failover).
+func (n *Node) peerGone(node transport.NodeID, restarted bool) {
+	n.forgetPeer(node)
+	if restarted {
+		return
+	}
 	n.links.PeerGone(node)
 	n.events.PeerGone(node)
 	n.files.PeerGone(node)
@@ -1008,6 +1008,17 @@ func (n *Node) peerGone(node transport.NodeID) {
 	for _, cb := range cbs {
 		cb(node)
 	}
+}
+
+// forgetPeer drops the per-peer state of the container's reliable path: the
+// peer's dedup window, which lives on the ingress shard its traffic hashes
+// to, so a rejoining peer starting from seq 1 is not silently dropped; the
+// acks held for it; and its ARQ entry, whose pending messages fail.
+func (n *Node) forgetPeer(node transport.NodeID) {
+	sh := n.shards[n.ingress.ShardOf(node)]
+	sh.dedup.Forget(node)
+	sh.held.forget(node)
+	n.arq.Forget(node)
 }
 
 // OnPeerFailed registers a callback invoked when a peer node is declared

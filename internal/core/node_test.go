@@ -14,7 +14,6 @@ import (
 	"uavmw/internal/metrics/metricstest"
 	"uavmw/internal/naming"
 	"uavmw/internal/presentation"
-	"uavmw/internal/protocol"
 	"uavmw/internal/qos"
 	"uavmw/internal/rpc"
 	"uavmw/internal/scheduler"
@@ -36,11 +35,7 @@ func newBusNode(t *testing.T, bus *transport.Bus, id transport.NodeID, opts ...N
 	if err != nil {
 		t.Fatal(err)
 	}
-	all := append([]NodeOption{
-		WithDatagram(ep),
-		WithAnnouncePeriod(25 * time.Millisecond),
-		WithARQ(protocol.WithTimeout(5 * time.Millisecond)),
-	}, opts...)
+	all := append([]NodeOption{WithDatagram(ep), WithAnnouncePeriod(25 * time.Millisecond)}, opts...)
 	n, err := NewNode(all...)
 	if err != nil {
 		t.Fatal(err)

@@ -131,7 +131,7 @@ func newGuardedNode(t *testing.T, tr transport.Transport) *Node {
 		WithDatagram(guard),
 		WithMTU(oversizeMTU),
 		WithAnnouncePeriod(25*time.Millisecond),
-		WithARQ(protocol.WithTimeout(8*time.Millisecond), protocol.WithMaxRetries(12)),
+		WithARQ(protocol.WithMaxRetries(12)),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -254,7 +254,7 @@ func TestOversizeReliableRetryBudgetExhausted(t *testing.T) {
 	net := transport.NewSimBus(transport.SimConfig{Seed: 43, Latency: time.Millisecond})
 	defer net.Close()
 	src := newSimNode(t, net, "uav", WithMTU(oversizeMTU),
-		WithARQ(protocol.WithTimeout(4*time.Millisecond), protocol.WithMaxRetries(2)))
+		WithARQ(protocol.WithMaxRetries(2)))
 	dst := newSimNode(t, net, "gs")
 	syncNodes(t, src, dst)
 	sink := subscribeBlobs(t, dst)

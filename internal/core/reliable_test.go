@@ -15,8 +15,8 @@ import (
 // that completion (rpc attempts, event fan-out slots), so a second call
 // would hand a record to two owners.
 func TestReliableDoneFiresOnce(t *testing.T) {
-	// Exhaustion cases give up after one retransmission 1 ms apart.
-	fast := WithARQ(protocol.WithTimeout(time.Millisecond), protocol.WithMaxRetries(1))
+	// Exhaustion cases give up after one retransmission.
+	fast := WithARQ(protocol.WithMaxRetries(1))
 	frame := func(size int) *protocol.Frame {
 		// MTFileCancel is dropped at the routing switch, so the loopback
 		// case runs no engine.

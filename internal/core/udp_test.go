@@ -9,7 +9,6 @@ import (
 	"uavmw/internal/fabric"
 	"uavmw/internal/naming"
 	"uavmw/internal/presentation"
-	"uavmw/internal/protocol"
 	"uavmw/internal/qos"
 	"uavmw/internal/transport"
 	"uavmw/internal/variables"
@@ -69,7 +68,6 @@ func newUDPNodes(t *testing.T, group string, ids ...transport.NodeID) ([]*Node, 
 		n, err := NewNode(
 			WithDatagram(tap),
 			WithAnnouncePeriod(25*time.Millisecond),
-			WithARQ(protocol.WithTimeout(20*time.Millisecond)),
 		)
 		if err != nil {
 			_ = tap.Close()

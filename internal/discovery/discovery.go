@@ -69,9 +69,13 @@ type Config struct {
 	// for a duplicate delta the directory ignored, so the derivation must
 	// read the directory, not the frame.
 	OfferApplied func(peer transport.NodeID)
-	// PeerGone runs after a failed or departed peer has been purged from
-	// the directory and this engine (§3 cache clearing + §4.3 failover).
-	PeerGone func(peer transport.NodeID)
+	// PeerGone runs when an incarnation of a peer ends. With restarted
+	// false the peer failed or departed, and it has been purged from the
+	// directory and this engine (§3 cache clearing + §4.3 failover). With
+	// restarted true it came back under a new epoch before it was declared
+	// gone: its new offer stands, and only what the container keeps for
+	// the old incarnation must go.
+	PeerGone func(peer transport.NodeID, restarted bool)
 	// Tick runs on the beacon goroutine after each period's beacon and
 	// sweep, for the container's other per-period work.
 	Tick func()
@@ -352,6 +356,7 @@ func (e *Engine) HandleAnnounce(from transport.NodeID, f *protocol.Frame) {
 // applyFull installs a peer's full record set — announced or assembled
 // from sync chunks — unless the directory holds a newer one.
 func (e *Engine) applyFull(from transport.NodeID, ann *naming.Announcement) {
+	e.admit(from, ann.Epoch)
 	now := e.clk.Now()
 	e.live.Touch(from, now)
 	if e.dir.Apply(ann, now) {
@@ -370,6 +375,7 @@ func (e *Engine) HandleHeartbeat(from transport.NodeID, f *protocol.Frame) {
 		return
 	}
 	e.ctr.heartbeatsRecv.Inc()
+	e.admit(from, g.Epoch)
 	now := e.clk.Now()
 	e.live.Touch(from, now)
 	if e.dir.ApplyDigest(g, now) {
@@ -388,6 +394,7 @@ func (e *Engine) HandleAnnounceDelta(from transport.NodeID, f *protocol.Frame) {
 		return
 	}
 	e.ctr.deltasRecv.Inc()
+	e.admit(from, d.Epoch)
 	now := e.clk.Now()
 	e.live.Touch(from, now)
 	if e.dir.ApplyDelta(d, now) {
@@ -395,6 +402,16 @@ func (e *Engine) HandleAnnounceDelta(from transport.NodeID, f *protocol.Frame) {
 		return
 	}
 	e.cfg.OfferApplied(from)
+}
+
+// admit hands the directory a peer's epoch before the peer's frame is
+// applied. A live peer's new incarnation ends the old one: a peer that
+// restarted within the failure deadline starts its frame seqs again from 1,
+// and the container must not take them for the old incarnation's.
+func (e *Engine) admit(peer transport.NodeID, epoch uint64) {
+	if e.dir.AdmitEpoch(peer, epoch) {
+		e.cfg.PeerGone(peer, true)
+	}
 }
 
 // requestSync asks a peer for its full record set, at most once per
@@ -562,5 +579,5 @@ func (e *Engine) peerGone(node transport.NodeID) {
 	e.syncAsm.Forget(node)
 	delete(e.syncReqAt, node)
 	e.syncMu.Unlock()
-	e.cfg.PeerGone(node)
+	e.cfg.PeerGone(node, false)
 }

@@ -34,8 +34,9 @@ type harness struct {
 	*Engine
 	f       *fabrictest.Fabric
 	offer   []naming.Record
-	applied []transport.NodeID
-	gone    []transport.NodeID
+	applied   []transport.NodeID
+	gone      []transport.NodeID
+	restarted []transport.NodeID
 }
 
 func newHarness(t *testing.T) *harness {
@@ -50,7 +51,13 @@ func newHarness(t *testing.T) *harness {
 		Offer:           func() []naming.Record { return h.offer },
 		Load:            func() float64 { return 0 },
 		OfferApplied:    func(peer transport.NodeID) { h.applied = append(h.applied, peer) },
-		PeerGone:        func(peer transport.NodeID) { h.gone = append(h.gone, peer) },
+		PeerGone: func(peer transport.NodeID, restarted bool) {
+			if restarted {
+				h.restarted = append(h.restarted, peer)
+			} else {
+				h.gone = append(h.gone, peer)
+			}
+		},
 		Tick:            func() {},
 	})
 	return h
@@ -395,6 +402,25 @@ func TestHooksFollowTheDirectory(t *testing.T) {
 	h.HandleBye("peer")
 	if len(h.gone) != 1 || h.gone[0] != "peer" || len(h.Peers()) != 0 || h.f.Directory().NodeRecordCount("peer") != 0 {
 		t.Errorf("bye: gone hooks %v, peers %v, %d records left", h.gone, h.Peers(), h.f.Directory().NodeRecordCount("peer"))
+	}
+}
+
+// TestNewEpochRestartsALivePeerOnce: a live peer heard under a newer epoch
+// has restarted, and the container hears it once however many frames of
+// the new incarnation follow; an older epoch is stale, and a peer that
+// said goodbye comes back as a first contact, not a restart.
+func TestNewEpochRestartsALivePeerOnce(t *testing.T) {
+	h := newHarness(t)
+	for _, epoch := range []uint64{3, 4, 4, 2} {
+		h.HandleHeartbeat("peer", digest(t, "peer", epoch, 0))
+	}
+	if len(h.restarted) != 1 || h.restarted[0] != "peer" || len(h.gone) != 0 {
+		t.Fatalf("epochs 3, 4, 4, 2: restarted %v, gone %v; want one restart and no departure", h.restarted, h.gone)
+	}
+	h.HandleBye("peer")
+	h.HandleHeartbeat("peer", digest(t, "peer", 5, 0))
+	if len(h.restarted) != 1 || len(h.gone) != 1 {
+		t.Errorf("after a goodbye and a new epoch: restarted %v, gone %v; want the one restart and one departure", h.restarted, h.gone)
 	}
 }
 

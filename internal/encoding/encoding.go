@@ -27,7 +27,7 @@ type Encoding interface {
 
 // Appender is the optional allocation-free publish path of an Encoding.
 // Engines feature-test for it once (NewValueEncoder), as they do for
-// fabric.TunedSender and fabric.Clocked; an Encoding without it — Debug, or
+// fabric.Clocked and fabric.Instrumented; an Encoding without it — Debug, or
 // a decorator handed to core.WithEncoding — is driven through
 // presentation.Coerce and Marshal instead, so implementing it is never
 // required.

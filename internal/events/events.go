@@ -526,18 +526,10 @@ func (p *Publisher) repairFor(node transport.NodeID, seqs []uint64) {
 	}
 }
 
-// sendEvent transmits one event frame with the topic's per-send ARQ
-// tuning (qos.EventQoS.AckTimeout / MaxRetries) when the fabric supports
-// it — a topic routed onto a high-latency bearer needs a longer
-// retransmission fuse than the engine default, or queueing jitter spawns
-// duplicates. Fabrics without per-send tuning get the plain reliable path.
+// sendEvent transmits one event frame reliably. Its retransmission
+// timeout is the fabric's measured one for the subscriber, so a topic
+// routed onto a high-latency bearer gets a longer fuse without asking.
 func (p *Publisher) sendEvent(node transport.NodeID, frame *protocol.Frame, done func(error)) {
-	if ts, ok := p.engine.f.(fabric.TunedSender); ok && (p.q.AckTimeout > 0 || p.q.MaxRetries > 0) {
-		ts.SendReliableTuned(node, frame, protocol.SendTuning{
-			Timeout: p.q.AckTimeout, MaxRetries: p.q.MaxRetries,
-		}, done)
-		return
-	}
 	p.engine.f.SendReliable(node, frame, qos.ReliableARQ, done)
 }
 

@@ -64,6 +64,12 @@ type E14Result struct {
 	SingleSent, SingleLost int
 	SingleBlackout         time.Duration
 
+	// Retransmissions both nodes sent and duplicates both received, per
+	// arm: on these loss-free links every duplicate is a spurious
+	// retransmission.
+	MultiRetransmits, MultiDuplicates   uint64
+	SingleRetransmits, SingleDuplicates uint64
+
 	// MetricsText is the UAV node's observability snapshot at the end of
 	// the multi-bearer run (metrics.Snapshot.Text).
 	MetricsText string
@@ -143,7 +149,6 @@ func runE14Multi(clk clock.Clock, res *E14Result, seed int64) error {
 			// bearer down and triggers the handover.
 			core.WithFailureDeadline(250*time.Millisecond),
 			core.WithDirectoryTTL(60*time.Second),
-			core.WithARQ(protocol.WithTimeout(60*time.Millisecond), protocol.WithMaxRetries(8)),
 		)
 	}
 	uav, err := mk("uav")
@@ -157,15 +162,12 @@ func runE14Multi(clk clock.Clock, res *E14Result, seed int64) error {
 	}
 	defer func() { _ = gs.Close() }()
 
-	// Critical alarm topic, UAV → GS. Policy pins it to the radio. The
-	// retransmission timeout must clear the radio's worst-case queueing
-	// (latency + a chunk ahead at the link) or every queued-but-fine alarm
-	// spawns duplicates that steal the link's headroom.
-	alarms, err := offerAlarms(clk, uav, "e14.alarm", qos.EventQoS{
-		Priority:   qos.PriorityCritical,
-		AckTimeout: 500 * time.Millisecond,
-		MaxRetries: 10,
-	}, res.AlarmHz)
+	// Critical alarm topic, UAV → GS. Policy pins it to the radio. Its
+	// retransmission timeout is the one ARQ measures for the peer, which
+	// clears the radio's round trip and the queueing ahead of an alarm
+	// (a chunk at the link), so queued-but-fine alarms do not spawn
+	// duplicates that steal the link's headroom.
+	alarms, err := offerAlarms(clk, uav, "e14.alarm", qos.EventQoS{Priority: qos.PriorityCritical}, res.AlarmHz)
 	if err != nil {
 		return err
 	}
@@ -331,6 +333,7 @@ func runE14Multi(clk clock.Clock, res *E14Result, seed int64) error {
 	alarms.drain(15 * time.Second)
 	res.Multi, res.MultiLost = alarms.collect(loadedFrom, loadedTo)
 	res.MultiSent = loadedTo - loadedFrom + 1
+	res.MultiRetransmits, res.MultiDuplicates = arqCounts(uav, gs)
 	res.MetricsText = uav.MetricsSnapshot().Text()
 	return nil
 }
@@ -352,7 +355,7 @@ func runE14Single(clk clock.Clock, res *E14Result, seed int64) error {
 			// torn down; the point here is link loss, not peer loss.
 			core.WithFailureDeadline(60*time.Second),
 			core.WithDirectoryTTL(60*time.Second),
-			core.WithARQ(protocol.WithTimeout(30*time.Millisecond), protocol.WithMaxRetries(4)))
+			core.WithARQ(protocol.WithMaxRetries(4)))
 	}
 	uav, err := mk("uav")
 	if err != nil {
@@ -396,5 +399,17 @@ func runE14Single(clk clock.Clock, res *E14Result, seed int64) error {
 	_, lost := alarms.collect(1, alarms.count())
 	res.SingleSent = alarms.count()
 	res.SingleLost = lost
+	res.SingleRetransmits, res.SingleDuplicates = arqCounts(uav, gs)
 	return nil
+}
+
+// arqCounts sums the retransmissions nodes sent and the duplicates they
+// received.
+func arqCounts(nodes ...*core.Node) (retransmits, duplicates uint64) {
+	for _, n := range nodes {
+		reg := n.Metrics()
+		retransmits += reg.SumCounters("arq", "retransmits")
+		duplicates += reg.SumCounters("arq", "duplicates")
+	}
+	return retransmits, duplicates
 }

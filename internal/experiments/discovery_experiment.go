@@ -73,7 +73,7 @@ func buildE12Fleet(clk clock.Clock, net *transport.Bus, n, records int, period t
 			core.WithAnnouncePeriod(period),
 			core.WithFailureDeadline(failureDeadline),
 			core.WithDirectoryTTL(2*failureDeadline),
-			core.WithARQ(protocol.WithTimeout(20*time.Millisecond), protocol.WithMaxRetries(12)),
+			core.WithARQ(protocol.WithMaxRetries(12)),
 		); err != nil {
 			return nil, err
 		}

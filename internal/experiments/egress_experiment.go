@@ -64,6 +64,11 @@ type E13Result struct {
 	ShapedDropped uint64
 	// ShapedCoalesced counts frames that shared a batch datagram.
 	ShapedCoalesced uint64
+	// Retransmissions both nodes sent and duplicates both received, per
+	// mode: on this loss-free link every duplicate is a spurious
+	// retransmission.
+	FloodRetransmits, FloodDuplicates   uint64
+	ShapedRetransmits, ShapedDuplicates uint64
 
 	// MetricsText is the UAV node's observability snapshot at the end of
 	// the shaped run (metrics.Snapshot.Text).
@@ -248,7 +253,10 @@ func runE13Phase(clk clock.Clock, res *E13Result, shaped bool, seed int64) error
 			// seconds; liveness and the directory must tolerate that.
 			core.WithFailureDeadline(60*time.Second),
 			core.WithDirectoryTTL(60*time.Second),
-			core.WithARQ(protocol.WithTimeout(80*time.Millisecond), protocol.WithMaxRetries(8)),
+			// The flood's first alarms meet an 8 s queue before the UAV
+			// has a round-trip sample for the ground station: from the
+			// 20 ms start, 12 retries last 15 s, 8 only 2.25 s.
+			core.WithARQ(protocol.WithMaxRetries(12)),
 		)
 	}
 	var uavProfile qos.BearerProfile
@@ -341,7 +349,9 @@ func runE13Phase(clk clock.Clock, res *E13Result, shaped bool, seed int64) error
 
 	hist, lost := alarms.collect(loadedFrom, loadedTo)
 	goodput := float64(res.FileBytes) / transfer.Seconds()
+	retransmits, duplicates := arqCounts(uav, gs)
 	if shaped {
+		res.ShapedRetransmits, res.ShapedDuplicates = retransmits, duplicates
 		res.Shaped, res.ShapedLost, res.ShapedSent = hist, lost, loadedTo-loadedFrom+1
 		res.ShapedTransfer, res.ShapedGoodput = transfer, goodput
 		reg := uav.Metrics()
@@ -349,6 +359,7 @@ func runE13Phase(clk clock.Clock, res *E13Result, shaped bool, seed int64) error
 		res.ShapedCoalesced = reg.SumCounters("egress", "coalesced")
 		res.MetricsText = uav.MetricsSnapshot().Text()
 	} else {
+		res.FloodRetransmits, res.FloodDuplicates = retransmits, duplicates
 		res.Flood, res.FloodLost, res.FloodSent = hist, lost, loadedTo-loadedFrom+1
 		res.FloodTransfer, res.FloodGoodput = transfer, goodput
 	}

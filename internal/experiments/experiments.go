@@ -68,10 +68,7 @@ func pair(opts ...core.NodeOption) (a, b *core.Node, cleanup func(), err error) 
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	base := []core.NodeOption{
-		core.WithAnnouncePeriod(20 * time.Millisecond),
-		core.WithARQ(protocol.WithTimeout(5 * time.Millisecond)),
-	}
+	base := []core.NodeOption{core.WithAnnouncePeriod(20 * time.Millisecond)}
 	a, err = core.NewNode(append(append([]core.NodeOption{core.WithDatagram(epA)}, base...), opts...)...)
 	if err != nil {
 		return nil, nil, nil, err
@@ -243,7 +240,7 @@ func RunE2(n int, loss float64, payloadBytes int, seed int64) (*E2Result, error)
 		reg := metrics.NewRegistry()
 		arq := protocol.NewARQ(func(to transport.NodeID, frame []byte) error {
 			return src.Send(to, frame)
-		}, protocol.WithTimeout(3*time.Millisecond), protocol.WithMaxRetries(20), protocol.WithMetrics(reg))
+		}, protocol.WithMaxRetries(20), protocol.WithMetrics(reg))
 		src.SetHandler(func(pkt transport.Packet) {
 			var f protocol.Frame
 			if err := protocol.DecodeFrameInto(&f, pkt.Payload); err != nil || f.Type != protocol.MTAck {
@@ -307,7 +304,7 @@ func RunE2(n int, loss float64, payloadBytes int, seed int64) (*E2Result, error)
 		var sender, receiver *goBackN
 		sender = newGoBackN("dst", func(to transport.NodeID, frame []byte) error {
 			return src.Send(to, frame)
-		}, nil, 3*time.Millisecond, 32)
+		}, nil, protocol.DefaultARQTimeout, 32)
 		receiver = newGoBackN("src", func(to transport.NodeID, frame []byte) error {
 			return dst.Send(to, frame)
 		}, func(msg []byte) {
@@ -317,7 +314,7 @@ func RunE2(n int, loss float64, payloadBytes int, seed int64) (*E2Result, error)
 				close(done)
 			}
 			mu.Unlock()
-		}, 3*time.Millisecond, 32)
+		}, protocol.DefaultARQTimeout, 32)
 		src.SetHandler(func(pkt transport.Packet) { sender.HandlePacket(pkt.Payload) })
 		dst.SetHandler(func(pkt transport.Packet) { receiver.HandlePacket(pkt.Payload) })
 
@@ -378,8 +375,7 @@ func RunE3(clk clock.Clock, subscribers, samples int, seed int64) (*E3Result, er
 		// on registration), so no explicit announcement is needed.
 		mk := func(id transport.NodeID) (*core.Node, error) {
 			return simNode(clk, net, id,
-				core.WithAnnouncePeriod(2*time.Second),
-				core.WithARQ(protocol.WithTimeout(5*time.Millisecond)))
+				core.WithAnnouncePeriod(2*time.Second))
 		}
 		pub, err := mk("src")
 		if err != nil {
@@ -466,7 +462,7 @@ func RunE4(fileBytes, receivers int, loss float64, seed int64) (*E4Result, error
 		mk := func(id transport.NodeID) (*core.Node, error) {
 			return simNode(nil, net, id,
 				core.WithAnnouncePeriod(20*time.Millisecond),
-				core.WithARQ(protocol.WithTimeout(4*time.Millisecond), protocol.WithMaxRetries(15)))
+				core.WithARQ(protocol.WithMaxRetries(15)))
 		}
 		pub, err := mk("pub")
 		if err != nil {
@@ -712,8 +708,7 @@ func RunE7(failureDeadline time.Duration, seed int64) (*E7Result, error) {
 	mk := func(id transport.NodeID) (*core.Node, error) {
 		return simNode(nil, net, id,
 			core.WithAnnouncePeriod(20*time.Millisecond),
-			core.WithFailureDeadline(failureDeadline),
-			core.WithARQ(protocol.WithTimeout(4*time.Millisecond)))
+			core.WithFailureDeadline(failureDeadline))
 	}
 	primary, err := mk("primary")
 	if err != nil {

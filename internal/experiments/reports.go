@@ -269,6 +269,9 @@ func reportE13(clk clock.Clock, seed int64, quick bool) (*Report, error) {
 	r.Notef("inversion: flood alarm p99 is %.0fx unloaded; shaped is %.1fx (bulk dropped by egress: %d, frames coalesced: %d)",
 		float64(res.Flood.Percentile(99))/unloaded, float64(res.Shaped.Percentile(99))/unloaded,
 		rec("shaped_dropped", res.ShapedDropped), rec("shaped_coalesced", res.ShapedCoalesced))
+	r.Notef("ARQ: flood %d retransmissions, %d duplicates received; shaped %d, %d",
+		rec("flood_retransmits", res.FloodRetransmits), rec("flood_duplicates", res.FloodDuplicates),
+		rec("shaped_retransmits", res.ShapedRetransmits), rec("shaped_duplicates", res.ShapedDuplicates))
 	return r, nil
 }
 
@@ -297,6 +300,9 @@ func reportE14(clk clock.Clock, seed int64, quick bool) (*Report, error) {
 	r.Notef("single-bearer baseline: %d of %d alarms lost across a %v wifi blackout (no second link to fail to)",
 		rec("single_lost", res.SingleLost), rec("single_sent", res.SingleSent),
 		rec("single_blackout_sec", fig{num: res.SingleBlackout.Seconds(), show: res.SingleBlackout}))
+	r.Notef("ARQ: multi-bearer %d retransmissions, %d duplicates received; single-bearer %d, %d",
+		rec("multi_retransmits", res.MultiRetransmits), rec("multi_duplicates", res.MultiDuplicates),
+		rec("single_retransmits", res.SingleRetransmits), rec("single_duplicates", res.SingleDuplicates))
 	return r, nil
 }
 

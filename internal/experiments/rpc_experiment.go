@@ -61,7 +61,7 @@ func RunE11(clk clock.Clock, callers, callsPerCaller int, hedged bool, loss floa
 	mk := func(id transport.NodeID) (*core.Node, error) {
 		return simNode(clk, net, id,
 			core.WithAnnouncePeriod(2*time.Second), // deltas announce registrations; heartbeats stay out of the way
-			core.WithARQ(protocol.WithTimeout(4*time.Millisecond), protocol.WithMaxRetries(15)))
+			core.WithARQ(protocol.WithMaxRetries(15)))
 	}
 	slow, err := mk("a-slow")
 	if err != nil {

@@ -4,7 +4,11 @@
 // what the other four offer. The container implements Fabric; engines are
 // written against it, which keeps them free of container internals and lets
 // their tests run them on fabrictest.Fabric, the one test double, which
-// keeps the same send contract.
+// keeps the same send contract. A fabric may implement two optional
+// interfaces, which engines feature-test for: Clocked, the node's time
+// source, and Instrumented, its metrics registry. The reliable send takes
+// no per-message tuning: the container's ARQ measures each peer's round
+// trip and sets its retransmission timeout from it.
 package fabric
 
 import (
@@ -101,14 +105,6 @@ type Fabric interface {
 	// announcement immediately, so discovery latency is one network hop
 	// rather than one announce period (§3 name management).
 	OfferChanged()
-}
-
-// TunedSender is optionally implemented by fabrics whose reliable path
-// accepts per-send tuning. Engines should feature-test for it and fall
-// back to SendReliable (engine-default tuning) when absent, so a fabric
-// with only the base methods (bench's nullFabric) keeps working.
-type TunedSender interface {
-	SendReliableTuned(to transport.NodeID, f *protocol.Frame, tune protocol.SendTuning, done func(error))
 }
 
 // Clocked is optionally implemented by fabrics that run on an injectable

@@ -68,8 +68,8 @@ func (h *Held) Release(err error) {
 	}
 }
 
-// Fabric is the test double. It implements fabric.Fabric, TunedSender,
-// Clocked and Instrumented. Set its exported fields, and Link it, before
+// Fabric is the test double. It implements fabric.Fabric, Clocked and
+// Instrumented. Set its exported fields, and Link it, before
 // building an engine on it.
 type Fabric struct {
 	// Clk is the clock engines and Go run on; nil is the wall clock.
@@ -208,11 +208,6 @@ func (f *Fabric) SendGroup(group string, fr *protocol.Frame) error {
 }
 
 func (f *Fabric) SendReliable(to transport.NodeID, fr *protocol.Frame, _ qos.Reliability, done func(error)) {
-	f.send(Sent{Kind: Reliable, To: to}, fr, done)
-}
-
-// SendReliableTuned is SendReliable: the double retransmits nothing.
-func (f *Fabric) SendReliableTuned(to transport.NodeID, fr *protocol.Frame, _ protocol.SendTuning, done func(error)) {
 	f.send(Sent{Kind: Reliable, To: to}, fr, done)
 }
 

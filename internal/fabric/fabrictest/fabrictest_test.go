@@ -12,7 +12,6 @@ import (
 // The double is every side interface an engine feature-tests for.
 var (
 	_ fabric.Fabric       = (*Fabric)(nil)
-	_ fabric.TunedSender  = (*Fabric)(nil)
 	_ fabric.Clocked      = (*Fabric)(nil)
 	_ fabric.Instrumented = (*Fabric)(nil)
 )
@@ -27,7 +26,7 @@ func TestRecordIsACopy(t *testing.T) {
 		func(fr *protocol.Frame) { _ = f.SendBestEffort("peer", fr) },
 		func(fr *protocol.Frame) { _ = f.SendGroup("g", fr) },
 		func(fr *protocol.Frame) { f.SendReliable("peer", fr, qos.ReliableARQ, nil) },
-		func(fr *protocol.Frame) { f.SendReliableTuned("held", fr, protocol.SendTuning{}, nil) },
+		func(fr *protocol.Frame) { f.SendReliable("held", fr, qos.ReliableARQ, nil) },
 	}
 	for _, send := range sends {
 		payload := []byte("payload")

@@ -70,7 +70,6 @@ var tuningKnobs = []string{
 	"internal/protocol.WithClock",
 	"internal/protocol.WithMaxRetries",
 	"internal/protocol.WithMetrics",
-	"internal/protocol.WithTimeout",
 	"internal/qos.BearerProfile.BulkBurst",
 	"internal/qos.BearerProfile.BulkRateBPS",
 	"internal/qos.BearerProfile.Latency",

@@ -321,6 +321,24 @@ func (d *Directory) ApplyDigest(g *Digest, now time.Time) (needSync bool) {
 	return true
 }
 
+// AdmitEpoch takes the epoch of a frame from node before the frame is
+// applied. An epoch newer than the cached one is a new incarnation: it is
+// recorded at once, and the cached version dropped, so the node's records
+// sync afresh and a later frame of the same incarnation is not news. It
+// reports whether the incarnation replaced was live (not purged as failed
+// or departed): the node restarted before anyone declared it gone.
+func (d *Directory) AdmitEpoch(node transport.NodeID, epoch uint64) (restarted bool) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if prev, known := d.epochs[node]; !known || epoch <= prev {
+		return false
+	}
+	d.epochs[node] = epoch
+	delete(d.versions, node)
+	_, live := d.expiries[node]
+	return live
+}
+
 // TouchNode refreshes the freshness deadline of every record cached for
 // node (the effect of a matching heartbeat digest).
 func (d *Directory) TouchNode(node transport.NodeID, now time.Time) {

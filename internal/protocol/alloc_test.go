@@ -2,7 +2,6 @@ package protocol
 
 import (
 	"testing"
-	"time"
 
 	"uavmw/internal/bufpool"
 	"uavmw/internal/qos"
@@ -183,9 +182,9 @@ func BenchmarkFrameEncodeDecode(b *testing.B) {
 // GC-owned datagram, map churn, stats boxing — fails the gate.
 func TestARQSteadyStateAllocs(t *testing.T) {
 	send := func(transport.NodeID, []byte) error { return nil }
-	// A huge timeout keeps the armed timers from firing mid-measurement;
-	// the test invokes the retransmit path directly instead.
-	a := NewARQ(send, WithTimeout(time.Hour), WithMaxRetries(1<<30))
+	// The engine's timers never fire mid-measurement; the test invokes the
+	// retransmit path directly instead.
+	a := NewARQ(send, WithClock(stillClock{}), WithMaxRetries(1<<30))
 	defer a.Close()
 
 	frame, err := EncodeFrame(wireTestFrame(make([]byte, 64)))
@@ -196,7 +195,7 @@ func TestARQSteadyStateAllocs(t *testing.T) {
 	done := func(error) {}
 	cycle := func() {
 		seq++
-		if err := a.SendTuned("peer", seq, frame, SendTuning{}, done); err != nil {
+		if err := a.Send("peer", seq, frame, done); err != nil {
 			t.Fatal(err)
 		}
 		a.Ack("peer", seq)
@@ -205,14 +204,14 @@ func TestARQSteadyStateAllocs(t *testing.T) {
 		cycle()
 	}
 	if allocs := testing.AllocsPerRun(200, cycle); allocs != 0 {
-		t.Errorf("ARQ SendTuned+Ack: %v allocs/op, want 0", allocs)
+		t.Errorf("ARQ Send+Ack: %v allocs/op, want 0", allocs)
 	}
 
 	seq++
 	if err := a.Send("peer", seq, frame, done); err != nil {
 		t.Fatal(err)
 	}
-	p := a.pending["peer"][0]
+	p := a.pending["peer"].recs[0]
 	// Each run is a first retransmission: the backed-off timeout of a
 	// hundredth would overflow and fire the timer mid-measurement.
 	retransmit := func() {

@@ -22,6 +22,7 @@ var (
 	codeARQAckWait = uerr.Register("arq.ack_wait", uerr.CatTimeout)
 	codeARQFirstTx = uerr.Register("arq.first_transmit", uerr.CatSend)
 	codeARQRetryTx = uerr.Register("arq.retransmit", uerr.CatSend)
+	codeARQForgot  = uerr.Register("arq.peer_forgotten", uerr.CatResource)
 )
 
 // ARQ is the application-level acknowledgment/retransmission engine the
@@ -32,13 +33,14 @@ var (
 // The sender side retransmits each message with exponential backoff until
 // the peer acknowledges or the retry budget is exhausted; the receiver side
 // suppresses duplicates (retransmissions of messages whose ACK was lost).
+// A message's first timeout is its peer's retransmission timeout (RTO),
+// measured from the peer's acks as RFC 6298 describes; nobody sets it.
 // ARQ is message-oriented, not stream-oriented: each message is
 // acknowledged independently, so one lost packet never head-of-line blocks
 // the messages behind it — the efficiency argument experiment E2 measures.
 type ARQ struct {
 	send       SendFunc
 	clk        clock.Clock
-	timeout    time.Duration
 	maxRetries int
 	// clone and release take and give back the engine's pooled copies of
 	// datagrams: bufpool.Clone and bufpool.Put, which tests wrap to hold
@@ -47,10 +49,10 @@ type ARQ struct {
 	release func([]byte)
 
 	mu sync.Mutex
-	// pending holds each peer's unacknowledged messages in ascending seq
-	// order, so a range ack finds the messages it completes by binary
-	// search, whatever width of seqs it claims.
-	pending map[transport.NodeID][]*arqPending
+	// pending holds each peer's unacknowledged messages and round-trip
+	// estimate. An entry outlives its messages, so the estimate carries
+	// over from one message to the next; Forget drops it.
+	pending map[transport.NodeID]*arqPeer
 	free    []*arqPending // recycled records, at most arqFreeCap; starts empty
 	closed  bool
 	// retransmitting counts retransmissions past the pending-table check
@@ -78,6 +80,42 @@ type arqKey struct {
 	seq uint64
 }
 
+// arqPeer is one peer's unacknowledged messages, in ascending seq order so
+// a range ack finds the ones it completes by binary search, and its RFC
+// 6298 estimate: SRTT and RTTVAR (once measured) and the RTO they give.
+type arqPeer struct {
+	recs         []*arqPending
+	srtt, rttvar time.Duration
+	rto          time.Duration
+	measured     bool
+	// backoff is the longest retry delay armed since the last sample; new
+	// messages start at no less (RFC 6298 §5.7), or a peer whose round
+	// trip exceeds the RTO would never yield a Karn-valid sample.
+	backoff time.Duration
+}
+
+// sample folds one round trip into the estimate (RFC 6298 §2.2–2.3, α =
+// 1/8, β = 1/4, K = 4) and ends any carried backoff. The RFC's granularity
+// term G is DefaultARQTimeout: a steady link drives RTTVAR to zero, and an
+// RTO of the bare SRTT fires at the first frame queued ahead of a message.
+func (pe *arqPeer) sample(rtt time.Duration) {
+	if !pe.measured {
+		pe.srtt, pe.rttvar, pe.measured = rtt, rtt/2, true
+	} else {
+		dev := pe.srtt - rtt
+		if dev < 0 {
+			dev = -dev
+		}
+		pe.rttvar += (dev - pe.rttvar) / 4
+		pe.srtt += (rtt - pe.srtt) / 8
+	}
+	pe.rto = pe.srtt + max(DefaultARQTimeout, 4*pe.rttvar)
+	pe.backoff = 0
+}
+
+// firstTimeout is the timeout a new message to the peer starts at.
+func (pe *arqPeer) firstTimeout() time.Duration { return max(pe.rto, pe.backoff) }
+
 // arqPending is one unacknowledged message. Records are recycled through
 // ARQ.free: a steady stream of reliable sends allocates none.
 type arqPending struct {
@@ -92,27 +130,17 @@ type arqPending struct {
 	timer   clock.Timer
 	attempt int // retransmissions so far
 	result  ResultFunc
-	// timeout / maxRetries are this message's overrides (zero = engine
-	// default): a critical alarm on a 40ms-latency radio modem needs a
-	// longer fuse than a chunk ack on local WiFi, and QoS policies carry
-	// that per primitive (qos.EventQoS.AckTimeout / MaxRetries).
-	timeout    time.Duration
-	maxRetries int
+	// sent is the first transmission's instant, which an ack of a message
+	// never retransmitted measures from (Karn); initial is the first
+	// timeout, which the retries back off from.
+	sent    time.Time
+	initial time.Duration
 }
 
 // arqFreeCap bounds the free list: enough for the reliable sends a node has
 // in flight in steady state, small enough that a burst leaves no lasting
 // footprint.
 const arqFreeCap = 64
-
-// SendTuning carries per-message ARQ overrides; zero fields take the
-// engine defaults.
-type SendTuning struct {
-	// Timeout is the initial retransmission timeout for this message.
-	Timeout time.Duration
-	// MaxRetries is this message's retransmission budget.
-	MaxRetries int
-}
 
 // arqCounters holds the engine's pre-resolved registry handles ("arq"
 // component); increments stay lock-free atomics on the same series
@@ -139,9 +167,14 @@ var (
 	ErrTimeout = errors.New("arq timeout")
 	// ErrARQClosed reports use after Close.
 	ErrARQClosed = errors.New("arq closed")
+	// ErrPeerForgotten reports a message whose peer Forget dropped: the
+	// peer failed, left or came back as a new incarnation.
+	ErrPeerForgotten = errors.New("arq peer forgotten")
 )
 
-// Defaults applied when options are zero.
+// DefaultARQTimeout is the RTO of a peer with no sample yet and the least
+// margin a measured RTO keeps above SRTT; DefaultARQRetries is the budget
+// unless WithMaxRetries sets one.
 const (
 	DefaultARQTimeout = 20 * time.Millisecond
 	DefaultARQRetries = 8
@@ -171,15 +204,6 @@ func retryDelay(initial time.Duration, attempt int) time.Duration {
 
 // ARQOption customizes the engine.
 type ARQOption func(*ARQ)
-
-// WithTimeout sets the initial retransmission timeout.
-func WithTimeout(d time.Duration) ARQOption {
-	return func(a *ARQ) {
-		if d > 0 {
-			a.timeout = d
-		}
-	}
-}
 
 // WithMaxRetries sets the retransmission budget.
 func WithMaxRetries(n int) ARQOption {
@@ -217,11 +241,10 @@ func NewARQ(send SendFunc, opts ...ARQOption) *ARQ {
 	a := &ARQ{
 		send:       send,
 		clk:        clock.Real{},
-		timeout:    DefaultARQTimeout,
 		maxRetries: DefaultARQRetries,
 		clone:      bufpool.Clone,
 		release:    bufpool.Put,
-		pending:    make(map[transport.NodeID][]*arqPending),
+		pending:    make(map[transport.NodeID]*arqPeer),
 	}
 	for _, opt := range opts {
 		opt(a)
@@ -234,19 +257,11 @@ func NewARQ(send SendFunc, opts ...ARQOption) *ARQ {
 	return a
 }
 
-// Timeout reports the engine's default initial retransmission timeout.
-func (a *ARQ) Timeout() time.Duration { return a.timeout }
-
-// Send transmits frame to peer reliably with the engine-default tuning.
-// seq must be unique per (peer, message); result is invoked exactly once
-// from a timer or Ack goroutine. frame stays the caller's: the engine keeps
-// its own pooled copy for retransmission.
+// Send transmits frame to peer reliably. seq must be unique per (peer,
+// message); result is invoked exactly once from a timer or Ack goroutine.
+// frame stays the caller's: the engine keeps its own pooled copy for
+// retransmission.
 func (a *ARQ) Send(to transport.NodeID, seq uint64, frame []byte, result ResultFunc) error {
-	return a.SendTuned(to, seq, frame, SendTuning{}, result)
-}
-
-// SendTuned is Send with per-message timeout / retry overrides.
-func (a *ARQ) SendTuned(to transport.NodeID, seq uint64, frame []byte, tune SendTuning, result ResultFunc) error {
 	key := arqKey{to: to, seq: seq}
 
 	a.mu.Lock()
@@ -254,20 +269,25 @@ func (a *ARQ) SendTuned(to transport.NodeID, seq uint64, frame []byte, tune Send
 		a.mu.Unlock()
 		return uerr.Wrap(a.reg, codeARQClosed, ErrARQClosed, "send refused")
 	}
-	recs := a.pending[to]
-	i := a.search(recs, seq)
-	if i < len(recs) && recs[i].key.seq == seq {
+	pe := a.pending[to]
+	if pe == nil {
+		pe = &arqPeer{rto: DefaultARQTimeout}
+		a.pending[to] = pe
+	}
+	i := a.search(pe.recs, seq)
+	if i < len(pe.recs) && pe.recs[i].key.seq == seq {
 		a.mu.Unlock()
 		return uerr.Newf(a.reg, codeARQDupSeq, "in-flight seq %d to %q", seq, to)
 	}
 	p := a.recordLocked()
-	p.key, p.result, p.timeout, p.maxRetries = key, result, tune.Timeout, tune.MaxRetries
+	p.key, p.result = key, result
 	p.frame = a.clone(frame)
-	a.pending[to] = slices.Insert(recs, i, p)
+	p.sent, p.initial = a.clk.Now(), pe.firstTimeout()
+	pe.recs = slices.Insert(pe.recs, i, p)
 	if p.timer == nil {
-		p.timer = a.clk.AfterFunc(a.timeoutFor(p), p.retransmit)
+		p.timer = a.clk.AfterFunc(p.initial, p.retransmit)
 	} else {
-		p.timer.Reset(a.timeoutFor(p))
+		p.timer.Reset(p.initial)
 	}
 	a.mu.Unlock()
 
@@ -302,21 +322,27 @@ func (a *ARQ) recordLocked() *arqPending {
 func (p *arqPending) retransmit() {
 	a := p.a
 	a.mu.Lock()
-	recs := a.pending[p.key.to]
-	if i := a.search(recs, p.key.seq); i == len(recs) || recs[i] != p || a.closed {
+	pe := a.pending[p.key.to]
+	if pe == nil || a.closed {
+		a.mu.Unlock()
+		return
+	}
+	if i := a.search(pe.recs, p.key.seq); i == len(pe.recs) || pe.recs[i] != p {
 		a.mu.Unlock()
 		return
 	}
 	key := p.key
-	if retries := a.retriesFor(p); p.attempt >= retries {
+	if p.attempt >= a.maxRetries {
 		a.mu.Unlock()
 		a.stats.failed.Inc()
 		a.finish(key, uerr.Wrapf(a.reg, codeARQAckWait, ErrTimeout,
-			"seq %d to %q after %d attempts", key.seq, key.to, retries+1))
+			"seq %d to %q after %d attempts", key.seq, key.to, a.maxRetries+1))
 		return
 	}
 	p.attempt++
-	p.timer.Reset(retryDelay(a.timeoutFor(p), p.attempt))
+	delay := retryDelay(p.initial, p.attempt)
+	pe.backoff = max(pe.backoff, delay)
+	p.timer.Reset(delay)
 	// An ack may finish the record and recycle p.frame the moment the lock
 	// drops, so this transmission reads its own copy.
 	tx := a.clone(p.frame)
@@ -330,22 +356,6 @@ func (p *arqPending) retransmit() {
 	// errors long before retry budgets start expiring.
 	uerr.Note(a.reg, codeARQRetryTx, a.send(key.to, tx), "retransmission")
 	a.release(tx)
-}
-
-// timeoutFor resolves one message's effective initial timeout.
-func (a *ARQ) timeoutFor(p *arqPending) time.Duration {
-	if p.timeout > 0 {
-		return p.timeout
-	}
-	return a.timeout
-}
-
-// retriesFor resolves one message's effective retry budget.
-func (a *ARQ) retriesFor(p *arqPending) int {
-	if p.maxRetries > 0 {
-		return p.maxRetries
-	}
-	return a.maxRetries
 }
 
 // Ack completes the message (peer, seq); safe to call for unknown keys
@@ -375,32 +385,30 @@ func (a *ARQ) finish(key arqKey, err error) {
 }
 
 // resolve ends, exactly once, the first pending message to `to` whose seq
-// lies in [lo, hi], and reports its seq: the message leaves the table, its
-// retained datagram goes back to the pool, and the record is recycled
-// unless its timer has already fired (that callback may still be on its
-// way to a.mu, so the record is left to it and the GC). result runs
-// outside the lock.
+// lies in [lo, hi], and reports its seq. An ack (nil err) of a message
+// never retransmitted is a round-trip sample. result runs outside the
+// lock.
 func (a *ARQ) resolve(to transport.NodeID, lo, hi uint64, err error) (uint64, bool) {
 	a.mu.Lock()
-	recs := a.pending[to]
-	i := a.search(recs, lo)
-	if i == len(recs) || recs[i].key.seq > hi {
+	pe := a.pending[to]
+	if pe == nil {
 		a.mu.Unlock()
 		return 0, false
 	}
-	p := recs[i]
+	i := a.search(pe.recs, lo)
+	if i == len(pe.recs) || pe.recs[i].key.seq > hi {
+		a.mu.Unlock()
+		return 0, false
+	}
+	p := pe.recs[i]
 	seq := p.key.seq
-	if recs = slices.Delete(recs, i, i+1); len(recs) == 0 && cap(recs) > arqFreeCap {
-		delete(a.pending, to) // a burst's backing array is not kept
-	} else {
-		a.pending[to] = recs
+	if pe.recs = slices.Delete(pe.recs, i, i+1); len(pe.recs) == 0 && cap(pe.recs) > arqFreeCap {
+		pe.recs = nil // a burst's backing array is not kept
 	}
-	a.release(p.frame)
-	result := p.result
-	p.frame, p.result, p.attempt = nil, nil, 0
-	if p.timer.Stop() && len(a.free) < arqFreeCap {
-		a.free = append(a.free, p)
+	if err == nil && p.attempt == 0 {
+		pe.sample(a.clk.Now().Sub(p.sent))
 	}
+	result := a.endLocked(p)
 	a.mu.Unlock()
 	if err == nil {
 		a.stats.acked.Inc()
@@ -409,6 +417,54 @@ func (a *ARQ) resolve(to transport.NodeID, lo, hi uint64, err error) (uint64, bo
 		result(err)
 	}
 	return seq, true
+}
+
+// endLocked retires p, which has left its peer's records, and returns its
+// result for the caller to run outside the lock: its retained datagram
+// goes back to the pool, and the record is recycled unless its timer has
+// already fired (that callback may still be on its way to a.mu, so the
+// record is left to it and the GC). Caller holds a.mu.
+func (a *ARQ) endLocked(p *arqPending) ResultFunc {
+	a.release(p.frame)
+	result := p.result
+	p.frame, p.result, p.attempt = nil, nil, 0
+	if p.timer.Stop() && len(a.free) < arqFreeCap {
+		a.free = append(a.free, p)
+	}
+	return result
+}
+
+// Forget drops everything the engine keeps for peer: its pending messages
+// fail with ErrPeerForgotten, and its round-trip estimate goes, so a new
+// incarnation of the peer starts from DefaultARQTimeout.
+func (a *ARQ) Forget(peer transport.NodeID) {
+	a.mu.Lock()
+	results := a.dropLocked(a.pending[peer], nil)
+	delete(a.pending, peer)
+	a.mu.Unlock()
+	a.fail(results, codeARQForgot, ErrPeerForgotten, "peer forgotten")
+}
+
+// dropLocked retires every message of pe, which may be nil, and appends
+// their results to results. Caller holds a.mu.
+func (a *ARQ) dropLocked(pe *arqPeer, results []ResultFunc) []ResultFunc {
+	if pe == nil {
+		return results
+	}
+	for _, p := range pe.recs {
+		results = append(results, a.endLocked(p))
+	}
+	return results
+}
+
+// fail completes dropped messages with a typed, counted error each.
+func (a *ARQ) fail(results []ResultFunc, code uerr.Code, sentinel error, msg string) {
+	for _, result := range results {
+		err := uerr.Wrap(a.reg, code, sentinel, msg)
+		if result != nil {
+			result(err)
+		}
+	}
 }
 
 // search returns the index of the first of recs, which ascend by seq, whose
@@ -441,8 +497,8 @@ func (a *ARQ) Pending() int {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	n := 0
-	for _, recs := range a.pending {
-		n += len(recs)
+	for _, pe := range a.pending {
+		n += len(pe.recs)
 	}
 	return n
 }
@@ -457,16 +513,13 @@ func (a *ARQ) Close() {
 		return
 	}
 	a.closed = true
-	var keys []arqKey
-	for _, recs := range a.pending {
-		for _, p := range recs {
-			keys = append(keys, p.key)
-		}
+	var results []ResultFunc
+	for peer, pe := range a.pending {
+		results = a.dropLocked(pe, results)
+		delete(a.pending, peer)
 	}
 	a.mu.Unlock()
-	for _, key := range keys {
-		a.finish(key, uerr.Wrap(a.reg, codeARQClosed, ErrARQClosed, "engine closing"))
-	}
+	a.fail(results, codeARQClosed, ErrARQClosed, "engine closing")
 	// No retransmission starts once closed is set under a.mu, so none is
 	// added while this waits.
 	a.retransmitting.Wait()

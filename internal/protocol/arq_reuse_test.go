@@ -19,7 +19,7 @@ import (
 // whose first ack was lost) and acks for unknown seqs inflated it past
 // arq.sent.
 func TestARQAckedCountsCompletions(t *testing.T) {
-	arq := NewARQ(func(transport.NodeID, []byte) error { return nil }, WithTimeout(time.Hour))
+	arq := NewARQ(func(transport.NodeID, []byte) error { return nil }, WithClock(stillClock{}))
 	defer arq.Close()
 	if err := arq.Send("peer", 1, mustFrame(t, 1), nil); err != nil {
 		t.Fatal(err)
@@ -47,17 +47,18 @@ func reuseFrame(t testing.TB, seq uint64) []byte {
 
 func reusePeer(seq uint64) transport.NodeID { return transport.NodeID(fmt.Sprintf("p%d", seq%4)) }
 
-// TestARQRecordReuseUnderAckRetransmitRace churns the record free list with
-// the retransmission timer set inside the ack's round trip, so timers fire
-// while finish runs and acks race retransmissions constantly. A recycled
+// TestARQRecordReuseUnderAckRetransmitRace churns the record free list
+// while a quarter of the acks arrive around the retransmission timeout, so
+// timers fire while finish runs and acks race retransmissions constantly;
+// the quick acks keep the measured timeout near its floor. A recycled
 // record must never retransmit for, or complete, a message it no longer
 // carries: every transmission is one message's own bytes to its own peer,
-// none comes sooner after its message's Send than the timeout, and every
+// none comes sooner after its message's Send than the floor, and every
 // message completes exactly once, acknowledged.
 func TestARQRecordReuseUnderAckRetransmitRace(t *testing.T) {
 	const (
 		messages, senders = 2000, 4
-		timeout           = 200 * time.Microsecond
+		timeout           = DefaultARQTimeout
 	)
 	var (
 		arq       *ARQ
@@ -76,8 +77,12 @@ func TestARQRecordReuseUnderAckRetransmitRace(t *testing.T) {
 		if sends[seq].Add(1) > 1 && time.Now().UnixNano()-began[seq].Load() < int64(timeout) {
 			earlySend.Add(1) // a timer armed for an earlier message fired for this one
 		}
+		delay := rand.Int63n(int64(timeout / 20))
+		if rand.Intn(4) == 0 {
+			delay = int64(timeout/2) + rand.Int63n(int64(timeout))
+		}
 		go func() {
-			time.Sleep(time.Duration(rand.Int63n(int64(2 * timeout))))
+			time.Sleep(time.Duration(delay))
 			arq.Ack(to, seq)
 			if seq%3 == 0 {
 				arq.Ack(to, seq) // a duplicate, as after a retransmission
@@ -85,7 +90,7 @@ func TestARQRecordReuseUnderAckRetransmitRace(t *testing.T) {
 		}()
 		return nil
 	}
-	arq = NewARQ(send, WithTimeout(timeout), WithMaxRetries(1<<20))
+	arq = NewARQ(send, WithMaxRetries(1<<20))
 	defer arq.Close()
 
 	results := make([]atomic.Int32, messages)
@@ -192,16 +197,19 @@ func TestARQRetainedBufferRecycledOnce(t *testing.T) {
 		want error
 	}{
 		{name: "ack", send: func(transport.NodeID, []byte) error { return nil },
-			opts: []ARQOption{WithTimeout(time.Hour)},
+			opts: []ARQOption{WithClock(stillClock{})},
 			end:  func(a *ARQ) { a.Ack("peer", 1) }},
 		{name: "retry exhaustion", send: func(transport.NodeID, []byte) error { return nil },
-			opts: []ARQOption{WithTimeout(200 * time.Microsecond), WithMaxRetries(3)},
+			opts: []ARQOption{WithMaxRetries(3)},
 			end:  func(*ARQ) {}, want: ErrTimeout},
 		{name: "first transmit failure", send: func(transport.NodeID, []byte) error { return sendErr },
 			end: func(*ARQ) {}, want: sendErr},
 		{name: "close", send: func(transport.NodeID, []byte) error { return nil },
-			opts: []ARQOption{WithTimeout(time.Hour)},
+			opts: []ARQOption{WithClock(stillClock{})},
 			end:  func(a *ARQ) { a.Close() }, want: ErrARQClosed},
+		{name: "forget", send: func(transport.NodeID, []byte) error { return nil },
+			opts: []ARQOption{WithClock(stillClock{})},
+			end:  func(a *ARQ) { a.Forget("peer") }, want: ErrPeerForgotten},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -8,9 +8,23 @@ import (
 	"testing"
 	"time"
 
+	"uavmw/internal/clock"
 	"uavmw/internal/metrics/metricstest"
 	"uavmw/internal/transport"
 )
+
+// stillClock is the wall clock with timers that never fire: a test that
+// drives every ack and retransmission by hand gets none it did not ask
+// for, and re-arming a timer allocates nothing.
+type stillClock struct{ clock.Real }
+
+func (stillClock) AfterFunc(time.Duration, func()) clock.Timer { return stillTimer{} }
+
+type stillTimer struct{}
+
+func (stillTimer) C() <-chan time.Time      { return nil }
+func (stillTimer) Stop() bool               { return true }
+func (stillTimer) Reset(time.Duration) bool { return true }
 
 // lossySend wraps a send function, dropping the first n calls per key.
 type lossySend struct {
@@ -56,7 +70,7 @@ func TestARQImmediateAck(t *testing.T) {
 	var arq *ARQ
 	ls := &lossySend{}
 	ls.onSend = func(seq uint64, _ []byte) { go arq.Ack("peer", seq) }
-	arq = NewARQ(ls.send(0), WithTimeout(5*time.Millisecond))
+	arq = NewARQ(ls.send(0))
 	defer arq.Close()
 
 	done := make(chan error, 1)
@@ -85,7 +99,7 @@ func TestARQRetransmitsUntilAck(t *testing.T) {
 	ls := &lossySend{}
 	ls.onSend = func(seq uint64, _ []byte) { go arq.Ack("peer", seq) }
 	// Drop the first 3 transmissions of every message.
-	arq = NewARQ(ls.send(3), WithTimeout(2*time.Millisecond), WithMaxRetries(10))
+	arq = NewARQ(ls.send(3), WithMaxRetries(10))
 	defer arq.Close()
 
 	done := make(chan error, 1)
@@ -107,7 +121,7 @@ func TestARQRetransmitsUntilAck(t *testing.T) {
 
 func TestARQTimeoutAfterBudget(t *testing.T) {
 	ls := &lossySend{}
-	arq := NewARQ(ls.send(1000), WithTimeout(time.Millisecond), WithMaxRetries(3))
+	arq := NewARQ(ls.send(1000), WithMaxRetries(3))
 	defer arq.Close()
 
 	done := make(chan error, 1)
@@ -147,8 +161,7 @@ func TestARQFirstSendErrorFailsFast(t *testing.T) {
 }
 
 func TestARQDuplicateInFlight(t *testing.T) {
-	arq := NewARQ(func(transport.NodeID, []byte) error { return nil },
-		WithTimeout(time.Hour)) // never fires
+	arq := NewARQ(func(transport.NodeID, []byte) error { return nil }, WithClock(stillClock{}))
 	defer arq.Close()
 	if err := arq.Send("p", 5, mustFrame(t, 5), nil); err != nil {
 		t.Fatal(err)
@@ -172,8 +185,7 @@ func TestARQLateAckIgnored(t *testing.T) {
 }
 
 func TestARQCloseFailsPending(t *testing.T) {
-	arq := NewARQ(func(transport.NodeID, []byte) error { return nil },
-		WithTimeout(time.Hour))
+	arq := NewARQ(func(transport.NodeID, []byte) error { return nil }, WithClock(stillClock{}))
 	done := make(chan error, 1)
 	if err := arq.Send("p", 1, mustFrame(t, 1), func(err error) { done <- err }); err != nil {
 		t.Fatal(err)
@@ -197,7 +209,7 @@ func TestARQManyConcurrent(t *testing.T) {
 	var arq *ARQ
 	ls := &lossySend{}
 	ls.onSend = func(seq uint64, _ []byte) { go arq.Ack("peer", seq) }
-	arq = NewARQ(ls.send(1), WithTimeout(2*time.Millisecond), WithMaxRetries(10))
+	arq = NewARQ(ls.send(1), WithMaxRetries(10))
 	defer arq.Close()
 
 	const n = 200
@@ -267,48 +279,6 @@ func TestDedupDefaultWindow(t *testing.T) {
 	}
 }
 
-// TestARQSendTunedOverrides pins per-message tuning: a SendTuned timeout
-// longer than the engine default suppresses retransmissions the default
-// would have fired, and a per-message retry budget overrides the engine's.
-func TestARQSendTunedOverrides(t *testing.T) {
-	// Engine default 5ms; the tuned message waits 500ms before its first
-	// retransmission, so within ~100ms nothing must have been re-sent.
-	var sends atomic.Int32
-	arq := NewARQ(func(transport.NodeID, []byte) error {
-		sends.Add(1)
-		return nil
-	}, WithTimeout(5*time.Millisecond))
-	defer arq.Close()
-	if err := arq.SendTuned("peer", 1, mustFrame(t, 1), SendTuning{Timeout: 500 * time.Millisecond}, nil); err != nil {
-		t.Fatal(err)
-	}
-	time.Sleep(100 * time.Millisecond)
-	if n := sends.Load(); n != 1 {
-		t.Errorf("tuned message transmitted %d times within the long fuse, want 1", n)
-	}
-	arq.Ack("peer", 1)
-
-	// A per-message retry budget of 1 fails after exactly one retransmit
-	// even though the engine default is 8.
-	sends.Store(0)
-	done := make(chan error, 1)
-	if err := arq.SendTuned("peer", 2, mustFrame(t, 2), SendTuning{Timeout: time.Millisecond, MaxRetries: 1},
-		func(err error) { done <- err }); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case err := <-done:
-		if !errors.Is(err, ErrTimeout) {
-			t.Errorf("tuned send err = %v, want ErrTimeout", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("tuned send never concluded")
-	}
-	if n := sends.Load(); n != 2 {
-		t.Errorf("transmitted %d times, want 2 (initial + 1 retry)", n)
-	}
-}
-
 // TestAckRangeCostFollowsPending sends a datagram-sized batch of maximal
 // range acks — thousands of MTAcks that each claim 4,096 seqs — at an
 // engine holding 256 messages to the acking peer and 256 to another. The
@@ -317,7 +287,7 @@ func TestARQSendTunedOverrides(t *testing.T) {
 // one more. The other peer's messages, whose seqs the ranges also span,
 // stay pending.
 func TestAckRangeCostFollowsPending(t *testing.T) {
-	a := NewARQ(func(transport.NodeID, []byte) error { return nil }, WithTimeout(time.Hour))
+	a := NewARQ(func(transport.NodeID, []byte) error { return nil }, WithClock(stillClock{}))
 	defer a.Close()
 	const perPeer = 256
 	var acked atomic.Int64
@@ -414,14 +384,13 @@ func TestAckRangeCostFollowsPending(t *testing.T) {
 // away.
 func TestARQBackoffIsCapped(t *testing.T) {
 	var sends atomic.Int64
-	arq := NewARQ(func(transport.NodeID, []byte) error { sends.Add(1); return nil },
-		WithTimeout(20*time.Millisecond), WithMaxRetries(1000))
+	arq := NewARQ(func(transport.NodeID, []byte) error { sends.Add(1); return nil }, WithMaxRetries(1000))
 	defer arq.Close()
 	if err := arq.Send("peer", 1, mustFrame(t, 1), nil); err != nil {
 		t.Fatal(err)
 	}
 	arq.mu.Lock()
-	arq.pending["peer"][0].attempt = 60
+	arq.pending["peer"].recs[0].attempt = 60
 	arq.mu.Unlock()
 	time.Sleep(150 * time.Millisecond)
 	// The first transmission, then the retransmission the 20 ms timer
@@ -465,20 +434,24 @@ func TestARQRetryDelay(t *testing.T) {
 func TestARQCloseEndsRetransmissions(t *testing.T) {
 	var closed atomic.Bool
 	var lateSends atomic.Int64
-	arq := NewARQ(func(transport.NodeID, []byte) error {
+	var sent sync.Map
+	arq := NewARQ(func(_ transport.NodeID, raw []byte) error {
 		if closed.Load() {
 			lateSends.Add(1)
 		}
-		time.Sleep(100 * time.Microsecond) // keep the send in flight
+		if _, again := sent.LoadOrStore(string(raw), true); again {
+			time.Sleep(5 * time.Millisecond) // keep the retransmission in flight
+		}
 		return nil
-	}, WithTimeout(50*time.Microsecond), WithMaxRetries(1<<20))
+	}, WithMaxRetries(1<<20))
 	ledger := trackBuffers(arq)
 	for seq := uint64(1); seq <= 32; seq++ {
 		if err := arq.Send("peer", seq, mustFrame(t, seq), nil); err != nil {
 			t.Fatal(err)
 		}
 	}
-	time.Sleep(2 * time.Millisecond)
+	// Every message's first retransmission is under way.
+	time.Sleep(DefaultARQTimeout + 2*time.Millisecond)
 	arq.Close()
 	closed.Store(true)
 	if held, foreign := ledger.state(); held != 0 || foreign != 0 {

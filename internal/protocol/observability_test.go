@@ -70,7 +70,7 @@ func TestARQRetransmitFailuresAreCounted(t *testing.T) {
 				return nil // first transmission succeeds; retries fail
 			}
 			return errors.New("bearer blackout")
-		}, WithMetrics(reg), WithClock(clk), WithTimeout(10*time.Millisecond), WithMaxRetries(3))
+		}, WithMetrics(reg), WithClock(clk), WithMaxRetries(3))
 		defer a.Close()
 
 		done := make(chan error, 1)

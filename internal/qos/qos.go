@@ -11,8 +11,9 @@
 // was within noise of it with one caller (35.9k–39.2k vs 34.6k–38.0k
 // calls/s), 4–9% faster with four, and allocated about 1.6× as many objects
 // per call (11.0 vs 6.9) — a second reliable path no workload selected.
-// This package holds only the policy types; enforcement lives in each
-// primitive's engine.
+// Retransmission timing is not a policy here: the ARQ measures each peer's
+// round trip and derives its timeout from it. This package holds only the
+// policy types; enforcement lives in each primitive's engine.
 package qos
 
 import (
@@ -231,12 +232,6 @@ type EventQoS struct {
 	Reliability Reliability
 	// Priority defaults to PriorityHigh; events are latency-sensitive.
 	Priority Priority
-	// AckTimeout is the initial retransmission timeout. Zero defaults to
-	// the protocol engine's default.
-	AckTimeout time.Duration
-	// MaxRetries bounds ARQ retransmissions before the publisher declares
-	// a subscriber unreachable. Zero defaults to the engine's default.
-	MaxRetries int
 	// Delivery chooses unicast fan-out (default) or group-addressed
 	// multicast with NACK-based gap repair; repairs reuse the datagram ARQ
 	// machinery.
@@ -264,12 +259,6 @@ func (q EventQoS) Validate() error {
 	}
 	if q.Reliability != 0 && q.Reliability != ReliableARQ {
 		return fmt.Errorf("qos: reliability %d out of range: %w", q.Reliability, ErrInvalidPolicy)
-	}
-	if q.AckTimeout < 0 {
-		return fmt.Errorf("qos: negative ack timeout %v: %w", q.AckTimeout, ErrInvalidPolicy)
-	}
-	if q.MaxRetries < 0 {
-		return fmt.Errorf("qos: negative max retries %d: %w", q.MaxRetries, ErrInvalidPolicy)
 	}
 	if q.Delivery != 0 && !q.Delivery.Valid() {
 		return fmt.Errorf("qos: delivery %d out of range: %w", q.Delivery, ErrInvalidPolicy)

@@ -159,13 +159,11 @@ func TestEventQoSValidate(t *testing.T) {
 		wantErr bool
 	}{
 		{"zero ok", EventQoS{}, false},
-		{"arq ok", EventQoS{Reliability: ReliableARQ, AckTimeout: 10 * time.Millisecond, MaxRetries: 4}, false},
+		{"arq ok", EventQoS{Reliability: ReliableARQ, Priority: PriorityCritical}, false},
 		{"zero reliability ok", EventQoS{Reliability: 0}, false},
 		{"reliable arq ok", EventQoS{Reliability: ReliableARQ}, false},
 		{"best effort rejected", EventQoS{Reliability: BestEffort}, true},
 		{"unknown reliability rejected", EventQoS{Reliability: ReliableARQ + 1}, true},
-		{"negative timeout", EventQoS{AckTimeout: -1}, true},
-		{"negative retries", EventQoS{MaxRetries: -1}, true},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -239,12 +237,10 @@ func TestNormalizeIdempotent(t *testing.T) {
 	}, nil); err != nil {
 		t.Errorf("VariableQoS.Normalize not idempotent: %v", err)
 	}
-	if err := quick.Check(func(rel, prio uint8, timeout int64, retries int) bool {
+	if err := quick.Check(func(rel, prio uint8) bool {
 		q := EventQoS{
 			Reliability: Reliability(rel),
 			Priority:    Priority(prio),
-			AckTimeout:  time.Duration(timeout),
-			MaxRetries:  retries,
 		}
 		once := q.Normalize()
 		return once == once.Normalize()

@@ -9,7 +9,6 @@ import (
 	"uavmw/internal/clock"
 	"uavmw/internal/core"
 	"uavmw/internal/flightsim"
-	"uavmw/internal/protocol"
 	"uavmw/internal/transport"
 )
 
@@ -108,7 +107,6 @@ func RunMission(cfg MissionConfig) (*MissionResult, error) {
 			core.WithDatagram(tr),
 			core.WithClock(clk),
 			core.WithAnnouncePeriod(cfg.AnnouncePeriod),
-			core.WithARQ(protocol.WithTimeout(10*time.Millisecond)),
 		)
 	}
 
