@@ -8,9 +8,9 @@ import (
 	"time"
 
 	"uavmw/internal/bufpool"
+	"uavmw/internal/clock"
 	"uavmw/internal/filetransfer"
 	"uavmw/internal/naming"
-	"uavmw/internal/clock"
 	"uavmw/internal/protocol"
 	"uavmw/internal/qos"
 	"uavmw/internal/transport"

@@ -11,9 +11,10 @@ import (
 
 // TestIdleNodeFootprint pins what a node costs just by existing: 20 idle
 // containers on one in-process bus, brought up with default options, add
-// at most 80 KB of live heap each. Per-shard ingress rings, per-sender
-// dedup windows and the record log's history are sized by what a node
-// carries, so an idle one holds little of any.
+// at most 80 KB of live heap each once every one lists its 19 peers.
+// Per-shard ingress rings, per-sender dedup windows and the record log's
+// history are sized by what a node carries, so an idle one holds little
+// of any.
 func TestIdleNodeFootprint(t *testing.T) {
 	const nodes = 20
 	bus := transport.NewBus()
@@ -24,7 +25,8 @@ func TestIdleNodeFootprint(t *testing.T) {
 		return int64(ms.HeapAlloc)
 	}
 	before := heap()
-	for i := 0; i < nodes; i++ {
+	ns := make([]*Node, nodes)
+	for i := range ns {
 		ep, err := bus.Endpoint(transport.NodeID(fmt.Sprintf("idle%02d", i)))
 		if err != nil {
 			t.Fatal(err)
@@ -34,9 +36,18 @@ func TestIdleNodeFootprint(t *testing.T) {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { _ = n.Close() })
+		ns[i] = n
 	}
-	// Let the bring-up announcements land, so every node holds its peers.
-	time.Sleep(100 * time.Millisecond)
+	// Introductions ride the first announce tick, so wait for them rather
+	// than for a fixed time: a node that knows no peer holds far less.
+	waitUntil(t, 3*time.Second, "every node lists its peers", func() bool {
+		for _, n := range ns {
+			if len(n.Peers()) != nodes-1 {
+				return false
+			}
+		}
+		return true
+	})
 	perNode := float64(heap()-before) / nodes
 	t.Logf("%.1f KB per idle node (%d ingress shards each)", perNode/1024, runtime.GOMAXPROCS(0))
 	if perNode > 80*1024 {

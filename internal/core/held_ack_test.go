@@ -588,24 +588,33 @@ func TestHeldCallAckReuse(t *testing.T) {
 // call, and the next call, whichever caller issues it, acknowledges the
 // replies that arrived before it. On the virtual clock no host stall can
 // hold an ack past the 20 ms retransmission timeout, so the run must
-// retransmit nothing.
+// retransmit nothing. The endpoints' wire bytes per call are bounded too:
+// a reply names its call by id, not its function.
 func TestRPCClosedLoopPackets(t *testing.T) {
 	v := clock.NewVirtual()
 	v.Run(func() {
 		bus := transport.NewBus()
+		var eps []transport.Transport
 		node := func(id transport.NodeID) (*Node, *wireLog) {
 			ep, err := bus.Endpoint(id)
 			if err != nil {
 				t.Fatal(err)
 			}
+			eps = append(eps, ep)
 			w := newWireLog(ep)
 			return virtualNode(t, v, w), w
+		}
+		wireBytes := func() (sum uint64) {
+			for _, ep := range eps {
+				sum += ep.Stats().BytesWire
+			}
+			return sum
 		}
 		caller, callerLog := node("caller")
 		defer func() { _ = caller.Close() }()
 		provider, providerLog := node("provider")
 		defer func() { _ = provider.Close() }()
-		fns := []string{"fn0", "fn1"}
+		fns := []string{"nav.resolve.0", "nav.resolve.1"}
 		for _, fn := range fns {
 			registerIncrement(t, provider, fn, nil, nil)
 		}
@@ -615,6 +624,7 @@ func TestRPCClosedLoopPackets(t *testing.T) {
 		v.Sleep(5 * maxAckDelay)
 		callerLog.reset()
 		providerLog.reset()
+		bytesBefore := wireBytes()
 
 		const calls = 5000
 		done := clock.NewWaitGroup(v)
@@ -633,10 +643,16 @@ func TestRPCClosedLoopPackets(t *testing.T) {
 		}
 		total := float64(len(fns) * calls)
 		packets := float64(callerLog.unicast() + providerLog.unicast())
-		t.Logf("%.3f datagrams per call, %d reply acks carried, %d sent alone",
-			packets/total, len(callerLog.carriedSeqs()), len(callerLog.sent(protocol.MTAck)))
+		perCall := float64(wireBytes()-bytesBefore) / total
+		t.Logf("%.3f datagrams and %.1f wire bytes per call, %d reply acks carried, %d sent alone",
+			packets/total, perCall, len(callerLog.carriedSeqs()), len(callerLog.sent(protocol.MTAck)))
 		if packets/total > 2.1 {
 			t.Errorf("%.0f calls took %.0f datagrams, %.3f per call, want <= 2.1", total, packets, packets/total)
+		}
+		// A call and its reply come to ~50 B; a reply that named its
+		// function again would add the name's 13 B.
+		if perCall > 56 {
+			t.Errorf("%.1f wire bytes per call, want <= 56", perCall)
 		}
 		for _, n := range []*Node{caller, provider} {
 			if r := counter(t, n, "arq", "retransmits"); r != 0 {

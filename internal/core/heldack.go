@@ -37,9 +37,9 @@ const maxAckDelay = time.Millisecond
 // runs out, as the drain batch's ack would have gone: a range MTAck on the
 // bearer the frame arrived on.
 type heldAcks struct {
-	clk   clock.Clock
-	send  func(*ackQueue) // Node.flushAcks, bound once
-	fire  func()          // h.expire, bound once
+	clk  clock.Clock
+	send func(*ackQueue) // Node.flushAcks, bound once
+	fire func()          // h.expire, bound once
 	// replies counts the held reply acks, so a transmit to a peer with
 	// nothing to carry skips the lock.
 	replies atomic.Int32

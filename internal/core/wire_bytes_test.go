@@ -194,7 +194,7 @@ func TestMessageWireBytes(t *testing.T) {
 		{"event", uavTap, protocol.MTEvent, false, 43},
 		{"rpc call", gcsTap, protocol.MTCall, false, 34},
 		{"rpc call carrying a lone ack", gcsTap, protocol.MTCall, true, 36},
-		{"rpc reply", uavTap, protocol.MTReturn, false, 24},
+		{"rpc reply", uavTap, protocol.MTReturn, false, 11},
 		{"file chunk", uavTap, protocol.MTFileChunk, false, 1237},
 		{"lone ack", gcsTap, protocol.MTAck, false, 9},
 		{"3-range ack", nil, protocol.MTAck, false, 15},

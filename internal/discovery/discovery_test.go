@@ -32,8 +32,8 @@ const (
 // until the test releases it.
 type harness struct {
 	*Engine
-	f       *fabrictest.Fabric
-	offer   []naming.Record
+	f         *fabrictest.Fabric
+	offer     []naming.Record
 	applied   []transport.NodeID
 	gone      []transport.NodeID
 	restarted []transport.NodeID
@@ -58,7 +58,7 @@ func newHarness(t *testing.T) *harness {
 				h.gone = append(h.gone, peer)
 			}
 		},
-		Tick:            func() {},
+		Tick: func() {},
 	})
 	return h
 }

@@ -66,7 +66,9 @@ func TestDirectoryBindingFootprint(t *testing.T) {
 }
 
 // TestLogHistoryIsLazy: a log that never changed holds no catch-up ring,
-// and answers DeltaSince exactly as one that has one.
+// and answers DeltaSince exactly as one that has one; a changing log's ring
+// starts at logHistoryStart slots and doubles, filled in version order,
+// until it holds logHistoryDepth.
 func TestLogHistoryIsLazy(t *testing.T) {
 	l := NewLog()
 	if _, _, _, _, changed := l.Update(nil); changed {
@@ -82,11 +84,23 @@ func TestLogHistoryIsLazy(t *testing.T) {
 		t.Fatal("DeltaSince ahead of a fresh log answered")
 	}
 	rec := Record{Kind: KindVariable, Name: "a", Node: "n"}
-	if _, _, _, _, changed := l.Update([]Record{rec}); !changed || len(l.history) != logHistoryDepth {
+	if _, _, _, _, changed := l.Update([]Record{rec}); !changed || len(l.history) != logHistoryStart {
 		t.Fatalf("first change: changed=%v, history of %d", changed, len(l.history))
 	}
 	if added, _, to, ok := l.DeltaSince(0); !ok || to != 1 || len(added) != 1 || added[0] != rec {
 		t.Fatalf("DeltaSince(0) after one change = %v %d %v", added, to, ok)
+	}
+	want := logHistoryStart
+	for v := uint64(2); v <= 2*logHistoryDepth; v++ {
+		if _, _, _, _, changed := l.Update([]Record{{Kind: KindVariable, Name: fmt.Sprint(v), Node: "n"}}); !changed {
+			t.Fatalf("version %d: no change", v)
+		}
+		if v == uint64(want) && want < logHistoryDepth {
+			want *= 2
+		}
+		if len(l.history) != want {
+			t.Fatalf("version %d: history of %d slots, want %d", v, len(l.history), want)
+		}
 	}
 }
 

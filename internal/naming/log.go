@@ -14,7 +14,10 @@ type Log struct {
 	// history is a ring of recent changes indexed by version % depth, so
 	// an anti-entropy request from a slightly stale peer can be answered
 	// with a compact catch-up delta instead of the full chunked catalog.
-	// The first change allocates it: a node that offers nothing holds none.
+	// It grows by doubling, from logHistoryStart slots to logHistoryDepth,
+	// as changes arrive: until the first wrap a change's slot is its
+	// version, so a node that offers nothing holds no ring and one that
+	// changed a few times a small one.
 	history []logChange
 }
 
@@ -30,6 +33,9 @@ type logChange struct {
 // logHistoryDepth bounds the catch-up window: peers more than this many
 // versions behind fall back to a full snapshot sync.
 const logHistoryDepth = 256
+
+// logHistoryStart is the ring's size at a log's first change.
+const logHistoryStart = 8
 
 // NewLog builds an empty log at version zero.
 func NewLog() *Log {
@@ -64,14 +70,17 @@ func (l *Log) Update(recs []Record) (added []Record, withdrawn []RecordKey, from
 	from = l.version
 	l.version++
 	l.records = next
-	if l.history == nil {
-		l.history = make([]logChange, logHistoryDepth)
+	slot := l.version % logHistoryDepth
+	if slot >= uint64(len(l.history)) {
+		grown := make([]logChange, max(logHistoryStart, 2*len(l.history)))
+		copy(grown, l.history)
+		l.history = grown
 	}
 	keys := make([]RecordKey, len(added))
 	for i, rec := range added {
 		keys[i] = rec.Key()
 	}
-	l.history[l.version%logHistoryDepth] = logChange{
+	l.history[slot] = logChange{
 		to: l.version, added: keys, withdrawn: withdrawn,
 	}
 	return added, withdrawn, from, l.version, true

@@ -113,13 +113,15 @@ func cmpStrings(a, b string) int {
 
 // TestLogDeltaSinceMatchesReference drives the log and the reference with
 // the same random update streams — records added, replaced, withdrawn and
-// re-added over a small key space, past the history's wrap — and requires
-// the same catch-up delta from every version, as sets.
+// re-added over a small key space, through every growth of the history
+// and past its wrap — and requires the same catch-up delta from every
+// version, as sets, the window's edge at each ring size included.
 func TestLogDeltaSinceMatchesReference(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		l, ref := NewLog(), &refLog{records: map[RecordKey]Record{}}
 		offer := map[RecordKey]Record{}
+		sizes := map[int]bool{}
 		for step := 0; step < 400; step++ {
 			for i := rng.Intn(4); i >= 0; i-- {
 				rec := Record{
@@ -144,8 +146,10 @@ func TestLogDeltaSinceMatchesReference(t *testing.T) {
 			if l.Version() != ref.version {
 				t.Fatalf("seed %d step %d: version %d, reference %d", seed, step, l.Version(), ref.version)
 			}
-			v := l.Version()
+			v, ring := l.Version(), uint64(len(l.history))
+			sizes[len(l.history)] = true
 			for _, since := range []uint64{0, 1, v / 2, v - min(v, 1), v - min(v, 2), v - min(v, 17),
+				v - min(v, ring-1), v - min(v, ring), v - min(v, ring+1),
 				v - min(v, logHistoryDepth), v - min(v, logHistoryDepth+1), v, v + 1, uint64(rng.Int63n(int64(v) + 1))} {
 				added, withdrawn, to, ok := l.DeltaSince(since)
 				wantAdded, wantWithdrawn, wantTo, wantOK := ref.deltaSince(since)
@@ -157,6 +161,14 @@ func TestLogDeltaSinceMatchesReference(t *testing.T) {
 					t.Fatalf("seed %d step %d DeltaSince(%d) = %v %v %d %v, reference %v %v %d %v", seed, step, since,
 						added, withdrawn, to, ok, wantAdded, wantWithdrawn, wantTo, wantOK)
 				}
+			}
+		}
+		if v := l.Version(); v <= logHistoryDepth {
+			t.Fatalf("seed %d: the stream reached version %d, not past the wrap", seed, v)
+		}
+		for n := logHistoryStart; n <= logHistoryDepth; n *= 2 {
+			if !sizes[n] {
+				t.Fatalf("seed %d: the history never held %d slots (sizes %v)", seed, n, sizes)
 			}
 		}
 	}

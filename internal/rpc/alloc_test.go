@@ -95,7 +95,7 @@ func TestRemoteCallAllocs(t *testing.T) {
 	var buf []byte
 	f.Discard(func(to transport.NodeID, fr *protocol.Frame) {
 		buf = append(binary.AppendUvarint(buf[:0], fr.Seq), ret...)
-		reply = protocol.Frame{Type: protocol.MTReturn, Channel: fr.Channel, Payload: buf}
+		reply = protocol.Frame{Type: protocol.MTReturn, Payload: buf}
 		client.HandleReturn(to, &reply)
 	})
 	args := map[string]any{"a": int32(20), "b": int32(22)}

@@ -32,7 +32,7 @@ func returnFrame(t *testing.T, id uint64, v int32) *protocol.Frame {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &protocol.Frame{Type: protocol.MTReturn, Channel: "fn", Payload: encodeReply(id, body)}
+	return &protocol.Frame{Type: protocol.MTReturn, Payload: encodeReply(id, body)}
 }
 
 // lateOutcomes delivers everything that can still arrive for an attempt
@@ -43,8 +43,8 @@ func lateOutcomes(t *testing.T, e *Engine, hc *fabrictest.Held) {
 	id := hc.Frame.Seq
 	e.HandleReturn(hc.To, returnFrame(t, id, 111))
 	hc.Release(errors.New("late arq failure"))
-	e.HandleBusy(hc.To, &protocol.Frame{Type: protocol.MTBusy, Channel: "fn", Payload: encodeReply(id, nil)})
-	e.HandleError(hc.To, &protocol.Frame{Type: protocol.MTError, Channel: "fn", Payload: encodeReply(id, nil)})
+	e.HandleBusy(hc.To, &protocol.Frame{Type: protocol.MTBusy, Payload: encodeReply(id, nil)})
+	e.HandleError(hc.To, &protocol.Frame{Type: protocol.MTError, Payload: encodeReply(id, nil)})
 }
 
 // freeRecord returns the one call record on the engine's free list.

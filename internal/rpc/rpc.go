@@ -20,6 +20,11 @@
 //   - server-side admission control (SetInflightLimit): a provider at its
 //     concurrency limit answers MTBusy immediately, so the caller fails
 //     over to a redundant provider instead of queueing blind.
+//
+// A reply names its call, not the function: MTReturn, MTError and MTBusy
+// lead their payload with the call id and leave the frame's channel empty
+// (one a peer sets anyway is ignored). The caller names the function from
+// its own call record wherever an error needs the name.
 package rpc
 
 import (
@@ -221,12 +226,13 @@ type attempt struct {
 }
 
 // outcome is one attempt's answer in the failover/hedging race: a value,
-// an application error (the function ran), or an infrastructure failure.
+// an application error (the function ran; settle names it), or an
+// infrastructure failure.
 type outcome struct {
 	id     uint64
 	body   []byte // remote return value, still encoded, in a pooled buffer
 	value  any    // local handler's return value, coerced
-	appErr error
+	appErr *AppError
 	err    error
 }
 
@@ -543,6 +549,7 @@ func (e *Engine) settle(ctx context.Context, c *call, out outcome) (any, error, 
 		// already in flight may still win with a success, so hold the
 		// error until the race settles.
 		if c.appErr == nil {
+			out.appErr.Name = c.name
 			c.appErr = out.appErr
 		}
 	default:
@@ -723,7 +730,6 @@ type serve struct {
 	from    transport.NodeID
 	pr      qos.Priority // the handler's class; the reply rides it
 	rawPr   qos.Priority // the class as it arrived; sheds and errors echo it
-	ch      string
 	arrival time.Time
 	budget  time.Duration
 }
@@ -757,7 +763,7 @@ func (s *serve) serveLocal() {
 		out.value, err = presentation.Coerce(reg.retType, v)
 	}
 	if err != nil {
-		out.appErr = &AppError{Name: reg.name, Message: err.Error()}
+		out.appErr = &AppError{Message: err.Error()}
 	}
 	s.e.deliver(s.id, out)
 }
@@ -773,13 +779,13 @@ func (s *serve) serveRemote() {
 		// two nodes' clocks are not assumed synchronized — so this catches
 		// queueing delay, the dominant term on an overloaded provider, not
 		// every spent budget.)
-		e.replyBusy(s.from, s.id, s.rawPr, s.ch)
+		e.replyBusy(s.from, s.id, s.rawPr)
 		return
 	}
 	v, err := reg.handler(s.args)
 	reg.calls.Inc()
 	if err != nil {
-		e.replyAppError(s.from, s.id, s.rawPr, s.ch, err.Error())
+		e.replyAppError(s.from, s.id, s.rawPr, err.Error())
 		return
 	}
 	// The return value is coerced and encoded in one walk straight behind
@@ -789,11 +795,11 @@ func (s *serve) serveRemote() {
 		var cerr error
 		if payload, cerr = e.enc.Append(payload, reg.retType, v); cerr != nil {
 			bufpool.Put(payload)
-			e.replyAppError(s.from, s.id, s.rawPr, s.ch, cerr.Error())
+			e.replyAppError(s.from, s.id, s.rawPr, cerr.Error())
 			return
 		}
 	}
-	e.sendReply(s.from, protocol.MTReturn, 0, e.enc.ID(), s.pr, s.ch, payload)
+	e.sendReply(s.from, protocol.MTReturn, 0, e.enc.ID(), s.pr, payload)
 }
 
 // sent is a remote attempt's reliable-send completion: a failed send
@@ -851,10 +857,9 @@ func (e *Engine) HandleCall(from transport.NodeID, fr *protocol.Frame) {
 	e.regMu.Lock()
 	reg := e.functions[fr.Channel]
 	e.regMu.Unlock()
-	callID := fr.Seq
-	rawPr, ch := fr.Priority, fr.Channel
+	callID, rawPr := fr.Seq, fr.Priority
 	if reg == nil {
-		e.sendReply(from, protocol.MTError, 0, 0, rawPr, ch, replyPayload(callID, 0))
+		e.sendReply(from, protocol.MTError, 0, 0, rawPr, replyPayload(callID, 0))
 		return
 	}
 	// Concurrency limit: strict reserve-then-check so the cap holds under
@@ -862,7 +867,7 @@ func (e *Engine) HandleCall(from transport.NodeID, fr *protocol.Frame) {
 	limit := e.inflightLimit.Load()
 	if e.inflight.Add(1) > limit && limit > 0 {
 		e.inflight.Add(-1)
-		e.replyBusy(from, callID, rawPr, ch)
+		e.replyBusy(from, callID, rawPr)
 		return
 	}
 	arrival := e.clk.Now()
@@ -872,24 +877,24 @@ func (e *Engine) HandleCall(from transport.NodeID, fr *protocol.Frame) {
 		if err != nil {
 			e.inflight.Add(-1)
 			uerr.Wrapf(e.reg, codeArgsDecode, err, "%s from %q", reg.name, from)
-			e.replyAppError(from, callID, rawPr, ch, fmt.Sprintf("bad arguments: %v", err))
+			e.replyAppError(from, callID, rawPr, fmt.Sprintf("bad arguments: %v", err))
 			return
 		}
 		args = decoded
 	}
-	pr := fr.Priority
+	pr := rawPr
 	if !pr.Valid() {
 		pr = reg.q.Priority
 	}
 	s := e.serves.Get()
 	s.reg, s.args, s.id = reg, args, callID
-	s.from, s.pr, s.rawPr, s.ch, s.arrival, s.budget = from, pr, rawPr, ch, arrival, fr.Budget
+	s.from, s.pr, s.rawPr, s.arrival, s.budget = from, pr, rawPr, arrival, fr.Budget
 	if err := e.f.Schedule(pr, s.run); err != nil {
 		// Scheduler saturated: shed so the caller fails over rather than
 		// treating local overload as an application error.
 		s.recycle()
 		e.inflight.Add(-1)
-		e.replyBusy(from, callID, rawPr, ch)
+		e.replyBusy(from, callID, rawPr)
 	}
 }
 
@@ -910,14 +915,13 @@ func replyPayload(callID uint64, n int) []byte {
 // without parking — on a busy or single-core node the reply would sit in
 // its lane for as long as that handler runs, and leave in one datagram with
 // the next reply, which brings every caller back at the same instant.
-func (e *Engine) sendReply(to transport.NodeID, mt protocol.MsgType, flags, enc uint8, pr qos.Priority, ch string, payload []byte) {
+func (e *Engine) sendReply(to transport.NodeID, mt protocol.MsgType, flags, enc uint8, pr qos.Priority, payload []byte) {
 	reply := protocol.GetFrame()
 	*reply = protocol.Frame{
 		Type:     mt,
 		Flags:    flags,
 		Encoding: enc,
 		Priority: pr,
-		Channel:  ch,
 		Payload:  payload,
 	}
 	e.f.SendReliable(to, reply, qos.ReliableARQ, nil)
@@ -929,14 +933,14 @@ func (e *Engine) sendReply(to transport.NodeID, mt protocol.MsgType, flags, enc 
 // replyBusy sheds one request with an explicit MTBusy (§4.3 admission
 // control); the caller treats it as an infrastructure failure and fails
 // over.
-func (e *Engine) replyBusy(to transport.NodeID, callID uint64, pr qos.Priority, ch string) {
+func (e *Engine) replyBusy(to transport.NodeID, callID uint64, pr qos.Priority) {
 	e.busyRejects.Inc()
-	e.sendReply(to, protocol.MTBusy, 0, 0, pr, ch, replyPayload(callID, 0))
+	e.sendReply(to, protocol.MTBusy, 0, 0, pr, replyPayload(callID, 0))
 }
 
-func (e *Engine) replyAppError(to transport.NodeID, callID uint64, pr qos.Priority, ch string, msg string) {
+func (e *Engine) replyAppError(to transport.NodeID, callID uint64, pr qos.Priority, msg string) {
 	buf := appendAppError(replyPayload(callID, 4+len(msg)), msg)
-	e.sendReply(to, protocol.MTError, protocol.FlagAppError, 0, pr, ch, buf)
+	e.sendReply(to, protocol.MTError, protocol.FlagAppError, 0, pr, buf)
 }
 
 // appendAppError appends an MTError's application message to a reply
@@ -1003,7 +1007,8 @@ func (e *Engine) HandleBusy(from transport.NodeID, fr *protocol.Frame) {
 	e.deliver(callID, outcome{err: ErrBusy})
 }
 
-// HandleError completes a pending attempt with a failure reply.
+// HandleError completes a pending attempt with a failure reply. Neither
+// error it delivers names the function: settle wraps or names it.
 func (e *Engine) HandleError(from transport.NodeID, fr *protocol.Frame) {
 	callID, body, ok := decodeReply(fr.Payload)
 	if !ok {
@@ -1011,15 +1016,14 @@ func (e *Engine) HandleError(from transport.NodeID, fr *protocol.Frame) {
 		return
 	}
 	if fr.Flags&protocol.FlagAppError == 0 {
-		e.deliver(callID, outcome{err: uerr.Newf(e.reg, codeUnknownFunction,
-			"%s: provider %q has no such function", fr.Channel, from)})
+		e.deliver(callID, outcome{err: uerr.New(e.reg, codeUnknownFunction, "no such function")})
 		return
 	}
 	msg, ok := decodeAppError(body)
 	if !ok {
 		msg = "remote error"
 	}
-	e.deliver(callID, outcome{appErr: &AppError{Name: fr.Channel, Message: msg}})
+	e.deliver(callID, outcome{appErr: &AppError{Message: msg}})
 }
 
 // DependencyCheck verifies every named function has at least one provider,

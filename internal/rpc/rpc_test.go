@@ -473,9 +473,10 @@ func TestServerShedsSpentBudget(t *testing.T) {
 		}
 		if busy != nil {
 			// The call id travels in the reply payload, not the frame
-			// seq (replies use the provider's own seq space).
+			// seq (replies use the provider's own seq space), and it is
+			// all the reply names: the channel stays empty.
 			callID, _, ok := decodeReply(busy.Payload)
-			if !ok || callID != 77 || busy.Channel != "fn" {
+			if !ok || callID != 77 || busy.Channel != "" {
 				t.Fatalf("busy reply mismatched: %+v", busy)
 			}
 			break
@@ -599,6 +600,66 @@ func TestConcurrentCallersShardedPending(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
+	}
+}
+
+func TestCallerNamesReplies(t *testing.T) {
+	// Replies carry no function name: the caller words its errors from its
+	// own call record, so a reply that does carry a channel (a hostile or
+	// confused peer's) changes nothing.
+	for _, hostile := range []bool{false, true} {
+		name := "plain"
+		if hostile {
+			name = "hostile"
+		}
+		t.Run(name, func(t *testing.T) {
+			client, busy, ok, cf := threeWay(t)
+			if hostile {
+				cf.Route = func(from transport.NodeID, fr *protocol.Frame) {
+					if fr.Type != protocol.MTCall {
+						fr.Channel = "decoy"
+					}
+					dispatch(client, from, fr)
+				}
+			}
+			retT := presentation.String_()
+			for _, e := range []*Engine{busy, ok} {
+				if err := e.Register("fn", "svc", nil, retT, qos.CallQoS{},
+					func(any) (any, error) { return "served", nil }); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := ok.Register("boom", "svc", nil, nil, qos.CallQoS{},
+				func(any) (any, error) { return nil, errors.New("kaput") }); err != nil {
+				t.Fatal(err)
+			}
+			// a-slow sheds every call: its one slot is taken.
+			busy.SetInflightLimit(1)
+			busy.inflight.Add(1)
+			now := time.Now()
+			cf.Directory().Apply(&naming.Announcement{Node: "a-slow", Epoch: 1, Records: append(busy.Records(),
+				naming.Record{Kind: naming.KindFunction, Name: "phantom", Service: "svc", Node: "a-slow"})}, now)
+			cf.Directory().Apply(&naming.Announcement{Node: "b-fast", Epoch: 1, Records: ok.Records()}, now)
+			ctx := context.Background()
+
+			_, err := client.Call(ctx, "phantom", nil, nil, nil, qos.CallQoS{Deadline: time.Second})
+			if !errors.Is(err, ErrAllProvidersFailed) ||
+				!strings.Contains(err.Error(), `rpc: phantom to "a-slow"`) ||
+				!strings.Contains(err.Error(), "no such function") {
+				t.Errorf("unknown function: %v", err)
+			}
+
+			_, err = client.Call(ctx, "boom", nil, nil, nil, qos.CallQoS{})
+			var appErr *AppError
+			if !errors.As(err, &appErr) || appErr.Name != "boom" || appErr.Message != "kaput" {
+				t.Errorf("application error: %#v", err)
+			}
+
+			got, err := client.Call(ctx, "fn", nil, nil, retT, qos.CallQoS{Binding: qos.BindStatic})
+			if err != nil || got != "served" || busyShed(t, busy) != 1 {
+				t.Errorf("busy shed: got %v, %v after %d sheds; want a failover", got, err, busyShed(t, busy))
+			}
+		})
 	}
 }
 
