@@ -16,16 +16,17 @@
 //     Virtual.Go), or run it inside Virtual.Run; AfterFunc callbacks are
 //     registered for you. Time never advances while a registered goroutine
 //     is runnable, and a park by an unregistered goroutine panics.
-//   - Park only on clock primitives — Sleep, SleepStop, Trigger.Wait,
-//     Cond.Wait, WaitGroup.Wait, Ticker.Wait — whose wake-ups release the
-//     parked count at fire time, before the sleeper is runnable. A
-//     registered goroutine blocked on anything else (a plain channel, a
-//     sync.WaitGroup) still counts as runnable, so time stands still until
-//     it returns.
-//
-// Timer/Ticker channels (C) keep stdlib semantics (capacity-1,
-// non-blocking send) for unregistered consumers; registered goroutines
-// should prefer the managed waits above.
+//   - Park only on clock primitives — Sleep, Trigger.Wait, Cond.Wait,
+//     WaitGroup.Wait, Ticker.Wait — whose wake-ups release the parked count
+//     at fire time, before the sleeper is runnable. A registered goroutine
+//     blocked on anything else (a plain channel, a sync.WaitGroup) still
+//     counts as runnable, so time stands still until it returns.
+//   - Stop a loop through the trigger or ticker it parks on (Trigger.Close,
+//     Ticker.Stop), never through a channel: the stop is a clock event, so
+//     the loop is runnable, and time stands still, from the instant of the
+//     stop. A loop woken by a closed channel still counts as parked until
+//     it runs, and a closer that then parks on a WaitGroup lets time run
+//     through every armed event meanwhile.
 package clock
 
 import "time"
@@ -38,37 +39,31 @@ type Clock interface {
 	Since(t time.Time) time.Duration
 	// Sleep pauses the calling goroutine for d.
 	Sleep(d time.Duration)
-	// After returns a channel that delivers the clock time after d.
-	After(d time.Duration) <-chan time.Time
-	// NewTimer returns a timer that delivers on C after d.
-	NewTimer(d time.Duration) Timer
 	// NewTicker returns a ticker with period d (drift-free cadence).
 	NewTicker(d time.Duration) Ticker
 	// AfterFunc runs f on its own goroutine after d.
 	AfterFunc(d time.Duration, f func()) Timer
 }
 
-// Timer mirrors time.Timer behind the Clock.
+// Timer is the handle of an AfterFunc callback.
 type Timer interface {
-	// C delivers the fire instant (nil for AfterFunc timers).
-	C() <-chan time.Time
 	// Stop cancels the timer; false if it already fired or was stopped.
 	Stop() bool
 	// Reset re-arms the timer for d; reports whether it was active.
 	Reset(d time.Duration) bool
 }
 
-// Ticker mirrors time.Ticker behind the Clock, plus a managed Wait for
-// goroutines registered with a Virtual clock.
+// Ticker is a drift-free cadence for a single-consumer loop:
+// `for t.Wait() { ... }`, ended by Stop.
 type Ticker interface {
-	// C delivers ticks (capacity 1; ticks coalesce under a slow reader).
-	C() <-chan time.Time
-	// Stop cancels the ticker.
+	// Stop cancels the ticker and releases a parked Wait; every Wait from
+	// then on returns false at once.
 	Stop()
-	// Wait parks until the next tick (true) or stop closes (false). This
-	// is the loop-safe receive: under Virtual the wake-up is accounted at
-	// fire time, so time cannot advance past the woken loop.
-	Wait(stop <-chan struct{}) bool
+	// Wait parks until the next tick (true) or Stop (false). Ticks
+	// coalesce under a slow consumer. Under Virtual both wake-ups are
+	// accounted inside the clock lock, so time cannot advance past the
+	// woken loop.
+	Wait() bool
 }
 
 // Go spawns fn registered with c when c is Virtual, as a plain goroutine
@@ -83,16 +78,18 @@ func Go(c Clock, fn func()) {
 	go fn()
 }
 
-// SleepStop sleeps d or until stop closes; false means stopped. It is
-// the clock-safe form of the ubiquitous timer/stop select loop.
+// SleepStop sleeps d or until stop closes; false means stopped. On the
+// real clock a close ends the sleep at once. Under Virtual the stop is read
+// before and after a full Sleep(d) — a channel close is no clock event
+// (see the package rules) — so it suits short polls on a channel owned
+// elsewhere, such as a caller's context.
 func SleepStop(c Clock, d time.Duration, stop <-chan struct{}) bool {
-	select {
-	case <-stop:
+	if closed(stop) {
 		return false
-	default:
 	}
 	if v, ok := c.(*Virtual); ok {
-		return v.sleepStop(d, stop)
+		v.Sleep(d)
+		return !closed(stop)
 	}
 	t := time.NewTimer(d)
 	defer t.Stop()
@@ -100,6 +97,16 @@ func SleepStop(c Clock, d time.Duration, stop <-chan struct{}) bool {
 	case <-t.C:
 		return true
 	case <-stop:
+		return false
+	}
+}
+
+// closed reports whether ch is closed; a nil ch never is.
+func closed(ch <-chan struct{}) bool {
+	select {
+	case <-ch:
+		return true
+	default:
 		return false
 	}
 }

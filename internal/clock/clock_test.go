@@ -1,6 +1,7 @@
 package clock
 
 import (
+	"context"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -92,26 +93,6 @@ func TestVirtualTimerStopResetRace(t *testing.T) {
 	}
 }
 
-func TestVirtualTimerChannelDelivers(t *testing.T) {
-	v := NewVirtual()
-	v.Run(func() {
-		tm := v.NewTimer(20 * time.Millisecond)
-		start := v.Now()
-		v.Sleep(30 * time.Millisecond) // drives time past the fire instant
-		select {
-		case at := <-tm.C():
-			if got := at.Sub(start); got != 20*time.Millisecond {
-				t.Errorf("timer delivered %v after start, want 20ms", got)
-			}
-		default:
-			t.Error("timer channel empty after its deadline passed")
-		}
-		if tm.Stop() {
-			t.Error("Stop on fired timer reported active")
-		}
-	})
-}
-
 // Ticker cadence is drift-free: the k-th tick lands at exactly start+k*p
 // no matter how late the consumer is.
 func TestVirtualTickerDriftFree(t *testing.T) {
@@ -122,8 +103,8 @@ func TestVirtualTickerDriftFree(t *testing.T) {
 		tk := v.NewTicker(period)
 		defer tk.Stop()
 		for k := 1; k <= 50; k++ {
-			if !tk.Wait(nil) {
-				t.Fatal("Wait returned false without stop")
+			if !tk.Wait() {
+				t.Fatal("Wait returned false without Stop")
 			}
 			if got, want := v.Now().Sub(start), time.Duration(k)*period; got != want {
 				t.Fatalf("tick %d at +%v, want +%v (drift)", k, got, want)
@@ -146,9 +127,8 @@ func TestVirtualNoAdvancePastRunnable(t *testing.T) {
 	trig := NewTrigger(v)
 	start := v.Now()
 	var sawAt atomic.Int64
-	stop := make(chan struct{})
 	v.Go(func() {
-		for trig.Wait(-1, stop) {
+		for trig.Wait(-1) {
 			// Runnable now: time must still read the instant Signal ran.
 			sawAt.Store(int64(v.Since(start)))
 			v.Sleep(5 * time.Millisecond)
@@ -159,7 +139,7 @@ func TestVirtualNoAdvancePastRunnable(t *testing.T) {
 		trig.Signal()
 		v.Sleep(time.Hour) // tempts the clock to jump far ahead
 	})
-	close(stop)
+	trig.Close()
 	if got := time.Duration(sawAt.Load()); got != 10*time.Millisecond {
 		t.Fatalf("woken worker observed elapsed %v, want 10ms: time advanced past a runnable goroutine", got)
 	}
@@ -226,24 +206,132 @@ func TestTriggerCoalesces(t *testing.T) {
 		trig := NewTrigger(c)
 		trig.Signal()
 		trig.Signal()
-		run := func() {
-			if !trig.Wait(-1, nil) {
+		runOn(c, func() {
+			if !trig.Wait(-1) {
 				t.Fatal("pending signal not consumed")
 			}
-			if !trig.Wait(time.Millisecond, nil) {
+			if !trig.Wait(time.Millisecond) {
 				t.Fatal("deadline expiry must return true")
 			}
-			stop := make(chan struct{})
-			close(stop)
-			if trig.Wait(-1, stop) {
-				t.Fatal("closed stop must return false")
+		})
+	}
+}
+
+// runOn runs fn inside Run on a Virtual clock, directly on the real one.
+func runOn(c Clock, fn func()) {
+	if v, ok := c.(*Virtual); ok {
+		v.Run(fn)
+		return
+	}
+	fn()
+}
+
+// parkThen starts wait on a goroutine of c, lets it park, runs stop, and
+// returns what wait returned.
+func parkThen(c Clock, wait func() bool, stop func()) bool {
+	woke := make(chan bool, 1)
+	runOn(c, func() {
+		Go(c, func() { woke <- wait() })
+		c.Sleep(10 * time.Millisecond) // under Virtual, after the waiter parked
+		stop()
+	})
+	return <-woke
+}
+
+// Close ends a parked Wait on both clocks; from then on Wait returns false
+// at once, and a Signal does not revive the trigger.
+func TestTriggerCloseWakesWaiter(t *testing.T) {
+	for _, c := range []Clock{Real{}, Clock(NewVirtual())} {
+		trig := NewTrigger(c)
+		if parkThen(c, func() bool { return trig.Wait(-1) }, trig.Close) {
+			t.Fatalf("%T: the Wait that Close ended returned true", c)
+		}
+		runOn(c, func() {
+			start := c.Now()
+			if trig.Wait(2 * time.Second) {
+				t.Errorf("%T: Wait after Close returned true", c)
 			}
+			trig.Signal()
+			if trig.Wait(2 * time.Second) {
+				t.Errorf("%T: a Signal after Close revived the trigger", c)
+			}
+			if waited := c.Since(start); waited > time.Second {
+				t.Errorf("%T: Waits after Close took %v, want none", c, waited)
+			}
+		})
+	}
+}
+
+// Stop ends a parked Ticker.Wait on both clocks, and later Waits return
+// false at once.
+func TestTickerStopWakesWaiter(t *testing.T) {
+	for _, c := range []Clock{Real{}, Clock(NewVirtual())} {
+		tk := c.NewTicker(time.Hour)
+		if parkThen(c, tk.Wait, tk.Stop) {
+			t.Fatalf("%T: the Wait that Stop ended returned true", c)
 		}
-		if v, ok := c.(*Virtual); ok {
-			v.Run(run)
-		} else {
-			run()
+		runOn(c, func() {
+			if tk.Wait() {
+				t.Errorf("%T: Wait after Stop returned true", c)
+			}
+		})
+	}
+}
+
+// The end of the context ends a parked WaitContext on both clocks, leaves
+// a later signal pending for the next Wait, and leaves the trigger open.
+func TestTriggerWaitContextEndsWithContext(t *testing.T) {
+	for _, c := range []Clock{Real{}, Clock(NewVirtual())} {
+		trig := NewTrigger(c)
+		ctx, cancel := context.WithCancel(context.Background())
+		if parkThen(c, func() bool { return trig.WaitContext(ctx, -1) }, cancel) {
+			t.Fatalf("%T: the WaitContext its context ended returned true", c)
 		}
+		trig.Signal()
+		runOn(c, func() {
+			if trig.WaitContext(ctx, -1) {
+				t.Errorf("%T: WaitContext on an ended context returned true", c)
+			}
+			if !trig.Wait(-1) {
+				t.Errorf("%T: the signal did not survive for Wait", c)
+			}
+		})
+	}
+}
+
+// TestVirtualCloseEndsWaitAtItsInstant is the teardown that let virtual
+// time wander: a loop parked in Trigger.Wait(-1), an unrelated 1 ms ticker
+// with a loop of its own, and a closer that calls Close and then waits for
+// the loop's exit on a WaitGroup. Close releases the loop inside the clock
+// lock, so the closer wakes at the instant it closed. A loop woken through a
+// plain channel still counts as parked until it runs, and the closer's park
+// runs the clock through ticks meanwhile.
+func TestVirtualCloseEndsWaitAtItsInstant(t *testing.T) {
+	v := NewVirtual()
+	for round := 0; round < 20; round++ {
+		tk := v.NewTicker(time.Millisecond)
+		v.Go(func() {
+			for tk.Wait() {
+			}
+		})
+		trig := NewTrigger(v)
+		wg := NewWaitGroup(v)
+		wg.Add(1)
+		v.Go(func() {
+			defer wg.Done()
+			for trig.Wait(-1) {
+			}
+		})
+		v.Run(func() {
+			defer tk.Stop()
+			v.Sleep(2*time.Millisecond + 500*time.Microsecond) // between two ticks
+			at := v.Now()
+			trig.Close()
+			wg.Wait()
+			if moved := v.Since(at); moved != 0 {
+				t.Fatalf("round %d: the closer woke %v after its Close, want at its instant", round, moved)
+			}
+		})
 	}
 }
 
@@ -254,13 +342,12 @@ func TestRealClockSmoke(t *testing.T) {
 	if c.Since(start) <= 0 {
 		t.Fatal("real clock did not advance")
 	}
-	tm := c.NewTimer(time.Millisecond)
-	<-tm.C()
 	tk := c.NewTicker(time.Millisecond)
-	if !tk.Wait(nil) {
+	if !tk.Wait() {
 		t.Fatal("real ticker Wait failed")
 	}
 	tk.Stop()
+	tk.Stop() // idempotent
 	done := make(chan struct{})
 	c.AfterFunc(time.Millisecond, func() { close(done) })
 	<-done
@@ -274,13 +361,13 @@ func TestVirtualWaitGroupWakesAtLastDone(t *testing.T) {
 	const doneAt = 20*time.Millisecond + 500*time.Microsecond // between two ticks
 	v := NewVirtual()
 	for round := 0; round < 20; round++ {
-		stop := make(chan struct{})
+		tk := v.NewTicker(time.Millisecond)
 		v.Go(func() {
-			for SleepStop(v, time.Millisecond, stop) {
+			for tk.Wait() {
 			}
 		})
 		v.Run(func() {
-			defer close(stop)
+			defer tk.Stop()
 			wg := NewWaitGroup(v)
 			wg.Add(1)
 			start := v.Now()
@@ -327,7 +414,7 @@ func TestTriggerWaitIgnoresStaleTick(t *testing.T) {
 			trig.Signal()
 			close(signalled)
 		}()
-		trig.Wait(first-time.Since(start), nil)
+		trig.Wait(first - time.Since(start))
 		<-signalled
 		// A token left over is a wake-up the next Wait would be right to
 		// take; only a tick left over is the defect.
@@ -337,7 +424,7 @@ func TestTriggerWaitIgnoresStaleTick(t *testing.T) {
 		}
 
 		start = time.Now()
-		trig.Wait(deadline, nil)
+		trig.Wait(deadline)
 		if elapsed := time.Since(start); elapsed < deadline {
 			t.Fatalf("iteration %d: Wait(%v) returned after %v on a stale tick", i, deadline, elapsed)
 		}

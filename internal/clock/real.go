@@ -1,37 +1,47 @@
 package clock
 
-import "time"
+import (
+	"sync"
+	"time"
+)
 
 // Real is the wall clock: a zero-cost pass-through to the time package.
 type Real struct{}
 
 var _ Clock = Real{}
 
-func (Real) Now() time.Time                         { return time.Now() }
-func (Real) Since(t time.Time) time.Duration        { return time.Since(t) }
-func (Real) Sleep(d time.Duration)                  { time.Sleep(d) }
-func (Real) After(d time.Duration) <-chan time.Time { return time.After(d) }
+func (Real) Now() time.Time                  { return time.Now() }
+func (Real) Since(t time.Time) time.Duration { return time.Since(t) }
+func (Real) Sleep(d time.Duration)           { time.Sleep(d) }
 
-func (Real) NewTimer(d time.Duration) Timer            { return realTimer{time.NewTimer(d)} }
-func (Real) AfterFunc(d time.Duration, f func()) Timer { return realTimer{time.AfterFunc(d, f)} }
-func (Real) NewTicker(d time.Duration) Ticker          { return &realTicker{t: time.NewTicker(d)} }
+func (Real) AfterFunc(d time.Duration, f func()) Timer { return time.AfterFunc(d, f) }
+func (Real) NewTicker(d time.Duration) Ticker {
+	return &realTicker{t: time.NewTicker(d), stopped: make(chan struct{})}
+}
 
-type realTimer struct{ t *time.Timer }
+// realTicker is a time.Ticker whose Stop also closes stopped, releasing a
+// parked Wait (time.Ticker.Stop leaves its channel open).
+type realTicker struct {
+	t       *time.Ticker
+	once    sync.Once
+	stopped chan struct{}
+}
 
-func (rt realTimer) C() <-chan time.Time        { return rt.t.C }
-func (rt realTimer) Stop() bool                 { return rt.t.Stop() }
-func (rt realTimer) Reset(d time.Duration) bool { return rt.t.Reset(d) }
+func (rt *realTicker) Stop() {
+	rt.once.Do(func() {
+		rt.t.Stop()
+		close(rt.stopped)
+	})
+}
 
-type realTicker struct{ t *time.Ticker }
-
-func (rt *realTicker) C() <-chan time.Time { return rt.t.C }
-func (rt *realTicker) Stop()               { rt.t.Stop() }
-
-func (rt *realTicker) Wait(stop <-chan struct{}) bool {
+func (rt *realTicker) Wait() bool {
+	if closed(rt.stopped) {
+		return false
+	}
 	select {
 	case <-rt.t.C:
 		return true
-	case <-stop:
+	case <-rt.stopped:
 		return false
 	}
 }

@@ -1,7 +1,9 @@
 package clock
 
 import (
+	"context"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -9,19 +11,27 @@ import (
 // shape `for { drain work; wait for more or a deadline }` — the simulated
 // bus's delivery loop, egress lane drains, the discovery offer flush. Signal
 // from any goroutine wakes the parked waiter (or is remembered if none
-// is parked); Wait parks until a signal, an optional deadline, or stop.
+// is parked); Wait parks until a signal, an optional deadline, or Close.
 //
-// Under a Virtual clock the wake-up is accounted inside the clock lock,
-// so virtual time cannot advance past a loop that has just been
-// signalled — the property that keeps event delivery time-accurate.
+// Under a Virtual clock every wake-up, Close's too, is accounted inside the
+// clock lock, so virtual time cannot advance past a loop that has just been
+// signalled or stopped — the property that keeps event delivery
+// time-accurate and teardown instantaneous.
 type Trigger interface {
-	// Signal wakes the parked waiter, or marks a pending wake-up.
+	// Signal wakes the parked waiter, or marks a pending wake-up. After
+	// Close it does nothing.
 	Signal()
+	// Close wakes the parked waiter; every Wait from then on returns false
+	// at once. It is how the loop's owner stops the loop.
+	Close()
 	// Wait parks until Signal, the deadline d (d < 0 means no deadline),
-	// or stop. It returns false only when stop closed; deadline expiry
-	// and signals both return true (the loop re-checks its work either
-	// way).
-	Wait(d time.Duration, stop <-chan struct{}) bool
+	// or Close. It returns false only once the trigger is closed; deadline
+	// expiry and signals both return true (the loop re-checks its work
+	// either way).
+	Wait(d time.Duration) bool
+	// WaitContext is Wait that also returns false when ctx ends — for a
+	// caller's wait on its own context, not for stopping a loop.
+	WaitContext(ctx context.Context, d time.Duration) bool
 }
 
 // NewTrigger builds a trigger bound to c.
@@ -38,10 +48,13 @@ func NewTrigger(c Clock) Trigger {
 // park once per drained burst — with a per-Wait channel that alloc shows
 // up in the wire path's per-frame cost). The deadline timer is reused the
 // same way: made by the first Wait that needs one, re-armed by later ones.
-// Wait is single-consumer, so tm needs no lock.
+// Wait is single-consumer, so tm needs no lock. Close sets closed and then
+// sends a token, and Wait reads closed after every wake-up, so a token can
+// never revive a closed trigger.
 type realTrigger struct {
-	ch chan struct{}
-	tm *time.Timer
+	ch     chan struct{}
+	tm     *time.Timer
+	closed atomic.Bool
 }
 
 func (t *realTrigger) Signal() {
@@ -51,7 +64,21 @@ func (t *realTrigger) Signal() {
 	}
 }
 
-func (t *realTrigger) Wait(d time.Duration, stop <-chan struct{}) bool {
+func (t *realTrigger) Close() {
+	t.closed.Store(true)
+	t.Signal()
+}
+
+func (t *realTrigger) Wait(d time.Duration) bool { return t.wait(d, nil) }
+
+func (t *realTrigger) WaitContext(ctx context.Context, d time.Duration) bool {
+	return t.wait(d, ctx.Done())
+}
+
+func (t *realTrigger) wait(d time.Duration, done <-chan struct{}) bool {
+	if t.closed.Load() || closed(done) {
+		return false
+	}
 	var tc <-chan time.Time
 	if d >= 0 {
 		if t.tm == nil {
@@ -66,7 +93,7 @@ func (t *realTrigger) Wait(d time.Duration, stop <-chan struct{}) bool {
 	case <-t.ch:
 	case <-tc:
 		ticked = true
-	case <-stop:
+	case <-done:
 		woken = false
 	}
 	// Leave the timer stopped and its channel empty, or the next Wait would
@@ -76,85 +103,82 @@ func (t *realTrigger) Wait(d time.Duration, stop <-chan struct{}) bool {
 	if tc != nil && !ticked && !t.tm.Stop() {
 		<-tc
 	}
-	return woken
+	return woken && !t.closed.Load()
 }
 
 type virtualTrigger struct {
 	v       *Virtual
-	pending bool     // guarded by v.mu
-	waiter  *vparker // guarded by v.mu
-}
-
-type vparker struct {
-	ch    chan struct{}
-	ev    *event
-	woken bool
+	pending bool    // guarded by v.mu
+	closed  bool    // guarded by v.mu
+	waiter  *parker // guarded by v.mu
 }
 
 func (t *virtualTrigger) Signal() {
 	v := t.v
 	v.mu.Lock()
-	if w := t.waiter; w != nil {
-		t.waiter = nil
-		w.woken = true
-		if w.ev != nil {
-			v.removeLocked(w.ev)
-			w.ev = nil
-		}
-		v.blocked--
-		close(w.ch)
-	} else {
+	switch {
+	case t.closed:
+	case t.waiter != nil:
+		t.wakeLocked(true)
+	default:
 		t.pending = true
 	}
 	v.mu.Unlock()
 }
 
-func (t *virtualTrigger) Wait(d time.Duration, stop <-chan struct{}) bool {
-	select {
-	case <-stop:
-		return false
-	default:
-	}
+func (t *virtualTrigger) Close() {
 	v := t.v
 	v.mu.Lock()
-	if t.pending {
+	t.closed = true
+	if t.waiter != nil {
+		t.wakeLocked(false)
+	}
+	v.mu.Unlock()
+}
+
+// wakeLocked releases the parked waiter with result ok. Caller holds v.mu.
+func (t *virtualTrigger) wakeLocked(ok bool) {
+	w := t.waiter
+	t.waiter = nil
+	t.v.releaseLocked(w, ok)
+}
+
+func (t *virtualTrigger) Wait(d time.Duration) bool {
+	return t.WaitContext(context.Background(), d)
+}
+
+// WaitContext's context ends the wait through context.AfterFunc, whose
+// callback releases the waiter inside the clock lock as Close does. The
+// callback runs on a goroutine of its own, so registering it under v.mu
+// cannot deadlock.
+func (t *virtualTrigger) WaitContext(ctx context.Context, d time.Duration) bool {
+	v := t.v
+	v.mu.Lock()
+	switch {
+	case t.closed || ctx.Err() != nil:
+		v.mu.Unlock()
+		return false
+	case t.pending:
 		t.pending = false
 		v.mu.Unlock()
 		return true
 	}
-	w := &vparker{ch: make(chan struct{})}
+	w := &parker{ch: make(chan struct{})}
 	t.waiter = w
 	if d >= 0 {
-		w.ev = v.scheduleLocked(d, func() {
+		w.ev = v.scheduleLocked(d, func() { t.wakeLocked(true) })
+	}
+	if ctx.Done() != nil {
+		stop := context.AfterFunc(ctx, func() {
+			v.mu.Lock()
 			if t.waiter == w {
-				t.waiter = nil
+				t.wakeLocked(false)
 			}
-			w.ev = nil
-			w.woken = true
-			v.blocked--
-			close(w.ch)
+			v.mu.Unlock()
 		})
+		defer stop()
 	}
-	v.parkLocked()
-	v.mu.Unlock()
-	select {
-	case <-w.ch:
-		return true
-	case <-stop:
-		v.mu.Lock()
-		if !w.woken {
-			if t.waiter == w {
-				t.waiter = nil
-			}
-			if w.ev != nil {
-				v.removeLocked(w.ev)
-				w.ev = nil
-			}
-			v.blocked--
-		}
-		v.mu.Unlock()
-		return false
-	}
+	return v.waitLocked(w)
 }
 
 // Cond is sync.Cond behind the Clock: workers idling in a scheduler pool

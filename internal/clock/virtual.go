@@ -136,6 +136,36 @@ func (v *Virtual) parkLocked() {
 	v.maybeAdvanceLocked()
 }
 
+// parker is one parked wait of a Trigger or Ticker. Its wake-up sets ok
+// and closes ch; ev is its pending deadline, if any. Guarded by v.mu.
+type parker struct {
+	ch chan struct{}
+	ev *event
+	ok bool
+}
+
+// waitLocked parks the caller on w until releaseLocked, and returns w's
+// result. Caller holds v.mu, which waitLocked releases.
+func (v *Virtual) waitLocked(w *parker) bool {
+	v.parkLocked()
+	v.mu.Unlock()
+	<-w.ch
+	return w.ok
+}
+
+// releaseLocked wakes w's goroutine with result ok, cancelling its
+// deadline: its parked count is released here, before it is runnable, so
+// time cannot advance past it. Caller holds v.mu.
+func (v *Virtual) releaseLocked(w *parker, ok bool) {
+	if w.ev != nil {
+		v.removeLocked(w.ev)
+		w.ev = nil
+	}
+	w.ok = ok
+	v.blocked--
+	close(w.ch)
+}
+
 // Now implements Clock.
 func (v *Virtual) Now() time.Time {
 	v.mu.Lock()
@@ -196,47 +226,6 @@ func (v *Virtual) Sleep(d time.Duration) {
 	<-ch
 }
 
-// sleepStop is SleepStop's virtual arm.
-func (v *Virtual) sleepStop(d time.Duration, stop <-chan struct{}) bool {
-	ch := make(chan struct{})
-	fired := false
-	v.mu.Lock()
-	ev := v.scheduleLocked(d, func() {
-		fired = true
-		v.blocked--
-		close(ch)
-	})
-	v.parkLocked()
-	v.mu.Unlock()
-	select {
-	case <-ch:
-		return true
-	case <-stop:
-		v.mu.Lock()
-		if !fired {
-			v.removeLocked(ev)
-			v.blocked--
-		}
-		v.mu.Unlock()
-		return false
-	}
-}
-
-// After implements Clock.
-func (v *Virtual) After(d time.Duration) <-chan time.Time {
-	return v.NewTimer(d).C()
-}
-
-// NewTimer implements Clock: stdlib semantics (capacity-1 channel,
-// non-blocking send at fire).
-func (v *Virtual) NewTimer(d time.Duration) Timer {
-	t := &virtualTimer{v: v, ch: make(chan time.Time, 1)}
-	v.mu.Lock()
-	t.ev = v.scheduleLocked(d, t.fireChan)
-	v.mu.Unlock()
-	return t
-}
-
 // AfterFunc implements Clock: f runs on its own registered goroutine.
 func (v *Virtual) AfterFunc(d time.Duration, f func()) Timer {
 	t := &virtualTimer{v: v, f: f}
@@ -248,20 +237,8 @@ func (v *Virtual) AfterFunc(d time.Duration, f func()) Timer {
 
 type virtualTimer struct {
 	v  *Virtual
-	ch chan time.Time // channel timers
-	f  func()         // AfterFunc timers
-	ev *event         // pending event; nil once fired/stopped (guarded by v.mu)
-}
-
-func (t *virtualTimer) C() <-chan time.Time { return t.ch }
-
-// fireChan runs under v.mu.
-func (t *virtualTimer) fireChan() {
-	t.ev = nil
-	select {
-	case t.ch <- t.v.now:
-	default:
-	}
+	f  func()
+	ev *event // pending event; nil once fired/stopped (guarded by v.mu)
 }
 
 // fireFunc runs under v.mu: the callback gets its own registered
@@ -293,11 +270,7 @@ func (t *virtualTimer) Reset(d time.Duration) bool {
 	if active {
 		t.v.removeLocked(t.ev)
 	}
-	fire := t.fireChan
-	if t.f != nil {
-		fire = t.fireFunc
-	}
-	t.ev = t.v.scheduleLocked(d, fire)
+	t.ev = t.v.scheduleLocked(d, t.fireFunc)
 	return active
 }
 
@@ -307,7 +280,7 @@ func (v *Virtual) NewTicker(d time.Duration) Ticker {
 	if d <= 0 {
 		panic("clock: non-positive ticker period")
 	}
-	t := &virtualTicker{v: v, period: d, ch: make(chan time.Time, 1)}
+	t := &virtualTicker{v: v, period: d}
 	v.mu.Lock()
 	t.next = v.now.Add(d)
 	t.ev = v.scheduleAtLocked(t.next, t.fire)
@@ -318,30 +291,28 @@ func (v *Virtual) NewTicker(d time.Duration) Ticker {
 type virtualTicker struct {
 	v       *Virtual
 	period  time.Duration
-	ch      chan time.Time
 	next    time.Time
 	ev      *event
-	waiter  chan struct{} // managed Wait parker
-	pending bool          // a tick fired with no waiter parked
+	waiter  *parker // the parked Wait
+	pending bool    // a tick fired with no waiter parked
 	stopped bool
 }
-
-func (t *virtualTicker) C() <-chan time.Time { return t.ch }
 
 // fire runs under v.mu.
 func (t *virtualTicker) fire() {
 	t.next = t.next.Add(t.period)
 	t.ev = t.v.scheduleAtLocked(t.next, t.fire)
+	t.wakeLocked(true)
+}
+
+// wakeLocked releases the parked waiter with result ok, or, for a tick
+// with none parked, remembers it. Caller holds v.mu.
+func (t *virtualTicker) wakeLocked(ok bool) {
 	if w := t.waiter; w != nil {
 		t.waiter = nil
-		t.v.blocked--
-		close(w)
-		return
-	}
-	t.pending = true
-	select {
-	case t.ch <- t.v.now:
-	default:
+		t.v.releaseLocked(w, ok)
+	} else if ok {
+		t.pending = true
 	}
 }
 
@@ -353,43 +324,21 @@ func (t *virtualTicker) Stop() {
 		t.v.removeLocked(t.ev)
 		t.ev = nil
 	}
+	t.wakeLocked(false)
 }
 
-func (t *virtualTicker) Wait(stop <-chan struct{}) bool {
-	select {
-	case <-stop:
-		return false
-	default:
-	}
+func (t *virtualTicker) Wait() bool {
 	v := t.v
 	v.mu.Lock()
-	if t.stopped {
+	switch {
+	case t.stopped:
 		v.mu.Unlock()
 		return false
-	}
-	if t.pending {
+	case t.pending:
 		t.pending = false
-		select {
-		case <-t.ch:
-		default:
-		}
 		v.mu.Unlock()
 		return true
 	}
-	w := make(chan struct{})
-	t.waiter = w
-	v.parkLocked()
-	v.mu.Unlock()
-	select {
-	case <-w:
-		return true
-	case <-stop:
-		v.mu.Lock()
-		if t.waiter == w {
-			t.waiter = nil
-			v.blocked--
-		}
-		v.mu.Unlock()
-		return false
-	}
+	t.waiter = &parker{ch: make(chan struct{})}
+	return v.waitLocked(t.waiter)
 }

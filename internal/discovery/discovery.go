@@ -154,8 +154,8 @@ type Engine struct {
 	syncReqAt   map[transport.NodeID]time.Time // per-peer request throttle
 	syncServing atomic.Int64                   // full-state replies currently in flight
 
-	stop chan struct{}
-	wg   *clock.WaitGroup
+	beacon clock.Ticker // made by Start
+	wg     *clock.WaitGroup
 }
 
 // New builds the engine for a container; Start sets it beaconing.
@@ -175,13 +175,13 @@ func New(f fabric.Fabric, cfg Config) *Engine {
 		offerDirty: clock.NewTrigger(clk),
 		syncAsm:    naming.NewSyncAssembler(),
 		syncReqAt:  make(map[transport.NodeID]time.Time),
-		stop:       make(chan struct{}),
 		wg:         clock.NewWaitGroup(clk),
 	}
 }
 
 // Start launches the beacon and offer-flush loops on the engine's clock.
 func (e *Engine) Start() {
+	e.beacon = e.clk.NewTicker(e.cfg.Period)
 	e.wg.Add(2)
 	clock.Go(e.clk, e.beaconLoop)
 	clock.Go(e.clk, e.offerFlushLoop)
@@ -189,7 +189,8 @@ func (e *Engine) Start() {
 
 // Close stops both loops and returns once they have exited.
 func (e *Engine) Close() {
-	close(e.stop)
+	e.beacon.Stop()
+	e.offerDirty.Close()
 	e.wg.Wait()
 }
 
@@ -203,9 +204,7 @@ func (e *Engine) Peers() []transport.NodeID { return e.live.Peers() }
 // beaconLoop beacons this node's digest and sweeps dead peers.
 func (e *Engine) beaconLoop() {
 	defer e.wg.Done()
-	ticker := e.clk.NewTicker(e.cfg.Period)
-	defer ticker.Stop()
-	for ticker.Wait(e.stop) {
+	for e.beacon.Wait() {
 		// Introduce the node with one full-state announcement; from then
 		// on the beacon is the constant-size digest. Introduction rides
 		// the first tick (or an earlier explicit AnnounceNow) rather than
@@ -279,7 +278,7 @@ func (e *Engine) OfferChanged() { e.offerDirty.Signal() }
 // offerFlushLoop turns OfferChanged signals into delta broadcasts.
 func (e *Engine) offerFlushLoop() {
 	defer e.wg.Done()
-	for e.offerDirty.Wait(-1, e.stop) {
+	for e.offerDirty.Wait(-1) {
 		e.flushOffer()
 	}
 }

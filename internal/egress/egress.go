@@ -566,7 +566,6 @@ type bearer struct {
 	closed       bool
 
 	trigger clock.Trigger
-	stop    chan struct{}
 	wg      *clock.WaitGroup
 }
 
@@ -629,7 +628,6 @@ func newBearer(name string, sender Sender, cfg Config) *bearer {
 		reg:        reg,
 		ctr:        newBearerCounters(reg, name),
 		trigger:    clock.NewTrigger(clk),
-		stop:       make(chan struct{}),
 		wg:         clock.NewWaitGroup(clk),
 	}
 	if b.shared, _ = sender.(transport.SharedSender); b.shared != nil {
@@ -909,7 +907,7 @@ func (b *bearer) run() {
 		}
 		// Throttled bulk pending: sleep for tokens, but wake early if
 		// higher-class work arrives.
-		if !b.trigger.Wait(wait, b.stop) {
+		if !b.trigger.Wait(wait) {
 			return
 		}
 	}
@@ -1008,7 +1006,7 @@ func (b *bearer) close() {
 	b.idle.Broadcast()
 	b.room.Broadcast()
 	b.mu.Unlock()
-	close(b.stop)
+	b.trigger.Close()
 	b.wg.Wait()
 
 	// The drainer is gone and enqueue and Reroute refuse a closed bearer,

@@ -128,15 +128,6 @@ func (e *Engine) shardOf(topic string) *shard {
 	return &e.shards[h&(numShards-1)]
 }
 
-// framePool recycles frames on the publish hot path; the fabric must not
-// retain the *protocol.Frame past the send call. Event payloads (header +
-// encoded body) come from bufpool and are recycled under the same
-// contract: frame encoding copies the payload into the wire buffer.
-var framePool = sync.Pool{New: func() any { return new(protocol.Frame) }}
-
-func getFrame() *protocol.Frame  { return framePool.Get().(*protocol.Frame) }
-func putFrame(f *protocol.Frame) { *f = protocol.Frame{}; framePool.Put(f) }
-
 // Offer registers a publisher for topic with an optional payload type (nil
 // means the event carries no data — "events can ... have meaning by
 // themselves").
@@ -347,14 +338,14 @@ func (p *Publisher) Publish(ctx context.Context, v any) error {
 
 // publishGroup sends one group-addressed frame for the occurrence.
 func (p *Publisher) publishGroup(payload []byte) error {
-	frame := getFrame()
+	frame := protocol.GetFrame()
 	frame.Type = protocol.MTEvent
 	frame.Encoding = p.engine.enc.ID()
 	frame.Priority = p.q.Priority
 	frame.Channel = p.topic
 	frame.Payload = payload
 	err := p.engine.f.SendGroup(p.group, frame)
-	putFrame(frame)
+	protocol.PutFrame(frame)
 	if err != nil {
 		p.failures.Inc()
 		return uerr.Wrapf(p.engine.reg, codeEventPublish, err, "publish %q", p.topic)
@@ -369,18 +360,18 @@ func (p *Publisher) publishUnicast(ctx context.Context, payload []byte, fan *fan
 	// wire frame synchronously, so sharing is safe and saves N-1 copies.
 	fan.arm()
 	for i, node := range fan.nodes {
-		frame := getFrame()
+		frame := protocol.GetFrame()
 		frame.Type = protocol.MTEvent
 		frame.Encoding = p.engine.enc.ID()
 		frame.Priority = p.q.Priority
 		frame.Channel = p.topic
 		frame.Payload = payload
 		p.sendEvent(node, frame, fan.slots[i].done)
-		putFrame(frame)
+		protocol.PutFrame(frame)
 	}
 	// The trigger is clock-managed, so virtual time cannot advance past an
 	// ack that has just arrived.
-	for !fan.settled() && fan.trig.Wait(-1, ctx.Done()) {
+	for !fan.settled() && fan.trig.WaitContext(ctx, -1) {
 	}
 	targets := len(fan.nodes)
 	failed, complete := fan.finish(p)

@@ -181,7 +181,8 @@ func runE14Multi(clk clock.Clock, res *E14Result, seed int64) error {
 	}
 
 	// Unloaded baseline: alarms alone, over the same policy (radio).
-	alarms.publish(make(chan struct{}), time.Second)
+	_, unloadedDone := alarms.start(time.Second)
+	unloadedDone()
 	clk.Sleep(200 * time.Millisecond) // let the tail arrive
 	res.Unloaded, _ = alarms.collect(1, alarms.count())
 	loadedFrom := alarms.count() + 1
@@ -214,14 +215,12 @@ func runE14Multi(clk clock.Clock, res *E14Result, seed int64) error {
 		samplesMu sync.Mutex
 		samples   []sample
 	)
-	samplerStop := make(chan struct{})
+	sampler := clk.NewTicker(20 * time.Millisecond)
 	samplerWG := clock.NewWaitGroup(clk)
 	samplerWG.Add(1)
 	clock.Go(clk, func() {
 		defer samplerWG.Done()
-		ticker := clk.NewTicker(20 * time.Millisecond)
-		defer ticker.Stop()
-		for ticker.Wait(samplerStop) {
+		for sampler.Wait() {
 			ls := radio.LinkStats("uav", "gs")
 			samplesMu.Lock()
 			samples = append(samples, sample{at: clk.Now(), bytes: ls.Bytes})
@@ -248,13 +247,11 @@ func runE14Multi(clk clock.Clock, res *E14Result, seed int64) error {
 		fetchErr = err
 	})
 
-	alarmStop := make(chan struct{})
-	alarmsDone := clock.NewWaitGroup(clk)
-	alarmsDone.Add(1)
-	clock.Go(clk, func() {
-		defer alarmsDone.Done()
-		alarms.publish(alarmStop, 120*time.Second)
-	})
+	// Publishes still in flight when the transfer ends finish during the
+	// straggler drain, not before it: their acks' timing is not the
+	// scenario's length.
+	stopAlarms, alarmsDone := alarms.start(120 * time.Second)
+	defer alarmsDone()
 
 	// Mid-transfer blackout: the UAV flies out of wifi range.
 	clk.Sleep(res.BlackoutAfter)
@@ -265,7 +262,7 @@ func runE14Multi(clk clock.Clock, res *E14Result, seed int64) error {
 	var detect time.Duration
 	detected := clock.NewWaitGroup(clk)
 	detected.Add(1)
-	detectStop := make(chan struct{})
+	poll := clk.NewTicker(5 * time.Millisecond)
 	clock.Go(clk, func() {
 		defer detected.Done()
 		for {
@@ -279,30 +276,28 @@ func runE14Multi(clk clock.Clock, res *E14Result, seed int64) error {
 				detect = -1
 				return
 			}
-			if !clock.SleepStop(clk, 5*time.Millisecond, detectStop) {
+			if !poll.Wait() {
 				return
 			}
 		}
 	})
 
 	fetched.Wait()
+	stopAlarms()
 	if fetchErr != nil {
-		close(alarmStop)
-		close(samplerStop)
-		close(detectStop)
+		poll.Stop()
+		sampler.Stop()
 		return fetchErr
 	}
 	res.Transfer = transfer
-	close(alarmStop)
-	alarmsDone.Wait()
 	loadedTo := alarms.count()
 	detected.Wait()
+	poll.Stop()
 	res.HandoverDetect = detect
-	close(detectStop)
 	if res.HandoverDetect < 0 {
 		return fmt.Errorf("wifi blackout never detected")
 	}
-	close(samplerStop)
+	sampler.Stop()
 	samplerWG.Wait()
 
 	// Recovered throughput: the best sustained 1s window of radio wire
@@ -379,21 +374,15 @@ func runE14Single(clk clock.Clock, res *E14Result, seed int64) error {
 		return err
 	}
 
-	stop := make(chan struct{})
-	done := clock.NewWaitGroup(clk)
-	done.Add(1)
-	clock.Go(clk, func() {
-		defer done.Done()
-		alarms.publish(stop, time.Hour) // until stop; the arm lasts seconds
-	})
+	stopAlarms, alarmsDone := alarms.start(time.Hour) // until stopAlarms; the arm lasts seconds
 
 	clk.Sleep(400 * time.Millisecond)
 	wifi.Partition("uav", "gs")
 	clk.Sleep(blackout)
 	wifi.Heal("uav", "gs")
 	clk.Sleep(500 * time.Millisecond)
-	close(stop)
-	done.Wait()
+	stopAlarms()
+	alarmsDone()
 	clk.Sleep(time.Second) // drain stragglers
 
 	_, lost := alarms.collect(1, alarms.count())

@@ -186,29 +186,43 @@ func (a *alarmStream) subscribe(gs *core.Node) error {
 	return nil
 }
 
-// publish fires alarms at the stream's rate until stopCh closes or maxDur
+// start fires alarms at the stream's rate until stop or until maxDur
 // passes, from a goroutine per tick: a flooded link can hold one publish in
-// ARQ for seconds and must not stall the tick cadence.
-func (a *alarmStream) publish(stopCh <-chan struct{}, maxDur time.Duration) {
+// ARQ for seconds and must not stall the tick cadence. stop ends the ticks
+// and returns once no more alarm can be numbered; wait returns once the
+// ticks have ended and every publish has returned.
+func (a *alarmStream) start(maxDur time.Duration) (stop, wait func()) {
 	ticker := a.clk.NewTicker(time.Second / time.Duration(a.hz))
-	defer ticker.Stop()
 	stopAt := a.clk.Now().Add(maxDur)
-	wg := clock.NewWaitGroup(a.clk)
-	for ticker.Wait(stopCh) {
-		now := a.clk.Now()
-		if now.After(stopAt) {
-			break
+	ticking, publishing := clock.NewWaitGroup(a.clk), clock.NewWaitGroup(a.clk)
+	ticking.Add(1)
+	clock.Go(a.clk, func() {
+		defer ticking.Done()
+		defer ticker.Stop()
+		for ticker.Wait() {
+			now := a.clk.Now()
+			if now.After(stopAt) {
+				return
+			}
+			seq := a.nextSeq(now)
+			publishing.Add(1)
+			clock.Go(a.clk, func() {
+				defer publishing.Done()
+				ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+				defer cancel()
+				_ = a.pub.Publish(ctx, seq) // late/lost alarms are the measurement
+			})
 		}
-		seq := a.nextSeq(now)
-		wg.Add(1)
-		clock.Go(a.clk, func() {
-			defer wg.Done()
-			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-			defer cancel()
-			_ = a.pub.Publish(ctx, seq) // late/lost alarms are the measurement
-		})
+	})
+	stop = func() {
+		ticker.Stop()
+		ticking.Wait()
 	}
-	wg.Wait()
+	wait = func() {
+		ticking.Wait()
+		publishing.Wait()
+	}
+	return stop, wait
 }
 
 // RunE13 runs both modes and returns the comparison. alarmHz is the
@@ -288,7 +302,8 @@ func runE13Phase(clk clock.Clock, res *E13Result, shaped bool, seed int64) error
 
 	// Unloaded baseline (shaped phase only; topology identical).
 	if shaped {
-		alarms.publish(make(chan struct{}), 1200*time.Millisecond)
+		_, wait := alarms.start(1200 * time.Millisecond)
+		wait()
 		clk.Sleep(4 * latency) // let the tail arrive
 		res.Unloaded, _ = alarms.collect(1, alarms.count())
 	}
@@ -328,19 +343,13 @@ func runE13Phase(clk clock.Clock, res *E13Result, shaped bool, seed int64) error
 	})
 
 	// Alarms run concurrently until the transfer completes (capped).
-	alarmStop := make(chan struct{})
-	alarmsDone := clock.NewWaitGroup(clk)
-	alarmsDone.Add(1)
-	clock.Go(clk, func() {
-		defer alarmsDone.Done()
-		alarms.publish(alarmStop, 60*time.Second)
-	})
+	stopAlarms, alarmsDone := alarms.start(60 * time.Second)
 	fetched.Wait()
-	close(alarmStop)
+	stopAlarms()
+	alarmsDone()
 	if fetchErr != nil {
 		return fetchErr
 	}
-	alarmsDone.Wait()
 	loadedTo := alarms.count()
 
 	// Let stragglers drain: in flood mode alarms can trail the transfer by

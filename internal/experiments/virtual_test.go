@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"sort"
 	"testing"
+	"time"
 
 	"uavmw/internal/clock"
 )
@@ -28,7 +29,10 @@ var nondeterministic = map[string]bool{
 // packet counts, convergence latencies) and the node's metrics snapshot land
 // on exactly the same value. Every Virtual entry of the table runs at quick
 // size at GOMAXPROCS 1 and 2; any time.Now or unmanaged wake-up sneaking
-// into a measured path shows up here as a diff.
+// into a measured path shows up here as a diff. The scenario's virtual
+// length must agree within 0.1% at both counts for every entry, the listed
+// ones too: same-instant order may move a figure, but no wait may let
+// virtual time run on, not even at teardown.
 func TestVirtualRunsAreDeterministic(t *testing.T) {
 	// At one core count E12 already repeats exactly, result and snapshot.
 	t.Run("e12_same_procs", func(t *testing.T) {
@@ -48,14 +52,18 @@ func TestVirtualRunsAreDeterministic(t *testing.T) {
 		t.Run(e.Name, func(t *testing.T) {
 			var flat [2]map[string]float64
 			var snap [2]string
+			var length [2]time.Duration
 			for i, procs := range []int{1, 2} {
 				prev := runtime.GOMAXPROCS(procs)
-				rep, _, err := e.Run(true, false)
+				rep, el, err := e.Run(true, false)
 				runtime.GOMAXPROCS(prev)
 				if err != nil {
 					t.Fatalf("GOMAXPROCS=%d: %v", procs, err)
 				}
-				flat[i], snap[i] = rep.Flatten(), rep.Snapshot
+				flat[i], snap[i], length[i] = rep.Flatten(), rep.Snapshot, el.Virtual
+			}
+			if d := (length[0] - length[1]).Abs(); length[0] <= 0 || d > length[0]/1000 {
+				t.Errorf("virtual scenario length %v at GOMAXPROCS 1, %v at 2: want within 0.1%%", length[0], length[1])
 			}
 			if snap[0] != "" {
 				snapshots++

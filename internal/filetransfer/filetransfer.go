@@ -185,7 +185,6 @@ func (e *Engine) Offer(name, service string, data []byte, q qos.TransferQoS) (*O
 		data:        data,
 		subscribers: make(map[transport.NodeID]*subState),
 		wake:        clock.NewTrigger(e.clk),
-		stop:        make(chan struct{}),
 	}
 	e.offers[name] = o
 	e.mu.Unlock()
@@ -222,9 +221,7 @@ type Offer struct {
 	queried  time.Time     // when the current query was queued
 	answered bool          // the current query has had an answer
 	slowest  time.Duration // the slowest answer to the last answered query
-	wake     clock.Trigger // signalled when the last owed answer settles
-
-	stop chan struct{} // closed by Close; aborts the transfer loop
+	wake     clock.Trigger // signalled when the last owed answer settles; closed by Close
 }
 
 type subState struct {
@@ -283,6 +280,12 @@ func (o *Offer) Rounds() uint64 {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	return o.rounds
+}
+
+func (o *Offer) isClosed() bool {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	return o.closed
 }
 
 // Update replaces the resource content, bumping the revision and notifying
@@ -353,7 +356,7 @@ func (o *Offer) close() bool {
 	}
 	o.closed = true
 	o.mu.Unlock()
-	close(o.stop)
+	o.wake.Close()
 	o.engine.mu.Lock()
 	delete(o.engine.offers, o.name)
 	o.engine.mu.Unlock()
@@ -462,10 +465,8 @@ rounds:
 			if !need {
 				continue
 			}
-			select {
-			case <-o.stop:
+			if o.isClosed() {
 				continue rounds // the loop head exits
-			default:
 			}
 			*frame = protocol.Frame{Type: protocol.MTFileChunk, Priority: o.q.Priority, Channel: o.name,
 				Payload: appendChunk(payload[:0], revision, uint32(i), uint32(total), chunkAt(data, chunkSize, i))}
@@ -499,7 +500,7 @@ rounds:
 			if owed == 0 || left <= 0 {
 				break
 			}
-			if !o.wake.Wait(left, o.stop) {
+			if !o.wake.Wait(left) {
 				continue rounds // closed; the loop head exits
 			}
 		}
@@ -672,7 +673,7 @@ func (e *Engine) Fetch(ctx context.Context, name string, opts FetchOptions) ([]b
 	st.wakes = append(st.wakes, wake)
 	for st.data == nil {
 		st.mu.Unlock()
-		if !wake.Wait(-1, ctx.Done()) {
+		if !wake.WaitContext(ctx, -1) {
 			return nil, 0, fmt.Errorf("filetransfer: fetch %q: %w", name, context.Cause(ctx))
 		}
 		st.mu.Lock()
@@ -736,7 +737,7 @@ func (e *Engine) Watch(ctx context.Context, name string, opts FetchOptions, cb f
 		}
 		// Wait for a newer revision.
 		for e.newest(w) <= have {
-			if !w.wake.Wait(-1, ctx.Done()) {
+			if !w.wake.WaitContext(ctx, -1) {
 				if cause := context.Cause(ctx); errors.Is(cause, ErrClosed) {
 					return fmt.Errorf("filetransfer: watch %q: %w", name, cause)
 				}

@@ -243,7 +243,7 @@ func (g *Gateway) Close() {
 		for _, c := range sh.clients() {
 			g.drop(c, reasonShutdown, false)
 		}
-		sh.stopWriter()
+		sh.trigger.Close()
 	}
 
 	g.mu.Lock()

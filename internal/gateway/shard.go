@@ -45,7 +45,6 @@ type qent struct {
 type shard struct {
 	g       *Gateway
 	trigger clock.Trigger
-	stop    chan struct{}
 
 	mu    sync.Mutex
 	subs  map[topicKey]map[*Client]struct{}
@@ -58,7 +57,6 @@ func newShard(g *Gateway) *shard {
 	sh := &shard{
 		g:       g,
 		trigger: clock.NewTrigger(g.clk),
-		stop:    make(chan struct{}),
 		subs:    make(map[topicKey]map[*Client]struct{}),
 		all:     make(map[*Client]struct{}),
 	}
@@ -67,14 +65,6 @@ func newShard(g *Gateway) *shard {
 	// frames — deliveries stay time-accurate in experiments.
 	clock.Go(g.clk, sh.run)
 	return sh
-}
-
-func (sh *shard) stopWriter() {
-	select {
-	case <-sh.stop:
-	default:
-		close(sh.stop)
-	}
 }
 
 // clients snapshots the shard's client set (shutdown path).
@@ -205,7 +195,7 @@ func (sh *shard) popReady() *Client {
 // run is the shard writer: park until signalled, then drain ready clients.
 func (sh *shard) run() {
 	for {
-		if !sh.trigger.Wait(-1, sh.stop) {
+		if !sh.trigger.Wait(-1) {
 			return
 		}
 		for {

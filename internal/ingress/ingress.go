@@ -122,7 +122,6 @@ type Pipeline struct {
 	deliver  func(int, []Packet)
 	clk      clock.Clock
 	maxBatch int
-	stop     chan struct{}
 	wg       *clock.WaitGroup
 	closed   atomic.Bool
 
@@ -159,7 +158,6 @@ func New(cfg Config) *Pipeline {
 		deliver:  cfg.Deliver,
 		clk:      clk,
 		maxBatch: maxBatch,
-		stop:     make(chan struct{}),
 		wg:       clock.NewWaitGroup(clk),
 	}
 	reg.Gauge("ingress", "shards").Set(int64(shards))
@@ -319,7 +317,7 @@ func (p *Pipeline) worker(idx int) {
 	defer p.wg.Done()
 	sh := p.shards[idx]
 	for {
-		live := sh.trig.Wait(-1, p.stop)
+		live := sh.trig.Wait(-1)
 		for {
 			batch := p.take(sh)
 			if len(batch) == 0 {
@@ -335,7 +333,7 @@ func (p *Pipeline) worker(idx int) {
 			p.delivered.Add(uint64(len(batch)))
 		}
 		if !live {
-			return // stop closed; Close sweeps anything enqueued after this
+			return // closed; Close sweeps anything enqueued after this
 		}
 	}
 }
@@ -347,7 +345,9 @@ func (p *Pipeline) Close() {
 	if p.closed.Swap(true) {
 		return
 	}
-	close(p.stop)
+	for _, sh := range p.shards {
+		sh.trig.Close()
+	}
 	p.wg.Wait()
 	for _, sh := range p.shards {
 		sh.mu.Lock()

@@ -22,7 +22,6 @@ func (stillClock) AfterFunc(time.Duration, func()) clock.Timer { return stillTim
 
 type stillTimer struct{}
 
-func (stillTimer) C() <-chan time.Time      { return nil }
 func (stillTimer) Stop() bool               { return true }
 func (stillTimer) Reset(time.Duration) bool { return true }
 

@@ -496,7 +496,7 @@ func (e *Engine) race(ctx context.Context, c *call) (any, error) {
 			}
 			wait = min(wait, c.hedgeAt.Sub(now))
 		}
-		c.trig.Wait(wait, ctx.Done())
+		c.trig.WaitContext(ctx, wait)
 	}
 }
 

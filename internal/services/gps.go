@@ -29,9 +29,9 @@ type GPS struct {
 	// (default 5 sample periods).
 	Validity time.Duration
 
-	pub  *variables.Publisher
-	stop chan struct{}
-	wg   *clock.WaitGroup
+	pub    *variables.Publisher
+	ticker clock.Ticker // the sample cadence, made by Start
+	wg     *clock.WaitGroup
 
 	mu        sync.Mutex
 	published uint64
@@ -76,7 +76,10 @@ func (g *GPS) Init(ctx *core.Context) error {
 
 // Start implements core.Service.
 func (g *GPS) Start(ctx *core.Context) error {
-	g.stop = make(chan struct{})
+	// The sample cadence rides the container's clock: under a virtual
+	// clock a whole mission's worth of GPS ticks runs in discrete-event
+	// time, drift-free.
+	g.ticker = ctx.Clock().NewTicker(g.SampleRate)
 	g.wg = clock.NewWaitGroup(ctx.Clock())
 	g.wg.Add(1)
 	clock.Go(ctx.Clock(), func() { g.run(ctx) })
@@ -85,13 +88,8 @@ func (g *GPS) Start(ctx *core.Context) error {
 
 func (g *GPS) run(ctx *core.Context) {
 	defer g.wg.Done()
-	// The sample cadence rides the container's clock: under a virtual
-	// clock a whole mission's worth of GPS ticks runs in discrete-event
-	// time, drift-free.
-	ticker := ctx.Clock().NewTicker(g.SampleRate)
-	defer ticker.Stop()
 	simStep := time.Duration(float64(g.SampleRate) * g.TimeScale)
-	for ticker.Wait(g.stop) {
+	for g.ticker.Wait() {
 		st := g.Aircraft.Step(simStep)
 		if err := g.pub.Publish(PositionValue(st)); err != nil {
 			ctx.Logf("publish position: %v", err)
@@ -105,10 +103,10 @@ func (g *GPS) run(ctx *core.Context) {
 
 // Stop implements core.Service.
 func (g *GPS) Stop(*core.Context) error {
-	if g.stop != nil {
-		close(g.stop)
+	if g.ticker != nil {
+		g.ticker.Stop()
 		g.wg.Wait()
-		g.stop = nil
+		g.ticker = nil
 	}
 	return nil
 }

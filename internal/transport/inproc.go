@@ -297,7 +297,6 @@ type medium struct {
 	closed    bool
 
 	trigger clock.Trigger
-	done    chan struct{}
 	wg      *clock.WaitGroup
 }
 
@@ -321,7 +320,6 @@ func newMedium(cfg SimConfig, closed bool) *medium {
 		linkFree:  make(map[linkKey]time.Time),
 		linkStats: make(map[linkKey]*LinkStats),
 		closed:    closed,
-		done:      make(chan struct{}),
 	}
 	if !closed {
 		m.trigger = clock.NewTrigger(m.clk)
@@ -340,7 +338,7 @@ func (m *medium) close() {
 	}
 	m.closed = true
 	m.mu.Unlock()
-	close(m.done)
+	m.trigger.Close()
 	m.wg.Wait()
 }
 
@@ -402,7 +400,7 @@ func (m *medium) run() {
 			}
 			continue
 		}
-		if !m.trigger.Wait(wait, m.done) {
+		if !m.trigger.Wait(wait) {
 			return
 		}
 	}

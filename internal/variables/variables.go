@@ -471,7 +471,7 @@ func (s *Subscription) awaitInitial(done func() bool) bool {
 		if left <= 0 {
 			return false
 		}
-		s.initial.Wait(left, nil)
+		s.initial.Wait(left)
 	}
 }
 
