@@ -10,9 +10,10 @@
 // happen, the periodic beacon is a constant-size digest (MTHeartbeat) so
 // steady-state discovery wire cost is O(nodes) rather than O(total
 // records), and receivers repair version gaps, unknown nodes, and fresh
-// epochs with unicast anti-entropy sync (MTSyncReq/MTSyncRep — catch-up
-// deltas for small gaps, MTU-chunked full snapshots otherwise). The four
-// primitives are Variables (best-effort multicast pub/sub),
+// epochs with unicast anti-entropy sync (MTSyncReq — catch-up deltas for
+// small gaps, otherwise the full snapshot as one reliable MTAnnounce,
+// fragmented over the MTU). The four primitives are Variables
+// (best-effort multicast pub/sub),
 // Events (guaranteed delivery, unicast per subscriber or group-addressed
 // multicast with NACK-based gap repair via qos.DeliverMulticast), Remote
 // Invocation (typed calls with redundancy failover — concurrent engine

@@ -482,7 +482,7 @@ func TestFragmentedCallAckedPerFragment(t *testing.T) {
 			return newWireLog(ep)
 		}
 		callerLog, providerLog := endpoint("caller"), endpoint("provider")
-		caller := virtualNode(t, v, callerLog, WithMTU(256))
+		caller := virtualNode(t, v, callerLog)
 		defer func() { _ = caller.Close() }()
 		provider := virtualNode(t, v, providerLog)
 		defer func() { _ = provider.Close() }()
@@ -496,7 +496,7 @@ func TestFragmentedCallAckedPerFragment(t *testing.T) {
 		callerLog.reset()
 		providerLog.reset()
 
-		arg := strings.Repeat("w", 1000)
+		arg := strings.Repeat("w", 4000)
 		got, err := caller.RPC().Call(context.Background(), "len", arg, str, u32, qos.CallQoS{Deadline: 2 * time.Second})
 		if err != nil || got != uint32(len(arg)) {
 			t.Fatalf("fragmented call: %v, %v", got, err)
@@ -701,7 +701,7 @@ func TestHeldAckRidesOnlyEligibleFrames(t *testing.T) {
 	}
 	// The largest payload that still fits one datagram with no block.
 	plain := protocol.Frame{Type: protocol.MTSample, Channel: "held.ride", Seq: n.seq.Load() + 1}
-	full := n.mtu - protocol.FrameWireSize(&plain)
+	full := protocol.DefaultMTU - protocol.FrameWireSize(&plain)
 	for _, c := range []struct {
 		name string
 		d    egress.Dest
@@ -711,7 +711,7 @@ func TestHeldAckRidesOnlyEligibleFrames(t *testing.T) {
 		{"group", egress.Dest{Group: "g"}, qos.PriorityCritical, 8},
 		{"bulk", egress.Dest{Node: "peer", Bearer: "a"}, qos.PriorityBulk, 8},
 		{"loopback", egress.Dest{Node: n.ID()}, qos.PriorityCritical, 8},
-		{"over the MTU", egress.Dest{Node: "peer", Bearer: "a"}, qos.PriorityCritical, 2 * n.mtu},
+		{"over the MTU", egress.Dest{Node: "peer", Bearer: "a"}, qos.PriorityCritical, 2 * protocol.DefaultMTU},
 		{"no room for the block", egress.Dest{Node: "peer", Bearer: "a"}, qos.PriorityCritical, full},
 		{"below the replies' class", egress.Dest{Node: "peer", Bearer: "a"}, qos.PriorityLow, 8},
 		{"other bearer", egress.Dest{Node: "peer", Bearer: "b"}, qos.PriorityLow, 8},

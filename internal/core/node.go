@@ -89,7 +89,6 @@ type Node struct {
 	ingress *ingress.Pipeline
 	shards  []*recvShard
 	seq     atomic.Uint64
-	mtu     int
 
 	// metrics is the node's unified registry: every plane's counter
 	// families and typed-error families land here, and MetricsSnapshot
@@ -124,7 +123,6 @@ type nodeConfig struct {
 	failureDeadline time.Duration
 	directoryTTL    time.Duration
 	arqOpts         []protocol.ARQOption
-	mtu             int
 	budget          ResourceBudget
 	ingressShards   int
 	clk             clock.Clock
@@ -201,15 +199,6 @@ func WithARQ(opts ...protocol.ARQOption) NodeOption {
 	return func(c *nodeConfig) { c.arqOpts = append(c.arqOpts, opts...) }
 }
 
-// WithMTU overrides the fragmentation threshold.
-func WithMTU(n int) NodeOption {
-	return func(c *nodeConfig) {
-		if n > 0 {
-			c.mtu = n
-		}
-	}
-}
-
 // WithResourceBudget sets the node's admission-control budget (§3 resource
 // management).
 func WithResourceBudget(b ResourceBudget) NodeOption {
@@ -246,7 +235,6 @@ func NewNode(opts ...NodeOption) (*Node, error) {
 	cfg := nodeConfig{
 		enc:            encoding.Binary{},
 		announcePeriod: DefaultAnnouncePeriod,
-		mtu:            protocol.DefaultMTU,
 	}
 	for _, opt := range opts {
 		opt(&cfg)
@@ -285,7 +273,6 @@ func NewNode(opts ...NodeOption) (*Node, error) {
 		enc:      cfg.enc,
 		sched:    cfg.sched,
 		dir:      naming.NewDirectory(cfg.directoryTTL),
-		mtu:      cfg.mtu,
 		metrics:  metrics.NewRegistry(),
 		budget:   cfg.budget,
 		services: make(map[string]*ServiceRuntime),
@@ -314,7 +301,6 @@ func NewNode(opts ...NodeOption) (*Node, error) {
 		bcfg := egress.Config{
 			BulkRateBPS: b.Profile.BulkRateBPS,
 			BulkBurst:   b.Profile.BulkBurst,
-			MaxDatagram: cfg.mtu,
 			Clock:       clk,
 			Metrics:     n.metrics,
 		}
@@ -345,7 +331,6 @@ func NewNode(opts ...NodeOption) (*Node, error) {
 		Epoch:           uint64(clk.Now().UnixNano()) + epochSalt.Add(1),
 		Period:          cfg.announcePeriod,
 		FailureDeadline: cfg.failureDeadline,
-		MTU:             cfg.mtu,
 		Offer:           n.offer,
 		Load:            n.defaultLoad,
 		OfferApplied:    n.links.PeerChanged,
@@ -502,7 +487,7 @@ func (n *Node) transmit(d egress.Dest, f *protocol.Frame, rel *reliable) error {
 				held.cancel(d.Node, id)
 			}
 		}
-		if size < n.mtu && carriesAcks(f) && held.replies.Load() > 0 {
+		if size < protocol.DefaultMTU && carriesAcks(f) && held.replies.Load() > 0 {
 			// The frame carries the held acks of replies that arrived on
 			// its bearer, the one it would take anyway, now pinned, in a
 			// class no higher than its own. The block rides a copy: the
@@ -512,12 +497,12 @@ func (n *Node) transmit(d egress.Dest, f *protocol.Frame, rel *reliable) error {
 			}
 			var c carried
 			c.frame = *f
-			c.frame.AckLargest, c.frame.AckRanges = held.carry(d.Node, d.Bearer, f.Priority, n.mtu-size, &c)
+			c.frame.AckLargest, c.frame.AckRanges = held.carry(d.Node, d.Bearer, f.Priority, protocol.DefaultMTU-size, &c)
 			f = &c.frame
 			size = protocol.FrameWireSize(f)
 		}
 	}
-	split := !loopback && size > n.mtu
+	split := !loopback && size > protocol.DefaultMTU
 	buf := bufpool.Get(size)
 	raw, err := protocol.AppendFrame(buf, f)
 	if err != nil {
@@ -567,7 +552,7 @@ func (n *Node) unicastBearer(to transport.NodeID, pr qos.Priority) string {
 // out as MTFragment datagrams that each fit the MTU.
 func (n *Node) transmitSplit(d egress.Dest, f *protocol.Frame, raw []byte, rel *reliable) error {
 	viaARQ := rel != nil
-	parts, err := protocol.Split(raw, f.Seq, n.mtu)
+	parts, err := protocol.Split(raw, f.Seq, protocol.DefaultMTU)
 	if err != nil {
 		return rel.complete(err)
 	}
@@ -867,7 +852,7 @@ func (n *Node) sendAcks(q *ackQueue, bearer string, to transport.NodeID, seqs []
 	d := egress.Dest{Node: to, Bearer: bearer}
 	for len(seqs) > 0 {
 		ack := protocol.Frame{Priority: qos.PriorityCritical}
-		seqs = protocol.AppendAck(&ack, q.buf, seqs, n.mtu)
+		seqs = protocol.AppendAck(&ack, q.buf, seqs, protocol.DefaultMTU)
 		q.buf = ack.Payload
 		uerr.Note(n.metrics, codeAckSend, n.transmit(d, &ack, nil), "enqueue ack")
 	}
@@ -884,8 +869,6 @@ func (n *Node) route(bearer string, from transport.NodeID, f *protocol.Frame) {
 		n.discovery.HandleAnnounceDelta(from, f)
 	case protocol.MTSyncReq:
 		n.discovery.HandleSyncReq(from, f)
-	case protocol.MTSyncRep:
-		n.discovery.HandleSyncRep(from, f)
 	case protocol.MTBye:
 		n.discovery.HandleBye(from)
 	case protocol.MTProbe:

@@ -19,7 +19,7 @@ import (
 	"uavmw/internal/transport"
 )
 
-// Frames larger than the node's MTU, on every send path. The observable is
+// Frames larger than the MTU (protocol.DefaultMTU), on every send path. The observable is
 // an event subscription fed by hand-built unsequenced MTEvent frames
 // (per-topic sequence 0): the events engine then applies no duplicate
 // filter of its own, so every delivery the container lets through —
@@ -27,7 +27,6 @@ import (
 
 const (
 	oversizeTopic = "oversize.blob"
-	oversizeMTU   = 512
 	oversizeBody  = 4096
 )
 
@@ -122,14 +121,13 @@ func (g *mtuGuard) SendGroup(group string, payload []byte) error {
 	return g.Transport.SendGroup(group, payload)
 }
 
-// newGuardedNode builds the sending container at oversizeMTU on tr, behind
-// an mtuGuard that must never see a larger datagram.
+// newGuardedNode builds the sending container on tr, behind an mtuGuard
+// that must never see a datagram larger than the MTU.
 func newGuardedNode(t *testing.T, tr transport.Transport) *Node {
 	t.Helper()
 	guard := &mtuGuard{Transport: tr}
 	n, err := NewNode(
 		WithDatagram(guard),
-		WithMTU(oversizeMTU),
 		WithAnnouncePeriod(25*time.Millisecond),
 		WithARQ(protocol.WithMaxRetries(12)),
 	)
@@ -138,8 +136,8 @@ func newGuardedNode(t *testing.T, tr transport.Transport) *Node {
 	}
 	t.Cleanup(func() {
 		_ = n.Close()
-		if got := guard.largest.Load(); got > oversizeMTU {
-			t.Errorf("container handed its transport a %d-byte datagram, MTU is %d", got, oversizeMTU)
+		if got := guard.largest.Load(); got > protocol.DefaultMTU {
+			t.Errorf("container handed its transport a %d-byte datagram, MTU is %d", got, protocol.DefaultMTU)
 		}
 	})
 	return n
@@ -179,13 +177,13 @@ func TestOversizeBestEffortUnicastAndGroup(t *testing.T) {
 		t.Fatalf("SendBestEffort: %v", err)
 	}
 	afterUnicast := lowLaneDatagrams(t, src)
-	if afterUnicast < oversizeBody/oversizeMTU {
-		t.Fatalf("4 KB frame at MTU %d left in %d datagram(s); it was not split", oversizeMTU, afterUnicast)
+	if afterUnicast < oversizeBody/protocol.DefaultMTU {
+		t.Fatalf("4 KB frame at MTU %d left in %d datagram(s); it was not split", protocol.DefaultMTU, afterUnicast)
 	}
 	if err := src.SendGroup(fabric.EventGroup(oversizeTopic), blobFrame(t, group)); err != nil {
 		t.Fatalf("SendGroup: %v", err)
 	}
-	if sent := lowLaneDatagrams(t, src) - afterUnicast; sent < oversizeBody/oversizeMTU {
+	if sent := lowLaneDatagrams(t, src) - afterUnicast; sent < oversizeBody/protocol.DefaultMTU {
 		t.Fatalf("4 KB group frame left in %d datagram(s); it was not split", sent)
 	}
 	waitUntil(t, 2*time.Second, "both oversize frames", func() bool { return sink.count() == 2 })
@@ -253,8 +251,7 @@ func TestOversizeReliableUnderLoss(t *testing.T) {
 func TestOversizeReliableRetryBudgetExhausted(t *testing.T) {
 	net := transport.NewSimBus(transport.SimConfig{Seed: 43, Latency: time.Millisecond})
 	defer net.Close()
-	src := newSimNode(t, net, "uav", WithMTU(oversizeMTU),
-		WithARQ(protocol.WithMaxRetries(2)))
+	src := newSimNode(t, net, "uav", WithARQ(protocol.WithMaxRetries(2)))
 	dst := newSimNode(t, net, "gs")
 	syncNodes(t, src, dst)
 	sink := subscribeBlobs(t, dst)
@@ -280,7 +277,7 @@ func TestOversizeReliableRetryBudgetExhausted(t *testing.T) {
 
 func TestOversizeSelfLoopbackNeverFragments(t *testing.T) {
 	bus := transport.NewBus()
-	n := newBusNode(t, bus, "solo", WithMTU(oversizeMTU))
+	n := newBusNode(t, bus, "solo")
 	sink := subscribeBlobs(t, n)
 
 	bestEffort, reliable := randomBody(11), randomBody(12)
@@ -388,7 +385,7 @@ func TestOversizeAckBurstStaysWithinMTU(t *testing.T) {
 		})
 	}
 
-	const burst = 100 // ranges × ~6 B each: beyond one 512 B datagram
+	const burst = 400 // ranges × ~6 B each: beyond one 1,400 B datagram
 	rng := rand.New(rand.NewSource(5))
 	sent := map[transport.NodeID][]uint64{}
 	var batch []ingress.Packet

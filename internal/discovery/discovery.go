@@ -9,8 +9,9 @@
 // latency), the periodic beacon is a constant-size MTHeartbeat digest —
 // O(nodes) steady-state wire cost instead of O(total records) — and
 // receivers that observe a version gap, an unknown node, or a fresh epoch
-// pull the full record set unicast over ARQ (MTSyncReq/MTSyncRep), chunked
-// under the MTU.
+// ask for the node's records unicast (MTSyncReq). The node answers over ARQ
+// with a catch-up delta, or with its full record set as one MTAnnounce,
+// which the container fragments when it outgrows a datagram.
 package discovery
 
 import (
@@ -57,14 +58,12 @@ type Config struct {
 	Period time.Duration
 	// FailureDeadline is how long a silent peer survives.
 	FailureDeadline time.Duration
-	// MTU bounds each full-sync chunk so it rides in one datagram.
-	MTU int
 	// Offer assembles the node's current record set.
 	Offer func() []naming.Record
 	// Load reports the node's load figure carried in every beacon.
 	Load func() float64
 	// OfferApplied runs after the directory took a peer's announce, delta
-	// or assembled sync: whatever the container derives from a peer's
+	// or sync reply: whatever the container derives from a peer's
 	// records, it re-derives from the directory then. It may also run
 	// for a duplicate delta the directory ignored, so the derivation must
 	// read the directory, not the frame.
@@ -81,14 +80,10 @@ type Config struct {
 	Tick func()
 }
 
-// syncFrameOverhead is headroom reserved for the frame header when sizing
-// sync chunks so each rides in a single datagram.
-const syncFrameOverhead = 64
-
-// syncDeltaMaxRecords bounds the catch-up-delta reply: a gap touching more
-// records than this is served as a chunked snapshot instead. Chunks ride
-// one per datagram with independent ARQ, so a single lost packet costs one
-// chunk retransmission — a multi-fragment mega-delta would fail whole.
+// syncDeltaMaxRecords bounds the catch-up-delta reply. Delta replies do
+// not count against maxConcurrentSyncServes, so each must stay a few
+// datagrams long: a gap touching more records than this is served as a
+// snapshot instead, under the serve cap.
 const syncDeltaMaxRecords = 64
 
 // maxConcurrentSyncServes caps full-state replies in flight per node. A
@@ -109,9 +104,7 @@ type counters struct {
 	fullSent         *metrics.Counter
 	syncReqsSent     *metrics.Counter
 	syncReqsServed   *metrics.Counter
-	syncChunksSent   *metrics.Counter
 	syncDeltaReplies *metrics.Counter
-	syncApplied      *metrics.Counter
 	syncsTriggered   *metrics.Counter
 }
 
@@ -125,9 +118,7 @@ func newCounters(reg *metrics.Registry) counters {
 		fullSent:         c("full_announces_sent"),
 		syncReqsSent:     c("sync_requests_sent"),
 		syncReqsServed:   c("sync_requests_served"),
-		syncChunksSent:   c("sync_chunks_sent"),
 		syncDeltaReplies: c("sync_delta_replies"),
-		syncApplied:      c("sync_replies_applied"),
 		syncsTriggered:   c("syncs_triggered"),
 	}
 }
@@ -150,7 +141,6 @@ type Engine struct {
 	offerDirty clock.Trigger // coalesces OfferChanged signals
 
 	syncMu      sync.Mutex
-	syncAsm     *naming.SyncAssembler
 	syncReqAt   map[transport.NodeID]time.Time // per-peer request throttle
 	syncServing atomic.Int64                   // full-state replies currently in flight
 
@@ -173,7 +163,6 @@ func New(f fabric.Fabric, cfg Config) *Engine {
 		ctr:        newCounters(reg),
 		log:        naming.NewLog(),
 		offerDirty: clock.NewTrigger(clk),
-		syncAsm:    naming.NewSyncAssembler(),
 		syncReqAt:  make(map[transport.NodeID]time.Time),
 		wg:         clock.NewWaitGroup(clk),
 	}
@@ -352,8 +341,9 @@ func (e *Engine) HandleAnnounce(from transport.NodeID, f *protocol.Frame) {
 	e.applyFull(from, ann)
 }
 
-// applyFull installs a peer's full record set — announced or assembled
-// from sync chunks — unless the directory holds a newer one.
+// applyFull installs a peer's full record set — broadcast, or sent in
+// answer to this node's sync request — unless the directory holds a newer
+// one.
 func (e *Engine) applyFull(from transport.NodeID, ann *naming.Announcement) {
 	e.admit(from, ann.Epoch)
 	now := e.clk.Now()
@@ -452,7 +442,7 @@ func (e *Engine) HandleSyncReq(from transport.NodeID, f *protocol.Frame) {
 	e.live.Touch(from, e.clk.Now())
 	// A requester only slightly behind in the current epoch gets a
 	// compact catch-up delta from the log history — O(gap) wire bytes —
-	// instead of the full chunked catalog. This keeps anti-entropy cheap
+	// instead of the full catalog. This keeps anti-entropy cheap
 	// under registration churn, when version gaps are routine.
 	if req.KnownEpoch == e.cfg.Epoch {
 		if added, withdrawn, to, ok := e.log.DeltaSince(req.KnownVersion); ok &&
@@ -484,27 +474,20 @@ func (e *Engine) HandleSyncReq(from transport.NodeID, f *protocol.Frame) {
 		return
 	}
 	recs, version := e.log.Snapshot()
-	chunks, err := naming.EncodeSyncChunks(&naming.Announcement{
+	payload, err := naming.EncodeAnnouncement(&naming.Announcement{
 		Node: e.self, Epoch: e.cfg.Epoch, Version: version,
 		Load: e.cfg.Load(), Records: recs,
-	}, e.cfg.MTU-syncFrameOverhead)
+	})
 	if err != nil {
 		e.syncServing.Add(-1)
-		uerr.Note(e.reg, codeSyncRepEncode, err, "encode sync chunks")
+		uerr.Note(e.reg, codeSyncRepEncode, err, "encode snapshot")
 		return
 	}
-	var outstanding atomic.Int64
-	outstanding.Store(int64(len(chunks)))
-	for _, chunk := range chunks {
-		e.sendReply(from, protocol.MTSyncRep, chunk, func(err error) {
-			uerr.Note(e.reg, codeSyncRepSend, err, "deliver sync chunk")
-			if outstanding.Add(-1) == 0 {
-				e.syncServing.Add(-1)
-			}
-		})
-	}
+	e.sendReply(from, protocol.MTAnnounce, payload, func(err error) {
+		uerr.Note(e.reg, codeSyncRepSend, err, "deliver snapshot")
+		e.syncServing.Add(-1)
+	})
 	e.ctr.syncReqsServed.Inc()
-	e.ctr.syncChunksSent.Add(uint64(len(chunks)))
 }
 
 // sendReply sends one sync answer frame to the requester over ARQ.
@@ -514,27 +497,6 @@ func (e *Engine) sendReply(to transport.NodeID, t protocol.MsgType, payload []by
 		Priority: qos.PriorityHigh,
 		Payload:  payload,
 	}, qos.ReliableARQ, done)
-}
-
-// HandleSyncRep ingests one MTSyncRep chunk and installs the snapshot once
-// its last chunk has arrived.
-func (e *Engine) HandleSyncRep(from transport.NodeID, f *protocol.Frame) {
-	c, err := naming.DecodeSyncChunk(f.Payload)
-	if err != nil {
-		uerr.Note(e.reg, codeMalformed, err, "sync chunk decode")
-		return
-	}
-	if !e.fromPeer(from, c.Node, "sync chunk") {
-		return
-	}
-	e.syncMu.Lock()
-	ann := e.syncAsm.Offer(c)
-	e.syncMu.Unlock()
-	if ann == nil {
-		return
-	}
-	e.applyFull(from, ann)
-	e.ctr.syncApplied.Inc()
 }
 
 // HandleBye retires a peer that said goodbye (MTBye).
@@ -575,7 +537,6 @@ func (e *Engine) sweep() {
 func (e *Engine) peerGone(node transport.NodeID) {
 	e.dir.RemoveNode(node)
 	e.syncMu.Lock()
-	e.syncAsm.Forget(node)
 	delete(e.syncReqAt, node)
 	e.syncMu.Unlock()
 	e.cfg.PeerGone(node, false)

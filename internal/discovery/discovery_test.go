@@ -2,6 +2,8 @@ package discovery
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -24,7 +26,6 @@ import (
 const (
 	testEpoch  = 7
 	testPeriod = 100 * time.Millisecond
-	testMTU    = 300
 )
 
 // harness is an engine on a test double, with its hooks recorded. The
@@ -47,7 +48,6 @@ func newHarness(t *testing.T) *harness {
 		Epoch:           testEpoch,
 		Period:          testPeriod,
 		FailureDeadline: time.Second,
-		MTU:             testMTU,
 		Offer:           func() []naming.Record { return h.offer },
 		Load:            func() float64 { return 0 },
 		OfferApplied:    func(peer transport.NodeID) { h.applied = append(h.applied, peer) },
@@ -145,30 +145,31 @@ func TestDigestGapRequestsOneSyncPerPeerPerPeriod(t *testing.T) {
 
 // TestSyncRequestIsAnsweredByGapSize: a requester a few records behind in
 // the current epoch gets one catch-up delta; a larger gap, an older epoch
-// or a version outside the log gets the full catalog in chunks that each
-// fit a datagram.
+// or a version outside the log gets the log's snapshot as one announcement
+// — an empty one when the node offers nothing.
 func TestSyncRequestIsAnsweredByGapSize(t *testing.T) {
-	const base = 10
 	cases := []struct {
 		name         string
+		base         int // records at version 1
 		gap          int // records registered after the requester's version
 		knownEpoch   uint64
 		knownVersion uint64
 		wantDelta    bool
 		wantNothing  bool
 	}{
-		{name: "one record behind", gap: 1, knownEpoch: testEpoch, knownVersion: 1, wantDelta: true},
-		{name: "64 records behind", gap: syncDeltaMaxRecords, knownEpoch: testEpoch, knownVersion: 1, wantDelta: true},
-		{name: "65 records behind", gap: syncDeltaMaxRecords + 1, knownEpoch: testEpoch, knownVersion: 1},
-		{name: "previous epoch", gap: 1, knownEpoch: testEpoch - 1, knownVersion: 1},
-		{name: "unknown node", gap: 1},
-		{name: "ahead of the log", gap: 1, knownEpoch: testEpoch, knownVersion: 9},
-		{name: "already current", gap: 1, knownEpoch: testEpoch, knownVersion: 2, wantNothing: true},
+		{name: "one record behind", base: 10, gap: 1, knownEpoch: testEpoch, knownVersion: 1, wantDelta: true},
+		{name: "64 records behind", base: 10, gap: syncDeltaMaxRecords, knownEpoch: testEpoch, knownVersion: 1, wantDelta: true},
+		{name: "65 records behind", base: 10, gap: syncDeltaMaxRecords + 1, knownEpoch: testEpoch, knownVersion: 1},
+		{name: "previous epoch", base: 10, gap: 1, knownEpoch: testEpoch - 1, knownVersion: 1},
+		{name: "unknown node", base: 10, gap: 1},
+		{name: "ahead of the log", base: 10, gap: 1, knownEpoch: testEpoch, knownVersion: 9},
+		{name: "already current", base: 10, gap: 1, knownEpoch: testEpoch, knownVersion: 2, wantNothing: true},
+		{name: "empty offer"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			h := newHarness(t)
-			h.offer = variables("self", "base", base)
+			h.offer = variables("self", "base", tc.base)
 			h.AnnounceNow() // version 1
 			h.offer = append(h.offer, variables("self", "late", tc.gap)...)
 			h.flushOffer() // version 2
@@ -195,31 +196,24 @@ func TestSyncRequestIsAnsweredByGapSize(t *testing.T) {
 						d.Node, d.Epoch, d.From, d.To, len(d.Added), testEpoch, tc.knownVersion, tc.gap)
 				}
 			default:
-				if len(got) < 2 {
-					t.Fatalf("snapshot of %d records at MTU %d went out as %d frames, want several chunks", base+tc.gap, testMTU, len(got))
+				if len(got) != 1 || got[0].Frame.Type != protocol.MTAnnounce {
+					t.Fatalf("answered with %d frames (first %v), want one MTAnnounce", len(got), got[0].Frame.Type)
 				}
-				records := 0
-				for i, s := range got {
-					if s.Frame.Type != protocol.MTSyncRep {
-						t.Fatalf("frame %d is %v, want MTSyncRep", i, s.Frame.Type)
-					}
-					if len(s.Frame.Payload) > testMTU-syncFrameOverhead {
-						t.Errorf("chunk %d payload is %d bytes, budget is %d", i, len(s.Frame.Payload), testMTU-syncFrameOverhead)
-					}
-					if size := protocol.FrameWireSize(s.Frame); size > testMTU {
-						t.Errorf("chunk %d is a %d-byte frame, MTU is %d", i, size, testMTU)
-					}
-					c, err := naming.DecodeSyncChunk(s.Frame.Payload)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if int(c.Index) != i || int(c.Count) != len(got) || c.Version != 2 {
-						t.Errorf("chunk %d says index %d of %d at version %d", i, c.Index, c.Count, c.Version)
-					}
-					records += len(c.Records)
+				ann, err := naming.DecodeAnnouncement(got[0].Frame.Payload)
+				if err != nil {
+					t.Fatal(err)
 				}
-				if records != base+tc.gap {
-					t.Errorf("chunks carry %d records, the offer has %d", records, base+tc.gap)
+				recs, version := h.log.Snapshot()
+				byName := func(a, b naming.Record) int { return strings.Compare(a.Name, b.Name) }
+				slices.SortFunc(recs, byName)
+				slices.SortFunc(ann.Records, byName)
+				if ann.Node != "self" || ann.Epoch != testEpoch || ann.Version != version ||
+					!slices.Equal(ann.Records, recs) {
+					t.Errorf("snapshot = node %s epoch %d version %d with %d records, want the log's: self/%d version %d with %d",
+						ann.Node, ann.Epoch, ann.Version, len(ann.Records), testEpoch, version, len(recs))
+				}
+				if len(recs) != tc.base+tc.gap {
+					t.Errorf("the log holds %d records, the offer has %d", len(recs), tc.base+tc.gap)
 				}
 			}
 			for i, s := range got {
@@ -234,21 +228,21 @@ func TestSyncRequestIsAnsweredByGapSize(t *testing.T) {
 
 // TestFifthConcurrentSnapshotServeIsShed: four full-state replies may be
 // in flight; the fifth request is dropped and counted as an admission
-// failure, and a slot frees once a reply's last chunk is acknowledged.
+// failure, and a slot frees once a reply is acknowledged.
 func TestFifthConcurrentSnapshotServeIsShed(t *testing.T) {
 	h := newHarness(t)
 	h.offer = variables("self", "v", 12)
 	h.AnnounceNow()
 	h.f.Take()
 
-	var inFlight [][]fabrictest.Sent
+	var inFlight []fabrictest.Sent
 	for i := 0; i < maxConcurrentSyncServes; i++ {
 		h.HandleSyncReq(transport.NodeID(fmt.Sprintf("p%d", i)), syncReq(0, 0))
-		chunks := h.f.Take()
-		if len(chunks) == 0 {
-			t.Fatalf("request %d was not served", i)
+		reply := h.f.Take()
+		if len(reply) != 1 {
+			t.Fatalf("request %d was answered with %d frames, want 1", i, len(reply))
 		}
-		inFlight = append(inFlight, chunks)
+		inFlight = append(inFlight, reply[0])
 	}
 	if got := h.errors(t, uerr.CatAdmission); got != 0 {
 		t.Fatalf("%d requests shed below the cap", got)
@@ -262,16 +256,7 @@ func TestFifthConcurrentSnapshotServeIsShed(t *testing.T) {
 		t.Fatalf("discovery.errors{category=admission} = %d, want 1", got)
 	}
 
-	// All but the last chunk of one reply acknowledged: still in flight.
-	first := inFlight[0]
-	for _, s := range first[:len(first)-1] {
-		s.Held.Release(nil)
-	}
-	h.HandleSyncReq("p4", syncReq(0, 0))
-	if got := h.f.Take(); len(got) != 0 {
-		t.Fatal("a reply with a chunk outstanding freed its slot")
-	}
-	first[len(first)-1].Held.Release(nil)
+	inFlight[0].Held.Release(nil)
 	h.HandleSyncReq("p4", syncReq(0, 0))
 	if got := h.f.Take(); len(got) == 0 {
 		t.Fatal("request not served after a reply completed")
@@ -301,13 +286,6 @@ func TestMisattributedPayloadIsCountedNotApplied(t *testing.T) {
 		{"delta", (*Engine).HandleAnnounceDelta, func(t *testing.T) *protocol.Frame {
 			return &protocol.Frame{Type: protocol.MTAnnounceDelta, Payload: must(t)(naming.EncodeDelta(
 				&naming.Delta{Node: "victim", Epoch: 1, From: 0, To: 1, Added: recs}))}
-		}},
-		{"sync chunk", (*Engine).HandleSyncRep, func(t *testing.T) *protocol.Frame {
-			chunks, err := naming.EncodeSyncChunks(&naming.Announcement{Node: "victim", Epoch: 1, Version: 1, Records: recs}, 1200)
-			if err != nil || len(chunks) != 1 {
-				t.Fatalf("chunks = %d, err = %v", len(chunks), err)
-			}
-			return &protocol.Frame{Type: protocol.MTSyncRep, Payload: chunks[0]}
 		}},
 	}
 	for _, tc := range cases {

@@ -166,9 +166,6 @@ type Config struct {
 	// therefore how much bulk can sit in front of an urgent frame at the
 	// link: keep it near one datagram on tightly constrained links.
 	BulkBurst int
-	// MaxDatagram is the size budget for coalesced batch datagrams
-	// (default protocol.DefaultMTU).
-	MaxDatagram int
 	// CoalesceMax is the largest frame eligible for coalescing (default
 	// DefaultCoalesceMax); negative disables coalescing entirely.
 	CoalesceMax int
@@ -185,9 +182,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.BulkBurst <= 0 {
 		c.BulkBurst = DefaultBulkBurst
-	}
-	if c.MaxDatagram <= 0 {
-		c.MaxDatagram = protocol.DefaultMTU
 	}
 	if c.CoalesceMax == 0 {
 		c.CoalesceMax = DefaultCoalesceMax
@@ -834,7 +828,7 @@ func (b *bearer) collectLocked(ln *lane, c int) int {
 	for ln.size(c) > 0 {
 		nxt := ln.peek(c)
 		if len(nxt) > b.cfg.CoalesceMax ||
-			total+protocol.BatchEntryOverhead+len(nxt) > b.cfg.MaxDatagram {
+			total+protocol.BatchEntryOverhead+len(nxt) > protocol.DefaultMTU {
 			break
 		}
 		b.collectRaw = append(b.collectRaw, ln.pop(c))

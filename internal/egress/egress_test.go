@@ -412,24 +412,30 @@ func TestCoalescingPacksSmallFramesIntoOneDatagram(t *testing.T) {
 	}
 }
 
+// TestCoalescingRespectsDatagramBudget: six 400-byte frames fit a batch
+// datagram three at a time, so they leave in two batches, each within the
+// MTU.
 func TestCoalescingRespectsDatagramBudget(t *testing.T) {
 	s := &gateSender{gate: make(chan struct{})}
-	p := New(s, Config{MaxDatagram: 700, CoalesceMax: 512})
+	p := New(s, Config{})
 	defer p.Close()
 	_ = p.Enqueue("hold", qos.PriorityNormal, frameBytes(t, protocol.MTSample, qos.PriorityNormal, 1, 10))
 	waitDequeued(t, p, qos.PriorityNormal, 1)
-	for seq := uint64(2); seq <= 5; seq++ {
-		_ = p.Enqueue("gs", qos.PriorityNormal, frameBytes(t, protocol.MTSample, qos.PriorityNormal, seq, 250))
+	for seq := uint64(2); seq <= 7; seq++ {
+		_ = p.Enqueue("gs", qos.PriorityNormal, frameBytes(t, protocol.MTSample, qos.PriorityNormal, seq, 400))
 	}
 	close(s.gate)
 	recs := waitSends(t, s, 3)
 	for _, r := range recs {
-		if len(r.raw) > 700 {
-			t.Fatalf("datagram %d bytes exceeds 700 budget", len(r.raw))
+		if len(r.raw) > protocol.DefaultMTU {
+			t.Fatalf("datagram %d bytes exceeds the %d-byte MTU", len(r.raw), protocol.DefaultMTU)
 		}
 	}
-	if got := len(decodeAll(t, recs)); got != 5 {
-		t.Fatalf("frames delivered = %d, want 5", got)
+	if got := len(decodeAll(t, recs)); got != 7 {
+		t.Fatalf("frames delivered = %d, want 7", got)
+	}
+	if len(recs) != 3 {
+		t.Fatalf("sent %d datagrams, want 3 (hold + two batches of three)", len(recs))
 	}
 }
 

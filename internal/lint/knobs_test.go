@@ -28,13 +28,11 @@ var tuningKnobs = []string{
 	"internal/core.WithEncoding",
 	"internal/core.WithFailureDeadline",
 	"internal/core.WithIngressShards",
-	"internal/core.WithMTU",
 	"internal/core.WithResourceBudget",
 	"internal/core.WithScheduler",
 	"internal/discovery.Config.Epoch",
 	"internal/discovery.Config.FailureDeadline",
 	"internal/discovery.Config.Load",
-	"internal/discovery.Config.MTU",
 	"internal/discovery.Config.Offer",
 	"internal/discovery.Config.OfferApplied",
 	"internal/discovery.Config.PeerGone",
@@ -44,7 +42,6 @@ var tuningKnobs = []string{
 	"internal/egress.Config.BulkRateBPS",
 	"internal/egress.Config.Clock",
 	"internal/egress.Config.CoalesceMax",
-	"internal/egress.Config.MaxDatagram",
 	"internal/egress.Config.Metrics",
 	"internal/flightsim.Options.ClimbRateMS",
 	"internal/flightsim.Options.GustMS",

@@ -16,9 +16,11 @@ import (
 //     carrying only the records added/withdrawn between two log versions;
 //   - Digest (MTHeartbeat): the constant-size periodic beacon — node,
 //     epoch, version, load, record count — O(nodes) steady-state cost;
-//   - SyncChunk (MTSyncRep): one MTU-bounded chunk of a full record set,
-//     sent unicast over ARQ in answer to MTSyncReq when a receiver detects
-//     a version gap, an unknown node, or a fresh epoch.
+//   - SyncRequest (MTSyncReq): sent unicast when a receiver detects a
+//     version gap, an unknown node, or a fresh epoch. The node answers
+//     over ARQ with a catch-up Delta, or with its full Announcement
+//     (MTAnnounce), which the container fragments like any frame larger
+//     than a datagram.
 
 // RecordKey identifies a record within one node's offer (withdrawals need
 // only the key, not the full record).
@@ -70,8 +72,8 @@ type Digest struct {
 	RecordCount uint32
 }
 
-// SyncRequest asks a node for its full record set. The requester's cached
-// state rides along for diagnostics and future delta-serving.
+// SyncRequest asks a node for its records. The requester's cached state
+// tells the node whether a catch-up delta can answer it.
 type SyncRequest struct {
 	// KnownEpoch is the requester's cached epoch for the target (0 = none).
 	KnownEpoch uint64
@@ -79,36 +81,15 @@ type SyncRequest struct {
 	KnownVersion uint64
 }
 
-// SyncChunk is one piece of a full-state reply. Chunks are sized under the
-// MTU by the sender so each rides in a single datagram even over ARQ; the
-// receiver assembles all Count chunks of one (node, epoch, version) before
-// applying them atomically.
-type SyncChunk struct {
-	// Node is the replying container.
-	Node transport.NodeID
-	// Epoch is the container incarnation.
-	Epoch uint64
-	// Version is the log version this snapshot corresponds to.
-	Version uint64
-	// Load is the replier's load figure.
-	Load float64
-	// Index is this chunk's position in [0, Count).
-	Index uint32
-	// Count is the total chunk count of the snapshot (>= 1).
-	Count uint32
-	// Records is this chunk's slice of the full record set.
-	Records []Record
-}
-
 // Wire format versions (independent of the frame-level version).
 const (
-	deltaWireVersion  = 1
-	digestWireVersion = 1
-	syncWireVersion   = 1
+	deltaWireVersion   = 1
+	digestWireVersion  = 1
+	syncReqWireVersion = 1
 )
 
 // maxDeltaRecords bounds decode allocations for a hostile or corrupt
-// delta/chunk.
+// delta.
 const maxDeltaRecords = 1 << 16
 
 // EncodeDelta serializes d.
@@ -240,7 +221,7 @@ func DecodeDigest(data []byte) (*Digest, error) {
 // EncodeSyncRequest serializes q.
 func EncodeSyncRequest(q *SyncRequest) []byte {
 	w := encoding.NewWriter(24)
-	w.Uint8(syncWireVersion)
+	w.Uint8(syncReqWireVersion)
 	w.Uint64(q.KnownEpoch)
 	w.Uint64(q.KnownVersion)
 	return w.Bytes()
@@ -249,7 +230,7 @@ func EncodeSyncRequest(q *SyncRequest) []byte {
 // DecodeSyncRequest parses data.
 func DecodeSyncRequest(data []byte) (*SyncRequest, error) {
 	r := encoding.NewReader(data)
-	if v := r.Uint8(); v != syncWireVersion {
+	if v := r.Uint8(); v != syncReqWireVersion {
 		return nil, fmt.Errorf("naming: sync-req version %d: %w", v, ErrBadAnnouncement)
 	}
 	q := &SyncRequest{KnownEpoch: r.Uint64(), KnownVersion: r.Uint64()}
@@ -257,170 +238,4 @@ func DecodeSyncRequest(data []byte) (*SyncRequest, error) {
 		return nil, fmt.Errorf("naming: sync-req: %w", err)
 	}
 	return q, nil
-}
-
-// syncChunkHeaderSize bounds the per-chunk header: version byte, node
-// string, epoch, version, load, index, count, record count.
-func syncChunkHeaderSize(node transport.NodeID) int {
-	return 1 + 4 + len(node) + 8 + 8 + 8 + 4 + 4 + 4
-}
-
-// EncodeSyncChunks splits a full offer into MTU-bounded chunk payloads.
-// maxBytes bounds each encoded chunk payload; a single record larger than
-// the budget still gets its own chunk (the frame layer fragments it).
-// At least one chunk is always produced, so an empty offer syncs too.
-func EncodeSyncChunks(a *Announcement, maxBytes int) ([][]byte, error) {
-	if a.Node == "" {
-		return nil, fmt.Errorf("naming: sync empty node: %w", ErrBadAnnouncement)
-	}
-	if maxBytes <= 0 {
-		maxBytes = 1200
-	}
-	budget := maxBytes - syncChunkHeaderSize(a.Node)
-	if budget < 1 {
-		budget = 1
-	}
-	// Pass 1: group records into chunks by encoded size.
-	var groups [][]Record
-	var cur []Record
-	used := 0
-	for _, rec := range a.Records {
-		sz := encodedRecordSize(rec)
-		if len(cur) > 0 && used+sz > budget {
-			groups = append(groups, cur)
-			cur, used = nil, 0
-		}
-		cur = append(cur, rec)
-		used += sz
-	}
-	if len(cur) > 0 || len(groups) == 0 {
-		groups = append(groups, cur)
-	}
-	// Pass 2: encode with the final count stamped into every chunk.
-	out := make([][]byte, 0, len(groups))
-	for idx, recs := range groups {
-		chunk, err := encodeSyncChunk(&SyncChunk{
-			Node: a.Node, Epoch: a.Epoch, Version: a.Version, Load: a.Load,
-			Index: uint32(idx), Count: uint32(len(groups)), Records: recs,
-		})
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, chunk)
-	}
-	return out, nil
-}
-
-// encodeSyncChunk serializes one chunk.
-func encodeSyncChunk(c *SyncChunk) ([]byte, error) {
-	w := encoding.NewWriter(syncChunkHeaderSize(c.Node) + 48*len(c.Records))
-	w.Uint8(syncWireVersion)
-	w.String(string(c.Node))
-	w.Uint64(c.Epoch)
-	w.Uint64(c.Version)
-	w.Float64(c.Load)
-	w.Uint32(c.Index)
-	w.Uint32(c.Count)
-	w.Uint32(uint32(len(c.Records)))
-	for i, rec := range c.Records {
-		if err := encodeRecord(w, rec); err != nil {
-			return nil, fmt.Errorf("naming: sync chunk %d record %d: %w", c.Index, i, err)
-		}
-	}
-	return w.Bytes(), nil
-}
-
-// DecodeSyncChunk parses one chunk payload.
-func DecodeSyncChunk(data []byte) (*SyncChunk, error) {
-	r := encoding.NewReader(data)
-	if v := r.Uint8(); v != syncWireVersion {
-		return nil, fmt.Errorf("naming: sync version %d: %w", v, ErrBadAnnouncement)
-	}
-	c := &SyncChunk{}
-	c.Node = transport.NodeID(r.String())
-	c.Epoch = r.Uint64()
-	c.Version = r.Uint64()
-	c.Load = r.Float64()
-	c.Index = r.Uint32()
-	c.Count = r.Uint32()
-	n := int(r.Uint32())
-	if err := r.Err(); err != nil {
-		return nil, fmt.Errorf("naming: sync header: %w", err)
-	}
-	if c.Node == "" || c.Count == 0 || c.Index >= c.Count {
-		return nil, fmt.Errorf("naming: sync chunk %d/%d: %w", c.Index, c.Count, ErrBadAnnouncement)
-	}
-	if n > maxDeltaRecords {
-		return nil, fmt.Errorf("naming: sync %d records: %w", n, ErrBadAnnouncement)
-	}
-	c.Records = make([]Record, 0, n)
-	for i := 0; i < n; i++ {
-		rec, err := decodeRecord(r, c.Node)
-		if err != nil {
-			return nil, fmt.Errorf("naming: sync record %d: %w", i, err)
-		}
-		c.Records = append(c.Records, rec)
-	}
-	if err := r.ExpectEOF(); err != nil {
-		return nil, fmt.Errorf("naming: sync: %w", err)
-	}
-	return c, nil
-}
-
-// SyncAssembler collects sync chunks per node and yields the complete
-// announcement once every chunk of one (epoch, version) snapshot has
-// arrived. A chunk from a newer snapshot discards a half-assembled older
-// one; chunks from an older snapshot are dropped.
-type SyncAssembler struct {
-	pending map[transport.NodeID]*syncAssembly
-}
-
-type syncAssembly struct {
-	epoch   uint64
-	version uint64
-	load    float64
-	count   uint32
-	got     map[uint32][]Record
-}
-
-// NewSyncAssembler builds an empty assembler. It is not goroutine-safe;
-// callers serialize Offer (the container's discovery path does).
-func NewSyncAssembler() *SyncAssembler {
-	return &SyncAssembler{pending: make(map[transport.NodeID]*syncAssembly)}
-}
-
-// Offer ingests one chunk; when it completes a snapshot the assembled
-// announcement is returned and the node's pending state cleared.
-func (s *SyncAssembler) Offer(c *SyncChunk) *Announcement {
-	asm := s.pending[c.Node]
-	if asm != nil {
-		if c.Epoch < asm.epoch || (c.Epoch == asm.epoch && c.Version < asm.version) {
-			return nil // stale snapshot
-		}
-		if c.Epoch != asm.epoch || c.Version != asm.version || c.Count != asm.count {
-			asm = nil // newer snapshot supersedes the half-built one
-		}
-	}
-	if asm == nil {
-		asm = &syncAssembly{
-			epoch: c.Epoch, version: c.Version, load: c.Load,
-			count: c.Count, got: make(map[uint32][]Record),
-		}
-		s.pending[c.Node] = asm
-	}
-	asm.got[c.Index] = c.Records
-	if uint32(len(asm.got)) < asm.count {
-		return nil
-	}
-	delete(s.pending, c.Node)
-	a := &Announcement{Node: c.Node, Epoch: asm.epoch, Version: asm.version, Load: asm.load}
-	for i := uint32(0); i < asm.count; i++ {
-		a.Records = append(a.Records, asm.got[i]...)
-	}
-	return a
-}
-
-// Forget drops any half-assembled snapshot for a departed node.
-func (s *SyncAssembler) Forget(node transport.NodeID) {
-	delete(s.pending, node)
 }

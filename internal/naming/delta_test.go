@@ -77,109 +77,6 @@ func TestDigestRoundTripAndSize(t *testing.T) {
 	}
 }
 
-func TestSyncChunksSplitAndReassemble(t *testing.T) {
-	a := &Announcement{Node: "n1", Epoch: 5, Version: 77, Load: 0.1}
-	for i := 0; i < 300; i++ {
-		a.Records = append(a.Records, Record{
-			Kind: KindVariable, Name: "var." + string(rune('a'+i%26)) + string(rune('0'+i%10)) + "." + time.Duration(i).String(),
-			Service: "svc", Node: "n1", TypeSig: "{lat:f64,lon:f64}",
-		})
-	}
-	const maxBytes = 1200
-	chunks, err := EncodeSyncChunks(a, maxBytes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(chunks) < 2 {
-		t.Fatalf("300 records fit one chunk (%d); want MTU-bounded split", len(chunks))
-	}
-	for i, raw := range chunks {
-		if len(raw) > maxBytes {
-			t.Errorf("chunk %d is %d bytes > budget %d", i, len(raw), maxBytes)
-		}
-	}
-	asm := NewSyncAssembler()
-	var got *Announcement
-	// Deliver out of order: completion must not depend on arrival order.
-	for i := len(chunks) - 1; i >= 0; i-- {
-		c, err := DecodeSyncChunk(chunks[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res := asm.Offer(c); res != nil {
-			if got != nil {
-				t.Fatal("assembler completed twice")
-			}
-			got = res
-		}
-	}
-	if got == nil {
-		t.Fatal("assembler never completed")
-	}
-	if got.Node != a.Node || got.Epoch != a.Epoch || got.Version != a.Version {
-		t.Fatalf("assembled header: %+v", got)
-	}
-	if len(got.Records) != len(a.Records) {
-		t.Fatalf("assembled %d records, want %d", len(got.Records), len(a.Records))
-	}
-}
-
-func TestSyncAssemblerSupersedesStaleSnapshot(t *testing.T) {
-	big := &Announcement{Node: "n1", Epoch: 1, Version: 1}
-	for i := 0; i < 200; i++ {
-		big.Records = append(big.Records, Record{
-			Kind: KindVariable, Name: "v" + time.Duration(i).String(), Node: "n1", TypeSig: "{a:f64,b:f64,c:f64}",
-		})
-	}
-	oldChunks, err := EncodeSyncChunks(big, 800)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(oldChunks) < 2 {
-		t.Fatal("need a multi-chunk snapshot for this test")
-	}
-	asm := NewSyncAssembler()
-	c0, _ := DecodeSyncChunk(oldChunks[0])
-	if asm.Offer(c0) != nil {
-		t.Fatal("half snapshot completed")
-	}
-	// A newer version arrives before the old snapshot finishes.
-	small := &Announcement{Node: "n1", Epoch: 1, Version: 2,
-		Records: []Record{{Kind: KindEvent, Name: "e", Node: "n1"}}}
-	newChunks, err := EncodeSyncChunks(small, 800)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nc, _ := DecodeSyncChunk(newChunks[0])
-	got := asm.Offer(nc)
-	if got == nil || got.Version != 2 || len(got.Records) != 1 {
-		t.Fatalf("new snapshot not assembled: %+v", got)
-	}
-	// Stragglers from the stale snapshot must not resurrect it.
-	c1, _ := DecodeSyncChunk(oldChunks[1])
-	if asm.Offer(c1) != nil {
-		t.Fatal("stale chunk completed a snapshot")
-	}
-}
-
-func TestSyncChunksEmptyOffer(t *testing.T) {
-	chunks, err := EncodeSyncChunks(&Announcement{Node: "n1", Epoch: 1, Version: 4}, 1200)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(chunks) != 1 {
-		t.Fatalf("empty offer: %d chunks, want 1", len(chunks))
-	}
-	c, err := DecodeSyncChunk(chunks[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := NewSyncAssembler().Offer(c)
-	if a == nil || len(a.Records) != 0 || a.Version != 4 {
-		t.Fatalf("empty sync: %+v", a)
-	}
-}
-
 func TestLogVersionsAndDiffs(t *testing.T) {
 	l := NewLog()
 	if v := l.Version(); v != 0 {

@@ -11,13 +11,15 @@ import (
 
 // Message tags of a FuzzDirectory input: the input is a sequence of
 // [tag u8][length u16][body] messages, each body fed to the decoder its
-// tag names. A tag of fuzzExpire instead advances the clock by the body's
-// length in seconds and expires stale nodes.
+// tag names. fuzzSnapshot is an announcement too — the form a sync reply
+// takes — so the committed corpus keeps its tag numbers. A tag of
+// fuzzExpire instead advances the clock by the body's length in seconds
+// and expires stale nodes.
 const (
 	fuzzAnnounce = iota
 	fuzzDelta
 	fuzzDigest
-	fuzzSyncChunk
+	fuzzSnapshot
 	fuzzExpire
 	fuzzTags
 )
@@ -29,7 +31,7 @@ func fuzzMessage(tag byte, body []byte) []byte {
 }
 
 // FuzzDirectory feeds peer bytes through the discovery decoders
-// (DecodeAnnouncement, DecodeDelta, DecodeDigest, DecodeSyncChunk) into
+// (DecodeAnnouncement, DecodeDelta, DecodeDigest) into
 // one Directory's Apply, ApplyDelta and ApplyDigest. Nothing may panic;
 // every accepted message re-encodes to the bytes it was read from; and
 // after each message the cache agrees with itself: every listed name has
@@ -53,13 +55,10 @@ func FuzzDirectory(f *testing.F) {
 	fresh, _ := EncodeDelta(&Delta{Node: "c", Epoch: 1, From: 0, To: 1, Added: []Record{rec(KindFunction, "fn", "u", "c")}})
 	digest, _ := EncodeDigest(&Digest{Node: "a", Epoch: 1, Version: 3, RecordCount: 2})
 	empty, _ := EncodeDigest(&Digest{Node: "d", Epoch: 2})
-	chunks, _ := EncodeSyncChunks(&Announcement{Node: "b", Epoch: 2, Version: 4, Records: []Record{
+	snapshot, _ := EncodeAnnouncement(&Announcement{Node: "b", Epoch: 2, Version: 4, Records: []Record{
 		rec(KindFile, "f1", "s", "b"), rec(KindFile, "f2", "s", "b"), rec(KindFunction, "fn", "s", "b"),
-	}}, 80)
-	var sync []byte
-	for _, c := range chunks {
-		sync = append(sync, fuzzMessage(fuzzSyncChunk, c)...)
-	}
+	}})
+	sync := fuzzMessage(fuzzSnapshot, snapshot)
 	f.Add(fuzzMessage(fuzzAnnounce, ann))
 	f.Add(bytes.Join([][]byte{
 		fuzzMessage(fuzzAnnounce, ann), fuzzMessage(fuzzAnnounce, annB), fuzzMessage(fuzzDelta, delta),
@@ -71,7 +70,6 @@ func FuzzDirectory(f *testing.F) {
 	}, nil))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		d := NewDirectory(0)
-		asm := NewSyncAssembler()
 		now := time.Unix(1_000_000, 0)
 		heard := map[transport.NodeID]bool{}
 		for len(data) >= 3 {
@@ -84,7 +82,7 @@ func FuzzDirectory(f *testing.F) {
 			data = data[n:]
 			now = now.Add(100 * time.Millisecond)
 			switch tag {
-			case fuzzAnnounce:
+			case fuzzAnnounce, fuzzSnapshot:
 				a, err := DecodeAnnouncement(body)
 				if err != nil {
 					continue
@@ -108,16 +106,6 @@ func FuzzDirectory(f *testing.F) {
 				reencoded(t, "digest", body, func() ([]byte, error) { return EncodeDigest(g) })
 				heard[g.Node] = true
 				d.ApplyDigest(g, now)
-			case fuzzSyncChunk:
-				c, err := DecodeSyncChunk(body)
-				if err != nil {
-					continue
-				}
-				reencoded(t, "sync chunk", body, func() ([]byte, error) { return encodeSyncChunk(c) })
-				if a := asm.Offer(c); a != nil {
-					heard[a.Node] = true
-					d.Apply(a, now)
-				}
 			case fuzzExpire:
 				now = now.Add(time.Duration(n) * time.Second)
 				d.Expire(now)

@@ -13,7 +13,7 @@ type Log struct {
 	records map[RecordKey]Record
 	// history is a ring of recent changes indexed by version % depth, so
 	// an anti-entropy request from a slightly stale peer can be answered
-	// with a compact catch-up delta instead of the full chunked catalog.
+	// with a compact catch-up delta instead of the full catalog.
 	// It grows by doubling, from logHistoryStart slots to logHistoryDepth,
 	// as changes arrive: until the first wrap a change's slot is its
 	// version, so a node that offers nothing holds no ring and one that

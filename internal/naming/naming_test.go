@@ -135,18 +135,34 @@ func TestDirectoryWithdrawnRecordRemoved(t *testing.T) {
 	}
 }
 
+// TestDirectoryStaleEpochRejected: an announcement from an older epoch, or
+// from an older version of the same epoch (a snapshot reply overtaken by a
+// newer one), is ignored and the records stand.
 func TestDirectoryStaleEpochRejected(t *testing.T) {
 	d := NewDirectory(time.Second)
 	now := time.Now()
-	d.Apply(sampleAnnouncement(), now)
-	old := sampleAnnouncement()
-	old.Epoch = 1
-	old.Records = nil
-	if changed := d.Apply(old, now); changed {
-		t.Error("stale epoch must be ignored")
-	}
-	if d.ProviderCount(KindVariable, "gps.position") != 1 {
-		t.Error("stale epoch wiped records")
+	current := sampleAnnouncement()
+	current.Version = 2
+	d.Apply(current, now)
+	for _, stale := range []struct {
+		what           string
+		epoch, version uint64
+	}{
+		{"stale epoch", 1, 9},
+		{"stale version", current.Epoch, 1},
+	} {
+		old := sampleAnnouncement()
+		old.Epoch, old.Version = stale.epoch, stale.version
+		old.Records = nil
+		if changed := d.Apply(old, now); changed {
+			t.Errorf("%s must be ignored", stale.what)
+		}
+		if d.ProviderCount(KindVariable, "gps.position") != 1 {
+			t.Errorf("%s wiped records", stale.what)
+		}
+		if _, version, _ := d.NodeVersion("uav1"); version != 2 {
+			t.Errorf("%s moved the node to version %d", stale.what, version)
+		}
 	}
 }
 

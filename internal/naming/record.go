@@ -137,18 +137,12 @@ func encodeRecord(w *encoding.Writer, rec Record) error {
 	return nil
 }
 
-// encodedRecordSize is the wire size of one record body.
-func encodedRecordSize(rec Record) int {
-	// kind byte plus four length-prefixed (u32) strings.
-	return 1 + 4*4 + len(rec.Name) + len(rec.Service) + len(rec.TypeSig) + len(rec.ArgSig)
-}
-
 // Decoded records share the strings of their small vocabularies: a node
 // offers hundreds of resources from a handful of services, typed by a
-// handful of signatures, and every full announcement, delta and sync chunk
-// repeats them. Names are unique per record and are decoded fresh. The
-// tables are bounded (intern), so a flood of novel strings costs what a
-// plain decode does and evicts nothing.
+// handful of signatures, and every announcement and delta repeats them.
+// Names are unique per record and are decoded fresh. The tables are
+// bounded (intern), so a flood of novel strings costs what a plain decode
+// does and evicts nothing.
 var (
 	recordServices   intern.Table
 	recordSignatures intern.Table // TypeSig and ArgSig

@@ -95,11 +95,14 @@ const (
 	// Registration changes multicast a compact versioned delta the moment
 	// they happen; the periodic beacon is a constant-size digest
 	// (MTHeartbeat, defined above); receivers that observe a version gap,
-	// an unknown node, or a fresh epoch pull the full record set unicast
-	// (anti-entropy sync), chunked under the MTU and carried over ARQ.
+	// an unknown node, or a fresh epoch ask the node for its records
+	// unicast (anti-entropy sync). The node answers over ARQ with a
+	// catch-up MTAnnounceDelta or its full record set as one MTAnnounce,
+	// fragmented like any frame larger than a datagram. MTSyncRep is no
+	// longer sent: its number stays reserved so later types keep theirs.
 	MTAnnounceDelta // added/withdrawn records since the previous version
-	MTSyncReq       // receiver asks a node for its full record set
-	MTSyncRep       // one chunk of the full record set
+	MTSyncReq       // receiver asks a node for its records
+	MTSyncRep       // reserved
 
 	// Egress coalescing (§6 framing, transmit side). While small frames
 	// for the same destination wait in an egress lane, the plane packs
@@ -156,7 +159,7 @@ func (m MsgType) String() string {
 		MTFileAck: "file-ack", MTFileNack: "file-nack", MTFileCancel: "file-cancel",
 		MTFragment: "fragment", MTAck: "ack", MTEventNack: "event-nack",
 		MTBusy: "busy", MTAnnounceDelta: "announce-delta",
-		MTSyncReq: "sync-req", MTSyncRep: "sync-rep", MTBatch: "batch",
+		MTSyncReq: "sync-req", MTBatch: "batch",
 		MTProbe: "probe", MTProbeEcho: "probe-echo",
 	}
 	if int(m) < len(names) && names[m] != "" {
