@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -162,51 +163,98 @@ func TestReceivePathAllocs(t *testing.T) {
 	}
 }
 
+// handClock is the wall clock frozen at one instant, which the test moves,
+// whose timers fire only when the test says: a gate that drives ARQ's timer
+// for its one peer runs it on its own goroutine.
+type handClock struct {
+	clock.Real
+	mu    sync.Mutex
+	now   time.Time
+	timer func() // the last timer made
+}
+
+func newHandClock() *handClock { return &handClock{now: time.Unix(1_000_000, 0)} }
+
+func (c *handClock) Now() time.Time {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.now
+}
+
+func (c *handClock) Since(t time.Time) time.Duration { return c.Now().Sub(t) }
+
+func (c *handClock) advance(d time.Duration) {
+	c.mu.Lock()
+	c.now = c.now.Add(d)
+	c.mu.Unlock()
+}
+
+func (c *handClock) AfterFunc(_ time.Duration, f func()) clock.Timer {
+	c.mu.Lock()
+	c.timer = f
+	c.mu.Unlock()
+	return handTimer{}
+}
+
+func (c *handClock) fire() {
+	c.mu.Lock()
+	f := c.timer
+	c.mu.Unlock()
+	f()
+}
+
+type handTimer struct{}
+
+func (handTimer) Stop() bool               { return true }
+func (handTimer) Reset(time.Duration) bool { return true }
+
 // TestHeldCallAckAllocs gates a held acknowledgment at zero: a call's held
 // and then cancelled by its reply, a reply's held and then carried by the
-// next frame to its peer, and one held and then flushed when its delay runs
-// out, the transmit and drain included. The shard's held acks run on a
-// virtual clock nothing advances, so their timer, armed once in the
-// warm-up, stays pending and the flush runs on the test's goroutine.
+// next frame to its peer, and one held and then sent when its delay runs
+// out, the transmit and drain included. ARQ runs on a hand-driven clock,
+// so the peer's one timer, made in the warm-up, fires on the test's
+// goroutine.
 func TestHeldCallAckAllocs(t *testing.T) {
 	sink := &wireSink{id: "held-gate", sent: make(chan struct{}, 1)}
-	n, err := NewNode(WithDatagram(sink), WithAnnouncePeriod(time.Hour), WithIngressShards(1))
+	hand := newHandClock()
+	n, err := NewNode(WithDatagram(sink), WithAnnouncePeriod(time.Hour), WithIngressShards(1),
+		WithARQ(protocol.WithClock(hand)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer func() { _ = n.Close() }()
-	h := newHeldAcks(clock.NewVirtual(), n.flushAcks)
-	n.shards[0].held = h
 	seq := uint64(0)
+	hold := func(reply bool) {
+		seq++
+		if _, held := n.arq.Arrive(hand.Now(), "peer", protocol.HeldAck{Bearer: DefaultBearer, Seq: seq, Priority: qos.PriorityNormal, Reply: reply}, true); !held {
+			t.Fatal("hold refused")
+		}
+	}
 	for _, v := range []struct {
 		name string
 		op   func()
 	}{
 		{"hold, cancel", func() {
-			seq++
-			h.hold(DefaultBearer, "peer", seq, qos.PriorityNormal, false)
-			if !h.cancel("peer", seq) {
+			hold(false)
+			if !n.arq.Cancel("peer", seq) {
 				t.Fatalf("call %d: no held ack to cancel", seq)
 			}
 		}},
 		{"hold reply, carry", func() {
-			seq++
-			h.hold(DefaultBearer, "peer", seq, qos.PriorityNormal, true)
+			hold(true)
 			f := protocol.Frame{Type: protocol.MTEvent, Priority: qos.PriorityNormal, Channel: "held.gate"}
 			if err := n.SendBestEffort("peer", &f); err != nil {
 				t.Fatal(err)
 			}
 			<-sink.sent
-			if h.replies.Load() != 0 {
+			if n.arq.HeldReplies() != 0 {
 				t.Fatalf("reply %d: its held ack was not carried", seq)
 			}
 		}},
 		{"hold, flush", func() {
-			seq++
-			h.hold(DefaultBearer, "peer", seq, qos.PriorityNormal, false)
-			h.mu.Lock()
-			h.flushDue(h.clk.Now().Add(2 * maxAckDelay))
-			h.mu.Unlock()
+			hold(false)
+			hand.advance(2 * protocol.MaxAckDelay)
+			hand.fire()
 			<-sink.sent
 		}},
 	} {

@@ -134,10 +134,8 @@ func TestLateJoinerSyncsFragmentedSnapshotUnderLoss(t *testing.T) {
 			t.Fatalf("ARQ tables not empty: a %d, b %d", a.arq.Pending(), b.arq.Pending())
 		}
 		for _, n := range []*Node{a, b} {
-			for i, sh := range n.shards {
-				if pending := sh.reasm.PendingMessages(); pending != 0 {
-					t.Errorf("%s shard %d holds %d partial messages", n.ID(), i, pending)
-				}
+			if pending := n.arq.Partials(); pending != 0 {
+				t.Errorf("%s holds %d partial messages", n.ID(), pending)
 			}
 		}
 		frags := aLog.sent(protocol.MTFragment)

@@ -230,7 +230,7 @@ func TestRPCReplyAcknowledgesCall(t *testing.T) {
 		registerIncrement(t, provider, "fn", nil, nil)
 		waitProviders(t, v, caller, "fn", 1)
 		// Let the discovery exchange's own acks leave first.
-		v.Sleep(5 * maxAckDelay)
+		v.Sleep(5 * protocol.MaxAckDelay)
 		callerLog.reset()
 		providerLog.reset()
 
@@ -291,7 +291,7 @@ func TestReplyAckLeavesAfterDelay(t *testing.T) {
 		defer func() { _ = provider.Close() }()
 		registerIncrement(t, provider, "fn", nil, nil)
 		waitProviders(t, v, caller, "fn", 1)
-		v.Sleep(5 * maxAckDelay)
+		v.Sleep(5 * protocol.MaxAckDelay)
 		callerLog.reset()
 		providerLog.reset()
 
@@ -300,8 +300,8 @@ func TestReplyAckLeavesAfterDelay(t *testing.T) {
 		if !virtualWait(v, time.Second, func() bool { return len(callerLog.sent(protocol.MTAck)) > 0 }) {
 			t.Fatal("the reply was never acknowledged")
 		}
-		if waited := v.Now().Sub(answered); waited > maxAckDelay+100*time.Microsecond {
-			t.Errorf("the reply's ack left %v after the reply, want within the %v hold", waited, maxAckDelay)
+		if waited := v.Now().Sub(answered); waited > protocol.MaxAckDelay+100*time.Microsecond {
+			t.Errorf("the reply's ack left %v after the reply, want within the %v hold", waited, protocol.MaxAckDelay)
 		}
 		if !virtualWait(v, time.Second, func() bool { return provider.arq.Pending() == 0 }) {
 			t.Fatal("the provider never saw the reply's ack")
@@ -318,12 +318,12 @@ func TestReplyAckLeavesAfterDelay(t *testing.T) {
 			t.Errorf("caller acknowledged %v, want the reply's %v", got, replies)
 		}
 		if r := counter(t, provider, "arq", "retransmits"); r != 0 {
-			t.Errorf("provider retransmitted %d times although the reply was acknowledged after %v", r, maxAckDelay)
+			t.Errorf("provider retransmitted %d times although the reply was acknowledged after %v", r, protocol.MaxAckDelay)
 		}
 	})
 }
 
-// TestHeldCallAckLeavesAfterDelay stalls the handler past maxAckDelay: the
+// TestHeldCallAckLeavesAfterDelay stalls the handler past protocol.MaxAckDelay: the
 // provider then acknowledges the call on its own, once, before the
 // caller's first ARQ timeout, so the call is never retransmitted.
 func TestHeldCallAckLeavesAfterDelay(t *testing.T) {
@@ -343,7 +343,7 @@ func TestHeldCallAckLeavesAfterDelay(t *testing.T) {
 		defer func() { _ = caller.Close() }()
 		provider := virtualNode(t, v, providerLog)
 		defer func() { _ = provider.Close() }()
-		registerIncrement(t, provider, "slow", nil, func() { v.Sleep(5 * maxAckDelay) })
+		registerIncrement(t, provider, "slow", nil, func() { v.Sleep(5 * protocol.MaxAckDelay) })
 		waitProviders(t, v, caller, "slow", 1)
 		callerLog.reset()
 		providerLog.reset()
@@ -363,7 +363,7 @@ func TestHeldCallAckLeavesAfterDelay(t *testing.T) {
 			t.Errorf("provider acknowledged seqs %v, want the call's %v", got, calls)
 		}
 		if r := counter(t, caller, "arq", "retransmits"); r != 0 {
-			t.Errorf("caller retransmitted %d times although the call was acknowledged after %v", r, maxAckDelay)
+			t.Errorf("caller retransmitted %d times although the call was acknowledged after %v", r, protocol.MaxAckDelay)
 		}
 	})
 }
@@ -516,29 +516,23 @@ func TestFragmentedCallAckedPerFragment(t *testing.T) {
 				t.Errorf("fragment %d was not acknowledged (acked %v)", seq, acked)
 			}
 		}
-		for _, sh := range provider.shards {
-			sh.held.mu.Lock()
-			held := len(sh.held.acks)
-			sh.held.mu.Unlock()
-			if held != 0 {
-				t.Errorf("provider still holds %d call acks", held)
-			}
+		if held := provider.arq.HeldAcks(); held != 0 {
+			t.Errorf("provider still holds %d call acks", held)
 		}
 	})
 }
 
 // TestHeldCallAckReuse races replies cancelling held call acks against the
-// shard timer flushing them, with every eighth reply coming as the hold
-// runs out (run it with -race): every held ack leaves exactly one way — dropped for
-// its reply or sent in an MTAck — however the held list's reused array
-// shifts under the two.
+// peer's timer sending them, with every eighth reply coming as the hold
+// runs out (run it with -race): every held ack leaves exactly one way —
+// dropped for its reply or sent in an MTAck — however the held list's
+// reused array shifts under the two.
 func TestHeldCallAckReuse(t *testing.T) {
 	sink := newWireLog(&wireSink{id: "held-race"})
 	n, err := NewNode(WithDatagram(sink), WithAnnouncePeriod(time.Hour), WithIngressShards(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := n.shards[0].held
 	const holds = 2000
 	cancelled := make([]bool, holds+1)
 	replies := make(chan uint64)
@@ -548,13 +542,13 @@ func TestHeldCallAckReuse(t *testing.T) {
 		for seq := range replies {
 			// Every eighth reply comes around the delay's end.
 			if seq%8 == 0 {
-				time.Sleep(maxAckDelay)
+				time.Sleep(protocol.MaxAckDelay)
 			}
-			cancelled[seq] = h.cancel("peer", seq)
+			cancelled[seq] = n.arq.Cancel("peer", seq)
 		}
 	}()
 	for seq := uint64(1); seq <= holds; seq++ {
-		h.hold(DefaultBearer, "peer", seq, qos.PriorityNormal, false)
+		n.arq.Arrive(n.clk.Now(), "peer", protocol.HeldAck{Bearer: DefaultBearer, Seq: seq, Priority: qos.PriorityNormal}, true)
 		replies <- seq
 	}
 	close(replies)
@@ -621,7 +615,7 @@ func TestRPCClosedLoopPackets(t *testing.T) {
 		for _, fn := range fns {
 			waitProviders(t, v, caller, fn, 1)
 		}
-		v.Sleep(5 * maxAckDelay)
+		v.Sleep(5 * protocol.MaxAckDelay)
 		callerLog.reset()
 		providerLog.reset()
 		bytesBefore := wireBytes()
@@ -670,19 +664,17 @@ func TestRPCClosedLoopPackets(t *testing.T) {
 // on, in a class no lower than the reply's.
 func TestHeldAckRidesOnlyEligibleFrames(t *testing.T) {
 	logA, logB := newWireLog(&wireSink{id: "n"}), newWireLog(&wireSink{id: "n"})
+	// ARQ's timers never fire: no held ack falls due during the test.
+	hand := newHandClock()
 	n, err := NewNode(WithBearer("a", logA, qos.BearerProfile{}), WithBearer("b", logB, qos.BearerProfile{}),
-		WithAnnouncePeriod(time.Hour), WithIngressShards(1))
+		WithAnnouncePeriod(time.Hour), WithIngressShards(1), WithARQ(protocol.WithClock(hand)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer func() { _ = n.Close() }()
-	// The held acks run on a virtual clock nothing advances: none falls
-	// due during the test.
-	h := newHeldAcks(clock.NewVirtual(), n.flushAcks)
-	n.shards[0].held = h
 	hold := func(bearer string, pr qos.Priority, seqs ...uint64) {
 		for _, seq := range seqs {
-			if !h.hold(bearer, "peer", seq, pr, true) {
+			if _, held := n.arq.Arrive(hand.Now(), "peer", protocol.HeldAck{Bearer: bearer, Seq: seq, Priority: pr, Reply: true}, true); !held {
 				t.Fatal("hold refused")
 			}
 		}
@@ -720,7 +712,7 @@ func TestHeldAckRidesOnlyEligibleFrames(t *testing.T) {
 		if got := append(logA.carriedSeqs(), logB.carriedSeqs()...); len(got) != 0 {
 			t.Fatalf("%s frame carried held acks %v", c.name, got)
 		}
-		if r := h.replies.Load(); r != 5 {
+		if r := n.arq.HeldReplies(); r != 5 {
 			t.Fatalf("after the %s frame %d reply acks are held, want 5", c.name, r)
 		}
 	}
@@ -750,7 +742,7 @@ func TestHeldAckRidesOnlyEligibleFrames(t *testing.T) {
 	if got := logB.carriedSeqs(); !slices.Equal(got, want["b"]) {
 		t.Errorf("bearer b carried %v, want %v", got, want["b"])
 	}
-	if r := h.replies.Load(); r != 0 {
+	if r := n.arq.HeldReplies(); r != 0 {
 		t.Errorf("%d reply acks still held", r)
 	}
 	if acks := append(logA.sent(protocol.MTAck), logB.sent(protocol.MTAck)...); len(acks) != 0 {
@@ -759,7 +751,7 @@ func TestHeldAckRidesOnlyEligibleFrames(t *testing.T) {
 }
 
 // TestHeldReplyAckReuse races frames carrying held reply acks against the
-// shard timer flushing them, on a delay short enough that the two meet
+// peer's timer sending them, on a delay short enough that the two meet
 // (run it with -race): every held ack leaves exactly once, in one frame's
 // header or in one MTAck, however the held list's reused array shifts
 // under the two.
@@ -769,7 +761,6 @@ func TestHeldReplyAckReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := n.shards[0].held
 	const holds = 2000
 	held := make(chan uint64)
 	done := make(chan struct{})
@@ -781,7 +772,7 @@ func TestHeldReplyAckReuse(t *testing.T) {
 			}
 			// Every ninth frame comes around the delay's end.
 			if seq%9 == 0 {
-				time.Sleep(maxAckDelay)
+				time.Sleep(protocol.MaxAckDelay)
 			}
 			f := protocol.Frame{Type: protocol.MTSample, Priority: qos.PriorityNormal, Channel: "held.race"}
 			if err := n.SendBestEffort("peer", &f); err != nil {
@@ -794,7 +785,7 @@ func TestHeldReplyAckReuse(t *testing.T) {
 		}
 	}()
 	for seq := uint64(1); seq <= holds; seq++ {
-		h.hold(DefaultBearer, "peer", seq, qos.PriorityNormal, true)
+		n.arq.Arrive(n.clk.Now(), "peer", protocol.HeldAck{Bearer: DefaultBearer, Seq: seq, Priority: qos.PriorityNormal, Reply: true}, true)
 		held <- seq
 	}
 	close(held)

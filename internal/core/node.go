@@ -83,12 +83,14 @@ type Node struct {
 	// ingress is the sharded receive pipeline between the bearer
 	// transports and handleFrame: packets hash by source onto shards
 	// (preserving per-source FIFO), shards decode and dispatch in
-	// parallel. shards holds the per-shard protocol state (dedup windows,
-	// reassembly, pending ack coalescing). Only frames from peers enter it:
-	// a frame addressed to this node is routed synchronously by transmit.
+	// parallel; acks holds each shard's acks owed at the end of its drain
+	// batch. Only frames from peers enter it: a frame addressed to this
+	// node is routed synchronously by transmit.
 	ingress *ingress.Pipeline
-	shards  []*recvShard
+	acks    []ackQueue
 	seq     atomic.Uint64
+	heldMu  sync.Mutex
+	heldOut ackQueue // sendHeldAcks' scratch
 
 	// metrics is the node's unified registry: every plane's counter
 	// families and typed-error families land here, and MetricsSnapshot
@@ -321,6 +323,7 @@ func NewNode(opts ...NodeOption) (*Node, error) {
 	n.arq = protocol.NewARQ(func(to transport.NodeID, frame []byte) error {
 		return n.egress.Enqueue(to, protocol.PeekPriority(frame), frame)
 	}, append([]protocol.ARQOption{protocol.WithClock(clk), protocol.WithMetrics(n.metrics)}, cfg.arqOpts...)...)
+	n.arq.OnAcksDue(n.sendHeldAcks)
 	n.duplicates = n.metrics.Counter("arq", "duplicates")
 
 	n.vars = variables.New(n)
@@ -344,18 +347,15 @@ func NewNode(opts ...NodeOption) (*Node, error) {
 	})
 
 	// The sharded receive pipeline sits between the bearer transports and
-	// the dispatcher. Per-shard protocol state (dedup, reassembly, ack
-	// coalescing) is touched only by that shard's worker.
+	// the dispatcher. A shard's ack coalescing is touched only by that
+	// shard's worker.
 	n.ingress = ingress.New(ingress.Config{
 		Shards:  cfg.ingressShards,
 		Clock:   clk,
 		Metrics: n.metrics,
 		Deliver: n.deliverBatch,
 	})
-	n.shards = make([]*recvShard, n.ingress.Shards())
-	for i := range n.shards {
-		n.shards[i] = n.newRecvShard()
-	}
+	n.acks = make([]ackQueue, n.ingress.Shards())
 
 	// Each bearer's receive path is tagged with the bearer name: the link
 	// monitor sees every arrival, and replies that must ride the arrival
@@ -463,9 +463,9 @@ func (r *reliable) complete(err error) error {
 // each datagram to the egress plane — directly and plane-owned for
 // best-effort traffic, through ARQ (which keeps its own copy and re-enters
 // the plane per transmission) when rel is set. A unicast frame to a peer
-// settles the acks held for it (heldAcks): a reply drops its call's, and a
-// frame that fits one datagram carries the held reply acks it may. Every
-// Send* method, the ack path and the link probes go through it.
+// settles the acks ARQ holds for it: a reply drops its call's, and a frame
+// that fits one datagram carries the held reply acks it may. Every Send*
+// method, the ack path and the link probes go through it.
 func (n *Node) transmit(d egress.Dest, f *protocol.Frame, rel *reliable) error {
 	// A batch's outer header carries no sequence semantics; its zero Seq
 	// is not "unassigned".
@@ -480,14 +480,13 @@ func (n *Node) transmit(d egress.Dest, f *protocol.Frame, rel *reliable) error {
 	}
 	size := protocol.FrameWireSize(f)
 	if !loopback && d.Group == "" {
-		held := n.shards[n.ingress.ShardOf(d.Node)].held
 		if isReply(f.Type) {
 			// The reply acknowledges its call: the call's held ack stays home.
 			if id, ok := rpc.ReplyCallID(f.Payload); ok {
-				held.cancel(d.Node, id)
+				n.arq.Cancel(d.Node, id)
 			}
 		}
-		if size < protocol.DefaultMTU && carriesAcks(f) && held.replies.Load() > 0 {
+		if size < protocol.DefaultMTU && carriesAcks(f) && n.arq.HeldReplies() > 0 {
 			// The frame carries the held acks of replies that arrived on
 			// its bearer, the one it would take anyway, now pinned, in a
 			// class no higher than its own. The block rides a copy: the
@@ -495,10 +494,10 @@ func (n *Node) transmit(d egress.Dest, f *protocol.Frame, rel *reliable) error {
 			if d.Bearer == "" {
 				d.Bearer = n.unicastBearer(d.Node, f.Priority)
 			}
-			var c carried
-			c.frame = *f
-			c.frame.AckLargest, c.frame.AckRanges = held.carry(d.Node, d.Bearer, f.Priority, protocol.DefaultMTU-size, &c)
-			f = &c.frame
+			var block protocol.AckBlock
+			carrier := *f
+			carrier.AckLargest, carrier.AckRanges = n.arq.Carry(d.Node, d.Bearer, f.Priority, protocol.DefaultMTU-size, &block)
+			f = &carrier
 			size = protocol.FrameWireSize(f)
 		}
 	}
@@ -633,26 +632,9 @@ var (
 	_ fabric.Instrumented = (*Node)(nil)
 )
 
-// recvShard is one ingress shard's protocol-layer state. Dedup windows and
-// reassembly are source-keyed, and the pipeline hashes packets by source,
-// so each peer's state lives on exactly one shard and the pre-pipeline
-// global dedup lock is gone (the embedded mutexes survive only for the
-// rare cross-shard Forget on peer failure). The acks held for the traffic
-// that acknowledges them are keyed by the same source: a frame to a peer
-// finds the held acks it cancels or carries on that peer's shard.
-type recvShard struct {
-	dedup *protocol.Dedup
-	reasm *protocol.Reassembler
-	// acks generated within one pipeline drain leave as one range MTAck
-	// per (bearer, peer) at batch end; touched only by the shard worker.
-	acks ackQueue
-	// held are the acks of arrived calls and replies that wait, up to
-	// maxAckDelay, for a frame back to their peer to make them free.
-	held *heldAcks
-}
-
 // ackQueue is a list of acknowledgments owed to peers and the scratch that
-// sends them as range MTAcks, one per (bearer, peer).
+// sends them as range MTAcks, one per (bearer, peer). A shard's queue
+// collects the acks of one drain batch and is touched only by its worker.
 type ackQueue struct {
 	acks []pendingAck
 	seqs []uint64
@@ -667,14 +649,6 @@ type pendingAck struct {
 	done   bool
 }
 
-func (n *Node) newRecvShard() *recvShard {
-	return &recvShard{
-		dedup: protocol.NewDedup(0),
-		reasm: protocol.NewReassembler(0, n.clk),
-		held:  newHeldAcks(n.clk, n.flushAcks),
-	}
-}
-
 // maxBatchNesting bounds MTBatch recursion. Depth 0 is a batch arriving as
 // its own datagram (egress coalescing). This stack never nests a batch in
 // a batch (acks travel as one range MTAck), so anything deeper is rejected
@@ -687,13 +661,14 @@ const maxBatchNesting = 1
 // payloads alias the pipeline's pooled buffers, which stay alive for the
 // duration of this call — every route handler consumes its payload
 // synchronously (copying whatever it keeps), so no per-frame heap copy is
-// taken.
+// taken. The clock is read once per batch.
 func (n *Node) deliverBatch(shard int, batch []ingress.Packet) {
-	sh := n.shards[shard]
+	q := &n.acks[shard]
+	now := n.clk.Now()
 	for i := range batch {
-		n.handleFrameOn(sh, batch[i].Bearer, batch[i].From, batch[i].Payload, 0)
+		n.handleFrameOn(q, now, batch[i].Bearer, batch[i].From, batch[i].Payload, 0)
 	}
-	n.flushAcks(&sh.acks)
+	n.flushAcks(q)
 }
 
 // routeSelf decodes and routes one frame this node addressed to itself,
@@ -710,9 +685,9 @@ func (n *Node) routeSelf(raw []byte) {
 }
 
 // handleFrameOn decodes and routes one frame from a peer that arrived on
-// the named bearer, using the given shard's protocol state. depth counts
-// MTBatch nesting.
-func (n *Node) handleFrameOn(sh *recvShard, bearer string, from transport.NodeID, raw []byte, depth int) {
+// the named bearer by now, queueing its ack on q. depth counts MTBatch
+// nesting.
+func (n *Node) handleFrameOn(q *ackQueue, now time.Time, bearer string, from transport.NodeID, raw []byte, depth int) {
 	// The frame struct is pooled: every route handler consumes it
 	// synchronously and none retains the pointer past its call (the rpc
 	// engine copies what it needs into its serve record before scheduling
@@ -723,11 +698,11 @@ func (n *Node) handleFrameOn(sh *recvShard, bearer string, from transport.NodeID
 		uerr.Note(n.metrics, codeFrameDecode, err, "drop undecodable frame")
 		return
 	}
-	n.handleFrame(sh, bearer, from, f, depth)
+	n.handleFrame(q, now, bearer, from, f, depth)
 	protocol.PutFrame(f)
 }
 
-func (n *Node) handleFrame(sh *recvShard, bearer string, from transport.NodeID, f *protocol.Frame, depth int) {
+func (n *Node) handleFrame(q *ackQueue, now time.Time, bearer string, from transport.NodeID, f *protocol.Frame, depth int) {
 	// The acks a frame carries are true whatever becomes of the frame, a
 	// duplicate's too.
 	if f.AckLargest != 0 {
@@ -739,14 +714,15 @@ func (n *Node) handleFrame(sh *recvShard, bearer string, from transport.NodeID, 
 	// already delivered (the ack was lost), and then delivered at most
 	// once. The ack is deferred to the end of the drain batch so acks to
 	// the same peer coalesce into one datagram. The first copy of a call or
-	// a reply is the exception: its ack is held (heldAcks) for the traffic
-	// that acknowledges it, the call's reply or the next frame to the
-	// reply's sender.
+	// a reply is the exception: ARQ holds its ack for the traffic that
+	// acknowledges it, the call's reply or the next frame to the reply's
+	// sender.
 	if f.Flags&protocol.FlagAckRequired != 0 {
-		dup := sh.dedup.Seen(from, f.Seq)
 		reply := isReply(f.Type)
-		if dup || (f.Type != protocol.MTCall && !reply) || !sh.held.hold(bearer, from, f.Seq, f.Priority, reply) {
-			sh.acks.acks = append(sh.acks.acks, pendingAck{bearer: bearer, to: from, seq: f.Seq})
+		ack := protocol.HeldAck{Bearer: bearer, Seq: f.Seq, Priority: f.Priority, Reply: reply}
+		dup, held := n.arq.Arrive(now, from, ack, f.Type == protocol.MTCall || reply)
+		if !held {
+			q.acks = append(q.acks, pendingAck{bearer: bearer, to: from, seq: f.Seq})
 		}
 		if dup {
 			n.duplicates.Inc()
@@ -772,10 +748,10 @@ func (n *Node) handleFrame(sh *recvShard, bearer string, from transport.NodeID, 
 			return
 		}
 		for sub, ok := subs.Next(); ok; sub, ok = subs.Next() {
-			n.handleFrameOn(sh, bearer, from, sub, depth+1)
+			n.handleFrameOn(q, now, bearer, from, sub, depth+1)
 		}
 	case protocol.MTFragment:
-		complete, err := sh.reasm.Offer(from, f)
+		complete, err := n.arq.Offer(now, from, f)
 		if err != nil {
 			uerr.Note(n.metrics, codeFragReassembly, err, "drop bad fragment")
 			return
@@ -794,7 +770,7 @@ func (n *Node) handleFrame(sh *recvShard, bearer string, from transport.NodeID, 
 		}
 		// Dedup the logical message too: a fully retransmitted
 		// fragment set must not deliver twice.
-		if sh.dedup.Seen(from, inner.Seq) {
+		if dup, _ := n.arq.Arrive(now, from, protocol.HeldAck{Seq: inner.Seq}, false); dup {
 			n.duplicates.Inc()
 		} else {
 			n.route(bearer, from, inner)
@@ -806,6 +782,17 @@ func (n *Node) handleFrame(sh *recvShard, bearer string, from transport.NodeID, 
 		// whatever they retain.
 		n.route(bearer, from, f)
 	}
+}
+
+// sendHeldAcks sends the acks ARQ held for peer to whose delay ran out. An
+// ack neither cancels nor carries held acks, so it makes no ARQ call.
+func (n *Node) sendHeldAcks(to transport.NodeID, acks []protocol.HeldAck) {
+	n.heldMu.Lock()
+	defer n.heldMu.Unlock()
+	for _, a := range acks {
+		n.heldOut.acks = append(n.heldOut.acks, pendingAck{bearer: a.Bearer, to: to, seq: a.Seq})
+	}
+	n.flushAcks(&n.heldOut)
 }
 
 // flushAcks sends and empties the queued acknowledgments, grouped per
@@ -839,12 +826,12 @@ func (n *Node) flushAcks(q *ackQueue) {
 // cannot hold one past the peer's ARQ timeout and draw a spurious
 // retransmission. The only deliberate wait is that of an ack held for the
 // traffic that would carry it (a call's for its reply, a reply's for the
-// next frame to its sender: heldAcks), at most maxAckDelay, a twentieth of
-// the shortest retransmission timeout ARQ arms. Acks are pinned to the
-// bearer the data arrived on, so acknowledgment traffic keeps measuring
-// (and keeping alive) the same link as the data it acknowledges; a held
-// ack rides only a frame leaving on that bearer. A refused enqueue (node closing) is
-// counted, not returned: the peer's ARQ retry is the recovery path.
+// next frame to its sender: ARQ.Arrive), at most protocol.MaxAckDelay.
+// Acks are pinned to the bearer the data arrived on, so acknowledgment
+// traffic keeps measuring (and keeping alive) the same link as the data it
+// acknowledges; a held ack rides only a frame leaving on that bearer. A
+// refused enqueue (node closing) is counted, not returned: the peer's ARQ
+// retry is the recovery path.
 func (n *Node) sendAcks(q *ackQueue, bearer string, to transport.NodeID, seqs []uint64) {
 	slices.Sort(seqs)
 	slices.Reverse(seqs)
@@ -925,7 +912,7 @@ func isReply(mt protocol.MsgType) bool {
 // callAnswered settles the reliable send of the call a reply from a peer
 // answers. A remote call's frame seq is its call id, so the reply names the
 // ARQ record; it proves the call arrived, and the callee sends no ack of
-// its own when it replies in time (heldAcks). A hedged call keeps one
+// its own when it replies in time (ARQ.Arrive holds it). A hedged call keeps one
 // record per attempt, and a reply settles only its own.
 func (n *Node) callAnswered(from transport.NodeID, f *protocol.Frame) {
 	if id, ok := rpc.ReplyCallID(f.Payload); ok {
@@ -977,7 +964,8 @@ func (n *Node) Bearers() []string { return n.links.Names() }
 // from the directory; the engines and registered callbacks are told too
 // (§3 cache clearing + §4.3 failover).
 func (n *Node) peerGone(node transport.NodeID, restarted bool) {
-	n.forgetPeer(node)
+	// A rejoining peer starting from seq 1 must find no dedup window.
+	n.arq.Forget(node)
 	if restarted {
 		return
 	}
@@ -991,17 +979,6 @@ func (n *Node) peerGone(node transport.NodeID, restarted bool) {
 	for _, cb := range cbs {
 		cb(node)
 	}
-}
-
-// forgetPeer drops the per-peer state of the container's reliable path: the
-// peer's dedup window, which lives on the ingress shard its traffic hashes
-// to, so a rejoining peer starting from seq 1 is not silently dropped; the
-// acks held for it; and its ARQ entry, whose pending messages fail.
-func (n *Node) forgetPeer(node transport.NodeID) {
-	sh := n.shards[n.ingress.ShardOf(node)]
-	sh.dedup.Forget(node)
-	sh.held.forget(node)
-	n.arq.Forget(node)
 }
 
 // OnPeerFailed registers a callback invoked when a peer node is declared
@@ -1047,12 +1024,9 @@ func (n *Node) Close() error {
 	n.discovery.Close()
 	// Drain the receive pipeline before the ARQ and egress planes go
 	// down: queued arrivals still dispatch (final acks enqueue onto a
-	// live egress), then the workers stop, and the acks still held leave
-	// too, their timers stopped.
+	// live egress), then the workers stop, and ARQ's Close sends the acks
+	// still held and stops its timers.
 	n.ingress.Close()
-	for _, sh := range n.shards {
-		sh.held.close()
-	}
 	n.arq.Close()
 	// Flush the egress plane (goodbye, final acks) before the transports
 	// close underneath it.

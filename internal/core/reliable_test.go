@@ -1,12 +1,16 @@
 package core
 
 import (
+	"slices"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"uavmw/internal/clock"
 	"uavmw/internal/protocol"
 	"uavmw/internal/qos"
+	"uavmw/internal/transport"
 )
 
 // TestReliableDoneFiresOnce sends one reliable frame down each path a
@@ -106,4 +110,88 @@ func TestReliableDoneFiresOnce(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestOneTimerPerPeer sends 200 reliable messages that nobody acknowledges
+// from one node to three peers, on the virtual clock: ARQ arms one timer
+// per peer, not one per message, so the wake-ups armed beyond the node's
+// idle ones are at most three. Once the peers acknowledge everything and
+// every message completes, none are left.
+func TestOneTimerPerPeer(t *testing.T) {
+	v := clock.NewVirtual()
+	v.Run(func() {
+		bus := transport.NewBus()
+		peers := []transport.NodeID{"p1", "p2", "p3"}
+		var mu sync.Mutex
+		received := map[transport.NodeID][]uint64{}
+		eps := map[transport.NodeID]transport.Transport{}
+		for _, id := range peers {
+			ep, err := bus.Endpoint(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ep.SetHandler(func(pkt transport.Packet) {
+				for _, f := range unbatch(pkt.Payload) {
+					if f.Flags&protocol.FlagAckRequired != 0 {
+						mu.Lock()
+						received[id] = append(received[id], f.Seq)
+						mu.Unlock()
+					}
+				}
+			})
+			eps[id] = ep
+		}
+		ep, err := bus.Endpoint("node")
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := virtualNode(t, v, ep)
+		defer func() { _ = n.Close() }()
+		v.Sleep(50 * time.Millisecond)
+		idle := v.Pending()
+
+		const messages = 200
+		var done atomic.Int32
+		for i := 0; i < messages; i++ {
+			f := &protocol.Frame{Type: protocol.MTEvent, Priority: qos.PriorityNormal, Channel: "timers", Payload: make([]byte, 16)}
+			n.SendReliable(peers[i%len(peers)], f, qos.ReliableARQ, func(error) { done.Add(1) })
+		}
+		if armed := v.Pending() - idle; armed > len(peers) {
+			t.Errorf("%d wake-ups armed beyond the node's %d idle ones for %d messages to %d peers, want at most %d",
+				armed, idle, messages, len(peers), len(peers))
+		}
+		// The peers stay silent past a few retransmissions, then acknowledge.
+		v.Sleep(100 * time.Millisecond)
+		if armed := v.Pending() - idle; armed > len(peers) {
+			t.Errorf("%d wake-ups armed beyond the idle ones while retransmitting, want at most %d", armed, len(peers))
+		}
+		mu.Lock()
+		for _, id := range peers {
+			seqs := slices.Clone(received[id])
+			slices.Sort(seqs)
+			slices.Reverse(seqs)
+			seqs = slices.Compact(seqs)
+			for len(seqs) > 0 {
+				var ack protocol.Frame
+				seqs = protocol.AppendAck(&ack, nil, seqs, protocol.DefaultMTU)
+				raw, err := protocol.AppendFrame(nil, &ack)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := eps[id].Send("node", raw); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		mu.Unlock()
+		if !virtualWait(v, time.Second, func() bool { return done.Load() == messages }) {
+			t.Fatalf("%d of %d messages completed", done.Load(), messages)
+		}
+		if p := n.arq.Pending(); p != 0 {
+			t.Errorf("%d messages pending after every one completed", p)
+		}
+		if armed := v.Pending() - idle; armed > 0 {
+			t.Errorf("%d wake-ups armed beyond the idle ones after every message completed, want none", armed)
+		}
+	})
 }

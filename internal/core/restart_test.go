@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"encoding/binary"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -10,6 +11,7 @@ import (
 	"uavmw/internal/events"
 	"uavmw/internal/naming"
 	"uavmw/internal/presentation"
+	"uavmw/internal/protocol"
 	"uavmw/internal/qos"
 	"uavmw/internal/transport"
 )
@@ -251,6 +253,58 @@ func TestSlowLinkStopsRetransmitting(t *testing.T) {
 		publish(5, 100)
 		if r := counter(t, pubNode, "arq", "retransmits") - before; r != 0 {
 			t.Errorf("100 events after the first 5 retransmitted %d times on a loss-free 80 ms round trip", r)
+		}
+	})
+}
+
+// fragmentGate is a transport that loses every datagram carrying a
+// fragment of index k or above: a message split into fragments reaches its
+// peer only in part.
+type fragmentGate struct {
+	transport.Transport
+	k int
+}
+
+func (g *fragmentGate) Send(to transport.NodeID, payload []byte) error {
+	for _, f := range unbatch(payload) {
+		if f.Type == protocol.MTFragment && len(f.Payload) >= 10 && int(binary.BigEndian.Uint16(f.Payload[8:])) >= g.k {
+			return nil
+		}
+	}
+	return g.Transport.Send(to, payload)
+}
+
+// TestRestartMidReassemblyDropsPartial: a peer sends 2 of the 5 reliable
+// fragments of one message and crash-restarts. Once the receiver has
+// admitted the new incarnation, and so forgotten the old one, it holds no
+// partial message from the peer, rather than keeping it for the 5 s
+// reassembly TTL.
+func TestRestartMidReassemblyDropsPartial(t *testing.T) {
+	v := clock.NewVirtual()
+	v.Run(func() {
+		net := transport.NewSimBus(transport.SimConfig{Seed: 35, Latency: 200 * time.Microsecond, Clock: v})
+		defer net.Close()
+		recv := simVirtualNode(t, v, net, "recv")
+		defer func() { _ = recv.Close() }()
+		ep, err := net.Endpoint("sender")
+		if err != nil {
+			t.Fatal(err)
+		}
+		sender := virtualNode(t, v, &fragmentGate{Transport: ep, k: 2}, WithFailureDeadline(time.Minute), WithDirectoryTTL(time.Minute))
+		old := knownEpoch(t, v, recv, "sender")
+
+		// MTFileCancel is dropped at the routing switch: no engine runs.
+		f := &protocol.Frame{Type: protocol.MTFileCancel, Priority: qos.PriorityNormal, Channel: "big", Payload: make([]byte, 6000)}
+		sender.SendReliable("recv", f, qos.ReliableARQ, nil)
+		if !virtualWait(v, time.Second, func() bool { return recv.arq.Partials() == 1 }) {
+			t.Fatalf("the receiver holds %d partial messages, want the sender's one", recv.arq.Partials())
+		}
+
+		sender = crashRestart(t, v, net, sender, "recv")
+		defer func() { _ = sender.Close() }()
+		waitNewEpoch(t, v, recv, "sender", old)
+		if !virtualWait(v, 10*time.Millisecond, func() bool { return recv.arq.Partials() == 0 }) {
+			t.Errorf("the receiver still holds %d partial messages of the sender's old incarnation", recv.arq.Partials())
 		}
 	})
 }

@@ -3,7 +3,6 @@ package discovery
 import (
 	"fmt"
 	"slices"
-	"strings"
 	"testing"
 	"time"
 
@@ -204,9 +203,6 @@ func TestSyncRequestIsAnsweredByGapSize(t *testing.T) {
 					t.Fatal(err)
 				}
 				recs, version := h.log.Snapshot()
-				byName := func(a, b naming.Record) int { return strings.Compare(a.Name, b.Name) }
-				slices.SortFunc(recs, byName)
-				slices.SortFunc(ann.Records, byName)
 				if ann.Node != "self" || ann.Epoch != testEpoch || ann.Version != version ||
 					!slices.Equal(ann.Records, recs) {
 					t.Errorf("snapshot = node %s epoch %d version %d with %d records, want the log's: self/%d version %d with %d",

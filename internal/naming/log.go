@@ -1,6 +1,10 @@
 package naming
 
-import "sync"
+import (
+	"cmp"
+	"slices"
+	"sync"
+)
 
 // Log is a node's versioned view of its own resource offer. Every
 // registration or withdrawal bumps the version; the diff between two
@@ -130,7 +134,9 @@ func (l *Log) DeltaSince(since uint64) (added []Record, withdrawn []RecordKey, t
 	return added, withdrawn, l.version, true
 }
 
-// Snapshot returns the current records and version, consistently.
+// Snapshot returns the current records, sorted by key (kind, then name),
+// and version, consistently: two logs holding the same records give the
+// same snapshot, whatever order the records were added in.
 func (l *Log) Snapshot() ([]Record, uint64) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -138,6 +144,9 @@ func (l *Log) Snapshot() ([]Record, uint64) {
 	for _, rec := range l.records {
 		out = append(out, rec)
 	}
+	slices.SortFunc(out, func(a, b Record) int {
+		return cmp.Or(cmp.Compare(a.Kind, b.Kind), cmp.Compare(a.Name, b.Name))
+	})
 	return out, l.version
 }
 

@@ -1,10 +1,12 @@
 package naming
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 )
 
@@ -198,5 +200,44 @@ func TestLogUpdateFootprint(t *testing.T) {
 	t.Logf("%.0f B per record", perRecord)
 	if perRecord > 310 {
 		t.Errorf("one logged record costs %.0f B, want <= 310", perRecord)
+	}
+}
+
+// TestSnapshotIsOrderedByKey builds two logs from the same 64 records added
+// in opposite orders, one record per update, and encodes each log's
+// snapshot as the announcement a sync reply carries: the two payloads are
+// byte-identical, because a snapshot is sorted by key.
+func TestSnapshotIsOrderedByKey(t *testing.T) {
+	recs := make([]Record, 64)
+	for i := range recs {
+		kind := []Kind{KindVariable, KindEvent, KindFunction, KindFile}[i%4]
+		recs[i] = Record{Kind: kind, Name: fmt.Sprintf("r.%02d", (i*37)%64), Service: "svc", Node: "n"}
+	}
+	payload := func(order []Record) []byte {
+		t.Helper()
+		l := NewLog()
+		for i := range order {
+			l.Update(order[:i+1])
+		}
+		snap, version := l.Snapshot()
+		if !slices.IsSortedFunc(snap, func(a, b Record) int {
+			if a.Kind != b.Kind {
+				return int(a.Kind) - int(b.Kind)
+			}
+			return strings.Compare(a.Name, b.Name)
+		}) {
+			t.Errorf("snapshot not sorted by kind, then name")
+		}
+		raw, err := EncodeAnnouncement(&Announcement{Node: "n", Epoch: 1, Version: version, Records: snap})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return raw
+	}
+	reversed := slices.Clone(recs)
+	slices.Reverse(reversed)
+	forward, backward := payload(recs), payload(reversed)
+	if !bytes.Equal(forward, backward) {
+		t.Errorf("the same records added in two orders give different snapshot payloads (%d and %d bytes)", len(forward), len(backward))
 	}
 }

@@ -2,6 +2,7 @@ package protocol
 
 import (
 	"testing"
+	"time"
 
 	"uavmw/internal/bufpool"
 	"uavmw/internal/qos"
@@ -175,11 +176,12 @@ func BenchmarkFrameEncodeDecode(b *testing.B) {
 }
 
 // TestARQSteadyStateAllocs pins the reliable send at zero: a send that is
-// acknowledged takes its record (and the record's timer) off the engine's
-// free list and its retained datagram from bufpool, and gives both back; a
-// timer-fired retransmission re-arms the same timer and transmits a pooled
-// copy. Any per-message heap work — a fresh record, an AfterFunc closure, a
-// GC-owned datagram, map churn, stats boxing — fails the gate.
+// acknowledged stores its record by value in the peer's array, re-arms the
+// peer's one timer and takes its retained datagram from bufpool, and gives
+// it back; a timer-fired retransmission re-arms the same timer and
+// transmits a pooled copy. Any per-message heap work — a fresh record, an
+// AfterFunc closure, a GC-owned datagram, map churn, stats boxing — fails
+// the gate.
 func TestARQSteadyStateAllocs(t *testing.T) {
 	send := func(transport.NodeID, []byte) error { return nil }
 	// The engine's timers never fire mid-measurement; the test invokes the
@@ -211,12 +213,14 @@ func TestARQSteadyStateAllocs(t *testing.T) {
 	if err := a.Send("peer", seq, frame, done); err != nil {
 		t.Fatal(err)
 	}
-	p := a.pending["peer"].recs[0]
-	// Each run is a first retransmission: the backed-off timeout of a
-	// hundredth would overflow and fire the timer mid-measurement.
+	e := a.entry("peer", false)
+	e.mu.Unlock()
+	// Each run is a first retransmission of a message already due.
 	retransmit := func() {
-		p.attempt = 0
-		p.retransmit()
+		e.mu.Lock()
+		e.p.recs[0].attempt, e.p.recs[0].due = 0, time.Time{}
+		e.mu.Unlock()
+		e.onTimer()
 	}
 	for i := 0; i < 4; i++ {
 		retransmit()

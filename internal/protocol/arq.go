@@ -2,13 +2,14 @@ package protocol
 
 import (
 	"errors"
-	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"uavmw/internal/bufpool"
 	"uavmw/internal/clock"
 	"uavmw/internal/metrics"
+	"uavmw/internal/qos"
 	"uavmw/internal/transport"
 	"uavmw/internal/uerr"
 )
@@ -23,6 +24,8 @@ var (
 	codeARQFirstTx = uerr.Register("arq.first_transmit", uerr.CatSend)
 	codeARQRetryTx = uerr.Register("arq.retransmit", uerr.CatSend)
 	codeARQForgot  = uerr.Register("arq.peer_forgotten", uerr.CatResource)
+
+	codeReassemblyEvicted = uerr.Register("protocol.reassembly_evicted", uerr.CatAdmission)
 )
 
 // ARQ is the application-level acknowledgment/retransmission engine the
@@ -30,12 +33,12 @@ var (
 // acknowledge and resend lost packets ... more efficient for event messages
 // than the generic case provided by the TCP stack" (§4.2).
 //
-// The sender side retransmits each message with exponential backoff until
-// the peer acknowledges or the retry budget is exhausted; the receiver side
-// suppresses duplicates (retransmissions of messages whose ACK was lost).
-// A message's first timeout is its peer's retransmission timeout (RTO),
-// measured from the peer's acks as RFC 6298 describes; nobody sets it.
-// ARQ is message-oriented, not stream-oriented: each message is
+// It is a table of Peers, one per remote node, each under its own lock and
+// one clock timer. A message is retransmitted with exponential backoff
+// from its peer's RTO, measured from the peer's acks as RFC 6298
+// describes, until acknowledged or out of retries; arrivals are deduped,
+// and the acks of calls and replies held for the traffic that carries them
+// for free. ARQ is message-oriented, not stream-oriented: each message is
 // acknowledged independently, so one lost packet never head-of-line blocks
 // the messages behind it — the efficiency argument experiment E2 measures.
 type ARQ struct {
@@ -47,23 +50,31 @@ type ARQ struct {
 	// one engine to exactly the buffers it took.
 	clone   func([]byte) []byte
 	release func([]byte)
+	acksDue func(to transport.NodeID, acks []HeldAck) // OnAcksDue
 
-	mu sync.Mutex
-	// pending holds each peer's unacknowledged messages and round-trip
-	// estimate. An entry outlives its messages, so the estimate carries
-	// over from one message to the next; Forget drops it.
-	pending map[transport.NodeID]*arqPeer
-	free    []*arqPending // recycled records, at most arqFreeCap; starts empty
+	mu      sync.RWMutex
+	peers   map[transport.NodeID]*peerEntry
 	closed  bool
-	// retransmitting counts retransmissions past the pending-table check
-	// and not yet done with their send and copy; Close waits for them.
-	retransmitting *clock.WaitGroup
-	// probes counts the pending records examined finding messages to
-	// complete; tests bound it against what an ack claims.
-	probes int
+	replies atomic.Int32 // held reply acks, of every peer
 
 	reg   *metrics.Registry
 	stats arqCounters
+}
+
+// peerEntry is one Peer with its lock and timer. It outlives the Peer's
+// messages, so the round-trip estimate and the dedup window carry over;
+// Forget drops it. Its timer is made when first armed, bound to onTimer,
+// and re-armed with Reset; armed is the instant it is set for, or zero.
+type peerEntry struct {
+	a       *ARQ
+	id      transport.NodeID
+	mu      sync.Mutex
+	p       Peer
+	gone    bool // out of the table: a caller that found it looks again
+	timer   clock.Timer
+	armed   time.Time
+	due     Due // onTimer's scratch
+	replies int // what the entry has added to ARQ.replies
 }
 
 // SendFunc transmits a raw frame to a peer; the ARQ engine owns retries.
@@ -74,73 +85,6 @@ type SendFunc func(to transport.NodeID, frame []byte) error
 // ResultFunc reports the final outcome of a reliable send: nil on ACK, or
 // ErrTimeout / transport errors after the retry budget is spent.
 type ResultFunc func(err error)
-
-type arqKey struct {
-	to  transport.NodeID
-	seq uint64
-}
-
-// arqPeer is one peer's unacknowledged messages, in ascending seq order so
-// a range ack finds the ones it completes by binary search, and its RFC
-// 6298 estimate: SRTT and RTTVAR (once measured) and the RTO they give.
-type arqPeer struct {
-	recs         []*arqPending
-	srtt, rttvar time.Duration
-	rto          time.Duration
-	measured     bool
-	// backoff is the longest retry delay armed since the last sample; new
-	// messages start at no less (RFC 6298 §5.7), or a peer whose round
-	// trip exceeds the RTO would never yield a Karn-valid sample.
-	backoff time.Duration
-}
-
-// sample folds one round trip into the estimate (RFC 6298 §2.2–2.3, α =
-// 1/8, β = 1/4, K = 4) and ends any carried backoff. The RFC's granularity
-// term G is DefaultARQTimeout: a steady link drives RTTVAR to zero, and an
-// RTO of the bare SRTT fires at the first frame queued ahead of a message.
-func (pe *arqPeer) sample(rtt time.Duration) {
-	if !pe.measured {
-		pe.srtt, pe.rttvar, pe.measured = rtt, rtt/2, true
-	} else {
-		dev := pe.srtt - rtt
-		if dev < 0 {
-			dev = -dev
-		}
-		pe.rttvar += (dev - pe.rttvar) / 4
-		pe.srtt += (rtt - pe.srtt) / 8
-	}
-	pe.rto = pe.srtt + max(DefaultARQTimeout, 4*pe.rttvar)
-	pe.backoff = 0
-}
-
-// firstTimeout is the timeout a new message to the peer starts at.
-func (pe *arqPeer) firstTimeout() time.Duration { return max(pe.rto, pe.backoff) }
-
-// arqPending is one unacknowledged message. Records are recycled through
-// ARQ.free: a steady stream of reliable sends allocates none.
-type arqPending struct {
-	a   *ARQ
-	key arqKey
-	// frame is the engine's own pooled copy of the datagram, kept for
-	// retransmission. It has one owner, this record: it is read and returned
-	// to bufpool only under a.mu, and only while the record is pending.
-	frame []byte
-	// timer is created once, bound to the record, and re-armed with Reset
-	// for every later use and every retransmission.
-	timer   clock.Timer
-	attempt int // retransmissions so far
-	result  ResultFunc
-	// sent is the first transmission's instant, which an ack of a message
-	// never retransmitted measures from (Karn); initial is the first
-	// timeout, which the retries back off from.
-	sent    time.Time
-	initial time.Duration
-}
-
-// arqFreeCap bounds the free list: enough for the reliable sends a node has
-// in flight in steady state, small enough that a burst leaves no lasting
-// footprint.
-const arqFreeCap = 64
 
 // arqCounters holds the engine's pre-resolved registry handles ("arq"
 // component); increments stay lock-free atomics on the same series
@@ -236,7 +180,8 @@ func WithMetrics(reg *metrics.Registry) ARQOption {
 	}
 }
 
-// NewARQ builds an engine that transmits via send.
+// NewARQ builds an engine that transmits via send. A retransmission is
+// made under its peer's lock, so send must not call the engine.
 func NewARQ(send SendFunc, opts ...ARQOption) *ARQ {
 	a := &ARQ{
 		send:       send,
@@ -244,7 +189,7 @@ func NewARQ(send SendFunc, opts ...ARQOption) *ARQ {
 		maxRetries: DefaultARQRetries,
 		clone:      bufpool.Clone,
 		release:    bufpool.Put,
-		pending:    make(map[transport.NodeID]*arqPeer),
+		peers:      make(map[transport.NodeID]*peerEntry),
 	}
 	for _, opt := range opts {
 		opt(a)
@@ -253,8 +198,61 @@ func NewARQ(send SendFunc, opts ...ARQOption) *ARQ {
 		a.reg = metrics.NewRegistry()
 	}
 	a.stats = newARQCounters(a.reg)
-	a.retransmitting = clock.NewWaitGroup(a.clk)
 	return a
+}
+
+// OnAcksDue lets the engine hold acks: send is how a peer's held acks leave
+// when their delay runs out or the engine closes. It must not call the
+// engine. Set it before the first Arrive.
+func (a *ARQ) OnAcksDue(send func(to transport.NodeID, acks []HeldAck)) { a.acksDue = send }
+
+// entry returns peer's entry locked, making it when create is set, or nil
+// when there is none or the engine is closed.
+func (a *ARQ) entry(peer transport.NodeID, create bool) *peerEntry {
+	for {
+		a.mu.RLock()
+		e := a.peers[peer]
+		a.mu.RUnlock()
+		if e == nil && create {
+			a.mu.Lock()
+			if e = a.peers[peer]; e == nil && !a.closed {
+				e = &peerEntry{a: a, id: peer}
+				a.peers[peer] = e
+			}
+			a.mu.Unlock()
+		}
+		if e == nil {
+			return nil
+		}
+		if e.mu.Lock(); !e.gone {
+			return e
+		}
+		e.mu.Unlock() // forgotten since the lookup
+	}
+}
+
+// unlock ends an operation on the entry: ARQ.replies takes in the Peer's
+// count, and the timer is armed for the Peer's deadline when that comes
+// before the instant it is set for, or stopped when the Peer has none.
+// Caller holds e.mu, which it releases.
+func (e *peerEntry) unlock() {
+	if d := e.p.replies - e.replies; d != 0 {
+		e.a.replies.Add(int32(d))
+		e.replies = e.p.replies
+	}
+	switch at := e.p.Deadline(); {
+	case at.IsZero() && !e.armed.IsZero():
+		e.timer.Stop()
+		e.armed = time.Time{}
+	case !at.IsZero() && (e.armed.IsZero() || at.Before(e.armed)):
+		if d := at.Sub(e.a.clk.Now()); e.timer == nil {
+			e.timer = e.a.clk.AfterFunc(d, e.onTimer)
+		} else {
+			e.timer.Reset(d)
+		}
+		e.armed = at
+	}
+	e.mu.Unlock()
 }
 
 // Send transmits frame to peer reliably. seq must be unique per (peer,
@@ -262,106 +260,72 @@ func NewARQ(send SendFunc, opts ...ARQOption) *ARQ {
 // frame stays the caller's: the engine keeps its own pooled copy for
 // retransmission.
 func (a *ARQ) Send(to transport.NodeID, seq uint64, frame []byte, result ResultFunc) error {
-	key := arqKey{to: to, seq: seq}
-
-	a.mu.Lock()
-	if a.closed {
-		a.mu.Unlock()
+	e := a.entry(to, true)
+	if e == nil {
 		return uerr.Wrap(a.reg, codeARQClosed, ErrARQClosed, "send refused")
 	}
-	pe := a.pending[to]
-	if pe == nil {
-		pe = &arqPeer{rto: DefaultARQTimeout}
-		a.pending[to] = pe
-	}
-	i := a.search(pe.recs, seq)
-	if i < len(pe.recs) && pe.recs[i].key.seq == seq {
-		a.mu.Unlock()
+	now := a.clk.Now()
+	retained := a.clone(frame)
+	if !e.p.Send(now, seq, retained, result) {
+		e.unlock()
+		a.release(retained)
 		return uerr.Newf(a.reg, codeARQDupSeq, "in-flight seq %d to %q", seq, to)
 	}
-	p := a.recordLocked()
-	p.key, p.result = key, result
-	p.frame = a.clone(frame)
-	p.sent, p.initial = a.clk.Now(), pe.firstTimeout()
-	pe.recs = slices.Insert(pe.recs, i, p)
-	if p.timer == nil {
-		p.timer = a.clk.AfterFunc(p.initial, p.retransmit)
-	} else {
-		p.timer.Reset(p.initial)
-	}
-	a.mu.Unlock()
-
+	e.unlock()
 	a.stats.sent.Inc()
-
 	// The first transmission goes out from the caller's buffer, which no
-	// ack, timer or Close can release underneath it.
+	// ack, timer or Close can release underneath it, outside the lock.
 	if err := a.send(to, frame); err != nil {
-		// First transmission failed outright (unknown node, closed
-		// transport): fail fast rather than burning the retry budget.
-		a.finish(key, uerr.Wrap(a.reg, codeARQFirstTx, err, "first transmission"))
+		// It failed outright (unknown node, closed transport): fail fast
+		// rather than burning the retry budget.
+		a.end(to, seq, seq, uerr.Wrap(a.reg, codeARQFirstTx, err, "first transmission"))
 	}
 	return nil // outcome reported via result
 }
 
-// recordLocked takes a record off the free list or makes one. Caller holds
-// a.mu.
-func (a *ARQ) recordLocked() *arqPending {
-	if n := len(a.free); n > 0 {
-		p := a.free[n-1]
-		a.free[n-1] = nil
-		a.free = a.free[:n-1]
-		return p
+// onTimer is the entry's timer callback: it sends what is due under the
+// lock and reports the messages out of retries outside it.
+func (e *peerEntry) onTimer() {
+	a := e.a
+	e.mu.Lock()
+	if e.gone {
+		e.mu.Unlock()
+		return
 	}
-	return &arqPending{a: a}
+	e.armed = time.Time{}
+	e.p.OnTimer(a.clk.Now(), a.maxRetries, &e.due)
+	for _, m := range e.due.Resend {
+		a.stats.retransmits.Inc()
+		// A transient failure retries on the next timer, but it is counted,
+		// not discarded: a bearer blackout shows up as arq.retransmit send
+		// errors long before retry budgets start expiring.
+		uerr.Note(a.reg, codeARQRetryTx, a.send(e.id, m.Frame), "retransmission")
+	}
+	if len(e.due.Acks) > 0 {
+		a.acksDue(e.id, e.due.Acks)
+	}
+	failed := e.due.Failed
+	e.due = Due{Resend: e.due.Resend[:0], Acks: e.due.Acks[:0]}
+	e.unlock()
+	for _, m := range failed {
+		a.stats.failed.Inc()
+		a.complete(m, uerr.Wrapf(a.reg, codeARQAckWait, ErrTimeout,
+			"seq %d to %q after %d attempts", m.Seq, e.id, a.maxRetries+1))
+	}
 }
 
-// retransmit is the record's timer callback. A record is recycled only
-// after Stop reported its timer unfired, so a run of this function always
-// belongs to the record's current use — or to one that finish has already
-// ended, which the pending-table check catches.
-func (p *arqPending) retransmit() {
-	a := p.a
-	a.mu.Lock()
-	pe := a.pending[p.key.to]
-	if pe == nil || a.closed {
-		a.mu.Unlock()
-		return
+// complete gives back m's retained datagram and reports err to its result.
+func (a *ARQ) complete(m Message, err error) {
+	a.release(m.Frame)
+	if m.Result != nil {
+		m.Result(err)
 	}
-	if i := a.search(pe.recs, p.key.seq); i == len(pe.recs) || pe.recs[i] != p {
-		a.mu.Unlock()
-		return
-	}
-	key := p.key
-	if p.attempt >= a.maxRetries {
-		a.mu.Unlock()
-		a.stats.failed.Inc()
-		a.finish(key, uerr.Wrapf(a.reg, codeARQAckWait, ErrTimeout,
-			"seq %d to %q after %d attempts", key.seq, key.to, a.maxRetries+1))
-		return
-	}
-	p.attempt++
-	delay := retryDelay(p.initial, p.attempt)
-	pe.backoff = max(pe.backoff, delay)
-	p.timer.Reset(delay)
-	// An ack may finish the record and recycle p.frame the moment the lock
-	// drops, so this transmission reads its own copy.
-	tx := a.clone(p.frame)
-	a.retransmitting.Add(1)
-	a.mu.Unlock()
-	defer a.retransmitting.Done()
-
-	a.stats.retransmits.Inc()
-	// A transient failure retries on the next timer, but it is counted,
-	// not discarded: a bearer blackout shows up as arq.retransmit send
-	// errors long before retry budgets start expiring.
-	uerr.Note(a.reg, codeARQRetryTx, a.send(key.to, tx), "retransmission")
-	a.release(tx)
 }
 
 // Ack completes the message (peer, seq); safe to call for unknown keys
 // (late or duplicate ACKs).
 func (a *ARQ) Ack(from transport.NodeID, seq uint64) {
-	a.finish(arqKey{to: from, seq: seq}, nil)
+	a.end(from, seq, seq, nil)
 }
 
 // AckRange completes every pending message to from whose seq lies in
@@ -371,7 +335,7 @@ func (a *ARQ) Ack(from transport.NodeID, seq uint64) {
 // that were never sent costs a single search.
 func (a *ARQ) AckRange(from transport.NodeID, lo, hi uint64) {
 	for {
-		seq, ok := a.resolve(from, lo, hi, nil)
+		seq, ok := a.end(from, lo, hi, nil)
 		if !ok || seq == hi {
 			return
 		}
@@ -379,148 +343,152 @@ func (a *ARQ) AckRange(from transport.NodeID, lo, hi uint64) {
 	}
 }
 
-// finish resolves the pending message key with err, if it is pending.
-func (a *ARQ) finish(key arqKey, err error) {
-	a.resolve(key.to, key.seq, key.seq, err)
-}
-
-// resolve ends, exactly once, the first pending message to `to` whose seq
-// lies in [lo, hi], and reports its seq. An ack (nil err) of a message
-// never retransmitted is a round-trip sample. result runs outside the
-// lock.
-func (a *ARQ) resolve(to transport.NodeID, lo, hi uint64, err error) (uint64, bool) {
-	a.mu.Lock()
-	pe := a.pending[to]
-	if pe == nil {
-		a.mu.Unlock()
+// end ends, exactly once, the first pending message to `to` whose seq lies
+// in [lo, hi] — acknowledged when err is nil — and reports its seq. Its
+// result runs outside the lock.
+func (a *ARQ) end(to transport.NodeID, lo, hi uint64, err error) (uint64, bool) {
+	e := a.entry(to, false)
+	if e == nil {
 		return 0, false
 	}
-	i := a.search(pe.recs, lo)
-	if i == len(pe.recs) || pe.recs[i].key.seq > hi {
-		a.mu.Unlock()
-		return 0, false
-	}
-	p := pe.recs[i]
-	seq := p.key.seq
-	if pe.recs = slices.Delete(pe.recs, i, i+1); len(pe.recs) == 0 && cap(pe.recs) > arqFreeCap {
-		pe.recs = nil // a burst's backing array is not kept
-	}
-	if err == nil && p.attempt == 0 {
-		pe.sample(a.clk.Now().Sub(p.sent))
-	}
-	result := a.endLocked(p)
-	a.mu.Unlock()
+	var now time.Time // a failure is no round-trip sample
 	if err == nil {
+		now = a.clk.Now()
+	}
+	m, ok := e.p.Ack(now, lo, hi)
+	e.unlock()
+	if ok && err == nil {
 		a.stats.acked.Inc()
 	}
-	if result != nil {
-		result(err)
+	if ok {
+		a.complete(m, err)
 	}
-	return seq, true
+	return m.Seq, ok
 }
 
-// endLocked retires p, which has left its peer's records, and returns its
-// result for the caller to run outside the lock: its retained datagram
-// goes back to the pool, and the record is recycled unless its timer has
-// already fired (that callback may still be on its way to a.mu, so the
-// record is left to it and the GC). Caller holds a.mu.
-func (a *ARQ) endLocked(p *arqPending) ResultFunc {
-	a.release(p.frame)
-	result := p.result
-	p.frame, p.result, p.attempt = nil, nil, 0
-	if p.timer.Stop() && len(a.free) < arqFreeCap {
-		a.free = append(a.free, p)
+// Arrive records that ack-required frame ack.Seq from peer arrived at now
+// and reports whether it is a duplicate (Peer.Seen). With hold set, a first
+// copy's ack is held (Peer.Hold) while OnAcksDue is set; when held is
+// false the caller acknowledges the frame itself.
+func (a *ARQ) Arrive(now time.Time, from transport.NodeID, ack HeldAck, hold bool) (dup, held bool) {
+	e := a.entry(from, true)
+	if e == nil {
+		return false, false
 	}
-	return result
+	dup = e.p.Seen(ack.Seq)
+	if held = hold && !dup && a.acksDue != nil; held {
+		e.p.Hold(now, ack)
+	}
+	e.unlock()
+	return dup, held
 }
 
-// Forget drops everything the engine keeps for peer: its pending messages
-// fail with ErrPeerForgotten, and its round-trip estimate goes, so a new
-// incarnation of the peer starts from DefaultARQTimeout.
+// Cancel is Peer.Cancel on peer's Peer.
+func (a *ARQ) Cancel(peer transport.NodeID, seq uint64) bool {
+	e := a.entry(peer, false)
+	if e == nil {
+		return false
+	}
+	ok := e.p.Cancel(seq)
+	e.unlock()
+	return ok
+}
+
+// HeldReplies reports the held reply acks of every peer: while it is zero,
+// no frame has any to carry.
+func (a *ARQ) HeldReplies() int { return int(a.replies.Load()) }
+
+// Carry is Peer.Carry on peer's Peer.
+func (a *ARQ) Carry(peer transport.NodeID, bearer string, pr qos.Priority, room int, b *AckBlock) (uint64, []byte) {
+	e := a.entry(peer, false)
+	if e == nil {
+		return 0, nil
+	}
+	largest, ranges := e.p.Carry(bearer, pr, room, b)
+	e.unlock()
+	return largest, ranges
+}
+
+// Offer is Peer.Offer on from's Peer. A partial message the fragment
+// evicts is counted under protocol.errors{admission}.
+func (a *ARQ) Offer(now time.Time, from transport.NodeID, f *Frame) ([]byte, error) {
+	e := a.entry(from, true)
+	if e == nil {
+		return nil, uerr.Wrap(a.reg, codeARQClosed, ErrARQClosed, "fragment refused")
+	}
+	msg, evicted, err := e.p.Offer(now, f)
+	e.unlock()
+	for ; evicted > 0; evicted-- {
+		_ = uerr.New(a.reg, codeReassemblyEvicted, "partial message evicted past the peer's reassembly budget")
+	}
+	return msg, err
+}
+
+// Forget drops peer's Peer: its pending messages fail with
+// ErrPeerForgotten, and a new incarnation starts from DefaultARQTimeout,
+// seq 1 and no held acks or partial messages.
 func (a *ARQ) Forget(peer transport.NodeID) {
 	a.mu.Lock()
-	results := a.dropLocked(a.pending[peer], nil)
-	delete(a.pending, peer)
+	e := a.peers[peer]
+	delete(a.peers, peer)
 	a.mu.Unlock()
-	a.fail(results, codeARQForgot, ErrPeerForgotten, "peer forgotten")
+	if e != nil {
+		var out Due
+		e.retire(&out)
+		a.fail(out.Failed, codeARQForgot, ErrPeerForgotten, "peer forgotten")
+	}
 }
 
-// dropLocked retires every message of pe, which may be nil, and appends
-// their results to results. Caller holds a.mu.
-func (a *ARQ) dropLocked(pe *arqPeer, results []ResultFunc) []ResultFunc {
-	if pe == nil {
-		return results
-	}
-	for _, p := range pe.recs {
-		results = append(results, a.endLocked(p))
-	}
-	return results
+// retire takes the entry out of service: its Peer drains into out.
+func (e *peerEntry) retire(out *Due) {
+	e.mu.Lock()
+	e.gone = true
+	e.p.Drain(out)
+	e.unlock()
 }
 
 // fail completes dropped messages with a typed, counted error each.
-func (a *ARQ) fail(results []ResultFunc, code uerr.Code, sentinel error, msg string) {
-	for _, result := range results {
-		err := uerr.Wrap(a.reg, code, sentinel, msg)
-		if result != nil {
-			result(err)
-		}
+func (a *ARQ) fail(ms []Message, code uerr.Code, sentinel error, msg string) {
+	for _, m := range ms {
+		a.complete(m, uerr.Wrap(a.reg, code, sentinel, msg))
 	}
 }
 
-// search returns the index of the first of recs, which ascend by seq, whose
-// seq is at least lo. A seq outside the span of recs costs one probe.
-// Caller holds a.mu.
-func (a *ARQ) search(recs []*arqPending, lo uint64) int {
-	n := len(recs)
-	a.probes++
-	if n == 0 || lo <= recs[0].key.seq {
-		return 0
-	}
-	if lo > recs[n-1].key.seq {
-		return n
-	}
-	i, j := 1, n-1 // recs[0] < lo <= recs[n-1]
-	for i < j {
-		a.probes++
-		h := int(uint(i+j) >> 1)
-		if recs[h].key.seq < lo {
-			i = h + 1
-		} else {
-			j = h
-		}
-	}
-	return i
-}
+// Pending reports the unacknowledged messages to every peer.
+func (a *ARQ) Pending() int { return a.sum(func(p *Peer) int { return len(p.recs) }) }
 
-// Pending reports the number of unacknowledged messages.
-func (a *ARQ) Pending() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
+// HeldAcks reports the acknowledgments held for every peer.
+func (a *ARQ) HeldAcks() int { return a.sum(func(p *Peer) int { return len(p.held) }) }
+
+// Partials reports the partial messages being reassembled from every peer.
+func (a *ARQ) Partials() int { return a.sum(func(p *Peer) int { return len(p.partials) }) }
+
+func (a *ARQ) sum(count func(*Peer) int) int {
+	a.mu.RLock()
+	defer a.mu.RUnlock()
 	n := 0
-	for _, pe := range a.pending {
-		n += len(pe.recs)
+	for _, e := range a.peers {
+		e.mu.Lock()
+		n += count(&e.p)
+		e.mu.Unlock()
 	}
 	return n
 }
 
-// Close fails every pending message with ErrARQClosed and stops timers. It
-// returns once retransmissions already under way have sent and given back
-// their copies, so a closed engine sends nothing and holds no buffer.
+// Close fails every pending message with ErrARQClosed, sends the acks
+// still held and stops every timer. A transmission holds its peer's lock,
+// so once Close returns the engine sends nothing and holds no buffer.
 func (a *ARQ) Close() {
 	a.mu.Lock()
-	if a.closed {
-		a.mu.Unlock()
-		return
-	}
-	a.closed = true
-	var results []ResultFunc
-	for peer, pe := range a.pending {
-		results = a.dropLocked(pe, results)
-		delete(a.pending, peer)
-	}
+	peers := a.peers
+	a.peers, a.closed = nil, true
 	a.mu.Unlock()
-	a.fail(results, codeARQClosed, ErrARQClosed, "engine closing")
-	// No retransmission starts once closed is set under a.mu, so none is
-	// added while this waits.
-	a.retransmitting.Wait()
+	var out Due
+	for _, e := range peers {
+		out.Acks = out.Acks[:0]
+		if e.retire(&out); len(out.Acks) > 0 {
+			a.acksDue(e.id, out.Acks)
+		}
+	}
+	a.fail(out.Failed, codeARQClosed, ErrARQClosed, "engine closing")
 }

@@ -47,14 +47,14 @@ func reuseFrame(t testing.TB, seq uint64) []byte {
 
 func reusePeer(seq uint64) transport.NodeID { return transport.NodeID(fmt.Sprintf("p%d", seq%4)) }
 
-// TestARQRecordReuseUnderAckRetransmitRace churns the record free list
+// TestARQRecordReuseUnderAckRetransmitRace churns each peer's record array
 // while a quarter of the acks arrive around the retransmission timeout, so
-// timers fire while finish runs and acks race retransmissions constantly;
-// the quick acks keep the measured timeout near its floor. A recycled
-// record must never retransmit for, or complete, a message it no longer
-// carries: every transmission is one message's own bytes to its own peer,
-// none comes sooner after its message's Send than the floor, and every
-// message completes exactly once, acknowledged.
+// a peer's timer fires while acks shift the records under it and acks race
+// retransmissions constantly; the quick acks keep the measured timeout
+// near its floor. A record slot must never retransmit for, or complete, a
+// message it no longer holds: every transmission is one message's own
+// bytes to its own peer, none comes sooner after its message's Send than
+// the floor, and every message completes exactly once, acknowledged.
 func TestARQRecordReuseUnderAckRetransmitRace(t *testing.T) {
 	const (
 		messages, senders = 2000, 4

@@ -21,7 +21,7 @@ import (
 // it never falls below DefaultARQTimeout.
 func TestARQRTOArithmetic(t *testing.T) {
 	ms := func(f float64) time.Duration { return time.Duration(f * float64(time.Millisecond)) }
-	pe := &arqPeer{rto: DefaultARQTimeout, backoff: time.Second}
+	pe := &Peer{backoff: time.Second}
 	for i, step := range []struct {
 		sample, srtt, rttvar, rto time.Duration
 	}{
@@ -51,14 +51,25 @@ func TestARQRTOArithmetic(t *testing.T) {
 	}
 }
 
-// rtoPeer reads the engine's estimate for peer.
-func rtoPeer(a *ARQ, peer transport.NodeID) arqPeer {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if pe := a.pending[peer]; pe != nil {
-		return *pe
+// rtoPeer reads the engine's estimate for peer; an unmeasured peer's RTO
+// reads as DefaultARQTimeout, the one it starts messages at.
+func rtoPeer(a *ARQ, peer transport.NodeID) Peer {
+	if e := a.entry(peer, false); e != nil {
+		defer e.mu.Unlock()
+		return Peer{srtt: e.p.srtt, rttvar: e.p.rttvar, rto: max(DefaultARQTimeout, e.p.rto), measured: e.p.measured, backoff: e.p.backoff}
 	}
-	return arqPeer{}
+	return Peer{}
+}
+
+// peerRecord reads record i of peer's pending messages; a negative i
+// counts from the end.
+func peerRecord(a *ARQ, peer transport.NodeID, i int) arqRecord {
+	e := a.entry(peer, false)
+	defer e.mu.Unlock()
+	if i < 0 {
+		i += len(e.p.recs)
+	}
+	return e.p.recs[i]
 }
 
 // TestARQSamplesFollowKarn runs the engine on the virtual clock. An ack
@@ -104,10 +115,7 @@ func TestARQSamplesFollowKarn(t *testing.T) {
 
 		// The next message starts at the carried delay; its ack is a sample.
 		send(3)
-		a.mu.Lock()
-		initial := a.pending["peer"].recs[0].initial
-		a.mu.Unlock()
-		if initial != pe.backoff {
+		if initial := peerRecord(a, "peer", 0).initial; initial != pe.backoff {
 			t.Fatalf("message 3 starts at %v, want the carried %v", initial, pe.backoff)
 		}
 		v.Sleep(12 * time.Millisecond)
@@ -150,11 +158,7 @@ func TestARQBackoffCarriesWithoutCompounding(t *testing.T) {
 		if err := a.Send("peer", n+1, mustFrame(t, n+1), nil); err != nil {
 			t.Fatal(err)
 		}
-		a.mu.Lock()
-		recs := a.pending["peer"].recs
-		initial := recs[len(recs)-1].initial
-		a.mu.Unlock()
-		if initial != want {
+		if initial := peerRecord(a, "peer", -1).initial; initial != want {
 			t.Errorf("the next message starts at %v, want %v", initial, want)
 		}
 	})
@@ -162,8 +166,8 @@ func TestARQBackoffCarriesWithoutCompounding(t *testing.T) {
 
 // TestARQForgetLeavesNothing forgets a peer with messages pending, some of
 // them retransmitted: each fails with ErrPeerForgotten, the peer's entry,
-// timers and pooled copies are gone, and it is sent nothing more. Another
-// peer's messages are untouched.
+// timer and pooled copies are gone, and it is sent nothing more. Another
+// peer's messages, under their peer's one timer, are untouched.
 func TestARQForgetLeavesNothing(t *testing.T) {
 	v := clock.NewVirtual()
 	v.Run(func() {
@@ -200,17 +204,17 @@ func TestARQForgetLeavesNothing(t *testing.T) {
 		if n := forgotten.Load(); n != 5 {
 			t.Errorf("%d of 5 results were ErrPeerForgotten", n)
 		}
-		a.mu.Lock()
-		_, kept := a.pending["peer"]
-		a.mu.Unlock()
+		a.mu.RLock()
+		_, kept := a.peers["peer"]
+		a.mu.RUnlock()
 		if kept || a.Pending() != 2 {
 			t.Errorf("after Forget: entry kept %v, %d pending, want false and the other peer's 2", kept, a.Pending())
 		}
 		if held, foreign := ledger.state(); held != 2 || foreign != 0 {
 			t.Errorf("after Forget the engine holds %d pooled copies and gave back %d foreign ones, want 2 and 0", held, foreign)
 		}
-		if armed := v.Pending(); armed != 2 {
-			t.Errorf("%d timers armed after Forget, want the other peer's 2", armed)
+		if armed := v.Pending(); armed != 1 {
+			t.Errorf("%d timers armed after Forget, want the other peer's one", armed)
 		}
 		before := toPeer.Load()
 		a.Ack("other", 6)
@@ -225,10 +229,11 @@ func TestARQForgetLeavesNothing(t *testing.T) {
 	})
 }
 
-// TestARQForgetRecycle races Forget against acks and retransmissions on a
-// churning record free list: senders stream messages to four peers, a
-// quarter of the acks arrive around the retransmission timeout, and a
-// forgetter drops a random peer every millisecond. Every message completes
+// TestARQForgetRecycle races Forget against acks and retransmissions, and
+// against senders making each forgotten peer's entry anew: senders stream
+// messages to four peers, a quarter of the acks arrive around the
+// retransmission timeout, and a forgetter drops a random peer every
+// millisecond. Every message completes
 // exactly once, acknowledged or forgotten; no transmission carries another
 // message's bytes or goes to another peer; and once the last completes the
 // engine holds no record and no pooled copy.

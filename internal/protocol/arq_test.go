@@ -254,15 +254,8 @@ func TestDedup(t *testing.T) {
 	if d.Seen("a", 1) {
 		t.Error("evicted seq still remembered")
 	}
-	if d.Senders() != 2 {
-		t.Errorf("Senders = %d", d.Senders())
-	}
-	d.Forget("a")
-	if d.Senders() != 1 {
-		t.Error("Forget failed")
-	}
-	if d.Seen("a", 5) {
-		t.Error("forgotten sender state persisted")
+	if len(d.senders) != 2 {
+		t.Errorf("%d senders have windows, want 2", len(d.senders))
 	}
 }
 
@@ -338,9 +331,9 @@ func TestAckRangeCostFollowsPending(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a.mu.Lock()
-	a.probes = 0
-	a.mu.Unlock()
+	e := a.entry("peer", false)
+	e.p.probes = 0
+	e.mu.Unlock()
 	ranges, claimed := 0, 0
 	for sub, ok := subs.Next(); ok; sub, ok = subs.Next() {
 		f, err := DecodeFrame(sub)
@@ -363,9 +356,9 @@ func TestAckRangeCostFollowsPending(t *testing.T) {
 	if got := a.Pending(); got != perPeer {
 		t.Fatalf("%d messages pending, want the other peer's %d", got, perPeer)
 	}
-	a.mu.Lock()
-	probes := a.probes
-	a.mu.Unlock()
+	e = a.entry("peer", false)
+	probes := e.p.probes
+	e.mu.Unlock()
 	// A search of n records probes at most bits.Len(n)+1 of them.
 	if bound := (ranges + perPeer) * (bits.Len(perPeer) + 1); probes > bound {
 		t.Errorf("%d probes for %d ranges claiming %d seqs, want at most %d", probes, ranges, claimed, bound)
@@ -388,9 +381,9 @@ func TestARQBackoffIsCapped(t *testing.T) {
 	if err := arq.Send("peer", 1, mustFrame(t, 1), nil); err != nil {
 		t.Fatal(err)
 	}
-	arq.mu.Lock()
-	arq.pending["peer"].recs[0].attempt = 60
-	arq.mu.Unlock()
+	e := arq.entry("peer", false)
+	e.p.recs[0].attempt = 60
+	e.mu.Unlock()
 	time.Sleep(150 * time.Millisecond)
 	// The first transmission, then the retransmission the 20 ms timer
 	// fires, then nothing for arqMaxDelay.

@@ -7,10 +7,10 @@ import (
 	"uavmw/internal/transport"
 )
 
-// Dedup suppresses duplicate messages on the receiving side of the ARQ
-// scheme: when an ACK is lost the sender retransmits, and the receiver must
-// acknowledge again but deliver only once. Message identity is (sender,
-// seq) within one engine's scope.
+// The dedup window suppresses duplicate messages on the receiving side of
+// the ARQ scheme: when an ACK is lost the sender retransmits, and the
+// receiver must acknowledge again but deliver only once. Each Peer keeps
+// one window of the seqs received from its node.
 //
 // A seq is a duplicate exactly when it is among the last window seqs
 // recorded from that sender. The window must exceed the maximum number of
@@ -19,6 +19,9 @@ import (
 // of seqs and the index over them start at minDedupRing entries and double
 // up to the window, so a quiet peer costs a few hundred bytes and a full
 // DefaultDedupWindow 48 KB.
+//
+// Dedup is a bare map of windows by sender, which the container does not
+// use: bench times one window lookup through it (protocol.dedup_seen_ns).
 type Dedup struct {
 	window int
 
@@ -70,25 +73,9 @@ func (d *Dedup) Seen(from transport.NodeID, seq uint64) bool {
 	w := d.senders[from]
 	if w == nil {
 		w = &dedupWindow{}
-		w.resize(min(minDedupRing, d.window))
 		d.senders[from] = w
 	}
 	return w.seen(seq, d.window)
-}
-
-// Forget drops all state for a sender (e.g. after its container restarts
-// with fresh sequence numbers).
-func (d *Dedup) Forget(from transport.NodeID) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	delete(d.senders, from)
-}
-
-// Senders reports how many peers have dedup state, for diagnostics.
-func (d *Dedup) Senders() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return len(d.senders)
 }
 
 // home is seq's preferred index slot (Fibonacci hashing: sequential seqs
@@ -100,6 +87,9 @@ func (w *dedupWindow) home(seq uint64) int {
 // seen reports whether seq is in the window and, if not, records it,
 // evicting the oldest seq once window seqs are held.
 func (w *dedupWindow) seen(seq uint64, window int) bool {
+	if w.index == nil {
+		w.resize(min(minDedupRing, window))
+	}
 	mask := len(w.index) - 1
 	i := w.home(seq)
 	for ; w.index[i] != 0; i = (i + 1) & mask {

@@ -81,7 +81,7 @@ func TestDedupMatchesReference(t *testing.T) {
 				}
 				if op%50_000 == 49_999 {
 					// A restarted sender starts over on both sides.
-					d.Forget(from)
+					delete(d.senders, from)
 					delete(refs, from)
 				}
 			}

@@ -4,18 +4,7 @@ import (
 	"bytes"
 	"testing"
 	"time"
-
-	"uavmw/internal/clock"
-	"uavmw/internal/transport"
 )
-
-// stepClock is a wall clock whose Now only moves when the test says so.
-type stepClock struct {
-	clock.Real
-	now time.Time
-}
-
-func (c *stepClock) Now() time.Time { return c.now }
 
 // FuzzReassemblerOffer feeds the fragment decoder — which takes its bytes
 // from the network — two things at once.
@@ -23,15 +12,16 @@ func (c *stepClock) Now() time.Time { return c.now }
 // hostile is a stream of arbitrary fragment payloads (sender selector byte,
 // length byte, payload bytes) from four misbehaving senders: short headers,
 // index ≥ total, zero or huge totals, one msgID reused with different
-// shapes. None may panic, and once the reassembly TTL has passed the next
-// offer must leave no trace of them.
+// shapes. None may panic, no sender's partial messages may exceed its
+// reassembly budget, and once the reassembly TTL has passed OnTimer must
+// leave no trace of them.
 //
 // raw, mtuSeed and order describe a well-formed message from a fifth
-// sender on the same reassembler: raw split at an MTU picked by mtuSeed,
-// its fragments offered in the duplicated, shuffled order the order bytes
-// spell out and then once each in sequence. The message must complete
-// exactly when its last missing fragment arrives, byte-identical to raw,
-// whatever the hostile senders left behind.
+// sender, each sender in its own Peer: raw split at an MTU picked by
+// mtuSeed, its fragments offered in the duplicated, shuffled order the
+// order bytes spell out and then once each in sequence. The message must
+// complete exactly when its last missing fragment arrives, byte-identical
+// to raw.
 func FuzzReassemblerOffer(f *testing.F) {
 	// More seeds are committed under testdata/fuzz/FuzzReassemblerOffer.
 	hostileOp := func(sender byte, payload []byte) []byte {
@@ -46,15 +36,18 @@ func FuzzReassemblerOffer(f *testing.F) {
 	f.Add(append(hostileOp(1, append(fragHeader(77, 0, 4), "evil"...)), hostileOp(2, append(fragHeader(77, 1, 4), "evil"...))...),
 		bytes.Repeat([]byte("good"), 90), uint16(33), []byte{2, 1})
 	f.Fuzz(func(t *testing.T, hostile, raw []byte, mtuSeed uint16, order []byte) {
-		const ttl = time.Second
-		clk := &stepClock{now: time.Unix(1_000_000, 0)}
-		ra := NewReassembler(ttl, clk)
+		now := time.Unix(1_000_000, 0)
+		var peers [5]Peer // four hostile senders, then the good one
+		good := &peers[4]
 
 		for rest := hostile; len(rest) >= 2; {
-			from := transport.NodeID([]string{"h0", "h1", "h2", "h3"}[rest[0]%4])
+			from := &peers[rest[0]%4]
 			n := min(int(rest[1]), len(rest)-2)
 			// Errors and accidental completions are both fine; a panic is not.
-			_, _ = ra.Offer(from, &Frame{Type: MTFragment, Payload: rest[2 : 2+n]})
+			_, _, _ = from.Offer(now, &Frame{Type: MTFragment, Payload: rest[2 : 2+n]})
+			if from.partialBytes > reassemblyBudget {
+				t.Fatalf("a sender's partial messages are charged %d bytes, over the %d budget", from.partialBytes, reassemblyBudget)
+			}
 			rest = rest[2+n:]
 		}
 
@@ -73,7 +66,7 @@ func FuzzReassemblerOffer(f *testing.F) {
 				if err != nil {
 					t.Fatalf("fragment %d does not decode: %v", i, err)
 				}
-				got, err := ra.Offer("good", pf)
+				got, _, err := good.Offer(now, pf)
 				if err != nil {
 					t.Fatalf("well-formed fragment %d/%d rejected: %v", i, total, err)
 				}
@@ -101,14 +94,14 @@ func FuzzReassemblerOffer(f *testing.F) {
 			}
 		}
 
-		// Past the TTL, one more offer sweeps every partial message; the
-		// offer itself is a complete one-fragment message and leaves nothing.
-		clk.now = clk.now.Add(ttl + time.Millisecond)
-		if _, err := ra.Offer("sweep", &Frame{Type: MTFragment, Payload: fragHeader(1, 0, 1)}); err != nil {
-			t.Fatal(err)
-		}
-		if n := ra.PendingMessages(); n != 0 {
-			t.Fatalf("%d partial message(s) survive their TTL", n)
+		// Past the TTL, OnTimer drops every partial message.
+		now = now.Add(ReassemblyTTL + time.Millisecond)
+		for i := range peers {
+			var due Due
+			peers[i].OnTimer(now, DefaultARQRetries, &due)
+			if n := len(peers[i].partials); n != 0 || peers[i].partialBytes != 0 || !peers[i].Deadline().IsZero() {
+				t.Fatalf("sender %d: %d partial message(s) survive their TTL", i, n)
+			}
 		}
 	})
 }

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"uavmw/internal/qos"
+	"uavmw/internal/transport"
 )
 
 // fragmentAll materializes every fragment of raw the way a best-effort
@@ -29,6 +30,15 @@ func fragmentAll(t testing.TB, raw []byte, msgID uint64, mtu int) [][]byte {
 	return out
 }
 
+// epoch is the instant the reassembly tests offer their fragments at.
+var epoch = time.Unix(1_000_000, 0)
+
+// offer hands one fragment to p at epoch.
+func offer(p *Peer, f *Frame) ([]byte, error) {
+	msg, _, err := p.Offer(epoch, f)
+	return msg, err
+}
+
 func TestFragmentReassembleRoundTrip(t *testing.T) {
 	r := rand.New(rand.NewSource(4))
 	for _, size := range []int{1401, 2800, 5000, 100_000} {
@@ -38,7 +48,7 @@ func TestFragmentReassembleRoundTrip(t *testing.T) {
 		if len(frags) < 2 {
 			t.Fatalf("size %d produced %d fragments", size, len(frags))
 		}
-		ra := NewReassembler(0, nil)
+		var ra Peer
 		var out []byte
 		for i, fr := range frags {
 			f, err := DecodeFrame(fr)
@@ -48,7 +58,7 @@ func TestFragmentReassembleRoundTrip(t *testing.T) {
 			if f.Type != MTFragment {
 				t.Fatalf("fragment %d type %v", i, f.Type)
 			}
-			got, err := ra.Offer("src", f)
+			got, err := offer(&ra, f)
 			if err != nil {
 				t.Fatalf("Offer %d: %v", i, err)
 			}
@@ -62,8 +72,8 @@ func TestFragmentReassembleRoundTrip(t *testing.T) {
 		if !bytes.Equal(out, raw) {
 			t.Fatalf("size %d: reassembly mismatch", size)
 		}
-		if ra.PendingMessages() != 0 {
-			t.Error("completed message still pending")
+		if len(ra.partials) != 0 || ra.partialBytes != 0 {
+			t.Errorf("completed message still pending: %d partials charged %d bytes", len(ra.partials), ra.partialBytes)
 		}
 	}
 }
@@ -74,12 +84,12 @@ func TestFragmentReassembleOutOfOrderAndDuplicates(t *testing.T) {
 	frags := fragmentAll(t, raw, 7, 1400)
 	// Shuffle and duplicate every fragment.
 	order := rand.New(rand.NewSource(9)).Perm(len(frags))
-	ra := NewReassembler(0, nil)
+	var ra Peer
 	var out []byte
 	offered := 0
 	for _, idx := range order {
 		f, _ := DecodeFrame(frags[idx])
-		got, err := ra.Offer("src", f)
+		got, err := offer(&ra, f)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -88,7 +98,7 @@ func TestFragmentReassembleOutOfOrderAndDuplicates(t *testing.T) {
 			out = got
 		}
 		// Duplicate offer of same fragment must be harmless.
-		if got2, err := ra.Offer("src", f); err != nil {
+		if got2, err := offer(&ra, f); err != nil {
 			t.Fatal(err)
 		} else if got2 != nil && out == nil {
 			out = got2
@@ -102,15 +112,16 @@ func TestFragmentReassembleOutOfOrderAndDuplicates(t *testing.T) {
 func TestFragmentSenderIsolation(t *testing.T) {
 	raw := make([]byte, 3000)
 	frags := fragmentAll(t, raw, 5, 1400)
-	ra := NewReassembler(0, nil)
+	ra := NewARQ(func(transport.NodeID, []byte) error { return nil }, WithClock(stillClock{}))
+	defer ra.Close()
 	// Same msgID from two senders must not cross-pollinate.
 	f0, _ := DecodeFrame(frags[0])
-	if got, _ := ra.Offer("a", f0); got != nil {
+	if got, _ := ra.Offer(epoch, "a", f0); got != nil {
 		t.Fatal("premature completion")
 	}
 	for i, fr := range frags {
 		f, _ := DecodeFrame(fr)
-		got, err := ra.Offer("b", f)
+		got, err := ra.Offer(epoch, "b", f)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -118,52 +129,60 @@ func TestFragmentSenderIsolation(t *testing.T) {
 			t.Fatal("sender b never completed")
 		}
 	}
-	if ra.PendingMessages() != 1 {
-		t.Errorf("pending = %d, want 1 (sender a partial)", ra.PendingMessages())
+	if ra.Partials() != 1 {
+		t.Errorf("pending = %d, want 1 (sender a partial)", ra.Partials())
 	}
 }
 
+// TestFragmentTTLExpiry leaves a message half reassembled: the peer's
+// deadline is when the partial expires, OnTimer keeps it up to then and
+// drops it after, and a later fragment of another message restarts
+// nothing of it.
 func TestFragmentTTLExpiry(t *testing.T) {
 	raw := make([]byte, 3000)
 	frags := fragmentAll(t, raw, 11, 1400)
-	ra := NewReassembler(10*time.Millisecond, nil)
+	var ra Peer
 	f0, _ := DecodeFrame(frags[0])
-	if _, err := ra.Offer("a", f0); err != nil {
+	if _, err := offer(&ra, f0); err != nil {
 		t.Fatal(err)
 	}
-	if ra.PendingMessages() != 1 {
+	if len(ra.partials) != 1 {
 		t.Fatal("fragment not pending")
 	}
-	time.Sleep(20 * time.Millisecond)
-	// Any new offer triggers expiry sweep.
-	other := fragmentAll(t, make([]byte, 2000), 12, 1400)
-	fo, _ := DecodeFrame(other[0])
-	if _, err := ra.Offer("b", fo); err != nil {
-		t.Fatal(err)
+	expiry := epoch.Add(ReassemblyTTL)
+	if at := ra.Deadline(); at.Before(expiry) || at.After(expiry.Add(time.Millisecond)) {
+		t.Errorf("deadline %v after the fragment, want the %v TTL", at.Sub(epoch), ReassemblyTTL)
 	}
-	if ra.PendingMessages() != 1 {
-		t.Errorf("expired partial not dropped: pending=%d", ra.PendingMessages())
+	var due Due
+	ra.OnTimer(expiry, DefaultARQRetries, &due)
+	if len(ra.partials) != 1 {
+		t.Fatal("partial dropped before its TTL ran out")
+	}
+	ra.OnTimer(expiry.Add(time.Millisecond), DefaultARQRetries, &due)
+	if len(ra.partials) != 0 || ra.partialBytes != 0 || !ra.Deadline().IsZero() {
+		t.Errorf("expired partial not dropped: %d partials charged %d bytes", len(ra.partials), ra.partialBytes)
 	}
 }
 
 func TestFragmentBadInputs(t *testing.T) {
-	ra := NewReassembler(0, nil)
+	var p Peer
+	ra := &p
 	// Non-fragment frame.
-	if _, err := ra.Offer("a", &Frame{Type: MTEvent}); err == nil {
+	if _, err := offer(ra, &Frame{Type: MTEvent}); err == nil {
 		t.Error("non-fragment frame must fail")
 	}
 	// Truncated fragment header.
-	if _, err := ra.Offer("a", &Frame{Type: MTFragment, Payload: []byte{1, 2}}); err == nil {
+	if _, err := offer(ra, &Frame{Type: MTFragment, Payload: []byte{1, 2}}); err == nil {
 		t.Error("truncated header must fail")
 	}
 	// index >= total.
 	w := fragHeader(1, 5, 2)
-	if _, err := ra.Offer("a", &Frame{Type: MTFragment, Payload: w}); err == nil {
+	if _, err := offer(ra, &Frame{Type: MTFragment, Payload: w}); err == nil {
 		t.Error("index >= total must fail")
 	}
 	// total == 0.
 	w = fragHeader(1, 0, 0)
-	if _, err := ra.Offer("a", &Frame{Type: MTFragment, Payload: w}); err == nil {
+	if _, err := offer(ra, &Frame{Type: MTFragment, Payload: w}); err == nil {
 		t.Error("zero total must fail")
 	}
 }
@@ -224,7 +243,7 @@ func TestFragmentsFitMTUAndInheritPriority(t *testing.T) {
 			if split.Count() < 2 {
 				t.Fatalf("%d bytes at %v: expected fragmentation, got %d part(s)", size, pr, split.Count())
 			}
-			ra := NewReassembler(0, nil)
+			var ra Peer
 			var out []byte
 			for i := 0; i < split.Count(); i++ {
 				seq := uint64(100 + i)
@@ -247,7 +266,7 @@ func TestFragmentsFitMTUAndInheritPriority(t *testing.T) {
 					t.Fatalf("fragment %d header = %v pr %v seq %d flags %#x, want fragment pr %v seq %d flags %#x",
 						i, pf.Type, pf.Priority, pf.Seq, pf.Flags, pr, seq, FlagAckRequired)
 				}
-				if out, err = ra.Offer("src", pf); err != nil {
+				if out, err = offer(&ra, pf); err != nil {
 					t.Fatal(err)
 				}
 			}
