@@ -247,7 +247,7 @@ func TestHeldCallAckAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 			<-sink.sent
-			if n.arq.HeldReplies() != 0 {
+			if n.arq.HeldReplies("peer") != 0 {
 				t.Fatalf("reply %d: its held ack was not carried", seq)
 			}
 		}},

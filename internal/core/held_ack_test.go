@@ -712,7 +712,7 @@ func TestHeldAckRidesOnlyEligibleFrames(t *testing.T) {
 		if got := append(logA.carriedSeqs(), logB.carriedSeqs()...); len(got) != 0 {
 			t.Fatalf("%s frame carried held acks %v", c.name, got)
 		}
-		if r := n.arq.HeldReplies(); r != 5 {
+		if r := n.arq.HeldReplies("peer"); r != 5 {
 			t.Fatalf("after the %s frame %d reply acks are held, want 5", c.name, r)
 		}
 	}
@@ -742,7 +742,7 @@ func TestHeldAckRidesOnlyEligibleFrames(t *testing.T) {
 	if got := logB.carriedSeqs(); !slices.Equal(got, want["b"]) {
 		t.Errorf("bearer b carried %v, want %v", got, want["b"])
 	}
-	if r := n.arq.HeldReplies(); r != 0 {
+	if r := n.arq.HeldReplies("peer"); r != 0 {
 		t.Errorf("%d reply acks still held", r)
 	}
 	if acks := append(logA.sent(protocol.MTAck), logB.sent(protocol.MTAck)...); len(acks) != 0 {

@@ -486,7 +486,7 @@ func (n *Node) transmit(d egress.Dest, f *protocol.Frame, rel *reliable) error {
 				n.arq.Cancel(d.Node, id)
 			}
 		}
-		if size < protocol.DefaultMTU && carriesAcks(f) && n.arq.HeldReplies() > 0 {
+		if size < protocol.DefaultMTU && carriesAcks(f) && n.arq.HeldReplies(d.Node) > 0 {
 			// The frame carries the held acks of replies that arrived on
 			// its bearer, the one it would take anyway, now pinned, in a
 			// class no higher than its own. The block rides a copy: the
@@ -784,8 +784,7 @@ func (n *Node) handleFrame(q *ackQueue, now time.Time, bearer string, from trans
 	}
 }
 
-// sendHeldAcks sends the acks ARQ held for peer to whose delay ran out. An
-// ack neither cancels nor carries held acks, so it makes no ARQ call.
+// sendHeldAcks sends the acks ARQ held for peer to whose delay ran out.
 func (n *Node) sendHeldAcks(to transport.NodeID, acks []protocol.HeldAck) {
 	n.heldMu.Lock()
 	defer n.heldMu.Unlock()

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -109,6 +110,32 @@ func TestReliableDoneFiresOnce(t *testing.T) {
 				t.Fatalf("done fired %d times, want once", c)
 			}
 		})
+	}
+}
+
+// TestOversizeReliableSendFails sends a reliable message larger than a
+// peer can reassemble: it fails at once with ErrBadFrame, nothing pending,
+// where it would otherwise go out, be acknowledged fragment by fragment and
+// be dropped by the receiver.
+func TestOversizeReliableSendFails(t *testing.T) {
+	n, err := NewNode(WithDatagram(&wireSink{id: "oversize"}), WithAnnouncePeriod(time.Hour))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = n.Close() }()
+	result := make(chan error, 1)
+	f := &protocol.Frame{Type: protocol.MTEvent, Priority: qos.PriorityNormal, Channel: "oversize", Payload: make([]byte, 2<<20)}
+	n.SendReliable("peer", f, qos.ReliableARQ, func(err error) { result <- err })
+	select {
+	case err := <-result:
+		if !errors.Is(err, protocol.ErrBadFrame) {
+			t.Errorf("done(%v), want ErrBadFrame", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("done never fired")
+	}
+	if p := n.arq.Pending(); p != 0 {
+		t.Errorf("%d fragments pending, want none", p)
 	}
 }
 

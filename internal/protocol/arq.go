@@ -52,13 +52,16 @@ type ARQ struct {
 	release func([]byte)
 	acksDue func(to transport.NodeID, acks []HeldAck) // OnAcksDue
 
-	mu      sync.RWMutex
-	peers   map[transport.NodeID]*peerEntry
-	closed  bool
-	replies atomic.Int32 // held reply acks, of every peer
+	mu     sync.RWMutex
+	peers  map[transport.NodeID]*peerEntry
+	closed bool
+	// sending counts timer runs past their peer's lock and not yet done
+	// with their sends and completions; Close waits for them.
+	sending *clock.WaitGroup
 
-	reg   *metrics.Registry
-	stats arqCounters
+	reg *metrics.Registry
+	// stats are the "arq" counters MetricsSnapshot exports, resolved once.
+	stats struct{ sent, retransmits, acked, failed *metrics.Counter }
 }
 
 // peerEntry is one Peer with its lock and timer. It outlives the Peer's
@@ -73,8 +76,8 @@ type peerEntry struct {
 	gone    bool // out of the table: a caller that found it looks again
 	timer   clock.Timer
 	armed   time.Time
-	due     Due // onTimer's scratch
-	replies int // what the entry has added to ARQ.replies
+	due     Due          // onTimer's scratch, taken by the run that uses it
+	replies atomic.Int32 // the Peer's held reply acks, read unlocked
 }
 
 // SendFunc transmits a raw frame to a peer; the ARQ engine owns retries.
@@ -85,25 +88,6 @@ type SendFunc func(to transport.NodeID, frame []byte) error
 // ResultFunc reports the final outcome of a reliable send: nil on ACK, or
 // ErrTimeout / transport errors after the retry budget is spent.
 type ResultFunc func(err error)
-
-// arqCounters holds the engine's pre-resolved registry handles ("arq"
-// component); increments stay lock-free atomics on the same series
-// MetricsSnapshot exports.
-type arqCounters struct {
-	sent        *metrics.Counter
-	retransmits *metrics.Counter
-	acked       *metrics.Counter
-	failed      *metrics.Counter
-}
-
-func newARQCounters(reg *metrics.Registry) arqCounters {
-	return arqCounters{
-		sent:        reg.Counter("arq", "sent"),
-		retransmits: reg.Counter("arq", "retransmits"),
-		acked:       reg.Counter("arq", "acked"),
-		failed:      reg.Counter("arq", "failed"),
-	}
-}
 
 // Errors.
 var (
@@ -180,8 +164,8 @@ func WithMetrics(reg *metrics.Registry) ARQOption {
 	}
 }
 
-// NewARQ builds an engine that transmits via send. A retransmission is
-// made under its peer's lock, so send must not call the engine.
+// NewARQ builds an engine that transmits via send. No send is made under a
+// lock of the engine: send may wait, and may call it.
 func NewARQ(send SendFunc, opts ...ARQOption) *ARQ {
 	a := &ARQ{
 		send:       send,
@@ -197,13 +181,16 @@ func NewARQ(send SendFunc, opts ...ARQOption) *ARQ {
 	if a.reg == nil {
 		a.reg = metrics.NewRegistry()
 	}
-	a.stats = newARQCounters(a.reg)
+	s := &a.stats
+	s.sent, s.retransmits = a.reg.Counter("arq", "sent"), a.reg.Counter("arq", "retransmits")
+	s.acked, s.failed = a.reg.Counter("arq", "acked"), a.reg.Counter("arq", "failed")
+	a.sending = clock.NewWaitGroup(a.clk)
 	return a
 }
 
-// OnAcksDue lets the engine hold acks: send is how a peer's held acks leave
-// when their delay runs out or the engine closes. It must not call the
-// engine. Set it before the first Arrive.
+// OnAcksDue is how a peer's held acks leave when their delay runs out or
+// the engine closes; an engine that holds acks (Arrive with hold) needs
+// it. Set it before the first Arrive.
 func (a *ARQ) OnAcksDue(send func(to transport.NodeID, acks []HeldAck)) { a.acksDue = send }
 
 // entry returns peer's entry locked, making it when create is set, or nil
@@ -231,15 +218,23 @@ func (a *ARQ) entry(peer transport.NodeID, create bool) *peerEntry {
 	}
 }
 
-// unlock ends an operation on the entry: ARQ.replies takes in the Peer's
-// count, and the timer is armed for the Peer's deadline when that comes
-// before the instant it is set for, or stopped when the Peer has none.
-// Caller holds e.mu, which it releases.
-func (e *peerEntry) unlock() {
-	if d := e.p.replies - e.replies; d != 0 {
-		e.a.replies.Add(int32(d))
-		e.replies = e.p.replies
+// with runs op on peer's Peer under its lock, making the entry when create
+// is set, and reports false when there is none or the engine is closed.
+func (a *ARQ) with(peer transport.NodeID, create bool, op func(*Peer)) bool {
+	e := a.entry(peer, create)
+	if e != nil {
+		op(&e.p)
+		e.unlock()
 	}
+	return e != nil
+}
+
+// unlock ends an operation on the entry: the Peer's held reply count is
+// published, and the timer is armed for the Peer's deadline when that
+// comes before the instant it is set for, or stopped when the Peer has
+// none. Caller holds e.mu, which it releases.
+func (e *peerEntry) unlock() {
+	e.replies.Store(int32(e.p.replies))
 	switch at := e.p.Deadline(); {
 	case at.IsZero() && !e.armed.IsZero():
 		e.timer.Stop()
@@ -264,9 +259,8 @@ func (a *ARQ) Send(to transport.NodeID, seq uint64, frame []byte, result ResultF
 	if e == nil {
 		return uerr.Wrap(a.reg, codeARQClosed, ErrARQClosed, "send refused")
 	}
-	now := a.clk.Now()
 	retained := a.clone(frame)
-	if !e.p.Send(now, seq, retained, result) {
+	if !e.p.Send(a.clk.Now(), seq, retained, result) {
 		e.unlock()
 		a.release(retained)
 		return uerr.Newf(a.reg, codeARQDupSeq, "in-flight seq %d to %q", seq, to)
@@ -283,8 +277,9 @@ func (a *ARQ) Send(to transport.NodeID, seq uint64, frame []byte, result ResultF
 	return nil // outcome reported via result
 }
 
-// onTimer is the entry's timer callback: it sends what is due under the
-// lock and reports the messages out of retries outside it.
+// onTimer is the entry's timer callback. It takes what is due under the
+// lock and sends it outside: a send may wait (a bulk frame, for room in
+// its lane), and the peer's arrivals must not wait with it.
 func (e *peerEntry) onTimer() {
 	a := e.a
 	e.mu.Lock()
@@ -293,25 +288,37 @@ func (e *peerEntry) onTimer() {
 		return
 	}
 	e.armed = time.Time{}
-	e.p.OnTimer(a.clk.Now(), a.maxRetries, &e.due)
-	for _, m := range e.due.Resend {
+	// A run that starts while this one sends takes a fresh scratch.
+	due := e.due
+	e.due = Due{}
+	e.p.OnTimer(a.clk.Now(), a.maxRetries, &due)
+	for i := range due.Resend {
+		// An ack may release the record's frame once the lock drops.
+		due.Resend[i].Frame = a.clone(due.Resend[i].Frame)
+	}
+	a.sending.Add(1)
+	e.unlock()
+	defer a.sending.Done()
+
+	for _, m := range due.Resend {
 		a.stats.retransmits.Inc()
 		// A transient failure retries on the next timer, but it is counted,
 		// not discarded: a bearer blackout shows up as arq.retransmit send
 		// errors long before retry budgets start expiring.
 		uerr.Note(a.reg, codeARQRetryTx, a.send(e.id, m.Frame), "retransmission")
+		a.release(m.Frame)
 	}
-	if len(e.due.Acks) > 0 {
-		a.acksDue(e.id, e.due.Acks)
+	if len(due.Acks) > 0 {
+		a.acksDue(e.id, due.Acks)
 	}
-	failed := e.due.Failed
-	e.due = Due{Resend: e.due.Resend[:0], Acks: e.due.Acks[:0]}
-	e.unlock()
-	for _, m := range failed {
+	for _, m := range due.Failed {
 		a.stats.failed.Inc()
 		a.complete(m, uerr.Wrapf(a.reg, codeARQAckWait, ErrTimeout,
 			"seq %d to %q after %d attempts", m.Seq, e.id, a.maxRetries+1))
 	}
+	e.mu.Lock()
+	e.due = Due{Resend: due.Resend[:0], Acks: due.Acks[:0]}
+	e.mu.Unlock()
 }
 
 // complete gives back m's retained datagram and reports err to its result.
@@ -335,89 +342,76 @@ func (a *ARQ) Ack(from transport.NodeID, seq uint64) {
 // that were never sent costs a single search.
 func (a *ARQ) AckRange(from transport.NodeID, lo, hi uint64) {
 	for {
-		seq, ok := a.end(from, lo, hi, nil)
-		if !ok || seq == hi {
+		m, ok := a.end(from, lo, hi, nil)
+		if !ok || m.Seq == hi {
 			return
 		}
-		lo = seq + 1
+		lo = m.Seq + 1
 	}
 }
 
 // end ends, exactly once, the first pending message to `to` whose seq lies
-// in [lo, hi] — acknowledged when err is nil — and reports its seq. Its
+// in [lo, hi] — acknowledged when err is nil — and reports it. Its
 // result runs outside the lock.
-func (a *ARQ) end(to transport.NodeID, lo, hi uint64, err error) (uint64, bool) {
-	e := a.entry(to, false)
-	if e == nil {
-		return 0, false
-	}
+func (a *ARQ) end(to transport.NodeID, lo, hi uint64, err error) (m Message, ok bool) {
 	var now time.Time // a failure is no round-trip sample
 	if err == nil {
 		now = a.clk.Now()
 	}
-	m, ok := e.p.Ack(now, lo, hi)
-	e.unlock()
+	a.with(to, false, func(p *Peer) { m, ok = p.Ack(now, lo, hi) })
 	if ok && err == nil {
 		a.stats.acked.Inc()
 	}
 	if ok {
 		a.complete(m, err)
 	}
-	return m.Seq, ok
+	return m, ok
 }
 
 // Arrive records that ack-required frame ack.Seq from peer arrived at now
 // and reports whether it is a duplicate (Peer.Seen). With hold set, a first
-// copy's ack is held (Peer.Hold) while OnAcksDue is set; when held is
-// false the caller acknowledges the frame itself.
+// copy's ack is held (Peer.Hold) and leaves through OnAcksDue; when held
+// is false the caller acknowledges the frame itself.
 func (a *ARQ) Arrive(now time.Time, from transport.NodeID, ack HeldAck, hold bool) (dup, held bool) {
-	e := a.entry(from, true)
-	if e == nil {
-		return false, false
-	}
-	dup = e.p.Seen(ack.Seq)
-	if held = hold && !dup && a.acksDue != nil; held {
-		e.p.Hold(now, ack)
-	}
-	e.unlock()
+	a.with(from, true, func(p *Peer) {
+		dup = p.Seen(ack.Seq)
+		if held = hold && !dup; held {
+			p.Hold(now, ack)
+		}
+	})
 	return dup, held
 }
 
 // Cancel is Peer.Cancel on peer's Peer.
-func (a *ARQ) Cancel(peer transport.NodeID, seq uint64) bool {
-	e := a.entry(peer, false)
-	if e == nil {
-		return false
-	}
-	ok := e.p.Cancel(seq)
-	e.unlock()
+func (a *ARQ) Cancel(peer transport.NodeID, seq uint64) (ok bool) {
+	a.with(peer, false, func(p *Peer) { ok = p.Cancel(seq) })
 	return ok
 }
 
-// HeldReplies reports the held reply acks of every peer: while it is zero,
-// no frame has any to carry.
-func (a *ARQ) HeldReplies() int { return int(a.replies.Load()) }
+// HeldReplies reports the reply acks held for peer: while it is zero, no
+// frame to peer has any to carry.
+func (a *ARQ) HeldReplies(peer transport.NodeID) int {
+	a.mu.RLock()
+	defer a.mu.RUnlock()
+	if e := a.peers[peer]; e != nil {
+		return int(e.replies.Load())
+	}
+	return 0
+}
 
 // Carry is Peer.Carry on peer's Peer.
-func (a *ARQ) Carry(peer transport.NodeID, bearer string, pr qos.Priority, room int, b *AckBlock) (uint64, []byte) {
-	e := a.entry(peer, false)
-	if e == nil {
-		return 0, nil
-	}
-	largest, ranges := e.p.Carry(bearer, pr, room, b)
-	e.unlock()
+func (a *ARQ) Carry(peer transport.NodeID, bearer string, pr qos.Priority, room int, b *AckBlock) (largest uint64, ranges []byte) {
+	a.with(peer, false, func(p *Peer) { largest, ranges = p.Carry(bearer, pr, room, b) })
 	return largest, ranges
 }
 
 // Offer is Peer.Offer on from's Peer. A partial message the fragment
 // evicts is counted under protocol.errors{admission}.
-func (a *ARQ) Offer(now time.Time, from transport.NodeID, f *Frame) ([]byte, error) {
-	e := a.entry(from, true)
-	if e == nil {
+func (a *ARQ) Offer(now time.Time, from transport.NodeID, f *Frame) (msg []byte, err error) {
+	var evicted int
+	if !a.with(from, true, func(p *Peer) { msg, evicted, err = p.Offer(now, f) }) {
 		return nil, uerr.Wrap(a.reg, codeARQClosed, ErrARQClosed, "fragment refused")
 	}
-	msg, evicted, err := e.p.Offer(now, f)
-	e.unlock()
 	for ; evicted > 0; evicted-- {
 		_ = uerr.New(a.reg, codeReassemblyEvicted, "partial message evicted past the peer's reassembly budget")
 	}
@@ -476,8 +470,8 @@ func (a *ARQ) sum(count func(*Peer) int) int {
 }
 
 // Close fails every pending message with ErrARQClosed, sends the acks
-// still held and stops every timer. A transmission holds its peer's lock,
-// so once Close returns the engine sends nothing and holds no buffer.
+// still held, stops every timer and waits for the timer runs under way:
+// once it returns the engine sends nothing and holds no buffer.
 func (a *ARQ) Close() {
 	a.mu.Lock()
 	peers := a.peers
@@ -491,4 +485,5 @@ func (a *ARQ) Close() {
 		}
 	}
 	a.fail(out.Failed, codeARQClosed, ErrARQClosed, "engine closing")
+	a.sending.Wait()
 }

@@ -10,6 +10,7 @@ import (
 
 	"uavmw/internal/clock"
 	"uavmw/internal/metrics/metricstest"
+	"uavmw/internal/qos"
 	"uavmw/internal/transport"
 )
 
@@ -452,5 +453,76 @@ func TestARQCloseEndsRetransmissions(t *testing.T) {
 	time.Sleep(2 * time.Millisecond)
 	if n := lateSends.Load(); n != 0 {
 		t.Errorf("%d sends after Close returned", n)
+	}
+}
+
+// TestRetransmissionHoldsNoPeerLock parks the retransmission of a
+// bulk-priority message in send, as the egress plane parks a bulk frame
+// until its lane has room. The peer's arrivals, fragments and acks go on
+// meanwhile: a send made under the peer's lock would stall the ingress
+// worker that brings them, and with it the credits the parked send waits
+// for. The parked send reads its own copy, which the ack does not free,
+// and Close waits for it.
+func TestRetransmissionHoldsNoPeerLock(t *testing.T) {
+	parked, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	unpark := func() { once.Do(func() { close(release) }) }
+	defer unpark()
+	var sends atomic.Int32
+	arq := NewARQ(func(_ transport.NodeID, frame []byte) error {
+		if sends.Add(1) == 2 {
+			if PeekPriority(frame) != qos.PriorityBulk {
+				t.Errorf("retransmitted priority %v, want bulk", PeekPriority(frame))
+			}
+			close(parked)
+			<-release
+		}
+		return nil
+	})
+	ledger := trackBuffers(arq)
+	raw, err := EncodeFrame(&Frame{Type: MTEvent, Priority: qos.PriorityBulk, Channel: "c", Seq: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	result := make(chan error, 1)
+	if err := arq.Send("peer", 1, raw, func(err error) { result <- err }); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-parked:
+	case <-time.After(5 * time.Second):
+		t.Fatal("no retransmission")
+	}
+
+	went := make(chan struct{})
+	go func() {
+		defer close(went)
+		arq.Arrive(time.Now(), "peer", HeldAck{Seq: 9}, false)
+		frag := &Frame{Type: MTFragment, Payload: append(fragHeader(3, 0, 2), 1, 2, 3)}
+		if _, err := arq.Offer(time.Now(), "peer", frag); err != nil {
+			t.Error(err)
+		}
+		arq.Ack("peer", 1)
+	}()
+	select {
+	case <-went:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the peer's arrivals waited for its parked retransmission")
+	}
+	if err := <-result; err != nil {
+		t.Fatalf("result %v, want the ack", err)
+	}
+
+	closed := make(chan struct{})
+	go func() { arq.Close(); close(closed) }()
+	select {
+	case <-closed:
+		t.Fatal("Close returned while a retransmission was parked in send")
+	case <-time.After(20 * time.Millisecond):
+	}
+	unpark()
+	<-closed
+	if held, foreign := ledger.state(); held != 0 || foreign != 0 {
+		t.Errorf("after Close the engine holds %d pooled buffers and gave back %d it did not hold, want 0 and 0", held, foreign)
 	}
 }

@@ -25,7 +25,8 @@ import (
 const DefaultMTU = 1400
 
 // maxFragments bounds the fragments of one message. Reassembly memory is
-// bounded per peer, by reassemblyBudget, not by the count a fragment names.
+// bounded per peer, by reassemblyBudget, not by the count a fragment names;
+// Split refuses a message that budget could not hold whole.
 const maxFragments = 1 << 14
 
 // fragHeaderLen is the fragment payload header: u64 msgID, u16 index, u16
@@ -64,8 +65,10 @@ func Split(raw []byte, msgID uint64, mtu int) (Fragments, error) {
 		return Fragments{}, fmt.Errorf("protocol: mtu %d leaves no room beside %d header bytes: %w", mtu, fragOverhead, ErrBadFrame)
 	}
 	total := (len(raw) + chunk - 1) / chunk
-	if total > maxFragments {
-		return Fragments{}, fmt.Errorf("protocol: %d fragments exceeds %d: %w", total, maxFragments, ErrBadFrame)
+	// A message its receiver cannot hold whole would evict itself there,
+	// its reliable fragments acknowledged one by one: refuse it here.
+	if total > maxFragments || partialCharge(len(raw), total) > reassemblyBudget {
+		return Fragments{}, fmt.Errorf("protocol: %d bytes in %d fragments is more than a peer reassembles: %w", len(raw), total, ErrBadFrame)
 	}
 	// Fragments inherit the original frame's priority so they drain from
 	// the same egress lane and the ARQ resend path (which lanes by the

@@ -208,6 +208,51 @@ func TestFragmentTooManyFragments(t *testing.T) {
 	}
 }
 
+// TestSplitRefusesWhatReassemblyCannotHold finds the largest message Split
+// takes at the default MTU: it reassembles at a peer, fragments in any
+// order, within the peer's budget and evicting nothing, while one byte more
+// is refused at the sender, where it would otherwise be acknowledged
+// fragment by fragment and then evict itself.
+func TestSplitRefusesWhatReassemblyCannotHold(t *testing.T) {
+	chunk := DefaultMTU - fragOverhead
+	largest := reassemblyBudget
+	for ; largest > 0; largest-- {
+		if partialCharge(largest, (largest+chunk-1)/chunk) <= reassemblyBudget {
+			break
+		}
+	}
+	if largest < 1_000_000 {
+		t.Fatalf("the largest message is %d bytes, want about 1 MB", largest)
+	}
+	if _, err := Split(make([]byte, largest+1), 1, DefaultMTU); !errors.Is(err, ErrBadFrame) {
+		t.Fatalf("Split of %d bytes: %v, want ErrBadFrame", largest+1, err)
+	}
+
+	raw := make([]byte, largest)
+	rand.New(rand.NewSource(5)).Read(raw)
+	frags := fragmentAll(t, raw, 9, DefaultMTU)
+	rand.New(rand.NewSource(6)).Shuffle(len(frags), func(i, j int) { frags[i], frags[j] = frags[j], frags[i] })
+	var p Peer
+	var out []byte
+	for i, fr := range frags {
+		f, err := DecodeFrame(fr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, evicted, err := p.Offer(epoch, f)
+		if err != nil || evicted != 0 {
+			t.Fatalf("fragment %d of %d: %d evicted, %v", i, len(frags), evicted, err)
+		}
+		if p.partialBytes > reassemblyBudget {
+			t.Fatalf("fragment %d of %d: the partial is charged %d bytes, over the %d budget", i, len(frags), p.partialBytes, reassemblyBudget)
+		}
+		out = msg
+	}
+	if !bytes.Equal(out, raw) {
+		t.Errorf("the %d-byte message did not reassemble", largest)
+	}
+}
+
 func TestFragmentMTUDefault(t *testing.T) {
 	raw := make([]byte, DefaultMTU+1)
 	frags := fragmentAll(t, raw, 1, 0)

@@ -44,9 +44,7 @@ type Peer struct {
 // its datagram. An ack of a message never retransmitted measures from sent
 // (Karn); retries back off from initial, the first timeout.
 type arqRecord struct {
-	seq     uint64
-	frame   []byte
-	result  ResultFunc
+	Message
 	attempt int // retransmissions so far
 	sent    time.Time
 	initial time.Duration
@@ -102,11 +100,11 @@ func (p *Peer) sample(rtt time.Duration) {
 // and reports false when seq is pending.
 func (p *Peer) Send(now time.Time, seq uint64, frame []byte, result ResultFunc) bool {
 	i := p.search(seq)
-	if i < len(p.recs) && p.recs[i].seq == seq {
+	if i < len(p.recs) && p.recs[i].Seq == seq {
 		return false
 	}
 	initial := max(DefaultARQTimeout, p.rto, p.backoff)
-	p.recs = slices.Insert(p.recs, i, arqRecord{seq: seq, frame: frame, result: result, sent: now, initial: initial, due: now.Add(initial)})
+	p.recs = slices.Insert(p.recs, i, arqRecord{Message: Message{seq, frame, result}, sent: now, initial: initial, due: now.Add(initial)})
 	p.next = earlier(p.next, now.Add(initial))
 	return true
 }
@@ -116,7 +114,7 @@ func (p *Peer) Send(now time.Time, seq uint64, frame []byte, result ResultFunc) 
 // now, a message never retransmitted is a round-trip sample.
 func (p *Peer) Ack(now time.Time, lo, hi uint64) (Message, bool) {
 	i := p.search(lo)
-	if i == len(p.recs) || p.recs[i].seq > hi {
+	if i == len(p.recs) || p.recs[i].Seq > hi {
 		return Message{}, false
 	}
 	if p.recs[i].attempt == 0 && !now.IsZero() {
@@ -130,8 +128,7 @@ func (p *Peer) Ack(now time.Time, lo, hi uint64) (Message, bool) {
 const maxIdleRecords = 64
 
 func (p *Peer) remove(i int) Message {
-	r := &p.recs[i]
-	m := Message{Seq: r.seq, Frame: r.frame, Result: r.result}
+	m := p.recs[i].Message
 	if p.recs = slices.Delete(p.recs, i, i+1); len(p.recs) == 0 {
 		p.next = time.Time{}
 		if cap(p.recs) > maxIdleRecords {
@@ -147,17 +144,17 @@ func (p *Peer) search(lo uint64) int {
 	recs := p.recs
 	n := len(recs)
 	p.probes++
-	if n == 0 || lo <= recs[0].seq {
+	if n == 0 || lo <= recs[0].Seq {
 		return 0
 	}
-	if lo > recs[n-1].seq {
+	if lo > recs[n-1].Seq {
 		return n
 	}
 	i, j := 1, n-1 // recs[0] < lo <= recs[n-1]
 	for i < j {
 		p.probes++
 		h := int(uint(i+j) >> 1)
-		if recs[h].seq < lo {
+		if recs[h].Seq < lo {
 			i = h + 1
 		} else {
 			j = h
@@ -177,14 +174,14 @@ func (p *Peer) OnTimer(now time.Time, maxRetries int, out *Due) {
 		switch {
 		case now.Before(r.due):
 		case r.attempt >= maxRetries:
-			out.Failed = append(out.Failed, Message{Seq: r.seq, Frame: r.frame, Result: r.result})
+			out.Failed = append(out.Failed, r.Message)
 			continue
 		default:
 			r.attempt++
 			delay := retryDelay(r.initial, r.attempt)
 			p.backoff = max(p.backoff, delay)
 			r.due = now.Add(delay)
-			out.Resend = append(out.Resend, Message{Seq: r.seq, Frame: r.frame})
+			out.Resend = append(out.Resend, Message{Seq: r.Seq, Frame: r.Frame})
 		}
 		kept = append(kept, r)
 		p.next = earlier(p.next, r.due)
@@ -243,7 +240,7 @@ func earlier(a, b time.Time) time.Time {
 // messages are dropped.
 func (p *Peer) Drain(out *Due) {
 	for _, r := range p.recs {
-		out.Failed = append(out.Failed, Message{Seq: r.seq, Frame: r.frame, Result: r.result})
+		out.Failed = append(out.Failed, r.Message)
 	}
 	p.recs, p.next = nil, time.Time{}
 	p.takeHeld(len(p.held), out)
@@ -317,15 +314,22 @@ func (p *Peer) Carry(bearer string, pr qos.Priority, room int, b *AckBlock) (uin
 const ReassemblyTTL = 5 * time.Second
 
 // reassemblyBudget bounds what one peer's partial messages hold, each
-// charged partialCost plus its fragments' data and fragmentCost apiece: a
-// fragment past it evicts the peer's longest untouched partial messages,
-// whatever fragment counts they name. A legitimate peer needs far less (a
-// 200-record discovery snapshot is ~27 KB).
+// charged partialCharge: a fragment past it evicts the peer's longest
+// untouched partial messages, whatever fragment counts they name. A
+// legitimate peer needs far less (a 200-record discovery snapshot is
+// ~27 KB). It also caps one message: Split refuses one it could not hold
+// whole, at the default MTU one of about 1 MB. Messages from one peer in
+// reassembly at once that together pass it evict each other, the oldest
+// first, their reliable fragments already acknowledged.
 const (
 	reassemblyBudget = 1 << 20
 	partialCost      = 96
 	fragmentCost     = 32
 )
+
+// partialCharge is what a partial message of n bytes in frags fragments is
+// charged against reassemblyBudget.
+func partialCharge(n, frags int) int { return partialCost + n + frags*fragmentCost }
 
 // partial is one message being reassembled: its fragments so far, by index.
 type partial struct {
@@ -366,7 +370,7 @@ func (p *Peer) Offer(now time.Time, f *Frame) (msg []byte, evicted int, err erro
 	}
 	data := r.Raw(r.Remaining())
 
-	m := partial{msgID: msgID, total: total, bytes: partialCost}
+	m := partial{msgID: msgID, total: total, bytes: partialCharge(0, 0)}
 	if i := slices.IndexFunc(p.partials, func(m partial) bool { return m.msgID == msgID }); i >= 0 {
 		// A different shape means the sender restarted the id: start over.
 		if p.partials[i].total == total {
@@ -384,7 +388,7 @@ func (p *Peer) Offer(now time.Time, f *Frame) (msg []byte, evicted int, err erro
 	}
 	if len(m.frags) == total {
 		//wirepath:alloc the reassembled frame is handed to the receive path, which owns it
-		out := make([]byte, 0, m.bytes-partialCost-total*fragmentCost)
+		out := make([]byte, 0, m.bytes-partialCharge(0, total))
 		for _, g := range m.frags {
 			out = append(out, g.data...)
 		}
