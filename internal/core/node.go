@@ -336,10 +336,15 @@ func NewNode(opts ...NodeOption) (*Node, error) {
 		FailureDeadline: cfg.failureDeadline,
 		Offer:           n.offer,
 		Load:            n.defaultLoad,
-		OfferApplied:    n.links.PeerChanged,
-		PeerGone:        n.peerGone,
+		// A peer's applied offer re-derives its bearer reachability and
+		// binds the event subscriptions it now serves.
+		OfferApplied: func(peer transport.NodeID) {
+			n.links.PeerChanged(peer)
+			n.events.PeerOffered(peer)
+		},
+		PeerGone: n.peerGone,
 		// Per period, after the beacon and the peer sweep: the bearer
-		// sweep, then the event engine's subscription refresh.
+		// sweep, then the event engine's subscription lease.
 		Tick: func() {
 			n.links.Sweep(n.discovery.Peers)
 			n.events.Refresh()

@@ -40,13 +40,13 @@ func simVirtualNode(t *testing.T, v *clock.Virtual, net *transport.Bus, id trans
 }
 
 // crashRestart crashes n, its goodbye lost on the way to peer, and starts a
-// new incarnation under the same id.
-func crashRestart(t *testing.T, v *clock.Virtual, net *transport.Bus, n *Node, peer transport.NodeID) *Node {
+// new incarnation under the same id with opts.
+func crashRestart(t *testing.T, v *clock.Virtual, net *transport.Bus, n *Node, peer transport.NodeID, opts ...NodeOption) *Node {
 	t.Helper()
 	net.Partition(n.ID(), peer)
 	_ = n.Close()
 	net.Heal(n.ID(), peer)
-	return simVirtualNode(t, v, net, n.ID())
+	return simVirtualNode(t, v, net, n.ID(), opts...)
 }
 
 // knownEpoch waits until n's directory holds an epoch of peer, so that n

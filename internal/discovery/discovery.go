@@ -16,7 +16,6 @@ package discovery
 
 import (
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"uavmw/internal/clock"
@@ -64,9 +63,11 @@ type Config struct {
 	Load func() float64
 	// OfferApplied runs after the directory took a peer's announce, delta
 	// or sync reply: whatever the container derives from a peer's
-	// records, it re-derives from the directory then. It may also run
-	// for a duplicate delta the directory ignored, so the derivation must
-	// read the directory, not the frame.
+	// records, it re-derives from the directory then. Event subscriptions
+	// bind here, so a subscriber registers with a publisher one hop after
+	// its announcement rather than on the next Tick. It may also run for a
+	// duplicate delta the directory ignored, so the derivation must read
+	// the directory, not the frame.
 	OfferApplied func(peer transport.NodeID)
 	// PeerGone runs when an incarnation of a peer ends. With restarted
 	// false the peer failed or departed, and it has been purged from the
@@ -90,7 +91,8 @@ const syncDeltaMaxRecords = 64
 // thundering herd of requesters (mass join, partition heal) is served in
 // rounds — the dropped requesters simply re-request on the next heartbeat —
 // instead of flooding the medium until every reply misses its ARQ budget
-// (congestion collapse).
+// (congestion collapse). A peer has at most one of them: its requests while
+// its snapshot is still in ARQ are coalesced into that reply.
 const maxConcurrentSyncServes = 4
 
 // counters holds the plane's pre-resolved handles in the node registry
@@ -104,6 +106,7 @@ type counters struct {
 	fullSent         *metrics.Counter
 	syncReqsSent     *metrics.Counter
 	syncReqsServed   *metrics.Counter
+	syncCoalesced    *metrics.Counter
 	syncDeltaReplies *metrics.Counter
 	syncsTriggered   *metrics.Counter
 }
@@ -118,6 +121,7 @@ func newCounters(reg *metrics.Registry) counters {
 		fullSent:         c("full_announces_sent"),
 		syncReqsSent:     c("sync_requests_sent"),
 		syncReqsServed:   c("sync_requests_served"),
+		syncCoalesced:    c("sync_requests_coalesced"),
 		syncDeltaReplies: c("sync_delta_replies"),
 		syncsTriggered:   c("syncs_triggered"),
 	}
@@ -140,9 +144,9 @@ type Engine struct {
 	introduced bool          // a full-state announce has gone out (guarded by announceMu)
 	offerDirty clock.Trigger // coalesces OfferChanged signals
 
-	syncMu      sync.Mutex
-	syncReqAt   map[transport.NodeID]time.Time // per-peer request throttle
-	syncServing atomic.Int64                   // full-state replies currently in flight
+	syncMu    sync.Mutex
+	syncReqAt map[transport.NodeID]time.Time // per-peer request throttle
+	snapshots map[transport.NodeID]bool      // peers with a full-state reply in flight
 
 	beacon clock.Ticker // made by Start
 	wg     *clock.WaitGroup
@@ -164,6 +168,7 @@ func New(f fabric.Fabric, cfg Config) *Engine {
 		log:        naming.NewLog(),
 		offerDirty: clock.NewTrigger(clk),
 		syncReqAt:  make(map[transport.NodeID]time.Time),
+		snapshots:  make(map[transport.NodeID]bool),
 		wg:         clock.NewWaitGroup(clk),
 	}
 }
@@ -466,9 +471,23 @@ func (e *Engine) HandleSyncReq(from transport.NodeID, f *protocol.Frame) {
 			return
 		}
 	}
-	if e.syncServing.Add(1) > maxConcurrentSyncServes {
+	// One snapshot in flight per peer: a request that arrives while the
+	// last one is still in ARQ (its digest saw the gap the reply is
+	// closing) is coalesced into it. If the requester is still behind when
+	// the reply completes, its next digest asks again.
+	e.syncMu.Lock()
+	pending := e.snapshots[from]
+	full := len(e.snapshots) >= maxConcurrentSyncServes
+	if !pending && !full {
+		e.snapshots[from] = true
+	}
+	e.syncMu.Unlock()
+	if pending {
+		e.ctr.syncCoalesced.Inc()
+		return
+	}
+	if full {
 		// At capacity: drop; the requester retries on its next heartbeat.
-		e.syncServing.Add(-1)
 		uerr.Newf(e.reg, codeSyncShed, "serve cap %d reached, dropping request from %s",
 			maxConcurrentSyncServes, from)
 		return
@@ -479,15 +498,22 @@ func (e *Engine) HandleSyncReq(from transport.NodeID, f *protocol.Frame) {
 		Load: e.cfg.Load(), Records: recs,
 	})
 	if err != nil {
-		e.syncServing.Add(-1)
+		e.snapshotDone(from)
 		uerr.Note(e.reg, codeSyncRepEncode, err, "encode snapshot")
 		return
 	}
 	e.sendReply(from, protocol.MTAnnounce, payload, func(err error) {
 		uerr.Note(e.reg, codeSyncRepSend, err, "deliver snapshot")
-		e.syncServing.Add(-1)
+		e.snapshotDone(from)
 	})
 	e.ctr.syncReqsServed.Inc()
+}
+
+// snapshotDone frees a peer's snapshot slot once its reply has completed.
+func (e *Engine) snapshotDone(peer transport.NodeID) {
+	e.syncMu.Lock()
+	delete(e.snapshots, peer)
+	e.syncMu.Unlock()
 }
 
 // sendReply sends one sync answer frame to the requester over ARQ.

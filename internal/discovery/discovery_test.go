@@ -262,6 +262,52 @@ func TestFifthConcurrentSnapshotServeIsShed(t *testing.T) {
 	}
 }
 
+// TestSnapshotRequestsCoalesceWhileInFlight: a peer whose snapshot reply is
+// still in ARQ is not served a second one; its repeated requests are
+// counted as coalesced, not shed, and take no serve slot. Once the reply
+// completes, the peer's next request is served again.
+func TestSnapshotRequestsCoalesceWhileInFlight(t *testing.T) {
+	h := newHarness(t)
+	h.offer = variables("self", "v", 12)
+	h.AnnounceNow()
+	h.f.Take()
+
+	h.HandleSyncReq("p", syncReq(0, 0))
+	reply := h.f.Take()
+	if len(reply) != 1 {
+		t.Fatalf("first request answered with %d frames, want 1", len(reply))
+	}
+	for i := 0; i < 3; i++ {
+		h.HandleSyncReq("p", syncReq(0, 0))
+	}
+	if got := h.f.Take(); len(got) != 0 {
+		t.Fatalf("requests during the reply were served %d frames", len(got))
+	}
+	counter := func(name string) uint64 { return metricstest.Counter(t, h.f.Metrics(), "discovery", name) }
+	if got := counter("sync_requests_coalesced"); got != 3 {
+		t.Errorf("sync_requests_coalesced = %d, want 3", got)
+	}
+	if got := h.errors(t, uerr.CatAdmission); got != 0 {
+		t.Errorf("%d coalesced requests counted as shed", got)
+	}
+	// The coalesced peer holds one slot: three others are still served.
+	for i := 0; i < maxConcurrentSyncServes-1; i++ {
+		h.HandleSyncReq(transport.NodeID(fmt.Sprintf("q%d", i)), syncReq(0, 0))
+		if got := h.f.Take(); len(got) != 1 {
+			t.Fatalf("request from q%d answered with %d frames, want 1", i, len(got))
+		}
+	}
+
+	reply[0].Held.Release(nil)
+	h.HandleSyncReq("p", syncReq(0, 0))
+	if got := h.f.Take(); len(got) != 1 {
+		t.Fatalf("request after the reply completed answered with %d frames, want 1", len(got))
+	}
+	if got := counter("sync_requests_served"); got != maxConcurrentSyncServes+1 {
+		t.Errorf("sync_requests_served = %d, want %d", got, maxConcurrentSyncServes+1)
+	}
+}
+
 // TestMisattributedPayloadIsCountedNotApplied: a discovery payload naming
 // another node than the one that sent it is a protocol violation — counted,
 // and neither applied, answered nor taken as a sign of life.

@@ -17,9 +17,13 @@
 //     by unicast retransmissions from the publisher's replay buffer over
 //     the ARQ engine.
 //
-// The subscriber set is maintained at the publisher: subscribers register
-// with a reliable MTSubscribe and refresh it periodically, so a restarted
-// publisher relearns its audience within one refresh interval.
+// The subscriber set is maintained at the publisher. A subscriber registers
+// with a reliable MTSubscribe the moment its container applies the
+// publisher's offer (a first introduction, a late offer, or a restarted
+// publisher's new incarnation), so the publisher learns its audience one
+// hop after its announcement; a subscriber whose publisher failed rebinds
+// to the next provider at once. The registration is then resent once per
+// announce period as a lease against subscriberTTL.
 package events
 
 import (
@@ -582,8 +586,11 @@ type Subscription struct {
 	q       qos.EventQoS
 	handler Handler
 
-	mu       sync.Mutex
+	mu sync.Mutex
+	// provider and epoch name the publisher incarnation the subscription
+	// last registered with; provider is empty while unbound.
 	provider transport.NodeID
+	epoch    uint64
 	closed   bool
 	joined   bool // multicast group membership
 	received uint64
@@ -591,12 +598,14 @@ type Subscription struct {
 	repaired uint64 // gap occurrences later recovered
 }
 
-// Subscribe registers handler for topic. The subscription is announced
-// reliably to the current publisher and re-announced on refresh, so it
-// survives publisher restarts. Every subscription also joins the topic's
-// multicast group: the delivery mode is the publisher's choice, so a
-// subscriber that asked for unicast must still hear group-addressed
-// occurrences from a multicast publisher.
+// Subscribe registers handler for topic. The subscription registers
+// reliably with the topic's publisher: at once when the directory already
+// names one, otherwise when the container applies a publisher's offer
+// (PeerOffered). It registers again with a restarted publisher's new
+// incarnation the same way, and is resent on every Refresh as a lease.
+// Every subscription also joins the topic's multicast group: the delivery
+// mode is the publisher's choice, so a subscriber that asked for unicast
+// must still hear group-addressed occurrences from a multicast publisher.
 func (e *Engine) Subscribe(topic string, t *presentation.Type, q qos.EventQoS, h Handler) (*Subscription, error) {
 	if t != nil {
 		if err := t.Validate(); err != nil {
@@ -627,14 +636,19 @@ func (e *Engine) Subscribe(topic string, t *presentation.Type, q qos.EventQoS, h
 	s.mu.Unlock()
 
 	// Register with the remote publisher if one exists; a local-only
-	// topic needs no frames. Missing publishers are not an error — the
-	// refresh loop will register when one appears (startup ordering).
-	s.register()
+	// topic needs no frames. A missing publisher is not an error: the
+	// subscription binds when its offer arrives (startup ordering).
+	s.register("")
 	return s, nil
 }
 
-// register sends MTSubscribe to the current provider, if any and not local.
-func (s *Subscription) register() {
+// register sends MTSubscribe to the provider the directory selects, unless
+// the topic is published locally. With peer empty it always sends: a
+// Subscribe, a Refresh lease, a failover. With peer set it sends only when
+// the provider selected is peer and the subscription has not registered
+// with peer's current incarnation yet. A registration that fails in ARQ
+// unbinds the subscription, so the next offer or Refresh retries it.
+func (s *Subscription) register(peer transport.NodeID) {
 	e := s.engine
 	sh := e.shardOf(s.topic)
 	sh.mu.Lock()
@@ -643,15 +657,21 @@ func (s *Subscription) register() {
 	if local {
 		return
 	}
-	rec, err := e.f.Directory().Select(naming.KindEvent, s.topic, qos.BindDynamic, "")
-	if err != nil {
+	dir := e.f.Directory()
+	rec, err := dir.Select(naming.KindEvent, s.topic, qos.BindDynamic, "")
+	if err != nil || peer != "" && rec.Node != peer {
 		return
 	}
 	if s.typ != nil && rec.TypeSig != "" && rec.TypeSig != s.typ.String() {
 		return // incompatible publisher; skip registration
 	}
+	epoch, _, _ := dir.NodeVersion(rec.Node)
 	s.mu.Lock()
-	s.provider = rec.Node
+	if s.closed || peer != "" && s.provider == peer && s.epoch == epoch {
+		s.mu.Unlock()
+		return
+	}
+	s.provider, s.epoch = rec.Node, epoch
 	s.mu.Unlock()
 	// Subscriptions ride the high egress lane ahead of sample/bulk
 	// backlog, so joining a topic stays fast on a congested link.
@@ -660,12 +680,35 @@ func (s *Subscription) register() {
 		Priority: qos.PriorityHigh,
 		Channel:  s.topic,
 	}
-	e.f.SendReliable(rec.Node, frame, qos.ReliableARQ, nil)
+	r := &registration{s: s, node: rec.Node, epoch: epoch}
+	e.f.SendReliable(rec.Node, frame, qos.ReliableARQ, r.done)
 }
 
-// Refresh re-registers every remote subscription; the container calls it on
-// its announce tick so publisher restarts relearn subscribers.
-func (e *Engine) Refresh() {
+// registration is one MTSubscribe in flight and the publisher incarnation
+// it went to.
+type registration struct {
+	s     *Subscription
+	node  transport.NodeID
+	epoch uint64
+}
+
+// done is the registration's reliable-send completion. A registration that
+// failed unbinds the subscription, unless it has registered with another
+// incarnation since.
+func (r *registration) done(err error) {
+	if err == nil {
+		return
+	}
+	s := r.s
+	s.mu.Lock()
+	if s.provider == r.node && s.epoch == r.epoch {
+		s.provider, s.epoch = "", 0
+	}
+	s.mu.Unlock()
+}
+
+// subscriptions lists every subscription of the engine.
+func (e *Engine) subscriptions() []*Subscription {
 	var all []*Subscription
 	for i := range e.shards {
 		sh := &e.shards[i]
@@ -675,12 +718,31 @@ func (e *Engine) Refresh() {
 		}
 		sh.mu.Unlock()
 	}
-	for _, s := range all {
-		s.mu.Lock()
-		closed := s.closed
-		s.mu.Unlock()
-		if !closed {
-			s.register()
+	return all
+}
+
+// Refresh re-registers every remote subscription with the provider the
+// directory selects. The container calls it once per announce period; the
+// resend is the lease that keeps the subscriber in the publisher's set past
+// subscriberTTL. Binding does not wait for it: see PeerOffered and PeerGone.
+func (e *Engine) Refresh() {
+	for _, s := range e.subscriptions() {
+		s.register("")
+	}
+}
+
+// PeerOffered runs once the container has applied an announcement, delta
+// or sync reply from peer. Each subscription to a topic peer offers
+// registers with it, one hop after the offer, when the directory now
+// selects peer and the subscription has not registered with peer's current
+// incarnation: the first bind, a late offer and a restarted publisher each
+// cost one MTSubscribe. A repeated offer from the same incarnation costs
+// nothing.
+func (e *Engine) PeerOffered(peer transport.NodeID) {
+	dir := e.f.Directory()
+	for _, s := range e.subscriptions() {
+		if _, ok := dir.Record(naming.KindEvent, s.topic, peer); ok {
+			s.register(peer)
 		}
 	}
 }
@@ -1040,8 +1102,12 @@ func (e *Engine) sendNack(to transport.NodeID, topic string, missing []uint64) {
 	e.f.SendReliable(to, frame, qos.ReliableARQ, nil)
 }
 
-// PeerGone drops a failed node from every publisher's subscriber set and
-// clears its sequence trackers.
+// PeerGone drops a failed or departed node from every publisher's
+// subscriber set and clears its sequence trackers. The container has
+// already removed the node from the directory, so each subscription bound
+// to it rebinds at once to the next provider the directory selects. An
+// unbound subscription tries too: the node's ARQ entry is forgotten first,
+// which fails a registration still in flight to it.
 func (e *Engine) PeerGone(node transport.NodeID) {
 	var pubs []*Publisher
 	for i := range e.shards {
@@ -1057,6 +1123,14 @@ func (e *Engine) PeerGone(node transport.NodeID) {
 	}
 	for _, p := range pubs {
 		p.dropSubscriber(node)
+	}
+	for _, s := range e.subscriptions() {
+		s.mu.Lock()
+		bound := s.provider
+		s.mu.Unlock()
+		if bound == node || bound == "" {
+			s.register("")
+		}
 	}
 }
 

@@ -162,6 +162,106 @@ func TestSubscribeRegistersWithRemotePublisher(t *testing.T) {
 	}
 }
 
+// offerTopic applies an announcement of node's incarnation epoch offering
+// event topic "t" to f's directory.
+func offerTopic(f *fabrictest.Fabric, node transport.NodeID, epoch uint64) {
+	f.Directory().AdmitEpoch(node, epoch)
+	f.Directory().Apply(&naming.Announcement{
+		Node: node, Epoch: epoch, Version: 1,
+		Records: []naming.Record{{
+			Kind: naming.KindEvent, Name: "t", Service: "svc", Node: node,
+			TypeSig: alertType.String(),
+		}},
+	}, time.Now())
+}
+
+// subscribes lists the nodes f sent an MTSubscribe to since the last Take.
+func subscribes(f *fabrictest.Fabric) []transport.NodeID {
+	var to []transport.NodeID
+	for _, s := range f.Take() {
+		if s.Frame.Type == protocol.MTSubscribe {
+			to = append(to, s.To)
+		}
+	}
+	return to
+}
+
+// TestOfferedPeerBindsOncePerIncarnation: a subscription made before its
+// publisher is known registers when the publisher's offer is applied, once
+// per publisher incarnation; offers of other peers and repeated offers of
+// the same incarnation send nothing.
+func TestOfferedPeerBindsOncePerIncarnation(t *testing.T) {
+	f := fabrictest.New(t, "sub")
+	e := New(f)
+	if _, err := e.Subscribe("t", alertType, qos.EventQoS{}, func(any, transport.NodeID) {}); err != nil {
+		t.Fatal(err)
+	}
+	if got := subscribes(f); len(got) != 0 {
+		t.Fatalf("subscribed to %v with no publisher known", got)
+	}
+	offerTopic(f, "pub", 1)
+	e.PeerOffered("other")
+	e.PeerOffered("pub")
+	e.PeerOffered("pub")
+	if got := subscribes(f); len(got) != 1 || got[0] != "pub" {
+		t.Fatalf("after pub's offer subscribed to %v, want [pub]", got)
+	}
+	offerTopic(f, "pub", 2) // pub restarted
+	e.PeerOffered("pub")
+	if got := subscribes(f); len(got) != 1 || got[0] != "pub" {
+		t.Fatalf("after pub's new incarnation subscribed to %v, want [pub]", got)
+	}
+}
+
+// TestFailedRegistrationUnbinds: an MTSubscribe that fails in ARQ leaves
+// the subscription unbound, so the publisher's next offer registers again.
+func TestFailedRegistrationUnbinds(t *testing.T) {
+	f := fabrictest.New(t, "sub")
+	f.Hold()
+	e := New(f)
+	offerTopic(f, "pub", 1)
+	if _, err := e.Subscribe("t", alertType, qos.EventQoS{}, func(any, transport.NodeID) {}); err != nil {
+		t.Fatal(err)
+	}
+	f.NextHeld().Release(errors.New("retries exhausted"))
+	f.Take()
+	e.PeerOffered("pub")
+	if got := subscribes(f); len(got) != 1 {
+		t.Fatalf("after a failed registration the offer sent %d subscribes, want 1", len(got))
+	}
+	f.NextHeld().Release(nil)
+	e.PeerOffered("pub")
+	if got := subscribes(f); len(got) != 0 {
+		t.Fatalf("a bound subscription sent %d subscribes on a repeated offer", len(got))
+	}
+}
+
+// TestPeerGoneRebindsToNextProvider: when the provider a subscription is
+// bound to fails, the subscription registers with the other provider at
+// once, without waiting for a Refresh.
+func TestPeerGoneRebindsToNextProvider(t *testing.T) {
+	f := fabrictest.New(t, "sub")
+	e := New(f)
+	offerTopic(f, "p1", 1)
+	offerTopic(f, "p2", 1)
+	if _, err := e.Subscribe("t", alertType, qos.EventQoS{}, func(any, transport.NodeID) {}); err != nil {
+		t.Fatal(err)
+	}
+	got := subscribes(f)
+	if len(got) != 1 {
+		t.Fatalf("subscribed to %v, want one provider", got)
+	}
+	bound, other := got[0], transport.NodeID("p2")
+	if bound == other {
+		other = "p1"
+	}
+	f.Directory().RemoveNode(bound)
+	e.PeerGone(bound)
+	if got := subscribes(f); len(got) != 1 || got[0] != other {
+		t.Fatalf("after %s failed subscribed to %v, want [%s]", bound, got, other)
+	}
+}
+
 func TestHandleEventDecodesAndCounts(t *testing.T) {
 	f := fabrictest.New(t, "sub")
 	e := New(f)

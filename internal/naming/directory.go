@@ -146,7 +146,9 @@ func NewDirectory(ttl time.Duration) *Directory {
 
 // Apply ingests a full-state announcement: it refreshes the node's records,
 // removes records the node no longer offers, rejects stale epochs, and
-// records the announced log version. It reports whether anything changed.
+// records the announced log version. It reports whether anything changed;
+// the first full state of a new incarnation is a change even when it
+// repeats the previous incarnation's records.
 func (d *Directory) Apply(a *Announcement, now time.Time) bool {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -162,6 +164,8 @@ func (d *Directory) Apply(a *Announcement, now time.Time) bool {
 			return false
 		}
 	}
+	// AdmitEpoch drops the version of a node that restarted.
+	_, versionKnown := d.versions[a.Node]
 	d.epochs[a.Node] = a.Epoch
 	d.versions[a.Node] = a.Version
 	d.loads[a.Node] = a.Load
@@ -171,7 +175,7 @@ func (d *Directory) Apply(a *Announcement, now time.Time) bool {
 		d.offered = make(map[dirKey]struct{}, len(a.Records))
 	}
 	offered := d.offered
-	changed := false
+	changed := !versionKnown
 	for _, rec := range a.Records {
 		key := dirKey{kind: rec.Kind, name: rec.Name}
 		offered[key] = struct{}{}

@@ -120,6 +120,26 @@ func TestDirectoryApplyAndLookup(t *testing.T) {
 	}
 }
 
+// TestDirectoryApplyReportsANewIncarnation: a restarted node's first full
+// state is a change even when it offers what its previous incarnation did,
+// so whatever was derived from the old incarnation is derived again.
+func TestDirectoryApplyReportsANewIncarnation(t *testing.T) {
+	d := NewDirectory(time.Second)
+	now := time.Now()
+	d.Apply(sampleAnnouncement(), now)
+	a := sampleAnnouncement()
+	a.Epoch++
+	if !d.AdmitEpoch(a.Node, a.Epoch) {
+		t.Fatal("a new epoch of a live node is not a restart")
+	}
+	if changed := d.Apply(a, now); !changed {
+		t.Error("the new incarnation's first full state must report change")
+	}
+	if changed := d.Apply(a, now); changed {
+		t.Error("identical re-apply must not report change")
+	}
+}
+
 func TestDirectoryWithdrawnRecordRemoved(t *testing.T) {
 	d := NewDirectory(time.Second)
 	now := time.Now()
