@@ -289,7 +289,7 @@ func TestBulkFetchStaysInPool(t *testing.T) {
 			t.Fatal(err)
 		}
 		n, err := NewNode(WithDatagram(ep), WithAnnouncePeriod(50*time.Millisecond),
-			WithFailureDeadline(5*DefaultAnnouncePeriod), WithDirectoryTTL(6*DefaultAnnouncePeriod))
+			WithFailureDeadline(5*DefaultAnnouncePeriod))
 		if err != nil {
 			t.Fatal(err)
 		}

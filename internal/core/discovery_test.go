@@ -192,7 +192,7 @@ func TestPartitionHealConverges(t *testing.T) {
 	t.Cleanup(net.Close)
 	// Generous failure deadline so the partition outlives suspicion and
 	// the heal exercises version-gap repair, not a fresh join.
-	opts := []NodeOption{WithFailureDeadline(10 * time.Second), WithDirectoryTTL(10 * time.Second)}
+	opts := []NodeOption{WithFailureDeadline(10 * time.Second)}
 	a := newSimNode(t, net, "a", opts...)
 	b := newSimNode(t, net, "b", opts...)
 	c := newSimNode(t, net, "c", opts...)

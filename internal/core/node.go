@@ -123,7 +123,6 @@ type nodeConfig struct {
 	sched           scheduler.Scheduler
 	announcePeriod  time.Duration
 	failureDeadline time.Duration
-	directoryTTL    time.Duration
 	arqOpts         []protocol.ARQOption
 	budget          ResourceBudget
 	ingressShards   int
@@ -178,7 +177,8 @@ func WithAnnouncePeriod(d time.Duration) NodeOption {
 	}
 }
 
-// WithFailureDeadline sets how long a silent peer survives before failover.
+// WithFailureDeadline sets how long a silent peer survives, with its
+// cached offer, before failover.
 func WithFailureDeadline(d time.Duration) NodeOption {
 	return func(c *nodeConfig) {
 		if d > 0 {
@@ -187,13 +187,12 @@ func WithFailureDeadline(d time.Duration) NodeOption {
 	}
 }
 
-// WithDirectoryTTL sets the name-cache entry lifetime.
-func WithDirectoryTTL(d time.Duration) NodeOption {
-	return func(c *nodeConfig) {
-		if d > 0 {
-			c.directoryTTL = d
-		}
-	}
+// WithDirectoryTTL has no effect: a peer's cached offer lives as long as
+// the peer does, until it is silent past the failure deadline.
+//
+// Deprecated: set WithFailureDeadline.
+func WithDirectoryTTL(time.Duration) NodeOption {
+	return func(*nodeConfig) {}
 }
 
 // WithARQ forwards tuning options to the reliable-datagram engine.
@@ -265,16 +264,13 @@ func NewNode(opts ...NodeOption) (*Node, error) {
 	if cfg.failureDeadline <= 0 {
 		cfg.failureDeadline = 5 * cfg.announcePeriod
 	}
-	if cfg.directoryTTL <= 0 {
-		cfg.directoryTTL = 6 * cfg.announcePeriod
-	}
 	clk := clock.Or(cfg.clk)
 	n := &Node{
 		id:       id,
 		clk:      clk,
 		enc:      cfg.enc,
 		sched:    cfg.sched,
-		dir:      naming.NewDirectory(cfg.directoryTTL),
+		dir:      naming.NewDirectory(cfg.failureDeadline),
 		metrics:  metrics.NewRegistry(),
 		budget:   cfg.budget,
 		services: make(map[string]*ServiceRuntime),
@@ -331,11 +327,10 @@ func NewNode(opts ...NodeOption) (*Node, error) {
 	n.rpc = rpc.New(n)
 	n.files = filetransfer.New(n)
 	n.discovery = discovery.New(n, discovery.Config{
-		Epoch:           uint64(clk.Now().UnixNano()) + epochSalt.Add(1),
-		Period:          cfg.announcePeriod,
-		FailureDeadline: cfg.failureDeadline,
-		Offer:           n.offer,
-		Load:            n.defaultLoad,
+		Epoch:  uint64(clk.Now().UnixNano()) + epochSalt.Add(1),
+		Period: cfg.announcePeriod,
+		Offer:  n.offer,
+		Load:   n.defaultLoad,
 		// A peer's applied offer re-derives its bearer reachability and
 		// binds the event subscriptions it now serves.
 		OfferApplied: func(peer transport.NodeID) {

@@ -36,7 +36,7 @@ func simVirtualNode(t *testing.T, v *clock.Virtual, net *transport.Bus, id trans
 	if err != nil {
 		t.Fatal(err)
 	}
-	return virtualNode(t, v, ep, append([]NodeOption{WithFailureDeadline(time.Minute), WithDirectoryTTL(time.Minute)}, opts...)...)
+	return virtualNode(t, v, ep, append([]NodeOption{WithFailureDeadline(time.Minute)}, opts...)...)
 }
 
 // crashRestart crashes n, its goodbye lost on the way to peer, and starts a
@@ -290,7 +290,7 @@ func TestRestartMidReassemblyDropsPartial(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sender := virtualNode(t, v, &fragmentGate{Transport: ep, k: 2}, WithFailureDeadline(time.Minute), WithDirectoryTTL(time.Minute))
+		sender := virtualNode(t, v, &fragmentGate{Transport: ep, k: 2}, WithFailureDeadline(time.Minute))
 		old := knownEpoch(t, v, recv, "sender")
 
 		// MTFileCancel is dropped at the routing switch: no engine runs.

@@ -1,8 +1,8 @@
 // Package discovery implements the container's name-management plane (§3)
 // as the fifth engine over fabric.Fabric, beside variables, events, rpc and
 // file transfer: it announces this node's resource offer to the fleet,
-// feeds the node's naming.Directory from what peers announce, and detects
-// peers that fall silent.
+// feeds the node's naming.Directory from what peers announce, and marks
+// every peer frame heard so the directory purges peers that fall silent.
 //
 // The plane is incremental: registrations multicast a compact versioned
 // MTAnnounceDelta the moment they happen (one network hop of discovery
@@ -55,8 +55,6 @@ type Config struct {
 	// Period is the announce/heartbeat period. It also throttles sync
 	// requests: at most one per peer per period.
 	Period time.Duration
-	// FailureDeadline is how long a silent peer survives.
-	FailureDeadline time.Duration
 	// Offer assembles the node's current record set.
 	Offer func() []naming.Record
 	// Load reports the node's load figure carried in every beacon.
@@ -71,10 +69,10 @@ type Config struct {
 	OfferApplied func(peer transport.NodeID)
 	// PeerGone runs when an incarnation of a peer ends. With restarted
 	// false the peer failed or departed, and it has been purged from the
-	// directory and this engine (§3 cache clearing + §4.3 failover). With
-	// restarted true it came back under a new epoch before it was declared
-	// gone: its new offer stands, and only what the container keeps for
-	// the old incarnation must go.
+	// directory (§3 cache clearing + §4.3 failover). With restarted true
+	// it came back under a new epoch before it was declared gone: its new
+	// offer stands, and only what the container keeps for the old
+	// incarnation must go.
 	PeerGone func(peer transport.NodeID, restarted bool)
 	// Tick runs on the beacon goroutine after each period's beacon and
 	// sweep, for the container's other per-period work.
@@ -135,7 +133,6 @@ type Engine struct {
 	clk  clock.Clock
 	reg  *metrics.Registry
 	dir  *naming.Directory
-	live *naming.Liveness
 	ctr  counters
 
 	// log is the versioned record of this node's own offer.
@@ -145,8 +142,7 @@ type Engine struct {
 	offerDirty clock.Trigger // coalesces OfferChanged signals
 
 	syncMu    sync.Mutex
-	syncReqAt map[transport.NodeID]time.Time // per-peer request throttle
-	snapshots map[transport.NodeID]bool      // peers with a full-state reply in flight
+	snapshots map[transport.NodeID]bool // peers with a full-state reply in flight
 
 	beacon clock.Ticker // made by Start
 	wg     *clock.WaitGroup
@@ -163,11 +159,9 @@ func New(f fabric.Fabric, cfg Config) *Engine {
 		clk:        clk,
 		reg:        reg,
 		dir:        f.Directory(),
-		live:       naming.NewLiveness(cfg.FailureDeadline),
 		ctr:        newCounters(reg),
 		log:        naming.NewLog(),
 		offerDirty: clock.NewTrigger(clk),
-		syncReqAt:  make(map[transport.NodeID]time.Time),
 		snapshots:  make(map[transport.NodeID]bool),
 		wg:         clock.NewWaitGroup(clk),
 	}
@@ -193,7 +187,7 @@ func (e *Engine) Close() {
 func (e *Engine) OfferVersion() uint64 { return e.log.Version() }
 
 // Peers lists peers currently believed alive, sorted.
-func (e *Engine) Peers() []transport.NodeID { return e.live.Peers() }
+func (e *Engine) Peers() []transport.NodeID { return e.dir.Peers() }
 
 // beaconLoop beacons this node's digest and sweeps dead peers.
 func (e *Engine) beaconLoop() {
@@ -238,7 +232,7 @@ func (e *Engine) AnnounceNow() {
 		Load:    e.cfg.Load(),
 		Records: recs,
 	}
-	e.dir.Apply(ann, e.clk.Now())
+	e.dir.Apply(ann)
 	payload, err := naming.EncodeAnnouncement(ann)
 	e.broadcast(protocol.MTAnnounce, payload, err, codeAnnounceEncode, codeAnnounceSend, e.ctr.fullSent)
 }
@@ -301,7 +295,7 @@ func (e *Engine) flushOffer() {
 	// Local lookups must resolve without waiting for the multicast.
 	e.dir.Apply(&naming.Announcement{
 		Node: e.self, Epoch: e.cfg.Epoch, Version: to, Load: load, Records: recs,
-	}, e.clk.Now())
+	})
 	payload, err := naming.EncodeDelta(&naming.Delta{
 		Node: e.self, Epoch: e.cfg.Epoch, From: from, To: to, Load: load,
 		Added: added, Withdrawn: withdrawn,
@@ -351,9 +345,7 @@ func (e *Engine) HandleAnnounce(from transport.NodeID, f *protocol.Frame) {
 // one.
 func (e *Engine) applyFull(from transport.NodeID, ann *naming.Announcement) {
 	e.admit(from, ann.Epoch)
-	now := e.clk.Now()
-	e.live.Touch(from, now)
-	if e.dir.Apply(ann, now) {
+	if e.dir.Apply(ann) {
 		e.cfg.OfferApplied(from)
 	}
 }
@@ -370,9 +362,7 @@ func (e *Engine) HandleHeartbeat(from transport.NodeID, f *protocol.Frame) {
 	}
 	e.ctr.heartbeatsRecv.Inc()
 	e.admit(from, g.Epoch)
-	now := e.clk.Now()
-	e.live.Touch(from, now)
-	if e.dir.ApplyDigest(g, now) {
+	if e.dir.ApplyDigest(g) {
 		e.requestSync(from)
 	}
 }
@@ -389,9 +379,7 @@ func (e *Engine) HandleAnnounceDelta(from transport.NodeID, f *protocol.Frame) {
 	}
 	e.ctr.deltasRecv.Inc()
 	e.admit(from, d.Epoch)
-	now := e.clk.Now()
-	e.live.Touch(from, now)
-	if e.dir.ApplyDelta(d, now) {
+	if e.dir.ApplyDelta(d) {
 		e.requestSync(from)
 		return
 	}
@@ -399,11 +387,12 @@ func (e *Engine) HandleAnnounceDelta(from transport.NodeID, f *protocol.Frame) {
 }
 
 // admit hands the directory a peer's epoch before the peer's frame is
-// applied. A live peer's new incarnation ends the old one: a peer that
-// restarted within the failure deadline starts its frame seqs again from 1,
-// and the container must not take them for the old incarnation's.
+// applied, which marks the peer heard whatever the epoch. A live peer's new
+// incarnation ends the old one: a peer that restarted within the failure
+// deadline starts its frame seqs again from 1, and the container must not
+// take them for the old incarnation's.
 func (e *Engine) admit(peer transport.NodeID, epoch uint64) {
-	if e.dir.AdmitEpoch(peer, epoch) {
+	if e.dir.AdmitEpoch(peer, epoch, e.clk.Now()) {
 		e.cfg.PeerGone(peer, true)
 	}
 }
@@ -413,14 +402,9 @@ func (e *Engine) admit(peer transport.NodeID, epoch uint64) {
 // heartbeat re-detects the gap and retries.
 func (e *Engine) requestSync(to transport.NodeID) {
 	e.ctr.syncsTriggered.Inc()
-	now := e.clk.Now()
-	e.syncMu.Lock()
-	if at, ok := e.syncReqAt[to]; ok && now.Sub(at) < e.cfg.Period {
-		e.syncMu.Unlock()
+	if !e.dir.SyncDue(to, e.clk.Now(), e.cfg.Period) {
 		return
 	}
-	e.syncReqAt[to] = now
-	e.syncMu.Unlock()
 	epoch, version, _ := e.dir.NodeVersion(to)
 	frame := &protocol.Frame{
 		Type:     protocol.MTSyncReq,
@@ -444,7 +428,7 @@ func (e *Engine) HandleSyncReq(from transport.NodeID, f *protocol.Frame) {
 	if from == e.self {
 		return
 	}
-	e.live.Touch(from, e.clk.Now())
+	e.dir.Heard(from, e.clk.Now())
 	// A requester only slightly behind in the current epoch gets a
 	// compact catch-up delta from the log history — O(gap) wire bytes —
 	// instead of the full catalog. This keeps anti-entropy cheap
@@ -530,40 +514,13 @@ func (e *Engine) HandleBye(from transport.NodeID) {
 	if from == e.self {
 		return
 	}
-	e.live.Forget(from)
-	e.peerGone(from)
+	e.dir.RemoveNode(from)
+	e.cfg.PeerGone(from, false)
 }
 
-// sweep detects failed peers and expired directory entries.
+// sweep purges the peers silent past the directory's failure deadline.
 func (e *Engine) sweep() {
-	now := e.clk.Now()
-	// The node's own records never expire: under digest beacons nothing
-	// re-applies them, so they are touched explicitly instead.
-	e.dir.TouchNode(e.self, now)
-	for _, node := range e.live.Sweep(now) {
-		e.peerGone(node)
+	for _, node := range e.dir.Sweep(e.clk.Now()) {
+		e.cfg.PeerGone(node, false)
 	}
-	// Records of live peers never expire out from under them: freshness
-	// follows liveness (any discovery frame), so a queue-delayed or
-	// version-skewed digest cannot purge a healthy node's catalog. The
-	// directory TTL remains as a backstop for nodes liveness has lost.
-	e.live.Each(func(node transport.NodeID) { e.dir.TouchNode(node, now) })
-	for _, node := range e.dir.Expire(now) {
-		if node == e.self {
-			continue
-		}
-		// TTL expiry of every record is failure-equivalent.
-		e.live.Forget(node)
-		e.peerGone(node)
-	}
-}
-
-// peerGone clears all discovery state tied to a failed or departed node,
-// then lets the container clear its own.
-func (e *Engine) peerGone(node transport.NodeID) {
-	e.dir.RemoveNode(node)
-	e.syncMu.Lock()
-	delete(e.syncReqAt, node)
-	e.syncMu.Unlock()
-	e.cfg.PeerGone(node, false)
 }

@@ -3,6 +3,7 @@ package discovery
 import (
 	"fmt"
 	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -44,12 +45,11 @@ func newHarness(t *testing.T) *harness {
 	h.f.Clk = clock.NewVirtual()
 	h.f.Hold()
 	h.Engine = New(h.f, Config{
-		Epoch:           testEpoch,
-		Period:          testPeriod,
-		FailureDeadline: time.Second,
-		Offer:           func() []naming.Record { return h.offer },
-		Load:            func() float64 { return 0 },
-		OfferApplied:    func(peer transport.NodeID) { h.applied = append(h.applied, peer) },
+		Epoch:        testEpoch,
+		Period:       testPeriod,
+		Offer:        func() []naming.Record { return h.offer },
+		Load:         func() float64 { return 0 },
+		OfferApplied: func(peer transport.NodeID) { h.applied = append(h.applied, peer) },
 		PeerGone: func(peer transport.NodeID, restarted bool) {
 			if restarted {
 				h.restarted = append(h.restarted, peer)
@@ -445,15 +445,13 @@ func TestNewEpochRestartsALivePeerOnce(t *testing.T) {
 }
 
 // TestSteadySweepAllocatesNothing: the sweep every node runs every announce
-// period — touch its own records, find no failed peer, keep every live
-// peer's records fresh, expire nothing — allocates nothing.
+// period, finding no failed peer, allocates nothing.
 func TestSteadySweepAllocatesNothing(t *testing.T) {
 	h := newHarness(t)
 	now := h.clk.Now()
 	for i := 0; i < 8; i++ {
 		peer := transport.NodeID(fmt.Sprintf("peer%d", i))
-		h.live.Touch(peer, now)
-		h.dir.TouchNode(peer, now)
+		h.dir.Heard(peer, now)
 	}
 	h.sweep()
 	if allocs := testing.AllocsPerRun(100, h.sweep); allocs != 0 {
@@ -461,5 +459,81 @@ func TestSteadySweepAllocatesNothing(t *testing.T) {
 	}
 	if got := len(h.Peers()); got != 8 || len(h.gone) != 0 {
 		t.Errorf("after sweeping: %d live peers, %d gone; want 8 and 0", got, len(h.gone))
+	}
+}
+
+// TestSweepRacesPeerFrames: peer frames arrive on several goroutines while
+// the beacon sweeps, at the very instants it sweeps, as a node's ingress
+// shards run beside its beacon loop. A peer that keeps talking is never
+// reported gone; a peer that falls silent is reported once, at the first
+// sweep past the failure deadline after its last frame.
+func TestSweepRacesPeerFrames(t *testing.T) {
+	const (
+		every    = 3 * testPeriod // a peer's frame interval, on the beacon's instants
+		deadline = time.Minute    // the double's directory's failure deadline
+	)
+	h := newHarness(t)
+	v := h.f.Clk.(*clock.Virtual)
+	start := v.Now()
+	var mu sync.Mutex
+	goneAt := map[transport.NodeID][]time.Time{}
+	h.cfg.PeerGone = func(peer transport.NodeID, restarted bool) {
+		mu.Lock()
+		defer mu.Unlock()
+		if !restarted {
+			goneAt[peer] = append(goneAt[peer], v.Now())
+		}
+	}
+	// Each peer talks until its stop instant; the zero instant never stops.
+	stops := map[transport.NodeID]time.Time{
+		"t0": {}, "t1": {}, "t2": {}, "t3": {},
+		"q0": start.Add(20 * time.Second), "q1": start.Add(40 * time.Second),
+	}
+	last := map[transport.NodeID]*time.Time{}
+	v.Run(func() {
+		h.Start()
+		wg := clock.NewWaitGroup(v)
+		for peer, stop := range stops {
+			beat, req := digest(t, peer, 3, 0), syncReq(testEpoch, 0)
+			heard := new(time.Time)
+			last[peer] = heard
+			wg.Add(1)
+			clock.Go(v, func() {
+				defer wg.Done()
+				for i := 0; stop.IsZero() || v.Now().Before(stop); i++ {
+					if i%2 == 0 {
+						h.HandleHeartbeat(peer, beat)
+					} else {
+						h.HandleSyncReq(peer, req)
+					}
+					*heard = v.Now()
+					v.Sleep(every)
+					if v.Now().Sub(start) > 40*time.Second+deadline+time.Second {
+						return
+					}
+				}
+			})
+		}
+		wg.Wait()
+		h.Close()
+	})
+	for peer, stop := range stops {
+		gone := goneAt[peer]
+		if stop.IsZero() {
+			if len(gone) != 0 {
+				t.Errorf("%s kept talking and was reported gone at %v", peer, gone)
+			}
+			continue
+		}
+		if len(gone) != 1 {
+			t.Errorf("%s fell silent and was reported gone %d times, want once", peer, len(gone))
+			continue
+		}
+		if after := gone[0].Sub(*last[peer]); after <= deadline || after > deadline+testPeriod {
+			t.Errorf("%s reported gone %v after its last frame, want within one period past the %v deadline", peer, after, deadline)
+		}
+	}
+	if peers := h.Peers(); len(peers) != 4 {
+		t.Errorf("live peers at the end: %v, want the four talkers", peers)
 	}
 }

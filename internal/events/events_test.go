@@ -5,7 +5,6 @@ import (
 	"errors"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"uavmw/internal/encoding"
 	"uavmw/internal/fabric/fabrictest"
@@ -142,7 +141,7 @@ func TestSubscribeRegistersWithRemotePublisher(t *testing.T) {
 			Kind: naming.KindEvent, Name: "t", Service: "svc", Node: "pub",
 			TypeSig: alertType.String(),
 		}},
-	}, time.Now())
+	})
 
 	s, err := e.Subscribe("t", alertType, qos.EventQoS{}, func(any, transport.NodeID) {})
 	if err != nil {
@@ -165,14 +164,14 @@ func TestSubscribeRegistersWithRemotePublisher(t *testing.T) {
 // offerTopic applies an announcement of node's incarnation epoch offering
 // event topic "t" to f's directory.
 func offerTopic(f *fabrictest.Fabric, node transport.NodeID, epoch uint64) {
-	f.Directory().AdmitEpoch(node, epoch)
+	f.Directory().AdmitEpoch(node, epoch, f.Clock().Now())
 	f.Directory().Apply(&naming.Announcement{
 		Node: node, Epoch: epoch, Version: 1,
 		Records: []naming.Record{{
 			Kind: naming.KindEvent, Name: "t", Service: "svc", Node: node,
 			TypeSig: alertType.String(),
 		}},
-	}, time.Now())
+	})
 }
 
 // subscribes lists the nodes f sent an MTSubscribe to since the last Take.

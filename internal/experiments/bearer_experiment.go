@@ -148,7 +148,6 @@ func runE14Multi(clk clock.Clock, res *E14Result, seed int64) error {
 			// The bearer failure deadline: wifi silence past this marks the
 			// bearer down and triggers the handover.
 			core.WithFailureDeadline(250*time.Millisecond),
-			core.WithDirectoryTTL(60*time.Second),
 		)
 	}
 	uav, err := mk("uav")
@@ -349,7 +348,6 @@ func runE14Single(clk clock.Clock, res *E14Result, seed int64) error {
 			// Liveness must survive the blackout or the subscription is
 			// torn down; the point here is link loss, not peer loss.
 			core.WithFailureDeadline(60*time.Second),
-			core.WithDirectoryTTL(60*time.Second),
 			core.WithARQ(protocol.WithMaxRetries(4)))
 	}
 	uav, err := mk("uav")

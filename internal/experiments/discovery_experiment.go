@@ -54,7 +54,7 @@ func buildE12Fleet(clk clock.Clock, net *transport.Bus, n, records int, period t
 		// The ARQ retransmit timer must exceed the fleet's worst-case
 		// processing backlog: an over-aggressive timer turns transient
 		// queueing into a retransmission storm that feeds the queue.
-		// Generous failure deadline and TTL: the benchmark drives the
+		// Generous failure deadline: the benchmark drives the
 		// simulated medium at tens of thousands of deliveries per
 		// second on shared (possibly single-core) hosts, so wall-clock
 		// liveness must tolerate simulation backlog; E12 measures wire
@@ -72,7 +72,6 @@ func buildE12Fleet(clk clock.Clock, net *transport.Bus, n, records int, period t
 		if nodes[i], err = simNode(clk, net, transport.NodeID(fmt.Sprintf("n%03d", i)),
 			core.WithAnnouncePeriod(period),
 			core.WithFailureDeadline(failureDeadline),
-			core.WithDirectoryTTL(2*failureDeadline),
 			core.WithARQ(protocol.WithMaxRetries(12)),
 		); err != nil {
 			return nil, err

@@ -264,9 +264,8 @@ func runE13Phase(clk clock.Clock, res *E13Result, shaped bool, seed int64) error
 			core.WithBearer(core.DefaultBearer, ep, profile),
 			core.WithAnnouncePeriod(100*time.Millisecond),
 			// Under flood the constrained link delays heartbeats by
-			// seconds; liveness and the directory must tolerate that.
+			// seconds; the failure detector must tolerate that.
 			core.WithFailureDeadline(60*time.Second),
-			core.WithDirectoryTTL(60*time.Second),
 			// The flood's first alarms meet an 8 s queue before the UAV
 			// has a round-trip sample for the ground station: from the
 			// 20 ms start, 12 retries last 15 s, 8 only 2.25 s.

@@ -22,7 +22,7 @@ func provides(f *fabrictest.Fabric, node transport.NodeID, names ...string) {
 	for i, name := range names {
 		recs[i] = naming.Record{Kind: naming.KindFile, Name: name, Service: "svc", Node: node}
 	}
-	f.Directory().Apply(&naming.Announcement{Node: node, Epoch: 1, Version: 1, Records: recs}, time.Now())
+	f.Directory().Apply(&naming.Announcement{Node: node, Epoch: 1, Version: 1, Records: recs})
 }
 
 // onVirtual is a double on a virtual clock: the engine's rounds wait on

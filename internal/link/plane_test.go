@@ -83,7 +83,7 @@ func (tp *testPlane) offer(peer transport.NodeID, version uint64, bearers map[st
 	for name, addr := range bearers {
 		ann.Records = append(ann.Records, naming.Record{Kind: naming.KindBearer, Name: name, Service: addr, Node: peer})
 	}
-	tp.dir.Apply(ann, tp.clk.Now())
+	tp.dir.Apply(ann)
 	tp.PeerChanged(peer)
 }
 

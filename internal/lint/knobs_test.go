@@ -31,7 +31,6 @@ var tuningKnobs = []string{
 	"internal/core.WithResourceBudget",
 	"internal/core.WithScheduler",
 	"internal/discovery.Config.Epoch",
-	"internal/discovery.Config.FailureDeadline",
 	"internal/discovery.Config.Load",
 	"internal/discovery.Config.Offer",
 	"internal/discovery.Config.OfferApplied",

@@ -56,8 +56,8 @@ type Delta struct {
 }
 
 // Digest is the constant-size periodic heartbeat: enough for receivers to
-// confirm liveness, refresh TTLs, steer load-aware binding, and detect
-// that their cached view of the node is stale.
+// confirm liveness, steer load-aware binding, and detect that their cached
+// view of the node is stale.
 type Digest struct {
 	// Node is the beaconing container.
 	Node transport.NodeID

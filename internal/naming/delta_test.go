@@ -114,28 +114,27 @@ func TestLogVersionsAndDiffs(t *testing.T) {
 
 func TestDirectoryApplyDelta(t *testing.T) {
 	d := NewDirectory(time.Minute)
-	now := time.Now()
 	r1 := Record{Kind: KindVariable, Name: "a", Node: "n1"}
 	r2 := Record{Kind: KindVariable, Name: "b", Node: "n1"}
 
 	// A fresh node's 0→1 delta is self-contained.
-	if sync := d.ApplyDelta(&Delta{Node: "n1", Epoch: 1, From: 0, To: 1, Added: []Record{r1}}, now); sync {
+	if sync := d.ApplyDelta(&Delta{Node: "n1", Epoch: 1, From: 0, To: 1, Added: []Record{r1}}); sync {
 		t.Fatal("fresh 0→1 delta demanded sync")
 	}
 	if got := d.Lookup(KindVariable, "a"); len(got) != 1 {
 		t.Fatalf("a not resolvable: %v", got)
 	}
 	// In-sequence delta applies.
-	if sync := d.ApplyDelta(&Delta{Node: "n1", Epoch: 1, From: 1, To: 2, Added: []Record{r2}}, now); sync {
+	if sync := d.ApplyDelta(&Delta{Node: "n1", Epoch: 1, From: 1, To: 2, Added: []Record{r2}}); sync {
 		t.Fatal("in-sequence delta demanded sync")
 	}
 	// A duplicate of an old delta is ignored without sync.
-	if sync := d.ApplyDelta(&Delta{Node: "n1", Epoch: 1, From: 1, To: 2, Added: []Record{r2}}, now); sync {
+	if sync := d.ApplyDelta(&Delta{Node: "n1", Epoch: 1, From: 1, To: 2, Added: []Record{r2}}); sync {
 		t.Fatal("duplicate delta demanded sync")
 	}
 	// A gap demands sync and must not corrupt state.
 	if sync := d.ApplyDelta(&Delta{Node: "n1", Epoch: 1, From: 5, To: 6,
-		Withdrawn: []RecordKey{r1.Key()}}, now); !sync {
+		Withdrawn: []RecordKey{r1.Key()}}); !sync {
 		t.Fatal("gapped delta applied silently")
 	}
 	if got := d.Lookup(KindVariable, "a"); len(got) != 1 {
@@ -143,25 +142,25 @@ func TestDirectoryApplyDelta(t *testing.T) {
 	}
 	// Withdrawal via an in-sequence delta.
 	if sync := d.ApplyDelta(&Delta{Node: "n1", Epoch: 1, From: 2, To: 3,
-		Withdrawn: []RecordKey{r1.Key()}}, now); sync {
+		Withdrawn: []RecordKey{r1.Key()}}); sync {
 		t.Fatal("withdrawal delta demanded sync")
 	}
 	if got := d.Lookup(KindVariable, "a"); len(got) != 0 {
 		t.Fatalf("a still resolvable after withdrawal: %v", got)
 	}
 	// A fresh epoch starting mid-history demands sync...
-	if sync := d.ApplyDelta(&Delta{Node: "n1", Epoch: 2, From: 4, To: 5}, now); !sync {
+	if sync := d.ApplyDelta(&Delta{Node: "n1", Epoch: 2, From: 4, To: 5}); !sync {
 		t.Fatal("fresh-epoch mid-history delta applied")
 	}
 	// ...but a fresh epoch from version zero resets and applies.
-	if sync := d.ApplyDelta(&Delta{Node: "n1", Epoch: 2, From: 0, To: 1, Added: []Record{r1}}, now); sync {
+	if sync := d.ApplyDelta(&Delta{Node: "n1", Epoch: 2, From: 0, To: 1, Added: []Record{r1}}); sync {
 		t.Fatal("fresh-epoch 0→1 delta demanded sync")
 	}
 	if got := d.Lookup(KindVariable, "b"); len(got) != 0 {
 		t.Fatalf("previous-epoch record survived the reset: %v", got)
 	}
 	// A stale-epoch delta is discarded outright.
-	if sync := d.ApplyDelta(&Delta{Node: "n1", Epoch: 1, From: 1, To: 2, Added: []Record{r2}}, now); sync {
+	if sync := d.ApplyDelta(&Delta{Node: "n1", Epoch: 1, From: 1, To: 2, Added: []Record{r2}}); sync {
 		t.Fatal("stale-epoch delta demanded sync")
 	}
 	if got := d.Lookup(KindVariable, "b"); len(got) != 0 {
@@ -170,53 +169,46 @@ func TestDirectoryApplyDelta(t *testing.T) {
 }
 
 func TestDirectoryApplyDigest(t *testing.T) {
-	d := NewDirectory(50 * time.Millisecond)
-	t0 := time.Now()
+	d := NewDirectory(time.Minute)
 	r1 := Record{Kind: KindVariable, Name: "a", Node: "n1"}
-	d.Apply(&Announcement{Node: "n1", Epoch: 1, Version: 3, Records: []Record{r1}}, t0)
+	d.Apply(&Announcement{Node: "n1", Epoch: 1, Version: 3, Records: []Record{r1}})
 
-	// Matching digest refreshes the TTL.
-	t1 := t0.Add(40 * time.Millisecond)
-	if sync := d.ApplyDigest(&Digest{Node: "n1", Epoch: 1, Version: 3, RecordCount: 1}, t1); sync {
+	if sync := d.ApplyDigest(&Digest{Node: "n1", Epoch: 1, Version: 3, RecordCount: 1}); sync {
 		t.Fatal("matching digest demanded sync")
 	}
-	if stale := d.Expire(t0.Add(60 * time.Millisecond)); len(stale) != 0 {
-		t.Fatalf("refreshed entry expired: %v", stale)
-	}
 	// Version-gap digest demands sync.
-	if sync := d.ApplyDigest(&Digest{Node: "n1", Epoch: 1, Version: 9, RecordCount: 4}, t1); !sync {
+	if sync := d.ApplyDigest(&Digest{Node: "n1", Epoch: 1, Version: 9, RecordCount: 4}); !sync {
 		t.Fatal("gap digest not flagged")
 	}
 	// Unknown node with records demands sync; with an empty offer it just
 	// registers the baseline.
-	if sync := d.ApplyDigest(&Digest{Node: "n2", Epoch: 1, Version: 5, RecordCount: 2}, t1); !sync {
+	if sync := d.ApplyDigest(&Digest{Node: "n2", Epoch: 1, Version: 5, RecordCount: 2}); !sync {
 		t.Fatal("unknown node with records not flagged")
 	}
-	if sync := d.ApplyDigest(&Digest{Node: "n3", Epoch: 1, Version: 0, RecordCount: 0}, t1); sync {
+	if sync := d.ApplyDigest(&Digest{Node: "n3", Epoch: 1, Version: 0, RecordCount: 0}); sync {
 		t.Fatal("empty-offer node flagged for sync")
 	}
 	if sync := d.ApplyDelta(&Delta{Node: "n3", Epoch: 1, From: 0, To: 1, Added: []Record{
-		{Kind: KindEvent, Name: "x", Node: "n3"}}}, t1); sync {
+		{Kind: KindEvent, Name: "x", Node: "n3"}}}); sync {
 		t.Fatal("first delta after empty-offer digest demanded sync")
 	}
 	// A fresh-epoch digest demands sync; a stale-epoch one is ignored.
-	if sync := d.ApplyDigest(&Digest{Node: "n1", Epoch: 2, Version: 1, RecordCount: 1}, t1); !sync {
+	if sync := d.ApplyDigest(&Digest{Node: "n1", Epoch: 2, Version: 1, RecordCount: 1}); !sync {
 		t.Fatal("fresh-epoch digest not flagged")
 	}
-	if sync := d.ApplyDigest(&Digest{Node: "n1", Epoch: 0, Version: 8, RecordCount: 1}, t1); sync {
+	if sync := d.ApplyDigest(&Digest{Node: "n1", Epoch: 0, Version: 8, RecordCount: 1}); sync {
 		t.Fatal("stale-epoch digest flagged")
 	}
 }
 
 func TestDirectoryRemoveNodeForcesResync(t *testing.T) {
 	d := NewDirectory(time.Minute)
-	now := time.Now()
 	d.Apply(&Announcement{Node: "n1", Epoch: 1, Version: 3,
-		Records: []Record{{Kind: KindVariable, Name: "a", Node: "n1"}}}, now)
+		Records: []Record{{Kind: KindVariable, Name: "a", Node: "n1"}}})
 	d.RemoveNode("n1")
 	// After a purge the cached version is gone, so even a digest at the
 	// same version must trigger a sync (the records are lost).
-	if sync := d.ApplyDigest(&Digest{Node: "n1", Epoch: 1, Version: 3, RecordCount: 1}, now); !sync {
+	if sync := d.ApplyDigest(&Digest{Node: "n1", Epoch: 1, Version: 3, RecordCount: 1}); !sync {
 		t.Fatal("post-purge digest did not demand sync")
 	}
 }

@@ -12,15 +12,19 @@ import (
 	"uavmw/internal/transport"
 )
 
-// Directory is the per-container proxy cache of name bindings (§3). It is
-// fed by full announcements, incremental deltas and heartbeat digests, aged
-// by TTL, purged on failure notifications, and queried by the primitives to
-// resolve names to provider nodes.
+// Directory is the per-container proxy cache of name bindings (§3) and the
+// container's failure detector: §3 makes the container both cache the other
+// containers' offers and clear that cache when one of them fails. It is fed
+// by full announcements, incremental deltas and heartbeat digests, purges a
+// peer silent past the failure deadline or gone with a goodbye, and is
+// queried by the primitives to resolve names to provider nodes.
 //
-// Freshness is tracked per node, not per record: every discovery message a
-// node emits covers its whole offer (a digest vouches for all of it, a
-// delta advances all of it), so one expiry instant per node suffices and a
-// constant-size heartbeat refreshes a thousand cached records in O(1).
+// Everything the directory holds of one node is one entry: the keys it
+// offers, its epoch, record-log version and load, when it was last heard
+// and when it was last asked for a sync. Every discovery message a node
+// emits covers its whole offer (a digest vouches for all of it, a delta
+// advances all of it), so one heard instant per node keeps all of its
+// records, and a peer that falls silent goes with all of them at once.
 //
 // Every container caches every other container's offer, so the cache
 // grows as nodes × records and a binding is kept small: a name's providers
@@ -28,20 +32,30 @@ import (
 // (Service, TypeSig, ArgSig) triples the records carry), with the first
 // provider inline in the name's entry.
 type Directory struct {
-	ttl time.Duration
+	deadline time.Duration
 
-	mu       sync.Mutex
-	entries  map[dirKey]providers
-	byNode   map[transport.NodeID][]dirKey // per-node key index
-	epochs   map[transport.NodeID]uint64
-	versions map[transport.NodeID]uint64    // record-log version per node
-	expiries map[transport.NodeID]time.Time // per-node freshness deadline
-	loads    map[transport.NodeID]float64
-	rr       map[dirKey]uint64 // round-robin cursors of names with a provider
-	nodes    idTable[transport.NodeID]
-	sigs     idTable[signature]
-	offered  map[dirKey]struct{} // Apply's scratch set of announced keys
-	pick     []provider          // Select's scratch candidate list
+	mu      sync.Mutex
+	entries map[dirKey]providers
+	byNode  map[transport.NodeID]*nodeEntry
+	rr      map[dirKey]uint64 // round-robin cursors of names with a provider
+	nodes   idTable[transport.NodeID]
+	sigs    idTable[signature]
+	offered map[dirKey]struct{} // Apply's scratch set of announced keys
+	pick    []provider          // Select's scratch candidate list
+}
+
+// nodeEntry is what the directory holds of one node. A purged node keeps
+// its entry for its epoch alone, so a frame of an older incarnation is
+// still rejected after the node failed or said goodbye.
+type nodeEntry struct {
+	keys    []dirKey // the node's offered keys, each once
+	epoch   uint64
+	version uint64 // record-log version of the cached offer
+	load    float64
+	heard   time.Time // the node's last frame; zero while it is not live
+	syncAt  time.Time // the last sync request sent to it
+
+	epochKnown, versionKnown bool
 }
 
 type dirKey struct {
@@ -119,29 +133,37 @@ func (ps *providers) remove(i int) (empty bool) {
 	return false
 }
 
-// DefaultTTL is how long a cached binding survives without refresh. It must
-// exceed the announce period comfortably.
-const DefaultTTL = 3 * time.Second
+// DefaultFailureDeadline declares a peer failed after this much silence.
+// It must exceed several heartbeat periods.
+const DefaultFailureDeadline = 2 * time.Second
 
 // ErrNotFound reports a name with no live provider — the condition §4.3
 // says must trigger "the programmed emergency procedure".
 var ErrNotFound = errors.New("no provider for name")
 
-// NewDirectory builds a cache with the given TTL (0 means DefaultTTL).
-func NewDirectory(ttl time.Duration) *Directory {
-	if ttl <= 0 {
-		ttl = DefaultTTL
+// NewDirectory builds a cache whose peers fail after deadline of silence
+// (0 means DefaultFailureDeadline).
+func NewDirectory(deadline time.Duration) *Directory {
+	if deadline <= 0 {
+		deadline = DefaultFailureDeadline
 	}
 	return &Directory{
-		ttl:      ttl,
+		deadline: deadline,
 		entries:  make(map[dirKey]providers),
-		byNode:   make(map[transport.NodeID][]dirKey),
-		epochs:   make(map[transport.NodeID]uint64),
-		versions: make(map[transport.NodeID]uint64),
-		expiries: make(map[transport.NodeID]time.Time),
-		loads:    make(map[transport.NodeID]float64),
+		byNode:   make(map[transport.NodeID]*nodeEntry),
 		rr:       make(map[dirKey]uint64),
 	}
+}
+
+// nodeLocked returns node's entry, making an empty one for a node not yet
+// known.
+func (d *Directory) nodeLocked(node transport.NodeID) *nodeEntry {
+	n := d.byNode[node]
+	if n == nil {
+		n = &nodeEntry{}
+		d.byNode[node] = n
+	}
+	return n
 }
 
 // Apply ingests a full-state announcement: it refreshes the node's records,
@@ -149,33 +171,30 @@ func NewDirectory(ttl time.Duration) *Directory {
 // records the announced log version. It reports whether anything changed;
 // the first full state of a new incarnation is a change even when it
 // repeats the previous incarnation's records.
-func (d *Directory) Apply(a *Announcement, now time.Time) bool {
+func (d *Directory) Apply(a *Announcement) bool {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if prev, ok := d.epochs[a.Node]; ok && a.Epoch < prev {
+	n := d.nodeLocked(a.Node)
+	if a.Epoch < n.epoch {
 		return false // stale incarnation
 	}
-	if prev, ok := d.epochs[a.Node]; ok && a.Epoch == prev {
-		// Same-epoch versions are monotonic: a delayed sync snapshot or
-		// re-broadcast from an older version must not roll back records
-		// registered since (it would delete them until the next
-		// anti-entropy round noticed).
-		if ver, known := d.versions[a.Node]; known && a.Version < ver {
-			return false
-		}
+	// Same-epoch versions are monotonic: a delayed sync snapshot or
+	// re-broadcast from an older version must not roll back records
+	// registered since (it would delete them until the next anti-entropy
+	// round noticed).
+	if a.Epoch == n.epoch && n.versionKnown && a.Version < n.version {
+		return false
 	}
 	// AdmitEpoch drops the version of a node that restarted.
-	_, versionKnown := d.versions[a.Node]
-	d.epochs[a.Node] = a.Epoch
-	d.versions[a.Node] = a.Version
-	d.loads[a.Node] = a.Load
-	d.expiries[a.Node] = now.Add(d.ttl)
+	changed := !n.versionKnown
+	n.epoch, n.epochKnown = a.Epoch, true
+	n.version, n.versionKnown = a.Version, true
+	n.load = a.Load
 
 	if d.offered == nil {
 		d.offered = make(map[dirKey]struct{}, len(a.Records))
 	}
 	offered := d.offered
-	changed := !versionKnown
 	for _, rec := range a.Records {
 		key := dirKey{kind: rec.Kind, name: rec.Name}
 		offered[key] = struct{}{}
@@ -184,8 +203,9 @@ func (d *Directory) Apply(a *Announcement, now time.Time) bool {
 		}
 	}
 	// Drop records this node previously offered but no longer announces.
-	// The per-node index makes this O(node's records), not O(directory).
-	index := d.byNode[a.Node]
+	// The per-node key list makes this O(node's records), not
+	// O(directory).
+	index := n.keys
 	for _, key := range index {
 		if _, still := offered[key]; still {
 			continue
@@ -194,17 +214,17 @@ func (d *Directory) Apply(a *Announcement, now time.Time) bool {
 			changed = true
 		}
 	}
-	// The new index lists each announced key once, in the old index's
+	// The new list holds each announced key once, in the old list's
 	// storage unless that is more than twice the size needed. Taking each
 	// key out of offered as it is listed leaves the set empty for the
 	// next call.
-	n := len(offered)
-	if n == 0 {
-		delete(d.byNode, a.Node)
+	k := len(offered)
+	if k == 0 {
+		n.keys = nil
 		return changed
 	}
-	if cap(index) < n || cap(index) > 2*n {
-		index = make([]dirKey, 0, n)
+	if cap(index) < k || cap(index) > 2*k {
+		index = make([]dirKey, 0, k)
 	}
 	index = index[:0]
 	for _, rec := range a.Records {
@@ -214,7 +234,7 @@ func (d *Directory) Apply(a *Announcement, now time.Time) bool {
 			index = append(index, key)
 		}
 	}
-	d.byNode[a.Node] = index
+	n.keys = index
 	return changed
 }
 
@@ -223,45 +243,35 @@ func (d *Directory) Apply(a *Announcement, now time.Time) bool {
 // version (or the node is brand new in this epoch and the delta starts from
 // version zero). It reports whether a full anti-entropy sync is needed:
 // true on a version gap, an unknown node mid-history, or a fresh epoch that
-// the delta alone cannot reconstruct.
-func (d *Directory) ApplyDelta(dl *Delta, now time.Time) (needSync bool) {
+// the delta alone cannot reconstruct. A gap leaves the cached records
+// standing: the node is alive and they are mostly right, and the version
+// skew is repaired by sync.
+func (d *Directory) ApplyDelta(dl *Delta) (needSync bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	prevEpoch, epochKnown := d.epochs[dl.Node]
-	if epochKnown && dl.Epoch < prevEpoch {
+	n := d.nodeLocked(dl.Node)
+	if dl.Epoch < n.epoch {
 		return false // stale incarnation
 	}
-	ver, verKnown := d.versions[dl.Node]
-	baseline := epochKnown && verKnown && dl.Epoch == prevEpoch
-	if !baseline {
+	if !n.versionKnown || dl.Epoch != n.epoch {
 		if dl.From != 0 {
 			return true // joined mid-history: need the full set
 		}
 		// A node's first registrations (version 0 → N) are self-contained:
 		// apply them as the complete offer. A fresh epoch resets any state
 		// left from the previous incarnation.
-		d.purgeNodeLocked(dl.Node)
-	} else {
-		if dl.To <= ver {
-			// Duplicate or reordered old delta; current state is newer.
-			d.loads[dl.Node] = dl.Load
-			d.expiries[dl.Node] = now.Add(d.ttl)
-			return false
-		}
-		if dl.From != ver {
-			// Gap: a delta in between was lost. The node is alive and
-			// its cached records are mostly right, so refresh their
-			// freshness — the version skew is repaired by sync, not by
-			// letting the cache rot and purging a live node.
-			d.expiries[dl.Node] = now.Add(d.ttl)
-			return true
-		}
+		d.unbindAllLocked(dl.Node, n)
+	} else if dl.To <= n.version {
+		// Duplicate or reordered old delta; current state is newer.
+		n.load = dl.Load
+		return false
+	} else if dl.From != n.version {
+		return true // gap: a delta in between was lost
 	}
-	index := d.byNode[dl.Node]
 	for _, rec := range dl.Added {
 		key := dirKey{kind: rec.Kind, name: rec.Name}
 		if fresh, _ := d.bindLocked(key, dl.Node, rec); fresh {
-			index = append(index, key)
+			n.keys = append(n.keys, key)
 		}
 	}
 	withdrawn := false
@@ -271,92 +281,97 @@ func (d *Directory) ApplyDelta(dl *Delta, now time.Time) (needSync bool) {
 		}
 	}
 	if withdrawn {
-		// One pass over the index, however many keys went.
-		index = slices.DeleteFunc(index, func(key dirKey) bool {
+		// One pass over the key list, however many keys went.
+		n.keys = slices.DeleteFunc(n.keys, func(key dirKey) bool {
 			_, i := d.bindingLocked(key, dl.Node)
 			return i < 0
 		})
+		if len(n.keys) == 0 {
+			n.keys = nil
+		}
 	}
-	if len(index) > 0 {
-		d.byNode[dl.Node] = index
-	} else {
-		delete(d.byNode, dl.Node)
-	}
-	d.epochs[dl.Node] = dl.Epoch
-	d.versions[dl.Node] = dl.To
-	d.loads[dl.Node] = dl.Load
-	d.expiries[dl.Node] = now.Add(d.ttl)
+	n.epoch, n.epochKnown = dl.Epoch, true
+	n.version, n.versionKnown = dl.To, true
+	n.load = dl.Load
 	return false
 }
 
-// ApplyDigest ingests a constant-size heartbeat. A matching digest
-// refreshes the freshness deadline of every cached record of the node in
-// O(1); a mismatch — unknown node with a non-empty offer, version gap, or
-// fresh epoch — reports that a full sync is needed. The load figure is
-// taken either way.
-func (d *Directory) ApplyDigest(g *Digest, now time.Time) (needSync bool) {
+// ApplyDigest ingests a constant-size heartbeat. A mismatch — unknown node
+// with a non-empty offer, version gap, or fresh epoch — reports that a full
+// sync is needed. The load figure is taken either way.
+func (d *Directory) ApplyDigest(g *Digest) (needSync bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	prevEpoch, epochKnown := d.epochs[g.Node]
-	if epochKnown && g.Epoch < prevEpoch {
+	n := d.nodeLocked(g.Node)
+	if g.Epoch < n.epoch {
 		return false // stale incarnation
 	}
-	d.loads[g.Node] = g.Load
-	ver, verKnown := d.versions[g.Node]
-	if epochKnown && verKnown && g.Epoch == prevEpoch && g.Version == ver {
-		d.expiries[g.Node] = now.Add(d.ttl)
+	n.load = g.Load
+	if n.versionKnown && g.Epoch == n.epoch && g.Version == n.version {
 		return false
 	}
 	if g.Version == 0 {
 		// The node offers nothing (and never has in this epoch): there is
 		// nothing to pull. Record the baseline so its first delta applies.
-		d.purgeNodeLocked(g.Node)
-		d.epochs[g.Node] = g.Epoch
-		d.versions[g.Node] = 0
-		d.expiries[g.Node] = now.Add(d.ttl)
+		d.unbindAllLocked(g.Node, n)
+		n.epoch, n.epochKnown = g.Epoch, true
+		n.version, n.versionKnown = 0, true
 		return false
-	}
-	// Version skew with a live node: keep whatever is cached fresh while
-	// the sync repairs it — purging a live node's records over a lost
-	// delta would thrash the whole plane under churn.
-	if verKnown {
-		d.expiries[g.Node] = now.Add(d.ttl)
 	}
 	return true
 }
 
-// AdmitEpoch takes the epoch of a frame from node before the frame is
-// applied. An epoch newer than the cached one is a new incarnation: it is
-// recorded at once, and the cached version dropped, so the node's records
-// sync afresh and a later frame of the same incarnation is not news. It
-// reports whether the incarnation replaced was live (not purged as failed
-// or departed): the node restarted before anyone declared it gone.
-func (d *Directory) AdmitEpoch(node transport.NodeID, epoch uint64) (restarted bool) {
+// Heard marks node heard from at instant now: it is live, and fails once
+// it stays silent past the deadline. Every discovery frame from a peer
+// marks it, whatever the frame's epoch or fate.
+func (d *Directory) Heard(node transport.NodeID, now time.Time) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if prev, known := d.epochs[node]; !known || epoch <= prev {
-		return false
-	}
-	d.epochs[node] = epoch
-	delete(d.versions, node)
-	_, live := d.expiries[node]
-	return live
+	d.nodeLocked(node).heard = now
 }
 
-// TouchNode refreshes the freshness deadline of every record cached for
-// node (the effect of a matching heartbeat digest).
-func (d *Directory) TouchNode(node transport.NodeID, now time.Time) {
+// AdmitEpoch takes the epoch of a frame from node, heard at now, before
+// the frame is applied, and marks node heard. An epoch newer than the
+// cached one is a new incarnation: it is recorded at once, and the cached
+// version dropped, so the node's records sync afresh and a later frame of
+// the same incarnation is not news. It reports whether the incarnation
+// replaced was live (not purged as failed or departed): the node restarted
+// before anyone declared it gone.
+func (d *Directory) AdmitEpoch(node transport.NodeID, epoch uint64, now time.Time) (restarted bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.expiries[node] = now.Add(d.ttl)
+	n := d.nodeLocked(node)
+	if n.epochKnown && epoch > n.epoch {
+		n.epoch = epoch
+		n.version, n.versionKnown = 0, false
+		restarted = !n.heard.IsZero()
+	}
+	n.heard = now
+	return restarted
+}
+
+// SyncDue reports whether a sync request to node may go at now — none went
+// within every — and if so records one sent. The record goes with the
+// rest of the node's entry when the node is purged.
+func (d *Directory) SyncDue(node transport.NodeID, now time.Time, every time.Duration) bool {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	n := d.nodeLocked(node)
+	if !n.syncAt.IsZero() && now.Sub(n.syncAt) < every {
+		return false
+	}
+	n.syncAt = now
+	return true
 }
 
 // NodeVersion reports the cached (epoch, record-log version) for node.
 func (d *Directory) NodeVersion(node transport.NodeID) (epoch, version uint64, known bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	version, known = d.versions[node]
-	return d.epochs[node], version, known
+	if n := d.byNode[node]; n != nil {
+		return n.epoch, n.version, n.versionKnown
+	}
+	return 0, 0, false
 }
 
 // NodeRecordCount reports how many records are cached for node (used to
@@ -364,7 +379,10 @@ func (d *Directory) NodeVersion(node transport.NodeID) (epoch, version uint64, k
 func (d *Directory) NodeRecordCount(node transport.NodeID) int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return len(d.byNode[node])
+	if n := d.byNode[node]; n != nil {
+		return len(n.keys)
+	}
+	return 0
 }
 
 // Record returns node's cached binding of (kind, name), if it offers one.
@@ -398,19 +416,62 @@ func (d *Directory) recordLocked(key dirKey, p provider) Record {
 func (d *Directory) RemoveNode(node transport.NodeID) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	delete(d.loads, node)
-	// Dropping the cached version forces a full sync if the node is heard
-	// from again: the purged record set no longer matches any version.
-	delete(d.versions, node)
-	delete(d.expiries, node)
-	d.purgeNodeLocked(node)
+	if n := d.byNode[node]; n != nil {
+		d.purgeLocked(node, n)
+	}
 }
 
-func (d *Directory) purgeNodeLocked(node transport.NodeID) {
-	for _, key := range d.byNode[node] {
+// Sweep purges every peer silent past the deadline and returns them,
+// sorted, each once: a purged peer is live again only when it is heard
+// from again. A node never heard from — the directory's own node, whose
+// offer its container applies directly — never expires.
+func (d *Directory) Sweep(now time.Time) []transport.NodeID {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	var failed []transport.NodeID
+	for node, n := range d.byNode {
+		if !n.heard.IsZero() && now.Sub(n.heard) > d.deadline {
+			d.purgeLocked(node, n)
+			failed = append(failed, node)
+		}
+	}
+	slices.Sort(failed)
+	return failed
+}
+
+// Peers lists the live peers — heard from and not purged since — sorted.
+func (d *Directory) Peers() []transport.NodeID {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	var out []transport.NodeID
+	for node, n := range d.byNode {
+		if !n.heard.IsZero() {
+			out = append(out, node)
+		}
+	}
+	slices.Sort(out)
+	return out
+}
+
+// purgeLocked forgets all of node but its epoch. The dropped version
+// forces a full sync if the node is heard from again: the purged record
+// set no longer matches any version. A node whose epoch was never known
+// leaves nothing behind.
+func (d *Directory) purgeLocked(node transport.NodeID, n *nodeEntry) {
+	d.unbindAllLocked(node, n)
+	if !n.epochKnown {
+		delete(d.byNode, node)
+		return
+	}
+	*n = nodeEntry{epoch: n.epoch, epochKnown: true}
+}
+
+// unbindAllLocked drops every binding node offers.
+func (d *Directory) unbindAllLocked(node transport.NodeID, n *nodeEntry) {
+	for _, key := range n.keys {
 		d.unbindLocked(key, node)
 	}
-	delete(d.byNode, node)
+	n.keys = nil
 }
 
 // bindLocked binds rec as node's provider of key. It reports whether the
@@ -479,25 +540,6 @@ func (d *Directory) unbindLocked(key dirKey, node transport.NodeID) bool {
 	return true
 }
 
-// Expire drops every record of nodes whose freshness deadline passed,
-// returning those nodes (candidates for failure handling). The purged
-// version forces a full sync if an expired node is heard from again.
-func (d *Directory) Expire(now time.Time) []transport.NodeID {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	var out []transport.NodeID
-	for node, deadline := range d.expiries {
-		if now.After(deadline) {
-			delete(d.expiries, node)
-			delete(d.versions, node)
-			d.purgeNodeLocked(node)
-			out = append(out, node)
-		}
-	}
-	slices.Sort(out)
-	return out
-}
-
 // Lookup returns the live providers of (kind, name), sorted by node for
 // determinism.
 func (d *Directory) Lookup(kind Kind, name string) []Record {
@@ -533,7 +575,14 @@ func (d *Directory) Names(kind Kind) []string {
 func (d *Directory) Load(node transport.NodeID) float64 {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.loads[node]
+	return d.loadLocked(node)
+}
+
+func (d *Directory) loadLocked(node transport.NodeID) float64 {
+	if n := d.byNode[node]; n != nil {
+		return n.load
+	}
+	return 0
 }
 
 // Select picks one provider of (kind, name) according to the binding policy
@@ -566,15 +615,15 @@ func (d *Directory) Select(kind Kind, name string, binding qos.Binding, pinned t
 	// Dynamic: restrict to near-least-loaded, then round-robin over the
 	// providers in node order, listed in the directory's scratch slice
 	// (d.mu is held until return).
-	minLoad := d.loads[d.nodes.val(ps.first.node)]
+	minLoad := d.loadLocked(d.nodes.val(ps.first.node))
 	for i := 1; i < ps.len(); i++ {
-		if l := d.loads[d.nodes.val(ps.at(i).node)]; l < minLoad {
+		if l := d.loadLocked(d.nodes.val(ps.at(i).node)); l < minLoad {
 			minLoad = l
 		}
 	}
 	candidates := d.pick[:0]
 	for i := 0; i < ps.len(); i++ {
-		if p := *ps.at(i); d.loads[d.nodes.val(p.node)] <= minLoad+0.1 {
+		if p := *ps.at(i); d.loadLocked(d.nodes.val(p.node)) <= minLoad+0.1 {
 			candidates = append(candidates, p)
 		}
 	}

@@ -10,9 +10,11 @@ import (
 	"uavmw/internal/transport"
 )
 
-// liveHeap reads the live heap after a collection.
+// liveHeap reads the live heap after two collections: the first may
+// leave what sync.Pools held in their victim caches, the second drops it.
 func liveHeap() int64 {
 	var ms runtime.MemStats
+	runtime.GC()
 	runtime.GC()
 	runtime.ReadMemStats(&ms)
 	return int64(ms.HeapAlloc)
@@ -44,14 +46,13 @@ func TestDirectoryBindingFootprint(t *testing.T) {
 		}
 	}
 	d := NewDirectory(time.Minute)
-	now := time.Now()
 	before := liveHeap()
 	for _, b := range wire {
 		a, err := DecodeAnnouncement(b)
 		if err != nil {
 			t.Fatal(err)
 		}
-		d.Apply(a, now)
+		d.Apply(a)
 	}
 	after := liveHeap()
 	runtime.KeepAlive(d)
@@ -62,6 +63,38 @@ func TestDirectoryBindingFootprint(t *testing.T) {
 	t.Logf("%.0f B per binding", perBinding)
 	if perBinding > 150 {
 		t.Errorf("one binding costs %.0f B, want <= 150", perBinding)
+	}
+}
+
+// TestDirectoryPeerFootprint pins what the directory holds for one known
+// peer with an empty offer — its epoch, version, load, heard instant and
+// sync throttle, as discovery leaves them after the peer's first digest:
+// 1,000 such peers cost at most 200 B each. They read 167 B on go1.24,
+// amd64, and 361 B when the name cache and the failure detector kept a
+// node in five maps. The peers' ids are made before the count: the id
+// strings are the wire's, not the directory's.
+func TestDirectoryPeerFootprint(t *testing.T) {
+	const peers = 1000
+	ids := make([]transport.NodeID, peers)
+	for i := range ids {
+		ids[i] = transport.NodeID(fmt.Sprintf("peer%04d", i))
+	}
+	d := NewDirectory(time.Minute)
+	now := time.Now()
+	before := liveHeap()
+	for _, id := range ids {
+		d.AdmitEpoch(id, 1, now)
+		d.ApplyDigest(&Digest{Node: id, Epoch: 1})
+	}
+	after := liveHeap()
+	runtime.KeepAlive(d)
+	if got := len(d.Peers()); got != peers {
+		t.Fatalf("%d live peers, want %d", got, peers)
+	}
+	perPeer := float64(after-before) / peers
+	t.Logf("%.0f B per peer", perPeer)
+	if perPeer > 200 {
+		t.Errorf("one peer costs %.0f B, want <= 200", perPeer)
 	}
 }
 

@@ -3,6 +3,7 @@ package naming
 import (
 	"bytes"
 	"encoding/binary"
+	"slices"
 	"testing"
 	"time"
 
@@ -13,14 +14,14 @@ import (
 // [tag u8][length u16][body] messages, each body fed to the decoder its
 // tag names. fuzzSnapshot is an announcement too — the form a sync reply
 // takes — so the committed corpus keeps its tag numbers. A tag of
-// fuzzExpire instead advances the clock by the body's length in seconds
-// and expires stale nodes.
+// fuzzSweep instead advances the clock by the body's length in seconds
+// and sweeps out the nodes silent past the failure deadline.
 const (
 	fuzzAnnounce = iota
 	fuzzDelta
 	fuzzDigest
 	fuzzSnapshot
-	fuzzExpire
+	fuzzSweep
 	fuzzTags
 )
 
@@ -31,8 +32,9 @@ func fuzzMessage(tag byte, body []byte) []byte {
 }
 
 // FuzzDirectory feeds peer bytes through the discovery decoders
-// (DecodeAnnouncement, DecodeDelta, DecodeDigest) into
-// one Directory's Apply, ApplyDelta and ApplyDigest. Nothing may panic;
+// (DecodeAnnouncement, DecodeDelta, DecodeDigest) into one Directory's
+// AdmitEpoch and then Apply, ApplyDelta or ApplyDigest, as discovery does,
+// with Sweeps in between. Nothing may panic;
 // every accepted message re-encodes to the bytes it was read from; and
 // after each message the cache agrees with itself: every listed name has
 // ProviderCount == len(Lookup) > 0 providers in node order, Record finds
@@ -66,7 +68,7 @@ func FuzzDirectory(f *testing.F) {
 	}, nil))
 	f.Add(bytes.Join([][]byte{
 		fuzzMessage(fuzzAnnounce, annB), fuzzMessage(fuzzDigest, empty), sync,
-		fuzzMessage(fuzzExpire, make([]byte, 4)), fuzzMessage(fuzzAnnounce, ann),
+		fuzzMessage(fuzzSweep, make([]byte, 4)), fuzzMessage(fuzzAnnounce, ann),
 	}, nil))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		d := NewDirectory(0)
@@ -89,7 +91,8 @@ func FuzzDirectory(f *testing.F) {
 				}
 				reencoded(t, "announcement", body, func() ([]byte, error) { return EncodeAnnouncement(a) })
 				heard[a.Node] = true
-				d.Apply(a, now)
+				d.AdmitEpoch(a.Node, a.Epoch, now)
+				d.Apply(a)
 			case fuzzDelta:
 				dl, err := DecodeDelta(body)
 				if err != nil {
@@ -97,7 +100,8 @@ func FuzzDirectory(f *testing.F) {
 				}
 				reencoded(t, "delta", body, func() ([]byte, error) { return EncodeDelta(dl) })
 				heard[dl.Node] = true
-				d.ApplyDelta(dl, now)
+				d.AdmitEpoch(dl.Node, dl.Epoch, now)
+				d.ApplyDelta(dl)
 			case fuzzDigest:
 				g, err := DecodeDigest(body)
 				if err != nil {
@@ -105,10 +109,15 @@ func FuzzDirectory(f *testing.F) {
 				}
 				reencoded(t, "digest", body, func() ([]byte, error) { return EncodeDigest(g) })
 				heard[g.Node] = true
-				d.ApplyDigest(g, now)
-			case fuzzExpire:
+				d.AdmitEpoch(g.Node, g.Epoch, now)
+				d.ApplyDigest(g)
+			case fuzzSweep:
 				now = now.Add(time.Duration(n) * time.Second)
-				d.Expire(now)
+				for _, node := range d.Sweep(now) {
+					if d.NodeRecordCount(node) != 0 || slices.Contains(d.Peers(), node) {
+						t.Fatalf("swept %s is still live or cached", node)
+					}
+				}
 			}
 			checkDirectory(t, d, heard)
 		}

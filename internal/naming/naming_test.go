@@ -3,6 +3,7 @@ package naming
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -95,11 +96,10 @@ func TestKindString(t *testing.T) {
 
 func TestDirectoryApplyAndLookup(t *testing.T) {
 	d := NewDirectory(time.Second)
-	now := time.Now()
-	if changed := d.Apply(sampleAnnouncement(), now); !changed {
+	if changed := d.Apply(sampleAnnouncement()); !changed {
 		t.Error("first apply must report change")
 	}
-	if changed := d.Apply(sampleAnnouncement(), now); changed {
+	if changed := d.Apply(sampleAnnouncement()); changed {
 		t.Error("identical re-apply must not report change")
 	}
 	recs := d.Lookup(KindVariable, "gps.position")
@@ -126,28 +126,28 @@ func TestDirectoryApplyAndLookup(t *testing.T) {
 func TestDirectoryApplyReportsANewIncarnation(t *testing.T) {
 	d := NewDirectory(time.Second)
 	now := time.Now()
-	d.Apply(sampleAnnouncement(), now)
+	d.Heard("uav1", now)
+	d.Apply(sampleAnnouncement())
 	a := sampleAnnouncement()
 	a.Epoch++
-	if !d.AdmitEpoch(a.Node, a.Epoch) {
+	if !d.AdmitEpoch(a.Node, a.Epoch, now) {
 		t.Fatal("a new epoch of a live node is not a restart")
 	}
-	if changed := d.Apply(a, now); !changed {
+	if changed := d.Apply(a); !changed {
 		t.Error("the new incarnation's first full state must report change")
 	}
-	if changed := d.Apply(a, now); changed {
+	if changed := d.Apply(a); changed {
 		t.Error("identical re-apply must not report change")
 	}
 }
 
 func TestDirectoryWithdrawnRecordRemoved(t *testing.T) {
 	d := NewDirectory(time.Second)
-	now := time.Now()
-	d.Apply(sampleAnnouncement(), now)
+	d.Apply(sampleAnnouncement())
 	// Second announcement without the file resource.
 	a := sampleAnnouncement()
 	a.Records = a.Records[:4]
-	if changed := d.Apply(a, now); !changed {
+	if changed := d.Apply(a); !changed {
 		t.Error("withdrawal must report change")
 	}
 	if d.ProviderCount(KindFile, "photo.1") != 0 {
@@ -160,10 +160,9 @@ func TestDirectoryWithdrawnRecordRemoved(t *testing.T) {
 // newer one), is ignored and the records stand.
 func TestDirectoryStaleEpochRejected(t *testing.T) {
 	d := NewDirectory(time.Second)
-	now := time.Now()
 	current := sampleAnnouncement()
 	current.Version = 2
-	d.Apply(current, now)
+	d.Apply(current)
 	for _, stale := range []struct {
 		what           string
 		epoch, version uint64
@@ -174,7 +173,7 @@ func TestDirectoryStaleEpochRejected(t *testing.T) {
 		old := sampleAnnouncement()
 		old.Epoch, old.Version = stale.epoch, stale.version
 		old.Records = nil
-		if changed := d.Apply(old, now); changed {
+		if changed := d.Apply(old); changed {
 			t.Errorf("%s must be ignored", stale.what)
 		}
 		if d.ProviderCount(KindVariable, "gps.position") != 1 {
@@ -188,14 +187,13 @@ func TestDirectoryStaleEpochRejected(t *testing.T) {
 
 func TestDirectoryRemoveNode(t *testing.T) {
 	d := NewDirectory(time.Second)
-	now := time.Now()
-	d.Apply(sampleAnnouncement(), now)
+	d.Apply(sampleAnnouncement())
 	b := sampleAnnouncement()
 	b.Node = "uav2"
 	for i := range b.Records {
 		b.Records[i].Node = "uav2"
 	}
-	d.Apply(b, now)
+	d.Apply(b)
 	if d.ProviderCount(KindVariable, "gps.position") != 2 {
 		t.Fatal("expected two providers")
 	}
@@ -206,35 +204,47 @@ func TestDirectoryRemoveNode(t *testing.T) {
 	}
 }
 
+// TestDirectoryExpire: the records of a peer silent past the deadline go
+// with it, and the records of a node never heard from — the directory's
+// own — stay.
 func TestDirectoryExpire(t *testing.T) {
 	d := NewDirectory(50 * time.Millisecond)
 	now := time.Now()
-	d.Apply(sampleAnnouncement(), now)
-	stale := d.Expire(now.Add(25 * time.Millisecond))
+	d.Heard("uav1", now)
+	d.Apply(sampleAnnouncement())
+	own := sampleAnnouncement()
+	own.Node = "self"
+	for i := range own.Records {
+		own.Records[i].Node = "self"
+	}
+	d.Apply(own)
+	stale := d.Sweep(now.Add(50 * time.Millisecond))
 	if len(stale) != 0 {
 		t.Errorf("premature expiry: %v", stale)
 	}
-	stale = d.Expire(now.Add(100 * time.Millisecond))
+	stale = d.Sweep(now.Add(100 * time.Millisecond))
 	if len(stale) != 1 || stale[0] != "uav1" {
-		t.Errorf("Expire = %v", stale)
+		t.Errorf("Sweep = %v", stale)
 	}
-	if d.ProviderCount(KindVariable, "gps.position") != 0 {
-		t.Error("expired record still cached")
+	if got := d.Lookup(KindVariable, "gps.position"); len(got) != 1 || got[0].Node != "self" {
+		t.Errorf("after the sweep gps.position is provided by %+v, want self alone", got)
+	}
+	if _, _, known := d.NodeVersion("uav1"); known || d.Load("uav1") != 0 {
+		t.Error("an expired peer's version or load outlived it")
 	}
 }
 
 func twoProviderDirectory(t *testing.T, loadA, loadB float64) *Directory {
 	t.Helper()
 	d := NewDirectory(time.Minute)
-	now := time.Now()
 	a := &Announcement{Node: "nodeA", Epoch: 1, Load: loadA, Records: []Record{
 		{Kind: KindFunction, Name: "fn", Service: "s", Node: "nodeA"},
 	}}
 	b := &Announcement{Node: "nodeB", Epoch: 1, Load: loadB, Records: []Record{
 		{Kind: KindFunction, Name: "fn", Service: "s", Node: "nodeB"},
 	}}
-	d.Apply(a, now)
-	d.Apply(b, now)
+	d.Apply(a)
+	d.Apply(b)
 	return d
 }
 
@@ -296,12 +306,11 @@ func TestSelectStaticPinning(t *testing.T) {
 // providerDirectory caches n providers of function "fn", node0 … node<n-1>.
 func providerDirectory(n int) *Directory {
 	d := NewDirectory(time.Minute)
-	now := time.Now()
 	for i := 0; i < n; i++ {
 		node := transport.NodeID(fmt.Sprintf("node%d", i))
 		d.Apply(&Announcement{Node: node, Epoch: 1, Records: []Record{
 			{Kind: KindFunction, Name: "fn", Service: "s", Node: node},
-		}}, now)
+		}})
 	}
 	return d
 }
@@ -330,7 +339,6 @@ func TestSelectAllocs(t *testing.T) {
 // and only ever hands back a provider of the name asked for.
 func TestSelectScratchReuseUnderConcurrentCallers(t *testing.T) {
 	dirs := []*Directory{providerDirectory(3), providerDirectory(3)}
-	now := time.Now()
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
@@ -350,7 +358,7 @@ func TestSelectScratchReuseUnderConcurrentCallers(t *testing.T) {
 		node := transport.NodeID(fmt.Sprintf("churn%d", i%4))
 		d.Apply(&Announcement{Node: node, Epoch: 1, Version: uint64(i), Records: []Record{
 			{Kind: KindFunction, Name: "fn", Service: "s", Node: node},
-		}}, now)
+		}})
 		d.RemoveNode(node)
 	}
 	wg.Wait()
@@ -364,15 +372,15 @@ func TestSelectCursorLeavesWithLastProvider(t *testing.T) {
 	for name, remove := range map[string]func(d *Directory, node transport.NodeID){
 		"removed": func(d *Directory, node transport.NodeID) { d.RemoveNode(node) },
 		"withdrawn by announcement": func(d *Directory, node transport.NodeID) {
-			d.Apply(&Announcement{Node: node, Epoch: 1}, time.Now())
+			d.Apply(&Announcement{Node: node, Epoch: 1})
 		},
 		"withdrawn by delta": func(d *Directory, node transport.NodeID) {
 			d.ApplyDelta(&Delta{Node: node, Epoch: 1, From: 0, To: 1,
-				Withdrawn: []RecordKey{{Kind: KindFunction, Name: "fn"}}}, time.Now())
+				Withdrawn: []RecordKey{{Kind: KindFunction, Name: "fn"}}})
 		},
 		"expired": func(d *Directory, node transport.NodeID) {
-			d.TouchNode(node, time.Now().Add(-time.Hour))
-			d.Expire(time.Now())
+			d.Heard(node, time.Now().Add(-time.Hour))
+			d.Sweep(time.Now())
 		},
 	} {
 		t.Run(name, func(t *testing.T) {
@@ -399,44 +407,56 @@ func TestSelectNotFound(t *testing.T) {
 	}
 }
 
+// TestLiveness: a peer is live from its first frame until it is silent
+// past the deadline or says goodbye, and a failure is reported once.
 func TestLiveness(t *testing.T) {
-	l := NewLiveness(100 * time.Millisecond)
+	d := NewDirectory(100 * time.Millisecond)
 	now := time.Now()
-	l.Touch("a", now)
-	l.Touch("b", now)
-	if !l.Alive("a", now) {
-		t.Error("a must be alive")
-	}
-	if l.Alive("ghost", now) {
-		t.Error("unknown node must not be alive")
+	d.Heard("a", now)
+	d.AdmitEpoch("b", 1, now)
+	d.ApplyDigest(&Digest{Node: "b", Epoch: 1})
+	if peers := d.Peers(); !slices.Equal(peers, []transport.NodeID{"a", "b"}) {
+		t.Errorf("Peers = %v, want a and b", peers)
 	}
 	// b keeps heartbeating; a goes silent.
-	l.Touch("b", now.Add(90*time.Millisecond))
-	failed := l.Sweep(now.Add(150 * time.Millisecond))
+	d.AdmitEpoch("b", 1, now.Add(90*time.Millisecond))
+	failed := d.Sweep(now.Add(150 * time.Millisecond))
 	if len(failed) != 1 || failed[0] != "a" {
 		t.Errorf("Sweep = %v", failed)
 	}
 	// Reported once only (b is still within its deadline at +185ms).
-	if again := l.Sweep(now.Add(185 * time.Millisecond)); len(again) != 0 {
+	if again := d.Sweep(now.Add(185 * time.Millisecond)); len(again) != 0 {
 		t.Errorf("second sweep = %v", again)
 	}
-	if peers := l.Peers(); len(peers) != 1 || peers[0] != "b" {
+	if peers := d.Peers(); len(peers) != 1 || peers[0] != "b" {
 		t.Errorf("Peers = %v", peers)
 	}
-	l.Forget("b")
-	if len(l.Peers()) != 0 {
-		t.Error("Forget failed")
+	d.RemoveNode("b")
+	if len(d.Peers()) != 0 || len(d.Sweep(now.Add(time.Hour))) != 0 {
+		t.Error("a departed peer is still live")
+	}
+	// The departed peer's epoch stays: an older incarnation is stale, and
+	// a newer one is a first contact, not a restart.
+	if _, _, known := d.NodeVersion("b"); known {
+		t.Error("a departed peer's version survived")
+	}
+	d.ApplyDigest(&Digest{Node: "b", Epoch: 0})
+	if epoch, _, known := d.NodeVersion("b"); known || epoch != 1 {
+		t.Errorf("after a stale incarnation's digest b is at epoch %d (version known %v), want 1 unknown", epoch, known)
+	}
+	if d.AdmitEpoch("b", 2, now) {
+		t.Error("a departed peer's new incarnation reported as a restart")
 	}
 }
 
 func TestLivenessDefaultDeadline(t *testing.T) {
-	l := NewLiveness(0)
+	d := NewDirectory(0)
 	now := time.Now()
-	l.Touch("x", now)
-	if !l.Alive("x", now.Add(DefaultFailureDeadline)) {
+	d.Heard("x", now)
+	if failed := d.Sweep(now.Add(DefaultFailureDeadline)); len(failed) != 0 {
 		t.Error("node at exactly the deadline must still be alive")
 	}
-	if l.Alive("x", now.Add(DefaultFailureDeadline+time.Millisecond)) {
+	if failed := d.Sweep(now.Add(DefaultFailureDeadline + time.Millisecond)); len(failed) != 1 {
 		t.Error("node past deadline must be dead")
 	}
 }

@@ -109,11 +109,10 @@ func TestCallRecordReuseDropsLateOutcomes(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			f := newHeldFabric(t)
 			e := New(f)
-			now := time.Now()
 			for _, node := range []transport.NodeID{"a", "b"} {
 				f.Directory().Apply(&naming.Announcement{Node: node, Epoch: 1, Records: []naming.Record{
 					{Kind: naming.KindFunction, Name: "fn", Service: "svc", Node: node, TypeSig: i32.String()},
-				}}, now)
+				}})
 			}
 			abandoned := end(t, e, f)
 			rec := freeRecord(t, e)

@@ -63,7 +63,7 @@ func wire(t *testing.T) (client, server *Engine, cf, sf *fabrictest.Fabric) {
 
 func announce(t *testing.T, f *fabrictest.Fabric, node transport.NodeID, e *Engine) {
 	t.Helper()
-	f.Directory().Apply(&naming.Announcement{Node: node, Epoch: 1, Records: e.Records()}, time.Now())
+	f.Directory().Apply(&naming.Announcement{Node: node, Epoch: 1, Records: e.Records()})
 }
 
 var (
@@ -197,11 +197,10 @@ func TestFailoverToSecondProvider(t *testing.T) {
 		func(any) (any, error) { return "good", nil }); err != nil {
 		t.Fatal(err)
 	}
-	now := time.Now()
 	cf.Directory().Apply(&naming.Announcement{Node: "bad", Epoch: 1, Records: []naming.Record{
 		{Kind: naming.KindFunction, Name: "fn", Service: "svc", Node: "bad", TypeSig: retT.String()},
-	}}, now)
-	cf.Directory().Apply(&naming.Announcement{Node: "good", Epoch: 1, Records: good.Records()}, now)
+	}})
+	cf.Directory().Apply(&naming.Announcement{Node: "good", Epoch: 1, Records: good.Records()})
 
 	got, err := client.Call(context.Background(), "fn", nil, nil, retT, qos.CallQoS{})
 	if err != nil {
@@ -248,7 +247,7 @@ func TestHandleCallUnknownFunction(t *testing.T) {
 	// single provider the call fails as all-providers-failed.
 	cf.Directory().Apply(&naming.Announcement{Node: "server", Epoch: 1, Records: []naming.Record{
 		{Kind: naming.KindFunction, Name: "phantom", Service: "svc", Node: "server"},
-	}}, time.Now())
+	}})
 	_ = sf
 	_, err := client.Call(context.Background(), "phantom", nil, nil, nil,
 		qos.CallQoS{Deadline: time.Second})
@@ -269,7 +268,7 @@ func TestDependencyCheck(t *testing.T) {
 	// Remote provider via directory.
 	e.f.Directory().Apply(&naming.Announcement{Node: "remote", Epoch: 1, Records: []naming.Record{
 		{Kind: naming.KindFunction, Name: "have.remote", Service: "svc", Node: "remote"},
-	}}, time.Now())
+	}})
 
 	if err := e.DependencyCheck("have.local", "have.remote"); err != nil {
 		t.Errorf("satisfied deps failed: %v", err)
@@ -354,9 +353,8 @@ func TestHedgedCallBeatsSlowProvider(t *testing.T) {
 		func(any) (any, error) { return "fast", nil }); err != nil {
 		t.Fatal(err)
 	}
-	now := time.Now()
-	cf.Directory().Apply(&naming.Announcement{Node: "a-slow", Epoch: 1, Records: slow.Records()}, now)
-	cf.Directory().Apply(&naming.Announcement{Node: "b-fast", Epoch: 1, Records: fast.Records()}, now)
+	cf.Directory().Apply(&naming.Announcement{Node: "a-slow", Epoch: 1, Records: slow.Records()})
+	cf.Directory().Apply(&naming.Announcement{Node: "b-fast", Epoch: 1, Records: fast.Records()})
 
 	q := qos.CallQoS{Binding: qos.BindStatic, Deadline: 600 * time.Millisecond, HedgeAfter: 0.1}
 	start := time.Now()
@@ -415,9 +413,8 @@ func TestBusyShedTriggersFailover(t *testing.T) {
 		t.Fatal(err)
 	}
 	slow.SetInflightLimit(1)
-	now := time.Now()
-	cf.Directory().Apply(&naming.Announcement{Node: "a-slow", Epoch: 1, Records: slow.Records()}, now)
-	cf.Directory().Apply(&naming.Announcement{Node: "b-fast", Epoch: 1, Records: fast.Records()}, now)
+	cf.Directory().Apply(&naming.Announcement{Node: "a-slow", Epoch: 1, Records: slow.Records()})
+	cf.Directory().Apply(&naming.Announcement{Node: "b-fast", Epoch: 1, Records: fast.Records()})
 
 	q := qos.CallQoS{Binding: qos.BindStatic, Deadline: 2 * time.Second}
 	firstDone := make(chan error, 1)
@@ -636,10 +633,9 @@ func TestCallerNamesReplies(t *testing.T) {
 			// a-slow sheds every call: its one slot is taken.
 			busy.SetInflightLimit(1)
 			busy.inflight.Add(1)
-			now := time.Now()
 			cf.Directory().Apply(&naming.Announcement{Node: "a-slow", Epoch: 1, Records: append(busy.Records(),
-				naming.Record{Kind: naming.KindFunction, Name: "phantom", Service: "svc", Node: "a-slow"})}, now)
-			cf.Directory().Apply(&naming.Announcement{Node: "b-fast", Epoch: 1, Records: ok.Records()}, now)
+				naming.Record{Kind: naming.KindFunction, Name: "phantom", Service: "svc", Node: "a-slow"})})
+			cf.Directory().Apply(&naming.Announcement{Node: "b-fast", Epoch: 1, Records: ok.Records()})
 			ctx := context.Background()
 
 			_, err := client.Call(ctx, "phantom", nil, nil, nil, qos.CallQoS{Deadline: time.Second})

@@ -210,7 +210,7 @@ func TestRequireInitialCarriesOriginalTimestamp(t *testing.T) {
 	_, publishedAt, _ := p.Snapshot()
 	time.Sleep(2 * time.Millisecond) // the request must not restamp the value
 
-	sf.Directory().Apply(&naming.Announcement{Node: "pub", Epoch: 1, Records: pe.Records()}, time.Now())
+	sf.Directory().Apply(&naming.Announcement{Node: "pub", Epoch: 1, Records: pe.Records()})
 	done := make(chan *Subscription, 1)
 	go func() {
 		s, err := se.Subscribe("v", posType, SubscribeOptions{RequireInitial: true})

@@ -135,7 +135,7 @@ func TestSubscribeTypeMismatchRejected(t *testing.T) {
 			Kind: naming.KindVariable, Name: "v", Service: "svc",
 			Node: "remote", TypeSig: "{x:i32}",
 		}},
-	}, time.Now())
+	})
 	if _, err := e.Subscribe("v", posType, SubscribeOptions{}); !errors.Is(err, ErrTypeMismatch) {
 		t.Errorf("want ErrTypeMismatch, got %v", err)
 	}
@@ -364,7 +364,7 @@ func TestRequireInitialWakesOnArrival(t *testing.T) {
 	e := New(f)
 	f.Directory().Apply(&naming.Announcement{Node: "pub", Epoch: 1, Records: []naming.Record{
 		{Kind: naming.KindVariable, Name: "v", Service: "svc", Node: "pub", TypeSig: posType.String()},
-	}}, time.Now())
+	}})
 
 	const arriveAfter = 30 * time.Millisecond
 	go func() {
