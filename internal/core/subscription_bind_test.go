@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -226,6 +228,101 @@ func TestIdleSubscriptionLeasesOncePerPeriod(t *testing.T) {
 		if got, want := len(subLog.sent(protocol.MTSubscribe)), periods*len(topics); got != want {
 			t.Errorf("the subscriber sent %d MTSubscribes in %d periods for %d subscriptions, want %d",
 				got, periods, len(topics), want)
+		}
+	})
+}
+
+// subscribeLog counts the MTSubscribes a node sends, by destination.
+type subscribeLog struct {
+	transport.Transport
+	mu sync.Mutex
+	to map[transport.NodeID]int
+}
+
+func (l *subscribeLog) Send(to transport.NodeID, payload []byte) error {
+	for _, f := range unbatch(payload) {
+		if f.Type == protocol.MTSubscribe {
+			l.mu.Lock()
+			l.to[to]++
+			l.mu.Unlock()
+		}
+	}
+	return l.Transport.Send(to, payload)
+}
+
+func (l *subscribeLog) sent(to transport.NodeID) int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.to[to]
+}
+
+func (l *subscribeLog) reset() {
+	l.mu.Lock()
+	clear(l.to)
+	l.mu.Unlock()
+}
+
+// TestIdleSubscriptionStaysWithItsProvider: with two publishers of a topic,
+// a bound subscription leases the publisher it bound to once per period and
+// sends the other nothing, while both keep changing their offers.
+func TestIdleSubscriptionStaysWithItsProvider(t *testing.T) {
+	const periods = 10
+	v := clock.NewVirtual()
+	v.Run(func() {
+		net := transport.NewSimBus(transport.SimConfig{Seed: 45, Latency: bindLatency, Clock: v})
+		defer net.Close()
+		ep, err := net.Endpoint("sub")
+		if err != nil {
+			t.Fatal(err)
+		}
+		subLog := &subscribeLog{Transport: ep, to: map[transport.NodeID]int{}}
+		start := v.Now()
+		sub := virtualNode(t, v, subLog, WithAnnouncePeriod(bindPeriod))
+		defer func() { _ = sub.Close() }()
+		nodes := map[transport.NodeID]*Node{}
+		pubs := map[transport.NodeID]*events.Publisher{}
+		for _, id := range []transport.NodeID{"p1", "p2"} {
+			nodes[id] = bindNode(t, v, net, id)
+			defer func() { _ = nodes[id].Close() }()
+			pubs[id] = offerAlarm(t, nodes[id])
+			nodes[id].AnnounceNow()
+		}
+		if !virtualWait(v, bindPeriod, func() bool {
+			return sub.Directory().ProviderCount(naming.KindEvent, "alarm") == 2
+		}) {
+			t.Fatal("the subscriber never saw both publishers")
+		}
+		subscribeAlarm(t, sub)
+		if !virtualWait(v, bindPeriod/4, func() bool {
+			return len(pubs["p1"].Subscribers())+len(pubs["p2"].Subscribers()) == 1
+		}) {
+			t.Fatal("the subscription did not bind to exactly one publisher")
+		}
+		bound, other := transport.NodeID("p1"), transport.NodeID("p2")
+		if len(pubs[other].Subscribers()) == 1 {
+			bound, other = other, bound
+		}
+
+		sleepToPhase(v, start, bindPeriod/2)
+		subLog.reset()
+		for i := 0; i < periods; i++ {
+			// A new topic on each publisher: the subscriber applies an
+			// offer from both every period.
+			for _, id := range []transport.NodeID{"p1", "p2"} {
+				if _, err := nodes[id].Events().Offer(fmt.Sprintf("extra%d", i), "svc", nil, qos.EventQoS{}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			v.Sleep(bindPeriod)
+		}
+		if got := subLog.sent(bound); got != periods {
+			t.Errorf("the subscriber sent %d MTSubscribes to its publisher %s in %d periods, want %d", got, bound, periods, periods)
+		}
+		if got := subLog.sent(other); got != 0 {
+			t.Errorf("the subscriber sent %d MTSubscribes to %s, which it is not bound to, want 0", got, other)
+		}
+		if n := len(pubs[other].Subscribers()); n != 0 {
+			t.Errorf("%s, which the subscription is not bound to, holds %d subscribers", other, n)
 		}
 	})
 }

@@ -642,12 +642,14 @@ func (e *Engine) Subscribe(topic string, t *presentation.Type, q qos.EventQoS, h
 	return s, nil
 }
 
-// register sends MTSubscribe to the provider the directory selects, unless
-// the topic is published locally. With peer empty it always sends: a
-// Subscribe, a Refresh lease, a failover. With peer set it sends only when
-// the provider selected is peer and the subscription has not registered
-// with peer's current incarnation yet. A registration that fails in ARQ
-// unbinds the subscription, so the next offer or Refresh retries it.
+// register sends MTSubscribe, unless the topic is published locally, to the
+// provider the subscription is bound to while the directory lists the topic
+// there, restarted or not, and otherwise to the one the directory selects.
+// With peer empty it always sends: a Subscribe, a Refresh lease, a
+// failover. With peer set it sends only when the provider is peer and the
+// subscription has not registered with peer's current incarnation yet. A
+// registration that fails in ARQ unbinds the subscription, so the next
+// offer or Refresh retries it.
 func (s *Subscription) register(peer transport.NodeID) {
 	e := s.engine
 	sh := e.shardOf(s.topic)
@@ -658,7 +660,14 @@ func (s *Subscription) register(peer transport.NodeID) {
 		return
 	}
 	dir := e.f.Directory()
-	rec, err := dir.Select(naming.KindEvent, s.topic, qos.BindDynamic, "")
+	s.mu.Lock()
+	bound := s.provider
+	s.mu.Unlock()
+	rec, ok := dir.Record(naming.KindEvent, s.topic, bound)
+	var err error
+	if !ok {
+		rec, err = dir.Select(naming.KindEvent, s.topic, qos.BindDynamic, "")
+	}
 	if err != nil || peer != "" && rec.Node != peer {
 		return
 	}
@@ -721,9 +730,9 @@ func (e *Engine) subscriptions() []*Subscription {
 	return all
 }
 
-// Refresh re-registers every remote subscription with the provider the
-// directory selects. The container calls it once per announce period; the
-// resend is the lease that keeps the subscriber in the publisher's set past
+// Refresh re-registers every remote subscription with its provider (see
+// register). The container calls it once per announce period; the resend
+// is the lease that keeps the subscriber in the publisher's set past
 // subscriberTTL. Binding does not wait for it: see PeerOffered and PeerGone.
 func (e *Engine) Refresh() {
 	for _, s := range e.subscriptions() {

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"os"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -32,10 +33,9 @@ import (
 //     client across a small and a large audience, via the public
 //     subscribe path. The encode is paid once per occurrence; the
 //     per-client delta must pin at zero.
-//   - slow (real clock): per-sample completion latency across 1k healthy
-//     clients with and without deliberately stalled consumers attached.
-//     The stalled clients must be evicted, and the healthy p99 must stay
-//     within the eviction criterion bound of the clean baseline.
+//   - slow (virtual time): per-sample completion latency across 1k healthy
+//     clients, clean and beside stalled consumers; the stalled ones must be
+//     evicted, and no healthy delivery may wait behind a stalled write.
 type E16Result struct {
 	Sweep []E16SweepPoint
 	Alloc E16AllocResult
@@ -88,39 +88,42 @@ type E16SlowResult struct {
 // stands in for every client of a run, so it counts their sum.
 type e16Conn struct {
 	frames, bytes atomic.Int64
+	want          atomic.Int64
+	reached       clock.Trigger // if set, signalled by the write that brings frames to want
 }
 
 func (c *e16Conn) Write(p []byte) (int, error) {
 	c.bytes.Add(int64(len(p)))
-	c.frames.Add(1)
+	if n := c.frames.Add(1); c.reached != nil && n == c.want.Load() {
+		c.reached.Signal()
+	}
 	return len(p), nil
 }
 func (c *e16Conn) Close() error                     { return nil }
 func (c *e16Conn) SetWriteDeadline(time.Time) error { return nil }
 
-// e16StallConn models a jammed consumer: writes park until the deadline
-// and fail with a timeout.
+// e16StallConn models a jammed consumer: writes park on the run's clock
+// until the deadline and fail with a timeout. Close wakes a parked write.
 type e16StallConn struct {
-	deadline atomic.Int64 // unix nanos
+	clk      clock.Clock
+	wake     clock.Trigger
+	deadline atomic.Int64 // unix nanos on clk
 }
 
 func (c *e16StallConn) Write(p []byte) (int, error) {
-	if d := time.Until(time.Unix(0, c.deadline.Load())); d > 0 {
-		time.Sleep(d)
+	if d := time.Unix(0, c.deadline.Load()).Sub(c.clk.Now()); d > 0 && !c.wake.Wait(d) {
+		return 0, os.ErrClosed
 	}
-	return 0, errE16Stall{}
+	return 0, os.ErrDeadlineExceeded
 }
-func (c *e16StallConn) Close() error { return nil }
+func (c *e16StallConn) Close() error {
+	c.wake.Close()
+	return nil
+}
 func (c *e16StallConn) SetWriteDeadline(t time.Time) error {
 	c.deadline.Store(t.UnixNano())
 	return nil
 }
-
-type errE16Stall struct{}
-
-func (errE16Stall) Error() string   { return "e16: simulated stalled consumer" }
-func (errE16Stall) Timeout() bool   { return true }
-func (errE16Stall) Temporary() bool { return true }
 
 // RunE16 runs the sweep at the given client counts (sorted ascending)
 // with `samples` published points per sweep step.
@@ -151,7 +154,7 @@ func RunE16(clk clock.Clock, clientCounts []int, samples int, seed int64) (*E16R
 	}
 	res.Alloc = alloc
 
-	slow, err := e16Slow(samples, seed)
+	slow, err := e16Slow(clk, samples, seed)
 	if err != nil {
 		return nil, fmt.Errorf("e16 slow: %w", err)
 	}
@@ -160,53 +163,52 @@ func RunE16(clk clock.Clock, clientCounts []int, samples int, seed int64) (*E16R
 }
 
 // e16Pair builds a uav publisher node and a gateway-hosting node on one
-// simulated medium.
-func e16Pair(clk clock.Clock, seed int64, opts gateway.Options) (*transport.Bus, *core.Node, *gateway.Gateway, *variables.Publisher, error) {
-	clk = clock.Or(clk)
-	sim := transport.NewSimBus(transport.SimConfig{Seed: seed, Latency: 2 * time.Millisecond, Clock: clk})
-	fail := func(err error) (*transport.Bus, *core.Node, *gateway.Gateway, *variables.Publisher, error) {
+// simulated medium. The caller owns them through teardown, which closes
+// the gateway (its clients and fabric subscriptions), the gateway's node,
+// the uav node and the medium, in that order.
+func e16Pair(clk clock.Clock, seed int64, opts gateway.Options) (sim *transport.Bus, g *gateway.Gateway, pub *variables.Publisher, teardown func(), err error) {
+	sim = transport.NewSimBus(transport.SimConfig{Seed: seed, Latency: 2 * time.Millisecond, Clock: clk})
+	var uav, gs *core.Node
+	teardown = func() {
+		if g != nil {
+			g.Close()
+		}
+		for _, n := range []*core.Node{gs, uav} {
+			if n != nil {
+				_ = n.Close()
+			}
+		}
 		sim.Close()
-		return nil, nil, nil, nil, err
 	}
-	uav, err := simNode(clk, sim, "uav", core.WithAnnouncePeriod(100*time.Millisecond))
-	if err != nil {
-		return fail(err)
+	defer func() {
+		if err != nil {
+			teardown()
+		}
+	}()
+	if uav, err = simNode(clk, sim, "uav", core.WithAnnouncePeriod(100*time.Millisecond)); err != nil {
+		return
 	}
-	gs, err := simNode(clk, sim, "gs", core.WithAnnouncePeriod(100*time.Millisecond))
-	if err != nil {
-		_ = uav.Close()
-		return fail(err)
+	if gs, err = simNode(clk, sim, "gs", core.WithAnnouncePeriod(100*time.Millisecond)); err != nil {
+		return
 	}
-	pub, err := uav.Variables().Offer("e16.pos", "bench", presentation.Uint32(), qos.VariableQoS{Validity: time.Hour})
-	if err != nil {
-		_ = uav.Close()
-		_ = gs.Close()
-		return fail(err)
+	if pub, err = uav.Variables().Offer("e16.pos", "bench", presentation.Uint32(), qos.VariableQoS{Validity: time.Hour}); err != nil {
+		return
 	}
-	if err := waitProviders(clk, gs, naming.KindVariable, "e16.pos", 1, 5*time.Second); err != nil {
-		_ = uav.Close()
-		_ = gs.Close()
-		return fail(err)
+	if err = waitProviders(clk, gs, naming.KindVariable, "e16.pos", 1, 5*time.Second); err != nil {
+		return
 	}
-	g := gateway.New(gs, opts)
-	// Closing the gateway closes its clients and fabric subscriptions;
-	// closing the nodes tears the rest down. Caller owns all of it via
-	// the returned cleanup ordering (gateway, uav node, gs node, sim).
-	return sim, uav, g, pub, nil
+	return sim, gateway.New(gs, opts), pub, teardown, nil
 }
 
 // e16Sweep runs one virtual-time point: n clients, `samples` published
 // values, air-link cost measured over the publish window.
 func e16Sweep(clk clock.Clock, n, samples int, seed int64) (E16SweepPoint, string, error) {
 	pt := E16SweepPoint{Clients: n, Samples: samples}
-	sim, uav, g, pub, err := e16Pair(clk, seed, gateway.Options{Shards: 8, QueueLen: 8})
+	sim, g, pub, teardown, err := e16Pair(clk, seed, gateway.Options{Shards: 8, QueueLen: 8})
 	if err != nil {
 		return pt, "", err
 	}
-	defer sim.Close()
-	defer func() { _ = uav.Close() }()
-	defer func() { _ = g.Node().Close() }()
-	defer g.Close()
+	defer teardown()
 
 	var c e16Conn
 	if err := attach(g, n, "e16.pos", func() gateway.Conn { return &c }); err != nil {
@@ -298,9 +300,9 @@ const e16WriteStall = 50 * time.Millisecond
 
 // e16SlowRun measures per-sample completion latency (publish → last
 // healthy delivery) across `healthy` clients with `stalled` jammed
-// consumers attached, on the real clock.
-func e16SlowRun(healthy, stalled, samples int, seed int64) (lat []time.Duration, evicted int64, err error) {
-	sim, uav, g, pub, err := e16Pair(nil, seed, gateway.Options{
+// consumers attached, on clk.
+func e16SlowRun(clk clock.Clock, healthy, stalled, samples int, seed int64) (lat []time.Duration, evicted int64, err error) {
+	_, g, pub, teardown, err := e16Pair(clk, seed, gateway.Options{
 		Shards:     8,
 		QueueLen:   16,
 		WriteStall: e16WriteStall,
@@ -309,60 +311,58 @@ func e16SlowRun(healthy, stalled, samples int, seed int64) (lat []time.Duration,
 	if err != nil {
 		return nil, 0, err
 	}
-	defer sim.Close()
-	defer func() { _ = uav.Close() }()
-	defer func() { _ = g.Node().Close() }()
-	defer g.Close()
+	defer teardown()
 
-	var c e16Conn
+	c := e16Conn{reached: clock.NewTrigger(clk)}
 	if err := attach(g, healthy, "e16.pos", func() gateway.Conn { return &c }); err != nil {
 		return nil, 0, err
 	}
-	if err := attach(g, stalled, "e16.pos", func() gateway.Conn { return &e16StallConn{} }); err != nil {
+	if err := attach(g, stalled, "e16.pos", func() gateway.Conn {
+		return &e16StallConn{clk: clk, wake: clock.NewTrigger(clk)}
+	}); err != nil {
 		return nil, 0, err
 	}
 
 	// Warm-up: every healthy client hears a sample; the stalled clients
 	// take their one fast-path stall here, outside the measured window.
-	if err := warmUp(clock.Real{}, 10*time.Second, []*variables.Publisher{pub}, c.frames.Load, int64(healthy)); err != nil {
+	if err := warmUp(clk, 10*time.Second, []*variables.Publisher{pub}, c.frames.Load, int64(healthy)); err != nil {
 		return nil, 0, err
 	}
 
 	lat = make([]time.Duration, 0, samples)
 	for i := 0; i < samples; i++ {
 		want := c.frames.Load() + int64(healthy)
-		t0 := time.Now()
+		c.want.Store(want)
+		t0 := clk.Now()
 		if err := pub.Publish(uint32(i + 1)); err != nil {
 			return nil, 0, err
 		}
-		sampleDeadline := t0.Add(2 * time.Second)
-		for c.frames.Load() < want {
-			if time.Now().After(sampleDeadline) {
+		for end := t0.Add(2 * time.Second); c.frames.Load() < want; {
+			left := end.Sub(clk.Now())
+			if left <= 0 {
 				return nil, 0, fmt.Errorf("sample %d: %d/%d deliveries", i, c.frames.Load()-(want-int64(healthy)), healthy)
 			}
-			runtime.Gosched()
+			c.reached.Wait(left)
 		}
-		lat = append(lat, time.Since(t0))
-		time.Sleep(time.Millisecond)
+		lat = append(lat, clk.Since(t0))
+		clk.Sleep(time.Millisecond)
 	}
 
-	// Stalled clients must be gone: 3 misses x 50ms fits well inside the
-	// measurement window, but wait out stragglers to be exact.
-	snap := func() int64 {
-		return int64(g.Node().Metrics().SumCounters("gateway", "evictions"))
-	}
-	await(clock.Real{}, 5*time.Second, 10*time.Millisecond, func() bool { return snap() >= int64(stalled) })
-	return lat, snap(), nil
+	// Stalled clients must be gone: the third 50ms miss lands about when
+	// the measured window ends, so wait for it.
+	evictions := func() int64 { return int64(g.Node().Metrics().SumCounters("gateway", "evictions")) }
+	await(clk, 5*time.Second, 10*time.Millisecond, func() bool { return evictions() >= int64(stalled) })
+	return lat, evictions(), nil
 }
 
-// e16Slow runs the clean baseline and the stalled-consumer run.
-func e16Slow(samples int, seed int64) (E16SlowResult, error) {
+// e16Slow runs the clean baseline and the stalled-consumer run on clk.
+func e16Slow(clk clock.Clock, samples int, seed int64) (E16SlowResult, error) {
 	const healthy, stalled = 1000, 4
 	if samples < 50 {
 		samples = 50
 	}
 	res := E16SlowResult{HealthyClients: healthy, StalledClients: stalled, Samples: samples}
-	lat, evicted, err := e16SlowRun(healthy, 0, samples, seed)
+	lat, evicted, err := e16SlowRun(clk, healthy, 0, samples, seed)
 	if err != nil {
 		return res, err
 	}
@@ -370,7 +370,7 @@ func e16Slow(samples int, seed int64) (E16SlowResult, error) {
 		return res, fmt.Errorf("baseline run evicted %d clients", evicted)
 	}
 	res.BaselineP50Ms, res.BaselineP99Ms = ms(quantile(lat, 0.50)), ms(quantile(lat, 0.99))
-	if lat, res.Evicted, err = e16SlowRun(healthy, stalled, samples, seed+1); err != nil {
+	if lat, res.Evicted, err = e16SlowRun(clk, healthy, stalled, samples, seed+1); err != nil {
 		return res, err
 	}
 	res.StalledP50Ms, res.StalledP99Ms, res.StalledMaxMs = ms(quantile(lat, 0.50)), ms(quantile(lat, 0.99)), ms(quantile(lat, 1))

@@ -123,13 +123,13 @@ var table = []*Experiment{
 			// Every deliberately stalled consumer is evicted, none of the
 			// healthy.
 			{"slow_evicted", 0, 0}, {"slow_stalled", 0, 0}, {"slow_healthy", 0, 0},
+			{"slow_*_ms", 0, 0}, // virtual-clock latencies: exact
 		},
 		// A healthy delivery that queues behind a stalled write waits for
 		// it to end, and for each stalled write that follows: one queued
-		// as a stall begins waits WriteStall or more. Clean deliveries
-		// take a few milliseconds even on a loaded host, so the slowest
-		// healthy completion with stalled consumers attached must stay
-		// under one WriteStall.
+		// as a stall begins waits WriteStall or more. A clean delivery
+		// takes the air link's 2 ms, so the slowest healthy completion
+		// with stalled consumers attached must stay under one WriteStall.
 		check: func(m map[string]float64) error {
 			if worst, stall := m["slow_stalled_max_ms"], ms(e16WriteStall); worst >= stall {
 				return fmt.Errorf("slowest healthy delivery took %.2fms with stalled consumers attached, not under one WriteStall (%.0fms): it queued behind a stalled write", worst, stall)

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"uavmw/internal/clock"
 	"uavmw/internal/core"
 	"uavmw/internal/naming"
 	"uavmw/internal/presentation"
@@ -348,48 +349,42 @@ func (s *sinkConn) Close() error                     { return nil }
 func (s *sinkConn) SetWriteDeadline(time.Time) error { return nil }
 
 // stallConn models a consumer whose TCP window is jammed: every write
-// parks until the deadline and fails with a timeout. Close wakes a parked
-// write, as it does on a real connection.
+// parks on clk until the deadline and fails with a timeout. Close wakes a
+// parked write, as it does on a real connection. It records the instant of
+// its first write and of its close.
 type stallConn struct {
-	mu       sync.Mutex
-	deadline time.Time
-	closed   chan struct{} // closed by Close; made on first use
-	attempts atomic.Int64
+	clk  clock.Clock
+	wake clock.Trigger // closed by Close
+
+	mu                sync.Mutex
+	deadline          time.Time
+	firstWrite, close time.Time
 }
 
-// closedLocked returns the channel Close closes. Caller holds s.mu.
-func (s *stallConn) closedLocked() chan struct{} {
-	if s.closed == nil {
-		s.closed = make(chan struct{})
-	}
-	return s.closed
+func newStallConn(clk clock.Clock) *stallConn {
+	return &stallConn{clk: clk, wake: clock.NewTrigger(clk)}
 }
 
 func (s *stallConn) Write(p []byte) (int, error) {
-	s.attempts.Add(1)
 	s.mu.Lock()
-	d, closed := time.Until(s.deadline), s.closedLocked()
+	if s.firstWrite.IsZero() {
+		s.firstWrite = s.clk.Now()
+	}
+	d := s.deadline.Sub(s.clk.Now())
 	s.mu.Unlock()
-	if d > 0 {
-		t := time.NewTimer(d)
-		defer t.Stop()
-		select {
-		case <-t.C:
-		case <-closed:
-			return 0, net.ErrClosed
-		}
+	if d > 0 && !s.wake.Wait(d) {
+		return 0, net.ErrClosed
 	}
 	return 0, os.ErrDeadlineExceeded
 }
 
 func (s *stallConn) Close() error {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	select {
-	case <-s.closedLocked():
-	default:
-		close(s.closed)
+	if s.close.IsZero() {
+		s.close = s.clk.Now()
 	}
+	s.mu.Unlock()
+	s.wake.Close()
 	return nil
 }
 
@@ -402,69 +397,98 @@ func (s *stallConn) SetWriteDeadline(t time.Time) error {
 
 // TestSlowConsumerEviction: a stalled client is detected on the shared
 // writer, quarantined to its own drain, and evicted after StallLimit
-// misses — while a healthy shard-mate keeps receiving every sample.
+// misses — while a healthy shard-mate receives every sample. On the
+// virtual clock the eviction lands exactly one fastWriteDeadline plus
+// StallLimit WriteStalls after the first stalled write.
 func TestSlowConsumerEviction(t *testing.T) {
-	uav, g := pair(t, Options{
-		Shards: 1, QueueLen: 8,
-		WriteStall: 20 * time.Millisecond, StallLimit: 2,
-	})
-
-	pub, err := uav.Variables().Offer("spd", "nav", presentation.Uint32(), qos.VariableQoS{Validity: time.Hour})
-	if err != nil {
-		t.Fatal(err)
-	}
-	uav.AnnounceNow()
-	waitUntil(t, 3*time.Second, "provider visible", func() bool {
-		return g.Node().Directory().ProviderCount(naming.KindVariable, "spd") == 1
-	})
-
-	healthy := &sinkConn{}
-	stalled := &stallConn{}
-	hc, err := g.Attach(healthy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc, err := g.Attach(stalled)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = sc
-	if err := hc.Subscribe(StreamVariable, "spd"); err != nil {
-		t.Fatal(err)
-	}
-	if err := sc.Subscribe(StreamVariable, "spd"); err != nil {
-		t.Fatal(err)
-	}
-
-	evictions := g.m.evictions[reasonStall]
-	deadline := time.Now().Add(5 * time.Second)
-	var sent int64
-	for evictions.Value() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("stalled client never evicted")
+	opts := Options{Shards: 1, QueueLen: 8, WriteStall: 20 * time.Millisecond, StallLimit: 2}
+	v := clock.NewVirtual()
+	v.Run(func() {
+		sim := transport.NewSimBus(transport.SimConfig{Seed: 42, Latency: time.Millisecond, Clock: v})
+		defer sim.Close()
+		mk := func(id transport.NodeID) *core.Node {
+			ep, err := sim.Endpoint(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n, err := core.NewNode(core.WithClock(v), core.WithDatagram(ep), core.WithAnnouncePeriod(20*time.Millisecond))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return n
 		}
-		if err := pub.Publish(uint32(sent)); err != nil {
+		uav := mk("uav")
+		defer func() { _ = uav.Close() }()
+		gs := mk("gs")
+		defer func() { _ = gs.Close() }()
+		g := New(gs, opts)
+		defer g.Close()
+
+		pub, err := uav.Variables().Offer("spd", "nav", presentation.Uint32(), qos.VariableQoS{Validity: time.Hour})
+		if err != nil {
 			t.Fatal(err)
 		}
-		sent++
-		time.Sleep(2 * time.Millisecond)
-	}
-	if g.m.clients.Value() != 1 {
-		t.Fatalf("clients gauge = %d after eviction, want 1", g.m.clients.Value())
-	}
+		uav.AnnounceNow()
+		for i := 0; gs.Directory().ProviderCount(naming.KindVariable, "spd") == 0; i++ {
+			if i == 500 {
+				t.Fatal("provider never visible")
+			}
+			v.Sleep(2 * time.Millisecond)
+		}
 
-	// The healthy client must keep flowing after the eviction.
-	before := healthy.frames.Load()
-	for i := 0; healthy.frames.Load() == before; i++ {
-		if i > 500 {
-			t.Fatal("healthy client starved after eviction")
+		healthy, stalled := &sinkConn{}, newStallConn(v)
+		for _, conn := range []Conn{healthy, stalled} {
+			c, err := g.Attach(conn)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := c.Subscribe(StreamVariable, "spd"); err != nil {
+				t.Fatal(err)
+			}
 		}
-		if err := pub.Publish(uint32(sent)); err != nil {
-			t.Fatal(err)
+		// Samples flow once the fabric subscription is bound; the first
+		// one heard is also the stalled client's first write.
+		var sent uint32
+		for healthy.frames.Load() == 0 {
+			if sent == 500 {
+				t.Fatal("healthy client never heard a sample")
+			}
+			sent++
+			if err := pub.Publish(sent); err != nil {
+				t.Fatal(err)
+			}
+			v.Sleep(2 * time.Millisecond)
 		}
-		sent++
-		time.Sleep(2 * time.Millisecond)
-	}
+
+		// Publish past the eviction; the healthy shard-mate must hear
+		// every sample.
+		before := healthy.frames.Load()
+		const samples = 60
+		for i := 0; i < samples; i++ {
+			sent++
+			if err := pub.Publish(sent); err != nil {
+				t.Fatal(err)
+			}
+			v.Sleep(2 * time.Millisecond)
+		}
+		v.Sleep(10 * time.Millisecond)
+
+		if got := g.m.evictions[reasonStall].Value(); got != 1 {
+			t.Fatalf("stall evictions = %d, want 1", got)
+		}
+		if g.m.clients.Value() != 1 {
+			t.Fatalf("clients gauge = %d after eviction, want 1", g.m.clients.Value())
+		}
+		if got := healthy.frames.Load() - before; got != samples {
+			t.Errorf("healthy shard-mate heard %d of %d samples published around the eviction", got, samples)
+		}
+		stalled.mu.Lock()
+		took := stalled.close.Sub(stalled.firstWrite)
+		stalled.mu.Unlock()
+		if want := fastWriteDeadline + time.Duration(opts.StallLimit)*opts.WriteStall; took != want {
+			t.Errorf("stalled client evicted %v after its first write, want exactly %v (fastWriteDeadline + StallLimit × WriteStall)", took, want)
+		}
+	})
 }
 
 // TestReliableBacklogEviction: event frames are never silently
@@ -485,8 +509,7 @@ func TestReliableBacklogEviction(t *testing.T) {
 		return g.Node().Directory().ProviderCount(naming.KindEvent, "alarm") == 1
 	})
 
-	stalled := &stallConn{}
-	sc, err := g.Attach(stalled)
+	sc, err := g.Attach(newStallConn(g.clk))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,7 +3,6 @@ package gateway
 import (
 	"errors"
 	"io"
-	"net"
 	"os"
 	"sync"
 	"time"
@@ -19,7 +18,9 @@ import (
 type Conn interface {
 	io.Writer
 	io.Closer
-	// SetWriteDeadline bounds the next Write, as on net.Conn.
+	// SetWriteDeadline bounds the next Write, as on net.Conn: a Write
+	// that misses it fails with an error wrapping os.ErrDeadlineExceeded.
+	// The deadline is an instant on the gateway node's clock.
 	SetWriteDeadline(t time.Time) error
 }
 
@@ -211,7 +212,8 @@ func (sh *shard) run() {
 // service writes up to writerBatch frames to c, then requeues it if more
 // remain (fairness inside the shard). A write that misses the fast
 // deadline marks the client stalled and hands it to its own slow drain
-// goroutine — the shared writer never waits on one socket twice.
+// goroutine, started on the node's clock — the shared writer never waits
+// on one socket twice.
 func (sh *shard) service(c *Client) {
 	g := sh.g
 	for budget := writerBatch; ; {
@@ -232,7 +234,7 @@ func (sh *shard) service(c *Client) {
 		off := c.off
 		c.mu.Unlock()
 
-		_ = c.conn.SetWriteDeadline(time.Now().Add(fastWriteDeadline))
+		_ = c.conn.SetWriteDeadline(g.clk.Now().Add(fastWriteDeadline))
 		n, err := c.conn.Write(s.Bytes()[off:])
 		if n > 0 {
 			g.m.bytesOut.Add(uint64(n))
@@ -254,7 +256,7 @@ func (sh *shard) service(c *Client) {
 				sh.mu.Unlock()
 				return
 			}
-		case isTimeout(err):
+		case errors.Is(err, os.ErrDeadlineExceeded):
 			c.mu.Lock()
 			if !c.closed {
 				c.off = off + n
@@ -264,11 +266,7 @@ func (sh *shard) service(c *Client) {
 			c.mu.Unlock()
 			s.Release()
 			if !closed {
-				// Unmanaged goroutine on purpose: it blocks in socket
-				// writes, which no clock can account for. Under a
-				// virtual clock in-memory conns never stall, so this
-				// path only runs in real time.
-				go c.slowDrain()
+				clock.Go(g.clk, c.slowDrain)
 			}
 			return
 		default:
@@ -307,7 +305,7 @@ func (c *Client) slowDrain() {
 		off := c.off
 		c.mu.Unlock()
 
-		_ = c.conn.SetWriteDeadline(time.Now().Add(g.opts.WriteStall))
+		_ = c.conn.SetWriteDeadline(g.clk.Now().Add(g.opts.WriteStall))
 		n, err := c.conn.Write(s.Bytes()[off:])
 		if n > 0 {
 			g.m.bytesOut.Add(uint64(n))
@@ -315,7 +313,7 @@ func (c *Client) slowDrain() {
 		switch {
 		case err == nil:
 			c.finishFrame(s)
-		case isTimeout(err):
+		case errors.Is(err, os.ErrDeadlineExceeded):
 			c.mu.Lock()
 			evict := false
 			if !c.closed {
@@ -335,14 +333,6 @@ func (c *Client) slowDrain() {
 			return
 		}
 	}
-}
-
-func isTimeout(err error) bool {
-	if errors.Is(err, os.ErrDeadlineExceeded) {
-		return true
-	}
-	var ne net.Error
-	return errors.As(err, &ne) && ne.Timeout()
 }
 
 // Client is one attached external consumer. Its write queue is a fixed

@@ -14,10 +14,11 @@ import (
 // bareGoroutines is every `go` statement in non-test code under internal/
 // outside internal/clock, as "file:enclosing function", one entry per
 // statement. These goroutines are invisible to clock.Virtual: the simulator
-// cannot own their ordering. ROADMAP's first item registers or eliminates
-// them, so the list only shrinks; new concurrency goes through clock.Go.
+// cannot own their ordering. Each one left serves real sockets — the
+// gateway's TCP accept loop, the UDP transport's readers — which only run
+// on the wall clock. The list only shrinks; new concurrency goes through
+// clock.Go.
 var bareGoroutines = []string{
-	"internal/gateway/shard.go:service",
 	"internal/gateway/wire.go:Serve",
 	"internal/transport/udp.go:Join",
 	"internal/transport/udp.go:NewUDP",

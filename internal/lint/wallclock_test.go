@@ -19,18 +19,16 @@ var wallClockFuncs = []string{"Now", "Since", "Until", "Sleep", "After", "AfterF
 
 // wallClockUses counts, per file, the uses of wallClockFuncs in non-test
 // code under internal/ outside internal/clock (which wraps the wall clock)
-// and internal/leakcheck (which waits for goroutines on it). The gateway
-// sets its write deadlines on the real sockets it serves; the experiments
-// time their wall-clock arms. The list only shrinks: a file that drops a
-// use lowers its count here in the same change.
+// and internal/leakcheck (which waits for goroutines on it). Only the
+// experiments are left: the arms that run on the wall clock time
+// themselves with it. The list only shrinks: a file that drops a use
+// lowers its count here in the same change.
 var wallClockUses = map[string]int{
 	"internal/experiments/experiments.go":          31,
-	"internal/experiments/gateway_experiment.go":   6,
 	"internal/experiments/gbn.go":                  2,
 	"internal/experiments/scheduler_experiment.go": 5,
 	"internal/experiments/table.go":                2,
 	"internal/experiments/virtual.go":              2,
-	"internal/gateway/shard.go":                    2,
 }
 
 // TestNoWallClock holds the wall-clock reads and waits under internal/ to
